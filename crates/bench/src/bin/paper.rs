@@ -148,10 +148,9 @@ fn run_tick_throughput(args: &[String]) {
         report.rows.iter().any(|r| r.mode == "scalar-kernel"),
         "tick-throughput matrix lost the scalar-kernel ablation row"
     );
-    // The grid runs its batched range filter natively over the SoA bucket
-    // arena (`RANGE_BATCH_NATIVE`), so every measured population must have
-    // a grid serial (batched) row paired with its scalar-kernel ablation —
-    // the rows behind the grid's `kernel_speedup` — for both models.
+    // Every measured population must have a grid serial (batched) row
+    // paired with its scalar-kernel ablation — the rows behind the grid's
+    // `kernel_speedup` — for both models.
     for &n in &cfg.agent_counts {
         for model in ["fish", "traffic"] {
             for mode in ["serial", "scalar-kernel"] {

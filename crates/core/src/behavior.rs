@@ -74,16 +74,75 @@ impl<'a> Neighbors<'a> {
     }
 }
 
-/// Reusable gather columns backing one shard's [`NeighborBatch`]: candidate
-/// positions and any state columns a batched behavior asks for, gathered
-/// once per probe into flat, reused `f64` buffers so the lane kernels read
-/// contiguous memory. Owned by the executor's per-shard scratch; behaviors
-/// only ever see it through [`NeighborBatch::gather`].
+/// Reusable gather columns backing one shard's [`NeighborBatch`]es. The
+/// executor answers a whole probe group (the owned rows of one tile) with
+/// one candidate **block**; the block's positions — and, the first time a
+/// member's [`NeighborBatch::gather`] asks for them, its state columns — are
+/// gathered from the pool **once per block**, and each member's columns are
+/// picked out of that small contiguous block instead of out of the pool.
+/// Owned by the executor's per-shard scratch; behaviors only ever see it
+/// through [`NeighborBatch::gather`].
 #[derive(Debug, Default)]
 pub struct BatchScratch {
+    /// Block columns, parallel to the block's rows.
+    block_xs: Vec<f64>,
+    block_ys: Vec<f64>,
+    block_states: Vec<Vec<f64>>,
+    /// Whether `block_xs`/`block_ys` hold the current block.
+    block_has_xy: bool,
+    /// The state slots `block_states` holds for the current block, in
+    /// request order; meaningful only while `block_has_states`.
+    block_slots: Vec<u16>,
+    block_has_states: bool,
+    /// One member's columns, picked out of the block.
     xs: Vec<f64>,
     ys: Vec<f64>,
     states: Vec<Vec<f64>>,
+}
+
+/// `out ← [col[i] for i in picks]`.
+#[inline]
+fn pick_into(col: &[f64], picks: &[u32], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(picks.iter().map(|&i| col[i as usize]));
+}
+
+impl BatchScratch {
+    /// Start a new block: the previous block's columns are stale (their
+    /// allocations are kept).
+    pub(crate) fn begin_block(&mut self) {
+        self.block_has_xy = false;
+        self.block_has_states = false;
+    }
+
+    /// The position columns of `block`, gathered from the pool on the
+    /// block's first request.
+    pub(crate) fn block_xy(&mut self, view: PoolView<'_>, block: &[u32]) -> (&[f64], &[f64]) {
+        if !self.block_has_xy {
+            pick_into(view.xs, block, &mut self.block_xs);
+            pick_into(view.ys, block, &mut self.block_ys);
+            self.block_has_xy = true;
+        }
+        (&self.block_xs, &self.block_ys)
+    }
+
+    /// Make `block_states[..slots.len()]` hold `block`'s state columns for
+    /// `slots`. A behavior asks for the same slots on every probe, so this
+    /// gathers once per block.
+    fn ensure_block_states(&mut self, view: PoolView<'_>, block: &[u32], slots: &[u16]) {
+        if self.block_has_states && self.block_slots == slots {
+            return;
+        }
+        while self.block_states.len() < slots.len() {
+            self.block_states.push(Vec::new());
+        }
+        for (col, &slot) in self.block_states.iter_mut().zip(slots) {
+            pick_into(&view.states[slot as usize], block, col);
+        }
+        self.block_slots.clear();
+        self.block_slots.extend_from_slice(slots);
+        self.block_has_states = true;
+    }
 }
 
 /// The candidate batch handed to [`Behavior::query_batch`]: the probe's
@@ -94,33 +153,48 @@ pub struct BatchScratch {
 /// [`NeighborBatch::gather`] and run lane kernels over the returned columns.
 pub struct NeighborBatch<'a> {
     view: PoolView<'a>,
-    rows: &'a [u32],
+    /// The probe group's candidate block (canonical order).
+    block: &'a [u32],
+    /// This agent's candidates as positions in `block`, with the rows they
+    /// name; `None` when the whole block is this agent's candidate set.
+    picked: Option<(&'a [u32], &'a [u32])>,
     me: u32,
     scratch: &'a mut BatchScratch,
 }
 
 impl<'a> NeighborBatch<'a> {
-    /// `rows` are the probe's candidate row indices (they may include `me`,
-    /// which batched emission loops must skip exactly like [`Neighbors`]).
-    pub fn new(view: PoolView<'a>, rows: &'a [u32], me: u32, scratch: &'a mut BatchScratch) -> Self {
-        NeighborBatch { view, rows, me, scratch }
+    /// `block` holds the candidate rows of `me`'s probe group and `scratch`
+    /// that block's columns ([`BatchScratch::begin_block`] was called when
+    /// the block changed). `picked = Some((picks, rows))` narrows the batch
+    /// to `rows[i] == block[picks[i]]`; `None` means every block row is a
+    /// candidate. Candidates may include `me`, which batched emission loops
+    /// must skip exactly like [`Neighbors`].
+    pub(crate) fn new(
+        view: PoolView<'a>,
+        block: &'a [u32],
+        picked: Option<(&'a [u32], &'a [u32])>,
+        me: u32,
+        scratch: &'a mut BatchScratch,
+    ) -> Self {
+        debug_assert!(picked.is_none_or(|(picks, rows)| picks.len() == rows.len()));
+        NeighborBatch { view, block, picked, me, scratch }
     }
 
     /// Number of candidates (self included when the probe emitted it).
     #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows().len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows().is_empty()
     }
 
     /// The candidate rows, in canonical probe order.
     #[inline]
     pub fn rows(&self) -> &'a [u32] {
-        self.rows
+        self.picked.map_or(self.block, |(_, rows)| rows)
     }
 
     /// Row index of the querying agent (for self-exclusion).
@@ -133,29 +207,37 @@ impl<'a> NeighborBatch<'a> {
     /// [`Behavior::query_batch`] fallback path.
     #[inline]
     pub fn neighbors(&self) -> Neighbors<'a> {
-        Neighbors::new(self.view, self.rows, self.me)
+        Neighbors::new(self.view, self.rows(), self.me)
     }
 
-    /// Gather candidate positions and the requested state columns
-    /// (`state_slots`, schema order) into the reused scratch columns and
-    /// return them as a SoA view parallel to [`NeighborBatch::rows`]. The
-    /// gather itself is the batched layer's only indexed access; everything
-    /// downstream streams flat `f64` columns.
+    /// Materialize candidate positions and the requested state columns
+    /// (`state_slots`, schema order) as a SoA view parallel to
+    /// [`NeighborBatch::rows`]. The pool is touched at most once per block
+    /// (see [`BatchScratch`]); a narrowed batch then picks its columns out
+    /// of the block's, and everything downstream streams flat `f64` columns.
     pub fn gather(&mut self, state_slots: &[u16]) -> GatheredBatch<'_> {
         let s = &mut *self.scratch;
-        s.xs.clear();
-        s.xs.extend(self.rows.iter().map(|&r| self.view.xs[r as usize]));
-        s.ys.clear();
-        s.ys.extend(self.rows.iter().map(|&r| self.view.ys[r as usize]));
-        while s.states.len() < state_slots.len() {
+        s.block_xy(self.view, self.block);
+        s.ensure_block_states(self.view, self.block, state_slots);
+        let n = state_slots.len();
+        let Some((picks, rows)) = self.picked else {
+            return GatheredBatch {
+                rows: self.block,
+                me: self.me,
+                xs: &s.block_xs,
+                ys: &s.block_ys,
+                states: &s.block_states[..n],
+            };
+        };
+        pick_into(&s.block_xs, picks, &mut s.xs);
+        pick_into(&s.block_ys, picks, &mut s.ys);
+        while s.states.len() < n {
             s.states.push(Vec::new());
         }
-        for (gathered, &slot) in s.states.iter_mut().zip(state_slots) {
-            let col = &self.view.states[slot as usize];
-            gathered.clear();
-            gathered.extend(self.rows.iter().map(|&r| col[r as usize]));
+        for (out, col) in s.states.iter_mut().zip(&s.block_states[..n]) {
+            pick_into(col, picks, out);
         }
-        GatheredBatch { rows: self.rows, me: self.me, xs: &s.xs, ys: &s.ys, states: &s.states[..state_slots.len()] }
+        GatheredBatch { rows, me: self.me, xs: &s.xs, ys: &s.ys, states: &s.states[..n] }
     }
 }
 
@@ -291,13 +373,12 @@ pub trait Behavior: Send + Sync {
     /// Whether the executor's batched mode should route this behavior
     /// through [`Behavior::query_batch`] (`true`, the default) or keep the
     /// per-row [`Behavior::query`]. Pure scheduling policy, never
-    /// semantics — the two paths are bit-identical by contract — mirroring
-    /// `SpatialIndex::RANGE_BATCH_NATIVE` on the index side: a batched
-    /// kernel pays a gather pass over every candidate, which only
-    /// amortizes when the per-candidate map is expensive enough. Behaviors
-    /// with a cost estimate for their per-candidate kernel should decide
-    /// through [`batch_engaged`], the one engagement rule shared by the
-    /// BRASIL compiler's lane programs and the hand-coded models.
+    /// semantics — the two paths are bit-identical by contract: a batched
+    /// kernel pays a pass that materializes every candidate as columns,
+    /// which only amortizes when the per-candidate map is expensive enough.
+    /// Behaviors with a cost estimate for their per-candidate kernel should
+    /// decide through [`batch_engaged`], the one engagement rule shared by
+    /// the BRASIL compiler's lane programs and the hand-coded models.
     fn batch_profitable(&self) -> bool {
         true
     }

@@ -180,18 +180,19 @@ impl EffectTable {
         }
     }
 
-    /// Overwrite rows `dst_row..dst_row + src.rows()` of this table with the
-    /// entire contents of `src`. Used by the sharded executor to merge a
-    /// shard's disjoint row slice back into the tick's table: for
-    /// local-effect schemas each shard owns its row range exclusively, so
-    /// the merge is one bitwise column-segment copy per field — exactly the
-    /// values the serial path would have produced.
-    pub fn copy_rows_from(&mut self, src: &EffectTable, dst_row: usize) {
-        debug_assert_eq!(src.width(), self.width(), "schema mismatch in copy_rows_from");
-        debug_assert!(dst_row + src.rows() <= self.rows, "shard copy out of range");
-        let n = src.rows();
+    /// Overwrite row `dst_rows[i]` of this table with row `i` of `src`, for
+    /// every row of `src`. Used by the sharded executor to merge a
+    /// local-effect shard back into the tick's table: the shard's table is
+    /// indexed by position in its slice of the probe order, each row was
+    /// written only by its own agent, and the slices partition the owned
+    /// rows — so the merge is a bitwise scatter of exactly the values the
+    /// serial path would have produced.
+    pub fn scatter_rows_from(&mut self, src: &EffectTable, dst_rows: impl Iterator<Item = u32> + Clone) {
+        debug_assert_eq!(src.width(), self.width(), "schema mismatch in scatter_rows_from");
         for (dst, s) in self.cols.iter_mut().zip(&src.cols) {
-            dst[dst_row..dst_row + n].copy_from_slice(&s[..n]);
+            for (&v, r) in s.iter().zip(dst_rows.clone()) {
+                dst[r as usize] = v;
+            }
         }
     }
 
@@ -232,57 +233,49 @@ pub struct EffectWriter<'a> {
     schema: &'a AgentSchema,
     table: &'a mut EffectTable,
     me: u32,
-    /// Row offset of `table` within the tick's visible set: the sharded
-    /// executor hands each shard a table covering only its own row range,
-    /// and the writer translates global row addresses by `base`. `0` for a
-    /// full-width table (the serial path and non-local shards).
-    base: u32,
+    /// Row of `table` that holds `me`'s effects: `me` itself for a table
+    /// spanning the visible set (the serial path and non-local shards); the
+    /// agent's position in its shard's slice of the probe order for a
+    /// local-effect shard table, where no other row is addressable.
+    slot: u32,
     nonlocal_writes: u64,
 }
 
 impl<'a> EffectWriter<'a> {
+    /// Writer over a table spanning the visible set (row `r` is visible row `r`).
     pub fn new(schema: &'a AgentSchema, table: &'a mut EffectTable, me: u32) -> Self {
-        EffectWriter { schema, table, me, base: 0, nonlocal_writes: 0 }
+        EffectWriter { schema, table, me, slot: me, nonlocal_writes: 0 }
     }
 
-    /// Writer over a shard-local table whose row 0 corresponds to global
-    /// row `base` of the visible set. `me` stays a global row index.
-    pub fn with_base(schema: &'a AgentSchema, table: &'a mut EffectTable, me: u32, base: u32) -> Self {
-        debug_assert!(me >= base, "querying row below the shard base");
-        EffectWriter { schema, table, me, base, nonlocal_writes: 0 }
+    /// Writer over a local-effect shard table, in which `me`'s effects live
+    /// in row `slot`. `me` stays a visible-set row index.
+    pub fn with_slot(schema: &'a AgentSchema, table: &'a mut EffectTable, me: u32, slot: u32) -> Self {
+        EffectWriter { schema, table, me, slot, nonlocal_writes: 0 }
     }
 
     /// `field <- v` on the querying agent itself.
     #[inline]
     pub fn local(&mut self, field: FieldId, v: f64) {
-        self.table.combine(self.me - self.base, field, v);
+        self.table.combine(self.slot, field, v);
     }
 
     /// `target.field <- v` on another visible agent. Models whose schema
     /// does not declare [`nonlocal_effects`](crate::schema::SchemaBuilder::nonlocal_effects)
-    /// must not call this; debug builds assert it, and the runtime would
-    /// otherwise silently drop the effect at partition boundaries.
+    /// must not call this for any row but their own: the runtime would drop
+    /// the effect at partition boundaries, and a local-effect shard table
+    /// has no row for it — so the violation fails loudly, naming the schema.
     #[inline]
     pub fn remote(&mut self, target_row: u32, field: FieldId, v: f64) {
-        debug_assert!(
-            self.schema.has_nonlocal_effects() || target_row == self.me,
-            "schema `{}` declares local effects only but wrote to another agent",
+        if target_row == self.me {
+            return self.local(field, v);
+        }
+        assert!(
+            self.schema.has_nonlocal_effects(),
+            "schema `{}` declares local effects only but wrote to another agent (row {target_row})",
             self.schema.name()
         );
-        if target_row != self.me {
-            self.nonlocal_writes += 1;
-        }
-        // Shard writers of local-effect schemas have `base > 0`; a
-        // contract-violating write below the shard base must fail loudly
-        // (naming the violation) rather than wrap and index out of bounds.
-        let row = target_row.checked_sub(self.base).unwrap_or_else(|| {
-            panic!(
-                "schema `{}` declares local effects only but wrote to row {} outside its shard",
-                self.schema.name(),
-                target_row
-            )
-        });
-        self.table.combine(row, field, v);
+        self.nonlocal_writes += 1;
+        self.table.combine(target_row, field, v);
     }
 
     /// Number of genuinely non-local writes performed through this writer
@@ -409,7 +402,36 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
+    fn scatter_places_shard_rows_through_a_permutation() {
+        let s = schema();
+        let mut shard = EffectTable::new(&s);
+        shard.reset(3);
+        for (slot, v) in [(0, 1.5), (1, -2.0), (2, 7.0)] {
+            shard.combine(slot, FieldId::new(0), v);
+            shard.combine(slot, FieldId::new(1), v);
+        }
+        let mut t = EffectTable::new(&s);
+        t.reset(5);
+        t.scatter_rows_from(&shard, [4u32, 0, 2].into_iter());
+        assert_eq!(t.col(FieldId::new(0)), &[-2.0, 0.0, 7.0, 0.0, 1.5]);
+        assert_eq!(t.col(FieldId::new(1)), &[-2.0, f64::INFINITY, 7.0, f64::INFINITY, 1.5]);
+        assert!(t.row_is_identity(1) && t.row_is_identity(3));
+    }
+
+    #[test]
+    fn slot_writer_addresses_its_own_row_only() {
+        let s = AgentSchema::builder("L").effect("e", Combinator::Sum).build().unwrap();
+        let mut t = EffectTable::new(&s);
+        t.reset(2);
+        // Visible row 9 lives in slot 1 of this shard's table.
+        let mut w = EffectWriter::with_slot(&s, &mut t, 9, 1);
+        w.local(FieldId::new(0), 2.0);
+        w.remote(9, FieldId::new(0), 3.0); // remote to self is local
+        assert_eq!(w.nonlocal_writes(), 0);
+        assert_eq!(t.col(FieldId::new(0)), &[0.0, 5.0]);
+    }
+
+    #[test]
     #[should_panic(expected = "local effects only")]
     fn writer_rejects_undeclared_nonlocal() {
         let s = AgentSchema::builder("L").effect("e", Combinator::Sum).build().unwrap();

@@ -43,46 +43,102 @@
 //! [`IndexMaintenance::Rebuild`] mode forces the old rebuild-every-tick
 //! behavior for ablations.
 //!
-//! Probe results are **canonicalized** per index kind: grid and scan emit
-//! range candidates in an order that is already a pure function of the
-//! point set (`SpatialIndex::RANGE_CANONICAL`), the KD-tree's candidates
-//! are row-sorted here, and k-NN ties break by row everywhere — so a
-//! maintained index and a fresh rebuild aggregate float effects in exactly
-//! the same order and produce bit-identical effect tables.
+//! Probe results are **canonicalized**: every candidate block is put in
+//! ascending agent-id order before any behavior sees it. Grid and scan emit
+//! range candidates in ascending row order, a pure function of the point set
+//! (`SpatialIndex::RANGE_CANONICAL`), which on an id-ordered pool is already
+//! canonical; the KD-tree's build-history emission order is row-sorted here,
+//! a swap-churned worker pool is sorted by `(id, row)`, and k-NN ties break
+//! by row everywhere — so a maintained index and a fresh rebuild aggregate
+//! float effects in exactly the same order and produce bit-identical effect
+//! tables. The sort is paid once per probe group, not once per agent.
+//!
+//! # Probe groups: the query phase as a tile-blocked spatial join
+//!
+//! A behavioral simulation tick *is* a spatial self-join, and agents that
+//! are close in space ask the index for almost the same candidates. So the
+//! query phase does not run one index probe per agent. Once per tick the
+//! owned rows are sorted into the **probe order** — by the tile their
+//! position falls in (tile side = the schema's visibility bound: a rule,
+//! like the grid's cell ≈ visibility, not a knob), then by row — and each
+//! run of rows sharing a tile is a **probe group**, answered together
+//! (`query_shard`, the one production probe loop):
+//!
+//! 1. **one** `index.range` over the union of the members'
+//!    [`Behavior::probe_rect`]s yields the group's candidate *block*;
+//! 2. the block is canonicalized **once** and its positions are gathered
+//!    **once** into contiguous columns (state columns too, the first time a
+//!    batched behavior asks — see [`BatchScratch`]);
+//! 3. each member takes *its own* candidates out of the block by running
+//!    the lane kernel `kernels::filter_rect` over those columns with *its
+//!    own* probe rect.
+//!
+//! Step 3 selects exactly the rows `index.range(member's rect)` would have
+//! returned (the index answers closed containment exactly and the member's
+//! rect lies inside the union), in the same canonical order (a filter
+//! preserves order), so effects, `neighbor_visits` and every golden are
+//! those of one probe per agent — only tree descents, sorts and pool
+//! gathers drop from one per agent to one per tile (≈20 agents at fish
+//! density). A block is at most the candidates of a (tile + 2·visibility)²
+//! square, ≤ 2.25× a member's own at locally uniform density. Grouping
+//! sorts keys — O(n log n) time, O(n) memory, no dense cell array — so a
+//! school that swims out of its initial space, or one agent 10⁹ units away,
+//! costs nothing extra.
+//!
+//! Whatever must visit rows **in row order** keeps it through the same
+//! loop, as one-row groups in the identity order (a group of one needs no
+//! filter: its block is its candidate set — exactly one probe per row, made
+//! as the per-row loop made it: through `SpatialIndex::range_batch` where
+//! the index filters its own columns, `RANGE_BATCH_NATIVE`, else `range`):
+//! schemas with non-local effects, whose float `Sum` into a *target* row
+//! accumulates in source-row order; [`NeighborProbe::Nearest`], which has
+//! no rect to union; and [`IndexKind::Scan`], the paper's *no-indexing*
+//! baseline (sharing its scans between tile-mates would make it an index).
+//! Unbounded visibility is one group whose block is the visible set.
 //!
 //! # Sharded execution model
 //!
 //! The state-effect pattern makes the per-partition query phase
 //! embarrassingly parallel: queries read only frozen previous-tick state,
 //! and effect assignments combine through associative, commutative ⊕
-//! operators. The executor exploits this by cutting the owned-row range
-//! into **logical shards** and running shards on a pool of scoped threads
-//! (the `parallelism` knob; `0` means one thread per available core):
+//! operators. The executor exploits this by cutting the **probe order**
+//! into contiguous **logical shards** and running shards on a pool of
+//! scoped threads (the `parallelism` knob; `0` means one thread per
+//! available core):
 //!
+//! * Shards follow the probe order, not the row order: a single-node pool's
+//!   rows are in id order — spatially random — so a row-range shard would
+//!   cut every tile into one sliver per shard and the amortization would
+//!   vanish. A tile that straddles a shard boundary simply builds its block
+//!   on both sides.
 //! * Each shard accumulates into its **own** [`EffectTable`] and reuses its
-//!   own candidate scratch buffer, so the hot loop performs no allocation
+//!   own block and column scratch, so the hot loop performs no allocation
 //!   and no synchronization. All per-tick buffers live in a
 //!   [`TickScratch`] that persists across ticks.
-//! * For **local-effect** schemas a shard's writes land only in its own row
-//!   range, so its table covers just that slice and the merge is a bitwise
-//!   column-segment copy — parallel output is identical to serial output at
+//! * For **local-effect** schemas every row's effects are written by that
+//!   row alone, so a shard's table holds just its slice of the probe order
+//!   (indexed by position in the slice) and the merge is a bitwise scatter
+//!   through the order — parallel output is identical to serial output at
 //!   the bit level, for any shard plan and any thread count.
 //! * For **non-local** schemas any shard may write to any visible row, so
 //!   every shard table spans the visible set and shards are ⊕-merged in
-//!   ascending shard order.
+//!   ascending shard order (the probe order is the row order here).
 //! * The inner probe loop is monomorphized over the concrete index type
 //!   ([`ScanIndex`] / [`KdTree`] / [`UniformGrid`]): the [`BuiltIndex`]
 //!   enum is dispatched once per tick, not once per probe.
 //!
 //! # Determinism argument
 //!
-//! The shard plan is a pure function of `(n_owned, has_nonlocal_effects)` —
-//! **never** of the thread count — and shards merge in ascending order, so
-//! the ⊕ reduction tree is fixed: running with 1 thread or 64 produces
-//! bit-identical effect tables and agent states (`tests/properties.rs`
-//! proves this across seeds, populations and every [`IndexKind`]). Relative
-//! to the unsharded serial reference ([`query_phase`]), results are also
-//! bit-identical whenever effects are local (copy-merge) or the combinators
+//! The shard plan is a pure function of `(n_owned, has_nonlocal_effects)`
+//! and of the positions (the probe order) — **never** of the thread count —
+//! and shards merge in ascending order, so the ⊕ reduction tree is fixed:
+//! running with 1 thread or 64 produces bit-identical effect tables and
+//! agent states (`tests/properties.rs` proves this across seeds,
+//! populations and every [`IndexKind`]). Relative to the unsharded,
+//! ungrouped serial reference ([`query_phase`]: one probe and one sort per
+//! row, in row order), results are also bit-identical whenever effects are
+//! local (each row is written by itself alone, so neither the order rows
+//! are visited in nor how they are grouped can matter) or the combinators
 //! are exactly associative on the values involved (the lattice ops
 //! Min/Max/Or/And always; Sum/Prod on integer-valued effects) — the same
 //! contract the distributed runtime already imposes on cross-partition
@@ -106,7 +162,8 @@ use crate::effect::{EffectTable, EffectWriter};
 use crate::metrics::{SimMetrics, TickMetrics};
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
-use brace_common::{AgentId, DetRng, Vec2};
+use brace_common::{AgentId, DetRng, Rect, Vec2};
+use brace_spatial::kernels::filter_rect;
 use brace_spatial::{IndexKind, KdTree, ScanIndex, SpatialIndex, UniformGrid};
 use brace_telemetry::{Counter, HistId, Telemetry};
 use std::ops::Range;
@@ -222,23 +279,22 @@ impl BuiltIndex {
     }
 }
 
-/// Which implementation of the query phase's probe loop the executor runs
-/// (ablation knob, like [`IndexMaintenance`]). The two are bit-identical —
-/// proven by the kernel conformance properties in `tests/properties.rs` —
-/// so the knob only ever changes speed, never results.
+/// Which form of the behavior's query the probe loop runs (ablation knob,
+/// like [`IndexMaintenance`]). The two are bit-identical — proven by the
+/// kernel conformance properties in `tests/properties.rs` — so the knob
+/// only ever changes speed, never results. Probing is the same either way
+/// (one index probe per probe group and one lane-kernel filter pass per
+/// member; see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryKernel {
-    /// Batched lane kernels (default): behaviors run through
-    /// [`Behavior::query_batch`] (vectorized per-candidate math, ordered
-    /// emission), and indexes whose batched filter is gather-free
-    /// (`SpatialIndex::RANGE_BATCH_NATIVE` — the scan's native columns,
-    /// the grid's bucket-major SoA arena) answer range probes through
-    /// `range_batch` (containment as a lane kernel) instead of the
-    /// per-point test.
+    /// Batched lane kernels (default): behaviors that say it pays
+    /// ([`Behavior::batch_profitable`]) run through
+    /// [`Behavior::query_batch`] — vectorized per-candidate math over
+    /// columns picked out of the probe group's block, ordered emission.
     #[default]
     Batched,
-    /// The per-row scalar path (`range` + [`Behavior::query`]) — the
-    /// pre-kernel behavior, kept as the ablation baseline.
+    /// The per-row scalar form ([`Behavior::query`]) for every behavior —
+    /// the pre-kernel behavior, kept as the ablation baseline.
     Scalar,
 }
 
@@ -371,20 +427,67 @@ pub struct QueryStats {
     pub nonlocal_writes: u64,
 }
 
+/// One owned row in the tick's **probe order**: the tile its position falls
+/// in (tile side = the schema's visibility bound) and the row. The order is
+/// sorted by `(tile, row)`; runs of equal tiles are the probe groups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ProbeKey {
+    tile: (i64, i64),
+    row: u32,
+}
+
+/// Put rows `0..n_owned` into `order` in probe order. With a tile side,
+/// rows are sorted by the tile their position falls in, then by row — sort
+/// keys, not a dense cell array, so the cost is O(n log n) time and O(n)
+/// memory whatever the world's extent (fish swim out of the initial space;
+/// one agent 10⁹ units away is one more key). An unbounded side puts every
+/// row in tile (0, 0). Without a tile side the order is row order.
+fn plan_probe_order(order: &mut Vec<ProbeKey>, view: PoolView<'_>, n_owned: usize, tile_side: Option<f64>) {
+    let row_order = |order: &mut Vec<ProbeKey>| {
+        order.clear();
+        order.extend((0..n_owned as u32).map(|row| ProbeKey { tile: (0, 0), row }));
+    };
+    let Some(side) = tile_side else { return row_order(order) };
+    // `(tile, row)` is a total order over distinct rows, so any permutation
+    // of the rows sorts to the same result — and the reachability bound
+    // keeps most agents in their tile from one tick to the next, so the
+    // previous tick's order is a nearly sorted one to start from.
+    if order.len() != n_owned {
+        row_order(order);
+    }
+    // `as` saturates, so absurdly distant agents share an outermost tile:
+    // grouping decides how much each probe amortizes, never what it finds.
+    let tile = |v: f64| (v / side).floor() as i64;
+    for key in order.iter_mut() {
+        key.tile = (tile(view.xs[key.row as usize]), tile(view.ys[key.row as usize]));
+    }
+    order.sort_unstable();
+}
+
 /// Reusable per-tick working memory, threaded through the executor so the
-/// hot path allocates nothing after the first tick: one [`ShardScratch`]
-/// (effect table + candidate buffer + spawn queue) per logical shard. One
-/// `TickScratch` belongs to one behavior (its tables are shaped by the
-/// behavior's schema).
+/// hot path allocates nothing after the first tick: the tick's probe order
+/// and one [`ShardScratch`] (effect table + candidate block + spawn queue)
+/// per logical shard. One `TickScratch` belongs to one behavior (its tables
+/// are shaped by the behavior's schema).
 #[derive(Default)]
 pub struct TickScratch {
     shards: Vec<ShardScratch>,
+    order: Vec<ProbeKey>,
+    /// Captured at construction, like [`TickExecutor`]'s own handle.
+    tel: Telemetry,
 }
 
 /// Working memory of one logical shard.
 struct ShardScratch {
     table: EffectTable,
-    candidates: Vec<u32>,
+    /// Candidate rows of the current probe group, canonical order.
+    block: Vec<u32>,
+    /// One member's candidates: positions in `block`, and the rows there.
+    picks: Vec<u32>,
+    rows: Vec<u32>,
+    /// `0, 1, 2, …`: the payload column that makes `filter_rect` emit
+    /// block positions instead of rows.
+    iota: Vec<u32>,
     batch: BatchScratch,
     spawns: Vec<(Vec2, Vec<f64>)>,
     /// Parent agent id of each entry in `spawns`, in lockstep. Spawn ids are
@@ -393,18 +496,25 @@ struct ShardScratch {
     spawn_parents: Vec<AgentId>,
     visits: u64,
     nonlocal: u64,
+    groups: u64,
+    block_rows: u64,
 }
 
 impl ShardScratch {
     fn new(schema: &AgentSchema) -> Self {
         ShardScratch {
             table: EffectTable::new(schema),
-            candidates: Vec::new(),
+            block: Vec::new(),
+            picks: Vec::new(),
+            rows: Vec::new(),
+            iota: Vec::new(),
             batch: BatchScratch::default(),
             spawns: Vec::new(),
             spawn_parents: Vec::new(),
             visits: 0,
             nonlocal: 0,
+            groups: 0,
+            block_rows: 0,
         }
     }
 }
@@ -424,10 +534,12 @@ impl TickScratch {
 }
 
 /// Serial reference implementation of the query phase: one pass over rows
-/// `0..n_owned` into a single full-width `table` (which is reset first),
-/// over an index built fresh for this call. This is the executable
-/// specification the sharded path is tested against; production paths
-/// ([`TickExecutor`], the MapReduce worker) call [`query_phase_sharded`].
+/// `0..n_owned` in row order — one index probe, one canonicalizing sort and
+/// one scalar [`Behavior::query`] per row — into a single full-width `table`
+/// (which is reset first), over an index built fresh for this call. This is
+/// the executable specification the probe-group path is tested against;
+/// production paths ([`TickExecutor`], the MapReduce worker) call
+/// [`query_phase_sharded`].
 ///
 /// After this returns, rows `0..n_owned` hold this partition's aggregated
 /// local effects and rows `n_owned..` hold partial aggregates destined for
@@ -441,34 +553,20 @@ pub fn query_phase<B: Behavior>(
     tick: u64,
     seed: u64,
 ) -> QueryStats {
-    let schema = behavior.schema();
-    let vis = schema.visibility();
     let view = pool.view();
     let mut stats = QueryStats::default();
     table.reset(view.len());
 
     let t0 = Instant::now();
     let points: Vec<(Vec2, u32)> = (0..view.len()).map(|r| (view.pos(r as u32), r as u32)).collect();
-    let index = BuiltIndex::build(kind, &points, vis);
+    let index = BuiltIndex::build(kind, &points, behavior.schema().visibility());
     stats.index_build_ns = t0.elapsed().as_nanos() as u64;
 
     let t1 = Instant::now();
-    let mut cands: Vec<u32> = Vec::new();
-    let mut batch = BatchScratch::default();
-    // The reference path is the *scalar* probe loop: `range` + per-row
-    // `query`. The batched kernels are proven against it.
-    let k = QueryKernel::Scalar;
-    let id_rows = ids_strictly_increasing(view.ids);
     let (visits, nonlocal) = match &index {
-        BuiltIndex::Scan(i) => {
-            query_rows(behavior, schema, i, view, 0..n_owned, 0, table, &mut cands, &mut batch, tick, seed, k, id_rows)
-        }
-        BuiltIndex::Kd(i) => {
-            query_rows(behavior, schema, i, view, 0..n_owned, 0, table, &mut cands, &mut batch, tick, seed, k, id_rows)
-        }
-        BuiltIndex::Grid(i) => {
-            query_rows(behavior, schema, i, view, 0..n_owned, 0, table, &mut cands, &mut batch, tick, seed, k, id_rows)
-        }
+        BuiltIndex::Scan(i) => reference_rows(behavior, i, view, n_owned, table, tick, seed),
+        BuiltIndex::Kd(i) => reference_rows(behavior, i, view, n_owned, table, tick, seed),
+        BuiltIndex::Grid(i) => reference_rows(behavior, i, view, n_owned, table, tick, seed),
     };
     stats.neighbor_visits = visits;
     stats.nonlocal_writes = nonlocal;
@@ -476,111 +574,226 @@ pub fn query_phase<B: Behavior>(
     stats
 }
 
-/// The monomorphized inner loop: run the query phase for global rows
-/// `rows`, writing into `table` whose row 0 is global row `base`. Returns
-/// `(neighbor_visits, nonlocal_writes)`. Under [`QueryKernel::Batched`] the
-/// range probe filters through the index's lane kernels
-/// (`SpatialIndex::range_batch`) and the behavior runs through
-/// [`Behavior::query_batch`]; under [`QueryKernel::Scalar`] both fall back
-/// to the per-row path — bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-fn query_rows<B: Behavior, I: SpatialIndex>(
+/// The reference probe loop behind [`query_phase`]. Returns
+/// `(neighbor_visits, nonlocal_writes)`.
+fn reference_rows<B: Behavior, I: SpatialIndex>(
     behavior: &B,
-    schema: &AgentSchema,
     index: &I,
     view: PoolView<'_>,
-    rows: Range<usize>,
-    base: u32,
+    n_owned: usize,
     table: &mut EffectTable,
-    candidates: &mut Vec<u32>,
-    batch: &mut BatchScratch,
     tick: u64,
     seed: u64,
-    kernel: QueryKernel,
-    rows_in_id_order: bool,
 ) -> (u64, u64) {
+    let schema = behavior.schema();
     let vis = schema.visibility();
-    let probe = behavior.probe();
-    // The behavior decides once per loop whether its batched kernel pays
-    // for the candidate gather (`Behavior::batch_profitable`); the ablation
-    // knob still forces the scalar path wholesale.
-    let run_batched = kernel == QueryKernel::Batched && behavior.batch_profitable();
+    let rows_in_id_order = ids_strictly_increasing(view.ids);
+    let mut candidates: Vec<u32> = Vec::new();
     let mut visits = 0u64;
     let mut nonlocal = 0u64;
-    for row in rows {
-        let row = row as u32;
+    for row in 0..n_owned as u32 {
         let me = view.agent(row);
         debug_assert!(me.alive(), "dead agent in query phase");
         let pos = me.pos();
         candidates.clear();
-        match probe {
+        match behavior.probe() {
             NeighborProbe::Range => {
                 if vis.is_finite() {
-                    // Behaviors with a derived visibility predicate shrink
-                    // the probe rect (pushdown); the default is the full
-                    // visibility square. Semantically invisible candidates
-                    // are excluded earlier, never added.
-                    let rect = behavior.probe_rect(pos, vis);
-                    // The lane-kernel filter is the default probe only
-                    // where it is gather-free (`RANGE_BATCH_NATIVE`); see
-                    // the trait docs for the measured tradeoff.
-                    match kernel {
-                        QueryKernel::Batched if I::RANGE_BATCH_NATIVE => index.range_batch(&rect, candidates),
-                        _ => index.range(&rect, candidates),
-                    }
-                    // Canonical candidate order: **ascending agent id**,
-                    // always. Per-agent neighbor iteration order — and
-                    // therefore float effect aggregation — is a pure
-                    // function of the agent set, independent of index
-                    // state (maintained vs rebuilt) *and* of row placement
-                    // (single-node pool vs a distributed worker's
-                    // swap-mutated pool, which is what makes an N-worker
-                    // cluster bit-identical to one node). When rows are
-                    // already in id order (every single-node pool), row
-                    // order *is* id order: scan (row-order columns) and
-                    // grid (ascending-payload bucket merge) are then
-                    // canonical by construction (`RANGE_CANONICAL`) and
-                    // only the KD-tree (build-history emission order) pays
-                    // a sort.
-                    if !rows_in_id_order {
-                        candidates.sort_unstable_by_key(|&r| (view.ids[r as usize], r));
-                    } else if !I::RANGE_CANONICAL {
-                        candidates.sort_unstable();
-                    }
+                    index.range(&behavior.probe_rect(pos, vis), &mut candidates);
+                    canonicalize(&mut candidates, view, rows_in_id_order, I::RANGE_CANONICAL);
                 } else {
                     candidates.extend(0..view.len() as u32);
-                    if !rows_in_id_order {
-                        candidates.sort_unstable_by_key(|&r| (view.ids[r as usize], r));
-                    }
+                    canonicalize(&mut candidates, view, rows_in_id_order, true);
                 }
             }
-            NeighborProbe::Nearest(k) => {
-                // Ask for k + 1 so self (always distance 0) doesn't crowd
-                // out a real neighbor; crop to the visible region, which is
-                // all the distributed runtime replicates. k-NN results are
-                // canonical already ((distance, row) order); note the row
-                // tie-break makes k-th-neighbor ties placement-dependent,
-                // so Nearest-probe models carry a documented approximate
-                // (not bit-exact) distributed-equivalence contract.
-                index.k_nearest_into(pos, k + 1, None, candidates);
-                if vis.is_finite() {
-                    candidates.retain(|&i| view.pos(i).dist_linf(pos) <= vis);
-                }
-            }
+            NeighborProbe::Nearest(k) => nearest_candidates(index, view, pos, k, vis, &mut candidates),
         }
         visits += candidates.len() as u64;
-        let mut writer = EffectWriter::with_base(schema, table, row, base);
+        let mut writer = EffectWriter::new(schema, table, row);
         let mut rng = agent_rng(seed, tick, me.id(), 0);
-        if run_batched {
-            let mut nb = NeighborBatch::new(view, candidates, row, batch);
-            behavior.query_batch(me, &mut nb, &mut writer, &mut rng);
-        } else {
-            let neighbors = Neighbors::new(view, candidates, row);
-            behavior.query(me, &neighbors, &mut writer, &mut rng);
-        }
+        behavior.query(me, &Neighbors::new(view, &candidates, row), &mut writer, &mut rng);
         nonlocal += writer.nonlocal_writes();
     }
     (visits, nonlocal)
+}
+
+/// Put range candidates in the canonical order: **ascending agent id**,
+/// always. Per-agent neighbor iteration order — and therefore float effect
+/// aggregation — is then a pure function of the agent set, independent of
+/// index state (maintained vs rebuilt) *and* of row placement (single-node
+/// pool vs a distributed worker's swap-mutated pool, which is what makes an
+/// N-worker cluster bit-identical to one node). When rows are already in id
+/// order (every single-node pool), row order *is* id order, so candidates
+/// that are `ascending_rows` already — the scan's row-order columns and the
+/// grid's ascending-payload bucket merge (`RANGE_CANONICAL`), or the whole
+/// visible set — are canonical by construction and only the KD-tree
+/// (build-history emission order) pays a sort.
+#[inline]
+fn canonicalize(candidates: &mut [u32], view: PoolView<'_>, rows_in_id_order: bool, ascending_rows: bool) {
+    if !rows_in_id_order {
+        candidates.sort_unstable_by_key(|&r| (view.ids[r as usize], r));
+    } else if !ascending_rows {
+        candidates.sort_unstable();
+    }
+}
+
+/// The candidates of a [`NeighborProbe::Nearest`] probe at `pos`. Asks for
+/// `k + 1` so self (always distance 0) doesn't crowd out a real neighbor,
+/// and crops to the visible region, which is all the distributed runtime
+/// replicates. k-NN results are canonical already ((distance, row) order);
+/// note the row tie-break makes k-th-neighbor ties placement-dependent, so
+/// Nearest-probe models carry a documented approximate (not bit-exact)
+/// distributed-equivalence contract.
+#[inline]
+fn nearest_candidates<I: SpatialIndex>(
+    index: &I,
+    view: PoolView<'_>,
+    pos: Vec2,
+    k: usize,
+    vis: f64,
+    out: &mut Vec<u32>,
+) {
+    index.k_nearest_into(pos, k + 1, None, out);
+    if vis.is_finite() {
+        out.retain(|&i| view.pos(i).dist_linf(pos) <= vis);
+    }
+}
+
+/// What every shard of one query phase shares.
+struct QueryPlan<'a, B> {
+    behavior: &'a B,
+    view: PoolView<'a>,
+    /// The owned rows in probe order; shard `i` of `k` runs the slice
+    /// `shard_range(order.len(), k, i)`.
+    order: &'a [ProbeKey],
+    /// Runs of equal tiles in `order` are probe groups (otherwise every row
+    /// is its own group).
+    grouped: bool,
+    /// Shard tables span the visible set (otherwise a shard's table is
+    /// indexed by position in its slice of `order`).
+    nonlocal: bool,
+    /// Run [`Behavior::query_batch`] rather than [`Behavior::query`].
+    run_batched: bool,
+    rows_in_id_order: bool,
+    tick: u64,
+    seed: u64,
+}
+
+/// The monomorphized inner loop — the only production probe loop, for every
+/// index kind and both [`QueryKernel`]s: run the query phase for one shard's
+/// `slice` of the probe order, one **probe group** at a time.
+///
+/// A group (the slice's rows of one tile) is answered by **one**
+/// `index.range` over the union of its members' [`Behavior::probe_rect`]s;
+/// that candidate block is canonicalized once and its positions gathered
+/// once, and each member then takes its own candidates out of the block by
+/// running the lane kernel [`filter_rect`] over the block's contiguous
+/// columns with *its own* probe rect. The index answers `range` exactly
+/// (closed containment on the positions it was synced to) and a member's
+/// rect lies inside the union, so the block rows inside the member's rect
+/// are precisely what `index.range(member's rect)` returns; the filter
+/// selects in block order, so they come out in the same canonical order.
+/// Effects, visit counts and goldens are those of one probe per row — only
+/// the tree descents, sorts and pool gathers drop to one per group.
+///
+/// A one-row group needs no filter (its block *is* its candidate set — so
+/// it asks through the index's own lane-kernel filter where that is
+/// gather-free, which emits `range`'s candidates in `range`'s order), and
+/// neither does any group under unbounded visibility (the block is the
+/// visible set, for everyone).
+fn query_shard<B: Behavior, I: SpatialIndex>(
+    plan: &QueryPlan<'_, B>,
+    index: &I,
+    slice: &[ProbeKey],
+    shard: &mut ShardScratch,
+) {
+    let (behavior, view) = (plan.behavior, plan.view);
+    let schema = behavior.schema();
+    let vis = schema.visibility();
+    let probe = behavior.probe();
+    let ShardScratch { table, block, picks, rows, iota, batch, .. } = shard;
+    let (mut visits, mut nonlocal, mut groups, mut block_rows) = (0u64, 0u64, 0u64, 0u64);
+    let mut slot = 0u32;
+    for group in slice.chunk_by(|a, b| plan.grouped && a.tile == b.tile) {
+        block.clear();
+        batch.begin_block();
+        match probe {
+            NeighborProbe::Range if vis.is_finite() => {
+                // Behaviors with a derived visibility predicate shrink the
+                // probe rect (pushdown); the default is the full visibility
+                // square. Semantically invisible candidates are excluded
+                // earlier, never added.
+                let union = group
+                    .iter()
+                    .map(|key| behavior.probe_rect(view.pos(key.row), vis))
+                    .filter(|rect| !rect.is_empty())
+                    .fold(Rect::EMPTY, |union, rect| union.union(&rect));
+                // A lone row probes exactly as the per-row loop did: through
+                // the index's lane-kernel filter where that is gather-free
+                // (scan, grid — the same candidates in the same order). A
+                // tile's wide union rect is served better by `range`.
+                if !union.is_empty() {
+                    if I::RANGE_BATCH_NATIVE && group.len() == 1 {
+                        index.range_batch(&union, block);
+                    } else {
+                        index.range(&union, block);
+                    }
+                }
+                canonicalize(block, view, plan.rows_in_id_order, I::RANGE_CANONICAL);
+            }
+            NeighborProbe::Range => {
+                block.extend(0..view.len() as u32);
+                canonicalize(block, view, plan.rows_in_id_order, true);
+            }
+            NeighborProbe::Nearest(k) => {
+                debug_assert_eq!(group.len(), 1, "k-NN probes are never grouped");
+                nearest_candidates(index, view, view.pos(group[0].row), k, vis, block);
+            }
+        }
+        groups += 1;
+        block_rows += block.len() as u64;
+        let narrow = group.len() > 1 && vis.is_finite();
+        if narrow && iota.len() < block.len() {
+            iota.extend(iota.len() as u32..block.len() as u32);
+        }
+        for key in group {
+            let row = key.row;
+            let me = view.agent(row);
+            debug_assert!(me.alive(), "dead agent in query phase");
+            let mut writer = EffectWriter::with_slot(schema, table, row, if plan.nonlocal { row } else { slot });
+            let mut rng = agent_rng(plan.seed, plan.tick, me.id(), 0);
+            if plan.run_batched {
+                let picked = narrow.then(|| {
+                    let (xs, ys) = batch.block_xy(view, block);
+                    picks.clear();
+                    filter_rect(xs, ys, &iota[..block.len()], &behavior.probe_rect(me.pos(), vis), picks);
+                    rows.clear();
+                    rows.extend(picks.iter().map(|&i| block[i as usize]));
+                    (&picks[..], &rows[..])
+                });
+                let mut nb = NeighborBatch::new(view, block, picked, row, batch);
+                visits += nb.len() as u64;
+                behavior.query_batch(me, &mut nb, &mut writer, &mut rng);
+            } else {
+                let candidates = if narrow {
+                    let (xs, ys) = batch.block_xy(view, block);
+                    rows.clear();
+                    filter_rect(xs, ys, block, &behavior.probe_rect(me.pos(), vis), rows);
+                    &rows[..]
+                } else {
+                    &block[..]
+                };
+                visits += candidates.len() as u64;
+                behavior.query(me, &Neighbors::new(view, candidates, row), &mut writer, &mut rng);
+            }
+            nonlocal += writer.nonlocal_writes();
+            slot += 1;
+        }
+    }
+    shard.visits = visits;
+    shard.nonlocal = nonlocal;
+    shard.groups = groups;
+    shard.block_rows = block_rows;
 }
 
 /// Sharded, optionally parallel query phase. Semantics match
@@ -640,140 +853,102 @@ pub fn query_phase_sharded_with<B: Behavior>(
     let vis = schema.visibility();
     let mut stats = QueryStats::default();
     let (view, table) = pool.split_query();
-    table.reset(view.len());
 
     let t0 = Instant::now();
     index.sync(view, vis);
     stats.index_build_ns = t0.elapsed().as_nanos() as u64;
 
-    let nonlocal_schema = schema.has_nonlocal_effects();
-    let k = shard_count(n_owned, nonlocal_schema, shard_rows);
+    let nonlocal = schema.has_nonlocal_effects();
+    let k = shard_count(n_owned, nonlocal, shard_rows);
+    // A non-local merge swaps shard 0's freshly reset table in, so only the
+    // scatter (which leaves replica rows alone) and the empty plan need the
+    // pool's own table at identity.
+    if !nonlocal || k == 0 {
+        table.reset(view.len());
+    }
     if k == 0 {
         return stats;
     }
     let threads = effective_parallelism(parallelism).min(k);
-    let shards = scratch.ensure_shards(schema, k);
+    scratch.ensure_shards(schema, k);
+    let TickScratch { shards, order, tel } = scratch;
+    let shards = &mut shards[..k];
 
     let t1 = Instant::now();
-    // Reset each shard's accumulator to the width it covers this tick.
+    // Whatever must visit rows in row order keeps it, through the same loop:
+    // a float `Sum` into a *target* row (non-local schemas) accumulates in
+    // source-row order, and k-NN probes have no rect to union. Those run as
+    // one-row groups — one probe per row, exactly the per-row cost. So does
+    // the scan: it is the paper's *no-indexing* baseline (Figures 3 and 4),
+    // and sorting agents into tiles to share its scans would be an index.
+    let grouped = !nonlocal && behavior.probe() == NeighborProbe::Range && vis > 0.0 && index.kind() != IndexKind::Scan;
+    plan_probe_order(order, view, n_owned, grouped.then_some(vis));
+    let plan = QueryPlan {
+        behavior,
+        view,
+        order,
+        grouped,
+        nonlocal,
+        // The behavior decides once per tick whether its batched kernel pays
+        // for materializing candidate columns (`Behavior::batch_profitable`);
+        // the ablation knob still forces the scalar path wholesale.
+        run_batched: kernel == QueryKernel::Batched && behavior.batch_profitable(),
+        // Once per tick, early-out on the first inversion.
+        rows_in_id_order: ids_strictly_increasing(view.ids),
+        tick,
+        seed,
+    };
+    // Reset each shard's accumulator to the rows it covers this tick.
     for (i, shard) in shards.iter_mut().enumerate() {
-        let rows = if nonlocal_schema { view.len() } else { shard_range(n_owned, k, i).len() };
-        shard.table.reset(rows);
-        shard.visits = 0;
-        shard.nonlocal = 0;
+        shard.table.reset(if nonlocal { view.len() } else { shard_range(n_owned, k, i).len() });
     }
-
     // One monomorphized dispatch per tick, then the shard loop runs against
-    // the concrete index type. The id-order probe (once per tick, early-out
-    // on the first inversion) picks the candidate canonicalization path.
-    let id_rows = ids_strictly_increasing(view.ids);
+    // the concrete index type.
     match index.built.as_ref().expect("sync built an index") {
-        BuiltIndex::Scan(i) => run_query_shards(
-            behavior,
-            schema,
-            i,
-            view,
-            n_owned,
-            nonlocal_schema,
-            shards,
-            threads,
-            tick,
-            seed,
-            kernel,
-            id_rows,
-        ),
-        BuiltIndex::Kd(i) => run_query_shards(
-            behavior,
-            schema,
-            i,
-            view,
-            n_owned,
-            nonlocal_schema,
-            shards,
-            threads,
-            tick,
-            seed,
-            kernel,
-            id_rows,
-        ),
-        BuiltIndex::Grid(i) => run_query_shards(
-            behavior,
-            schema,
-            i,
-            view,
-            n_owned,
-            nonlocal_schema,
-            shards,
-            threads,
-            tick,
-            seed,
-            kernel,
-            id_rows,
-        ),
+        BuiltIndex::Scan(i) => run_query_shards(&plan, i, shards, threads),
+        BuiltIndex::Kd(i) => run_query_shards(&plan, i, shards, threads),
+        BuiltIndex::Grid(i) => run_query_shards(&plan, i, shards, threads),
     }
 
     // Deterministic merge, ascending shard order, directly into the pool's
-    // effect columns. Local-effect shards own disjoint row ranges: a
-    // bitwise column-segment copy. Non-local shards span the whole visible
-    // set: copy the first, ⊕-merge the rest.
+    // effect columns. Local-effect shards own disjoint slices of the probe
+    // order: a bitwise scatter through it. Non-local shards span the whole
+    // visible set: the first *becomes* the pool's table (a swap, so nothing
+    // is copied), the rest ⊕-merge into it.
     let t2 = Instant::now();
-    for (i, shard) in shards.iter().enumerate() {
-        if nonlocal_schema {
-            if i == 0 {
-                table.copy_rows_from(&shard.table, 0);
-            } else {
-                table.merge_table(&shard.table);
-            }
+    let (mut groups, mut block_rows) = (0u64, 0u64);
+    for (i, shard) in shards.iter_mut().enumerate() {
+        if !nonlocal {
+            table.scatter_rows_from(&shard.table, order[shard_range(n_owned, k, i)].iter().map(|key| key.row));
+        } else if i == 0 {
+            std::mem::swap(table, &mut shard.table);
         } else {
-            table.copy_rows_from(&shard.table, shard_range(n_owned, k, i).start);
+            table.merge_table(&shard.table);
         }
         stats.neighbor_visits += shard.visits;
         stats.nonlocal_writes += shard.nonlocal;
+        groups += shard.groups;
+        block_rows += shard.block_rows;
     }
     stats.merge_ns = t2.elapsed().as_nanos() as u64;
     stats.query_ns = t1.elapsed().as_nanos() as u64;
+    tel.add(Counter::ExecutorProbeGroups, groups);
+    tel.add(Counter::ExecutorBlockCandidates, block_rows);
     stats
 }
 
 /// Distribute `shards` over up to `threads` scoped worker threads in
 /// contiguous groups. Shard → result mapping is positional, so scheduling
 /// cannot affect the merge order.
-#[allow(clippy::too_many_arguments)]
 fn run_query_shards<B: Behavior, I: SpatialIndex>(
-    behavior: &B,
-    schema: &AgentSchema,
+    plan: &QueryPlan<'_, B>,
     index: &I,
-    view: PoolView<'_>,
-    n_owned: usize,
-    nonlocal_schema: bool,
     shards: &mut [ShardScratch],
     threads: usize,
-    tick: u64,
-    seed: u64,
-    kernel: QueryKernel,
-    rows_in_id_order: bool,
 ) {
     let k = shards.len();
     let run_one = |i: usize, shard: &mut ShardScratch| {
-        let rows = shard_range(n_owned, k, i);
-        let base = if nonlocal_schema { 0 } else { rows.start as u32 };
-        let (visits, nonlocal) = query_rows(
-            behavior,
-            schema,
-            index,
-            view,
-            rows,
-            base,
-            &mut shard.table,
-            &mut shard.candidates,
-            &mut shard.batch,
-            tick,
-            seed,
-            kernel,
-            rows_in_id_order,
-        );
-        shard.visits = visits;
-        shard.nonlocal = nonlocal;
+        query_shard(plan, index, &plan.order[shard_range(plan.order.len(), k, i)], shard)
     };
     if threads <= 1 {
         for (i, shard) in shards.iter_mut().enumerate() {

@@ -40,7 +40,7 @@
 //! of the matching point *set* — arena layout (and therefore relocation or
 //! compaction history) can never leak into results.
 
-use crate::index::{dense_slots, finish_knn, with_dist2_scratch, with_knn_scratch, SpatialIndex};
+use crate::index::{dense_slots, finish_knn, knn_cmp, with_dist2_scratch, with_knn_scratch, SpatialIndex};
 use crate::kernels::{dist2, filter_rect};
 use brace_common::{Rect, Vec2};
 use std::collections::hash_map::Entry;
@@ -453,10 +453,9 @@ impl SpatialIndex for UniformGrid {
 
     /// The batched filter streams the grid's **own** bucket-major SoA
     /// columns through the lane kernel — no per-probe gather since the
-    /// arena rewrite, so the executor's batched mode probes through
-    /// `range_batch` here just like the scan. (The previous AoS-bucket
-    /// storage had to gather per probe and measured 0.7–0.9× scalar; see
-    /// `BENCH_tick_throughput.json` for the native columns' speedups.)
+    /// arena rewrite. (The previous AoS-bucket storage had to gather per
+    /// probe and measured 0.7–0.9× scalar; see `BENCH_tick_throughput.json`
+    /// for the native columns' speedups.)
     const RANGE_BATCH_NATIVE: bool = true;
 
     fn build(points: &[(Vec2, u32)]) -> Self {
@@ -589,36 +588,91 @@ impl SpatialIndex for UniformGrid {
         }
     }
 
-    /// Grid k-NN: gather-and-select over the occupied buckets. Correct but
-    /// not ring-pruned — the KD-tree is the index of choice for k-NN
-    /// probes; the grid's implementation exists so every index satisfies
-    /// the full trait (ablations can still measure the difference). Since
-    /// the arena rewrite the squared distances run as a lane kernel per
-    /// bucket run directly over the native columns ([`dist2`] — the exact
-    /// per-element operation sequence of `Vec2::dist2`, so results are
-    /// bit-identical to the per-point loop). The canonical
-    /// `(distance, payload)` selection makes the result independent of the
-    /// hash map's iteration order.
+    /// Grid k-NN: search rings of cells outward from the query's cell and
+    /// stop once `k` points are in hand whose k-th squared distance is no
+    /// larger than anything an unvisited ring could hold: after ring `r`
+    /// every unvisited point lies outside the `(2r + 1)²` block of cells
+    /// around the query's, hence at least as far from `q` as the block's
+    /// nearest edge (so a query in the middle of a dense bucket can stop
+    /// at ring 0). Squared distances run as a lane kernel per bucket run
+    /// directly over the native columns ([`dist2`] — the exact per-element
+    /// operation sequence of `Vec2::dist2`), and the canonical
+    /// `(distance, payload)` selection is shared with every other index, so
+    /// the result — order and `exclude` semantics included — is that of a
+    /// scan over all points. When the rings have looked up more cells than
+    /// there are buckets (a query far from a sparse population), scanning
+    /// every bucket is cheaper and is what happens.
     fn k_nearest_into(&self, q: Vec2, k: usize, exclude: Option<u32>, out: &mut Vec<u32>) {
         out.clear();
-        if k == 0 {
+        if k == 0 || self.len == 0 {
             return;
         }
-        with_knn_scratch(|scratch| {
-            scratch.clear();
+        with_knn_scratch(|found| {
             with_dist2_scratch(|d2| {
-                for &b in self.buckets.values() {
+                found.clear();
+                let mut gather = |b: Bucket, found: &mut Vec<(f64, u32)>| {
                     let (s, e) = Self::run_bounds(b);
                     dist2(&self.xs[s..e], &self.ys[s..e], q.x, q.y, d2);
-                    scratch.extend(
+                    found.extend(
                         d2.iter()
                             .zip(&self.payloads[s..e])
                             .filter(|&(_, &payload)| Some(payload) != exclude)
                             .map(|(&d, &payload)| (d, payload)),
                     );
+                };
+                let (qx, qy) = Self::key(q, self.cell);
+                // Bucket membership is `floor(p / cell)` in floating point, so
+                // a point can sit a few ulp outside its real-arithmetic cell;
+                // the bound gives that up with a margin ~10⁶ ulp wide (the
+                // same slack as `cell_covered`).
+                let slack = 1e-9 * (self.cell + q.x.abs() + q.y.abs());
+                // Cells looked up and points seen so far (excluded one included).
+                let (mut cells, mut seen) = (0usize, 0usize);
+                // Ring coordinates stay far from `i64` overflow: the walk ends
+                // after at most `buckets.len()` lookups.
+                let walkable = qx.unsigned_abs().max(qy.unsigned_abs()) < 1 << 62;
+                let mut ring = 0i64;
+                while walkable && cells <= self.buckets.len() && seen < self.len {
+                    let mut visit = |cx: i64, cy: i64, found: &mut Vec<(f64, u32)>| {
+                        cells += 1;
+                        if let Some(&b) = self.buckets.get(&(cx, cy)) {
+                            seen += b.len as usize;
+                            gather(b, found);
+                        }
+                    };
+                    if ring == 0 {
+                        visit(qx, qy, found);
+                    } else {
+                        for cx in qx - ring..=qx + ring {
+                            visit(cx, qy - ring, found);
+                            visit(cx, qy + ring, found);
+                        }
+                        for cy in qy - ring + 1..qy + ring {
+                            visit(qx - ring, cy, found);
+                            visit(qx + ring, cy, found);
+                        }
+                    }
+                    if found.len() >= k {
+                        // Distance from `q` to the nearest edge of the visited block.
+                        let edge =
+                            |lo: i64, hi: i64, v: f64| (v - lo as f64 * self.cell).min((hi + 1) as f64 * self.cell - v);
+                        let reach = edge(qx - ring, qx + ring, q.x).min(edge(qy - ring, qy + ring, q.y));
+                        let reach = (reach - slack).max(0.0);
+                        let (_, kth, _) = found.select_nth_unstable_by(k - 1, knn_cmp);
+                        if kth.0 < reach * reach {
+                            return finish_knn(found, k, out);
+                        }
+                    }
+                    ring += 1;
                 }
+                if seen < self.len {
+                    found.clear();
+                    for &b in self.buckets.values() {
+                        gather(b, found);
+                    }
+                }
+                finish_knn(found, k, out);
             });
-            finish_knn(scratch, k, out);
         });
     }
 
@@ -745,6 +799,68 @@ mod tests {
         let pts = vec![(Vec2::new(1000.0, 1000.0), 7)];
         let grid = UniformGrid::with_cell(&pts, 1.0);
         assert_eq!(grid.nearest(Vec2::ZERO, None), Some(7));
+    }
+
+    fn knn(idx: &impl SpatialIndex, q: Vec2, k: usize, exclude: Option<u32>) -> Vec<u32> {
+        let mut out = vec![99];
+        idx.k_nearest_into(q, k, exclude, &mut out);
+        out
+    }
+
+    /// The ring search answers exactly what a scan over every point answers
+    /// — same payloads, same `(distance, payload)` order, same `exclude` —
+    /// for queries inside, beside and far outside the population, for cells
+    /// much smaller and much larger than the point spacing, and with
+    /// coincident points forcing payload tie-breaks.
+    #[test]
+    fn grid_knn_ring_search_matches_scan() {
+        let mut pts = random_points(300, 21);
+        pts.extend((300..320).map(|i| (Vec2::new(3.0, -4.0), i))); // 20 coincident points
+        let scan = ScanIndex::build(&pts);
+        let mut rng = DetRng::seed_from_u64(22);
+        for cell in [0.3, 5.0, 60.0] {
+            let grid = UniformGrid::with_cell(&pts, cell);
+            for i in 0..60 {
+                let q = match i % 3 {
+                    0 => Vec2::new(rng.range(-50.0, 50.0), rng.range(-50.0, 50.0)),
+                    1 => Vec2::new(3.0, -4.0),
+                    _ => Vec2::new(rng.range(-400.0, 400.0), rng.range(-400.0, 400.0)),
+                };
+                let k = [1, 2, 7, 25, 64][i % 5];
+                let exclude = (i % 4 == 0).then_some(rng.below(320) as u32);
+                assert_eq!(knn(&grid, q, k, exclude), knn(&scan, q, k, exclude), "cell {cell} q {q} k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn grid_knn_with_k_larger_than_the_population() {
+        let pts = random_points(9, 23);
+        let grid = UniformGrid::with_cell(&pts, 2.0);
+        let scan = ScanIndex::build(&pts);
+        for q in [Vec2::ZERO, Vec2::new(49.0, -49.0), Vec2::new(1e6, 1e6)] {
+            let got = knn(&grid, q, 50, None);
+            assert_eq!(got.len(), 9, "every point, once");
+            assert_eq!(got, knn(&scan, q, 50, None));
+            assert_eq!(knn(&grid, q, 50, Some(4)), knn(&scan, q, 50, Some(4)));
+        }
+        assert!(knn(&grid, Vec2::ZERO, 0, None).is_empty());
+        assert!(knn(&UniformGrid::build(&[]), Vec2::ZERO, 3, None).is_empty());
+    }
+
+    /// All points in one bucket 10⁹ cells from the query: the walk must give
+    /// up on rings (it would take 10⁹ of them) and still answer exactly.
+    #[test]
+    fn grid_knn_with_all_points_in_one_far_bucket() {
+        let pts: Vec<(Vec2, u32)> = (0..6).map(|i| (Vec2::new(1e9 + 0.1 * i as f64, -1e9), i)).collect();
+        let grid = UniformGrid::with_cell(&pts, 1.0);
+        assert_eq!(grid.occupied_cells(), 1);
+        assert_eq!(knn(&grid, Vec2::ZERO, 3, None), vec![0, 1, 2]);
+        assert_eq!(knn(&grid, Vec2::new(2e9, -1e9), 3, Some(5)), vec![4, 3, 2]);
+        // A query whose own cell index saturates `i64` (every distance
+        // rounds to the same value, so payload order decides — as in a scan).
+        let q = Vec2::new(1e30, 0.0);
+        assert_eq!(knn(&grid, q, 2, None), knn(&ScanIndex::build(&pts), q, 2, None));
     }
 
     /// The canonical-order guarantee itself: every probe — narrow (k-way

@@ -43,16 +43,19 @@ pub trait SpatialIndex: Send + Sync {
 
     /// True when [`SpatialIndex::range_batch`] filters the index's **own**
     /// SoA columns with no per-probe gather (the scan; the grid since its
-    /// buckets became bucket-major column runs in one arena). The
-    /// executor's batched mode uses `range_batch` as its default probe only
-    /// for such indexes: a gather-based batched filter (KD boundary
-    /// leaves; the grid before the arena) adds a second memory pass over
-    /// every candidate, which on memory-bound cores costs more than the
-    /// lane compares save for the small per-probe candidate sets indexes
-    /// exist to produce — the gather-era grid measured 0.7–0.9× query
-    /// throughput on the reference container, where the arena-native grid
-    /// measures 1.15–1.3× and the native scan path 2–8×. Gather-based
-    /// paths remain correct and stay exercised by the conformance suite.
+    /// buckets became bucket-major column runs in one arena). A
+    /// gather-based batched filter (KD boundary leaves; the grid before the
+    /// arena) adds a second memory pass over every candidate, which on
+    /// memory-bound cores costs more than the lane compares save for the
+    /// small per-probe candidate sets indexes exist to produce — the
+    /// gather-era grid measured 0.7–0.9× query throughput on the reference
+    /// container, where the arena-native grid measures 1.15–1.3× and the
+    /// native scan path 2–8×. The executor probes a tile of agents once
+    /// through `range` and lane-filters the shared candidate block itself
+    /// (`brace_core::executor`); only a row probing alone (non-local
+    /// schemas, the scan baseline, a tile of one) asks through
+    /// `range_batch`, and only where this is true. Gather-based paths stay
+    /// exercised by the conformance suite.
     const RANGE_BATCH_NATIVE: bool = false;
 
     /// Batched form of [`SpatialIndex::range`]: emit coarse candidates

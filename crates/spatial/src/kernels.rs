@@ -146,6 +146,8 @@ fn filter_rect_lanes(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out:
 unsafe fn filter_rect_avx(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out: &mut Vec<u32>) {
     use std::arch::x86_64::*;
     let n = xs.len();
+    // The vector loads below index all three columns by `xs`' length.
+    assert!(ys.len() >= n && payloads.len() >= n, "filter_rect columns must be parallel");
     let lox = _mm256_set1_pd(rect.lo.x);
     let hix = _mm256_set1_pd(rect.hi.x);
     let loy = _mm256_set1_pd(rect.lo.y);
@@ -153,6 +155,8 @@ unsafe fn filter_rect_avx(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect,
     let head = n - n % LANES;
     let mut i = 0;
     while i < head {
+        // SAFETY: `i + LANES <= head <= n`, and every column holds at least
+        // `n` elements (asserted above), so each load reads in bounds.
         let x = _mm256_loadu_pd(xs.as_ptr().add(i));
         let y = _mm256_loadu_pd(ys.as_ptr().add(i));
         let mx = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(x, lox), _mm256_cmp_pd::<_CMP_LE_OQ>(x, hix));

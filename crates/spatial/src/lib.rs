@@ -20,9 +20,11 @@
 //! * [`join`] — reference spatial self-join implementations used to
 //!   cross-validate the indexes and as the formal ground truth in tests.
 //! * [`kernels`] — fixed-width lane kernels (range filter, squared
-//!   distances) behind the indexes' batched probe paths
-//!   (`SpatialIndex::range_batch`), proven bit-identical to the scalar
-//!   loops by the kernel conformance suite in `tests/properties.rs`.
+//!   distances) behind the executor's probe groups (each agent filters its
+//!   tile's shared candidate block with `filter_rect`) and the indexes'
+//!   batched probe paths (`SpatialIndex::range_batch`), proven
+//!   bit-identical to the scalar loops by the kernel conformance suite in
+//!   `tests/properties.rs`.
 
 pub mod grid;
 pub mod index;

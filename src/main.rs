@@ -32,8 +32,12 @@
 //! completed tick with the executor's phase timings (`index_maintain_ns`,
 //! `query_ns`, `effect_merge_ns`, `update_ns`) plus work counters. Cluster
 //! runs trace at epoch grain with `tick`/`agents` only (per-worker phase
-//! accounting is aggregated, not per tick). Tracing observes the same
-//! metrics the executor already measures — it never changes results.
+//! accounting is aggregated, not per tick). Each run then adds one summary
+//! line with its query-phase amortisation from the telemetry registry:
+//! `probe_groups` (index probes issued) and `block_candidates` (rows those
+//! probes returned) — agent-ticks ÷ groups is the rows one probe served.
+//! Tracing observes the same metrics the executor already measures — it
+//! never changes results.
 //!
 //! With `--run-dir`, `run` becomes a **durable job** through
 //! [`DurableRunner`](brace_scenario::DurableRunner): the run lives in
@@ -238,6 +242,12 @@ impl Observer for TraceWriter {
     }
 }
 
+/// The query-phase amortisation counters, as `(probe groups, block candidates)`.
+fn probe_counters() -> (u64, u64) {
+    use brace_telemetry::{counter, Counter};
+    (counter(Counter::ExecutorProbeGroups), counter(Counter::ExecutorBlockCandidates))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -311,6 +321,11 @@ fn run(opts: &RunOpts) {
     let trace_out = opts.trace.as_ref().map(|path| {
         let file = std::fs::File::create(path)
             .unwrap_or_else(|e| die(&format!("--trace: cannot create {}: {e}", path.display())));
+        // The trace's per-run summary reads the telemetry registry, and
+        // executors capture the flag when they are built. Recording is a
+        // few relaxed atomic adds per tick (none per row), far below the
+        // phase timings the trace reports.
+        brace_telemetry::set_enabled(true);
         std::sync::Arc::new(std::sync::Mutex::new(std::io::BufWriter::new(file)))
     });
     let mut failures = 0usize;
@@ -344,7 +359,22 @@ fn run(opts: &RunOpts) {
                     pending: None,
                 }));
             }
-            match runner.run(opts.ticks) {
+            let probes_before = trace_out.as_ref().map(|_| probe_counters());
+            let result = runner.run(opts.ticks);
+            if let (Some(out), Some(before)) = (&trace_out, probes_before) {
+                use std::io::Write;
+                let (groups, candidates) = probe_counters();
+                let mut out = out.lock().unwrap();
+                let _ = writeln!(
+                    out,
+                    "{{\"scenario\":\"{name}\",\"backend\":\"{}\",\"probe_groups\":{},\"block_candidates\":{}}}",
+                    backend.label(),
+                    groups - before.0,
+                    candidates - before.1
+                );
+                let _ = out.flush();
+            }
+            match result {
                 Ok(report) => println!(
                     "{:<16} {:<10} {:>6} ticks  {:>7} agents  checksum {:#018X}  {:>12.0} agent-ticks/s",
                     report.scenario,

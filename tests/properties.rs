@@ -1126,3 +1126,346 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Probe groups: the tile-blocked query loop ≡ one probe per row, bitwise
+// (named `kernel_*` so CI's PROPTEST_CASES=256 step reruns them)
+// ---------------------------------------------------------------------------
+
+use brace_core::behavior::NeighborBatch;
+use brace_core::executor::SHARD_ROWS;
+use brace_spatial::IndexKind;
+
+/// The shard granules the probe-group properties sweep: one row per shard
+/// (every tile split), a granule that cuts tiles at odd places, and the
+/// production granule (one shard at these sizes).
+fn any_shard_granule() -> impl Strategy<Value = usize> {
+    prop::sample::select(vec![1, 7, SHARD_ROWS])
+}
+
+fn any_query_kernel() -> impl Strategy<Value = QueryKernel> {
+    prop::sample::select(vec![QueryKernel::Batched, QueryKernel::Scalar])
+}
+
+fn any_thread_budget() -> impl Strategy<Value = usize> {
+    prop::sample::select(vec![1, 3])
+}
+
+/// Re-draw `world`'s positions so the tile-blocked loop meets its edge
+/// cases: negative and mixed-sign coordinates, agents exactly on tile edges
+/// and corners (tile side = `vis`), coincident points, and one agent 10⁹
+/// units away (grouping must not allocate per cell to get there).
+fn tile_edge_geometry(world: &mut [Agent], vis: f64, spread: f64, seed: u64) {
+    let mut rng = DetRng::seed_from_u64(seed).stream(0x71E5);
+    let snap = |v: f64| (v / vis).round() * vis;
+    for i in 0..world.len() {
+        let p = Vec2::new(rng.range(-spread, spread), rng.range(-spread, spread));
+        world[i].pos = match i % 7 {
+            1 => Vec2::new(snap(p.x), p.y),
+            2 => Vec2::new(p.x, snap(p.y)),
+            3 => Vec2::new(snap(p.x), snap(p.y)),
+            5 => world[i - 1].pos,
+            _ => p,
+        };
+    }
+    if let Some(far) = world.last_mut() {
+        far.pos = Vec2::new(1e9, -1e9);
+    }
+}
+
+/// `ticks` ticks of the production phases — the probe-group query loop at
+/// an explicit shard granule, thread budget and kernel, then the sharded
+/// update — from `world`.
+#[allow(clippy::too_many_arguments)]
+fn grouped_ticks<B: Behavior>(
+    b: &B,
+    world: &[Agent],
+    kind: IndexKind,
+    kernel: QueryKernel,
+    shard_rows: usize,
+    threads: usize,
+    ticks: u64,
+    seed: u64,
+) -> Vec<Agent> {
+    let mut pool = AgentPool::from_agents(b.schema(), world);
+    let mut index = MaintainedIndex::new(kind);
+    let mut scratch = TickScratch::new();
+    let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw() + 1).max().unwrap_or(0));
+    for tick in 0..ticks {
+        let n = pool.len();
+        query_phase_sharded_with(b, &mut pool, n, &mut index, tick, seed, &mut scratch, shard_rows, threads, kernel);
+        update_phase_sharded(b, &mut pool, tick, seed, &mut id_gen, &mut scratch, threads);
+    }
+    pool.to_agents()
+}
+
+/// The same ticks through the row-oriented oracle: one fresh index, one
+/// probe and one sort per row, in row order.
+fn reference_ticks<B: Behavior>(b: &B, world: &[Agent], kind: IndexKind, ticks: u64, seed: u64) -> Vec<Agent> {
+    let mut world = world.to_vec();
+    let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw() + 1).max().unwrap_or(0));
+    for tick in 0..ticks {
+        reference_step(b, &mut world, kind, tick, seed, &mut id_gen);
+    }
+    world
+}
+
+/// Local float model whose probe rect is lopsided and position-dependent —
+/// and *inverted* (empty, but not `Rect::EMPTY`) for agents in the band
+/// `-vis ≤ x < 0` — with a batched form that reads the gathered columns.
+/// What the pushdown contract asks of a real model (ignore what the rect
+/// excludes) is moot here: both sides probe with the same rect.
+struct Lopsided(AgentSchema);
+
+impl Lopsided {
+    fn new(vis: f64) -> Self {
+        Lopsided(
+            AgentSchema::builder("Lopsided")
+                .state("w")
+                .effect("sum", Combinator::Sum)
+                .effect("near", Combinator::Min)
+                .effect("n", Combinator::Sum)
+                .visibility(vis)
+                .reachability(vis * 0.25)
+                .build()
+                .unwrap(),
+        )
+    }
+
+    /// The per-neighbor contribution, shared by both query forms so they
+    /// perform the same operations in the same order.
+    #[inline]
+    fn emit(eff: &mut EffectWriter<'_>, me: Vec2, nx: f64, ny: f64, w: f64) {
+        let (dx, dy) = (nx - me.x, ny - me.y);
+        let d2 = dx * dx + dy * dy;
+        eff.local(FieldId::new(0), w / (1.0 + d2));
+        eff.local(FieldId::new(1), d2);
+        eff.local(FieldId::new(2), 1.0);
+    }
+}
+
+impl Behavior for Lopsided {
+    fn schema(&self) -> &AgentSchema {
+        &self.0
+    }
+
+    fn probe_rect(&self, pos: Vec2, vis: f64) -> Rect {
+        if (-vis..0.0).contains(&pos.x) {
+            return Rect::new(pos + Vec2::new(1.0, 1.0), pos - Vec2::new(1.0, 1.0));
+        }
+        Rect::from_bounds(pos.x - 0.25 * vis, pos.x + vis, pos.y - 0.5 * vis, pos.y + 0.75 * vis)
+    }
+
+    fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
+        for nb in nbrs.iter() {
+            let p = nb.agent.pos();
+            Self::emit(eff, me.pos(), p.x, p.y, nb.agent.state(0));
+        }
+    }
+
+    fn query_batch(
+        &self,
+        me: AgentRef<'_>,
+        batch: &mut NeighborBatch<'_>,
+        eff: &mut EffectWriter<'_>,
+        _rng: &mut DetRng,
+    ) {
+        let g = batch.gather(&[0]);
+        for i in (0..g.len()).filter(|&i| g.rows[i] != g.me) {
+            Self::emit(eff, me.pos(), g.xs[i], g.ys[i], g.state(0)[i]);
+        }
+    }
+
+    fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
+        let pull = me.effect(FieldId::new(0)) / me.effect(FieldId::new(2)).max(1.0);
+        me.state[0] = 0.5 * me.state[0] + pull;
+        me.pos += Vec2::new(ctx.rng.range(-1.0, 1.0), pull.min(1.0));
+    }
+}
+
+fn lopsided_world(b: &Lopsided, n: usize, vis: f64, seed: u64) -> Vec<Agent> {
+    let mut rng = DetRng::seed_from_u64(seed).stream(0x10B5);
+    let mut world: Vec<Agent> = (0..n)
+        .map(|i| {
+            let mut a = Agent::new(AgentId::new(i as u64), Vec2::ZERO, b.schema());
+            a.state[0] = rng.range(0.1, 2.0);
+            a
+        })
+        .collect();
+    tile_edge_geometry(&mut world, vis, 4.0 * vis, seed);
+    world
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Fish (square rect, float sums, batched force kernel): the grouped
+    /// loop equals the row-oriented oracle bit for bit over multi-tick runs
+    /// on tile-edge geometry, for every index kind, both kernels, every
+    /// shard granule and thread budget.
+    #[test]
+    fn kernel_probe_groups_fish_equals_reference(
+        seed in 0u64..10_000,
+        n in 0usize..110,
+        kind in any_index_kind(),
+        kernel in any_query_kernel(),
+        shard_rows in any_shard_granule(),
+        threads in any_thread_budget(),
+        ticks in 1u64..4,
+    ) {
+        let params = FishParams::default();
+        let b = FishBehavior::new(params.clone());
+        let mut world = b.population(n, seed);
+        tile_edge_geometry(&mut world, params.rho, 3.0 * params.rho, seed);
+        let got = grouped_ticks(&b, &world, kind, kernel, shard_rows, threads, ticks, seed);
+        worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
+    }
+
+    /// Traffic in its range form (a 1-D road: tiles are road segments, lane
+    /// changes and exit/respawn churn the rows), gap-scan kernel engaged.
+    #[test]
+    fn kernel_probe_groups_traffic_equals_reference(
+        seed in 0u64..10_000,
+        lanes in 1usize..4,
+        density in 0.005f64..0.03,
+        kind in any_index_kind(),
+        kernel in any_query_kernel(),
+        shard_rows in any_shard_granule(),
+        threads in any_thread_budget(),
+        ticks in 1u64..4,
+    ) {
+        let params = TrafficParams {
+            segment: 900.0,
+            lanes,
+            density,
+            batch_engagement: Some(true),
+            ..TrafficParams::default()
+        };
+        let b = TrafficBehavior::new(params.clone());
+        let mut world = b.population(seed);
+        // Cars exactly on tile edges (tile side = the lookahead).
+        for (i, a) in world.iter_mut().enumerate().filter(|(i, _)| i % 4 == 0) {
+            a.pos.x = (i % 5) as f64 * params.lookahead;
+        }
+        let got = grouped_ticks(&b, &world, kind, kernel, shard_rows, threads, ticks, seed);
+        worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
+    }
+
+    /// The BRASIL car script: visibility-predicate pushdown makes its probe
+    /// rect non-square (leaders only: `[x, x + 40]`), so members of one tile
+    /// ask for different, overlapping strips of the shared block. Lane
+    /// program engaged, so `Batched` runs compiled lane kernels over picked
+    /// columns and `Scalar` the interpreter.
+    #[test]
+    fn kernel_probe_groups_brasil_car_equals_reference(
+        seed in 0u64..10_000,
+        n in 0usize..90,
+        kind in any_index_kind(),
+        kernel in any_query_kernel(),
+        shard_rows in any_shard_granule(),
+        threads in any_thread_budget(),
+        ticks in 1u64..4,
+    ) {
+        let b = brace_models::scripts::car_following().unwrap().with_batch_engagement(true);
+        let mut rng = DetRng::seed_from_u64(seed).stream(0xCA12);
+        let mut world: Vec<Agent> = (0..n)
+            .map(|i| {
+                let mut a = Agent::new(AgentId::new(i as u64), Vec2::ZERO, b.schema());
+                a.state[0] = rng.range(15.0, 25.0);
+                a
+            })
+            .collect();
+        tile_edge_geometry(&mut world, b.schema().visibility(), 250.0, seed);
+        let got = grouped_ticks(&b, &world, kind, kernel, shard_rows, threads, ticks, seed);
+        worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
+    }
+
+    /// Lopsided and empty probe rects through both query forms, with a
+    /// population that moves across tile edges between ticks.
+    #[test]
+    fn kernel_probe_groups_lopsided_and_empty_rects_equal_reference(
+        seed in 0u64..10_000,
+        n in 0usize..130,
+        vis in 0.5f64..6.0,
+        kind in any_index_kind(),
+        kernel in any_query_kernel(),
+        shard_rows in any_shard_granule(),
+        threads in any_thread_budget(),
+        ticks in 1u64..4,
+    ) {
+        let b = Lopsided::new(vis);
+        let world = lopsided_world(&b, n, vis, seed);
+        let got = grouped_ticks(&b, &world, kind, kernel, shard_rows, threads, ticks, seed);
+        worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
+    }
+
+    /// Predator (non-local float sums ⇒ identity order, one-row groups):
+    /// at a single shard — where the documented ⊕ re-association across
+    /// shards does not apply — the loop equals the oracle bit for bit, with
+    /// bites, deaths and spawns; at finer granules it equals itself across
+    /// thread budgets.
+    #[test]
+    fn kernel_probe_groups_predator_keeps_row_order(
+        seed in 0u64..10_000,
+        n in 0usize..100,
+        kind in any_index_kind(),
+        kernel in any_query_kernel(),
+        shard_rows in any_shard_granule(),
+        ticks in 1u64..4,
+    ) {
+        let params = PredatorParams { nonlocal: true, batch_engagement: Some(true), ..PredatorParams::default() };
+        let b = PredatorBehavior::new(params.clone());
+        let mut world = b.population(n, 12.0, seed);
+        tile_edge_geometry(&mut world, params.reach, 3.0 * params.reach, seed);
+        let one_shard = grouped_ticks(&b, &world, kind, kernel, SHARD_ROWS, 3, ticks, seed);
+        worlds_bit_identical(&one_shard, &reference_ticks(&b, &world, kind, ticks, seed))?;
+        let serial = grouped_ticks(&b, &world, kind, kernel, shard_rows, 1, ticks, seed);
+        worlds_bit_identical(&serial, &grouped_ticks(&b, &world, kind, kernel, shard_rows, 3, ticks, seed))?;
+    }
+
+    /// A distributed worker's pool: rows in no id order (shuffled, then
+    /// swap-churned) with a replica tail that is probed but never queries.
+    /// Blocks are canonicalized by `(id, row)` once per group; the tables
+    /// must equal the serial reference's bit for bit.
+    #[test]
+    fn kernel_probe_groups_on_a_swap_churned_pool_equal_serial(
+        seed in 0u64..10_000,
+        n in 2usize..140,
+        owned_frac in 0.3f64..1.0,
+        vis in 0.5f64..6.0,
+        kind in any_index_kind(),
+        kernel in any_query_kernel(),
+        shard_rows in any_shard_granule(),
+        threads in any_thread_budget(),
+    ) {
+        let b = Lopsided::new(vis);
+        let mut world = lopsided_world(&b, n, vis, seed);
+        let mut rng = DetRng::seed_from_u64(seed).stream(0x5A9);
+        for i in (1..world.len()).rev() {
+            world.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let churned = || {
+            let mut pool = AgentPool::from_agents(b.schema(), &world);
+            let mut rng = DetRng::seed_from_u64(seed).stream(0xC4);
+            for _ in 0..n / 5 {
+                // Swap-removal: the last row fills the hole.
+                let hole = rng.below(pool.len() as u64) as u32;
+                pool.copy_row_within(pool.len() as u32 - 1, hole);
+                pool.pop_row();
+            }
+            pool
+        };
+        let serial_pool = churned();
+        let rows = serial_pool.len();
+        let n_owned = ((rows as f64 * owned_frac) as usize).max(1);
+        let mut serial = EffectTable::new(b.schema());
+        let s_stats = query_phase(&b, &serial_pool, n_owned, kind, &mut serial, 2, seed);
+        let mut pool = churned();
+        let (mut index, mut scratch) = (MaintainedIndex::new(kind), TickScratch::new());
+        let p_stats = query_phase_sharded_with(
+            &b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads, kernel,
+        );
+        prop_assert_eq!(s_stats.neighbor_visits, p_stats.neighbor_visits);
+        assert_tables_bit_identical(&serial, pool.effects(), rows)?;
+    }
+}

@@ -8,6 +8,7 @@
 //! behind one mutex and restore the prior state on drop.
 
 use brace_scenario::{Backend, Registry, Runner};
+use brace_telemetry::{counter, Counter};
 use std::sync::{Mutex, MutexGuard};
 
 static FLAG_LOCK: Mutex<()> = Mutex::new(());
@@ -86,5 +87,21 @@ fn enabled_runs_record_into_the_registry() {
     assert!(value("brace_phase_query_ns_count") >= TICKS);
     assert!(value("brace_phase_update_ns_count") >= TICKS);
     assert!(value("brace_executor_neighbor_visits_total") > 0, "an epidemic run visits neighbors");
+    // The query phase's own recording site (it also runs inside cluster
+    // workers, which the equivalence test above covers). The epidemic has
+    // non-local effects, so every row is its own probe group and a group's
+    // block is exactly that row's candidates.
+    assert!(value("brace_executor_probe_groups_total") >= TICKS);
+    assert_eq!(counter(Counter::ExecutorBlockCandidates), counter(Counter::ExecutorNeighborVisits));
+
+    // A local-effect scenario shares probes between tile-mates: fewer
+    // groups than agent-ticks, on the single node and on cluster workers.
+    for backend in [Backend::single(), Backend::cluster(2)] {
+        brace_telemetry::reset();
+        let report = Runner::new(registry.get("fish").unwrap()).backend(backend).run(TICKS).unwrap();
+        let groups = counter(Counter::ExecutorProbeGroups);
+        assert!(groups > 0 && groups < report.agents as u64 * TICKS, "{groups} groups on `{}`", report.backend);
+        assert!(counter(Counter::ExecutorBlockCandidates) > 0);
+    }
     brace_telemetry::reset();
 }
