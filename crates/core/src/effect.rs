@@ -212,6 +212,16 @@ impl EffectTable {
         }
     }
 
+    /// Apply segment `segment` of `log` — one agent's effect writes — in the
+    /// order they were made. Replaying every segment of a row range in
+    /// ascending source-row order performs exactly the combines, in exactly
+    /// the order, of writers run over those rows in row order.
+    pub(crate) fn replay(&mut self, log: &EffectLog, segment: u32) {
+        for e in log.segment(segment) {
+            self.combine(e.row, e.field, e.v);
+        }
+    }
+
     /// Copy each agent's final aggregated row into `agent.effects`, making
     /// the effects readable for the update phase. Used by the `Vec<Agent>`
     /// reference path; the pool path reads the columns in place.
@@ -224,6 +234,71 @@ impl EffectTable {
     }
 }
 
+/// One logged effect write: `table[row][field] ⊕= v`.
+#[derive(Debug, Clone, Copy)]
+struct LogEntry {
+    row: u32,
+    field: FieldId,
+    v: f64,
+}
+
+/// The effect **write-log** of one sweep slice of the query phase, for
+/// schemas with non-local effects.
+///
+/// A float `Sum` into a *target* row is pinned in source-row order, but the
+/// tile-ordered sweep visits source rows in probe order. So a non-local
+/// schema's writers do not combine in place: each appends its writes —
+/// local *and* remote, since one field may receive both in a tick and
+/// applying the locals early would re-associate the sum — to a segment of
+/// this log, and the executor [replays](EffectTable::replay) the segments in
+/// ascending source-row order afterwards. Segments are numbered in the order
+/// their writers were opened ([`EffectWriter::logged`]).
+#[derive(Debug, Default)]
+pub(crate) struct EffectLog {
+    entries: Vec<LogEntry>,
+    /// `starts[j]`: index in `entries` of segment `j`'s first write.
+    starts: Vec<u32>,
+}
+
+impl EffectLog {
+    /// Forget every segment (allocations are kept).
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.starts.clear();
+    }
+
+    /// Total writes logged since the last [`clear`](EffectLog::clear).
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn segment(&self, j: u32) -> &[LogEntry] {
+        let j = j as usize;
+        let end = self.starts.get(j + 1).map_or(self.entries.len(), |&e| e as usize);
+        &self.entries[self.starts[j] as usize..end]
+    }
+}
+
+/// Append one write to a log. Out of line and marked cold on purpose: a
+/// behavior's fold calls [`EffectWriter::local`] a few hundred times per agent
+/// (fish), and a vector's growth path inlined at every one of those call
+/// sites costs the in-place sink the registers it keeps its loop state in
+/// (measured: 3–8 % of the dense fish tick). The log sink pays a call per
+/// write instead (≈180k per predator tick, well under a millisecond).
+#[cold]
+#[inline(never)]
+fn log_write(entries: &mut Vec<LogEntry>, entry: LogEntry) {
+    entries.push(entry);
+}
+
+/// Where an [`EffectWriter`]'s writes go — chosen once per tick, by schema.
+enum Sink<'a> {
+    /// Combine in place (local-effect schemas, and the serial reference).
+    Table(&'a mut EffectTable),
+    /// Append to a write-log segment (non-local schemas).
+    Log(&'a mut Vec<LogEntry>),
+}
+
 /// Write capability for one agent's query phase.
 ///
 /// `me` addresses the querying agent's own row (local assignments, the
@@ -231,12 +306,12 @@ impl EffectTable {
 /// visible set (non-local assignments, `other.f <- v`).
 pub struct EffectWriter<'a> {
     schema: &'a AgentSchema,
-    table: &'a mut EffectTable,
+    sink: Sink<'a>,
     me: u32,
-    /// Row of `table` that holds `me`'s effects: `me` itself for a table
-    /// spanning the visible set (the serial path and non-local shards); the
-    /// agent's position in its shard's slice of the probe order for a
-    /// local-effect shard table, where no other row is addressable.
+    /// Row that holds `me`'s effects: `me` itself where rows are visible-set
+    /// rows (the serial path and the write-log); the agent's position in its
+    /// shard's slice of the probe order for a local-effect shard table,
+    /// where no other row is addressable.
     slot: u32,
     nonlocal_writes: u64,
 }
@@ -244,19 +319,34 @@ pub struct EffectWriter<'a> {
 impl<'a> EffectWriter<'a> {
     /// Writer over a table spanning the visible set (row `r` is visible row `r`).
     pub fn new(schema: &'a AgentSchema, table: &'a mut EffectTable, me: u32) -> Self {
-        EffectWriter { schema, table, me, slot: me, nonlocal_writes: 0 }
+        Self::with_slot(schema, table, me, me)
     }
 
     /// Writer over a local-effect shard table, in which `me`'s effects live
     /// in row `slot`. `me` stays a visible-set row index.
     pub fn with_slot(schema: &'a AgentSchema, table: &'a mut EffectTable, me: u32, slot: u32) -> Self {
-        EffectWriter { schema, table, me, slot, nonlocal_writes: 0 }
+        EffectWriter { schema, sink: Sink::Table(table), me, slot, nonlocal_writes: 0 }
+    }
+
+    /// Writer that opens the next segment of `log` and appends every write
+    /// of visible row `me` to it, in order, combining nothing.
+    pub(crate) fn logged(schema: &'a AgentSchema, log: &'a mut EffectLog, me: u32) -> Self {
+        log.starts.push(u32::try_from(log.entries.len()).expect("effect log outgrew u32 offsets"));
+        EffectWriter { schema, sink: Sink::Log(&mut log.entries), me, slot: me, nonlocal_writes: 0 }
+    }
+
+    #[inline]
+    fn write(&mut self, row: u32, field: FieldId, v: f64) {
+        match &mut self.sink {
+            Sink::Table(table) => table.combine(row, field, v),
+            Sink::Log(entries) => log_write(entries, LogEntry { row, field, v }),
+        }
     }
 
     /// `field <- v` on the querying agent itself.
     #[inline]
     pub fn local(&mut self, field: FieldId, v: f64) {
-        self.table.combine(self.slot, field, v);
+        self.write(self.slot, field, v);
     }
 
     /// `target.field <- v` on another visible agent. Models whose schema
@@ -275,7 +365,7 @@ impl<'a> EffectWriter<'a> {
             self.schema.name()
         );
         self.nonlocal_writes += 1;
-        self.table.combine(target_row, field, v);
+        self.write(target_row, field, v);
     }
 
     /// Number of genuinely non-local writes performed through this writer
@@ -399,6 +489,116 @@ mod tests {
         assert_eq!(w.nonlocal_writes(), 1);
         assert_eq!(t.get(0, FieldId::new(0)), 4.0);
         assert_eq!(t.get(1, FieldId::new(0)), 2.0);
+    }
+
+    /// One source row's writes: `(target row, field, value)`, in order.
+    type Writes = Vec<(u32, u16, f64)>;
+
+    fn apply(w: &mut EffectWriter<'_>, me: u32, writes: &Writes) {
+        for &(target, field, v) in writes {
+            if target == me {
+                w.local(FieldId::new(field), v);
+            } else {
+                w.remote(target, FieldId::new(field), v);
+            }
+        }
+    }
+
+    /// The serial reference: every row's writes combined in place, in row order.
+    fn serial_table(s: &AgentSchema, rows: &[Writes]) -> (EffectTable, u64) {
+        let mut t = EffectTable::new(s);
+        t.reset(rows.len());
+        let mut nonlocal = 0;
+        for (me, writes) in rows.iter().enumerate() {
+            let mut w = EffectWriter::new(s, &mut t, me as u32);
+            apply(&mut w, me as u32, writes);
+            nonlocal += w.nonlocal_writes();
+        }
+        (t, nonlocal)
+    }
+
+    /// The write-log path: rows swept in `sweep` order, cut into two log
+    /// slices at `cut`, then replayed in ascending source-row order.
+    fn replayed_table(s: &AgentSchema, rows: &[Writes], sweep: &[u32], cut: usize) -> (EffectTable, u64) {
+        let mut logs = [EffectLog::default(), EffectLog::default()];
+        let mut segments = vec![(0usize, 0u32); rows.len()];
+        let mut nonlocal = 0;
+        for (slice, members) in [&sweep[..cut], &sweep[cut..]].into_iter().enumerate() {
+            for (j, &me) in members.iter().enumerate() {
+                let mut w = EffectWriter::logged(s, &mut logs[slice], me);
+                apply(&mut w, me, &rows[me as usize]);
+                nonlocal += w.nonlocal_writes();
+                segments[me as usize] = (slice, j as u32);
+            }
+        }
+        let mut t = EffectTable::new(s);
+        t.reset(rows.len());
+        for &(slice, j) in &segments {
+            t.replay(&logs[slice], j);
+        }
+        (t, nonlocal)
+    }
+
+    fn assert_bit_identical(a: &EffectTable, b: &EffectTable) {
+        for r in 0..a.rows() as u32 {
+            let (ra, rb) = (a.row(r), b.row(r));
+            assert!(ra.iter().zip(&rb).all(|(x, y)| x.to_bits() == y.to_bits()), "row {r}: {ra:?} vs {rb:?}");
+        }
+    }
+
+    /// One float `Sum` field that receives a row's own local writes *and*
+    /// other rows' remote writes in the same tick, with magnitudes that make
+    /// every re-association visible. Replay reproduces the serial table bit
+    /// for bit in any sweep order — which "apply locals in place, log only
+    /// the remotes" cannot: the locals would reach the cell before the
+    /// remotes of lower rows.
+    #[test]
+    fn replay_of_mixed_local_and_remote_float_sums_equals_serial_in_any_sweep_order() {
+        let s = AgentSchema::builder("W").effect("w", Combinator::Sum).nonlocal_effects(true).build().unwrap();
+        let rows: Vec<Writes> = vec![
+            vec![(0, 0, 0.1), (2, 0, 1e16), (1, 0, 0.3)],
+            vec![(1, 0, 1e-3), (2, 0, 1.0), (0, 0, -1e16)],
+            vec![(2, 0, -1e16), (2, 0, 0.7), (0, 0, 1e16), (1, 0, 3.0)],
+            vec![(2, 0, 1.0), (0, 0, 0.2), (3, 0, 5.5)],
+        ];
+        let (serial, serial_nonlocal) = serial_table(&s, &rows);
+        for sweep in [[0u32, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]] {
+            for cut in 0..=4 {
+                let (replayed, nonlocal) = replayed_table(&s, &rows, &sweep, cut);
+                assert_bit_identical(&serial, &replayed);
+                assert_eq!(nonlocal, serial_nonlocal, "logging must not change the non-local write count");
+            }
+        }
+        // The oracle has teeth: combining in sweep order lands elsewhere.
+        let mut swept = EffectTable::new(&s);
+        swept.reset(rows.len());
+        for me in [3u32, 2, 1, 0] {
+            apply(&mut EffectWriter::new(&s, &mut swept, me), me, &rows[me as usize]);
+        }
+        assert_ne!(swept.row(2)[0].to_bits(), serial.row(2)[0].to_bits());
+    }
+
+    #[test]
+    fn replay_covers_lattice_and_integer_fields_and_silent_agents() {
+        let s = AgentSchema::builder("M")
+            .effect("lo", Combinator::Min)
+            .effect("hi", Combinator::Max)
+            .effect("n", Combinator::Sum)
+            .nonlocal_effects(true)
+            .build()
+            .unwrap();
+        let rows: Vec<Writes> = vec![
+            vec![(1, 0, 4.0), (1, 1, 4.0), (1, 2, 1.0), (0, 2, 1.0)],
+            vec![], // an agent with zero writes: an empty segment
+            vec![(1, 0, -2.5), (0, 1, 9.0), (1, 2, 1.0), (2, 0, 0.5)],
+            vec![],
+        ];
+        let (serial, serial_nonlocal) = serial_table(&s, &rows);
+        let (replayed, nonlocal) = replayed_table(&s, &rows, &[3, 1, 2, 0], 2);
+        assert_bit_identical(&serial, &replayed);
+        assert_eq!(nonlocal, serial_nonlocal);
+        assert_eq!(replayed.row(1), &[-2.5, 4.0, 2.0]);
+        assert!(replayed.row_is_identity(3), "a silent, untargeted agent stays at identity");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The tick executor: query phase, effect finalization, update phase —
-//! sharded for intra-worker parallelism, columnar, and incremental about
-//! its spatial index.
+//! sharded for intra-worker parallelism, columnar, and — for range probes —
+//! index-free: the query phase is a sort-merge spatial join.
 //!
 //! The two phase functions ([`query_phase_sharded`], [`update_phase_sharded`])
 //! are exposed separately because the distributed runtime interleaves
@@ -28,44 +28,24 @@
 //! row-oriented executable specification around for property tests (and
 //! for the SoA-vs-AoS ablation in the benchmarks).
 //!
-//! # Incremental index maintenance
+//! # The query phase as a sort-merge tile join
 //!
-//! The reachability bound caps per-tick movement, so the spatial index is
-//! *maintained*, not rebuilt: a [`MaintainedIndex`] diffs the pool's
-//! position columns against the positions it indexed last tick, applies
-//! only the rows that actually moved ([`SpatialIndex::update`] — grid
-//! bucket moves, KD-tree in-place slot updates with bound expansion), and
-//! lets the index restructure lazily once accumulated motion exceeds a
-//! budget of half the visibility range ([`SpatialIndex::maintain`] — the
-//! KD-tree's per-subtree rebuild threshold). A full rebuild happens only
-//! when the row ↔ agent mapping changed (spawns, kills, repartitioning) or
-//! an index reports it cannot maintain itself. The
-//! [`IndexMaintenance::Rebuild`] mode forces the old rebuild-every-tick
-//! behavior for ablations.
+//! A behavioral simulation tick *is* a spatial self-join, and the paper's
+//! reduce side joins by sorting. So does this one. Once per tick **every
+//! visible row** (owned and replica) is sorted into the **probe order** — by
+//! the tile its position falls in (tile side = the schema's visibility
+//! bound: a rule, not a knob), y-major, then by row. That sorted order *is*
+//! the index for every [`NeighborProbe::Range`] schema with a bounded
+//! visibility: no [`SpatialIndex`] is built, synced or probed (the sort is
+//! the join's build side and is charged to `index_build_ns`). The owned rows
+//! of one tile are a **probe group**, answered together (`query_shard`, the
+//! one production probe loop):
 //!
-//! Probe results are **canonicalized**: every candidate block is put in
-//! ascending agent-id order before any behavior sees it. Grid and scan emit
-//! range candidates in ascending row order, a pure function of the point set
-//! (`SpatialIndex::RANGE_CANONICAL`), which on an id-ordered pool is already
-//! canonical; the KD-tree's build-history emission order is row-sorted here,
-//! a swap-churned worker pool is sorted by `(id, row)`, and k-NN ties break
-//! by row everywhere — so a maintained index and a fresh rebuild aggregate
-//! float effects in exactly the same order and produce bit-identical effect
-//! tables. The sort is paid once per probe group, not once per agent.
-//!
-//! # Probe groups: the query phase as a tile-blocked spatial join
-//!
-//! A behavioral simulation tick *is* a spatial self-join, and agents that
-//! are close in space ask the index for almost the same candidates. So the
-//! query phase does not run one index probe per agent. Once per tick the
-//! owned rows are sorted into the **probe order** — by the tile their
-//! position falls in (tile side = the schema's visibility bound: a rule,
-//! like the grid's cell ≈ visibility, not a knob), then by row — and each
-//! run of rows sharing a tile is a **probe group**, answered together
-//! (`query_shard`, the one production probe loop):
-//!
-//! 1. **one** `index.range` over the union of the members'
-//!    [`Behavior::probe_rect`]s yields the group's candidate *block*;
+//! 1. the group's candidate *block* is the rows of the tiles that the union
+//!    of the members' [`Behavior::probe_rect`]s spans: per tile-row, one
+//!    contiguous run of the probe order, found by a galloping search from
+//!    where the previous group's run began (sort + batched multi-search —
+//!    Goodrich, Sitchinava & Zhang's MapReduce primitive pair);
 //! 2. the block is canonicalized **once** and its positions are gathered
 //!    **once** into contiguous columns (state columns too, the first time a
 //!    batched behavior asks — see [`BatchScratch`]);
@@ -73,92 +53,124 @@
 //!    the lane kernel `kernels::filter_rect` over those columns with *its
 //!    own* probe rect.
 //!
-//! Step 3 selects exactly the rows `index.range(member's rect)` would have
-//! returned (the index answers closed containment exactly and the member's
-//! rect lies inside the union), in the same canonical order (a filter
-//! preserves order), so effects, `neighbor_visits` and every golden are
-//! those of one probe per agent — only tree descents, sorts and pool
-//! gathers drop from one per agent to one per tile (≈20 agents at fish
-//! density). A block is at most the candidates of a (tile + 2·visibility)²
-//! square, ≤ 2.25× a member's own at locally uniform density. Grouping
-//! sorts keys — O(n log n) time, O(n) memory, no dense cell array — so a
-//! school that swims out of its initial space, or one agent 10⁹ units away,
-//! costs nothing extra.
+//! The window of step 1 is computed from the union rect's own corners with
+//! the same monotone function that keyed the rows (`tile_of`), never assumed
+//! to be 3×3: every visible row inside a member's rect lies in a tile of the
+//! window whatever float rounding did to `x + vis`, whatever a pushdown
+//! shrank, however far past the visibility square a rect reaches. Step 3
+//! tests closed containment exactly as an index's `range` does and preserves
+//! block order, so each member sees exactly the rows
+//! `index.range(member's rect)` returns, in the same canonical order:
+//! effects, `neighbor_visits` and every golden are those of one index probe
+//! per agent. Sorting keys costs O(n log n) time and O(n) memory, with no
+//! dense cell array — a school that swims out of its initial space, or one
+//! agent 10⁹ units away, costs nothing extra — and under spawn/kill churn
+//! there is nothing to rebuild: a changed row count re-keys the sort.
 //!
-//! Whatever must visit rows **in row order** keeps it through the same
-//! loop, as one-row groups in the identity order (a group of one needs no
-//! filter: its block is its candidate set — exactly one probe per row, made
-//! as the per-row loop made it: through `SpatialIndex::range_batch` where
-//! the index filters its own columns, `RANGE_BATCH_NATIVE`, else `range`):
-//! schemas with non-local effects, whose float `Sum` into a *target* row
-//! accumulates in source-row order; [`NeighborProbe::Nearest`], which has
-//! no rect to union; and [`IndexKind::Scan`], the paper's *no-indexing*
-//! baseline (sharing its scans between tile-mates would make it an index).
+//! **Candidates are canonical**: every block is put in ascending agent-id
+//! order before any behavior sees it (ascending row on an id-ordered pool,
+//! `(id, row)` on a swap-churned worker pool), so float effect aggregation
+//! is a pure function of the agent set, independent of row placement.
+//!
+//! What has no rect to share keeps one probe per row, through the same loop
+//! as one-row groups in row order and against a [`MaintainedIndex`] (the
+//! only callers that still sync one): [`NeighborProbe::Nearest`], which
+//! asks `k_nearest_into`; and [`IndexKind::Scan`], the paper's *no-indexing*
+//! baseline — sharing its scans between tile-mates would make it an index.
 //! Unbounded visibility is one group whose block is the visible set.
+//!
+//! # Index maintenance (k-NN probes and the scan)
+//!
+//! Where an index is still probed it is *maintained*, not rebuilt: a
+//! [`MaintainedIndex`] diffs the pool's position columns against the
+//! positions it indexed last tick, applies only the rows that actually
+//! moved ([`SpatialIndex::update`]), and lets the index restructure lazily
+//! once accumulated motion exceeds a budget of half the visibility range
+//! ([`SpatialIndex::maintain`]). A full rebuild happens only when the row ↔
+//! agent mapping changed (spawns, kills, repartitioning) or an index
+//! reports it cannot maintain itself. The [`IndexMaintenance::Rebuild`] mode
+//! forces a rebuild every tick for ablations. k-NN results are canonical
+//! already — (distance, row) order, ties broken by row everywhere — so a
+//! maintained index and a fresh rebuild produce bit-identical effects.
 //!
 //! # Sharded execution model
 //!
 //! The state-effect pattern makes the per-partition query phase
 //! embarrassingly parallel: queries read only frozen previous-tick state,
 //! and effect assignments combine through associative, commutative ⊕
-//! operators. The executor exploits this by cutting the **probe order**
-//! into contiguous **logical shards** and running shards on a pool of
-//! scoped threads (the `parallelism` knob; `0` means one thread per
-//! available core):
+//! operators. The executor exploits this by cutting the **probe order** of
+//! the owned rows into contiguous **sweep slices**, one per logical shard,
+//! and running them on a pool of scoped threads (the `parallelism` knob;
+//! `0` means one thread per available core):
 //!
-//! * Shards follow the probe order, not the row order: a single-node pool's
-//!   rows are in id order — spatially random — so a row-range shard would
+//! * Slices follow the probe order, not the row order: a single-node pool's
+//!   rows are in id order — spatially random — so a row-range slice would
 //!   cut every tile into one sliver per shard and the amortization would
-//!   vanish. A tile that straddles a shard boundary simply builds its block
+//!   vanish. A tile that straddles a slice boundary simply builds its block
 //!   on both sides.
-//! * Each shard accumulates into its **own** [`EffectTable`] and reuses its
-//!   own block and column scratch, so the hot loop performs no allocation
-//!   and no synchronization. All per-tick buffers live in a
-//!   [`TickScratch`] that persists across ticks.
+//! * Each shard reuses its own block and column scratch, so the hot loop
+//!   performs no allocation and no synchronization. All per-tick buffers
+//!   live in a [`TickScratch`] that persists across ticks.
 //! * For **local-effect** schemas every row's effects are written by that
-//!   row alone, so a shard's table holds just its slice of the probe order
-//!   (indexed by position in the slice) and the merge is a bitwise scatter
-//!   through the order — parallel output is identical to serial output at
-//!   the bit level, for any shard plan and any thread count.
-//! * For **non-local** schemas any shard may write to any visible row, so
-//!   every shard table spans the visible set and shards are ⊕-merged in
-//!   ascending shard order (the probe order is the row order here).
-//! * The inner probe loop is monomorphized over the concrete index type
-//!   ([`ScanIndex`] / [`KdTree`] / [`UniformGrid`]): the [`BuiltIndex`]
-//!   enum is dispatched once per tick, not once per probe.
+//!   row alone, so a shard accumulates into its **own** [`EffectTable`]
+//!   holding just its slice (indexed by position in the slice) and the merge
+//!   is a bitwise scatter through the order — parallel output is identical
+//!   to serial output at the bit level, for any shard plan and any thread
+//!   count.
+//! * For **non-local** schemas any row may write to any visible row, and a
+//!   float `Sum` into a *target* row is pinned in **source-row order** — but
+//!   the sweep visits sources in tile order. So the sweep combines nothing:
+//!   every write, local *and* remote (one field may receive both in a tick,
+//!   and applying the locals early would re-associate it), is appended to a
+//!   segment of the slice's **effect write-log**
+//!   (`crate::effect::EffectLog`), one segment per source row. After the
+//!   sweep, row-range shard `i` — rows `shard_range(n_owned, k, i)`, the
+//!   plan these schemas have always had — replays its rows' segments in
+//!   ascending source-row order into its own table spanning the visible set
+//!   (shards replay in parallel: each has its own table and only reads the
+//!   logs), and the tables are ⊕-merged in ascending shard order. Within a
+//!   shard that performs exactly the combines, in exactly the order, of a
+//!   row-order pass; across shards it is the ordered ⊕-merge the sharded
+//!   path always performed. The sink is chosen once per tick, by schema;
+//!   local-effect schemas never see the log.
+//! * The inner loop is monomorphized over the concrete index type
+//!   ([`ScanIndex`] / [`KdTree`] / [`UniformGrid`]) where one is probed: the
+//!   [`BuiltIndex`] enum is dispatched once per tick, not once per probe.
 //!
 //! # Determinism argument
 //!
 //! The shard plan is a pure function of `(n_owned, has_nonlocal_effects)`
 //! and of the positions (the probe order) — **never** of the thread count —
-//! and shards merge in ascending order, so the ⊕ reduction tree is fixed:
-//! running with 1 thread or 64 produces bit-identical effect tables and
-//! agent states (`tests/properties.rs` proves this across seeds,
-//! populations and every [`IndexKind`]). Relative to the unsharded,
-//! ungrouped serial reference ([`query_phase`]: one probe and one sort per
-//! row, in row order), results are also bit-identical whenever effects are
-//! local (each row is written by itself alone, so neither the order rows
-//! are visited in nor how they are grouped can matter) or the combinators
-//! are exactly associative on the values involved (the lattice ops
-//! Min/Max/Or/And always; Sum/Prod on integer-valued effects) — the same
-//! contract the distributed runtime already imposes on cross-partition
-//! effect aggregation. Candidate canonicalization extends the argument
-//! across index state: incremental maintenance ≡ rebuild-every-tick at the
-//! bit level, for every model (also proven in `tests/properties.rs`). The
-//! update phase parallelizes with any contiguous chunking: each agent's
-//! update depends only on `(seed, tick, agent)`, and per-chunk spawn
-//! queues are concatenated in chunk order, preserving the serial spawn-id
-//! assignment exactly.
+//! and replay and merge orders are fixed by row and shard number, so the ⊕
+//! reduction tree is fixed: running with 1 thread or 64 produces
+//! bit-identical effect tables and agent states (`tests/properties.rs`
+//! proves this across seeds, populations and every [`IndexKind`]). Relative
+//! to the unsharded, unjoined serial reference ([`query_phase`]: one index
+//! probe and one sort per row, in row order), results are also bit-identical
+//! whenever effects are local (each row is written by itself alone, so
+//! neither the order rows are visited in nor how they are grouped can
+//! matter), whenever a non-local schema runs as a single shard (the replay
+//! *is* the row-order pass), or the combinators are exactly associative on
+//! the values involved (the lattice ops Min/Max/Or/And always; Sum/Prod on
+//! integer-valued effects) — the same contract the distributed runtime
+//! already imposes on cross-partition effect aggregation. The sweep-slice
+//! cuts never matter: a slice boundary changes which log holds a segment,
+//! not what the segment holds or when it is replayed. The update phase
+//! parallelizes with any contiguous chunking: each agent's update depends
+//! only on `(seed, tick, agent)`, and per-chunk spawn queues are
+//! concatenated in chunk order, preserving the serial spawn-id assignment
+//! exactly.
 //!
 //! # Visible-set convention
 //!
 //! The pool passed to the query phase holds the *owned* agents first
 //! (rows `0..n_owned`) followed by replicas shipped from other partitions.
-//! Queries run only for owned rows; effects may land on any row.
+//! Queries run only for owned rows; replicas join the probe order and appear
+//! in blocks; effects may land on any row.
 
 use crate::agent::{Agent, AgentPool, PoolView, UpdateChunk};
 use crate::behavior::{BatchScratch, Behavior, NeighborBatch, NeighborProbe, Neighbors, UpdateCtx};
-use crate::effect::{EffectTable, EffectWriter};
+use crate::effect::{EffectLog, EffectTable, EffectWriter};
 use crate::metrics::{SimMetrics, TickMetrics};
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
@@ -283,7 +295,7 @@ impl BuiltIndex {
 /// like [`IndexMaintenance`]). The two are bit-identical — proven by the
 /// kernel conformance properties in `tests/properties.rs` — so the knob
 /// only ever changes speed, never results. Probing is the same either way
-/// (one index probe per probe group and one lane-kernel filter pass per
+/// (one candidate block per probe group and one lane-kernel filter pass per
 /// member; see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryKernel {
@@ -313,7 +325,10 @@ pub enum IndexMaintenance {
 /// A spatial index kept in sync with a pool's position columns across
 /// ticks. Owns the policy described in the module docs: diff → in-place
 /// update → lazy restructure, with full rebuilds only when the row ↔ agent
-/// mapping changed or the index kind cannot maintain itself.
+/// mapping changed or the index kind cannot maintain itself. The query phase
+/// syncs it only for probes the sort-merge tile join does not answer (k-NN,
+/// the scan, unbounded visibility); for a bounded-visibility range schema it
+/// carries the [`IndexKind`] and stays unbuilt.
 pub struct MaintainedIndex {
     kind: IndexKind,
     mode: IndexMaintenance,
@@ -427,61 +442,181 @@ pub struct QueryStats {
     pub nonlocal_writes: u64,
 }
 
-/// One owned row in the tick's **probe order**: the tile its position falls
+/// One visible row in the tick's **probe order**: the tile its position falls
 /// in (tile side = the schema's visibility bound) and the row. The order is
-/// sorted by `(tile, row)`; runs of equal tiles are the probe groups.
+/// sorted by `(ty, tx, row)` — y-major, so the tiles a rect spans along x are
+/// one contiguous run per tile-row — and runs of equal tiles among the owned
+/// rows are the probe groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct ProbeKey {
-    tile: (i64, i64),
+    ty: i64,
+    tx: i64,
     row: u32,
 }
 
-/// Put rows `0..n_owned` into `order` in probe order. With a tile side,
-/// rows are sorted by the tile their position falls in, then by row — sort
-/// keys, not a dense cell array, so the cost is O(n log n) time and O(n)
-/// memory whatever the world's extent (fish swim out of the initial space;
-/// one agent 10⁹ units away is one more key). An unbounded side puts every
-/// row in tile (0, 0). Without a tile side the order is row order.
-fn plan_probe_order(order: &mut Vec<ProbeKey>, view: PoolView<'_>, n_owned: usize, tile_side: Option<f64>) {
-    let row_order = |order: &mut Vec<ProbeKey>| {
-        order.clear();
-        order.extend((0..n_owned as u32).map(|row| ProbeKey { tile: (0, 0), row }));
+impl ProbeKey {
+    #[inline]
+    fn tile(&self) -> (i64, i64) {
+        (self.ty, self.tx)
+    }
+}
+
+/// The tile coordinate of `v` at tile side `side`. Monotone in `v` (IEEE
+/// division by a positive side, `floor` and the saturating `as` all are), so
+/// every point of a rect lies in a tile between the tiles of the rect's own
+/// corners — which is all the join needs to be exact, whatever the rounding.
+/// `as` saturates, so absurdly distant agents share an outermost tile:
+/// tiling decides how much each block amortizes, never what a probe finds.
+#[inline]
+fn tile_of(v: f64, side: f64) -> i64 {
+    (v / side).floor() as i64
+}
+
+/// Plan the tick's probe order. With a tile side, **every visible row**
+/// (owned and replica) is sorted into `cells` by the tile its position falls
+/// in, then by row — sort keys, not a dense cell array, so the cost is
+/// O(n log n) time and O(n) memory whatever the world's extent (fish swim
+/// out of the initial space; one agent 10⁹ units away is one more key) — and
+/// `members` receives the owned rows in that order. An unbounded side puts
+/// every row in tile (0, 0). Without a tile side `members` is the owned rows
+/// in row order and `cells` is left empty.
+fn plan_probe_order(
+    cells: &mut Vec<ProbeKey>,
+    members: &mut Vec<ProbeKey>,
+    view: PoolView<'_>,
+    n_owned: usize,
+    tile_side: Option<f64>,
+) {
+    members.clear();
+    let Some(side) = tile_side else {
+        cells.clear();
+        members.extend((0..n_owned as u32).map(|row| ProbeKey { ty: 0, tx: 0, row }));
+        return;
     };
-    let Some(side) = tile_side else { return row_order(order) };
     // `(tile, row)` is a total order over distinct rows, so any permutation
     // of the rows sorts to the same result — and the reachability bound
     // keeps most agents in their tile from one tick to the next, so the
-    // previous tick's order is a nearly sorted one to start from.
-    if order.len() != n_owned {
-        row_order(order);
+    // previous tick's order is a nearly sorted one to start from. A changed
+    // row count (spawns, kills, replicas coming and going) re-keys from
+    // scratch.
+    if cells.len() != view.len() {
+        cells.clear();
+        cells.extend((0..view.len() as u32).map(|row| ProbeKey { ty: 0, tx: 0, row }));
     }
-    // `as` saturates, so absurdly distant agents share an outermost tile:
-    // grouping decides how much each probe amortizes, never what it finds.
-    let tile = |v: f64| (v / side).floor() as i64;
-    for key in order.iter_mut() {
-        key.tile = (tile(view.xs[key.row as usize]), tile(view.ys[key.row as usize]));
+    for key in cells.iter_mut() {
+        key.ty = tile_of(view.ys[key.row as usize], side);
+        key.tx = tile_of(view.xs[key.row as usize], side);
     }
-    order.sort_unstable();
+    cells.sort_unstable();
+    members.extend(cells.iter().filter(|key| (key.row as usize) < n_owned));
+}
+
+/// First index `i` of `cells` (sorted) with `cells[i].tile() >= lo`, found by
+/// galloping outward from `hint`: O(log distance), so a hint near the answer
+/// — where the previous probe group's run began — costs a step or two, and
+/// any hint at all is merely slower, never wrong.
+fn seek_tile(cells: &[ProbeKey], hint: usize, lo: (i64, i64)) -> usize {
+    let before = |c: &ProbeKey| c.tile() < lo;
+    let hint = hint.min(cells.len());
+    let mut step = 1;
+    if hint < cells.len() && before(&cells[hint]) {
+        // Everything left of `base` is before `lo`.
+        let mut base = hint + 1;
+        while base + step <= cells.len() && before(&cells[base + step - 1]) {
+            base += step;
+            step *= 2;
+        }
+        let end = (base + step - 1).min(cells.len());
+        base + cells[base..end].partition_point(before)
+    } else {
+        // Everything from `top` on is at or after `lo`.
+        let mut top = hint;
+        while top >= step && !before(&cells[top - step]) {
+            top -= step;
+            step *= 2;
+        }
+        let start = top.saturating_sub(step);
+        start + cells[start..top].partition_point(before)
+    }
+}
+
+/// The join's probe: append to `block` every row of `cells` (all visible
+/// rows in probe order, tile side `side`) whose tile lies in the window of
+/// tiles that `rect` spans — one contiguous run of `cells` per tile-row. The
+/// window is derived from the rect's own corners with the function that
+/// keyed the rows, so it is exact for any rect: one that float rounding
+/// pushed two tiles out, one a pushdown shrank, one wider than the
+/// visibility square. `cursors[d]` remembers where the window's `d`-th run
+/// began, the hint for the next (neighbouring) group's.
+fn tile_window(cells: &[ProbeKey], side: f64, rect: &Rect, cursors: &mut [usize; 3], block: &mut Vec<u32>) {
+    let (tx0, tx1) = (tile_of(rect.lo.x, side), tile_of(rect.hi.x, side));
+    let (ty0, ty1) = (tile_of(rect.lo.y, side), tile_of(rect.hi.y, side));
+    let mut lo = (ty0, tx0);
+    let mut runs = 0;
+    let mut i = cursors[0];
+    loop {
+        i = seek_tile(cells, i, lo);
+        let Some(first) = cells.get(i) else { break };
+        if first.ty > ty1 {
+            break;
+        }
+        if first.tx < tx0 {
+            // Skipped empty tile-rows and landed left of the window.
+            lo = (first.ty, tx0);
+            continue;
+        }
+        if first.tx <= tx1 {
+            if let Some(cursor) = cursors.get_mut(runs) {
+                *cursor = i;
+            }
+            runs += 1;
+            while let Some(c) = cells.get(i).filter(|c| c.ty == first.ty && c.tx <= tx1) {
+                block.push(c.row);
+                i += 1;
+            }
+        }
+        if first.ty == ty1 {
+            break;
+        }
+        lo = (first.ty + 1, tx0);
+        i = cursors.get(runs).map_or(i, |&cursor| cursor.max(i));
+    }
 }
 
 /// Reusable per-tick working memory, threaded through the executor so the
-/// hot path allocates nothing after the first tick: the tick's probe order
-/// and one [`ShardScratch`] (effect table + candidate block + spawn queue)
-/// per logical shard. One `TickScratch` belongs to one behavior (its tables
-/// are shaped by the behavior's schema).
+/// hot path allocates nothing after the first tick: the tick's probe order,
+/// one [`ShardScratch`] (effect table or write-log + candidate block + spawn
+/// queue) per logical shard, and for non-local schemas the replay tables
+/// with the source-row directory of the write-log. One `TickScratch` belongs
+/// to one behavior (its tables are shaped by the behavior's schema).
 #[derive(Default)]
 pub struct TickScratch {
     shards: Vec<ShardScratch>,
+    /// Every visible row in probe order (the join's build side).
+    cells: Vec<ProbeKey>,
+    /// The owned rows in probe order (the sweep).
     order: Vec<ProbeKey>,
+    /// Non-local schemas: one full-width table per row-range shard, filled
+    /// by replaying the write-log.
+    replay: Vec<EffectTable>,
+    /// Non-local schemas: `(sweep slice, log segment)` holding each owned
+    /// row's writes.
+    segments: Vec<(u32, u32)>,
     /// Captured at construction, like [`TickExecutor`]'s own handle.
     tel: Telemetry,
 }
 
 /// Working memory of one logical shard.
 struct ShardScratch {
+    /// Local-effect schemas: this slice's effects, indexed by position in
+    /// the slice.
     table: EffectTable,
+    /// Non-local schemas: this slice's effect writes, one segment per member.
+    log: EffectLog,
     /// Candidate rows of the current probe group, canonical order.
     block: Vec<u32>,
+    /// Where the last group's tile-row runs began in the probe order.
+    cursors: [usize; 3],
     /// One member's candidates: positions in `block`, and the rows there.
     picks: Vec<u32>,
     rows: Vec<u32>,
@@ -504,7 +639,9 @@ impl ShardScratch {
     fn new(schema: &AgentSchema) -> Self {
         ShardScratch {
             table: EffectTable::new(schema),
+            log: EffectLog::default(),
             block: Vec::new(),
+            cursors: [0; 3],
             picks: Vec::new(),
             rows: Vec::new(),
             iota: Vec::new(),
@@ -535,9 +672,10 @@ impl TickScratch {
 
 /// Serial reference implementation of the query phase: one pass over rows
 /// `0..n_owned` in row order — one index probe, one canonicalizing sort and
-/// one scalar [`Behavior::query`] per row — into a single full-width `table`
-/// (which is reset first), over an index built fresh for this call. This is
-/// the executable specification the probe-group path is tested against;
+/// one scalar [`Behavior::query`] per row, combined in place — into a single
+/// full-width `table` (which is reset first), over an index built fresh for
+/// this call. This is the executable specification the join and the
+/// write-log replay are tested against;
 /// production paths ([`TickExecutor`], the MapReduce worker) call
 /// [`query_phase_sharded`].
 ///
@@ -620,14 +758,15 @@ fn reference_rows<B: Behavior, I: SpatialIndex>(
 /// Put range candidates in the canonical order: **ascending agent id**,
 /// always. Per-agent neighbor iteration order — and therefore float effect
 /// aggregation — is then a pure function of the agent set, independent of
-/// index state (maintained vs rebuilt) *and* of row placement (single-node
-/// pool vs a distributed worker's swap-mutated pool, which is what makes an
-/// N-worker cluster bit-identical to one node). When rows are already in id
-/// order (every single-node pool), row order *is* id order, so candidates
-/// that are `ascending_rows` already — the scan's row-order columns and the
-/// grid's ascending-payload bucket merge (`RANGE_CANONICAL`), or the whole
-/// visible set — are canonical by construction and only the KD-tree
-/// (build-history emission order) pays a sort.
+/// where the candidates came from (a join block, a maintained or rebuilt
+/// index) *and* of row placement (single-node pool vs a distributed worker's
+/// swap-mutated pool, which is what makes an N-worker cluster bit-identical
+/// to one node). When rows are already in id order (every single-node
+/// pool), row order *is* id order, so candidates that are `ascending_rows`
+/// already — the scan's row-order columns and the grid's ascending-payload
+/// bucket merge (`RANGE_CANONICAL`), or the whole visible set — are
+/// canonical by construction; a join block (tile-major) and the KD-tree
+/// (build-history emission order) pay a sort.
 #[inline]
 fn canonicalize(candidates: &mut [u32], view: PoolView<'_>, rows_in_id_order: bool, ascending_rows: bool) {
     if !rows_in_id_order {
@@ -663,14 +802,20 @@ fn nearest_candidates<I: SpatialIndex>(
 struct QueryPlan<'a, B> {
     behavior: &'a B,
     view: PoolView<'a>,
-    /// The owned rows in probe order; shard `i` of `k` runs the slice
+    /// The owned rows in probe order; shard `i` of `k` sweeps the slice
     /// `shard_range(order.len(), k, i)`.
     order: &'a [ProbeKey],
+    /// Every visible row in probe order: what the join probes. Empty unless
+    /// `join`.
+    cells: &'a [ProbeKey],
     /// Runs of equal tiles in `order` are probe groups (otherwise every row
     /// is its own group).
     grouped: bool,
-    /// Shard tables span the visible set (otherwise a shard's table is
-    /// indexed by position in its slice of `order`).
+    /// A group's block is the sort-merge tile join over `cells`, and every
+    /// member filters its own candidates out of it; no index is probed.
+    join: bool,
+    /// Effect writes go to the shard's write-log (otherwise a shard's table
+    /// is indexed by position in its slice of `order`).
     nonlocal: bool,
     /// Run [`Behavior::query_batch`] rather than [`Behavior::query`].
     run_batched: bool,
@@ -680,30 +825,31 @@ struct QueryPlan<'a, B> {
 }
 
 /// The monomorphized inner loop — the only production probe loop, for every
-/// index kind and both [`QueryKernel`]s: run the query phase for one shard's
-/// `slice` of the probe order, one **probe group** at a time.
+/// schema, index kind and both [`QueryKernel`]s: run the query phase for one
+/// shard's `slice` of the probe order, one **probe group** at a time.
 ///
-/// A group (the slice's rows of one tile) is answered by **one**
-/// `index.range` over the union of its members' [`Behavior::probe_rect`]s;
-/// that candidate block is canonicalized once and its positions gathered
-/// once, and each member then takes its own candidates out of the block by
-/// running the lane kernel [`filter_rect`] over the block's contiguous
-/// columns with *its own* probe rect. The index answers `range` exactly
-/// (closed containment on the positions it was synced to) and a member's
-/// rect lies inside the union, so the block rows inside the member's rect
-/// are precisely what `index.range(member's rect)` returns; the filter
-/// selects in block order, so they come out in the same canonical order.
-/// Effects, visit counts and goldens are those of one probe per row — only
-/// the tree descents, sorts and pool gathers drop to one per group.
+/// On the join path (`plan.join`: every bounded-visibility range schema
+/// unless the index kind is the scan) a group — the slice's rows of one
+/// tile — is answered by **no index at all**: its candidate *block* is the
+/// rows of the tiles that the union of its members' [`Behavior::probe_rect`]s
+/// spans, a few contiguous runs of the probe order ([`tile_window`]). The
+/// block is canonicalized once and its positions gathered once, and each
+/// member then takes its own candidates out of it by running the lane
+/// kernel [`filter_rect`] over the block's contiguous columns with *its own*
+/// probe rect. Every visible row inside the member's rect lies in a tile of
+/// the window (the tile function is monotone and the member's rect lies
+/// inside the union), and the filter tests closed containment exactly as an
+/// index's `range` does, so the member gets precisely the rows
+/// `index.range(member's rect)` returns; the filter selects in block order,
+/// so they come out in the same canonical order. Effects, visit counts and
+/// goldens are those of one index probe per row.
 ///
-/// A one-row group needs no filter (its block *is* its candidate set — so
-/// it asks through the index's own lane-kernel filter where that is
-/// gather-free, which emits `range`'s candidates in `range`'s order), and
-/// neither does any group under unbounded visibility (the block is the
-/// visible set, for everyone).
+/// What the join does not cover goes through `index` (which is `None` on
+/// the join path): the scan's one range probe per row, k-NN probes, and
+/// unbounded visibility (the block is the visible set, for everyone).
 fn query_shard<B: Behavior, I: SpatialIndex>(
     plan: &QueryPlan<'_, B>,
-    index: &I,
+    index: Option<&I>,
     slice: &[ProbeKey],
     shard: &mut ShardScratch,
 ) {
@@ -711,14 +857,15 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
     let schema = behavior.schema();
     let vis = schema.visibility();
     let probe = behavior.probe();
-    let ShardScratch { table, block, picks, rows, iota, batch, .. } = shard;
+    let ShardScratch { table, log, block, cursors, picks, rows, iota, batch, .. } = shard;
     let (mut visits, mut nonlocal, mut groups, mut block_rows) = (0u64, 0u64, 0u64, 0u64);
     let mut slot = 0u32;
-    for group in slice.chunk_by(|a, b| plan.grouped && a.tile == b.tile) {
+    log.clear();
+    for group in slice.chunk_by(|a, b| plan.grouped && a.tile() == b.tile()) {
         block.clear();
         batch.begin_block();
         match probe {
-            NeighborProbe::Range if vis.is_finite() => {
+            NeighborProbe::Range if plan.join => {
                 // Behaviors with a derived visibility predicate shrink the
                 // probe rect (pushdown); the default is the full visibility
                 // square. Semantically invisible candidates are excluded
@@ -728,15 +875,23 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                     .map(|key| behavior.probe_rect(view.pos(key.row), vis))
                     .filter(|rect| !rect.is_empty())
                     .fold(Rect::EMPTY, |union, rect| union.union(&rect));
-                // A lone row probes exactly as the per-row loop did: through
-                // the index's lane-kernel filter where that is gather-free
-                // (scan, grid — the same candidates in the same order). A
-                // tile's wide union rect is served better by `range`.
                 if !union.is_empty() {
-                    if I::RANGE_BATCH_NATIVE && group.len() == 1 {
-                        index.range_batch(&union, block);
+                    tile_window(plan.cells, vis, &union, cursors, block);
+                }
+                canonicalize(block, view, plan.rows_in_id_order, false);
+            }
+            NeighborProbe::Range if vis.is_finite() => {
+                // One row, one probe — through the index's lane-kernel
+                // filter where that is gather-free (the scan: the same
+                // candidates in the same order).
+                debug_assert_eq!(group.len(), 1, "only the join shares a bounded range probe");
+                let index = index.expect("a range probe outside the join has an index");
+                let rect = behavior.probe_rect(view.pos(group[0].row), vis);
+                if !rect.is_empty() {
+                    if I::RANGE_BATCH_NATIVE {
+                        index.range_batch(&rect, block);
                     } else {
-                        index.range(&union, block);
+                        index.range(&rect, block);
                     }
                 }
                 canonicalize(block, view, plan.rows_in_id_order, I::RANGE_CANONICAL);
@@ -747,23 +902,27 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
             }
             NeighborProbe::Nearest(k) => {
                 debug_assert_eq!(group.len(), 1, "k-NN probes are never grouped");
+                let index = index.expect("k-NN probes have an index");
                 nearest_candidates(index, view, view.pos(group[0].row), k, vis, block);
             }
         }
         groups += 1;
         block_rows += block.len() as u64;
-        let narrow = group.len() > 1 && vis.is_finite();
-        if narrow && iota.len() < block.len() {
+        if plan.join && iota.len() < block.len() {
             iota.extend(iota.len() as u32..block.len() as u32);
         }
         for key in group {
             let row = key.row;
             let me = view.agent(row);
             debug_assert!(me.alive(), "dead agent in query phase");
-            let mut writer = EffectWriter::with_slot(schema, table, row, if plan.nonlocal { row } else { slot });
+            let mut writer = if plan.nonlocal {
+                EffectWriter::logged(schema, log, row)
+            } else {
+                EffectWriter::with_slot(schema, table, row, slot)
+            };
             let mut rng = agent_rng(plan.seed, plan.tick, me.id(), 0);
             if plan.run_batched {
-                let picked = narrow.then(|| {
+                let picked = plan.join.then(|| {
                     let (xs, ys) = batch.block_xy(view, block);
                     picks.clear();
                     filter_rect(xs, ys, &iota[..block.len()], &behavior.probe_rect(me.pos(), vis), picks);
@@ -775,7 +934,7 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                 visits += nb.len() as u64;
                 behavior.query_batch(me, &mut nb, &mut writer, &mut rng);
             } else {
-                let candidates = if narrow {
+                let candidates = if plan.join {
                     let (xs, ys) = batch.block_xy(view, block);
                     rows.clear();
                     filter_rect(xs, ys, block, &behavior.probe_rect(me.pos(), vis), rows);
@@ -799,10 +958,12 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
 /// Sharded, optionally parallel query phase. Semantics match
 /// [`query_phase`] (rows `0..n_owned` of the pool queried, effects for
 /// every visible row aggregated into the **pool's own effect columns**),
-/// executed over the deterministic shard plan described in the module docs
-/// and against the incrementally maintained `index`. `parallelism` is the
-/// physical thread budget (`0` = all cores, `1` = run shards inline); it
-/// never affects results, only wall time.
+/// executed over the deterministic shard plan described in the module docs.
+/// `index` is synced and probed only where the sort-merge tile join does not
+/// apply (the scan, k-NN probes, unbounded visibility); a bounded-visibility
+/// range schema never builds it. `parallelism` is the physical thread budget
+/// (`0` = all cores, `1` = run shards inline); it never affects results,
+/// only wall time.
 #[allow(clippy::too_many_arguments)]
 pub fn query_phase_sharded<B: Behavior>(
     behavior: &B,
@@ -853,13 +1014,28 @@ pub fn query_phase_sharded_with<B: Behavior>(
     let vis = schema.visibility();
     let mut stats = QueryStats::default();
     let (view, table) = pool.split_query();
-
-    let t0 = Instant::now();
-    index.sync(view, vis);
-    stats.index_build_ns = t0.elapsed().as_nanos() as u64;
-
     let nonlocal = schema.has_nonlocal_effects();
     let k = shard_count(n_owned, nonlocal, shard_rows);
+    scratch.ensure_shards(schema, k);
+    let TickScratch { shards, cells, order, replay, segments, tel } = scratch;
+    let shards = &mut shards[..k];
+
+    // Range probes are shared between tile-mates — except by the scan: it is
+    // the paper's *no-indexing* baseline (Figures 3 and 4), and sorting
+    // agents into tiles to share its scans would be an index. Under a
+    // bounded visibility the shared probe is the sort-merge tile join, whose
+    // build side is this sort: the probe order *is* the index, so none is
+    // synced. k-NN probes have no rect to union and run one per row.
+    let t0 = Instant::now();
+    let grouped = behavior.probe() == NeighborProbe::Range && vis > 0.0 && index.kind() != IndexKind::Scan;
+    let join = grouped && vis.is_finite();
+    if !join {
+        index.sync(view, vis);
+    }
+    plan_probe_order(cells, order, view, n_owned, grouped.then_some(vis));
+    let (cells, order) = (&*cells, &*order);
+    stats.index_build_ns = t0.elapsed().as_nanos() as u64;
+
     // A non-local merge swaps shard 0's freshly reset table in, so only the
     // scatter (which leaves replica rows alone) and the empty plan need the
     // pool's own table at identity.
@@ -870,24 +1046,15 @@ pub fn query_phase_sharded_with<B: Behavior>(
         return stats;
     }
     let threads = effective_parallelism(parallelism).min(k);
-    scratch.ensure_shards(schema, k);
-    let TickScratch { shards, order, tel } = scratch;
-    let shards = &mut shards[..k];
 
     let t1 = Instant::now();
-    // Whatever must visit rows in row order keeps it, through the same loop:
-    // a float `Sum` into a *target* row (non-local schemas) accumulates in
-    // source-row order, and k-NN probes have no rect to union. Those run as
-    // one-row groups — one probe per row, exactly the per-row cost. So does
-    // the scan: it is the paper's *no-indexing* baseline (Figures 3 and 4),
-    // and sorting agents into tiles to share its scans would be an index.
-    let grouped = !nonlocal && behavior.probe() == NeighborProbe::Range && vis > 0.0 && index.kind() != IndexKind::Scan;
-    plan_probe_order(order, view, n_owned, grouped.then_some(vis));
     let plan = QueryPlan {
         behavior,
         view,
         order,
+        cells,
         grouped,
+        join,
         nonlocal,
         // The behavior decides once per tick whether its batched kernel pays
         // for materializing candidate columns (`Behavior::batch_profitable`);
@@ -898,66 +1065,98 @@ pub fn query_phase_sharded_with<B: Behavior>(
         tick,
         seed,
     };
-    // Reset each shard's accumulator to the rows it covers this tick.
-    for (i, shard) in shards.iter_mut().enumerate() {
-        shard.table.reset(if nonlocal { view.len() } else { shard_range(n_owned, k, i).len() });
+    // A local-effect shard accumulates into a table of the rows it sweeps; a
+    // non-local one only logs.
+    if !nonlocal {
+        for (i, shard) in shards.iter_mut().enumerate() {
+            shard.table.reset(shard_range(n_owned, k, i).len());
+        }
     }
     // One monomorphized dispatch per tick, then the shard loop runs against
-    // the concrete index type.
-    match index.built.as_ref().expect("sync built an index") {
-        BuiltIndex::Scan(i) => run_query_shards(&plan, i, shards, threads),
-        BuiltIndex::Kd(i) => run_query_shards(&plan, i, shards, threads),
-        BuiltIndex::Grid(i) => run_query_shards(&plan, i, shards, threads),
+    // the concrete index type (the join has none: its type parameter idles).
+    match index.built.as_ref().filter(|_| !join) {
+        None => run_query_shards(&plan, None::<&ScanIndex>, shards, threads),
+        Some(BuiltIndex::Scan(i)) => run_query_shards(&plan, Some(i), shards, threads),
+        Some(BuiltIndex::Kd(i)) => run_query_shards(&plan, Some(i), shards, threads),
+        Some(BuiltIndex::Grid(i)) => run_query_shards(&plan, Some(i), shards, threads),
     }
 
-    // Deterministic merge, ascending shard order, directly into the pool's
-    // effect columns. Local-effect shards own disjoint slices of the probe
-    // order: a bitwise scatter through it. Non-local shards span the whole
-    // visible set: the first *becomes* the pool's table (a swap, so nothing
-    // is copied), the rest ⊕-merge into it.
+    // Deterministic merge, directly into the pool's effect columns.
     let t2 = Instant::now();
-    let (mut groups, mut block_rows) = (0u64, 0u64);
-    for (i, shard) in shards.iter_mut().enumerate() {
-        if !nonlocal {
+    if !nonlocal {
+        // Local-effect shards own disjoint slices of the probe order: a
+        // bitwise scatter through it.
+        for (i, shard) in shards.iter().enumerate() {
             table.scatter_rows_from(&shard.table, order[shard_range(n_owned, k, i)].iter().map(|key| key.row));
-        } else if i == 0 {
-            std::mem::swap(table, &mut shard.table);
-        } else {
-            table.merge_table(&shard.table);
         }
+    } else {
+        // Non-local shards: row-range shard `i` replays the logged writes of
+        // rows `shard_range(n_owned, k, i)` in ascending source-row order
+        // into its own table spanning the visible set — exactly the combines
+        // a row-order pass over those rows performs. Then the first table
+        // *becomes* the pool's (a swap, so nothing is copied) and the rest
+        // ⊕-merge into it in ascending shard order.
+        segments.resize(n_owned, (0, 0));
+        for s in 0..k {
+            for (j, key) in order[shard_range(n_owned, k, s)].iter().enumerate() {
+                segments[key.row as usize] = (s as u32, j as u32);
+            }
+        }
+        while replay.len() < k {
+            replay.push(EffectTable::new(schema));
+        }
+        let (shards, segments) = (&*shards, &*segments);
+        for_each_shard(&mut replay[..k], threads, |i, shard_table| {
+            shard_table.reset(view.len());
+            for &(s, j) in &segments[shard_range(n_owned, k, i)] {
+                shard_table.replay(&shards[s as usize].log, j);
+            }
+        });
+        std::mem::swap(table, &mut replay[0]);
+        for shard_table in &replay[1..k] {
+            table.merge_table(shard_table);
+        }
+    }
+    stats.merge_ns = t2.elapsed().as_nanos() as u64;
+    stats.query_ns = t1.elapsed().as_nanos() as u64;
+    let (mut groups, mut block_rows, mut logged) = (0u64, 0u64, 0u64);
+    for shard in shards.iter() {
         stats.neighbor_visits += shard.visits;
         stats.nonlocal_writes += shard.nonlocal;
         groups += shard.groups;
         block_rows += shard.block_rows;
+        logged += shard.log.len() as u64;
     }
-    stats.merge_ns = t2.elapsed().as_nanos() as u64;
-    stats.query_ns = t1.elapsed().as_nanos() as u64;
     tel.add(Counter::ExecutorProbeGroups, groups);
     tel.add(Counter::ExecutorBlockCandidates, block_rows);
+    tel.add(Counter::ExecutorEffectLogEntries, logged);
     stats
 }
 
-/// Distribute `shards` over up to `threads` scoped worker threads in
-/// contiguous groups. Shard → result mapping is positional, so scheduling
-/// cannot affect the merge order.
+/// Sweep every shard's slice of the probe order ([`query_shard`]).
 fn run_query_shards<B: Behavior, I: SpatialIndex>(
     plan: &QueryPlan<'_, B>,
-    index: &I,
+    index: Option<&I>,
     shards: &mut [ShardScratch],
     threads: usize,
 ) {
-    let k = shards.len();
-    let run_one = |i: usize, shard: &mut ShardScratch| {
-        query_shard(plan, index, &plan.order[shard_range(plan.order.len(), k, i)], shard)
-    };
+    let (n, k) = (plan.order.len(), shards.len());
+    for_each_shard(shards, threads, |i, shard| query_shard(plan, index, &plan.order[shard_range(n, k, i)], shard));
+}
+
+/// Run `run(i, &mut items[i])` for every shard `i`, on up to `threads`
+/// scoped worker threads in contiguous groups. Shard → result mapping is
+/// positional, so scheduling cannot affect any merge order.
+fn for_each_shard<T: Send>(items: &mut [T], threads: usize, run: impl Fn(usize, &mut T) + Sync) {
+    let k = items.len();
     if threads <= 1 {
-        for (i, shard) in shards.iter_mut().enumerate() {
-            run_one(i, shard);
+        for (i, item) in items.iter_mut().enumerate() {
+            run(i, item);
         }
         return;
     }
     std::thread::scope(|scope| {
-        let mut rest = shards;
+        let mut rest = items;
         let mut next = 0usize;
         for t in 0..threads {
             let group = shard_range(k, threads, t).len();
@@ -965,10 +1164,10 @@ fn run_query_shards<B: Behavior, I: SpatialIndex>(
             rest = tail;
             let first = next;
             next += group;
-            let run_one = &run_one;
+            let run = &run;
             scope.spawn(move || {
-                for (j, shard) in head.iter_mut().enumerate() {
-                    run_one(first + j, shard);
+                for (j, item) in head.iter_mut().enumerate() {
+                    run(first + j, item);
                 }
             });
         }
@@ -1311,7 +1510,8 @@ impl<B: Behavior> TickExecutor<B> {
         self.kernel
     }
 
-    /// Full index builds performed so far (ablation statistic).
+    /// Full index builds performed so far (ablation statistic): 0 for a
+    /// bounded-visibility range schema, whose probe order is its index.
     pub fn index_rebuilds(&self) -> u64 {
         self.index.rebuilds()
     }
@@ -1416,6 +1616,7 @@ mod tests {
     /// effect `n`, then moves right by 0.1 * n (cropped by reachability).
     struct CountAndDrift {
         schema: AgentSchema,
+        probe: NeighborProbe,
     }
 
     impl CountAndDrift {
@@ -1426,13 +1627,23 @@ mod tests {
                 .reachability(0.5)
                 .build()
                 .unwrap();
-            CountAndDrift { schema }
+            CountAndDrift { schema, probe: NeighborProbe::Range }
+        }
+
+        /// The same model over its `k` nearest neighbors — the probe that
+        /// still owns a maintained index.
+        fn nearest(k: usize) -> Self {
+            CountAndDrift { probe: NeighborProbe::Nearest(k), ..Self::new() }
         }
     }
 
     impl Behavior for CountAndDrift {
         fn schema(&self) -> &AgentSchema {
             &self.schema
+        }
+
+        fn probe(&self) -> NeighborProbe {
+            self.probe
         }
 
         fn query(&self, _me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
@@ -1585,10 +1796,12 @@ mod tests {
     #[test]
     fn incremental_executor_matches_rebuild_executor() {
         // Incremental index maintenance must never change results — for
-        // any index kind (the canonical-candidate argument).
+        // any index kind (the canonical-candidate argument). A k-NN probe:
+        // bounded range probes join through the probe order and have no
+        // index to maintain.
         for kind in [IndexKind::Scan, IndexKind::KdTree, IndexKind::Grid] {
             let run = |mode: IndexMaintenance| {
-                let b = CountAndDrift::new();
+                let b = CountAndDrift::nearest(3);
                 let agents = line_of_agents(b.schema(), 300, 0.25);
                 let mut e = TickExecutor::new(b, agents, kind, 11);
                 e.set_index_maintenance(mode);
@@ -1603,13 +1816,27 @@ mod tests {
 
     #[test]
     fn incremental_mode_actually_skips_rebuilds() {
-        let b = CountAndDrift::new();
+        let b = CountAndDrift::nearest(3);
         let agents = line_of_agents(b.schema(), 300, 0.25);
         let mut e = TickExecutor::new(b, agents, IndexKind::Grid, 11);
         e.run(10);
         // Tick 0 builds; the stable population lets every later tick sync
         // incrementally.
         assert_eq!(e.index_rebuilds(), 1, "stable population must not rebuild");
+    }
+
+    #[test]
+    fn range_schemas_build_no_index_unless_the_kind_is_the_scan() {
+        let builds = |kind: IndexKind| {
+            let b = CountAndDrift::new();
+            let agents = line_of_agents(b.schema(), 300, 0.25);
+            let mut e = TickExecutor::new(b, agents, kind, 11);
+            e.run(10);
+            e.index_rebuilds()
+        };
+        assert_eq!(builds(IndexKind::KdTree), 0, "the probe order is the index");
+        assert_eq!(builds(IndexKind::Grid), 0, "the probe order is the index");
+        assert_eq!(builds(IndexKind::Scan), 1, "the no-index baseline keeps its scan");
     }
 
     #[test]

@@ -570,7 +570,7 @@ pub use crate::master::ClusterStats as Stats;
 mod tests {
     use super::*;
     use brace_common::{AgentId, DetRng, FieldId, Vec2};
-    use brace_core::behavior::{Neighbors, UpdateCtx};
+    use brace_core::behavior::{NeighborProbe, Neighbors, UpdateCtx};
     use brace_core::effect::EffectWriter;
     use brace_core::{AgentSchema, Combinator, Simulation};
 
@@ -1013,10 +1013,10 @@ mod tests {
     /// A model whose agents never move nor change state: the acceptance
     /// bar for delta distribution — its boundary replicas must cost zero
     /// bytes per steady-state tick.
-    struct Frozen(AgentSchema);
+    struct Frozen(AgentSchema, NeighborProbe);
 
     impl Frozen {
-        fn new() -> Self {
+        fn with_probe(probe: NeighborProbe) -> Self {
             Frozen(
                 AgentSchema::builder("Frozen")
                     .state("s")
@@ -1025,6 +1025,7 @@ mod tests {
                     .reachability(1.0)
                     .build()
                     .unwrap(),
+                probe,
             )
         }
     }
@@ -1032,6 +1033,9 @@ mod tests {
     impl Behavior for Frozen {
         fn schema(&self) -> &AgentSchema {
             &self.0
+        }
+        fn probe(&self) -> NeighborProbe {
+            self.1
         }
         fn query(
             &self,
@@ -1100,28 +1104,36 @@ mod tests {
         // every steady-state tick after that must ship *nothing*: the pool
         // is resident, the index is maintained, and empty delta frames are
         // never sent.
-        let schema = Frozen::new();
-        let agents: Vec<Agent> = (0..40)
-            .map(|i| Agent::new(AgentId::new(i), Vec2::new(48.0 + (i % 5) as f64, i as f64), schema.schema()))
-            .collect();
-        let cfg = ClusterConfig { workers: 2, epoch_len: 4, seed: 3, load_balance: false, ..Default::default() };
-        let mut sim = ClusterSim::new(Arc::new(Frozen::new()), agents, cfg).unwrap();
-        sim.run_epochs(1).unwrap();
-        let warm = sim.stats();
-        assert!(warm.net.replica_full.bytes > 0, "boundary population must replicate at all");
-        assert!(warm.replicas_in > 0, "replicas must arrive");
-        sim.reset_net();
-        sim.run_epochs(2).unwrap();
-        let steady = sim.stats();
-        assert_eq!(steady.net.replica_full.bytes, 0, "steady state must ship no full replicas");
-        assert_eq!(steady.net.replica_delta.bytes, 0, "stationary agents must ship no deltas either");
-        assert_eq!(steady.net.transfer.bytes, 0, "no ownership changes");
-        // The pool-resident counters: live ticks never rebuilt a pool,
-        // never materialized Vec<Agent>, and (after the first tick's
-        // build) never rebuilt an index.
-        assert_eq!(steady.pool_rebuilds, 0, "steady-state ticks must not rebuild pools");
-        assert_eq!(steady.vec_roundtrips, 0, "steady-state ticks must not round-trip Vec<Agent>");
-        assert_eq!(steady.index_rebuilds, 2, "only the post-construction first tick builds (one per worker)");
+        // A bounded range probe joins through the probe order and never
+        // builds an index; the k-NN form of the same model owns a
+        // maintained one, built on the first tick only.
+        for (probe, index_builds) in [(NeighborProbe::Range, 0), (NeighborProbe::Nearest(4), 2)] {
+            let schema = Frozen::with_probe(probe);
+            let agents: Vec<Agent> = (0..40)
+                .map(|i| Agent::new(AgentId::new(i), Vec2::new(48.0 + (i % 5) as f64, i as f64), schema.schema()))
+                .collect();
+            let cfg = ClusterConfig { workers: 2, epoch_len: 4, seed: 3, load_balance: false, ..Default::default() };
+            let mut sim = ClusterSim::new(Arc::new(Frozen::with_probe(probe)), agents, cfg).unwrap();
+            sim.run_epochs(1).unwrap();
+            let warm = sim.stats();
+            assert!(warm.net.replica_full.bytes > 0, "boundary population must replicate at all");
+            assert!(warm.replicas_in > 0, "replicas must arrive");
+            sim.reset_net();
+            sim.run_epochs(2).unwrap();
+            let steady = sim.stats();
+            assert_eq!(steady.net.replica_full.bytes, 0, "steady state must ship no full replicas");
+            assert_eq!(steady.net.replica_delta.bytes, 0, "stationary agents must ship no deltas either");
+            assert_eq!(steady.net.transfer.bytes, 0, "no ownership changes");
+            // The pool-resident counters: live ticks never rebuilt a pool,
+            // never materialized Vec<Agent>, and (after the first tick's
+            // build) never rebuilt an index.
+            assert_eq!(steady.pool_rebuilds, 0, "steady-state ticks must not rebuild pools");
+            assert_eq!(steady.vec_roundtrips, 0, "steady-state ticks must not round-trip Vec<Agent>");
+            assert_eq!(
+                steady.index_rebuilds, index_builds,
+                "only the post-construction first tick builds (one per worker), and only for k-NN probes"
+            );
+        }
     }
 
     #[test]

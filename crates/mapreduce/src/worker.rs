@@ -1029,13 +1029,13 @@ impl Worker {
 mod tests {
     use super::*;
     use brace_common::{FieldId, Vec2};
-    use brace_core::behavior::{Neighbors, UpdateCtx};
+    use brace_core::behavior::{NeighborProbe, Neighbors, UpdateCtx};
     use brace_core::effect::EffectWriter;
     use brace_core::{AgentSchema, Combinator, TickExecutor};
     use crossbeam::channel::unbounded;
 
     /// Count visible neighbors; drift right by 0.1 * count.
-    struct Drift(AgentSchema);
+    struct Drift(AgentSchema, NeighborProbe);
 
     impl Drift {
         fn new() -> Self {
@@ -1046,13 +1046,23 @@ mod tests {
                     .reachability(1.0)
                     .build()
                     .unwrap(),
+                NeighborProbe::Range,
             )
+        }
+
+        /// The same model over its `k` nearest neighbors — the probe that
+        /// still owns a maintained index.
+        fn nearest(k: usize) -> Self {
+            Drift(Self::new().0, NeighborProbe::Nearest(k))
         }
     }
 
     impl Behavior for Drift {
         fn schema(&self) -> &AgentSchema {
             &self.0
+        }
+        fn probe(&self) -> NeighborProbe {
+            self.1
         }
         fn query(
             &self,
@@ -1071,6 +1081,10 @@ mod tests {
     }
 
     fn single_worker_with(agents: Vec<Agent>, index: IndexKind) -> Worker {
+        single_worker_of(Drift::new(), agents, index)
+    }
+
+    fn single_worker_of(behavior: Drift, agents: Vec<Agent>, index: IndexKind) -> Worker {
         let (_peer_tx, inbox) = unbounded();
         let (_cmd_tx, commands) = unbounded::<Command>();
         let (reports, _report_rx) = unbounded();
@@ -1085,7 +1099,7 @@ mod tests {
             distribution: DistributionMode::default(),
         };
         let part = GridPartitioning::columns(0.0, 100.0, 1);
-        Worker::new(Arc::new(Drift::new()), cfg, links, part, agents, 1 << 32)
+        Worker::new(Arc::new(behavior), cfg, links, part, agents, 1 << 32)
     }
 
     fn single_worker(agents: Vec<Agent>) -> Worker {
@@ -1118,10 +1132,11 @@ mod tests {
 
     #[test]
     fn steady_ticks_never_rebuild_the_pool() {
-        // Grid index: sorted-bucket moves handle a fully-moving stable
-        // population without rebuilds (the KD-tree intentionally declines
-        // dense motion batches in favor of a rebuild — separate policy).
-        let mut worker = single_worker_with(line(40, 0.6), IndexKind::Grid);
+        // A k-NN probe, the path that owns a maintained index, on the grid:
+        // sorted-bucket moves handle a fully-moving stable population
+        // without rebuilds (the KD-tree intentionally declines dense motion
+        // batches in favor of a rebuild — separate policy).
+        let mut worker = single_worker_of(Drift::nearest(4), line(40, 0.6), IndexKind::Grid);
         let mut stats = WorkerEpochStats::default();
         let rebuilds0 = worker.pool_rebuilds;
         let roundtrips0 = worker.vec_roundtrips;
@@ -1133,6 +1148,19 @@ mod tests {
         // The stable population also keeps the index incremental after the
         // first build.
         assert_eq!(worker.index.rebuilds(), 1, "steady state syncs incrementally");
+        worker.check_invariants();
+    }
+
+    #[test]
+    fn range_schemas_never_build_an_index() {
+        // A bounded range probe joins through the probe order: the worker's
+        // maintained index stays unbuilt, tick after tick.
+        let mut worker = single_worker_with(line(40, 0.6), IndexKind::Grid);
+        let mut stats = WorkerEpochStats::default();
+        for _ in 0..8 {
+            worker.run_tick(&mut stats);
+        }
+        assert_eq!(worker.index.rebuilds(), 0, "the probe order is the index");
         worker.check_invariants();
     }
 

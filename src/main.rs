@@ -34,8 +34,10 @@
 //! runs trace at epoch grain with `tick`/`agents` only (per-worker phase
 //! accounting is aggregated, not per tick). Each run then adds one summary
 //! line with its query-phase amortisation from the telemetry registry:
-//! `probe_groups` (index probes issued) and `block_candidates` (rows those
-//! probes returned) — agent-ticks ÷ groups is the rows one probe served.
+//! `probe_groups` (candidate blocks built), `block_candidates` (rows in
+//! those blocks) — agent-ticks ÷ groups is the rows one block served — and
+//! `effect_log_entries` (effect writes a non-local schema logged for ordered
+//! replay; 0 for local-effect schemas).
 //! Tracing observes the same metrics the executor already measures — it
 //! never changes results.
 //!
@@ -242,10 +244,11 @@ impl Observer for TraceWriter {
     }
 }
 
-/// The query-phase amortisation counters, as `(probe groups, block candidates)`.
-fn probe_counters() -> (u64, u64) {
+/// The query-phase amortisation counters, as
+/// `[probe groups, block candidates, effect-log entries]`.
+fn probe_counters() -> [u64; 3] {
     use brace_telemetry::{counter, Counter};
-    (counter(Counter::ExecutorProbeGroups), counter(Counter::ExecutorBlockCandidates))
+    [Counter::ExecutorProbeGroups, Counter::ExecutorBlockCandidates, Counter::ExecutorEffectLogEntries].map(counter)
 }
 
 fn main() {
@@ -363,14 +366,16 @@ fn run(opts: &RunOpts) {
             let result = runner.run(opts.ticks);
             if let (Some(out), Some(before)) = (&trace_out, probes_before) {
                 use std::io::Write;
-                let (groups, candidates) = probe_counters();
+                let [groups, candidates, logged] = probe_counters();
                 let mut out = out.lock().unwrap();
                 let _ = writeln!(
                     out,
-                    "{{\"scenario\":\"{name}\",\"backend\":\"{}\",\"probe_groups\":{},\"block_candidates\":{}}}",
+                    "{{\"scenario\":\"{name}\",\"backend\":\"{}\",\"probe_groups\":{},\"block_candidates\":{},\
+                     \"effect_log_entries\":{}}}",
                     backend.label(),
-                    groups - before.0,
-                    candidates - before.1
+                    groups - before[0],
+                    candidates - before[1],
+                    logged - before[2]
                 );
                 let _ = out.flush();
             }

@@ -789,7 +789,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use brace_models::{
-    fish, traffic, FishBehavior, FishParams, PredatorBehavior, PredatorParams, TrafficBehavior, TrafficParams,
+    fish, traffic, EpidemicBehavior, EpidemicParams, FishBehavior, FishParams, PredatorBehavior, PredatorParams,
+    TrafficBehavior, TrafficParams,
 };
 
 /// Point sets that stress the lane kernels' compare/select paths: ordinary
@@ -1128,7 +1129,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Probe groups: the tile-blocked query loop ≡ one probe per row, bitwise
+// The sort-merge tile join: the tile-ordered query loop — blocks read off the
+// probe order, no index; non-local effects through the write-log — ≡ one
+// index probe per row in row order, bitwise
 // (named `kernel_*` so CI's PROPTEST_CASES=256 step reruns them)
 // ---------------------------------------------------------------------------
 
@@ -1151,10 +1154,23 @@ fn any_thread_budget() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![1, 3])
 }
 
-/// Re-draw `world`'s positions so the tile-blocked loop meets its edge
-/// cases: negative and mixed-sign coordinates, agents exactly on tile edges
-/// and corners (tile side = `vis`), coincident points, and one agent 10⁹
-/// units away (grouping must not allocate per cell to get there).
+/// An `x` just below a tile edge whose probe rect reaches **two** tiles up:
+/// `fl(x + vis)` rounds onto the next edge, so `tile(x + vis) = tile(x) + 2`
+/// and an agent sitting exactly there is inside `x`'s closed visibility
+/// square. A join that assumed a 3×3 neighbourhood would miss it.
+fn two_tile_reach(vis: f64) -> f64 {
+    let tile = |v: f64| (v / vis).floor() as i64;
+    (1..200)
+        .map(|k| (k as f64 * vis).next_down())
+        .find(|&x| tile(x + vis) == tile(x) + 2)
+        .expect("some tile edge below 200·vis rounds up")
+}
+
+/// Re-draw `world`'s positions so the tile join meets its edge cases:
+/// negative and mixed-sign coordinates, agents exactly on tile edges and
+/// corners (tile side = `vis`), coincident points, a pair whose rect reaches
+/// two tiles over ([`two_tile_reach`]), and one agent 10⁹ units away (the
+/// probe order must not allocate per cell to get there).
 fn tile_edge_geometry(world: &mut [Agent], vis: f64, spread: f64, seed: u64) {
     let mut rng = DetRng::seed_from_u64(seed).stream(0x71E5);
     let snap = |v: f64| (v / vis).round() * vis;
@@ -1167,6 +1183,18 @@ fn tile_edge_geometry(world: &mut [Agent], vis: f64, spread: f64, seed: u64) {
             5 => world[i - 1].pos,
             _ => p,
         };
+    }
+    if let [a, b, ..] = world {
+        // Along x on even seeds, along y on odd ones.
+        let x = two_tile_reach(vis);
+        let place = |along: f64| {
+            if seed.is_multiple_of(2) {
+                Vec2::new(along, 0.25 * vis)
+            } else {
+                Vec2::new(0.25 * vis, along)
+            }
+        };
+        (a.pos, b.pos) = (place(x), place(x + vis));
     }
     if let Some(far) = world.last_mut() {
         far.pos = Vec2::new(1e9, -1e9);
@@ -1211,10 +1239,12 @@ fn reference_ticks<B: Behavior>(b: &B, world: &[Agent], kind: IndexKind, ticks: 
 }
 
 /// Local float model whose probe rect is lopsided and position-dependent —
-/// and *inverted* (empty, but not `Rect::EMPTY`) for agents in the band
-/// `-vis ≤ x < 0` — with a batched form that reads the gathered columns.
-/// What the pushdown contract asks of a real model (ignore what the rect
-/// excludes) is moot here: both sides probe with the same rect.
+/// *inverted* (empty, but not `Rect::EMPTY`) for agents in the band
+/// `-vis ≤ x < 0`, and *wider than the visibility square* (up to five tiles
+/// across) for agents with `y ≥ 2·vis` — with a batched form that reads the
+/// gathered columns. What the pushdown contract asks of a real model (ignore
+/// what the rect excludes, never look past the visibility bound) is moot
+/// here: both sides probe with the same rect.
 struct Lopsided(AgentSchema);
 
 impl Lopsided {
@@ -1253,6 +1283,9 @@ impl Behavior for Lopsided {
         if (-vis..0.0).contains(&pos.x) {
             return Rect::new(pos + Vec2::new(1.0, 1.0), pos - Vec2::new(1.0, 1.0));
         }
+        if pos.y >= 2.0 * vis {
+            return Rect::from_bounds(pos.x - 2.5 * vis, pos.x + 1.5 * vis, pos.y - vis, pos.y + 2.0 * vis);
+        }
         Rect::from_bounds(pos.x - 0.25 * vis, pos.x + vis, pos.y - 0.5 * vis, pos.y + 0.75 * vis)
     }
 
@@ -1283,6 +1316,52 @@ impl Behavior for Lopsided {
     }
 }
 
+/// Shuffle `world`, swap-churn the pool built from it, own the first
+/// `owned_frac` of its rows, and compare the sharded query phase against the
+/// serial reference on that very pool: visit counts and every row's effects
+/// (replica rows included), bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn worker_shaped_pool_equals_serial<B: Behavior>(
+    b: &B,
+    mut world: Vec<Agent>,
+    owned_frac: f64,
+    kind: IndexKind,
+    kernel: QueryKernel,
+    shard_rows: usize,
+    threads: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let n = world.len();
+    let mut rng = DetRng::seed_from_u64(seed).stream(0x5A9);
+    for i in (1..n).rev() {
+        world.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let churned = || {
+        let mut pool = AgentPool::from_agents(b.schema(), &world);
+        let mut rng = DetRng::seed_from_u64(seed).stream(0xC4);
+        for _ in 0..n / 5 {
+            // Swap-removal: the last row fills the hole.
+            let hole = rng.below(pool.len() as u64) as u32;
+            pool.copy_row_within(pool.len() as u32 - 1, hole);
+            pool.pop_row();
+        }
+        pool
+    };
+    let serial_pool = churned();
+    let rows = serial_pool.len();
+    let n_owned = ((rows as f64 * owned_frac) as usize).max(1);
+    let mut serial = EffectTable::new(b.schema());
+    let s_stats = query_phase(b, &serial_pool, n_owned, kind, &mut serial, 2, seed);
+    let mut pool = churned();
+    let (mut index, mut scratch) = (MaintainedIndex::new(kind), TickScratch::new());
+    let p_stats =
+        query_phase_sharded_with(b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads, kernel);
+    if (s_stats.neighbor_visits, s_stats.nonlocal_writes) != (p_stats.neighbor_visits, p_stats.nonlocal_writes) {
+        return Err(format!("counters differ: {s_stats:?} vs {p_stats:?}"));
+    }
+    assert_tables_bit_identical(&serial, pool.effects(), rows)
+}
+
 fn lopsided_world(b: &Lopsided, n: usize, vis: f64, seed: u64) -> Vec<Agent> {
     let mut rng = DetRng::seed_from_u64(seed).stream(0x10B5);
     let mut world: Vec<Agent> = (0..n)
@@ -1299,12 +1378,12 @@ fn lopsided_world(b: &Lopsided, n: usize, vis: f64, seed: u64) -> Vec<Agent> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Fish (square rect, float sums, batched force kernel): the grouped
+    /// Fish (square rect, float sums, batched force kernel): the joined
     /// loop equals the row-oriented oracle bit for bit over multi-tick runs
     /// on tile-edge geometry, for every index kind, both kernels, every
     /// shard granule and thread budget.
     #[test]
-    fn kernel_probe_groups_fish_equals_reference(
+    fn kernel_tile_join_fish_equals_reference(
         seed in 0u64..10_000,
         n in 0usize..110,
         kind in any_index_kind(),
@@ -1324,7 +1403,7 @@ proptest! {
     /// Traffic in its range form (a 1-D road: tiles are road segments, lane
     /// changes and exit/respawn churn the rows), gap-scan kernel engaged.
     #[test]
-    fn kernel_probe_groups_traffic_equals_reference(
+    fn kernel_tile_join_traffic_equals_reference(
         seed in 0u64..10_000,
         lanes in 1usize..4,
         density in 0.005f64..0.03,
@@ -1357,7 +1436,7 @@ proptest! {
     /// program engaged, so `Batched` runs compiled lane kernels over picked
     /// columns and `Scalar` the interpreter.
     #[test]
-    fn kernel_probe_groups_brasil_car_equals_reference(
+    fn kernel_tile_join_brasil_car_equals_reference(
         seed in 0u64..10_000,
         n in 0usize..90,
         kind in any_index_kind(),
@@ -1380,10 +1459,11 @@ proptest! {
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
 
-    /// Lopsided and empty probe rects through both query forms, with a
-    /// population that moves across tile edges between ticks.
+    /// Lopsided, empty and wider-than-visibility probe rects through both
+    /// query forms, with a population that moves across tile edges between
+    /// ticks.
     #[test]
-    fn kernel_probe_groups_lopsided_and_empty_rects_equal_reference(
+    fn kernel_tile_join_lopsided_empty_and_wide_rects_equal_reference(
         seed in 0u64..10_000,
         n in 0usize..130,
         vis in 0.5f64..6.0,
@@ -1399,13 +1479,15 @@ proptest! {
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
 
-    /// Predator (non-local float sums ⇒ identity order, one-row groups):
-    /// at a single shard — where the documented ⊕ re-association across
-    /// shards does not apply — the loop equals the oracle bit for bit, with
-    /// bites, deaths and spawns; at finer granules it equals itself across
-    /// thread budgets.
+    /// Predator (non-local float sums, local and remote writes into the
+    /// same tick): swept in tile order through the write-log and replayed in
+    /// source-row order. At a single shard — where the documented ⊕
+    /// re-association across row-range shards does not apply — the loop
+    /// equals the oracle bit for bit, with bites, deaths and spawns; at finer
+    /// granules, where sweep slices cut tiles and segments replay into
+    /// several shard tables, it equals itself across thread budgets.
     #[test]
-    fn kernel_probe_groups_predator_keeps_row_order(
+    fn kernel_tile_join_predator_replays_in_row_order(
         seed in 0u64..10_000,
         n in 0usize..100,
         kind in any_index_kind(),
@@ -1419,16 +1501,45 @@ proptest! {
         tile_edge_geometry(&mut world, params.reach, 3.0 * params.reach, seed);
         let one_shard = grouped_ticks(&b, &world, kind, kernel, SHARD_ROWS, 3, ticks, seed);
         worlds_bit_identical(&one_shard, &reference_ticks(&b, &world, kind, ticks, seed))?;
+        // Worlds only see `hurt` through the death threshold; the effect
+        // tables show every bit of its association.
+        let mut pool = AgentPool::from_agents(b.schema(), &world);
+        let mut serial_table = EffectTable::new(b.schema());
+        query_phase(&b, &pool, n, kind, &mut serial_table, 0, seed);
+        let (mut index, mut scratch) = (MaintainedIndex::new(kind), TickScratch::new());
+        query_phase_sharded_with(&b, &mut pool, n, &mut index, 0, seed, &mut scratch, SHARD_ROWS, 3, kernel);
+        assert_tables_bit_identical(&serial_table, pool.effects(), n)?;
         let serial = grouped_ticks(&b, &world, kind, kernel, shard_rows, 1, ticks, seed);
         worlds_bit_identical(&serial, &grouped_ticks(&b, &world, kind, kernel, shard_rows, 3, ticks, seed))?;
     }
 
-    /// A distributed worker's pool: rows in no id order (shuffled, then
-    /// swap-churned) with a replica tail that is probed but never queries.
-    /// Blocks are canonicalized by `(id, row)` once per group; the tables
-    /// must equal the serial reference's bit for bit.
+    /// Epidemic (non-local integer sums: exactly associative): the same
+    /// write-log path equals the oracle at *every* granule and thread budget.
     #[test]
-    fn kernel_probe_groups_on_a_swap_churned_pool_equal_serial(
+    fn kernel_tile_join_epidemic_equals_reference(
+        seed in 0u64..10_000,
+        n in 0usize..120,
+        kind in any_index_kind(),
+        kernel in any_query_kernel(),
+        shard_rows in any_shard_granule(),
+        threads in any_thread_budget(),
+        ticks in 1u64..4,
+    ) {
+        let params = EpidemicParams { seeds: 40, beta: 0.6, ..EpidemicParams::default() };
+        let b = EpidemicBehavior::new(params.clone());
+        let mut world = b.population(n, seed);
+        tile_edge_geometry(&mut world, params.radius, 3.0 * params.radius, seed);
+        let got = grouped_ticks(&b, &world, kind, kernel, shard_rows, threads, ticks, seed);
+        worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
+    }
+
+    /// A distributed worker's pool: rows in no id order (shuffled, then
+    /// swap-churned) with a replica tail that joins the probe order and
+    /// every block but never queries. Blocks are canonicalized by
+    /// `(id, row)` once per group; the tables must equal the serial
+    /// reference's bit for bit.
+    #[test]
+    fn kernel_tile_join_on_a_worker_shaped_pool_equals_serial(
         seed in 0u64..10_000,
         n in 2usize..140,
         owned_frac in 0.3f64..1.0,
@@ -1439,33 +1550,31 @@ proptest! {
         threads in any_thread_budget(),
     ) {
         let b = Lopsided::new(vis);
-        let mut world = lopsided_world(&b, n, vis, seed);
-        let mut rng = DetRng::seed_from_u64(seed).stream(0x5A9);
-        for i in (1..world.len()).rev() {
-            world.swap(i, rng.below(i as u64 + 1) as usize);
-        }
-        let churned = || {
-            let mut pool = AgentPool::from_agents(b.schema(), &world);
-            let mut rng = DetRng::seed_from_u64(seed).stream(0xC4);
-            for _ in 0..n / 5 {
-                // Swap-removal: the last row fills the hole.
-                let hole = rng.below(pool.len() as u64) as u32;
-                pool.copy_row_within(pool.len() as u32 - 1, hole);
-                pool.pop_row();
-            }
-            pool
-        };
-        let serial_pool = churned();
-        let rows = serial_pool.len();
-        let n_owned = ((rows as f64 * owned_frac) as usize).max(1);
-        let mut serial = EffectTable::new(b.schema());
-        let s_stats = query_phase(&b, &serial_pool, n_owned, kind, &mut serial, 2, seed);
-        let mut pool = churned();
-        let (mut index, mut scratch) = (MaintainedIndex::new(kind), TickScratch::new());
-        let p_stats = query_phase_sharded_with(
-            &b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads, kernel,
-        );
-        prop_assert_eq!(s_stats.neighbor_visits, p_stats.neighbor_visits);
-        assert_tables_bit_identical(&serial, pool.effects(), rows)?;
+        let world = lopsided_world(&b, n, vis, seed);
+        worker_shaped_pool_equals_serial(&b, world, owned_frac, kind, kernel, shard_rows, threads, seed)?;
+    }
+
+    /// The same pool under non-local schemas, where replica rows *receive*
+    /// partial aggregates (what a worker ships to their owners): exactly
+    /// associative effects at every granule, float sums at one shard.
+    #[test]
+    fn kernel_tile_join_on_a_worker_shaped_pool_equals_serial_for_nonlocal_effects(
+        seed in 0u64..10_000,
+        n in 2usize..140,
+        owned_frac in 0.3f64..1.0,
+        vis in 0.5f64..6.0,
+        kind in any_index_kind(),
+        kernel in any_query_kernel(),
+        shard_rows in any_shard_granule(),
+        threads in any_thread_budget(),
+    ) {
+        let exact = NonlocalExact::new(vis);
+        let mut world = random_population(exact.schema(), n, seed);
+        tile_edge_geometry(&mut world, vis, 4.0 * vis, seed);
+        worker_shaped_pool_equals_serial(&exact, world, owned_frac, kind, kernel, shard_rows, threads, seed)?;
+        let float = NonlocalFloat::new(vis);
+        let mut world = random_population(float.schema(), n, seed);
+        tile_edge_geometry(&mut world, vis, 4.0 * vis, seed);
+        worker_shaped_pool_equals_serial(&float, world, owned_frac, kind, kernel, SHARD_ROWS, threads, seed)?;
     }
 }

@@ -207,6 +207,42 @@ fn second_identical_post_is_served_from_the_cache_without_resimulating() {
     assert_ne!(field(&other_done, "checksum").unwrap(), first_checksum);
 }
 
+/// The replay cap at its edge: a run of exactly `MAX_CACHED_FRAMES` ticks
+/// caches every frame and says nothing about shedding; one tick more keeps
+/// the first `MAX_CACHED_FRAMES`, reports `frames_dropped: 1`, and the
+/// cached stream still terminates with the miss's checksum line.
+#[test]
+fn cached_stream_replay_cap_at_n_and_n_plus_one_frames() {
+    use brace_serve::MAX_CACHED_FRAMES;
+    let server = server();
+    for (ticks, dropped) in [(MAX_CACHED_FRAMES, 0usize), (MAX_CACHED_FRAMES + 1, 1)] {
+        let job = format!(r#"{{"scenario":"epidemic","agents":16,"ticks":{ticks},"seed":7}}"#);
+        let (status, _, miss) = post(server.addr(), "/runs", &job);
+        assert_eq!(status, 202, "{miss}");
+        let (_, _, live) = get(server.addr(), &format!("/runs/{}/stream", run_id(&miss)));
+        assert_eq!(live.lines().count(), ticks + 1, "the live stream carries every frame");
+        let checksum = field(live.lines().last().unwrap(), "checksum").expect("terminal checksum").to_string();
+
+        let (status, _, hit) = post(server.addr(), "/runs", &job);
+        assert_eq!(status, 200, "the repeat is a cache hit: {hit}");
+        let (_, _, replay) = get(server.addr(), &format!("/runs/{}/stream", run_id(&hit)));
+        let lines: Vec<&str> = replay.lines().collect();
+        assert_eq!(lines.len(), ticks - dropped + 1, "cached frames plus the terminal line");
+        assert!(
+            lines[lines.len() - 2].contains(&format!("\"tick\":{MAX_CACHED_FRAMES},")),
+            "{}",
+            lines[lines.len() - 2]
+        );
+        let last = lines[lines.len() - 1];
+        assert!(last.contains("\"done\":true") && last.contains("\"cached\":true"), "terminal line: {last}");
+        assert_eq!(field(last, "checksum"), Some(checksum.as_str()), "replay must end on the miss's checksum");
+        assert_eq!(field(last, "ticks"), Some(ticks.to_string().as_str()));
+        let reported = field(last, "frames_dropped").map(|d| d.parse::<usize>().unwrap());
+        assert_eq!(reported.unwrap_or(0), dropped, "terminal line: {last}");
+        assert_eq!(reported.is_some(), dropped > 0, "an unshed replay does not mention shedding: {last}");
+    }
+}
+
 #[test]
 fn cluster_backend_runs_are_exact_and_cached_separately() {
     let server = server();

@@ -7,7 +7,10 @@
 //! tests below still share the flag with each other, so they serialize
 //! behind one mutex and restore the prior state on drop.
 
+use brace_core::TickExecutor;
+use brace_models::{PredatorBehavior, PredatorParams};
 use brace_scenario::{Backend, Registry, Runner};
+use brace_spatial::IndexKind;
 use brace_telemetry::{counter, Counter};
 use std::sync::{Mutex, MutexGuard};
 
@@ -62,6 +65,17 @@ fn telemetry_on_and_off_agree_bit_for_bit_across_the_registry() {
             );
         }
     }
+    // The registry's conformance predator is the hand-inverted local form;
+    // its default build is the non-local one, the only shipped schema whose
+    // float sums go through the effect write-log and its ordered replay.
+    let predator = registry.get("predator").unwrap();
+    for backend in [Backend::single(), Backend::cluster(2)] {
+        let run = |enabled: bool| {
+            brace_telemetry::set_enabled(enabled);
+            Runner::new(predator).population(600).backend(backend.clone()).run(TICKS).unwrap().checksum
+        };
+        assert_eq!(run(false), run(true), "non-local predator on `{}` changed its checksum", backend.label());
+    }
 }
 
 /// The enabled runs above are not silently no-ops: an enabled run must
@@ -88,20 +102,40 @@ fn enabled_runs_record_into_the_registry() {
     assert!(value("brace_phase_update_ns_count") >= TICKS);
     assert!(value("brace_executor_neighbor_visits_total") > 0, "an epidemic run visits neighbors");
     // The query phase's own recording site (it also runs inside cluster
-    // workers, which the equivalence test above covers). The epidemic has
-    // non-local effects, so every row is its own probe group and a group's
-    // block is exactly that row's candidates.
+    // workers, which the equivalence test above covers). A block holds the
+    // rows of every tile its group's rects span, so it is a superset of each
+    // member's candidates. The epidemic has non-local effects and only ever
+    // writes to *other* agents: every write is logged, every one non-local.
     assert!(value("brace_executor_probe_groups_total") >= TICKS);
-    assert_eq!(counter(Counter::ExecutorBlockCandidates), counter(Counter::ExecutorNeighborVisits));
+    assert!(counter(Counter::ExecutorBlockCandidates) >= counter(Counter::ExecutorNeighborVisits));
+    assert!(value("brace_executor_effect_log_entries_total") > 0, "an epidemic run infects someone");
+    assert_eq!(counter(Counter::ExecutorEffectLogEntries), counter(Counter::ExecutorNonlocalWrites));
 
-    // A local-effect scenario shares probes between tile-mates: fewer
-    // groups than agent-ticks, on the single node and on cluster workers.
+    // A local-effect scenario shares blocks between tile-mates — fewer
+    // groups than agent-ticks, on the single node and on cluster workers —
+    // and never touches the write-log.
     for backend in [Backend::single(), Backend::cluster(2)] {
         brace_telemetry::reset();
         let report = Runner::new(registry.get("fish").unwrap()).backend(backend).run(TICKS).unwrap();
         let groups = counter(Counter::ExecutorProbeGroups);
         assert!(groups > 0 && groups < report.agents as u64 * TICKS, "{groups} groups on `{}`", report.backend);
         assert!(counter(Counter::ExecutorBlockCandidates) > 0);
+        assert_eq!(counter(Counter::ExecutorEffectLogEntries), 0, "fish on `{}` logged effects", report.backend);
     }
+
+    // The non-local predator logs *everything* it writes: one local `crowd`
+    // write per visible neighbor (every candidate but the fish itself, which
+    // its own closed visibility square always contains) plus its bites.
+    brace_telemetry::reset();
+    let predator = PredatorBehavior::new(PredatorParams::default());
+    let mut exec = TickExecutor::new(predator.clone(), predator.population(400, 40.0, 9), IndexKind::KdTree, 9);
+    let (mut local, mut nonlocal) = (0u64, 0u64);
+    for _ in 0..TICKS {
+        let tm = exec.step();
+        local += tm.neighbor_visits - tm.n_agents as u64;
+        nonlocal += tm.nonlocal_writes;
+    }
+    assert!(local > 0 && nonlocal > 0, "the predator world is too sparse to test anything");
+    assert_eq!(counter(Counter::ExecutorEffectLogEntries), local + nonlocal);
     brace_telemetry::reset();
 }
