@@ -326,10 +326,19 @@ pub enum NeighborProbe {
 /// kernel pays for its candidate gather. One threshold governs every
 /// behavior: the BRASIL compiler scores its generated lane programs
 /// against it, and the hand-coded models score their hand-written kernels
-/// on the same scale through [`batch_engaged`]. Calibrated on the
-/// reference container: fish's force math (sqrt, divide, distance terms)
-/// engages; traffic's three-subtraction gap scan (measured ≈0.75× batched)
-/// and the predator's subtract-multiply bite scan do not.
+/// on the same scale through [`batch_engaged`]. It places fish's force
+/// math (sqrt, divide, distance terms) above the line and traffic's
+/// three-subtraction gap scan and the predator's subtract-multiply bite
+/// scan below it — a calibration from before the tile join, when a batched
+/// kernel also saved a per-probe gather. Re-measured on the join path
+/// (PR 18; query phase, batched ÷ scalar throughput, interleaved ticks of
+/// two bit-identical simulations): traffic 0.82–0.85×, predator 0.79–0.88×,
+/// and fish 0.74–0.81× at 5k–100k agents (0.81–0.86× before the register
+/// fold). The join hands the scalar path its candidates already filtered,
+/// so every hand-coded lane kernel now trails its scalar form, the one this
+/// threshold engages included; ROADMAP ("`batch_engaged` constants")
+/// carries the decision. BRASIL's lane programs replace an interpreter,
+/// not native code, and are not covered by these figures.
 pub const BATCH_COST_THRESHOLD: u32 = 10;
 
 /// The one batch-engagement rule: run the lane kernel when the estimated

@@ -17,6 +17,39 @@
 //! makes [`EffectTable::reset`] schema-aware and trivially fast: one
 //! `slice::fill` with the field's identity per column, instead of writing
 //! row-interleaved identity patterns.
+//!
+//! # Folding into the agent's own fields
+//!
+//! [`EffectWriter::local`] resolves sink → column → slot → combinator and
+//! goes through memory on every call. A behavior whose query makes many
+//! assignments to its *own* effect fields (the fish fold: a few hundred per
+//! agent, eight `Sum`s) should open an [`EffectWriter::fold_local`] over
+//! those fields instead: the slot values are loaded once into a by-value
+//! `[f64; N]`, each combine names its combinator at the call site
+//! ([`LocalFold::sum`], …) so it compiles to a bare `acc[k] ⊕= v`, and the
+//! values are stored back once when the fold closes. Writes whose field
+//! depends on the data (an interpreter, a per-neighbor `remote`) stay on
+//! `local` / `remote`.
+//!
+//! *Why the fold is bit-identical to the `local` sequence.* The fold seeds
+//! its accumulators from the slot and writes them back — it never restarts
+//! from the identity — so each field sees the very combines `local` would
+//! have made, in the same order, on the same starting value; fields are
+//! independent, so interleaving across fields is immaterial. Nothing else
+//! can combine into the slot meanwhile: the fold holds the writer's
+//! `&mut self`, a local-effect shard table is addressed only at the writer's
+//! own slot, the serial reference has one writer at a time, and
+//! `remote(me, …)` is `local`. (Bit-identical up to NaN payloads: which
+//! operand's payload `a + b` propagates is the implementation's choice and
+//! LLVM may commute the operands — in `local` as much as in the fold.)
+//!
+//! *The log sink logs every combine.* For a schema with non-local effects a
+//! field may also receive other rows' `remote` writes in the same tick, and
+//! a folded partial would re-associate a float `Sum` against them — the
+//! reason the write-log records local writes at all (see `EffectLog`). So
+//! on the log sink each `acc.sum(k, v)` appends `(slot, field, v)` exactly
+//! as `local` would; the fold buys nothing there and costs nothing extra.
+//! The sink is resolved once per fold, not once per combine.
 
 use crate::agent::Agent;
 use crate::combinator::Combinator;
@@ -280,11 +313,12 @@ impl EffectLog {
 }
 
 /// Append one write to a log. Out of line and marked cold on purpose: a
-/// behavior's fold calls [`EffectWriter::local`] a few hundred times per agent
-/// (fish), and a vector's growth path inlined at every one of those call
-/// sites costs the in-place sink the registers it keeps its loop state in
-/// (measured: 3–8 % of the dense fish tick). The log sink pays a call per
-/// write instead (≈180k per predator tick, well under a millisecond).
+/// behavior's query calls [`EffectWriter::local`] or a [`LocalFold`] combine
+/// from many call sites inside its candidate loop, and a vector's growth
+/// path inlined at every one of them costs the in-place sink the registers
+/// it keeps its loop state in (measured with eight `local` sites in the fish
+/// loop: 3–8 % of the dense tick). The log sink pays a call per write
+/// instead (≈180k per predator tick, well under a millisecond).
 #[cold]
 #[inline(never)]
 fn log_write(entries: &mut Vec<LogEntry>, entry: LogEntry) {
@@ -303,7 +337,10 @@ enum Sink<'a> {
 ///
 /// `me` addresses the querying agent's own row (local assignments, the
 /// BRASIL `f <- v`); neighbor rows are addressed by their index in the
-/// visible set (non-local assignments, `other.f <- v`).
+/// visible set (non-local assignments, `other.f <- v`). Three ways in:
+/// [`local`](Self::local) and [`remote`](Self::remote) for one assignment to
+/// any field, and [`fold_local`](Self::fold_local) for a query that makes
+/// many assignments to a fixed set of its own fields (module docs).
 pub struct EffectWriter<'a> {
     schema: &'a AgentSchema,
     sink: Sink<'a>,
@@ -368,10 +405,134 @@ impl<'a> EffectWriter<'a> {
         self.write(target_row, field, v);
     }
 
+    /// Fold into `N` of the querying agent's own effect fields at register
+    /// speed: `f` receives the fields' accumulators and combines into
+    /// accumulator `k` — field `fields[k].0` — with the combinator named at
+    /// each call site ([`LocalFold::sum`], [`LocalFold::min`], …). Equivalent,
+    /// bit for bit, to the same `local(fields[k].0, v)` sequence (module docs).
+    ///
+    /// `fields[k].1` declares the combinator the call sites use on
+    /// accumulator `k`. Combining a field by anything but its schema
+    /// combinator is a behavior bug, so a disagreement panics here, once,
+    /// naming schema and field — not per write. Fields must be distinct.
+    #[inline]
+    pub fn fold_local<const N: usize>(
+        &mut self,
+        fields: [(FieldId, Combinator); N],
+        f: impl FnOnce(&mut LocalFold<'_, N>),
+    ) {
+        for (k, &(field, comb)) in fields.iter().enumerate() {
+            let def = &self.schema.effect_defs()[field.index()];
+            assert!(
+                def.combinator == comb,
+                "schema `{}` declares effect `{}` as {} but a fold combines it by {comb}",
+                self.schema.name(),
+                def.name,
+                def.combinator
+            );
+            assert!(fields[..k].iter().all(|&(earlier, _)| earlier != field), "effect `{}` folded twice", def.name);
+        }
+        let slot = self.slot;
+        match &mut self.sink {
+            Sink::Table(table) => {
+                let row = slot as usize;
+                let mut acc = LocalFold { vals: [0.0; N], fields, slot, log: None };
+                for (val, (field, _)) in acc.vals.iter_mut().zip(fields) {
+                    *val = table.cols[field.index()][row];
+                }
+                f(&mut acc);
+                for (val, (field, _)) in acc.vals.into_iter().zip(fields) {
+                    table.cols[field.index()][row] = val;
+                }
+            }
+            Sink::Log(entries) => fold_logged(entries, slot, fields, f),
+        }
+    }
+
     /// Number of genuinely non-local writes performed through this writer
     /// (statistics for the optimizer's inversion payoff accounting).
     pub fn nonlocal_writes(&self) -> u64 {
         self.nonlocal_writes
+    }
+}
+
+/// [`EffectWriter::fold_local`] on the log sink. `f` is called from two
+/// places, each with the sink a constant, so the accumulators' sink test
+/// folds away in both once `f` is inlined; this one is kept out of line so
+/// that the table-sink caller holds nothing but the register fold (with both
+/// calls in one function the fish fold closure was inlined into neither, its
+/// accumulators were stored every iteration, and `fish-uniform` read 1.77×
+/// its parent instead of 1.86–1.94×).
+#[cold]
+#[inline(never)]
+fn fold_logged<const N: usize>(
+    entries: &mut Vec<LogEntry>,
+    slot: u32,
+    fields: [(FieldId, Combinator); N],
+    f: impl FnOnce(&mut LocalFold<'_, N>),
+) {
+    f(&mut LocalFold { vals: [0.0; N], fields, slot, log: Some(entries) });
+}
+
+/// The accumulators of one [`EffectWriter::fold_local`]: write-only, like the
+/// writer itself. On the table sink they are the fields' slot values held by
+/// value (in registers, once the fold is inlined) between the load at open
+/// and the store at close; on the log sink every combine is appended to the
+/// write-log, in call order, exactly as [`EffectWriter::local`] appends it.
+pub struct LocalFold<'w, const N: usize> {
+    vals: [f64; N],
+    fields: [(FieldId, Combinator); N],
+    slot: u32,
+    log: Option<&'w mut Vec<LogEntry>>,
+}
+
+impl<const N: usize> LocalFold<'_, N> {
+    /// `comb` is a constant at every call site, so `Combinator::combine`'s
+    /// `match` is resolved at compile time: the table-sink path is a bare
+    /// `vals[k] ⊕= v`.
+    #[inline(always)]
+    fn combine(&mut self, comb: Combinator, k: usize, v: f64) {
+        debug_assert_eq!(self.fields[k].1, comb, "accumulator {k} was declared with another combinator");
+        match &mut self.log {
+            None => self.vals[k] = comb.combine(self.vals[k], v),
+            Some(entries) => log_write(entries, LogEntry { row: self.slot, field: self.fields[k].0, v }),
+        }
+    }
+
+    /// `fields[k] <- v` under [`Combinator::Sum`].
+    #[inline(always)]
+    pub fn sum(&mut self, k: usize, v: f64) {
+        self.combine(Combinator::Sum, k, v);
+    }
+
+    /// `fields[k] <- v` under [`Combinator::Prod`].
+    #[inline(always)]
+    pub fn prod(&mut self, k: usize, v: f64) {
+        self.combine(Combinator::Prod, k, v);
+    }
+
+    /// `fields[k] <- v` under [`Combinator::Min`].
+    #[inline(always)]
+    pub fn min(&mut self, k: usize, v: f64) {
+        self.combine(Combinator::Min, k, v);
+    }
+
+    /// `fields[k] <- v` under [`Combinator::Max`].
+    #[inline(always)]
+    pub fn max(&mut self, k: usize, v: f64) {
+        self.combine(Combinator::Max, k, v);
+    }
+
+    /// `fields[k] <- v` under [`Combinator::Or`].
+    #[inline(always)]
+    pub fn or(&mut self, k: usize, v: f64) {
+        self.combine(Combinator::Or, k, v);
+    }
+
+    /// `fields[k] <- v` under [`Combinator::And`].
+    #[inline(always)]
+    pub fn and(&mut self, k: usize, v: f64) {
+        self.combine(Combinator::And, k, v);
     }
 }
 
@@ -494,7 +655,10 @@ mod tests {
     /// One source row's writes: `(target row, field, value)`, in order.
     type Writes = Vec<(u32, u16, f64)>;
 
-    fn apply(w: &mut EffectWriter<'_>, me: u32, writes: &Writes) {
+    /// How a test drives one row's writes through its writer.
+    type Apply = fn(&mut EffectWriter<'_>, u32, &[(u32, u16, f64)]);
+
+    fn apply(w: &mut EffectWriter<'_>, me: u32, writes: &[(u32, u16, f64)]) {
         for &(target, field, v) in writes {
             if target == me {
                 w.local(FieldId::new(field), v);
@@ -505,7 +669,7 @@ mod tests {
     }
 
     /// The serial reference: every row's writes combined in place, in row order.
-    fn serial_table(s: &AgentSchema, rows: &[Writes]) -> (EffectTable, u64) {
+    fn serial_table(s: &AgentSchema, rows: &[Writes], apply: Apply) -> (EffectTable, u64) {
         let mut t = EffectTable::new(s);
         t.reset(rows.len());
         let mut nonlocal = 0;
@@ -519,7 +683,7 @@ mod tests {
 
     /// The write-log path: rows swept in `sweep` order, cut into two log
     /// slices at `cut`, then replayed in ascending source-row order.
-    fn replayed_table(s: &AgentSchema, rows: &[Writes], sweep: &[u32], cut: usize) -> (EffectTable, u64) {
+    fn replayed_table(s: &AgentSchema, rows: &[Writes], sweep: &[u32], cut: usize, apply: Apply) -> (EffectTable, u64) {
         let mut logs = [EffectLog::default(), EffectLog::default()];
         let mut segments = vec![(0usize, 0u32); rows.len()];
         let mut nonlocal = 0;
@@ -542,7 +706,10 @@ mod tests {
     fn assert_bit_identical(a: &EffectTable, b: &EffectTable) {
         for r in 0..a.rows() as u32 {
             let (ra, rb) = (a.row(r), b.row(r));
-            assert!(ra.iter().zip(&rb).all(|(x, y)| x.to_bits() == y.to_bits()), "row {r}: {ra:?} vs {rb:?}");
+            // A NaN is any NaN: which operand's payload an operation keeps is
+            // the implementation's choice (LLVM may commute `a + b`).
+            let same = |(x, y): (&f64, &f64)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+            assert!(ra.iter().zip(&rb).all(same), "row {r}: {ra:?} vs {rb:?}");
         }
     }
 
@@ -561,10 +728,10 @@ mod tests {
             vec![(2, 0, -1e16), (2, 0, 0.7), (0, 0, 1e16), (1, 0, 3.0)],
             vec![(2, 0, 1.0), (0, 0, 0.2), (3, 0, 5.5)],
         ];
-        let (serial, serial_nonlocal) = serial_table(&s, &rows);
+        let (serial, serial_nonlocal) = serial_table(&s, &rows, apply);
         for sweep in [[0u32, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]] {
             for cut in 0..=4 {
-                let (replayed, nonlocal) = replayed_table(&s, &rows, &sweep, cut);
+                let (replayed, nonlocal) = replayed_table(&s, &rows, &sweep, cut, apply);
                 assert_bit_identical(&serial, &replayed);
                 assert_eq!(nonlocal, serial_nonlocal, "logging must not change the non-local write count");
             }
@@ -593,12 +760,152 @@ mod tests {
             vec![(1, 0, -2.5), (0, 1, 9.0), (1, 2, 1.0), (2, 0, 0.5)],
             vec![],
         ];
-        let (serial, serial_nonlocal) = serial_table(&s, &rows);
-        let (replayed, nonlocal) = replayed_table(&s, &rows, &[3, 1, 2, 0], 2);
+        let (serial, serial_nonlocal) = serial_table(&s, &rows, apply);
+        let (replayed, nonlocal) = replayed_table(&s, &rows, &[3, 1, 2, 0], 2, apply);
         assert_bit_identical(&serial, &replayed);
         assert_eq!(nonlocal, serial_nonlocal);
         assert_eq!(replayed.row(1), &[-2.5, 4.0, 2.0]);
         assert!(replayed.row_is_identity(3), "a silent, untargeted agent stays at identity");
+    }
+
+    /// One effect field per combinator, in [`Combinator::ALL`] order.
+    fn every_combinator(nonlocal: bool) -> AgentSchema {
+        let builder = Combinator::ALL.iter().fold(AgentSchema::builder("C"), |b, &c| b.effect(c.to_string(), c));
+        builder.nonlocal_effects(nonlocal).build().unwrap()
+    }
+
+    const EVERY_FIELD: [(FieldId, Combinator); 6] = [
+        (FieldId::new(0), Combinator::Sum),
+        (FieldId::new(1), Combinator::Prod),
+        (FieldId::new(2), Combinator::Min),
+        (FieldId::new(3), Combinator::Max),
+        (FieldId::new(4), Combinator::Or),
+        (FieldId::new(5), Combinator::And),
+    ];
+
+    /// `writes` through the writer with every maximal run of own-row writes
+    /// as one [`EffectWriter::fold_local`] over [`EVERY_FIELD`]; writes to
+    /// other rows go through `remote`, between the folds.
+    fn apply_folded(w: &mut EffectWriter<'_>, me: u32, writes: &[(u32, u16, f64)]) {
+        for run in writes.chunk_by(|a, b| (a.0 == me) == (b.0 == me)) {
+            if run[0].0 != me {
+                apply(w, me, run);
+                continue;
+            }
+            w.fold_local(EVERY_FIELD, |acc| {
+                for &(_, field, v) in run {
+                    let k = field as usize;
+                    match EVERY_FIELD[k].1 {
+                        Combinator::Sum => acc.sum(k, v),
+                        Combinator::Prod => acc.prod(k, v),
+                        Combinator::Min => acc.min(k, v),
+                        Combinator::Max => acc.max(k, v),
+                        Combinator::Or => acc.or(k, v),
+                        Combinator::And => acc.and(k, v),
+                    }
+                }
+            });
+        }
+    }
+
+    /// `n` writes by row `me` of `rows`, two thirds of them to itself, over
+    /// every field, drawn from the values float folds are sensitive to:
+    /// signed zeros, infinities, NaN, subnormals and magnitudes that make a
+    /// re-associated `Sum` or `Prod` visible.
+    fn hostile_writes(me: u32, rows: u32, n: usize, seed: u64) -> Writes {
+        let sub = f64::from_bits(3);
+        let values =
+            [0.0, -0.0, 1.0, -1.0, 0.1, 0.3, 1e16, -1e16, 1e-3, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, sub, -sub];
+        let mut rng = brace_common::DetRng::seed_from_u64(seed).stream(me as u64);
+        (0..n)
+            .map(|_| {
+                let target = if rng.below(3) < 2 { me } else { rng.below(rows as u64) as u32 };
+                (target, rng.below(6) as u16, values[rng.below(values.len() as u64) as usize])
+            })
+            .collect()
+    }
+
+    /// In-place sinks: on a visible-set table every row also receives the
+    /// other rows' remote writes into the same fields, before and after its
+    /// own folds — so a fold opens on a slot that is not at its identity and
+    /// must load it, not re-seed it. The non-local write count is the
+    /// writer's, untouched by folding.
+    #[test]
+    fn fold_local_equals_the_same_local_writes_in_place() {
+        let s = every_combinator(true);
+        for seed in 0..32 {
+            let rows: Vec<Writes> = (0..4).map(|me| hostile_writes(me, 4, 48, seed)).collect();
+            let (by_local, nonlocal) = serial_table(&s, &rows, apply);
+            let (by_fold, nonlocal_folded) = serial_table(&s, &rows, apply_folded);
+            assert_bit_identical(&by_local, &by_fold);
+            assert_eq!(nonlocal_folded, nonlocal);
+            assert!(nonlocal > 0, "the case must mix remote writes in");
+        }
+    }
+
+    /// A local-effect shard table: the fold addresses `slot`, not `me`, and
+    /// `local` before and after it on the same fields continues the sequence.
+    #[test]
+    fn fold_local_addresses_the_shard_slot_between_local_writes() {
+        let s = every_combinator(false);
+        for seed in 0..32 {
+            let writes: Writes =
+                hostile_writes(9, 1, 60, seed).into_iter().map(|(_, field, v)| (9, field, v)).collect();
+            let (head, rest) = writes.split_at(7);
+            let (mid, tail) = rest.split_at(40);
+            let (mut by_local, mut by_fold) = (EffectTable::new(&s), EffectTable::new(&s));
+            for (t, middle) in [(&mut by_local, apply as Apply), (&mut by_fold, apply_folded)] {
+                t.reset(2);
+                let mut w = EffectWriter::with_slot(&s, t, 9, 1);
+                apply(&mut w, 9, head);
+                middle(&mut w, 9, mid);
+                apply(&mut w, 9, tail);
+                assert_eq!(w.nonlocal_writes(), 0);
+            }
+            assert_bit_identical(&by_local, &by_fold);
+            assert!(by_fold.row_is_identity(0), "only the slot row is addressed");
+        }
+    }
+
+    /// The log sink logs every combine of a fold, in order: replayed in
+    /// source-row order among the other rows' remote writes into the same
+    /// fields, the table is the serial one, in any sweep order — which a
+    /// fold that logged one partial per field could not be (the partial
+    /// would re-associate the `Sum` against the remotes).
+    #[test]
+    fn fold_local_on_the_log_sink_logs_every_combine_in_order() {
+        let s = every_combinator(true);
+        for seed in 0..16 {
+            let rows: Vec<Writes> = (0..4).map(|me| hostile_writes(me, 4, 40, seed)).collect();
+            let (serial, serial_nonlocal) = serial_table(&s, &rows, apply);
+            for sweep in [[0u32, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
+                let (replayed, nonlocal) = replayed_table(&s, &rows, &sweep, 2, apply_folded);
+                assert_bit_identical(&serial, &replayed);
+                assert_eq!(nonlocal, serial_nonlocal);
+            }
+        }
+        let mut log = EffectLog::default();
+        apply_folded(&mut EffectWriter::logged(&s, &mut log, 1), 1, &[(1, 0, 2.0), (1, 0, 3.0), (1, 2, -1.0)]);
+        assert_eq!(log.len(), 3, "one entry per combine, not one per field");
+    }
+
+    #[test]
+    #[should_panic(expected = "schema `C` declares effect `sum` as sum but a fold combines it by min")]
+    fn fold_local_rejects_a_combinator_the_schema_does_not_declare() {
+        let s = every_combinator(false);
+        let mut t = EffectTable::new(&s);
+        t.reset(1);
+        EffectWriter::new(&s, &mut t, 0).fold_local([(FieldId::new(0), Combinator::Min)], |acc| acc.min(0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "effect `max` folded twice")]
+    fn fold_local_rejects_a_field_listed_twice() {
+        let s = every_combinator(false);
+        let mut t = EffectTable::new(&s);
+        t.reset(1);
+        let max = (FieldId::new(3), Combinator::Max);
+        EffectWriter::new(&s, &mut t, 0).fold_local([max, max], |_| {});
     }
 
     #[test]

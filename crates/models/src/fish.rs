@@ -24,7 +24,7 @@
 
 use brace_common::{AgentId, DetRng, FieldId, Vec2};
 use brace_core::behavior::{Behavior, NeighborBatch, Neighbors, UpdateCtx};
-use brace_core::effect::EffectWriter;
+use brace_core::effect::{EffectWriter, LocalFold};
 use brace_core::kernels::with_lane_scratch;
 use brace_core::{Agent, AgentRef, AgentSchema, Combinator};
 
@@ -52,14 +52,16 @@ pub struct FishParams {
     pub school_radius: f64,
     /// Batch-engagement override. `None` (default) applies the engine-wide
     /// cost rule (`brace_core::behavior::batch_engaged`) to
-    /// [`FORCE_KERNEL_COST`] — which engages [`force_kernel`], matching
-    /// the measured 2–8× batched gains that made fish the motivating case
-    /// for lane kernels. Pure scheduling policy, bit-identical either way.
-    /// Re-measured after the grid's bucket arena made the index-side
-    /// filter kernel-native: most of the grid's batched gain now comes
-    /// from that filter, and the force kernel's own margin there is near
-    /// parity (within run noise at 100k) — engagement stays on, carried by
-    /// the KD-tree and scan cases the shared cost rule also governs.
+    /// [`FORCE_KERNEL_COST`] — which engages [`force_kernel`]. Pure
+    /// scheduling policy, bit-identical either way. The 2–8× batched gains
+    /// that made fish the motivating case for lane kernels were measured
+    /// against one index probe and one gather per fish; on the tile join the
+    /// scalar query reads its candidates pre-filtered and folds in the same
+    /// registers, and the batched query phase measures 0.74–0.81× the scalar
+    /// one (5k–100k fish, PR 18; 0.81–0.86× at its parent). Engagement is
+    /// left as the shared rule decides it — see
+    /// `brace_core::behavior::BATCH_COST_THRESHOLD` for the figures and
+    /// ROADMAP for the open decision.
     pub batch_engagement: Option<bool>,
 }
 
@@ -167,6 +169,45 @@ pub fn force_kernel(xs: &[f64], ys: &[f64], mx: f64, my: f64, d2: &mut Vec<f64>,
     }
 }
 
+/// Every fish effect is a `Sum` into the fish's own row, a few hundred of
+/// them per query — folded in registers through
+/// [`EffectWriter::fold_local`]. In effect-slot order, so accumulator `k`
+/// is effect slot `k`.
+const FORCE_FOLD: [(FieldId, Combinator); 8] = {
+    const fn sum(slot: u16) -> (FieldId, Combinator) {
+        (FieldId::new(slot), Combinator::Sum)
+    }
+    [
+        sum(effect::REP_X),
+        sum(effect::REP_Y),
+        sum(effect::ATT_X),
+        sum(effect::ATT_Y),
+        sum(effect::ALI_X),
+        sum(effect::ALI_Y),
+        sum(effect::N_REP),
+        sum(effect::N_VIS),
+    ]
+};
+
+/// One in-range candidate's contribution, shared by the scalar and the
+/// batched query: repulsion from a personal-zone neighbor, attraction to
+/// and alignment with any other (`ux`, `uy`: unit direction toward it;
+/// `hx`, `hy`: its heading).
+#[inline(always)]
+fn fold_force(acc: &mut LocalFold<'_, 8>, personal: bool, ux: f64, uy: f64, hx: f64, hy: f64) {
+    if personal {
+        acc.sum(effect::REP_X as usize, -ux);
+        acc.sum(effect::REP_Y as usize, -uy);
+        acc.sum(effect::N_REP as usize, 1.0);
+    } else {
+        acc.sum(effect::ATT_X as usize, ux);
+        acc.sum(effect::ATT_Y as usize, uy);
+        acc.sum(effect::ALI_X as usize, hx);
+        acc.sum(effect::ALI_Y as usize, hy);
+        acc.sum(effect::N_VIS as usize, 1.0);
+    }
+}
+
 /// The fish school as a BRACE behavior.
 #[derive(Debug, Clone)]
 pub struct FishBehavior {
@@ -244,26 +285,18 @@ impl Behavior for FishBehavior {
         let p = &self.params;
         let (alpha2, rho2) = (p.alpha * p.alpha, p.rho * p.rho);
         let my_pos = me.pos();
-        for nb in nbrs.iter() {
-            let npos = nb.agent.pos();
-            let (d2, ux, uy) = candidate_force(my_pos.x, my_pos.y, npos.x, npos.y);
-            if d2 > rho2 {
-                // Corner of the square visible region beyond ρ: the model
-                // is radial, the index is rectangular; filter here.
-                continue;
+        eff.fold_local(FORCE_FOLD, |acc| {
+            for nb in nbrs.iter() {
+                let npos = nb.agent.pos();
+                let (d2, ux, uy) = candidate_force(my_pos.x, my_pos.y, npos.x, npos.y);
+                if d2 > rho2 {
+                    // Corner of the square visible region beyond ρ: the model
+                    // is radial, the index is rectangular; filter here.
+                    continue;
+                }
+                fold_force(acc, d2 <= alpha2, ux, uy, nb.agent.state(state::HX), nb.agent.state(state::HY));
             }
-            if d2 <= alpha2 {
-                eff.local(FieldId::new(effect::REP_X), -ux);
-                eff.local(FieldId::new(effect::REP_Y), -uy);
-                eff.local(FieldId::new(effect::N_REP), 1.0);
-            } else {
-                eff.local(FieldId::new(effect::ATT_X), ux);
-                eff.local(FieldId::new(effect::ATT_Y), uy);
-                eff.local(FieldId::new(effect::ALI_X), nb.agent.state(state::HX));
-                eff.local(FieldId::new(effect::ALI_Y), nb.agent.state(state::HY));
-                eff.local(FieldId::new(effect::N_VIS), 1.0);
-            }
-        }
+        });
     }
 
     /// Batched query: gather positions + headings, run [`force_kernel`]
@@ -283,26 +316,18 @@ impl Behavior for FishBehavior {
         with_lane_scratch(|s| {
             force_kernel(g.xs, g.ys, my_pos.x, my_pos.y, &mut s.a, &mut s.b, &mut s.c);
             let (hx, hy) = (g.state(0), g.state(1));
-            for i in 0..g.len() {
-                if g.rows[i] == g.me {
-                    continue;
+            eff.fold_local(FORCE_FOLD, |acc| {
+                for i in 0..g.len() {
+                    if g.rows[i] == g.me {
+                        continue;
+                    }
+                    let d2 = s.a[i];
+                    if d2 > rho2 {
+                        continue;
+                    }
+                    fold_force(acc, d2 <= alpha2, s.b[i], s.c[i], hx[i], hy[i]);
                 }
-                let d2 = s.a[i];
-                if d2 > rho2 {
-                    continue;
-                }
-                if d2 <= alpha2 {
-                    eff.local(FieldId::new(effect::REP_X), -s.b[i]);
-                    eff.local(FieldId::new(effect::REP_Y), -s.c[i]);
-                    eff.local(FieldId::new(effect::N_REP), 1.0);
-                } else {
-                    eff.local(FieldId::new(effect::ATT_X), s.b[i]);
-                    eff.local(FieldId::new(effect::ATT_Y), s.c[i]);
-                    eff.local(FieldId::new(effect::ALI_X), hx[i]);
-                    eff.local(FieldId::new(effect::ALI_Y), hy[i]);
-                    eff.local(FieldId::new(effect::N_VIS), 1.0);
-                }
-            }
+            });
         });
     }
 

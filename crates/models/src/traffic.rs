@@ -90,15 +90,11 @@ pub struct TrafficParams {
     /// `None` (default) applies the engine-wide cost rule
     /// (`brace_core::behavior::batch_engaged`) to [`GAP_KERNEL_COST`] —
     /// which stays scalar: the per-candidate map is three subtractions,
-    /// too cheap to amortize the candidate gather on the reference
-    /// container (≈0.75× query throughput measured there; re-measured at
-    /// ≈0.7–0.87× after the grid's bucket arena made its *index-side*
-    /// filter kernel-native — the index filter and this behavior-side
-    /// kernel engage independently, and the gap scan still loses). Results
-    /// are
-    /// bit-identical either way (the kernel conformance contract), so this
-    /// is pure scheduling policy; pin `Some(true)` where the
-    /// `kernel_speedup` ablation row says it pays.
+    /// too cheap to amortize materializing the candidate columns (batched
+    /// query phase at 0.82–0.85× the scalar one on the join path, 12k
+    /// vehicles, PR 18). Results are bit-identical either way (the kernel
+    /// conformance contract), so this is pure scheduling policy; pin
+    /// `Some(true)` only where a measurement says it pays.
     pub batch_engagement: Option<bool>,
 }
 
@@ -288,8 +284,8 @@ pub fn views_from_scan(
 /// (the scale the BRASIL compiler scores its lane programs on): three
 /// subtractions per candidate — below
 /// `brace_core::behavior::BATCH_COST_THRESHOLD`, so [`gap_kernel`] stays
-/// off the default path (measured ≈0.75× batched on the reference
-/// container).
+/// off the default path (see [`TrafficParams::batch_engagement`] for the
+/// measured ratio).
 pub const GAP_KERNEL_COST: u32 = 3;
 
 /// Lane kernel behind [`TrafficBehavior`]'s batched query — the gap scan's

@@ -6,9 +6,8 @@
 //! `brace_mapreduce::ClusterSim` (dyn-based, epoch-grained, `run_ticks`,
 //! `collect_agents()`), and every experiment hand-wired both. A [`Runner`]
 //! erases the difference: pick a [`Backend`], launch a [`SimHandle`], run
-//! ticks, collect the world. Metric sinks and snapshot policy hang off
-//! [`Observer`]s instead of bespoke `run_measured`/`collect_agents` call
-//! sites.
+//! ticks, collect the world. Metric sinks hang off [`Observer`]s instead of
+//! bespoke `run_measured` call sites.
 //!
 //! Determinism contract: for a fixed scenario, seed and population, every
 //! backend — any `parallelism`, any worker count — produces the same world
@@ -111,8 +110,8 @@ pub struct Progress {
     pub agents: usize,
 }
 
-/// Hooks driven by [`SimHandle::run`]: metric sinks, progress bars,
-/// snapshot/checkpoint policies. All methods default to no-ops.
+/// Hooks driven by [`SimHandle::run`]: metric sinks, progress bars. All
+/// methods default to no-ops.
 pub trait Observer: Send {
     /// Called after each completed tick (single node) or epoch (cluster).
     fn on_tick(&mut self, progress: &Progress) {
@@ -126,14 +125,6 @@ pub trait Observer: Send {
     fn on_tick_metrics(&mut self, tm: &TickMetrics) {
         let _ = tm;
     }
-
-    /// Called with a full world snapshot (sorted by agent id) whenever the
-    /// runner's snapshot cadence fires — the backend-erased replacement for
-    /// hand-rolled `collect_agents` loops. On the cluster backend snapshots
-    /// land on the first epoch boundary at or after each cadence multiple.
-    fn on_snapshot(&mut self, tick: u64, world: &[Agent]) {
-        let _ = (tick, world);
-    }
 }
 
 /// Builder for a backend-erased run of one scenario.
@@ -145,7 +136,6 @@ pub struct Runner<'s> {
     index: Option<IndexKind>,
     epoch_len: Option<u64>,
     conformance: bool,
-    snapshot_every: Option<u64>,
     observers: Vec<Box<dyn Observer>>,
 }
 
@@ -159,7 +149,6 @@ impl<'s> Runner<'s> {
             index: None,
             epoch_len: None,
             conformance: false,
-            snapshot_every: None,
             observers: Vec::new(),
         }
     }
@@ -201,12 +190,6 @@ impl<'s> Runner<'s> {
     /// [`build`](Scenario::build).
     pub fn conformance(mut self) -> Self {
         self.conformance = true;
-        self
-    }
-
-    /// Deliver a sorted world snapshot to observers every `ticks` ticks.
-    pub fn snapshot_every(mut self, ticks: u64) -> Self {
-        self.snapshot_every = Some(ticks.max(1));
         self
     }
 
@@ -284,7 +267,7 @@ impl<'s> Runner<'s> {
                 Inner::Cluster(Box::new(ClusterSim::new(setup.behavior, setup.population, cfg)?))
             }
         };
-        Ok(SimHandle { inner, observers: self.observers, snapshot_every: self.snapshot_every, snapshots_delivered: 0 })
+        Ok(SimHandle { inner, observers: self.observers })
     }
 
     /// One-shot convenience: launch, run `ticks`, collect, run the
@@ -361,8 +344,6 @@ fn world_of(inner: &mut Inner) -> Result<Vec<Agent>> {
 pub struct SimHandle {
     inner: Inner,
     observers: Vec<Box<dyn Observer>>,
-    snapshot_every: Option<u64>,
-    snapshots_delivered: u64,
 }
 
 impl SimHandle {
@@ -401,33 +382,6 @@ impl SimHandle {
             };
             for o in &mut self.observers {
                 o.on_tick(&progress);
-            }
-            Self::maybe_snapshot(
-                &mut self.inner,
-                &mut self.observers,
-                self.snapshot_every,
-                &mut self.snapshots_delivered,
-            )?;
-        }
-        Ok(())
-    }
-
-    fn maybe_snapshot(
-        inner: &mut Inner,
-        observers: &mut [Box<dyn Observer>],
-        every: Option<u64>,
-        delivered: &mut u64,
-    ) -> Result<()> {
-        let Some(every) = every else { return Ok(()) };
-        let tick = match inner {
-            Inner::Single(sim) => sim.tick(),
-            Inner::Cluster(sim) => sim.tick(),
-        };
-        if tick / every > *delivered {
-            *delivered = tick / every;
-            let world = world_of(inner)?;
-            for o in observers.iter_mut() {
-                o.on_snapshot(tick, &world);
             }
         }
         Ok(())
@@ -507,7 +461,6 @@ mod tests {
     use super::*;
     use crate::Registry;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     #[test]
     fn backend_parses_cli_specs() {
@@ -566,7 +519,6 @@ mod tests {
 
     struct CountingObserver {
         ticks: Arc<AtomicUsize>,
-        snapshots: Arc<Mutex<Vec<(u64, usize)>>>,
     }
 
     impl Observer for CountingObserver {
@@ -574,27 +526,19 @@ mod tests {
             assert!(progress.agents > 0);
             self.ticks.fetch_add(1, Ordering::Relaxed);
         }
-        fn on_snapshot(&mut self, tick: u64, world: &[Agent]) {
-            self.snapshots.lock().unwrap().push((tick, world.len()));
-        }
     }
 
     #[test]
-    fn observers_fire_per_tick_and_per_snapshot() {
+    fn observers_fire_per_tick() {
         let registry = Registry::builtin();
         let scenario = registry.get("fish").unwrap();
         let ticks = Arc::new(AtomicUsize::new(0));
-        let snapshots = Arc::new(Mutex::new(Vec::new()));
-        let report = Runner::new(scenario)
+        Runner::new(scenario)
             .population(60)
-            .snapshot_every(4)
-            .observe(Box::new(CountingObserver { ticks: ticks.clone(), snapshots: snapshots.clone() }))
+            .observe(Box::new(CountingObserver { ticks: ticks.clone() }))
             .run(10)
             .unwrap();
         assert_eq!(ticks.load(Ordering::Relaxed), 10, "single node observes every tick");
-        let snaps = snapshots.lock().unwrap().clone();
-        assert_eq!(snaps.iter().map(|&(t, _)| t).collect::<Vec<_>>(), vec![4, 8]);
-        assert!(snaps.iter().all(|&(_, n)| n == report.agents));
     }
 
     #[test]
@@ -602,18 +546,14 @@ mod tests {
         let registry = Registry::builtin();
         let scenario = registry.get("fish").unwrap();
         let ticks = Arc::new(AtomicUsize::new(0));
-        let snapshots = Arc::new(Mutex::new(Vec::new()));
         Runner::new(scenario)
             .population(60)
             .backend(Backend::cluster(2))
             .epoch_len(5)
-            .snapshot_every(10)
-            .observe(Box::new(CountingObserver { ticks: ticks.clone(), snapshots: snapshots.clone() }))
+            .observe(Box::new(CountingObserver { ticks: ticks.clone() }))
             .run(20)
             .unwrap();
         assert_eq!(ticks.load(Ordering::Relaxed), 4, "cluster observes at epoch grain");
-        let snaps = snapshots.lock().unwrap().clone();
-        assert_eq!(snaps.iter().map(|&(t, _)| t).collect::<Vec<_>>(), vec![10, 20]);
     }
 
     #[test]

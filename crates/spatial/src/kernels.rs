@@ -17,7 +17,36 @@
 //! a kernel's output is bit-identical to the naive per-element loop for
 //! every input length. The tail boundary can never change results — only
 //! which instructions produce them. `tests` pins the remainder handling at
-//! candidate counts of 0, 1, `LANES−1`, `LANES`, `LANES+1` and `2·LANES−1`.
+//! candidate counts of 0, 1, `LANES−1`, `LANES`, `LANES+1` and `2·LANES−1`
+//! — for [`filter_rect`], under every hit pattern of those lengths.
+//!
+//! # Emission: write, then advance
+//!
+//! The contract covers how [`filter_rect`] *emits*, not only how it tests.
+//! A member of a probe group selects ≈45 % of its block, so a branch (and a
+//! `Vec::push` with its capacity test) per hit mispredicts about as often
+//! as a branch can. Head and tail therefore emit without one: every
+//! candidate's payload is **written** at the current end of the output
+//! unconditionally, and the end **advances** by the candidate's mask bit —
+//! a miss is overwritten by the next write, a hit is kept. The AVX head
+//! does this four at a time (compress-store: a 16-entry lane-permutation
+//! table packs the chunk's hits to the front of one 16-byte store; the end
+//! advances by `popcnt(mask)`).
+//!
+//! *The over-write bound.* The kernel reserves one slot per input element
+//! up front, so every write lands in capacity the output owns: the end never
+//! runs ahead of the number of elements visited, and a chunk's store covers
+//! at most [`LANES`] slots from the end. On return at most `LANES − 1` slots
+//! past the final length have been written; they stay outside `len` — the
+//! length is set once, after the last write, nothing uninitialised is ever
+//! read, and the output's earlier contents are never touched (the kernel
+//! appends: the grid calls it once per bucket run into one shared buffer).
+//!
+//! *Why selection stays order-preserving.* Writes happen in input order and
+//! a kept payload's slot is the number of hits before it — in the vector
+//! head too, where the permutation table lists a mask's set lanes in
+//! ascending order. The emitted subsequence is the naive loop's, element
+//! for element, which is what the next section leans on.
 //!
 //! # Why canonicalized candidate order makes vectorization order-safe
 //!
@@ -37,7 +66,9 @@
 //! (branch-free masks, exact chunking); on x86-64 an explicit `std::arch`
 //! AVX path is selected by runtime feature detection
 //! ([`std::arch::is_x86_feature_detected`]) — it computes the identical
-//! comparisons, so the dispatch never affects results, only speed.
+//! comparisons and emits the identical subsequence, so the dispatch never
+//! affects results, only speed. It needs AVX and nothing newer: runners
+//! without AVX2, BMI2 or AVX-512 take the same path as this box.
 
 use brace_common::Rect;
 
@@ -94,13 +125,16 @@ brace_common::tls_scratch!(
 /// Append `payloads[i]` to `out` for every `i` with `(xs[i], ys[i])` inside
 /// the closed rectangle `rect`, preserving input order. Bit-identical to
 /// the scalar `Rect::contains` loop for every input (see the module docs);
-/// an empty `rect` emits nothing, exactly like `contains`.
+/// an empty `rect` emits nothing, exactly like `contains`. `out`'s existing
+/// contents are kept; its capacity grows by at most the input length.
 pub fn filter_rect(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out: &mut Vec<u32>) {
-    debug_assert_eq!(xs.len(), ys.len(), "coordinate columns must be parallel");
-    debug_assert_eq!(xs.len(), payloads.len(), "payload column must be parallel");
+    // Hard asserts: the AVX path's raw loads and both paths' emission bound
+    // (`hits <= xs.len()`) rest on the three columns being parallel.
+    assert!(ys.len() == xs.len() && payloads.len() == xs.len(), "filter_rect columns must be parallel");
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: AVX support was just detected at runtime.
+        // SAFETY: AVX support was just detected at runtime, and the columns
+        // are parallel (asserted above).
         unsafe { filter_rect_avx(xs, ys, payloads, rect, out) };
         return;
     }
@@ -109,11 +143,17 @@ pub fn filter_rect(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out: &
 
 /// Portable lane implementation of [`filter_rect`]: branch-free containment
 /// masks over exact [`LANES`]-wide chunks (written so LLVM autovectorizes
-/// the compares on stable), then a scalar tail.
+/// the compares on stable), then a scalar tail — both emitting by
+/// write-then-advance (module docs) into `out`'s spare capacity.
 fn filter_rect_lanes(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out: &mut Vec<u32>) {
     let n = xs.len();
+    let (ys, payloads) = (&ys[..n], &payloads[..n]);
     let (lox, hix, loy, hiy) = (rect.lo.x, rect.hi.x, rect.lo.y, rect.hi.y);
+    out.reserve(n);
+    let len = out.len();
+    let spare = out.spare_capacity_mut();
     let head = n - n % LANES;
+    let mut k = 0;
     let mut i = 0;
     while i < head {
         let mut mask = [false; LANES];
@@ -123,58 +163,107 @@ fn filter_rect_lanes(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out:
             mask[j] = (x >= lox) & (x <= hix) & (y >= loy) & (y <= hiy);
         }
         for j in 0..LANES {
-            if mask[j] {
-                out.push(payloads[i + j]);
-            }
+            // `k <= i + j < n <= spare.len()`: one hit at most per element.
+            spare[k].write(payloads[i + j]);
+            k += mask[j] as usize;
         }
         i += LANES;
     }
     for j in head..n {
         let (x, y) = (xs[j], ys[j]);
-        if (x >= lox) & (x <= hix) & (y >= loy) & (y <= hiy) {
-            out.push(payloads[j]);
-        }
+        spare[k].write(payloads[j]);
+        k += ((x >= lox) & (x <= hix) & (y >= loy) & (y <= hiy)) as usize;
     }
+    // SAFETY: `k <= n` slots were reserved above, and every slot of
+    // `len..len + k` was written: slot `k'` is (re)written by each element
+    // visited while the hit count stands at `k'`, the last of which is the
+    // hit that advances the count past it.
+    unsafe { out.set_len(len + k) };
 }
 
+/// `COMPRESS[m]`: the lanes set in the 4-bit mask `m`, ascending, packed to
+/// the front — the `vpermilps` control that moves a chunk's selected
+/// payloads, in input order, to the low end of the register. Unused control
+/// lanes are 0: they move a payload of the same chunk into a slot past the
+/// advanced length, which the next store (or nothing) overwrites.
+#[cfg(target_arch = "x86_64")]
+static COMPRESS: [[u32; LANES]; 1 << LANES] = {
+    let mut lut = [[0; LANES]; 1 << LANES];
+    let mut m = 0;
+    while m < 1 << LANES {
+        let (mut k, mut lane) = (0, 0);
+        while lane < LANES {
+            if m >> lane & 1 == 1 {
+                lut[m][k] = lane as u32;
+                k += 1;
+            }
+            lane += 1;
+        }
+        m += 1;
+    }
+    lut
+};
+
 /// Explicit AVX form of [`filter_rect`]: four doubles per compare, a
-/// movemask per chunk, the same scalar tail. The `_CMP_GE_OQ`/`_CMP_LE_OQ`
+/// movemask per chunk, and emission by **compress-store** — the mask picks
+/// a lane permutation from [`COMPRESS`], `vpermilps` packs the chunk's
+/// selected payloads to the front, one unconditional 16-byte store writes
+/// them at the current end, and the end advances by `popcnt(mask)`. No
+/// branch or `push` per hit: members select ≈45 % of their block, which a
+/// per-lane branch mispredicts. AVX + SSE2 only (no AVX2 `vpermd`, BMI2
+/// `pext` or AVX-512 `vpcompressd`). The `_CMP_GE_OQ`/`_CMP_LE_OQ`
 /// predicates are the ordered-quiet forms of `>=`/`<=`, so NaN coordinates
 /// fail containment exactly as they do in scalar code.
+///
+/// # Safety
+///
+/// The CPU must support AVX, and `ys` and `payloads` must hold at least
+/// `xs.len()` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn filter_rect_avx(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out: &mut Vec<u32>) {
     use std::arch::x86_64::*;
     let n = xs.len();
-    // The vector loads below index all three columns by `xs`' length.
-    assert!(ys.len() >= n && payloads.len() >= n, "filter_rect columns must be parallel");
+    debug_assert!(ys.len() >= n && payloads.len() >= n);
     let lox = _mm256_set1_pd(rect.lo.x);
     let hix = _mm256_set1_pd(rect.hi.x);
     let loy = _mm256_set1_pd(rect.lo.y);
     let hiy = _mm256_set1_pd(rect.hi.y);
+    out.reserve(n);
+    let len = out.len();
+    // SAFETY (every write below): `dst` addresses the `n` reserved slots
+    // past `len`. The hit count `k` never exceeds the number of elements
+    // already visited, so a chunk's store covers slots `k..k + LANES` with
+    // `k + LANES <= i + LANES <= n`, and a tail write lands at `k <= j < n`.
+    let dst = out.as_mut_ptr().add(len);
     let head = n - n % LANES;
+    let mut k = 0;
     let mut i = 0;
     while i < head {
         // SAFETY: `i + LANES <= head <= n`, and every column holds at least
-        // `n` elements (asserted above), so each load reads in bounds.
+        // `n` elements (the caller's contract), so each load reads in bounds.
         let x = _mm256_loadu_pd(xs.as_ptr().add(i));
         let y = _mm256_loadu_pd(ys.as_ptr().add(i));
         let mx = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(x, lox), _mm256_cmp_pd::<_CMP_LE_OQ>(x, hix));
         let my = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(y, loy), _mm256_cmp_pd::<_CMP_LE_OQ>(y, hiy));
-        let mut bits = _mm256_movemask_pd(_mm256_and_pd(mx, my)) as u32;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            out.push(payloads[i + j]);
-            bits &= bits - 1;
-        }
+        let mask = _mm256_movemask_pd(_mm256_and_pd(mx, my)) as usize;
+        let chunk = _mm_castsi128_ps(_mm_loadu_si128(payloads.as_ptr().add(i).cast()));
+        let control = _mm_loadu_si128(COMPRESS[mask].as_ptr().cast());
+        _mm_storeu_ps(dst.add(k).cast(), _mm_permutevar_ps(chunk, control));
+        k += mask.count_ones() as usize;
         i += LANES;
     }
     for j in head..n {
         let (x, y) = (xs[j], ys[j]);
-        if (x >= rect.lo.x) & (x <= rect.hi.x) & (y >= rect.lo.y) & (y <= rect.hi.y) {
-            out.push(payloads[j]);
-        }
+        dst.add(k).write(payloads[j]);
+        k += ((x >= rect.lo.x) & (x <= rect.hi.x) & (y >= rect.lo.y) & (y <= rect.hi.y)) as usize;
     }
+    // SAFETY: slots `len..len + k` are initialised — each chunk's store puts
+    // its `popcnt` selected payloads first and `k` advances past exactly
+    // those, a tail write is kept only when `k` advances past it — and
+    // `len + k <= len + n` is within the reserved capacity. Set after the
+    // last write: nothing past `len` was observable before this line.
+    out.set_len(len + k);
 }
 
 /// Write the squared Euclidean distance from `(qx, qy)` to every
@@ -214,23 +303,105 @@ mod tests {
         (xs, ys, pls)
     }
 
-    /// The scalar-tail contract: candidate counts of 0, 1, LANES−1, LANES,
-    /// LANES+1 and 2·LANES−1 pin the remainder handling of both dispatch
-    /// paths against the naive per-element loop.
+    /// Both emission paths against the naive loop, appending to `prefix`
+    /// held in a vector whose capacity is exactly its length — so the
+    /// kernel has to grow it, must keep what was there, and everything it
+    /// wrote past the final length stays unobservable.
+    fn assert_paths_match_naive(xs: &[f64], ys: &[f64], pls: &[u32], rect: &Rect, prefix: &[u32], what: &str) {
+        let mut want = prefix.to_vec();
+        want.extend(naive_filter(xs, ys, pls, rect));
+        for (path, kernel) in [("dispatched", filter_rect as fn(&_, &_, &_, &_, &mut _)), ("lanes", filter_rect_lanes)]
+        {
+            let mut got = Vec::with_capacity(prefix.len());
+            got.extend_from_slice(prefix);
+            assert_eq!(got.capacity(), got.len());
+            kernel(xs, ys, pls, rect, &mut got);
+            assert_eq!(got, want, "{path} path, {what}");
+        }
+    }
+
+    /// Every hit pattern of the tail-contract lengths: for each length `n`
+    /// of 0, 1, LANES−1, LANES, LANES+1 and 2·LANES−1, all `2ⁿ` in/out
+    /// assignments — which puts each of the 16 lane masks in the vector head
+    /// (n = LANES), each followed by every tail (n = 2·LANES−1), and covers
+    /// 0 % and 100 % selectivity at every length. Payloads are not the
+    /// identity, so a permutation that moved the wrong lane shows.
     #[test]
-    fn filter_rect_tail_counts_match_naive() {
-        let rect = Rect::from_bounds(-5.0, 5.0, -5.0, 5.0);
+    fn filter_rect_every_lane_mask_at_every_tail_count() {
+        let rect = Rect::from_bounds(0.0, 1.0, 0.0, 1.0);
         for n in [0, 1, LANES - 1, LANES, LANES + 1, 2 * LANES - 1] {
-            let (xs, ys, pls) = columns(n, n as u64 + 7);
+            let pls: Vec<u32> = (0..n as u32).map(|i| 1000 + 7 * i).collect();
+            for hits in 0u32..1 << n {
+                // In: (0.5, 0.5). Out: alternately left of and above the rect.
+                let inside = |i: usize| hits >> i & 1 == 1;
+                let xs: Vec<f64> = (0..n).map(|i| if inside(i) || i % 2 == 1 { 0.5 } else { -1.0 }).collect();
+                let ys: Vec<f64> = (0..n).map(|i| if inside(i) || i % 2 == 0 { 0.5 } else { 2.0 }).collect();
+                assert_paths_match_naive(&xs, &ys, &pls, &rect, &[], &format!("n {n} hits {hits:#b}"));
+                assert_paths_match_naive(&xs, &ys, &pls, &rect, &[9, 8, 7], &format!("n {n} hits {hits:#b}, appended"));
+            }
+        }
+    }
+
+    /// Random columns at 0 %, ≈45 % (what a probe-group member selects of
+    /// its block) and 100 % selectivity, appended to a non-empty `out`.
+    #[test]
+    fn filter_rect_selectivities_append_to_a_full_vector() {
+        let (xs, ys, pls) = columns(203, 11);
+        let rects = [
+            (0.0..=0.0, Rect::from_bounds(20.0, 30.0, 20.0, 30.0)),
+            (0.35..=0.55, Rect::from_bounds(-10.0, 3.4, -10.0, 3.4)),
+            (1.0..=1.0, Rect::from_bounds(-10.0, 10.0, -10.0, 10.0)),
+        ];
+        for (selectivity, rect) in rects {
+            let share = naive_filter(&xs, &ys, &pls, &rect).len() as f64 / xs.len() as f64;
+            assert!(selectivity.contains(&share), "selectivity {share} outside {selectivity:?}");
+            for n in [0, 1, LANES + 1, 64, 203] {
+                let what = format!("selectivity {share:.2}, n {n}");
+                assert_paths_match_naive(&xs[..n], &ys[..n], &pls[..n], &rect, &[u32::MAX, 0, 5], &what);
+            }
+        }
+    }
+
+    /// The grid's use: many short runs filtered into one shared buffer.
+    #[test]
+    fn filter_rect_appends_run_after_run() {
+        let (xs, ys, pls) = columns(61, 5);
+        let rect = Rect::from_bounds(-6.0, 6.0, -2.0, 9.0);
+        let (mut got, mut lanes) = (Vec::new(), Vec::new());
+        let mut s = 0;
+        for run in [3, 1, 0, 7, 4, 2, 11, 5, 28] {
+            filter_rect(&xs[s..s + run], &ys[s..s + run], &pls[s..s + run], &rect, &mut got);
+            filter_rect_lanes(&xs[s..s + run], &ys[s..s + run], &pls[s..s + run], &rect, &mut lanes);
+            s += run;
+        }
+        assert_eq!(s, xs.len());
+        assert_eq!(got, naive_filter(&xs, &ys, &pls, &rect));
+        assert_eq!(lanes, got);
+    }
+
+    /// NaN coordinates fail every ordered compare, in a lane and in the tail.
+    #[test]
+    fn filter_rect_nan_coordinates_are_outside() {
+        let nan = f64::NAN;
+        let xs = [0.5, nan, 0.5, nan, 0.5, 0.5, nan];
+        let ys = [0.5, 0.5, nan, nan, 0.5, nan, 0.5];
+        let pls: Vec<u32> = (10..17).collect();
+        for rect in
+            [Rect::from_bounds(0.0, 1.0, 0.0, 1.0), Rect::from_bounds(f64::NEG_INFINITY, f64::INFINITY, -1.0, 1.0)]
+        {
+            assert_paths_match_naive(&xs, &ys, &pls, &rect, &[1], "NaN columns");
             let mut got = Vec::new();
             filter_rect(&xs, &ys, &pls, &rect, &mut got);
-            assert_eq!(got, naive_filter(&xs, &ys, &pls, &rect), "count {n}");
-            // The portable lane path must agree with whatever `filter_rect`
-            // dispatched to (the AVX path on x86-64 with AVX).
-            let mut lanes = Vec::new();
-            filter_rect_lanes(&xs, &ys, &pls, &rect, &mut lanes);
-            assert_eq!(lanes, got, "lane/arch dispatch divergence at count {n}");
+            assert_eq!(got, vec![10, 14]);
         }
+        // A NaN rect bound admits nothing.
+        assert_paths_match_naive(&xs, &ys, &pls, &Rect::from_bounds(nan, 1.0, 0.0, 1.0), &[], "NaN bound");
+    }
+
+    #[test]
+    #[should_panic(expected = "columns must be parallel")]
+    fn filter_rect_rejects_ragged_columns() {
+        filter_rect(&[0.0; 5], &[0.0; 5], &[0; 4], &Rect::from_bounds(-1.0, 1.0, -1.0, 1.0), &mut Vec::new());
     }
 
     #[test]
@@ -269,7 +440,7 @@ mod tests {
         let rect = Rect::from_bounds(-0.0, tiny, -tiny, tiny);
         let mut got = Vec::new();
         filter_rect(&xs, &ys, &pls, &rect, &mut got);
-        assert_eq!(got, naive_filter(&xs, &ys, &pls, &rect));
+        assert_paths_match_naive(&xs, &ys, &pls, &rect, &[], "denormals and signed zeros");
         // ±0.0 compare equal: both zero-x points are inside [-0.0, tiny].
         assert!(got.contains(&0) && got.contains(&1));
     }

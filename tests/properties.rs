@@ -1126,6 +1126,83 @@ proptest! {
             prop_assert_eq!(rear[i].to_bits(), ((-sdxl - 5.0).max(0.0)).to_bits());
         }
     }
+
+    /// The register-resident effect fold: a `(field, value)` stream cut at
+    /// arbitrary points into `fold_local`s and runs of plain `local` writes
+    /// lands on the bits of the whole stream through `local` — for every
+    /// combinator, over signed zeros, infinities, NaNs, subnormals and raw
+    /// bit patterns (bitwise; all NaNs alike), from a slot earlier writes
+    /// already combined into, on a visible-set table (`slot == me`) and on a
+    /// shard table.
+    #[test]
+    fn kernel_fold_local_equals_local_writes(
+        combs in (any_combinator(), any_combinator(), any_combinator()),
+        before in prop::collection::vec((0u16..3, any::<u64>()), 0..6),
+        stream in prop::collection::vec((0u16..3, any::<u64>(), 0u32..5), 0..64),
+        slot in 0u32..3,
+        visible in any::<bool>(),
+    ) {
+        let combs = [combs.0, combs.1, combs.2];
+        let schema =
+            AgentSchema::builder("F").effect("a", combs[0]).effect("b", combs[1]).effect("c", combs[2]).build().unwrap();
+        let fields = [0u16, 1, 2].map(|f| (FieldId::new(f), combs[f as usize]));
+        let me = if visible { slot } else { slot + 100 };
+        let (mut by_local, mut by_fold) = (EffectTable::new(&schema), EffectTable::new(&schema));
+        for (table, folding) in [(&mut by_local, false), (&mut by_fold, true)] {
+            table.reset(3);
+            let mut w = EffectWriter::with_slot(&schema, table, me, slot);
+            for &(f, bits) in &before {
+                w.local(FieldId::new(f), hostile_f64(bits));
+            }
+            // A cut (`0`) ends a run; runs alternate between one fold and
+            // plain writes, so both orders of "fold, then local" occur.
+            for (i, run) in stream.split(|&(_, _, cut)| cut == 0).enumerate() {
+                if folding && i % 2 == 0 {
+                    w.fold_local(fields, |acc| {
+                        for &(f, bits, _) in run {
+                            let (k, v) = (f as usize, hostile_f64(bits));
+                            match combs[k] {
+                                Combinator::Sum => acc.sum(k, v),
+                                Combinator::Prod => acc.prod(k, v),
+                                Combinator::Min => acc.min(k, v),
+                                Combinator::Max => acc.max(k, v),
+                                Combinator::Or => acc.or(k, v),
+                                Combinator::And => acc.and(k, v),
+                            }
+                        }
+                    });
+                } else {
+                    for &(f, bits, _) in run {
+                        w.local(FieldId::new(f), hostile_f64(bits));
+                    }
+                }
+            }
+            prop_assert_eq!(w.nonlocal_writes(), 0);
+        }
+        // Bitwise, except that a NaN is any NaN: which operand's payload
+        // an operation propagates is the implementation's choice (LLVM may
+        // commute `a + b`), in the fold and in `local` alike.
+        for r in 0..3 {
+            for (x, y) in by_local.row(r).into_iter().zip(by_fold.row(r)) {
+                prop_assert!(x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()), "row {}: {} vs {}", r, x, y);
+            }
+        }
+    }
+}
+
+/// Decode random bits into the doubles a float fold is sensitive to: one
+/// draw in eight each of −0.0, ±∞, NaN, a subnormal and a raw bit pattern
+/// (any NaN payload, any exponent); ordinary magnitudes otherwise.
+fn hostile_f64(bits: u64) -> f64 {
+    match bits % 8 {
+        0 => -0.0,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => f64::NAN,
+        4 => f64::from_bits(bits >> 12 | bits & 1 << 63),
+        5 => f64::from_bits(bits),
+        _ => ((bits >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2e3,
+    }
 }
 
 // ---------------------------------------------------------------------------
