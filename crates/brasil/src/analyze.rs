@@ -22,79 +22,17 @@
 //! 0/1), and agent references (only comparable and only dereferenceable).
 
 use crate::ast::*;
-use crate::plan::{Builtin, PExpr, PStmt};
+use crate::plan::Builtin;
 use brace_common::{BraceError, Result};
 use brace_core::Combinator;
 use std::collections::{HashMap, HashSet};
 
-// ---------------------------------------------------------------------------
-// Cost estimation (drives batch engagement for compiled classes)
-// ---------------------------------------------------------------------------
-
-/// Minimum per-candidate cost at which lane execution pays for its gather.
-/// The engine-wide threshold (`brace_core::behavior::BATCH_COST_THRESHOLD`),
-/// re-exported here because the planner's lane costs are measured in
-/// exactly these analyzer units — the hand-coded models score their
-/// kernels on the same scale, so one rule governs compiled and hand-coded
-/// engagement alike.
-pub use brace_core::behavior::BATCH_COST_THRESHOLD;
-
-/// Rough per-evaluation scalar cost of an expression, in ALU-op units.
-/// Cheap arithmetic and compares count 1, divides 8, transcendentals 16 —
-/// the point is ordering workloads, not cycle accuracy.
-pub fn expr_cost(e: &PExpr) -> u32 {
-    let mut cost = 0u32;
-    e.any(&mut |n| {
-        cost += match n {
-            PExpr::Unary(..) | PExpr::Binary(..) | PExpr::AgentEq { .. } => 1,
-            PExpr::Call(b, _) => match b {
-                Builtin::Abs | Builtin::Floor | Builtin::Ceil | Builtin::Sign | Builtin::Min | Builtin::Max => 1,
-                Builtin::Clamp => 2,
-                Builtin::Sqrt => 8,
-                Builtin::Sin | Builtin::Cos | Builtin::Exp | Builtin::Ln | Builtin::Pow | Builtin::Atan2 => 16,
-            },
-            _ => 0,
-        };
-        false
-    });
-    // Binary/Call nodes cost their op on top of operand costs, which `any`
-    // already visits; division is upgraded separately below.
-    let mut div_extra = 0u32;
-    e.any(&mut |n| {
-        if let PExpr::Binary(op, _, _) = n {
-            if matches!(op, crate::ast::BinOp::Div | crate::ast::BinOp::Rem) {
-                div_extra += 7; // 8 total with the base op
-            }
-        }
-        false
-    });
-    cost + div_extra
-}
-
-/// Per-candidate cost estimate of a statement list (a `foreach` body).
-pub fn stmts_cost(stmts: &[PStmt]) -> u32 {
-    let mut cost = 0u32;
-    for s in stmts {
-        s.visit(&mut |st| match st {
-            PStmt::Let { value, .. } | PStmt::LocalEffect { value, .. } | PStmt::RemoteEffect { value, .. } => {
-                cost += expr_cost(value)
-            }
-            PStmt::If { cond, .. } => cost += expr_cost(cond),
-            PStmt::Foreach { .. } => {}
-        });
-    }
-    cost
-}
-
 /// Built-in functions: name → arity.
 pub fn builtin_arity(name: &str) -> Option<usize> {
-    Some(match name {
-        "rand" => 0,
-        "abs" | "sqrt" | "sin" | "cos" | "exp" | "ln" | "floor" | "ceil" | "sign" => 1,
-        "min" | "max" | "pow" | "atan2" => 2,
-        "clamp" => 3,
-        _ => return None,
-    })
+    if name == "rand" {
+        return Some(0);
+    }
+    Builtin::parse(name).map(Builtin::arity)
 }
 
 /// Analysis output: validated class plus resolved symbol information.

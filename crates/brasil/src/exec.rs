@@ -1,7 +1,8 @@
-//! Compilation to the dataflow plan and the interpreting backend.
+//! Compilation to the dataflow plan, and the behavior that runs it.
 //!
 //! [`compile`] lowers an [`AnalyzedClass`] to a [`CompiledClass`] (schema +
-//! query plan + update rules); [`BrasilBehavior`] interprets it as a
+//! query plan + update rules); [`BrasilBehavior`] lowers that once more, to
+//! the flat register program of [`vm`](mod@crate::vm), and runs it as a
 //! [`brace_core::Behavior`], so compiled scripts run unchanged on the
 //! single-node executor and on every worker of the distributed runtime —
 //! which is the whole point of the language ("hides all the complexities of
@@ -11,25 +12,24 @@
 //!
 //! BRASIL specifies weak-reference semantics: a value derived from an agent
 //! that is not visible resolves to NIL, NIL propagates through expressions,
-//! and aggregates ignore NIL (Appendix B). Evaluation therefore returns
-//! `Option<f64>`; an effect assignment whose value is NIL is skipped. In
-//! the executable subset, loop variables are always visible (the runtime
-//! materializes exactly the visible region — the two sides of the paper's
-//! Theorem 1), so NIL is only reachable through undefined arithmetic,
-//! which maps NaN → NIL at assignment boundaries.
+//! and aggregates ignore NIL (Appendix B). An effect assignment whose value
+//! is NIL is skipped. In the executable subset, loop variables are always
+//! visible (the runtime materializes exactly the visible region — the two
+//! sides of the paper's Theorem 1), so NIL is only reachable through
+//! undefined arithmetic, which maps NaN → NIL at `const` bindings and
+//! assignment boundaries. The tree walker in
+//! [`reference`](mod@crate::reference) spells these rules out with
+//! `Option<f64>`; the register program carries NIL as a per-lane mask.
 
 use crate::analyze::AnalyzedClass;
-use crate::ast::{self, BinOp, Expr, Stmt, UnOp};
-use crate::plan::{
-    AgentRef, Axis, Builtin, ColSrc, EmitStep, LaneInstr, LaneProgram, PExpr, PStmt, ProbeBounds, QueryPlan, SplatSrc,
-    UpdateRule, UpdateTarget,
-};
-use brace_common::{BraceError, DetRng, FieldId, Rect, Result, Vec2};
-use brace_core::behavior::batch_engaged;
-use brace_core::behavior::{Behavior, GatheredBatch, NeighborBatch, Neighbors, UpdateCtx};
+use crate::ast::{self, BinOp, Expr, Stmt};
+use crate::plan::{AgentRef, Axis, Builtin, PExpr, PStmt, ProbeBounds, QueryPlan, UpdateRule, UpdateTarget};
+use crate::reference::ReferenceBehavior;
+use crate::vm::Program;
+use brace_common::{BraceError, DetRng, Rect, Result, Vec2};
+use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::effect::EffectWriter;
-use brace_core::kernels::with_lane_scratch;
-use brace_core::{Agent, AgentRead, AgentRef as RowRef, AgentSchema};
+use brace_core::{Agent, AgentRef as RowRef, AgentSchema};
 use std::collections::HashMap;
 
 /// A fully compiled agent class.
@@ -41,10 +41,6 @@ pub struct CompiledClass {
     /// Probe-rect bounds proven by the optimizer's pushdown pass; `None`
     /// until (and unless) the pass derives any.
     pub probe_bounds: Option<ProbeBounds>,
-    /// Lane program emitted by the optimizer for a query-phase-pure loop
-    /// body; `None` until the emission pass runs (the unoptimized baseline
-    /// always interprets).
-    pub lane: Option<LaneProgram>,
 }
 
 impl CompiledClass {
@@ -52,10 +48,20 @@ impl CompiledClass {
         &self.schema
     }
 
+    /// The range-probe rect for an agent at `pos`: the visibility square,
+    /// tightened by whatever bounds pushdown proved.
+    pub fn probe_rect(&self, pos: Vec2, vis: f64) -> Rect {
+        let rect = Rect::centered(pos, vis);
+        match &self.probe_bounds {
+            Some(b) => b.tighten(pos, rect),
+            None => rect,
+        }
+    }
+
     /// Rebuild with a different query plan (used by the optimizer). The
-    /// schema's non-local flag is re-derived from the plan; derived
-    /// artifacts (probe bounds, lane program) are dropped — they describe
-    /// the *old* plan, and the pipeline re-derives them after every change.
+    /// schema's non-local flag is re-derived from the plan; the derived
+    /// probe bounds are dropped — they describe the *old* plan, and the
+    /// pipeline re-derives them after every change.
     pub fn with_query(&self, query: QueryPlan) -> CompiledClass {
         let has_remote = query.has_remote_effects();
         let mut b = AgentSchema::builder(self.schema.name());
@@ -71,7 +77,7 @@ impl CompiledClass {
             .nonlocal_effects(has_remote)
             .build()
             .expect("schema rebuilt from a valid schema");
-        CompiledClass { schema, query, updates: self.updates.clone(), probe_bounds: None, lane: None }
+        CompiledClass { schema, query, updates: self.updates.clone(), probe_bounds: None }
     }
 }
 
@@ -235,372 +241,36 @@ pub fn compile(a: &AnalyzedClass) -> Result<CompiledClass> {
             updates.push(UpdateRule { target, expr });
         }
     }
-    Ok(CompiledClass { schema, query, updates, probe_bounds: None, lane: None })
+    Ok(CompiledClass { schema, query, updates, probe_bounds: None })
 }
 
 // ---------------------------------------------------------------------------
-// Interpretation
+// Execution
 // ---------------------------------------------------------------------------
 
-/// Evaluation context for one query/update invocation. Generic over the
-/// agent representation ([`AgentRead`]): the query phase evaluates against
-/// pool row views, the update phase against a snapshot record — both
-/// monomorphize to direct reads.
-struct EvalCtx<'a, R: AgentRead + Copy> {
-    me: R,
-    other: Option<R>,
-    locals: &'a mut [Option<f64>],
-    /// Locally-aggregated effect shadow (query) or the final aggregated
-    /// effects (update).
-    effects: &'a [f64],
-    rng: &'a mut DetRng,
-}
-
-/// NIL-propagating evaluation.
-fn eval<R: AgentRead + Copy>(e: &PExpr, ctx: &mut EvalCtx<'_, R>) -> Option<f64> {
-    Some(match e {
-        PExpr::Const(c) => *c,
-        PExpr::SelfPos(Axis::X) => ctx.me.pos().x,
-        PExpr::SelfPos(Axis::Y) => ctx.me.pos().y,
-        PExpr::OtherPos(Axis::X) => ctx.other?.pos().x,
-        PExpr::OtherPos(Axis::Y) => ctx.other?.pos().y,
-        PExpr::SelfState(i) => ctx.me.state(*i),
-        PExpr::OtherState(i) => ctx.other?.state(*i),
-        PExpr::SelfEffect(i) => ctx.effects[*i as usize],
-        PExpr::Local(i) => ctx.locals[*i as usize]?,
-        PExpr::AgentEq { left, right, negate } => {
-            let l = match left {
-                AgentRef::This => ctx.me.id(),
-                AgentRef::Other => ctx.other?.id(),
-            };
-            let r = match right {
-                AgentRef::This => ctx.me.id(),
-                AgentRef::Other => ctx.other?.id(),
-            };
-            (((l == r) != *negate) as i32) as f64
-        }
-        PExpr::Unary(op, inner) => {
-            let v = eval(inner, ctx)?;
-            match op {
-                UnOp::Neg => -v,
-                UnOp::Not => ((v == 0.0) as i32) as f64,
-            }
-        }
-        PExpr::Binary(op, a, b) => {
-            // Short-circuit logic evaluates lazily; everything else strictly.
-            match op {
-                BinOp::And => {
-                    let l = eval(a, ctx)?;
-                    if l == 0.0 {
-                        0.0
-                    } else {
-                        ((eval(b, ctx)? != 0.0) as i32) as f64
-                    }
-                }
-                BinOp::Or => {
-                    let l = eval(a, ctx)?;
-                    if l != 0.0 {
-                        1.0
-                    } else {
-                        ((eval(b, ctx)? != 0.0) as i32) as f64
-                    }
-                }
-                _ => {
-                    let l = eval(a, ctx)?;
-                    let r = eval(b, ctx)?;
-                    match op {
-                        BinOp::Add => l + r,
-                        BinOp::Sub => l - r,
-                        BinOp::Mul => l * r,
-                        BinOp::Div => l / r,
-                        BinOp::Rem => l % r,
-                        BinOp::Lt => ((l < r) as i32) as f64,
-                        BinOp::Le => ((l <= r) as i32) as f64,
-                        BinOp::Gt => ((l > r) as i32) as f64,
-                        BinOp::Ge => ((l >= r) as i32) as f64,
-                        BinOp::Eq => ((l == r) as i32) as f64,
-                        BinOp::Ne => ((l != r) as i32) as f64,
-                        BinOp::And | BinOp::Or => unreachable!("handled above"),
-                    }
-                }
-            }
-        }
-        PExpr::Call(b, args) => {
-            let mut vals = [0.0f64; 3];
-            for (i, a) in args.iter().enumerate() {
-                vals[i] = eval(a, ctx)?;
-            }
-            b.apply(&vals[..args.len()])
-        }
-        PExpr::Rand => ctx.rng.unit(),
-    })
-}
-
-/// A compiled class as a runnable behavior.
+/// A compiled class as a runnable behavior: the class and the register
+/// program lowered from it, which is all that runs.
 #[derive(Debug, Clone)]
 pub struct BrasilBehavior {
     class: CompiledClass,
-    /// Per-slot NaN-transparency mask, from `QueryPlan::raw_slots`.
-    raw: Vec<bool>,
-    /// Test/bench override of the analyzer's batch-engagement decision.
-    batch_override: Option<bool>,
+    program: Program,
 }
 
 impl BrasilBehavior {
     pub fn new(class: CompiledClass) -> Self {
-        let mut raw = vec![false; class.query.n_locals as usize];
-        for &s in &class.query.raw_slots {
-            if let Some(f) = raw.get_mut(s as usize) {
-                *f = true;
-            }
-        }
-        BrasilBehavior { class, raw, batch_override: None }
+        let program = crate::vm::lower(&class);
+        BrasilBehavior { class, program }
     }
 
     pub fn class(&self) -> &CompiledClass {
         &self.class
     }
 
-    /// Force batch engagement on (`true`) or off (`false`) regardless of
-    /// the analyzer's cost estimate. Pure scheduling policy — the lane and
-    /// interpreted paths are bit-identical by construction — used by the
-    /// conformance tests and bench ablations to exercise lane programs
-    /// whose estimated cost falls below the engagement threshold.
-    pub fn with_batch_engagement(mut self, engaged: bool) -> Self {
-        self.batch_override = Some(engaged);
-        self
-    }
-
-    #[allow(clippy::too_many_arguments)] // interpreter context, flattened for the hot path
-    fn exec_stmts<'v>(
-        &self,
-        stmts: &[PStmt],
-        me: RowRef<'v>,
-        neighbors: &Neighbors<'v>,
-        eff: &mut EffectWriter<'_>,
-        shadow: &mut [f64],
-        locals: &mut [Option<f64>],
-        other: Option<(RowRef<'v>, u32)>,
-        rng: &mut DetRng,
-    ) {
-        let schema = self.class.schema();
-        for stmt in stmts {
-            match stmt {
-                PStmt::Let { slot, value } => {
-                    let v = {
-                        let mut ctx = EvalCtx { me, other: other.map(|o| o.0), locals, effects: shadow, rng };
-                        eval(value, &mut ctx)
-                    };
-                    // Source-level bindings coerce NaN → NIL; optimizer
-                    // temporaries (raw slots) bind verbatim, so reading one
-                    // back is exactly inlining the hoisted expression.
-                    locals[*slot as usize] = if self.raw[*slot as usize] { v } else { v.filter(|v| !v.is_nan()) };
-                }
-                PStmt::LocalEffect { field, value } => {
-                    let v = {
-                        let mut ctx = EvalCtx { me, other: other.map(|o| o.0), locals, effects: shadow, rng };
-                        eval(value, &mut ctx)
-                    };
-                    if let Some(v) = v.filter(|v| !v.is_nan()) {
-                        let fid = FieldId::new(*field);
-                        eff.local(fid, v);
-                        let comb = schema.combinator(fid);
-                        shadow[*field as usize] = comb.combine(shadow[*field as usize], v);
-                    }
-                }
-                PStmt::RemoteEffect { field, value } => {
-                    let Some((_, target_row)) = other else {
-                        unreachable!("remote effect outside foreach (rejected by analysis)")
-                    };
-                    let v = {
-                        let mut ctx = EvalCtx { me, other: other.map(|o| o.0), locals, effects: shadow, rng };
-                        eval(value, &mut ctx)
-                    };
-                    if let Some(v) = v.filter(|v| !v.is_nan()) {
-                        eff.remote(target_row, FieldId::new(*field), v);
-                    }
-                }
-                PStmt::If { cond, then_, else_ } => {
-                    let c = {
-                        let mut ctx = EvalCtx { me, other: other.map(|o| o.0), locals, effects: shadow, rng };
-                        eval(cond, &mut ctx)
-                    };
-                    let branch = match c {
-                        Some(v) if v != 0.0 => then_,
-                        Some(_) => else_,
-                        None => continue, // NIL condition: whole statement is skipped
-                    };
-                    self.exec_stmts(branch, me, neighbors, eff, shadow, locals, other, rng);
-                }
-                PStmt::Foreach { body } => {
-                    for nb in neighbors.iter() {
-                        self.exec_stmts(body, me, neighbors, eff, shadow, locals, Some((nb.agent, nb.row)), rng);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Execute a lane program over one gathered candidate batch: run the
-    /// instruction columns (the vectorizable map), then fold the emit steps
-    /// per candidate in canonical probe order — the same order, same
-    /// self-exclusion, and same NaN/NIL rules as the interpreter, which is
-    /// what makes the two paths bit-identical.
-    fn run_lane(
-        &self,
-        lane: &LaneProgram,
-        me: RowRef<'_>,
-        g: &GatheredBatch<'_>,
-        prelude: &[f64],
-        eff: &mut EffectWriter<'_>,
-        shadow: &mut [f64],
-    ) {
-        let n = g.len();
-        with_lane_scratch(|s| {
-            let cols = s.ensure_cols(lane.instrs.len());
-            for (i, instr) in lane.instrs.iter().enumerate() {
-                // SSA: instruction i writes column i from strictly earlier
-                // columns, so the split borrow is always disjoint.
-                let (prev, rest) = cols.split_at_mut(i);
-                let out = &mut rest[0];
-                match instr {
-                    LaneInstr::Splat(src) => {
-                        let v = match src {
-                            SplatSrc::Const(c) => *c,
-                            SplatSrc::SelfX => me.pos().x,
-                            SplatSrc::SelfY => me.pos().y,
-                            SplatSrc::SelfState(k) => me.state(*k),
-                            SplatSrc::Prelude(k) => prelude[*k as usize],
-                        };
-                        out.clear();
-                        out.resize(n, v);
-                    }
-                    LaneInstr::Column(src) => {
-                        let col = match src {
-                            ColSrc::OtherX => g.xs,
-                            ColSrc::OtherY => g.ys,
-                            ColSrc::OtherState(k) => g.state(*k as usize),
-                        };
-                        out.clear();
-                        out.extend_from_slice(col);
-                    }
-                    LaneInstr::Unary(op, a) => lane_unary(*op, &prev[*a as usize], out),
-                    LaneInstr::Binary(op, a, b) => lane_binary(*op, &prev[*a as usize], &prev[*b as usize], out),
-                    LaneInstr::Call(b, args) => lane_call(*b, args, prev, out),
-                }
-            }
-            let cols = &*cols;
-            let schema = self.class.schema();
-            for i in 0..n {
-                if g.rows[i] == g.me {
-                    continue;
-                }
-                emit_steps(&lane.emit, i, cols, eff, shadow, schema);
-            }
-        });
-    }
-}
-
-fn lane_unary(op: UnOp, a: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    match op {
-        UnOp::Neg => out.extend(a.iter().map(|&x| -x)),
-        UnOp::Not => out.extend(a.iter().map(|&x| ((x == 0.0) as i32) as f64)),
-    }
-}
-
-fn lane_binary(op: BinOp, a: &[f64], b: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    out.reserve(a.len());
-    let b = &b[..a.len()];
-    macro_rules! zip {
-        ($f:expr) => {
-            out.extend(a.iter().zip(b).map(|(&x, &y)| $f(x, y)))
-        };
-    }
-    match op {
-        BinOp::Add => zip!(|x, y| x + y),
-        BinOp::Sub => zip!(|x, y| x - y),
-        BinOp::Mul => zip!(|x, y| x * y),
-        BinOp::Div => zip!(|x, y| x / y),
-        BinOp::Rem => zip!(|x: f64, y: f64| x % y),
-        BinOp::Lt => zip!(|x, y| ((x < y) as i32) as f64),
-        BinOp::Le => zip!(|x, y| ((x <= y) as i32) as f64),
-        BinOp::Gt => zip!(|x, y| ((x > y) as i32) as f64),
-        BinOp::Ge => zip!(|x, y| ((x >= y) as i32) as f64),
-        BinOp::Eq => zip!(|x, y| ((x == y) as i32) as f64),
-        BinOp::Ne => zip!(|x, y| ((x != y) as i32) as f64),
-        // Mirrors the interpreter's short-circuit results exactly (lane
-        // operands are pure, so evaluating the right side unconditionally
-        // is unobservable): a NaN left side takes the non-zero path.
-        BinOp::And => zip!(|x: f64, y: f64| if x == 0.0 { 0.0 } else { ((y != 0.0) as i32) as f64 }),
-        BinOp::Or => zip!(|x: f64, y: f64| if x != 0.0 { 1.0 } else { ((y != 0.0) as i32) as f64 }),
-    }
-}
-
-fn lane_call(b: Builtin, args: &[u16], regs: &[Vec<f64>], out: &mut Vec<f64>) {
-    out.clear();
-    match args {
-        [a] => {
-            let a = &regs[*a as usize];
-            match b {
-                Builtin::Abs => out.extend(a.iter().map(|&x| x.abs())),
-                Builtin::Sqrt => out.extend(a.iter().map(|&x| x.sqrt())),
-                _ => out.extend(a.iter().map(|&x| b.apply(&[x]))),
-            }
-        }
-        [a, c] => {
-            let (a, c) = (&regs[*a as usize], &regs[*c as usize]);
-            let c = &c[..a.len()];
-            match b {
-                Builtin::Min => out.extend(a.iter().zip(c).map(|(&x, &y)| x.min(y))),
-                Builtin::Max => out.extend(a.iter().zip(c).map(|(&x, &y)| x.max(y))),
-                _ => out.extend(a.iter().zip(c).map(|(&x, &y)| b.apply(&[x, y]))),
-            }
-        }
-        [a, c, d] => {
-            let (a, c, d) = (&regs[*a as usize], &regs[*c as usize], &regs[*d as usize]);
-            let c = &c[..a.len()];
-            let d = &d[..a.len()];
-            out.extend(a.iter().zip(c).zip(d).map(|((&x, &y), &z)| b.apply(&[x, y, z])));
-        }
-        _ => unreachable!("builtins take 1..=3 arguments"),
-    }
-}
-
-/// Per-candidate ordered fold over the computed columns: the only part of
-/// lane execution with observable order, and it runs in exactly the
-/// interpreter's candidate order.
-fn emit_steps(
-    steps: &[EmitStep],
-    i: usize,
-    cols: &[Vec<f64>],
-    eff: &mut EffectWriter<'_>,
-    shadow: &mut [f64],
-    schema: &AgentSchema,
-) {
-    for step in steps {
-        match step {
-            EmitStep::Effect { field, value } => {
-                let v = cols[*value as usize][i];
-                if !v.is_nan() {
-                    let fid = FieldId::new(*field);
-                    eff.local(fid, v);
-                    let comb = schema.combinator(fid);
-                    shadow[*field as usize] = comb.combine(shadow[*field as usize], v);
-                }
-            }
-            EmitStep::If { cond, then_, else_ } => {
-                // Lane bodies never evaluate to NIL (every source is
-                // defined); NaN ≠ 0.0 takes the then branch — exactly the
-                // interpreter's `Some(v) if v != 0.0` rule.
-                if cols[*cond as usize][i] != 0.0 {
-                    emit_steps(then_, i, cols, eff, shadow, schema);
-                } else {
-                    emit_steps(else_, i, cols, eff, shadow, schema);
-                }
-            }
-        }
+    /// The same class run by the tree-walking specification
+    /// ([`reference`](mod@crate::reference)) — what tests compare this
+    /// behavior against, bit for bit. No scenario, CLI or serve path builds it.
+    pub fn reference(&self) -> ReferenceBehavior {
+        ReferenceBehavior::new(self.class.clone())
     }
 }
 
@@ -610,98 +280,15 @@ impl Behavior for BrasilBehavior {
     }
 
     fn query(&self, me: RowRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
-        let schema = self.class.schema();
-        let mut shadow = schema.effect_identities();
-        let mut locals = vec![None; self.class.query.n_locals as usize];
-        self.exec_stmts(&self.class.query.stmts, me, neighbors, eff, &mut shadow, &mut locals, None, rng);
+        self.program.query(me, neighbors, eff, rng);
     }
 
     fn probe_rect(&self, pos: Vec2, vis: f64) -> Rect {
-        let rect = Rect::centered(pos, vis);
-        match &self.class.probe_bounds {
-            Some(b) => b.tighten(pos, rect),
-            None => rect,
-        }
-    }
-
-    fn batch_profitable(&self) -> bool {
-        // Classes with no lane program cost 0: never engaged unless pinned
-        // (engaging would pay the gather just to fall back to the
-        // interpreter).
-        batch_engaged(self.class.lane.as_ref().map_or(0, |l| l.cost), self.batch_override)
-    }
-
-    fn query_batch(&self, me: RowRef<'_>, batch: &mut NeighborBatch<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
-        let Some(lane) = &self.class.lane else {
-            return self.query(me, &batch.neighbors(), eff, rng);
-        };
-        let schema = self.class.schema();
-        let mut shadow = schema.effect_identities();
-        let mut locals = vec![None; self.class.query.n_locals as usize];
-        let neighbors = batch.neighbors();
-        for stmt in &self.class.query.stmts {
-            if let PStmt::Foreach { body } = stmt {
-                // Resolve the loop-invariant prelude slots the lane program
-                // splats. A NIL prelude value means the body can observe
-                // NIL — the lane columns can't represent that, so fall back
-                // to the interpreter for this (rare) probe.
-                let prelude: Option<Vec<f64>> = lane.prelude_slots.iter().map(|&s| locals[s as usize]).collect();
-                match prelude {
-                    Some(prelude) => {
-                        let g = batch.gather(&lane.gather_slots);
-                        self.run_lane(lane, me, &g, &prelude, eff, &mut shadow);
-                    }
-                    None => {
-                        for nb in neighbors.iter() {
-                            self.exec_stmts(
-                                body,
-                                me,
-                                &neighbors,
-                                eff,
-                                &mut shadow,
-                                &mut locals,
-                                Some((nb.agent, nb.row)),
-                                rng,
-                            );
-                        }
-                    }
-                }
-            } else {
-                self.exec_stmts(std::slice::from_ref(stmt), me, &neighbors, eff, &mut shadow, &mut locals, None, rng);
-            }
-        }
+        self.class.probe_rect(pos, vis)
     }
 
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
-        // Simultaneous semantics: evaluate every rule against the
-        // pre-update snapshot, then commit.
-        let snapshot = me.clone();
-        let mut locals: Vec<Option<f64>> = Vec::new();
-        let mut staged: Vec<(UpdateTarget, f64)> = Vec::with_capacity(self.class.updates.len());
-        for rule in &self.class.updates {
-            let v = {
-                let mut ec = EvalCtx {
-                    me: &snapshot,
-                    other: None,
-                    locals: &mut locals,
-                    effects: &snapshot.effects,
-                    rng: &mut ctx.rng,
-                };
-                eval(&rule.expr, &mut ec)
-            };
-            // NIL update leaves the field unchanged (weak-reference
-            // semantics: a rule depending on NIL data is a no-op).
-            if let Some(v) = v.filter(|v| !v.is_nan()) {
-                staged.push((rule.target, v));
-            }
-        }
-        for (target, v) in staged {
-            match target {
-                UpdateTarget::PosX => me.pos.x = v,
-                UpdateTarget::PosY => me.pos.y = v,
-                UpdateTarget::State(i) => me.state[i as usize] = v,
-            }
-        }
+        self.program.update(me, &mut ctx.rng);
     }
 }
 
@@ -914,6 +501,44 @@ mod tests {
         sim.step();
         for a in sim.agents() {
             assert_eq!(a.state[0], 0.0, "NIL assignment must be skipped, leaving the sum identity");
+        }
+    }
+
+    #[test]
+    fn clamp_with_nan_bounds_skips_the_assignment_instead_of_panicking() {
+        // `0/0` bounds: on constants this used to panic the const-fold pass
+        // at compile time, on run-time values the tick. Both yield NaN now,
+        // which is NIL at the assignment: the field keeps its value.
+        let src = r#"
+            class N {
+                public state float x : x #range[-1, 1];
+                public state float y : y #range[-1, 1];
+                public state float v : clamp(v + 1, (v - v) / (v - v), (x - x) / (x - x));
+                public state float w : clamp(w + 1, 0 / 0, 0 / 0);
+                public state float got : e;
+                private effect float e : sum;
+                public void run() {
+                    foreach (N p : Extent<N>) {
+                        e <- clamp(p.v, (x - x) / (x - x), 0 / 0);
+                        e <- clamp(1, 0 / 0, 0 / 0);
+                    }
+                }
+            }
+        "#;
+        let behavior = crate::Script::compile(src).expect("folding NaN bounds must not panic").behavior("N").unwrap();
+        let schema = behavior.schema().clone();
+        let agents: Vec<Agent> = (0..3)
+            .map(|i| {
+                let mut a = Agent::new(AgentId::new(i), Vec2::new(i as f64 * 0.5, 0.0), &schema);
+                a.state = vec![7.0, 9.0, 5.0];
+                a
+            })
+            .collect();
+        let mut sim = Simulation::builder(behavior).agents(agents).build().unwrap();
+        sim.run(2);
+        for a in sim.agents() {
+            assert_eq!(&a.state[..2], &[7.0, 9.0], "NaN-bounded clamps leave their fields alone");
+            assert_eq!(a.state[2], 0.0, "NaN effect values are skipped: the sum stays at its identity");
         }
     }
 

@@ -15,15 +15,20 @@
 //!          ──compile──► dataflow plan (plan.rs, the "monad-algebra-lite")
 //!          ──optimize──► plan (a fixpoint pass pipeline: const folding,
 //!                        CSE, dead code, effect inversion, visibility-
-//!                        predicate pushdown, lane-kernel emission)
+//!                        predicate pushdown)
+//!          ──vm::lower──► one flat register program (query + update)
 //!          ──exec──► a `brace_core::Behavior` the engine runs anywhere
 //! ```
+//!
+//! Every plan — optimized or not — runs through the one evaluator in
+//! [`vm`]; the tree walker in [`mod@reference`] is the executable specification
+//! tests hold it to, and nothing else calls it.
 //!
 //! The visibility `#range[lo, hi]` tags become the schema's visibility and
 //! reachability bounds, which is where spatial-index selection happens: the
 //! engine turns the `foreach` into an orthogonal range query. Weak-reference
 //! visibility semantics (out-of-range reads resolve to NIL) are implemented
-//! by NIL-propagating evaluation, and the equivalence of those semantics
+//! by NIL-propagating evaluation (a per-lane NIL mask in [`vm`]), and the equivalence of those semantics
 //! with BRACE's replica filtering (the paper's Theorem 1) is asserted by
 //! tests in `exec`.
 //!
@@ -63,7 +68,9 @@ pub mod optimize;
 pub mod parser;
 pub mod plan;
 pub mod pretty;
+pub mod reference;
 pub mod token;
+pub mod vm;
 
 pub use analyze::analyze;
 pub use exec::{BrasilBehavior, CompiledClass};

@@ -4,7 +4,10 @@
 //!
 //! * [`constant_fold`] — evaluate constant subtrees at compile time (the
 //!   garden-variety algebraic rewrite; `rand()` and agent reads block
-//!   folding).
+//!   folding). It folds by calling the evaluator's own arithmetic table
+//!   ([`vm::unop`](crate::vm::unop), [`vm::binop`](crate::vm::binop),
+//!   [`Builtin::apply`](crate::plan::Builtin::apply)), so fold time and run
+//!   time are one function and cannot diverge.
 //! * [`dead_code`] — remove `Let`s whose slot is never read, `If`s with
 //!   constant conditions, and empty loops/branches (the paper's "rewrite
 //!   rules that function like dead-code elimination").
@@ -24,18 +27,15 @@
 //! of the visibility bound is unnecessary; `invert_effects` returns an
 //! error rather than silently changing semantics when the conditions fail.
 
-use crate::analyze::stmts_cost;
-use crate::ast::{BinOp, UnOp};
+use crate::ast::BinOp;
 use crate::exec::CompiledClass;
-use crate::plan::{
-    AgentRef, Axis, Bound, ColSrc, EmitStep, LaneInstr, LaneProgram, PExpr, PStmt, ProbeBounds, QueryPlan, SplatSrc,
-};
+use crate::plan::{AgentRef, Axis, Bound, PExpr, PStmt, ProbeBounds, QueryPlan};
+use crate::vm::{binop, unop};
 use brace_common::{BraceError, Result};
-use std::collections::{HashMap, HashSet};
 
 /// Apply the always-safe (bit-preserving) passes: the standard pipeline of
-/// constant folding, common-subexpression elimination, dead code, predicate
-/// pushdown, and lane emission, run to fixpoint.
+/// constant folding, common-subexpression elimination, dead code and
+/// predicate pushdown, run to fixpoint.
 pub fn optimize(class: CompiledClass) -> CompiledClass {
     Pipeline::standard().run(class).0
 }
@@ -47,8 +47,8 @@ pub fn optimize(class: CompiledClass) -> CompiledClass {
 /// One rewrite pass over a compiled class. A pass must return the class
 /// *untouched* with a rewrite count of zero when it has nothing to do —
 /// the pipeline's fixpoint detection depends on it (and `with_query` drops
-/// derived artifacts, so a gratuitous rebuild would force the derivation
-/// passes to re-fire every round).
+/// the derived probe bounds, so a gratuitous rebuild would force pushdown
+/// to re-fire every round).
 pub trait Pass {
     fn name(&self) -> &'static str;
     fn run(&self, class: CompiledClass) -> (CompiledClass, usize);
@@ -86,12 +86,10 @@ pub struct Pipeline {
 const MAX_ROUNDS: usize = 8;
 
 impl Pipeline {
-    /// Folding, CSE, dead code, visibility-predicate pushdown, lane
-    /// emission — the always-safe set.
+    /// Folding, CSE, dead code, visibility-predicate pushdown — the
+    /// always-safe set.
     pub fn standard() -> Pipeline {
-        Pipeline {
-            passes: vec![Box::new(ConstFold), Box::new(Cse), Box::new(DeadCode), Box::new(Pushdown), Box::new(Emit)],
-        }
+        Pipeline { passes: vec![Box::new(ConstFold), Box::new(Cse), Box::new(DeadCode), Box::new(Pushdown)] }
     }
 
     /// The standard set with effect inversion (Theorems 2/3) first. Only
@@ -140,13 +138,7 @@ fn expr_nodes(e: &PExpr) -> usize {
 fn plan_nodes(stmts: &[PStmt]) -> usize {
     let mut n = 0;
     for s in stmts {
-        s.visit(&mut |st| match st {
-            PStmt::Let { value, .. } | PStmt::LocalEffect { value, .. } | PStmt::RemoteEffect { value, .. } => {
-                n += expr_nodes(value)
-            }
-            PStmt::If { cond, .. } => n += expr_nodes(cond),
-            PStmt::Foreach { .. } => {}
-        });
+        s.visit(&mut |st| n += st.expr().map_or(0, expr_nodes));
     }
     n
 }
@@ -244,29 +236,12 @@ pub fn constant_fold(e: PExpr) -> PExpr {
 
 fn fold_expr(e: PExpr) -> PExpr {
     e.map(&mut |node| match node {
-        PExpr::Unary(op, inner) => match (*inner).clone() {
-            PExpr::Const(v) => PExpr::Const(match op {
-                UnOp::Neg => -v,
-                UnOp::Not => ((v == 0.0) as i32) as f64,
-            }),
+        PExpr::Unary(op, inner) => match *inner {
+            PExpr::Const(v) => PExpr::Const(unop(op, v)),
             _ => PExpr::Unary(op, inner),
         },
         PExpr::Binary(op, a, b) => match ((*a).clone(), (*b).clone()) {
-            (PExpr::Const(l), PExpr::Const(r)) => PExpr::Const(match op {
-                BinOp::Add => l + r,
-                BinOp::Sub => l - r,
-                BinOp::Mul => l * r,
-                BinOp::Div => l / r,
-                BinOp::Rem => l % r,
-                BinOp::Lt => ((l < r) as i32) as f64,
-                BinOp::Le => ((l <= r) as i32) as f64,
-                BinOp::Gt => ((l > r) as i32) as f64,
-                BinOp::Ge => ((l >= r) as i32) as f64,
-                BinOp::Eq => ((l == r) as i32) as f64,
-                BinOp::Ne => ((l != r) as i32) as f64,
-                BinOp::And => ((l != 0.0 && r != 0.0) as i32) as f64,
-                BinOp::Or => ((l != 0.0 || r != 0.0) as i32) as f64,
-            }),
+            (PExpr::Const(l), PExpr::Const(r)) => PExpr::Const(binop(op, l, r)),
             // x + 0, x - 0, x * 1, x / 1 identities.
             (lhs, PExpr::Const(r)) if r == 0.0 && matches!(op, BinOp::Add | BinOp::Sub) => lhs,
             (lhs, PExpr::Const(r)) if r == 1.0 && matches!(op, BinOp::Mul | BinOp::Div) => lhs,
@@ -336,11 +311,10 @@ fn used_slots(stmts: &[PStmt]) -> Vec<bool> {
         e.any(&mut any);
     };
     for s in stmts {
-        s.visit(&mut |st| match st {
-            PStmt::Let { value, .. } => mark(value),
-            PStmt::LocalEffect { value, .. } | PStmt::RemoteEffect { value, .. } => mark(value),
-            PStmt::If { cond, .. } => mark(cond),
-            PStmt::Foreach { .. } => {}
+        s.visit(&mut |st| {
+            if let Some(e) = st.expr() {
+                mark(e);
+            }
         });
     }
     used
@@ -464,20 +438,7 @@ fn remote_as_local(stmts: Vec<PStmt>) -> Vec<PStmt> {
 fn contains_rand(stmts: &[PStmt]) -> bool {
     let mut found = false;
     for s in stmts {
-        s.visit(&mut |st| {
-            let mut check = |e: &PExpr| {
-                if e.any(&mut |n| matches!(n, PExpr::Rand)) {
-                    found = true;
-                }
-            };
-            match st {
-                PStmt::Let { value, .. } | PStmt::LocalEffect { value, .. } | PStmt::RemoteEffect { value, .. } => {
-                    check(value)
-                }
-                PStmt::If { cond, .. } => check(cond),
-                PStmt::Foreach { .. } => {}
-            }
-        });
+        s.visit(&mut |st| found |= st.expr().is_some_and(|e| e.any(&mut |n| matches!(n, PExpr::Rand))));
     }
     found
 }
@@ -859,158 +820,6 @@ fn self_side(e: &PExpr, axis: Axis) -> Option<Bound> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Lane emission
-// ---------------------------------------------------------------------------
-
-/// Compile a query-phase-pure loop body into a [`LaneProgram`] — a
-/// register machine over per-candidate columns — and record it on the
-/// class for `Behavior::query_batch`. Bodies with `rand()` (per-candidate
-/// draw order), remote effects, or source-level (NaN→NIL-coercing) `const`
-/// bindings stay on the interpreter.
-struct Emit;
-
-impl Pass for Emit {
-    fn name(&self) -> &'static str {
-        "lane-emit"
-    }
-
-    fn run(&self, mut class: CompiledClass) -> (CompiledClass, usize) {
-        let derived = build_lane(&class.query);
-        if class.lane == derived {
-            return (class, 0);
-        }
-        class.lane = derived;
-        (class, 1)
-    }
-}
-
-/// See [`Emit`]. Public for the `brace compile` inspector.
-pub fn build_lane(plan: &QueryPlan) -> Option<LaneProgram> {
-    let body = sole_loop_body(plan)?;
-    let mut b = LaneBuilder {
-        instrs: Vec::new(),
-        gather: Vec::new(),
-        prelude: Vec::new(),
-        body_regs: HashMap::new(),
-        raw: plan.raw_slots.iter().copied().collect(),
-    };
-    let emit = b.compile_body(body)?;
-    if emit.is_empty() {
-        return None;
-    }
-    Some(LaneProgram {
-        gather_slots: b.gather,
-        prelude_slots: b.prelude,
-        instrs: b.instrs,
-        emit,
-        cost: stmts_cost(body),
-    })
-}
-
-struct LaneBuilder {
-    instrs: Vec<LaneInstr>,
-    gather: Vec<u16>,
-    prelude: Vec<u16>,
-    /// Raw body `Let` slot → register holding its column.
-    body_regs: HashMap<u16, u16>,
-    raw: HashSet<u16>,
-}
-
-impl LaneBuilder {
-    /// Append an instruction, value-numbering duplicates away: register i
-    /// is written by instruction i from strictly earlier registers (SSA).
-    fn push(&mut self, i: LaneInstr) -> Option<u16> {
-        if let Some(at) = self.instrs.iter().position(|x| *x == i) {
-            return Some(at as u16);
-        }
-        if self.instrs.len() >= u16::MAX as usize {
-            return None;
-        }
-        self.instrs.push(i);
-        Some((self.instrs.len() - 1) as u16)
-    }
-
-    fn intern(list: &mut Vec<u16>, v: u16) -> u16 {
-        match list.iter().position(|&x| x == v) {
-            Some(i) => i as u16,
-            None => {
-                list.push(v);
-                (list.len() - 1) as u16
-            }
-        }
-    }
-
-    fn compile_expr(&mut self, e: &PExpr) -> Option<u16> {
-        match e {
-            PExpr::Const(v) => self.push(LaneInstr::Splat(SplatSrc::Const(*v))),
-            PExpr::SelfPos(Axis::X) => self.push(LaneInstr::Splat(SplatSrc::SelfX)),
-            PExpr::SelfPos(Axis::Y) => self.push(LaneInstr::Splat(SplatSrc::SelfY)),
-            PExpr::SelfState(i) => self.push(LaneInstr::Splat(SplatSrc::SelfState(*i))),
-            PExpr::OtherPos(Axis::X) => self.push(LaneInstr::Column(ColSrc::OtherX)),
-            PExpr::OtherPos(Axis::Y) => self.push(LaneInstr::Column(ColSrc::OtherY)),
-            PExpr::OtherState(i) => {
-                let k = Self::intern(&mut self.gather, *i);
-                self.push(LaneInstr::Column(ColSrc::OtherState(k)))
-            }
-            PExpr::Local(s) => match self.body_regs.get(s) {
-                Some(&r) => Some(r),
-                None => {
-                    // Defined before the loop: splat the resolved value.
-                    let k = Self::intern(&mut self.prelude, *s);
-                    self.push(LaneInstr::Splat(SplatSrc::Prelude(k)))
-                }
-            },
-            // Per-candidate draw order, effect-shadow reads mid-loop, and
-            // identity tests have no column representation.
-            PExpr::SelfEffect(_) | PExpr::AgentEq { .. } | PExpr::Rand => None,
-            PExpr::Unary(op, a) => {
-                let a = self.compile_expr(a)?;
-                self.push(LaneInstr::Unary(*op, a))
-            }
-            PExpr::Binary(op, a, b) => {
-                let a = self.compile_expr(a)?;
-                let b = self.compile_expr(b)?;
-                self.push(LaneInstr::Binary(*op, a, b))
-            }
-            PExpr::Call(b, args) => {
-                let regs: Option<Vec<u16>> = args.iter().map(|a| self.compile_expr(a)).collect();
-                self.push(LaneInstr::Call(*b, regs?))
-            }
-        }
-    }
-
-    fn compile_body(&mut self, stmts: &[PStmt]) -> Option<Vec<EmitStep>> {
-        let mut out = Vec::new();
-        for s in stmts {
-            match s {
-                PStmt::Let { slot, value } => {
-                    // Only raw (optimizer-introduced) bindings: a source
-                    // `const` coerces NaN to NIL, which columns can't
-                    // represent.
-                    if !self.raw.contains(slot) {
-                        return None;
-                    }
-                    let r = self.compile_expr(value)?;
-                    self.body_regs.insert(*slot, r);
-                }
-                PStmt::LocalEffect { field, value } => {
-                    let r = self.compile_expr(value)?;
-                    out.push(EmitStep::Effect { field: *field, value: r });
-                }
-                PStmt::If { cond, then_, else_ } => {
-                    let c = self.compile_expr(cond)?;
-                    let t = self.compile_body(then_)?;
-                    let e = self.compile_body(else_)?;
-                    out.push(EmitStep::If { cond: c, then_: t, else_: e });
-                }
-                PStmt::RemoteEffect { .. } | PStmt::Foreach { .. } => return None,
-            }
-        }
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1252,7 +1061,7 @@ mod tests {
     }
 
     /// Local-effects-only schooling script with a repeated denominator —
-    /// the CSE and lane-emission showcase.
+    /// the CSE showcase.
     const SCHOOL: &str = r#"
         class Fish {
             public state float x : x #range[-1, 1];
@@ -1322,7 +1131,7 @@ mod tests {
     }
 
     #[test]
-    fn cse_and_lane_output_is_bit_identical() {
+    fn cse_output_is_bit_identical() {
         let a = states_after_steps(compile_src(SCHOOL));
         let b = states_after_steps(Pipeline::standard().run(compile_src(SCHOOL)).0);
         assert_eq!(a, b);
@@ -1349,53 +1158,5 @@ mod tests {
         let a = states_after_steps(compile_src(GUARDED));
         let b = states_after_steps(Pipeline::standard().run(compile_src(GUARDED)).0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn emit_builds_lane_for_pure_body() {
-        use crate::analyze::BATCH_COST_THRESHOLD;
-        let (out, report) = Pipeline::standard().run(compile_src(SCHOOL));
-        let emit = report.passes.iter().find(|p| p.name == "lane-emit").unwrap();
-        assert_eq!(emit.rewrites, 1);
-        let lane = out.lane.expect("lane emitted");
-        assert!(!lane.instrs.is_empty());
-        assert!(lane.cost >= BATCH_COST_THRESHOLD, "cost {}", lane.cost);
-        // CSE ran first, so the shared denominator is computed once: fewer
-        // instructions than a naive re-expansion of both effect values.
-        assert!(lane.instrs.len() < 2 * plan_nodes(&out.query.stmts));
-    }
-
-    #[test]
-    fn emit_refuses_randomized_body() {
-        let src = r#"
-            class R {
-                public state float x : x #range[-1, 1];
-                private effect float e : sum;
-                public void run() {
-                    foreach (R p : Extent<R>) { e <- rand(); }
-                }
-            }
-        "#;
-        let (out, _) = Pipeline::standard().run(compile_src(src));
-        assert!(out.lane.is_none());
-    }
-
-    #[test]
-    fn emit_refuses_source_level_consts_in_body() {
-        // A source `const` coerces NaN to NIL — not representable in lanes.
-        let src = r#"
-            class C {
-                public state float x : x #range[-1, 1];
-                private effect float e : sum;
-                public void run() {
-                    foreach (C p : Extent<C>) {
-                        const float d = 1 / (x - p.x);
-                        e <- d;
-                    }
-                }
-            }
-        "#;
-        let (out, _) = Pipeline::standard().run(compile_src(src));
-        assert!(out.lane.is_none());
     }
 }

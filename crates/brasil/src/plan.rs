@@ -59,7 +59,27 @@ impl Builtin {
         })
     }
 
-    /// Apply to evaluated arguments.
+    /// Number of arguments.
+    pub fn arity(self) -> usize {
+        match self {
+            Builtin::Abs
+            | Builtin::Sqrt
+            | Builtin::Sin
+            | Builtin::Cos
+            | Builtin::Exp
+            | Builtin::Ln
+            | Builtin::Floor
+            | Builtin::Ceil
+            | Builtin::Sign => 1,
+            Builtin::Min | Builtin::Max | Builtin::Pow | Builtin::Atan2 => 2,
+            Builtin::Clamp => 3,
+        }
+    }
+
+    /// Apply to evaluated arguments. With [`unop`](crate::vm::unop) and
+    /// [`binop`](crate::vm::binop) this is BRASIL's one arithmetic table:
+    /// the evaluator and constant folding both call it.
+    #[inline]
     pub fn apply(self, args: &[f64]) -> f64 {
         match self {
             Builtin::Abs => args[0].abs(),
@@ -83,7 +103,17 @@ impl Builtin {
             Builtin::Max => args[0].max(args[1]),
             Builtin::Pow => args[0].powf(args[1]),
             Builtin::Atan2 => args[0].atan2(args[1]),
-            Builtin::Clamp => args[0].clamp(args[1].min(args[2]), args[2].max(args[1])),
+            Builtin::Clamp => {
+                // Bounds in either order; `min`/`max` drop one NaN bound, and
+                // with both NaN there is no interval (`f64::clamp` would
+                // panic): the result is NaN, which an assignment skips.
+                let (lo, hi) = (args[1].min(args[2]), args[2].max(args[1]));
+                if lo.is_nan() {
+                    f64::NAN
+                } else {
+                    args[0].clamp(lo, hi)
+                }
+            }
         }
     }
 }
@@ -179,6 +209,17 @@ pub enum PStmt {
 }
 
 impl PStmt {
+    /// The expression the statement itself evaluates (a loop has none).
+    pub fn expr(&self) -> Option<&PExpr> {
+        match self {
+            PStmt::Let { value: e, .. }
+            | PStmt::LocalEffect { value: e, .. }
+            | PStmt::RemoteEffect { value: e, .. }
+            | PStmt::If { cond: e, .. } => Some(e),
+            PStmt::Foreach { .. } => None,
+        }
+    }
+
     /// Visit every statement in the tree.
     pub fn visit(&self, f: &mut impl FnMut(&PStmt)) {
         f(self);
@@ -223,6 +264,17 @@ impl QueryPlan {
             });
         }
         n
+    }
+
+    /// `raw_slots` as a per-slot mask.
+    pub fn raw_mask(&self) -> Vec<bool> {
+        let mut raw = vec![false; self.n_locals as usize];
+        for &s in &self.raw_slots {
+            if let Some(f) = raw.get_mut(s as usize) {
+                *f = true;
+            }
+        }
+        raw
     }
 
     /// Does the plan contain any non-local effect assignment?
@@ -309,71 +361,6 @@ impl ProbeBounds {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Lane programs (mechanical kernel emission)
-// ---------------------------------------------------------------------------
-
-/// Source of a loop-invariant value broadcast across all lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SplatSrc {
-    Const(f64),
-    SelfX,
-    SelfY,
-    SelfState(u16),
-    /// A local bound before the loop; the value is an index into
-    /// [`LaneProgram::prelude_slots`].
-    Prelude(u16),
-}
-
-/// Source of a per-candidate column.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ColSrc {
-    OtherX,
-    OtherY,
-    /// Index into [`LaneProgram::gather_slots`].
-    OtherState(u16),
-}
-
-/// One SSA lane instruction: instruction `i` writes register column `i`,
-/// and operands always reference strictly earlier registers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LaneInstr {
-    Splat(SplatSrc),
-    Column(ColSrc),
-    Unary(UnOp, u16),
-    Binary(BinOp, u16, u16),
-    Call(Builtin, Vec<u16>),
-}
-
-/// What to do with the computed columns, per candidate, in order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum EmitStep {
-    /// Aggregate register `value` into effect `field` (NaN skipped, exactly
-    /// like the interpreter's NIL rule).
-    Effect { field: u16, value: u16 },
-    /// Branch on register `cond` ≠ 0 (NaN takes the then-branch, matching
-    /// the interpreter).
-    If { cond: u16, then_: Vec<EmitStep>, else_: Vec<EmitStep> },
-}
-
-/// A compiled lane program for a query-phase-pure `foreach` body: gather
-/// the needed SoA columns, run the instruction list over all candidates at
-/// once, then fold the emit steps per candidate in canonical order. Built
-/// by the optimizer's emission pass; executed by
-/// [`BrasilBehavior`](crate::exec::BrasilBehavior)'s `query_batch`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LaneProgram {
-    /// State slots gathered into candidate columns, in gather order.
-    pub gather_slots: Vec<u16>,
-    /// Locals read by the body but bound before the loop (splat at entry).
-    pub prelude_slots: Vec<u16>,
-    pub instrs: Vec<LaneInstr>,
-    pub emit: Vec<EmitStep>,
-    /// Analyzer estimate of per-candidate scalar cost (drives
-    /// `batch_profitable`).
-    pub cost: u32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,6 +375,18 @@ mod tests {
         assert_eq!(Builtin::Sign.apply(&[-7.0]), -1.0);
         assert_eq!(Builtin::Sign.apply(&[0.0]), 0.0);
         assert_eq!(Builtin::Clamp.apply(&[5.0, 0.0, 2.0]), 2.0);
+    }
+
+    #[test]
+    fn clamp_with_nan_bounds_is_nan_not_a_panic() {
+        let nan = f64::NAN;
+        assert!(Builtin::Clamp.apply(&[1.0, nan, nan]).is_nan());
+        // One NaN bound is dropped, bounds may come in either order, and a
+        // NaN value stays NaN — all as before.
+        assert_eq!(Builtin::Clamp.apply(&[5.0, nan, 2.0]), 2.0);
+        assert_eq!(Builtin::Clamp.apply(&[5.0, 2.0, nan]), 2.0);
+        assert_eq!(Builtin::Clamp.apply(&[5.0, 2.0, 0.0]), 2.0);
+        assert!(Builtin::Clamp.apply(&[nan, 0.0, 2.0]).is_nan());
     }
 
     #[test]

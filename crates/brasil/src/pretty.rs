@@ -2,7 +2,8 @@
 //!
 //! Renders a [`QueryPlan`](crate::plan::QueryPlan) in a compact algebra-flavored notation so the
 //! optimizer's rewrites are inspectable (the `predator_inversion` example
-//! prints before/after plans with it):
+//! prints before/after plans with it), followed by a one-line summary of the
+//! register program the class lowers to ([`vm`](mod@crate::vm)):
 //!
 //! ```text
 //! foreach p ∈ Extent {
@@ -157,16 +158,20 @@ pub fn class(c: &CompiledClass) -> String {
         }
         let _ = writeln!(out, "probe-bounds: {}", parts.join("; "));
     }
-    if let Some(lane) = &c.lane {
-        let _ = writeln!(
-            out,
-            "lane-kernel: {} instrs, {} gathered column(s), {} prelude splat(s), cost {}",
-            lane.instrs.len(),
-            lane.gather_slots.len(),
-            lane.prelude_slots.len(),
-            lane.cost
-        );
-    }
+    let p = crate::vm::lower(c).summary();
+    let _ = writeln!(
+        out,
+        "register-program: query {} op(s) per agent ({} hoisted out of the loop) + {} per chunk of {} candidate(s){}, \
+         {} register(s); update {} op(s), {} register(s)",
+        p.agent_ops,
+        p.hoisted_ops,
+        p.candidate_ops,
+        if p.ordered_body { 1 } else { crate::vm::LANES },
+        if p.ordered_body { " (the body draws)" } else { "" },
+        p.query_registers,
+        p.update_ops,
+        p.update_registers,
+    );
     out
 }
 
@@ -217,6 +222,12 @@ mod tests {
         assert!(rendered.contains("(p == self)"));
         assert!(rendered.contains("update x := (self.x + self.vx)"));
         assert!(rendered.contains("update vx := (self.vx * 0.5)"));
+        // `one`, `self.x` leave the loop; identity test, subtract, abs, divide stay.
+        assert!(
+            rendered
+                .contains("register-program: query 2 op(s) per agent (1 hoisted out of the loop) + 3 per chunk of 4"),
+            "{rendered}"
+        );
     }
 
     #[test]

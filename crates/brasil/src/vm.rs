@@ -1,0 +1,1273 @@
+//! The register program — how a compiled class runs.
+//!
+//! [`lower`] turns a [`CompiledClass`] — agent-level statements before and
+//! after the loop, the `foreach` body, and the update rules — into one flat
+//! [`Program`] of fixed-size register ops, value-numbered, with every op that
+//! does not depend on the loop candidate hoisted out of the per-candidate
+//! section. One evaluator runs it, driven only through `Behavior::query` and
+//! `Behavior::update`: the per-candidate section runs [`LANES`] candidates
+//! per chunk over registers of `LANES` lanes filled from the member's
+//! candidate rows, everything else runs the same ops at chunk length 1 (lane
+//! 0). The tree walker in [`reference`](mod@crate::reference) is the
+//! specification; this module is bit-identical to it by construction, and
+//! `brasil_vm_equals_reference` (`tests/properties.rs`) holds it to that.
+//!
+//! ## Semantics carried over from the tree walker
+//!
+//! * **NIL is a mask, not NaN.** NaN does not propagate through comparisons,
+//!   `min`/`max`, `&&`/`||` or `p == this`, so every register carries one
+//!   NIL bit per lane. A result is NIL where an operand is; `a && b` is NIL
+//!   where `a` is, or where `a ≠ 0` and `b` is (`||` dually); a source
+//!   `const` binding (a `Coerce` op) adds its NaN lanes, a raw optimizer
+//!   slot does not; an `if` whose condition lane is NIL skips the statement
+//!   for that lane; an effect assignment of a NIL or NaN value is skipped.
+//!   A source `const` is the only way in, and lowering knows per register
+//!   whether NIL can reach it: a program that binds none runs the evaluator
+//!   with NIL tracking compiled out.
+//! * **Order.** The value ops of a body that neither draws nor reads an
+//!   effect are pure, so they run for every lane of a chunk and both sides
+//!   of every branch. *Emission* is what is ordered: lanes in candidate
+//!   order, statements in source order, so every effect write lands where
+//!   the tree walker puts it (the write-log's replay and every float sum
+//!   depend on it).
+//! * **`rand()`.** The tree walker draws candidate-major and only on the
+//!   paths it evaluates. A body that draws (or reads an effect mid-loop) is
+//!   *ordered*: it runs at chunk length 1, each statement's ops immediately
+//!   before the statement, branches not taken skipped, and an operand that
+//!   draws is guarded by what the walker tests before evaluating it (a NIL
+//!   earlier operand, the left side of `&&`/`||`). Agent-level statements
+//!   and update rules always run that way.
+//! * **Update rules** read the pre-update agent, keep their results in
+//!   registers and commit together; a NIL or NaN result leaves its field.
+//!
+//! ## One arithmetic table
+//!
+//! [`unop`], [`binop`] and [`Builtin::apply`] are the only implementation of
+//! BRASIL arithmetic outside the reference: the lane loops call them with
+//! the operator a constant (so the common ones vectorise), and constant
+//! folding calls the same three functions, so fold time and run time cannot
+//! diverge.
+//!
+//! No call allocates: the register file is a per-thread scratch sized by the
+//! largest program the thread has run, so there is no size limit either.
+
+use crate::ast::{BinOp, UnOp};
+use crate::exec::CompiledClass;
+use crate::plan::{Axis, Builtin, PExpr, PStmt, UpdateTarget};
+use brace_common::{DetRng, FieldId};
+use brace_core::behavior::Neighbors;
+use brace_core::effect::EffectWriter;
+use brace_core::{Agent, AgentRead, AgentRef as RowRef, AgentSchema, Combinator};
+
+/// Candidates per chunk: the lane width of the engine's kernels,
+/// `brace_spatial::kernels::LANES`. Restated rather than imported — a test
+/// pins the two equal — because a `brasil → brace-spatial` dependency edge
+/// would rewrite `perfbench/Cargo.lock`, which a change that claims a gain
+/// must leave byte-identical.
+pub const LANES: usize = 4;
+
+// ---------------------------------------------------------------------------
+// The arithmetic table
+// ---------------------------------------------------------------------------
+
+#[inline(always)]
+fn truth(b: bool) -> f64 {
+    (b as i32) as f64
+}
+
+/// Apply a unary operator.
+#[inline(always)]
+pub fn unop(op: UnOp, v: f64) -> f64 {
+    match op {
+        UnOp::Neg => -v,
+        UnOp::Not => truth(v == 0.0),
+    }
+}
+
+/// Apply a binary operator to two defined operands. `&&`/`||` give the
+/// short-circuit result: a NaN left side is neither zero nor skipped.
+#[inline(always)]
+pub fn binop(op: BinOp, l: f64, r: f64) -> f64 {
+    match op {
+        BinOp::Add => l + r,
+        BinOp::Sub => l - r,
+        BinOp::Mul => l * r,
+        BinOp::Div => l / r,
+        BinOp::Rem => l % r,
+        BinOp::Lt => truth(l < r),
+        BinOp::Le => truth(l <= r),
+        BinOp::Gt => truth(l > r),
+        BinOp::Ge => truth(l >= r),
+        BinOp::Eq => truth(l == r),
+        BinOp::Ne => truth(l != r),
+        BinOp::And => {
+            if l == 0.0 {
+                0.0
+            } else {
+                truth(r != 0.0)
+            }
+        }
+        BinOp::Or => {
+            if l != 0.0 {
+                1.0
+            } else {
+                truth(r != 0.0)
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Program
+// ---------------------------------------------------------------------------
+
+/// What an op computes. Operands `a`, `b`, `c` are registers unless noted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Code {
+    /// The agent's own position / state slot `a` / (update phase) final
+    /// effect `a`. Chunk length 1 only: in a body they are loop-invariant.
+    SelfX,
+    SelfY,
+    SelfState,
+    SelfEffect,
+    /// One draw from the agent's stream. Never value-numbered.
+    Rand,
+    /// Read of the locally aggregated effect held in register `a`, which
+    /// emission keeps combining into. Never value-numbered.
+    Copy,
+    /// A source-level `const` binding: `a`, with its NaN lanes NIL.
+    Coerce,
+    // One code per operator — dispatch is a single jump — each evaluated
+    // through the arithmetic table with the operator a constant.
+    Neg,
+    Not,
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+    Eq,
+    Ne,
+    And,
+    Or,
+    Abs,
+    Sqrt,
+    Min,
+    Max,
+    /// Every other builtin, one library call per candidate.
+    Call(Builtin),
+    /// Guards, in ordered sections only (chunk length 1), before an operand
+    /// that draws: when the walker would not evaluate it, settle `dst` and
+    /// skip the next `b` ops. `NilGuard`: `a` NIL ⇒ `dst` NIL. `AndGuard` /
+    /// `OrGuard`: also `a == 0` ⇒ 0 / `a != 0` ⇒ 1.
+    NilGuard,
+    AndGuard,
+    OrGuard,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Op {
+    code: Code,
+    dst: u32,
+    a: u32,
+    b: u32,
+    c: u32,
+}
+
+/// A position in a section: the step to continue at and the first op that
+/// has not run by then.
+#[derive(Debug, Clone, Copy, Default)]
+struct Jump {
+    step: u32,
+    op: u32,
+}
+
+const NO_REG: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
+enum Act {
+    /// Nothing but the ops before it (a binding whose value draws).
+    Eval,
+    /// `field ⊕= value` on the agent itself; `shadow` is the register a
+    /// later read of the field sees, or [`NO_REG`] when nothing reads it.
+    Local {
+        field: u16,
+        value: u32,
+        shadow: u32,
+        comb: Combinator,
+    },
+    /// `field ⊕= value` on the lane's candidate.
+    Remote {
+        field: u16,
+        value: u32,
+    },
+    /// NIL ⇒ `end`, zero ⇒ `else_`, otherwise the next step.
+    If {
+        cond: u32,
+        else_: Jump,
+        end: Jump,
+    },
+    Goto(Jump),
+    /// Sweep the candidates through `bodies[_]` (agent level only).
+    Foreach(u32),
+}
+
+/// One statement: an ordered section runs `ops[..ops_end]` (what has not run
+/// yet) before acting; a lane section has run every op already.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    ops_end: u32,
+    act: Act,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Section {
+    ops: Vec<Op>,
+    steps: Vec<Step>,
+}
+
+/// A per-candidate register source, written straight from the candidate row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fill {
+    X,
+    Y,
+    State(u16),
+    /// `p == this`, by identity.
+    IsMe,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Body {
+    fills: Vec<(u32, Fill)>,
+    code: Section,
+    /// Draws or reads an effect mid-loop: chunk length 1, statement order.
+    ordered: bool,
+    /// Registers computed outside the body that it reads: broadcast to every
+    /// lane once per agent.
+    invariants: Vec<u32>,
+}
+
+/// A phase's registers: how many, and the ones preset on every call —
+/// constants and, in the query phase, each read effect's identity.
+#[derive(Debug, Clone, Default)]
+struct Registers {
+    count: usize,
+    presets: Vec<(u32, f64)>,
+    /// Some register can be NIL (a source `const` binding is the only way
+    /// in): the phase tracks NIL bits. Most programs have none and skip it.
+    nil: bool,
+}
+
+/// A compiled class as one flat register program. See the module docs.
+#[derive(Debug, Clone)]
+pub struct Program {
+    query_regs: Registers,
+    query: Section,
+    bodies: Vec<Body>,
+    /// Ops lowered inside a `foreach` body but placed before the loop.
+    hoisted: usize,
+    update_regs: Registers,
+    update: Vec<Op>,
+    commits: Vec<(UpdateTarget, u32)>,
+}
+
+/// What `brace compile` prints about a program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Summary {
+    /// Query ops at agent level, those hoisted out of the loop included.
+    pub agent_ops: usize,
+    /// How many of them were lowered inside the loop body.
+    pub hoisted_ops: usize,
+    /// Query ops run per chunk of candidates.
+    pub candidate_ops: usize,
+    pub update_ops: usize,
+    pub query_registers: usize,
+    pub update_registers: usize,
+    /// A body draws (or reads an effect): it runs at chunk length 1.
+    pub ordered_body: bool,
+}
+
+impl Program {
+    pub fn summary(&self) -> Summary {
+        Summary {
+            agent_ops: self.query.ops.len(),
+            hoisted_ops: self.hoisted,
+            candidate_ops: self.bodies.iter().map(|b| b.code.ops.len()).sum(),
+            update_ops: self.update.len(),
+            query_registers: self.query_regs.count,
+            update_registers: self.update_regs.count,
+            ordered_body: self.bodies.iter().any(|b| b.ordered),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lowering
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RegKind {
+    /// The same value in every lane from the moment it is written: presets
+    /// and the agent's own fields.
+    Splat,
+    /// Computed at agent level.
+    Invariant,
+    /// Computed per candidate.
+    Varying,
+}
+
+struct Lower<'a> {
+    schema: &'a AgentSchema,
+    /// Per local slot: binds verbatim (optimizer temporaries).
+    raw: Vec<bool>,
+    update_phase: bool,
+    kinds: Vec<RegKind>,
+    /// Per register: can be NIL.
+    may_nil: Vec<bool>,
+    presets: Vec<(u32, f64)>,
+    /// Constants by bit pattern (`0.0` and `-0.0` are two).
+    constants: Vec<(u64, u32)>,
+    /// Pure ops in scope, for value numbering.
+    known: Vec<Op>,
+    slots: Vec<Option<u32>>,
+    /// Per effect field: the register its mid-query reads see.
+    shadows: Vec<u32>,
+    outer: Section,
+    body: Option<Body>,
+    bodies: Vec<Body>,
+    hoisted: usize,
+}
+
+fn draws(e: &PExpr) -> bool {
+    e.any(&mut |n| matches!(n, PExpr::Rand))
+}
+
+impl From<UnOp> for Code {
+    fn from(op: UnOp) -> Code {
+        match op {
+            UnOp::Neg => Code::Neg,
+            UnOp::Not => Code::Not,
+        }
+    }
+}
+
+impl From<BinOp> for Code {
+    fn from(op: BinOp) -> Code {
+        match op {
+            BinOp::Add => Code::Add,
+            BinOp::Sub => Code::Sub,
+            BinOp::Mul => Code::Mul,
+            BinOp::Div => Code::Div,
+            BinOp::Rem => Code::Rem,
+            BinOp::Lt => Code::Lt,
+            BinOp::Le => Code::Le,
+            BinOp::Gt => Code::Gt,
+            BinOp::Ge => Code::Ge,
+            BinOp::Eq => Code::Eq,
+            BinOp::Ne => Code::Ne,
+            BinOp::And => Code::And,
+            BinOp::Or => Code::Or,
+        }
+    }
+}
+
+impl From<Builtin> for Code {
+    fn from(f: Builtin) -> Code {
+        match f {
+            Builtin::Abs => Code::Abs,
+            Builtin::Sqrt => Code::Sqrt,
+            Builtin::Min => Code::Min,
+            Builtin::Max => Code::Max,
+            f => Code::Call(f),
+        }
+    }
+}
+
+impl Code {
+    /// How many of `a`, `b`, `c` are register operands.
+    fn arity(self) -> usize {
+        use Code::*;
+        match self {
+            SelfX | SelfY | SelfState | SelfEffect | Rand => 0,
+            Copy | Coerce | NilGuard | AndGuard | OrGuard | Neg | Not | Abs | Sqrt => 1,
+            Add | Sub | Mul | Div | Rem | Lt | Le | Gt | Ge | Eq | Ne | And | Or | Min | Max => 2,
+            Call(f) => f.arity(),
+        }
+    }
+}
+
+impl<'a> Lower<'a> {
+    fn new(class: &'a CompiledClass, update_phase: bool) -> Self {
+        let schema = class.schema();
+        Lower {
+            schema,
+            raw: class.query.raw_mask(),
+            update_phase,
+            kinds: Vec::new(),
+            may_nil: Vec::new(),
+            presets: Vec::new(),
+            constants: Vec::new(),
+            known: Vec::new(),
+            slots: vec![None; class.query.n_locals as usize],
+            shadows: vec![NO_REG; schema.num_effects()],
+            outer: Section::default(),
+            body: None,
+            bodies: Vec::new(),
+            hoisted: 0,
+        }
+    }
+
+    fn fresh(&mut self, kind: RegKind) -> u32 {
+        self.kinds.push(kind);
+        self.may_nil.push(false);
+        (self.kinds.len() - 1) as u32
+    }
+
+    fn preset(&mut self, v: f64) -> u32 {
+        let r = self.fresh(RegKind::Splat);
+        self.presets.push((r, v));
+        r
+    }
+
+    fn constant(&mut self, v: f64) -> u32 {
+        if let Some(&(_, r)) = self.constants.iter().find(|(bits, _)| *bits == v.to_bits()) {
+            return r;
+        }
+        let r = self.preset(v);
+        self.constants.push((v.to_bits(), r));
+        r
+    }
+
+    /// The section ordered ops and steps go to right now.
+    fn here_mut(&mut self) -> &mut Section {
+        match &mut self.body {
+            Some(b) => &mut b.code,
+            None => &mut self.outer,
+        }
+    }
+
+    fn here(&self) -> Jump {
+        let s = self.body.as_ref().map_or(&self.outer, |b| &b.code);
+        Jump { step: s.steps.len() as u32, op: s.ops.len() as u32 }
+    }
+
+    /// A body reads register `r`: if it was computed at agent level it must
+    /// be broadcast before the sweep.
+    fn body_reads(&mut self, r: u32) {
+        if let Some(b) = &mut self.body {
+            if self.kinds[r as usize] == RegKind::Invariant && !b.invariants.contains(&r) {
+                b.invariants.push(r);
+            }
+        }
+    }
+
+    /// Append an op, value-numbering pure duplicates away. Inside a body an
+    /// op none of whose operands varies is hoisted to agent level.
+    fn emit(&mut self, code: Code, args: [u32; 3]) -> u32 {
+        let [a, b, c] = args;
+        let regs = &args[..code.arity()];
+        let pure = !matches!(code, Code::Rand | Code::Copy);
+        if pure {
+            if let Some(hit) = self.known.iter().find(|o| o.code == code && [o.a, o.b, o.c] == args) {
+                return hit.dst;
+            }
+        }
+        let in_body = self.body.is_some();
+        let varying = in_body && (!pure || regs.iter().any(|&r| self.kinds[r as usize] == RegKind::Varying));
+        let splat = matches!(code, Code::SelfX | Code::SelfY | Code::SelfState | Code::SelfEffect);
+        let dst = self.fresh(match (varying, splat) {
+            (true, _) => RegKind::Varying,
+            (false, true) => RegKind::Splat,
+            (false, false) => RegKind::Invariant,
+        });
+        self.may_nil[dst as usize] = code == Code::Coerce || regs.iter().any(|&r| self.may_nil[r as usize]);
+        let op = Op { code, dst, a, b, c };
+        if pure {
+            self.known.push(op);
+        }
+        if varying {
+            for &r in regs {
+                self.body_reads(r);
+            }
+            let body = self.body.as_mut().expect("varying ops exist only in a body");
+            body.ordered |= !pure;
+            body.code.ops.push(op);
+        } else {
+            self.hoisted += in_body as usize;
+            self.outer.ops.push(op);
+        }
+        dst
+    }
+
+    fn fill(&mut self, what: Fill) -> u32 {
+        let known = self.body.as_ref().expect("neighbor read outside a foreach (rejected by analysis)");
+        if let Some(&(r, _)) = known.fills.iter().find(|(_, f)| *f == what) {
+            return r;
+        }
+        let r = self.fresh(RegKind::Varying);
+        self.body.as_mut().expect("checked above").fills.push((r, what));
+        r
+    }
+
+    /// Value numbers found inside `f` die with it: an ordered section skips
+    /// guarded regions, so what they compute is not there afterwards.
+    fn scoped<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let mark = self.known.len();
+        let out = f(self);
+        self.known.truncate(mark);
+        out
+    }
+
+    /// A register for a result computed where ordered ops go right now.
+    fn fresh_here(&mut self) -> u32 {
+        self.fresh(if self.body.is_some() { RegKind::Varying } else { RegKind::Invariant })
+    }
+
+    /// Push a guard that settles `dst` on `tested`; [`settle`](Self::settle)
+    /// fills in how far it skips.
+    fn guard(&mut self, code: Code, dst: u32, tested: u32) -> usize {
+        self.body_reads(tested);
+        self.may_nil[dst as usize] |= self.may_nil[tested as usize];
+        let ops = &mut self.here_mut().ops;
+        ops.push(Op { code, dst, a: tested, b: 0, c: 0 });
+        ops.len() - 1
+    }
+
+    /// Push the op that computes `dst` when no guard settled it; every guard
+    /// skips to just past it.
+    fn settle(&mut self, dst: u32, code: Code, args: [u32; 3], guards: &[usize]) {
+        for &r in &args[..code.arity()] {
+            self.body_reads(r);
+            self.may_nil[dst as usize] |= self.may_nil[r as usize];
+        }
+        let [a, b, c] = args;
+        let ops = &mut self.here_mut().ops;
+        ops.push(Op { code, dst, a, b, c });
+        for &at in guards {
+            ops[at].b = (ops.len() - at - 1) as u32;
+        }
+    }
+
+    /// An op whose operands the walker evaluates left to right, giving up at
+    /// the first NIL one: an operand that can be NIL and has a draw somewhere
+    /// after it is followed by a guard, so the draw happens iff the walker
+    /// gets to it.
+    fn strict(&mut self, code: Code, args: &[&PExpr]) -> u32 {
+        let mut regs = [0; 3];
+        let guarded = args.iter().rposition(|a| draws(a)).unwrap_or(0);
+        // Set at the first guard: the result register, and where the value
+        // numbers of what a guard may skip begin.
+        let mut open = None;
+        let mut guards = Vec::new();
+        for (k, a) in args.iter().enumerate() {
+            regs[k] = self.expr(a);
+            if k < guarded && self.may_nil[regs[k] as usize] {
+                let (dst, _) = *open.get_or_insert_with(|| (self.fresh_here(), self.known.len()));
+                guards.push(self.guard(Code::NilGuard, dst, regs[k]));
+            }
+        }
+        let Some((dst, mark)) = open else { return self.emit(code, regs) };
+        self.settle(dst, code, regs, &guards);
+        self.known.truncate(mark);
+        dst
+    }
+
+    /// Lower an expression in the walker's evaluation order; returns the
+    /// register holding its value.
+    fn expr(&mut self, e: &PExpr) -> u32 {
+        match e {
+            PExpr::Const(v) => self.constant(*v),
+            PExpr::SelfPos(Axis::X) => self.emit(Code::SelfX, [0; 3]),
+            PExpr::SelfPos(Axis::Y) => self.emit(Code::SelfY, [0; 3]),
+            PExpr::SelfState(i) => self.emit(Code::SelfState, [*i as u32, 0, 0]),
+            PExpr::OtherPos(Axis::X) => self.fill(Fill::X),
+            PExpr::OtherPos(Axis::Y) => self.fill(Fill::Y),
+            PExpr::OtherState(i) => self.fill(Fill::State(*i)),
+            PExpr::SelfEffect(i) if self.update_phase => self.emit(Code::SelfEffect, [*i as u32, 0, 0]),
+            PExpr::SelfEffect(i) => self.emit(Code::Copy, [self.shadows[*i as usize], 0, 0]),
+            PExpr::Local(s) => match self.slots[*s as usize] {
+                Some(r) => r,
+                // Never bound (analysis rejects it; a rewrite can produce
+                // it): the walker reads NIL, and NIL is a coerced NaN.
+                None => {
+                    let nan = self.constant(f64::NAN);
+                    self.emit(Code::Coerce, [nan, 0, 0])
+                }
+            },
+            PExpr::AgentEq { left, right, negate } => {
+                let same = if left == right { self.constant(1.0) } else { self.fill(Fill::IsMe) };
+                if *negate {
+                    self.emit(Code::Not, [same, 0, 0])
+                } else {
+                    same
+                }
+            }
+            PExpr::Unary(op, a) => self.strict((*op).into(), &[a]),
+            // The walker evaluates `b` only where `a` does not decide.
+            PExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) if draws(b) => {
+                let a = self.expr(a);
+                let dst = self.fresh_here();
+                self.scoped(|this| {
+                    let guard = this.guard(if *op == BinOp::And { Code::AndGuard } else { Code::OrGuard }, dst, a);
+                    let b = this.expr(b);
+                    let zero = this.constant(0.0);
+                    this.settle(dst, Code::Ne, [b, zero, 0], &[guard]);
+                });
+                dst
+            }
+            PExpr::Binary(op, a, b) => self.strict((*op).into(), &[a, b]),
+            PExpr::Call(f, args) => self.strict((*f).into(), &args.iter().collect::<Vec<_>>()),
+            PExpr::Rand => self.emit(Code::Rand, [0; 3]),
+        }
+    }
+
+    fn step(&mut self, act: Act) -> usize {
+        let ops_end = self.here().op;
+        let steps = &mut self.here_mut().steps;
+        steps.push(Step { ops_end, act });
+        steps.len() - 1
+    }
+
+    fn stmts(&mut self, list: &[PStmt]) {
+        for s in list {
+            match s {
+                PStmt::Let { slot, value } => {
+                    let mut r = self.expr(value);
+                    if !self.raw[*slot as usize] {
+                        r = self.emit(Code::Coerce, [r, 0, 0]);
+                    }
+                    self.slots[*slot as usize] = Some(r);
+                    if draws(value) {
+                        self.step(Act::Eval);
+                    }
+                }
+                PStmt::LocalEffect { field, value } => {
+                    let value = self.expr(value);
+                    self.body_reads(value);
+                    let comb = self.schema.combinator(FieldId::new(*field));
+                    self.step(Act::Local { field: *field, value, shadow: self.shadows[*field as usize], comb });
+                }
+                PStmt::RemoteEffect { field, value } => {
+                    assert!(self.body.is_some(), "remote effect outside a foreach (rejected by analysis)");
+                    let value = self.expr(value);
+                    self.body_reads(value);
+                    self.step(Act::Remote { field: *field, value });
+                }
+                PStmt::If { cond, then_, else_ } => {
+                    let cond = self.expr(cond);
+                    self.body_reads(cond);
+                    let at = self.step(Act::If { cond, else_: Jump::default(), end: Jump::default() });
+                    self.scoped(|this| this.stmts(then_));
+                    let (else_at, end) = if else_.is_empty() {
+                        (self.here(), self.here())
+                    } else {
+                        let skip = self.step(Act::Goto(Jump::default()));
+                        let else_at = self.here();
+                        self.scoped(|this| this.stmts(else_));
+                        let end = self.here();
+                        self.here_mut().steps[skip].act = Act::Goto(end);
+                        (else_at, end)
+                    };
+                    self.here_mut().steps[at].act = Act::If { cond, else_: else_at, end };
+                }
+                PStmt::Foreach { body } => {
+                    assert!(self.body.is_none(), "nested foreach (rejected by analysis)");
+                    self.body = Some(Body::default());
+                    self.scoped(|this| this.stmts(body));
+                    self.bodies.push(self.body.take().expect("set above"));
+                    self.step(Act::Foreach((self.bodies.len() - 1) as u32));
+                }
+            }
+        }
+    }
+
+    fn registers(&mut self) -> Registers {
+        Registers {
+            count: self.kinds.len(),
+            presets: std::mem::take(&mut self.presets),
+            nil: self.may_nil.contains(&true),
+        }
+    }
+}
+
+/// Lower a compiled class to its register program.
+pub fn lower(class: &CompiledClass) -> Program {
+    let mut q = Lower::new(class, false);
+    // Effects the query reads back get a register that emission keeps
+    // current, preset to the combinator's identity.
+    for s in &class.query.stmts {
+        s.visit(&mut |st| {
+            let Some(e) = st.expr() else { return };
+            e.any(&mut |n| {
+                if let PExpr::SelfEffect(i) = n {
+                    if q.shadows[*i as usize] == NO_REG {
+                        let identity = q.schema.combinator(FieldId::new(*i)).identity();
+                        q.shadows[*i as usize] = q.preset(identity);
+                    }
+                }
+                false
+            });
+        });
+    }
+    q.stmts(&class.query.stmts);
+
+    let mut u = Lower::new(class, true);
+    let commits = class.updates.iter().map(|rule| (rule.target, u.expr(&rule.expr))).collect();
+    Program {
+        query_regs: q.registers(),
+        query: q.outer,
+        bodies: q.bodies,
+        hoisted: q.hoisted,
+        update_regs: u.registers(),
+        update: u.outer.ops,
+        commits,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Evaluation
+// ---------------------------------------------------------------------------
+
+type Lanes = [f64; LANES];
+
+/// The per-thread register file: value lanes and one NIL bit per lane.
+#[derive(Default)]
+struct RegFile {
+    vals: Vec<Lanes>,
+    nil: Vec<u8>,
+}
+
+brace_common::tls_scratch!(
+    /// Not reentrant: a program never runs another program.
+    fn with_regfile -> RegFile
+);
+
+impl RegFile {
+    /// The first `regs.count` registers: NIL bits cleared (where the phase
+    /// tracks them), presets written to every lane, everything else stale (an
+    /// op writes before anything reads).
+    #[inline]
+    fn enter(&mut self, regs: &Registers) -> (&mut [Lanes], &mut [u8]) {
+        if self.vals.len() < regs.count {
+            self.vals.resize(regs.count, [0.0; LANES]);
+            self.nil.resize(regs.count, 0);
+        }
+        let (vals, nil) = (&mut self.vals[..regs.count], &mut self.nil[..regs.count]);
+        if regs.nil {
+            nil.fill(0);
+        }
+        for &(r, v) in &regs.presets {
+            vals[r as usize] = [v; LANES];
+        }
+        (vals, nil)
+    }
+}
+
+/// `dst[l] = f(a[l])` over the first `W` lanes.
+#[inline(always)]
+fn map1<const W: usize>(vals: &mut [Lanes], d: usize, a: usize, f: impl Fn(f64) -> f64) {
+    let x = vals[a];
+    let out = &mut vals[d];
+    for l in 0..W {
+        out[l] = f(x[l]);
+    }
+}
+
+#[inline(always)]
+fn map2<const W: usize>(vals: &mut [Lanes], d: usize, a: usize, b: usize, f: impl Fn(f64, f64) -> f64) {
+    let (x, y) = (vals[a], vals[b]);
+    let out = &mut vals[d];
+    for l in 0..W {
+        out[l] = f(x[l], y[l]);
+    }
+}
+
+/// Bit `l` set where `test(x[l])`.
+#[inline(always)]
+fn lanes_where<const W: usize>(x: &Lanes, test: impl Fn(f64) -> bool) -> u8 {
+    let mut m = 0u8;
+    for (l, &v) in x.iter().enumerate().take(W) {
+        m |= (test(v) as u8) << l;
+    }
+    m
+}
+
+/// Run `ops` over the first `W` lanes; `n ≤ W` of them hold candidates (the
+/// rest are stale and harmless — no op traps — so only library calls, which
+/// cost real time per lane, stop at `n`). Sources, draws and guards are
+/// chunk-length-1 ops. `NIL`: the phase tracks NIL bits ([`Registers::nil`]);
+/// without it no register is ever NIL and `nil` is not touched.
+#[inline(always)]
+fn run_ops<const W: usize, const NIL: bool, M: AgentRead>(
+    ops: &[Op],
+    n: usize,
+    vals: &mut [Lanes],
+    nil: &mut [u8],
+    me: &M,
+    effects: &[f64],
+    rng: &mut DetRng,
+) {
+    let mut pc = 0;
+    while pc < ops.len() {
+        let Op { code, dst, a, b, c } = ops[pc];
+        pc += 1;
+        let (d, a, b, c) = (dst as usize, a as usize, b as usize, c as usize);
+        // `dst = f(a)` / `f(a, b)` lane by lane, NIL where an operand is.
+        macro_rules! lanes {
+            (|$x:ident| $f:expr) => {{
+                map1::<W>(vals, d, a, |$x| $f);
+                if NIL {
+                    nil[d] = nil[a];
+                }
+            }};
+            (|$x:ident, $y:ident| $f:expr) => {{
+                map2::<W>(vals, d, a, b, |$x, $y| $f);
+                if NIL {
+                    nil[d] = nil[a] | nil[b];
+                }
+            }};
+        }
+        match code {
+            Code::SelfX => vals[d] = [me.pos().x; LANES],
+            Code::SelfY => vals[d] = [me.pos().y; LANES],
+            Code::SelfState => vals[d] = [me.state(a as u16); LANES],
+            Code::SelfEffect => vals[d] = [effects[a]; LANES],
+            Code::Rand => vals[d][0] = rng.unit(),
+            Code::Copy => vals[d][0] = vals[a][0],
+            Code::Coerce => {
+                debug_assert!(NIL, "a program with a binding that coerces tracks NIL");
+                map1::<W>(vals, d, a, |x| x);
+                nil[d] = nil[a] | lanes_where::<W>(&vals[a], f64::is_nan);
+            }
+            Code::Neg => lanes!(|x| unop(UnOp::Neg, x)),
+            Code::Not => lanes!(|x| unop(UnOp::Not, x)),
+            Code::Add => lanes!(|x, y| binop(BinOp::Add, x, y)),
+            Code::Sub => lanes!(|x, y| binop(BinOp::Sub, x, y)),
+            Code::Mul => lanes!(|x, y| binop(BinOp::Mul, x, y)),
+            Code::Div => lanes!(|x, y| binop(BinOp::Div, x, y)),
+            Code::Rem => lanes!(|x, y| binop(BinOp::Rem, x, y)),
+            Code::Lt => lanes!(|x, y| binop(BinOp::Lt, x, y)),
+            Code::Le => lanes!(|x, y| binop(BinOp::Le, x, y)),
+            Code::Gt => lanes!(|x, y| binop(BinOp::Gt, x, y)),
+            Code::Ge => lanes!(|x, y| binop(BinOp::Ge, x, y)),
+            Code::Eq => lanes!(|x, y| binop(BinOp::Eq, x, y)),
+            Code::Ne => lanes!(|x, y| binop(BinOp::Ne, x, y)),
+            // Where `a` decides, `b` is unevaluated: its NIL does not count.
+            Code::And => {
+                map2::<W>(vals, d, a, b, |x, y| binop(BinOp::And, x, y));
+                if NIL {
+                    nil[d] = nil[a] | if nil[b] == 0 { 0 } else { nil[b] & lanes_where::<W>(&vals[a], |x| x != 0.0) };
+                }
+            }
+            Code::Or => {
+                map2::<W>(vals, d, a, b, |x, y| binop(BinOp::Or, x, y));
+                if NIL {
+                    nil[d] = nil[a] | if nil[b] == 0 { 0 } else { nil[b] & lanes_where::<W>(&vals[a], |x| x == 0.0) };
+                }
+            }
+            Code::Abs => lanes!(|x| Builtin::Abs.apply(&[x])),
+            Code::Sqrt => lanes!(|x| Builtin::Sqrt.apply(&[x])),
+            Code::Min => lanes!(|x, y| Builtin::Min.apply(&[x, y])),
+            Code::Max => lanes!(|x, y| Builtin::Max.apply(&[x, y])),
+            Code::Call(f) => {
+                let (x, y, z) = (vals[a], vals[b], vals[c]);
+                let k = f.arity();
+                for l in 0..n {
+                    vals[d][l] = f.apply(&[x[l], y[l], z[l]][..k]);
+                }
+                if NIL {
+                    nil[d] = match k {
+                        1 => nil[a],
+                        2 => nil[a] | nil[b],
+                        _ => nil[a] | nil[b] | nil[c],
+                    };
+                }
+            }
+            Code::NilGuard | Code::AndGuard | Code::OrGuard => {
+                let x = vals[a][0];
+                if NIL && nil[a] & 1 != 0 {
+                    nil[d] = 1;
+                } else if code == Code::AndGuard && x == 0.0 {
+                    vals[d][0] = 0.0;
+                } else if code == Code::OrGuard && x != 0.0 {
+                    vals[d][0] = 1.0;
+                } else {
+                    continue;
+                }
+                // Settled: not NIL unless it was just made so.
+                if NIL && nil[a] & 1 == 0 {
+                    nil[d] = 0;
+                }
+                pc += b;
+            }
+        }
+    }
+}
+
+/// Everything one agent's query evaluates against.
+struct Query<'q, 'v, 'w> {
+    prog: &'q Program,
+    vals: &'q mut [Lanes],
+    nil: &'q mut [u8],
+    /// The chunk's candidate rows, by lane.
+    rows: [u32; LANES],
+    me: &'q RowRef<'v>,
+    neighbors: &'q Neighbors<'v>,
+    eff: &'q mut EffectWriter<'w>,
+    rng: &'q mut DetRng,
+}
+
+impl Query<'_, '_, '_> {
+    /// Walk a section's steps for one lane. `ORDERED`: run each step's ops
+    /// first (lane 0, chunk length 1) and skip what is not taken; otherwise
+    /// the ops have all run and only emission is left.
+    fn walk<const ORDERED: bool, const NIL: bool>(&mut self, section: &Section, lane: usize) {
+        let bit = 1u8 << lane;
+        let (mut i, mut pc) = (0, 0);
+        while i < section.steps.len() {
+            let Step { ops_end, ref act } = section.steps[i];
+            i += 1;
+            if ORDERED {
+                let ops = &section.ops[pc..ops_end as usize];
+                run_ops::<1, NIL, _>(ops, 1, self.vals, self.nil, self.me, &[], self.rng);
+                pc = ops_end as usize;
+            }
+            let is_nil = |nil: &[u8], r: u32| NIL && nil[r as usize] & bit != 0;
+            match *act {
+                Act::Eval => {}
+                Act::Local { field, value, shadow, comb } => {
+                    let v = self.vals[value as usize][lane];
+                    if !is_nil(self.nil, value) && !v.is_nan() {
+                        self.eff.local(FieldId::new(field), v);
+                        if shadow != NO_REG {
+                            let acc = &mut self.vals[shadow as usize][0];
+                            *acc = comb.combine(*acc, v);
+                        }
+                    }
+                }
+                Act::Remote { field, value } => {
+                    let v = self.vals[value as usize][lane];
+                    if !is_nil(self.nil, value) && !v.is_nan() {
+                        self.eff.remote(self.rows[lane], FieldId::new(field), v);
+                    }
+                }
+                Act::If { cond, else_, end } => {
+                    if is_nil(self.nil, cond) {
+                        (i, pc) = (end.step as usize, end.op as usize);
+                    } else if self.vals[cond as usize][lane] == 0.0 {
+                        (i, pc) = (else_.step as usize, else_.op as usize);
+                    }
+                }
+                Act::Goto(to) => (i, pc) = (to.step as usize, to.op as usize),
+                Act::Foreach(body) => {
+                    let prog = self.prog;
+                    self.sweep::<NIL>(&prog.bodies[body as usize]);
+                }
+            }
+        }
+    }
+
+    fn sweep<const NIL: bool>(&mut self, body: &Body) {
+        for &r in &body.invariants {
+            let r = r as usize;
+            self.vals[r] = [self.vals[r][0]; LANES];
+            if NIL {
+                self.nil[r] = (self.nil[r] & 1).wrapping_neg();
+            }
+        }
+        if body.ordered {
+            self.chunks::<1, NIL>(body);
+        } else {
+            self.chunks::<LANES, NIL>(body);
+        }
+    }
+
+    /// `W` candidates at a time, in candidate order (`me` is never one).
+    fn chunks<const W: usize, const NIL: bool>(&mut self, body: &Body) {
+        let neighbors = self.neighbors;
+        let mut candidates = neighbors.iter();
+        loop {
+            let mut n = 0;
+            while n < W {
+                let Some(nb) = candidates.next() else { break };
+                self.rows[n] = nb.row;
+                for &(r, fill) in &body.fills {
+                    self.vals[r as usize][n] = match fill {
+                        Fill::X => nb.agent.pos().x,
+                        Fill::Y => nb.agent.pos().y,
+                        Fill::State(k) => nb.agent.state(k),
+                        Fill::IsMe => truth(nb.agent.id() == self.me.id()),
+                    };
+                }
+                n += 1;
+            }
+            if n == 0 {
+                break;
+            }
+            if W == 1 {
+                self.walk::<true, NIL>(&body.code, 0);
+            } else {
+                run_ops::<W, NIL, _>(&body.code.ops, n, self.vals, self.nil, self.me, &[], self.rng);
+                for lane in 0..n {
+                    self.walk::<false, NIL>(&body.code, lane);
+                }
+            }
+            if n < W {
+                break;
+            }
+        }
+    }
+}
+
+impl Program {
+    /// The query phase of one agent.
+    pub fn query(&self, me: RowRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
+        with_regfile(|file| {
+            let (vals, nil) = file.enter(&self.query_regs);
+            let mut q = Query { prog: self, vals, nil, rows: [0; LANES], me: &me, neighbors, eff, rng };
+            if self.query_regs.nil {
+                q.walk::<true, true>(&self.query, 0);
+            } else {
+                q.walk::<true, false>(&self.query, 0);
+            }
+        });
+    }
+
+    /// The update phase of one agent.
+    pub fn update(&self, me: &mut Agent, rng: &mut DetRng) {
+        with_regfile(|file| {
+            let (vals, nil) = file.enter(&self.update_regs);
+            let tracked = self.update_regs.nil;
+            if tracked {
+                run_ops::<1, true, _>(&self.update, 1, vals, nil, &*me, &me.effects, rng);
+            } else {
+                run_ops::<1, false, _>(&self.update, 1, vals, nil, &*me, &me.effects, rng);
+            }
+            for &(target, r) in &self.commits {
+                let v = vals[r as usize][0];
+                if (tracked && nil[r as usize] & 1 != 0) || v.is_nan() {
+                    continue;
+                }
+                match target {
+                    UpdateTarget::PosX => me.pos.x = v,
+                    UpdateTarget::PosY => me.pos.y = v,
+                    UpdateTarget::State(i) => me.state[i as usize] = v,
+                }
+            }
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::BrasilBehavior;
+    use crate::optimize::{constant_fold, optimize};
+    use crate::plan::{QueryPlan, UpdateRule};
+    use brace_common::{AgentId, Vec2};
+    use brace_core::{Behavior, Simulation};
+
+    fn compile_src(src: &str) -> CompiledClass {
+        crate::Script::compile_unoptimized(src).unwrap().classes()[0].clone()
+    }
+
+    /// Three ticks of `class` over a small dense world, through the register
+    /// program and through the reference: both final worlds.
+    fn both_worlds(class: CompiledClass) -> (Vec<Agent>, Vec<Agent>) {
+        let vm = BrasilBehavior::new(class);
+        let run = |b: &dyn Fn() -> Box<dyn Behavior>| {
+            let behavior = b();
+            let mut rng = DetRng::seed_from_u64(11);
+            let agents: Vec<Agent> = (0..40)
+                .map(|i| {
+                    let pos = if i % 6 == 5 { Vec2::ZERO } else { Vec2::new(rng.range(0.0, 3.0), rng.range(0.0, 3.0)) };
+                    Agent::new(AgentId::new(i), pos, behavior.schema())
+                })
+                .collect();
+            let mut sim = Simulation::builder(behavior).agents(agents).seed(9).build().unwrap();
+            sim.run(3);
+            sim.agents()
+        };
+        (run(&|| Box::new(vm.clone())), run(&|| Box::new(vm.reference())))
+    }
+
+    fn assert_bit_identical(a: &[Agent], b: &[Agent]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            let bits = |a: &Agent| {
+                (a.pos.x.to_bits(), a.pos.y.to_bits(), a.state.iter().map(|s| s.to_bits()).collect::<Vec<_>>())
+            };
+            assert_eq!(bits(x), bits(y), "agent {} diverged: {x:?} vs {y:?}", x.id);
+        }
+    }
+
+    /// Local-effects-only schooling script with a repeated denominator.
+    const SCHOOL: &str = r#"
+        class Fish {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float ax : avoidx;
+            public state float ay : avoidy;
+            private effect float avoidx : sum;
+            private effect float avoidy : sum;
+            public void run() {
+                foreach (Fish p : Extent<Fish>) {
+                    avoidx <- (x - p.x) / max((x - p.x) * (x - p.x) + (y - p.y) * (y - p.y), 0.04);
+                    avoidy <- (y - p.y) / max((x - p.x) * (x - p.x) + (y - p.y) * (y - p.y), 0.04);
+                }
+            }
+        }
+    "#;
+
+    #[test]
+    fn lanes_is_the_kernels_lane_width() {
+        assert_eq!(LANES, brace_spatial::kernels::LANES);
+    }
+
+    #[test]
+    fn a_pure_body_runs_in_lanes_with_its_invariants_hoisted() {
+        for class in [compile_src(SCHOOL), optimize(compile_src(SCHOOL))] {
+            let s = lower(&class).summary();
+            assert!(!s.ordered_body);
+            // `self.x`, `self.y` leave the loop; value numbering computes the
+            // shared differences and the denominator once, optimized or not:
+            // 2 subs, 2 squares, 1 add, 1 max, 2 divides.
+            assert_eq!((s.hoisted_ops, s.candidate_ops), (2, 8), "{s:?}");
+            let (vm, spec) = both_worlds(class);
+            assert_bit_identical(&vm, &spec);
+        }
+    }
+
+    #[test]
+    fn a_body_that_draws_is_ordered_and_draws_like_the_walker() {
+        let class = compile_src(
+            r#"
+            class R {
+                public state float x : x #range[-1, 1];
+                public state float y : y #range[-1, 1];
+                public state float got : e;
+                private effect float e : sum;
+                public void run() {
+                    foreach (R p : Extent<R>) {
+                        if (p.x > x || rand() < 0.5) { e <- rand(); }
+                    }
+                }
+            }
+        "#,
+        );
+        assert!(lower(&class).summary().ordered_body);
+        let (vm, spec) = both_worlds(class);
+        assert_bit_identical(&vm, &spec);
+    }
+
+    #[test]
+    fn a_source_const_in_the_body_lowers_and_tracks_nil() {
+        // 1/(x - p.x) is ±∞ for agents sharing an x and 0/0 = NaN → NIL for
+        // coincident ones: `min` would swallow a NaN, the NIL bit survives it.
+        let class = compile_src(
+            r#"
+            class C {
+                public state float x : x #range[-1, 1];
+                public state float y : y #range[-1, 1];
+                public state float got : e;
+                private effect float e : sum;
+                public void run() {
+                    foreach (C p : Extent<C>) {
+                        const float d = (x - p.x) / (x - p.x);
+                        e <- min(d, 2);
+                    }
+                }
+            }
+        "#,
+        );
+        let program = lower(&class);
+        assert!(program.query_regs.nil && !program.update_regs.nil);
+        assert!(!program.summary().ordered_body);
+        let (vm, spec) = both_worlds(class);
+        assert_bit_identical(&vm, &spec);
+        // Coincident agents exist and contributed nothing to each other.
+        assert!(vm.iter().any(|a| a.pos == Vec2::ZERO));
+    }
+
+    #[test]
+    fn programs_without_source_consts_track_no_nil() {
+        let program = lower(&optimize(compile_src(SCHOOL)));
+        assert!(!program.query_regs.nil && !program.update_regs.nil);
+    }
+
+    #[test]
+    fn a_300_term_expression_lowers_and_runs() {
+        let terms: Vec<String> = (1..=300).map(|k| format!("(x - p.x) * {k} + {k}")).collect();
+        let src = format!(
+            r#"class W {{
+                public state float x : x #range[-1, 1];
+                public state float y : y #range[-1, 1];
+                public state float got : e;
+                private effect float e : sum;
+                public void run() {{ foreach (W p : Extent<W>) {{ e <- {}; }} }}
+            }}"#,
+            terms.join(" + ")
+        );
+        let class = compile_src(&src);
+        assert!(lower(&class).summary().query_registers > 600);
+        let (vm, spec) = both_worlds(class);
+        assert_bit_identical(&vm, &spec);
+    }
+
+    /// The value the evaluator computes for a closed expression: lowered as an
+    /// update rule, run, and read back raw (NaN payloads and all).
+    fn evaluate(e: &PExpr) -> f64 {
+        let mut class = compile_src("class K { public state float v : v; public void run() {} }");
+        class.query = QueryPlan::default();
+        class.updates = vec![UpdateRule { target: UpdateTarget::State(0), expr: e.clone() }];
+        let program = lower(&class);
+        let me = Agent::new(AgentId::new(0), Vec2::ZERO, class.schema());
+        with_regfile(|file| {
+            let (vals, nil) = file.enter(&program.update_regs);
+            run_ops::<1, false, _>(&program.update, 1, vals, nil, &me, &[], &mut DetRng::seed_from_u64(0));
+            vals[program.commits[0].1 as usize][0]
+        })
+    }
+
+    /// Fold time ≡ run time: for every operator and builtin over the values
+    /// where float semantics bite, `constant_fold` of the constant expression
+    /// is bit-equal to what the evaluator computes for it unfolded.
+    #[test]
+    fn constant_folding_is_bit_equal_to_evaluation() {
+        let values = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::from_bits(1), 1.0, -7.5];
+        let k = |v: f64| Box::new(PExpr::Const(v));
+        let mut cases = Vec::new();
+        for &a in &values {
+            for op in [UnOp::Neg, UnOp::Not] {
+                cases.push(PExpr::Unary(op, k(a)));
+            }
+            for &b in &values {
+                use BinOp::*;
+                for op in [Add, Sub, Mul, Div, Rem, Lt, Le, Gt, Ge, Eq, Ne, And, Or] {
+                    cases.push(PExpr::Binary(op, k(a), k(b)));
+                }
+                for &c in &values {
+                    cases.push(PExpr::Call(Builtin::Clamp, vec![PExpr::Const(a), PExpr::Const(b), PExpr::Const(c)]));
+                }
+            }
+        }
+        for name in ["abs", "sqrt", "sin", "cos", "exp", "ln", "floor", "ceil", "sign", "min", "max", "pow", "atan2"] {
+            let f = Builtin::parse(name).unwrap();
+            for &a in &values {
+                for &b in &values[..if f.arity() == 2 { values.len() } else { 1 }] {
+                    cases.push(PExpr::Call(f, [a, b][..f.arity()].iter().map(|&v| PExpr::Const(v)).collect()));
+                }
+            }
+        }
+        assert!(cases.len() > 1500);
+        for e in cases {
+            let PExpr::Const(folded) = constant_fold(e.clone()) else { panic!("{e:?} did not fold") };
+            let run = evaluate(&e);
+            assert_eq!(folded.to_bits(), run.to_bits(), "{e:?}: folded {folded:?}, evaluated {run:?}");
+        }
+    }
+}

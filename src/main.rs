@@ -16,8 +16,8 @@
 //! `compile` is the optimizer inspector for the BRASIL-scripted scenarios:
 //! it prints the compiled plan before and after the
 //! [`brasil::Pipeline`] runs, with per-pass rewrite counts, derived probe
-//! bounds, and the emitted lane kernel. `--no-opt` stops after the
-//! unoptimized plan.
+//! bounds, and the size of the register program each plan lowers to.
+//! `--no-opt` stops after the unoptimized plan.
 //!
 //! `run` drives every named scenario through the backend-erased
 //! [`Runner`](brace_scenario::Runner): same behavior, same population, same

@@ -5,13 +5,19 @@
 //! * Proptests (named `opt_*` so CI can select them) drive each
 //!   `brasil-*` scenario against its [`brasil_unoptimized`] twin through
 //!   `brace_core::TickExecutor` over random populations, seeds, index
-//!   kinds and tick counts, under **both** query kernels. This pins the
-//!   whole pipeline — const-fold, CSE, dead-code, visibility-predicate
-//!   pushdown (the shrunken probe rect must not drop a contributing
-//!   candidate) and lane-kernel emission (`query_batch` ≡ interpreter).
-//! * A forced-engagement test flips [`BrasilBehavior::with_batch_engagement`]
-//!   on for the scripts whose cost estimate keeps them scalar, so the lane
-//!   path is exercised even where `batch_profitable` says "don't bother".
+//!   kinds and tick counts, under **both** query kernels (the executor's
+//!   two member paths; the script runs the same register program on
+//!   either). This pins the whole pipeline — const-fold, CSE, dead-code and
+//!   visibility-predicate pushdown (the shrunken probe rect must not drop a
+//!   contributing candidate) — and that the optimized and the unoptimized
+//!   plan lower to register programs that agree.
+//! * A specification test runs the car and the (inverted) predator script
+//!   through the register program and through the tree-walking reference
+//!   (`BrasilBehavior::reference`) — the evaluator is one, so what used to
+//!   be "lane kernel ≡ interpreter under forced engagement" is now
+//!   "evaluator ≡ specification"; the root property
+//!   `brasil_vm_equals_reference` (`tests/properties.rs`) widens it to every
+//!   shipped script and the hand-written edge scripts.
 //! * A backend sweep: single node vs a 2-worker cluster × optimized vs
 //!   unoptimized on the registry conformance configurations — all four
 //!   checksums must agree (the optimizer must be unobservable to the
@@ -103,9 +109,9 @@ proptest! {
 
     /// The tentpole conformance bar: for every BRASIL scenario, random
     /// population size / seed / index kind / horizon, the optimized plan
-    /// equals the unoptimized one bit for bit — under the batched kernel
-    /// (probe-rect pushdown + lane emission live) *and* the scalar kernel
-    /// (pushdown + interpreter), and the two kernels agree with each other.
+    /// equals the unoptimized one bit for bit — on the executor's batched
+    /// member path *and* its scalar one (probe-rect pushdown live on both),
+    /// and the two paths agree with each other.
     #[test]
     fn opt_pipeline_is_bit_identical_to_unoptimized(
         name in any_brasil_scenario(),
@@ -130,13 +136,12 @@ proptest! {
         worlds_bit_identical(&format!("{name} batched vs scalar"), &opt_batched, &opt_scalar)?;
     }
 
-    /// Forced lane engagement: the car and (inverted) predator lane
-    /// programs fall under the profitability threshold, so the adaptive
-    /// hint keeps them scalar by default. Force the hint on and the lane
-    /// kernel must still be bit-identical to the interpreter — the
-    /// cost model is a *performance* policy, never a correctness gate.
+    /// The car and the (inverted) predator script — a pushed-down probe
+    /// rect, an `if` in the body, state columns read off the candidate —
+    /// through the register program on both executor member paths, against
+    /// the tree-walking specification: bit-identical worlds.
     #[test]
-    fn opt_forced_batch_engagement_matches_interpreter(
+    fn opt_vm_matches_reference_interpreter(
         which in prop::sample::select(vec!["car", "predator"]),
         n in 10usize..80,
         seed in 0u64..10_000,
@@ -147,10 +152,6 @@ proptest! {
             "car" => brace::models::scripts::car_following_opt(true).unwrap(),
             _ => brace::models::scripts::predator_opt(true, true).unwrap(),
         };
-        prop_assert!(
-            !behavior.batch_profitable(),
-            "{which} became batch-profitable; this test wants a forced-engagement subject"
-        );
         let schema = behavior.schema().clone();
         let mut rng = DetRng::seed_from_u64(seed);
         let agents: Vec<Agent> = (0..n)
@@ -164,18 +165,15 @@ proptest! {
                 a
             })
             .collect();
-        let run = |kernel| {
-            let forced = behavior.clone().with_batch_engagement(true);
-            let mut exec = TickExecutor::new(forced, agents.clone(), kind, seed);
+        let mut spec = TickExecutor::new(behavior.reference(), agents.clone(), kind, seed);
+        spec.run(ticks);
+        let spec = spec.agents();
+        for kernel in [QueryKernel::Batched, QueryKernel::Scalar] {
+            let mut exec = TickExecutor::new(behavior.clone(), agents.clone(), kind, seed);
             exec.set_query_kernel(kernel);
             exec.run(ticks);
-            exec.agents()
-        };
-        worlds_bit_identical(
-            &format!("{which} forced-batch vs scalar"),
-            &run(QueryKernel::Batched),
-            &run(QueryKernel::Scalar),
-        )?;
+            worlds_bit_identical(&format!("{which} register program ({kernel:?}) vs reference"), &exec.agents(), &spec)?;
+        }
     }
 }
 

@@ -1509,9 +1509,10 @@ proptest! {
 
     /// The BRASIL car script: visibility-predicate pushdown makes its probe
     /// rect non-square (leaders only: `[x, x + 40]`), so members of one tile
-    /// ask for different, overlapping strips of the shared block. Lane
-    /// program engaged, so `Batched` runs compiled lane kernels over picked
-    /// columns and `Scalar` the interpreter.
+    /// ask for different, overlapping strips of the shared block. Either
+    /// kernel runs the script's one register program over the member's
+    /// candidate rows (`brasil_vm_equals_reference` holds that program to the
+    /// tree-walking specification).
     #[test]
     fn kernel_tile_join_brasil_car_equals_reference(
         seed in 0u64..10_000,
@@ -1522,7 +1523,7 @@ proptest! {
         threads in any_thread_budget(),
         ticks in 1u64..4,
     ) {
-        let b = brace_models::scripts::car_following().unwrap().with_batch_engagement(true);
+        let b = brace_models::scripts::car_following().unwrap();
         let mut rng = DetRng::seed_from_u64(seed).stream(0xCA12);
         let mut world: Vec<Agent> = (0..n)
             .map(|i| {
@@ -1653,5 +1654,391 @@ proptest! {
         let mut world = random_population(float.schema(), n, seed);
         tile_edge_geometry(&mut world, vis, 4.0 * vis, seed);
         worker_shaped_pool_equals_serial(&float, world, owned_frac, kind, kernel, SHARD_ROWS, threads, seed)?;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// BRASIL: the register program ≡ the tree-walking specification, bitwise
+// (CI reruns this section with PROPTEST_CASES=256)
+// ---------------------------------------------------------------------------
+
+/// Hand-written scripts, one per corner of the semantics the register
+/// program must carry over from the tree walker (`brasil::vm` module docs).
+/// Every class has the state fields `s` and `t`, so one population fits all.
+const BRASIL_EDGE_SCRIPTS: [(&str, &str); 13] = [
+    // A source `const` that goes NaN per candidate (0/0 for coincident
+    // agents) is NIL from there on: `min`/`max`/comparisons would have
+    // swallowed a NaN, and an `if` on it skips both branches.
+    (
+        "body const goes NaN",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : a + b;
+            public state float t : c;
+            private effect float a : sum;
+            private effect float b : max;
+            private effect float c : sum;
+            public void run() {
+                foreach (A p : Extent<A>) {
+                    const float d = (x - p.x) / abs(x - p.x);
+                    a <- min(d, 0.5);
+                    if (d > 0) { b <- d; } else { c <- 1; }
+                    if (d > 0 || p.s > s) { c <- 2; } else { c <- 4; }
+                    if (p.s > s || d > 0) { c <- 8; } else { c <- 16; }
+                    if (p.s > s && d > 0) { c <- 32; } else { c <- 64; }
+                    if (d > 0 && p.s > s) { c <- 128; } else { c <- 256; }
+                }
+            }
+        }"#,
+    ),
+    // The same from a prelude binding (NIL for agents with s = 0), read by
+    // the body, by a branch around the loop and by a loop inside a branch.
+    (
+        "prelude const goes NaN",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : s + a;
+            public state float t : b;
+            private effect float a : sum;
+            private effect float b : sum;
+            public void run() {
+                const float r = s / s;
+                foreach (A p : Extent<A>) {
+                    a <- max(r, 0.25) * 0.001;
+                    if (r > 0) { b <- 1; } else { b <- 100; }
+                }
+                if (r > 0) {
+                    foreach (A q : Extent<A>) { b <- 0.5 + r; }
+                } else {
+                    b <- 1000;
+                }
+            }
+        }"#,
+    ),
+    // `rand()` draws candidate-major: in a body, under an `if`, right of
+    // `||` and `&&`, after a NIL operand, and in a binding nothing reads.
+    (
+        "rand in the body",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : a;
+            public state float t : b;
+            private effect float a : sum;
+            private effect float b : sum;
+            public void run() {
+                const float nil = (s - s) / (s - s);
+                foreach (A p : Extent<A>) {
+                    a <- rand() * 0.01;
+                    if (p.x > x) { a <- rand(); }
+                    if (p.y > y || rand() < 0.5) { b <- 1; }
+                    if (p.s > s && rand() < 0.5) { b <- 10; }
+                    const float unused = rand();
+                    b <- nil + rand();
+                    b <- clamp(p.s, nil, rand());
+                    a <- rand() + (x - p.x);
+                }
+                a <- rand();
+            }
+        }"#,
+    ),
+    // Identity tests, both senses, and against itself.
+    (
+        "agent identity",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : a;
+            public state float t : b;
+            private effect float a : sum;
+            private effect float b : sum;
+            public void run() {
+                foreach (A p : Extent<A>) {
+                    if (p == this) { a <- 1000; } else { a <- 1; }
+                    if (p != this && this == this) { b <- p.x - x; }
+                }
+            }
+        }"#,
+    ),
+    // An effect read back after the loop sees the local aggregate, then
+    // more assignments, then a second loop and a second read.
+    (
+        "effect read after the loop",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : flag;
+            public state float t : n;
+            private effect float n : sum;
+            private effect float flag : max;
+            public void run() {
+                foreach (A p : Extent<A>) { n <- 1; }
+                if (n >= 2) { flag <- n; }
+                n <- 0.5;
+                foreach (A q : Extent<A>) { if (q.x > x) { n <- 0.25; } }
+                if (n > 3) { flag <- n * 2; }
+            }
+        }"#,
+    ),
+    // Remote and local effects under `if`/`else`, nested, onto one field.
+    (
+        "remote effects with if/else",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : s + 0.01;
+            public state float t : t * 0.5 + hurt - calm;
+            private effect float hurt : sum;
+            private effect float calm : sum;
+            public void run() {
+                foreach (A p : Extent<A>) {
+                    if (s > p.s + 0.3) {
+                        p.hurt <- s - p.s;
+                        if (p.x > x) { hurt <- 0.125; } else { p.calm <- 0.25; }
+                    } else {
+                        p.calm <- 1;
+                        calm <- p.t;
+                    }
+                }
+            }
+        }"#,
+    ),
+    // Three-argument builtins: plain, bounds swapped, one and both bounds
+    // NaN (`clamp(v, 0/0, 0/0)` used to panic the tick).
+    (
+        "three-argument builtins",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : clamp(s + a, 0 - 2, 2);
+            public state float t : clamp(t + b, (s - s) / (s - s), (t - t) / (t - t));
+            private effect float a : sum;
+            private effect float b : sum;
+            public void run() {
+                foreach (A p : Extent<A>) {
+                    a <- clamp(p.s - s, 0 - 0.1, 0.1);
+                    a <- clamp(p.x - x, 0.1, 0 - 0.1);
+                    b <- clamp(p.t, (x - p.x) / (x - p.x), 0.5);
+                    b <- clamp(p.t, (x - p.x) / (x - p.x) - 1, (y - p.y) / (y - p.y));
+                }
+            }
+        }"#,
+    ),
+    // State columns read off the candidate, the builtins the lane loops do
+    // not open-code (`%`, `sign`, `floor`, `pow`, `atan2`, `exp`), `!`, `-`.
+    (
+        "gathered state and library calls",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : s * 0.9 + a * 0.01;
+            public state float t : b;
+            private effect float a : sum;
+            private effect float b : min;
+            public void run() {
+                foreach (A p : Extent<A>) {
+                    a <- sign(p.s - s) * floor(p.t * 4) + (p.s % 0.3) + pow(abs(p.s), 0.5);
+                    a <- atan2(p.y - y, p.x - x) * exp(0 - abs(p.t)) + !(p.s > s) - -p.t;
+                    b <- sqrt(p.s) + ln(p.t) + ceil(p.s) + sin(p.x) * cos(p.y);
+                }
+            }
+        }"#,
+    ),
+    // Update rules: draws in rule order and only where the walker gets to
+    // them, NaN results leave the field, effects read back.
+    (
+        "update rules",
+        r#"class A {
+            public state float x : x + (rand() - 0.5) * 0.1 #range[-1, 1];
+            public state float y : y + n / n * 0.01 #range[-1, 1];
+            public state float s : s + (n > 2 || rand() < 0.3) + (n > 1 && rand() < 0.6);
+            public state float t : (s - s) / (s - s) + rand();
+            private effect float n : sum;
+            public void run() {
+                foreach (A p : Extent<A>) { n <- 1; }
+            }
+        }"#,
+    ),
+    // Nothing to do.
+    (
+        "empty query",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : t;
+            public state float t : s;
+            public void run() {}
+        }"#,
+    ),
+    // `-0.0` and `0.0` are two constants (once folded); the sign survives
+    // a product and a `min`/`max` aggregate.
+    (
+        "signed zero constants",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : a;
+            public state float t : b;
+            private effect float a : min;
+            private effect float b : max;
+            public void run() {
+                foreach (A p : Extent<A>) {
+                    a <- -0 * abs(p.s);
+                    b <- 0 * abs(p.t);
+                }
+            }
+        }"#,
+    ),
+    // A subexpression first met where the walker may not go — a branch not
+    // taken, the right of a deciding `&&` — and met again outside it.
+    (
+        "repeats across skipped regions",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : a + c;
+            public state float t : b;
+            private effect float a : sum;
+            private effect float b : sum;
+            private effect float c : sum;
+            public void run() {
+                if (s > 0.5) { a <- x * s; }
+                a <- x * s;
+                foreach (A p : Extent<A>) {
+                    if (p.x > x) { b <- rand() + p.s * s; }
+                    b <- p.s * s;
+                    if (s > 0.5 && rand() < p.t * t) { c <- 1; }
+                    c <- p.t * t;
+                }
+                if (t > 0.5 || rand() < y * t) { c <- 100; }
+                c <- y * t;
+            }
+        }"#,
+    ),
+    // Every combinator as the aggregate a later read sees.
+    (
+        "combinators read back",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : out;
+            public state float t : lo + hi;
+            private effect float lo : min;
+            private effect float hi : max;
+            private effect float any : or;
+            private effect float all : and;
+            private effect float pr : prod;
+            private effect float out : sum;
+            public void run() {
+                foreach (A p : Extent<A>) {
+                    lo <- p.s; hi <- p.s; any <- p.s > s; all <- p.t > 0 - 1; pr <- 1 + p.t * 0.01;
+                }
+                out <- any + all * 2 + pr;
+                if (lo < hi) { out <- hi - lo; }
+            }
+        }"#,
+    ),
+];
+
+/// How many scripts [`brasil_script`] knows.
+const BRASIL_SCRIPTS: usize = 4 + BRASIL_EDGE_SCRIPTS.len() + 1;
+
+/// Script `which`, compiled and not yet optimized: the four shipped ones,
+/// the edge scripts, and the predator inverted.
+fn brasil_script(which: usize) -> (String, brasil::CompiledClass) {
+    use brace_models::scripts;
+    let compile = |src: &str| brasil::Script::compile_unoptimized(src).expect("script compiles").classes()[0].clone();
+    let shipped = [
+        ("figure 2 fish", scripts::FIGURE2_FISH),
+        ("fish school", scripts::FISH_SCHOOL),
+        ("predator", scripts::PREDATOR),
+        ("car following", scripts::CAR_FOLLOWING),
+    ];
+    match shipped.iter().chain(&BRASIL_EDGE_SCRIPTS).nth(which) {
+        Some(&(name, src)) => (name.to_string(), compile(src)),
+        None => ("predator, inverted".into(), brasil::invert_effects(compile(scripts::PREDATOR)).unwrap()),
+    }
+}
+
+/// `n` agents at ≈ `visits` visible neighbours each, with coincident pairs
+/// (0/0 in the scripts' distance terms), zeros and negatives in the state.
+fn brasil_population(schema: &AgentSchema, n: usize, visits: f64, seed: u64) -> Vec<Agent> {
+    let vis = schema.visibility();
+    let half = vis * (n as f64 / visits).sqrt();
+    let mut rng = DetRng::seed_from_u64(seed).stream(0xB2A5);
+    let mut world: Vec<Agent> = (0..n)
+        .map(|i| {
+            let mut a =
+                Agent::new(AgentId::new(i as u64), Vec2::new(rng.range(-half, half), rng.range(-half, half)), schema);
+            for (k, s) in a.state.iter_mut().enumerate() {
+                *s = match (i + k) % 5 {
+                    0 => 0.0,
+                    1 => rng.range(-1.5, 0.0),
+                    _ => rng.range(0.0, 1.5),
+                };
+            }
+            a
+        })
+        .collect();
+    for i in (3..n).step_by(7) {
+        world[i].pos = world[i - 1].pos;
+    }
+    world
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// For every script, optimized and not, at ≈ 2 and ≈ 30 visits per agent
+    /// (candidate chunks of 0, fewer than `LANES`, exactly `LANES` and
+    /// many): the register program on both of the executor's member paths,
+    /// and on a 2-worker cluster, leaves the world the tree-walking
+    /// specification leaves on the same backend — bit for bit.
+    #[test]
+    fn brasil_vm_equals_reference(
+        which in 0..BRASIL_SCRIPTS,
+        optimize in any::<bool>(),
+        dense in any::<bool>(),
+        n in 0usize..70,
+        seed in 0u64..10_000,
+        kind in any_index_kind(),
+        shard_rows in any_shard_granule(),
+        threads in any_thread_budget(),
+        ticks in 1u64..4,
+    ) {
+        let (name, class) = brasil_script(which);
+        let class = if optimize { brasil::optimize(class) } else { class };
+        let vm = brasil::BrasilBehavior::new(class);
+        let spec = vm.reference();
+        let world = brasil_population(vm.schema(), n, if dense { 30.0 } else { 2.0 }, seed);
+        let label = |path: &str| format!("`{name}` (optimize {optimize}, dense {dense}), {path}");
+
+        let want = grouped_ticks(&spec, &world, kind, QueryKernel::Scalar, shard_rows, threads, ticks, seed);
+        for kernel in [QueryKernel::Batched, QueryKernel::Scalar] {
+            let got = grouped_ticks(&vm, &world, kind, kernel, shard_rows, threads, ticks, seed);
+            worlds_bit_identical(&got, &want).map_err(|e| format!("{}: {e}", label(&format!("{kernel:?}"))))?;
+        }
+
+        let cluster = |behavior: std::sync::Arc<dyn Behavior>| {
+            let half = world.iter().map(|a| a.pos.x.abs()).fold(1.0, f64::max);
+            let cfg = brace_mapreduce::ClusterConfig {
+                workers: 2,
+                epoch_len: ticks,
+                seed,
+                index: kind,
+                space_x: (-half, half),
+                load_balance: false,
+                ..brace_mapreduce::ClusterConfig::default()
+            };
+            let mut sim = brace_mapreduce::ClusterSim::new(behavior, world.clone(), cfg).unwrap();
+            sim.run_ticks(ticks).unwrap();
+            let mut agents = sim.collect_agents().unwrap();
+            agents.sort_by_key(|a| a.id);
+            agents
+        };
+        worlds_bit_identical(&cluster(std::sync::Arc::new(vm)), &cluster(std::sync::Arc::new(spec)))
+            .map_err(|e| format!("{}: {e}", label("2-worker cluster")))?;
     }
 }
