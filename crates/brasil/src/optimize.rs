@@ -22,7 +22,9 @@
 //! same visibility bound — so visibility is *symmetric*: `q` sees `this`
 //! iff `this` sees `q` — and (b) the inverted fragment draws no randomness
 //! (the draw would move from the assigner's stream to the target's,
-//! changing the realization). Condition (a) is the uniform-distance-bound
+//! changing the realization) and reads no local bound before the loop (the
+//! inverted assignment would need the neighbour's binding, which the
+//! querying agent never computes). Condition (a) is the uniform-distance-bound
 //! special case of the paper's Theorem 3 in which the factor-2 relaxation
 //! of the visibility bound is unnecessary; `invert_effects` returns an
 //! error rather than silently changing semantics when the conditions fail.
@@ -216,8 +218,9 @@ impl Pass for Invert {
         if !class.query.has_remote_effects() {
             return (class, 0);
         }
-        // Inversion refusals (rand in loop, remote outside loop) leave the
-        // class alone: the two-pass reduce path still runs it correctly.
+        // Inversion refusals (rand in loop, a prelude local read by the
+        // inverted fragment, remote outside loop) leave the class alone: the
+        // two-pass reduce path still runs it correctly.
         match invert_effects(class.clone()) {
             Ok(inv) => (inv, 1),
             Err(_) => (class, 0),
@@ -242,11 +245,12 @@ fn fold_expr(e: PExpr) -> PExpr {
         },
         PExpr::Binary(op, a, b) => match ((*a).clone(), (*b).clone()) {
             (PExpr::Const(l), PExpr::Const(r)) => PExpr::Const(binop(op, l, r)),
-            // x + 0, x - 0, x * 1, x / 1 identities.
-            (lhs, PExpr::Const(r)) if r == 0.0 && matches!(op, BinOp::Add | BinOp::Sub) => lhs,
-            (lhs, PExpr::Const(r)) if r == 1.0 && matches!(op, BinOp::Mul | BinOp::Div) => lhs,
-            (PExpr::Const(l), rhs) if l == 0.0 && op == BinOp::Add => rhs,
-            (PExpr::Const(l), rhs) if l == 1.0 && op == BinOp::Mul => rhs,
+            // Only the identities that hold bit for bit, for every `x`
+            // (signed zeros included), matched on the constant's bits:
+            // `x + -0`, `-0 + x`, `x - +0`, `x * 1`, `1 * x`, `x / 1`. Not
+            // `x + 0` or `x - -0`: `-0 + 0` is `+0`.
+            (lhs, PExpr::Const(r)) if is_identity_rhs(op, r) => lhs,
+            (PExpr::Const(l), rhs) if is_identity_lhs(op, l) => rhs,
             _ => PExpr::Binary(op, a, b),
         },
         PExpr::Call(b, args) => {
@@ -265,6 +269,25 @@ fn fold_expr(e: PExpr) -> PExpr {
         }
         other => other,
     })
+}
+
+/// `x op c == x` bitwise for every `x`.
+fn is_identity_rhs(op: BinOp, c: f64) -> bool {
+    match op {
+        BinOp::Add => c.to_bits() == (-0.0f64).to_bits(),
+        BinOp::Sub => c.to_bits() == 0.0f64.to_bits(),
+        BinOp::Mul | BinOp::Div => c.to_bits() == 1.0f64.to_bits(),
+        _ => false,
+    }
+}
+
+/// `c op x == x` bitwise for every `x`.
+fn is_identity_lhs(op: BinOp, c: f64) -> bool {
+    match op {
+        BinOp::Add => c.to_bits() == (-0.0f64).to_bits(),
+        BinOp::Mul => c.to_bits() == 1.0f64.to_bits(),
+        _ => false,
+    }
 }
 
 fn fold_stmts(stmts: Vec<PStmt>) -> Vec<PStmt> {
@@ -435,6 +458,26 @@ fn remote_as_local(stmts: Vec<PStmt>) -> Vec<PStmt> {
         .collect()
 }
 
+/// Does `stmts` read a local slot that no `Let` inside it binds — one bound
+/// before the loop?
+fn reads_outer_local(stmts: &[PStmt]) -> bool {
+    let mut bound = Vec::new();
+    for s in stmts {
+        s.visit(&mut |st| {
+            if let PStmt::Let { slot, .. } = st {
+                bound.push(*slot);
+            }
+        });
+    }
+    let mut outer = false;
+    for s in stmts {
+        s.visit(&mut |st| {
+            outer |= st.expr().is_some_and(|e| e.any(&mut |n| matches!(n, PExpr::Local(i) if !bound.contains(i))))
+        });
+    }
+    outer
+}
+
 fn contains_rand(stmts: &[PStmt]) -> bool {
     let mut found = false;
     for s in stmts {
@@ -461,10 +504,19 @@ pub fn invert_effects(class: CompiledClass) -> Result<CompiledClass> {
                             .into(),
                     ));
                 }
-                // Original loop minus its non-local assignments…
-                let local_part = strip_remote(body.clone());
-                // …plus the inverted fragment with fresh local slots.
-                let inverted = offset_slots(remote_as_local(body), n_locals);
+                // Condition (b) of the module docs.
+                let inverted = remote_as_local(body.clone());
+                if reads_outer_local(&inverted) {
+                    return Err(BraceError::Rewrite(
+                        "effect inversion would read a local bound before the loop, which the inverted \
+                         assignment needs from the neighbour; refusing"
+                            .into(),
+                    ));
+                }
+                // Original loop minus its non-local assignments, plus the
+                // inverted fragment with fresh local slots.
+                let inverted = offset_slots(inverted, n_locals);
+                let local_part = strip_remote(body);
                 let mut merged = local_part;
                 merged.extend(inverted);
                 if !merged.is_empty() {
@@ -847,17 +899,37 @@ mod tests {
     #[test]
     fn folding_applies_identities() {
         let x = PExpr::SelfState(0);
-        let e = PExpr::Binary(BinOp::Add, Box::new(x.clone()), Box::new(PExpr::Const(0.0)));
-        assert_eq!(constant_fold(e), x.clone());
-        let e = PExpr::Binary(BinOp::Mul, Box::new(PExpr::Const(1.0)), Box::new(x.clone()));
-        assert_eq!(constant_fold(e), x);
+        let bin = |op, l: &PExpr, r: &PExpr| PExpr::Binary(op, Box::new(l.clone()), Box::new(r.clone()));
+        let k = PExpr::Const;
+        for e in [
+            bin(BinOp::Add, &x, &k(-0.0)),
+            bin(BinOp::Add, &k(-0.0), &x),
+            bin(BinOp::Sub, &x, &k(0.0)),
+            bin(BinOp::Mul, &x, &k(1.0)),
+            bin(BinOp::Mul, &k(1.0), &x),
+            bin(BinOp::Div, &x, &k(1.0)),
+        ] {
+            assert_eq!(constant_fold(e), x);
+        }
+        // `-0 + 0` is `+0`: these are not identities for `x = -0`.
+        for e in [bin(BinOp::Add, &x, &k(0.0)), bin(BinOp::Add, &k(0.0), &x), bin(BinOp::Sub, &x, &k(-0.0))] {
+            assert_eq!(constant_fold(e.clone()), e);
+        }
     }
 
     #[test]
     fn folding_stops_at_rand() {
-        let e = PExpr::Binary(BinOp::Add, Box::new(PExpr::Rand), Box::new(PExpr::Const(0.0)));
-        // x + 0 identity applies, but Rand itself cannot become Const.
+        let e = PExpr::Binary(BinOp::Add, Box::new(PExpr::Rand), Box::new(PExpr::Const(-0.0)));
+        // x + -0 identity applies, but Rand itself cannot become Const.
         assert_eq!(constant_fold(e), PExpr::Rand);
+    }
+
+    #[test]
+    fn constants_compare_by_bits() {
+        assert_ne!(PExpr::Const(0.0), PExpr::Const(-0.0));
+        assert_eq!(PExpr::Const(f64::NAN), PExpr::Const(f64::NAN));
+        assert_eq!(Bound::Abs(f64::NAN), Bound::Abs(f64::NAN));
+        assert_ne!(Bound::Rel(0.0), Bound::Rel(-0.0));
     }
 
     #[test]
@@ -1034,6 +1106,38 @@ mod tests {
         assert!(err.to_string().contains("rand()"));
     }
 
+    /// A loop whose non-local assignment reads a `const` bound before the
+    /// loop: constant, and read off `this` (the inverted write would need the
+    /// neighbour's binding).
+    fn prelude_script(prelude: &str) -> String {
+        format!(
+            r#"class F {{
+                public state float x : x #range[-1, 1];
+                public state float y : y #range[-1, 1];
+                public state float c : count;
+                private effect float count : sum;
+                public void run() {{
+                    const float w = {prelude};
+                    foreach (F p : Extent<F>) {{ p.count <- w; }}
+                }}
+            }}"#
+        )
+    }
+
+    #[test]
+    fn inversion_refuses_a_loop_that_reads_a_prelude_local() {
+        for prelude in ["2", "x"] {
+            let src = prelude_script(prelude);
+            let err = invert_effects(compile_src(&src)).expect_err("must refuse");
+            assert!(err.to_string().contains("before the loop"), "{err}");
+            let (inverted, _) = Pipeline::with_inversion().run(compile_src(&src));
+            assert!(inverted.schema().has_nonlocal_effects(), "the Invert pass must leave the class alone");
+            let want = bits_after_steps(compile_src(&src));
+            assert_eq!(bits_after_steps(inverted), want, "prelude `{prelude}`");
+            assert!(want.iter().any(|(_, s)| s[2] != 0.0f64.to_bits()), "no agent counted anything");
+        }
+    }
+
     #[test]
     fn inversion_is_identity_on_local_scripts() {
         let src = r#"
@@ -1117,6 +1221,69 @@ mod tests {
         let (_, again) = Pipeline::with_inversion().run(out);
         assert_eq!(again.rounds, 1);
         assert_eq!(again.total_rewrites(), 0, "{again:?}");
+    }
+
+    /// Positions and states after [`states_after_steps`]' run, as bits.
+    fn bits_after_steps(class: CompiledClass) -> Vec<(AgentId, Vec<u64>)> {
+        states_after_steps_with_pos(class)
+            .into_iter()
+            .map(|(id, v)| (id, v.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    fn states_after_steps_with_pos(class: CompiledClass) -> Vec<(AgentId, Vec<f64>)> {
+        let behavior = BrasilBehavior::new(class);
+        let schema = behavior.schema().clone();
+        let mut rng = DetRng::seed_from_u64(11);
+        let agents: Vec<Agent> = (0..50)
+            .map(|i| Agent::new(AgentId::new(i), Vec2::new(rng.range(0.0, 4.0), rng.range(0.0, 4.0)), &schema))
+            .collect();
+        let mut sim = Simulation::builder(behavior).agents(agents).seed(9).build().unwrap();
+        for _ in 0..3 {
+            sim.step();
+        }
+        sim.agents().iter().map(|a| (a.id, [a.pos.x, a.pos.y].into_iter().chain(a.state.clone()).collect())).collect()
+    }
+
+    /// A one-loop class with two `max` effects `a` and `b` and the given
+    /// loop body.
+    fn two_effect_script(body: &str) -> String {
+        format!(
+            r#"class A {{
+                public state float x : x #range[-1, 1];
+                public state float y : y #range[-1, 1];
+                public state float s : a;
+                public state float t : b;
+                private effect float a : max;
+                private effect float b : max;
+                public void run() {{ foreach (A p : Extent<A>) {{ {body} }} }}
+            }}"#
+        )
+    }
+
+    #[test]
+    fn cse_keeps_signed_zero_constants_apart() {
+        // `1 / ±0` is `±∞`: merging the two products flips `b`'s sign.
+        let src = two_effect_script("a <- 1 / ((p.x - x) * 0); b <- 1 / ((p.x - x) * -0);");
+        let (out, _) = Pipeline::standard().run(compile_src(&src));
+        assert_eq!(bits_after_steps(out), bits_after_steps(compile_src(&src)));
+    }
+
+    #[test]
+    fn additive_identity_folds_keep_the_sign_of_zero() {
+        // `p.x * -0 + 0` is `+0` for every `p.x`, so `a` is `+∞` everywhere;
+        // folding the `+ 0` away would leave `-0` and `-∞` for `p.x > 0`.
+        let src = two_effect_script("a <- 1 / ((p.x * -0) + 0); b <- 1;");
+        let (out, _) = Pipeline::standard().run(compile_src(&src));
+        assert_eq!(bits_after_steps(out), bits_after_steps(compile_src(&src)));
+    }
+
+    #[test]
+    fn nan_constants_reach_a_fixpoint() {
+        for body in ["a <- (0 / 0) * p.x;", "if (p.x > 0 / 0) { a <- 1; }"] {
+            let (_, report) = Pipeline::standard().run(compile_src(&two_effect_script(body)));
+            assert!(report.rounds <= 2, "`{body}`: {report:?}");
+        }
     }
 
     #[test]

@@ -127,8 +127,10 @@ pub enum AgentRef {
 }
 
 /// A resolved expression. `Self*` reads the querying agent, `Other*` reads
-/// the current loop neighbor (valid only inside `Foreach`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the current loop neighbor (valid only inside `Foreach`). Equality is
+/// structural with constants compared **by bit pattern** (see the
+/// `PartialEq` impl).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum PExpr {
     Const(f64),
     SelfPos(Axis),
@@ -151,6 +153,33 @@ pub enum PExpr {
     Call(Builtin, Vec<PExpr>),
     /// Deterministic per-(agent, tick, phase) random draw in [0, 1).
     Rand,
+}
+
+/// Structural equality, with `Const`s equal only when their bits are: IEEE
+/// `==` would make `0.0` and `-0.0` one constant (CSE would merge
+/// `e * 0` with `e * -0`) and `NaN` unequal to itself (every pass that
+/// detects change by comparing plans would see a rewrite every round).
+/// `PStmt`, `UpdateRule` and `QueryPlan` derive their equality from this.
+impl PartialEq for PExpr {
+    fn eq(&self, other: &PExpr) -> bool {
+        use PExpr::*;
+        match (self, other) {
+            (Const(a), Const(b)) => a.to_bits() == b.to_bits(),
+            (SelfPos(a), SelfPos(b)) | (OtherPos(a), OtherPos(b)) => a == b,
+            (SelfState(a), SelfState(b))
+            | (OtherState(a), OtherState(b))
+            | (SelfEffect(a), SelfEffect(b))
+            | (Local(a), Local(b)) => a == b,
+            (AgentEq { left: l1, right: r1, negate: n1 }, AgentEq { left: l2, right: r2, negate: n2 }) => {
+                (l1, r1, n1) == (l2, r2, n2)
+            }
+            (Unary(o1, a1), Unary(o2, a2)) => o1 == o2 && a1 == a2,
+            (Binary(o1, a1, b1), Binary(o2, a2, b2)) => o1 == o2 && a1 == a2 && b1 == b2,
+            (Call(f1, a1), Call(f2, a2)) => f1 == f2 && a1 == a2,
+            (Rand, Rand) => true,
+            _ => false,
+        }
+    }
 }
 
 impl PExpr {
@@ -304,13 +333,24 @@ pub struct UpdateRule {
 // ---------------------------------------------------------------------------
 
 /// One proven axis bound on a candidate's position, either relative to the
-/// querying agent's own coordinate on the same axis or absolute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// querying agent's own coordinate on the same axis or absolute. Equal by
+/// bit pattern, like [`PExpr`]'s constants: a guard against a folded `0/0`
+/// harvests a NaN bound, and the pushdown pass detects change by comparing.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub enum Bound {
     /// `self coordinate + offset`.
     Rel(f64),
     /// A world-space constant.
     Abs(f64),
+}
+
+impl PartialEq for Bound {
+    fn eq(&self, other: &Bound) -> bool {
+        match (self, other) {
+            (Bound::Rel(a), Bound::Rel(b)) | (Bound::Abs(a), Bound::Abs(b)) => a.to_bits() == b.to_bits(),
+            _ => false,
+        }
+    }
 }
 
 impl Bound {

@@ -232,7 +232,8 @@ mod tests {
 
     #[test]
     fn inversion_is_visible_in_rendering() {
-        let class_nl = compile_src(SRC);
+        // Inversion refuses a loop that reads a prelude local (`one`).
+        let class_nl = compile_src(&SRC.replace("one / abs", "1 / abs"));
         let inverted = crate::optimize::invert_effects(class_nl).unwrap();
         let rendered = class(&inverted);
         assert!(!rendered.contains("[NON-LOCAL]"));

@@ -1218,14 +1218,16 @@ mod tests {
         assert_bit_identical(&vm, &spec);
     }
 
-    /// The value the evaluator computes for a closed expression: lowered as an
-    /// update rule, run, and read back raw (NaN payloads and all).
-    fn evaluate(e: &PExpr) -> f64 {
+    /// The value the evaluator computes for an expression over one agent
+    /// whose state `v` (`PExpr::SelfState(0)`) is `v`: lowered as an update
+    /// rule, run, and read back raw (NaN payloads and all).
+    fn evaluate(e: &PExpr, v: f64) -> f64 {
         let mut class = compile_src("class K { public state float v : v; public void run() {} }");
         class.query = QueryPlan::default();
         class.updates = vec![UpdateRule { target: UpdateTarget::State(0), expr: e.clone() }];
         let program = lower(&class);
-        let me = Agent::new(AgentId::new(0), Vec2::ZERO, class.schema());
+        let mut me = Agent::new(AgentId::new(0), Vec2::ZERO, class.schema());
+        me.state[0] = v;
         with_regfile(|file| {
             let (vals, nil) = file.enter(&program.update_regs);
             run_ops::<1, false, _>(&program.update, 1, vals, nil, &me, &[], &mut DetRng::seed_from_u64(0));
@@ -1235,7 +1237,10 @@ mod tests {
 
     /// Fold time ≡ run time: for every operator and builtin over the values
     /// where float semantics bite, `constant_fold` of the constant expression
-    /// is bit-equal to what the evaluator computes for it unfolded.
+    /// is bit-equal to what the evaluator computes for it unfolded — and an
+    /// arithmetic operator with one non-constant operand (the identity folds'
+    /// shape) evaluates to the same bits folded and unfolded, whatever
+    /// special value that operand takes.
     #[test]
     fn constant_folding_is_bit_equal_to_evaluation() {
         let values = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::from_bits(1), 1.0, -7.5];
@@ -1266,8 +1271,20 @@ mod tests {
         assert!(cases.len() > 1500);
         for e in cases {
             let PExpr::Const(folded) = constant_fold(e.clone()) else { panic!("{e:?} did not fold") };
-            let run = evaluate(&e);
+            let run = evaluate(&e, 0.0);
             assert_eq!(folded.to_bits(), run.to_bits(), "{e:?}: folded {folded:?}, evaluated {run:?}");
+        }
+        let v = || Box::new(PExpr::SelfState(0));
+        for &c in &values {
+            for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
+                for e in [PExpr::Binary(op, v(), k(c)), PExpr::Binary(op, k(c), v())] {
+                    let folded = constant_fold(e.clone());
+                    for &x in &values {
+                        let (want, got) = (evaluate(&e, x), evaluate(&folded, x));
+                        assert_eq!(want.to_bits(), got.to_bits(), "{e:?} at v = {x:?}: folded to {folded:?}");
+                    }
+                }
+            }
         }
     }
 }

@@ -47,11 +47,10 @@
 //!    where the previous group's run began (sort + batched multi-search —
 //!    Goodrich, Sitchinava & Zhang's MapReduce primitive pair);
 //! 2. the block is canonicalized **once** and its positions are gathered
-//!    **once** into contiguous columns (state columns too, the first time a
-//!    batched behavior asks — see [`BatchScratch`]);
+//!    **once** into contiguous columns;
 //! 3. each member takes *its own* candidates out of the block by running
 //!    the lane kernel `kernels::filter_rect` over those columns with *its
-//!    own* probe rect.
+//!    own* probe rect, and runs its scalar [`Behavior::query`] over them.
 //!
 //! The window of step 1 is computed from the union rect's own corners with
 //! the same monotone function that keyed the rows (`tile_of`), never assumed
@@ -169,7 +168,7 @@
 //! in blocks; effects may land on any row.
 
 use crate::agent::{Agent, AgentPool, PoolView, UpdateChunk};
-use crate::behavior::{BatchScratch, Behavior, NeighborBatch, NeighborProbe, Neighbors, UpdateCtx};
+use crate::behavior::{Behavior, NeighborProbe, Neighbors, UpdateCtx};
 use crate::effect::{EffectLog, EffectTable, EffectWriter};
 use crate::metrics::{SimMetrics, TickMetrics};
 use crate::schema::AgentSchema;
@@ -289,25 +288,6 @@ impl BuiltIndex {
             BuiltIndex::Grid(i) => i.maintain(motion_budget),
         }
     }
-}
-
-/// Which form of the behavior's query the probe loop runs (ablation knob,
-/// like [`IndexMaintenance`]). The two are bit-identical — proven by the
-/// kernel conformance properties in `tests/properties.rs` — so the knob
-/// only ever changes speed, never results. Probing is the same either way
-/// (one candidate block per probe group and one lane-kernel filter pass per
-/// member; see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueryKernel {
-    /// Batched lane kernels (default): behaviors that say it pays
-    /// ([`Behavior::batch_profitable`]) run through
-    /// [`Behavior::query_batch`] — vectorized per-candidate math over
-    /// columns picked out of the probe group's block, ordered emission.
-    #[default]
-    Batched,
-    /// The per-row scalar form ([`Behavior::query`]) for every behavior —
-    /// the pre-kernel behavior, kept as the ablation baseline.
-    Scalar,
 }
 
 /// Index maintenance policy of a [`MaintainedIndex`].
@@ -617,13 +597,11 @@ struct ShardScratch {
     block: Vec<u32>,
     /// Where the last group's tile-row runs began in the probe order.
     cursors: [usize; 3],
-    /// One member's candidates: positions in `block`, and the rows there.
-    picks: Vec<u32>,
+    /// The join block's positions, gathered once per group.
+    block_xs: Vec<f64>,
+    block_ys: Vec<f64>,
+    /// One member's candidates, filtered out of the block.
     rows: Vec<u32>,
-    /// `0, 1, 2, …`: the payload column that makes `filter_rect` emit
-    /// block positions instead of rows.
-    iota: Vec<u32>,
-    batch: BatchScratch,
     spawns: Vec<(Vec2, Vec<f64>)>,
     /// Parent agent id of each entry in `spawns`, in lockstep. Spawn ids are
     /// a pure function of `(parent id, ordinal)` so any placement of agents
@@ -642,10 +620,9 @@ impl ShardScratch {
             log: EffectLog::default(),
             block: Vec::new(),
             cursors: [0; 3],
-            picks: Vec::new(),
+            block_xs: Vec::new(),
+            block_ys: Vec::new(),
             rows: Vec::new(),
-            iota: Vec::new(),
-            batch: BatchScratch::default(),
             spawns: Vec::new(),
             spawn_parents: Vec::new(),
             visits: 0,
@@ -817,16 +794,15 @@ struct QueryPlan<'a, B> {
     /// Effect writes go to the shard's write-log (otherwise a shard's table
     /// is indexed by position in its slice of `order`).
     nonlocal: bool,
-    /// Run [`Behavior::query_batch`] rather than [`Behavior::query`].
-    run_batched: bool,
     rows_in_id_order: bool,
     tick: u64,
     seed: u64,
 }
 
 /// The monomorphized inner loop — the only production probe loop, for every
-/// schema, index kind and both [`QueryKernel`]s: run the query phase for one
-/// shard's `slice` of the probe order, one **probe group** at a time.
+/// schema and index kind: run the query phase for one shard's `slice` of the
+/// probe order, one **probe group** at a time, and [`Behavior::query`] once
+/// per member.
 ///
 /// On the join path (`plan.join`: every bounded-visibility range schema
 /// unless the index kind is the scan) a group — the slice's rows of one
@@ -857,13 +833,12 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
     let schema = behavior.schema();
     let vis = schema.visibility();
     let probe = behavior.probe();
-    let ShardScratch { table, log, block, cursors, picks, rows, iota, batch, .. } = shard;
+    let ShardScratch { table, log, block, cursors, block_xs, block_ys, rows, .. } = shard;
     let (mut visits, mut nonlocal, mut groups, mut block_rows) = (0u64, 0u64, 0u64, 0u64);
     let mut slot = 0u32;
     log.clear();
     for group in slice.chunk_by(|a, b| plan.grouped && a.tile() == b.tile()) {
         block.clear();
-        batch.begin_block();
         match probe {
             NeighborProbe::Range if plan.join => {
                 // Behaviors with a derived visibility predicate shrink the
@@ -879,6 +854,10 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                     tile_window(plan.cells, vis, &union, cursors, block);
                 }
                 canonicalize(block, view, plan.rows_in_id_order, false);
+                block_xs.clear();
+                block_xs.extend(block.iter().map(|&r| view.xs[r as usize]));
+                block_ys.clear();
+                block_ys.extend(block.iter().map(|&r| view.ys[r as usize]));
             }
             NeighborProbe::Range if vis.is_finite() => {
                 // One row, one probe — through the index's lane-kernel
@@ -908,9 +887,6 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
         }
         groups += 1;
         block_rows += block.len() as u64;
-        if plan.join && iota.len() < block.len() {
-            iota.extend(iota.len() as u32..block.len() as u32);
-        }
         for key in group {
             let row = key.row;
             let me = view.agent(row);
@@ -921,30 +897,15 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                 EffectWriter::with_slot(schema, table, row, slot)
             };
             let mut rng = agent_rng(plan.seed, plan.tick, me.id(), 0);
-            if plan.run_batched {
-                let picked = plan.join.then(|| {
-                    let (xs, ys) = batch.block_xy(view, block);
-                    picks.clear();
-                    filter_rect(xs, ys, &iota[..block.len()], &behavior.probe_rect(me.pos(), vis), picks);
-                    rows.clear();
-                    rows.extend(picks.iter().map(|&i| block[i as usize]));
-                    (&picks[..], &rows[..])
-                });
-                let mut nb = NeighborBatch::new(view, block, picked, row, batch);
-                visits += nb.len() as u64;
-                behavior.query_batch(me, &mut nb, &mut writer, &mut rng);
+            let candidates = if plan.join {
+                rows.clear();
+                filter_rect(block_xs, block_ys, block, &behavior.probe_rect(me.pos(), vis), rows);
+                &rows[..]
             } else {
-                let candidates = if plan.join {
-                    let (xs, ys) = batch.block_xy(view, block);
-                    rows.clear();
-                    filter_rect(xs, ys, block, &behavior.probe_rect(me.pos(), vis), rows);
-                    &rows[..]
-                } else {
-                    &block[..]
-                };
-                visits += candidates.len() as u64;
-                behavior.query(me, &Neighbors::new(view, candidates, row), &mut writer, &mut rng);
-            }
+                &block[..]
+            };
+            visits += candidates.len() as u64;
+            behavior.query(me, &Neighbors::new(view, candidates, row), &mut writer, &mut rng);
             nonlocal += writer.nonlocal_writes();
             slot += 1;
         }
@@ -975,27 +936,14 @@ pub fn query_phase_sharded<B: Behavior>(
     scratch: &mut TickScratch,
     parallelism: usize,
 ) -> QueryStats {
-    query_phase_sharded_with(
-        behavior,
-        pool,
-        n_owned,
-        index,
-        tick,
-        seed,
-        scratch,
-        SHARD_ROWS,
-        parallelism,
-        QueryKernel::default(),
-    )
+    query_phase_sharded_with(behavior, pool, n_owned, index, tick, seed, scratch, SHARD_ROWS, parallelism)
 }
 
-/// [`query_phase_sharded`] with an explicit rows-per-shard granule and
-/// query-kernel mode. Production uses [`SHARD_ROWS`] and the default
-/// (batched) kernel; property tests pass tiny granules to exercise
-/// many-shard merges on small worlds, and the kernel ablation passes
-/// [`QueryKernel::Scalar`]. Results depend on the granule only through the
-/// documented re-association of non-local float aggregates — never on
-/// `parallelism` or `kernel`.
+/// [`query_phase_sharded`] with an explicit rows-per-shard granule.
+/// Production uses [`SHARD_ROWS`]; property tests pass tiny granules to
+/// exercise many-shard merges on small worlds. Results depend on the granule
+/// only through the documented re-association of non-local float aggregates
+/// — never on `parallelism`.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn query_phase_sharded_with<B: Behavior>(
@@ -1008,7 +956,6 @@ pub fn query_phase_sharded_with<B: Behavior>(
     scratch: &mut TickScratch,
     shard_rows: usize,
     parallelism: usize,
-    kernel: QueryKernel,
 ) -> QueryStats {
     let schema = behavior.schema();
     let vis = schema.visibility();
@@ -1056,10 +1003,6 @@ pub fn query_phase_sharded_with<B: Behavior>(
         grouped,
         join,
         nonlocal,
-        // The behavior decides once per tick whether its batched kernel pays
-        // for materializing candidate columns (`Behavior::batch_profitable`);
-        // the ablation knob still forces the scalar path wholesale.
-        run_batched: kernel == QueryKernel::Batched && behavior.batch_profitable(),
         // Once per tick, early-out on the first inversion.
         rows_in_id_order: ids_strictly_increasing(view.ids),
         tick,
@@ -1447,7 +1390,6 @@ pub struct TickExecutor<B: Behavior> {
     scratch: TickScratch,
     id_gen: AgentIdGen,
     parallelism: usize,
-    kernel: QueryKernel,
     seed: u64,
     tick: u64,
     metrics: SimMetrics,
@@ -1470,7 +1412,6 @@ impl<B: Behavior> TickExecutor<B> {
             scratch: TickScratch::new(),
             id_gen: AgentIdGen::from(max_id),
             parallelism: 1,
-            kernel: QueryKernel::default(),
             seed,
             tick: 0,
             metrics: SimMetrics::default(),
@@ -1498,18 +1439,6 @@ impl<B: Behavior> TickExecutor<B> {
         self.index.set_mode(mode);
     }
 
-    /// Query-kernel mode (ablation knob): batched lane kernels (default)
-    /// or the per-row scalar path. Never changes results — proven by the
-    /// kernel conformance properties.
-    pub fn set_query_kernel(&mut self, kernel: QueryKernel) {
-        self.kernel = kernel;
-    }
-
-    /// Current query-kernel mode.
-    pub fn query_kernel(&self) -> QueryKernel {
-        self.kernel
-    }
-
     /// Full index builds performed so far (ablation statistic): 0 for a
     /// bounded-visibility range schema, whose probe order is its index.
     pub fn index_rebuilds(&self) -> u64 {
@@ -1519,7 +1448,7 @@ impl<B: Behavior> TickExecutor<B> {
     /// Execute one tick (query → finalize effects → update).
     pub fn step(&mut self) -> TickMetrics {
         let n = self.pool.len();
-        let qs = query_phase_sharded_with(
+        let qs = query_phase_sharded(
             &self.behavior,
             &mut self.pool,
             n,
@@ -1527,9 +1456,7 @@ impl<B: Behavior> TickExecutor<B> {
             self.tick,
             self.seed,
             &mut self.scratch,
-            SHARD_ROWS,
             self.parallelism,
-            self.kernel,
         );
         let us = update_phase_sharded(
             &self.behavior,

@@ -42,15 +42,14 @@ pub mod combinator;
 pub mod effect;
 pub mod engine;
 pub mod executor;
-pub mod kernels;
 pub mod metrics;
 pub mod schema;
 
 pub use agent::{Agent, AgentPool, AgentRead, AgentRef, PoolView};
-pub use behavior::{BatchScratch, Behavior, GatheredBatch, NeighborBatch, NeighborRef, Neighbors, UpdateCtx};
+pub use behavior::{Behavior, NeighborRef, Neighbors, UpdateCtx};
 pub use combinator::Combinator;
 pub use effect::{EffectTable, EffectWriter};
 pub use engine::{Simulation, SimulationBuilder};
-pub use executor::{IndexMaintenance, MaintainedIndex, PendingSpawn, QueryKernel, TickExecutor, TickScratch};
+pub use executor::{IndexMaintenance, MaintainedIndex, PendingSpawn, TickExecutor, TickScratch};
 pub use metrics::{SimMetrics, TickMetrics};
 pub use schema::{AgentSchema, SchemaBuilder};

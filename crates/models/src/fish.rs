@@ -23,9 +23,8 @@
 //! itself), so the runtime needs a single reduce pass.
 
 use brace_common::{AgentId, DetRng, FieldId, Vec2};
-use brace_core::behavior::{Behavior, NeighborBatch, Neighbors, UpdateCtx};
+use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::effect::{EffectWriter, LocalFold};
-use brace_core::kernels::with_lane_scratch;
 use brace_core::{Agent, AgentRef, AgentSchema, Combinator};
 
 /// Model parameters. Distances in body lengths, speeds in body lengths per
@@ -50,19 +49,6 @@ pub struct FishParams {
     pub informed_b: f64,
     /// Initial school radius.
     pub school_radius: f64,
-    /// Batch-engagement override. `None` (default) applies the engine-wide
-    /// cost rule (`brace_core::behavior::batch_engaged`) to
-    /// [`FORCE_KERNEL_COST`] — which engages [`force_kernel`]. Pure
-    /// scheduling policy, bit-identical either way. The 2–8× batched gains
-    /// that made fish the motivating case for lane kernels were measured
-    /// against one index probe and one gather per fish; on the tile join the
-    /// scalar query reads its candidates pre-filtered and folds in the same
-    /// registers, and the batched query phase measures 0.74–0.81× the scalar
-    /// one (5k–100k fish, PR 18; 0.81–0.86× at its parent). Engagement is
-    /// left as the shared rule decides it — see
-    /// `brace_core::behavior::BATCH_COST_THRESHOLD` for the figures and
-    /// ROADMAP for the open decision.
-    pub batch_engagement: Option<bool>,
 }
 
 impl Default for FishParams {
@@ -76,7 +62,6 @@ impl Default for FishParams {
             informed_a: 0.05,
             informed_b: 0.05,
             school_radius: 20.0,
-            batch_engagement: None,
         }
     }
 }
@@ -108,21 +93,11 @@ pub mod effect {
     pub const N_VIS: u16 = 7;
 }
 
-/// Per-candidate cost of [`candidate_force`] plus the zone fold, in the
-/// analyzer's ALU-op units (the same scale the BRASIL compiler scores its
-/// lane programs on): squared distance 3, square root 8, two divides for
-/// the unit direction 16, zone compares and force accumulation ≈6 — well
-/// above `brace_core::behavior::BATCH_COST_THRESHOLD`, so the force kernel
-/// engages by default.
-pub const FORCE_KERNEL_COST: u32 = 33;
-
-/// Per-candidate force geometry, shared verbatim by the scalar query path
-/// and (op for op) the lane kernel [`force_kernel`], so the two are
-/// bit-identical: squared distance from the querying fish to the candidate
-/// plus the unit direction toward it — zero when (near) coincident, the
-/// same guard `Vec2::normalized` applies, but on `sqrt(d²)` rather than
-/// `hypot` so the root vectorizes. Zone cutoffs compare against squared
-/// radii for the same reason.
+/// Per-candidate force geometry: squared distance from the querying fish to
+/// the candidate plus the unit direction toward it — zero when (near)
+/// coincident, the same guard `Vec2::normalized` applies, but on the
+/// cheaper `sqrt(d²)` rather than `hypot`. Zone cutoffs compare against
+/// squared radii for the same reason.
 #[inline]
 pub(crate) fn candidate_force(mx: f64, my: f64, cx: f64, cy: f64) -> (f64, f64, f64) {
     let dx = cx - mx;
@@ -133,39 +108,6 @@ pub(crate) fn candidate_force(mx: f64, my: f64, cx: f64, cy: f64) -> (f64, f64, 
         (d2, dx / d, dy / d)
     } else {
         (d2, 0.0, 0.0)
-    }
-}
-
-/// Lane kernel behind [`FishBehavior`]'s batched query: [`candidate_force`]
-/// over whole candidate columns. Written branch-free (the division always
-/// runs; degenerate lanes — including the querying fish itself at distance
-/// zero — select the zero direction afterwards) so LLVM vectorizes the
-/// squares, the root and the divides; every element is IEEE-identical to
-/// the scalar helper.
-pub fn force_kernel(xs: &[f64], ys: &[f64], mx: f64, my: f64, d2: &mut Vec<f64>, ux: &mut Vec<f64>, uy: &mut Vec<f64>) {
-    let n = xs.len();
-    debug_assert_eq!(ys.len(), n, "coordinate columns must be parallel");
-    d2.clear();
-    d2.resize(n, 0.0);
-    ux.clear();
-    ux.resize(n, 0.0);
-    uy.clear();
-    uy.resize(n, 0.0);
-    // Lockstep iterators (not indexing): the bounds checks that block the
-    // loop vectorizer disappear, and LLVM emits packed sqrt/div.
-    let ys = &ys[..n];
-    let it = xs.iter().zip(ys).zip(d2.iter_mut().zip(ux.iter_mut()).zip(uy.iter_mut()));
-    for ((&x, &y), ((d2i, uxi), uyi)) in it {
-        let dx = x - mx;
-        let dy = y - my;
-        let q = dx * dx + dy * dy;
-        let d = q.sqrt();
-        let inv_x = dx / d;
-        let inv_y = dy / d;
-        let ok = d > f64::EPSILON;
-        *d2i = q;
-        *uxi = if ok { inv_x } else { 0.0 };
-        *uyi = if ok { inv_y } else { 0.0 };
     }
 }
 
@@ -189,10 +131,9 @@ const FORCE_FOLD: [(FieldId, Combinator); 8] = {
     ]
 };
 
-/// One in-range candidate's contribution, shared by the scalar and the
-/// batched query: repulsion from a personal-zone neighbor, attraction to
-/// and alignment with any other (`ux`, `uy`: unit direction toward it;
-/// `hx`, `hy`: its heading).
+/// One in-range candidate's contribution: repulsion from a personal-zone
+/// neighbor, attraction to and alignment with any other (`ux`, `uy`: unit
+/// direction toward it; `hx`, `hy`: its heading).
 #[inline(always)]
 fn fold_force(acc: &mut LocalFold<'_, 8>, personal: bool, ux: f64, uy: f64, hx: f64, hy: f64) {
     if personal {
@@ -277,10 +218,6 @@ impl Behavior for FishBehavior {
         &self.schema
     }
 
-    fn batch_profitable(&self) -> bool {
-        brace_core::behavior::batch_engaged(FORCE_KERNEL_COST, self.params.batch_engagement)
-    }
-
     fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
         let p = &self.params;
         let (alpha2, rho2) = (p.alpha * p.alpha, p.rho * p.rho);
@@ -296,38 +233,6 @@ impl Behavior for FishBehavior {
                 }
                 fold_force(acc, d2 <= alpha2, ux, uy, nb.agent.state(state::HX), nb.agent.state(state::HY));
             }
-        });
-    }
-
-    /// Batched query: gather positions + headings, run [`force_kernel`]
-    /// over the candidate columns, then emit effects in candidate order —
-    /// the same fold, over lane-computed values, as the scalar path.
-    fn query_batch(
-        &self,
-        me: AgentRef<'_>,
-        batch: &mut NeighborBatch<'_>,
-        eff: &mut EffectWriter<'_>,
-        _rng: &mut DetRng,
-    ) {
-        let p = &self.params;
-        let (alpha2, rho2) = (p.alpha * p.alpha, p.rho * p.rho);
-        let my_pos = me.pos();
-        let g = batch.gather(&[state::HX, state::HY]);
-        with_lane_scratch(|s| {
-            force_kernel(g.xs, g.ys, my_pos.x, my_pos.y, &mut s.a, &mut s.b, &mut s.c);
-            let (hx, hy) = (g.state(0), g.state(1));
-            eff.fold_local(FORCE_FOLD, |acc| {
-                for i in 0..g.len() {
-                    if g.rows[i] == g.me {
-                        continue;
-                    }
-                    let d2 = s.a[i];
-                    if d2 > rho2 {
-                        continue;
-                    }
-                    fold_force(acc, d2 <= alpha2, s.b[i], s.c[i], hx[i], hy[i]);
-                }
-            });
         });
     }
 
@@ -365,48 +270,10 @@ impl Behavior for FishBehavior {
 mod tests {
     use super::*;
 
-    /// One engagement rule governs hand-coded and compiled behaviors: the
-    /// force kernel's cost clears the shared threshold (engaged by
-    /// default), and the override pins the decision either way.
-    #[test]
-    fn batch_engagement_follows_the_shared_cost_rule() {
-        use brace_core::behavior::{batch_engaged, Behavior};
-        assert!(batch_engaged(FORCE_KERNEL_COST, None));
-        assert!(FishBehavior::new(FishParams::default()).batch_profitable());
-        let off = FishParams { batch_engagement: Some(false), ..FishParams::default() };
-        assert!(!FishBehavior::new(off).batch_profitable());
-    }
-
     use brace_core::Simulation;
 
     fn behavior() -> FishBehavior {
         FishBehavior::new(FishParams::default())
-    }
-
-    /// Pin the force kernel's scalar-tail handling at candidate counts
-    /// straddling the lane width (0, 1, L−1, L, L+1, 2L−1): every element
-    /// must match the per-candidate definition bit for bit.
-    #[test]
-    fn force_kernel_tail_counts_match_scalar_definition() {
-        const L: usize = brace_spatial::kernels::LANES;
-        let (mx, my) = (0.3, -1.7);
-        for n in [0, 1, L - 1, L, L + 1, 2 * L - 1] {
-            let xs: Vec<f64> = (0..n).map(|i| i as f64 * 0.7 - 1.0).collect();
-            let mut ys: Vec<f64> = (0..n).map(|i| 2.0 - i as f64 * 0.3).collect();
-            if n > 1 {
-                // Coincident candidate: the degenerate-direction select.
-                ys[1] = my;
-            }
-            let (mut d2, mut ux, mut uy) = (Vec::new(), Vec::new(), Vec::new());
-            force_kernel(&xs, &ys, mx, my, &mut d2, &mut ux, &mut uy);
-            assert_eq!(d2.len(), n);
-            for i in 0..n {
-                let (sd2, sux, suy) = candidate_force(mx, my, xs[i], ys[i]);
-                assert_eq!(d2[i].to_bits(), sd2.to_bits(), "count {n} element {i}");
-                assert_eq!(ux[i].to_bits(), sux.to_bits(), "count {n} element {i}");
-                assert_eq!(uy[i].to_bits(), suy.to_bits(), "count {n} element {i}");
-            }
-        }
     }
 
     #[test]

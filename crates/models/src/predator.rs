@@ -17,9 +17,8 @@
 //! the inverted form does not.
 
 use brace_common::{AgentId, DetRng, FieldId, Vec2};
-use brace_core::behavior::{Behavior, NeighborBatch, Neighbors, UpdateCtx};
+use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::effect::EffectWriter;
-use brace_core::kernels::with_lane_scratch;
 use brace_core::{Agent, AgentRef, AgentSchema, Combinator};
 
 /// Model parameters.
@@ -45,15 +44,6 @@ pub struct PredatorParams {
     /// Use non-local effect assignments (biters push hurt). `false` = the
     /// hand-inverted local form (victims pull hurt).
     pub nonlocal: bool,
-    /// Batch-engagement override for the bite-scan kernel
-    /// ([`bite_kernel`]). `None` (default) applies the engine-wide cost
-    /// rule (`brace_core::behavior::batch_engaged`) to
-    /// [`BITE_KERNEL_COST`] — which stays scalar for the same reason as
-    /// traffic's gap scan: one subtract and one multiply per candidate is
-    /// too cheap to amortize the candidate gather on the reference
-    /// container. Results are bit-identical either way (the kernel
-    /// conformance contract), so this is pure scheduling policy.
-    pub batch_engagement: Option<bool>,
 }
 
 impl Default for PredatorParams {
@@ -68,7 +58,6 @@ impl Default for PredatorParams {
             crowd_limit: 8.0,
             growth: 0.01,
             nonlocal: true,
-            batch_engagement: None,
         }
     }
 }
@@ -100,34 +89,6 @@ fn bites(p: &PredatorParams, attacker_size: f64, victim_size: f64) -> bool {
 #[inline]
 fn bite_damage(p: &PredatorParams, attacker_size: f64, victim_size: f64) -> f64 {
     p.bite_strength * (attacker_size - victim_size)
-}
-
-/// Per-candidate cost of the bite scan, in the analyzer's ALU-op units
-/// (the scale the BRASIL compiler scores its lane programs on): one
-/// subtract and one multiply per role — below
-/// `brace_core::behavior::BATCH_COST_THRESHOLD`, so [`bite_kernel`] stays
-/// off the default path, like traffic's gap scan.
-pub const BITE_KERNEL_COST: u32 = 4;
-
-/// Lane kernel behind [`PredatorBehavior`]'s batched query — the bite
-/// scan's vectorizable half: per candidate, the damage the querying fish
-/// would inflict (`strength × (my_size − size)`) and the damage it would
-/// receive (`strength × (size − my_size)`), exactly [`bite_damage`]'s
-/// arithmetic in both role assignments. The order-sensitive half — the
-/// [`bites`] predicate gating which (if either) damage is emitted, and the
-/// emission itself in canonical candidate order — stays a scalar fold over
-/// these columns, so batched ≡ scalar bitwise.
-pub fn bite_kernel(sizes: &[f64], my_size: f64, strength: f64, dealt: &mut Vec<f64>, received: &mut Vec<f64>) {
-    let n = sizes.len();
-    dealt.clear();
-    dealt.resize(n, 0.0);
-    received.clear();
-    received.resize(n, 0.0);
-    // Lockstep iterators so the vectorizer sees no bounds checks.
-    for (&s, (d, r)) in sizes.iter().zip(dealt.iter_mut().zip(received.iter_mut())) {
-        *d = strength * (my_size - s);
-        *r = strength * (s - my_size);
-    }
 }
 
 /// The predator model as a BRACE behavior.
@@ -197,45 +158,6 @@ impl Behavior for PredatorBehavior {
         }
     }
 
-    fn batch_profitable(&self) -> bool {
-        brace_core::behavior::batch_engaged(BITE_KERNEL_COST, self.params.batch_engagement)
-    }
-
-    /// Batched query: gather sizes, run [`bite_kernel`] over the candidate
-    /// column, then fold in candidate order — the same [`bites`] gating,
-    /// over lane-computed damages, as the scalar path.
-    // The fold walks four parallel columns by index; iterating any single
-    // one (clippy's suggestion) would obscure that.
-    #[allow(clippy::needless_range_loop)]
-    fn query_batch(
-        &self,
-        me: AgentRef<'_>,
-        batch: &mut NeighborBatch<'_>,
-        eff: &mut EffectWriter<'_>,
-        _rng: &mut DetRng,
-    ) {
-        let p = &self.params;
-        let my_size = me.state(state::SIZE);
-        let g = batch.gather(&[state::SIZE]);
-        with_lane_scratch(|s| {
-            bite_kernel(g.state(0), my_size, p.bite_strength, &mut s.a, &mut s.b);
-            let sizes = g.state(0);
-            for i in 0..g.len() {
-                if g.rows[i] == g.me {
-                    continue;
-                }
-                eff.local(FieldId::new(effect::CROWD), 1.0);
-                if p.nonlocal {
-                    if bites(p, my_size, sizes[i]) {
-                        eff.remote(g.rows[i], FieldId::new(effect::HURT), s.a[i]);
-                    }
-                } else if bites(p, sizes[i], my_size) {
-                    eff.local(FieldId::new(effect::HURT), s.b[i]);
-                }
-            }
-        });
-    }
-
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
         let p = &self.params;
         let hurt = me.effect(FieldId::new(effect::HURT));
@@ -262,44 +184,10 @@ impl Behavior for PredatorBehavior {
 mod tests {
     use super::*;
 
-    /// The bite scan's cost sits below the shared engagement threshold, so
-    /// the scalar path stays the default; `Some(true)` pins the kernel on.
-    #[test]
-    fn batch_engagement_follows_the_shared_cost_rule() {
-        use brace_core::behavior::{batch_engaged, Behavior};
-        assert!(!batch_engaged(BITE_KERNEL_COST, None));
-        assert!(!PredatorBehavior::new(PredatorParams::default()).batch_profitable());
-        let on = PredatorParams { batch_engagement: Some(true), ..PredatorParams::default() };
-        assert!(PredatorBehavior::new(on).batch_profitable());
-    }
-
     use brace_core::Simulation;
 
     fn behavior(nonlocal: bool) -> PredatorBehavior {
         PredatorBehavior::new(PredatorParams { nonlocal, ..Default::default() })
-    }
-
-    /// Pin the bite kernel's scalar-tail handling at candidate counts
-    /// straddling the lane width (0, 1, L−1, L, L+1, 2L−1): every element
-    /// must match [`bite_damage`]'s per-candidate definition bit for bit,
-    /// in both role assignments.
-    #[test]
-    fn bite_kernel_tail_counts_match_scalar_definition() {
-        const L: usize = brace_spatial::kernels::LANES;
-        let p = PredatorParams::default();
-        let my_size = 1.1;
-        for n in [0, 1, L - 1, L, L + 1, 2 * L - 1] {
-            let sizes: Vec<f64> = (0..n).map(|i| 0.4 + i as f64 * 0.23).collect();
-            let (mut dealt, mut received) = (Vec::new(), Vec::new());
-            bite_kernel(&sizes, my_size, p.bite_strength, &mut dealt, &mut received);
-            assert_eq!(dealt.len(), n);
-            for i in 0..n {
-                let d = bite_damage(&p, my_size, sizes[i]);
-                let r = bite_damage(&p, sizes[i], my_size);
-                assert_eq!(dealt[i].to_bits(), d.to_bits(), "count {n} element {i}");
-                assert_eq!(received[i].to_bits(), r.to_bits(), "count {n} element {i}");
-            }
-        }
     }
 
     #[test]

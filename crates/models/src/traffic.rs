@@ -34,9 +34,8 @@
 //! statistics.
 
 use brace_common::{AgentId, DetRng, FieldId, Vec2};
-use brace_core::behavior::{Behavior, NeighborBatch, Neighbors, UpdateCtx};
+use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::effect::EffectWriter;
-use brace_core::kernels::with_lane_scratch;
 use brace_core::{Agent, AgentRef, AgentSchema, Combinator};
 
 /// Model parameters (time unit: seconds; distance unit: meters).
@@ -86,16 +85,6 @@ pub struct TrafficParams {
     /// expect to achieve performance parity with MITSIM"). `None` (default)
     /// is the fixed-lookahead scan the paper used for validation.
     pub knn: Option<usize>,
-    /// Batch-engagement override for the gap-scan kernel ([`gap_kernel`]).
-    /// `None` (default) applies the engine-wide cost rule
-    /// (`brace_core::behavior::batch_engaged`) to [`GAP_KERNEL_COST`] —
-    /// which stays scalar: the per-candidate map is three subtractions,
-    /// too cheap to amortize materializing the candidate columns (batched
-    /// query phase at 0.82–0.85× the scalar one on the join path, 12k
-    /// vehicles, PR 18). Results are bit-identical either way (the kernel
-    /// conformance contract), so this is pure scheduling policy; pin
-    /// `Some(true)` only where a measurement says it pays.
-    pub batch_engagement: Option<bool>,
 }
 
 impl Default for TrafficParams {
@@ -120,7 +109,6 @@ impl Default for TrafficParams {
             vehicle_length: 5.0,
             density: 0.02,
             knn: None,
-            batch_engagement: None,
         }
     }
 }
@@ -228,13 +216,9 @@ pub fn drive(
     (car_following_accel(p, vel, desired, current), 0)
 }
 
-/// Fold one candidate into the three lane views — the order-sensitive half
-/// of the gap scan (nearest-per-lane selection with a strict-`<` first-wins
-/// tie rule and the zero-offset special case), shared by the scalar
-/// [`views_from_scan`] and the batched fold in
-/// [`TrafficBehavior::query_batch`] so the bit-identity contract has a
-/// single source of truth. `lead_gap`/`rear_gap` are the precomputed
-/// `(±dx − L).max(0)` values ([`gap_kernel`]'s per-candidate map); only the
+/// Fold one candidate into the three lane views (nearest-per-lane selection
+/// with a strict-`<` first-wins tie rule and the zero-offset special case).
+/// `lead_gap`/`rear_gap` are the candidate's `(±dx − L).max(0)`; only the
 /// side selected by `dx`'s sign is read.
 #[inline]
 fn fold_candidate(views: &mut [LaneView; 3], lane_delta: i64, dx: f64, lead_gap: f64, rear_gap: f64, vel: f64) {
@@ -278,46 +262,6 @@ pub fn views_from_scan(
         fold_candidate(&mut views, lane as i64 - my_lane as i64, dx, lead, rear, vel);
     }
     views
-}
-
-/// Per-candidate cost of the gap scan, in the analyzer's ALU-op units
-/// (the scale the BRASIL compiler scores its lane programs on): three
-/// subtractions per candidate — below
-/// `brace_core::behavior::BATCH_COST_THRESHOLD`, so [`gap_kernel`] stays
-/// off the default path (see [`TrafficParams::batch_engagement`] for the
-/// measured ratio).
-pub const GAP_KERNEL_COST: u32 = 3;
-
-/// Lane kernel behind [`TrafficBehavior`]'s batched query — the gap scan's
-/// vectorizable half: per candidate, the signed longitudinal offset from
-/// the querying vehicle plus the lead gap (`(dx − L).max(0)`) and rear gap
-/// (`(−dx − L).max(0)`), exactly the arithmetic [`views_from_scan`] runs
-/// per neighbor. The order-sensitive half — nearest-per-lane selection,
-/// where ties keep the first candidate — stays a scalar fold over these
-/// columns in canonical candidate order, so batched ≡ scalar bitwise.
-pub fn gap_kernel(
-    xs: &[f64],
-    my_x: f64,
-    vehicle_length: f64,
-    dx: &mut Vec<f64>,
-    lead: &mut Vec<f64>,
-    rear: &mut Vec<f64>,
-) {
-    let n = xs.len();
-    dx.clear();
-    dx.resize(n, 0.0);
-    lead.clear();
-    lead.resize(n, 0.0);
-    rear.clear();
-    rear.resize(n, 0.0);
-    // Lockstep iterators so the vectorizer sees no bounds checks.
-    let it = xs.iter().zip(dx.iter_mut().zip(lead.iter_mut()).zip(rear.iter_mut()));
-    for (&x, ((dxi, leadi), reari)) in it {
-        let d = x - my_x;
-        *dxi = d;
-        *leadi = (d - vehicle_length).max(0.0);
-        *reari = (-d - vehicle_length).max(0.0);
-    }
 }
 
 /// The traffic model as a BRACE behavior.
@@ -386,10 +330,6 @@ impl Behavior for TrafficBehavior {
         }
     }
 
-    fn batch_profitable(&self) -> bool {
-        brace_core::behavior::batch_engaged(GAP_KERNEL_COST, self.params.batch_engagement)
-    }
-
     fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
         let p = &self.params;
         let my_pos = me.pos();
@@ -408,45 +348,6 @@ impl Behavior for TrafficBehavior {
         let left = (lane > 0).then_some(&views[0]);
         let right = (lane + 1 < p.lanes).then_some(&views[2]);
         let (acc, delta) = drive(p, lane, vel, desired, [left, Some(&views[1]), right], rng);
-        eff.local(FieldId::new(effect::ACC), acc);
-        eff.local(FieldId::new(effect::LANE), delta as f64);
-    }
-
-    /// Batched query: gather positions + velocities, run [`gap_kernel`]
-    /// over the candidate columns, then fold the lane views in candidate
-    /// order — the same selection, over lane-computed gaps, as
-    /// [`views_from_scan`] — and drive.
-    // The fold walks five parallel columns by index; iterating any single
-    // one (clippy's suggestion) would obscure that.
-    #[allow(clippy::needless_range_loop)]
-    fn query_batch(
-        &self,
-        me: AgentRef<'_>,
-        batch: &mut NeighborBatch<'_>,
-        eff: &mut EffectWriter<'_>,
-        rng: &mut DetRng,
-    ) {
-        let p = &self.params;
-        let my_pos = me.pos();
-        let lane = my_pos.y.round() as usize;
-        let vel = me.state(state::VEL);
-        let desired = me.state(state::DESIRED);
-        let g = batch.gather(&[state::VEL]);
-        let (acc, delta) = with_lane_scratch(|s| {
-            gap_kernel(g.xs, my_pos.x, p.vehicle_length, &mut s.a, &mut s.b, &mut s.c);
-            let vels = g.state(0);
-            let mut views = [LaneView::open(p), LaneView::open(p), LaneView::open(p)];
-            for i in 0..g.len() {
-                if g.rows[i] == g.me {
-                    continue;
-                }
-                let lane_delta = (g.ys[i].round() as usize) as i64 - lane as i64;
-                fold_candidate(&mut views, lane_delta, s.a[i], s.b[i], s.c[i], vels[i]);
-            }
-            let left = (lane > 0).then_some(&views[0]);
-            let right = (lane + 1 < p.lanes).then_some(&views[2]);
-            drive(p, lane, vel, desired, [left, Some(&views[1]), right], rng)
-        });
         eff.local(FieldId::new(effect::ACC), acc);
         eff.local(FieldId::new(effect::LANE), delta as f64);
     }
@@ -480,44 +381,11 @@ impl Behavior for TrafficBehavior {
 mod tests {
     use super::*;
 
-    /// The gap scan's cost sits below the shared engagement threshold, so
-    /// the scalar path stays the default; `Some(true)` pins the kernel on.
-    #[test]
-    fn batch_engagement_follows_the_shared_cost_rule() {
-        use brace_core::behavior::{batch_engaged, Behavior};
-        assert!(!batch_engaged(GAP_KERNEL_COST, None));
-        assert!(!TrafficBehavior::new(TrafficParams::default()).batch_profitable());
-        let on = TrafficParams { batch_engagement: Some(true), ..TrafficParams::default() };
-        assert!(TrafficBehavior::new(on).batch_profitable());
-    }
-
     use brace_core::Simulation;
     use brace_spatial::IndexKind;
 
     fn small_params() -> TrafficParams {
         TrafficParams { segment: 1000.0, lanes: 3, density: 0.03, ..TrafficParams::default() }
-    }
-
-    /// Pin the gap kernel's scalar-tail handling at candidate counts
-    /// straddling the lane width (0, 1, L−1, L, L+1, 2L−1): every element
-    /// must match `views_from_scan`'s per-neighbor arithmetic bit for bit.
-    #[test]
-    fn gap_kernel_tail_counts_match_scalar_definition() {
-        const L: usize = brace_spatial::kernels::LANES;
-        let (my_x, veh) = (100.0, 5.0);
-        for n in [0, 1, L - 1, L, L + 1, 2 * L - 1] {
-            // Mix of leads, rears, inside-vehicle-length and coincident.
-            let xs: Vec<f64> = (0..n).map(|i| my_x + (i as f64 - 2.5) * 4.0).collect();
-            let (mut dx, mut lead, mut rear) = (Vec::new(), Vec::new(), Vec::new());
-            gap_kernel(&xs, my_x, veh, &mut dx, &mut lead, &mut rear);
-            assert_eq!(dx.len(), n);
-            for i in 0..n {
-                let d = xs[i] - my_x;
-                assert_eq!(dx[i].to_bits(), d.to_bits(), "count {n} element {i}");
-                assert_eq!(lead[i].to_bits(), ((d - veh).max(0.0)).to_bits(), "count {n} element {i}");
-                assert_eq!(rear[i].to_bits(), ((-d - veh).max(0.0)).to_bits(), "count {n} element {i}");
-            }
-        }
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! * Proptests (named `opt_*` so CI can select them) drive each
 //!   `brasil-*` scenario against its [`brasil_unoptimized`] twin through
 //!   `brace_core::TickExecutor` over random populations, seeds, index
-//!   kinds and tick counts, under **both** query kernels (the executor's
-//!   two member paths; the script runs the same register program on
-//!   either). This pins the whole pipeline — const-fold, CSE, dead-code and
+//!   kinds and tick counts. This pins the whole pipeline — const-fold, CSE, dead-code and
 //!   visibility-predicate pushdown (the shrunken probe rect must not drop a
 //!   contributing candidate) — and that the optimized and the unoptimized
 //!   plan lower to register programs that agree.
@@ -27,7 +25,7 @@
 //! (inversion is only ~1e-9-equivalent, so both sides of the A/B carry
 //! it); everything else the pipeline does is bit-exact by construction.
 
-use brace::core::{Agent, Behavior, QueryKernel, TickExecutor};
+use brace::core::{Agent, Behavior, TickExecutor};
 use brace::scenario::{brasil_unoptimized, Backend, Registry, Runner, Scenario};
 use brace_common::{AgentId, DetRng, Vec2};
 use proptest::prelude::*;
@@ -78,7 +76,6 @@ fn run_world(
     n: usize,
     seed: u64,
     kind: brace::spatial::IndexKind,
-    kernel: QueryKernel,
     ticks: u64,
 ) -> Vec<Agent> {
     let setup = if optimize {
@@ -87,7 +84,6 @@ fn run_world(
         brasil_unoptimized(name).expect("unoptimized twin").build(Some(n), seed).unwrap()
     };
     let mut exec = TickExecutor::new(setup.behavior, setup.population, kind, seed);
-    exec.set_query_kernel(kernel);
     exec.run(ticks);
     exec.agents()
 }
@@ -109,9 +105,7 @@ proptest! {
 
     /// The tentpole conformance bar: for every BRASIL scenario, random
     /// population size / seed / index kind / horizon, the optimized plan
-    /// equals the unoptimized one bit for bit — on the executor's batched
-    /// member path *and* its scalar one (probe-rect pushdown live on both),
-    /// and the two paths agree with each other.
+    /// equals the unoptimized one bit for bit (probe-rect pushdown live).
     #[test]
     fn opt_pipeline_is_bit_identical_to_unoptimized(
         name in any_brasil_scenario(),
@@ -120,26 +114,14 @@ proptest! {
         kind in any_index_kind(),
         ticks in 1u64..4,
     ) {
-        let run = |optimize, kernel| run_world(name, optimize, n, seed, kind, kernel, ticks);
-        let opt_batched = run(true, QueryKernel::Batched);
-        worlds_bit_identical(
-            &format!("{name} batched opt vs no-opt"),
-            &opt_batched,
-            &run(false, QueryKernel::Batched),
-        )?;
-        let opt_scalar = run(true, QueryKernel::Scalar);
-        worlds_bit_identical(
-            &format!("{name} scalar opt vs no-opt"),
-            &opt_scalar,
-            &run(false, QueryKernel::Scalar),
-        )?;
-        worlds_bit_identical(&format!("{name} batched vs scalar"), &opt_batched, &opt_scalar)?;
+        let run = |optimize| run_world(name, optimize, n, seed, kind, ticks);
+        worlds_bit_identical(&format!("{name} opt vs no-opt"), &run(true), &run(false))?;
     }
 
     /// The car and the (inverted) predator script — a pushed-down probe
     /// rect, an `if` in the body, state columns read off the candidate —
-    /// through the register program on both executor member paths, against
-    /// the tree-walking specification: bit-identical worlds.
+    /// through the register program against the tree-walking specification:
+    /// bit-identical worlds.
     #[test]
     fn opt_vm_matches_reference_interpreter(
         which in prop::sample::select(vec!["car", "predator"]),
@@ -168,12 +150,9 @@ proptest! {
         let mut spec = TickExecutor::new(behavior.reference(), agents.clone(), kind, seed);
         spec.run(ticks);
         let spec = spec.agents();
-        for kernel in [QueryKernel::Batched, QueryKernel::Scalar] {
-            let mut exec = TickExecutor::new(behavior.clone(), agents.clone(), kind, seed);
-            exec.set_query_kernel(kernel);
-            exec.run(ticks);
-            worlds_bit_identical(&format!("{which} register program ({kernel:?}) vs reference"), &exec.agents(), &spec)?;
-        }
+        let mut exec = TickExecutor::new(behavior, agents, kind, seed);
+        exec.run(ticks);
+        worlds_bit_identical(&format!("{which} register program vs reference"), &exec.agents(), &spec)?;
     }
 }
 

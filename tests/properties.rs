@@ -23,9 +23,7 @@ use brace_core::executor::{
     query_phase, query_phase_sharded_with, reference_step, update_phase, update_phase_sharded, MaintainedIndex,
     TickScratch,
 };
-use brace_core::{
-    Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWriter, IndexMaintenance, QueryKernel,
-};
+use brace_core::{Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWriter, IndexMaintenance};
 use brace_mapreduce::codec;
 use brace_spatial::join::{distribute, nested_loop_join, partitioned_join};
 use brace_spatial::{GridPartitioning, KdTree, Partitioner, ScanIndex, SpatialIndex, UniformGrid};
@@ -619,10 +617,8 @@ proptest! {
         let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
         let mut index = MaintainedIndex::new(kind);
         let mut scratch = TickScratch::new();
-        let p_stats = query_phase_sharded_with(
-            &b, &mut sh_pool, n_owned, &mut index, 3, seed, &mut scratch, shard_rows, threads,
-            QueryKernel::Batched,
-        );
+        let p_stats =
+            query_phase_sharded_with(&b, &mut sh_pool, n_owned, &mut index, 3, seed, &mut scratch, shard_rows, threads);
         prop_assert_eq!(s_stats.neighbor_visits, p_stats.neighbor_visits);
         prop_assert_eq!(s_stats.nonlocal_writes, p_stats.nonlocal_writes);
         assert_tables_bit_identical(&serial, sh_pool.effects(), n)?;
@@ -651,10 +647,7 @@ proptest! {
         let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
         let mut index = MaintainedIndex::new(kind);
         let mut scratch = TickScratch::new();
-        query_phase_sharded_with(
-            &b, &mut sh_pool, n_owned, &mut index, 1, seed, &mut scratch, shard_rows, threads,
-            QueryKernel::Batched,
-        );
+        query_phase_sharded_with(&b, &mut sh_pool, n_owned, &mut index, 1, seed, &mut scratch, shard_rows, threads);
         assert_tables_bit_identical(&serial, sh_pool.effects(), n)?;
     }
 
@@ -678,10 +671,7 @@ proptest! {
             let mut pool = AgentPool::from_agents(b.schema(), &agents);
             let mut index = MaintainedIndex::new(kind);
             let mut scratch = TickScratch::new();
-            query_phase_sharded_with(
-                &b, &mut pool, n, &mut index, 2, seed, &mut scratch, shard_rows, threads,
-                QueryKernel::Batched,
-            );
+            query_phase_sharded_with(&b, &mut pool, n, &mut index, 2, seed, &mut scratch, shard_rows, threads);
             pool
         };
         let (pa, pb) = (run(threads_a), run(threads_b));
@@ -783,14 +773,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel conformance: batched lane kernels ≡ scalar per-row paths, bitwise
-// (the contract of the `kernels` layer; CI reruns this section with
-// PROPTEST_CASES=256)
+// Kernel conformance: the spatial layer's lane kernels ≡ their scalar
+// definitions, bitwise, and the register-resident effect fold ≡ plain writes
+// (CI reruns this section with PROPTEST_CASES=256)
 // ---------------------------------------------------------------------------
 
 use brace_models::{
-    fish, traffic, EpidemicBehavior, EpidemicParams, FishBehavior, FishParams, PredatorBehavior, PredatorParams,
-    TrafficBehavior, TrafficParams,
+    EpidemicBehavior, EpidemicParams, FishBehavior, FishParams, PredatorBehavior, PredatorParams, TrafficBehavior,
+    TrafficParams,
 };
 
 /// Point sets that stress the lane kernels' compare/select paths: ordinary
@@ -814,7 +804,7 @@ fn edge_points(n: usize, seed: u64) -> Vec<(Vec2, u32)> {
 }
 
 /// Bitwise world equality: stricter than `Agent == Agent` (which treats
-/// `0.0 == -0.0`), because the kernel contract is bit-identity.
+/// `0.0 == -0.0`), because the join and evaluator contracts are bit-identity.
 fn worlds_bit_identical(a: &[Agent], b: &[Agent]) -> Result<(), String> {
     if a.len() != b.len() {
         return Err(format!("world sizes differ: {} vs {}", a.len(), b.len()));
@@ -829,7 +819,7 @@ fn worlds_bit_identical(a: &[Agent], b: &[Agent]) -> Result<(), String> {
             && x.effects.len() == y.effects.len()
             && x.effects.iter().zip(&y.effects).all(|(u, v)| u.to_bits() == v.to_bits());
         if !same {
-            return Err(format!("agent {} diverged:\n  batched: {:?}\n  scalar:  {:?}", x.id, x, y));
+            return Err(format!("agent {} diverged:\n  a: {:?}\n  b: {:?}", x.id, x, y));
         }
     }
     Ok(())
@@ -991,142 +981,6 @@ proptest! {
         }
     }
 
-    /// Fish forces: the batched force kernel (vectorized distances and
-    /// unit directions, ordered emission) is bit-identical to the scalar
-    /// per-row query over multi-tick runs — random schools salted with a
-    /// coincident pair (distance zero exercises the degenerate-direction
-    /// select), every index kind, serial and sharded-parallel.
-    #[test]
-    fn kernel_fish_forces_batched_equals_scalar(
-        seed in 0u64..10_000,
-        n in 0usize..90,
-        kind in any_index_kind(),
-        ticks in 1u64..5,
-        threads in 1usize..4,
-    ) {
-        let params = FishParams { school_radius: 8.0, ..FishParams::default() };
-        let mut pop = FishBehavior::new(params.clone()).population(n, seed);
-        if n >= 2 {
-            pop[1].pos = pop[0].pos; // coincident pair
-        }
-        let run = |kernel: QueryKernel| {
-            let mut exec =
-                brace_core::TickExecutor::new(FishBehavior::new(params.clone()), pop.clone(), kind, seed);
-            exec.set_parallelism(threads);
-            exec.set_query_kernel(kernel);
-            exec.run(ticks);
-            exec.agents()
-        };
-        worlds_bit_identical(&run(QueryKernel::Batched), &run(QueryKernel::Scalar))?;
-    }
-
-    /// Traffic gap scan: the batched kernel (vectorized offsets/gaps,
-    /// ordered nearest-per-lane fold) is bit-identical to the scalar query
-    /// over multi-tick runs with churn (exit + respawn), for both probe
-    /// modes (range scan and k-NN) and every index kind.
-    #[test]
-    fn kernel_traffic_gap_scan_batched_equals_scalar(
-        seed in 0u64..10_000,
-        lanes in 1usize..5,
-        density in 0.005f64..0.04,
-        kind in any_index_kind(),
-        ticks in 1u64..5,
-        use_knn in any::<bool>(),
-    ) {
-        let params = TrafficParams {
-            segment: 600.0,
-            lanes,
-            density,
-            knn: use_knn.then_some(6),
-            // Engage the gap-scan kernel (below the cost threshold by
-            // default) so the equivalence under test is actually exercised.
-            batch_engagement: Some(true),
-            ..TrafficParams::default()
-        };
-        let pop = TrafficBehavior::new(params.clone()).population(seed);
-        let run = |kernel: QueryKernel| {
-            let mut exec =
-                brace_core::TickExecutor::new(TrafficBehavior::new(params.clone()), pop.clone(), kind, seed);
-            exec.set_query_kernel(kernel);
-            exec.run(ticks);
-            exec.agents()
-        };
-        worlds_bit_identical(&run(QueryKernel::Batched), &run(QueryKernel::Scalar))?;
-    }
-
-    /// Predator bite scan: the batched kernel (vectorized damage columns in
-    /// both role assignments, scalar-gated emission in canonical candidate
-    /// order) is bit-identical to the scalar query over multi-tick runs
-    /// with the full population dynamics (bites, deaths, spawns), in both
-    /// the non-local and the hand-inverted local form, for every index
-    /// kind, serial and sharded-parallel.
-    #[test]
-    fn kernel_predator_bite_scan_batched_equals_scalar(
-        seed in 0u64..10_000,
-        n in 0usize..90,
-        kind in any_index_kind(),
-        ticks in 1u64..5,
-        threads in 1usize..4,
-        nonlocal in any::<bool>(),
-    ) {
-        let params = PredatorParams {
-            nonlocal,
-            // Engage the bite-scan kernel (below the cost threshold by
-            // default) so the equivalence under test is actually exercised.
-            batch_engagement: Some(true),
-            ..PredatorParams::default()
-        };
-        let mut pop = PredatorBehavior::new(params.clone()).population(n, 12.0, seed);
-        if n >= 2 {
-            pop[1].pos = pop[0].pos; // coincident pair still scans cleanly
-        }
-        let run = |kernel: QueryKernel| {
-            let mut exec =
-                brace_core::TickExecutor::new(PredatorBehavior::new(params.clone()), pop.clone(), kind, seed);
-            exec.set_parallelism(threads);
-            exec.set_query_kernel(kernel);
-            exec.run(ticks);
-            exec.agents()
-        };
-        worlds_bit_identical(&run(QueryKernel::Batched), &run(QueryKernel::Scalar))?;
-    }
-
-    /// The model kernels' scalar tails, property-sized: candidate counts
-    /// straddling the lane width produce per-element results identical to
-    /// the shared scalar helpers (spot-checked against the per-candidate
-    /// definitions; the `brace_spatial::kernels` unit tests pin the exact
-    /// 0 / 1 / LANES±1 / 2·LANES−1 counts).
-    #[test]
-    fn kernel_model_maps_match_scalar_helpers(
-        seed in 0u64..10_000,
-        n in 0usize..11,
-        mx in -5.0f64..5.0,
-        my in -5.0f64..5.0,
-    ) {
-        let pts = edge_points(n, seed);
-        let xs: Vec<f64> = pts.iter().map(|&(p, _)| p.x).collect();
-        let ys: Vec<f64> = pts.iter().map(|&(p, _)| p.y).collect();
-        let (mut d2, mut ux, mut uy) = (Vec::new(), Vec::new(), Vec::new());
-        fish::force_kernel(&xs, &ys, mx, my, &mut d2, &mut ux, &mut uy);
-        let (mut dx, mut lead, mut rear) = (Vec::new(), Vec::new(), Vec::new());
-        traffic::gap_kernel(&xs, mx, 5.0, &mut dx, &mut lead, &mut rear);
-        for i in 0..n {
-            // Fish: the scalar definition, op for op.
-            let (sdx, sdy) = (xs[i] - mx, ys[i] - my);
-            let sd2 = sdx * sdx + sdy * sdy;
-            let sd = sd2.sqrt();
-            let (sux, suy) = if sd > f64::EPSILON { (sdx / sd, sdy / sd) } else { (0.0, 0.0) };
-            prop_assert_eq!(d2[i].to_bits(), sd2.to_bits());
-            prop_assert_eq!(ux[i].to_bits(), sux.to_bits());
-            prop_assert_eq!(uy[i].to_bits(), suy.to_bits());
-            // Traffic: the views_from_scan arithmetic, op for op.
-            let sdxl = xs[i] - mx;
-            prop_assert_eq!(dx[i].to_bits(), sdxl.to_bits());
-            prop_assert_eq!(lead[i].to_bits(), ((sdxl - 5.0).max(0.0)).to_bits());
-            prop_assert_eq!(rear[i].to_bits(), ((-sdxl - 5.0).max(0.0)).to_bits());
-        }
-    }
-
     /// The register-resident effect fold: a `(field, value)` stream cut at
     /// arbitrary points into `fold_local`s and runs of plain `local` writes
     /// lands on the bits of the whole stream through `local` — for every
@@ -1212,7 +1066,6 @@ fn hostile_f64(bits: u64) -> f64 {
 // (named `kernel_*` so CI's PROPTEST_CASES=256 step reruns them)
 // ---------------------------------------------------------------------------
 
-use brace_core::behavior::NeighborBatch;
 use brace_core::executor::SHARD_ROWS;
 use brace_spatial::IndexKind;
 
@@ -1223,10 +1076,6 @@ fn any_shard_granule() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![1, 7, SHARD_ROWS])
 }
 
-fn any_query_kernel() -> impl Strategy<Value = QueryKernel> {
-    prop::sample::select(vec![QueryKernel::Batched, QueryKernel::Scalar])
-}
-
 fn any_thread_budget() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![1, 3])
 }
@@ -1234,13 +1083,11 @@ fn any_thread_budget() -> impl Strategy<Value = usize> {
 /// An `x` just below a tile edge whose probe rect reaches **two** tiles up:
 /// `fl(x + vis)` rounds onto the next edge, so `tile(x + vis) = tile(x) + 2`
 /// and an agent sitting exactly there is inside `x`'s closed visibility
-/// square. A join that assumed a 3×3 neighbourhood would miss it.
-fn two_tile_reach(vis: f64) -> f64 {
+/// square. A join that assumed a 3×3 neighbourhood would miss it. For a few
+/// visibilities in a thousand no edge below 2¹⁶·vis rounds up: `None`.
+fn two_tile_reach(vis: f64) -> Option<f64> {
     let tile = |v: f64| (v / vis).floor() as i64;
-    (1..200)
-        .map(|k| (k as f64 * vis).next_down())
-        .find(|&x| tile(x + vis) == tile(x) + 2)
-        .expect("some tile edge below 200·vis rounds up")
+    (1..1 << 16).map(|k| (k as f64 * vis).next_down()).find(|&x| tile(x + vis) == tile(x) + 2)
 }
 
 /// Re-draw `world`'s positions so the tile join meets its edge cases:
@@ -1261,9 +1108,8 @@ fn tile_edge_geometry(world: &mut [Agent], vis: f64, spread: f64, seed: u64) {
             _ => p,
         };
     }
-    if let [a, b, ..] = world {
+    if let ([a, b, ..], Some(x)) = (&mut *world, two_tile_reach(vis)) {
         // Along x on even seeds, along y on odd ones.
-        let x = two_tile_reach(vis);
         let place = |along: f64| {
             if seed.is_multiple_of(2) {
                 Vec2::new(along, 0.25 * vis)
@@ -1279,14 +1125,13 @@ fn tile_edge_geometry(world: &mut [Agent], vis: f64, spread: f64, seed: u64) {
 }
 
 /// `ticks` ticks of the production phases — the probe-group query loop at
-/// an explicit shard granule, thread budget and kernel, then the sharded
-/// update — from `world`.
+/// an explicit shard granule and thread budget, then the sharded update —
+/// from `world`.
 #[allow(clippy::too_many_arguments)]
 fn grouped_ticks<B: Behavior>(
     b: &B,
     world: &[Agent],
     kind: IndexKind,
-    kernel: QueryKernel,
     shard_rows: usize,
     threads: usize,
     ticks: u64,
@@ -1298,7 +1143,7 @@ fn grouped_ticks<B: Behavior>(
     let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw() + 1).max().unwrap_or(0));
     for tick in 0..ticks {
         let n = pool.len();
-        query_phase_sharded_with(b, &mut pool, n, &mut index, tick, seed, &mut scratch, shard_rows, threads, kernel);
+        query_phase_sharded_with(b, &mut pool, n, &mut index, tick, seed, &mut scratch, shard_rows, threads);
         update_phase_sharded(b, &mut pool, tick, seed, &mut id_gen, &mut scratch, threads);
     }
     pool.to_agents()
@@ -1318,8 +1163,7 @@ fn reference_ticks<B: Behavior>(b: &B, world: &[Agent], kind: IndexKind, ticks: 
 /// Local float model whose probe rect is lopsided and position-dependent —
 /// *inverted* (empty, but not `Rect::EMPTY`) for agents in the band
 /// `-vis ≤ x < 0`, and *wider than the visibility square* (up to five tiles
-/// across) for agents with `y ≥ 2·vis` — with a batched form that reads the
-/// gathered columns. What the pushdown contract asks of a real model (ignore
+/// across) for agents with `y ≥ 2·vis`. What the pushdown contract asks of a real model (ignore
 /// what the rect excludes, never look past the visibility bound) is moot
 /// here: both sides probe with the same rect.
 struct Lopsided(AgentSchema);
@@ -1337,17 +1181,6 @@ impl Lopsided {
                 .build()
                 .unwrap(),
         )
-    }
-
-    /// The per-neighbor contribution, shared by both query forms so they
-    /// perform the same operations in the same order.
-    #[inline]
-    fn emit(eff: &mut EffectWriter<'_>, me: Vec2, nx: f64, ny: f64, w: f64) {
-        let (dx, dy) = (nx - me.x, ny - me.y);
-        let d2 = dx * dx + dy * dy;
-        eff.local(FieldId::new(0), w / (1.0 + d2));
-        eff.local(FieldId::new(1), d2);
-        eff.local(FieldId::new(2), 1.0);
     }
 }
 
@@ -1367,22 +1200,14 @@ impl Behavior for Lopsided {
     }
 
     fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
+        let me = me.pos();
         for nb in nbrs.iter() {
             let p = nb.agent.pos();
-            Self::emit(eff, me.pos(), p.x, p.y, nb.agent.state(0));
-        }
-    }
-
-    fn query_batch(
-        &self,
-        me: AgentRef<'_>,
-        batch: &mut NeighborBatch<'_>,
-        eff: &mut EffectWriter<'_>,
-        _rng: &mut DetRng,
-    ) {
-        let g = batch.gather(&[0]);
-        for i in (0..g.len()).filter(|&i| g.rows[i] != g.me) {
-            Self::emit(eff, me.pos(), g.xs[i], g.ys[i], g.state(0)[i]);
+            let (dx, dy) = (p.x - me.x, p.y - me.y);
+            let d2 = dx * dx + dy * dy;
+            eff.local(FieldId::new(0), nb.agent.state(0) / (1.0 + d2));
+            eff.local(FieldId::new(1), d2);
+            eff.local(FieldId::new(2), 1.0);
         }
     }
 
@@ -1403,7 +1228,6 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
     mut world: Vec<Agent>,
     owned_frac: f64,
     kind: IndexKind,
-    kernel: QueryKernel,
     shard_rows: usize,
     threads: usize,
     seed: u64,
@@ -1432,7 +1256,7 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
     let mut pool = churned();
     let (mut index, mut scratch) = (MaintainedIndex::new(kind), TickScratch::new());
     let p_stats =
-        query_phase_sharded_with(b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads, kernel);
+        query_phase_sharded_with(b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
     if (s_stats.neighbor_visits, s_stats.nonlocal_writes) != (p_stats.neighbor_visits, p_stats.nonlocal_writes) {
         return Err(format!("counters differ: {s_stats:?} vs {p_stats:?}"));
     }
@@ -1455,16 +1279,15 @@ fn lopsided_world(b: &Lopsided, n: usize, vis: f64, seed: u64) -> Vec<Agent> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Fish (square rect, float sums, batched force kernel): the joined
+    /// Fish (square rect, float sums through the register fold): the joined
     /// loop equals the row-oriented oracle bit for bit over multi-tick runs
-    /// on tile-edge geometry, for every index kind, both kernels, every
-    /// shard granule and thread budget.
+    /// on tile-edge geometry, for every index kind, shard granule and thread
+    /// budget.
     #[test]
     fn kernel_tile_join_fish_equals_reference(
         seed in 0u64..10_000,
         n in 0usize..110,
         kind in any_index_kind(),
-        kernel in any_query_kernel(),
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
@@ -1473,52 +1296,44 @@ proptest! {
         let b = FishBehavior::new(params.clone());
         let mut world = b.population(n, seed);
         tile_edge_geometry(&mut world, params.rho, 3.0 * params.rho, seed);
-        let got = grouped_ticks(&b, &world, kind, kernel, shard_rows, threads, ticks, seed);
+        let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
 
     /// Traffic in its range form (a 1-D road: tiles are road segments, lane
-    /// changes and exit/respawn churn the rows), gap-scan kernel engaged.
+    /// changes and exit/respawn churn the rows).
     #[test]
     fn kernel_tile_join_traffic_equals_reference(
         seed in 0u64..10_000,
         lanes in 1usize..4,
         density in 0.005f64..0.03,
         kind in any_index_kind(),
-        kernel in any_query_kernel(),
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
     ) {
-        let params = TrafficParams {
-            segment: 900.0,
-            lanes,
-            density,
-            batch_engagement: Some(true),
-            ..TrafficParams::default()
-        };
+        let params = TrafficParams { segment: 900.0, lanes, density, ..TrafficParams::default() };
         let b = TrafficBehavior::new(params.clone());
         let mut world = b.population(seed);
         // Cars exactly on tile edges (tile side = the lookahead).
         for (i, a) in world.iter_mut().enumerate().filter(|(i, _)| i % 4 == 0) {
             a.pos.x = (i % 5) as f64 * params.lookahead;
         }
-        let got = grouped_ticks(&b, &world, kind, kernel, shard_rows, threads, ticks, seed);
+        let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
 
     /// The BRASIL car script: visibility-predicate pushdown makes its probe
     /// rect non-square (leaders only: `[x, x + 40]`), so members of one tile
-    /// ask for different, overlapping strips of the shared block. Either
-    /// kernel runs the script's one register program over the member's
-    /// candidate rows (`brasil_vm_equals_reference` holds that program to the
-    /// tree-walking specification).
+    /// ask for different, overlapping strips of the shared block. Each member
+    /// runs the script's one register program over its candidate rows
+    /// (`brasil_vm_equals_reference` holds that program to the tree-walking
+    /// specification).
     #[test]
     fn kernel_tile_join_brasil_car_equals_reference(
         seed in 0u64..10_000,
         n in 0usize..90,
         kind in any_index_kind(),
-        kernel in any_query_kernel(),
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
@@ -1533,27 +1348,25 @@ proptest! {
             })
             .collect();
         tile_edge_geometry(&mut world, b.schema().visibility(), 250.0, seed);
-        let got = grouped_ticks(&b, &world, kind, kernel, shard_rows, threads, ticks, seed);
+        let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
 
-    /// Lopsided, empty and wider-than-visibility probe rects through both
-    /// query forms, with a population that moves across tile edges between
-    /// ticks.
+    /// Lopsided, empty and wider-than-visibility probe rects, with a
+    /// population that moves across tile edges between ticks.
     #[test]
     fn kernel_tile_join_lopsided_empty_and_wide_rects_equal_reference(
         seed in 0u64..10_000,
         n in 0usize..130,
         vis in 0.5f64..6.0,
         kind in any_index_kind(),
-        kernel in any_query_kernel(),
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
     ) {
         let b = Lopsided::new(vis);
         let world = lopsided_world(&b, n, vis, seed);
-        let got = grouped_ticks(&b, &world, kind, kernel, shard_rows, threads, ticks, seed);
+        let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
 
@@ -1569,15 +1382,14 @@ proptest! {
         seed in 0u64..10_000,
         n in 0usize..100,
         kind in any_index_kind(),
-        kernel in any_query_kernel(),
         shard_rows in any_shard_granule(),
         ticks in 1u64..4,
     ) {
-        let params = PredatorParams { nonlocal: true, batch_engagement: Some(true), ..PredatorParams::default() };
+        let params = PredatorParams { nonlocal: true, ..PredatorParams::default() };
         let b = PredatorBehavior::new(params.clone());
         let mut world = b.population(n, 12.0, seed);
         tile_edge_geometry(&mut world, params.reach, 3.0 * params.reach, seed);
-        let one_shard = grouped_ticks(&b, &world, kind, kernel, SHARD_ROWS, 3, ticks, seed);
+        let one_shard = grouped_ticks(&b, &world, kind, SHARD_ROWS, 3, ticks, seed);
         worlds_bit_identical(&one_shard, &reference_ticks(&b, &world, kind, ticks, seed))?;
         // Worlds only see `hurt` through the death threshold; the effect
         // tables show every bit of its association.
@@ -1585,10 +1397,10 @@ proptest! {
         let mut serial_table = EffectTable::new(b.schema());
         query_phase(&b, &pool, n, kind, &mut serial_table, 0, seed);
         let (mut index, mut scratch) = (MaintainedIndex::new(kind), TickScratch::new());
-        query_phase_sharded_with(&b, &mut pool, n, &mut index, 0, seed, &mut scratch, SHARD_ROWS, 3, kernel);
+        query_phase_sharded_with(&b, &mut pool, n, &mut index, 0, seed, &mut scratch, SHARD_ROWS, 3);
         assert_tables_bit_identical(&serial_table, pool.effects(), n)?;
-        let serial = grouped_ticks(&b, &world, kind, kernel, shard_rows, 1, ticks, seed);
-        worlds_bit_identical(&serial, &grouped_ticks(&b, &world, kind, kernel, shard_rows, 3, ticks, seed))?;
+        let serial = grouped_ticks(&b, &world, kind, shard_rows, 1, ticks, seed);
+        worlds_bit_identical(&serial, &grouped_ticks(&b, &world, kind, shard_rows, 3, ticks, seed))?;
     }
 
     /// Epidemic (non-local integer sums: exactly associative): the same
@@ -1598,7 +1410,6 @@ proptest! {
         seed in 0u64..10_000,
         n in 0usize..120,
         kind in any_index_kind(),
-        kernel in any_query_kernel(),
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
@@ -1607,7 +1418,7 @@ proptest! {
         let b = EpidemicBehavior::new(params.clone());
         let mut world = b.population(n, seed);
         tile_edge_geometry(&mut world, params.radius, 3.0 * params.radius, seed);
-        let got = grouped_ticks(&b, &world, kind, kernel, shard_rows, threads, ticks, seed);
+        let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
 
@@ -1623,13 +1434,12 @@ proptest! {
         owned_frac in 0.3f64..1.0,
         vis in 0.5f64..6.0,
         kind in any_index_kind(),
-        kernel in any_query_kernel(),
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
     ) {
         let b = Lopsided::new(vis);
         let world = lopsided_world(&b, n, vis, seed);
-        worker_shaped_pool_equals_serial(&b, world, owned_frac, kind, kernel, shard_rows, threads, seed)?;
+        worker_shaped_pool_equals_serial(&b, world, owned_frac, kind, shard_rows, threads, seed)?;
     }
 
     /// The same pool under non-local schemas, where replica rows *receive*
@@ -1642,18 +1452,17 @@ proptest! {
         owned_frac in 0.3f64..1.0,
         vis in 0.5f64..6.0,
         kind in any_index_kind(),
-        kernel in any_query_kernel(),
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
     ) {
         let exact = NonlocalExact::new(vis);
         let mut world = random_population(exact.schema(), n, seed);
         tile_edge_geometry(&mut world, vis, 4.0 * vis, seed);
-        worker_shaped_pool_equals_serial(&exact, world, owned_frac, kind, kernel, shard_rows, threads, seed)?;
+        worker_shaped_pool_equals_serial(&exact, world, owned_frac, kind, shard_rows, threads, seed)?;
         let float = NonlocalFloat::new(vis);
         let mut world = random_population(float.schema(), n, seed);
         tile_edge_geometry(&mut world, vis, 4.0 * vis, seed);
-        worker_shaped_pool_equals_serial(&float, world, owned_frac, kind, kernel, SHARD_ROWS, threads, seed)?;
+        worker_shaped_pool_equals_serial(&float, world, owned_frac, kind, SHARD_ROWS, threads, seed)?;
     }
 }
 
@@ -1993,9 +1802,9 @@ proptest! {
 
     /// For every script, optimized and not, at ≈ 2 and ≈ 30 visits per agent
     /// (candidate chunks of 0, fewer than `LANES`, exactly `LANES` and
-    /// many): the register program on both of the executor's member paths,
-    /// and on a 2-worker cluster, leaves the world the tree-walking
-    /// specification leaves on the same backend — bit for bit.
+    /// many): the register program on the executor's member path, and on a
+    /// 2-worker cluster, leaves the world the tree-walking specification
+    /// leaves on the same backend — bit for bit.
     #[test]
     fn brasil_vm_equals_reference(
         which in 0..BRASIL_SCRIPTS,
@@ -2015,11 +1824,9 @@ proptest! {
         let world = brasil_population(vm.schema(), n, if dense { 30.0 } else { 2.0 }, seed);
         let label = |path: &str| format!("`{name}` (optimize {optimize}, dense {dense}), {path}");
 
-        let want = grouped_ticks(&spec, &world, kind, QueryKernel::Scalar, shard_rows, threads, ticks, seed);
-        for kernel in [QueryKernel::Batched, QueryKernel::Scalar] {
-            let got = grouped_ticks(&vm, &world, kind, kernel, shard_rows, threads, ticks, seed);
-            worlds_bit_identical(&got, &want).map_err(|e| format!("{}: {e}", label(&format!("{kernel:?}"))))?;
-        }
+        let want = grouped_ticks(&spec, &world, kind, shard_rows, threads, ticks, seed);
+        let got = grouped_ticks(&vm, &world, kind, shard_rows, threads, ticks, seed);
+        worlds_bit_identical(&got, &want).map_err(|e| format!("{}: {e}", label("single node")))?;
 
         let cluster = |behavior: std::sync::Arc<dyn Behavior>| {
             let half = world.iter().map(|a| a.pos.x.abs()).fold(1.0, f64::max);
