@@ -262,8 +262,8 @@ fn run_tick_throughput(args: &[String]) {
     );
     for s in &report.speedups {
         println!(
-            "speedup {}/{}/{:?}: query {:.2}x, tick {:.2}x, incremental-index {:.2}x, soa-vs-aos {:.2}x",
-            s.model, s.agents, s.index, s.query_speedup, s.tick_speedup, s.incremental_speedup, s.soa_speedup
+            "speedup {}/{}/{:?}: query {:.2}x, tick {:.2}x, soa-vs-aos {:.2}x",
+            s.model, s.agents, s.index, s.query_speedup, s.tick_speedup, s.soa_speedup
         );
     }
     for s in &report.skipped {

@@ -1,7 +1,6 @@
 //! The tick-throughput baseline: agents/second of the sharded executor,
-//! serial vs parallel, per model / population / index kind — plus the two
-//! ablations of the columnar refactor (SoA pool vs `Vec<Agent>` reference
-//! path, incremental index maintenance vs rebuild-every-tick).
+//! serial vs parallel, per model / population / index kind — plus the
+//! columnar refactor's ablation (SoA pool vs `Vec<Agent>` reference path).
 //!
 //! `cargo run -p brace-bench --release -- tick-throughput` runs the matrix
 //! and writes `BENCH_tick_throughput.json`, the perf trajectory future PRs
@@ -12,7 +11,7 @@
 //! on the machine that produced it.
 
 use brace_core::executor::reference_step;
-use brace_core::{Agent, Behavior, IndexMaintenance, TickExecutor};
+use brace_core::{Agent, Behavior, TickExecutor};
 use brace_mapreduce::{ClusterConfig, ClusterSim, DistributionMode};
 use brace_models::{FishBehavior, FishParams, TrafficBehavior, TrafficParams};
 use brace_scenario::{brasil_unoptimized, Registry, Runner};
@@ -28,10 +27,9 @@ pub struct ThroughputRow {
     pub agents: usize,
     pub actual_agents: usize,
     pub index: IndexKind,
-    /// `"serial"` (parallelism 1), `"parallel"` (the run's thread budget),
-    /// `"rebuild"` (serial, index rebuilt every tick — the
-    /// incremental-maintenance ablation) or `"aos"` (the `Vec<Agent>`
-    /// reference path with per-tick pool conversion — the SoA ablation).
+    /// `"serial"` (parallelism 1), `"parallel"` (the run's thread budget)
+    /// or `"aos"` (the `Vec<Agent>` reference path with per-tick pool
+    /// conversion — the SoA ablation).
     pub mode: &'static str,
     /// Thread budget the executor ran with (serial/ablation rows report 1).
     pub parallelism: usize,
@@ -44,28 +42,14 @@ pub struct ThroughputRow {
     pub index_build_ns: u64,
     pub query_ns: u64,
     pub update_ns: u64,
-    /// Full index builds over the measured ticks (incremental rows stay at
-    /// 0 once warmed; rebuild/aos rows build every tick).
+    /// Index builds over the measured ticks: 0 where the tile join answers
+    /// every probe, one per tick otherwise (and on every `aos` row).
     pub index_rebuilds: u64,
     /// Agent-ticks per second of query-phase time — the number the sharded
     /// executor exists to improve.
     pub query_agents_per_sec: f64,
     /// Agent-ticks per second of whole-tick time (index + query + update).
     pub tick_agents_per_sec: f64,
-}
-
-impl ThroughputRow {
-    /// Agent-ticks per second over index maintenance + query time (the
-    /// basis of the incremental-vs-rebuild comparison, where the build
-    /// phase is exactly what changes).
-    pub fn index_query_agents_per_sec(&self) -> f64 {
-        let ns = self.index_build_ns + self.query_ns;
-        if ns == 0 {
-            0.0
-        } else {
-            self.query_agents_per_sec * self.query_ns as f64 / ns as f64
-        }
-    }
 }
 
 /// Configuration for [`tick_throughput`].
@@ -150,16 +134,13 @@ pub struct SpeedupRow {
     pub query_speedup: f64,
     /// Parallel over serial, whole-tick throughput.
     pub tick_speedup: f64,
-    /// Incremental maintenance over rebuild-every-tick, on index+query
-    /// throughput (the phases maintenance changes).
-    pub incremental_speedup: f64,
     /// SoA pool executor over the `Vec<Agent>` reference path, whole-tick.
     pub soa_speedup: f64,
     /// True when the matrix ran on a single visible core: the
     /// parallel-over-serial columns (`query_speedup`, `tick_speedup`) are
     /// then pure timing noise — threads time-slice one core — and must not
-    /// be compared or regressed against. The serial-vs-serial columns
-    /// (`incremental_speedup`, `soa_speedup`) stay meaningful.
+    /// be compared or regressed against. The serial-vs-serial column
+    /// (`soa_speedup`) stays meaningful.
     pub unreliable: bool,
 }
 
@@ -380,16 +361,10 @@ struct MeasureCtx {
     ticks: u64,
 }
 
-fn measure_exec<B: Behavior>(
-    ctx: &MeasureCtx,
-    behavior: B,
-    pop: Vec<Agent>,
-    maintenance: IndexMaintenance,
-) -> ThroughputRow {
+fn measure_exec<B: Behavior>(ctx: &MeasureCtx, behavior: B, pop: Vec<Agent>) -> ThroughputRow {
     let actual = pop.len();
     let mut exec = TickExecutor::new(behavior, pop, ctx.kind, 42);
     exec.set_parallelism(ctx.parallelism);
-    exec.set_index_maintenance(maintenance);
     exec.run(ctx.warmup);
     exec.reset_metrics();
     let rebuilds_before = exec.index_rebuilds();
@@ -642,7 +617,7 @@ pub fn telemetry_overhead(cfg: &ThroughputConfig) -> Vec<TelemetryRow> {
             ticks,
         };
         let (behavior, pop) = fish_world(n);
-        measure_exec(&ctx, behavior, pop, IndexMaintenance::Incremental)
+        measure_exec(&ctx, behavior, pop)
     };
     let off = measure(false);
     let on = measure(true);
@@ -662,7 +637,7 @@ pub fn telemetry_overhead(cfg: &ThroughputConfig) -> Vec<TelemetryRow> {
 
 /// Run the measurement matrix over fish + traffic, every population size
 /// and every index kind (scan capped per the config): serial, parallel,
-/// and the two ablation modes.
+/// and the SoA ablation.
 pub fn tick_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let parallel_threads = if cfg.parallelism == 0 { cores } else { cfg.parallelism };
@@ -686,8 +661,6 @@ pub fn tick_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
                         warmup: cfg.warmup,
                         ticks: cfg.ticks,
                     };
-                    let maintenance =
-                        if mode == "rebuild" { IndexMaintenance::Rebuild } else { IndexMaintenance::Incremental };
                     match (model, mode) {
                         ("fish", "aos") => {
                             let (b, pop) = fish_world(n);
@@ -695,7 +668,7 @@ pub fn tick_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
                         }
                         ("fish", _) => {
                             let (b, pop) = fish_world(n);
-                            measure_exec(&ctx, b, pop, maintenance)
+                            measure_exec(&ctx, b, pop)
                         }
                         (_, "aos") => {
                             let (b, pop) = traffic_world(n);
@@ -703,13 +676,12 @@ pub fn tick_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
                         }
                         _ => {
                             let (b, pop) = traffic_world(n);
-                            measure_exec(&ctx, b, pop, maintenance)
+                            measure_exec(&ctx, b, pop)
                         }
                     }
                 };
                 let serial = run("serial", 1);
                 let parallel = run("parallel", parallel_threads);
-                let rebuild = run("rebuild", 1);
                 let aos = run("aos", 1);
                 report.speedups.push(SpeedupRow {
                     model: model.to_string(),
@@ -717,14 +689,11 @@ pub fn tick_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
                     index: kind,
                     query_speedup: parallel.query_agents_per_sec / serial.query_agents_per_sec.max(1e-9),
                     tick_speedup: parallel.tick_agents_per_sec / serial.tick_agents_per_sec.max(1e-9),
-                    incremental_speedup: serial.index_query_agents_per_sec()
-                        / rebuild.index_query_agents_per_sec().max(1e-9),
                     soa_speedup: serial.tick_agents_per_sec / aos.tick_agents_per_sec.max(1e-9),
                     unreliable: false, // marked below when cores == 1
                 });
                 report.rows.push(serial);
                 report.rows.push(parallel);
-                report.rows.push(rebuild);
                 report.rows.push(aos);
             }
         }
@@ -748,10 +717,10 @@ pub fn tick_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
                 };
                 report.rows.push(if model == "fish" {
                     let (b, pop) = fish_hotspot_world(n);
-                    measure_exec(&ctx, b, pop, IndexMaintenance::Incremental)
+                    measure_exec(&ctx, b, pop)
                 } else {
                     let (b, pop) = traffic_hotspot_world(n);
-                    measure_exec(&ctx, b, pop, IndexMaintenance::Incremental)
+                    measure_exec(&ctx, b, pop)
                 });
             }
         }
@@ -818,10 +787,12 @@ fn index_name(kind: IndexKind) -> &'static str {
 /// kernels: no `scalar-kernel` rows, no `kernel_speedup` column and no
 /// hotspot `speedups` rows (their one measured column was that ratio);
 /// `soa_speedup` is now `serial` over `aos`, and `speedups` rows lost the
-/// `hotspot` field (they are all uniform).
+/// `hotspot` field (they are all uniform). Version 11 dropped the `rebuild`
+/// rows and the `incremental_speedup` column: every index is build-only, so
+/// there is no incremental maintenance to ablate.
 pub fn to_json(report: &ThroughputReport, cfg: &ThroughputConfig) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema_version\": 10,\n");
+    out.push_str("  \"schema_version\": 11,\n");
     out.push_str(&format!("  \"cores\": {},\n", report.cores));
     out.push_str(&format!("  \"measured_ticks\": {},\n", cfg.ticks));
     out.push_str(&format!("  \"warmup_ticks\": {},\n", cfg.warmup));
@@ -855,13 +826,12 @@ pub fn to_json(report: &ThroughputReport, cfg: &ThroughputConfig) -> String {
         out.push_str(&format!(
             "    {{\"model\": \"{}\", \"agents\": {}, \"index\": \"{}\", \
              \"query_speedup\": {:.3}, \"tick_speedup\": {:.3}, \
-             \"incremental_speedup\": {:.3}, \"soa_speedup\": {:.3}, \"unreliable\": {}}}{}\n",
+             \"soa_speedup\": {:.3}, \"unreliable\": {}}}{}\n",
             s.model,
             s.agents,
             index_name(s.index),
             s.query_speedup,
             s.tick_speedup,
-            s.incremental_speedup,
             s.soa_speedup,
             s.unreliable,
             if i + 1 == report.speedups.len() { "" } else { "," }
@@ -976,12 +946,12 @@ mod tests {
             hotspot_agents: 300,
         };
         let report = tick_throughput(&cfg);
-        // 1 size × 3 kinds × 2 models × 4 modes (uniform matrix), plus the
+        // 1 size × 3 kinds × 2 models × 3 modes (uniform matrix), plus the
         // hotspot section: 2 kinds × 2 models, serial.
-        assert_eq!(report.rows.len(), 28);
+        assert_eq!(report.rows.len(), 22);
         assert_eq!(report.speedups.len(), 6);
         assert!(report.skipped.is_empty());
-        for mode in ["serial", "parallel", "rebuild", "aos"] {
+        for mode in ["serial", "parallel", "aos"] {
             assert!(report.rows.iter().any(|r| r.mode == mode), "missing mode {mode}");
         }
         for model in ["fish", "traffic"] {
@@ -995,7 +965,7 @@ mod tests {
             }
         }
         assert!(report.speedups.iter().all(|s| s.soa_speedup > 0.0), "{:?}", report.speedups);
-        assert!(report.rows.iter().filter(|r| !r.hotspot).count() == 24, "uniform matrix shrank");
+        assert!(report.rows.iter().filter(|r| !r.hotspot).count() == 18, "uniform matrix shrank");
         // Cluster section: 2 models × 2 worker counts.
         assert_eq!(report.cluster.len(), 4);
         for c in &report.cluster {
@@ -1034,7 +1004,7 @@ mod tests {
         assert_eq!(t.unreliable, report.cores == 1);
         assert!(!brace_telemetry::enabled(), "ablation must restore the global flag");
         let json = to_json(&report, &cfg);
-        assert!(json.contains("\"schema_version\": 10"));
+        assert!(json.contains("\"schema_version\": 11"));
         assert!(json.contains("\"overhead_pct\""));
         assert!(json.contains("\"off_tick_agents_per_sec\""));
         assert!(json.contains("\"hotspot\": true") && json.contains("\"hotspot\": false"));
@@ -1049,7 +1019,6 @@ mod tests {
         assert!(json.contains("\"scenario\": \"brasil-car\""));
         assert!(json.contains("\"scenario\": \"flock-obstacles\""));
         assert!(json.contains("\"model\": \"traffic\""));
-        assert!(json.contains("\"incremental_speedup\""));
         assert!(json.contains("\"mode\": \"aos\""));
         assert!(json.contains("\"delta_over_full\""));
         assert!(json.contains("\"replica_delta_bytes_per_tick\""));

@@ -493,17 +493,11 @@ impl AgentPool {
         into.effects.extend((0..self.effects.width()).map(|f| self.effects.get(r as u32, FieldId::new(f as u16))));
     }
 
-    /// Split the pool into disjoint mutable chunks of `counts` rows each
-    /// (must sum to `len`), sharing the effect columns read-only — the
-    /// parallel update phase's entry point.
-    pub fn update_chunks(&mut self, counts: &[usize]) -> Vec<UpdateChunk<'_>> {
-        debug_assert_eq!(counts.iter().sum::<usize>(), self.len(), "chunk plan must cover the pool");
-        self.update_chunks_prefix(counts)
-    }
-
-    /// [`AgentPool::update_chunks`] over a prefix of the pool: `counts` may
-    /// sum to less than `len`, leaving the remaining rows (the distributed
-    /// worker's persistent replica tail) untouched and unborrowed.
+    /// Split the first `counts.iter().sum()` rows into disjoint mutable
+    /// chunks of `counts` rows each, sharing the effect columns read-only —
+    /// the parallel update phase's entry point. The remaining rows (the
+    /// distributed worker's persistent replica tail) stay untouched and
+    /// unborrowed.
     pub fn update_chunks_prefix(&mut self, counts: &[usize]) -> Vec<UpdateChunk<'_>> {
         debug_assert!(counts.iter().sum::<usize>() <= self.len(), "chunk plan exceeds the pool");
         let effects = &self.effects;
@@ -883,7 +877,7 @@ mod tests {
         let s = schema();
         let agents: Vec<Agent> = (0..10).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64, 0.0), &s)).collect();
         let mut pool = AgentPool::from_agents(&s, &agents);
-        let mut chunks = pool.update_chunks(&[4, 6]);
+        let mut chunks = pool.update_chunks_prefix(&[4, 6]);
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].len(), 4);
         assert_eq!(chunks[1].len(), 6);

@@ -23,6 +23,7 @@ use crate::agent::{Agent, AgentRef, PoolView};
 use crate::effect::EffectWriter;
 use crate::schema::AgentSchema;
 use brace_common::{DetRng, Rect, Vec2};
+use std::sync::Arc;
 
 /// A reference to a visible neighbor: the row view (previous-tick state)
 /// plus its row index in the visible set, which is how non-local effect
@@ -155,61 +156,31 @@ pub trait Behavior: Send + Sync {
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>);
 }
 
-/// Blanket impl so `Arc<B>` / `Box<B>` / `&B` are behaviors too — the
+/// Forwarding impls, so `Arc<B>` and `Box<B>` are behaviors too — the
 /// runtime shares one behavior across worker threads via `Arc`.
-impl<B: Behavior + ?Sized> Behavior for &B {
-    fn schema(&self) -> &AgentSchema {
-        (**self).schema()
-    }
-    fn probe(&self) -> NeighborProbe {
-        (**self).probe()
-    }
-    fn probe_rect(&self, pos: Vec2, vis: f64) -> Rect {
-        (**self).probe_rect(pos, vis)
-    }
-    fn query(&self, me: AgentRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
-        (**self).query(me, neighbors, eff, rng)
-    }
-    fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
-        (**self).update(me, ctx)
-    }
+macro_rules! forward_behavior {
+    ($($ptr:ident),+) => {$(
+        impl<B: Behavior + ?Sized> Behavior for $ptr<B> {
+            fn schema(&self) -> &AgentSchema {
+                (**self).schema()
+            }
+            fn probe(&self) -> NeighborProbe {
+                (**self).probe()
+            }
+            fn probe_rect(&self, pos: Vec2, vis: f64) -> Rect {
+                (**self).probe_rect(pos, vis)
+            }
+            fn query(&self, me: AgentRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
+                (**self).query(me, neighbors, eff, rng)
+            }
+            fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
+                (**self).update(me, ctx)
+            }
+        }
+    )+};
 }
 
-impl<B: Behavior + ?Sized> Behavior for std::sync::Arc<B> {
-    fn schema(&self) -> &AgentSchema {
-        (**self).schema()
-    }
-    fn probe(&self) -> NeighborProbe {
-        (**self).probe()
-    }
-    fn probe_rect(&self, pos: Vec2, vis: f64) -> Rect {
-        (**self).probe_rect(pos, vis)
-    }
-    fn query(&self, me: AgentRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
-        (**self).query(me, neighbors, eff, rng)
-    }
-    fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
-        (**self).update(me, ctx)
-    }
-}
-
-impl<B: Behavior + ?Sized> Behavior for Box<B> {
-    fn schema(&self) -> &AgentSchema {
-        (**self).schema()
-    }
-    fn probe(&self) -> NeighborProbe {
-        (**self).probe()
-    }
-    fn probe_rect(&self, pos: Vec2, vis: f64) -> Rect {
-        (**self).probe_rect(pos, vis)
-    }
-    fn query(&self, me: AgentRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
-        (**self).query(me, neighbors, eff, rng)
-    }
-    fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
-        (**self).update(me, ctx)
-    }
-}
+forward_behavior!(Arc, Box);
 
 #[cfg(test)]
 mod tests {

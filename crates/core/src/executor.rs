@@ -72,25 +72,19 @@
 //! is a pure function of the agent set, independent of row placement.
 //!
 //! What has no rect to share keeps one probe per row, through the same loop
-//! as one-row groups in row order and against a [`MaintainedIndex`] (the
-//! only callers that still sync one): [`NeighborProbe::Nearest`], which
+//! as one-row groups in row order and against a [`TickIndex`] (the only
+//! callers that still build one): [`NeighborProbe::Nearest`], which
 //! asks `k_nearest_into`; and [`IndexKind::Scan`], the paper's *no-indexing*
 //! baseline — sharing its scans between tile-mates would make it an index.
 //! Unbounded visibility is one group whose block is the visible set.
 //!
-//! # Index maintenance (k-NN probes and the scan)
+//! # Index builds (k-NN probes and the scan)
 //!
-//! Where an index is still probed it is *maintained*, not rebuilt: a
-//! [`MaintainedIndex`] diffs the pool's position columns against the
-//! positions it indexed last tick, applies only the rows that actually
-//! moved ([`SpatialIndex::update`]), and lets the index restructure lazily
-//! once accumulated motion exceeds a budget of half the visibility range
-//! ([`SpatialIndex::maintain`]). A full rebuild happens only when the row ↔
-//! agent mapping changed (spawns, kills, repartitioning) or an index
-//! reports it cannot maintain itself. The [`IndexMaintenance::Rebuild`] mode
-//! forces a rebuild every tick for ablations. k-NN results are canonical
-//! already — (distance, row) order, ties broken by row everywhere — so a
-//! maintained index and a fresh rebuild produce bit-identical effects.
+//! Where an index is still probed, the [`TickIndex`] builds it fresh each
+//! tick over the pool's position columns: positions are frozen for the query
+//! phase, and in-place maintenance across ticks measured no cheaper than a
+//! rebuild. k-NN results are canonical — (distance, row) order, ties broken
+//! by row in every index kind — so the kind never changes a bit.
 //!
 //! # Sharded execution model
 //!
@@ -198,12 +192,6 @@ pub const SHARD_ROWS: usize = 2048;
 /// and the ⊕-merge cost.
 const MAX_NONLOCAL_SHARDS: usize = 8;
 
-/// Fraction of the schema's visibility bound that accumulated index motion
-/// may reach before the maintained index restructures (KD-tree subtree
-/// rebuilds). Half the visible range keeps bounding-box inflation well
-/// below the probe rectangle size, so pruning quality stays near-fresh.
-const MOTION_BUDGET_VIS_FRACTION: f64 = 0.5;
-
 /// The logical shard plan for `n_owned` rows: a pure function of the row
 /// count, effect locality and the rows-per-shard granule — independent of
 /// thread count, which is what makes parallel execution bit-reproducible
@@ -272,139 +260,40 @@ impl BuiltIndex {
             }
         }
     }
-
-    fn update(&mut self, moved: &[(u32, Vec2)]) -> bool {
-        match self {
-            BuiltIndex::Scan(i) => i.update(moved),
-            BuiltIndex::Kd(i) => i.update(moved),
-            BuiltIndex::Grid(i) => i.update(moved),
-        }
-    }
-
-    fn maintain(&mut self, motion_budget: f64) {
-        match self {
-            BuiltIndex::Scan(i) => i.maintain(motion_budget),
-            BuiltIndex::Kd(i) => i.maintain(motion_budget),
-            BuiltIndex::Grid(i) => i.maintain(motion_budget),
-        }
-    }
 }
 
-/// Index maintenance policy of a [`MaintainedIndex`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexMaintenance {
-    /// Diff positions against the last sync and update the index in place;
-    /// rebuild only on row-mapping changes (default).
-    #[default]
-    Incremental,
-    /// Rebuild from scratch every tick (the pre-incremental behavior;
-    /// kept as the ablation baseline).
-    Rebuild,
-}
-
-/// A spatial index kept in sync with a pool's position columns across
-/// ticks. Owns the policy described in the module docs: diff → in-place
-/// update → lazy restructure, with full rebuilds only when the row ↔ agent
-/// mapping changed or the index kind cannot maintain itself. The query phase
-/// syncs it only for probes the sort-merge tile join does not answer (k-NN,
-/// the scan, unbounded visibility); for a bounded-visibility range schema it
-/// carries the [`IndexKind`] and stays unbuilt.
-pub struct MaintainedIndex {
+/// The spatial index of one tick's visible set, for the probes the
+/// sort-merge tile join does not answer (k-NN, the scan, unbounded
+/// visibility): every sync is one fresh build over the pool's position
+/// columns. For a bounded-visibility range schema it carries the
+/// [`IndexKind`] and stays unbuilt.
+pub struct TickIndex {
     kind: IndexKind,
-    mode: IndexMaintenance,
     built: Option<BuiltIndex>,
-    /// Ids as of the last sync: a cheap identity check that the pool's
-    /// rows still mean the same agents (spawns/kills/redistribution all
-    /// change this and force a rebuild).
-    ids: Vec<AgentId>,
-    /// Positions as of the last sync (the diff baseline).
-    xs: Vec<f64>,
-    ys: Vec<f64>,
+    /// The build input, reused across ticks.
     points: Vec<(Vec2, u32)>,
-    moved: Vec<(u32, Vec2)>,
     rebuilds: u64,
-    incremental_syncs: u64,
 }
 
-impl MaintainedIndex {
+impl TickIndex {
     pub fn new(kind: IndexKind) -> Self {
-        Self::with_mode(kind, IndexMaintenance::default())
-    }
-
-    pub fn with_mode(kind: IndexKind, mode: IndexMaintenance) -> Self {
-        MaintainedIndex {
-            kind,
-            mode,
-            built: None,
-            ids: Vec::new(),
-            xs: Vec::new(),
-            ys: Vec::new(),
-            points: Vec::new(),
-            moved: Vec::new(),
-            rebuilds: 0,
-            incremental_syncs: 0,
-        }
+        TickIndex { kind, built: None, points: Vec::new(), rebuilds: 0 }
     }
 
     pub fn kind(&self) -> IndexKind {
         self.kind
     }
 
-    pub fn mode(&self) -> IndexMaintenance {
-        self.mode
-    }
-
-    /// Switch policy (the next sync under `Rebuild` starts from scratch).
-    pub fn set_mode(&mut self, mode: IndexMaintenance) {
-        self.mode = mode;
-    }
-
-    /// Full builds performed so far (ablation statistic).
+    /// Index builds performed so far: one per tick the index was probed.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
 
-    /// Syncs served by in-place updates (ablation statistic).
-    pub fn incremental_syncs(&self) -> u64 {
-        self.incremental_syncs
-    }
-
-    /// Bring the index up to date with `view`'s positions.
+    /// Build the index over `view`'s positions.
     fn sync(&mut self, view: PoolView<'_>, vis: f64) {
-        let n = view.len();
-        if let Some(built) = &mut self.built {
-            if self.mode == IndexMaintenance::Incremental && self.ids.as_slice() == view.ids {
-                self.moved.clear();
-                for r in 0..n {
-                    if view.xs[r].to_bits() != self.xs[r].to_bits() || view.ys[r].to_bits() != self.ys[r].to_bits() {
-                        self.moved.push((r as u32, Vec2::new(view.xs[r], view.ys[r])));
-                    }
-                }
-                if built.update(&self.moved) {
-                    let budget = if vis.is_finite() && vis > 0.0 { MOTION_BUDGET_VIS_FRACTION * vis } else { 0.0 };
-                    built.maintain(budget);
-                    self.xs.clear();
-                    self.xs.extend_from_slice(view.xs);
-                    self.ys.clear();
-                    self.ys.extend_from_slice(view.ys);
-                    self.incremental_syncs += 1;
-                    return;
-                }
-            }
-        }
         self.points.clear();
-        self.points.extend((0..n).map(|r| (Vec2::new(view.xs[r], view.ys[r]), r as u32)));
+        self.points.extend((0..view.len()).map(|r| (Vec2::new(view.xs[r], view.ys[r]), r as u32)));
         self.built = Some(BuiltIndex::build(self.kind, &self.points, vis));
-        self.ids.clear();
-        self.xs.clear();
-        self.ys.clear();
-        if self.mode == IndexMaintenance::Incremental {
-            // Diff baselines are only consumed by incremental syncs; the
-            // Rebuild ablation must not pay (or time) the column copies.
-            self.ids.extend_from_slice(view.ids);
-            self.xs.extend_from_slice(view.xs);
-            self.ys.extend_from_slice(view.ys);
-        }
         self.rebuilds += 1;
     }
 }
@@ -735,15 +624,14 @@ fn reference_rows<B: Behavior, I: SpatialIndex>(
 /// Put range candidates in the canonical order: **ascending agent id**,
 /// always. Per-agent neighbor iteration order — and therefore float effect
 /// aggregation — is then a pure function of the agent set, independent of
-/// where the candidates came from (a join block, a maintained or rebuilt
-/// index) *and* of row placement (single-node pool vs a distributed worker's
-/// swap-mutated pool, which is what makes an N-worker cluster bit-identical
-/// to one node). When rows are already in id order (every single-node
+/// where the candidates came from (a join block or an index) *and* of row
+/// placement (single-node pool vs a distributed worker's swap-mutated pool,
+/// which is what makes an N-worker cluster bit-identical to one node). When rows are already in id order (every single-node
 /// pool), row order *is* id order, so candidates that are `ascending_rows`
 /// already — the scan's row-order columns and the grid's ascending-payload
 /// bucket merge (`RANGE_CANONICAL`), or the whole visible set — are
 /// canonical by construction; a join block (tile-major) and the KD-tree
-/// (build-history emission order) pay a sort.
+/// (tree-order emission) pay a sort.
 #[inline]
 fn canonicalize(candidates: &mut [u32], view: PoolView<'_>, rows_in_id_order: bool, ascending_rows: bool) {
     if !rows_in_id_order {
@@ -860,18 +748,11 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                 block_ys.extend(block.iter().map(|&r| view.ys[r as usize]));
             }
             NeighborProbe::Range if vis.is_finite() => {
-                // One row, one probe — through the index's lane-kernel
-                // filter where that is gather-free (the scan: the same
-                // candidates in the same order).
                 debug_assert_eq!(group.len(), 1, "only the join shares a bounded range probe");
                 let index = index.expect("a range probe outside the join has an index");
                 let rect = behavior.probe_rect(view.pos(group[0].row), vis);
                 if !rect.is_empty() {
-                    if I::RANGE_BATCH_NATIVE {
-                        index.range_batch(&rect, block);
-                    } else {
-                        index.range(&rect, block);
-                    }
+                    index.range(&rect, block);
                 }
                 canonicalize(block, view, plan.rows_in_id_order, I::RANGE_CANONICAL);
             }
@@ -920,7 +801,7 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
 /// [`query_phase`] (rows `0..n_owned` of the pool queried, effects for
 /// every visible row aggregated into the **pool's own effect columns**),
 /// executed over the deterministic shard plan described in the module docs.
-/// `index` is synced and probed only where the sort-merge tile join does not
+/// `index` is built and probed only where the sort-merge tile join does not
 /// apply (the scan, k-NN probes, unbounded visibility); a bounded-visibility
 /// range schema never builds it. `parallelism` is the physical thread budget
 /// (`0` = all cores, `1` = run shards inline); it never affects results,
@@ -930,7 +811,7 @@ pub fn query_phase_sharded<B: Behavior>(
     behavior: &B,
     pool: &mut AgentPool,
     n_owned: usize,
-    index: &mut MaintainedIndex,
+    index: &mut TickIndex,
     tick: u64,
     seed: u64,
     scratch: &mut TickScratch,
@@ -950,7 +831,7 @@ pub fn query_phase_sharded_with<B: Behavior>(
     behavior: &B,
     pool: &mut AgentPool,
     n_owned: usize,
-    index: &mut MaintainedIndex,
+    index: &mut TickIndex,
     tick: u64,
     seed: u64,
     scratch: &mut TickScratch,
@@ -972,7 +853,7 @@ pub fn query_phase_sharded_with<B: Behavior>(
     // agents into tiles to share its scans would be an index. Under a
     // bounded visibility the shared probe is the sort-merge tile join, whose
     // build side is this sort: the probe order *is* the index, so none is
-    // synced. k-NN probes have no rect to union and run one per row.
+    // built. k-NN probes have no rect to union and run one per row.
     let t0 = Instant::now();
     let grouped = behavior.probe() == NeighborProbe::Range && vis > 0.0 && index.kind() != IndexKind::Scan;
     let join = grouped && vis.is_finite();
@@ -1194,35 +1075,9 @@ pub fn update_phase_sharded<B: Behavior>(
     scratch: &mut TickScratch,
     parallelism: usize,
 ) -> UpdateStats {
-    let schema = behavior.schema();
     let t0 = Instant::now();
     let n = pool.len();
-    let threads = effective_parallelism(parallelism).min(n).max(1);
-    let shards = scratch.ensure_shards(schema, threads);
-    for shard in shards.iter_mut() {
-        shard.spawns.clear();
-        shard.spawn_parents.clear();
-    }
-    {
-        let counts: Vec<usize> = (0..threads).map(|t| shard_range(n, threads, t).len()).collect();
-        let mut chunks = pool.update_chunks(&counts);
-        if threads <= 1 {
-            let ShardScratch { spawns, spawn_parents, .. } = &mut shards[0];
-            update_chunk_rows(behavior, schema, &mut chunks[0], tick, seed, spawns, spawn_parents);
-        } else {
-            std::thread::scope(|scope| {
-                let mut rest = &mut *shards;
-                for mut chunk in chunks {
-                    let (shard, tail) = rest.split_at_mut(1);
-                    rest = tail;
-                    let ShardScratch { spawns, spawn_parents, .. } = &mut shard[0];
-                    scope.spawn(move || {
-                        update_chunk_rows(behavior, schema, &mut chunk, tick, seed, spawns, spawn_parents)
-                    });
-                }
-            });
-        }
-    }
+    let shards = update_rows_sharded(behavior, pool, n, tick, seed, scratch, parallelism);
     let killed = pool.retain_alive();
     let mut spawned = 0;
     for shard in shards.iter_mut() {
@@ -1234,6 +1089,46 @@ pub fn update_phase_sharded<B: Behavior>(
     }
     pool.reset_effects();
     UpdateStats { update_ns: t0.elapsed().as_nanos() as u64, spawned, killed }
+}
+
+/// The sharded update phases' shared body: [`Behavior::update`] over rows
+/// `0..n` of `pool` in contiguous chunks, one per thread of the budget (on
+/// scoped threads when there is more than one). Each chunk queues its spawns,
+/// tagged with their parents, in its own shard scratch; those shards come
+/// back in chunk order. Pool membership is left to the caller.
+fn update_rows_sharded<'s, B: Behavior>(
+    behavior: &B,
+    pool: &mut AgentPool,
+    n: usize,
+    tick: u64,
+    seed: u64,
+    scratch: &'s mut TickScratch,
+    parallelism: usize,
+) -> &'s mut [ShardScratch] {
+    let schema = behavior.schema();
+    let threads = effective_parallelism(parallelism).min(n).max(1);
+    let shards = scratch.ensure_shards(schema, threads);
+    for shard in shards.iter_mut() {
+        shard.spawns.clear();
+        shard.spawn_parents.clear();
+    }
+    let counts: Vec<usize> = (0..threads).map(|t| shard_range(n, threads, t).len()).collect();
+    let mut chunks = pool.update_chunks_prefix(&counts);
+    if threads <= 1 {
+        let ShardScratch { spawns, spawn_parents, .. } = &mut shards[0];
+        update_chunk_rows(behavior, schema, &mut chunks[0], tick, seed, spawns, spawn_parents);
+    } else {
+        std::thread::scope(|scope| {
+            let mut rest = &mut *shards;
+            for mut chunk in chunks {
+                let (shard, tail) = rest.split_at_mut(1);
+                rest = tail;
+                let ShardScratch { spawns, spawn_parents, .. } = &mut shard[0];
+                scope.spawn(move || update_chunk_rows(behavior, schema, &mut chunk, tick, seed, spawns, spawn_parents));
+            }
+        });
+    }
+    shards
 }
 
 /// A spawn requested during the update phase, before any agent id has been
@@ -1277,36 +1172,10 @@ pub fn update_phase_prefix<B: Behavior>(
     killed: &mut Vec<u32>,
     spawned: &mut Vec<PendingSpawn>,
 ) -> UpdateStats {
-    let schema = behavior.schema();
     let t0 = Instant::now();
     killed.clear();
     spawned.clear();
-    let threads = effective_parallelism(parallelism).min(n_owned).max(1);
-    let shards = scratch.ensure_shards(schema, threads);
-    for shard in shards.iter_mut() {
-        shard.spawns.clear();
-        shard.spawn_parents.clear();
-    }
-    {
-        let counts: Vec<usize> = (0..threads).map(|t| shard_range(n_owned, threads, t).len()).collect();
-        let mut chunks = pool.update_chunks_prefix(&counts);
-        if threads <= 1 {
-            let ShardScratch { spawns, spawn_parents, .. } = &mut shards[0];
-            update_chunk_rows(behavior, schema, &mut chunks[0], tick, seed, spawns, spawn_parents);
-        } else {
-            std::thread::scope(|scope| {
-                let mut rest = &mut *shards;
-                for mut chunk in chunks {
-                    let (shard, tail) = rest.split_at_mut(1);
-                    rest = tail;
-                    let ShardScratch { spawns, spawn_parents, .. } = &mut shard[0];
-                    scope.spawn(move || {
-                        update_chunk_rows(behavior, schema, &mut chunk, tick, seed, spawns, spawn_parents)
-                    });
-                }
-            });
-        }
-    }
+    let shards = update_rows_sharded(behavior, pool, n_owned, tick, seed, scratch, parallelism);
     killed.extend((0..n_owned as u32).filter(|&r| !pool.alive(r)));
     let mut n_spawned = 0;
     for shard in shards.iter_mut() {
@@ -1380,13 +1249,13 @@ pub fn reference_step<B: Behavior>(
 
 /// Single-node executor: the reference implementation of a BRACE tick, and
 /// the baseline of the paper's Figures 3 and 4. Owns the agent pool, the
-/// maintained index and the shard scratch; runs the sharded phases with a
+/// tick index and the shard scratch; runs the sharded phases with a
 /// configurable thread budget ([`TickExecutor::set_parallelism`]; default
 /// 1 = serial execution of the same deterministic shard plan).
 pub struct TickExecutor<B: Behavior> {
     behavior: B,
     pool: AgentPool,
-    index: MaintainedIndex,
+    index: TickIndex,
     scratch: TickScratch,
     id_gen: AgentIdGen,
     parallelism: usize,
@@ -1408,7 +1277,7 @@ impl<B: Behavior> TickExecutor<B> {
         TickExecutor {
             behavior,
             pool,
-            index: MaintainedIndex::new(kind),
+            index: TickIndex::new(kind),
             scratch: TickScratch::new(),
             id_gen: AgentIdGen::from(max_id),
             parallelism: 1,
@@ -1432,15 +1301,9 @@ impl<B: Behavior> TickExecutor<B> {
         self.parallelism
     }
 
-    /// Index maintenance policy (ablation knob): incremental (default) or
-    /// rebuild-every-tick. Never changes results — proven by the
-    /// incremental ≡ rebuild property.
-    pub fn set_index_maintenance(&mut self, mode: IndexMaintenance) {
-        self.index.set_mode(mode);
-    }
-
-    /// Full index builds performed so far (ablation statistic): 0 for a
-    /// bounded-visibility range schema, whose probe order is its index.
+    /// Index builds performed so far: one per tick for a k-NN, scan or
+    /// unbounded-visibility schema, 0 for a bounded-visibility range schema,
+    /// whose probe order is its index.
     pub fn index_rebuilds(&self) -> u64 {
         self.index.rebuilds()
     }
@@ -1558,7 +1421,7 @@ mod tests {
         }
 
         /// The same model over its `k` nearest neighbors — the probe that
-        /// still owns a maintained index.
+        /// still builds an index.
         fn nearest(k: usize) -> Self {
             CountAndDrift { probe: NeighborProbe::Nearest(k), ..Self::new() }
         }
@@ -1721,35 +1584,14 @@ mod tests {
     }
 
     #[test]
-    fn incremental_executor_matches_rebuild_executor() {
-        // Incremental index maintenance must never change results — for
-        // any index kind (the canonical-candidate argument). A k-NN probe:
-        // bounded range probes join through the probe order and have no
-        // index to maintain.
+    fn knn_schemas_build_one_index_per_tick() {
         for kind in [IndexKind::Scan, IndexKind::KdTree, IndexKind::Grid] {
-            let run = |mode: IndexMaintenance| {
-                let b = CountAndDrift::nearest(3);
-                let agents = line_of_agents(b.schema(), 300, 0.25);
-                let mut e = TickExecutor::new(b, agents, kind, 11);
-                e.set_index_maintenance(mode);
-                e.run(10);
-                e.agents()
-            };
-            let inc = run(IndexMaintenance::Incremental);
-            let reb = run(IndexMaintenance::Rebuild);
-            assert_eq!(inc, reb, "{kind:?} diverged under incremental maintenance");
+            let b = CountAndDrift::nearest(3);
+            let agents = line_of_agents(b.schema(), 300, 0.25);
+            let mut e = TickExecutor::new(b, agents, kind, 11);
+            e.run(10);
+            assert_eq!(e.index_rebuilds(), 10, "{kind:?}: one build per probed tick");
         }
-    }
-
-    #[test]
-    fn incremental_mode_actually_skips_rebuilds() {
-        let b = CountAndDrift::nearest(3);
-        let agents = line_of_agents(b.schema(), 300, 0.25);
-        let mut e = TickExecutor::new(b, agents, IndexKind::Grid, 11);
-        e.run(10);
-        // Tick 0 builds; the stable population lets every later tick sync
-        // incrementally.
-        assert_eq!(e.index_rebuilds(), 1, "stable population must not rebuild");
     }
 
     #[test]
@@ -1763,7 +1605,7 @@ mod tests {
         };
         assert_eq!(builds(IndexKind::KdTree), 0, "the probe order is the index");
         assert_eq!(builds(IndexKind::Grid), 0, "the probe order is the index");
-        assert_eq!(builds(IndexKind::Scan), 1, "the no-index baseline keeps its scan");
+        assert_eq!(builds(IndexKind::Scan), 10, "the no-index baseline builds its scan every tick");
     }
 
     #[test]
@@ -1792,7 +1634,7 @@ mod tests {
         let ref_stats = query_phase(&b, &pool, pool.len(), IndexKind::Grid, &mut ref_table, 0, 3);
         let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
         let n = sh_pool.len();
-        let mut index = MaintainedIndex::new(IndexKind::Grid);
+        let mut index = TickIndex::new(IndexKind::Grid);
         let mut scratch = TickScratch::new();
         let sh_stats = query_phase_sharded(&b, &mut sh_pool, n, &mut index, 0, 3, &mut scratch, 2);
         assert_eq!(ref_stats.neighbor_visits, sh_stats.neighbor_visits);

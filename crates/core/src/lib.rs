@@ -50,6 +50,6 @@ pub use behavior::{Behavior, NeighborRef, Neighbors, UpdateCtx};
 pub use combinator::Combinator;
 pub use effect::{EffectTable, EffectWriter};
 pub use engine::{Simulation, SimulationBuilder};
-pub use executor::{IndexMaintenance, MaintainedIndex, PendingSpawn, TickExecutor, TickScratch};
+pub use executor::{PendingSpawn, TickExecutor, TickIndex, TickScratch};
 pub use metrics::{SimMetrics, TickMetrics};
 pub use schema::{AgentSchema, SchemaBuilder};

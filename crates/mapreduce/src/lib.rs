@@ -17,11 +17,12 @@
 //! state **resident across ticks**. A worker's columnar
 //! [`AgentPool`](brace_core::AgentPool) persists: owned rows mutate only
 //! through stable-row ops (swap-removal + insertion, with a persistent
-//! id ↔ row map), replicas live in a persistent tail refreshed in place,
-//! and the spatial index syncs incrementally because the row ↔ agent
-//! mapping survives the tick. On the wire, only *changes* travel: agents
-//! entering a peer's visible band ship once as full records
-//! ([`net::Traffic::ReplicaFull`]), persisting replicas ship masked
+//! id ↔ row map) and replicas live in a persistent tail refreshed in place,
+//! so the tick's probe order re-sorts a nearly sorted sequence (k-NN
+//! schemas build their one index per tick over the same columns). On the
+//! wire, only *changes* travel: agents entering a peer's visible band ship
+//! once as full records ([`net::Traffic::ReplicaFull`]), persisting
+//! replicas ship masked
 //! columnar delta frames — changed fields only, zero bytes when nothing
 //! changed ([`net::Traffic::ReplicaDelta`]) — and leavers ship slot
 //! removals. A stationary boundary population therefore costs *nothing*
@@ -47,11 +48,6 @@
 //!
 //! Layout:
 //!
-//! * [`generic`] — a small, general iterated MapReduce engine (`map`,
-//!   `reduce` as functions over key-value pairs, parallel workers, iteration
-//!   driver). BRACE's runtime is the spatial specialization of this model;
-//!   the generic engine exists to keep that claim honest (its tests run
-//!   word-count and an iterated computation).
 //! * [`codec`] — the wire format: agents (from records or straight from
 //!   pool columns), replica delta frames, effect rows and worker snapshots
 //!   encoded to [`bytes::Bytes`].
@@ -81,7 +77,6 @@ pub mod balance;
 pub mod checkpoint;
 pub mod cluster;
 pub mod codec;
-pub mod generic;
 pub mod manifest;
 pub mod master;
 pub mod net;

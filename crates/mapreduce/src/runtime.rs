@@ -143,8 +143,9 @@ pub struct WorkerEpochStats {
     /// epoch's ticks (also pinned to zero; snapshots at epoch boundaries
     /// are the real serialization boundary and are not counted here).
     pub vec_roundtrips: u64,
-    /// Full spatial-index rebuilds during the epoch (membership changes
-    /// only; a stable pool syncs incrementally).
+    /// Spatial-index builds during the epoch: one per tick for a k-NN,
+    /// scan or unbounded-visibility schema, 0 for a bounded range schema
+    /// (its probe order is the index).
     pub index_rebuilds: u64,
 }
 

@@ -30,9 +30,10 @@
 //! updated in place by incoming delta frames. In the steady state a tick
 //! performs *zero* pool rebuilds and *zero* full-population `Vec<Agent>`
 //! round-trips (`WorkerEpochStats::{pool_rebuilds, vec_roundtrips}` pin
-//! this in tests), the spatial index syncs incrementally because the row ↔
-//! agent mapping is unchanged, and a stationary boundary population costs
-//! zero replica bytes per tick (empty delta frames are never sent).
+//! this in tests), a bounded range schema builds no spatial index at all
+//! (its probe order is the index; a k-NN schema builds one per tick), and a
+//! stationary boundary population costs zero replica bytes per tick (empty
+//! delta frames are never sent).
 //!
 //! `Vec<Agent>` materialization survives only at the real serialization
 //! boundaries: checkpoint/collect snapshots, restore, and the initial
@@ -59,7 +60,7 @@ use crate::codec::{self, ReplicaDelta, ReplicaDeltaEnc, WorkerSnapshot, DELTA_MA
 use crate::net::{NetLedger, Traffic};
 use crate::runtime::{Command, EpochCommand, PeerMsg, Report, Round, WorkerEpochStats};
 use brace_common::{AgentId, DetRng, FieldId, Welford, WorkerId};
-use brace_core::executor::{query_phase_sharded, update_phase_prefix, MaintainedIndex, PendingSpawn, TickScratch};
+use brace_core::executor::{query_phase_sharded, update_phase_prefix, PendingSpawn, TickIndex, TickScratch};
 use brace_core::{Agent, AgentPool, Behavior};
 use brace_spatial::{GridPartitioning, IndexKind, Partitioner};
 use bytes::Bytes;
@@ -315,10 +316,9 @@ pub struct Worker {
     /// every stable-row mutation updates it in O(1) — only the one row
     /// that physically moved needs its entry touched.
     row_meta: Vec<(u32, u32)>,
-    /// Spatial index maintained across ticks: with pool-resident state the
-    /// id column is unchanged in the steady state, so syncs are
-    /// incremental and full rebuilds happen only on membership changes.
-    index: MaintainedIndex,
+    /// The tick's spatial index: built once per tick for k-NN, scan and
+    /// unbounded-visibility schemas, never for a bounded range schema.
+    index: TickIndex,
     /// Reusable per-tick buffers (shard tables, spawn queues) for the
     /// sharded executor phases.
     scratch: TickScratch,
@@ -375,7 +375,7 @@ impl Worker {
             codec::DELTA_MAX_STATES
         );
         let pool = AgentPool::new(schema);
-        let index = MaintainedIndex::new(cfg.index);
+        let index = TickIndex::new(cfg.index);
         let rng = DetRng::seed_from_u64(cfg.seed).stream(0x5EED_0000 + cfg.id.raw() as u64);
         let n = cfg.num_workers;
         let num_states = schema.num_states();
@@ -1051,7 +1051,7 @@ mod tests {
         }
 
         /// The same model over its `k` nearest neighbors — the probe that
-        /// still owns a maintained index.
+        /// still builds an index.
         fn nearest(k: usize) -> Self {
             Drift(Self::new().0, NeighborProbe::Nearest(k))
         }
@@ -1132,10 +1132,7 @@ mod tests {
 
     #[test]
     fn steady_ticks_never_rebuild_the_pool() {
-        // A k-NN probe, the path that owns a maintained index, on the grid:
-        // sorted-bucket moves handle a fully-moving stable population
-        // without rebuilds (the KD-tree intentionally declines dense motion
-        // batches in favor of a rebuild — separate policy).
+        // A k-NN probe, the path that still builds an index, on the grid.
         let mut worker = single_worker_of(Drift::nearest(4), line(40, 0.6), IndexKind::Grid);
         let mut stats = WorkerEpochStats::default();
         let rebuilds0 = worker.pool_rebuilds;
@@ -1145,16 +1142,15 @@ mod tests {
         }
         assert_eq!(worker.pool_rebuilds, rebuilds0, "ticks must not rebuild the pool");
         assert_eq!(worker.vec_roundtrips, roundtrips0, "ticks must not materialize Vec<Agent>");
-        // The stable population also keeps the index incremental after the
-        // first build.
-        assert_eq!(worker.index.rebuilds(), 1, "steady state syncs incrementally");
+        // The index is build-only: exactly one build per tick it is probed.
+        assert_eq!(worker.index.rebuilds(), 8, "steady state builds once per tick");
         worker.check_invariants();
     }
 
     #[test]
     fn range_schemas_never_build_an_index() {
         // A bounded range probe joins through the probe order: the worker's
-        // maintained index stays unbuilt, tick after tick.
+        // tick index stays unbuilt, tick after tick.
         let mut worker = single_worker_with(line(40, 0.6), IndexKind::Grid);
         let mut stats = WorkerEpochStats::default();
         for _ in 0..8 {

@@ -15,33 +15,23 @@
 //! # Bucket-major SoA arena
 //!
 //! Storage is one contiguous arena of three parallel columns (`xs`, `ys`,
-//! `payloads`); each bucket owns a *run* — a `[start, start+len)` range of
-//! those columns, with `cap ≥ len` slack so nearby churn stays in place. A
-//! probe therefore streams each overlapping bucket's coordinates straight
-//! through the lane kernels ([`crate::kernels::filter_rect`]) with **no
-//! per-probe gather**, which is what lets the grid declare
-//! [`SpatialIndex::RANGE_BATCH_NATIVE`] (see `range_batch` below).
+//! `payloads`), laid out once at build: each bucket owns a *run* — a
+//! `[start, start+len)` range of those columns, sorted by payload. A k-NN
+//! probe therefore streams each visited bucket's coordinates straight
+//! through the lane kernel ([`crate::kernels::dist2`]) with no per-probe
+//! gather. The grid is build-only: the executor builds a fresh one for each
+//! tick it probes one (k-NN, unbounded visibility).
 //!
-//! The arena is maintained incrementally: a moved agent either stays in its
-//! bucket (coordinates overwritten in place — the common case when cell ≈
-//! visibility ≫ reachability) or moves to an adjacent bucket (one shift-out
-//! of the old run + one sorted shift-in to the new run; a full run relocates
-//! to the arena tail with doubled slack). Dead slots left behind by
-//! relocation are reclaimed by an amortized compaction once they outnumber
-//! live ones — a pure re-layout, invisible to queries, *not* an
-//! executor-visible rebuild: stable populations still do zero rebuilds.
-//!
-//! Range emission is globally **ascending by payload**: each run is kept
-//! payload-sorted and probes merge the overlapping runs by payload, so
-//! candidates stream out in id order on any id-ordered pool. That makes the
-//! grid's canonical order identical to the cluster collector's, i.e.
-//! order-sensitive float-sum models are exactly distributable on the grid
-//! (see `brace_scenario::builtin`). Crucially the order is a pure function
-//! of the matching point *set* — arena layout (and therefore relocation or
-//! compaction history) can never leak into results.
+//! Range emission is globally **ascending by payload**: probes merge the
+//! overlapping payload-sorted runs by payload, so candidates stream out in
+//! id order on any id-ordered pool. That makes the grid's canonical order
+//! identical to the cluster collector's, i.e. order-sensitive float-sum
+//! models are exactly distributable on the grid (see
+//! `brace_scenario::builtin`). The order is a pure function of the matching
+//! point *set* — not even the cell size can perturb it.
 
-use crate::index::{dense_slots, finish_knn, knn_cmp, with_dist2_scratch, with_knn_scratch, SpatialIndex};
-use crate::kernels::{dist2, filter_rect};
+use crate::index::{finish_knn, knn_cmp, with_dist2_scratch, with_knn_scratch, SpatialIndex};
+use crate::kernels::dist2;
 use brace_common::{Rect, Vec2};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -50,41 +40,27 @@ use std::collections::HashMap;
 /// k-way run merge; wider probes fall back to gather-and-sort.
 const MERGE_WIDTH: usize = 16;
 
-/// Slack capacity given to a freshly created (post-build) bucket run.
-const NEW_BUCKET_CAP: u32 = 4;
-
-/// One bucket's run in the column arena: `[start, start+len)` live slots,
-/// `[start+len, start+cap)` slack for incremental inserts.
+/// One bucket's run in the column arena: slots `[start, start+len)`.
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
     start: u32,
     len: u32,
-    cap: u32,
 }
 
 impl Bucket {
-    const EMPTY: Bucket = Bucket { start: 0, len: 0, cap: 0 };
+    const EMPTY: Bucket = Bucket { start: 0, len: 0 };
 }
 
 /// Bucket index over uniform square cells. See module docs.
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
     cell: f64,
-    /// Bucket-major SoA columns: one contiguous arena shared by every
-    /// bucket's run. Slack/dead slots hold `NaN`/`u32::MAX` and are never
-    /// read (runs address only their live `[start, start+len)` range).
+    /// Bucket-major SoA columns: one contiguous arena, every bucket's run
+    /// back to back.
     xs: Vec<f64>,
     ys: Vec<f64>,
     payloads: Vec<u32>,
     buckets: HashMap<(i64, i64), Bucket>,
-    len: usize,
-    /// Arena slots abandoned by run relocation / bucket death; compacted
-    /// away once they outnumber live points.
-    dead: usize,
-    /// `payload -> current cell key`, when payloads are dense (enables
-    /// `update`); runs are kept sorted by payload so removal is a binary
-    /// search rather than a scan.
-    locator: Option<Vec<(i64, i64)>>,
 }
 
 /// Default cell size when the caller builds through the generic
@@ -128,17 +104,9 @@ impl UniformGrid {
                 ys.push(p.y);
                 payloads.push(payload);
             }
-            let n = group.len() as u32;
-            buckets.insert(key, Bucket { start, len: n, cap: n });
+            buckets.insert(key, Bucket { start, len: group.len() as u32 });
         }
-        let locator = dense_slots(points).map(|slots| {
-            let mut loc = vec![(i64::MAX, i64::MAX); slots.len()];
-            for &(p, payload) in points {
-                loc[payload as usize] = Self::key(p, cell);
-            }
-            loc
-        });
-        UniformGrid { cell, xs, ys, payloads, buckets, len: points.len(), dead: 0, locator }
+        UniformGrid { cell, xs, ys, payloads, buckets }
     }
 
     #[inline]
@@ -156,50 +124,9 @@ impl UniformGrid {
         self.buckets.len()
     }
 
-    /// Arena slots currently dead (diagnostic: relocation/compaction churn).
-    pub fn dead_slots(&self) -> usize {
-        self.dead
-    }
-
     #[inline]
     fn run_bounds(b: Bucket) -> (usize, usize) {
         (b.start as usize, (b.start + b.len) as usize)
-    }
-
-    /// True when cell `key` lies entirely inside `rect`, with enough
-    /// conservative slack that *every point whose floored key equals `key`*
-    /// is guaranteed contained. Bucket membership is `floor(p/c) == key`
-    /// under floating-point division, so a member can sit a few ulp outside
-    /// the real-arithmetic cell; the `1e-9`-relative margin is ~10⁶ ulp —
-    /// vastly more than division/multiplication rounding can produce, and
-    /// still negligible against any real probe rect (which extends a full
-    /// visibility radius beyond a covered cell). A covered bucket's run is
-    /// emitted whole, skipping the per-point containment test; when the
-    /// test fails we just filter — never a correctness question.
-    #[inline]
-    fn cell_covered(&self, key: (i64, i64), rect: &Rect) -> bool {
-        let c = self.cell;
-        let lox = key.0 as f64 * c;
-        let loy = key.1 as f64 * c;
-        let hix = lox + c;
-        let hiy = loy + c;
-        let m = 1e-9 * (c + lox.abs().max(hix.abs()) + loy.abs().max(hiy.abs()));
-        rect.lo.x <= lox - m && hix + m <= rect.hi.x && rect.lo.y <= loy - m && hiy + m <= rect.hi.y
-    }
-
-    /// Append the payloads of `bucket`'s points inside `rect` to `buf`, in
-    /// run (= ascending payload) order, streaming the arena columns through
-    /// the lane kernel — the gather-free native filter. Fully covered cells
-    /// skip the kernel and emit the run whole (identical output by
-    /// [`Self::cell_covered`]'s guarantee).
-    #[inline]
-    fn filter_run(&self, key: (i64, i64), bucket: Bucket, rect: &Rect, buf: &mut Vec<u32>) {
-        let (s, e) = Self::run_bounds(bucket);
-        if self.cell_covered(key, rect) {
-            buf.extend_from_slice(&self.payloads[s..e]);
-        } else {
-            filter_rect(&self.xs[s..e], &self.ys[s..e], &self.payloads[s..e], rect, buf);
-        }
     }
 
     /// Collect the ≤[`MERGE_WIDTH`] buckets overlapping `rect` into `runs`.
@@ -242,15 +169,12 @@ impl UniformGrid {
     }
 
     /// Visit every point of the buckets overlapping `rect` in globally
-    /// ascending payload order. Runs stay payload-sorted through `update`s,
-    /// so the typical ≤3×3 overlap is an allocation-free k-way merge of
-    /// sorted runs; wider rectangles (and the sparse-occupancy fallback,
-    /// which scans every occupied bucket) gather into a per-thread scratch
-    /// and sort by payload once. This is the scalar reference path behind
-    /// [`SpatialIndex::range`] (inline containment test) — the batched
-    /// [`SpatialIndex::range_batch`] emits candidates from exactly the same
-    /// payload-ascending sequence by construction (filter-then-merge over
-    /// the same runs).
+    /// ascending payload order. Runs are payload-sorted, so the typical
+    /// ≤3×3 overlap is an allocation-free k-way merge of sorted runs; wider
+    /// rectangles (and the sparse-occupancy fallback, which scans every
+    /// occupied bucket) gather into a per-thread scratch and sort by
+    /// payload once. This is [`SpatialIndex::range`]'s walk (with an
+    /// inline containment test).
     ///
     /// Payloads are pool row indices, and every single-node pool stores
     /// rows in id order — so ascending-payload emission *is* id-sorted
@@ -259,7 +183,7 @@ impl UniformGrid {
     /// (see `brace_scenario::builtin`); before this merge the emission was
     /// bucket-major, an order no distributed reduction can reproduce.
     fn for_merged_points(&self, rect: &Rect, mut f: impl FnMut(Vec2, u32)) {
-        if rect.is_empty() || self.len == 0 {
+        if rect.is_empty() || self.payloads.is_empty() {
             return;
         }
         let mut runs = [((0i64, 0i64), Bucket::EMPTY); MERGE_WIDTH];
@@ -317,74 +241,6 @@ impl UniformGrid {
         }
     }
 
-    /// Remove `payload` from the run at `key`: shift-left within the run
-    /// (the vacated tail slot becomes slack); an emptied bucket's whole run
-    /// becomes dead and the bucket leaves the map.
-    fn remove_from(&mut self, key: (i64, i64), payload: u32) {
-        let b = self.buckets.get_mut(&key).expect("locator points at a live bucket");
-        let (s, e) = (b.start as usize, (b.start + b.len) as usize);
-        let i = self.payloads[s..e].binary_search(&payload).expect("payload in its bucket");
-        self.xs.copy_within(s + i + 1..e, s + i);
-        self.ys.copy_within(s + i + 1..e, s + i);
-        self.payloads.copy_within(s + i + 1..e, s + i);
-        b.len -= 1;
-        if b.len == 0 {
-            let cap = b.cap as usize;
-            self.buckets.remove(&key);
-            self.dead += cap;
-        }
-    }
-
-    /// Insert `(p, payload)` into the run at `key`, keeping it
-    /// payload-sorted: shift-in when the run has slack, otherwise relocate
-    /// the run to the arena tail with doubled capacity (the old run becomes
-    /// dead slots, reclaimed by [`Self::compact`]).
-    fn insert_into(&mut self, key: (i64, i64), p: Vec2, payload: u32) {
-        match self.buckets.entry(key) {
-            Entry::Occupied(mut entry) => {
-                let b = entry.get_mut();
-                let (s, len) = (b.start as usize, b.len as usize);
-                let i = self.payloads[s..s + len].binary_search(&payload).unwrap_err();
-                if b.len < b.cap {
-                    self.xs.copy_within(s + i..s + len, s + i + 1);
-                    self.ys.copy_within(s + i..s + len, s + i + 1);
-                    self.payloads.copy_within(s + i..s + len, s + i + 1);
-                    self.xs[s + i] = p.x;
-                    self.ys[s + i] = p.y;
-                    self.payloads[s + i] = payload;
-                    b.len += 1;
-                } else {
-                    let cap = (b.cap.saturating_mul(2)).max(NEW_BUCKET_CAP) as usize;
-                    let start = self.xs.len();
-                    self.xs.extend_from_within(s..s + i);
-                    self.ys.extend_from_within(s..s + i);
-                    self.payloads.extend_from_within(s..s + i);
-                    self.xs.push(p.x);
-                    self.ys.push(p.y);
-                    self.payloads.push(payload);
-                    self.xs.extend_from_within(s + i..s + len);
-                    self.ys.extend_from_within(s + i..s + len);
-                    self.payloads.extend_from_within(s + i..s + len);
-                    self.xs.resize(start + cap, f64::NAN);
-                    self.ys.resize(start + cap, f64::NAN);
-                    self.payloads.resize(start + cap, u32::MAX);
-                    self.dead += b.cap as usize;
-                    *b = Bucket { start: start as u32, len: len as u32 + 1, cap: cap as u32 };
-                }
-            }
-            Entry::Vacant(entry) => {
-                let start = self.xs.len();
-                self.xs.push(p.x);
-                self.ys.push(p.y);
-                self.payloads.push(payload);
-                self.xs.resize(start + NEW_BUCKET_CAP as usize, f64::NAN);
-                self.ys.resize(start + NEW_BUCKET_CAP as usize, f64::NAN);
-                self.payloads.resize(start + NEW_BUCKET_CAP as usize, u32::MAX);
-                entry.insert(Bucket { start: start as u32, len: 1, cap: NEW_BUCKET_CAP });
-            }
-        }
-    }
-
     /// Fold `bucket`'s points into the running `(dist², payload)` best for
     /// the expanding-ring nearest search.
     fn consider_bucket(&self, b: Bucket, q: Vec2, exclude: Option<u32>, best: &mut Option<(f64, u32)>) {
@@ -400,30 +256,6 @@ impl UniformGrid {
             }
         }
     }
-
-    /// Re-layout every live run contiguously and drop dead slots. A pure
-    /// storage re-pack: bucket membership, run sort order and therefore
-    /// every query answer are untouched (emission is payload-canonical, so
-    /// even the new run placement — hash-map iteration order — cannot leak
-    /// into results). This is *not* an executor-visible rebuild.
-    fn compact(&mut self) {
-        let mut xs = Vec::with_capacity(self.len);
-        let mut ys = Vec::with_capacity(self.len);
-        let mut payloads = Vec::with_capacity(self.len);
-        for b in self.buckets.values_mut() {
-            let (s, e) = (b.start as usize, (b.start + b.len) as usize);
-            let start = xs.len() as u32;
-            xs.extend_from_slice(&self.xs[s..e]);
-            ys.extend_from_slice(&self.ys[s..e]);
-            payloads.extend_from_slice(&self.payloads[s..e]);
-            b.start = start;
-            b.cap = b.len;
-        }
-        self.xs = xs;
-        self.ys = ys;
-        self.payloads = payloads;
-        self.dead = 0;
-    }
 }
 
 brace_common::tls_scratch!(
@@ -433,30 +265,15 @@ brace_common::tls_scratch!(
     fn with_merge_scratch -> Vec<(Vec2, u32)>
 );
 
-brace_common::tls_scratch!(
-    /// Reusable per-thread payload buffer for the native batched probe:
-    /// holds each overlapping run's lane-filter output as a contiguous
-    /// segment, which the k-way payload merge then drains into the
-    /// caller's buffer.
-    fn with_filter_scratch -> Vec<u32>
-);
-
 impl SpatialIndex for UniformGrid {
-    /// Emission is globally **ascending by payload** (runs stay
-    /// payload-sorted through `update`s and range probes merge them by
-    /// payload), so the order is a pure function of the matching point set
-    /// alone — not even the cell size can perturb it. Since payloads are
+    /// Emission is globally **ascending by payload** (runs are
+    /// payload-sorted and range probes merge them by payload), so the order
+    /// is a pure function of the matching point set alone — not even the
+    /// cell size can perturb it. Since payloads are
     /// id-ordered pool rows on every single-node pool, this is exactly the
     /// id-sorted order the cluster collector canonicalizes to, making the
     /// grid exactly distributable for order-sensitive float reductions.
     const RANGE_CANONICAL: bool = true;
-
-    /// The batched filter streams the grid's **own** bucket-major SoA
-    /// columns through the lane kernel — no per-probe gather since the
-    /// arena rewrite. (The previous AoS-bucket storage had to gather per
-    /// probe and measured 0.7–0.9× scalar; see `BENCH_tick_throughput.json`
-    /// for the native columns' speedups.)
-    const RANGE_BATCH_NATIVE: bool = true;
 
     fn build(points: &[(Vec2, u32)]) -> Self {
         UniformGrid::with_cell(points, auto_cell(points))
@@ -470,84 +287,8 @@ impl SpatialIndex for UniformGrid {
         });
     }
 
-    /// Native batched range: each overlapping run's columns stream through
-    /// the lane kernel ([`filter_rect`]) into a per-thread scratch — one
-    /// ascending-payload segment per bucket, no gather — and the surviving
-    /// segments k-way merge into the caller's buffer. The filter *selects*
-    /// (per-run order is preserved) and the merge is the same
-    /// lowest-payload-first rule as [`Self::for_merged_points`], so the
-    /// emitted sequence is exactly [`SpatialIndex::range`]'s: the ascending
-    /// payloads of the matching point set (the canonical-order contract).
-    /// Wide/sparse probes filter every overlapped run and sort the
-    /// surviving payloads once, mirroring the scalar gather+sort fallback.
-    fn range_batch(&self, rect: &Rect, out: &mut Vec<u32>) {
-        if rect.is_empty() || self.len == 0 {
-            return;
-        }
-        let mut runs = [((0i64, 0i64), Bucket::EMPTY); MERGE_WIDTH];
-        let (n_runs, overflow, sparse, (x0, y0), (x1, y1)) = self.collect_runs(rect, &mut runs);
-        with_filter_scratch(|buf| {
-            buf.clear();
-            if overflow {
-                if sparse {
-                    for (&key, &b) in self.buckets.iter() {
-                        self.filter_run(key, b, rect, buf);
-                    }
-                } else {
-                    for cx in x0..=x1 {
-                        for cy in y0..=y1 {
-                            if let Some(&b) = self.buckets.get(&(cx, cy)) {
-                                self.filter_run((cx, cy), b, rect, buf);
-                            }
-                        }
-                    }
-                }
-                buf.sort_unstable();
-                out.extend_from_slice(buf);
-                return;
-            }
-            let mut segs = [(0u32, 0u32); MERGE_WIDTH];
-            let mut n_segs = 0;
-            for &(key, b) in &runs[..n_runs] {
-                let s0 = buf.len() as u32;
-                self.filter_run(key, b, rect, buf);
-                if buf.len() as u32 > s0 {
-                    segs[n_segs] = (s0, buf.len() as u32);
-                    n_segs += 1;
-                }
-            }
-            match n_segs {
-                0 => {}
-                // One surviving segment: already ascending, copy through.
-                1 => out.extend_from_slice(&buf[segs[0].0 as usize..segs[0].1 as usize]),
-                _ => {
-                    // Min-scan merge over the filtered segments — same
-                    // rule as the scalar merge, but over survivors only.
-                    let mut cursors = [0u32; MERGE_WIDTH];
-                    for (c, &(s, _)) in cursors.iter_mut().zip(&segs[..n_segs]) {
-                        *c = s;
-                    }
-                    loop {
-                        let mut best: Option<(u32, usize)> = None;
-                        for i in 0..n_segs {
-                            if cursors[i] < segs[i].1 {
-                                let payload = buf[cursors[i] as usize];
-                                if best.is_none_or(|(bp, _)| payload < bp) {
-                                    best = Some((payload, i));
-                                }
-                            }
-                        }
-                        let Some((payload, i)) = best else { return };
-                        cursors[i] += 1;
-                        out.push(payload);
-                    }
-                }
-            }
-        });
-    }
-
     fn nearest(&self, q: Vec2, exclude: Option<u32>) -> Option<u32> {
-        if self.len == 0 {
+        if self.payloads.is_empty() {
             return None;
         }
         // Expanding ring search over cells; falls back to a full scan once
@@ -577,7 +318,7 @@ impl SpatialIndex for UniformGrid {
                     return best.map(|(_, p)| p);
                 }
             }
-            if !saw_any && ring > 0 && (ring as u64) > 2 * self.len as u64 + 2 {
+            if !saw_any && ring > 0 && (ring as u64) > 2 * self.payloads.len() as u64 + 2 {
                 // Degenerate spread; brute force the remainder.
                 for &b in self.buckets.values() {
                     self.consider_bucket(b, q, exclude, &mut best);
@@ -604,7 +345,8 @@ impl SpatialIndex for UniformGrid {
     /// every bucket is cheaper and is what happens.
     fn k_nearest_into(&self, q: Vec2, k: usize, exclude: Option<u32>, out: &mut Vec<u32>) {
         out.clear();
-        if k == 0 || self.len == 0 {
+        let n = self.payloads.len();
+        if k == 0 || n == 0 {
             return;
         }
         with_knn_scratch(|found| {
@@ -623,8 +365,8 @@ impl SpatialIndex for UniformGrid {
                 let (qx, qy) = Self::key(q, self.cell);
                 // Bucket membership is `floor(p / cell)` in floating point, so
                 // a point can sit a few ulp outside its real-arithmetic cell;
-                // the bound gives that up with a margin ~10⁶ ulp wide (the
-                // same slack as `cell_covered`).
+                // the bound gives that up with a margin ~10⁶ ulp wide —
+                // vastly more than division rounding can produce.
                 let slack = 1e-9 * (self.cell + q.x.abs() + q.y.abs());
                 // Cells looked up and points seen so far (excluded one included).
                 let (mut cells, mut seen) = (0usize, 0usize);
@@ -632,7 +374,7 @@ impl SpatialIndex for UniformGrid {
                 // after at most `buckets.len()` lookups.
                 let walkable = qx.unsigned_abs().max(qy.unsigned_abs()) < 1 << 62;
                 let mut ring = 0i64;
-                while walkable && cells <= self.buckets.len() && seen < self.len {
+                while walkable && cells <= self.buckets.len() && seen < n {
                     let mut visit = |cx: i64, cy: i64, found: &mut Vec<(f64, u32)>| {
                         cells += 1;
                         if let Some(&b) = self.buckets.get(&(cx, cy)) {
@@ -665,7 +407,7 @@ impl SpatialIndex for UniformGrid {
                     }
                     ring += 1;
                 }
-                if seen < self.len {
+                if seen < n {
                     found.clear();
                     for &b in self.buckets.values() {
                         gather(b, found);
@@ -676,41 +418,8 @@ impl SpatialIndex for UniformGrid {
         });
     }
 
-    fn update(&mut self, moved: &[(u32, Vec2)]) -> bool {
-        if self.locator.is_none() {
-            return false;
-        }
-        for &(payload, new) in moved {
-            let old_key = match self.locator.as_ref().expect("checked above").get(payload as usize) {
-                Some(&key) if key != (i64::MAX, i64::MAX) => key,
-                _ => return false,
-            };
-            let new_key = Self::key(new, self.cell);
-            if new_key == old_key {
-                // Same bucket (the common case with cell ≈ visibility ≫
-                // reachability): overwrite the coordinates in place.
-                let b = *self.buckets.get(&old_key).expect("locator points at a live bucket");
-                let (s, e) = Self::run_bounds(b);
-                let i = self.payloads[s..e].binary_search(&payload).expect("payload in its bucket");
-                self.xs[s + i] = new.x;
-                self.ys[s + i] = new.y;
-            } else {
-                self.remove_from(old_key, payload);
-                self.insert_into(new_key, new, payload);
-                self.locator.as_mut().expect("checked above")[payload as usize] = new_key;
-            }
-        }
-        // Amortized arena hygiene: once relocations have abandoned more
-        // slots than there are live points, re-pack. O(live) work paid at
-        // most every O(live) relocations — queries never see it.
-        if self.dead > self.len.max(NEW_BUCKET_CAP as usize) {
-            self.compact();
-        }
-        true
-    }
-
     fn len(&self) -> usize {
-        self.len
+        self.payloads.len()
     }
 }
 
@@ -865,12 +574,12 @@ mod tests {
 
     /// The canonical-order guarantee itself: every probe — narrow (k-way
     /// merge), wide (gather + sort) and sparse-occupancy fallback — emits
-    /// payloads in globally ascending order, and the native `range_batch`
-    /// emits the exact same sequence from the arena columns.
+    /// the matching payloads in globally ascending order.
     #[test]
     fn grid_range_emits_ascending_payloads_on_every_path() {
         let pts = random_points(400, 21);
         let grid = UniformGrid::with_cell(&pts, 7.0);
+        let scan = ScanIndex::build(&pts);
         let mut rng = DetRng::seed_from_u64(22);
         let mut probes: Vec<Rect> = (0..40)
             .map(|_| {
@@ -881,125 +590,32 @@ mod tests {
         probes.push(Rect::centered(Vec2::ZERO, 40.0)); // > 16 buckets: gather + sort
         probes.push(Rect::from_bounds(-1e9, 1e9, -1e9, 1e9)); // sparse fallback
         for rect in probes {
-            let (mut scalar, mut batched) = (Vec::new(), Vec::new());
-            grid.range(&rect, &mut scalar);
-            grid.range_batch(&rect, &mut batched);
-            assert!(scalar.windows(2).all(|w| w[0] < w[1]), "non-ascending emission for {rect:?}: {scalar:?}");
-            assert_eq!(scalar, batched, "range_batch sequence diverged for {rect:?}");
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            grid.range(&rect, &mut got);
+            scan.range(&rect, &mut want);
+            want.sort_unstable();
+            assert_eq!(got, want, "grid emission for {rect:?} is not the ascending matching set");
         }
     }
 
-    /// Ascending emission survives incremental updates that shuffle points
-    /// across buckets (shift-out + sorted shift-in keeps every run sorted),
-    /// and the native batched path keeps emitting the identical sequence
-    /// through run relocations and arena compactions.
-    #[test]
-    fn grid_emission_stays_ascending_after_updates() {
-        let pts = random_points(120, 23);
-        let mut grid = UniformGrid::with_cell(&pts, 5.0);
-        let mut rng = DetRng::seed_from_u64(24);
-        for round in 0..10 {
-            let moved: Vec<(u32, Vec2)> = (0..40)
-                .map(|_| {
-                    let payload = rng.range(0.0, 120.0) as u32 % 120;
-                    (payload, Vec2::new(rng.range(-50.0, 50.0), rng.range(-50.0, 50.0)))
-                })
-                .collect();
-            assert!(grid.update(&moved));
-            let rect = Rect::centered(Vec2::new(rng.range(-40.0, 40.0), rng.range(-40.0, 40.0)), 9.0);
-            let (mut out, mut batched) = (Vec::new(), Vec::new());
-            grid.range(&rect, &mut out);
-            grid.range_batch(&rect, &mut batched);
-            assert!(out.windows(2).all(|w| w[0] < w[1]), "round {round}: non-ascending {out:?}");
-            assert_eq!(out, batched, "round {round}: batched sequence diverged");
-        }
-    }
-
-    /// Arena stability under adversarial churn: every agent funneled into
-    /// one hotspot cell (maximal run relocation + growth), then scattered
-    /// back out (bucket death + compaction). After each phase the grid must
-    /// answer exactly like a fresh build over the moved points, on both the
-    /// scalar and the native batched path.
-    #[test]
-    fn soa_arena_survives_hotspot_collapse_and_scatter() {
-        let pts = random_points(200, 31);
-        let mut grid = UniformGrid::with_cell(&pts, 5.0);
-        let mut current = pts.clone();
-        let mut rng = DetRng::seed_from_u64(32);
-        for phase in 0..6 {
-            let collapse = phase % 2 == 0;
-            let moved: Vec<(u32, Vec2)> = (0..200u32)
-                .map(|payload| {
-                    let p = if collapse {
-                        // Everyone into one cell: runs relocate and double.
-                        Vec2::new(rng.range(0.0, 4.9), rng.range(0.0, 4.9))
-                    } else {
-                        Vec2::new(rng.range(-50.0, 50.0), rng.range(-50.0, 50.0))
-                    };
-                    (payload, p)
-                })
-                .collect();
-            assert!(grid.update(&moved));
-            for &(payload, p) in &moved {
-                current[payload as usize].0 = p;
-            }
-            let fresh = UniformGrid::with_cell(&current, 5.0);
-            for _ in 0..20 {
-                let c = Vec2::new(rng.range(-55.0, 55.0), rng.range(-55.0, 55.0));
-                let rect = Rect::centered(c, rng.range(0.0, 12.0));
-                let (mut inc, mut inc_b, mut ref_s) = (Vec::new(), Vec::new(), Vec::new());
-                grid.range(&rect, &mut inc);
-                grid.range_batch(&rect, &mut inc_b);
-                fresh.range(&rect, &mut ref_s);
-                assert_eq!(inc, ref_s, "phase {phase}: incremental != fresh for {rect:?}");
-                assert_eq!(inc, inc_b, "phase {phase}: batched sequence diverged for {rect:?}");
-            }
-            assert_eq!(grid.len(), 200);
-        }
-        // The collapse/scatter cycles must actually have exercised the
-        // relocation machinery; compaction keeps dead slots bounded.
-        assert!(grid.dead_slots() <= grid.len().max(NEW_BUCKET_CAP as usize), "compaction never engaged");
-    }
-
-    /// A rect that fully covers interior cells takes the covered-run fast
-    /// path (whole runs emitted without the lane filter); the emission must
-    /// still be exactly the scalar sequence.
-    #[test]
-    fn covered_cell_fast_path_matches_scalar() {
-        let pts = random_points(300, 41);
-        let grid = UniformGrid::with_cell(&pts, 7.0);
-        let mut rng = DetRng::seed_from_u64(42);
-        for _ in 0..30 {
-            let c = Vec2::new(rng.range(-30.0, 30.0), rng.range(-30.0, 30.0));
-            // Half-extent 10.5–14 over 7.0-cells: 3–5 cells per axis, the
-            // interior ones fully covered.
-            let rect = Rect::centered(c, rng.range(10.5, 14.0));
-            let (mut scalar, mut batched) = (Vec::new(), Vec::new());
-            grid.range(&rect, &mut scalar);
-            grid.range_batch(&rect, &mut batched);
-            assert_eq!(scalar, batched, "covered fast path diverged for {rect:?}");
-            assert!(!scalar.is_empty(), "probe should hit points");
-        }
-    }
-
-    /// Duplicate payloads disable the locator (no `update`) but every range
-    /// path must still work over the arena and agree scalar ≡ batched as a
-    /// value sequence.
+    /// Duplicate payloads (which the executor never builds, but `build`
+    /// accepts) still answer every range probe with the right multiset.
     #[test]
     fn duplicate_payloads_still_query_correctly() {
         let mut pts = random_points(64, 51);
         for (i, p) in pts.iter_mut().enumerate() {
             p.1 = (i % 8) as u32; // heavy duplication
         }
-        let mut grid = UniformGrid::with_cell(&pts, 5.0);
-        assert!(!grid.update(&[(0, Vec2::ZERO)]), "duplicates cannot maintain in place");
+        let grid = UniformGrid::with_cell(&pts, 5.0);
+        let scan = ScanIndex::build(&pts);
         let mut rng = DetRng::seed_from_u64(52);
         for _ in 0..20 {
             let rect = Rect::centered(Vec2::new(rng.range(-40.0, 40.0), rng.range(-40.0, 40.0)), rng.range(0.0, 20.0));
-            let (mut scalar, mut batched) = (Vec::new(), Vec::new());
-            grid.range(&rect, &mut scalar);
-            grid.range_batch(&rect, &mut batched);
-            assert_eq!(scalar, batched, "duplicate-payload sequence diverged for {rect:?}");
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            grid.range(&rect, &mut got);
+            scan.range(&rect, &mut want);
+            want.sort_unstable();
+            assert_eq!(got, want, "duplicate-payload emission diverged for {rect:?}");
         }
     }
 }

@@ -8,28 +8,24 @@
 //! (Figures 3 and 4) are a one-line configuration change, and so the KD-tree
 //! can be compared against a uniform grid in the ablation benchmarks.
 //!
-//! Positions are immutable during the query phase (the state-effect
-//! pattern guarantees states are frozen within a tick), so no index needs to
-//! support updates mid-tick. *Between* ticks, however, the reachability
-//! bound limits how far any agent can move, so rebuilding from scratch every
-//! tick wastes the work of the previous build. Indexes that can exploit this
-//! implement [`SpatialIndex::update`] (apply a batch of per-payload position
-//! changes in place) and [`SpatialIndex::maintain`] (amortized
-//! restructuring once accumulated motion exceeds a budget); the executor
-//! charges only the agents that actually moved and falls back to a full
-//! rebuild when `update` reports the index cannot maintain itself.
+//! Every index is **build-only**. Positions are frozen for the whole query
+//! phase (the state-effect pattern), so an index answers one tick's probes
+//! and is then dropped: the executor builds one per tick it probes (k-NN,
+//! the scan, unbounded visibility) and none at all for a bounded range
+//! schema, whose sort-merge tile join needs no index (`brace_core::executor`).
+//! Rebuilding is the maintenance policy — measured against in-place updates
+//! it was never meaningfully slower.
 
 use brace_common::{Rect, Vec2};
 
 /// A read-only spatial index over a set of points, each carrying a `u32`
 /// payload (the index of the agent in the tick's agent table).
 pub trait SpatialIndex: Send + Sync {
-    /// True when [`SpatialIndex::range`] emits candidates in an order that
-    /// is a pure function of the current point set (same points in the
-    /// same payload order ⇒ same emission order), independent of the
-    /// history of [`SpatialIndex::update`] calls. Canonical indexes let
-    /// the executor skip its per-probe candidate sort: a maintained index
-    /// and a fresh rebuild already aggregate float effects identically.
+    /// True when [`SpatialIndex::range`] emits candidates in ascending
+    /// payload order whenever the points were built in ascending payload
+    /// order (the executor builds them that way: payload = row). On an
+    /// id-ordered pool that is the canonical candidate order itself, so the
+    /// executor skips its per-probe candidate sort.
     const RANGE_CANONICAL: bool = false;
 
     /// Build an index over `points`. Payloads need not be unique or dense.
@@ -40,36 +36,6 @@ pub trait SpatialIndex: Send + Sync {
     /// Append the payloads of every point inside the closed rectangle
     /// `rect` to `out`, in unspecified order.
     fn range(&self, rect: &Rect, out: &mut Vec<u32>);
-
-    /// True when [`SpatialIndex::range_batch`] filters the index's **own**
-    /// SoA columns with no per-probe gather (the scan; the grid since its
-    /// buckets became bucket-major column runs in one arena). A
-    /// gather-based batched filter (KD boundary leaves; the grid before the
-    /// arena) adds a second memory pass over every candidate, which on
-    /// memory-bound cores costs more than the lane compares save for the
-    /// small per-probe candidate sets indexes exist to produce — the
-    /// gather-era grid measured 0.7–0.9× query throughput on the reference
-    /// container, where the arena-native grid measures 1.15–1.3× and the
-    /// native scan path 2–8×. The executor probes a tile of agents once
-    /// through `range` and lane-filters the shared candidate block itself
-    /// (`brace_core::executor`); only a row probing alone (non-local
-    /// schemas, the scan baseline, a tile of one) asks through
-    /// `range_batch`, and only where this is true. Gather-based paths stay
-    /// exercised by the conformance suite.
-    const RANGE_BATCH_NATIVE: bool = false;
-
-    /// Batched form of [`SpatialIndex::range`]: emit coarse candidates
-    /// (whole buckets, boundary leaves, whole columns) into gather columns
-    /// and run the containment test as a lane kernel
-    /// ([`crate::kernels::filter_rect`]) instead of a branch per point.
-    /// Candidates are identical to `range`'s: for canonical indexes the
-    /// emitted *sequence* matches exactly (filtering preserves gather
-    /// order), for non-canonical indexes the *set* matches (callers sort,
-    /// exactly as they must for `range`). The default forwards to `range`
-    /// for indexes without a batched path.
-    fn range_batch(&self, rect: &Rect, out: &mut Vec<u32>) {
-        self.range(rect, out);
-    }
 
     /// Payload of a point nearest to `q` in Euclidean distance (ties are
     /// broken arbitrarily), excluding points whose payload equals `exclude`
@@ -84,33 +50,20 @@ pub trait SpatialIndex: Send + Sync {
     /// "planned future work"): MITSIM-style models look up lead/rear
     /// vehicles by proximity rather than fixed range. Ties are broken by
     /// ascending payload, so the result is a pure function of the point
-    /// *set* — independent of build history, which is what lets
-    /// incrementally maintained indexes answer bit-identically to freshly
-    /// rebuilt ones. Taking the caller's buffer means a caller probing
-    /// once per agent per tick performs no per-probe allocation (the
-    /// `Nearest` probe path of the executor).
+    /// *set* — every index kind answers bit-identically to every other.
+    /// Taking the caller's buffer means a caller probing once per agent per
+    /// tick performs no per-probe allocation (the `Nearest` probe path of
+    /// the executor).
     fn k_nearest_into(&self, q: Vec2, k: usize, exclude: Option<u32>, out: &mut Vec<u32>);
 
-    /// Apply a batch of position changes: each `(payload, new_pos)` moves
-    /// every point carrying `payload` to `new_pos`. Returns `true` when the
-    /// index applied the batch in place; `false` when it does not support
-    /// in-place maintenance (or its internal payload map cannot represent
-    /// the workload), in which case the caller must rebuild. After a
-    /// successful `update`, every query answers exactly as a fresh build
-    /// over the moved points would (candidate *sets*; intra-probe order may
-    /// differ).
+    /// Always `false`: every index is build-only, so a moved point set
+    /// means a fresh [`SpatialIndex::build`]. The method survives only
+    /// because the frozen `perfbench` per-layer probe calls it (its
+    /// `spatial.*.update_*` rows time this default); a `[benchmark]` PR may
+    /// drop the probe and the method together.
     fn update(&mut self, _moved: &[(u32, Vec2)]) -> bool {
         false
     }
-
-    /// Amortized restructuring hook for indexes whose query efficiency
-    /// (not correctness) degrades under [`SpatialIndex::update`]: once the
-    /// accumulated motion since the last restructure exceeds
-    /// `motion_budget`, the index rebuilds its stale regions. The budget is
-    /// policy owned by the caller — the executor passes a fraction of the
-    /// schema's visibility bound, the scale at which inflated bounding
-    /// boxes start admitting extra probe candidates.
-    fn maintain(&mut self, _motion_budget: f64) {}
 
     /// Number of indexed points.
     fn len(&self) -> usize;
@@ -135,26 +88,6 @@ pub enum IndexKind {
     KdTree,
     /// Uniform grid (bucket) index; ablation alternative.
     Grid,
-}
-
-/// Map `payload -> slot` for point sets whose payloads are unique and
-/// dense enough (max payload < 4 × point count) — the executor's row
-/// payloads always are. `None` when the payload space is sparse or
-/// duplicated, in which case in-place maintenance is unsupported and the
-/// caller rebuilds. Shared by every index's [`SpatialIndex::update`].
-pub(crate) fn dense_slots(points: &[(Vec2, u32)]) -> Option<Vec<u32>> {
-    let max = points.iter().map(|&(_, p)| p).max()?;
-    if max as usize >= 4 * points.len().max(16) {
-        return None;
-    }
-    let mut slots = vec![u32::MAX; max as usize + 1];
-    for (i, &(_, p)) in points.iter().enumerate() {
-        if slots[p as usize] != u32::MAX {
-            return None; // duplicate payload
-        }
-        slots[p as usize] = i as u32;
-    }
-    Some(slots)
 }
 
 brace_common::tls_scratch!(
@@ -192,49 +125,31 @@ pub(crate) fn finish_knn(scratch: &mut Vec<(f64, u32)>, k: usize, out: &mut Vec<
 /// cost is O(n²) — exactly the no-indexing degradation the paper reports.
 ///
 /// Storage is struct-of-arrays (`xs`/`ys`/`payloads` columns): every probe
-/// touches every point, so the range filter runs as one lane kernel over
-/// the flat coordinate columns ([`crate::kernels::filter_rect`]) with no
-/// per-probe gather at all.
+/// touches every point, so the range probe *is* one lane-kernel pass over
+/// the flat coordinate columns ([`crate::kernels::filter_rect`]).
 #[derive(Debug, Clone, Default)]
 pub struct ScanIndex {
     xs: Vec<f64>,
     ys: Vec<f64>,
     payloads: Vec<u32>,
-    /// `payload -> slot`, when payloads are dense (enables `update`).
-    slots: Option<Vec<u32>>,
 }
 
 impl SpatialIndex for ScanIndex {
-    /// The scan preserves insertion order and `update` overwrites slots in
-    /// place, so emission order never depends on update history.
+    /// The scan emits in build order, which the executor builds in
+    /// ascending row order.
     const RANGE_CANONICAL: bool = true;
-
-    /// The batched filter runs directly over the scan's own columns — no
-    /// per-probe gather, so it is the executor's default probe here.
-    const RANGE_BATCH_NATIVE: bool = true;
 
     fn build(points: &[(Vec2, u32)]) -> Self {
         ScanIndex {
             xs: points.iter().map(|&(p, _)| p.x).collect(),
             ys: points.iter().map(|&(p, _)| p.y).collect(),
             payloads: points.iter().map(|&(_, pl)| pl).collect(),
-            slots: dense_slots(points),
         }
     }
 
+    /// The lane kernel over the scan's own columns: the naive in-order
+    /// containment loop's sequence, with no per-point branch.
     fn range(&self, rect: &Rect, out: &mut Vec<u32>) {
-        // Lockstep iterators, not indexing: three independent columns would
-        // otherwise pay a bounds check per element.
-        for ((&x, &y), &payload) in self.xs.iter().zip(&self.ys).zip(&self.payloads) {
-            if rect.contains(Vec2::new(x, y)) {
-                out.push(payload);
-            }
-        }
-    }
-
-    /// The flagship batched path: the columns are already SoA, so the lane
-    /// kernel filters them directly — no gather, no per-point branch.
-    fn range_batch(&self, rect: &Rect, out: &mut Vec<u32>) {
         crate::kernels::filter_rect(&self.xs, &self.ys, &self.payloads, rect, out);
     }
 
@@ -273,20 +188,6 @@ impl SpatialIndex for ScanIndex {
                 finish_knn(scratch, k, out);
             });
         });
-    }
-
-    fn update(&mut self, moved: &[(u32, Vec2)]) -> bool {
-        let Some(slots) = &self.slots else { return false };
-        for &(payload, new) in moved {
-            match slots.get(payload as usize) {
-                Some(&slot) if slot != u32::MAX => {
-                    self.xs[slot as usize] = new.x;
-                    self.ys[slot as usize] = new.y;
-                }
-                _ => return false,
-            }
-        }
-        true
     }
 
     fn len(&self) -> usize {

@@ -2,8 +2,8 @@
 //!
 //! "We join each agent with the set of agents in its visible region and
 //! perform the query phase using only these agents" (§3.1). This module
-//! provides the join both as ground truth (nested loop) and as the
-//! index-accelerated form the engine actually runs, plus the
+//! provides the join both as ground truth (nested loop) and in an
+//! index-accelerated form, plus the
 //! partitioned/replicated decomposition that the MapReduce runtime uses —
 //! so tests can assert that *partitioned join == single-node join*, the key
 //! correctness property behind Table 1.

@@ -10,41 +10,19 @@
 //! * leaves hold up to a fixed number of points (16) and are scanned linearly, which
 //!   beats deeper recursion for the query sizes behavioral simulations see;
 //! * orthogonal range queries and nearest-neighbor search both prune by the
-//!   node bounding boxes maintained during the build.
+//!   node bounding boxes computed during the build.
 //!
-//! Bentley's *semidynamic* flavor (delete/undelete without restructure) is
-//! supported through [`KdTree::deactivate`]/[`KdTree::reactivate`]: the
-//! predator model kills agents mid-tick-sequence and it is cheaper to mask
-//! them than rebuild.
-//!
-//! # Incremental maintenance
-//!
-//! Because reachability bounds per-tick movement, the tree also supports
-//! [`SpatialIndex::update`]: a moved point is overwritten in its slot and
-//! the bounding boxes on its leaf-to-root path are *expanded* to cover the
-//! new position. Expanded boxes keep every query exactly correct (pruning
-//! is bounds-based only; split planes merely order the descent), they just
-//! prune less as motion accumulates. [`SpatialIndex::maintain`] repairs
-//! that lazily: each node counts the moves applied inside its subtree
-//! since it was last built, and once the accumulated motion exceeds the
-//! caller's budget, the *highest* subtrees whose move count crosses the
-//! rebuild threshold are rebuilt in place (their point ranges are
-//! contiguous by construction) while merely-grazed subtrees only re-tighten
-//! their boxes. Localized motion therefore rebuilds localized subtrees;
-//! whole-population drift degenerates to the full rebuild it genuinely
-//! requires.
+//! The tree is build-only: positions are frozen for a tick's query phase and
+//! the executor builds a fresh tree for each tick it probes one (k-NN and
+//! unbounded-visibility schemas; a bounded range schema joins through the
+//! probe order and builds none).
 
-use crate::index::{dense_slots, knn_cmp, with_knn_scratch, SpatialIndex};
+use crate::index::{knn_cmp, with_knn_scratch, SpatialIndex};
 use brace_common::{Rect, Vec2};
 
 /// Maximum number of points in a leaf node. 16 keeps the tree shallow while
 /// the per-leaf scan stays within a cache line or two of point data.
 const LEAF_SIZE: usize = 16;
-
-/// Fraction of a subtree's points that must have moved before `maintain`
-/// rebuilds it instead of re-tightening boxes along the touched paths.
-const REBUILD_NUM: u32 = 1;
-const REBUILD_DEN: u32 = 2;
 
 #[derive(Debug, Clone)]
 enum Node {
@@ -71,24 +49,7 @@ pub struct KdTree {
     nodes: Vec<Node>,
     /// Points permuted into build order, so each leaf is a contiguous slice.
     points: Vec<(Vec2, u32)>,
-    /// `active[i]` mirrors `points[i]`; deactivated points are invisible to
-    /// all queries (Bentley's "deletion").
-    active: Vec<bool>,
     root: Option<u32>,
-    live: usize,
-    // --- incremental-maintenance bookkeeping ------------------------------
-    /// Parent node of each node (`u32::MAX` at the root).
-    parent: Vec<u32>,
-    /// Leaf node holding each point slot.
-    leaf_of: Vec<u32>,
-    /// `payload -> slot` when payloads are dense/unique; empty disables
-    /// `update` (the caller rebuilds instead).
-    slot_of: Vec<u32>,
-    /// Moves applied within each node's subtree since it was (re)built.
-    node_moves: Vec<u32>,
-    /// Accumulated per-batch maximum L∞ displacement since the last
-    /// restructure — compared against the caller's motion budget.
-    stale_motion: f64,
 }
 
 impl KdTree {
@@ -109,46 +70,6 @@ impl KdTree {
             }
         }
         self.root.map_or(0, |r| go(&self.nodes, r))
-    }
-
-    /// Accumulated motion applied through [`SpatialIndex::update`] since
-    /// the last restructure (diagnostic / policy input).
-    pub fn stale_motion(&self) -> f64 {
-        self.stale_motion
-    }
-
-    /// Mask every point carrying `payload` out of all queries. Returns how
-    /// many points were newly deactivated. O(n) scan: payloads are not
-    /// indexed because deactivation is rare compared to queries.
-    pub fn deactivate(&mut self, payload: u32) -> usize {
-        let mut n = 0;
-        for (i, &(_, pl)) in self.points.iter().enumerate() {
-            if pl == payload && self.active[i] {
-                self.active[i] = false;
-                n += 1;
-            }
-        }
-        self.live -= n;
-        n
-    }
-
-    /// Undo [`KdTree::deactivate`] for `payload`. Returns how many points
-    /// were reactivated.
-    pub fn reactivate(&mut self, payload: u32) -> usize {
-        let mut n = 0;
-        for (i, &(_, pl)) in self.points.iter().enumerate() {
-            if pl == payload && !self.active[i] {
-                self.active[i] = true;
-                n += 1;
-            }
-        }
-        self.live += n;
-        n
-    }
-
-    /// Number of active (query-visible) points.
-    pub fn live_len(&self) -> usize {
-        self.live
     }
 
     fn build_rec(points: &mut [(Vec2, u32)], offset: u32, nodes: &mut Vec<Node>) -> u32 {
@@ -174,130 +95,6 @@ impl KdTree {
         placeholder
     }
 
-    /// (Re)derive parent links, slot→leaf and payload→slot maps for the
-    /// subtree at `n` (whose leaves cover a contiguous slot range).
-    fn assign_topology(&mut self, n: u32, parent: u32) {
-        self.parent[n as usize] = parent;
-        match self.nodes[n as usize] {
-            Node::Leaf { start, end, .. } => {
-                for i in start..end {
-                    self.leaf_of[i as usize] = n;
-                    let payload = self.points[i as usize].1;
-                    if let Some(slot) = self.slot_of.get_mut(payload as usize) {
-                        *slot = i;
-                    }
-                }
-            }
-            Node::Inner { left, right, .. } => {
-                self.assign_topology(left, n);
-                self.assign_topology(right, n);
-            }
-        }
-    }
-
-    /// Rebuild the whole tree in place from the current point positions,
-    /// compacting the node arena (garbage from subtree rebuilds is dropped).
-    fn rebuild_full(&mut self) {
-        if self.points.is_empty() {
-            return;
-        }
-        self.nodes.clear();
-        let root = Self::build_rec(&mut self.points, 0, &mut self.nodes);
-        self.root = Some(root);
-        self.parent.clear();
-        self.parent.resize(self.nodes.len(), u32::MAX);
-        self.node_moves.clear();
-        self.node_moves.resize(self.nodes.len(), 0);
-        self.leaf_of.resize(self.points.len(), 0);
-        self.assign_topology(root, u32::MAX);
-        self.stale_motion = 0.0;
-    }
-
-    /// First and one-past-last point slot of the subtree at `n` (contiguous
-    /// by construction).
-    fn subtree_range(&self, n: u32) -> (u32, u32) {
-        let mut lo = n;
-        let start = loop {
-            match &self.nodes[lo as usize] {
-                Node::Leaf { start, .. } => break *start,
-                Node::Inner { left, .. } => lo = *left,
-            }
-        };
-        let mut hi = n;
-        let end = loop {
-            match &self.nodes[hi as usize] {
-                Node::Leaf { end, .. } => break *end,
-                Node::Inner { right, .. } => hi = *right,
-            }
-        };
-        (start, end)
-    }
-
-    /// Rebuild the subtree at `n` over its contiguous slot range, patch the
-    /// parent's child pointer, and re-derive the topology maps for the
-    /// range. Returns the replacement node. The old nodes become
-    /// unreachable garbage (reclaimed by the next full rebuild).
-    fn rebuild_subtree(&mut self, n: u32) -> u32 {
-        let parent = self.parent[n as usize];
-        if parent == u32::MAX {
-            self.rebuild_full();
-            return self.root.expect("non-empty tree");
-        }
-        let (start, end) = self.subtree_range(n);
-        let new = Self::build_rec(&mut self.points[start as usize..end as usize], start, &mut self.nodes);
-        match &mut self.nodes[parent as usize] {
-            Node::Inner { left, right, .. } => {
-                if *left == n {
-                    *left = new;
-                } else {
-                    debug_assert_eq!(*right, n, "stale parent link");
-                    *right = new;
-                }
-            }
-            Node::Leaf { .. } => unreachable!("leaf cannot be a parent"),
-        }
-        self.parent.resize(self.nodes.len(), u32::MAX);
-        self.node_moves.resize(self.nodes.len(), 0);
-        self.assign_topology(new, parent);
-        new
-    }
-
-    /// The `maintain` walk: rebuild the highest subtrees whose move count
-    /// crossed the threshold; re-tighten the boxes of subtrees that were
-    /// only grazed. Returns the node's (possibly replaced) tight bounds.
-    fn maintain_rec(&mut self, n: u32) -> Rect {
-        if self.node_moves[n as usize] == 0 {
-            return self.nodes[n as usize].bounds();
-        }
-        match self.nodes[n as usize] {
-            Node::Leaf { start, end, .. } => {
-                let tight =
-                    self.points[start as usize..end as usize].iter().fold(Rect::EMPTY, |b, &(p, _)| b.extended(p));
-                if let Node::Leaf { bounds, .. } = &mut self.nodes[n as usize] {
-                    *bounds = tight;
-                }
-                self.node_moves[n as usize] = 0;
-                tight
-            }
-            Node::Inner { left, right, .. } => {
-                let (start, end) = self.subtree_range(n);
-                let len = end - start;
-                if self.node_moves[n as usize].saturating_mul(REBUILD_DEN) >= len * REBUILD_NUM {
-                    let new = self.rebuild_subtree(n);
-                    return self.nodes[new as usize].bounds();
-                }
-                let lb = self.maintain_rec(left);
-                let rb = self.maintain_rec(right);
-                let tight = lb.union(&rb);
-                if let Node::Inner { bounds, .. } = &mut self.nodes[n as usize] {
-                    *bounds = tight;
-                }
-                self.node_moves[n as usize] = 0;
-                tight
-            }
-        }
-    }
-
     fn range_rec(&self, n: u32, rect: &Rect, out: &mut Vec<u32>) {
         match &self.nodes[n as usize] {
             Node::Leaf { start, end, bounds } => {
@@ -305,7 +102,7 @@ impl KdTree {
                     return;
                 }
                 for i in *start as usize..*end as usize {
-                    if self.active[i] && rect.contains(self.points[i].0) {
+                    if rect.contains(self.points[i].0) {
                         out.push(self.points[i].1);
                     }
                 }
@@ -325,51 +122,10 @@ impl KdTree {
         }
     }
 
-    /// The batched-range walk: fully contained subtrees report their
-    /// payloads directly (no test needed, exactly like [`KdTree::range_rec`]);
-    /// boundary leaves gather their active points into the SoA scratch for
-    /// one lane-kernel containment pass afterwards. The candidate *set*
-    /// equals `range`'s; order may differ, which is fine — the KD-tree is
-    /// not `RANGE_CANONICAL` and callers sort either way.
-    fn gather_rec(&self, n: u32, rect: &Rect, s: &mut crate::kernels::GatherScratch, out: &mut Vec<u32>) {
-        match &self.nodes[n as usize] {
-            Node::Leaf { start, end, bounds } => {
-                if !rect.intersects(bounds) {
-                    return;
-                }
-                if rect.contains_rect(bounds) {
-                    self.report_subtree(n, out);
-                    return;
-                }
-                for i in *start as usize..*end as usize {
-                    if self.active[i] {
-                        let (p, payload) = self.points[i];
-                        s.push(p.x, p.y, payload);
-                    }
-                }
-            }
-            Node::Inner { left, right, bounds, .. } => {
-                if !rect.intersects(bounds) {
-                    return;
-                }
-                if rect.contains_rect(bounds) {
-                    self.report_subtree(n, out);
-                    return;
-                }
-                self.gather_rec(*left, rect, s, out);
-                self.gather_rec(*right, rect, s, out);
-            }
-        }
-    }
-
     fn report_subtree(&self, n: u32, out: &mut Vec<u32>) {
         match &self.nodes[n as usize] {
             Node::Leaf { start, end, .. } => {
-                for i in *start as usize..*end as usize {
-                    if self.active[i] {
-                        out.push(self.points[i].1);
-                    }
-                }
+                out.extend(self.points[*start as usize..*end as usize].iter().map(|&(_, payload)| payload));
             }
             Node::Inner { left, right, .. } => {
                 self.report_subtree(*left, out);
@@ -384,11 +140,7 @@ impl KdTree {
                 if bounds.dist2_to_point(q) > best.0 {
                     return;
                 }
-                for i in *start as usize..*end as usize {
-                    if !self.active[i] {
-                        continue;
-                    }
-                    let (p, payload) = self.points[i];
+                for &(p, payload) in &self.points[*start as usize..*end as usize] {
                     if Some(payload) == exclude {
                         continue;
                     }
@@ -419,17 +171,13 @@ impl KdTree {
                 if bounds.dist2_to_point(q) > worst {
                     return;
                 }
-                for i in *start as usize..*end as usize {
-                    if !self.active[i] {
-                        continue;
-                    }
-                    let (p, payload) = self.points[i];
+                for &(p, payload) in &self.points[*start as usize..*end as usize] {
                     if Some(payload) == exclude {
                         continue;
                     }
                     let cand = (p.dist2(q), payload);
                     // Canonical (distance, payload) order so ties resolve
-                    // identically for every build history.
+                    // identically in every index kind.
                     if heap.len() < k || knn_cmp(&cand, heap.last().unwrap()).is_lt() {
                         let pos = heap.partition_point(|h| knn_cmp(h, &cand).is_lt());
                         heap.insert(pos, cand);
@@ -457,30 +205,16 @@ impl SpatialIndex for KdTree {
         if points.is_empty() {
             return KdTree::default();
         }
-        let mut tree = KdTree {
-            points: points.to_vec(),
-            active: vec![true; points.len()],
-            live: points.len(),
-            slot_of: dense_slots(points).unwrap_or_default(),
-            ..KdTree::default()
-        };
-        tree.rebuild_full();
-        tree
+        let mut points = points.to_vec();
+        let mut nodes = Vec::new();
+        let root = Self::build_rec(&mut points, 0, &mut nodes);
+        KdTree { nodes, points, root: Some(root) }
     }
 
     fn range(&self, rect: &Rect, out: &mut Vec<u32>) {
         if let Some(r) = self.root {
             self.range_rec(r, rect, out);
         }
-    }
-
-    fn range_batch(&self, rect: &Rect, out: &mut Vec<u32>) {
-        let Some(r) = self.root else { return };
-        crate::kernels::with_gather_scratch(|s| {
-            s.clear();
-            self.gather_rec(r, rect, s, out);
-            crate::kernels::filter_rect(&s.xs, &s.ys, &s.payloads, rect, out);
-        });
     }
 
     fn nearest(&self, q: Vec2, exclude: Option<u32>) -> Option<u32> {
@@ -504,64 +238,6 @@ impl SpatialIndex for KdTree {
             self.knn_rec(root, q, exclude, k, heap);
             out.extend(heap.iter().map(|&(_, p)| p));
         });
-    }
-
-    fn update(&mut self, moved: &[(u32, Vec2)]) -> bool {
-        if moved.is_empty() {
-            return true;
-        }
-        if self.root.is_none() || self.slot_of.is_empty() || self.live != self.points.len() {
-            return false;
-        }
-        // Dense batches (whole-population drift) would pay the per-point
-        // leaf-to-root walk *and* promptly cross the restructure threshold
-        // anyway — a straight rebuild is strictly cheaper, so decline and
-        // let the caller rebuild. In-place maintenance is the win for
-        // sparse/localized motion.
-        if moved.len() * 2 >= self.points.len() {
-            return false;
-        }
-        let mut batch_motion = 0.0f64;
-        for &(payload, new) in moved {
-            let slot = match self.slot_of.get(payload as usize) {
-                Some(&s) if s != u32::MAX => s as usize,
-                _ => return false,
-            };
-            let old = self.points[slot].0;
-            batch_motion = batch_motion.max(old.dist_linf(new));
-            self.points[slot].0 = new;
-            // Expand boxes and bump move counters on the leaf-to-root path.
-            let mut n = self.leaf_of[slot];
-            loop {
-                self.node_moves[n as usize] = self.node_moves[n as usize].saturating_add(1);
-                match &mut self.nodes[n as usize] {
-                    Node::Inner { bounds, .. } | Node::Leaf { bounds, .. } => *bounds = bounds.extended(new),
-                }
-                match self.parent[n as usize] {
-                    u32::MAX => break,
-                    p => n = p,
-                }
-            }
-        }
-        self.stale_motion += batch_motion;
-        true
-    }
-
-    fn maintain(&mut self, motion_budget: f64) {
-        let Some(root) = self.root else { return };
-        if self.stale_motion <= motion_budget || self.live != self.points.len() {
-            return;
-        }
-        // Subtree rebuilds leave garbage nodes behind; once the arena has
-        // doubled past the compact size, a full rebuild is cheaper than
-        // carrying the slack.
-        let compact = 2 * self.points.len() / LEAF_SIZE + 1;
-        if self.nodes.len() > 2 * compact {
-            self.rebuild_full();
-            return;
-        }
-        self.maintain_rec(root);
-        self.stale_motion = 0.0;
     }
 
     fn len(&self) -> usize {
@@ -715,31 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn deactivate_hides_from_all_queries() {
-        let pts = random_points(100, 7);
-        let mut tree = KdTree::build(&pts);
-        assert_eq!(tree.live_len(), 100);
-        let removed = tree.deactivate(17);
-        assert_eq!(removed, 1);
-        assert_eq!(tree.live_len(), 99);
-        let mut out = Vec::new();
-        tree.range(&Rect::EVERYTHING, &mut out);
-        assert_eq!(out.len(), 99);
-        assert!(!out.contains(&17));
-        let q = pts[17].0;
-        assert_ne!(tree.nearest(q, None), Some(17));
-        assert!(!knn(&tree, q, 100, None).contains(&17));
-        // Reactivate restores visibility.
-        assert_eq!(tree.reactivate(17), 1);
-        assert_eq!(tree.live_len(), 100);
-        assert_eq!(tree.nearest(q, None), Some(17));
-        // A deactivated tree refuses in-place updates (the mask would be
-        // permuted by a rebuild).
-        tree.deactivate(3);
-        assert!(!tree.update(&[(5, Vec2::ZERO)]));
-    }
-
-    #[test]
     fn bounds_covers_all_points() {
         let pts = random_points(64, 8);
         let tree = KdTree::build(&pts);
@@ -747,58 +398,5 @@ mod tests {
         for &(p, _) in &pts {
             assert!(b.contains(p));
         }
-    }
-
-    /// Reference check: after arbitrary bounded moves + maintain, every
-    /// query answers exactly like a fresh build over the moved points.
-    #[test]
-    fn incremental_updates_match_fresh_rebuild() {
-        let mut pts = random_points(400, 21);
-        let mut tree = KdTree::build(&pts);
-        let mut rng = DetRng::seed_from_u64(22);
-        for round in 0..12 {
-            // Bounded per-tick motion, heavier in one corner so some
-            // subtrees cross the rebuild threshold while others are idle.
-            let moved: Vec<(u32, Vec2)> = pts
-                .iter()
-                .filter(|&&(p, _)| p.x < 0.0 || round % 3 == 0)
-                .map(|&(p, payload)| (payload, p + Vec2::new(rng.range(-0.9, 0.9), rng.range(-0.9, 0.9))))
-                .collect();
-            for &(payload, new) in &moved {
-                pts[payload as usize].0 = new;
-            }
-            // Dense batches are declined by contract (rebuild is cheaper);
-            // that is exactly what the executor does on `false`.
-            if !tree.update(&moved) {
-                tree = KdTree::build(&pts);
-            }
-            tree.maintain(2.0);
-            let fresh = KdTree::build(&pts);
-            let mut probe_rng = DetRng::seed_from_u64(round);
-            for _ in 0..30 {
-                let c = Vec2::new(probe_rng.range(-110.0, 110.0), probe_rng.range(-110.0, 110.0));
-                let rect = Rect::centered(c, probe_rng.range(0.0, 20.0));
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                tree.range(&rect, &mut a);
-                fresh.range(&rect, &mut b);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "range diverged after incremental maintenance");
-                assert_eq!(knn(&tree, c, 5, None), knn(&fresh, c, 5, None), "k-NN diverged");
-            }
-        }
-    }
-
-    /// Localized motion must not force a full rebuild: subtree rebuilds
-    /// keep the arena bounded and reset staleness.
-    #[test]
-    fn maintain_resets_staleness() {
-        let pts = random_points(256, 23);
-        let mut tree = KdTree::build(&pts);
-        let moved: Vec<(u32, Vec2)> = (0..32u32).map(|i| (i, pts[i as usize].0 + Vec2::new(0.5, 0.5))).collect();
-        assert!(tree.update(&moved));
-        assert!(tree.stale_motion() > 0.0);
-        tree.maintain(0.0);
-        assert_eq!(tree.stale_motion(), 0.0);
     }
 }

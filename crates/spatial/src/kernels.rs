@@ -5,7 +5,9 @@
 //! this rectangle / within this squared distance?"* — is a pure map over
 //! flat `f64` columns with no loop-carried dependence. That is exactly the
 //! shape that vectorizes, and this module is the single home for the
-//! fixed-width kernels the indexes and the executor batch through.
+//! fixed-width kernels the indexes and the executor batch through: the
+//! executor's join members and the scan filter with [`filter_rect`], the scan
+//! and the grid gather k-NN distances with [`dist2`].
 //!
 //! # Lane-width / tail contract
 //!
@@ -40,7 +42,7 @@
 //! past the final length have been written; they stay outside `len` — the
 //! length is set once, after the last write, nothing uninitialised is ever
 //! read, and the output's earlier contents are never touched (the kernel
-//! appends: the grid calls it once per bucket run into one shared buffer).
+//! appends).
 //!
 //! *Why selection stays order-preserving.* Writes happen in input order and
 //! a kept payload's slot is the number of hits before it — in the vector
@@ -75,52 +77,6 @@ use brace_common::Rect;
 /// Fixed lane width of the batched kernels: 4 × `f64` is one 256-bit AVX
 /// register (two 128-bit SSE2 registers on older cores).
 pub const LANES: usize = 4;
-
-/// Reusable per-thread gather columns for batched range filtering: indexes
-/// without native SoA storage gather candidate points (the KD-tree's
-/// boundary-leaf slices) into these columns, then run [`filter_rect`] over
-/// them. One scratch per thread keeps `SpatialIndex::range_batch`
-/// allocation-free after warm-up. The scan and the grid never gather —
-/// they filter their own columns in place (`RANGE_BATCH_NATIVE`).
-#[derive(Debug, Default)]
-pub struct GatherScratch {
-    pub xs: Vec<f64>,
-    pub ys: Vec<f64>,
-    pub payloads: Vec<u32>,
-}
-
-impl GatherScratch {
-    /// Drop gathered candidates, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.xs.clear();
-        self.ys.clear();
-        self.payloads.clear();
-    }
-
-    /// Append one candidate point.
-    #[inline]
-    pub fn push(&mut self, x: f64, y: f64, payload: u32) {
-        self.xs.push(x);
-        self.ys.push(y);
-        self.payloads.push(payload);
-    }
-
-    /// Number of gathered candidates.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.payloads.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
-    }
-}
-
-brace_common::tls_scratch!(
-    /// Run `f` with the thread's reusable [`GatherScratch`].
-    pub fn with_gather_scratch -> GatherScratch
-);
 
 /// Append `payloads[i]` to `out` for every `i` with `(xs[i], ys[i])` inside
 /// the closed rectangle `rect`, preserving input order. Bit-identical to
@@ -362,7 +318,7 @@ mod tests {
         }
     }
 
-    /// The grid's use: many short runs filtered into one shared buffer.
+    /// Many short runs filtered into one shared buffer: each call appends.
     #[test]
     fn filter_rect_appends_run_after_run() {
         let (xs, ys, pls) = columns(61, 5);
@@ -458,19 +414,5 @@ mod tests {
                 assert_eq!(got[i].to_bits(), want.to_bits(), "count {n} element {i}");
             }
         }
-    }
-
-    #[test]
-    fn gather_scratch_reuses_and_clears() {
-        with_gather_scratch(|s| {
-            s.clear();
-            assert!(s.is_empty());
-            s.push(1.0, 2.0, 7);
-            assert_eq!(s.len(), 1);
-        });
-        with_gather_scratch(|s| {
-            s.clear();
-            assert!(s.is_empty(), "clear must drop candidates across uses");
-        });
     }
 }

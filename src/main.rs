@@ -28,6 +28,11 @@
 //! [`brace_scenario::world_checksum`] values — directly comparable with the
 //! golden-tick and conformance suites.
 //!
+//! `--index kdtree|grid` selects the structure k-NN probes search; bounded
+//! range schemas ignore it (their per-tick probe order is the index), so it
+//! changes neither their bits nor their speed. `--index scan` is the paper's
+//! no-index baseline: every probe scans every agent.
+//!
 //! `--trace PATH` writes an NDJSON per-tick phase trace: one line per
 //! completed tick with the executor's phase timings (`index_maintain_ns`,
 //! `query_ns`, `effect_merge_ns`, `update_ns`) plus work counters. Cluster
@@ -71,7 +76,10 @@ fn die(msg: &str) -> ! {
          \x20            [--epoch-sleep-ms MS]]\n\
          \x20      brace run --run-dir DIR --resume <run-id> [--epoch-sleep-ms MS]\n\
          \x20      brace list-runs --run-dir DIR\n\
-         \x20      brace serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]"
+         \x20      brace serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
+         \n\
+         --index kdtree|grid selects the k-NN structure; bounded range schemas ignore it\n\
+         (their per-tick probe order is the index). --index scan is the no-index baseline."
     );
     std::process::exit(2);
 }

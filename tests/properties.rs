@@ -13,17 +13,15 @@
 //!   the bit level — for every thread count, shard granule, index kind and
 //!   seed (the determinism contract of `brace_core::executor`).
 //! * The pool-backed executor equals the `Vec<Agent>` reference path at
-//!   the bit level, and incremental index maintenance equals a fresh
-//!   rebuild every tick — the contracts of the struct-of-arrays refactor.
+//!   the bit level — the contract of the struct-of-arrays refactor.
 
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, FieldId, Rect, Vec2};
 use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::executor::{
-    query_phase, query_phase_sharded_with, reference_step, update_phase, update_phase_sharded, MaintainedIndex,
-    TickScratch,
+    query_phase, query_phase_sharded_with, reference_step, update_phase, update_phase_sharded, TickIndex, TickScratch,
 };
-use brace_core::{Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWriter, IndexMaintenance};
+use brace_core::{Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWriter};
 use brace_mapreduce::codec;
 use brace_spatial::join::{distribute, nested_loop_join, partitioned_join};
 use brace_spatial::{GridPartitioning, KdTree, Partitioner, ScanIndex, SpatialIndex, UniformGrid};
@@ -509,82 +507,6 @@ proptest! {
         let best = pts.iter().map(|&(p, _)| p.dist2(q)).fold(f64::INFINITY, f64::min);
         prop_assert!((pts[got as usize].0.dist2(q) - best).abs() < 1e-12);
     }
-
-    /// Incrementally maintained indexes answer every query exactly like a
-    /// fresh rebuild over the moved points — across several rounds of
-    /// bounded motion, for every index kind, including after lazy
-    /// restructuring (`maintain`).
-    #[test]
-    fn incremental_maintenance_equals_fresh_rebuild(
-        seed in 0u64..10_000,
-        n in 1usize..120,
-        rounds in 1usize..6,
-        move_frac in 0.0f64..1.0,
-        step in 0.0f64..2.0,
-        k in 1usize..8,
-        budget in 0.0f64..3.0,
-    ) {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let mut pts: Vec<(Vec2, u32)> =
-            (0..n).map(|i| (Vec2::new(rng.range(0.0, 60.0), rng.range(0.0, 60.0)), i as u32)).collect();
-        let mut kd = KdTree::build(&pts);
-        let mut grid = UniformGrid::build(&pts);
-        let mut scan = ScanIndex::build(&pts);
-        for _ in 0..rounds {
-            let mut moved: Vec<(u32, Vec2)> = Vec::new();
-            for &(p, payload) in &pts {
-                if rng.chance(move_frac) {
-                    moved.push((payload, p + Vec2::new(rng.range(-step, step), rng.range(-step, step))));
-                }
-            }
-            for &(payload, new) in &moved {
-                pts[payload as usize].0 = new;
-            }
-            // The KD-tree declines dense batches by contract (a rebuild
-            // is cheaper); the caller rebuilds — same as the executor.
-            if !kd.update(&moved) {
-                kd = KdTree::build(&pts);
-            }
-            prop_assert!(grid.update(&moved), "grid update must apply for dense payloads");
-            prop_assert!(scan.update(&moved), "scan update must apply for dense payloads");
-            kd.maintain(budget);
-            grid.maintain(budget);
-            scan.maintain(budget);
-            let fresh = KdTree::build(&pts);
-            for _ in 0..8 {
-                let q = Vec2::new(rng.range(-10.0, 70.0), rng.range(-10.0, 70.0));
-                let rect = Rect::centered(q, rng.range(0.0, 10.0));
-                let mut want = Vec::new();
-                fresh.range(&rect, &mut want);
-                want.sort_unstable();
-                for (name, got) in [
-                    ("kd", {
-                        let mut v = Vec::new();
-                        kd.range(&rect, &mut v);
-                        v
-                    }),
-                    ("grid", {
-                        let mut v = Vec::new();
-                        grid.range(&rect, &mut v);
-                        v
-                    }),
-                    ("scan", {
-                        let mut v = Vec::new();
-                        scan.range(&rect, &mut v);
-                        v
-                    }),
-                ] {
-                    let mut got = got;
-                    got.sort_unstable();
-                    prop_assert_eq!(&got, &want, "{} range diverged after incremental updates", name);
-                }
-                let want_knn = knn(&fresh, q, k);
-                prop_assert_eq!(&knn(&kd, q, k), &want_knn, "kd k-NN diverged");
-                prop_assert_eq!(&knn(&grid, q, k), &want_knn, "grid k-NN diverged");
-                prop_assert_eq!(&knn(&scan, q, k), &want_knn, "scan k-NN diverged");
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -615,7 +537,7 @@ proptest! {
         let mut serial = EffectTable::new(b.schema());
         let s_stats = query_phase(&b, &pool, n_owned, kind, &mut serial, 3, seed);
         let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
-        let mut index = MaintainedIndex::new(kind);
+        let mut index = TickIndex::new(kind);
         let mut scratch = TickScratch::new();
         let p_stats =
             query_phase_sharded_with(&b, &mut sh_pool, n_owned, &mut index, 3, seed, &mut scratch, shard_rows, threads);
@@ -645,7 +567,7 @@ proptest! {
         let mut serial = EffectTable::new(b.schema());
         query_phase(&b, &pool, n_owned, kind, &mut serial, 1, seed);
         let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
-        let mut index = MaintainedIndex::new(kind);
+        let mut index = TickIndex::new(kind);
         let mut scratch = TickScratch::new();
         query_phase_sharded_with(&b, &mut sh_pool, n_owned, &mut index, 1, seed, &mut scratch, shard_rows, threads);
         assert_tables_bit_identical(&serial, sh_pool.effects(), n)?;
@@ -669,7 +591,7 @@ proptest! {
         let agents = random_population(b.schema(), n, seed);
         let run = |threads: usize| {
             let mut pool = AgentPool::from_agents(b.schema(), &agents);
-            let mut index = MaintainedIndex::new(kind);
+            let mut index = TickIndex::new(kind);
             let mut scratch = TickScratch::new();
             query_phase_sharded_with(&b, &mut pool, n, &mut index, 2, seed, &mut scratch, shard_rows, threads);
             pool
@@ -724,7 +646,7 @@ proptest! {
     }
 
     /// End to end: the pool-backed sharded executor (persistent scratch,
-    /// incremental index maintenance, columnar effects) produces a world
+    /// tile join, columnar effects) produces a world
     /// bit-identical to the `Vec<Agent>` reference path (per-tick pool
     /// conversion, fresh index build, serial phases) — across seeds,
     /// models with churn, visibilities and every index kind.
@@ -747,28 +669,6 @@ proptest! {
             reference_step(&b, &mut world, kind, tick, seed, &mut id_gen);
         }
         prop_assert_eq!(exec.agents(), world);
-    }
-
-    /// End to end: incremental index maintenance never changes results —
-    /// the executor under `Incremental` equals the executor under
-    /// `Rebuild` bit for bit, for every model shape and index kind.
-    #[test]
-    fn incremental_executor_equals_rebuild_executor(
-        seed in 0u64..10_000,
-        n in 2usize..120,
-        vis in 0.5f64..5.0,
-        kind in any_index_kind(),
-        ticks in 1u64..8,
-    ) {
-        let run = |mode: IndexMaintenance| {
-            let b = LocalFloat::new(vis);
-            let agents = random_population(b.schema(), n, seed);
-            let mut exec = brace_core::TickExecutor::new(b, agents, kind, seed);
-            exec.set_index_maintenance(mode);
-            exec.run(ticks);
-            exec.agents()
-        };
-        prop_assert_eq!(run(IndexMaintenance::Incremental), run(IndexMaintenance::Rebuild));
     }
 }
 
@@ -828,109 +728,51 @@ fn worlds_bit_identical(a: &[Agent], b: &[Agent]) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Range filter: for every index kind, the batched path (coarse
-    /// emission + lane-kernel containment) produces exactly the candidates
-    /// of the scalar `range` — the same *sequence* for canonical indexes
-    /// (scan, grid), the same *set* for the KD-tree — across random
-    /// populations including empty/singleton sets, signed zeros, denormals
-    /// and coincident points.
+    /// Range emission under the build-only contract: `ScanIndex::range` — the
+    /// `filter_rect` lane kernel over the scan's own columns — emits exactly
+    /// the *sequence* of the naive in-order containment loop, and
+    /// `UniformGrid::range` emits the matching set in ascending payload
+    /// order. Points carry NaN coordinates on either axis, signed zeros,
+    /// subnormals and coincident pairs; rects pass exactly through a point
+    /// (closed edges), are empty, or are inverted.
     #[test]
     fn kernel_range_filter_batched_equals_scalar(
         seed in 0u64..10_000,
         n in 0usize..170,
-        probes in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0, 0.0f64..30.0), 1..8),
+        probes in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0, -5.0f64..30.0, 0u8..4), 1..8),
     ) {
-        let pts = edge_points(n, seed);
-        let kd = KdTree::build(&pts);
-        let grid = UniformGrid::build(&pts);
-        let scan = ScanIndex::build(&pts);
-        for (x, y, r) in probes {
-            let rect = Rect::centered(Vec2::new(x, y), r);
-            let (mut batched, mut scalar) = (Vec::new(), Vec::new());
-            scan.range_batch(&rect, &mut batched);
-            scan.range(&rect, &mut scalar);
-            prop_assert_eq!(&batched, &scalar, "scan sequence diverged");
-            batched.clear();
-            scalar.clear();
-            grid.range_batch(&rect, &mut batched);
-            grid.range(&rect, &mut scalar);
-            prop_assert_eq!(&batched, &scalar, "grid sequence diverged");
-            batched.clear();
-            scalar.clear();
-            kd.range_batch(&rect, &mut batched);
-            kd.range(&rect, &mut scalar);
-            batched.sort_unstable();
-            scalar.sort_unstable();
-            prop_assert_eq!(&batched, &scalar, "kd set diverged");
+        // `edge_points` is NaN-free for the executor's sake; an index must
+        // still never report a NaN point.
+        let mut pts = edge_points(n, seed);
+        for (i, p) in pts.iter_mut().enumerate() {
+            match i % 11 {
+                2 => p.0.x = f64::NAN,
+                6 => p.0.y = f64::NAN,
+                _ => {}
+            }
         }
-    }
-
-    /// Grid bucket arena under churn: across rounds of migration (bounded
-    /// moves, applied through `update`), spawns and kills (row-mapping
-    /// changes, applied through a rebuild — exactly the executor's
-    /// contract), the incrementally maintained grid's native-batched
-    /// emission, its scalar emission, and a fresh build over the same
-    /// point set are all bit-identical — and globally ascending by
-    /// payload, the canonical order the pre-arena grid emitted. This pins
-    /// the SoA arena (run relocation, slack slots, dead-slot compaction)
-    /// as invisible to every query path.
-    #[test]
-    fn grid_arena_churn_preserves_canonical_emission(
-        seed in 0u64..10_000,
-        n in 1usize..120,
-        cell in 0.5f64..12.0,
-        rounds in 1usize..6,
-        move_frac in 0.0f64..1.0,
-        step in 0.0f64..15.0,
-        churn in 0.0f64..0.4,
-    ) {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let mut pts: Vec<(Vec2, u32)> =
-            (0..n).map(|i| (Vec2::new(rng.range(0.0, 60.0), rng.range(0.0, 60.0)), i as u32)).collect();
-        let mut grid = UniformGrid::with_cell(&pts, cell);
-        for _ in 0..rounds {
-            // Migration: bounded moves through the incremental path (large
-            // steps cross buckets, forcing run relocation in the arena).
-            let mut moved: Vec<(u32, Vec2)> = Vec::new();
-            for &(p, payload) in &pts {
-                if rng.chance(move_frac) {
-                    moved.push((payload, p + Vec2::new(rng.range(-step, step), rng.range(-step, step))));
+        let scan = ScanIndex::build(&pts);
+        let grid = UniformGrid::build(&pts);
+        for (x, y, r, shape) in probes {
+            let rect = match shape {
+                0 if n > 0 => {
+                    // Lower-right corner exactly on a point.
+                    let p = pts[x.abs() as usize % n].0;
+                    Rect::from_bounds(p.x - r.abs(), p.x, p.y, p.y + r.abs())
                 }
-            }
-            for &(payload, new) in &moved {
-                pts[payload as usize].0 = new;
-            }
-            prop_assert!(grid.update(&moved), "grid update must apply for dense payloads");
-            // Spawns and kills change the row mapping; the executor
-            // rebuilds (`MaintainedIndex` falls back on mapping changes) —
-            // with compacted payloads, as the pool compacts rows.
-            if rng.chance(churn) {
-                let kills = (rng.below(1 + pts.len() as u64 / 4)) as usize;
-                for _ in 0..kills.min(pts.len().saturating_sub(1)) {
-                    let victim = rng.below(pts.len() as u64) as usize;
-                    pts.swap_remove(victim);
-                }
-                let spawns = rng.below(12);
-                for _ in 0..spawns {
-                    pts.push((Vec2::new(rng.range(0.0, 60.0), rng.range(0.0, 60.0)), 0));
-                }
-                for (i, p) in pts.iter_mut().enumerate() {
-                    p.1 = i as u32;
-                }
-                grid = UniformGrid::with_cell(&pts, cell);
-            }
-            let fresh = UniformGrid::with_cell(&pts, cell);
-            for _ in 0..6 {
-                let q = Vec2::new(rng.range(-10.0, 70.0), rng.range(-10.0, 70.0));
-                let rect = Rect::centered(q, rng.range(0.0, 20.0));
-                let (mut batched, mut scalar, mut rebuilt) = (Vec::new(), Vec::new(), Vec::new());
-                grid.range_batch(&rect, &mut batched);
-                grid.range(&rect, &mut scalar);
-                fresh.range_batch(&rect, &mut rebuilt);
-                prop_assert_eq!(&batched, &scalar, "maintained grid: batched vs scalar diverged");
-                prop_assert_eq!(&batched, &rebuilt, "maintained vs fresh-build emission diverged");
-                prop_assert!(batched.windows(2).all(|w| w[0] < w[1]), "emission not ascending: {:?}", batched);
-            }
+                1 => Rect::EMPTY,
+                2 => Rect::from_bounds(x + r.abs() + 1.0, x, y, y + r.abs()),
+                _ => Rect::centered(Vec2::new(x, y), r), // inverted when r < 0
+            };
+            let naive: Vec<u32> = pts.iter().filter(|&&(p, _)| rect.contains(p)).map(|&(_, pl)| pl).collect();
+            let mut got = Vec::new();
+            scan.range(&rect, &mut got);
+            prop_assert_eq!(&got, &naive, "scan sequence diverged from the in-order loop");
+            let mut ascending = naive;
+            ascending.sort_unstable();
+            got.clear();
+            grid.range(&rect, &mut got);
+            prop_assert_eq!(&got, &ascending, "grid emission is not the ascending matching set");
         }
     }
 
@@ -1138,7 +980,7 @@ fn grouped_ticks<B: Behavior>(
     seed: u64,
 ) -> Vec<Agent> {
     let mut pool = AgentPool::from_agents(b.schema(), world);
-    let mut index = MaintainedIndex::new(kind);
+    let mut index = TickIndex::new(kind);
     let mut scratch = TickScratch::new();
     let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw() + 1).max().unwrap_or(0));
     for tick in 0..ticks {
@@ -1254,7 +1096,7 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
     let mut serial = EffectTable::new(b.schema());
     let s_stats = query_phase(b, &serial_pool, n_owned, kind, &mut serial, 2, seed);
     let mut pool = churned();
-    let (mut index, mut scratch) = (MaintainedIndex::new(kind), TickScratch::new());
+    let (mut index, mut scratch) = (TickIndex::new(kind), TickScratch::new());
     let p_stats =
         query_phase_sharded_with(b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
     if (s_stats.neighbor_visits, s_stats.nonlocal_writes) != (p_stats.neighbor_visits, p_stats.nonlocal_writes) {
@@ -1396,7 +1238,7 @@ proptest! {
         let mut pool = AgentPool::from_agents(b.schema(), &world);
         let mut serial_table = EffectTable::new(b.schema());
         query_phase(&b, &pool, n, kind, &mut serial_table, 0, seed);
-        let (mut index, mut scratch) = (MaintainedIndex::new(kind), TickScratch::new());
+        let (mut index, mut scratch) = (TickIndex::new(kind), TickScratch::new());
         query_phase_sharded_with(&b, &mut pool, n, &mut index, 0, seed, &mut scratch, SHARD_ROWS, 3);
         assert_tables_bit_identical(&serial_table, pool.effects(), n)?;
         let serial = grouped_ticks(&b, &world, kind, shard_rows, 1, ticks, seed);
