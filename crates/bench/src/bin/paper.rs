@@ -142,6 +142,14 @@ fn run_tick_throughput(args: &[String]) {
         i += 1;
     }
     let report = throughput::tick_throughput(&cfg);
+    // The uniform matrix is serial vs parallel and nothing else (schema v12
+    // retired the SoA-vs-AoS rows): one row of each per speedup row.
+    let uniform: Vec<_> = report.rows.iter().filter(|r| !r.hotspot).collect();
+    assert!(
+        uniform.iter().all(|r| r.mode == "serial" || r.mode == "parallel")
+            && uniform.len() == 2 * report.speedups.len(),
+        "uniform rows must pair one serial with one parallel row per configuration"
+    );
     // The hotspot section must cover both models on both tree and grid —
     // the heavy-tailed rows exist precisely to watch the dense blocks, so
     // losing them silently would blind the baseline. (Skipped when disabled
@@ -262,8 +270,13 @@ fn run_tick_throughput(args: &[String]) {
     );
     for s in &report.speedups {
         println!(
-            "speedup {}/{}/{:?}: query {:.2}x, tick {:.2}x, soa-vs-aos {:.2}x",
-            s.model, s.agents, s.index, s.query_speedup, s.tick_speedup, s.soa_speedup
+            "parallel speedup {}/{}/{:?}: query {:.2}x, tick {:.2}x{}",
+            s.model,
+            s.agents,
+            s.index,
+            s.query_speedup,
+            s.tick_speedup,
+            if s.unreliable { " (unreliable: 1 core)" } else { "" }
         );
     }
     for s in &report.skipped {

@@ -1,6 +1,5 @@
-//! The tick-throughput baseline: agents/second of the sharded executor,
-//! serial vs parallel, per model / population / index kind — plus the
-//! columnar refactor's ablation (SoA pool vs `Vec<Agent>` reference path).
+//! The tick-throughput baseline: agents/second of the single-node engine,
+//! serial vs parallel, per model / population / index kind.
 //!
 //! `cargo run -p brace-bench --release -- tick-throughput` runs the matrix
 //! and writes `BENCH_tick_throughput.json`, the perf trajectory future PRs
@@ -10,8 +9,7 @@
 //! report relative shapes; this baseline pins absolute per-phase numbers
 //! on the machine that produced it.
 
-use brace_core::executor::reference_step;
-use brace_core::{Agent, Behavior, TickExecutor};
+use brace_core::{Agent, Behavior, Simulation};
 use brace_mapreduce::{ClusterConfig, ClusterSim, DistributionMode};
 use brace_models::{FishBehavior, FishParams, TrafficBehavior, TrafficParams};
 use brace_scenario::{brasil_unoptimized, Registry, Runner};
@@ -27,11 +25,9 @@ pub struct ThroughputRow {
     pub agents: usize,
     pub actual_agents: usize,
     pub index: IndexKind,
-    /// `"serial"` (parallelism 1), `"parallel"` (the run's thread budget)
-    /// or `"aos"` (the `Vec<Agent>` reference path with per-tick pool
-    /// conversion — the SoA ablation).
+    /// `"serial"` (parallelism 1) or `"parallel"` (the run's thread budget).
     pub mode: &'static str,
-    /// Thread budget the executor ran with (serial/ablation rows report 1).
+    /// Thread budget the engine ran with (serial rows report 1).
     pub parallelism: usize,
     /// `true` for heavy-tailed hotspot populations (Zipf-weighted cluster
     /// seeding packs most agents into a few dense index buckets — the
@@ -43,7 +39,7 @@ pub struct ThroughputRow {
     pub query_ns: u64,
     pub update_ns: u64,
     /// Index builds over the measured ticks: 0 where the tile join answers
-    /// every probe, one per tick otherwise (and on every `aos` row).
+    /// every probe, one per tick otherwise.
     pub index_rebuilds: u64,
     /// Agent-ticks per second of query-phase time — the number the sharded
     /// executor exists to improve.
@@ -134,13 +130,10 @@ pub struct SpeedupRow {
     pub query_speedup: f64,
     /// Parallel over serial, whole-tick throughput.
     pub tick_speedup: f64,
-    /// SoA pool executor over the `Vec<Agent>` reference path, whole-tick.
-    pub soa_speedup: f64,
-    /// True when the matrix ran on a single visible core: the
-    /// parallel-over-serial columns (`query_speedup`, `tick_speedup`) are
-    /// then pure timing noise — threads time-slice one core — and must not
-    /// be compared or regressed against. The serial-vs-serial column
-    /// (`soa_speedup`) stays meaningful.
+    /// True when the matrix ran on a single visible core: both columns are
+    /// parallel over serial, so the whole row is then pure timing noise —
+    /// threads time-slice one core — and must not be compared or regressed
+    /// against.
     pub unreliable: bool,
 }
 
@@ -363,13 +356,18 @@ struct MeasureCtx {
 
 fn measure_exec<B: Behavior>(ctx: &MeasureCtx, behavior: B, pop: Vec<Agent>) -> ThroughputRow {
     let actual = pop.len();
-    let mut exec = TickExecutor::new(behavior, pop, ctx.kind, 42);
-    exec.set_parallelism(ctx.parallelism);
-    exec.run(ctx.warmup);
-    exec.reset_metrics();
-    let rebuilds_before = exec.index_rebuilds();
-    exec.run(ctx.ticks);
-    let m = exec.metrics();
+    let mut sim = Simulation::builder(behavior)
+        .agents(pop)
+        .index(ctx.kind)
+        .seed(42)
+        .parallelism(ctx.parallelism)
+        .build()
+        .unwrap();
+    sim.run(ctx.warmup);
+    sim.reset_metrics();
+    let rebuilds_before = sim.index_rebuilds();
+    sim.run(ctx.ticks);
+    let m = sim.metrics();
     let per_sec = |ns: u64| if ns == 0 { 0.0 } else { m.agent_ticks as f64 / (ns as f64 / 1e9) };
     ThroughputRow {
         model: ctx.model,
@@ -383,50 +381,9 @@ fn measure_exec<B: Behavior>(ctx: &MeasureCtx, behavior: B, pop: Vec<Agent>) -> 
         index_build_ns: m.index_build_ns,
         query_ns: m.query_ns,
         update_ns: m.update_ns,
-        index_rebuilds: exec.index_rebuilds() - rebuilds_before,
+        index_rebuilds: sim.index_rebuilds() - rebuilds_before,
         query_agents_per_sec: per_sec(m.query_ns),
         tick_agents_per_sec: per_sec(m.total_ns),
-    }
-}
-
-/// The SoA ablation: run the `Vec<Agent>` reference path ([`reference_step`]
-/// — per-tick pool conversion, fresh index build, serial phases), which is
-/// what the executor's working representation would cost if `Vec<Agent>`
-/// were still the source of truth.
-fn measure_aos<B: Behavior>(ctx: &MeasureCtx, behavior: B, mut agents: Vec<Agent>) -> ThroughputRow {
-    let actual = agents.len();
-    let max_id = agents.iter().map(|a| a.id.raw()).max().map_or(0, |m| m + 1);
-    let mut id_gen = brace_common::ids::AgentIdGen::from(max_id);
-    let mut tick = 0u64;
-    for _ in 0..ctx.warmup {
-        reference_step(&behavior, &mut agents, ctx.kind, tick, 42, &mut id_gen);
-        tick += 1;
-    }
-    let (mut build_ns, mut query_ns, mut update_ns, mut agent_ticks) = (0u64, 0u64, 0u64, 0u64);
-    for _ in 0..ctx.ticks {
-        agent_ticks += agents.len() as u64;
-        let (qs, us) = reference_step(&behavior, &mut agents, ctx.kind, tick, 42, &mut id_gen);
-        build_ns += qs.index_build_ns;
-        query_ns += qs.query_ns;
-        update_ns += us.update_ns;
-        tick += 1;
-    }
-    let per_sec = |ns: u64| if ns == 0 { 0.0 } else { agent_ticks as f64 / (ns as f64 / 1e9) };
-    ThroughputRow {
-        model: ctx.model,
-        agents: ctx.agents,
-        actual_agents: actual,
-        index: ctx.kind,
-        mode: ctx.mode,
-        parallelism: 1,
-        hotspot: ctx.hotspot,
-        ticks: ctx.ticks,
-        index_build_ns: build_ns,
-        query_ns,
-        update_ns,
-        index_rebuilds: ctx.ticks,
-        query_agents_per_sec: per_sec(query_ns),
-        tick_agents_per_sec: per_sec(build_ns + query_ns + update_ns),
     }
 }
 
@@ -560,11 +517,17 @@ pub fn opt_throughput(cfg: &ThroughputConfig) -> Vec<OptRow> {
             let setup = scenario
                 .build(Some(cfg.opt_agents), 42)
                 .unwrap_or_else(|e| panic!("scenario `{name}` failed to build: {e}"));
-            let mut exec = TickExecutor::new(setup.behavior, setup.population, setup.index, 42);
-            exec.run(cfg.warmup);
-            exec.reset_metrics();
-            exec.run(cfg.ticks);
-            let m = exec.metrics();
+            let mut sim = Simulation::builder(setup.behavior)
+                .agents(setup.population)
+                .index(setup.index)
+                .seed(42)
+                .parallelism(1)
+                .build()
+                .unwrap();
+            sim.run(cfg.warmup);
+            sim.reset_metrics();
+            sim.run(cfg.ticks);
+            let m = sim.metrics();
             let per_sec = |ns: u64| if ns == 0 { 0.0 } else { m.agent_ticks as f64 / (ns as f64 / 1e9) };
             (per_sec(m.query_ns), per_sec(m.total_ns), m.neighbor_visits)
         };
@@ -594,8 +557,8 @@ pub fn opt_throughput(cfg: &ThroughputConfig) -> Vec<OptRow> {
 
 /// The telemetry-overhead ablation: time the headline fish configuration
 /// (largest configured population, serial, KD-tree) with
-/// the global telemetry flag off, then on. The executor captures the flag
-/// at construction, so each side builds its own executor; the prior flag
+/// the global telemetry flag off, then on. The engine captures the flag
+/// at construction, so each side builds its own engine; the prior flag
 /// state is restored afterwards. A few extra measured ticks push the
 /// per-tick cost above the clock's noise floor on quick runs.
 pub fn telemetry_overhead(cfg: &ThroughputConfig) -> Vec<TelemetryRow> {
@@ -636,8 +599,7 @@ pub fn telemetry_overhead(cfg: &ThroughputConfig) -> Vec<TelemetryRow> {
 }
 
 /// Run the measurement matrix over fish + traffic, every population size
-/// and every index kind (scan capped per the config): serial, parallel,
-/// and the SoA ablation.
+/// and every index kind (scan capped per the config): serial and parallel.
 pub fn tick_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let parallel_threads = if cfg.parallelism == 0 { cores } else { cfg.parallelism };
@@ -661,40 +623,26 @@ pub fn tick_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
                         warmup: cfg.warmup,
                         ticks: cfg.ticks,
                     };
-                    match (model, mode) {
-                        ("fish", "aos") => {
-                            let (b, pop) = fish_world(n);
-                            measure_aos(&ctx, b, pop)
-                        }
-                        ("fish", _) => {
-                            let (b, pop) = fish_world(n);
-                            measure_exec(&ctx, b, pop)
-                        }
-                        (_, "aos") => {
-                            let (b, pop) = traffic_world(n);
-                            measure_aos(&ctx, b, pop)
-                        }
-                        _ => {
-                            let (b, pop) = traffic_world(n);
-                            measure_exec(&ctx, b, pop)
-                        }
+                    if model == "fish" {
+                        let (b, pop) = fish_world(n);
+                        measure_exec(&ctx, b, pop)
+                    } else {
+                        let (b, pop) = traffic_world(n);
+                        measure_exec(&ctx, b, pop)
                     }
                 };
                 let serial = run("serial", 1);
                 let parallel = run("parallel", parallel_threads);
-                let aos = run("aos", 1);
                 report.speedups.push(SpeedupRow {
                     model: model.to_string(),
                     agents: n,
                     index: kind,
                     query_speedup: parallel.query_agents_per_sec / serial.query_agents_per_sec.max(1e-9),
                     tick_speedup: parallel.tick_agents_per_sec / serial.tick_agents_per_sec.max(1e-9),
-                    soa_speedup: serial.tick_agents_per_sec / aos.tick_agents_per_sec.max(1e-9),
                     unreliable: false, // marked below when cores == 1
                 });
                 report.rows.push(serial);
                 report.rows.push(parallel);
-                report.rows.push(aos);
             }
         }
     }
@@ -759,8 +707,8 @@ fn index_name(kind: IndexKind) -> &'static str {
 /// Render the report as the `BENCH_tick_throughput.json` document. Written
 /// by hand (the offline build has no serde_json); the format is stable:
 /// bump `schema_version` on layout changes. Version 2 added the `rebuild`
-/// and `aos` ablation rows, the per-row `index_rebuilds` column and the
-/// `incremental_speedup` / `soa_speedup` ablation columns. Version 3 added
+/// and SoA-vs-AoS ablation rows, the per-row `index_rebuilds` column and
+/// their two ablation-ratio columns (gone since versions 11 and 12). Version 3 added
 /// the `scalar-kernel` ablation rows and the `kernel_speedup` column
 /// (batched lane kernels over the scalar probe loop; both gone since
 /// version 10). Version 4 added the
@@ -785,14 +733,16 @@ fn index_name(kind: IndexKind) -> &'static str {
 /// `unreliable` marking (the paired runs are bit-identical by contract, so
 /// the delta is pure recording cost). Version 10 dropped the batched query
 /// kernels: no `scalar-kernel` rows, no `kernel_speedup` column and no
-/// hotspot `speedups` rows (their one measured column was that ratio);
-/// `soa_speedup` is now `serial` over `aos`, and `speedups` rows lost the
-/// `hotspot` field (they are all uniform). Version 11 dropped the `rebuild`
-/// rows and the `incremental_speedup` column: every index is build-only, so
-/// there is no incremental maintenance to ablate.
+/// hotspot `speedups` rows (their one measured column was that ratio), and
+/// `speedups` rows lost the `hotspot` field (they are all uniform). Version
+/// 11 dropped the `rebuild` rows and the incremental-maintenance ratio:
+/// every index is build-only, so there is no maintenance to ablate. Version
+/// 12 dropped the SoA-vs-AoS rows and ratio: the `Vec<Agent>` reference path
+/// is a test oracle, not a mode, so `speedups` rows are parallel over serial
+/// only.
 pub fn to_json(report: &ThroughputReport, cfg: &ThroughputConfig) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema_version\": 11,\n");
+    out.push_str("  \"schema_version\": 12,\n");
     out.push_str(&format!("  \"cores\": {},\n", report.cores));
     out.push_str(&format!("  \"measured_ticks\": {},\n", cfg.ticks));
     out.push_str(&format!("  \"warmup_ticks\": {},\n", cfg.warmup));
@@ -825,14 +775,12 @@ pub fn to_json(report: &ThroughputReport, cfg: &ThroughputConfig) -> String {
     for (i, s) in report.speedups.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"model\": \"{}\", \"agents\": {}, \"index\": \"{}\", \
-             \"query_speedup\": {:.3}, \"tick_speedup\": {:.3}, \
-             \"soa_speedup\": {:.3}, \"unreliable\": {}}}{}\n",
+             \"query_speedup\": {:.3}, \"tick_speedup\": {:.3}, \"unreliable\": {}}}{}\n",
             s.model,
             s.agents,
             index_name(s.index),
             s.query_speedup,
             s.tick_speedup,
-            s.soa_speedup,
             s.unreliable,
             if i + 1 == report.speedups.len() { "" } else { "," }
         ));
@@ -946,12 +894,12 @@ mod tests {
             hotspot_agents: 300,
         };
         let report = tick_throughput(&cfg);
-        // 1 size × 3 kinds × 2 models × 3 modes (uniform matrix), plus the
+        // 1 size × 3 kinds × 2 models × 2 modes (uniform matrix), plus the
         // hotspot section: 2 kinds × 2 models, serial.
-        assert_eq!(report.rows.len(), 22);
+        assert_eq!(report.rows.len(), 16);
         assert_eq!(report.speedups.len(), 6);
         assert!(report.skipped.is_empty());
-        for mode in ["serial", "parallel", "aos"] {
+        for mode in ["serial", "parallel"] {
             assert!(report.rows.iter().any(|r| r.mode == mode), "missing mode {mode}");
         }
         for model in ["fish", "traffic"] {
@@ -964,8 +912,8 @@ mod tests {
                 assert!(row.tick_agents_per_sec > 0.0, "hotspot row {row:?} measured nothing");
             }
         }
-        assert!(report.speedups.iter().all(|s| s.soa_speedup > 0.0), "{:?}", report.speedups);
-        assert!(report.rows.iter().filter(|r| !r.hotspot).count() == 18, "uniform matrix shrank");
+        assert!(report.speedups.iter().all(|s| s.tick_speedup > 0.0), "{:?}", report.speedups);
+        assert!(report.rows.iter().filter(|r| !r.hotspot).count() == 12, "uniform matrix shrank");
         // Cluster section: 2 models × 2 worker counts.
         assert_eq!(report.cluster.len(), 4);
         for c in &report.cluster {
@@ -1004,7 +952,7 @@ mod tests {
         assert_eq!(t.unreliable, report.cores == 1);
         assert!(!brace_telemetry::enabled(), "ablation must restore the global flag");
         let json = to_json(&report, &cfg);
-        assert!(json.contains("\"schema_version\": 11"));
+        assert!(json.contains("\"schema_version\": 12"));
         assert!(json.contains("\"overhead_pct\""));
         assert!(json.contains("\"off_tick_agents_per_sec\""));
         assert!(json.contains("\"hotspot\": true") && json.contains("\"hotspot\": false"));
@@ -1019,7 +967,6 @@ mod tests {
         assert!(json.contains("\"scenario\": \"brasil-car\""));
         assert!(json.contains("\"scenario\": \"flock-obstacles\""));
         assert!(json.contains("\"model\": \"traffic\""));
-        assert!(json.contains("\"mode\": \"aos\""));
         assert!(json.contains("\"delta_over_full\""));
         assert!(json.contains("\"replica_delta_bytes_per_tick\""));
         assert!(json.ends_with("}\n"));

@@ -4,7 +4,7 @@
 //! query plan + update rules); [`BrasilBehavior`] lowers that once more, to
 //! the flat register program of [`vm`](mod@crate::vm), and runs it as a
 //! [`brace_core::Behavior`], so compiled scripts run unchanged on the
-//! single-node executor and on every worker of the distributed runtime —
+//! single-node engine and on every worker of the distributed runtime —
 //! which is the whole point of the language ("hides all the complexities of
 //! modeling computations in MapReduce and parallel programming").
 //!

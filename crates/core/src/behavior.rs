@@ -14,7 +14,7 @@
 //!   state (including the position, which the executor crops to the
 //!   reachable region). It sees no other agent — also enforced by types.
 //!
-//! The same trait object drives the single-node executor and every reducer
+//! The same trait object drives the single-node engine and every reducer
 //! of the distributed runtime, which is precisely the paper's claim that
 //! programming the agent once suffices ("hides all the complexities of
 //! modeling computations in MapReduce").

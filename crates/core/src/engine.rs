@@ -1,21 +1,73 @@
-//! High-level single-node simulation API.
+//! The single-node engine.
 //!
-//! [`Simulation`] wraps [`TickExecutor`] with a builder, validation and
-//! the couple of conveniences every experiment harness wants (warm-up
-//! discarding, snapshotting). It is one of the two engines behind the
-//! backend-erased driver in `brace_scenario` — `Runner`/`SimHandle` drive
-//! either this or `brace_mapreduce::ClusterSim` behind one facade, which
-//! is the surface most callers should use; reach for `Simulation`
-//! directly when embedding a single-node engine with a concrete behavior
-//! type (it stays monomorphized over `B`, so model code inlines into the
-//! probe loop).
+//! [`Simulation`] is BRACE's one-partition runtime. It owns the agent pool,
+//! the tick's [`TickIndex`] and [`TickScratch`], the spawn-id generator, the
+//! metrics and the telemetry handle, and each [`Simulation::step`] runs the
+//! executor's two sharded phases back to back — [`query_phase_sharded`], then
+//! [`update_phase_sharded`] — and applies the update's membership changes.
+//! The MapReduce worker calls the very same two functions with communication
+//! in between, so a single node *is* the runtime with one partition.
+//!
+//! It is one of the two engines behind the backend-erased driver in
+//! `brace_scenario` — `Runner`/`SimHandle` drive either this or
+//! `brace_mapreduce::ClusterSim` behind one facade, which is the surface most
+//! callers should use; reach for `Simulation` directly when embedding a
+//! single-node engine with a concrete behavior type (it stays monomorphized
+//! over `B`, so model code inlines into the probe loop). Both engines admit
+//! a population through the same [`check_population`].
 
-use crate::agent::Agent;
+use crate::agent::{Agent, AgentPool};
 use crate::behavior::Behavior;
-use crate::executor::TickExecutor;
+use crate::executor::{query_phase_sharded, update_phase_sharded, PendingSpawn, TickIndex, TickScratch, SHARD_ROWS};
 use crate::metrics::{SimMetrics, TickMetrics};
+use crate::schema::AgentSchema;
+use brace_common::ids::AgentIdGen;
 use brace_common::{BraceError, Result};
 use brace_spatial::IndexKind;
+use brace_telemetry::{Counter, HistId, Telemetry};
+use std::time::Instant;
+
+/// Admit an initial population — the one check both engines run
+/// ([`SimulationBuilder::build`] and `brace_mapreduce::ClusterSim::new`), so
+/// a population is accepted or refused identically on every backend. Every
+/// agent's state and effect slots must match `schema`, ids must be distinct,
+/// and no id may be `u64::MAX`: it is the spawn-id space's exclusive end.
+/// Returns the first spawn id, one past the largest initial id (0 for an
+/// empty population).
+pub fn check_population(schema: &AgentSchema, agents: &[Agent]) -> Result<u64> {
+    for a in agents {
+        if a.state.len() != schema.num_states() {
+            return Err(BraceError::Schema(format!(
+                "agent {} has {} state slots, schema `{}` expects {}",
+                a.id,
+                a.state.len(),
+                schema.name(),
+                schema.num_states()
+            )));
+        }
+        if a.effects.len() != schema.num_effects() {
+            return Err(BraceError::Schema(format!(
+                "agent {} has {} effect slots, schema `{}` expects {}",
+                a.id,
+                a.effects.len(),
+                schema.name(),
+                schema.num_effects()
+            )));
+        }
+    }
+    let mut ids = std::collections::HashSet::with_capacity(agents.len());
+    let mut first_spawn_id = 0;
+    for a in agents {
+        if a.id.raw() == u64::MAX {
+            return Err(BraceError::Config(format!("agent id {} is reserved: it ends the spawn-id space", a.id)));
+        }
+        if !ids.insert(a.id) {
+            return Err(BraceError::Config(format!("duplicate agent id {}", a.id)));
+        }
+        first_spawn_id = first_spawn_id.max(a.id.raw() + 1);
+    }
+    Ok(first_spawn_id)
+}
 
 /// Builder for a single-node [`Simulation`].
 pub struct SimulationBuilder<B: Behavior> {
@@ -54,44 +106,48 @@ impl<B: Behavior> SimulationBuilder<B> {
         self
     }
 
-    /// Validate and build.
+    /// Validate ([`check_population`]) and build.
     pub fn build(self) -> Result<Simulation<B>> {
         let schema = self.behavior.schema();
-        for a in &self.agents {
-            if a.state.len() != schema.num_states() {
-                return Err(BraceError::Schema(format!(
-                    "agent {} has {} state slots, schema `{}` expects {}",
-                    a.id,
-                    a.state.len(),
-                    schema.name(),
-                    schema.num_states()
-                )));
-            }
-            if a.effects.len() != schema.num_effects() {
-                return Err(BraceError::Schema(format!(
-                    "agent {} has {} effect slots, schema `{}` expects {}",
-                    a.id,
-                    a.effects.len(),
-                    schema.name(),
-                    schema.num_effects()
-                )));
-            }
-        }
-        let mut ids = std::collections::HashSet::new();
-        for a in &self.agents {
-            if !ids.insert(a.id) {
-                return Err(BraceError::Config(format!("duplicate agent id {}", a.id)));
-            }
-        }
-        let mut exec = TickExecutor::new(self.behavior, self.agents, self.index, self.seed);
-        exec.set_parallelism(self.parallelism);
-        Ok(Simulation { exec })
+        let first_spawn_id = check_population(schema, &self.agents)?;
+        let pool = AgentPool::from_agents(schema, &self.agents);
+        Ok(Simulation {
+            behavior: self.behavior,
+            pool,
+            index: TickIndex::new(self.index),
+            scratch: TickScratch::new(),
+            id_gen: AgentIdGen::from(first_spawn_id),
+            killed: Vec::new(),
+            spawned: Vec::new(),
+            parallelism: self.parallelism,
+            seed: self.seed,
+            tick: 0,
+            metrics: SimMetrics::default(),
+            tel: Telemetry::current(),
+        })
     }
 }
 
-/// A single-node behavioral simulation.
+/// A single-node behavioral simulation: the reference implementation of a
+/// BRACE tick, and the baseline of the paper's Figures 3 and 4.
 pub struct Simulation<B: Behavior> {
-    exec: TickExecutor<B>,
+    behavior: B,
+    pool: AgentPool,
+    index: TickIndex,
+    scratch: TickScratch,
+    id_gen: AgentIdGen,
+    /// The update phase's report, reused across ticks: the rows it killed and
+    /// the spawns it requested, in chunk order.
+    killed: Vec<u32>,
+    spawned: Vec<PendingSpawn>,
+    parallelism: usize,
+    seed: u64,
+    tick: u64,
+    metrics: SimMetrics,
+    /// Captured once at construction: recording when telemetry was enabled
+    /// then, a branch-only no-op otherwise (the off path touches no
+    /// atomics — see `brace_telemetry`).
+    tel: Telemetry,
 }
 
 impl<B: Behavior> Simulation<B> {
@@ -100,52 +156,112 @@ impl<B: Behavior> Simulation<B> {
         SimulationBuilder { behavior, agents: Vec::new(), index: IndexKind::KdTree, seed: 0, parallelism: 1 }
     }
 
-    /// Execute one tick.
+    /// Execute one tick (query → finalize effects → update).
     pub fn step(&mut self) -> TickMetrics {
-        self.exec.step()
+        let n = self.pool.len();
+        let qs = query_phase_sharded(
+            &self.behavior,
+            &mut self.pool,
+            n,
+            &mut self.index,
+            self.tick,
+            self.seed,
+            &mut self.scratch,
+            SHARD_ROWS,
+            self.parallelism,
+        );
+        // The update phase only reports membership changes; a single node
+        // applies them in place — survivors keep their (id-ordered) rows and
+        // spawns take fresh ids in the order they were emitted. The apply is
+        // part of the phase's time.
+        let t0 = Instant::now();
+        update_phase_sharded(
+            &self.behavior,
+            &mut self.pool,
+            n,
+            self.tick,
+            self.seed,
+            &mut self.scratch,
+            self.parallelism,
+            &mut self.killed,
+            &mut self.spawned,
+        );
+        self.pool.retain_alive();
+        let spawned = self.spawned.len();
+        for s in self.spawned.drain(..) {
+            let id = self.id_gen.alloc().expect("agent id space exhausted");
+            self.pool.push_spawn(id, s.pos, &s.state);
+        }
+        self.pool.reset_effects();
+        let tm = TickMetrics {
+            tick: self.tick,
+            n_agents: n,
+            index_build_ns: qs.index_build_ns,
+            query_ns: qs.query_ns,
+            merge_ns: qs.merge_ns,
+            update_ns: t0.elapsed().as_nanos() as u64,
+            neighbor_visits: qs.neighbor_visits,
+            nonlocal_writes: qs.nonlocal_writes,
+            spawned,
+            killed: self.killed.len(),
+        };
+        // Phase timings re-use the stats the phases already measured:
+        // telemetry adds no clock reads to the tick, only these records.
+        self.tel.observe(HistId::PhaseIndexMaintain, tm.index_build_ns);
+        self.tel.observe(HistId::PhaseQuery, tm.query_ns);
+        self.tel.observe(HistId::PhaseEffectMerge, tm.merge_ns);
+        self.tel.observe(HistId::PhaseUpdate, tm.update_ns);
+        self.tel.incr(Counter::ExecutorTicks);
+        self.tel.add(Counter::ExecutorNeighborVisits, tm.neighbor_visits);
+        self.tel.add(Counter::ExecutorNonlocalWrites, tm.nonlocal_writes);
+        self.tel.add(Counter::ExecutorSpawned, tm.spawned as u64);
+        self.tel.add(Counter::ExecutorKilled, tm.killed as u64);
+        self.metrics.record(tm.clone());
+        self.tick += 1;
+        tm
     }
 
     /// Execute `n` ticks.
     pub fn run(&mut self, n: u64) {
-        self.exec.run(n)
-    }
-
-    /// Execute `warmup` ticks, discard their metrics, then run `measured`
-    /// ticks — the paper's transient-elimination protocol.
-    pub fn run_measured(&mut self, warmup: u64, measured: u64) -> SimMetrics {
-        self.exec.run(warmup);
-        self.exec.reset_metrics();
-        self.exec.run(measured);
-        self.exec.metrics().clone()
+        for _ in 0..n {
+            self.step();
+        }
     }
 
     /// Materialize the world as row records (the serialization boundary;
     /// hot paths read [`Simulation::pool`]).
     pub fn agents(&self) -> Vec<Agent> {
-        self.exec.agents()
+        self.pool.to_agents()
     }
 
-    /// The executor's columnar working representation.
-    pub fn pool(&self) -> &crate::agent::AgentPool {
-        self.exec.pool()
+    /// The columnar working representation.
+    pub fn pool(&self) -> &AgentPool {
+        &self.pool
     }
 
     pub fn behavior(&self) -> &B {
-        self.exec.behavior()
+        &self.behavior
     }
 
     pub fn tick(&self) -> u64 {
-        self.exec.tick()
+        self.tick
     }
 
     pub fn metrics(&self) -> &SimMetrics {
-        self.exec.metrics()
+        &self.metrics
     }
 
     /// Discard accumulated metrics (start-up transient elimination) without
     /// rewinding the simulation clock.
     pub fn reset_metrics(&mut self) {
-        self.exec.reset_metrics()
+        self.metrics.reset();
+    }
+
+    /// Index builds performed so far: one per tick for a k-NN, scan or
+    /// unbounded-visibility schema, 0 for a bounded-visibility range schema,
+    /// whose probe order is its index.
+    pub fn index_rebuilds(&self) -> u64 {
+        self.index.rebuilds()
     }
 }
 
@@ -154,7 +270,6 @@ mod tests {
     use super::*;
     use crate::behavior::{Neighbors, UpdateCtx};
     use crate::effect::EffectWriter;
-    use crate::schema::AgentSchema;
     use brace_common::{AgentId, DetRng, Vec2};
 
     struct Noop(AgentSchema);
@@ -196,12 +311,13 @@ mod tests {
     }
 
     #[test]
-    fn run_measured_discards_warmup() {
+    fn population_check_reserves_the_last_id_and_returns_the_first_spawn_id() {
         let b = noop();
-        let agents = vec![Agent::new(AgentId::new(0), Vec2::ZERO, b.schema())];
-        let mut sim = Simulation::builder(b).agents(agents).seed(1).build().unwrap();
-        let m = sim.run_measured(3, 5);
-        assert_eq!(m.ticks, 5);
-        assert_eq!(sim.tick(), 8);
+        let at = |id: u64| Agent::new(AgentId::new(id), Vec2::ZERO, b.schema());
+        assert_eq!(check_population(b.schema(), &[]).unwrap(), 0);
+        assert_eq!(check_population(b.schema(), &[at(3), at(0)]).unwrap(), 4);
+        assert_eq!(check_population(b.schema(), &[at(u64::MAX - 1)]).unwrap(), u64::MAX);
+        let err = check_population(b.schema(), &[at(u64::MAX)]).expect_err("u64::MAX must be rejected");
+        assert!(err.to_string().contains("reserved"), "{err}");
     }
 }

@@ -1,10 +1,10 @@
-//! The tick executor: query phase, effect finalization, update phase —
-//! sharded for intra-worker parallelism, columnar, and — for range probes —
-//! index-free: the query phase is a sort-merge spatial join.
+//! The tick's phase functions: query phase, effect finalization, update
+//! phase — sharded for intra-worker parallelism, columnar, and — for range
+//! probes — index-free: the query phase is a sort-merge spatial join.
 //!
-//! The two phase functions ([`query_phase_sharded`], [`update_phase_sharded`])
-//! are exposed separately because the distributed runtime interleaves
-//! communication between them (Table 1 of the paper):
+//! Each phase has one production entry point, [`query_phase_sharded`] and
+//! [`update_phase_sharded`], exposed separately because the distributed
+//! runtime interleaves communication between them (Table 1 of the paper):
 //!
 //! ```text
 //!   mapᵗ        = update phase of t−1 + distribute (runtime)
@@ -13,9 +13,14 @@
 //!   mapᵗ⁺¹      = update phase                         (this module)
 //! ```
 //!
-//! The single-node [`TickExecutor`] simply calls them back to back — it *is*
-//! the one-partition special case of the runtime, and the integration tests
+//! The single-node engine (`crate::engine::Simulation`) calls the same two
+//! functions back to back with nothing in between — it *is* the
+//! one-partition special case of the runtime, and the integration tests
 //! exploit that: the distributed engine must produce bit-identical agents.
+//! The update phase changes no pool membership: it reports killed rows and
+//! id-less spawns, and each caller applies them its own way (a single node
+//! compacts the pool and allocates ids in emitted order; a worker
+//! swap-removes rows and sequences ids with its peers).
 //!
 //! # Columnar working representation
 //!
@@ -24,9 +29,9 @@
 //! column scans through a copyable [`PoolView`], and the tick's aggregated
 //! effects land directly in the pool's effect columns — there is no
 //! separate final table and no per-tick `write_into` copy. `Vec<Agent>`
-//! survives only at the serialization boundary; [`reference_step`] keeps a
-//! row-oriented executable specification around for property tests (and
-//! for the SoA-vs-AoS ablation in the benchmarks).
+//! survives only at the serialization boundary; [`query_phase`],
+//! [`update_phase`] and [`reference_step`] keep a row-oriented executable
+//! specification around for the property tests.
 //!
 //! # The query phase as a sort-merge tile join
 //!
@@ -164,13 +169,12 @@
 use crate::agent::{Agent, AgentPool, PoolView, UpdateChunk};
 use crate::behavior::{Behavior, NeighborProbe, Neighbors, UpdateCtx};
 use crate::effect::{EffectLog, EffectTable, EffectWriter};
-use crate::metrics::{SimMetrics, TickMetrics};
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, Rect, Vec2};
 use brace_spatial::kernels::filter_rect;
 use brace_spatial::{IndexKind, KdTree, ScanIndex, SpatialIndex, UniformGrid};
-use brace_telemetry::{Counter, HistId, Telemetry};
+use brace_telemetry::{Counter, Telemetry};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -471,7 +475,7 @@ pub struct TickScratch {
     /// Non-local schemas: `(sweep slice, log segment)` holding each owned
     /// row's writes.
     segments: Vec<(u32, u32)>,
-    /// Captured at construction, like [`TickExecutor`]'s own handle.
+    /// Captured at construction, like the `Simulation`'s own handle.
     tel: Telemetry,
 }
 
@@ -542,7 +546,7 @@ impl TickScratch {
 /// full-width `table` (which is reset first), over an index built fresh for
 /// this call. This is the executable specification the join and the
 /// write-log replay are tested against;
-/// production paths ([`TickExecutor`], the MapReduce worker) call
+/// production paths (the `Simulation`, the MapReduce worker) call
 /// [`query_phase_sharded`].
 ///
 /// After this returns, rows `0..n_owned` hold this partition's aggregated
@@ -803,31 +807,16 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
 /// executed over the deterministic shard plan described in the module docs.
 /// `index` is built and probed only where the sort-merge tile join does not
 /// apply (the scan, k-NN probes, unbounded visibility); a bounded-visibility
-/// range schema never builds it. `parallelism` is the physical thread budget
-/// (`0` = all cores, `1` = run shards inline); it never affects results,
-/// only wall time.
+/// range schema never builds it.
+///
+/// `shard_rows` is the rows-per-shard granule: production passes
+/// [`SHARD_ROWS`], property tests pass tiny granules to exercise many-shard
+/// merges on small worlds. Results depend on it only through the documented
+/// re-association of non-local float aggregates. `parallelism` is the
+/// physical thread budget (`0` = all cores, `1` = run shards inline); it never
+/// affects results, only wall time.
 #[allow(clippy::too_many_arguments)]
 pub fn query_phase_sharded<B: Behavior>(
-    behavior: &B,
-    pool: &mut AgentPool,
-    n_owned: usize,
-    index: &mut TickIndex,
-    tick: u64,
-    seed: u64,
-    scratch: &mut TickScratch,
-    parallelism: usize,
-) -> QueryStats {
-    query_phase_sharded_with(behavior, pool, n_owned, index, tick, seed, scratch, SHARD_ROWS, parallelism)
-}
-
-/// [`query_phase_sharded`] with an explicit rows-per-shard granule.
-/// Production uses [`SHARD_ROWS`]; property tests pass tiny granules to
-/// exercise many-shard merges on small worlds. Results depend on the granule
-/// only through the documented re-association of non-local float aggregates
-/// — never on `parallelism`.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn query_phase_sharded_with<B: Behavior>(
     behavior: &B,
     pool: &mut AgentPool,
     n_owned: usize,
@@ -998,10 +987,9 @@ fn for_each_shard<T: Send>(items: &mut [T], threads: usize, run: impl Fn(usize, 
     });
 }
 
-/// Counters returned by the update phase.
+/// Counters returned by the reference update phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
-    pub update_ns: u64,
     pub spawned: usize,
     pub killed: usize,
 }
@@ -1011,8 +999,8 @@ pub struct UpdateStats {
 /// run updates, crop movement to the reachable region, remove killed
 /// agents, materialize spawns with ids from `id_gen`, and reset effect
 /// slots for the next tick. Production paths call
-/// [`update_phase_sharded`]; this is the `Vec<Agent>` half of the
-/// executable specification (see [`reference_step`]).
+/// [`update_phase_sharded`] and apply its report; this is the `Vec<Agent>`
+/// half of the executable specification (see [`reference_step`]).
 pub fn update_phase<B: Behavior>(
     behavior: &B,
     agents: &mut Vec<Agent>,
@@ -1021,19 +1009,17 @@ pub fn update_phase<B: Behavior>(
     id_gen: &mut AgentIdGen,
 ) -> UpdateStats {
     let schema = behavior.schema();
-    let t0 = Instant::now();
     let mut spawns: Vec<(Vec2, Vec<f64>)> = Vec::new();
     update_rows(behavior, schema, agents, tick, seed, &mut spawns);
     let before = agents.len();
     agents.retain(|a| a.alive);
     let killed = before - agents.len();
-    let mut spawned = 0;
-    spawned += spawns.len();
-    for (pos, state) in spawns.drain(..) {
+    let spawned = spawns.len();
+    for (pos, state) in spawns {
         let id = id_gen.alloc().expect("agent id space exhausted");
         agents.push(Agent::with_state(id, pos, state, schema));
     }
-    UpdateStats { update_ns: t0.elapsed().as_nanos() as u64, spawned, killed }
+    UpdateStats { spawned, killed }
 }
 
 /// Update one contiguous run of row records, queueing spawns locally
@@ -1058,61 +1044,60 @@ fn update_rows<B: Behavior>(
     }
 }
 
-/// Sharded, optionally parallel update phase over the pool. Bit-identical
-/// to [`update_phase`] for every chunking and thread count: each agent's
-/// update is a pure function of `(seed, tick, agent)`, and per-chunk spawn
-/// queues are concatenated in chunk order, which reproduces the serial
-/// spawn ordering (and therefore id assignment) exactly. Each chunk
-/// gathers one row at a time into a reused scratch record, scatters the
-/// written state back into the columns, and the pool's effect columns are
-/// reset wholesale (one fill per column) at the end.
+/// A spawn requested during the update phase, before any agent id has been
+/// assigned. Emitted by [`update_phase_sharded`] in the canonical order —
+/// chunk-concatenation order, which within any one parent is that parent's
+/// spawn-call order — tagged with the parent that requested it. A single
+/// node allocates ids in that order; the distributed runtime assigns final
+/// ids by the **global** ascending `(parent id, ordinal)` order across all
+/// workers — the same order — so id assignment is a pure function of the
+/// previous tick's world, independent of partition placement or worker count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PendingSpawn {
+    /// The agent whose update requested this spawn.
+    pub parent: AgentId,
+    /// Spawn position (already clamped by the model's own logic, not by
+    /// the parent's reachability — spawns are placements, not moves).
+    pub pos: Vec2,
+    /// Initial state vector (schema-width).
+    pub state: Vec<f64>,
+}
+
+/// Sharded, optionally parallel update phase over rows `0..n_owned` of the
+/// pool: [`Behavior::update`] in contiguous chunks, one per thread of the
+/// budget (on scoped threads when there is more than one). Each chunk gathers
+/// one row at a time into a reused scratch record and scatters the written
+/// state back into the columns; rows past `n_owned` (a worker's persistent
+/// replica tail) are left alone.
+///
+/// Pool membership is left to the caller, so a single node and a worker share
+/// this one entry point: killed rows are reported in `killed` (ascending row
+/// order) and spawns id-less in `spawned`, in chunk order. Per-chunk spawn
+/// queues are concatenated in chunk order, which reproduces the serial spawn
+/// ordering exactly, and each agent's update is a pure function of
+/// `(seed, tick, agent)` — so applied in order (compact the killed rows,
+/// allocate ids in emitted order, reset the effect columns) the result is
+/// bit-identical to [`update_phase`] for every chunking and thread count.
+#[allow(clippy::too_many_arguments)]
 pub fn update_phase_sharded<B: Behavior>(
     behavior: &B,
     pool: &mut AgentPool,
+    n_owned: usize,
     tick: u64,
     seed: u64,
-    id_gen: &mut AgentIdGen,
     scratch: &mut TickScratch,
     parallelism: usize,
-) -> UpdateStats {
-    let t0 = Instant::now();
-    let n = pool.len();
-    let shards = update_rows_sharded(behavior, pool, n, tick, seed, scratch, parallelism);
-    let killed = pool.retain_alive();
-    let mut spawned = 0;
-    for shard in shards.iter_mut() {
-        spawned += shard.spawns.len();
-        for (pos, state) in shard.spawns.drain(..) {
-            let id = id_gen.alloc().expect("agent id space exhausted");
-            pool.push_spawn(id, pos, &state);
-        }
-    }
-    pool.reset_effects();
-    UpdateStats { update_ns: t0.elapsed().as_nanos() as u64, spawned, killed }
-}
-
-/// The sharded update phases' shared body: [`Behavior::update`] over rows
-/// `0..n` of `pool` in contiguous chunks, one per thread of the budget (on
-/// scoped threads when there is more than one). Each chunk queues its spawns,
-/// tagged with their parents, in its own shard scratch; those shards come
-/// back in chunk order. Pool membership is left to the caller.
-fn update_rows_sharded<'s, B: Behavior>(
-    behavior: &B,
-    pool: &mut AgentPool,
-    n: usize,
-    tick: u64,
-    seed: u64,
-    scratch: &'s mut TickScratch,
-    parallelism: usize,
-) -> &'s mut [ShardScratch] {
+    killed: &mut Vec<u32>,
+    spawned: &mut Vec<PendingSpawn>,
+) {
     let schema = behavior.schema();
-    let threads = effective_parallelism(parallelism).min(n).max(1);
+    let threads = effective_parallelism(parallelism).min(n_owned).max(1);
     let shards = scratch.ensure_shards(schema, threads);
     for shard in shards.iter_mut() {
         shard.spawns.clear();
         shard.spawn_parents.clear();
     }
-    let counts: Vec<usize> = (0..threads).map(|t| shard_range(n, threads, t).len()).collect();
+    let counts: Vec<usize> = (0..threads).map(|t| shard_range(n_owned, threads, t).len()).collect();
     let mut chunks = pool.update_chunks_prefix(&counts);
     if threads <= 1 {
         let ShardScratch { spawns, spawn_parents, .. } = &mut shards[0];
@@ -1128,63 +1113,14 @@ fn update_rows_sharded<'s, B: Behavior>(
             }
         });
     }
-    shards
-}
-
-/// A spawn requested during the update phase, before any agent id has been
-/// assigned. Emitted by [`update_phase_prefix`] in the canonical order —
-/// chunk-concatenation order, which within any one parent is that parent's
-/// spawn-call order — tagged with the parent that requested it. The
-/// distributed runtime assigns final ids by the **global** ascending
-/// `(parent id, ordinal)` order across all workers, so id assignment is a
-/// pure function of the previous tick's world, independent of partition
-/// placement or worker count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PendingSpawn {
-    /// The agent whose update requested this spawn.
-    pub parent: AgentId,
-    /// Spawn position (already clamped by the model's own logic, not by
-    /// the parent's reachability — spawns are placements, not moves).
-    pub pos: Vec2,
-    /// Initial state vector (schema-width).
-    pub state: Vec<f64>,
-}
-
-/// Sharded update phase over rows `0..n_owned` of a pool whose tail holds
-/// **persistent replica rows that must survive the tick** — the distributed
-/// worker's entry point. Unlike [`update_phase_sharded`] it mutates no pool
-/// membership: killed rows are reported in `killed` (ascending row order)
-/// for the caller to remove with its stable-row ops (keeping its id ↔ row
-/// map in sync), and spawns are reported id-less as [`PendingSpawn`]s in
-/// chunk order for the caller to sequence globally (the worker exchanges
-/// per-parent spawn counts with its peers and derives each id from the
-/// shared cross-worker counter). Effect columns are left for the caller to
-/// reset once kills/spawns are applied.
-#[allow(clippy::too_many_arguments)]
-pub fn update_phase_prefix<B: Behavior>(
-    behavior: &B,
-    pool: &mut AgentPool,
-    n_owned: usize,
-    tick: u64,
-    seed: u64,
-    scratch: &mut TickScratch,
-    parallelism: usize,
-    killed: &mut Vec<u32>,
-    spawned: &mut Vec<PendingSpawn>,
-) -> UpdateStats {
-    let t0 = Instant::now();
     killed.clear();
-    spawned.clear();
-    let shards = update_rows_sharded(behavior, pool, n_owned, tick, seed, scratch, parallelism);
     killed.extend((0..n_owned as u32).filter(|&r| !pool.alive(r)));
-    let mut n_spawned = 0;
+    spawned.clear();
     for shard in shards.iter_mut() {
-        n_spawned += shard.spawns.len();
         for ((pos, state), parent) in shard.spawns.drain(..).zip(shard.spawn_parents.drain(..)) {
             spawned.push(PendingSpawn { parent, pos, state });
         }
     }
-    UpdateStats { update_ns: t0.elapsed().as_nanos() as u64, spawned: n_spawned, killed: killed.len() }
 }
 
 /// Update one pool chunk through a reused scratch record. Every spawn the
@@ -1228,8 +1164,8 @@ fn update_chunk_rows<B: Behavior>(
 /// boundary, run the unsharded reference query phase over a freshly built
 /// index, copy effects back into the records, run the serial reference
 /// update phase. This is the row-oriented executable specification the
-/// pool-backed [`TickExecutor`] is property-tested against (bit-identical
-/// worlds), and the AoS baseline of the throughput ablation.
+/// pool-backed `Simulation` is property-tested against (bit-identical
+/// worlds).
 pub fn reference_step<B: Behavior>(
     behavior: &B,
     agents: &mut Vec<Agent>,
@@ -1237,161 +1173,13 @@ pub fn reference_step<B: Behavior>(
     tick: u64,
     seed: u64,
     id_gen: &mut AgentIdGen,
-) -> (QueryStats, UpdateStats) {
+) {
     let schema = behavior.schema();
     let pool = AgentPool::from_agents(schema, agents);
     let mut table = EffectTable::new(schema);
-    let qs = query_phase(behavior, &pool, agents.len(), kind, &mut table, tick, seed);
+    query_phase(behavior, &pool, agents.len(), kind, &mut table, tick, seed);
     table.write_into(agents);
-    let us = update_phase(behavior, agents, tick, seed, id_gen);
-    (qs, us)
-}
-
-/// Single-node executor: the reference implementation of a BRACE tick, and
-/// the baseline of the paper's Figures 3 and 4. Owns the agent pool, the
-/// tick index and the shard scratch; runs the sharded phases with a
-/// configurable thread budget ([`TickExecutor::set_parallelism`]; default
-/// 1 = serial execution of the same deterministic shard plan).
-pub struct TickExecutor<B: Behavior> {
-    behavior: B,
-    pool: AgentPool,
-    index: TickIndex,
-    scratch: TickScratch,
-    id_gen: AgentIdGen,
-    parallelism: usize,
-    seed: u64,
-    tick: u64,
-    metrics: SimMetrics,
-    /// Captured once at construction: recording when telemetry was enabled
-    /// then, a branch-only no-op otherwise (the off path touches no
-    /// atomics — see `brace_telemetry`).
-    tel: Telemetry,
-}
-
-impl<B: Behavior> TickExecutor<B> {
-    /// Create an executor. `agents` must already match the behavior's
-    /// schema; the id generator starts above every existing agent id.
-    pub fn new(behavior: B, agents: Vec<Agent>, kind: IndexKind, seed: u64) -> Self {
-        let pool = AgentPool::from_agents(behavior.schema(), &agents);
-        let max_id = agents.iter().map(|a| a.id.raw()).max().map_or(0, |m| m + 1);
-        TickExecutor {
-            behavior,
-            pool,
-            index: TickIndex::new(kind),
-            scratch: TickScratch::new(),
-            id_gen: AgentIdGen::from(max_id),
-            parallelism: 1,
-            seed,
-            tick: 0,
-            metrics: SimMetrics::default(),
-            tel: Telemetry::current(),
-        }
-    }
-
-    /// Set the thread budget for the query and update phases: `1` (the
-    /// default) runs the shard plan serially, `0` uses every available
-    /// core, `n` uses up to `n` threads. Never changes results — only wall
-    /// time (see the module's determinism argument).
-    pub fn set_parallelism(&mut self, parallelism: usize) {
-        self.parallelism = parallelism;
-    }
-
-    /// Current thread budget (`0` = auto).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Index builds performed so far: one per tick for a k-NN, scan or
-    /// unbounded-visibility schema, 0 for a bounded-visibility range schema,
-    /// whose probe order is its index.
-    pub fn index_rebuilds(&self) -> u64 {
-        self.index.rebuilds()
-    }
-
-    /// Execute one tick (query → finalize effects → update).
-    pub fn step(&mut self) -> TickMetrics {
-        let n = self.pool.len();
-        let qs = query_phase_sharded(
-            &self.behavior,
-            &mut self.pool,
-            n,
-            &mut self.index,
-            self.tick,
-            self.seed,
-            &mut self.scratch,
-            self.parallelism,
-        );
-        let us = update_phase_sharded(
-            &self.behavior,
-            &mut self.pool,
-            self.tick,
-            self.seed,
-            &mut self.id_gen,
-            &mut self.scratch,
-            self.parallelism,
-        );
-        let tm = TickMetrics {
-            tick: self.tick,
-            n_agents: n,
-            index_build_ns: qs.index_build_ns,
-            query_ns: qs.query_ns,
-            merge_ns: qs.merge_ns,
-            update_ns: us.update_ns,
-            neighbor_visits: qs.neighbor_visits,
-            nonlocal_writes: qs.nonlocal_writes,
-            spawned: us.spawned,
-            killed: us.killed,
-        };
-        // Phase timings re-use the stats the executor already measured:
-        // telemetry adds no clock reads to the tick, only these records.
-        self.tel.observe(HistId::PhaseIndexMaintain, tm.index_build_ns);
-        self.tel.observe(HistId::PhaseQuery, tm.query_ns);
-        self.tel.observe(HistId::PhaseEffectMerge, tm.merge_ns);
-        self.tel.observe(HistId::PhaseUpdate, tm.update_ns);
-        self.tel.incr(Counter::ExecutorTicks);
-        self.tel.add(Counter::ExecutorNeighborVisits, tm.neighbor_visits);
-        self.tel.add(Counter::ExecutorNonlocalWrites, tm.nonlocal_writes);
-        self.tel.add(Counter::ExecutorSpawned, tm.spawned as u64);
-        self.tel.add(Counter::ExecutorKilled, tm.killed as u64);
-        self.metrics.record(tm.clone());
-        self.tick += 1;
-        tm
-    }
-
-    /// Execute `n` ticks.
-    pub fn run(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// Materialize the world as row records (the serialization boundary;
-    /// hot paths use [`TickExecutor::pool`]).
-    pub fn agents(&self) -> Vec<Agent> {
-        self.pool.to_agents()
-    }
-
-    /// The columnar working representation.
-    pub fn pool(&self) -> &AgentPool {
-        &self.pool
-    }
-
-    pub fn behavior(&self) -> &B {
-        &self.behavior
-    }
-
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    pub fn metrics(&self) -> &SimMetrics {
-        &self.metrics
-    }
-
-    /// Discard accumulated metrics (start-up transient elimination).
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
+    update_phase(behavior, agents, tick, seed, id_gen);
 }
 
 #[cfg(test)]
@@ -1399,8 +1187,13 @@ mod tests {
     use super::*;
     use crate::agent::AgentRef;
     use crate::combinator::Combinator;
+    use crate::engine::Simulation;
     use crate::schema::AgentSchema;
     use brace_common::{AgentId, FieldId, Vec2};
+
+    fn build_sim<B: Behavior>(b: B, agents: Vec<Agent>, kind: IndexKind, seed: u64, threads: usize) -> Simulation<B> {
+        Simulation::builder(b).agents(agents).index(kind).seed(seed).parallelism(threads).build().unwrap()
+    }
 
     /// Test model: each agent counts neighbors within distance 1 (L∞) into
     /// effect `n`, then moves right by 0.1 * n (cropped by reachability).
@@ -1456,12 +1249,12 @@ mod tests {
     fn neighbor_counts_are_correct() {
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 5, 0.9); // each sees adjacent only
-        let mut exec = TickExecutor::new(b, agents, IndexKind::KdTree, 1);
-        let tm = exec.step();
+        let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
+        let tm = sim.step();
         assert_eq!(tm.n_agents, 5);
         // After the tick, agents moved: ends saw 1 neighbor (moved 0.1),
         // middles saw 2 (moved 0.2).
-        let xs: Vec<f64> = exec.agents().iter().map(|a| a.pos.x).collect();
+        let xs: Vec<f64> = sim.agents().iter().map(|a| a.pos.x).collect();
         assert!((xs[0] - 0.1).abs() < 1e-12);
         assert!((xs[1] - (0.9 + 0.2)).abs() < 1e-12);
         assert!((xs[4] - (3.6 + 0.1)).abs() < 1e-12);
@@ -1472,7 +1265,7 @@ mod tests {
         let run = |kind: IndexKind| {
             let b = CountAndDrift::new();
             let agents = line_of_agents(b.schema(), 40, 0.3);
-            let mut e = TickExecutor::new(b, agents, kind, 7);
+            let mut e = build_sim(b, agents, kind, 7, 1);
             e.run(5);
             e.agents().iter().map(|a| a.pos).collect::<Vec<_>>()
         };
@@ -1486,9 +1279,9 @@ mod tests {
         // One dense cluster: counts are large, drift would exceed 0.5.
         let b = CountAndDrift::new();
         let agents: Vec<Agent> = (0..20).map(|i| Agent::new(AgentId::new(i), Vec2::ZERO, b.schema())).collect();
-        let mut exec = TickExecutor::new(b, agents, IndexKind::KdTree, 1);
-        exec.step();
-        for a in exec.agents() {
+        let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
+        sim.step();
+        for a in sim.agents() {
             assert!((a.pos.x - 0.5).abs() < 1e-12, "movement not cropped: {}", a.pos.x);
         }
     }
@@ -1497,9 +1290,9 @@ mod tests {
     fn effects_reset_between_ticks() {
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 3, 0.5);
-        let mut exec = TickExecutor::new(b, agents, IndexKind::KdTree, 1);
-        exec.step();
-        for a in exec.agents() {
+        let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
+        sim.step();
+        for a in sim.agents() {
             assert_eq!(a.effects, vec![0.0], "effects must be identity after tick");
         }
     }
@@ -1531,15 +1324,15 @@ mod tests {
         let b = SpawnKill { schema };
         let agents: Vec<Agent> =
             (0..4).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64, 0.0), b.schema())).collect();
-        let mut exec = TickExecutor::new(b, agents, IndexKind::KdTree, 1);
-        let tm0 = exec.step();
+        let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
+        let tm0 = sim.step();
         assert_eq!(tm0.spawned, 4);
-        assert_eq!(exec.agents().len(), 8);
+        assert_eq!(sim.agents().len(), 8);
         // Spawned ids continue above the original max.
-        assert!(exec.agents().iter().any(|a| a.id.raw() >= 4));
-        let tm1 = exec.step();
+        assert!(sim.agents().iter().any(|a| a.id.raw() >= 4));
+        let tm1 = sim.step();
         assert!(tm1.killed > 0);
-        assert!(exec.agents().iter().all(|a| a.alive));
+        assert!(sim.agents().iter().all(|a| a.alive));
     }
 
     #[test]
@@ -1547,7 +1340,7 @@ mod tests {
         let run = |seed| {
             let b = CountAndDrift::new();
             let agents = line_of_agents(b.schema(), 30, 0.4);
-            let mut e = TickExecutor::new(b, agents, IndexKind::KdTree, seed);
+            let mut e = build_sim(b, agents, IndexKind::KdTree, seed, 1);
             e.run(10);
             e.agents().iter().map(|a| (a.id, a.pos)).collect::<Vec<_>>()
         };
@@ -1558,13 +1351,13 @@ mod tests {
     fn metrics_accumulate() {
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 10, 0.4);
-        let mut exec = TickExecutor::new(b, agents, IndexKind::KdTree, 1);
-        exec.run(4);
-        assert_eq!(exec.metrics().ticks, 4);
-        assert_eq!(exec.metrics().agent_ticks, 40);
-        exec.reset_metrics();
-        assert_eq!(exec.metrics().ticks, 0);
-        assert_eq!(exec.tick(), 4, "reset_metrics must not rewind the clock");
+        let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
+        sim.run(4);
+        assert_eq!(sim.metrics().ticks, 4);
+        assert_eq!(sim.metrics().agent_ticks, 40);
+        sim.reset_metrics();
+        assert_eq!(sim.metrics().ticks, 0);
+        assert_eq!(sim.tick(), 4, "reset_metrics must not rewind the clock");
     }
 
     #[test]
@@ -1573,8 +1366,7 @@ mod tests {
         let run = |threads: usize| {
             let b = CountAndDrift::new();
             let agents = line_of_agents(b.schema(), 500, 0.2);
-            let mut e = TickExecutor::new(b, agents, IndexKind::KdTree, 9);
-            e.set_parallelism(threads);
+            let mut e = build_sim(b, agents, IndexKind::KdTree, 9, threads);
             e.run(8);
             e.agents()
         };
@@ -1588,7 +1380,7 @@ mod tests {
         for kind in [IndexKind::Scan, IndexKind::KdTree, IndexKind::Grid] {
             let b = CountAndDrift::nearest(3);
             let agents = line_of_agents(b.schema(), 300, 0.25);
-            let mut e = TickExecutor::new(b, agents, kind, 11);
+            let mut e = build_sim(b, agents, kind, 11, 1);
             e.run(10);
             assert_eq!(e.index_rebuilds(), 10, "{kind:?}: one build per probed tick");
         }
@@ -1599,7 +1391,7 @@ mod tests {
         let builds = |kind: IndexKind| {
             let b = CountAndDrift::new();
             let agents = line_of_agents(b.schema(), 300, 0.25);
-            let mut e = TickExecutor::new(b, agents, kind, 11);
+            let mut e = build_sim(b, agents, kind, 11, 1);
             e.run(10);
             e.index_rebuilds()
         };
@@ -1612,13 +1404,13 @@ mod tests {
     fn pool_executor_matches_reference_step() {
         let b = CountAndDrift::new();
         let mut world = line_of_agents(b.schema(), 120, 0.3);
-        let mut exec = TickExecutor::new(CountAndDrift::new(), world.clone(), IndexKind::Grid, 13);
+        let mut sim = build_sim(CountAndDrift::new(), world.clone(), IndexKind::Grid, 13, 1);
         let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw()).max().unwrap() + 1);
         for tick in 0..6 {
-            exec.step();
+            sim.step();
             reference_step(&b, &mut world, IndexKind::Grid, tick, 13, &mut id_gen);
         }
-        assert_eq!(exec.agents(), world);
+        assert_eq!(sim.agents(), world);
     }
 
     #[test]
@@ -1636,7 +1428,7 @@ mod tests {
         let n = sh_pool.len();
         let mut index = TickIndex::new(IndexKind::Grid);
         let mut scratch = TickScratch::new();
-        let sh_stats = query_phase_sharded(&b, &mut sh_pool, n, &mut index, 0, 3, &mut scratch, 2);
+        let sh_stats = query_phase_sharded(&b, &mut sh_pool, n, &mut index, 0, 3, &mut scratch, SHARD_ROWS, 2);
         assert_eq!(ref_stats.neighbor_visits, sh_stats.neighbor_visits);
         for r in 0..n as u32 {
             assert_eq!(ref_table.row(r), sh_pool.effects().row(r), "row {r}");
@@ -1664,8 +1456,7 @@ mod tests {
             let b = Spawner(schema.clone());
             let agents: Vec<Agent> =
                 (0..1500).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64 * 0.1, 0.0), &schema)).collect();
-            let mut e = TickExecutor::new(b, agents, IndexKind::Grid, 2);
-            e.set_parallelism(threads);
+            let mut e = build_sim(b, agents, IndexKind::Grid, 2, threads);
             e.run(3); // population: 1500 -> 2000 -> ~2667 -> crosses 2048
             e.agents().iter().map(|a| (a.id, a.pos)).collect::<Vec<_>>()
         };

@@ -24,10 +24,12 @@
 //!   [`EffectWriter`] through which the query phase
 //!   runs;
 //! * [`effect`] — staged, order-independent effect aggregation;
-//! * [`executor`] — the sharded tick executor (build index → query shards
-//!   in parallel → deterministic merge → update), the unit the MapReduce
-//!   runtime replicates per partition;
-//! * [`engine`] — a high-level `Simulation` builder for single-node runs;
+//! * [`executor`] — the tick's two sharded phase functions (sort-merge join
+//!   query shards in parallel → deterministic merge; update), the unit the
+//!   MapReduce runtime runs per partition, plus the row-oriented oracle;
+//! * [`engine`] — [`Simulation`], the single-node engine: those phases run
+//!   back to back over one partition, with its builder and the population
+//!   check ([`check_population`]) both engines share;
 //! * [`metrics`] — per-tick timing and throughput accounting.
 //!
 //! This crate is the *engine* layer. User-facing entry points live one
@@ -49,7 +51,7 @@ pub use agent::{Agent, AgentPool, AgentRead, AgentRef, PoolView};
 pub use behavior::{Behavior, NeighborRef, Neighbors, UpdateCtx};
 pub use combinator::Combinator;
 pub use effect::{EffectTable, EffectWriter};
-pub use engine::{Simulation, SimulationBuilder};
-pub use executor::{PendingSpawn, TickExecutor, TickIndex, TickScratch};
+pub use engine::{check_population, Simulation, SimulationBuilder};
+pub use executor::{PendingSpawn, TickIndex, TickScratch};
 pub use metrics::{SimMetrics, TickMetrics};
 pub use schema::{AgentSchema, SchemaBuilder};

@@ -4,6 +4,9 @@
 //! give it a behavior, an initial population and a [`ClusterConfig`]; run
 //! epochs; collect agents and statistics. One worker thread per "node", one
 //! spatial partition per worker, a master coordinating at epoch boundaries.
+//! A population is admitted by the same `brace_core::check_population` the
+//! single node runs, so both backends accept and refuse the same inputs and
+//! start spawn ids at the same place.
 
 use crate::balance::LoadBalancer;
 use crate::checkpoint::{self, CheckpointStore, ClusterCheckpoint};
@@ -14,7 +17,7 @@ use crate::net::NetLedger;
 use crate::runtime::{Command, PeerMsg, Report};
 use crate::worker::{DistributionMode, Worker, WorkerConfig, WorkerLinks};
 use brace_common::{BraceError, DetRng, Result, WorkerId};
-use brace_core::{Agent, Behavior};
+use brace_core::{check_population, Agent, Behavior};
 use brace_spatial::{GridPartitioning, IndexKind, Partitioner};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::path::PathBuf;
@@ -195,7 +198,7 @@ pub struct ClusterSim {
 type Fabric = (Vec<Sender<Command>>, Receiver<Report>, Vec<JoinHandle<()>>);
 
 impl ClusterSim {
-    fn validate(behavior: &Arc<dyn Behavior>, agents: &[Agent], cfg: &ClusterConfig) -> Result<()> {
+    fn validate(behavior: &Arc<dyn Behavior>, cfg: &ClusterConfig) -> Result<()> {
         if cfg.workers == 0 {
             return Err(BraceError::Config("need at least one worker".into()));
         }
@@ -213,11 +216,6 @@ impl ClusterSim {
                 schema.num_states(),
                 crate::codec::DELTA_MAX_STATES
             )));
-        }
-        for a in agents {
-            if a.state.len() != schema.num_states() || a.effects.len() != schema.num_effects() {
-                return Err(BraceError::Schema(format!("agent {} does not match schema `{}`", a.id, schema.name())));
-            }
         }
         Ok(())
     }
@@ -341,22 +339,23 @@ impl ClusterSim {
     /// manifest + on-disk checkpoints); a directory that already holds a
     /// manifest is refused — resume it with [`ClusterSim::resume`] instead.
     pub fn new(behavior: Arc<dyn Behavior>, agents: Vec<Agent>, cfg: ClusterConfig) -> Result<Self> {
-        Self::validate(&behavior, &agents, &cfg)?;
+        Self::validate(&behavior, &cfg)?;
+        // Spawn ids start past the largest initial id, as on a single node
+        // (one global cursor, all workers in lockstep — see the worker's
+        // spawn-sequencing round).
+        let first_spawn_id = check_population(behavior.schema(), &agents)?;
         let n = cfg.workers;
         let part = GridPartitioning::columns(cfg.space_x.0, cfg.space_x.1, n);
 
-        // Distribute the initial population to owners; spawn ids start past
-        // the densest initial id (one global cursor, all workers in
-        // lockstep — see the worker's spawn-sequencing round).
+        // Distribute the initial population to owners.
         let mut initial: Vec<Vec<Agent>> = (0..n).map(|_| Vec::new()).collect();
-        let mut max_id = 0u64;
         for a in agents {
-            max_id = max_id.max(a.id.raw() + 1);
             initial[part.partition_of(a.pos).index()].push(a);
         }
 
         let ledger = NetLedger::new();
-        let (cmd_tx, report_rx, handles) = Self::spawn_fabric(&behavior, &cfg, &part, initial, max_id, &ledger)?;
+        let (cmd_tx, report_rx, handles) =
+            Self::spawn_fabric(&behavior, &cfg, &part, initial, first_spawn_id, &ledger)?;
         let mut master = Self::build_master(&cfg, n, (cmd_tx, report_rx), part.x_bounds().to_vec());
         if let Some(dir) = cfg.run_dir.clone() {
             let run_id = dir.file_name().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
@@ -397,7 +396,7 @@ impl ClusterSim {
             .ok_or_else(|| BraceError::Unrecoverable(format!("run `{}`: no valid checkpoint", m.header.run_id)))?;
         let n = cp.workers.len();
         cfg.workers = n;
-        Self::validate(&behavior, &[], &cfg)?;
+        Self::validate(&behavior, &cfg)?;
 
         let part = GridPartitioning::columns(cfg.space_x.0, cfg.space_x.1, n);
         let ledger = NetLedger::new();
@@ -852,7 +851,7 @@ mod tests {
 
     /// Spawning model with deterministic per-agent reproduction: children
     /// get ids from the global `(parent id, ordinal)` sequence, so an
-    /// N-worker cluster must be bit-identical to the single-node executor
+    /// N-worker cluster must be bit-identical to the single-node engine
     /// *including* the spawned agents' identities and rng streams.
     struct Breeder(AgentSchema);
 

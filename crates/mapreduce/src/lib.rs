@@ -37,10 +37,11 @@
 //! `WorkerEpochStats::{pool_rebuilds, vec_roundtrips}` count the
 //! violations and tests pin them to zero.
 //!
-//! Results are unchanged by any of this: for range-probe models an
-//! N-worker cluster is bit-identical to the single-node executor (the
-//! executor canonicalizes neighbor order by agent id, so row placement is
-//! unobservable), proven by the `distributed_equivalence` proptests and
+//! Results are unchanged by any of this: each worker runs the same two
+//! sharded phase functions as `brace_core::Simulation` (the single node is
+//! this runtime with one partition), and for range-probe models an
+//! N-worker cluster is bit-identical to it (the query phase canonicalizes
+//! neighbor order by agent id, so row placement is unobservable), proven by the `distributed_equivalence` proptests and
 //! the golden cluster checksums in `tests/golden_tick.rs`. The one
 //! documented exception is `NeighborProbe::Nearest`: exact distance ties
 //! at the k-th neighbor break by pool row, so k-NN models keep an
@@ -71,7 +72,8 @@
 //! * [`manifest`] — crash-safe run manifests: the append-only write-ahead
 //!   job log that makes `--resume` across a process restart possible.
 //! * [`cluster`] — [`ClusterSim`], the user-facing
-//!   facade mirroring `brace_core::Simulation` over many workers.
+//!   facade mirroring `brace_core::Simulation` over many workers; it admits
+//!   a population through the same `brace_core::check_population`.
 
 pub mod balance;
 pub mod checkpoint;

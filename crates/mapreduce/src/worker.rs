@@ -60,7 +60,9 @@ use crate::codec::{self, ReplicaDelta, ReplicaDeltaEnc, WorkerSnapshot, DELTA_MA
 use crate::net::{NetLedger, Traffic};
 use crate::runtime::{Command, EpochCommand, PeerMsg, Report, Round, WorkerEpochStats};
 use brace_common::{AgentId, DetRng, FieldId, Welford, WorkerId};
-use brace_core::executor::{query_phase_sharded, update_phase_prefix, PendingSpawn, TickIndex, TickScratch};
+use brace_core::executor::{
+    query_phase_sharded, update_phase_sharded, PendingSpawn, TickIndex, TickScratch, SHARD_ROWS,
+};
 use brace_core::{Agent, AgentPool, Behavior};
 use brace_spatial::{GridPartitioning, IndexKind, Partitioner};
 use bytes::Bytes;
@@ -807,6 +809,7 @@ impl Worker {
             self.tick,
             self.cfg.seed,
             &mut self.scratch,
+            SHARD_ROWS,
             self.cfg.parallelism,
         );
 
@@ -847,7 +850,7 @@ impl Worker {
 
         // ---- update (next tick's map side) over the owned prefix only;
         // the replica tail stays resident for the next distribute ----------
-        update_phase_prefix(
+        update_phase_sharded(
             &behavior,
             &mut self.pool,
             n_owned,
@@ -1031,7 +1034,7 @@ mod tests {
     use brace_common::{FieldId, Vec2};
     use brace_core::behavior::{NeighborProbe, Neighbors, UpdateCtx};
     use brace_core::effect::EffectWriter;
-    use brace_core::{AgentSchema, Combinator, TickExecutor};
+    use brace_core::{AgentSchema, Combinator, Simulation};
     use crossbeam::channel::unbounded;
 
     /// Count visible neighbors; drift right by 0.1 * count.
@@ -1115,17 +1118,23 @@ mod tests {
     fn single_worker_tick_matches_single_node_executor() {
         let agents = line(25, 0.7);
         let mut worker = single_worker(agents.clone());
-        let mut exec = TickExecutor::new(Drift::new(), agents, IndexKind::KdTree, 11);
+        let mut sim = Simulation::builder(Drift::new())
+            .agents(agents)
+            .index(IndexKind::KdTree)
+            .seed(11)
+            .parallelism(2)
+            .build()
+            .unwrap();
         let mut stats = WorkerEpochStats::default();
         for _ in 0..6 {
             worker.run_tick(&mut stats);
-            exec.step();
+            sim.step();
         }
         let mut a: Vec<_> = worker.owned_agents();
-        let mut b: Vec<_> = exec.agents().to_vec();
+        let mut b: Vec<_> = sim.agents();
         a.sort_by_key(|x| x.id);
         b.sort_by_key(|x| x.id);
-        assert_eq!(a, b, "1-worker cluster must equal the single-node executor");
+        assert_eq!(a, b, "1-worker cluster must equal the single-node engine");
         assert_eq!(worker.current_tick(), 6);
         worker.check_invariants();
     }

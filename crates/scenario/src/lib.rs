@@ -3,8 +3,8 @@
 //! The paper's central promise is *"write the behavior once, run it at any
 //! scale"*: the same simulation program executes on one node or on a
 //! MapReduce cluster. The runtime half of that promise lives in
-//! `brace_core` (the single-node executor) and `brace_mapreduce` (the
-//! N-worker cluster, bit-identical to the executor); this crate is the API
+//! `brace_core` (the single-node engine) and `brace_mapreduce` (the
+//! N-worker cluster, bit-identical to the single node); this crate is the API
 //! half:
 //!
 //! * [`Scenario`] — what a *workload* is: a name, a behavior (hand-coded

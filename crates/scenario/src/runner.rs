@@ -1,13 +1,15 @@
 //! The backend-erased driver: one [`Runner`] facade over the single-node
-//! executor and the distributed cluster, with per-tick [`Observer`] hooks.
+//! engine and the distributed cluster, with per-tick [`Observer`] hooks.
 //!
-//! Before this layer, single-node code used `brace_core::Simulation`
-//! (monomorphized, `run_measured`, `agents()`) while distributed code used
-//! `brace_mapreduce::ClusterSim` (dyn-based, epoch-grained, `run_ticks`,
-//! `collect_agents()`), and every experiment hand-wired both. A [`Runner`]
-//! erases the difference: pick a [`Backend`], launch a [`SimHandle`], run
-//! ticks, collect the world. Metric sinks hang off [`Observer`]s instead of
-//! bespoke `run_measured` call sites.
+//! The two engines differ in shape: `brace_core::Simulation` is
+//! monomorphized and tick-grained (`step`, `agents()`), while
+//! `brace_mapreduce::ClusterSim` is dyn-based and epoch-grained
+//! (`run_epochs`, `collect_agents()`). A [`Runner`] erases the difference:
+//! pick a [`Backend`], launch a [`SimHandle`], run ticks, collect the world.
+//! Metric sinks hang off [`Observer`]s, and warm-up elimination is
+//! [`SimHandle::reset_metrics`]. Both engines admit a population through the
+//! same `brace_core::check_population`, so a launch fails or succeeds alike
+//! on every backend.
 //!
 //! Determinism contract: for a fixed scenario, seed and population, every
 //! backend — any `parallelism`, any worker count — produces the same world
@@ -39,7 +41,7 @@ pub const DEFAULT_SEED: u64 = 42;
 // bulk data), so the size gap between the variants is irrelevant.
 #[allow(clippy::large_enum_variant)]
 pub enum Backend {
-    /// The in-process sharded executor.
+    /// The in-process single-node engine (`brace_core::Simulation`).
     SingleNode {
         /// Thread budget (`1` = serial, `0` = all cores). Never affects
         /// results.

@@ -21,7 +21,7 @@
 //!
 //! `run` drives every named scenario through the backend-erased
 //! [`Runner`](brace_scenario::Runner): same behavior, same population, same
-//! seed on the single-node executor or an N-worker cluster, with the
+//! seed on the single-node engine or an N-worker cluster, with the
 //! scenario's own post-run sanity checks enforced. CI runs
 //! `run --scenario all --ticks 5 --backend both` so a scenario that only
 //! works on one backend can never merge. Checksums printed here are

@@ -266,7 +266,7 @@ proptest! {
     }
 
     /// Without id-block spawning, the delta-distributed cluster is also
-    /// bit-identical to the single-node executor — for any worker count
+    /// bit-identical to the single-node engine — for any worker count
     /// and with the load balancer moving boundaries mid-run. (This is the
     /// placement-independence guarantee of id-canonical neighbor order;
     /// float sums included.)

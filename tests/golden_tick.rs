@@ -22,7 +22,7 @@
 //! and say so in the PR. An *unexplained* checksum change is a determinism
 //! bug; do not update the constants to paper over one.
 
-use brace_core::{Agent, Behavior, TickExecutor};
+use brace_core::{Agent, Behavior, Simulation};
 use brace_mapreduce::{ClusterConfig, ClusterSim, FaultPlan, LoadBalancer};
 use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams, TrafficBehavior, TrafficParams};
 use brace_spatial::IndexKind;
@@ -37,9 +37,9 @@ const TICKS: u64 = 100;
 const SEED: u64 = 42;
 
 fn run_checksum<B: brace_core::Behavior>(behavior: B, pop: Vec<Agent>, kind: IndexKind) -> u64 {
-    let mut exec = TickExecutor::new(behavior, pop, kind, SEED);
-    exec.run(TICKS);
-    world_checksum(&exec.agents())
+    let mut sim = Simulation::builder(behavior).agents(pop).index(kind).seed(SEED).parallelism(1).build().unwrap();
+    sim.run(TICKS);
+    world_checksum(&sim.agents())
 }
 
 #[test]
@@ -81,7 +81,7 @@ fn golden_predator_100_ticks() {
 // The distributed claims, pinned at the same strength as the single-node
 // ones: a 4-worker cluster — load balancer ON, partition boundaries moving
 // mid-run, delta distribution shipping replicas as masked frames — produces
-// **the same bits** as the single-node executor. The fish test reuses the
+// **the same bits** as the single-node engine. The fish test reuses the
 // single-node constant above verbatim; traffic pins a fresh constant for a
 // wrap-free configuration (it predates globally-ordered spawn ids and
 // stays pinned as a second trajectory; the *wrapping* respawn path is now

@@ -4,7 +4,7 @@
 //!
 //! * Proptests (named `opt_*` so CI can select them) drive each
 //!   `brasil-*` scenario against its [`brasil_unoptimized`] twin through
-//!   `brace_core::TickExecutor` over random populations, seeds, index
+//!   `brace_core::Simulation` over random populations, seeds, index
 //!   kinds and tick counts. This pins the whole pipeline — const-fold, CSE, dead-code and
 //!   visibility-predicate pushdown (the shrunken probe rect must not drop a
 //!   contributing candidate) — and that the optimized and the unoptimized
@@ -25,7 +25,7 @@
 //! (inversion is only ~1e-9-equivalent, so both sides of the A/B carry
 //! it); everything else the pipeline does is bit-exact by construction.
 
-use brace::core::{Agent, Behavior, TickExecutor};
+use brace::core::{Agent, Behavior, Simulation};
 use brace::scenario::{brasil_unoptimized, Backend, Registry, Runner, Scenario};
 use brace_common::{AgentId, DetRng, Vec2};
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ fn worlds_bit_identical(label: &str, a: &[Agent], b: &[Agent]) -> Result<(), Str
 }
 
 /// Build `name` (optimized from the registry, or its unoptimized twin),
-/// run it on the single-node executor, and return the final world.
+/// run it on the single-node engine, and return the final world.
 fn run_world(
     name: &str,
     optimize: bool,
@@ -83,9 +83,15 @@ fn run_world(
     } else {
         brasil_unoptimized(name).expect("unoptimized twin").build(Some(n), seed).unwrap()
     };
-    let mut exec = TickExecutor::new(setup.behavior, setup.population, kind, seed);
-    exec.run(ticks);
-    exec.agents()
+    let mut sim = Simulation::builder(setup.behavior)
+        .agents(setup.population)
+        .index(kind)
+        .seed(seed)
+        .parallelism(1)
+        .build()
+        .unwrap();
+    sim.run(ticks);
+    sim.agents()
 }
 
 #[test]
@@ -147,12 +153,18 @@ proptest! {
                 a
             })
             .collect();
-        let mut spec = TickExecutor::new(behavior.reference(), agents.clone(), kind, seed);
+        let mut spec = Simulation::builder(behavior.reference())
+            .agents(agents.clone())
+            .index(kind)
+            .seed(seed)
+            .parallelism(1)
+            .build()
+            .unwrap();
         spec.run(ticks);
         let spec = spec.agents();
-        let mut exec = TickExecutor::new(behavior, agents, kind, seed);
-        exec.run(ticks);
-        worlds_bit_identical(&format!("{which} register program vs reference"), &exec.agents(), &spec)?;
+        let mut sim = Simulation::builder(behavior).agents(agents).index(kind).seed(seed).parallelism(1).build().unwrap();
+        sim.run(ticks);
+        worlds_bit_identical(&format!("{which} register program vs reference"), &sim.agents(), &spec)?;
     }
 }
 

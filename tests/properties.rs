@@ -19,9 +19,9 @@ use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, FieldId, Rect, Vec2};
 use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::executor::{
-    query_phase, query_phase_sharded_with, reference_step, update_phase, update_phase_sharded, TickIndex, TickScratch,
+    query_phase, query_phase_sharded, reference_step, update_phase, update_phase_sharded, TickIndex, TickScratch,
 };
-use brace_core::{Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWriter};
+use brace_core::{Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWriter, Simulation};
 use brace_mapreduce::codec;
 use brace_spatial::join::{distribute, nested_loop_join, partitioned_join};
 use brace_spatial::{GridPartitioning, KdTree, Partitioner, ScanIndex, SpatialIndex, UniformGrid};
@@ -513,6 +513,30 @@ proptest! {
 // Parallel executor ≡ serial executor (the sharded determinism contract)
 // ---------------------------------------------------------------------------
 
+/// The production update phase as a single node runs it: the one sharded
+/// update over every row, then its report applied — killed rows compacted
+/// away, spawn ids allocated in emitted order, effect columns reset. Returns
+/// `(spawned, killed)`.
+fn sharded_update_applied<B: Behavior>(
+    b: &B,
+    pool: &mut AgentPool,
+    tick: u64,
+    seed: u64,
+    id_gen: &mut AgentIdGen,
+    scratch: &mut TickScratch,
+    threads: usize,
+) -> (usize, usize) {
+    let (mut killed, mut spawned) = (Vec::new(), Vec::new());
+    let n = pool.len();
+    update_phase_sharded(b, pool, n, tick, seed, scratch, threads, &mut killed, &mut spawned);
+    pool.retain_alive();
+    for s in &spawned {
+        pool.push_spawn(id_gen.alloc().expect("id space"), s.pos, &s.state);
+    }
+    pool.reset_effects();
+    (spawned.len(), killed.len())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -540,7 +564,7 @@ proptest! {
         let mut index = TickIndex::new(kind);
         let mut scratch = TickScratch::new();
         let p_stats =
-            query_phase_sharded_with(&b, &mut sh_pool, n_owned, &mut index, 3, seed, &mut scratch, shard_rows, threads);
+            query_phase_sharded(&b, &mut sh_pool, n_owned, &mut index, 3, seed, &mut scratch, shard_rows, threads);
         prop_assert_eq!(s_stats.neighbor_visits, p_stats.neighbor_visits);
         prop_assert_eq!(s_stats.nonlocal_writes, p_stats.nonlocal_writes);
         assert_tables_bit_identical(&serial, sh_pool.effects(), n)?;
@@ -569,7 +593,7 @@ proptest! {
         let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
         let mut index = TickIndex::new(kind);
         let mut scratch = TickScratch::new();
-        query_phase_sharded_with(&b, &mut sh_pool, n_owned, &mut index, 1, seed, &mut scratch, shard_rows, threads);
+        query_phase_sharded(&b, &mut sh_pool, n_owned, &mut index, 1, seed, &mut scratch, shard_rows, threads);
         assert_tables_bit_identical(&serial, sh_pool.effects(), n)?;
     }
 
@@ -593,7 +617,7 @@ proptest! {
             let mut pool = AgentPool::from_agents(b.schema(), &agents);
             let mut index = TickIndex::new(kind);
             let mut scratch = TickScratch::new();
-            query_phase_sharded_with(&b, &mut pool, n, &mut index, 2, seed, &mut scratch, shard_rows, threads);
+            query_phase_sharded(&b, &mut pool, n, &mut index, 2, seed, &mut scratch, shard_rows, threads);
             pool
         };
         let (pa, pb) = (run(threads_a), run(threads_b));
@@ -617,9 +641,9 @@ proptest! {
         let mut gen_b = AgentIdGen::from(n as u64);
         let s = update_phase(&b, &mut serial_agents, tick, seed, &mut gen_a);
         let mut scratch = TickScratch::new();
-        let p = update_phase_sharded(&b, &mut pool, tick, seed, &mut gen_b, &mut scratch, threads);
-        prop_assert_eq!(s.spawned, p.spawned);
-        prop_assert_eq!(s.killed, p.killed);
+        let (spawned, killed) = sharded_update_applied(&b, &mut pool, tick, seed, &mut gen_b, &mut scratch, threads);
+        prop_assert_eq!(s.spawned, spawned);
+        prop_assert_eq!(s.killed, killed);
         prop_assert_eq!(serial_agents, pool.to_agents());
     }
 
@@ -637,10 +661,10 @@ proptest! {
         let run = |parallelism: usize| {
             let b = LocalFloat::new(vis);
             let agents = random_population(b.schema(), n, seed);
-            let mut exec = brace_core::TickExecutor::new(b, agents, kind, seed);
-            exec.set_parallelism(parallelism);
-            exec.run(6);
-            exec.agents()
+            let mut sim =
+                Simulation::builder(b).agents(agents).index(kind).seed(seed).parallelism(parallelism).build().unwrap();
+            sim.run(6);
+            sim.agents()
         };
         prop_assert_eq!(run(1), run(threads));
     }
@@ -661,14 +685,19 @@ proptest! {
     ) {
         let b = ChurnField::new(vis);
         let mut world = random_population(b.schema(), n, seed);
-        let mut exec = brace_core::TickExecutor::new(ChurnField::new(vis), world.clone(), kind, seed);
-        exec.set_parallelism(threads);
+        let mut sim = Simulation::builder(ChurnField::new(vis))
+            .agents(world.clone())
+            .index(kind)
+            .seed(seed)
+            .parallelism(threads)
+            .build()
+            .unwrap();
         let mut id_gen = AgentIdGen::from(n as u64);
         for tick in 0..ticks {
-            exec.step();
+            sim.step();
             reference_step(&b, &mut world, kind, tick, seed, &mut id_gen);
         }
-        prop_assert_eq!(exec.agents(), world);
+        prop_assert_eq!(sim.agents(), world);
     }
 }
 
@@ -985,8 +1014,8 @@ fn grouped_ticks<B: Behavior>(
     let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw() + 1).max().unwrap_or(0));
     for tick in 0..ticks {
         let n = pool.len();
-        query_phase_sharded_with(b, &mut pool, n, &mut index, tick, seed, &mut scratch, shard_rows, threads);
-        update_phase_sharded(b, &mut pool, tick, seed, &mut id_gen, &mut scratch, threads);
+        query_phase_sharded(b, &mut pool, n, &mut index, tick, seed, &mut scratch, shard_rows, threads);
+        sharded_update_applied(b, &mut pool, tick, seed, &mut id_gen, &mut scratch, threads);
     }
     pool.to_agents()
 }
@@ -1097,8 +1126,7 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
     let s_stats = query_phase(b, &serial_pool, n_owned, kind, &mut serial, 2, seed);
     let mut pool = churned();
     let (mut index, mut scratch) = (TickIndex::new(kind), TickScratch::new());
-    let p_stats =
-        query_phase_sharded_with(b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
+    let p_stats = query_phase_sharded(b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
     if (s_stats.neighbor_visits, s_stats.nonlocal_writes) != (p_stats.neighbor_visits, p_stats.nonlocal_writes) {
         return Err(format!("counters differ: {s_stats:?} vs {p_stats:?}"));
     }
@@ -1239,7 +1267,7 @@ proptest! {
         let mut serial_table = EffectTable::new(b.schema());
         query_phase(&b, &pool, n, kind, &mut serial_table, 0, seed);
         let (mut index, mut scratch) = (TickIndex::new(kind), TickScratch::new());
-        query_phase_sharded_with(&b, &mut pool, n, &mut index, 0, seed, &mut scratch, SHARD_ROWS, 3);
+        query_phase_sharded(&b, &mut pool, n, &mut index, 0, seed, &mut scratch, SHARD_ROWS, 3);
         assert_tables_bit_identical(&serial_table, pool.effects(), n)?;
         let serial = grouped_ticks(&b, &world, kind, shard_rows, 1, ticks, seed);
         worlds_bit_identical(&serial, &grouped_ticks(&b, &world, kind, shard_rows, 3, ticks, seed))?;

@@ -7,7 +7,7 @@
 //! tests below still share the flag with each other, so they serialize
 //! behind one mutex and restore the prior state on drop.
 
-use brace_core::TickExecutor;
+use brace_core::Simulation;
 use brace_models::{PredatorBehavior, PredatorParams};
 use brace_scenario::{Backend, Registry, Runner};
 use brace_spatial::IndexKind;
@@ -128,10 +128,16 @@ fn enabled_runs_record_into_the_registry() {
     // its own closed visibility square always contains) plus its bites.
     brace_telemetry::reset();
     let predator = PredatorBehavior::new(PredatorParams::default());
-    let mut exec = TickExecutor::new(predator.clone(), predator.population(400, 40.0, 9), IndexKind::KdTree, 9);
+    let mut sim = Simulation::builder(predator.clone())
+        .agents(predator.population(400, 40.0, 9))
+        .index(IndexKind::KdTree)
+        .seed(9)
+        .parallelism(1)
+        .build()
+        .unwrap();
     let (mut local, mut nonlocal) = (0u64, 0u64);
     for _ in 0..TICKS {
-        let tm = exec.step();
+        let tm = sim.step();
         local += tm.neighbor_visits - tm.n_agents as u64;
         nonlocal += tm.nonlocal_writes;
     }
