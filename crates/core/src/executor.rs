@@ -43,14 +43,20 @@
 //! the index for every [`NeighborProbe::Range`] schema with a bounded
 //! visibility: no [`SpatialIndex`] is built, synced or probed (the sort is
 //! the join's build side and is charged to `index_build_ns`). The owned rows
-//! of one tile are a **probe group**, answered together (`query_shard`, the
-//! one production probe loop):
+//! of a **strip** of neighbouring tiles — consecutive occupied tiles of one
+//! tile-row, each at most two tiles right of the one before, whole tiles
+//! while the strip holds at most `2 * LANES` rows; a tile that full on its
+//! own is a strip by itself — are a **probe group**, answered together
+//! (`query_shard`, the one production probe loop):
 //!
 //! 1. the group's candidate *block* is the rows of the tiles that the union
 //!    of the members' [`Behavior::probe_rect`]s spans: per tile-row, one
 //!    contiguous run of the probe order, found by a galloping search from
-//!    where the previous group's run began (sort + batched multi-search —
-//!    Goodrich, Sitchinava & Zhang's MapReduce primitive pair);
+//!    where the same window tile-row began for the previous group — one
+//!    cursor per window row (sort + batched multi-search — Goodrich,
+//!    Sitchinava & Zhang's MapReduce primitive pair). Sparse tiles share one
+//!    window, one canonical sort and one gather per strip instead of paying
+//!    them per tile;
 //! 2. the block is canonicalized **once** and its positions are gathered
 //!    **once** into contiguous columns;
 //! 3. each member takes *its own* candidates out of the block by running
@@ -104,8 +110,9 @@
 //! * Slices follow the probe order, not the row order: a single-node pool's
 //!   rows are in id order — spatially random — so a row-range slice would
 //!   cut every tile into one sliver per shard and the amortization would
-//!   vanish. A tile that straddles a slice boundary simply builds its block
-//!   on both sides.
+//!   vanish. Strips never cross a slice boundary: a tile (or a run of
+//!   neighbouring tiles) that straddles one simply builds a block on both
+//!   sides.
 //! * Each shard reuses its own block and column scratch, so the hot loop
 //!   performs no allocation and no synchronization. All per-tick buffers
 //!   live in a [`TickScratch`] that persists across ticks.
@@ -172,7 +179,7 @@ use crate::effect::{EffectLog, EffectTable, EffectWriter};
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, Rect, Vec2};
-use brace_spatial::kernels::filter_rect;
+use brace_spatial::kernels::{filter_rect, LANES};
 use brace_spatial::{IndexKind, KdTree, ScanIndex, SpatialIndex, UniformGrid};
 use brace_telemetry::{Counter, Telemetry};
 use std::ops::Range;
@@ -386,8 +393,8 @@ fn plan_probe_order(
 
 /// First index `i` of `cells` (sorted) with `cells[i].tile() >= lo`, found by
 /// galloping outward from `hint`: O(log distance), so a hint near the answer
-/// — where the previous probe group's run began — costs a step or two, and
-/// any hint at all is merely slower, never wrong.
+/// — where the same window tile-row began for the previous probe group —
+/// costs a step or two, and any hint at all is merely slower, never wrong.
 fn seek_tile(cells: &[ProbeKey], hint: usize, lo: (i64, i64)) -> usize {
     let before = |c: &ProbeKey| c.tile() < lo;
     let hint = hint.min(cells.len());
@@ -419,40 +426,47 @@ fn seek_tile(cells: &[ProbeKey], hint: usize, lo: (i64, i64)) -> usize {
 /// window is derived from the rect's own corners with the function that
 /// keyed the rows, so it is exact for any rect: one that float rounding
 /// pushed two tiles out, one a pushdown shrank, one wider than the
-/// visibility square. `cursors[d]` remembers where the window's `d`-th run
-/// began, the hint for the next (neighbouring) group's.
+/// visibility square.
+///
+/// `cursors[d]` is the seek hint for the window's tile-row `ty0 + d`, keyed
+/// by row — not by how many runs were found — so a window with empty rows
+/// (every window of a 1-D world has two) keeps each hint on its own row.
+/// Every landing is stored, and a row the seek skipped because it holds
+/// nothing from `tx0` on begins where the seek landed, so after the call
+/// `cursors[d]` is exactly where row `ty0 + d` of this window begins: a step
+/// or two from where it begins for the next probe group, which is usually
+/// the same window moved right. Each row's seek consults its own cursor,
+/// including the row a seek landed in after skipping empty ones.
 fn tile_window(cells: &[ProbeKey], side: f64, rect: &Rect, cursors: &mut [usize; 3], block: &mut Vec<u32>) {
     let (tx0, tx1) = (tile_of(rect.lo.x, side), tile_of(rect.hi.x, side));
     let (ty0, ty1) = (tile_of(rect.lo.y, side), tile_of(rect.hi.y, side));
-    let mut lo = (ty0, tx0);
-    let mut runs = 0;
-    let mut i = cursors[0];
+    let mut ty = ty0;
+    // Everything before `i` lies before `(ty, tx0)`.
+    let mut i = 0;
     loop {
-        i = seek_tile(cells, i, lo);
-        let Some(first) = cells.get(i) else { break };
-        if first.ty > ty1 {
-            break;
+        let d = ty.abs_diff(ty0);
+        i = seek_tile(cells, cursors.get(d as usize).map_or(i, |&cursor| cursor.max(i)), (ty, tx0));
+        let landed = cells.get(i).filter(|c| c.ty <= ty1);
+        // Rows `ty0 + d .. ty0 + end` all begin at `i`.
+        let end = landed.map_or(u64::MAX, |c| c.ty.abs_diff(ty0).max(d.saturating_add(1)));
+        for cursor in cursors.iter_mut().take(end.min(3) as usize).skip(d as usize) {
+            *cursor = i;
         }
-        if first.tx < tx0 {
-            // Skipped empty tile-rows and landed left of the window.
-            lo = (first.ty, tx0);
+        let Some(first) = landed else { break };
+        if first.ty > ty {
+            // Skipped empty tile-rows and landed in a later one, maybe left
+            // of the window: seek that row from its own cursor.
+            ty = first.ty;
             continue;
         }
-        if first.tx <= tx1 {
-            if let Some(cursor) = cursors.get_mut(runs) {
-                *cursor = i;
-            }
-            runs += 1;
-            while let Some(c) = cells.get(i).filter(|c| c.ty == first.ty && c.tx <= tx1) {
-                block.push(c.row);
-                i += 1;
-            }
+        while let Some(c) = cells.get(i).filter(|c| c.ty == ty && c.tx <= tx1) {
+            block.push(c.row);
+            i += 1;
         }
-        if first.ty == ty1 {
+        if ty == ty1 {
             break;
         }
-        lo = (first.ty + 1, tx0);
-        i = cursors.get(runs).map_or(i, |&cursor| cursor.max(i));
+        ty += 1;
     }
 }
 
@@ -488,7 +502,8 @@ struct ShardScratch {
     log: EffectLog,
     /// Candidate rows of the current probe group, canonical order.
     block: Vec<u32>,
-    /// Where the last group's tile-row runs began in the probe order.
+    /// Where each tile-row of the last group's window began in the probe
+    /// order, by offset from the window's first row ([`tile_window`]).
     cursors: [usize; 3],
     /// The join block's positions, gathered once per group.
     block_xs: Vec<f64>,
@@ -677,8 +692,8 @@ struct QueryPlan<'a, B> {
     /// Every visible row in probe order: what the join probes. Empty unless
     /// `join`.
     cells: &'a [ProbeKey],
-    /// Runs of equal tiles in `order` are probe groups (otherwise every row
-    /// is its own group).
+    /// Runs of equal tiles in `order` — strips of them, on the join path —
+    /// are probe groups (otherwise every row is its own group).
     grouped: bool,
     /// A group's block is the sort-merge tile join over `cells`, and every
     /// member filters its own candidates out of it; no index is probed.
@@ -691,16 +706,61 @@ struct QueryPlan<'a, B> {
     seed: u64,
 }
 
+/// The most members a strip of several tiles may hold: two `filter_rect`
+/// lane-widths. Whole tiles join a strip while it stays within this, so a
+/// tile this full on its own (fish's dense tiles) keeps a block to itself.
+/// Measured with `query` and `update` stubbed out (query ns per agent-tick,
+/// 2-vCPU Xeon): a cap of `LANES` costs 8–40 % more than this one on
+/// the sparse scenarios (epidemic 4k: 149–162 against 108–121; predator
+/// 20k: 153–158 against 123–129), while `4 * LANES` saves at most another
+/// 7 % there, inside the noise once the real behaviours run, and makes
+/// every member filter a block up to twice as long.
+const STRIP_MEMBERS: usize = 2 * LANES;
+
+/// How many tiles apart two neighbouring tiles of one strip may be: their
+/// 3-tile-wide windows still overlap, so the strip's block re-reads none of
+/// the tiles it shares.
+const STRIP_GAP: u64 = 2;
+
+/// The length of the probe group at the head of `slice` (the rest of a
+/// sweep slice, in probe order). Ungrouped probes are one row each; grouped
+/// ones take the rows of one tile. On the join path a group is a **strip**:
+/// the next occupied tiles of the same tile-row, each at most [`STRIP_GAP`]
+/// tiles right of the one before, added whole while the strip holds at most
+/// [`STRIP_MEMBERS`] rows. A strip never leaves its slice, so the plan stays
+/// a function of the probe order and the shard granule.
+fn group_len(slice: &[ProbeKey], grouped: bool, join: bool) -> usize {
+    if !grouped {
+        return 1;
+    }
+    let head = slice[0].tile();
+    let mut len = slice.iter().take_while(|key| key.tile() == head).count();
+    while join && len < STRIP_MEMBERS {
+        let (last, Some(next)) = (slice[len - 1], slice.get(len)) else { break };
+        if next.ty != last.ty || next.tx.abs_diff(last.tx) > STRIP_GAP {
+            break;
+        }
+        let room = STRIP_MEMBERS - len;
+        let tile = slice[len..].iter().take(room + 1).take_while(|key| key.tile() == next.tile()).count();
+        if tile > room {
+            break;
+        }
+        len += tile;
+    }
+    len
+}
+
 /// The monomorphized inner loop — the only production probe loop, for every
 /// schema and index kind: run the query phase for one shard's `slice` of the
 /// probe order, one **probe group** at a time, and [`Behavior::query`] once
 /// per member.
 ///
 /// On the join path (`plan.join`: every bounded-visibility range schema
-/// unless the index kind is the scan) a group — the slice's rows of one
-/// tile — is answered by **no index at all**: its candidate *block* is the
-/// rows of the tiles that the union of its members' [`Behavior::probe_rect`]s
-/// spans, a few contiguous runs of the probe order ([`tile_window`]). The
+/// unless the index kind is the scan) a group — a strip of the slice's
+/// neighbouring tiles in one tile-row ([`group_len`]) — is answered by **no
+/// index at all**: its candidate *block* is the rows of the tiles that the
+/// union of its members' [`Behavior::probe_rect`]s spans, a few contiguous
+/// runs of the probe order ([`tile_window`]). The
 /// block is canonicalized once and its positions gathered once, and each
 /// member then takes its own candidates out of it by running the lane
 /// kernel [`filter_rect`] over the block's contiguous columns with *its own*
@@ -729,7 +789,10 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
     let (mut visits, mut nonlocal, mut groups, mut block_rows) = (0u64, 0u64, 0u64, 0u64);
     let mut slot = 0u32;
     log.clear();
-    for group in slice.chunk_by(|a, b| plan.grouped && a.tile() == b.tile()) {
+    let mut rest = slice;
+    while !rest.is_empty() {
+        let group;
+        (group, rest) = rest.split_at(group_len(rest, plan.grouped, plan.join));
         block.clear();
         match probe {
             NeighborProbe::Range if plan.join => {
@@ -1461,5 +1524,227 @@ mod tests {
             e.agents().iter().map(|a| (a.id, a.pos)).collect::<Vec<_>>()
         };
         assert_eq!(run(1), run(3));
+    }
+
+    /// Every position keyed and sorted into the probe order at tile side 1.
+    fn probe_order(points: &[(f64, f64)]) -> Vec<ProbeKey> {
+        let mut cells: Vec<ProbeKey> = (0..points.len() as u32)
+            .map(|row| {
+                let (x, y) = points[row as usize];
+                ProbeKey { ty: tile_of(y, 1.0), tx: tile_of(x, 1.0), row }
+            })
+            .collect();
+        cells.sort_unstable();
+        cells
+    }
+
+    /// Run [`tile_window`] from `cursors` and check it against its
+    /// specification: the block is every row whose tile lies in the rect's
+    /// window, in probe order — what a walk that seeks every row from index 0
+    /// finds — and afterwards each cursor holds exactly where its window
+    /// tile-row begins.
+    fn window_checked(cells: &[ProbeKey], rect: &Rect, cursors: &mut [usize; 3]) -> Vec<u32> {
+        let mut block = Vec::new();
+        tile_window(cells, 1.0, rect, cursors, &mut block);
+        let (tx0, tx1) = (tile_of(rect.lo.x, 1.0), tile_of(rect.hi.x, 1.0));
+        let (ty0, ty1) = (tile_of(rect.lo.y, 1.0), tile_of(rect.hi.y, 1.0));
+        let from_zero: Vec<u32> = cells
+            .iter()
+            .filter(|c| (ty0..=ty1).contains(&c.ty) && (tx0..=tx1).contains(&c.tx))
+            .map(|c| c.row)
+            .collect();
+        assert_eq!(block, from_zero, "window of {rect:?}");
+        for (d, &cursor) in cursors.iter().enumerate() {
+            if let Some(ty) = ty0.checked_add(d as i64).filter(|&ty| ty <= ty1) {
+                assert_eq!(cursor, cells.partition_point(|c| c.tile() < (ty, tx0)), "cursor {d} of {rect:?}");
+            }
+        }
+        block
+    }
+
+    #[test]
+    fn tile_window_keys_its_cursors_by_tile_row_in_a_one_dimensional_world() {
+        // Every window has an empty tile-row above and below the road; the
+        // cursors carry from one agent's window to the next, as in a sweep.
+        let points: Vec<(f64, f64)> = (0..60).map(|i| (i as f64 * 0.7, 0.0)).collect();
+        let cells = probe_order(&points);
+        let mut cursors = [0; 3];
+        for &(x, y) in &points {
+            let block = window_checked(&cells, &Rect::centered(Vec2::new(x, y), 1.0), &mut cursors);
+            assert!(!block.is_empty());
+        }
+    }
+
+    #[test]
+    fn tile_window_is_exact_from_hints_behind_ahead_and_past_the_end() {
+        let points: Vec<(f64, f64)> =
+            (0..200).map(|i| ((i * 37 % 23) as f64 * 0.9 - 4.0, (i * 11 % 17) as f64 * 0.8 - 3.0)).collect();
+        let cells = probe_order(&points);
+        let n = cells.len();
+        for &(x, y) in points.iter().step_by(7) {
+            let rect = Rect::centered(Vec2::new(x, y), 1.3);
+            let want = window_checked(&cells, &rect, &mut [0; 3]);
+            for mut hints in [[n - 1; 3], [n / 2, 0, n - 1], [n; 3], [n + 5, usize::MAX, n * 3]] {
+                assert_eq!(window_checked(&cells, &rect, &mut hints), want);
+            }
+        }
+    }
+
+    #[test]
+    fn tile_window_spans_five_tile_rows_with_an_empty_middle_row() {
+        // Tile-rows 0, 1, 3 and 4 are occupied, row 2 is empty, and each
+        // occupied row also holds a tile left and right of the window.
+        let mut points = Vec::new();
+        for ty in [0, 1, 3, 4] {
+            for tx in -2..6 {
+                points.push((tx as f64 + 0.5, ty as f64 + 0.25));
+            }
+        }
+        let cells = probe_order(&points);
+        let rect = Rect::from_bounds(0.1, 3.9, 0.0, 4.5);
+        for mut hints in [[0; 3], [cells.len(); 3], [40, 3, 17]] {
+            let block = window_checked(&cells, &rect, &mut hints);
+            assert_eq!(block.len(), 4 * 4, "four occupied rows × tiles 0..=3");
+        }
+    }
+
+    #[test]
+    fn tile_window_handles_tiles_saturated_at_the_ends_of_i64() {
+        let points = [(-1e300, -1e300), (-1e300, 1e300), (0.5, 0.5), (1e300, -1e300), (1e300, 1e300), (2.0, 1e300)];
+        let cells = probe_order(&points);
+        assert_eq!(cells[0].tile(), (i64::MIN, i64::MIN));
+        assert_eq!(cells[cells.len() - 1].tile(), (i64::MAX, i64::MAX));
+        let mut cursors = [0; 3];
+        for &(x, y) in &points {
+            let block = window_checked(&cells, &Rect::centered(Vec2::new(x, y), 1.0), &mut cursors);
+            assert!(block.contains(&(points.iter().position(|&p| p == (x, y)).unwrap() as u32)));
+        }
+        let everything = Rect::from_bounds(-1e300, 1e300, -1e300, 1e300);
+        assert_eq!(window_checked(&cells, &everything, &mut cursors).len(), points.len());
+    }
+
+    /// The probe groups one query phase of `CountAndDrift` (visibility 1, so
+    /// tile side 1) builds over agents at `points`, summed over its shards.
+    fn probe_groups(points: &[(f64, f64)], shard_rows: usize) -> u64 {
+        let b = CountAndDrift::new();
+        let agents: Vec<Agent> = (0..points.len())
+            .map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(points[i].0, points[i].1), b.schema()))
+            .collect();
+        let mut pool = AgentPool::from_agents(b.schema(), &agents);
+        let (mut index, mut scratch) = (TickIndex::new(IndexKind::KdTree), TickScratch::new());
+        query_phase_sharded(&b, &mut pool, agents.len(), &mut index, 0, 1, &mut scratch, shard_rows, 1);
+        let k = shard_count(agents.len(), false, shard_rows);
+        scratch.shards[..k].iter().map(|shard| shard.groups).sum()
+    }
+
+    /// `members[i]` agents in tile `(ty, tx[i])`, at its centre.
+    fn tiles(ty: i64, tx: &[i64], members: &[usize]) -> Vec<(f64, f64)> {
+        let mut points = Vec::new();
+        for (&tx, &m) in tx.iter().zip(members) {
+            points.extend(std::iter::repeat_n((tx as f64 + 0.5, ty as f64 + 0.5), m));
+        }
+        points
+    }
+
+    #[test]
+    fn strips_join_tiles_two_apart_and_split_at_three() {
+        assert_eq!(probe_groups(&tiles(0, &[0, 1], &[1, 1]), SHARD_ROWS), 1, "adjacent tiles share a strip");
+        assert_eq!(probe_groups(&tiles(0, &[0, 2], &[1, 1]), SHARD_ROWS), 1, "gap 2 joins");
+        assert_eq!(probe_groups(&tiles(0, &[0, 3], &[1, 1]), SHARD_ROWS), 2, "gap 3 splits");
+        assert_eq!(probe_groups(&tiles(0, &[0, 2, 4, 7, 9], &[1; 5]), SHARD_ROWS), 2);
+    }
+
+    #[test]
+    fn strips_hold_at_most_the_cap_and_a_full_tile_stays_alone() {
+        let ones = [1; 9];
+        assert_eq!(STRIP_MEMBERS, 8);
+        assert_eq!(probe_groups(&tiles(0, &[0, 1, 2, 3, 4, 5, 6, 7, 8], &ones), SHARD_ROWS), 2, "8 + 1");
+        assert_eq!(probe_groups(&tiles(0, &[0, 1, 2], &[3, 3, 3]), SHARD_ROWS), 2, "3 + 3, then 3");
+        assert_eq!(probe_groups(&tiles(0, &[0, 1, 2], &[4, 4, 1]), SHARD_ROWS), 2, "4 + 4 fills the cap");
+        assert_eq!(probe_groups(&tiles(0, &[0, 1, 2], &[1, 9, 1]), SHARD_ROWS), 3, "a tile over the cap stays alone");
+        assert_eq!(probe_groups(&tiles(0, &[0, 1, 2], &[1, 8, 1]), SHARD_ROWS), 3, "so does one at the cap");
+        assert_eq!(probe_groups(&tiles(0, &[0, 1], &[8, 1]), SHARD_ROWS), 2);
+    }
+
+    #[test]
+    fn strips_stay_in_their_tile_row_and_sweep_slice() {
+        let mut two_rows = tiles(0, &[5], &[1]);
+        two_rows.extend(tiles(1, &[0, 5], &[1, 1]));
+        assert_eq!(probe_groups(&two_rows, SHARD_ROWS), 3, "(0, 5) → (1, 0) → (1, 5): two tile-rows, gap 5");
+        let mut stacked = tiles(0, &[0], &[1]);
+        stacked.extend(tiles(1, &[0], &[1]));
+        assert_eq!(probe_groups(&stacked, SHARD_ROWS), 2, "the same column in two tile-rows");
+        let row = tiles(0, &[0, 1, 2, 3, 4, 5], &[1; 6]);
+        assert_eq!(probe_groups(&row, SHARD_ROWS), 1);
+        assert_eq!(probe_groups(&row, 2), 3, "three slices of two rows each");
+        assert_eq!(probe_groups(&row, 1), 6, "one row per slice");
+    }
+
+    /// The strip rule restated over whole tiles: the strips a slice of the
+    /// probe order (owned rows, sorted) breaks into.
+    fn strips_of(slice: &[ProbeKey]) -> u64 {
+        let mut strips = 0;
+        let mut open: Option<((i64, i64), usize)> = None;
+        for tile in slice.chunk_by(|a, b| a.tile() == b.tile()) {
+            let (ty, tx) = tile[0].tile();
+            open = match open {
+                Some(((last_ty, last_tx), held))
+                    if ty == last_ty && tx - last_tx <= 2 && held + tile.len() <= STRIP_MEMBERS =>
+                {
+                    Some(((ty, tx), held + tile.len()))
+                }
+                _ => {
+                    strips += 1;
+                    Some(((ty, tx), tile.len()))
+                }
+            };
+        }
+        strips
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A sweep of windows over a sparse world with empty tile-rows and
+        /// columns, from arbitrary starting hints: every block is the window
+        /// a seek from index 0 reads, and every cursor ends where its window
+        /// tile-row begins.
+        #[test]
+        fn tile_window_equals_a_seek_from_zero_and_keys_cursors_by_row(
+            points in prop::collection::vec((-6i32..6, -6i32..6, 0u8..4), 0..60),
+            rects in prop::collection::vec((-8i32..8, -8i32..8, 0u8..5, 0u8..5), 1..12),
+            hints in (0usize..80, 0usize..80, 0usize..80),
+        ) {
+            // Whole tiles 0, 1 and 3 of every coordinate, so rows and
+            // columns 2 mod 4 stay empty; the third value salts in points
+            // on tile edges.
+            let coord = |v: i32| (v.div_euclid(3) * 4 + v.rem_euclid(3)) as f64;
+            let points: Vec<(f64, f64)> = points
+                .iter()
+                .map(|&(x, y, edge)| (coord(x) + 0.5 * (edge & 1) as f64, coord(y) + 0.5 * (edge >> 1) as f64))
+                .collect();
+            let cells = probe_order(&points);
+            let mut cursors = [hints.0, hints.1, hints.2];
+            for &(x, y, w, h) in &rects {
+                let rect = Rect::from_bounds(x as f64 - 0.5, x as f64 + w as f64, y as f64 - 0.25, y as f64 + h as f64);
+                window_checked(&cells, &rect, &mut cursors);
+            }
+        }
+
+        /// Sparse worlds at every shard granule: the query phase builds
+        /// exactly the strips the rule names, slice by slice.
+        #[test]
+        fn probe_groups_are_the_strips_of_each_sweep_slice(
+            points in prop::collection::vec((-12i32..12, -3i32..3), 0..70),
+            shard_rows in prop::sample::select(vec![1usize, 3, 7, SHARD_ROWS]),
+        ) {
+            let points: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x as f64 * 0.9, y as f64 * 1.3)).collect();
+            let order = probe_order(&points);
+            let k = shard_count(points.len(), false, shard_rows);
+            let want: u64 = (0..k).map(|i| strips_of(&order[shard_range(points.len(), k, i)])).sum();
+            prop_assert_eq!(probe_groups(&points, shard_rows), want);
+        }
     }
 }

@@ -42,7 +42,7 @@
 //! | `brace_checkpoint_write_ns` | histogram | cluster master: checkpoint store |
 //! | `brace_serve_run_latency_ns` | histogram | serve: accepted-run wall time |
 //! | `brace_executor_ticks_total` … | counter | executor per-tick counters |
-//! | `brace_executor_probe_groups_total`, `brace_executor_block_candidates_total` | counter | query phase (executor and cluster workers): candidate blocks built and the rows in them — agent-ticks ÷ groups is the rows one block serves |
+//! | `brace_executor_probe_groups_total`, `brace_executor_block_candidates_total` | counter | query phase (executor and cluster workers): candidate blocks built and the rows in them — agent-ticks ÷ groups is the members one block serves |
 //! | `brace_executor_effect_log_entries_total` | counter | query phase (executor and cluster workers): effect writes a non-local schema logged for replay in source-row order (0 for local-effect schemas) |
 //! | `brace_net_*_bytes_total` | counter | cluster `NetLedger`, per traffic class |
 //! | `brace_cluster_epochs_total`, `brace_cluster_checkpoints_total` | counter | cluster master |

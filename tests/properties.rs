@@ -995,6 +995,44 @@ fn tile_edge_geometry(world: &mut [Agent], vis: f64, spread: f64, seed: u64) {
     }
 }
 
+/// Re-draw `world`'s positions as sparse tile-rows, where a probe group is a
+/// strip of several tiles: about one agent per occupied tile (every fifth
+/// shares its predecessor's), occupied tiles 1, 2 and 3 tiles apart along a
+/// row (strips join across gaps of 1 and 2 and split at 3), tile `-1` always
+/// occupied (`Lopsided`'s inverted band), agents on tile edges, and three
+/// 1-D rows with empty tile-rows between them: a road at `y = 0`, one exactly
+/// on the tile edge `y = -3·vis`, and one at `y = 4.5·vis` (`Lopsided`'s
+/// wide band). Shard granules 1 and 7 cut these strips at slice boundaries.
+fn sparse_strip_geometry(world: &mut [Agent], vis: f64, seed: u64) {
+    let mut rng = DetRng::seed_from_u64(seed).stream(0x5791);
+    let rows = [0.0, -3.0 * vis, 4.5 * vis];
+    let gaps = [1, 2, 3];
+    let phase = (seed % 3) as usize;
+    // Three advances (one gap of each size) from -7 reach tile -1.
+    let mut tile = [-7i64, -13, -7];
+    let mut placed = [0usize; 3];
+    for (i, agent) in world.iter_mut().enumerate() {
+        let r = i % 3;
+        let j = placed[r];
+        placed[r] += 1;
+        if j > 0 && j % 5 != 4 {
+            tile[r] += gaps[(phase + j - j / 5) % 3];
+        }
+        let within = if j % 4 == 1 { 0.0 } else { rng.range(0.0, 1.0) };
+        agent.pos = Vec2::new((tile[r] as f64 + within) * vis, rows[r]);
+    }
+}
+
+/// The join's two stress geometries: sparse strips, or tile edges
+/// ([`tile_edge_geometry`] at `spread`).
+fn join_geometry(world: &mut [Agent], vis: f64, spread: f64, seed: u64, sparse: bool) {
+    if sparse {
+        sparse_strip_geometry(world, vis, seed);
+    } else {
+        tile_edge_geometry(world, vis, spread, seed);
+    }
+}
+
 /// `ticks` ticks of the production phases — the probe-group query loop at
 /// an explicit shard granule and thread budget, then the sharded update —
 /// from `world`.
@@ -1133,7 +1171,7 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
     assert_tables_bit_identical(&serial, pool.effects(), rows)
 }
 
-fn lopsided_world(b: &Lopsided, n: usize, vis: f64, seed: u64) -> Vec<Agent> {
+fn lopsided_world(b: &Lopsided, n: usize, vis: f64, seed: u64, sparse: bool) -> Vec<Agent> {
     let mut rng = DetRng::seed_from_u64(seed).stream(0x10B5);
     let mut world: Vec<Agent> = (0..n)
         .map(|i| {
@@ -1142,7 +1180,7 @@ fn lopsided_world(b: &Lopsided, n: usize, vis: f64, seed: u64) -> Vec<Agent> {
             a
         })
         .collect();
-    tile_edge_geometry(&mut world, vis, 4.0 * vis, seed);
+    join_geometry(&mut world, vis, 4.0 * vis, seed, sparse);
     world
 }
 
@@ -1151,8 +1189,8 @@ proptest! {
 
     /// Fish (square rect, float sums through the register fold): the joined
     /// loop equals the row-oriented oracle bit for bit over multi-tick runs
-    /// on tile-edge geometry, for every index kind, shard granule and thread
-    /// budget.
+    /// on tile-edge and sparse-strip geometry (every property below draws
+    /// both), for every index kind, shard granule and thread budget.
     #[test]
     fn kernel_tile_join_fish_equals_reference(
         seed in 0u64..10_000,
@@ -1161,11 +1199,12 @@ proptest! {
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
+        sparse in any::<bool>(),
     ) {
         let params = FishParams::default();
         let b = FishBehavior::new(params.clone());
         let mut world = b.population(n, seed);
-        tile_edge_geometry(&mut world, params.rho, 3.0 * params.rho, seed);
+        join_geometry(&mut world, params.rho, 3.0 * params.rho, seed, sparse);
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
@@ -1207,6 +1246,7 @@ proptest! {
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
+        sparse in any::<bool>(),
     ) {
         let b = brace_models::scripts::car_following().unwrap();
         let mut rng = DetRng::seed_from_u64(seed).stream(0xCA12);
@@ -1217,7 +1257,7 @@ proptest! {
                 a
             })
             .collect();
-        tile_edge_geometry(&mut world, b.schema().visibility(), 250.0, seed);
+        join_geometry(&mut world, b.schema().visibility(), 250.0, seed, sparse);
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
@@ -1233,9 +1273,10 @@ proptest! {
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
+        sparse in any::<bool>(),
     ) {
         let b = Lopsided::new(vis);
-        let world = lopsided_world(&b, n, vis, seed);
+        let world = lopsided_world(&b, n, vis, seed, sparse);
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
@@ -1254,11 +1295,12 @@ proptest! {
         kind in any_index_kind(),
         shard_rows in any_shard_granule(),
         ticks in 1u64..4,
+        sparse in any::<bool>(),
     ) {
         let params = PredatorParams { nonlocal: true, ..PredatorParams::default() };
         let b = PredatorBehavior::new(params.clone());
         let mut world = b.population(n, 12.0, seed);
-        tile_edge_geometry(&mut world, params.reach, 3.0 * params.reach, seed);
+        join_geometry(&mut world, params.reach, 3.0 * params.reach, seed, sparse);
         let one_shard = grouped_ticks(&b, &world, kind, SHARD_ROWS, 3, ticks, seed);
         worlds_bit_identical(&one_shard, &reference_ticks(&b, &world, kind, ticks, seed))?;
         // Worlds only see `hurt` through the death threshold; the effect
@@ -1283,11 +1325,12 @@ proptest! {
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
+        sparse in any::<bool>(),
     ) {
         let params = EpidemicParams { seeds: 40, beta: 0.6, ..EpidemicParams::default() };
         let b = EpidemicBehavior::new(params.clone());
         let mut world = b.population(n, seed);
-        tile_edge_geometry(&mut world, params.radius, 3.0 * params.radius, seed);
+        join_geometry(&mut world, params.radius, 3.0 * params.radius, seed, sparse);
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
     }
@@ -1306,9 +1349,10 @@ proptest! {
         kind in any_index_kind(),
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
+        sparse in any::<bool>(),
     ) {
         let b = Lopsided::new(vis);
-        let world = lopsided_world(&b, n, vis, seed);
+        let world = lopsided_world(&b, n, vis, seed, sparse);
         worker_shaped_pool_equals_serial(&b, world, owned_frac, kind, shard_rows, threads, seed)?;
     }
 
@@ -1324,14 +1368,15 @@ proptest! {
         kind in any_index_kind(),
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
+        sparse in any::<bool>(),
     ) {
         let exact = NonlocalExact::new(vis);
         let mut world = random_population(exact.schema(), n, seed);
-        tile_edge_geometry(&mut world, vis, 4.0 * vis, seed);
+        join_geometry(&mut world, vis, 4.0 * vis, seed, sparse);
         worker_shaped_pool_equals_serial(&exact, world, owned_frac, kind, shard_rows, threads, seed)?;
         let float = NonlocalFloat::new(vis);
         let mut world = random_population(float.schema(), n, seed);
-        tile_edge_geometry(&mut world, vis, 4.0 * vis, seed);
+        join_geometry(&mut world, vis, 4.0 * vis, seed, sparse);
         worker_shaped_pool_equals_serial(&float, world, owned_frac, kind, SHARD_ROWS, threads, seed)?;
     }
 }
