@@ -1,11 +1,11 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * **Collocation** — map/reduce hand-offs via memory vs forced through
-//!   the codec + ledger (the paper's §3.3 collocation argument).
 //! * **Epoch length** — master coordination amortization: shorter epochs
 //!   mean more control traffic and more frequent balancing decisions.
 //! * **Index choice on a clustered workload** — KD-tree vs uniform grid vs
 //!   scan on the fish school.
+//! * **k-NN parity** — MITSIM's hand-coded lookup vs BRACE's range and
+//!   k-NN probes on one traffic tick.
 
 use brace_core::Simulation;
 use brace_mapreduce::{ClusterConfig, ClusterSim};
@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn traffic_cluster(collocation: bool, epoch_len: u64) -> ClusterSim {
+fn traffic_cluster(epoch_len: u64) -> ClusterSim {
     let params = TrafficParams { segment: 3000.0, density: 0.04, ..TrafficParams::default() };
     let behavior = TrafficBehavior::new(params.clone());
     let pop = behavior.population(3);
@@ -25,23 +25,9 @@ fn traffic_cluster(collocation: bool, epoch_len: u64) -> ClusterSim {
         seed: 3,
         space_x: (0.0, params.segment),
         load_balance: false,
-        collocation,
         ..ClusterConfig::default()
     };
     ClusterSim::new(Arc::new(behavior), pop, cfg).unwrap()
-}
-
-fn bench_collocation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_collocation");
-    group.sample_size(10).warm_up_time(Duration::from_millis(300)).measurement_time(Duration::from_secs(3));
-    for (name, collocation) in [("collocated", true), ("no_collocation", false)] {
-        group.bench_function(name, |b| {
-            let mut sim = traffic_cluster(collocation, 5);
-            sim.run_epochs(1).unwrap();
-            b.iter(|| sim.run_epochs(1).unwrap());
-        });
-    }
-    group.finish();
 }
 
 fn bench_epoch_length(c: &mut Criterion) {
@@ -49,7 +35,7 @@ fn bench_epoch_length(c: &mut Criterion) {
     group.sample_size(10).warm_up_time(Duration::from_millis(300)).measurement_time(Duration::from_secs(3));
     for epoch_len in [1u64, 5, 20] {
         group.bench_with_input(BenchmarkId::from_parameter(epoch_len), &epoch_len, |b, &epoch_len| {
-            let mut sim = traffic_cluster(true, epoch_len);
+            let mut sim = traffic_cluster(epoch_len);
             sim.run_epochs(1).unwrap();
             // Measure a fixed 20 ticks regardless of epoch length, so the
             // comparison isolates coordination overhead per tick.
@@ -107,5 +93,5 @@ fn bench_index_choice(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_collocation, bench_epoch_length, bench_index_choice, bench_knn_parity);
+criterion_group!(benches, bench_epoch_length, bench_index_choice, bench_knn_parity);
 criterion_main!(benches);

@@ -165,11 +165,9 @@ fn run_tick_throughput(args: &[String]) {
         }
     }
     // The cluster section must cover both models at every configured
-    // worker count, and delta distribution must beat full redistribution
-    // on replica bytes in the multi-worker steady state — traffic's
-    // persisting boundary replicas change only a couple of fields per
-    // tick, so the ratio sits well under 1 on any machine. (Skipped when
-    // the section is disabled via --cluster-agents 0 / --cluster-workers.)
+    // worker count. (Skipped when the section is disabled via
+    // --cluster-agents 0 / --cluster-workers.) The delta saving itself is
+    // pinned by the cluster unit tests, not by this smoke run.
     if cfg.cluster_agents > 0 && !cfg.cluster_workers.is_empty() {
         for model in ["fish", "traffic"] {
             for &w in &cfg.cluster_workers {
@@ -179,16 +177,13 @@ fn run_tick_throughput(args: &[String]) {
                 );
             }
         }
-        let delta_wins =
-            report.cluster.iter().filter(|c| c.model == "traffic" && c.workers > 1).all(|c| c.delta_over_full < 0.8);
-        assert!(delta_wins, "replica-delta bytes must be well under replica-full bytes: {:?}", report.cluster);
     }
     // Bench honesty: on a single visible core every thread-parallel
     // speedup and cluster agents/s scaling row is scheduler noise, and
     // schema v7 marks them `unreliable` so regression tooling (and readers
-    // of the checked-in baseline) stop comparing them. The byte-ratio
-    // check above is exempt: bytes are counted, not timed. Pin the marking
-    // itself so the smoke run catches it regressing.
+    // of the checked-in baseline) stop comparing them. The byte columns
+    // are exempt: bytes are counted, not timed. Pin the marking itself so
+    // the smoke run catches it regressing.
     let single_core = report.cores == 1;
     assert!(
         report.speedups.iter().all(|s| s.unreliable == single_core)
@@ -284,7 +279,7 @@ fn run_tick_throughput(args: &[String]) {
     }
     print_table(
         "Cluster throughput — delta distribution, per-tick bytes by traffic class",
-        &["model", "workers", "agents", "agents/s", "transfer B/t", "rep-full B/t", "rep-delta B/t", "delta/full"],
+        &["model", "workers", "agents", "agents/s", "transfer B/t", "rep-full B/t", "rep-delta B/t"],
         &report
             .cluster
             .iter()
@@ -297,7 +292,6 @@ fn run_tick_throughput(args: &[String]) {
                     format!("{:.0}", c.transfer_bytes_per_tick),
                     format!("{:.0}", c.replica_full_bytes_per_tick),
                     format!("{:.0}", c.replica_delta_bytes_per_tick),
-                    format!("{:.3}", c.delta_over_full),
                 ]
             })
             .collect::<Vec<_>>(),

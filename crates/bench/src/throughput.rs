@@ -10,7 +10,7 @@
 //! on the machine that produced it.
 
 use brace_core::{Agent, Behavior, Simulation};
-use brace_mapreduce::{ClusterConfig, ClusterSim, DistributionMode};
+use brace_mapreduce::{ClusterConfig, ClusterSim};
 use brace_models::{FishBehavior, FishParams, TrafficBehavior, TrafficParams};
 use brace_scenario::{brasil_unoptimized, Registry, Runner};
 use brace_spatial::IndexKind;
@@ -138,8 +138,7 @@ pub struct SpeedupRow {
 }
 
 /// One cluster-throughput configuration: the distributed runtime under
-/// delta distribution, with per-tick network bytes split by traffic class
-/// and the replica-byte ratio against the full-redistribution ablation.
+/// delta distribution, with per-tick network bytes split by traffic class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterRow {
     pub model: &'static str,
@@ -154,14 +153,10 @@ pub struct ClusterRow {
     pub replica_full_bytes_per_tick: f64,
     pub replica_delta_bytes_per_tick: f64,
     pub effects_bytes_per_tick: f64,
-    /// Replica bytes under delta distribution over replica bytes under
-    /// full redistribution, same configuration — the headline saving of
-    /// the pool-resident worker (≪ 1 in any steady state).
-    pub delta_over_full: f64,
     /// True when the matrix ran on a single visible core: worker threads
     /// then time-slice one core, so `agents_per_sec` scaling across worker
-    /// counts is timing noise. The byte columns (and `delta_over_full`)
-    /// are counted, not timed, and stay exact.
+    /// counts is timing noise. The byte columns are counted, not timed, and
+    /// stay exact.
     pub unreliable: bool,
 }
 
@@ -388,9 +383,8 @@ fn measure_exec<B: Behavior>(ctx: &MeasureCtx, behavior: B, pop: Vec<Agent>) -> 
 }
 
 /// Measure one cluster configuration: one warmup epoch, then two measured
-/// epochs with the network ledger reset in between; returns the row plus
-/// the raw replica bytes so the caller can form the delta/full ratio.
-fn measure_cluster(model: &'static str, workers: usize, n: usize, mode: DistributionMode) -> (ClusterRow, u64) {
+/// epochs with the network ledger reset in between.
+fn measure_cluster(model: &'static str, workers: usize, n: usize) -> ClusterRow {
     const EPOCH_LEN: u64 = 5;
     const MEASURED_EPOCHS: u64 = 2;
     let (behavior, pop, space_x): (Arc<dyn Behavior>, Vec<Agent>, (f64, f64)) = if model == "fish" {
@@ -409,7 +403,6 @@ fn measure_cluster(model: &'static str, workers: usize, n: usize, mode: Distribu
         seed: 42,
         space_x,
         load_balance: false,
-        distribution: mode,
         ..ClusterConfig::default()
     };
     let mut sim = ClusterSim::new(behavior, pop, cfg).expect("cluster config is valid");
@@ -423,7 +416,7 @@ fn measure_cluster(model: &'static str, workers: usize, n: usize, mode: Distribu
     let agent_ticks = after.agent_ticks - before.agent_ticks;
     let net = after.net; // reset before measurement, so this is measured-only
     let per_tick = |b: u64| b as f64 / ticks as f64;
-    let row = ClusterRow {
+    ClusterRow {
         model,
         workers,
         actual_agents: actual,
@@ -433,15 +426,12 @@ fn measure_cluster(model: &'static str, workers: usize, n: usize, mode: Distribu
         replica_full_bytes_per_tick: per_tick(net.replica_full.bytes),
         replica_delta_bytes_per_tick: per_tick(net.replica_delta.bytes),
         effects_bytes_per_tick: per_tick(net.effects.bytes),
-        delta_over_full: 0.0, // filled by the caller from the paired run
-        unreliable: false,    // marked by `tick_throughput` when cores == 1
-    };
-    (row, net.replica_bytes())
+        unreliable: false, // marked by `tick_throughput` when cores == 1
+    }
 }
 
 /// The cluster-throughput section: fish + traffic at the configured
-/// population over 1/2/4 workers, delta distribution measured against the
-/// full-redistribution ablation for the replica-byte ratio.
+/// population over 1/2/4 workers.
 pub fn cluster_throughput(cfg: &ThroughputConfig) -> Vec<ClusterRow> {
     let mut rows = Vec::new();
     if cfg.cluster_agents == 0 || cfg.cluster_workers.is_empty() {
@@ -449,14 +439,7 @@ pub fn cluster_throughput(cfg: &ThroughputConfig) -> Vec<ClusterRow> {
     }
     for model in ["fish", "traffic"] {
         for &workers in &cfg.cluster_workers {
-            let (mut row, delta_bytes) = measure_cluster(model, workers, cfg.cluster_agents, DistributionMode::Delta);
-            if workers > 1 {
-                let (_, full_bytes) = measure_cluster(model, workers, cfg.cluster_agents, DistributionMode::Full);
-                row.delta_over_full = if full_bytes == 0 { 1.0 } else { delta_bytes as f64 / full_bytes as f64 };
-            } else {
-                row.delta_over_full = 1.0; // one worker ships nothing either way
-            }
-            rows.push(row);
+            rows.push(measure_cluster(model, workers, cfg.cluster_agents));
         }
     }
     rows
@@ -713,7 +696,8 @@ fn index_name(kind: IndexKind) -> &'static str {
 /// (batched lane kernels over the scalar probe loop; both gone since
 /// version 10). Version 4 added the
 /// `cluster` section: distributed-runtime throughput with per-tick bytes
-/// split by traffic class and the `delta_over_full` replica-byte ratio.
+/// split by traffic class and a delta-over-full replica-byte ratio (gone
+/// since version 13).
 /// Version 5 added the `scenarios` section: one row per scenario-registry
 /// entry, keyed by registry name (`rows`/`speedups` stay keyed by the same
 /// names for fish and traffic, so v4 comparisons carry over unchanged).
@@ -739,10 +723,11 @@ fn index_name(kind: IndexKind) -> &'static str {
 /// every index is build-only, so there is no maintenance to ablate. Version
 /// 12 dropped the SoA-vs-AoS rows and ratio: the `Vec<Agent>` reference path
 /// is a test oracle, not a mode, so `speedups` rows are parallel over serial
-/// only.
+/// only. Version 13 dropped the cluster rows' replica-byte ratio against full
+/// redistribution: delta frames are the one replica transport.
 pub fn to_json(report: &ThroughputReport, cfg: &ThroughputConfig) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema_version\": 12,\n");
+    out.push_str("  \"schema_version\": 13,\n");
     out.push_str(&format!("  \"cores\": {},\n", report.cores));
     out.push_str(&format!("  \"measured_ticks\": {},\n", cfg.ticks));
     out.push_str(&format!("  \"warmup_ticks\": {},\n", cfg.warmup));
@@ -792,7 +777,7 @@ pub fn to_json(report: &ThroughputReport, cfg: &ThroughputConfig) -> String {
             "    {{\"model\": \"{}\", \"workers\": {}, \"actual_agents\": {}, \"ticks\": {}, \
              \"agents_per_sec\": {:.1}, \"transfer_bytes_per_tick\": {:.1}, \
              \"replica_full_bytes_per_tick\": {:.1}, \"replica_delta_bytes_per_tick\": {:.1}, \
-             \"effects_bytes_per_tick\": {:.1}, \"delta_over_full\": {:.4}, \"unreliable\": {}}}{}\n",
+             \"effects_bytes_per_tick\": {:.1}, \"unreliable\": {}}}{}\n",
             c.model,
             c.workers,
             c.actual_agents,
@@ -802,7 +787,6 @@ pub fn to_json(report: &ThroughputReport, cfg: &ThroughputConfig) -> String {
             c.replica_full_bytes_per_tick,
             c.replica_delta_bytes_per_tick,
             c.effects_bytes_per_tick,
-            c.delta_over_full,
             c.unreliable,
             if i + 1 == report.cluster.len() { "" } else { "," }
         ));
@@ -952,7 +936,7 @@ mod tests {
         assert_eq!(t.unreliable, report.cores == 1);
         assert!(!brace_telemetry::enabled(), "ablation must restore the global flag");
         let json = to_json(&report, &cfg);
-        assert!(json.contains("\"schema_version\": 12"));
+        assert!(json.contains("\"schema_version\": 13"));
         assert!(json.contains("\"overhead_pct\""));
         assert!(json.contains("\"off_tick_agents_per_sec\""));
         assert!(json.contains("\"hotspot\": true") && json.contains("\"hotspot\": false"));
@@ -967,7 +951,6 @@ mod tests {
         assert!(json.contains("\"scenario\": \"brasil-car\""));
         assert!(json.contains("\"scenario\": \"flock-obstacles\""));
         assert!(json.contains("\"model\": \"traffic\""));
-        assert!(json.contains("\"delta_over_full\""));
         assert!(json.contains("\"replica_delta_bytes_per_tick\""));
         assert!(json.ends_with("}\n"));
         // Crude balance check so the hand-rolled JSON stays well-formed.

@@ -81,8 +81,9 @@ id_type!(
 );
 
 /// Monotonic generator for [`AgentId`]s, used when models spawn agents at
-/// runtime (the predator simulation's `spawn`). Each worker is handed a
-/// disjoint id block so spawning never needs cross-node coordination.
+/// runtime (the predator simulation's `spawn`). Engines hand spawn ids out
+/// in a global `(parent id, ordinal)` order, so a cluster allocates the
+/// same ids as the single node.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AgentIdGen {
     next: u64,
@@ -90,18 +91,12 @@ pub struct AgentIdGen {
 }
 
 impl AgentIdGen {
-    /// A generator handing out ids in `[start, end)`.
-    pub fn block(start: u64, end: u64) -> Self {
-        assert!(start <= end, "id block must be non-decreasing");
-        AgentIdGen { next: start, end }
-    }
-
     /// A generator with the entire id space above `start`.
     pub fn from(start: u64) -> Self {
         AgentIdGen { next: start, end: u64::MAX }
     }
 
-    /// Allocate the next id, or `None` when the block is exhausted.
+    /// Allocate the next id, or `None` when the id space is exhausted.
     pub fn alloc(&mut self) -> Option<AgentId> {
         if self.next >= self.end {
             return None;
@@ -111,7 +106,7 @@ impl AgentIdGen {
         Some(id)
     }
 
-    /// How many ids remain in this block.
+    /// How many ids remain.
     pub fn remaining(&self) -> u64 {
         self.end - self.next
     }
@@ -139,17 +134,6 @@ mod tests {
     fn id_ordering_follows_raw_value() {
         assert!(AgentId::new(1) < AgentId::new(2));
         assert_eq!(AgentId::from(5u64), AgentId::new(5));
-    }
-
-    #[test]
-    fn id_gen_allocates_disjoint_blocks() {
-        let mut g1 = AgentIdGen::block(0, 3);
-        let mut g2 = AgentIdGen::block(3, 5);
-        let first: Vec<_> = std::iter::from_fn(|| g1.alloc()).collect();
-        let second: Vec<_> = std::iter::from_fn(|| g2.alloc()).collect();
-        assert_eq!(first, vec![AgentId::new(0), AgentId::new(1), AgentId::new(2)]);
-        assert_eq!(second, vec![AgentId::new(3), AgentId::new(4)]);
-        assert_eq!(g1.remaining(), 0);
     }
 
     #[test]

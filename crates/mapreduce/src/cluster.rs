@@ -15,7 +15,7 @@ use crate::manifest::{self, Manifest, ManifestRecord, ManifestWriter, RunHeader}
 use crate::master::{ClusterStats, Master, RetryPolicy, WorkerFault};
 use crate::net::NetLedger;
 use crate::runtime::{Command, PeerMsg, Report};
-use crate::worker::{DistributionMode, Worker, WorkerConfig, WorkerLinks};
+use crate::worker::{Worker, WorkerConfig, WorkerLinks};
 use brace_common::{BraceError, DetRng, Result, WorkerId};
 use brace_core::{check_population, Agent, Behavior};
 use brace_spatial::{GridPartitioning, IndexKind, Partitioner};
@@ -99,21 +99,11 @@ pub struct ClusterConfig {
     pub keep_checkpoints: usize,
     /// Also persist checkpoints to this directory.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Collocate map/reduce tasks (false = ablation: every hand-off pays
-    /// serialization and is charged to the network ledger).
-    pub collocation: bool,
     /// Intra-worker thread budget for the query/update phases (`1` =
     /// serial, `0` = all cores, `n` = up to `n` threads **per worker**).
     /// Never affects results — the executor's shard plan is thread-count
     /// independent.
     pub parallelism: usize,
-    /// Replica transport: delta frames (default) or full redistribution
-    /// every tick (the ablation baseline). Never affects results for
-    /// range-probe models, only bytes — proven by the
-    /// `distributed_equivalence` proptests. (k-NN-probe models tie-break
-    /// by pool row, so their distributed equivalence is approximate under
-    /// either mode; see `DistributionMode`.)
-    pub distribution: DistributionMode,
     /// Scheduled whole-cluster failures, if any.
     pub fault: Option<FaultPlan>,
     /// Injected per-worker failures (retry/dead-letter exercise).
@@ -147,9 +137,7 @@ impl Default for ClusterConfig {
             checkpoint_every: None,
             keep_checkpoints: 2,
             checkpoint_dir: None,
-            collocation: true,
             parallelism: 1,
-            distribution: DistributionMode::default(),
             fault: None,
             worker_faults: Vec::new(),
             retry: RetryPolicy::default(),
@@ -258,9 +246,7 @@ impl ClusterSim {
                 num_workers: n,
                 index: cfg.index,
                 seed: cfg.seed,
-                collocation: cfg.collocation,
                 parallelism: cfg.parallelism,
-                distribution: cfg.distribution,
             };
             let worker = Worker::new(behavior.clone(), wcfg, links, part.clone(), owned, next_spawn_id);
             handles.push(
@@ -1142,7 +1128,7 @@ mod tests {
             .map(|i| Agent::new(AgentId::new(i), Vec2::new(48.0 + (i % 5) as f64, i as f64), schema.schema()))
             .collect();
         let cfg = ClusterConfig { workers: 2, epoch_len: 4, seed: 3, load_balance: false, ..Default::default() };
-        let mut sim = ClusterSim::new(Arc::new(Wiggle::new()), agents, cfg).unwrap();
+        let mut sim = ClusterSim::new(Arc::new(Wiggle::new()), agents.clone(), cfg).unwrap();
         sim.run_epochs(1).unwrap();
         sim.reset_net();
         sim.run_epochs(2).unwrap();
@@ -1150,55 +1136,19 @@ mod tests {
         assert_eq!(steady.net.replica_full.bytes, 0, "persisting replicas must never re-ship full records");
         assert!(steady.net.replica_delta.bytes > 0, "moving replicas must ship deltas");
         assert!(steady.replica_deltas_in > 0, "delta updates must arrive");
-        // Deltas (y + phase per agent per tick) are far smaller than the
-        // full records the pre-delta protocol would have shipped.
-        let mut full = ClusterSim::new(
-            Arc::new(Wiggle::new()),
-            (0..40)
-                .map(|i| Agent::new(AgentId::new(i), Vec2::new(48.0 + (i % 5) as f64, i as f64), schema.schema()))
-                .collect(),
-            ClusterConfig {
-                workers: 2,
-                epoch_len: 4,
-                seed: 3,
-                load_balance: false,
-                distribution: DistributionMode::Full,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        full.run_epochs(1).unwrap();
-        full.reset_net();
-        full.run_epochs(2).unwrap();
-        let full_stats = full.stats();
+        // Agents only move in y, so the replicated band (every agent within
+        // visibility of the x = 50 boundary) is the same each tick. Deltas
+        // (y + phase per agent per tick) must be far smaller than re-shipping
+        // that band as full records every tick.
+        let vis = schema.schema().visibility();
+        let band: Vec<&Agent> = agents.iter().filter(|a| (a.pos.x - 50.0).abs() <= vis).collect();
+        assert_eq!(band.len(), agents.len(), "the whole population straddles the boundary");
+        let measured_ticks = 2 * 4; // 2 epochs × epoch_len 4
+        let full_bytes = codec::encode_agents(band).len() as u64 * measured_ticks;
         assert!(
-            steady.net.replica_bytes() * 2 < full_stats.net.replica_bytes(),
-            "delta traffic ({}) must be well under full redistribution ({})",
-            steady.net.replica_bytes(),
-            full_stats.net.replica_bytes()
+            steady.net.replica_delta.bytes * 2 < full_bytes,
+            "delta traffic ({}) must be well under full records for the same band ({full_bytes})",
+            steady.net.replica_delta.bytes
         );
-        // And the transport never changes results.
-        assert_eq!(sim.collect_agents().unwrap(), full.collect_agents().unwrap());
-    }
-
-    #[test]
-    fn collocation_off_charges_local_traffic() {
-        let agents = population(Flock::new().schema(), 60, 4);
-        let mk = |collocation| ClusterConfig {
-            workers: 2,
-            epoch_len: 5,
-            seed: 2,
-            load_balance: false,
-            collocation,
-            ..Default::default()
-        };
-        let mut on = ClusterSim::new(Arc::new(Flock::new()), agents.clone(), mk(true)).unwrap();
-        on.run_epochs(2).unwrap();
-        let mut off = ClusterSim::new(Arc::new(Flock::new()), agents, mk(false)).unwrap();
-        off.run_epochs(2).unwrap();
-        let (b_on, b_off) = (on.stats().net.total_bytes(), off.stats().net.total_bytes());
-        assert!(b_off > b_on, "no-collocation must move more bytes ({b_off} <= {b_on})");
-        // And the simulation result is unaffected.
-        assert_eq!(on.collect_agents().unwrap(), off.collect_agents().unwrap());
     }
 }

@@ -141,17 +141,15 @@ pub const DELTA_MAX_STATES: usize = 30;
 /// Wire layout (little-endian):
 ///
 /// ```text
-/// u8  flags                (bit 0: reset — receiver drops the registry)
 /// u32 n_removals           then n_removals × u32 slot
 /// u32 n_updates            then per update:
 ///     u32 slot | u32 mask | popcount(mask) × f64   (field order: x, y, states)
 /// ```
 ///
-/// A frame with no flags, removals or updates encodes to **zero bytes** —
+/// A frame with no removals or updates encodes to **zero bytes** —
 /// a stationary boundary population costs nothing per tick.
 #[derive(Debug, Default)]
 pub struct ReplicaDeltaEnc {
-    reset: bool,
     removals: Vec<u32>,
     updates: BytesMut,
     n_updates: u32,
@@ -164,16 +162,9 @@ impl ReplicaDeltaEnc {
 
     /// Start a fresh frame, reusing the buffers.
     pub fn clear(&mut self) {
-        self.reset = false;
         self.removals.clear();
         self.updates.clear();
         self.n_updates = 0;
-    }
-
-    /// Mark the frame as a registry reset (the full-redistribution
-    /// ablation, which re-ships every replica as a full record each tick).
-    pub fn mark_reset(&mut self) {
-        self.reset = true;
     }
 
     /// Record the removal of `slot`. Order is significant: the receiver
@@ -212,7 +203,7 @@ impl ReplicaDeltaEnc {
     /// True if the frame carries no information (and will encode to zero
     /// bytes).
     pub fn is_trivial(&self) -> bool {
-        !self.reset && self.removals.is_empty() && self.n_updates == 0
+        self.removals.is_empty() && self.n_updates == 0
     }
 
     /// Assemble the frame.
@@ -220,8 +211,7 @@ impl ReplicaDeltaEnc {
         if self.is_trivial() {
             return Bytes::new();
         }
-        let mut buf = BytesMut::with_capacity(9 + self.removals.len() * 4 + self.updates.len());
-        buf.put_u8(self.reset as u8);
+        let mut buf = BytesMut::with_capacity(8 + self.removals.len() * 4 + self.updates.len());
         buf.put_u32_le(self.removals.len() as u32);
         for &s in &self.removals {
             buf.put_u32_le(s);
@@ -232,14 +222,13 @@ impl ReplicaDeltaEnc {
     }
 }
 
-/// A decoded replica delta frame. The header (reset flag, removals) is
+/// A decoded replica delta frame. The header (removals) is
 /// materialized; the updates stay as an undecoded byte cursor drained
 /// through [`ReplicaDelta::next_update_into`] into a caller-reused value
 /// buffer — the per-peer per-tick receive path allocates nothing per
 /// update.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplicaDelta {
-    pub reset: bool,
     pub removals: Vec<u32>,
     n_updates: u32,
     updates: Bytes,
@@ -273,11 +262,10 @@ pub fn decode_replica_delta(mut bytes: Bytes) -> ReplicaDelta {
     if bytes.is_empty() {
         return ReplicaDelta::default();
     }
-    let reset = bytes.get_u8() != 0;
     let nr = bytes.get_u32_le() as usize;
     let removals = (0..nr).map(|_| bytes.get_u32_le()).collect();
     let n_updates = bytes.get_u32_le();
-    ReplicaDelta { reset, removals, n_updates, updates: bytes }
+    ReplicaDelta { removals, n_updates, updates: bytes }
 }
 
 /// Serialize partial effect rows straight from a column-major
@@ -482,7 +470,6 @@ mod tests {
         enc.push_update(0, DELTA_MASK_X | (1 << 2), &pool, 2); // x + state 0
         enc.push_update(3, DELTA_MASK_Y, &pool, 1);
         let mut frame = decode_replica_delta(enc.finish());
-        assert!(!frame.reset);
         assert_eq!(frame.removals, vec![5, 1]);
         assert_eq!(frame.updates_len(), 2);
         let mut values = Vec::new();
@@ -499,10 +486,10 @@ mod tests {
         assert!(enc.is_trivial());
         assert_eq!(enc.finish(), Bytes::new());
         assert_eq!(decode_replica_delta(Bytes::new()), ReplicaDelta::default());
-        enc.mark_reset();
+        enc.push_removal(0);
         assert!(!enc.is_trivial());
         let frame = decode_replica_delta(enc.finish());
-        assert!(frame.reset && frame.removals.is_empty() && frame.updates_len() == 0);
+        assert!(frame.removals == [0] && frame.updates_len() == 0);
         enc.clear();
         assert!(enc.is_trivial());
     }

@@ -60,9 +60,10 @@
 //!   schedule of Table 1.
 //! * [`worker`] — the pool-resident worker node: distribute as a column
 //!   scan (map), query/local effects (reduce 1), effect aggregation
-//!   (reduce 2), update over the owned prefix — with collocation of all
-//!   tasks for a partition on its node and per-destination replica
-//!   sessions driving the delta protocol.
+//!   (reduce 2), update over the owned prefix — every task for a partition
+//!   collocated on its node (same-partition hand-offs never touch the
+//!   codec or the ledger), and per-destination replica sessions driving
+//!   the delta protocol, the one replica transport.
 //! * [`master`] — epoch-granularity coordination: statistics, load
 //!   balancing decisions, coordinated checkpoints, failure recovery by
 //!   replay.
@@ -91,4 +92,3 @@ pub use cluster::{ClusterConfig, ClusterSim, FaultPlan, MembershipChange};
 pub use manifest::{Manifest, ManifestRecord, ManifestWriter, RunHeader};
 pub use master::{ClusterStats, RetryPolicy, WorkerFault};
 pub use net::{NetLedger, NetStats};
-pub use worker::DistributionMode;

@@ -3,9 +3,8 @@
 //! Every cross-worker message in the runtime passes through a
 //! [`NetLedger`], which counts messages and payload bytes per category.
 //! Collocated traffic (a worker handing agents to its own next tick) never
-//! touches the ledger, which is exactly the saving the paper's collocation
-//! design buys; the ablation benchmark flips collocation off by forcing
-//! those hand-offs through the ledger and the codec.
+//! touches the ledger or the codec, which is exactly the saving the
+//! paper's collocation design buys.
 
 use brace_telemetry::{Counter as TelCounter, Telemetry};
 use parking_lot::Mutex;
@@ -18,8 +17,7 @@ pub enum Traffic {
     /// Ownership transfers: agents that moved to another partition.
     Transfer,
     /// Full replica records: boundary agents *entering* a neighbor's
-    /// visible band (or re-shipped wholesale under the full-redistribution
-    /// ablation). Steady-state boundary populations never pay this.
+    /// visible band. Steady-state boundary populations never pay this.
     ReplicaFull,
     /// Columnar replica delta frames: membership removals plus masked
     /// field updates for replicas that *persist* in a neighbor's band. A

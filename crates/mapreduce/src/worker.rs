@@ -52,6 +52,8 @@
 //! ids for persisting replicas. A worker is its own destination too: an
 //! agent transferred away that remains inside this worker's visible band
 //! becomes a replica in its own tail through the same session machinery.
+//! Sessions are the one replica transport: nothing ever re-ships a
+//! persisting replica as a full record.
 //!
 //! All peer communication is serialized bytes over channels, recorded in
 //! the [`NetLedger`]. The worker speaks to the master only between epochs.
@@ -77,26 +79,6 @@ pub const HIST_BINS: usize = 64;
 /// `row_meta` sentinel for owned rows (no replica source/slot).
 const NO_META: (u32, u32) = (u32::MAX, u32::MAX);
 
-/// How replicas travel between workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DistributionMode {
-    /// Delta distribution (default): band entrants ship full records,
-    /// persisting replicas ship masked columnar delta frames, leavers ship
-    /// removals. The steady-state cost of a boundary population is the
-    /// bytes its agents actually change per tick.
-    #[default]
-    Delta,
-    /// Full redistribution every tick (the disk-era ablation baseline):
-    /// sessions reset each tick, so every replica re-ships as a full
-    /// record. Bit-identical results for range-probe models — proven by
-    /// the `distributed_equivalence` proptests — at strictly more bytes.
-    /// (`NeighborProbe::Nearest` models carry the executor's documented
-    /// caveat: exact distance ties at the k-th neighbor break by pool row,
-    /// which depends on replica placement, so their distributed contract
-    /// is approximate under either mode.)
-    Full,
-}
-
 /// Static configuration for one worker.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
@@ -106,19 +88,12 @@ pub struct WorkerConfig {
     /// Master seed; agent RNG streams derive from it exactly as on a single
     /// node, so placement does not perturb the simulation.
     pub seed: u64,
-    /// When false, even same-partition hand-offs are serialized and charged
-    /// to the ledger — the no-collocation ablation.
-    pub collocation: bool,
     /// Intra-worker thread budget for the query/update phases (`1` =
     /// serial, `0` = all cores). Multiplies with the worker count, so
     /// clusters saturating the machine with workers should leave this at 1.
     /// Never affects results (the executor's shard plan is thread-count
     /// independent).
     pub parallelism: usize,
-    /// Replica transport: delta frames (default) or full redistribution.
-    /// Never affects results for range-probe models, only bytes (k-NN
-    /// models tie-break by pool row — see [`DistributionMode`]).
-    pub distribution: DistributionMode,
 }
 
 /// Communication endpoints for one worker.
@@ -143,11 +118,6 @@ struct ReplicaSession {
     ys: Vec<f64>,
     /// One column per state field, slot-indexed.
     states: Vec<Vec<f64>>,
-    /// Full-mode bookkeeping: true when the receiver's registry is
-    /// non-empty (entrants were shipped last tick) and the next full-mode
-    /// frame must carry the reset flag. Lets full mode skip populating the
-    /// columnar session it would only throw away.
-    needs_reset: bool,
     // Per-tick scratch.
     seen: Vec<bool>,
     entrants: Vec<u32>,
@@ -162,7 +132,6 @@ impl ReplicaSession {
             xs: Vec::new(),
             ys: Vec::new(),
             states: vec![Vec::new(); num_states],
-            needs_reset: false,
             seen: Vec::new(),
             entrants: Vec::new(),
             enc: ReplicaDeltaEnc::new(),
@@ -179,7 +148,6 @@ impl ReplicaSession {
         for col in &mut self.states {
             col.clear();
         }
-        self.needs_reset = false;
     }
 
     fn store(&mut self, slot: usize, pool: &AgentPool, row: u32) {
@@ -241,20 +209,9 @@ impl ReplicaSession {
     /// encode this tick's payloads: `(full records for entrants, delta
     /// frame for removals + changed persisting replicas)`. Both are empty
     /// (`Bytes::new()`) when there is nothing to say.
-    fn encode_tick(&mut self, pool: &AgentPool, rows: &[u32], mode: DistributionMode) -> (Bytes, Bytes) {
+    fn encode_tick(&mut self, pool: &AgentPool, rows: &[u32]) -> (Bytes, Bytes) {
         self.enc.clear();
         self.entrants.clear();
-        if mode == DistributionMode::Full {
-            // Full redistribution: drop the receiver's registry, ship
-            // everything as entrants. (No reset frame needed when the
-            // registry is already empty.) The columnar session stays
-            // unpopulated — full mode would only discard it next tick.
-            if self.needs_reset {
-                self.enc.mark_reset();
-            }
-            self.needs_reset = !rows.is_empty();
-            return (codec::encode_pool_rows(pool, rows), self.enc.finish());
-        }
         self.seen.clear();
         self.seen.resize(self.ids.len(), false);
         for &r in rows {
@@ -351,7 +308,6 @@ pub struct Worker {
     spawn_runs: Vec<(AgentId, u32)>,
     merged_runs: Vec<(AgentId, u32, bool)>,
     delta_values: Vec<f64>,
-    kept_rows: Vec<u32>,
 }
 
 impl Worker {
@@ -410,7 +366,6 @@ impl Worker {
             spawn_runs: Vec::new(),
             merged_runs: Vec::new(),
             delta_values: Vec::new(),
-            kept_rows: Vec::new(),
         };
         worker.rebuild_pool(&owned);
         worker
@@ -632,16 +587,11 @@ impl Worker {
         debug_assert_eq!(vi, values.len(), "mask/value shape mismatch");
     }
 
-    /// Apply one sender's replica payloads: registry reset (full mode),
-    /// removals, masked updates, then entrant appends — in exactly the
-    /// order the sender's session performed them. Updates drain the
-    /// frame's byte cursor through one reused value buffer.
+    /// Apply one sender's replica payloads: removals, masked updates, then
+    /// entrant appends — in exactly the order the sender's session
+    /// performed them. Updates drain the frame's byte cursor through one
+    /// reused value buffer.
     fn apply_replicas(&mut self, src: usize, fulls: &[Agent], delta: &mut ReplicaDelta) {
-        if delta.reset {
-            for slot in (0..self.registries[src].len()).rev() {
-                self.remove_tail_row(src, slot);
-            }
-        }
         for &slot in &delta.removals {
             self.remove_tail_row(src, slot as usize);
         }
@@ -666,7 +616,6 @@ impl Worker {
         let behavior = Arc::clone(&self.behavior);
         let schema = behavior.schema();
         let vis = schema.visibility();
-        let mode = self.cfg.distribution;
 
         // ---- map: distribute — a column scan over the position columns ----
         self.part.owners_into(&self.pool.xs()[..self.n_owned], &self.pool.ys()[..self.n_owned], &mut self.owners);
@@ -711,7 +660,7 @@ impl Worker {
             }
             let transfers = codec::encode_pool_rows(&self.pool, &self.dest_transfers[j]);
             let rows = std::mem::take(&mut self.dest_replicas[j]);
-            let (full, delta) = self.sessions[j].encode_tick(&self.pool, &rows, mode);
+            let (full, delta) = self.sessions[j].encode_tick(&self.pool, &rows);
             self.dest_replicas[j] = rows;
             if !transfers.is_empty() {
                 self.links.ledger.record(Traffic::Transfer, transfers.len());
@@ -736,30 +685,8 @@ impl Worker {
         // this worker's own visible band go through the same session, so
         // the tail treats "me" as just another source.
         let rows = std::mem::take(&mut self.dest_replicas[me]);
-        let (self_full, self_delta) = self.sessions[me].encode_tick(&self.pool, &rows, mode);
+        let (self_full, self_delta) = self.sessions[me].encode_tick(&self.pool, &rows);
         self.dest_replicas[me] = rows;
-        // Collocation ablation: same-partition agents normally never touch
-        // the codec — charge them (and the self replica frames) as if they
-        // had crossed the network, and round-trip the bytes for honesty.
-        if !self.cfg.collocation {
-            let mut kept = std::mem::take(&mut self.kept_rows);
-            kept.clear();
-            kept.extend((0..self.n_owned as u32).filter(|&r| self.owners[r as usize] as usize == me));
-            let bytes = codec::encode_pool_rows(&self.pool, &kept);
-            if !bytes.is_empty() {
-                self.links.ledger.record(Traffic::Transfer, bytes.len());
-                for (&r, a) in kept.iter().zip(codec::decode_agents_opt(bytes)) {
-                    self.pool.overwrite_row(r, &a);
-                }
-            }
-            self.kept_rows = kept;
-            if !self_full.is_empty() {
-                self.links.ledger.record(Traffic::ReplicaFull, self_full.len());
-            }
-            if !self_delta.is_empty() {
-                self.links.ledger.record(Traffic::ReplicaDelta, self_delta.len());
-            }
-        }
 
         // ---- apply outbound ownership transfers (rows leave the pool) ----
         self.removals.clear();
@@ -1092,15 +1019,7 @@ mod tests {
         let (_cmd_tx, commands) = unbounded::<Command>();
         let (reports, _report_rx) = unbounded();
         let links = WorkerLinks { peers: vec![_peer_tx], inbox, commands, reports, ledger: NetLedger::new() };
-        let cfg = WorkerConfig {
-            id: WorkerId::new(0),
-            num_workers: 1,
-            index,
-            seed: 11,
-            collocation: true,
-            parallelism: 2,
-            distribution: DistributionMode::default(),
-        };
+        let cfg = WorkerConfig { id: WorkerId::new(0), num_workers: 1, index, seed: 11, parallelism: 2 };
         let part = GridPartitioning::columns(0.0, 100.0, 1);
         Worker::new(Arc::new(behavior), cfg, links, part, agents, 1 << 32)
     }

@@ -49,10 +49,9 @@ pub enum Backend {
     },
     /// The simulated shared-nothing cluster. The embedded
     /// [`ClusterConfig`]'s placement fields (`workers`, `load_balance`,
-    /// `balancer`, `checkpoint_*`, `collocation`, `parallelism`,
-    /// `distribution`, `fault`) are honored; its `seed`, `index`,
-    /// `space_x` and `epoch_len` are overwritten from the scenario setup
-    /// and the runner at launch.
+    /// `balancer`, `checkpoint_*`, `parallelism`, `fault`) are honored;
+    /// its `seed`, `index`, `space_x` and `epoch_len` are overwritten from
+    /// the scenario setup and the runner at launch.
     Cluster(ClusterConfig),
 }
 
