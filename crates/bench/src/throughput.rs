@@ -184,7 +184,7 @@ pub struct ScenarioRow {
 /// seed, index and horizon, serial single node. The two
 /// runs are bit-identical by contract (`tests/opt_equivalence.rs`), so
 /// every delta here is pure optimizer effect: the probe-rect pushdown
-/// shows up as `candidate_reduction`, CSE + lane emission as
+/// shows up as `candidate_reduction`, it and the folded plan together as
 /// `opt_speedup`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptRow {

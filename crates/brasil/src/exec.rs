@@ -171,7 +171,9 @@ impl<'a> Compiler<'a> {
                 Stmt::Const { name, value, .. } => {
                     let value = self.expr(value)?;
                     let slot = self.next_local;
-                    self.next_local += 1;
+                    self.next_local = slot.checked_add(1).ok_or_else(|| {
+                        BraceError::Semantic(format!("more than {} `const` bindings in one script", u16::MAX))
+                    })?;
                     self.locals.push((name.clone(), slot));
                     out.push(PStmt::Let { slot, value });
                 }
@@ -226,7 +228,7 @@ pub fn compile(a: &AnalyzedClass) -> Result<CompiledClass> {
         next_local: 0,
     };
     let stmts = c.block(&a.decl.run)?;
-    let query = QueryPlan { stmts, n_locals: c.next_local, raw_slots: Vec::new() };
+    let query = QueryPlan { stmts, n_locals: c.next_local };
 
     // Update rules, in field declaration order.
     let mut updates = Vec::new();

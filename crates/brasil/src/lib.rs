@@ -14,9 +14,10 @@
 //!   source ──lexer──► tokens ──parser──► AST ──analyze──► typed AST
 //!          ──compile──► dataflow plan (plan.rs, the "monad-algebra-lite")
 //!          ──optimize──► plan (a fixpoint pass pipeline: const folding,
-//!                        CSE, dead code, effect inversion, visibility-
-//!                        predicate pushdown)
-//!          ──vm::lower──► one flat register program (query + update)
+//!                        dead code, visibility-predicate pushdown, and
+//!                        effect inversion on request)
+//!          ──vm::lower──► one flat register program (query + update),
+//!                        every pure op value-numbered
 //!          ──exec──► a `brace_core::Behavior` the engine runs anywhere
 //! ```
 //!
@@ -74,7 +75,7 @@ pub mod vm;
 
 pub use analyze::analyze;
 pub use exec::{BrasilBehavior, CompiledClass};
-pub use optimize::{constant_fold, dead_code, invert_effects, optimize, Pass, PassReport, Pipeline, PipelineReport};
+pub use optimize::{constant_fold, invert_effects, optimize, Pass, PassReport, Pipeline, PipelineReport};
 pub use parser::parse;
 
 use brace_common::Result;

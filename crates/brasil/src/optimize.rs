@@ -1,20 +1,27 @@
 //! Algebraic optimization of compiled plans.
 //!
-//! Three rewrites, mirroring §4.2:
+//! Four passes, mirroring §4.2:
 //!
-//! * [`constant_fold`] — evaluate constant subtrees at compile time (the
-//!   garden-variety algebraic rewrite; `rand()` and agent reads block
-//!   folding). It folds by calling the evaluator's own arithmetic table
-//!   ([`vm::unop`](crate::vm::unop), [`vm::binop`](crate::vm::binop),
+//! * **const-fold** ([`constant_fold`]) — evaluate constant subtrees at
+//!   compile time (the garden-variety algebraic rewrite; `rand()` and agent
+//!   reads block folding). It folds by calling the evaluator's own
+//!   arithmetic table ([`vm::unop`](crate::vm::unop),
+//!   [`vm::binop`](crate::vm::binop),
 //!   [`Builtin::apply`](crate::plan::Builtin::apply)), so fold time and run
 //!   time are one function and cannot diverge.
-//! * [`dead_code`] — remove `Let`s whose slot is never read, `If`s with
+//! * **dead-code** — remove `Let`s whose slot is never read, `If`s with
 //!   constant conditions, and empty loops/branches (the paper's "rewrite
 //!   rules that function like dead-code elimination").
-//! * [`invert_effects`] — **effect inversion** (Theorems 2/3): rewrite
-//!   non-local effect assignments `p.f <- E(this, p)` into local ones
+//! * **pushdown** ([`derive_probe_bounds`]) — turn a loop's guard into
+//!   bounds on the probe rect.
+//! * **invert** ([`invert_effects`]) — **effect inversion** (Theorems 2/3):
+//!   rewrite non-local effect assignments `p.f <- E(this, p)` into local ones
 //!   `f <- E(p, this)` by swapping the roles of the querying agent and the
 //!   loop variable, eliminating the second reduce pass of the runtime.
+//!
+//! Repeated subexpressions are not a plan rewrite: [`vm::lower`](crate::vm::lower)
+//! value-numbers every pure op, so a repeat is computed once whatever the
+//! plan looks like.
 //!
 //! ### Inversion correctness conditions
 //!
@@ -36,8 +43,7 @@ use crate::vm::{binop, unop};
 use brace_common::{BraceError, Result};
 
 /// Apply the always-safe (bit-preserving) passes: the standard pipeline of
-/// constant folding, common-subexpression elimination, dead code and
-/// predicate pushdown, run to fixpoint.
+/// constant folding, dead code and predicate pushdown, run to fixpoint.
 pub fn optimize(class: CompiledClass) -> CompiledClass {
     Pipeline::standard().run(class).0
 }
@@ -88,10 +94,10 @@ pub struct Pipeline {
 const MAX_ROUNDS: usize = 8;
 
 impl Pipeline {
-    /// Folding, CSE, dead code, visibility-predicate pushdown — the
-    /// always-safe set.
+    /// Folding, dead code, visibility-predicate pushdown — the always-safe
+    /// set.
     pub fn standard() -> Pipeline {
-        Pipeline { passes: vec![Box::new(ConstFold), Box::new(Cse), Box::new(DeadCode), Box::new(Pushdown)] }
+        Pipeline { passes: vec![Box::new(ConstFold), Box::new(DeadCode), Box::new(Pushdown)] }
     }
 
     /// The standard set with effect inversion (Theorems 2/3) first. Only
@@ -166,11 +172,7 @@ impl Pass for ConstFold {
         let before = plan_nodes(&class.query.stmts) + class.updates.iter().map(|r| expr_nodes(&r.expr)).sum::<usize>();
         let after = plan_nodes(&folded_stmts) + folded_updates.iter().map(|r| expr_nodes(&r.expr)).sum::<usize>();
         let mut out = if stmts_changed {
-            class.with_query(QueryPlan {
-                stmts: folded_stmts,
-                n_locals: class.query.n_locals,
-                raw_slots: class.query.raw_slots.clone(),
-            })
+            class.with_query(QueryPlan { stmts: folded_stmts, n_locals: class.query.n_locals })
         } else {
             class
         };
@@ -179,6 +181,7 @@ impl Pass for ConstFold {
     }
 }
 
+/// Remove unread `Let`s, constant `If`s and empty control structures.
 struct DeadCode;
 
 impl Pass for DeadCode {
@@ -202,7 +205,7 @@ impl Pass for DeadCode {
         if after == before {
             return (class, 0);
         }
-        let plan = QueryPlan { stmts, n_locals: class.query.n_locals, raw_slots: class.query.raw_slots.clone() };
+        let plan = QueryPlan { stmts, n_locals: class.query.n_locals };
         (class.with_query(plan), before - after)
     }
 }
@@ -219,8 +222,9 @@ impl Pass for Invert {
             return (class, 0);
         }
         // Inversion refusals (rand in loop, a prelude local read by the
-        // inverted fragment, remote outside loop) leave the class alone: the
-        // two-pass reduce path still runs it correctly.
+        // inverted fragment, remote outside loop, too many local slots to
+        // double) leave the class alone: the two-pass reduce path still runs
+        // it correctly.
         match invert_effects(class.clone()) {
             Ok(inv) => (inv, 1),
             Err(_) => (class, 0),
@@ -308,11 +312,6 @@ fn fold_stmts(stmts: Vec<PStmt>) -> Vec<PStmt> {
 // ---------------------------------------------------------------------------
 // Dead code elimination
 // ---------------------------------------------------------------------------
-
-/// Remove unread `Let`s, constant `If`s and empty control structures.
-pub fn dead_code(class: CompiledClass) -> CompiledClass {
-    DeadCode.run(class).0
-}
 
 fn size(stmts: &[PStmt]) -> usize {
     let mut n = 0;
@@ -493,6 +492,13 @@ pub fn invert_effects(class: CompiledClass) -> Result<CompiledClass> {
         return Ok(class);
     }
     let n_locals = class.query.n_locals;
+    // The inverted fragment takes a second copy of every slot.
+    let Some(doubled) = n_locals.checked_mul(2) else {
+        return Err(BraceError::Rewrite(format!(
+            "effect inversion doubles the script's {n_locals} local slots, past {}",
+            u16::MAX
+        )));
+    };
     let mut out: Vec<PStmt> = Vec::new();
     for stmt in class.query.stmts.clone() {
         match stmt {
@@ -533,213 +539,9 @@ pub fn invert_effects(class: CompiledClass) -> Result<CompiledClass> {
             }
         }
     }
-    // The duplicated fragment duplicates raw (optimizer-introduced) slots
-    // along with everything else.
-    let mut raw_slots = class.query.raw_slots.clone();
-    raw_slots.extend(class.query.raw_slots.iter().map(|s| s + n_locals));
-    let plan = QueryPlan { stmts: out, n_locals: n_locals * 2, raw_slots };
+    let plan = QueryPlan { stmts: out, n_locals: doubled };
     debug_assert!(!plan.has_remote_effects());
     Ok(class.with_query(plan))
-}
-
-// ---------------------------------------------------------------------------
-// Common-subexpression elimination
-// ---------------------------------------------------------------------------
-
-/// Hoist repeated non-trivial pure subexpressions into fresh *raw* local
-/// slots (`Let` bindings that skip the NaN→NIL coercion, making the hoist
-/// exactly equivalent to inlining). Scopes are handled innermost-first:
-/// duplicates confined to an `If` branch or loop body are hoisted inside
-/// it; the outer scan then only sees cross-scope repeats. Candidates must
-/// be position-insensitive within one loop iteration — no `rand()` (draw
-/// count), no effect reads (the shadow mutates mid-iteration), no source
-/// locals (a hoist above the defining `Let` would read a stale slot).
-struct Cse;
-
-struct CseCtx {
-    next_slot: u16,
-    raw: Vec<u16>,
-    hoists: usize,
-}
-
-impl Pass for Cse {
-    fn name(&self) -> &'static str {
-        "cse"
-    }
-
-    fn run(&self, class: CompiledClass) -> (CompiledClass, usize) {
-        let mut stmts = class.query.stmts.clone();
-        let mut ctx = CseCtx { next_slot: class.query.n_locals, raw: class.query.raw_slots.clone(), hoists: 0 };
-        cse_level(&mut stmts, &mut ctx);
-        if ctx.hoists == 0 {
-            return (class, 0);
-        }
-        let hoists = ctx.hoists;
-        let plan = QueryPlan { stmts, n_locals: ctx.next_slot, raw_slots: ctx.raw };
-        (class.with_query(plan), hoists)
-    }
-}
-
-fn cse_level(stmts: &mut Vec<PStmt>, ctx: &mut CseCtx) {
-    for s in stmts.iter_mut() {
-        match s {
-            PStmt::If { then_, else_, .. } => {
-                cse_level(then_, ctx);
-                cse_level(else_, ctx);
-            }
-            PStmt::Foreach { body } => cse_level(body, ctx),
-            _ => {}
-        }
-    }
-    while ctx.next_slot < u16::MAX {
-        let Some(target) = best_candidate(stmts) else { break };
-        // Insertion point: directly before the first statement at this
-        // level that mentions the expression (evaluation is pure, so
-        // hoisting above an `If` that guards some occurrences is
-        // unobservable).
-        let Some(at) = stmts.iter().position(|s| stmt_contains(s, &target)) else { break };
-        let slot = ctx.next_slot;
-        ctx.next_slot += 1;
-        ctx.raw.push(slot);
-        ctx.hoists += 1;
-        for s in stmts.iter_mut() {
-            replace_in_stmt(s, &target, slot);
-        }
-        stmts.insert(at, PStmt::Let { slot, value: target });
-    }
-}
-
-/// Root expressions at one scope level: statement expressions here and
-/// inside `If` branches, never crossing into a `Foreach` body (its own
-/// level, and `Other*` reads are meaningless outside it).
-fn level_exprs<'a>(stmts: &'a [PStmt], out: &mut Vec<&'a PExpr>) {
-    for s in stmts {
-        match s {
-            PStmt::Let { value, .. } | PStmt::LocalEffect { value, .. } | PStmt::RemoteEffect { value, .. } => {
-                out.push(value)
-            }
-            PStmt::If { cond, then_, else_ } => {
-                out.push(cond);
-                level_exprs(then_, out);
-                level_exprs(else_, out);
-            }
-            PStmt::Foreach { .. } => {}
-        }
-    }
-}
-
-fn subtrees<'a>(e: &'a PExpr, out: &mut Vec<&'a PExpr>) {
-    out.push(e);
-    match e {
-        PExpr::Unary(_, a) => subtrees(a, out),
-        PExpr::Binary(_, a, b) => {
-            subtrees(a, out);
-            subtrees(b, out);
-        }
-        PExpr::Call(_, args) => {
-            for a in args {
-                subtrees(a, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn op_count(e: &PExpr) -> usize {
-    let mut n = 0;
-    e.any(&mut |x| {
-        if matches!(x, PExpr::Unary(..) | PExpr::Binary(..) | PExpr::Call(..)) {
-            n += 1;
-        }
-        false
-    });
-    n
-}
-
-fn hoistable(e: &PExpr) -> bool {
-    !e.any(&mut |x| matches!(x, PExpr::Rand | PExpr::SelfEffect(_) | PExpr::Local(_)))
-}
-
-/// The most profitable repeated subexpression at this level: highest op
-/// count among those occurring at least twice, earliest first occurrence
-/// on ties (deterministic output).
-fn best_candidate(stmts: &[PStmt]) -> Option<PExpr> {
-    let mut roots: Vec<&PExpr> = Vec::new();
-    level_exprs(stmts, &mut roots);
-    let mut cands: Vec<(&PExpr, usize)> = Vec::new();
-    for root in &roots {
-        let mut subs = Vec::new();
-        subtrees(root, &mut subs);
-        for e in subs {
-            if op_count(e) < 2 || !hoistable(e) {
-                continue;
-            }
-            match cands.iter_mut().find(|(c, _)| *c == e) {
-                Some((_, n)) => *n += 1,
-                None => cands.push((e, 1)),
-            }
-        }
-    }
-    let mut best: Option<(&PExpr, usize)> = None;
-    for (e, n) in &cands {
-        if *n < 2 {
-            continue;
-        }
-        let ops = op_count(e);
-        if best.is_none_or(|(_, b)| ops > b) {
-            best = Some((e, ops));
-        }
-    }
-    best.map(|(e, _)| e.clone())
-}
-
-fn expr_contains(e: &PExpr, target: &PExpr) -> bool {
-    e.any(&mut |n| n == target)
-}
-
-fn stmt_contains(s: &PStmt, target: &PExpr) -> bool {
-    match s {
-        PStmt::Let { value, .. } | PStmt::LocalEffect { value, .. } | PStmt::RemoteEffect { value, .. } => {
-            expr_contains(value, target)
-        }
-        PStmt::If { cond, then_, else_ } => {
-            expr_contains(cond, target)
-                || then_.iter().any(|s| stmt_contains(s, target))
-                || else_.iter().any(|s| stmt_contains(s, target))
-        }
-        PStmt::Foreach { .. } => false,
-    }
-}
-
-/// Top-down replacement: an occurrence is rewritten whole, so nested
-/// duplicates inside it survive for the next round.
-fn replace_expr(e: PExpr, target: &PExpr, slot: u16) -> PExpr {
-    if e == *target {
-        return PExpr::Local(slot);
-    }
-    match e {
-        PExpr::Unary(op, a) => PExpr::Unary(op, Box::new(replace_expr(*a, target, slot))),
-        PExpr::Binary(op, a, b) => {
-            PExpr::Binary(op, Box::new(replace_expr(*a, target, slot)), Box::new(replace_expr(*b, target, slot)))
-        }
-        PExpr::Call(b, args) => PExpr::Call(b, args.into_iter().map(|a| replace_expr(a, target, slot)).collect()),
-        other => other,
-    }
-}
-
-fn replace_in_stmt(s: &mut PStmt, target: &PExpr, slot: u16) {
-    match s {
-        PStmt::Let { value, .. } | PStmt::LocalEffect { value, .. } | PStmt::RemoteEffect { value, .. } => {
-            *value = replace_expr(std::mem::replace(value, PExpr::Rand), target, slot);
-        }
-        PStmt::If { cond, then_, else_ } => {
-            *cond = replace_expr(std::mem::replace(cond, PExpr::Rand), target, slot);
-            for t in then_.iter_mut().chain(else_.iter_mut()) {
-                replace_in_stmt(t, target, slot);
-            }
-        }
-        PStmt::Foreach { .. } => {}
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1138,6 +940,25 @@ mod tests {
         }
     }
 
+    /// A loop of `n` sibling `if`s that each bind one `const`, then a
+    /// non-local assignment.
+    fn many_locals_script(n: usize) -> String {
+        let consts = "if (true) { const float c = 1; } ".repeat(n);
+        format!(
+            "class F {{ public state float x : x #range[-1, 1]; private effect float e : sum;
+               public void run() {{ foreach (F p : Extent<F>) {{ {consts} p.e <- 1; }} }} }}"
+        )
+    }
+
+    #[test]
+    fn local_slots_past_u16_are_an_error() {
+        let err = invert_effects(compile_src(&many_locals_script(1 << 15))).expect_err("must refuse");
+        assert!(err.to_string().contains("local slots"), "{err}");
+        let prog = parse(&many_locals_script(1 << 16)).unwrap();
+        let err = compile(&analyze(&prog.classes[0]).unwrap()).expect_err("must refuse");
+        assert!(err.to_string().contains("`const` bindings"), "{err}");
+    }
+
     #[test]
     fn inversion_is_identity_on_local_scripts() {
         let src = r#"
@@ -1164,8 +985,7 @@ mod tests {
         assert!(!inv.schema().has_nonlocal_effects());
     }
 
-    /// Local-effects-only schooling script with a repeated denominator —
-    /// the CSE showcase.
+    /// Local-effects-only schooling script with a repeated denominator.
     const SCHOOL: &str = r#"
         class Fish {
             public state float x : x #range[-1, 1];
@@ -1262,8 +1082,9 @@ mod tests {
     }
 
     #[test]
-    fn cse_keeps_signed_zero_constants_apart() {
-        // `1 / ±0` is `±∞`: merging the two products flips `b`'s sign.
+    fn pipeline_keeps_signed_zero_constants_apart() {
+        // `1 / ±0` is `±∞`: a rewrite that merged the two products would
+        // flip `b`'s sign.
         let src = two_effect_script("a <- 1 / ((p.x - x) * 0); b <- 1 / ((p.x - x) * -0);");
         let (out, _) = Pipeline::standard().run(compile_src(&src));
         assert_eq!(bits_after_steps(out), bits_after_steps(compile_src(&src)));
@@ -1287,18 +1108,7 @@ mod tests {
     }
 
     #[test]
-    fn cse_hoists_repeated_denominator() {
-        let (out, report) = Pipeline::standard().run(compile_src(SCHOOL));
-        let cse = report.passes.iter().find(|p| p.name == "cse").unwrap();
-        assert!(cse.rewrites >= 1, "{report:?}");
-        assert!(!out.query.raw_slots.is_empty());
-        // The hoisted binding lives inside the loop body, before both uses.
-        let lets = out.query.count(&mut |s| matches!(s, PStmt::Let { .. }));
-        assert!(lets >= 1);
-    }
-
-    #[test]
-    fn cse_output_is_bit_identical() {
+    fn pipeline_output_is_bit_identical_on_a_repeated_denominator() {
         let a = states_after_steps(compile_src(SCHOOL));
         let b = states_after_steps(Pipeline::standard().run(compile_src(SCHOOL)).0);
         assert_eq!(a, b);

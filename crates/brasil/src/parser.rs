@@ -26,10 +26,24 @@ use crate::ast::*;
 use crate::token::{lex, Spanned, Tok};
 use brace_common::{BraceError, Result};
 
+/// How deep a program may nest, in levels. The parser recurses over what is
+/// open at a token — blocks, parentheses, argument lists, unary operators —
+/// and every later stage (analysis, planning, the passes, lowering, dropping
+/// the tree) over the height of the tree it built, so an unbounded input
+/// would overflow the stack; at this depth a whole compile fits a 2 MiB
+/// thread in a debug build. A block, a parenthesis and an argument list
+/// open four levels (the parser reaches them through every precedence
+/// level), a unary operator one. An expression node is accepted while the
+/// levels open around it plus its height stay within the bound; an operator,
+/// field access or call is one level of height, each of a chain's included
+/// (`1 + 1 + … + 1` is parsed in a loop, but into a left-leaning tree whose
+/// height adds up the chains of every deep left operand).
+pub const MAX_DEPTH: usize = 640;
+
 /// Parse a full program.
 pub fn parse(source: &str) -> Result<Program> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let mut classes = Vec::new();
     while !p.check(&Tok::Eof) {
         classes.push(p.class()?);
@@ -40,9 +54,32 @@ pub fn parse(source: &str) -> Result<Program> {
     Ok(Program { classes })
 }
 
+/// The binary operator `t` stands for at precedence `level`, loosest first:
+/// `||`, `&&`, comparisons, `+ -`, `* / %`.
+fn binop_at(level: usize, t: &Tok) -> Option<BinOp> {
+    Some(match (level, t) {
+        (0, Tok::OrOr) => BinOp::Or,
+        (1, Tok::AndAnd) => BinOp::And,
+        (2, Tok::Lt) => BinOp::Lt,
+        (2, Tok::Le) => BinOp::Le,
+        (2, Tok::Gt) => BinOp::Gt,
+        (2, Tok::Ge) => BinOp::Ge,
+        (2, Tok::EqEq) => BinOp::Eq,
+        (2, Tok::Ne) => BinOp::Ne,
+        (3, Tok::Plus) => BinOp::Add,
+        (3, Tok::Minus) => BinOp::Sub,
+        (4, Tok::Star) => BinOp::Mul,
+        (4, Tok::Slash) => BinOp::Div,
+        (4, Tok::Percent) => BinOp::Rem,
+        _ => return None,
+    })
+}
+
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Levels of nesting open at `pos`; see [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -74,6 +111,25 @@ impl Parser {
     fn err<T>(&self, message: impl Into<String>) -> Result<T> {
         let s = self.peek();
         Err(BraceError::Parse { line: s.line, col: s.col, message: message.into() })
+    }
+
+    /// `height`, if a node that tall fits under the levels open here; see
+    /// [`MAX_DEPTH`].
+    fn fits(&self, height: usize) -> Result<usize> {
+        if self.depth + height > MAX_DEPTH {
+            return self.err(format!("nested more than {MAX_DEPTH} levels deep"));
+        }
+        Ok(height)
+    }
+
+    /// Run `parse` with `levels` more levels open (an error abandons the
+    /// parse, so it need not close them).
+    fn nested<T>(&mut self, levels: usize, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.depth += levels;
+        self.fits(0)?;
+        let out = parse(self)?;
+        self.depth -= levels;
+        Ok(out)
     }
 
     fn expect(&mut self, t: &Tok) -> Result<Spanned> {
@@ -188,7 +244,7 @@ impl Parser {
         self.expect(&Tok::LBrace)?;
         let mut stmts = Vec::new();
         while !self.check(&Tok::RBrace) {
-            stmts.push(self.stmt()?);
+            stmts.push(self.nested(4, Self::stmt)?);
         }
         self.expect(&Tok::RBrace)?;
         Ok(Block { stmts })
@@ -227,7 +283,7 @@ impl Parser {
         }
         // Effect assignment: `lhs <- expr;` where lhs is ident or postfix
         // field access.
-        let lhs = self.postfix()?;
+        let (lhs, _) = self.postfix()?;
         self.expect(&Tok::Arrow)?;
         let value = self.expr()?;
         self.expect(&Tok::Semi)?;
@@ -252,143 +308,90 @@ impl Parser {
     // ---- expressions ------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        Ok(self.tall_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut e = self.and_expr()?;
-        while self.eat(&Tok::OrOr) {
-            let r = self.and_expr()?;
-            e = Expr::Binary(BinOp::Or, Box::new(e), Box::new(r));
+    /// An expression and its height (a leaf is 0).
+    fn tall_expr(&mut self) -> Result<(Expr, usize)> {
+        self.nested(4, |p| p.binary(0))
+    }
+
+    /// The operators of precedence `level` and tighter, left-associative;
+    /// comparisons (level 2) do not chain.
+    fn binary(&mut self, level: usize) -> Result<(Expr, usize)> {
+        if level == 5 {
+            return self.unary_expr();
         }
-        Ok(e)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut e = self.cmp_expr()?;
-        while self.eat(&Tok::AndAnd) {
-            let r = self.cmp_expr()?;
-            e = Expr::Binary(BinOp::And, Box::new(e), Box::new(r));
+        let (mut e, mut height) = self.binary(level + 1)?;
+        while let Some(op) = binop_at(level, &self.peek().tok) {
+            self.advance();
+            let (r, r_height) = self.binary(level + 1)?;
+            height = self.fits(height.max(r_height) + 1)?;
+            e = Expr::Binary(op, Box::new(e), Box::new(r));
+            if level == 2 {
+                break;
+            }
         }
-        Ok(e)
+        Ok((e, height))
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr> {
-        let e = self.add_expr()?;
+    fn unary_expr(&mut self) -> Result<(Expr, usize)> {
         let op = match self.peek().tok {
-            Tok::Lt => Some(BinOp::Lt),
-            Tok::Le => Some(BinOp::Le),
-            Tok::Gt => Some(BinOp::Gt),
-            Tok::Ge => Some(BinOp::Ge),
-            Tok::EqEq => Some(BinOp::Eq),
-            Tok::Ne => Some(BinOp::Ne),
-            _ => None,
+            Tok::Minus => UnOp::Neg,
+            Tok::Not => UnOp::Not,
+            _ => return self.postfix(),
         };
-        if let Some(op) = op {
-            self.advance();
-            let r = self.add_expr()?;
-            Ok(Expr::Binary(op, Box::new(e), Box::new(r)))
-        } else {
-            Ok(e)
-        }
+        self.advance();
+        let (e, height) = self.nested(1, Self::unary_expr)?;
+        Ok((Expr::Unary(op, Box::new(e)), height + 1))
     }
 
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut e = self.mul_expr()?;
-        loop {
-            let op = match self.peek().tok {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let r = self.mul_expr()?;
-            e = Expr::Binary(op, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr> {
-        let mut e = self.unary_expr()?;
-        loop {
-            let op = match self.peek().tok {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.advance();
-            let r = self.unary_expr()?;
-            e = Expr::Binary(op, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr> {
-        if self.eat(&Tok::Minus) {
-            let e = self.unary_expr()?;
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(e)));
-        }
-        if self.eat(&Tok::Not) {
-            let e = self.unary_expr()?;
-            return Ok(Expr::Unary(UnOp::Not, Box::new(e)));
-        }
-        self.postfix()
-    }
-
-    fn postfix(&mut self) -> Result<Expr> {
-        let mut e = self.primary()?;
+    fn postfix(&mut self) -> Result<(Expr, usize)> {
+        let (mut e, mut height) = self.primary()?;
         while self.eat(&Tok::Dot) {
             let field = self.ident()?;
+            height = self.fits(height + 1)?;
             e = Expr::Field(Box::new(e), field);
         }
-        Ok(e)
+        Ok((e, height))
     }
 
-    fn primary(&mut self) -> Result<Expr> {
-        match self.peek().tok.clone() {
-            Tok::Number(n) => {
-                self.advance();
-                Ok(Expr::Number(n))
-            }
-            Tok::True => {
-                self.advance();
-                Ok(Expr::Bool(true))
-            }
-            Tok::False => {
-                self.advance();
-                Ok(Expr::Bool(false))
-            }
-            Tok::This => {
-                self.advance();
-                Ok(Expr::This)
-            }
+    fn primary(&mut self) -> Result<(Expr, usize)> {
+        let leaf = match self.peek().tok.clone() {
+            Tok::Number(n) => Expr::Number(n),
+            Tok::True => Expr::Bool(true),
+            Tok::False => Expr::Bool(false),
+            Tok::This => Expr::This,
             Tok::LParen => {
                 self.advance();
-                let e = self.expr()?;
+                let e = self.tall_expr()?;
                 self.expect(&Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
             Tok::Ident(name) => {
                 self.advance();
-                if self.eat(&Tok::LParen) {
-                    let mut args = Vec::new();
-                    if !self.check(&Tok::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
+                if !self.eat(&Tok::LParen) {
+                    return Ok((Expr::Ident(name), 0));
+                }
+                let mut args = Vec::new();
+                let mut height = 0;
+                if !self.check(&Tok::RParen) {
+                    loop {
+                        let (arg, arg_height) = self.tall_expr()?;
+                        args.push(arg);
+                        height = height.max(arg_height);
+                        if !self.eat(&Tok::Comma) {
+                            break;
                         }
                     }
-                    self.expect(&Tok::RParen)?;
-                    Ok(Expr::Call(name, args))
-                } else {
-                    Ok(Expr::Ident(name))
                 }
+                self.expect(&Tok::RParen)?;
+                return Ok((Expr::Call(name, args), height + 1));
             }
-            other => self.err(format!("expected expression, found `{other}`")),
-        }
+            other => return self.err(format!("expected expression, found `{other}`")),
+        };
+        self.advance();
+        Ok((leaf, 0))
     }
 }
 
@@ -550,5 +553,58 @@ mod tests {
     #[test]
     fn empty_program_rejected() {
         assert!(parse("  // nothing\n").is_err());
+    }
+
+    const SHAPES: [&str; 5] = ["parentheses", "unary minuses", "sum", "parenthesised sums", "mixed precedence"];
+
+    /// A script whose one effect assignment nests `levels` deep in `shape`,
+    /// on top of the 8 levels of its `run()` statement and expression. A
+    /// parenthesis is 4 levels (so `levels` rounds up to a multiple of 4),
+    /// a minus or a binary operator 1. "parenthesised sums" nests 64
+    /// parenthesised sums, each the left operand of the next, so that each
+    /// sum alone is short but the tree is `levels` tall; "mixed precedence"
+    /// is a chain of minuses, then of `*`, `+`, `&&` and `||`.
+    fn nested_script(shape: &str, levels: usize) -> String {
+        let chain = |op: &str, n: usize| format!(" {op} 1").repeat(n);
+        let value = match shape {
+            "parentheses" => format!("{}1{}", "(".repeat(levels.div_ceil(4)), ")".repeat(levels.div_ceil(4))),
+            "unary minuses" => format!("{}1", "-".repeat(levels)),
+            "sum" => format!("1{}", chain("+", levels)),
+            "parenthesised sums" => {
+                let sum = chain("+", levels / 64);
+                (1..64).fold(format!("1{sum}"), |inner, _| format!("({inner}){sum}")) + &chain("+", levels % 64)
+            }
+            _ => {
+                let n = levels / 5;
+                format!("{}1{}", "-".repeat(n), ["*", "+", "&&"].map(|op| chain(op, n)).concat())
+                    + &chain("||", levels - 4 * n)
+            }
+        };
+        format!("class A {{\n private effect float e : sum;\n public void run() {{\n e <- {value};\n }}\n}}")
+    }
+
+    /// Compile and lower `src` on a thread with the default spawned stack.
+    fn compile_on_a_2_mib_thread(src: String) -> Result<()> {
+        let compile = move || crate::Script::compile(&src).map(|s| drop(s.behavior("A").expect("class A")));
+        std::thread::Builder::new().stack_size(2 << 20).spawn(compile).unwrap().join().unwrap()
+    }
+
+    #[test]
+    fn nesting_at_the_bound_compiles_on_a_2_mib_thread() {
+        for shape in SHAPES {
+            let at_bound = compile_on_a_2_mib_thread(nested_script(shape, MAX_DEPTH - 8));
+            assert!(at_bound.is_ok(), "{shape}: {at_bound:?}");
+            let past = compile_on_a_2_mib_thread(nested_script(shape, MAX_DEPTH - 7));
+            assert!(matches!(past, Err(BraceError::Parse { line: 4, .. })), "{shape}: {past:?}");
+        }
+    }
+
+    #[test]
+    fn a_hundred_thousand_levels_are_a_parse_error_not_a_stack_overflow() {
+        for shape in SHAPES {
+            let src = nested_script(shape, 100_000);
+            let err = std::thread::spawn(move || crate::Script::compile(&src).err()).join().unwrap();
+            assert!(matches!(err, Some(BraceError::Parse { line: 4, .. })), "{shape}: {err:?}");
+        }
     }
 }

@@ -155,11 +155,12 @@ pub enum PExpr {
     Rand,
 }
 
-/// Structural equality, with `Const`s equal only when their bits are: IEEE
-/// `==` would make `0.0` and `-0.0` one constant (CSE would merge
-/// `e * 0` with `e * -0`) and `NaN` unequal to itself (every pass that
-/// detects change by comparing plans would see a rewrite every round).
-/// `PStmt`, `UpdateRule` and `QueryPlan` derive their equality from this.
+/// Structural equality, with `Const`s equal only when their bits are. The
+/// pipeline detects a pass's change by comparing plans, and under IEEE `==`
+/// a folded `0/0` would be unequal to itself: const-fold would report a
+/// rewrite every round and never reach its fixpoint. Pushdown's [`Bound`]s,
+/// harvested from such constants, compare the same way. `PStmt`,
+/// `UpdateRule` and `QueryPlan` derive their equality from this.
 impl PartialEq for PExpr {
     fn eq(&self, other: &PExpr) -> bool {
         use PExpr::*;
@@ -273,12 +274,6 @@ impl PStmt {
 pub struct QueryPlan {
     pub stmts: Vec<PStmt>,
     pub n_locals: u16,
-    /// Slots whose `Let` binds the computed value *verbatim* — no NaN→NIL
-    /// coercion. Source-level `const` bindings coerce (NIL propagation is
-    /// observable at `if` conditions), but optimizer-introduced temporaries
-    /// must be transparent: hoisting `E` into a raw slot and reading it back
-    /// is exactly inlining `E`.
-    pub raw_slots: Vec<u16>,
 }
 
 impl QueryPlan {
@@ -293,17 +288,6 @@ impl QueryPlan {
             });
         }
         n
-    }
-
-    /// `raw_slots` as a per-slot mask.
-    pub fn raw_mask(&self) -> Vec<bool> {
-        let mut raw = vec![false; self.n_locals as usize];
-        for &s in &self.raw_slots {
-            if let Some(f) = raw.get_mut(s as usize) {
-                *f = true;
-            }
-        }
-        raw
     }
 
     /// Does the plan contain any non-local effect assignment?
@@ -460,7 +444,6 @@ mod tests {
                 ],
             }],
             n_locals: 0,
-            raw_slots: Vec::new(),
         };
         assert!(plan.has_remote_effects());
         assert_eq!(plan.count(&mut |s| matches!(s, PStmt::LocalEffect { .. })), 1);

@@ -117,14 +117,11 @@ fn eval<R: AgentRead + Copy>(e: &PExpr, ctx: &mut EvalCtx<'_, R>) -> Option<f64>
 #[derive(Debug, Clone)]
 pub struct ReferenceBehavior {
     class: CompiledClass,
-    /// Per-slot NaN-transparency mask, from `QueryPlan::raw_slots`.
-    raw: Vec<bool>,
 }
 
 impl ReferenceBehavior {
     pub(crate) fn new(class: CompiledClass) -> Self {
-        let raw = class.query.raw_mask();
-        ReferenceBehavior { class, raw }
+        ReferenceBehavior { class }
     }
 
     #[allow(clippy::too_many_arguments)] // interpreter context, flattened for the hot path
@@ -147,10 +144,8 @@ impl ReferenceBehavior {
                         let mut ctx = EvalCtx { me, other: other.map(|o| o.0), locals, effects: shadow, rng };
                         eval(value, &mut ctx)
                     };
-                    // Source-level bindings coerce NaN → NIL; optimizer
-                    // temporaries (raw slots) bind verbatim, so reading one
-                    // back is exactly inlining the hoisted expression.
-                    locals[*slot as usize] = if self.raw[*slot as usize] { v } else { v.filter(|v| !v.is_nan()) };
+                    // A binding coerces NaN → NIL.
+                    locals[*slot as usize] = v.filter(|v| !v.is_nan());
                 }
                 PStmt::LocalEffect { field, value } => {
                     let v = {

@@ -17,13 +17,13 @@
 //! * **NIL is a mask, not NaN.** NaN does not propagate through comparisons,
 //!   `min`/`max`, `&&`/`||` or `p == this`, so every register carries one
 //!   NIL bit per lane. A result is NIL where an operand is; `a && b` is NIL
-//!   where `a` is, or where `a ≠ 0` and `b` is (`||` dually); a source
-//!   `const` binding (a `Coerce` op) adds its NaN lanes, a raw optimizer
-//!   slot does not; an `if` whose condition lane is NIL skips the statement
-//!   for that lane; an effect assignment of a NIL or NaN value is skipped.
-//!   A source `const` is the only way in, and lowering knows per register
-//!   whether NIL can reach it: a program that binds none runs the evaluator
-//!   with NIL tracking compiled out.
+//!   where `a` is, or where `a ≠ 0` and `b` is (`||` dually); a `const`
+//!   binding (a `Coerce` op) adds its NaN lanes; an `if` whose condition lane
+//!   is NIL skips the statement for that lane; an effect assignment of a NIL
+//!   or NaN value is skipped. A source `const` is the only way in — every
+//!   `Let` in a plan is one — and lowering knows per register whether NIL
+//!   can reach it: a program that binds none runs the evaluator with NIL
+//!   tracking compiled out.
 //! * **Order.** The value ops of a body that neither draws nor reads an
 //!   effect are pure, so they run for every lane of a chunk and both sides
 //!   of every branch. *Emission* is what is ordered: lanes in candidate
@@ -322,8 +322,6 @@ enum RegKind {
 
 struct Lower<'a> {
     schema: &'a AgentSchema,
-    /// Per local slot: binds verbatim (optimizer temporaries).
-    raw: Vec<bool>,
     update_phase: bool,
     kinds: Vec<RegKind>,
     /// Per register: can be NIL.
@@ -405,7 +403,6 @@ impl<'a> Lower<'a> {
         let schema = class.schema();
         Lower {
             schema,
-            raw: class.query.raw_mask(),
             update_phase,
             kinds: Vec::new(),
             may_nil: Vec::new(),
@@ -636,11 +633,8 @@ impl<'a> Lower<'a> {
         for s in list {
             match s {
                 PStmt::Let { slot, value } => {
-                    let mut r = self.expr(value);
-                    if !self.raw[*slot as usize] {
-                        r = self.emit(Code::Coerce, [r, 0, 0]);
-                    }
-                    self.slots[*slot as usize] = Some(r);
+                    let r = self.expr(value);
+                    self.slots[*slot as usize] = Some(self.emit(Code::Coerce, [r, 0, 0]));
                     if draws(value) {
                         self.step(Act::Eval);
                     }

@@ -230,6 +230,20 @@ mod tests {
         assert!(!predator(true).unwrap().schema().has_nonlocal_effects());
     }
 
+    /// The production plans' register programs, by op count (agent level,
+    /// of which hoisted, per chunk, update): a pass edit that makes one of
+    /// them bigger fails here.
+    #[test]
+    fn production_register_programs_keep_their_op_counts() {
+        let ops = |behavior: BrasilBehavior| {
+            let s = brasil::vm::lower(behavior.class()).summary();
+            (s.agent_ops, s.hoisted_ops, s.candidate_ops, s.update_ops)
+        };
+        assert_eq!(ops(fish_school().unwrap()), (2, 2, 8, 26));
+        assert_eq!(ops(car_following().unwrap()), (1, 1, 5, 12));
+        assert_eq!(ops(predator(true).unwrap()), (2, 2, 2, 14));
+    }
+
     #[test]
     fn car_following_keeps_order_and_speed() {
         let behavior = car_following().unwrap();

@@ -5,10 +5,10 @@
 //! * Proptests (named `opt_*` so CI can select them) drive each
 //!   `brasil-*` scenario against its [`brasil_unoptimized`] twin through
 //!   `brace_core::Simulation` over random populations, seeds, index
-//!   kinds and tick counts. This pins the whole pipeline — const-fold, CSE, dead-code and
-//!   visibility-predicate pushdown (the shrunken probe rect must not drop a
-//!   contributing candidate) — and that the optimized and the unoptimized
-//!   plan lower to register programs that agree.
+//!   kinds and tick counts. This pins the whole pipeline — const-fold,
+//!   dead-code and visibility-predicate pushdown (the shrunken probe rect
+//!   must not drop a contributing candidate) — and that the optimized and
+//!   the unoptimized plan lower to register programs that agree.
 //! * A specification test runs the car and the (inverted) predator script
 //!   through the register program and through the tree-walking reference
 //!   (`BrasilBehavior::reference`) — the evaluator is one, so what used to

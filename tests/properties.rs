@@ -14,6 +14,8 @@
 //!   seed (the determinism contract of `brace_core::executor`).
 //! * The pool-backed executor equals the `Vec<Agent>` reference path at
 //!   the bit level — the contract of the struct-of-arrays refactor.
+//! * The BRASIL front end turns hostile source — arbitrary bytes, mutated
+//!   scripts, nesting past its depth bound — into an error, never a panic.
 
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, FieldId, Rect, Vec2};
@@ -1762,5 +1764,122 @@ proptest! {
         };
         worlds_bit_identical(&cluster(std::sync::Arc::new(vm)), &cluster(std::sync::Arc::new(spec)))
             .map_err(|e| format!("{}: {e}", label("2-worker cluster")))?;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// BRASIL front end: hostile source is an error, never a panic
+// (CI reruns this section with PROPTEST_CASES=256)
+// ---------------------------------------------------------------------------
+
+/// `src` cut into pieces: identifier and number runs, single punctuation
+/// characters, and the whitespace between them, so that `concat` gives
+/// `src` back.
+fn brasil_pieces(src: &str) -> Vec<String> {
+    let class = |c: char| match c {
+        c if c.is_whitespace() => 0,
+        c if c.is_ascii_alphanumeric() || c == '_' || c == '.' => 1,
+        _ => 2,
+    };
+    let mut pieces: Vec<String> = Vec::new();
+    for c in src.chars() {
+        match pieces.last_mut() {
+            Some(p) if class(c) < 2 && p.chars().next().map(class) == Some(class(c)) => p.push(c),
+            _ => pieces.push(c.to_string()),
+        }
+    }
+    pieces
+}
+
+/// The source drawn for `seed`: arbitrary bytes, or a shipped script with
+/// bytes flipped, cut short, tokens deleted or duplicated, or a stretch
+/// wrapped in nesting up to three times [`brasil::parser::MAX_DEPTH`] deep,
+/// up to four times over. Bytes are decoded lossily.
+fn hostile_brasil_source(seed: u64) -> String {
+    use brace_models::scripts;
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut pick = |n: usize| rng.below(n.max(1) as u64) as usize;
+    let script = [scripts::FISH_SCHOOL, scripts::PREDATOR, scripts::CAR_FOLLOWING, scripts::FIGURE2_FISH][pick(4)];
+    let mut pieces = brasil_pieces(script);
+    let tokens: Vec<usize> = (0..pieces.len()).filter(|&i| !pieces[i].trim().is_empty()).collect();
+    let mut bytes = script.as_bytes().to_vec();
+    match pick(6) {
+        0 => {
+            let alphabet = b"(){}[];:,.<->=+-*/%!&|#_0123456789eEpx \n";
+            bytes = (0..pick(512))
+                .map(|_| if pick(2) == 0 { pick(256) as u8 } else { alphabet[pick(alphabet.len())] })
+                .collect();
+        }
+        1 => {
+            for _ in 0..1 + pick(8) {
+                let at = pick(bytes.len());
+                bytes[at] ^= 1 + pick(255) as u8;
+            }
+        }
+        2 => bytes.truncate(pick(bytes.len())),
+        mutation => {
+            for _ in 0..1 + pick(4) {
+                let at = tokens[pick(tokens.len())];
+                match mutation {
+                    3 => pieces[at].clear(),
+                    4 => pieces[at] = format!("{0} {0}", pieces[at]),
+                    _ => {
+                        // A block wraps a statement of `run()` from its start
+                        // to its `;`. An expression wraps a number in up to
+                        // four layers, each around the last, so that a chain
+                        // may have a deep left operand.
+                        let block = pick(4) == 0;
+                        let prev = |t: usize| pieces[..t].iter().rev().find(|p| !p.trim().is_empty());
+                        let fits = |t: usize| match (block, pieces[t].as_str()) {
+                            (false, p) => p.starts_with(|c: char| c.is_ascii_digit()),
+                            (true, "public" | "private" | "}") => false,
+                            (true, p) => !p.trim().is_empty() && matches!(prev(t).map(|s| s.as_str()), Some("{" | ";")),
+                        };
+                        let Some(at) = (at..pieces.len()).chain(0..at).find(|&t| fits(t)) else { continue };
+                        let end = if block { (at..pieces.len()).find(|&t| pieces[t] == ";").unwrap_or(at) } else { at };
+                        let wraps: &[(&str, &str)] = if block {
+                            &[("if (1) { ", " }")]
+                        } else {
+                            &[
+                                ("(", ")"),
+                                ("-", ""),
+                                ("!", ""),
+                                ("abs(", ")"),
+                                ("", " + 1"),
+                                ("", " * 1"),
+                                ("", " || 1"),
+                            ]
+                        };
+                        for _ in 0..if block { 1 } else { 1 + pick(4) } {
+                            let (open, close) = wraps[pick(wraps.len())];
+                            let most = [40, brasil::parser::MAX_DEPTH, 3 * brasil::parser::MAX_DEPTH][pick(3)];
+                            let n = pick(most);
+                            pieces[at].insert_str(0, &open.repeat(n));
+                            pieces[end].push_str(&close.repeat(n));
+                        }
+                    }
+                }
+            }
+            bytes = pieces.concat().into_bytes();
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    /// Lexing, parsing, checking, planning, both pass pipelines and
+    /// lowering return `Ok` or `Err` on hostile source: none of them panics
+    /// or overflows the stack.
+    #[test]
+    fn brasil_front_end_never_panics(seed in any::<u64>()) {
+        let src = hostile_brasil_source(seed);
+        let compiled = std::panic::catch_unwind(|| {
+            let Ok(script) = brasil::Script::compile(&src) else { return };
+            for class in script.classes() {
+                brasil::BrasilBehavior::new(class.clone());
+                brasil::BrasilBehavior::new(brasil::Pipeline::with_inversion().run(class.clone()).0);
+            }
+        });
+        prop_assert!(compiled.is_ok(), "seed {seed} panicked on {src:?}");
     }
 }
