@@ -1,18 +1,16 @@
 //! Experiment harness regenerating every figure and table of the paper.
 //!
 //! Each `figN`/`tableN` function runs the corresponding experiment and
-//! returns typed rows; the `paper` binary prints them, and the Criterion
-//! benches reuse the same builders at micro scale. Absolute numbers are
+//! returns typed rows; the `paper` binary prints them. Absolute numbers are
 //! machine-dependent — the *shape* (who wins, growth orders, crossovers)
 //! is what reproduces the paper; each experiment's expected shape is
 //! documented on its function and asserted in `tests/paper_shapes.rs`.
+//! Performance is measured by `perfbench`, not here.
 
 pub mod experiments;
 pub mod table;
-pub mod throughput;
 
 pub use experiments::*;
-pub use throughput::{tick_throughput, ThroughputConfig, ThroughputReport};
 
 /// Scale presets: `Small` finishes in seconds per experiment (CI-friendly);
 /// `Paper` approaches the paper's problem sizes (minutes).

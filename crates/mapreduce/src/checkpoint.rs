@@ -55,7 +55,9 @@ impl ClusterCheckpoint {
         buf.freeze()
     }
 
-    /// Inverse of [`ClusterCheckpoint::encode`].
+    /// Inverse of [`ClusterCheckpoint::encode`]. The bytes may come from a
+    /// damaged or forged file, so every count is checked against the bytes
+    /// left before it is trusted, and nothing is allocated from a count.
     pub fn decode(mut bytes: Bytes) -> Result<Self> {
         let need = |b: &Bytes, n: usize| -> Result<()> {
             if b.remaining() < n {
@@ -69,14 +71,14 @@ impl ClusterCheckpoint {
         let tick = bytes.get_u64_le();
         need(&bytes, 4)?;
         let nb = bytes.get_u32_le() as usize;
-        need(&bytes, nb * 8 + 16 + 4)?;
+        need(&bytes, nb.saturating_mul(8).saturating_add(16 + 4))?;
         let x_bounds = (0..nb).map(|_| bytes.get_f64_le()).collect();
         let hist_range = (bytes.get_f64_le(), bytes.get_f64_le());
-        let nw = bytes.get_u32_le() as usize;
-        let mut workers = Vec::with_capacity(nw);
+        let nw = bytes.get_u32_le();
+        let mut workers = Vec::new();
         for _ in 0..nw {
             need(&bytes, 8)?;
-            let len = bytes.get_u64_le() as usize;
+            let len = usize::try_from(bytes.get_u64_le()).unwrap_or(usize::MAX);
             need(&bytes, len)?;
             workers.push(bytes.copy_to_bytes(len));
         }
@@ -302,6 +304,36 @@ mod tests {
         let c = cp(3).encode();
         let cut = c.slice(0..c.len() - 3);
         assert!(ClusterCheckpoint::decode(cut).is_err());
+    }
+
+    #[test]
+    fn hostile_worker_count_is_an_error_not_an_abort() {
+        // epoch, tick, no bounds, a histogram range, then a worker count of
+        // u32::MAX with no payload after it: 40 bytes.
+        let mut body = BytesMut::new();
+        body.put_u64_le(1);
+        body.put_u64_le(10);
+        body.put_u32_le(0);
+        body.put_f64_le(0.0);
+        body.put_f64_le(100.0);
+        body.put_u32_le(u32::MAX);
+        let body = body.freeze();
+        assert_eq!(body.len(), 40);
+        assert!(ClusterCheckpoint::decode(body.clone()).is_err());
+        // The same body behind a valid header and checksum: a 60-byte file.
+        let dir = std::env::temp_dir().join(format!("brace-cp-hostile-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut file = BytesMut::new();
+        file.put_u64_le(FILE_MAGIC);
+        file.put_u32_le(FILE_VERSION);
+        file.put_u64_le(fnv1a(&body));
+        file.extend_from_slice(&body);
+        assert_eq!(file.len(), 60);
+        std::fs::write(checkpoint_path(&dir, 1), &file[..]).unwrap();
+        assert!(load_checkpoint_file(&dir, 1).is_err());
+        assert!(CheckpointStore::load_latest_from(&dir).unwrap().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

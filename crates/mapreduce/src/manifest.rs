@@ -158,7 +158,7 @@ fn get_opt_bounds(bytes: &mut Bytes) -> Result<Option<Vec<f64>>> {
     }
     need(bytes, 4)?;
     let n = bytes.get_u32_le() as usize;
-    need(bytes, n * 8)?;
+    need(bytes, n.saturating_mul(8))?;
     Ok(Some((0..n).map(|_| bytes.get_f64_le()).collect()))
 }
 

@@ -6,8 +6,7 @@
 //! `brace_mapreduce::ClusterSim` is dyn-based and epoch-grained
 //! (`run_epochs`, `collect_agents()`). A [`Runner`] erases the difference:
 //! pick a [`Backend`], launch a [`SimHandle`], run ticks, collect the world.
-//! Metric sinks hang off [`Observer`]s, and warm-up elimination is
-//! [`SimHandle::reset_metrics`]. Both engines admit a population through the
+//! Metric sinks hang off [`Observer`]s. Both engines admit a population through the
 //! same `brace_core::check_population`, so a launch fails or succeeds alike
 //! on every backend.
 //!
@@ -22,7 +21,7 @@
 
 use crate::{Scenario, ScenarioSetup};
 use brace_common::{BraceError, Result};
-use brace_core::metrics::{SimMetrics, TickMetrics};
+use brace_core::metrics::TickMetrics;
 use brace_core::{Agent, Behavior, Simulation};
 use brace_mapreduce::{ClusterConfig, ClusterSim, ClusterStats};
 use brace_spatial::IndexKind;
@@ -412,23 +411,6 @@ impl SimHandle {
         match &self.inner {
             Inner::Single(sim) => sim.metrics().agent_ticks,
             Inner::Cluster(sim) => sim.stats().agent_ticks,
-        }
-    }
-
-    /// Single-node phase metrics (`None` on the cluster backend, whose
-    /// accounting lives in [`SimHandle::cluster_stats`]).
-    pub fn metrics(&self) -> Option<&SimMetrics> {
-        match &self.inner {
-            Inner::Single(sim) => Some(sim.metrics()),
-            Inner::Cluster(_) => None,
-        }
-    }
-
-    /// Discard accumulated single-node metrics (warm-up elimination); a
-    /// no-op on the cluster backend.
-    pub fn reset_metrics(&mut self) {
-        if let Inner::Single(sim) = &mut self.inner {
-            sim.reset_metrics();
         }
     }
 

@@ -6,7 +6,7 @@
 //! densities of the traffic workload a grid with cell ≈ visibility radius is
 //! hard to beat; for strongly clustered workloads (fish schools) the KD-tree
 //! adapts where the grid degrades — which is exactly why the comparison is
-//! interesting (see `bench/benches/spatial_index.rs`).
+//! interesting (perfbench's `spatial.grid.*` and `spatial.kdtree.*` rows).
 //!
 //! The grid hashes unbounded space: cell coordinates are derived by flooring
 //! and looked up in a hash map, so the "unbounded ocean" of the fish model

@@ -72,7 +72,7 @@ fn fish_school_cluster_equals_single_node() {
     let make = || FishBehavior::new(params.clone());
     let pop = make().population(200, 31);
     let reference = single_node(make(), pop.clone(), 15, 77);
-    for workers in [1, 2, 3] {
+    for workers in [1, 2, 3, 4] {
         let got = cluster(Arc::new(make()), pop.clone(), 15, 77, workers, (-15.0, 15.0), false);
         assert_eq!(reference, got, "fish x{workers}");
     }
@@ -84,7 +84,7 @@ fn traffic_cluster_equals_single_node() {
     let make = || TrafficBehavior::new(params.clone());
     let pop: Vec<Agent> = make().population(5).into_iter().filter(|a| a.pos.x < 2000.0).collect();
     let reference = single_node(make(), pop.clone(), 20, 13);
-    for workers in [2, 4] {
+    for workers in [1, 2, 4] {
         let got = cluster(Arc::new(make()), pop.clone(), 20, 13, workers, (0.0, 4000.0), false);
         assert_eq!(reference, got, "traffic x{workers}");
     }

@@ -69,7 +69,8 @@ fn worlds_bit_identical(label: &str, a: &[Agent], b: &[Agent]) -> Result<(), Str
 }
 
 /// Build `name` (optimized from the registry, or its unoptimized twin),
-/// run it on the single-node engine, and return the final world.
+/// run it on the single-node engine, and return the final world and the
+/// neighbours the query phase visited.
 fn run_world(
     name: &str,
     optimize: bool,
@@ -77,7 +78,7 @@ fn run_world(
     seed: u64,
     kind: brace::spatial::IndexKind,
     ticks: u64,
-) -> Vec<Agent> {
+) -> (Vec<Agent>, u64) {
     let setup = if optimize {
         Registry::builtin().get(name).expect("registered scenario").build(Some(n), seed).unwrap()
     } else {
@@ -91,7 +92,7 @@ fn run_world(
         .build()
         .unwrap();
     sim.run(ticks);
-    sim.agents()
+    (sim.agents(), sim.metrics().neighbor_visits)
 }
 
 #[test]
@@ -112,6 +113,8 @@ proptest! {
     /// The tentpole conformance bar: for every BRASIL scenario, random
     /// population size / seed / index kind / horizon, the optimized plan
     /// equals the unoptimized one bit for bit (probe-rect pushdown live).
+    /// Pushdown never widens a probe rect, and the car script's guard
+    /// (leaders only) narrows it.
     #[test]
     fn opt_pipeline_is_bit_identical_to_unoptimized(
         name in any_brasil_scenario(),
@@ -121,7 +124,12 @@ proptest! {
         ticks in 1u64..4,
     ) {
         let run = |optimize| run_world(name, optimize, n, seed, kind, ticks);
-        worlds_bit_identical(&format!("{name} opt vs no-opt"), &run(true), &run(false))?;
+        let ((opt, opt_visits), (unopt, unopt_visits)) = (run(true), run(false));
+        worlds_bit_identical(&format!("{name} opt vs no-opt"), &opt, &unopt)?;
+        prop_assert!(opt_visits <= unopt_visits, "{name}: {opt_visits} visits optimized, {unopt_visits} not");
+        if name == "brasil-car" {
+            prop_assert!(opt_visits < unopt_visits, "car pushdown removed no candidates: {opt_visits} visits");
+        }
     }
 
     /// The car and the (inverted) predator script — a pushed-down probe

@@ -1,14 +1,24 @@
 //! Miniature versions of the paper's experiments with their *shapes*
-//! asserted — the regression suite behind EXPERIMENTS.md. Runs in debug CI
-//! time; the full figures come from the `paper` binary in release mode.
+//! asserted. Runs in debug CI time; the full figures come from the `paper`
+//! binary (`cargo run -p brace-bench --release -- all`).
 
 use brace_common::stats::log_log_slope;
 use brace_core::{Behavior, Simulation};
 use brace_mapreduce::{ClusterConfig, ClusterSim, LoadBalancer};
 use brace_models::{FishBehavior, FishParams, MitsimBaseline, TrafficBehavior, TrafficParams};
 use brace_spatial::IndexKind;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// Held for the whole of every wall-clock test. The harness runs tests on
+/// parallel threads, and a shape timed while another timed test keeps the
+/// cores busy bends. A failed test poisons the lock; the next one takes it
+/// anyway, so one failure does not fail the rest.
+static WALL_CLOCK: Mutex<()> = Mutex::new(());
+
+fn wall_clock() -> MutexGuard<'static, ()> {
+    WALL_CLOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn timed(f: impl FnOnce()) -> f64 {
     let t0 = Instant::now();
@@ -21,11 +31,18 @@ fn timed(f: impl FnOnce()) -> f64 {
 /// a 4x size range, with wide margins for scheduler noise. The repetitions
 /// of the six configurations are interleaved, so a burst of contention from
 /// a concurrently running test slows one repetition of every size rather
-/// than every repetition of one size (which bends the slope).
+/// than every repetition of one size (which bends the slope). The release
+/// build's vectorised scan is cheap enough that at 400–1 600 vehicles its
+/// per-vehicle costs still rival the quadratic term (exponent ≈ 1.45, just
+/// over the bound), so release times four times the population: 1 600–6 400
+/// vehicles give ≈ 1.85. The debug build already shows the shape at the
+/// smaller sizes.
 #[test]
 fn fig3_shape_indexing_changes_growth_order() {
+    let _timing = wall_clock();
     let mut sims = Vec::new();
-    for segment in [5000.0, 10000.0, 20000.0] {
+    let segments = if cfg!(debug_assertions) { [5000.0, 10000.0, 20000.0] } else { [20000.0, 40000.0, 80000.0] };
+    for segment in segments {
         let params = TrafficParams { segment, ..TrafficParams::default() };
         for kind in [IndexKind::Scan, IndexKind::KdTree] {
             let behavior = TrafficBehavior::new(params.clone());
@@ -59,6 +76,7 @@ fn fig3_shape_indexing_changes_growth_order() {
 /// engine at equal physics (coarse wall-clock check, generous margin).
 #[test]
 fn fig3_shape_baseline_is_faster_than_generic_engine() {
+    let _timing = wall_clock();
     let params = TrafficParams { segment: 4000.0, ..TrafficParams::default() };
     let t_base = timed(|| {
         let mut sim = MitsimBaseline::new(params.clone(), 1);
@@ -84,6 +102,7 @@ fn fig3_shape_baseline_is_faster_than_generic_engine() {
 /// interleaved.
 #[test]
 fn fig4_shape_index_advantage_shrinks_with_visibility() {
+    let _timing = wall_clock();
     let n = 3000;
     let radius = (n as f64 / std::f64::consts::PI / 0.5).sqrt();
     let mut sims = Vec::new();

@@ -16,6 +16,9 @@
 //!   the bit level — the contract of the struct-of-arrays refactor.
 //! * The BRASIL front end turns hostile source — arbitrary bytes, mutated
 //!   scripts, nesting past its depth bound — into an error, never a panic.
+//! * So do the checkpoint and manifest decoders with hostile bytes —
+//!   arbitrary, flipped, truncated or with inflated counts — and neither
+//!   sizes an allocation from a count it has not checked.
 
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, FieldId, Rect, Vec2};
@@ -1212,7 +1215,8 @@ proptest! {
     }
 
     /// Traffic in its range form (a 1-D road: tiles are road segments, lane
-    /// changes and exit/respawn churn the rows).
+    /// changes and exit/respawn churn the rows), spread along the road or
+    /// jammed into a few dense tiles.
     #[test]
     fn kernel_tile_join_traffic_equals_reference(
         seed in 0u64..10_000,
@@ -1222,13 +1226,21 @@ proptest! {
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
+        jammed in any::<bool>(),
     ) {
         let params = TrafficParams { segment: 900.0, lanes, density, ..TrafficParams::default() };
         let b = TrafficBehavior::new(params.clone());
         let mut world = b.population(seed);
-        // Cars exactly on tile edges (tile side = the lookahead).
-        for (i, a) in world.iter_mut().enumerate().filter(|(i, _)| i % 4 == 0) {
-            a.pos.x = (i % 5) as f64 * params.lookahead;
+        if jammed {
+            // Every car in one of three jams a few metres long; lanes kept.
+            for (i, a) in world.iter_mut().enumerate() {
+                a.pos.x = [100.0, 420.0, 760.0][i % 3] + (i / 3 % 8) as f64;
+            }
+        } else {
+            // Cars exactly on tile edges (tile side = the lookahead).
+            for (i, a) in world.iter_mut().enumerate().filter(|(i, _)| i % 4 == 0) {
+                a.pos.x = (i % 5) as f64 * params.lookahead;
+            }
         }
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
@@ -1881,5 +1893,166 @@ proptest! {
             }
         });
         prop_assert!(compiled.is_ok(), "seed {seed} panicked on {src:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Durable-run decoders: hostile checkpoint and manifest bytes are an error,
+// never a panic or an abort (CI reruns this section with PROPTEST_CASES=256)
+// ---------------------------------------------------------------------------
+
+use brace_mapreduce::manifest::{DeadLetterRecord, EpochDoneRecord, RunHeader};
+use brace_mapreduce::runtime::EpochCommand;
+use brace_mapreduce::{ClusterCheckpoint, ManifestRecord};
+
+/// A checkpoint shaped like the ones the master takes: hostile column bounds
+/// and histogram range, and one real worker-snapshot encoding per worker.
+fn drawn_checkpoint(rng: &mut DetRng) -> ClusterCheckpoint {
+    let schema = AgentSchema::builder("S").state("v").effect("e", Combinator::Sum).build().unwrap();
+    let workers = (0..rng.below(4))
+        .map(|w| {
+            let agents: Vec<Agent> = (0..rng.below(3))
+                .map(|i| {
+                    let mut a = Agent::new(AgentId::new(w * 4 + i), Vec2::new(rng.unit(), rng.unit()), &schema);
+                    a.state[0] = hostile_f64(rng.next_raw());
+                    a
+                })
+                .collect();
+            let rng = rng.stream(w);
+            codec::encode_snapshot(&codec::WorkerSnapshot { tick: w, next_spawn_id: 4 * w, rng, agents })
+        })
+        .collect();
+    ClusterCheckpoint {
+        epoch: rng.next_raw(),
+        tick: rng.next_raw(),
+        x_bounds: (0..rng.below(5)).map(|_| hostile_f64(rng.next_raw())).collect(),
+        hist_range: (hostile_f64(rng.next_raw()), hostile_f64(rng.next_raw())),
+        workers,
+    }
+}
+
+/// One record of every [`ManifestRecord`] variant, fields drawn from `rng`
+/// (strings with multi-byte characters, bounds with hostile floats).
+fn drawn_manifest_records(rng: &mut DetRng) -> Vec<ManifestRecord> {
+    let text = |rng: &mut DetRng| -> String {
+        (0..rng.below(12)).map(|_| char::from_u32(rng.below(0x800) as u32).unwrap_or('?')).collect()
+    };
+    let bounds = |rng: &mut DetRng| -> Option<Vec<f64>> {
+        rng.chance(0.5).then(|| (0..rng.below(5)).map(|_| hostile_f64(rng.next_raw())).collect())
+    };
+    vec![
+        ManifestRecord::Header(RunHeader {
+            run_id: text(rng),
+            job: text(rng),
+            workers: rng.next_raw() as u32,
+            epoch_len: rng.next_raw(),
+            seed: rng.next_raw(),
+            index: rng.next_raw() as u8,
+            space_x: (hostile_f64(rng.next_raw()), hostile_f64(rng.next_raw())),
+            load_balance: rng.chance(0.5),
+            checkpoint_every: rng.next_raw(),
+            keep_checkpoints: rng.next_raw() as u32,
+            total_ticks: rng.next_raw(),
+        }),
+        ManifestRecord::Command(EpochCommand {
+            epoch: rng.next_raw(),
+            ticks: rng.next_raw(),
+            new_x_bounds: bounds(rng),
+            checkpoint: rng.chance(0.5),
+            hist_range: (hostile_f64(rng.next_raw()), hostile_f64(rng.next_raw())),
+        }),
+        ManifestRecord::EpochDone(EpochDoneRecord {
+            epoch: rng.next_raw(),
+            checkpoint: rng.chance(0.5),
+            hist_range: (hostile_f64(rng.next_raw()), hostile_f64(rng.next_raw())),
+            pending_bounds: bounds(rng),
+        }),
+        ManifestRecord::DeadLetter(DeadLetterRecord {
+            worker: rng.next_raw() as u32,
+            epoch: rng.next_raw(),
+            attempts: rng.next_raw() as u32,
+            agents_lost: rng.next_raw(),
+            reason: text(rng),
+        }),
+        ManifestRecord::Membership { epoch: rng.next_raw(), workers: rng.next_raw() as u32 },
+        ManifestRecord::Complete { ticks: rng.next_raw(), checksum: rng.next_raw() },
+    ]
+}
+
+/// `input` through both decoders. Each must return `Ok` or `Err`; a panic is
+/// reported with the input.
+fn decoders_survive(input: &[u8]) -> Result<(), String> {
+    std::panic::catch_unwind(|| {
+        let _ = ClusterCheckpoint::decode(input.to_vec().into());
+        let _ = ManifestRecord::decode(input.to_vec().into());
+    })
+    .map_err(|_| format!("a decoder panicked on {input:02x?}"))
+}
+
+/// [`decoders_survive`] on hostile copies of the valid encoding `valid`:
+/// every proper prefix; every 4- and 8-byte window (the width of the
+/// formats' counts and lengths) overwritten with all ones and with a count a
+/// little past the bytes that follow it; and four copies with up to eight
+/// bytes flipped.
+fn hostile_copies_survive(valid: &[u8], rng: &mut DetRng) -> Result<(), String> {
+    for n in 0..valid.len() {
+        decoders_survive(&valid[..n])?;
+    }
+    let mut copy = valid.to_vec();
+    for width in [4, 8] {
+        for at in 0..valid.len().saturating_sub(width - 1) {
+            let past_end = (valid.len() - at - width) as u64 + 1 + rng.below(64);
+            for count in [u64::MAX, past_end] {
+                copy[at..at + width].copy_from_slice(&count.to_le_bytes()[..width]);
+                decoders_survive(&copy)?;
+            }
+            copy[at..at + width].copy_from_slice(&valid[at..at + width]);
+        }
+    }
+    for _ in 0..4 {
+        let mut flipped = valid.to_vec();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(flipped.len().max(1) as u64) as usize;
+            if let Some(b) = flipped.get_mut(at) {
+                *b ^= 1 + rng.below(255) as u8;
+            }
+        }
+        decoders_survive(&flipped)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The durable-run decoders behind `--resume`: arbitrary bytes, and the
+    /// prefixes, count-inflated and byte-flipped copies of a real
+    /// checkpoint's encoding and of every manifest record's, all go through
+    /// both `ClusterCheckpoint::decode` and `ManifestRecord::decode`, which
+    /// return `Ok` or `Err` — never a panic, and never an allocation sized by
+    /// an unchecked count, which aborts the process. Valid encodings
+    /// round-trip bit for bit.
+    #[test]
+    fn checkpoint_and_manifest_decoders_never_panic(seed in any::<u64>()) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let checkpoint = drawn_checkpoint(&mut rng);
+        let encoded = checkpoint.encode();
+        let back = ClusterCheckpoint::decode(encoded.clone()).map_err(|e| format!("seed {seed}: {e}"))?;
+        prop_assert!(back.encode() == encoded, "seed {seed}: checkpoint changed in a round trip: {checkpoint:?}");
+        let mut valid = vec![encoded.to_vec()];
+        for record in drawn_manifest_records(&mut rng) {
+            let encoded = record.encode();
+            let back = ManifestRecord::decode(encoded.clone()).map_err(|e| format!("seed {seed}: {e}"))?;
+            prop_assert!(back.encode() == encoded, "seed {seed}: record changed in a round trip: {record:?}");
+            valid.push(encoded.to_vec());
+        }
+        let mut arbitrary: Vec<u8> = (0..rng.below(256)).map(|_| rng.next_raw() as u8).collect();
+        if let Some(tag) = arbitrary.first_mut().filter(|_| rng.chance(0.5)) {
+            *tag = rng.below(8) as u8; // past the manifest's tag check
+        }
+        decoders_survive(&arbitrary).map_err(|e| format!("seed {seed}: {e}"))?;
+        for v in &valid {
+            hostile_copies_survive(v, &mut rng).map_err(|e| format!("seed {seed}: {e}"))?;
+        }
     }
 }
