@@ -12,9 +12,9 @@
 //! The table is **column-major**: one flat `Vec<f64>` per effect field,
 //! matching the [`AgentPool`](crate::agent::AgentPool)'s struct-of-arrays
 //! layout — the pool's per-tick accumulator *is* an `EffectTable`, so the
-//! final shard merge lands directly in the pool's effect columns and the
-//! update phase reads them with no copy-back step. Column layout also
-//! makes [`EffectTable::reset`] schema-aware and trivially fast: one
+//! shard scatter or write-log replay lands directly in the pool's effect
+//! columns and the update phase reads them with no copy-back step. Column
+//! layout also makes [`EffectTable::reset`] schema-aware and trivially fast: one
 //! `slice::fill` with the field's identity per column, instead of writing
 //! row-interleaved identity patterns.
 //!
@@ -190,12 +190,6 @@ impl EffectTable {
         self.cols.iter().map(|col| col[row as usize]).collect()
     }
 
-    /// Gather the aggregated row for one agent into a reused buffer.
-    pub fn copy_row_into(&self, row: u32, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.cols.iter().map(|col| col[row as usize]));
-    }
-
     /// True if the row still holds only identities — such rows carry no
     /// information and the runtime skips shipping them (the paper's
     /// "∀i s.t. fᵗᵢ ≠ θ" filter).
@@ -229,26 +223,10 @@ impl EffectTable {
         }
     }
 
-    /// ⊕-merge every row of `src` into this table (row `i` into row `i`).
-    /// This is the shard-merge step for schemas with non-local effects,
-    /// where any shard may have written to any visible row; callers must
-    /// merge shards in a deterministic order (the executor uses ascending
-    /// shard index) so float aggregation is reproducible run to run. The
-    /// column layout turns this into one tight combine loop per field.
-    pub fn merge_table(&mut self, src: &EffectTable) {
-        debug_assert_eq!(src.width(), self.width(), "schema mismatch in merge_table");
-        debug_assert!(src.rows() <= self.rows, "shard merge out of range");
-        for ((dst, s), &comb) in self.cols.iter_mut().zip(&src.cols).zip(&self.combs) {
-            for (d, &p) in dst.iter_mut().zip(s.iter()) {
-                *d = comb.combine(*d, p);
-            }
-        }
-    }
-
     /// Apply segment `segment` of `log` — one agent's effect writes — in the
-    /// order they were made. Replaying every segment of a row range in
-    /// ascending source-row order performs exactly the combines, in exactly
-    /// the order, of writers run over those rows in row order.
+    /// order they were made. Replaying every owned row's segment in ascending
+    /// source-row order performs exactly the combines, in exactly the order,
+    /// of writers run over those rows in row order.
     pub(crate) fn replay(&mut self, log: &EffectLog, segment: u32) {
         for e in log.segment(segment) {
             self.combine(e.row, e.field, e.v);
@@ -283,9 +261,11 @@ struct LogEntry {
 /// schema's writers do not combine in place: each appends its writes —
 /// local *and* remote, since one field may receive both in a tick and
 /// applying the locals early would re-associate the sum — to a segment of
-/// this log, and the executor [replays](EffectTable::replay) the segments in
-/// ascending source-row order afterwards. Segments are numbered in the order
-/// their writers were opened ([`EffectWriter::logged`]).
+/// this log. After the sweep the executor [replays](EffectTable::replay)
+/// every owned row's segment once, in ascending source-row order, straight
+/// into the pool's effect columns, so the fold is the row-order pass's at
+/// every shard granule. Segments are numbered in the order their writers
+/// were opened ([`EffectWriter::logged`]).
 #[derive(Debug, Default)]
 pub(crate) struct EffectLog {
     entries: Vec<LogEntry>,
@@ -633,9 +613,7 @@ mod tests {
         assert!(t.row_is_identity(1));
         t.truncate_rows(1);
         assert_eq!(t.rows(), 1);
-        let mut buf = vec![9.0];
-        t.copy_row_into(0, &mut buf);
-        assert_eq!(buf, vec![1.0, 2.0]);
+        assert_eq!(t.row(0), &[1.0, 2.0]);
     }
 
     #[test]

@@ -129,42 +129,35 @@
 //!   and applying the locals early would re-associate it), is appended to a
 //!   segment of the slice's **effect write-log**
 //!   (`crate::effect::EffectLog`), one segment per source row. After the
-//!   sweep, row-range shard `i` — rows `shard_range(n_owned, k, i)`, the
-//!   plan these schemas have always had — replays its rows' segments in
-//!   ascending source-row order into its own table spanning the visible set
-//!   (shards replay in parallel: each has its own table and only reads the
-//!   logs), and the tables are ⊕-merged in ascending shard order. Within a
-//!   shard that performs exactly the combines, in exactly the order, of a
-//!   row-order pass; across shards it is the ordered ⊕-merge the sharded
-//!   path always performed. The sink is chosen once per tick, by schema;
-//!   local-effect schemas never see the log.
+//!   sweep every owned row's segment is replayed **once**, in ascending
+//!   source-row order, straight into the pool's effect columns: exactly the
+//!   combines, in exactly the order, of a row-order pass — sort, then replay.
+//!   The replay is serial; the sweep that fills the logs is what runs on the
+//!   thread budget. The sink is chosen once per tick, by schema; local-effect
+//!   schemas never see the log.
 //! * The inner loop is monomorphized over the concrete index type
 //!   ([`ScanIndex`] / [`KdTree`] / [`UniformGrid`]) where one is probed: the
 //!   [`BuiltIndex`] enum is dispatched once per tick, not once per probe.
 //!
 //! # Determinism argument
 //!
-//! The shard plan is a pure function of `(n_owned, has_nonlocal_effects)`
-//! and of the positions (the probe order) — **never** of the thread count —
-//! and replay and merge orders are fixed by row and shard number, so the ⊕
-//! reduction tree is fixed: running with 1 thread or 64 produces
-//! bit-identical effect tables and agent states (`tests/properties.rs`
-//! proves this across seeds, populations and every [`IndexKind`]). Relative
-//! to the unsharded, unjoined serial reference ([`query_phase`]: one index
-//! probe and one sort per row, in row order), results are also bit-identical
-//! whenever effects are local (each row is written by itself alone, so
-//! neither the order rows are visited in nor how they are grouped can
-//! matter), whenever a non-local schema runs as a single shard (the replay
-//! *is* the row-order pass), or the combinators are exactly associative on
-//! the values involved (the lattice ops Min/Max/Or/And always; Sum/Prod on
-//! integer-valued effects) — the same contract the distributed runtime
-//! already imposes on cross-partition effect aggregation. The sweep-slice
-//! cuts never matter: a slice boundary changes which log holds a segment,
-//! not what the segment holds or when it is replayed. The update phase
-//! parallelizes with any contiguous chunking: each agent's update depends
-//! only on `(seed, tick, agent)`, and per-chunk spawn queues are
-//! concatenated in chunk order, preserving the serial spawn-id assignment
-//! exactly.
+//! One contract, for every schema, shard granule and thread count: the
+//! sharded query phase is **bit-identical to [`query_phase`]**, the
+//! unsharded, unjoined serial reference (one index probe and one sort per
+//! row, in row order). Local effects are written by their own row alone, so
+//! neither the order rows are visited in nor how they are grouped or sliced
+//! can matter, and the merge is a scatter. Non-local effects are combined in
+//! one place only — the replay — and it visits source rows in row order, as
+//! the reference does; a slice boundary changes which log holds a segment,
+//! not what the segment holds or when it is replayed. Neither the shard plan
+//! (a function of `n_owned`, the granule and the probe order) nor the thread
+//! count can therefore move a bit (`tests/properties.rs` proves this across
+//! seeds, populations, granules, thread budgets and every [`IndexKind`]).
+//! The only re-association left is the distributed runtime's, across
+//! partitions. The update phase parallelizes with any contiguous chunking:
+//! each agent's update depends only on `(seed, tick, agent)`, and per-chunk
+//! spawn queues are concatenated in chunk order, preserving the serial
+//! spawn-id assignment exactly.
 //!
 //! # Visible-set convention
 //!
@@ -195,25 +188,14 @@ pub fn agent_rng(seed: u64, tick: u64, agent: brace_common::AgentId, phase: u64)
 
 /// Rows per logical shard of the query phase. Small enough to give a
 /// thread pool slack for balancing, large enough that per-shard overhead
-/// (a table reset and a merge) stays negligible.
+/// (a table reset and a scatter, or a log) stays negligible.
 pub const SHARD_ROWS: usize = 2048;
 
-/// Shard-count cap for schemas with non-local effects, whose shard tables
-/// span the whole visible set: bounds both memory (`shards × rows × width`)
-/// and the ⊕-merge cost.
-const MAX_NONLOCAL_SHARDS: usize = 8;
-
 /// The logical shard plan for `n_owned` rows: a pure function of the row
-/// count, effect locality and the rows-per-shard granule — independent of
-/// thread count, which is what makes parallel execution bit-reproducible
-/// (see the module docs).
-fn shard_count(n_owned: usize, nonlocal: bool, shard_rows: usize) -> usize {
-    let k = n_owned.div_ceil(shard_rows.max(1));
-    if nonlocal {
-        k.min(MAX_NONLOCAL_SHARDS)
-    } else {
-        k
-    }
+/// count and the rows-per-shard granule — independent of thread count and
+/// of effect locality (see the module docs).
+fn shard_count(n_owned: usize, shard_rows: usize) -> usize {
+    n_owned.div_ceil(shard_rows.max(1))
 }
 
 /// Row range of shard `i` of `k` over `n` rows (balanced contiguous split).
@@ -314,9 +296,10 @@ impl TickIndex {
 pub struct QueryStats {
     pub index_build_ns: u64,
     pub query_ns: u64,
-    /// Time spent merging shard effect tables into the pool's effect
-    /// columns — a subset of `query_ns`, broken out so the effect-merge
-    /// phase is visible on its own (telemetry and the `--trace` output).
+    /// Time spent bringing the shards' effects into the pool's effect
+    /// columns (the local scatter or the non-local write-log replay) — a
+    /// subset of `query_ns`, broken out so the effect-merge phase is visible
+    /// on its own (telemetry and the `--trace` output).
     pub merge_ns: u64,
     pub neighbor_visits: u64,
     pub nonlocal_writes: u64,
@@ -473,9 +456,10 @@ fn tile_window(cells: &[ProbeKey], side: f64, rect: &Rect, cursors: &mut [usize;
 /// Reusable per-tick working memory, threaded through the executor so the
 /// hot path allocates nothing after the first tick: the tick's probe order,
 /// one [`ShardScratch`] (effect table or write-log + candidate block + spawn
-/// queue) per logical shard, and for non-local schemas the replay tables
-/// with the source-row directory of the write-log. One `TickScratch` belongs
-/// to one behavior (its tables are shaped by the behavior's schema).
+/// queue) per logical shard, and for non-local schemas the source-row
+/// directory of the write-log, which the replay walks in row order into the
+/// pool's own effect columns. One `TickScratch` belongs to one behavior (its
+/// tables are shaped by the behavior's schema).
 #[derive(Default)]
 pub struct TickScratch {
     shards: Vec<ShardScratch>,
@@ -483,9 +467,6 @@ pub struct TickScratch {
     cells: Vec<ProbeKey>,
     /// The owned rows in probe order (the sweep).
     order: Vec<ProbeKey>,
-    /// Non-local schemas: one full-width table per row-range shard, filled
-    /// by replaying the write-log.
-    replay: Vec<EffectTable>,
     /// Non-local schemas: `(sweep slice, log segment)` holding each owned
     /// row's writes.
     segments: Vec<(u32, u32)>,
@@ -864,20 +845,19 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
     shard.block_rows = block_rows;
 }
 
-/// Sharded, optionally parallel query phase. Semantics match
-/// [`query_phase`] (rows `0..n_owned` of the pool queried, effects for
-/// every visible row aggregated into the **pool's own effect columns**),
-/// executed over the deterministic shard plan described in the module docs.
-/// `index` is built and probed only where the sort-merge tile join does not
-/// apply (the scan, k-NN probes, unbounded visibility); a bounded-visibility
-/// range schema never builds it.
+/// Sharded, optionally parallel query phase, bit-identical to
+/// [`query_phase`] for every schema, granule and thread count: rows
+/// `0..n_owned` of the pool are queried and effects for every visible row
+/// are aggregated into the **pool's own effect columns**, over the shard
+/// plan described in the module docs. `index` is built and probed only where
+/// the sort-merge tile join does not apply (the scan, k-NN probes, unbounded
+/// visibility); a bounded-visibility range schema never builds it.
 ///
 /// `shard_rows` is the rows-per-shard granule: production passes
-/// [`SHARD_ROWS`], property tests pass tiny granules to exercise many-shard
-/// merges on small worlds. Results depend on it only through the documented
-/// re-association of non-local float aggregates. `parallelism` is the
-/// physical thread budget (`0` = all cores, `1` = run shards inline); it never
-/// affects results, only wall time.
+/// [`SHARD_ROWS`], property tests pass tiny granules to cut small worlds
+/// into many sweep slices. `parallelism` is the physical thread budget
+/// (`0` = all cores, `1` = run shards inline). Neither affects results, only
+/// wall time.
 #[allow(clippy::too_many_arguments)]
 pub fn query_phase_sharded<B: Behavior>(
     behavior: &B,
@@ -895,9 +875,9 @@ pub fn query_phase_sharded<B: Behavior>(
     let mut stats = QueryStats::default();
     let (view, table) = pool.split_query();
     let nonlocal = schema.has_nonlocal_effects();
-    let k = shard_count(n_owned, nonlocal, shard_rows);
+    let k = shard_count(n_owned, shard_rows);
     scratch.ensure_shards(schema, k);
-    let TickScratch { shards, cells, order, replay, segments, tel } = scratch;
+    let TickScratch { shards, cells, order, segments, tel } = scratch;
     let shards = &mut shards[..k];
 
     // Range probes are shared between tile-mates — except by the scan: it is
@@ -916,12 +896,7 @@ pub fn query_phase_sharded<B: Behavior>(
     let (cells, order) = (&*cells, &*order);
     stats.index_build_ns = t0.elapsed().as_nanos() as u64;
 
-    // A non-local merge swaps shard 0's freshly reset table in, so only the
-    // scatter (which leaves replica rows alone) and the empty plan need the
-    // pool's own table at identity.
-    if !nonlocal || k == 0 {
-        table.reset(view.len());
-    }
+    table.reset(view.len());
     if k == 0 {
         return stats;
     }
@@ -966,31 +941,17 @@ pub fn query_phase_sharded<B: Behavior>(
             table.scatter_rows_from(&shard.table, order[shard_range(n_owned, k, i)].iter().map(|key| key.row));
         }
     } else {
-        // Non-local shards: row-range shard `i` replays the logged writes of
-        // rows `shard_range(n_owned, k, i)` in ascending source-row order
-        // into its own table spanning the visible set — exactly the combines
-        // a row-order pass over those rows performs. Then the first table
-        // *becomes* the pool's (a swap, so nothing is copied) and the rest
-        // ⊕-merge into it in ascending shard order.
+        // Non-local shards logged every write: replay each owned row's
+        // segment once, in ascending source-row order, into the pool's table
+        // — exactly the combines a row-order pass performs.
         segments.resize(n_owned, (0, 0));
         for s in 0..k {
             for (j, key) in order[shard_range(n_owned, k, s)].iter().enumerate() {
                 segments[key.row as usize] = (s as u32, j as u32);
             }
         }
-        while replay.len() < k {
-            replay.push(EffectTable::new(schema));
-        }
-        let (shards, segments) = (&*shards, &*segments);
-        for_each_shard(&mut replay[..k], threads, |i, shard_table| {
-            shard_table.reset(view.len());
-            for &(s, j) in &segments[shard_range(n_owned, k, i)] {
-                shard_table.replay(&shards[s as usize].log, j);
-            }
-        });
-        std::mem::swap(table, &mut replay[0]);
-        for shard_table in &replay[1..k] {
-            table.merge_table(shard_table);
+        for &(s, j) in segments.iter() {
+            table.replay(&shards[s as usize].log, j);
         }
     }
     stats.merge_ns = t2.elapsed().as_nanos() as u64;
@@ -1633,7 +1594,7 @@ mod tests {
         let mut pool = AgentPool::from_agents(b.schema(), &agents);
         let (mut index, mut scratch) = (TickIndex::new(IndexKind::KdTree), TickScratch::new());
         query_phase_sharded(&b, &mut pool, agents.len(), &mut index, 0, 1, &mut scratch, shard_rows, 1);
-        let k = shard_count(agents.len(), false, shard_rows);
+        let k = shard_count(agents.len(), shard_rows);
         scratch.shards[..k].iter().map(|shard| shard.groups).sum()
     }
 
@@ -1742,7 +1703,7 @@ mod tests {
         ) {
             let points: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x as f64 * 0.9, y as f64 * 1.3)).collect();
             let order = probe_order(&points);
-            let k = shard_count(points.len(), false, shard_rows);
+            let k = shard_count(points.len(), shard_rows);
             let want: u64 = (0..k).map(|i| strips_of(&order[shard_range(points.len(), k, i)])).sum();
             prop_assert_eq!(probe_groups(&points, shard_rows), want);
         }

@@ -8,6 +8,7 @@
 //! re-execution of all epochs since the last checkpoint — the store keeps
 //! the master's command log for exactly that replay.
 
+use crate::codec::decode_snapshot;
 use crate::manifest::fnv1a;
 use crate::runtime::EpochCommand;
 use brace_common::{BraceError, Result};
@@ -174,9 +175,9 @@ impl CheckpointStore {
     }
 
     /// Load the newest *valid* on-disk checkpoint from `dir` (for cold
-    /// restart). Files whose checksum does not verify are skipped — a torn
-    /// write falls back to the next-newest intact checkpoint rather than
-    /// being trusted.
+    /// restart). Files that do not verify ([`load_checkpoint_file`]) are
+    /// skipped — a torn write or a forged payload falls back to the
+    /// next-newest intact checkpoint rather than being trusted.
     pub fn load_latest_from(dir: &Path) -> Result<Option<ClusterCheckpoint>> {
         let mut epochs = list_checkpoint_epochs(dir);
         epochs.reverse();
@@ -240,7 +241,8 @@ pub fn write_checkpoint_file(dir: &Path, cp: &ClusterCheckpoint) -> Result<()> {
 
 /// Load and *verify* the checkpoint for `epoch` from `dir`. Refuses (with
 /// an error, not a guess) any file whose magic, version, or checksum does
-/// not match.
+/// not match, or whose worker payloads do not decode — a forged file can
+/// carry a valid checksum.
 pub fn load_checkpoint_file(dir: &Path, epoch: u64) -> Result<ClusterCheckpoint> {
     let path = checkpoint_path(dir, epoch);
     let data = std::fs::read(&path).map_err(|e| BraceError::Checkpoint(format!("reading {}: {e}", path.display())))?;
@@ -259,7 +261,12 @@ pub fn load_checkpoint_file(dir: &Path, epoch: u64) -> Result<ClusterCheckpoint>
     if fnv1a(&bytes) != sum {
         return Err(BraceError::Checkpoint(format!("{}: checksum mismatch (torn write?)", path.display())));
     }
-    ClusterCheckpoint::decode(bytes)
+    let cp = ClusterCheckpoint::decode(bytes)?;
+    for (w, payload) in cp.workers.iter().enumerate() {
+        decode_snapshot(payload.clone())
+            .map_err(|e| BraceError::Checkpoint(format!("{}: worker {w}: {e}", path.display())))?;
+    }
+    Ok(cp)
 }
 
 /// Remove all but the `keep` newest checkpoint files in `dir`. Best-effort:
@@ -277,14 +284,24 @@ pub fn prune_checkpoint_files(dir: &Path, keep: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{encode_snapshot, WorkerSnapshot};
+    use brace_common::DetRng;
 
     fn cp(epoch: u64) -> ClusterCheckpoint {
+        let snapshot = |w: u64| {
+            encode_snapshot(&WorkerSnapshot {
+                tick: epoch * 10,
+                next_spawn_id: 7,
+                rng: DetRng::seed_from_u64(w),
+                agents: Vec::new(),
+            })
+        };
         ClusterCheckpoint {
             epoch,
             tick: epoch * 10,
             x_bounds: vec![0.0, 50.0, 100.0],
             hist_range: (0.0, 100.0),
-            workers: vec![Bytes::from_static(b"alpha"), Bytes::from_static(b"beta")],
+            workers: vec![snapshot(0), snapshot(1)],
         }
     }
 
@@ -333,6 +350,24 @@ mod tests {
         std::fs::write(checkpoint_path(&dir, 1), &file[..]).unwrap();
         assert!(load_checkpoint_file(&dir, 1).is_err());
         assert!(CheckpointStore::load_latest_from(&dir).unwrap().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn forged_worker_payload_behind_a_valid_checksum_is_refused() {
+        let dir = std::env::temp_dir().join(format!("brace-cp-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_checkpoint_file(&dir, &cp(1)).unwrap();
+        // Clock, spawn cursor and RNG all zero, then a count of u32::MAX
+        // agents with none after it.
+        let mut forged = BytesMut::new();
+        forged.extend_from_slice(&[0; 32]);
+        forged.put_u32_le(u32::MAX);
+        let mut newest = cp(2);
+        newest.workers[1] = forged.freeze();
+        write_checkpoint_file(&dir, &newest).unwrap();
+        assert!(load_checkpoint_file(&dir, 2).is_err());
+        assert_eq!(CheckpointStore::load_latest_from(&dir).unwrap().unwrap(), cp(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -437,7 +437,7 @@ impl ClusterSim {
         if snaps.len() == n_new {
             return Ok(());
         }
-        let decoded: Vec<WorkerSnapshot> = snaps.into_iter().map(codec::decode_snapshot).collect();
+        let decoded = snaps.into_iter().map(codec::decode_snapshot).collect::<Result<Vec<WorkerSnapshot>>>()?;
         let tick = decoded[0].tick;
         let next_spawn_id = decoded[0].next_spawn_id;
         let mut agents: Vec<Agent> = decoded.into_iter().flat_map(|s| s.agents).collect();
@@ -944,6 +944,42 @@ mod tests {
         assert_ne!(sim.x_bounds(), &before[..], "boundaries must move");
         // Imbalance after balancing must be better than the initial 4x.
         assert!(stats.last_imbalance() < 2.5, "imbalance {} not improved", stats.last_imbalance());
+    }
+
+    #[test]
+    fn resume_falls_back_past_a_forged_worker_payload() {
+        use bytes::{BufMut, BytesMut};
+        let dir = std::env::temp_dir().join(format!("brace-resume-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let agents = population(Flock::new().schema(), 60, 21);
+        let cfg = ClusterConfig {
+            workers: 2,
+            epoch_len: 2,
+            seed: 5,
+            load_balance: false,
+            checkpoint_every: Some(2),
+            run_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        let clean =
+            run_cluster(Arc::new(Flock::new()), agents.clone(), 12, ClusterConfig { run_dir: None, ..cfg.clone() });
+        // Four epochs, then the process "dies": no completion record.
+        ClusterSim::new(Arc::new(Flock::new()), agents, cfg.clone()).unwrap().run_epochs(4).unwrap();
+        // Rewrite the newest checkpoint with a valid header and checksum
+        // around one payload that claims u32::MAX agents.
+        let newest = *checkpoint::list_checkpoint_epochs(&dir).last().unwrap();
+        let mut cp = checkpoint::load_checkpoint_file(&dir, newest).unwrap();
+        let mut forged = BytesMut::new();
+        forged.extend_from_slice(&[0; 32]);
+        forged.put_u32_le(u32::MAX);
+        cp.workers[0] = forged.freeze();
+        checkpoint::write_checkpoint_file(&dir, &cp).unwrap();
+        let (mut sim, _) = ClusterSim::resume(Arc::new(Flock::new()), cfg).expect("an older checkpoint verifies");
+        assert_eq!(sim.tick(), 8);
+        sim.run_ticks(4).unwrap();
+        assert_eq!(sim.collect_agents().unwrap(), clean, "resumed past the forged file, the run is the clean one");
+        drop(sim);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

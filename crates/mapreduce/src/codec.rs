@@ -10,7 +10,7 @@
 //! The format is a straightforward little-endian layout (no self-description;
 //! both ends share the schema). Checkpoints reuse the same primitives.
 
-use brace_common::{AgentId, DetRng, FieldId, Vec2};
+use brace_common::{AgentId, BraceError, DetRng, FieldId, Result, Vec2};
 use brace_core::{Agent, AgentPool};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -287,29 +287,6 @@ pub fn encode_effect_table_rows(table: &brace_core::EffectTable, rows: &[(AgentI
     buf.freeze()
 }
 
-/// Serialize partial effect rows `(agent id, aggregated effect values)`
-/// from materialized row slices — same wire format as
-/// [`encode_effect_table_rows`], for callers that already hold rows.
-pub fn encode_effect_rows<V: AsRef<[f64]>>(rows: impl IntoIterator<Item = (AgentId, V)>) -> Bytes {
-    let mut body = BytesMut::new();
-    let mut count = 0u32;
-    let mut width: u16 = 0;
-    for (id, vals) in rows {
-        let vals = vals.as_ref();
-        body.put_u64_le(id.raw());
-        for &v in vals {
-            body.put_f64_le(v);
-        }
-        width = vals.len() as u16;
-        count += 1;
-    }
-    let mut buf = BytesMut::with_capacity(6 + body.len());
-    buf.put_u32_le(count);
-    buf.put_u16_le(width);
-    buf.extend_from_slice(&body);
-    buf.freeze()
-}
-
 /// Deserialize partial effect rows.
 pub fn decode_effect_rows(mut bytes: Bytes) -> Vec<(AgentId, Vec<f64>)> {
     let count = bytes.get_u32_le() as usize;
@@ -385,19 +362,44 @@ pub fn encode_snapshot(s: &WorkerSnapshot) -> Bytes {
     buf.freeze()
 }
 
-/// Deserialize a worker snapshot.
-pub fn decode_snapshot(mut bytes: Bytes) -> WorkerSnapshot {
+/// Deserialize a worker snapshot. Snapshots are checkpoint payloads, and a
+/// checkpoint file may be damaged or forged, so every count and length is
+/// checked against the bytes left before it is trusted, nothing is
+/// allocated from a count, and bytes that are not exactly one snapshot are
+/// an `Err`.
+pub fn decode_snapshot(mut bytes: Bytes) -> Result<WorkerSnapshot> {
+    let need = |b: &Bytes, n: usize| -> Result<()> {
+        if b.remaining() < n {
+            Err(BraceError::Checkpoint("truncated worker snapshot".into()))
+        } else {
+            Ok(())
+        }
+    };
+    need(&bytes, 36)?;
     let tick = bytes.get_u64_le();
     let next_spawn_id = bytes.get_u64_le();
     let state = bytes.get_u64_le();
     let counter = bytes.get_u64_le();
     let rng = DetRng::from_parts(state, counter);
-    let count = bytes.get_u32_le() as usize;
-    let mut agents = Vec::with_capacity(count);
+    let count = bytes.get_u32_le();
+    let mut agents = Vec::new();
     for _ in 0..count {
-        agents.push(get_agent(&mut bytes));
+        need(&bytes, 8 + 16 + 1 + 2)?;
+        let id = AgentId::new(bytes.get_u64_le());
+        let pos = Vec2::new(bytes.get_f64_le(), bytes.get_f64_le());
+        let alive = bytes.get_u8() != 0;
+        let ns = bytes.get_u16_le() as usize;
+        need(&bytes, 8 * ns + 2)?;
+        let state = (0..ns).map(|_| bytes.get_f64_le()).collect();
+        let ne = bytes.get_u16_le() as usize;
+        need(&bytes, 8 * ne)?;
+        let effects = (0..ne).map(|_| bytes.get_f64_le()).collect();
+        agents.push(Agent { id, pos, state, effects, alive });
     }
-    WorkerSnapshot { tick, next_spawn_id, rng, agents }
+    if bytes.has_remaining() {
+        return Err(BraceError::Checkpoint(format!("{} bytes past the worker snapshot", bytes.remaining())));
+    }
+    Ok(WorkerSnapshot { tick, next_spawn_id, rng, agents })
 }
 
 #[cfg(test)]
@@ -496,10 +498,14 @@ mod tests {
 
     #[test]
     fn effect_rows_round_trip() {
-        let rows = vec![(AgentId::new(1), vec![1.0, 2.0]), (AgentId::new(9), vec![-0.5, f64::INFINITY])];
-        let encoded = encode_effect_rows(rows.iter().map(|(id, v)| (*id, v.as_slice())));
+        let s = AgentSchema::builder("E").effect("n", Combinator::Sum).effect("lo", Combinator::Min).build().unwrap();
+        let mut table = brace_core::EffectTable::new(&s);
+        table.reset(3);
+        table.merge_row(0, &[1.0, 2.0]);
+        table.merge_row(2, &[-0.5, f64::NEG_INFINITY]);
+        let encoded = encode_effect_table_rows(&table, &[(AgentId::new(1), 0), (AgentId::new(9), 2)]);
         let decoded = decode_effect_rows(encoded);
-        assert_eq!(rows, decoded);
+        assert_eq!(decoded, vec![(AgentId::new(1), vec![1.0, 2.0]), (AgentId::new(9), vec![-0.5, f64::NEG_INFINITY])]);
     }
 
     #[test]
@@ -519,12 +525,38 @@ mod tests {
         rng.next_raw();
         let snap =
             WorkerSnapshot { tick: 99, next_spawn_id: 1234, rng: rng.clone(), agents: (0..3).map(agent).collect() };
-        let restored = decode_snapshot(encode_snapshot(&snap));
+        let restored = decode_snapshot(encode_snapshot(&snap)).unwrap();
         assert_eq!(snap, restored);
         // RNG continues identically after restore.
         let mut a = snap.rng.clone();
         let mut b = restored.rng.clone();
         assert_eq!(a.next_raw(), b.next_raw());
+    }
+
+    #[test]
+    fn hostile_snapshot_bytes_are_an_error_not_an_abort() {
+        // Clock, spawn cursor and RNG all zero, then u32::MAX agents and
+        // nothing after them.
+        let mut forged = BytesMut::new();
+        forged.extend_from_slice(&[0; 32]);
+        forged.put_u32_le(u32::MAX);
+        assert!(decode_snapshot(forged.freeze()).is_err());
+        let snap = WorkerSnapshot {
+            tick: 3,
+            next_spawn_id: 9,
+            rng: DetRng::seed_from_u64(1),
+            agents: vec![agent(4), agent(5)],
+        };
+        let valid = encode_snapshot(&snap);
+        assert!(decode_snapshot(valid.slice(0..valid.len() - 1)).is_err(), "truncated");
+        let mut long = BytesMut::new();
+        long.extend_from_slice(&valid);
+        long.put_u8(0);
+        assert!(decode_snapshot(long.freeze()).is_err(), "trailing bytes");
+        // An agent claiming more state fields than the payload holds.
+        let mut inflated = valid.to_vec();
+        inflated[36 + 8 + 16 + 1..][..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(decode_snapshot(inflated.into()).is_err());
     }
 
     #[test]

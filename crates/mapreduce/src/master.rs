@@ -381,7 +381,7 @@ impl Master {
             .latest()
             .cloned()
             .ok_or_else(|| BraceError::Unrecoverable("no checkpoint to dead-letter against".into()))?;
-        let mut snap = codec::decode_snapshot(cp.workers[worker as usize].clone());
+        let mut snap = codec::decode_snapshot(cp.workers[worker as usize].clone())?;
         let agents_lost = snap.agents.len() as u64;
         snap.agents.clear();
         cp.workers[worker as usize] = codec::encode_snapshot(&snap);
@@ -625,7 +625,10 @@ impl Master {
     /// Gather every worker's current agents (sorted by id).
     pub fn collect_agents(&mut self) -> Result<Vec<Agent>> {
         let snaps = self.collect_snapshots()?;
-        let mut agents: Vec<Agent> = snaps.into_iter().flat_map(|s| codec::decode_snapshot(s).agents).collect();
+        let mut agents: Vec<Agent> = Vec::new();
+        for snap in snaps {
+            agents.extend(codec::decode_snapshot(snap)?.agents);
+        }
         agents.sort_by_key(|a| a.id);
         Ok(agents)
     }

@@ -4,8 +4,8 @@
 //!
 //! | phase              | task                | here                         |
 //! |--------------------|---------------------|------------------------------|
-//! | updateᵗ⁻¹ + distributeᵗ | mapᵗ₁          | `Worker::distribute` (update executed eagerly at the end of the previous tick) |
-//! | queryᵗ / local effectᵗ | reduceᵗ₁        | `brace_core::query_phase`    |
+//! | updateᵗ⁻¹ + distributeᵗ | mapᵗ₁          | `Worker::run_tick`'s distribute step (update executed eagerly at the end of the previous tick) |
+//! | queryᵗ / local effectᵗ | reduceᵗ₁        | `brace_core::query_phase_sharded` |
 //! | (distribute effects)   | mapᵗ₂ (identity) | eliminated, as the paper notes |
 //! | global effectᵗ          | reduceᵗ₂        | `EffectTable::merge_row` over shipped rows |
 //!

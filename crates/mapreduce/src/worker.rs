@@ -278,8 +278,8 @@ pub struct Worker {
     /// The tick's spatial index: built once per tick for k-NN, scan and
     /// unbounded-visibility schemas, never for a bounded range schema.
     index: TickIndex,
-    /// Reusable per-tick buffers (shard tables, spawn queues) for the
-    /// sharded executor phases.
+    /// Reusable per-tick buffers (probe order, sweep-slice tables and
+    /// write-logs, spawn queues) for the sharded executor phases.
     scratch: TickScratch,
     tick: u64,
     /// Next spawn id of the **global** cross-worker counter. Every worker
@@ -407,9 +407,13 @@ impl Worker {
                     self.links.ledger.record(Traffic::Control, snapshot.len());
                     let _ = self.links.reports.send(Report::Collected { worker: self.cfg.id, snapshot });
                 }
-                Ok(Command::Restore { snapshot, x_bounds }) => {
-                    self.restore(codec::decode_snapshot(snapshot), x_bounds);
-                }
+                Ok(Command::Restore { snapshot, x_bounds }) => match codec::decode_snapshot(snapshot) {
+                    Ok(snap) => self.restore(snap, x_bounds),
+                    // No state to continue from: stop. The master sees this
+                    // worker's channels close and fails the epoch with an
+                    // error.
+                    Err(_) => break,
+                },
                 Ok(Command::RunEpoch(cmd)) => {
                     let (stats, snapshot) = self.run_epoch(&cmd);
                     self.links.ledger.record(Traffic::Control, 64 + stats.x_hist.len() * 8);

@@ -32,11 +32,11 @@
 //! the catalogue: the paper's index for the fish-style workloads, and —
 //! since the hotspot-erosion fix — also for traffic and the epidemic,
 //! whose jams and infection clusters concentrate agents into a few grid
-//! buckets and erode the grid's constant-density advantage (the bench
-//! hotspot rows quantify the delta). The index is never semantics, so the
-//! flip moves no checksum; KD-tree cross-backend equivalence stays pinned
-//! by the golden cluster tests and the distributed-equivalence property
-//! suite, while every conformance form still certifies the grid.
+//! buckets and erode the grid's constant-density advantage. The index is
+//! never semantics, so the flip moves no checksum; KD-tree cross-backend
+//! equivalence stays pinned by the golden cluster tests and the
+//! distributed-equivalence property suite, while every conformance form
+//! still certifies the grid.
 
 use crate::{Scenario, ScenarioSetup};
 use brace_common::{AgentId, DetRng, Result, Vec2};
@@ -467,7 +467,7 @@ impl Scenario for Epidemic {
             population,
             // KD-tree since the hotspot-erosion fix: infection clusters are
             // hotspots by construction, and dense buckets erode the grid's
-            // constant-density probe bound (see the bench hotspot rows).
+            // constant-density probe bound.
             index: IndexKind::KdTree,
             epoch_len: EPOCH_LEN,
             space_x: (0.0, side),

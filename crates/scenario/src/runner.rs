@@ -13,8 +13,8 @@
 //! Determinism contract: for a fixed scenario, seed and population, every
 //! backend — any `parallelism`, any worker count — produces the same world
 //! up to the one documented approximation (non-local float ⊕
-//! re-association; spawn ids are globally ordered and exact). For a
-//! scenario's
+//! re-association across a cluster's partitions; spawn ids are globally
+//! ordered and exact). For a scenario's
 //! [`conformance`](crate::Scenario::conformance) configuration the
 //! equivalence is **bit-exact**, which `tests/scenario_conformance.rs`
 //! enforces for every registry entry.

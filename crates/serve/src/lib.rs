@@ -205,7 +205,8 @@ struct App {
     /// LRU-by-completion cap; see [`ServeConfig::max_runs`]). Only ids of
     /// Done/Failed records ever enter, so a sweep can never evict a run
     /// that is still queued or executing. Lock order: `completed` before
-    /// `runs` (only [`sweep_runs`] takes both).
+    /// `runs` ([`sweep_runs`]), `queue` before `runs` (`post_run`); nothing
+    /// takes `completed` and `queue` together.
     completed: Mutex<VecDeque<(String, std::time::Instant)>>,
     next_id: AtomicU64,
     queue: Mutex<VecDeque<Arc<RunRecord>>>,
@@ -676,10 +677,12 @@ fn post_run(app: &Arc<App>, stream: &mut TcpStream, body: &str) -> std::io::Resu
                 &body,
             );
         }
-        queue.push_back(Arc::clone(&record));
+        // Register the run before a worker can pop it: a run that finished
+        // unregistered would be swept before its insert and never expire.
+        app.runs.lock().unwrap().insert(id.clone(), Arc::clone(&record));
+        queue.push_back(record);
     }
     app.queue_ready.notify_one();
-    app.runs.lock().unwrap().insert(id.clone(), record);
     app.stats.runs_accepted.fetch_add(1, Ordering::Relaxed);
     app.tel.incr(TelCounter::ServeRuns);
     let body = format!("{{\"run_id\":\"{id}\",\"status\":\"queued\",\"cached\":false}}");

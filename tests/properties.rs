@@ -88,9 +88,10 @@ impl Behavior for LocalFloat {
 }
 
 /// Non-local model whose aggregates are exactly associative: integer Sum
-/// (pings of 1.0) and lattice Min (distance). Parallel shard ⊕-merges may
-/// re-associate, but on these values re-association is exact, so serial ≡
-/// parallel holds at the bit level here too.
+/// (pings of 1.0) and lattice Min (distance). The sharded query phase folds
+/// in row order like the serial reference, so the two agree bit for bit;
+/// these values would agree under any association (the distributed
+/// runtime's cross-partition merge) too.
 struct NonlocalExact(AgentSchema);
 
 impl NonlocalExact {
@@ -127,10 +128,10 @@ impl Behavior for NonlocalExact {
     }
 }
 
-/// Non-local model with arbitrary float aggregation: serial and sharded
-/// runs may legitimately differ in the last bit (re-association), but any
-/// two runs of the *same shard plan* must agree bitwise regardless of
-/// thread count — that is the determinism contract.
+/// Non-local model with arbitrary float aggregation, where any
+/// re-association shows in the last bits: the sharded query phase replays
+/// its write-log in source-row order, so it must equal the serial reference
+/// bit for bit at every shard granule and thread count.
 struct NonlocalFloat(AgentSchema);
 
 impl NonlocalFloat {
@@ -461,7 +462,7 @@ proptest! {
             })
             .collect();
         let snap = codec::WorkerSnapshot { tick, next_spawn_id: next, rng, agents };
-        let back = codec::decode_snapshot(codec::encode_snapshot(&snap));
+        let back = codec::decode_snapshot(codec::encode_snapshot(&snap)).map_err(|e| e.to_string())?;
         prop_assert_eq!(snap, back);
     }
 
@@ -576,9 +577,8 @@ proptest! {
     }
 
     /// Non-local schemas whose aggregation is exactly associative (integer
-    /// Sum, lattice Min): shard ⊕-merges re-associate, but on these values
-    /// re-association is exact, so parallel must still equal serial at the
-    /// bit level — including the partial rows of replica agents.
+    /// Sum, lattice Min): parallel must equal serial at the bit level —
+    /// including the partial rows of replica agents.
     #[test]
     fn sharded_query_equals_serial_for_exact_nonlocal_effects(
         seed in 0u64..10_000,
@@ -602,14 +602,15 @@ proptest! {
         assert_tables_bit_identical(&serial, sh_pool.effects(), n)?;
     }
 
-    /// Non-local schemas with arbitrary float aggregation: the thread count
-    /// must never influence the result — only the (deterministic) shard
-    /// plan defines the reduction tree. Same granule, different thread
-    /// counts ⇒ bitwise identical tables.
+    /// Non-local schemas with arbitrary float aggregation: every write is
+    /// replayed once, in source-row order, so neither the shard granule nor
+    /// the thread count can re-associate a sum — the sharded tables equal
+    /// the serial reference's bit for bit, owned and replica rows alike.
     #[test]
-    fn sharded_query_is_thread_count_invariant_for_float_nonlocal(
+    fn sharded_query_equals_serial_for_float_nonlocal_effects(
         seed in 0u64..10_000,
         n in 2usize..180,
+        owned_frac in 0.3f64..1.0,
         vis in 0.4f64..8.0,
         kind in any_index_kind(),
         shard_rows in 1usize..30,
@@ -618,15 +619,16 @@ proptest! {
     ) {
         let b = NonlocalFloat::new(vis);
         let agents = random_population(b.schema(), n, seed);
-        let run = |threads: usize| {
+        let n_owned = ((n as f64 * owned_frac) as usize).max(1);
+        let mut serial = EffectTable::new(b.schema());
+        query_phase(&b, &AgentPool::from_agents(b.schema(), &agents), n_owned, kind, &mut serial, 2, seed);
+        for threads in [threads_a, threads_b] {
             let mut pool = AgentPool::from_agents(b.schema(), &agents);
             let mut index = TickIndex::new(kind);
             let mut scratch = TickScratch::new();
-            query_phase_sharded(&b, &mut pool, n, &mut index, 2, seed, &mut scratch, shard_rows, threads);
-            pool
-        };
-        let (pa, pb) = (run(threads_a), run(threads_b));
-        assert_tables_bit_identical(pa.effects(), pb.effects(), n)?;
+            query_phase_sharded(&b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
+            assert_tables_bit_identical(&serial, pool.effects(), n)?;
+        }
     }
 
     /// The sharded update phase (spawns, kills, RNG, movement cropping)
@@ -1296,12 +1298,10 @@ proptest! {
     }
 
     /// Predator (non-local float sums, local and remote writes into the
-    /// same tick): swept in tile order through the write-log and replayed in
-    /// source-row order. At a single shard — where the documented ⊕
-    /// re-association across row-range shards does not apply — the loop
-    /// equals the oracle bit for bit, with bites, deaths and spawns; at finer
-    /// granules, where sweep slices cut tiles and segments replay into
-    /// several shard tables, it equals itself across thread budgets.
+    /// same tick): swept in tile order through the write-log and replayed
+    /// once, in source-row order. At every granule — sweep slices cutting
+    /// tiles included — and both thread budgets the loop equals the oracle
+    /// bit for bit, with bites, deaths and spawns.
     #[test]
     fn kernel_tile_join_predator_replays_in_row_order(
         seed in 0u64..10_000,
@@ -1315,18 +1315,18 @@ proptest! {
         let b = PredatorBehavior::new(params.clone());
         let mut world = b.population(n, 12.0, seed);
         join_geometry(&mut world, params.reach, 3.0 * params.reach, seed, sparse);
-        let one_shard = grouped_ticks(&b, &world, kind, SHARD_ROWS, 3, ticks, seed);
-        worlds_bit_identical(&one_shard, &reference_ticks(&b, &world, kind, ticks, seed))?;
+        let want = reference_ticks(&b, &world, kind, ticks, seed);
         // Worlds only see `hurt` through the death threshold; the effect
         // tables show every bit of its association.
-        let mut pool = AgentPool::from_agents(b.schema(), &world);
         let mut serial_table = EffectTable::new(b.schema());
-        query_phase(&b, &pool, n, kind, &mut serial_table, 0, seed);
-        let (mut index, mut scratch) = (TickIndex::new(kind), TickScratch::new());
-        query_phase_sharded(&b, &mut pool, n, &mut index, 0, seed, &mut scratch, SHARD_ROWS, 3);
-        assert_tables_bit_identical(&serial_table, pool.effects(), n)?;
-        let serial = grouped_ticks(&b, &world, kind, shard_rows, 1, ticks, seed);
-        worlds_bit_identical(&serial, &grouped_ticks(&b, &world, kind, shard_rows, 3, ticks, seed))?;
+        query_phase(&b, &AgentPool::from_agents(b.schema(), &world), n, kind, &mut serial_table, 0, seed);
+        for threads in [1, 3] {
+            worlds_bit_identical(&grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed), &want)?;
+            let mut pool = AgentPool::from_agents(b.schema(), &world);
+            let (mut index, mut scratch) = (TickIndex::new(kind), TickScratch::new());
+            query_phase_sharded(&b, &mut pool, n, &mut index, 0, seed, &mut scratch, shard_rows, threads);
+            assert_tables_bit_identical(&serial_table, pool.effects(), n)?;
+        }
     }
 
     /// Epidemic (non-local integer sums: exactly associative): the same
@@ -1372,7 +1372,7 @@ proptest! {
 
     /// The same pool under non-local schemas, where replica rows *receive*
     /// partial aggregates (what a worker ships to their owners): exactly
-    /// associative effects at every granule, float sums at one shard.
+    /// associative effects and float sums, both at the drawn granule.
     #[test]
     fn kernel_tile_join_on_a_worker_shaped_pool_equals_serial_for_nonlocal_effects(
         seed in 0u64..10_000,
@@ -1391,7 +1391,7 @@ proptest! {
         let float = NonlocalFloat::new(vis);
         let mut world = random_population(float.schema(), n, seed);
         join_geometry(&mut world, vis, 4.0 * vis, seed, sparse);
-        worker_shaped_pool_equals_serial(&float, world, owned_frac, kind, SHARD_ROWS, threads, seed)?;
+        worker_shaped_pool_equals_serial(&float, world, owned_frac, kind, shard_rows, threads, seed)?;
     }
 }
 
@@ -1979,12 +1979,13 @@ fn drawn_manifest_records(rng: &mut DetRng) -> Vec<ManifestRecord> {
     ]
 }
 
-/// `input` through both decoders. Each must return `Ok` or `Err`; a panic is
-/// reported with the input.
+/// `input` through the three decoders. Each must return `Ok` or `Err`; a
+/// panic is reported with the input.
 fn decoders_survive(input: &[u8]) -> Result<(), String> {
     std::panic::catch_unwind(|| {
         let _ = ClusterCheckpoint::decode(input.to_vec().into());
         let _ = ManifestRecord::decode(input.to_vec().into());
+        let _ = codec::decode_snapshot(input.to_vec().into());
     })
     .map_err(|_| format!("a decoder panicked on {input:02x?}"))
 }
@@ -2027,11 +2028,12 @@ proptest! {
 
     /// The durable-run decoders behind `--resume`: arbitrary bytes, and the
     /// prefixes, count-inflated and byte-flipped copies of a real
-    /// checkpoint's encoding and of every manifest record's, all go through
-    /// both `ClusterCheckpoint::decode` and `ManifestRecord::decode`, which
-    /// return `Ok` or `Err` — never a panic, and never an allocation sized by
-    /// an unchecked count, which aborts the process. Valid encodings
-    /// round-trip bit for bit.
+    /// checkpoint's encoding, of its worker snapshots' and of every manifest
+    /// record's, all go through `ClusterCheckpoint::decode`,
+    /// `ManifestRecord::decode` and `codec::decode_snapshot`, which return
+    /// `Ok` or `Err` — never a panic, and never an allocation sized by an
+    /// unchecked count, which aborts the process. Valid encodings round-trip
+    /// bit for bit.
     #[test]
     fn checkpoint_and_manifest_decoders_never_panic(seed in any::<u64>()) {
         let mut rng = DetRng::seed_from_u64(seed);
@@ -2040,6 +2042,11 @@ proptest! {
         let back = ClusterCheckpoint::decode(encoded.clone()).map_err(|e| format!("seed {seed}: {e}"))?;
         prop_assert!(back.encode() == encoded, "seed {seed}: checkpoint changed in a round trip: {checkpoint:?}");
         let mut valid = vec![encoded.to_vec()];
+        for payload in &checkpoint.workers {
+            let snapshot = codec::decode_snapshot(payload.clone()).map_err(|e| format!("seed {seed}: {e}"))?;
+            prop_assert!(codec::encode_snapshot(&snapshot) == *payload, "seed {seed}: snapshot changed in a round trip");
+            valid.push(payload.to_vec());
+        }
         for record in drawn_manifest_records(&mut rng) {
             let encoded = record.encode();
             let back = ManifestRecord::decode(encoded.clone()).map_err(|e| format!("seed {seed}: {e}"))?;
