@@ -51,7 +51,8 @@ macro_rules! id_type {
 id_type!(
     /// Unique identifier of an agent (the paper's `oid`). Stable across the
     /// agent's lifetime; replicas of an agent on other partitions carry the
-    /// same id, which is how the second reduce pass groups partial effects.
+    /// same id, which is how the second reduce pass addresses a shipped
+    /// effect write to its target's owner.
     AgentId,
     u64,
     "a"

@@ -318,18 +318,6 @@ impl AgentPool {
         self.states.len()
     }
 
-    /// Keep only rows `0..n` (drops replica rows after the query phase).
-    pub fn truncate(&mut self, n: usize) {
-        self.ids.truncate(n);
-        self.xs.truncate(n);
-        self.ys.truncate(n);
-        self.alive.truncate(n);
-        for col in &mut self.states {
-            col.truncate(n);
-        }
-        self.effects.truncate_rows(n);
-    }
-
     #[inline]
     pub fn id(&self, row: u32) -> AgentId {
         self.ids[row as usize]
@@ -383,13 +371,6 @@ impl AgentPool {
     #[inline]
     pub fn effects(&self) -> &EffectTable {
         &self.effects
-    }
-
-    /// Mutable effect columns (the distributed runtime ⊕-merges shipped
-    /// partial rows into them between the query and update phases).
-    #[inline]
-    pub fn effects_mut(&mut self) -> &mut EffectTable {
-        &mut self.effects
     }
 
     /// Reset every effect column to its identity — one `fill` per column.

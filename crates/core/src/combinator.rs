@@ -2,13 +2,10 @@
 //!
 //! "Each effect attribute has an associated decomposable and
 //! order-independent combinator function for combining multiple assignments
-//! during a tick" (§2.1). Order independence (commutativity + associativity)
-//! is what lets BRACE aggregate effect assignments in any order, partially
-//! on one node and finally on another, without synchronization. The property
-//! is not merely assumed: `proptest` suites in this module and in
-//! `tests/properties.rs` check it for every combinator over floats (within
-//! the usual caveat that float addition is only approximately associative —
-//! aggregation trees are compared with a tolerance).
+//! during a tick" (§2.1). The `proptest` suite in this module checks order
+//! independence (commutativity + associativity) for every combinator — for
+//! float `Sum` and `Prod` only up to rounding, which is why every engine
+//! folds each non-local write in one fixed order, source id by source id.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -2,8 +2,7 @@
 //!
 //! During the query phase agents assign effect values; the state-effect
 //! pattern requires those assignments to be aggregated by each field's
-//! combinator, in any order, possibly partially on one node and finally on
-//! another. [`EffectTable`] is the dense accumulator for one partition's
+//! combinator. [`EffectTable`] is the dense accumulator for one partition's
 //! visible agent set; [`EffectWriter`] is the capability handed to a
 //! behavior's query phase — it can *only* combine into effect slots, which
 //! is how the executor enforces "state variables are read-only during the
@@ -54,7 +53,7 @@
 use crate::agent::Agent;
 use crate::combinator::Combinator;
 use crate::schema::AgentSchema;
-use brace_common::FieldId;
+use brace_common::{AgentId, FieldId};
 
 /// Dense per-tick effect accumulator: one column of `rows` slots per
 /// effect field, initialized to combinator identities.
@@ -151,17 +150,6 @@ impl EffectTable {
         self.rows -= 1;
     }
 
-    /// Drop rows `n..` (replica rows after the query phase).
-    pub fn truncate_rows(&mut self, n: usize) {
-        if n >= self.rows {
-            return;
-        }
-        for col in &mut self.cols {
-            col.truncate(n);
-        }
-        self.rows = n;
-    }
-
     /// Combine `v` into `(row, field)` using the field's combinator (the
     /// table carries its schema's combinator vector, so the hot path needs
     /// no schema lookup).
@@ -184,27 +172,10 @@ impl EffectTable {
     }
 
     /// The aggregated row for one agent, gathered from the columns.
-    /// Allocates — row extraction is a boundary operation (tests, shipping
-    /// partial aggregates); hot paths read columns or single slots.
+    /// Allocates — row extraction is a boundary operation (tests); hot paths
+    /// read columns or single slots.
     pub fn row(&self, row: u32) -> Vec<f64> {
         self.cols.iter().map(|col| col[row as usize]).collect()
-    }
-
-    /// True if the row still holds only identities — such rows carry no
-    /// information and the runtime skips shipping them (the paper's
-    /// "∀i s.t. fᵗᵢ ≠ θ" filter).
-    pub fn row_is_identity(&self, row: u32) -> bool {
-        self.cols.iter().zip(&self.identities).all(|(col, id)| col[row as usize].to_bits() == id.to_bits())
-    }
-
-    /// ⊕-merge a partial aggregate row (shipped from another partition)
-    /// into `row`. This is the second reduce pass's `⊕ⱼfᵗⱼ`.
-    pub fn merge_row(&mut self, row: u32, partial: &[f64]) {
-        debug_assert_eq!(partial.len(), self.width());
-        for ((col, &p), &comb) in self.cols.iter_mut().zip(partial).zip(&self.combs) {
-            let slot = &mut col[row as usize];
-            *slot = comb.combine(*slot, p);
-        }
     }
 
     /// Overwrite row `dst_rows[i]` of this table with row `i` of `src`, for
@@ -223,12 +194,14 @@ impl EffectTable {
         }
     }
 
-    /// Apply segment `segment` of `log` — one agent's effect writes — in the
-    /// order they were made. Replaying every owned row's segment in ascending
-    /// source-row order performs exactly the combines, in exactly the order,
-    /// of writers run over those rows in row order.
-    pub(crate) fn replay(&mut self, log: &EffectLog, segment: u32) {
-        for e in log.segment(segment) {
+    /// Apply the writes of segment `segment` of `log` — one agent's effect
+    /// writes — that target one of the first `owned` rows, in the order they
+    /// were made; writes to later rows (replicas) are their owners' to fold.
+    /// Replaying every owned row's segment in ascending source-id order
+    /// performs exactly the combines, in exactly the order, of writers run
+    /// over those rows in id order.
+    pub(crate) fn replay(&mut self, log: &EffectLog, segment: u32, owned: u32) {
+        for e in log.segment(segment).iter().filter(|e| e.row < owned) {
             self.combine(e.row, e.field, e.v);
         }
     }
@@ -253,19 +226,30 @@ struct LogEntry {
     v: f64,
 }
 
+/// One non-local effect write, `target.field ⊕= v` made by agent `source`,
+/// as a worker ships it to the target's owner, whose replay folds it at the
+/// source's place in id order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EffectWrite {
+    pub target: AgentId,
+    pub source: AgentId,
+    pub field: FieldId,
+    pub v: f64,
+}
+
 /// The effect **write-log** of one sweep slice of the query phase, for
 /// schemas with non-local effects.
 ///
-/// A float `Sum` into a *target* row is pinned in source-row order, but the
+/// A float `Sum` into a *target* row is pinned in source-id order, but the
 /// tile-ordered sweep visits source rows in probe order. So a non-local
 /// schema's writers do not combine in place: each appends its writes —
 /// local *and* remote, since one field may receive both in a tick and
 /// applying the locals early would re-associate the sum — to a segment of
 /// this log. After the sweep the executor [replays](EffectTable::replay)
-/// every owned row's segment once, in ascending source-row order, straight
-/// into the pool's effect columns, so the fold is the row-order pass's at
-/// every shard granule. Segments are numbered in the order their writers
-/// were opened ([`EffectWriter::logged`]).
+/// every owned row's segment once, in ascending source id, straight into
+/// the pool's effect columns, so the fold is the id-order pass's at every
+/// shard granule and on every engine. Segments are numbered in the order
+/// their writers were opened ([`EffectWriter::logged`]).
 #[derive(Debug, Default)]
 pub(crate) struct EffectLog {
     entries: Vec<LogEntry>,
@@ -289,6 +273,12 @@ impl EffectLog {
         let j = j as usize;
         let end = self.starts.get(j + 1).map_or(self.entries.len(), |&e| e as usize);
         &self.entries[self.starts[j] as usize..end]
+    }
+
+    /// The writes of segment `j` to rows at or past `owned` (replicas), in
+    /// the order they were made: `(target row, field, value)`.
+    pub(crate) fn writes_past(&self, j: u32, owned: u32) -> impl Iterator<Item = (u32, FieldId, f64)> + '_ {
+        self.segment(j).iter().filter(move |e| e.row >= owned).map(|e| (e.row, e.field, e.v))
     }
 }
 
@@ -539,7 +529,6 @@ mod tests {
         assert_eq!(t.rows(), 3);
         for r in 0..3 {
             assert_eq!(t.row(r), &[0.0, f64::INFINITY]);
-            assert!(t.row_is_identity(r));
         }
         // Columns are identity-filled per field, not row-interleaved.
         assert_eq!(t.col(FieldId::new(0)), &[0.0; 3]);
@@ -558,36 +547,6 @@ mod tests {
         t.combine(0, closest, 7.0);
         t.combine(0, closest, 4.0);
         assert_eq!(t.row(0), &[5.0, 4.0]);
-        assert!(!t.row_is_identity(0));
-    }
-
-    #[test]
-    fn merge_row_is_second_reduce_pass() {
-        let s = schema();
-        // Partition A aggregates partially…
-        let mut a = EffectTable::new(&s);
-        a.reset(1);
-        a.combine(0, FieldId::new(0), 1.0);
-        a.combine(0, FieldId::new(1), 9.0);
-        // …partition B owns the agent and merges A's partial row.
-        let mut b = EffectTable::new(&s);
-        b.reset(1);
-        b.combine(0, FieldId::new(0), 2.0);
-        b.combine(0, FieldId::new(1), 5.0);
-        b.merge_row(0, &a.row(0));
-        assert_eq!(b.row(0), &[3.0, 5.0]);
-    }
-
-    #[test]
-    fn merge_of_identity_row_is_noop() {
-        let s = schema();
-        let mut t = EffectTable::new(&s);
-        t.reset(1);
-        t.combine(0, FieldId::new(0), 4.0);
-        let before = t.row(0);
-        let identities = s.effect_identities();
-        t.merge_row(0, &identities);
-        assert_eq!(t.row(0), before);
     }
 
     #[test]
@@ -603,15 +562,15 @@ mod tests {
     }
 
     #[test]
-    fn push_and_truncate_rows() {
+    fn push_and_pop_rows() {
         let s = schema();
         let mut t = EffectTable::new(&s);
         t.push_row(&[1.0, 2.0]);
         t.push_identity_row();
         assert_eq!(t.rows(), 2);
         assert_eq!(t.row(0), &[1.0, 2.0]);
-        assert!(t.row_is_identity(1));
-        t.truncate_rows(1);
+        assert_eq!(t.row(1), &[0.0, f64::INFINITY]);
+        t.pop_row();
         assert_eq!(t.rows(), 1);
         assert_eq!(t.row(0), &[1.0, 2.0]);
     }
@@ -676,7 +635,7 @@ mod tests {
         let mut t = EffectTable::new(s);
         t.reset(rows.len());
         for &(slice, j) in &segments {
-            t.replay(&logs[slice], j);
+            t.replay(&logs[slice], j, rows.len() as u32);
         }
         (t, nonlocal)
     }
@@ -743,7 +702,24 @@ mod tests {
         assert_bit_identical(&serial, &replayed);
         assert_eq!(nonlocal, serial_nonlocal);
         assert_eq!(replayed.row(1), &[-2.5, 4.0, 2.0]);
-        assert!(replayed.row_is_identity(3), "a silent, untargeted agent stays at identity");
+        assert_eq!(replayed.row(3), s.effect_identities(), "a silent, untargeted agent stays at identity");
+    }
+
+    /// Rows at or past `owned` are replicas: the replay folds none of their
+    /// writes, and `writes_past` hands out exactly those, in write order.
+    #[test]
+    fn replay_folds_owned_targets_and_hands_out_the_rest_in_order() {
+        let s = AgentSchema::builder("W").effect("w", Combinator::Sum).nonlocal_effects(true).build().unwrap();
+        let writes: Writes = vec![(2, 0, 1.0), (0, 0, 0.5), (3, 0, -2.0), (1, 0, 4.0), (2, 0, 3.0)];
+        let mut log = EffectLog::default();
+        apply(&mut EffectWriter::logged(&s, &mut log, 0), 0, &writes);
+        let mut t = EffectTable::new(&s);
+        t.reset(4);
+        t.replay(&log, 0, 2);
+        assert_eq!(t.col(FieldId::new(0)), &[0.5, 4.0, 0.0, 0.0]);
+        let past: Vec<(u32, FieldId, f64)> = log.writes_past(0, 2).collect();
+        let field = FieldId::new(0);
+        assert_eq!(past, [(2, field, 1.0), (3, field, -2.0), (2, field, 3.0)]);
     }
 
     /// One effect field per combinator, in [`Combinator::ALL`] order.
@@ -841,7 +817,7 @@ mod tests {
                 assert_eq!(w.nonlocal_writes(), 0);
             }
             assert_bit_identical(&by_local, &by_fold);
-            assert!(by_fold.row_is_identity(0), "only the slot row is addressed");
+            assert_eq!(by_fold.row(0), s.effect_identities(), "only the slot row is addressed");
         }
     }
 
@@ -900,7 +876,6 @@ mod tests {
         t.scatter_rows_from(&shard, [4u32, 0, 2].into_iter());
         assert_eq!(t.col(FieldId::new(0)), &[-2.0, 0.0, 7.0, 0.0, 1.5]);
         assert_eq!(t.col(FieldId::new(1)), &[-2.0, f64::INFINITY, 7.0, f64::INFINITY, 1.5]);
-        assert!(t.row_is_identity(1) && t.row_is_identity(3));
     }
 
     #[test]

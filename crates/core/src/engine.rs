@@ -3,10 +3,11 @@
 //! [`Simulation`] is BRACE's one-partition runtime. It owns the agent pool,
 //! the tick's [`TickIndex`] and [`TickScratch`], the spawn-id generator, the
 //! metrics and the telemetry handle, and each [`Simulation::step`] runs the
-//! executor's two sharded phases back to back — [`query_phase_sharded`], then
-//! [`update_phase_sharded`] — and applies the update's membership changes.
-//! The MapReduce worker calls the very same two functions with communication
-//! in between, so a single node *is* the runtime with one partition.
+//! executor's phases back to back — [`query_phase_sharded`],
+//! [`replay_effects`], then [`update_phase_sharded`] — and applies the
+//! update's membership changes. The MapReduce worker calls the very same
+//! functions with communication in between, so a single node *is* the
+//! runtime with one partition.
 //!
 //! It is one of the two engines behind the backend-erased driver in
 //! `brace_scenario` — `Runner`/`SimHandle` drive either this or
@@ -18,7 +19,9 @@
 
 use crate::agent::{Agent, AgentPool};
 use crate::behavior::Behavior;
-use crate::executor::{query_phase_sharded, update_phase_sharded, PendingSpawn, TickIndex, TickScratch, SHARD_ROWS};
+use crate::executor::{
+    query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickIndex, TickScratch, SHARD_ROWS,
+};
 use crate::metrics::{SimMetrics, TickMetrics};
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
@@ -159,7 +162,7 @@ impl<B: Behavior> Simulation<B> {
     /// Execute one tick (query → finalize effects → update).
     pub fn step(&mut self) -> TickMetrics {
         let n = self.pool.len();
-        let qs = query_phase_sharded(
+        let mut qs = query_phase_sharded(
             &self.behavior,
             &mut self.pool,
             n,
@@ -170,6 +173,10 @@ impl<B: Behavior> Simulation<B> {
             SHARD_ROWS,
             self.parallelism,
         );
+        // One partition owns every target: nothing is shipped in.
+        let replay_ns = replay_effects(&mut self.pool, &self.scratch, &mut []);
+        qs.merge_ns += replay_ns;
+        qs.query_ns += replay_ns;
         // The update phase only reports membership changes; a single node
         // applies them in place — survivors keep their (id-ordered) rows and
         // spawns take fresh ids in the order they were emitted. The apply is

@@ -2,18 +2,20 @@
 //! phase — sharded for intra-worker parallelism, columnar, and — for range
 //! probes — index-free: the query phase is a sort-merge spatial join.
 //!
-//! Each phase has one production entry point, [`query_phase_sharded`] and
-//! [`update_phase_sharded`], exposed separately because the distributed
-//! runtime interleaves communication between them (Table 1 of the paper):
+//! Each phase has one production entry point — [`query_phase_sharded`],
+//! [`replay_effects`] and [`update_phase_sharded`] — exposed separately
+//! because the distributed runtime interleaves communication between them
+//! (Table 1 of the paper):
 //!
 //! ```text
 //!   mapᵗ        = update phase of t−1 + distribute (runtime)
-//!   reduceᵗ₁    = query phase over owned agents       (this module)
-//!   reduceᵗ₂    = ⊕-merge of shipped partial effects  (EffectTable::merge_row)
-//!   mapᵗ⁺¹      = update phase                         (this module)
+//!   reduceᵗ₁    = query phase over owned agents        (query_phase_sharded)
+//!   reduceᵗ₂    = replay of every non-local write, the
+//!                 peers' shipped ones included          (replay_effects)
+//!   mapᵗ⁺¹      = update phase                          (update_phase_sharded)
 //! ```
 //!
-//! The single-node engine (`crate::engine::Simulation`) calls the same two
+//! The single-node engine (`crate::engine::Simulation`) calls the same
 //! functions back to back with nothing in between — it *is* the
 //! one-partition special case of the runtime, and the integration tests
 //! exploit that: the distributed engine must produce bit-identical agents.
@@ -123,38 +125,33 @@
 //!   to serial output at the bit level, for any shard plan and any thread
 //!   count.
 //! * For **non-local** schemas any row may write to any visible row, and a
-//!   float `Sum` into a *target* row is pinned in **source-row order** — but
+//!   float `Sum` into a *target* row is pinned in **source-id order** — but
 //!   the sweep visits sources in tile order. So the sweep combines nothing:
 //!   every write, local *and* remote (one field may receive both in a tick,
 //!   and applying the locals early would re-associate it), is appended to a
 //!   segment of the slice's **effect write-log**
-//!   (`crate::effect::EffectLog`), one segment per source row. After the
-//!   sweep every owned row's segment is replayed **once**, in ascending
-//!   source-row order, straight into the pool's effect columns: exactly the
-//!   combines, in exactly the order, of a row-order pass — sort, then replay.
-//!   The replay is serial; the sweep that fills the logs is what runs on the
-//!   thread budget. The sink is chosen once per tick, by schema; local-effect
-//!   schemas never see the log.
+//!   (`crate::effect::EffectLog`), one segment per source row. Then
+//!   [`replay_effects`] replays every owned row's segment **once**, in
+//!   ascending source id, with the writes peers shipped in interleaved by
+//!   source id, into the pool's effect columns (writes to replica rows go
+//!   to their owners instead): sort, then replay. The replay is serial.
 //! * The inner loop is monomorphized over the concrete index type
 //!   ([`ScanIndex`] / [`KdTree`] / [`UniformGrid`]) where one is probed: the
 //!   [`BuiltIndex`] enum is dispatched once per tick, not once per probe.
 //!
 //! # Determinism argument
 //!
-//! One contract, for every schema, shard granule and thread count: the
-//! sharded query phase is **bit-identical to [`query_phase`]**, the
-//! unsharded, unjoined serial reference (one index probe and one sort per
-//! row, in row order). Local effects are written by their own row alone, so
-//! neither the order rows are visited in nor how they are grouped or sliced
-//! can matter, and the merge is a scatter. Non-local effects are combined in
-//! one place only — the replay — and it visits source rows in row order, as
-//! the reference does; a slice boundary changes which log holds a segment,
-//! not what the segment holds or when it is replayed. Neither the shard plan
-//! (a function of `n_owned`, the granule and the probe order) nor the thread
-//! count can therefore move a bit (`tests/properties.rs` proves this across
-//! seeds, populations, granules, thread budgets and every [`IndexKind`]).
-//! The only re-association left is the distributed runtime's, across
-//! partitions. The update phase parallelizes with any contiguous chunking:
+//! One contract, for every schema, shard granule, thread count and
+//! partitioning: the sharded query phase and its replay are
+//! **bit-identical to [`query_phase`]**, the unsharded, unjoined serial
+//! reference (one index probe and one sort per row, in id order). Local
+//! effects are written by their own row alone, and the merge is a scatter.
+//! Non-local effects are combined in one place only — the replay — in
+//! source-id order, as the reference combines them; a slice boundary or a
+//! partition boundary changes where a write is logged, not when it is
+//! folded (`tests/properties.rs` proves this across seeds, populations,
+//! granules, thread budgets and every [`IndexKind`]). The update phase
+//! parallelizes with any contiguous chunking:
 //! each agent's update depends only on `(seed, tick, agent)`, and per-chunk
 //! spawn queues are concatenated in chunk order, preserving the serial
 //! spawn-id assignment exactly.
@@ -164,11 +161,12 @@
 //! The pool passed to the query phase holds the *owned* agents first
 //! (rows `0..n_owned`) followed by replicas shipped from other partitions.
 //! Queries run only for owned rows; replicas join the probe order and appear
-//! in blocks; effects may land on any row.
+//! in blocks; a non-local write to a replica row is not folded here but
+//! handed out for the replica's owner.
 
 use crate::agent::{Agent, AgentPool, PoolView, UpdateChunk};
 use crate::behavior::{Behavior, NeighborProbe, Neighbors, UpdateCtx};
-use crate::effect::{EffectLog, EffectTable, EffectWriter};
+use crate::effect::{EffectLog, EffectTable, EffectWrite, EffectWriter};
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, Rect, Vec2};
@@ -297,9 +295,9 @@ pub struct QueryStats {
     pub index_build_ns: u64,
     pub query_ns: u64,
     /// Time spent bringing the shards' effects into the pool's effect
-    /// columns (the local scatter or the non-local write-log replay) — a
-    /// subset of `query_ns`, broken out so the effect-merge phase is visible
-    /// on its own (telemetry and the `--trace` output).
+    /// columns (the local scatter, or the non-local write-log's replay,
+    /// which the engine adds) — a subset of `query_ns`, broken out so the
+    /// effect-merge phase is visible on its own (telemetry, `--trace`).
     pub merge_ns: u64,
     pub neighbor_visits: u64,
     pub nonlocal_writes: u64,
@@ -456,10 +454,9 @@ fn tile_window(cells: &[ProbeKey], side: f64, rect: &Rect, cursors: &mut [usize;
 /// Reusable per-tick working memory, threaded through the executor so the
 /// hot path allocates nothing after the first tick: the tick's probe order,
 /// one [`ShardScratch`] (effect table or write-log + candidate block + spawn
-/// queue) per logical shard, and for non-local schemas the source-row
-/// directory of the write-log, which the replay walks in row order into the
-/// pool's own effect columns. One `TickScratch` belongs to one behavior (its
-/// tables are shaped by the behavior's schema).
+/// queue) per logical shard, and for non-local schemas the replay's source
+/// order and the writes to replicas. One `TickScratch` belongs to one
+/// behavior (its tables are shaped by the behavior's schema).
 #[derive(Default)]
 pub struct TickScratch {
     shards: Vec<ShardScratch>,
@@ -467,9 +464,14 @@ pub struct TickScratch {
     cells: Vec<ProbeKey>,
     /// The owned rows in probe order (the sweep).
     order: Vec<ProbeKey>,
-    /// Non-local schemas: `(sweep slice, log segment)` holding each owned
-    /// row's writes.
-    segments: Vec<(u32, u32)>,
+    /// Non-local schemas: `(row, sweep slice, log segment)` of every owned
+    /// row, in ascending agent id — the replay's order. Empty otherwise.
+    /// `spare` is the id sort's scatter buffer.
+    sources: Vec<(u32, u32, u32)>,
+    spare: Vec<(u32, u32, u32)>,
+    /// Non-local schemas: the writes to replica rows, `(target row, write)`,
+    /// in ascending source id.
+    outbound: Vec<(u32, EffectWrite)>,
     /// Captured at construction, like the `Simulation`'s own handle.
     tel: Telemetry,
 }
@@ -479,8 +481,10 @@ struct ShardScratch {
     /// Local-effect schemas: this slice's effects, indexed by position in
     /// the slice.
     table: EffectTable,
-    /// Non-local schemas: this slice's effect writes, one segment per member.
+    /// Non-local schemas: this slice's effect writes, one segment per member,
+    /// and those of them to replica rows, `(target row, write)`, in order.
     log: EffectLog,
+    outbound: Vec<(u32, EffectWrite)>,
     /// Candidate rows of the current probe group, canonical order.
     block: Vec<u32>,
     /// Where each tile-row of the last group's window began in the probe
@@ -507,6 +511,7 @@ impl ShardScratch {
         ShardScratch {
             table: EffectTable::new(schema),
             log: EffectLog::default(),
+            outbound: Vec::new(),
             block: Vec::new(),
             cursors: [0; 3],
             block_xs: Vec::new(),
@@ -527,6 +532,12 @@ impl TickScratch {
         TickScratch::default()
     }
 
+    /// The last query phase's writes to replica rows, `(target row, write)`,
+    /// in ascending source id, each source's in the order it made them.
+    pub fn outbound(&self) -> &[(u32, EffectWrite)] {
+        &self.outbound
+    }
+
     /// Grow to at least `n` shard scratches shaped by `schema`.
     fn ensure_shards(&mut self, schema: &AgentSchema, n: usize) -> &mut [ShardScratch] {
         while self.shards.len() < n {
@@ -537,17 +548,17 @@ impl TickScratch {
 }
 
 /// Serial reference implementation of the query phase: one pass over rows
-/// `0..n_owned` in row order — one index probe, one canonicalizing sort and
-/// one scalar [`Behavior::query`] per row, combined in place — into a single
-/// full-width `table` (which is reset first), over an index built fresh for
-/// this call. This is the executable specification the join and the
-/// write-log replay are tested against;
-/// production paths (the `Simulation`, the MapReduce worker) call
-/// [`query_phase_sharded`].
+/// `0..n_owned` in ascending agent id (row order on an id-ordered pool) —
+/// one index probe, one canonicalizing sort and one scalar
+/// [`Behavior::query`] per row, combined in place — into a single full-width
+/// `table` (which is reset first), over an index built fresh for this call.
+/// This is the executable specification the join and the write-log replay
+/// are tested against; production paths (the `Simulation`, the MapReduce
+/// worker) call [`query_phase_sharded`] and [`replay_effects`].
 ///
 /// After this returns, rows `0..n_owned` hold this partition's aggregated
-/// local effects and rows `n_owned..` hold partial aggregates destined for
-/// the replicas' owners (the runtime ships the non-identity ones).
+/// effects and rows `n_owned..` its agents' writes to the replicas, folded
+/// in the order [`TickScratch::outbound`] hands them out.
 pub fn query_phase<B: Behavior>(
     behavior: &B,
     pool: &AgentPool,
@@ -595,7 +606,9 @@ fn reference_rows<B: Behavior, I: SpatialIndex>(
     let mut candidates: Vec<u32> = Vec::new();
     let mut visits = 0u64;
     let mut nonlocal = 0u64;
-    for row in 0..n_owned as u32 {
+    let mut by_id: Vec<u32> = (0..n_owned as u32).collect();
+    by_id.sort_unstable_by_key(|&row| view.ids[row as usize]);
+    for row in by_id {
         let me = view.agent(row);
         debug_assert!(me.alive(), "dead agent in query phase");
         let pos = me.pos();
@@ -766,10 +779,12 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
     let schema = behavior.schema();
     let vis = schema.visibility();
     let probe = behavior.probe();
-    let ShardScratch { table, log, block, cursors, block_xs, block_ys, rows, .. } = shard;
+    let ShardScratch { table, log, outbound, block, cursors, block_xs, block_ys, rows, .. } = shard;
     let (mut visits, mut nonlocal, mut groups, mut block_rows) = (0u64, 0u64, 0u64, 0u64);
     let mut slot = 0u32;
+    let owned = plan.order.len() as u32;
     log.clear();
+    outbound.clear();
     let mut rest = slice;
     while !rest.is_empty() {
         let group;
@@ -835,7 +850,15 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
             };
             visits += candidates.len() as u64;
             behavior.query(me, &Neighbors::new(view, candidates, row), &mut writer, &mut rng);
-            nonlocal += writer.nonlocal_writes();
+            let remote = writer.nonlocal_writes();
+            nonlocal += remote;
+            if remote > 0 && owned < view.len() as u32 {
+                // Only `remote` reaches a replica row; hand its writes out
+                // while the segment is hot.
+                outbound.extend(log.writes_past(slot, owned).map(|(target, field, v)| {
+                    (target, EffectWrite { target: view.ids[target as usize], source: me.id(), field, v })
+                }));
+            }
             slot += 1;
         }
     }
@@ -845,11 +868,11 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
     shard.block_rows = block_rows;
 }
 
-/// Sharded, optionally parallel query phase, bit-identical to
-/// [`query_phase`] for every schema, granule and thread count: rows
-/// `0..n_owned` of the pool are queried and effects for every visible row
-/// are aggregated into the **pool's own effect columns**, over the shard
-/// plan described in the module docs. `index` is built and probed only where
+/// Sharded, optionally parallel query phase: rows `0..n_owned` of the pool
+/// are queried over the shard plan described in the module docs, and their
+/// effects aggregated into the **pool's own effect columns** (by
+/// [`replay_effects`] for a non-local schema) — bit-identically to
+/// [`query_phase`]. `index` is built and probed only where
 /// the sort-merge tile join does not apply (the scan, k-NN probes, unbounded
 /// visibility); a bounded-visibility range schema never builds it.
 ///
@@ -877,8 +900,10 @@ pub fn query_phase_sharded<B: Behavior>(
     let nonlocal = schema.has_nonlocal_effects();
     let k = shard_count(n_owned, shard_rows);
     scratch.ensure_shards(schema, k);
-    let TickScratch { shards, cells, order, segments, tel } = scratch;
+    let TickScratch { shards, cells, order, sources, spare, outbound, tel } = scratch;
     let shards = &mut shards[..k];
+    sources.clear();
+    outbound.clear();
 
     // Range probes are shared between tile-mates — except by the scan: it is
     // the paper's *no-indexing* baseline (Figures 3 and 4), and sorting
@@ -903,19 +928,9 @@ pub fn query_phase_sharded<B: Behavior>(
     let threads = effective_parallelism(parallelism).min(k);
 
     let t1 = Instant::now();
-    let plan = QueryPlan {
-        behavior,
-        view,
-        order,
-        cells,
-        grouped,
-        join,
-        nonlocal,
-        // Once per tick, early-out on the first inversion.
-        rows_in_id_order: ids_strictly_increasing(view.ids),
-        tick,
-        seed,
-    };
+    // Once per tick, early-out on the first inversion.
+    let rows_in_id_order = ids_strictly_increasing(view.ids);
+    let plan = QueryPlan { behavior, view, order, cells, grouped, join, nonlocal, rows_in_id_order, tick, seed };
     // A local-effect shard accumulates into a table of the rows it sweeps; a
     // non-local one only logs.
     if !nonlocal {
@@ -941,17 +956,19 @@ pub fn query_phase_sharded<B: Behavior>(
             table.scatter_rows_from(&shard.table, order[shard_range(n_owned, k, i)].iter().map(|key| key.row));
         }
     } else {
-        // Non-local shards logged every write: replay each owned row's
-        // segment once, in ascending source-row order, into the pool's table
-        // — exactly the combines a row-order pass performs.
-        segments.resize(n_owned, (0, 0));
-        for s in 0..k {
+        // Non-local shards logged every write, for `replay_effects` to fold
+        // in source-id order; the writes to replica rows leave for their
+        // owners in the same order (the sort is stable).
+        sources.resize(n_owned, (0, 0, 0));
+        for (s, shard) in shards.iter().enumerate() {
             for (j, key) in order[shard_range(n_owned, k, s)].iter().enumerate() {
-                segments[key.row as usize] = (s as u32, j as u32);
+                sources[key.row as usize] = (key.row, s as u32, j as u32);
             }
+            outbound.extend_from_slice(&shard.outbound);
         }
-        for &(s, j) in segments.iter() {
-            table.replay(&shards[s as usize].log, j);
+        outbound.sort_by_key(|(_, write)| write.source);
+        if !rows_in_id_order {
+            sort_by_id(sources, spare, view.ids);
         }
     }
     stats.merge_ns = t2.elapsed().as_nanos() as u64;
@@ -968,6 +985,56 @@ pub fn query_phase_sharded<B: Behavior>(
     tel.add(Counter::ExecutorBlockCandidates, block_rows);
     tel.add(Counter::ExecutorEffectLogEntries, logged);
     stats
+}
+
+/// Sort `sources` by their rows' agent ids: an LSD radix sort, one stable
+/// counting pass per id byte that not all the ids share (the low two or
+/// three, for a run's ids) — a fraction of a comparison sort's time on a
+/// worker's ≈ 20k rows. `spare` is the scatter buffer.
+fn sort_by_id(sources: &mut Vec<(u32, u32, u32)>, spare: &mut Vec<(u32, u32, u32)>, ids: &[AgentId]) {
+    let id = |&(row, ..): &(u32, u32, u32)| ids[row as usize].raw();
+    let Some(first) = sources.first().map(id) else { return };
+    let varying = sources.iter().fold(0, |bits, src| bits | (id(src) ^ first));
+    for shift in (0..64).step_by(8).filter(|&shift| (varying >> shift) as u8 != 0) {
+        let digit = |src: &(u32, u32, u32)| (id(src) >> shift) as u8 as usize;
+        // Count each digit, then turn the counts into where each digit's
+        // next source goes.
+        let mut next = [0usize; 256];
+        sources.iter().for_each(|src| next[digit(src)] += 1);
+        next.iter_mut().fold(0, |start, n| start + std::mem::replace(n, start));
+        spare.resize(sources.len(), (0, 0, 0));
+        for src in sources.iter() {
+            let d = digit(src);
+            spare[next[d]] = *src;
+            next[d] += 1;
+        }
+        std::mem::swap(sources, spare);
+    }
+}
+
+/// The second reduce pass, and the only place any engine combines a
+/// non-local write: fold the writes the last [`query_phase_sharded`] over
+/// `pool` logged for owned agents, and `inbound` — the writes peers made to
+/// them, as `(target row, write)` — into the pool's effect columns, once, in
+/// ascending source id. A source's writes keep the order it made them (they
+/// are one ordered run of `inbound`, and the sort is stable). A single node
+/// passes no inbound writes. Returns the nanoseconds it took.
+pub fn replay_effects(pool: &mut AgentPool, scratch: &TickScratch, inbound: &mut [(u32, EffectWrite)]) -> u64 {
+    let t0 = Instant::now();
+    inbound.sort_by_key(|(_, write)| write.source);
+    let (view, table) = pool.split_query();
+    let owned = scratch.sources.len() as u32;
+    let mut peers = inbound.iter().peekable();
+    for &(row, s, j) in &scratch.sources {
+        while let Some((target, write)) = peers.next_if(|(_, write)| write.source < view.ids[row as usize]) {
+            table.combine(*target, write.field, write.v);
+        }
+        table.replay(&scratch.shards[s as usize].log, j, owned);
+    }
+    for (target, write) in peers {
+        table.combine(*target, write.field, write.v);
+    }
+    t0.elapsed().as_nanos() as u64
 }
 
 /// Sweep every shard's slice of the probe order ([`query_shard`]).
@@ -1667,6 +1734,22 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The replay's radix sort is a sort by id, whichever bytes of the
+        /// ids vary — low ones only, high ones only, or all eight.
+        #[test]
+        fn sort_by_id_orders_sources_by_agent_id(
+            raw in prop::collection::vec(any::<u64>(), 0..300),
+            mask in prop::sample::select(vec![0xFFFFu64, 0xFF00_0000_0000_0000, u64::MAX]),
+        ) {
+            let mut seen = std::collections::HashSet::new();
+            let ids: Vec<AgentId> = raw.iter().map(|&id| AgentId::new(id & mask)).filter(|&id| seen.insert(id)).collect();
+            let mut sources: Vec<(u32, u32, u32)> = (0..ids.len() as u32).map(|row| (row, row % 3, row / 3)).collect();
+            let mut want = sources.clone();
+            want.sort_by_key(|&(row, ..)| ids[row as usize]);
+            sort_by_id(&mut sources, &mut Vec::new(), &ids);
+            prop_assert_eq!(sources, want);
+        }
 
         /// A sweep of windows over a sparse world with empty tile-rows and
         /// columns, from arbitrary starting hints: every block is the window

@@ -50,7 +50,7 @@ pub mod schema;
 pub use agent::{Agent, AgentPool, AgentRead, AgentRef, PoolView};
 pub use behavior::{Behavior, NeighborRef, Neighbors, UpdateCtx};
 pub use combinator::Combinator;
-pub use effect::{EffectTable, EffectWriter};
+pub use effect::{EffectTable, EffectWrite, EffectWriter};
 pub use engine::{check_population, Simulation, SimulationBuilder};
 pub use executor::{PendingSpawn, TickIndex, TickScratch};
 pub use metrics::{SimMetrics, TickMetrics};

@@ -83,8 +83,8 @@ pub struct ClusterConfig {
     pub epoch_len: u64,
     /// Spatial index each reducer builds per tick.
     pub index: IndexKind,
-    /// Master seed; identical seeds give identical simulations regardless
-    /// of worker count (up to floating-point aggregation order).
+    /// Master seed; identical seeds give bit-identical simulations
+    /// regardless of worker count.
     pub seed: u64,
     /// Initial x-extent for the 1-D column partitioning.
     pub space_x: (f64, f64),
@@ -97,8 +97,6 @@ pub struct ClusterConfig {
     pub checkpoint_every: Option<u64>,
     /// Keep this many recent checkpoints in memory.
     pub keep_checkpoints: usize,
-    /// Also persist checkpoints to this directory.
-    pub checkpoint_dir: Option<PathBuf>,
     /// Intra-worker thread budget for the query/update phases (`1` =
     /// serial, `0` = all cores, `n` = up to `n` threads **per worker**).
     /// Never affects results — the executor's shard plan is thread-count
@@ -113,8 +111,8 @@ pub struct ClusterConfig {
     /// Scheduled cluster resizes (elastic membership).
     pub membership: Vec<MembershipChange>,
     /// Durable-run directory: holds the write-ahead manifest and the
-    /// checkpoint files (overrides `checkpoint_dir`). A run with `run_dir`
-    /// set survives a process crash — see [`ClusterSim::resume`].
+    /// checkpoint files. A run with `run_dir` set survives a process crash —
+    /// see [`ClusterSim::resume`].
     pub run_dir: Option<PathBuf>,
     /// Opaque scenario-layer job description recorded in the manifest
     /// header (durable runs only).
@@ -136,7 +134,6 @@ impl Default for ClusterConfig {
             balancer: LoadBalancer::default(),
             checkpoint_every: None,
             keep_checkpoints: 2,
-            checkpoint_dir: None,
             parallelism: 1,
             fault: None,
             worker_faults: Vec::new(),
@@ -259,11 +256,10 @@ impl ClusterSim {
         Ok((cmd_tx, report_rx, handles))
     }
 
-    /// Checkpoint store honoring the durable-run directory (which
-    /// overrides `checkpoint_dir`).
+    /// Checkpoint store, persisting to the durable-run directory if any.
     fn build_store(cfg: &ClusterConfig) -> CheckpointStore {
         let mut store = CheckpointStore::new(cfg.keep_checkpoints);
-        if let Some(dir) = cfg.run_dir.clone().or_else(|| cfg.checkpoint_dir.clone()) {
+        if let Some(dir) = cfg.run_dir.clone() {
             store = store.with_dir(dir);
         }
         store

@@ -11,7 +11,7 @@
 //! both ends share the schema). Checkpoints reuse the same primitives.
 
 use brace_common::{AgentId, BraceError, DetRng, FieldId, Result, Vec2};
-use brace_core::{Agent, AgentPool};
+use brace_core::{Agent, AgentPool, EffectWrite};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Append one agent to `buf`.
@@ -268,39 +268,39 @@ pub fn decode_replica_delta(mut bytes: Bytes) -> ReplicaDelta {
     ReplicaDelta { removals, n_updates, updates: bytes }
 }
 
-/// Serialize partial effect rows straight from a column-major
-/// [`EffectTable`](brace_core::EffectTable) — the payload of the second
-/// reduce pass, on the worker's ship path. Gathers each row from the
-/// columns into the output buffer directly, so shipping allocates nothing
-/// per row.
-pub fn encode_effect_table_rows(table: &brace_core::EffectTable, rows: &[(AgentId, u32)]) -> Bytes {
-    let width = table.width();
-    let mut buf = BytesMut::with_capacity(6 + rows.len() * (8 + width * 8));
-    buf.put_u32_le(rows.len() as u32);
-    buf.put_u16_le(width as u16);
-    for &(id, row) in rows {
-        buf.put_u64_le(id.raw());
-        for f in 0..width {
-            buf.put_f64_le(table.get(row, brace_common::FieldId::new(f as u16)));
-        }
+/// Wire size of one [`EffectWrite`]: target id, source id, field, value.
+const EFFECT_WRITE_BYTES: usize = 8 + 8 + 2 + 8;
+
+/// Serialize non-local effect writes — the payload of the second reduce
+/// pass: `u32 count`, then per write `u64 target | u64 source | u16 field |
+/// f64 value`, in the order given, which is the order the receiver folds
+/// them in. An empty list encodes to **zero bytes**.
+pub fn encode_effect_writes(writes: &[EffectWrite]) -> Bytes {
+    if writes.is_empty() {
+        return Bytes::new();
+    }
+    let mut buf = BytesMut::with_capacity(4 + writes.len() * EFFECT_WRITE_BYTES);
+    buf.put_u32_le(writes.len() as u32);
+    for w in writes {
+        buf.put_u64_le(w.target.raw());
+        buf.put_u64_le(w.source.raw());
+        buf.put_u16_le(w.field.raw());
+        buf.put_f64_le(w.v);
     }
     buf.freeze()
 }
 
-/// Deserialize partial effect rows.
-pub fn decode_effect_rows(mut bytes: Bytes) -> Vec<(AgentId, Vec<f64>)> {
-    let count = bytes.get_u32_le() as usize;
-    let width = bytes.get_u16_le() as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = AgentId::new(bytes.get_u64_le());
-        let mut vals = Vec::with_capacity(width);
-        for _ in 0..width {
-            vals.push(bytes.get_f64_le());
-        }
-        out.push((id, vals));
+/// Decode a payload produced by [`encode_effect_writes`]; see
+/// [`counted_records`]. Whether the targets and fields exist is the
+/// receiver's to check.
+pub fn decode_effect_writes(mut bytes: Bytes) -> Result<Vec<EffectWrite>> {
+    counted_records(&mut bytes, EFFECT_WRITE_BYTES, "effect writes")?;
+    let mut out = Vec::with_capacity(bytes.remaining() / EFFECT_WRITE_BYTES);
+    while bytes.has_remaining() {
+        let (target, source) = (AgentId::new(bytes.get_u64_le()), AgentId::new(bytes.get_u64_le()));
+        out.push(EffectWrite { target, source, field: FieldId::new(bytes.get_u16_le()), v: bytes.get_f64_le() });
     }
-    out
+    Ok(out)
 }
 
 /// Serialize per-parent spawn-count runs — the payload of the spawn
@@ -321,19 +321,30 @@ pub fn encode_spawn_runs(runs: &[(AgentId, u32)]) -> Bytes {
     buf.freeze()
 }
 
-/// Decode a payload produced by [`encode_spawn_runs`]. Zero-length input
-/// is the empty run list.
-pub fn decode_spawn_runs(mut bytes: Bytes) -> Vec<(AgentId, u32)> {
+/// Decode a payload produced by [`encode_spawn_runs`]; see
+/// [`counted_records`].
+pub fn decode_spawn_runs(mut bytes: Bytes) -> Result<Vec<(AgentId, u32)>> {
+    counted_records(&mut bytes, 12, "spawn runs")?;
+    let mut out = Vec::with_capacity(bytes.remaining() / 12);
+    while bytes.has_remaining() {
+        out.push((AgentId::new(bytes.get_u64_le()), bytes.get_u32_le()));
+    }
+    Ok(out)
+}
+
+/// Check a peer payload of `u32 count` then `count` records of `record`
+/// bytes (zero bytes: no records) and leave `bytes` at the first record.
+/// The count must account for exactly the bytes after it, so no record runs
+/// past the end or leaves bytes over; callers size output from the bytes.
+fn counted_records(bytes: &mut Bytes, record: usize, what: &str) -> Result<()> {
     if bytes.is_empty() {
-        return Vec::new();
+        return Ok(());
     }
-    let count = bytes.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let parent = AgentId::new(bytes.get_u64_le());
-        out.push((parent, bytes.get_u32_le()));
+    let count = (bytes.remaining() >= 4).then(|| bytes.get_u32_le() as u64);
+    if count.map(|count| count * record as u64) != Some(bytes.remaining() as u64) {
+        return Err(BraceError::Unrecoverable(format!("{what}: not a count and that many {record}-byte records")));
     }
-    out
+    Ok(())
 }
 
 /// A worker's checkpointable state: its simulation clock, its RNG (models
@@ -497,25 +508,46 @@ mod tests {
     }
 
     #[test]
-    fn effect_rows_round_trip() {
-        let s = AgentSchema::builder("E").effect("n", Combinator::Sum).effect("lo", Combinator::Min).build().unwrap();
-        let mut table = brace_core::EffectTable::new(&s);
-        table.reset(3);
-        table.merge_row(0, &[1.0, 2.0]);
-        table.merge_row(2, &[-0.5, f64::NEG_INFINITY]);
-        let encoded = encode_effect_table_rows(&table, &[(AgentId::new(1), 0), (AgentId::new(9), 2)]);
-        let decoded = decode_effect_rows(encoded);
-        assert_eq!(decoded, vec![(AgentId::new(1), vec![1.0, 2.0]), (AgentId::new(9), vec![-0.5, f64::NEG_INFINITY])]);
+    fn effect_writes_round_trip() {
+        let write = |target: u64, source: u64, field: u16, v: f64| EffectWrite {
+            target: AgentId::new(target),
+            source: AgentId::new(source),
+            field: FieldId::new(field),
+            v,
+        };
+        let writes = vec![write(9, 1, 0, -0.5), write(4, 1, 1, f64::NEG_INFINITY), write(9, 7, 0, 1e-300)];
+        let encoded = encode_effect_writes(&writes);
+        assert_eq!(encoded.len(), 4 + writes.len() * EFFECT_WRITE_BYTES);
+        assert_eq!(decode_effect_writes(encoded).unwrap(), writes);
+        // Empty write list → zero bytes, decoded as empty.
+        assert_eq!(encode_effect_writes(&[]), Bytes::new());
+        assert!(decode_effect_writes(Bytes::new()).unwrap().is_empty());
     }
 
     #[test]
     fn spawn_runs_round_trip() {
         let runs = vec![(AgentId::new(3), 2u32), (AgentId::new(17), 1), (AgentId::new(40), 3)];
         let encoded = encode_spawn_runs(&runs);
-        assert_eq!(decode_spawn_runs(encoded), runs);
+        assert_eq!(decode_spawn_runs(encoded).unwrap(), runs);
         // Empty run list → zero bytes, decoded as empty.
         assert_eq!(encode_spawn_runs(&[]), Bytes::new());
-        assert!(decode_spawn_runs(Bytes::new()).is_empty());
+        assert!(decode_spawn_runs(Bytes::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn hostile_peer_payloads_are_an_error_not_a_panic() {
+        let runs = encode_spawn_runs(&[(AgentId::new(3), 2), (AgentId::new(17), 1)]);
+        assert!(decode_spawn_runs(runs.slice(0..runs.len() - 1)).is_err(), "truncated");
+        assert!(decode_spawn_runs(runs.slice(0..3)).is_err(), "no whole count");
+        let mut long = BytesMut::new();
+        long.extend_from_slice(&runs);
+        long.put_u8(0);
+        assert!(decode_spawn_runs(long.freeze()).is_err(), "trailing bytes");
+        // A count of u32::MAX records over an empty body.
+        let mut forged = BytesMut::new();
+        forged.put_u32_le(u32::MAX);
+        assert!(decode_spawn_runs(forged.clone().freeze()).is_err());
+        assert!(decode_effect_writes(forged.freeze()).is_err());
     }
 
     #[test]

@@ -37,12 +37,14 @@
 //! `WorkerEpochStats::{pool_rebuilds, vec_roundtrips}` count the
 //! violations and tests pin them to zero.
 //!
-//! Results are unchanged by any of this: each worker runs the same two
-//! sharded phase functions as `brace_core::Simulation` (the single node is
-//! this runtime with one partition), and for range-probe models an
-//! N-worker cluster is bit-identical to it (the query phase canonicalizes
-//! neighbor order by agent id, so row placement is unobservable), proven by the `distributed_equivalence` proptests and
-//! the golden cluster checksums in `tests/golden_tick.rs`. The one
+//! Results are unchanged by any of this: each worker runs the same sharded
+//! phase functions as `brace_core::Simulation` (the single node is this
+//! runtime with one partition), and for range-probe models an N-worker
+//! cluster is bit-identical to it (the query phase canonicalizes neighbor
+//! order by agent id, so row placement is unobservable, and every non-local
+//! write is folded once, in source-id order, by its target's owner), proven
+//! by the `distributed_equivalence` proptests and the golden cluster
+//! checksums in `tests/golden_tick.rs`. The one
 //! documented exception is `NeighborProbe::Nearest`: exact distance ties
 //! at the k-th neighbor break by pool row, so k-NN models keep an
 //! approximate (tolerance-checked) distributed contract.
@@ -50,8 +52,8 @@
 //! Layout:
 //!
 //! * [`codec`] — the wire format: agents (from records or straight from
-//!   pool columns), replica delta frames, effect rows and worker snapshots
-//!   encoded to [`bytes::Bytes`].
+//!   pool columns), replica delta frames, effect writes, spawn runs and
+//!   worker snapshots encoded to [`bytes::Bytes`].
 //! * [`net`] — the network ledger: every cross-worker payload is counted
 //!   (messages, bytes) per traffic class — transfers, full replicas,
 //!   replica deltas, effects, control — exactly where a real transport

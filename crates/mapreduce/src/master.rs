@@ -425,6 +425,9 @@ impl Master {
                     snaps[worker.index()] = snapshot;
                     stats[worker.index()] = Some(s);
                 }
+                Ok(Report::Failed { worker, reason }) => {
+                    return Err(BraceError::Unrecoverable(format!("{worker} failed epoch {}: {reason}", cmd.epoch)))
+                }
                 Ok(other) => {
                     return Err(BraceError::Unrecoverable(format!("unexpected report {other:?} during epoch")))
                 }

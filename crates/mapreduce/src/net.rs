@@ -24,7 +24,8 @@ pub enum Traffic {
     /// stationary boundary population costs zero bytes here too — empty
     /// frames are never charged.
     ReplicaDelta,
-    /// Partial effect rows shipped to owners (second reduce pass).
+    /// Non-local effect writes shipped to their targets' owners (second
+    /// reduce pass).
     Effects,
     /// Per-parent spawn-count runs exchanged so every worker sequences the
     /// tick's spawns globally by `(parent id, ordinal)`. Non-spawning ticks

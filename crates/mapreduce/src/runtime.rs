@@ -6,8 +6,8 @@
 //! |--------------------|---------------------|------------------------------|
 //! | updateᵗ⁻¹ + distributeᵗ | mapᵗ₁          | `Worker::run_tick`'s distribute step (update executed eagerly at the end of the previous tick) |
 //! | queryᵗ / local effectᵗ | reduceᵗ₁        | `brace_core::query_phase_sharded` |
-//! | (distribute effects)   | mapᵗ₂ (identity) | eliminated, as the paper notes |
-//! | global effectᵗ          | reduceᵗ₂        | `EffectTable::merge_row` over shipped rows |
+//! | (distribute effects)   | mapᵗ₂ (identity) | eliminated, as the paper notes: the worker routes each replica-targeted write to its target's owner |
+//! | global effectᵗ          | reduceᵗ₂        | `brace_core::replay_effects`: the owner folds its own and the shipped writes once, in ascending source id |
 //!
 //! Workers exchange [`PeerMsg`]s (serialized payloads — see
 //! [`codec`](crate::codec)); the master exchanges [`Command`]/[`Report`]
@@ -19,8 +19,8 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// Worker-to-worker message. Payloads are opaque bytes (agents, delta
-/// frames or effect rows); `tick` tags the lockstep round the message
-/// belongs to.
+/// frames, effect writes or spawn runs); `tick` tags the lockstep round the
+/// message belongs to.
 #[derive(Debug, Clone)]
 pub enum PeerMsg {
     /// Round 1 of a tick: ownership transfers plus the two replica
@@ -29,9 +29,10 @@ pub enum PeerMsg {
     /// columnar delta frame (removals + masked field updates) for replicas
     /// that persist there ([`codec::ReplicaDeltaEnc`](crate::codec::ReplicaDeltaEnc)).
     Batch { tick: u64, from: WorkerId, transfers: Bytes, replica_full: Bytes, replica_delta: Bytes },
-    /// Round 2 of a tick (non-local effects only): partial effect rows for
-    /// agents the receiver owns.
-    Effects { tick: u64, from: WorkerId, rows: Bytes },
+    /// Round 2 of a tick (non-local effects only): the sender's agents'
+    /// writes to agents the receiver owns, uncombined, in ascending source id
+    /// ([`codec::encode_effect_writes`](crate::codec::encode_effect_writes)).
+    Effects { tick: u64, from: WorkerId, writes: Bytes },
     /// Final round of a tick (spawning runs only): the sender's per-parent
     /// spawn counts as ascending `(parent id, count)` runs
     /// ([`codec::encode_spawn_runs`](crate::codec::encode_spawn_runs)).
@@ -149,11 +150,15 @@ pub struct WorkerEpochStats {
     pub index_rebuilds: u64,
 }
 
-/// Worker-to-master reports.
+/// Worker-to-master reports. A worker sends `Failed` instead of `EpochDone`
+/// when a peer's payload did not decode or could not be applied: it ran the
+/// epoch to its end in lockstep, but its state is not the simulation's, so it
+/// stops, and the master fails the epoch with `reason`.
 #[derive(Debug)]
 pub enum Report {
     EpochDone { worker: WorkerId, stats: WorkerEpochStats, snapshot: Option<Bytes> },
     Collected { worker: WorkerId, snapshot: Bytes },
+    Failed { worker: WorkerId, reason: String },
 }
 
 #[cfg(test)]
@@ -172,7 +177,7 @@ mod tests {
         assert_eq!(b.tick(), 3);
         assert_eq!(b.from(), WorkerId::new(1));
         assert_eq!(b.round(), Round::Distribute);
-        let e = PeerMsg::Effects { tick: 4, from: WorkerId::new(2), rows: Bytes::new() };
+        let e = PeerMsg::Effects { tick: 4, from: WorkerId::new(2), writes: Bytes::new() };
         assert_eq!(e.round(), Round::Effects);
         assert_eq!(e.tick(), 4);
     }

@@ -15,8 +15,8 @@
 //!    owned rows over the visible set (owned rows + the persistent replica
 //!    tail), aggregating effects for every visible row.
 //! 3. **reduce 2 (global effects)** — only for models with non-local effect
-//!    assignments: ship each replica's non-identity partial effect row to
-//!    the replica's owner and ⊕-merge rows received for its own agents.
+//!    assignments: ship the writes its agents made to replicas to their
+//!    owners, uncombined, and hand those it receives to the executor's replay.
 //! 4. **update** — the next tick's map-side update, executed eagerly over
 //!    the owned prefix only; kills and spawns apply through the pool's
 //!    stable-row mutation ops.
@@ -63,9 +63,9 @@ use crate::net::{NetLedger, Traffic};
 use crate::runtime::{Command, EpochCommand, PeerMsg, Report, Round, WorkerEpochStats};
 use brace_common::{AgentId, DetRng, FieldId, Welford, WorkerId};
 use brace_core::executor::{
-    query_phase_sharded, update_phase_sharded, PendingSpawn, TickIndex, TickScratch, SHARD_ROWS,
+    query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickIndex, TickScratch, SHARD_ROWS,
 };
-use brace_core::{Agent, AgentPool, Behavior};
+use brace_core::{Agent, AgentPool, Behavior, EffectWrite};
 use brace_spatial::{GridPartitioning, IndexKind, Partitioner};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
@@ -262,8 +262,8 @@ pub struct Worker {
     pool: AgentPool,
     n_owned: usize,
     /// Persistent owner-side id ↔ row map, updated by every stable-row
-    /// mutation; the effects round resolves shipped partial rows through
-    /// it with no per-tick rebuild.
+    /// mutation; the effects round resolves the targets of shipped writes
+    /// through it with no per-tick rebuild.
     id_to_row: HashMap<AgentId, u32>,
     /// Sender-side replica sessions, one per destination (self included:
     /// agents transferred away that stay visible here).
@@ -293,6 +293,10 @@ pub struct Worker {
     rng: DetRng,
     /// Out-of-round messages (peers may run one round ahead).
     stash: Vec<PeerMsg>,
+    /// Why the first peer payload this epoch that did not decode or could not
+    /// be applied failed. The epoch still runs to its end in lockstep, so no
+    /// peer waits forever; then the worker reports the failure and stops.
+    failure: Option<String>,
     /// Lifetime counters behind `WorkerEpochStats::{pool_rebuilds,
     /// vec_roundtrips}` — the tripwires pinning the pool-resident claim.
     pool_rebuilds: u64,
@@ -354,6 +358,7 @@ impl Worker {
             next_id: next_spawn_id,
             rng,
             stash: Vec::new(),
+            failure: None,
             pool_rebuilds: 0,
             vec_roundtrips: 0,
             owners: Vec::new(),
@@ -416,6 +421,12 @@ impl Worker {
                 },
                 Ok(Command::RunEpoch(cmd)) => {
                     let (stats, snapshot) = self.run_epoch(&cmd);
+                    if let Some(reason) = self.failure.take() {
+                        // As with an undecodable restore: no state worth
+                        // continuing from. The master fails the epoch.
+                        let _ = self.links.reports.send(Report::Failed { worker: self.cfg.id, reason });
+                        break;
+                    }
                     self.links.ledger.record(Traffic::Control, 64 + stats.x_hist.len() * 8);
                     let _ = self.links.reports.send(Report::EpochDone { worker: self.cfg.id, stats, snapshot });
                 }
@@ -744,39 +755,39 @@ impl Worker {
             self.cfg.parallelism,
         );
 
-        // ---- reduce 2: ship partial effects to owners, merge own ----------
+        // ---- reduce 2: ship replica writes to their owners, replay ours + theirs
         if schema.has_nonlocal_effects() {
-            let mut dest_rows: Vec<Vec<(AgentId, u32)>> = (0..n).map(|_| Vec::new()).collect();
-            for r in n_owned..self.pool.len() {
-                let r = r as u32;
-                if self.pool.effects().row_is_identity(r) {
-                    continue;
-                }
-                let owner = self.part.partition_of(self.pool.pos(r)).index();
+            let mut dest_writes: Vec<Vec<EffectWrite>> = (0..n).map(|_| Vec::new()).collect();
+            for &(row, write) in self.scratch.outbound() {
+                let owner = self.part.partition_of(self.pool.pos(row)).index();
                 debug_assert_ne!(owner, me, "replica owned by its replica holder");
-                dest_rows[owner].push((self.pool.id(r), r));
+                dest_writes[owner].push(write);
             }
-            #[allow(clippy::needless_range_loop)] // symmetric with round 1's send loop
-            for j in 0..n {
-                if j == me {
-                    continue;
-                }
-                let bytes = codec::encode_effect_table_rows(self.pool.effects(), &dest_rows[j]);
+            for (j, writes) in dest_writes.iter().enumerate().filter(|&(j, _)| j != me) {
+                let bytes = codec::encode_effect_writes(writes);
                 self.links.ledger.record(Traffic::Effects, bytes.len());
                 self.links.peers[j]
-                    .send(PeerMsg::Effects { tick: self.tick, from: self.cfg.id, rows: bytes })
+                    .send(PeerMsg::Effects { tick: self.tick, from: self.cfg.id, writes: bytes })
                     .expect("peer inbox closed");
             }
-            // The persistent id ↔ row map replaces the per-tick rebuild
-            // the old drain-and-refill worker paid here.
+            let width = schema.num_effects();
+            let mut inbound = Vec::new();
             for msg in self.recv_round(Round::Effects) {
-                if let PeerMsg::Effects { rows, .. } = msg {
-                    for (id, vals) in codec::decode_effect_rows(rows) {
-                        let row = *self.id_to_row.get(&id).expect("partial effects addressed to the wrong owner");
-                        self.pool.effects_mut().merge_row(row, &vals);
-                    }
+                let PeerMsg::Effects { from, writes, .. } = msg else { unreachable!("recv_round filtered by round") };
+                let received = codec::decode_effect_writes(writes).map_err(|e| e.to_string()).and_then(|writes| {
+                    let target = |w: EffectWrite| match self.id_to_row.get(&w.target) {
+                        Some(&row) if w.field.index() < width => Ok((row, w)),
+                        Some(_) => Err(format!("effect field {} of {width}", w.field.index())),
+                        None => Err(format!("{}, which this worker does not own", w.target)),
+                    };
+                    writes.into_iter().map(target).collect::<Result<Vec<_>, _>>()
+                });
+                match received {
+                    Ok(writes) => inbound.extend(writes),
+                    Err(e) => _ = self.failure.get_or_insert(format!("effect writes from {from}: {e}")),
                 }
             }
+            replay_effects(&mut self.pool, &self.scratch, &mut inbound);
         }
 
         // ---- update (next tick's map side) over the owned prefix only;
@@ -839,10 +850,10 @@ impl Worker {
         merged.extend(self.spawn_runs.iter().map(|&(p, c)| (p, c, true)));
         if n > 1 {
             for msg in self.recv_round(Round::Spawns) {
-                if let PeerMsg::Spawns { runs, .. } = msg {
-                    merged.extend(codec::decode_spawn_runs(runs).into_iter().map(|(p, c)| (p, c, false)));
-                } else {
-                    unreachable!("recv_round filtered by round");
+                let PeerMsg::Spawns { from, runs, .. } = msg else { unreachable!("recv_round filtered by round") };
+                match codec::decode_spawn_runs(runs) {
+                    Ok(runs) => merged.extend(runs.into_iter().map(|(p, c)| (p, c, false))),
+                    Err(e) => _ = self.failure.get_or_insert(format!("spawn runs from {from}: {e}")),
                 }
             }
             merged.sort_unstable_by_key(|&(p, _, _)| p);
@@ -962,6 +973,7 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::EpochCommand;
     use brace_common::{FieldId, Vec2};
     use brace_core::behavior::{NeighborProbe, Neighbors, UpdateCtx};
     use brace_core::effect::EffectWriter;
@@ -1119,6 +1131,91 @@ mod tests {
         worker.restore(snap, vec![0.0, 100.0]);
         assert_eq!(worker.owned_agents(), replayed);
         worker.check_invariants();
+    }
+
+    /// Every agent pushes a ping onto each neighbour: non-local effects, so
+    /// a tick has an effects round.
+    struct Ping(AgentSchema);
+
+    impl Behavior for Ping {
+        fn schema(&self) -> &AgentSchema {
+            &self.0
+        }
+        fn query(
+            &self,
+            _m: brace_core::AgentRef<'_>,
+            nbrs: &Neighbors<'_>,
+            eff: &mut EffectWriter<'_>,
+            _rng: &mut DetRng,
+        ) {
+            for nb in nbrs.iter() {
+                eff.remote(nb.row, FieldId::new(0), 1.0);
+            }
+        }
+        fn update(&self, _me: &mut Agent, _ctx: &mut UpdateCtx<'_>) {}
+    }
+
+    /// Worker 0 of two runs a one-tick epoch while the test plays worker 1,
+    /// whose effects round carries `writes`. The worker must finish the
+    /// epoch, report why it failed and stop — never panic.
+    fn failed_epoch_reason(writes: Bytes) -> String {
+        let schema = AgentSchema::builder("Ping")
+            .effect("pings", Combinator::Sum)
+            .visibility(1.5)
+            .nonlocal_effects(true)
+            .build()
+            .unwrap();
+        let agents = (0..5).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64, 0.0), &schema)).collect();
+        let (to_me, inbox) = unbounded();
+        let (to_peer, _peer_inbox) = unbounded();
+        let (cmd_tx, commands) = unbounded();
+        let (reports, report_rx) = unbounded();
+        let links =
+            WorkerLinks { peers: vec![to_me.clone(), to_peer], inbox, commands, reports, ledger: NetLedger::new() };
+        let cfg =
+            WorkerConfig { id: WorkerId::new(0), num_workers: 2, index: IndexKind::Grid, seed: 11, parallelism: 1 };
+        let part = GridPartitioning::columns(0.0, 100.0, 2);
+        let worker = Worker::new(Arc::new(Ping(schema)), cfg, links, part, agents, 1 << 32);
+        let from = WorkerId::new(1);
+        let empty = Bytes::new();
+        to_me
+            .send(PeerMsg::Batch {
+                tick: 0,
+                from,
+                transfers: empty.clone(),
+                replica_full: empty.clone(),
+                replica_delta: empty.clone(),
+            })
+            .unwrap();
+        to_me.send(PeerMsg::Effects { tick: 0, from, writes }).unwrap();
+        to_me.send(PeerMsg::Spawns { tick: 0, from, runs: empty }).unwrap();
+        let epoch =
+            EpochCommand { epoch: 0, ticks: 1, new_x_bounds: None, checkpoint: false, hist_range: (0.0, 100.0) };
+        cmd_tx.send(Command::RunEpoch(epoch)).unwrap();
+        worker.run_loop(); // returns: the worker stops after a failed epoch
+        match report_rx.try_recv() {
+            Ok(Report::Failed { worker, reason }) => {
+                assert_eq!(worker, WorkerId::new(0));
+                reason
+            }
+            other => panic!("expected a failed epoch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn peer_writes_the_worker_cannot_apply_fail_the_epoch_without_a_panic() {
+        let write = |target: u64, field: u16| EffectWrite {
+            target: AgentId::new(target),
+            source: AgentId::new(70),
+            field: FieldId::new(field),
+            v: 1.0,
+        };
+        let reason = failed_epoch_reason(codec::encode_effect_writes(&[write(3, 0), write(999, 0)]));
+        assert!(reason.contains("a999, which this worker does not own"), "{reason}");
+        let reason = failed_epoch_reason(codec::encode_effect_writes(&[write(3, 1)]));
+        assert!(reason.contains("effect field 1 of 1"), "{reason}");
+        let reason = failed_epoch_reason(Bytes::from(vec![1, 0, 0, 0, 7]));
+        assert!(reason.contains("effect writes from"), "{reason}");
     }
 
     #[test]

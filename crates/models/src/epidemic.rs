@@ -6,14 +6,14 @@
 //! agent within the infection radius — a non-local effect assignment in
 //! exactly the sense of the paper's predator bite (§4.3): the writer is the
 //! infectious agent, the receiver is the victim, and the runtime must route
-//! the partial aggregates back to the victim's owner (the second reduce
-//! pass of Table 1) unless effect inversion rewrites it away.
+//! the write to the victim's owner (the second reduce pass of Table 1)
+//! unless effect inversion rewrites it away.
 //!
 //! The contact counts are integer-valued, so the ⊕ = Sum aggregation is
-//! **exactly associative**: a distributed run is bit-identical to a
-//! single-node run, which is why this scenario sits in the registry's
-//! conformance suite as the non-local representative (the float-damage
-//! predator carries the documented approximate contract instead).
+//! **exactly associative**: its bits would not depend on the fold order
+//! even if the runtime did not pin it (every engine folds every non-local
+//! write once, in source-id order, so the float-damage predator is exact
+//! too).
 //!
 //! In the update phase a susceptible agent that accumulated `k` contacts
 //! becomes infectious with probability `1 − (1 − β)^k` (independent

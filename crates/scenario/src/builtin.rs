@@ -7,36 +7,19 @@
 //! the surface generalizes (an SIR epidemic with a non-local ⊕-effect, and
 //! flocking through a static obstacle field).
 //!
-//! Conformance configurations: the registry suite requires every
-//! scenario's [`Scenario::conformance`] setup to be **exactly
-//! distributable** (cluster ≡ single-node, bitwise). Spawning is exactly
-//! distributable since the runtime started assigning spawn ids in global
-//! `(parent id, ordinal)` order, so scenarios that create agents mid-run
-//! (traffic's wrapping respawns, the predator's births) just shrink like
-//! everyone else. The one remaining substitution:
-//!
-//! * `predator` — the hand-inverted local form (`nonlocal: false`),
-//!   because bite damages are float sums whose cross-partition ⊕ order is
-//!   not associative. Spawning stays **on** at its default rate.
-//!
-//! Index choice no longer interacts with exact distributability: the
-//! uniform grid's canonical range emission is globally **ascending by
-//! payload** (a payload merge across the overlapping buckets), which on an
-//! id-ordered single-node pool is exactly the id-sorted order a worker's
-//! swap-mutated pool canonicalizes to. Order-sensitive float-sum models
-//! are therefore exactly distributable on the grid, and every
-//! [`Scenario::conformance`] form certifies the grid — the index that
-//! historically *couldn't* carry them (its emission used to be
-//! bucket-major) and the cheapest canonical index (no per-probe candidate
-//! sort on either backend). Default `build` forms use the KD-tree across
-//! the catalogue: the paper's index for the fish-style workloads, and —
-//! since the hotspot-erosion fix — also for traffic and the epidemic,
-//! whose jams and infection clusters concentrate agents into a few grid
-//! buckets and erode the grid's constant-density advantage. The index is
-//! never semantics, so the flip moves no checksum; KD-tree cross-backend
-//! equivalence stays pinned by the golden cluster tests and the
-//! distributed-equivalence property suite, while every conformance form
-//! still certifies the grid.
+//! Every scenario's conformance form is the same reduction of its default
+//! build ([`conformance_setup`](crate::conformance_setup)), and every one is
+//! exactly distributable as built: spawns (traffic's wrapping respawns, the
+//! predator's births) take their ids in global `(parent id, ordinal)`
+//! order, and non-local float sums (the predator's bites) are folded once,
+//! in source-id order, by the target's owner. Default `build` forms use the
+//! KD-tree across the catalogue: the paper's index for the fish-style
+//! workloads, and — since the hotspot-erosion fix — also for traffic and
+//! the epidemic, whose jams and infection clusters concentrate agents into a
+//! few grid buckets and erode the grid's constant-density advantage. The
+//! index is never semantics; KD-tree cross-backend equivalence stays pinned
+//! by the golden cluster tests and the distributed-equivalence property
+//! suite, while the conformance forms certify the grid.
 
 use crate::{Scenario, ScenarioSetup};
 use brace_common::{AgentId, DetRng, Result, Vec2};
@@ -49,27 +32,9 @@ use brace_models::{
 use brace_spatial::IndexKind;
 use std::sync::Arc;
 
-/// Population size of the default [`Scenario::conformance`] configuration:
-/// big enough that a 2-worker split has real boundary traffic, small enough
-/// that the full registry × both backends suite stays CI-cheap.
-pub const CONFORMANCE_POPULATION: usize = 300;
-
 /// Default ticks-per-epoch for every builtin (divides the conformance
 /// horizon and the CI smoke horizon).
 const EPOCH_LEN: u64 = 5;
-
-/// The shared conformance form of the scenarios whose `build` defaults to
-/// the KD-tree: the default build, shrunk to [`CONFORMANCE_POPULATION`],
-/// running on the uniform grid. The grid's ascending-payload emission makes
-/// it the canonical conformance index (see the module docs); the bits are
-/// identical to the KD-tree's on a single node (the executor sorts the
-/// KD-tree's candidates into the very same ascending order), so flipping
-/// the conformance index moved no golden checksum.
-fn grid_conformance(scenario: &dyn Scenario, seed: u64) -> Result<ScenarioSetup> {
-    let mut setup = scenario.build(Some(CONFORMANCE_POPULATION), seed)?;
-    setup.index = IndexKind::Grid;
-    Ok(setup)
-}
 
 /// All builtin scenarios, in catalogue order.
 pub fn all() -> Vec<Box<dyn Scenario>> {
@@ -157,9 +122,6 @@ impl Scenario for Fish {
             space_x: (-r, r),
         })
     }
-    fn conformance(&self, seed: u64) -> Result<ScenarioSetup> {
-        grid_conformance(self, seed)
-    }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
         for a in world {
@@ -208,14 +170,6 @@ impl Scenario for Traffic {
             space_x: (0.0, segment),
         })
     }
-    fn conformance(&self, seed: u64) -> Result<ScenarioSetup> {
-        // The full default form, shrunk, on the grid like every conformance
-        // form. Vehicles that wrap past the segment end respawn via
-        // `ctx.spawn`, and spawn ids come from the global
-        // `(parent id, ordinal)` order — identical on every backend — so
-        // the wrapping path is part of what conformance pins.
-        grid_conformance(self, seed)
-    }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
         let max = TrafficParams::default().max_speed;
@@ -258,26 +212,6 @@ impl Scenario for Predator {
             behavior: Arc::new(behavior),
             population,
             index: IndexKind::KdTree,
-            epoch_len: EPOCH_LEN,
-            space_x: (0.0, side),
-        })
-    }
-    fn conformance(&self, seed: u64) -> Result<ScenarioSetup> {
-        // Exactly distributable form: victims *pull* hurt (the
-        // hand-inverted local assignment, so no cross-partition float ⊕
-        // re-association). Spawning runs at its default rate — spawn ids
-        // are globally ordered by `(parent id, ordinal)`, so births,
-        // deaths, movement and the whole query/update machinery are all
-        // under the bit-identity contract. Runs on the grid like every
-        // conformance form (see `grid_conformance`).
-        let n = CONFORMANCE_POPULATION;
-        let side = Self::side(n);
-        let behavior = PredatorBehavior::new(PredatorParams { nonlocal: false, ..PredatorParams::default() });
-        let population = behavior.population(n, side, seed);
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            index: IndexKind::Grid,
             epoch_len: EPOCH_LEN,
             space_x: (0.0, side),
         })
@@ -333,9 +267,6 @@ impl Scenario for BrasilFish {
             space_x: (0.0, side),
         })
     }
-    fn conformance(&self, seed: u64) -> Result<ScenarioSetup> {
-        grid_conformance(self, seed)
-    }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
         for a in world {
@@ -365,9 +296,8 @@ impl Scenario for BrasilPredator {
     }
     fn build(&self, size: Option<usize>, seed: u64) -> Result<ScenarioSetup> {
         let n = size.unwrap_or(self.default_population());
-        // The inverted (local) form: the pipeline's Theorem 2/3 rewrite —
-        // and, downstream, exactly distributable float aggregation (each
-        // victim sums its own damages in canonical candidate order).
+        // The inverted (local) form: the pipeline's Theorem 2/3 rewrite
+        // (each victim sums its own damages in canonical candidate order).
         let behavior = scripts::predator_opt(true, self.optimize)?;
         let side = (n as f64 * 2.0).sqrt().max(1.0);
         let mut population = brasil_population(behavior.schema(), n, seed, side);
@@ -382,9 +312,6 @@ impl Scenario for BrasilPredator {
             epoch_len: EPOCH_LEN,
             space_x: (0.0, side),
         })
-    }
-    fn conformance(&self, seed: u64) -> Result<ScenarioSetup> {
-        grid_conformance(self, seed)
     }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)
@@ -428,9 +355,6 @@ impl Scenario for BrasilCar {
             space_x: (0.0, extent),
         })
     }
-    fn conformance(&self, seed: u64) -> Result<ScenarioSetup> {
-        grid_conformance(self, seed)
-    }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
         for a in world {
@@ -472,9 +396,6 @@ impl Scenario for Epidemic {
             epoch_len: EPOCH_LEN,
             space_x: (0.0, side),
         })
-    }
-    fn conformance(&self, seed: u64) -> Result<ScenarioSetup> {
-        grid_conformance(self, seed)
     }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
@@ -531,9 +452,6 @@ impl Scenario for FlockObstacles {
             space_x: (0.0, side),
         })
     }
-    fn conformance(&self, seed: u64) -> Result<ScenarioSetup> {
-        grid_conformance(self, seed)
-    }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
         let geometry = FlockObstaclesBehavior::new(FlockObstaclesParams::default());
@@ -553,8 +471,7 @@ impl Scenario for FlockObstacles {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{Registry, Runner};
+    use crate::{Registry, Runner, CONFORMANCE_POPULATION};
 
     /// Every builtin builds at a small size, runs a few ticks single-node,
     /// and passes its own sanity check.

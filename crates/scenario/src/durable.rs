@@ -24,7 +24,7 @@
 
 use crate::jobline::JobSpec;
 use crate::runner::DEFAULT_SEED;
-use crate::{world_checksum, Registry, Scenario};
+use crate::{conformance_setup, world_checksum, Registry, Scenario};
 use brace_common::{BraceError, Result};
 use brace_mapreduce::cluster::index_from_u8;
 use brace_mapreduce::{manifest, ClusterConfig, ClusterSim, ClusterStats};
@@ -42,7 +42,7 @@ pub struct DurableOpts {
     pub run_id: Option<String>,
     /// Population size (`None` = the scenario default).
     pub size: Option<usize>,
-    /// Use the scenario's reduced, exactly-distributable conformance form.
+    /// Use the scenario's reduced conformance form ([`conformance_setup`]).
     pub conformance: bool,
     /// Master seed (behavior, population and worker RNGs derive from it).
     pub seed: u64,
@@ -160,8 +160,11 @@ impl<'r> DurableRunner<'r> {
     /// [`start`]: DurableRunner::start
     fn launch(&self, opts: &DurableOpts) -> Result<(ClusterSim, String, &'r dyn Scenario)> {
         let scenario = self.registry.get_or_err(&opts.scenario)?;
-        let mut setup =
-            if opts.conformance { scenario.conformance(opts.seed)? } else { scenario.build(opts.size, opts.seed)? };
+        let mut setup = if opts.conformance {
+            conformance_setup(scenario, opts.seed)?
+        } else {
+            scenario.build(opts.size, opts.seed)?
+        };
         if opts.ticks == 0 {
             return Err(BraceError::Config("a durable run needs a positive tick horizon".into()));
         }
@@ -199,7 +202,8 @@ impl<'r> DurableRunner<'r> {
         let job = JobSpec::parse(&m.header.job)?;
         let scenario = self.registry.get_or_err(&job.scenario)?;
         let seed = m.header.seed;
-        let setup = if job.conformance { scenario.conformance(seed)? } else { scenario.build(job.size, seed)? };
+        let setup =
+            if job.conformance { conformance_setup(scenario, seed)? } else { scenario.build(job.size, seed)? };
         let cfg = ClusterConfig {
             workers: m.header.workers as usize,
             epoch_len: m.header.epoch_len,

@@ -15,11 +15,10 @@
 //! equal keys provably yield bit-identical checksums, so a cached result
 //! can be served without re-simulating.
 //!
-//! The backend label is part of the key even though conformance scenarios
-//! are exactly distributable (single ≡ cluster): non-conformance runs of
-//! float-⊕-aggregating models are *not* backend-invariant, and the serve
-//! layer caches those too. Keying conservatively on the label trades a
-//! few duplicate cache entries for never serving a wrong bit pattern.
+//! The backend label is part of the key even though every run is exactly
+//! distributable (single ≡ cluster, bitwise): keying on it trades a few
+//! duplicate cache entries for a key that names exactly the run whose
+//! result it holds.
 //!
 //! Parsers here skip unknown `key=value` fields rather than rejecting
 //! them, so an older binary can still read a line written by a newer one
@@ -51,7 +50,7 @@ pub struct JobSpec {
     pub scenario: String,
     /// Population size (`None` = the scenario default).
     pub size: Option<usize>,
-    /// Whether the reduced, exactly-distributable conformance form is used.
+    /// Whether the scenario's reduced conformance form is used.
     pub conformance: bool,
 }
 

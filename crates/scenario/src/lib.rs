@@ -27,18 +27,17 @@
 //!
 //! The load-bearing invariant — enforced by the registry-driven conformance
 //! suite in `tests/scenario_conformance.rs` — is that every registered
-//! scenario's [`Scenario::conformance`] configuration produces
-//! **bit-identical** worlds on both backends. Adding a scenario to the
-//! registry therefore buys distributed execution, CLI exposure
-//! (`brace run --scenario <name>`), bench coverage and the conformance
-//! proof, all without touching any of those call sites.
+//! scenario's [`conformance_setup`] produces **bit-identical** worlds on both
+//! backends. Adding a scenario to the registry therefore buys distributed
+//! execution, CLI exposure (`brace run --scenario <name>`), bench coverage
+//! and the conformance proof, all without touching any of those call sites.
 
 pub mod builtin;
 pub mod durable;
 pub mod jobline;
 pub mod runner;
 
-pub use builtin::{brasil_unoptimized, CONFORMANCE_POPULATION};
+pub use builtin::brasil_unoptimized;
 pub use durable::{DurableOpts, DurableReport, DurableRunner, RunSummary};
 pub use jobline::{JobSpec, RunKey};
 pub use runner::{Backend, Observer, Progress, RunReport, Runner, SimHandle};
@@ -86,20 +85,6 @@ pub trait Scenario: Send + Sync {
     /// slightly), plus the scenario's default run configuration.
     fn build(&self, size: Option<usize>, seed: u64) -> Result<ScenarioSetup>;
 
-    /// A reduced configuration for the registry conformance suite, sized
-    /// for CI and **exactly distributable**: a cluster run of this setup
-    /// must be bit-identical to a single-node run. Spawning is covered by
-    /// that contract (spawn ids are assigned in global `(parent id,
-    /// ordinal)` order on every backend); the one path that still is not
-    /// is non-local float ⊕-aggregation, whose cross-partition summation
-    /// order re-associates. Scenarios that use it by default override this
-    /// with the equivalent exact form — e.g. the predator's hand-inverted
-    /// local assignment — so the conformance suite still pins the runtime
-    /// contract for their whole query/update/spawn machinery.
-    fn conformance(&self, seed: u64) -> Result<ScenarioSetup> {
-        self.build(Some(CONFORMANCE_POPULATION), seed)
-    }
-
     /// Post-run sanity checks over the collected world (model invariants:
     /// conserved counts, bounded states, agents out of obstacles, …).
     /// Runner convenience paths ([`Runner::run`], the CLI) call this after
@@ -108,6 +93,22 @@ pub trait Scenario: Send + Sync {
         let _ = world;
         Ok(())
     }
+}
+
+/// Population size of every scenario's [`conformance_setup`]: big enough
+/// that a 2-worker split has real boundary traffic, small enough that the
+/// full registry × both backends suite stays CI-cheap.
+pub const CONFORMANCE_POPULATION: usize = 300;
+
+/// The reduced configuration the conformance suite certifies, the same for
+/// every scenario: its default build at [`CONFORMANCE_POPULATION`], on the
+/// uniform grid (whose range emission is already in the canonical ascending
+/// order, so no backend pays a candidate sort). Like every run, it is
+/// bit-identical on every backend and worker count.
+pub fn conformance_setup(scenario: &dyn Scenario, seed: u64) -> Result<ScenarioSetup> {
+    let mut setup = scenario.build(Some(CONFORMANCE_POPULATION), seed)?;
+    setup.index = IndexKind::Grid;
+    Ok(setup)
 }
 
 /// The named scenario collection.

@@ -11,15 +11,13 @@
 //! on every backend.
 //!
 //! Determinism contract: for a fixed scenario, seed and population, every
-//! backend — any `parallelism`, any worker count — produces the same world
-//! up to the one documented approximation (non-local float ⊕
-//! re-association across a cluster's partitions; spawn ids are globally
-//! ordered and exact). For a scenario's
-//! [`conformance`](crate::Scenario::conformance) configuration the
-//! equivalence is **bit-exact**, which `tests/scenario_conformance.rs`
-//! enforces for every registry entry.
+//! backend — any `parallelism`, any worker count — produces the same world,
+//! **bit for bit**: spawn ids are globally ordered, and every non-local
+//! effect is folded once, in source-id order, on every engine.
+//! `tests/scenario_conformance.rs` enforces this for every registry entry's
+//! [`conformance_setup`](crate::conformance_setup).
 
-use crate::{Scenario, ScenarioSetup};
+use crate::{conformance_setup, Scenario, ScenarioSetup};
 use brace_common::{BraceError, Result};
 use brace_core::metrics::TickMetrics;
 use brace_core::{Agent, Behavior, Simulation};
@@ -185,8 +183,7 @@ impl<'s> Runner<'s> {
         self
     }
 
-    /// Use the scenario's reduced, exactly-distributable
-    /// [`conformance`](Scenario::conformance) configuration instead of
+    /// Use the scenario's reduced [`conformance_setup`] instead of
     /// [`build`](Scenario::build).
     pub fn conformance(mut self) -> Self {
         self.conformance = true;
@@ -202,10 +199,9 @@ impl<'s> Runner<'s> {
     fn setup(&self) -> Result<ScenarioSetup> {
         let mut setup = if self.conformance {
             // The conformance configuration is a fixed point: population
-            // and index are part of what its bit-exact cluster ≡
-            // single-node contract certifies (see the `builtin` module
-            // docs on the grid's bucket-major emission), so overriding
-            // either would silently void the contract. Reject instead.
+            // and index are part of what the conformance suite certifies, so
+            // overriding either would run something else under its name.
+            // Reject instead.
             if self.size.is_some() {
                 return Err(BraceError::Config(
                     "population override conflicts with the conformance configuration \
@@ -220,7 +216,7 @@ impl<'s> Runner<'s> {
                         .into(),
                 ));
             }
-            self.scenario.conformance(self.seed)?
+            conformance_setup(self.scenario, self.seed)?
         } else {
             let mut setup = self.scenario.build(self.size, self.seed)?;
             if let Some(kind) = self.index {
@@ -241,7 +237,7 @@ impl<'s> Runner<'s> {
     }
 
     /// Launch a **prebuilt** setup on the configured backend, skipping the
-    /// scenario's `build`/`conformance` call. For callers that also
+    /// scenario's build. For callers that also
     /// inspect the setup (e.g. the bench harness reads the index and
     /// population size it is about to measure) and must not pay a second
     /// build — BRASIL scenarios compile their script per build. The setup

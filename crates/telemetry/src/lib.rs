@@ -43,7 +43,7 @@
 //! | `brace_serve_run_latency_ns` | histogram | serve: accepted-run wall time |
 //! | `brace_executor_ticks_total` … | counter | executor per-tick counters |
 //! | `brace_executor_probe_groups_total`, `brace_executor_block_candidates_total` | counter | query phase (executor and cluster workers): candidate blocks built and the rows in them — agent-ticks ÷ groups is the members one block serves |
-//! | `brace_executor_effect_log_entries_total` | counter | query phase (executor and cluster workers): effect writes a non-local schema logged for replay in source-row order (0 for local-effect schemas) |
+//! | `brace_executor_effect_log_entries_total` | counter | query phase (executor and cluster workers): effect writes a non-local schema logged for replay in source-id order (0 for local-effect schemas) |
 //! | `brace_net_*_bytes_total` | counter | cluster `NetLedger`, per traffic class |
 //! | `brace_cluster_epochs_total`, `brace_cluster_checkpoints_total` | counter | cluster master |
 //! | `brace_serve_cache_{hits,misses}_total`, `brace_serve_runs_total` | counter | serve result cache / admissions |
@@ -90,7 +90,7 @@ const COUNTER_NAMES: &[(&str, &str)] = &[
     ("brace_net_transfer_bytes_total", "Cluster bytes: agent ownership transfers"),
     ("brace_net_replica_full_bytes_total", "Cluster bytes: full replica distribution"),
     ("brace_net_replica_delta_bytes_total", "Cluster bytes: masked columnar replica deltas"),
-    ("brace_net_effects_bytes_total", "Cluster bytes: shipped partial effect aggregates"),
+    ("brace_net_effects_bytes_total", "Cluster bytes: shipped non-local effect writes"),
     ("brace_net_spawns_bytes_total", "Cluster bytes: spawn-run exchange"),
     ("brace_net_control_bytes_total", "Cluster bytes: master control traffic"),
     ("brace_cluster_epochs_total", "Cluster epochs coordinated by masters"),

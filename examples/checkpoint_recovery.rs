@@ -8,7 +8,8 @@
 //! kills the cluster's live state in epoch 5 (taking that epoch's results
 //! — and any checkpoint it wrote — with it), recovers from the newest
 //! surviving snapshot, replays, and proves the final world is identical to
-//! a failure-free run. Checkpoints are also written to disk and reloaded.
+//! a failure-free run. Each run is a durable run: its checkpoints are also
+//! written to disk, under a run directory of its own, and reloaded.
 
 use brace::mapreduce::{CheckpointStore, ClusterConfig, ClusterSim, FaultPlan};
 use brace::models::{FishBehavior, FishParams};
@@ -27,18 +28,20 @@ fn main() {
         space_x: (-15.0, 15.0),
         load_balance: false,
         checkpoint_every: Some(2),
-        checkpoint_dir: Some(dir.clone()),
         ..ClusterConfig::default()
     };
 
     println!("failure-free reference run: 10 epochs of 5 ticks…");
-    let mut clean = ClusterSim::new(Arc::new(make()), pop.clone(), base.clone()).expect("cluster");
+    // A run directory holds one run: each cluster gets its own.
+    let clean_cfg = ClusterConfig { run_dir: Some(dir.join("clean")), ..base.clone() };
+    let mut clean = ClusterSim::new(Arc::new(make()), pop.clone(), clean_cfg).expect("cluster");
     clean.run_epochs(10).expect("runs");
     let clean_world = clean.collect_agents().expect("collect");
     println!("  done: {} fish, {} checkpoints taken", clean_world.len(), clean.stats().checkpoints);
 
     println!("\nfaulty run: identical, but all live worker state is lost during epoch 5…");
-    let cfg = ClusterConfig { fault: Some(FaultPlan::once(5)), ..base };
+    let faulty_dir = dir.join("faulty");
+    let cfg = ClusterConfig { fault: Some(FaultPlan::once(5)), run_dir: Some(faulty_dir.clone()), ..base };
     let mut faulty = ClusterSim::new(Arc::new(make()), pop, cfg).expect("cluster");
     faulty.run_epochs(10).expect("runs (with recovery)");
     let stats = faulty.stats();
@@ -51,7 +54,7 @@ fn main() {
     assert_eq!(clean_world, recovered_world, "recovery must reproduce the failure-free world");
     println!("  final world is IDENTICAL to the failure-free run ({} agents)", recovered_world.len());
 
-    let loaded = CheckpointStore::load_latest_from(&dir).expect("readable").expect("exists");
+    let loaded = CheckpointStore::load_latest_from(&faulty_dir).expect("readable").expect("exists");
     println!(
         "\non-disk checkpoint: epoch {}, tick {}, {} worker snapshots, {} column bounds",
         loaded.epoch,

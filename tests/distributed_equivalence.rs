@@ -26,6 +26,14 @@ fn single_node<B: Behavior>(behavior: B, agents: Vec<Agent>, ticks: u64, seed: u
     out
 }
 
+/// The first agent whose record differs between two id-sorted worlds.
+fn first_difference(a: &[Agent], b: &[Agent]) -> String {
+    match a.iter().zip(b).find(|(x, y)| x != y) {
+        Some((x, y)) => format!("first differing agent {}: {x:?} vs {y:?}", x.id),
+        None => format!("populations of {} and {} agents", a.len(), b.len()),
+    }
+}
+
 fn cluster(
     behavior: Arc<dyn Behavior>,
     agents: Vec<Agent>,
@@ -47,23 +55,6 @@ fn cluster(
     let mut sim = ClusterSim::new(behavior, agents, cfg).unwrap();
     sim.run_ticks(ticks).unwrap();
     sim.collect_agents().unwrap()
-}
-
-/// Compare agent worlds allowing for floating-point aggregation-order
-/// differences: non-local float `Sum` effects are combined per partition
-/// before the owner merges them, so they re-associate across partitions.
-fn assert_world_close(a: &[Agent], b: &[Agent], tol: f64, what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: population size");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.id, y.id, "{what}: agent identity");
-        assert_eq!(x.alive, y.alive, "{what}: liveness of {}", x.id);
-        let dp = x.pos.dist_linf(y.pos);
-        assert!(dp <= tol, "{what}: {} position drift {dp} > {tol}", x.id);
-        for (i, (sa, sb)) in x.state.iter().zip(&y.state).enumerate() {
-            let scale = sa.abs().max(sb.abs()).max(1.0);
-            assert!((sa - sb).abs() <= tol * scale, "{what}: {} state[{i}] {sa} vs {sb}", x.id);
-        }
-    }
 }
 
 #[test]
@@ -105,9 +96,9 @@ fn predator_nonlocal_cluster_equals_single_node() {
 
 #[test]
 fn brasil_script_cluster_equals_single_node() {
-    // Compiled BRASIL runs through both engines. This script's non-local
-    // effects are float sums, which re-associate across partitions (the
-    // executor's documented contract), so the worlds agree only closely.
+    // Compiled BRASIL runs through both engines. This script is not
+    // inverted: its non-local effects are float sums, which every engine
+    // folds once, in source-id order, at the target's owner.
     let make = || scripts::predator(false).unwrap();
     let schema = make().schema().clone();
     let mut rng = DetRng::seed_from_u64(21);
@@ -119,8 +110,10 @@ fn brasil_script_cluster_equals_single_node() {
         })
         .collect();
     let reference = single_node(make(), pop.clone(), 10, 55);
-    let got = cluster(Arc::new(make()), pop.clone(), 10, 55, 3, (0.0, 18.0), false);
-    assert_world_close(&reference, &got, 1e-9, "brasil predator x3");
+    for workers in [2, 3, 4] {
+        let got = cluster(Arc::new(make()), pop.clone(), 10, 55, workers, (0.0, 18.0), false);
+        assert_eq!(reference, got, "brasil predator x{workers}");
+    }
 }
 
 #[test]
@@ -138,42 +131,52 @@ fn load_balancing_does_not_change_results() {
 // ---- delta-distributed cluster ≡ single node -------------------------------
 //
 // The pool-resident worker ships persisting replicas as masked delta
-// frames against per-peer sessions. The cluster must be **bit-identical**
-// to the single-node engine in every observable way, under the nastiest
-// dynamics we can generate: float-valued effect sums (order-sensitive in
-// the last bit, so any replica staleness or ordering slip shows), agents
-// migrating across partition boundaries, spawn/kill churn, and the load
-// balancer repartitioning mid-run. 1–4 workers.
+// frames against per-peer sessions, and the writes its agents make to
+// replicas as effect writes to their owners. The cluster must be
+// **bit-identical** to the single-node engine in every observable way,
+// under the nastiest dynamics we can generate: float-valued effect sums
+// (order-sensitive in the last bit, so any replica staleness or ordering
+// slip shows) — local ones, and non-local ones that a field also receives
+// locally —, agents migrating across partition boundaries, spawn/kill
+// churn, and the load balancer repartitioning mid-run. 1–4 workers.
 
 /// Float-effect model with deterministic churn: agents drift (migration),
 /// spawn children on a sparse id×tick schedule and die on another, and
 /// aggregate order-sensitive float sums plus a Min — any divergence in
-/// replica content, membership or ordering flips bits immediately.
+/// replica content, membership or ordering flips bits immediately. The
+/// non-local form also pushes a float into each neighbour's `acc` (a
+/// `remote` write, folded by the neighbour's owner) on top of its own.
 #[derive(Clone)]
-struct ChurnStorm(AgentSchema, /* churn: */ bool);
+struct ChurnStorm {
+    schema: AgentSchema,
+    churn: bool,
+    nonlocal: bool,
+}
 
 impl ChurnStorm {
-    fn new(churn: bool) -> Self {
-        ChurnStorm(
-            AgentSchema::builder("ChurnStorm")
-                .state("w")
-                .state("drift")
-                .effect("acc", Combinator::Sum)
-                .effect("near", Combinator::Min)
-                .visibility(4.0)
-                .reachability(1.5)
-                .build()
-                .unwrap(),
-            churn,
-        )
+    fn new(churn: bool, nonlocal: bool) -> Self {
+        let schema = AgentSchema::builder("ChurnStorm")
+            .state("w")
+            .state("drift")
+            .effect("acc", Combinator::Sum)
+            .effect("near", Combinator::Min)
+            .visibility(4.0)
+            .reachability(1.5)
+            .nonlocal_effects(nonlocal)
+            .build()
+            .unwrap();
+        ChurnStorm { schema, churn, nonlocal }
     }
 
     fn population(&self, n: usize, seed: u64) -> Vec<Agent> {
         let mut rng = DetRng::seed_from_u64(seed);
         (0..n)
             .map(|i| {
-                let mut a =
-                    Agent::new(AgentId::new(i as u64), Vec2::new(rng.range(0.0, 60.0), rng.range(0.0, 12.0)), &self.0);
+                let mut a = Agent::new(
+                    AgentId::new(i as u64),
+                    Vec2::new(rng.range(0.0, 60.0), rng.range(0.0, 12.0)),
+                    &self.schema,
+                );
                 a.state[0] = rng.range(0.5, 2.0);
                 a.state[1] = rng.range(-1.0, 1.0);
                 a
@@ -184,7 +187,7 @@ impl ChurnStorm {
 
 impl Behavior for ChurnStorm {
     fn schema(&self) -> &AgentSchema {
-        &self.0
+        &self.schema
     }
     fn query(&self, me: brace_core::AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
         let my_pos = me.pos();
@@ -193,6 +196,11 @@ impl Behavior for ChurnStorm {
             // Order-sensitive float sum: weights differ per neighbor.
             eff.local(FieldId::new(0), nb.agent.state(0) / (1.0 + d));
             eff.local(FieldId::new(1), d);
+            if self.nonlocal {
+                // Into the same field as the local write above, from the
+                // other side of the pair: partitions meet in this sum.
+                eff.remote(nb.row, FieldId::new(0), me.state(1) * 0.37 / (0.5 + d));
+            }
         }
     }
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
@@ -204,7 +212,7 @@ impl Behavior for ChurnStorm {
         if near.is_finite() {
             me.set(FieldId::new(0), me.get(FieldId::new(0)) + near * 1e-3);
         }
-        if self.1 {
+        if self.churn {
             let id = me.id.raw();
             if (id.wrapping_mul(31).wrapping_add(ctx.tick)).is_multiple_of(23) {
                 ctx.spawn(me.pos + Vec2::new(0.3, -0.2), vec![me.get(FieldId::new(0)) * 0.5, -me.get(FieldId::new(1))]);
@@ -216,7 +224,7 @@ impl Behavior for ChurnStorm {
     }
 }
 
-fn run_mode(churn: bool, pop: &[Agent], seed: u64, workers: usize, epochs: u64, lb: bool) -> Vec<Agent> {
+fn run_mode(storm: &ChurnStorm, pop: &[Agent], seed: u64, workers: usize, epochs: u64, lb: bool) -> Vec<Agent> {
     let cfg = ClusterConfig {
         workers,
         epoch_len: 5,
@@ -226,7 +234,7 @@ fn run_mode(churn: bool, pop: &[Agent], seed: u64, workers: usize, epochs: u64, 
         balancer: LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5, epoch_len: 5 },
         ..ClusterConfig::default()
     };
-    let mut sim = ClusterSim::new(Arc::new(ChurnStorm::new(churn)), pop.to_vec(), cfg).unwrap();
+    let mut sim = ClusterSim::new(Arc::new(storm.clone()), pop.to_vec(), cfg).unwrap();
     sim.run_epochs(epochs).unwrap();
     sim.collect_agents().unwrap()
 }
@@ -236,10 +244,12 @@ proptest! {
 
     /// The delta-distributed cluster is bit-identical to the single-node
     /// engine — under churn (spawn/kill), migration, repartitioning (load
-    /// balancer on/off) and 1–4 workers. This is the placement-independence
-    /// guarantee of id-canonical neighbor order plus globally ordered spawn
-    /// ids; float sums included. `assert_eq!` on the full `Agent` records —
-    /// positions, states and effects must agree to the last bit.
+    /// balancer on/off) and 1–4 workers, with local float sums or with
+    /// non-local ones crossing partitions. This is the placement-independence
+    /// guarantee of id-canonical neighbor order, globally ordered spawn ids
+    /// and one fold of every non-local write in source-id order. Full
+    /// `Agent` records — positions, states and effects must agree to the
+    /// last bit; a failure names the draw and the first differing agent.
     #[test]
     fn delta_cluster_equals_single_node_bitwise(
         seed in 0u64..1_000,
@@ -248,11 +258,17 @@ proptest! {
         epochs in 2u64..4,
         lb in any::<bool>(),
         churn in any::<bool>(),
+        nonlocal in any::<bool>(),
     ) {
-        let pop = ChurnStorm::new(churn).population(n, seed ^ 0x3C3C);
-        let single = single_node(ChurnStorm::new(churn), pop.clone(), epochs * 5, seed);
-        let cluster = run_mode(churn, &pop, seed, workers, epochs, lb);
-        prop_assert_eq!(single, cluster);
+        let storm = ChurnStorm::new(churn, nonlocal);
+        let pop = storm.population(n, seed ^ 0x3C3C);
+        let single = single_node(storm.clone(), pop.clone(), epochs * 5, seed);
+        let cluster = run_mode(&storm, &pop, seed, workers, epochs, lb);
+        prop_assert!(
+            single == cluster,
+            "seed {seed}, {workers} workers, n {n}, {epochs} epochs, lb {lb}, churn {churn}, nonlocal {nonlocal}: {}",
+            first_difference(&single, &cluster)
+        );
     }
 }
 

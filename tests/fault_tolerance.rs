@@ -118,7 +118,7 @@ fn checkpoints_persist_to_disk_and_reload() {
         space_x: (-12.0, 12.0),
         load_balance: false,
         checkpoint_every: Some(1),
-        checkpoint_dir: Some(dir.clone()),
+        run_dir: Some(dir.clone()),
         ..ClusterConfig::default()
     };
     let mut sim = ClusterSim::new(Arc::new(fish()), pop, cfg).unwrap();

@@ -1,8 +1,5 @@
 //! Property-based tests on the invariants the paper's design rests on.
 //!
-//! * Effect aggregation is order-independent (the state-effect pattern's
-//!   foundational assumption): any partition of any sequence of effect
-//!   assignments, merged in any order, yields the same aggregate.
 //! * The distributed spatial join equals the single-node join for *every*
 //!   partitioning and visibility (the Appendix A decomposition).
 //! * Replication is exactly the visible-region membership — no agent is
@@ -11,22 +8,27 @@
 //!   corrupt a world).
 //! * The sharded/parallel executor phases equal the serial reference at
 //!   the bit level — for every thread count, shard granule, index kind and
-//!   seed (the determinism contract of `brace_core::executor`).
+//!   seed (the determinism contract of `brace_core::executor`), the writes
+//!   a worker ships for its replicas included.
 //! * The pool-backed executor equals the `Vec<Agent>` reference path at
 //!   the bit level — the contract of the struct-of-arrays refactor.
 //! * The BRASIL front end turns hostile source — arbitrary bytes, mutated
 //!   scripts, nesting past its depth bound — into an error, never a panic.
-//! * So do the checkpoint and manifest decoders with hostile bytes —
-//!   arbitrary, flipped, truncated or with inflated counts — and neither
-//!   sizes an allocation from a count it has not checked.
+//! * So do the checkpoint and manifest decoders and the peer decoders of
+//!   the effect and spawn rounds with hostile bytes — arbitrary, flipped,
+//!   truncated or with inflated counts — and none sizes an allocation from
+//!   a count it has not checked.
 
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, FieldId, Rect, Vec2};
 use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::executor::{
-    query_phase, query_phase_sharded, reference_step, update_phase, update_phase_sharded, TickIndex, TickScratch,
+    query_phase, query_phase_sharded, reference_step, replay_effects, update_phase, update_phase_sharded, TickIndex,
+    TickScratch,
 };
-use brace_core::{Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWriter, Simulation};
+use brace_core::{
+    Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWrite, EffectWriter, Simulation,
+};
 use brace_mapreduce::codec;
 use brace_spatial::join::{distribute, nested_loop_join, partitioned_join};
 use brace_spatial::{GridPartitioning, KdTree, Partitioner, ScanIndex, SpatialIndex, UniformGrid};
@@ -88,10 +90,9 @@ impl Behavior for LocalFloat {
 }
 
 /// Non-local model whose aggregates are exactly associative: integer Sum
-/// (pings of 1.0) and lattice Min (distance). The sharded query phase folds
-/// in row order like the serial reference, so the two agree bit for bit;
-/// these values would agree under any association (the distributed
-/// runtime's cross-partition merge) too.
+/// (pings of 1.0) and lattice Min (distance). The replay folds in id order
+/// like the serial reference, so the two agree bit for bit; these values
+/// would agree under any association too.
 struct NonlocalExact(AgentSchema);
 
 impl NonlocalExact {
@@ -129,9 +130,9 @@ impl Behavior for NonlocalExact {
 }
 
 /// Non-local model with arbitrary float aggregation, where any
-/// re-association shows in the last bits: the sharded query phase replays
-/// its write-log in source-row order, so it must equal the serial reference
-/// bit for bit at every shard granule and thread count.
+/// re-association shows in the last bits: the replay folds the write-log in
+/// source-id order, so it must equal the serial reference bit for bit at
+/// every shard granule and thread count.
 struct NonlocalFloat(AgentSchema);
 
 impl NonlocalFloat {
@@ -250,68 +251,53 @@ fn random_population(schema: &AgentSchema, n: usize, seed: u64) -> Vec<Agent> {
         .collect()
 }
 
-/// Assert two effect tables agree bitwise on every row.
-fn assert_tables_bit_identical(a: &EffectTable, b: &EffectTable, rows: usize) -> Result<(), String> {
-    for r in 0..rows as u32 {
-        let (ra, rb) = (a.row(r), b.row(r));
-        let same = ra.len() == rb.len() && ra.iter().zip(&rb).all(|(x, y)| x.to_bits() == y.to_bits());
-        if !same {
-            return Err(format!("row {r} differs: {ra:?} vs {rb:?}"));
+fn bits(row: &[f64]) -> Vec<u64> {
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Finish a sharded query phase over `pool` with its replay (nothing shipped
+/// in) and compare it with the serial reference's table, bit for bit: owned
+/// rows against the pool's effect columns, replica rows against the writes
+/// the query phase handed out for them ([`TickScratch::outbound`]), folded in
+/// the order they were handed out. Those writes must come in ascending
+/// source id and name their target row's agent, and the replay must leave
+/// the pool's replica rows at identity.
+fn replayed_equals_serial(
+    serial: &EffectTable,
+    pool: &mut AgentPool,
+    n_owned: usize,
+    scratch: &TickScratch,
+) -> Result<(), String> {
+    replay_effects(pool, scratch, &mut []);
+    let mut shipped = pool.effects().clone();
+    shipped.reset(1);
+    let identity = shipped.row(0);
+    shipped.reset(pool.len());
+    let outbound = scratch.outbound();
+    if !outbound.windows(2).all(|w| w[0].1.source <= w[1].1.source) {
+        return Err(format!("outbound writes out of source-id order: {outbound:?}"));
+    }
+    for &(row, write) in outbound {
+        if (row as usize) < n_owned || pool.id(row) != write.target {
+            return Err(format!("{write:?} handed out for row {row} of {n_owned} owned"));
+        }
+        shipped.combine(row, write.field, write.v);
+    }
+    for r in 0..pool.len() as u32 {
+        let owned = (r as usize) < n_owned;
+        let got = if owned { pool.effects().row(r) } else { shipped.row(r) };
+        if bits(&got) != bits(&serial.row(r)) {
+            return Err(format!("row {r} (owned: {owned}) differs: {got:?} vs {:?}", serial.row(r)));
+        }
+        if !owned && bits(&pool.effects().row(r)) != bits(&identity) {
+            return Err(format!("replica row {r} was folded into: {:?}", pool.effects().row(r)));
         }
     }
     Ok(())
 }
 
-fn schema_with(comb: Combinator) -> AgentSchema {
-    AgentSchema::builder("P").effect("e", comb).nonlocal_effects(true).build().unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Splitting an assignment stream across "partitions", aggregating
-    /// partially, and ⊕-merging equals aggregating the whole stream — for
-    /// every combinator, every split point, every permutation. This is the
-    /// exact algebraic fact the second reduce pass relies on.
-    #[test]
-    fn partial_aggregation_merges_exactly(
-        comb in any_combinator(),
-        values in prop::collection::vec(-100.0f64..100.0, 0..24),
-        split in 0usize..24,
-        swap in any::<bool>(),
-    ) {
-        let schema = schema_with(comb);
-        let split = split.min(values.len());
-        // Whole-stream aggregate (lattice ops are exactly associative;
-        // Sum/Prod get a tolerance below).
-        let mut whole = EffectTable::new(&schema);
-        whole.reset(1);
-        for &v in &values {
-            whole.combine(0, brace_common::FieldId::new(0), v);
-        }
-        // Two partitions, merged in either order.
-        let (a, b) = values.split_at(split);
-        let (a, b) = if swap { (b, a) } else { (a, b) };
-        let mut pa = EffectTable::new(&schema);
-        pa.reset(1);
-        for &v in a {
-            pa.combine(0, brace_common::FieldId::new(0), v);
-        }
-        let mut pb = EffectTable::new(&schema);
-        pb.reset(1);
-        for &v in b {
-            pb.combine(0, brace_common::FieldId::new(0), v);
-        }
-        pa.merge_row(0, &pb.row(0));
-        let (w, m) = (whole.row(0)[0], pa.row(0)[0]);
-        match comb {
-            Combinator::Sum | Combinator::Prod => {
-                let scale = w.abs().max(m.abs()).max(1.0);
-                prop_assert!((w - m).abs() <= 1e-9 * scale, "{} vs {}", w, m);
-            }
-            _ => prop_assert_eq!(w.to_bits(), m.to_bits()),
-        }
-    }
 
     /// Appendix A, as a property: the partitioned spatial join equals the
     /// single-node join for arbitrary populations, visibilities and grid
@@ -573,12 +559,12 @@ proptest! {
             query_phase_sharded(&b, &mut sh_pool, n_owned, &mut index, 3, seed, &mut scratch, shard_rows, threads);
         prop_assert_eq!(s_stats.neighbor_visits, p_stats.neighbor_visits);
         prop_assert_eq!(s_stats.nonlocal_writes, p_stats.nonlocal_writes);
-        assert_tables_bit_identical(&serial, sh_pool.effects(), n)?;
+        replayed_equals_serial(&serial, &mut sh_pool, n_owned, &scratch)?;
     }
 
     /// Non-local schemas whose aggregation is exactly associative (integer
     /// Sum, lattice Min): parallel must equal serial at the bit level —
-    /// including the partial rows of replica agents.
+    /// including the writes handed out for replica agents.
     #[test]
     fn sharded_query_equals_serial_for_exact_nonlocal_effects(
         seed in 0u64..10_000,
@@ -599,13 +585,14 @@ proptest! {
         let mut index = TickIndex::new(kind);
         let mut scratch = TickScratch::new();
         query_phase_sharded(&b, &mut sh_pool, n_owned, &mut index, 1, seed, &mut scratch, shard_rows, threads);
-        assert_tables_bit_identical(&serial, sh_pool.effects(), n)?;
+        replayed_equals_serial(&serial, &mut sh_pool, n_owned, &scratch)?;
     }
 
     /// Non-local schemas with arbitrary float aggregation: every write is
-    /// replayed once, in source-row order, so neither the shard granule nor
-    /// the thread count can re-associate a sum — the sharded tables equal
-    /// the serial reference's bit for bit, owned and replica rows alike.
+    /// replayed once, in source-id order, so neither the shard granule nor
+    /// the thread count can re-associate a sum — the replayed owned rows and
+    /// the handed-out writes for the replicas, folded in the order they are
+    /// handed out, equal the serial reference's table bit for bit.
     #[test]
     fn sharded_query_equals_serial_for_float_nonlocal_effects(
         seed in 0u64..10_000,
@@ -627,7 +614,7 @@ proptest! {
             let mut index = TickIndex::new(kind);
             let mut scratch = TickScratch::new();
             query_phase_sharded(&b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
-            assert_tables_bit_identical(&serial, pool.effects(), n)?;
+            replayed_equals_serial(&serial, &mut pool, n_owned, &scratch)?;
         }
     }
 
@@ -1041,8 +1028,8 @@ fn join_geometry(world: &mut [Agent], vis: f64, spread: f64, seed: u64, sparse: 
 }
 
 /// `ticks` ticks of the production phases — the probe-group query loop at
-/// an explicit shard granule and thread budget, then the sharded update —
-/// from `world`.
+/// an explicit shard granule and thread budget, its replay, then the sharded
+/// update — from `world`.
 #[allow(clippy::too_many_arguments)]
 fn grouped_ticks<B: Behavior>(
     b: &B,
@@ -1060,6 +1047,7 @@ fn grouped_ticks<B: Behavior>(
     for tick in 0..ticks {
         let n = pool.len();
         query_phase_sharded(b, &mut pool, n, &mut index, tick, seed, &mut scratch, shard_rows, threads);
+        replay_effects(&mut pool, &scratch, &mut []);
         sharded_update_applied(b, &mut pool, tick, seed, &mut id_gen, &mut scratch, threads);
     }
     pool.to_agents()
@@ -1135,9 +1123,11 @@ impl Behavior for Lopsided {
 }
 
 /// Shuffle `world`, swap-churn the pool built from it, own the first
-/// `owned_frac` of its rows, and compare the sharded query phase against the
-/// serial reference on that very pool: visit counts and every row's effects
-/// (replica rows included), bit for bit.
+/// `owned_frac` of its rows, and compare the sharded query phase and its
+/// replay against the serial reference on that very pool: visit counts, and
+/// every row's effects bit for bit — owned rows against the replay, which
+/// walks them in id order like the reference, replica rows against the
+/// writes handed out for them.
 #[allow(clippy::too_many_arguments)]
 fn worker_shaped_pool_equals_serial<B: Behavior>(
     b: &B,
@@ -1175,7 +1165,7 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
     if (s_stats.neighbor_visits, s_stats.nonlocal_writes) != (p_stats.neighbor_visits, p_stats.nonlocal_writes) {
         return Err(format!("counters differ: {s_stats:?} vs {p_stats:?}"));
     }
-    assert_tables_bit_identical(&serial, pool.effects(), rows)
+    replayed_equals_serial(&serial, &mut pool, n_owned, &scratch)
 }
 
 fn lopsided_world(b: &Lopsided, n: usize, vis: f64, seed: u64, sparse: bool) -> Vec<Agent> {
@@ -1299,9 +1289,10 @@ proptest! {
 
     /// Predator (non-local float sums, local and remote writes into the
     /// same tick): swept in tile order through the write-log and replayed
-    /// once, in source-row order. At every granule — sweep slices cutting
-    /// tiles included — and both thread budgets the loop equals the oracle
-    /// bit for bit, with bites, deaths and spawns.
+    /// once, in source-id order — row order on this id-ordered pool. At
+    /// every granule — sweep slices cutting tiles included — and both thread
+    /// budgets the loop equals the oracle bit for bit, with bites, deaths and
+    /// spawns.
     #[test]
     fn kernel_tile_join_predator_replays_in_row_order(
         seed in 0u64..10_000,
@@ -1325,7 +1316,7 @@ proptest! {
             let mut pool = AgentPool::from_agents(b.schema(), &world);
             let (mut index, mut scratch) = (TickIndex::new(kind), TickScratch::new());
             query_phase_sharded(&b, &mut pool, n, &mut index, 0, seed, &mut scratch, shard_rows, threads);
-            assert_tables_bit_identical(&serial_table, pool.effects(), n)?;
+            replayed_equals_serial(&serial_table, &mut pool, n, &scratch)?;
         }
     }
 
@@ -1371,8 +1362,9 @@ proptest! {
     }
 
     /// The same pool under non-local schemas, where replica rows *receive*
-    /// partial aggregates (what a worker ships to their owners): exactly
-    /// associative effects and float sums, both at the drawn granule.
+    /// writes (what a worker ships to their owners) and the replay walks the
+    /// owned rows in id order, not row order: exactly associative effects
+    /// and float sums, both at the drawn granule.
     #[test]
     fn kernel_tile_join_on_a_worker_shaped_pool_equals_serial_for_nonlocal_effects(
         seed in 0u64..10_000,
@@ -1990,14 +1982,17 @@ fn decoders_survive(input: &[u8]) -> Result<(), String> {
     .map_err(|_| format!("a decoder panicked on {input:02x?}"))
 }
 
-/// [`decoders_survive`] on hostile copies of the valid encoding `valid`:
-/// every proper prefix; every 4- and 8-byte window (the width of the
-/// formats' counts and lengths) overwritten with all ones and with a count a
-/// little past the bytes that follow it; and four copies with up to eight
-/// bytes flipped.
-fn hostile_copies_survive(valid: &[u8], rng: &mut DetRng) -> Result<(), String> {
+/// `survive` on hostile copies of the valid encoding `valid`: every proper
+/// prefix; every 4- and 8-byte window (the width of the formats' counts and
+/// lengths) overwritten with all ones and with a count a little past the
+/// bytes that follow it; and four copies with up to eight bytes flipped.
+fn hostile_copies_survive(
+    valid: &[u8],
+    rng: &mut DetRng,
+    survive: fn(&[u8]) -> Result<(), String>,
+) -> Result<(), String> {
     for n in 0..valid.len() {
-        decoders_survive(&valid[..n])?;
+        survive(&valid[..n])?;
     }
     let mut copy = valid.to_vec();
     for width in [4, 8] {
@@ -2005,7 +2000,7 @@ fn hostile_copies_survive(valid: &[u8], rng: &mut DetRng) -> Result<(), String> 
             let past_end = (valid.len() - at - width) as u64 + 1 + rng.below(64);
             for count in [u64::MAX, past_end] {
                 copy[at..at + width].copy_from_slice(&count.to_le_bytes()[..width]);
-                decoders_survive(&copy)?;
+                survive(&copy)?;
             }
             copy[at..at + width].copy_from_slice(&valid[at..at + width]);
         }
@@ -2018,7 +2013,7 @@ fn hostile_copies_survive(valid: &[u8], rng: &mut DetRng) -> Result<(), String> 
                 *b ^= 1 + rng.below(255) as u8;
             }
         }
-        decoders_survive(&flipped)?;
+        survive(&flipped)?;
     }
     Ok(())
 }
@@ -2059,7 +2054,62 @@ proptest! {
         }
         decoders_survive(&arbitrary).map_err(|e| format!("seed {seed}: {e}"))?;
         for v in &valid {
-            hostile_copies_survive(v, &mut rng).map_err(|e| format!("seed {seed}: {e}"))?;
+            hostile_copies_survive(v, &mut rng, decoders_survive).map_err(|e| format!("seed {seed}: {e}"))?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Peer decoders: hostile effect-write and spawn-run bytes are an error, never
+// a panic or an abort (CI reruns this section with PROPTEST_CASES=256)
+// ---------------------------------------------------------------------------
+
+/// `input` through the decoders of the effect and spawn rounds. Each must
+/// return `Ok` or `Err`; a panic is reported with the input.
+fn peer_decoders_survive(input: &[u8]) -> Result<(), String> {
+    std::panic::catch_unwind(|| {
+        let _ = codec::decode_effect_writes(input.to_vec().into());
+        let _ = codec::decode_spawn_runs(input.to_vec().into());
+    })
+    .map_err(|_| format!("a peer decoder panicked on {input:02x?}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// What a peer sends in a tick's effect and spawn rounds: drawn write
+    /// lists (hostile values, any field, ids at both ends of their range) and
+    /// spawn runs round-trip bit for bit through `codec::decode_effect_writes`
+    /// and `codec::decode_spawn_runs`; arbitrary bytes and the prefixes,
+    /// count-inflated and byte-flipped copies of their encodings decode to
+    /// `Ok` or `Err` — never a panic, and never an allocation sized by an
+    /// unchecked count.
+    #[test]
+    fn effect_and_spawn_decoders_never_panic(seed in any::<u64>()) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let id = |rng: &mut DetRng| AgentId::new(if rng.chance(0.2) { u64::MAX - rng.below(2) } else { rng.below(1000) });
+        let writes: Vec<EffectWrite> = (0..rng.below(6))
+            .map(|_| EffectWrite {
+                target: id(&mut rng),
+                source: id(&mut rng),
+                field: FieldId::new(rng.next_raw() as u16),
+                v: hostile_f64(rng.next_raw()),
+            })
+            .collect();
+        let encoded = codec::encode_effect_writes(&writes);
+        let back = codec::decode_effect_writes(encoded.clone()).map_err(|e| format!("seed {seed}: {e}"))?;
+        prop_assert!(
+            codec::encode_effect_writes(&back) == encoded,
+            "seed {seed}: writes changed in a round trip: {writes:?}"
+        );
+        let runs: Vec<(AgentId, u32)> = (0..rng.below(6)).map(|_| (id(&mut rng), rng.next_raw() as u32)).collect();
+        let encoded_runs = codec::encode_spawn_runs(&runs);
+        let back = codec::decode_spawn_runs(encoded_runs.clone()).map_err(|e| format!("seed {seed}: {e}"))?;
+        prop_assert!(back == runs, "seed {seed}: spawn runs changed in a round trip: {runs:?}");
+        let arbitrary: Vec<u8> = (0..rng.below(128)).map(|_| rng.next_raw() as u8).collect();
+        peer_decoders_survive(&arbitrary).map_err(|e| format!("seed {seed}: {e}"))?;
+        for valid in [&encoded, &encoded_runs] {
+            hostile_copies_survive(valid, &mut rng, peer_decoders_survive).map_err(|e| format!("seed {seed}: {e}"))?;
         }
     }
 }

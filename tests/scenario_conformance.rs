@@ -5,7 +5,7 @@
 //! This is the test that makes future scenario PRs cheap: register a
 //! scenario and it is automatically driven through the single-node
 //! executor and a 2-worker cluster on its
-//! [`Scenario::conformance`](brace::scenario::Scenario::conformance)
+//! [`conformance_setup`](brace::scenario::conformance_setup)
 //! configuration, checksummed, equality-asserted, and run through its own
 //! post-run sanity checks ([`Runner::run`] applies them). Nothing here
 //! names an individual scenario except the committed golden constants for
@@ -16,7 +16,7 @@
 //! deliberate model change (the failing assert prints actuals), and say so
 //! in the PR — the same protocol as `tests/golden_tick.rs`.
 
-use brace::scenario::{Backend, Registry, Runner};
+use brace::scenario::{conformance_setup, Backend, Registry, Runner};
 
 /// Conformance horizon: enough ticks for real boundary traffic (every
 /// builtin's population spans both partitions within visibility of the
@@ -74,14 +74,17 @@ fn worker_count_is_unobservable_for_new_scenarios() {
 /// scenarios that create agents mid-run — traffic's wrapping respawns and
 /// the predator's births — run their **default forms** in conformance
 /// (spawn ids are assigned in global `(parent id, ordinal)` order on every
-/// backend), and the runs must genuinely exercise mid-run spawning: a
-/// world with no id above the initial population would be vacuous proof.
+/// backend; the predator's bites are non-local float sums, folded once in
+/// source-id order by the target's owner), and the runs must genuinely
+/// exercise mid-run spawning: a world with no id above the initial
+/// population would be vacuous proof.
 #[test]
 fn spawning_scenarios_conform_with_their_default_forms() {
     let registry = Registry::builtin();
     for name in ["traffic", "predator"] {
         let scenario = registry.get(name).unwrap();
-        let initial_max = scenario.conformance(SEED).unwrap().population.iter().map(|a| a.id.raw()).max().unwrap();
+        let initial_max =
+            conformance_setup(scenario, SEED).unwrap().population.iter().map(|a| a.id.raw()).max().unwrap();
         let single = run(scenario, Backend::single());
         assert!(
             single.world.iter().any(|a| a.id.raw() > initial_max),
