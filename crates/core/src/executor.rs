@@ -39,12 +39,16 @@
 //!
 //! A behavioral simulation tick *is* a spatial self-join, and the paper's
 //! reduce side joins by sorting. So does this one. Once per tick **every
-//! visible row** (owned and replica) is sorted into the **probe order** — by
-//! the tile its position falls in (tile side = the schema's visibility
-//! bound: a rule, not a knob), y-major, then by row. That sorted order *is*
-//! the index for every [`NeighborProbe::Range`] schema with a bounded
-//! visibility: no [`SpatialIndex`] is built, synced or probed (the sort is
-//! the join's build side and is charged to `index_build_ns`). The owned rows
+//! visible row** (owned and replica) is put in the **id order** — ascending
+//! agent id, which is row order on an id-ordered pool and one radix sort
+//! over the ids' varying bytes on a worker's — and then, fed in that order
+//! through a stable radix sort, into the **probe order**: by the tile its
+//! position falls in (tile side = the schema's visibility bound: a rule, not
+//! a knob), y-major, then by id. Each row of the probe order carries its
+//! **id rank**, its place in the id order. That sorted order *is* the index
+//! for every [`NeighborProbe::Range`] schema with a bounded visibility: no
+//! [`SpatialIndex`] is built, synced or probed (both sorts are the join's
+//! build side and are charged to `index_build_ns`). The owned rows
 //! of a **strip** of neighbouring tiles — consecutive occupied tiles of one
 //! tile-row, each at most two tiles right of the one before, whole tiles
 //! while the strip holds at most `2 * LANES` rows; a tile that full on its
@@ -59,8 +63,9 @@
 //!    Sitchinava & Zhang's MapReduce primitive pair). Sparse tiles share one
 //!    window, one canonical sort and one gather per strip instead of paying
 //!    them per tile;
-//! 2. the block is canonicalized **once** and its positions are gathered
-//!    **once** into contiguous columns;
+//! 2. the block's id ranks are sorted **once** — a plain integer sort that
+//!    puts it in ascending id on every engine — and mapped back to rows
+//!    while its positions are gathered **once** into contiguous columns;
 //! 3. each member takes *its own* candidates out of the block by running
 //!    the lane kernel `kernels::filter_rect` over those columns with *its
 //!    own* probe rect, and runs its scalar [`Behavior::query`] over them.
@@ -74,22 +79,24 @@
 //! block order, so each member sees exactly the rows
 //! `index.range(member's rect)` returns, in the same canonical order:
 //! effects, `neighbor_visits` and every golden are those of one index probe
-//! per agent. Sorting keys costs O(n log n) time and O(n) memory, with no
-//! dense cell array — a school that swims out of its initial space, or one
-//! agent 10⁹ units away, costs nothing extra — and under spawn/kill churn
-//! there is nothing to rebuild: a changed row count re-keys the sort.
+//! per agent. Both sorts are LSD radix sorts that make one stable counting
+//! pass per key byte that varies, so the orders cost O(passes · n) time and
+//! O(n) memory, with no dense cell array and nothing carried between ticks:
+//! spawn/kill churn changes nothing. The tile key is the tile's offset from
+//! the lowest occupied tile, so a school that swims out of its initial
+//! space costs nothing extra and one agent 10⁹ units away adds a few passes.
 //!
 //! **Candidates are canonical**: every block is put in ascending agent-id
-//! order before any behavior sees it (ascending row on an id-ordered pool,
-//! `(id, row)` on a swap-churned worker pool), so float effect aggregation
-//! is a pure function of the agent set, independent of row placement.
+//! order before any behavior sees it (its id ranks, sorted), so float effect
+//! aggregation is a pure function of the agent set, independent of row
+//! placement.
 //!
 //! What has no rect to share keeps one probe per row, through the same loop
-//! as one-row groups in row order and against a [`TickIndex`] (the only
+//! as one-row groups in id order and against a [`TickIndex`] (the only
 //! callers that still build one): [`NeighborProbe::Nearest`], which
 //! asks `k_nearest_into`; and [`IndexKind::Scan`], the paper's *no-indexing*
 //! baseline — sharing its scans between tile-mates would make it an index.
-//! Unbounded visibility is one group whose block is the visible set.
+//! Unbounded visibility is one group whose block is the id order.
 //!
 //! # Index builds (k-NN probes and the scan)
 //!
@@ -131,10 +138,10 @@
 //!   and applying the locals early would re-associate it), is appended to a
 //!   segment of the slice's **effect write-log**
 //!   (`crate::effect::EffectLog`), one segment per source row. Then
-//!   [`replay_effects`] replays every owned row's segment **once**, in
-//!   ascending source id, with the writes peers shipped in interleaved by
-//!   source id, into the pool's effect columns (writes to replica rows go
-//!   to their owners instead): sort, then replay. The replay is serial.
+//!   [`replay_effects`] replays every owned row's segment **once**, in the
+//!   id order, with the writes peers shipped in interleaved by source id,
+//!   into the pool's effect columns (writes to replica rows go to their
+//!   owners instead): sort, then replay. The replay is serial.
 //! * The inner loop is monomorphized over the concrete index type
 //!   ([`ScanIndex`] / [`KdTree`] / [`UniformGrid`]) where one is probed: the
 //!   [`BuiltIndex`] enum is dispatched once per tick, not once per probe.
@@ -205,12 +212,11 @@ fn shard_range(n: usize, k: usize, i: usize) -> Range<usize> {
 /// single-node pool (initial populations are id-ordered, spawns append
 /// increasing ids, compaction preserves order). Distributed workers mutate
 /// rows in place (swap-removal, persistent replica tails), so their pools
-/// lose monotonicity; the query phase then canonicalizes candidates by
-/// **agent id** instead of row, making per-agent neighbor iteration order —
-/// and therefore float effect aggregation — a pure function of the agent
-/// set, independent of row placement. When ids are monotone the two orders
-/// coincide, so the fast row-order paths (and the committed golden
-/// checksums) are untouched.
+/// lose monotonicity; candidates are still put in **agent id** order, making
+/// per-agent neighbor iteration order — and therefore float effect
+/// aggregation — a pure function of the agent set, independent of row
+/// placement. When ids are monotone the two orders coincide: the id order
+/// needs no sort, and an index's ascending-row candidates none either.
 #[inline]
 fn ids_strictly_increasing(ids: &[AgentId]) -> bool {
     ids.windows(2).all(|w| w[0] < w[1])
@@ -292,6 +298,9 @@ impl TickIndex {
 /// Counters returned by the query phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
+    /// Time spent on the join's build side — the id order and the probe
+    /// order — plus, for the probes the join does not answer, the index
+    /// build.
     pub index_build_ns: u64,
     pub query_ns: u64,
     /// Time spent bringing the shards' effects into the pool's effect
@@ -304,15 +313,17 @@ pub struct QueryStats {
 }
 
 /// One visible row in the tick's **probe order**: the tile its position falls
-/// in (tile side = the schema's visibility bound) and the row. The order is
-/// sorted by `(ty, tx, row)` — y-major, so the tiles a rect spans along x are
-/// one contiguous run per tile-row — and runs of equal tiles among the owned
-/// rows are the probe groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// in (tile side = the schema's visibility bound), the row, and its id rank
+/// (its place in the id order). The order is sorted by `(ty, tx, id)` —
+/// y-major, so the tiles a rect spans along x are one contiguous run per
+/// tile-row — and runs of equal tiles among the owned rows are the probe
+/// groups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ProbeKey {
     ty: i64,
     tx: i64,
     row: u32,
+    rank: u32,
 }
 
 impl ProbeKey {
@@ -333,43 +344,79 @@ fn tile_of(v: f64, side: f64) -> i64 {
     (v / side).floor() as i64
 }
 
-/// Plan the tick's probe order. With a tile side, **every visible row**
-/// (owned and replica) is sorted into `cells` by the tile its position falls
-/// in, then by row — sort keys, not a dense cell array, so the cost is
-/// O(n log n) time and O(n) memory whatever the world's extent (fish swim
-/// out of the initial space; one agent 10⁹ units away is one more key) — and
-/// `members` receives the owned rows in that order. An unbounded side puts
-/// every row in tile (0, 0). Without a tile side `members` is the owned rows
-/// in row order and `cells` is left empty.
-fn plan_probe_order(
-    cells: &mut Vec<ProbeKey>,
-    members: &mut Vec<ProbeKey>,
-    view: PoolView<'_>,
-    n_owned: usize,
-    tile_side: Option<f64>,
-) {
-    members.clear();
-    let Some(side) = tile_side else {
+/// The tick's two orders over the visible rows, rebuilt every tick into
+/// buffers kept across ticks ([`ProbeOrder::plan`]).
+#[derive(Default)]
+struct ProbeOrder {
+    /// The id order: every visible row (owned and replica), in ascending
+    /// agent id.
+    by_id: Vec<u32>,
+    /// The probe order: every visible row, by `(ty, tx, id)` (the join's
+    /// build side).
+    cells: Vec<ProbeKey>,
+    /// The owned rows of `cells`, in probe order (the sweep).
+    members: Vec<ProbeKey>,
+    /// The radix sorts' scatter buffers.
+    spare_rows: Vec<u32>,
+    spare_cells: Vec<ProbeKey>,
+}
+
+impl ProbeOrder {
+    /// Plan the tick. `by_id` is the identity when `rows_in_id_order`, and
+    /// otherwise one radix sort over the ids' varying bytes. `cells` is fed in
+    /// `by_id` order and radix-sorted by tile — the tile's offset from the
+    /// lowest occupied one, so only the bytes that the world's extent in
+    /// tiles needs make passes — and the sort is stable, so ties keep
+    /// ascending id. Without a tile side every row is in tile (0, 0), and an
+    /// unbounded side does the same: `cells` is then the id order. `members`
+    /// receives the owned cells, rows `0..n_owned`, in probe order.
+    fn plan(&mut self, view: PoolView<'_>, n_owned: usize, rows_in_id_order: bool, tile_side: Option<f64>) {
+        let ProbeOrder { by_id, cells, members, spare_rows, spare_cells } = self;
+        by_id.clear();
+        by_id.extend(0..view.len() as u32);
+        if !rows_in_id_order {
+            radix_sort_by_key(by_id, spare_rows, |&row| view.ids[row as usize].raw() as u128);
+        }
+        let tile = |v: f64| tile_side.map_or(0, |side| tile_of(v, side));
         cells.clear();
-        members.extend((0..n_owned as u32).map(|row| ProbeKey { ty: 0, tx: 0, row }));
-        return;
-    };
-    // `(tile, row)` is a total order over distinct rows, so any permutation
-    // of the rows sorts to the same result — and the reachability bound
-    // keeps most agents in their tile from one tick to the next, so the
-    // previous tick's order is a nearly sorted one to start from. A changed
-    // row count (spawns, kills, replicas coming and going) re-keys from
-    // scratch.
-    if cells.len() != view.len() {
-        cells.clear();
-        cells.extend((0..view.len() as u32).map(|row| ProbeKey { ty: 0, tx: 0, row }));
+        cells.extend(by_id.iter().enumerate().map(|(rank, &row)| {
+            let (ty, tx) = (tile(view.ys[row as usize]), tile(view.xs[row as usize]));
+            ProbeKey { ty, tx, row, rank: rank as u32 }
+        }));
+        // Offsets, not the tiles' sign-flipped bits: a world that straddles
+        // tile 0 would vary in every byte of those.
+        let (ty0, tx0) = cells.iter().fold((i64::MAX, i64::MAX), |(ty, tx), c| (ty.min(c.ty), tx.min(c.tx)));
+        radix_sort_by_key(cells, spare_cells, |c| {
+            ((c.ty.wrapping_sub(ty0) as u64 as u128) << 64) | c.tx.wrapping_sub(tx0) as u64 as u128
+        });
+        members.clear();
+        members.extend(cells.iter().filter(|c| (c.row as usize) < n_owned));
     }
-    for key in cells.iter_mut() {
-        key.ty = tile_of(view.ys[key.row as usize], side);
-        key.tx = tile_of(view.xs[key.row as usize], side);
+}
+
+/// Stable LSD radix sort of `items` by `key`, through the scatter buffer
+/// `spare`: one counting pass per byte of the key that not every key shares
+/// — none when all keys are equal, two or three for a run's agent ids, one
+/// per byte of a world's extent in tiles.
+fn radix_sort_by_key<T: Copy>(items: &mut Vec<T>, spare: &mut Vec<T>, key: impl Fn(&T) -> u128) {
+    let Some(&head) = items.first() else { return };
+    let first = key(&head);
+    let varying = items.iter().fold(0, |bits, item| bits | (key(item) ^ first));
+    for shift in (0..128).step_by(8).filter(|&shift| (varying >> shift) as u8 != 0) {
+        let digit = |item: &T| (key(item) >> shift) as u8 as usize;
+        // Count each digit, then turn the counts into where each digit's
+        // next item goes.
+        let mut next = [0usize; 256];
+        items.iter().for_each(|item| next[digit(item)] += 1);
+        next.iter_mut().fold(0, |start, n| start + std::mem::replace(n, start));
+        spare.resize(items.len(), head);
+        for item in items.iter() {
+            let d = digit(item);
+            spare[next[d]] = *item;
+            next[d] += 1;
+        }
+        std::mem::swap(items, spare);
     }
-    cells.sort_unstable();
-    members.extend(cells.iter().filter(|key| (key.row as usize) < n_owned));
 }
 
 /// First index `i` of `cells` (sorted) with `cells[i].tile() >= lo`, found by
@@ -401,9 +448,10 @@ fn seek_tile(cells: &[ProbeKey], hint: usize, lo: (i64, i64)) -> usize {
     }
 }
 
-/// The join's probe: append to `block` every row of `cells` (all visible
-/// rows in probe order, tile side `side`) whose tile lies in the window of
-/// tiles that `rect` spans — one contiguous run of `cells` per tile-row. The
+/// The join's probe: append to `block` the id rank of every row of `cells`
+/// (all visible rows in probe order, tile side `side`) whose tile lies in the
+/// window of tiles that `rect` spans — one contiguous run of `cells` per
+/// tile-row, in probe order. The
 /// window is derived from the rect's own corners with the function that
 /// keyed the rows, so it is exact for any rect: one that float rounding
 /// pushed two tiles out, one a pushdown shrank, one wider than the
@@ -441,7 +489,7 @@ fn tile_window(cells: &[ProbeKey], side: f64, rect: &Rect, cursors: &mut [usize;
             continue;
         }
         while let Some(c) = cells.get(i).filter(|c| c.ty == ty && c.tx <= tx1) {
-            block.push(c.row);
+            block.push(c.rank);
             i += 1;
         }
         if ty == ty1 {
@@ -452,23 +500,20 @@ fn tile_window(cells: &[ProbeKey], side: f64, rect: &Rect, cursors: &mut [usize;
 }
 
 /// Reusable per-tick working memory, threaded through the executor so the
-/// hot path allocates nothing after the first tick: the tick's probe order,
-/// one [`ShardScratch`] (effect table or write-log + candidate block + spawn
-/// queue) per logical shard, and for non-local schemas the replay's source
-/// order and the writes to replicas. One `TickScratch` belongs to one
-/// behavior (its tables are shaped by the behavior's schema).
+/// hot path allocates nothing after the first tick: the tick's id and probe
+/// orders with their sort buffers, one [`ShardScratch`] (effect table or
+/// write-log + candidate block + spawn queue) per logical shard, and for
+/// non-local schemas the replay's source order and the writes to replicas.
+/// One `TickScratch` belongs to one behavior (its tables are shaped by the
+/// behavior's schema).
 #[derive(Default)]
 pub struct TickScratch {
     shards: Vec<ShardScratch>,
-    /// Every visible row in probe order (the join's build side).
-    cells: Vec<ProbeKey>,
-    /// The owned rows in probe order (the sweep).
-    order: Vec<ProbeKey>,
+    /// The id order, the probe order and the sweep.
+    probe: ProbeOrder,
     /// Non-local schemas: `(row, sweep slice, log segment)` of every owned
-    /// row, in ascending agent id — the replay's order. Empty otherwise.
-    /// `spare` is the id sort's scatter buffer.
+    /// row, in the id order — the replay's order. Empty otherwise.
     sources: Vec<(u32, u32, u32)>,
-    spare: Vec<(u32, u32, u32)>,
     /// Non-local schemas: the writes to replica rows, `(target row, write)`,
     /// in ascending source id.
     outbound: Vec<(u32, EffectWrite)>,
@@ -485,7 +530,8 @@ struct ShardScratch {
     /// and those of them to replica rows, `(target row, write)`, in order.
     log: EffectLog,
     outbound: Vec<(u32, EffectWrite)>,
-    /// Candidate rows of the current probe group, canonical order.
+    /// Candidate rows of the current probe group, canonical order (on the
+    /// join path, their id ranks until the block is sorted).
     block: Vec<u32>,
     /// Where each tile-row of the last group's window began in the probe
     /// order, by offset from the window's first row ([`tile_window`]).
@@ -634,17 +680,18 @@ fn reference_rows<B: Behavior, I: SpatialIndex>(
     (visits, nonlocal)
 }
 
-/// Put range candidates in the canonical order: **ascending agent id**,
-/// always. Per-agent neighbor iteration order — and therefore float effect
+/// Put an index's range candidates in the canonical order: **ascending
+/// agent id**, always — the order a join block's sorted id ranks give.
+/// Per-agent neighbor iteration order — and therefore float effect
 /// aggregation — is then a pure function of the agent set, independent of
 /// where the candidates came from (a join block or an index) *and* of row
 /// placement (single-node pool vs a distributed worker's swap-mutated pool,
-/// which is what makes an N-worker cluster bit-identical to one node). When rows are already in id order (every single-node
-/// pool), row order *is* id order, so candidates that are `ascending_rows`
-/// already — the scan's row-order columns and the grid's ascending-payload
-/// bucket merge (`RANGE_CANONICAL`), or the whole visible set — are
-/// canonical by construction; a join block (tile-major) and the KD-tree
-/// (tree-order emission) pay a sort.
+/// which is what makes an N-worker cluster bit-identical to one node). When
+/// rows are already in id order (every single-node pool), row order *is* id
+/// order, so candidates that are `ascending_rows` already — the scan's
+/// row-order columns and the grid's ascending-payload bucket merge
+/// (`RANGE_CANONICAL`), or the whole visible set — are canonical by
+/// construction; the KD-tree (tree-order emission) pays a sort.
 #[inline]
 fn canonicalize(candidates: &mut [u32], view: PoolView<'_>, rows_in_id_order: bool, ascending_rows: bool) {
     if !rows_in_id_order {
@@ -683,9 +730,10 @@ struct QueryPlan<'a, B> {
     /// The owned rows in probe order; shard `i` of `k` sweeps the slice
     /// `shard_range(order.len(), k, i)`.
     order: &'a [ProbeKey],
-    /// Every visible row in probe order: what the join probes. Empty unless
-    /// `join`.
+    /// Every visible row in probe order: what the join probes.
     cells: &'a [ProbeKey],
+    /// Every visible row in the id order: what an id rank names.
+    by_id: &'a [u32],
     /// Runs of equal tiles in `order` — strips of them, on the join path —
     /// are probe groups (otherwise every row is its own group).
     grouped: bool,
@@ -755,7 +803,8 @@ fn group_len(slice: &[ProbeKey], grouped: bool, join: bool) -> usize {
 /// index at all**: its candidate *block* is the rows of the tiles that the
 /// union of its members' [`Behavior::probe_rect`]s spans, a few contiguous
 /// runs of the probe order ([`tile_window`]). The
-/// block is canonicalized once and its positions gathered once, and each
+/// block's id ranks are sorted once (ascending id), mapped back to rows, and
+/// its positions gathered once, and each
 /// member then takes its own candidates out of it by running the lane
 /// kernel [`filter_rect`] over the block's contiguous columns with *its own*
 /// probe rect. Every visible row inside the member's rect lies in a tile of
@@ -767,8 +816,8 @@ fn group_len(slice: &[ProbeKey], grouped: bool, join: bool) -> usize {
 /// goldens are those of one index probe per row.
 ///
 /// What the join does not cover goes through `index` (which is `None` on
-/// the join path): the scan's one range probe per row, k-NN probes, and
-/// unbounded visibility (the block is the visible set, for everyone).
+/// the join path): the scan's one range probe per row and k-NN probes; and
+/// under unbounded visibility the block is the id order, for everyone.
 fn query_shard<B: Behavior, I: SpatialIndex>(
     plan: &QueryPlan<'_, B>,
     index: Option<&I>,
@@ -804,7 +853,9 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                 if !union.is_empty() {
                     tile_window(plan.cells, vis, &union, cursors, block);
                 }
-                canonicalize(block, view, plan.rows_in_id_order, false);
+                // Sorted id ranks are ascending ids; then rows again.
+                block.sort_unstable();
+                block.iter_mut().for_each(|rank| *rank = plan.by_id[*rank as usize]);
                 block_xs.clear();
                 block_xs.extend(block.iter().map(|&r| view.xs[r as usize]));
                 block_ys.clear();
@@ -819,10 +870,7 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                 }
                 canonicalize(block, view, plan.rows_in_id_order, I::RANGE_CANONICAL);
             }
-            NeighborProbe::Range => {
-                block.extend(0..view.len() as u32);
-                canonicalize(block, view, plan.rows_in_id_order, true);
-            }
+            NeighborProbe::Range => block.extend_from_slice(plan.by_id),
             NeighborProbe::Nearest(k) => {
                 debug_assert_eq!(group.len(), 1, "k-NN probes are never grouped");
                 let index = index.expect("k-NN probes have an index");
@@ -900,7 +948,7 @@ pub fn query_phase_sharded<B: Behavior>(
     let nonlocal = schema.has_nonlocal_effects();
     let k = shard_count(n_owned, shard_rows);
     scratch.ensure_shards(schema, k);
-    let TickScratch { shards, cells, order, sources, spare, outbound, tel } = scratch;
+    let TickScratch { shards, probe, sources, outbound, tel } = scratch;
     let shards = &mut shards[..k];
     sources.clear();
     outbound.clear();
@@ -909,7 +957,7 @@ pub fn query_phase_sharded<B: Behavior>(
     // the paper's *no-indexing* baseline (Figures 3 and 4), and sorting
     // agents into tiles to share its scans would be an index. Under a
     // bounded visibility the shared probe is the sort-merge tile join, whose
-    // build side is this sort: the probe order *is* the index, so none is
+    // build side is these sorts: the probe order *is* the index, so none is
     // built. k-NN probes have no rect to union and run one per row.
     let t0 = Instant::now();
     let grouped = behavior.probe() == NeighborProbe::Range && vis > 0.0 && index.kind() != IndexKind::Scan;
@@ -917,8 +965,10 @@ pub fn query_phase_sharded<B: Behavior>(
     if !join {
         index.sync(view, vis);
     }
-    plan_probe_order(cells, order, view, n_owned, grouped.then_some(vis));
-    let (cells, order) = (&*cells, &*order);
+    // Once per tick, early-out on the first inversion.
+    let rows_in_id_order = ids_strictly_increasing(view.ids);
+    probe.plan(view, n_owned, rows_in_id_order, grouped.then_some(vis));
+    let ProbeOrder { by_id, cells, members: order, .. } = &*probe;
     stats.index_build_ns = t0.elapsed().as_nanos() as u64;
 
     table.reset(view.len());
@@ -928,9 +978,7 @@ pub fn query_phase_sharded<B: Behavior>(
     let threads = effective_parallelism(parallelism).min(k);
 
     let t1 = Instant::now();
-    // Once per tick, early-out on the first inversion.
-    let rows_in_id_order = ids_strictly_increasing(view.ids);
-    let plan = QueryPlan { behavior, view, order, cells, grouped, join, nonlocal, rows_in_id_order, tick, seed };
+    let plan = QueryPlan { behavior, view, order, cells, by_id, grouped, join, nonlocal, rows_in_id_order, tick, seed };
     // A local-effect shard accumulates into a table of the rows it sweeps; a
     // non-local one only logs.
     if !nonlocal {
@@ -957,19 +1005,18 @@ pub fn query_phase_sharded<B: Behavior>(
         }
     } else {
         // Non-local shards logged every write, for `replay_effects` to fold
-        // in source-id order; the writes to replica rows leave for their
-        // owners in the same order (the sort is stable).
-        sources.resize(n_owned, (0, 0, 0));
+        // in the id order: placed by id rank, with the replicas' places
+        // dropped. The writes to replica rows leave for their owners in
+        // source-id order too (the sort is stable).
+        sources.resize(view.len(), (u32::MAX, 0, 0));
         for (s, shard) in shards.iter().enumerate() {
             for (j, key) in order[shard_range(n_owned, k, s)].iter().enumerate() {
-                sources[key.row as usize] = (key.row, s as u32, j as u32);
+                sources[key.rank as usize] = (key.row, s as u32, j as u32);
             }
             outbound.extend_from_slice(&shard.outbound);
         }
+        sources.retain(|&(row, ..)| (row as usize) < n_owned);
         outbound.sort_by_key(|(_, write)| write.source);
-        if !rows_in_id_order {
-            sort_by_id(sources, spare, view.ids);
-        }
     }
     stats.merge_ns = t2.elapsed().as_nanos() as u64;
     stats.query_ns = t1.elapsed().as_nanos() as u64;
@@ -985,31 +1032,6 @@ pub fn query_phase_sharded<B: Behavior>(
     tel.add(Counter::ExecutorBlockCandidates, block_rows);
     tel.add(Counter::ExecutorEffectLogEntries, logged);
     stats
-}
-
-/// Sort `sources` by their rows' agent ids: an LSD radix sort, one stable
-/// counting pass per id byte that not all the ids share (the low two or
-/// three, for a run's ids) — a fraction of a comparison sort's time on a
-/// worker's ≈ 20k rows. `spare` is the scatter buffer.
-fn sort_by_id(sources: &mut Vec<(u32, u32, u32)>, spare: &mut Vec<(u32, u32, u32)>, ids: &[AgentId]) {
-    let id = |&(row, ..): &(u32, u32, u32)| ids[row as usize].raw();
-    let Some(first) = sources.first().map(id) else { return };
-    let varying = sources.iter().fold(0, |bits, src| bits | (id(src) ^ first));
-    for shift in (0..64).step_by(8).filter(|&shift| (varying >> shift) as u8 != 0) {
-        let digit = |src: &(u32, u32, u32)| (id(src) >> shift) as u8 as usize;
-        // Count each digit, then turn the counts into where each digit's
-        // next source goes.
-        let mut next = [0usize; 256];
-        sources.iter().for_each(|src| next[digit(src)] += 1);
-        next.iter_mut().fold(0, |start, n| start + std::mem::replace(n, start));
-        spare.resize(sources.len(), (0, 0, 0));
-        for src in sources.iter() {
-            let d = digit(src);
-            spare[next[d]] = *src;
-            next[d] += 1;
-        }
-        std::mem::swap(sources, spare);
-    }
 }
 
 /// The second reduce pass, and the only place any engine combines a
@@ -1554,23 +1576,33 @@ mod tests {
         assert_eq!(run(1), run(3));
     }
 
-    /// Every position keyed and sorted into the probe order at tile side 1.
-    fn probe_order(points: &[(f64, f64)]) -> Vec<ProbeKey> {
-        let mut cells: Vec<ProbeKey> = (0..points.len() as u32)
-            .map(|row| {
-                let (x, y) = points[row as usize];
-                ProbeKey { ty: tile_of(y, 1.0), tx: tile_of(x, 1.0), row }
-            })
+    /// A pool of agents at `points` with ids `ids`, the first `n_owned` of
+    /// them owned, planned at tile side `side` into `probe`.
+    fn plan_points(probe: &mut ProbeOrder, points: &[(f64, f64)], ids: &[u64], n_owned: usize, side: Option<f64>) {
+        let schema = CountAndDrift::new().schema;
+        let agents: Vec<Agent> = points
+            .iter()
+            .zip(ids)
+            .map(|(&(x, y), &id)| Agent::new(AgentId::new(id), Vec2::new(x, y), &schema))
             .collect();
-        cells.sort_unstable();
-        cells
+        let pool = AgentPool::from_agents(&schema, &agents);
+        probe.plan(pool.view(), n_owned, ids_strictly_increasing(pool.view().ids), side);
+    }
+
+    /// Every position, with ids in row order, in the probe order at tile
+    /// side 1.
+    fn probe_order(points: &[(f64, f64)]) -> Vec<ProbeKey> {
+        let mut probe = ProbeOrder::default();
+        let ids: Vec<u64> = (0..points.len() as u64).collect();
+        plan_points(&mut probe, points, &ids, points.len(), Some(1.0));
+        probe.cells
     }
 
     /// Run [`tile_window`] from `cursors` and check it against its
-    /// specification: the block is every row whose tile lies in the rect's
-    /// window, in probe order — what a walk that seeks every row from index 0
-    /// finds — and afterwards each cursor holds exactly where its window
-    /// tile-row begins.
+    /// specification: the block is the rank of every row whose tile lies in
+    /// the rect's window, in probe order — what a walk that seeks every row
+    /// from index 0 finds — and afterwards each cursor holds exactly where its
+    /// window tile-row begins.
     fn window_checked(cells: &[ProbeKey], rect: &Rect, cursors: &mut [usize; 3]) -> Vec<u32> {
         let mut block = Vec::new();
         tile_window(cells, 1.0, rect, cursors, &mut block);
@@ -1579,7 +1611,7 @@ mod tests {
         let from_zero: Vec<u32> = cells
             .iter()
             .filter(|c| (ty0..=ty1).contains(&c.ty) && (tx0..=tx1).contains(&c.tx))
-            .map(|c| c.row)
+            .map(|c| c.rank)
             .collect();
         assert_eq!(block, from_zero, "window of {rect:?}");
         for (d, &cursor) in cursors.iter().enumerate() {
@@ -1735,20 +1767,52 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The replay's radix sort is a sort by id, whichever bytes of the
-        /// ids vary — low ones only, high ones only, or all eight.
+        /// The tick's radix-sorted orders against comparison sorts: the id
+        /// order is the rows sorted by id, and the probe order is the rows
+        /// sorted by `(ty, tx, id)`, each carrying its place in the id order,
+        /// with the owned ones its sweep. Id-ordered and shuffled pools,
+        /// whichever id bytes vary (low ones, high ones, all eight);
+        /// coordinates that straddle 0, tiles 10⁹ apart and ±1e300 (saturated
+        /// tiles); down to one row and none; one `ProbeOrder` reused across
+        /// every tile side.
         #[test]
-        fn sort_by_id_orders_sources_by_agent_id(
-            raw in prop::collection::vec(any::<u64>(), 0..300),
+        fn radix_orders_equal_comparison_sorts(
+            points in prop::collection::vec((0usize..4, -9i32..9, -9i32..9), 0..200),
+            raw in prop::collection::vec(any::<u64>(), 200..201),
             mask in prop::sample::select(vec![0xFFFFu64, 0xFF00_0000_0000_0000, u64::MAX]),
+            shuffled in any::<bool>(),
+            owned in 0usize..201,
         ) {
             let mut seen = std::collections::HashSet::new();
-            let ids: Vec<AgentId> = raw.iter().map(|&id| AgentId::new(id & mask)).filter(|&id| seen.insert(id)).collect();
-            let mut sources: Vec<(u32, u32, u32)> = (0..ids.len() as u32).map(|row| (row, row % 3, row / 3)).collect();
-            let mut want = sources.clone();
-            want.sort_by_key(|&(row, ..)| ids[row as usize]);
-            sort_by_id(&mut sources, &mut Vec::new(), &ids);
-            prop_assert_eq!(sources, want);
+            let mut ids: Vec<u64> = raw.iter().map(|&id| id & mask).filter(|&id| seen.insert(id)).collect();
+            ids.truncate(points.len());
+            if !shuffled {
+                ids.sort_unstable();
+            }
+            let scale = [0.37, 1e9, 1e300, 1.0];
+            let points: Vec<(f64, f64)> =
+                points.iter().take(ids.len()).map(|&(s, x, y)| (x as f64 * scale[s], y as f64 * scale[s])).collect();
+            let (n, n_owned) = (points.len(), owned.min(points.len()));
+            let mut probe = ProbeOrder::default();
+            for side in [None, Some(1.0), Some(2.5)] {
+                plan_points(&mut probe, &points, &ids, n_owned, side);
+                let mut by_id: Vec<u32> = (0..n as u32).collect();
+                by_id.sort_by_key(|&row| ids[row as usize]);
+                prop_assert_eq!(&probe.by_id, &by_id);
+                let tile = |row: u32| {
+                    let (x, y) = points[row as usize];
+                    side.map_or((0, 0), |side| (tile_of(y, side), tile_of(x, side)))
+                };
+                let mut cells: Vec<u32> = (0..n as u32).collect();
+                cells.sort_by_key(|&row| (tile(row), ids[row as usize]));
+                prop_assert_eq!(probe.cells.iter().map(|c| c.row).collect::<Vec<_>>(), cells);
+                for c in &probe.cells {
+                    prop_assert_eq!((c.ty, c.tx), tile(c.row));
+                    prop_assert_eq!(by_id[c.rank as usize], c.row);
+                }
+                let members: Vec<ProbeKey> = probe.cells.iter().filter(|c| (c.row as usize) < n_owned).copied().collect();
+                prop_assert_eq!(&probe.members, &members);
+            }
         }
 
         /// A sweep of windows over a sparse world with empty tile-rows and

@@ -30,22 +30,25 @@ pub fn put_agent(buf: &mut BytesMut, a: &Agent) {
     }
 }
 
-/// Decode one agent from `buf`.
-pub fn get_agent(buf: &mut impl Buf) -> Agent {
+/// Decode one agent from `buf`, or `None` if `buf` ends inside the record:
+/// each field count is checked against the bytes left before anything is
+/// read or allocated for it.
+pub fn get_agent(buf: &mut impl Buf) -> Option<Agent> {
+    if buf.remaining() < 8 + 16 + 1 + 2 {
+        return None;
+    }
     let id = AgentId::new(buf.get_u64_le());
     let pos = Vec2::new(buf.get_f64_le(), buf.get_f64_le());
     let alive = buf.get_u8() != 0;
-    let ns = buf.get_u16_le() as usize;
-    let mut state = Vec::with_capacity(ns);
-    for _ in 0..ns {
-        state.push(buf.get_f64_le());
-    }
-    let ne = buf.get_u16_le() as usize;
-    let mut effects = Vec::with_capacity(ne);
-    for _ in 0..ne {
-        effects.push(buf.get_f64_le());
-    }
-    Agent { id, pos, state, effects, alive }
+    let state = get_f64s(buf)?;
+    let effects = get_f64s(buf)?;
+    Some(Agent { id, pos, state, effects, alive })
+}
+
+/// A `u16` count, then that many `f64`s; `None` if the bytes run out.
+fn get_f64s(buf: &mut impl Buf) -> Option<Vec<f64>> {
+    let n = (buf.remaining() >= 2).then(|| buf.get_u16_le() as usize)?;
+    (buf.remaining() >= 8 * n).then(|| (0..n).map(|_| buf.get_f64_le()).collect())
 }
 
 /// Encoded size of one agent in bytes (for pre-reservation and analysis).
@@ -67,14 +70,20 @@ pub fn encode_agents<'a>(agents: impl IntoIterator<Item = &'a Agent>) -> Bytes {
     buf.freeze()
 }
 
-/// Deserialize a batch of agents.
-pub fn decode_agents(mut bytes: Bytes) -> Vec<Agent> {
-    let count = bytes.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(count);
+/// Deserialize a batch of agents. The bytes come from a peer, so they must be
+/// exactly a count and that many records: a record that runs past the end,
+/// or bytes left over, is an `Err`, and nothing is allocated from the count.
+pub fn decode_agents(mut bytes: Bytes) -> Result<Vec<Agent>> {
+    let malformed = || BraceError::Unrecoverable("agent records: not a count and that many records".into());
+    let count = (bytes.remaining() >= 4).then(|| bytes.get_u32_le()).ok_or_else(malformed)?;
+    let mut out = Vec::new();
     for _ in 0..count {
-        out.push(get_agent(&mut bytes));
+        out.push(get_agent(&mut bytes).ok_or_else(malformed)?);
     }
-    out
+    if bytes.has_remaining() {
+        return Err(malformed());
+    }
+    Ok(out)
 }
 
 /// Append one agent to `buf` straight from a pool row — same wire format
@@ -116,9 +125,9 @@ pub fn encode_pool_rows(pool: &AgentPool, rows: &[u32]) -> Bytes {
 
 /// Decode a batch produced by [`encode_pool_rows`] / [`encode_agents`],
 /// tolerating the zero-length empty encoding.
-pub fn decode_agents_opt(bytes: Bytes) -> Vec<Agent> {
+pub fn decode_agents_opt(bytes: Bytes) -> Result<Vec<Agent>> {
     if bytes.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     decode_agents(bytes)
 }
@@ -242,30 +251,50 @@ impl ReplicaDelta {
 
     /// Decode the next masked update: returns `(slot, mask)` and fills
     /// `values` (cleared first) with the changed field values in field
-    /// order (x, y, states). `None` once the frame is drained.
-    pub fn next_update_into(&mut self, values: &mut Vec<f64>) -> Option<(u32, u32)> {
+    /// order (x, y, states). `None` once the frame is drained. An update
+    /// that runs past the frame, or bytes left after the last one, is an
+    /// `Err`; whether the slot and the mask's fields exist is the
+    /// receiver's to check.
+    pub fn next_update_into(&mut self, values: &mut Vec<f64>) -> Result<Option<(u32, u32)>> {
+        let malformed = |what: &str| Err(BraceError::Unrecoverable(format!("replica delta: {what}")));
         if self.n_updates == 0 {
-            return None;
+            return if self.updates.has_remaining() { malformed("bytes past the last update") } else { Ok(None) };
+        }
+        if self.updates.remaining() < 8 {
+            return malformed("truncated update");
         }
         self.n_updates -= 1;
         let slot = self.updates.get_u32_le();
         let mask = self.updates.get_u32_le();
+        let n = mask.count_ones() as usize;
+        if self.updates.remaining() < 8 * n {
+            return malformed("truncated update");
+        }
         values.clear();
-        values.extend((0..mask.count_ones()).map(|_| self.updates.get_f64_le()));
-        Some((slot, mask))
+        values.extend((0..n).map(|_| self.updates.get_f64_le()));
+        Ok(Some((slot, mask)))
     }
 }
 
 /// Decode a frame produced by [`ReplicaDeltaEnc::finish`]. Zero-length
-/// input is the trivial frame.
-pub fn decode_replica_delta(mut bytes: Bytes) -> ReplicaDelta {
+/// input is the trivial frame. The removals and the update count must fit
+/// in the bytes (an update takes at least 8), so nothing is allocated from
+/// an unchecked count; the updates are checked as they are drained.
+pub fn decode_replica_delta(mut bytes: Bytes) -> Result<ReplicaDelta> {
     if bytes.is_empty() {
-        return ReplicaDelta::default();
+        return Ok(ReplicaDelta::default());
     }
-    let nr = bytes.get_u32_le() as usize;
+    let truncated = || BraceError::Unrecoverable("replica delta: truncated frame".into());
+    let nr = (bytes.remaining() >= 4).then(|| bytes.get_u32_le() as u64).ok_or_else(truncated)?;
+    if (nr + 1) * 4 > bytes.remaining() as u64 {
+        return Err(truncated());
+    }
     let removals = (0..nr).map(|_| bytes.get_u32_le()).collect();
     let n_updates = bytes.get_u32_le();
-    ReplicaDelta { removals, n_updates, updates: bytes }
+    if n_updates as u64 * 8 > bytes.remaining() as u64 {
+        return Err(truncated());
+    }
+    Ok(ReplicaDelta { removals, n_updates, updates: bytes })
 }
 
 /// Wire size of one [`EffectWrite`]: target id, source id, field, value.
@@ -379,14 +408,10 @@ pub fn encode_snapshot(s: &WorkerSnapshot) -> Bytes {
 /// allocated from a count, and bytes that are not exactly one snapshot are
 /// an `Err`.
 pub fn decode_snapshot(mut bytes: Bytes) -> Result<WorkerSnapshot> {
-    let need = |b: &Bytes, n: usize| -> Result<()> {
-        if b.remaining() < n {
-            Err(BraceError::Checkpoint("truncated worker snapshot".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(&bytes, 36)?;
+    let truncated = || BraceError::Checkpoint("truncated worker snapshot".into());
+    if bytes.remaining() < 36 {
+        return Err(truncated());
+    }
     let tick = bytes.get_u64_le();
     let next_spawn_id = bytes.get_u64_le();
     let state = bytes.get_u64_le();
@@ -395,17 +420,7 @@ pub fn decode_snapshot(mut bytes: Bytes) -> Result<WorkerSnapshot> {
     let count = bytes.get_u32_le();
     let mut agents = Vec::new();
     for _ in 0..count {
-        need(&bytes, 8 + 16 + 1 + 2)?;
-        let id = AgentId::new(bytes.get_u64_le());
-        let pos = Vec2::new(bytes.get_f64_le(), bytes.get_f64_le());
-        let alive = bytes.get_u8() != 0;
-        let ns = bytes.get_u16_le() as usize;
-        need(&bytes, 8 * ns + 2)?;
-        let state = (0..ns).map(|_| bytes.get_f64_le()).collect();
-        let ne = bytes.get_u16_le() as usize;
-        need(&bytes, 8 * ne)?;
-        let effects = (0..ne).map(|_| bytes.get_f64_le()).collect();
-        agents.push(Agent { id, pos, state, effects, alive });
+        agents.push(get_agent(&mut bytes).ok_or_else(truncated)?);
     }
     if bytes.has_remaining() {
         return Err(BraceError::Checkpoint(format!("{} bytes past the worker snapshot", bytes.remaining())));
@@ -437,7 +452,7 @@ mod tests {
         put_agent(&mut buf, &a);
         assert_eq!(buf.len(), agent_wire_size(&a));
         let mut bytes = buf.freeze();
-        let b = get_agent(&mut bytes);
+        let b = get_agent(&mut bytes).unwrap();
         assert_eq!(a, b);
         assert!(!bytes.has_remaining());
     }
@@ -446,14 +461,14 @@ mod tests {
     fn batch_round_trip() {
         let batch: Vec<Agent> = (0..10).map(agent).collect();
         let encoded = encode_agents(&batch);
-        let decoded = decode_agents(encoded);
+        let decoded = decode_agents(encoded).unwrap();
         assert_eq!(batch, decoded);
     }
 
     #[test]
     fn empty_batch() {
         let encoded = encode_agents(&[]);
-        assert_eq!(decode_agents(encoded), Vec::<Agent>::new());
+        assert_eq!(decode_agents(encoded).unwrap(), Vec::<Agent>::new());
     }
 
     #[test]
@@ -466,10 +481,10 @@ mod tests {
         let picked: Vec<Agent> = rows.iter().map(|&r| batch[r as usize].clone()).collect();
         let from_records = encode_agents(&picked);
         assert_eq!(from_pool, from_records, "pool gather must be wire-identical");
-        assert_eq!(decode_agents_opt(from_pool), picked);
+        assert_eq!(decode_agents_opt(from_pool).unwrap(), picked);
         // Empty row list → zero bytes, decoded as empty.
         assert_eq!(encode_pool_rows(&pool, &[]), Bytes::new());
-        assert!(decode_agents_opt(Bytes::new()).is_empty());
+        assert!(decode_agents_opt(Bytes::new()).unwrap().is_empty());
     }
 
     #[test]
@@ -482,15 +497,15 @@ mod tests {
         enc.push_removal(1);
         enc.push_update(0, DELTA_MASK_X | (1 << 2), &pool, 2); // x + state 0
         enc.push_update(3, DELTA_MASK_Y, &pool, 1);
-        let mut frame = decode_replica_delta(enc.finish());
+        let mut frame = decode_replica_delta(enc.finish()).unwrap();
         assert_eq!(frame.removals, vec![5, 1]);
         assert_eq!(frame.updates_len(), 2);
         let mut values = Vec::new();
-        assert_eq!(frame.next_update_into(&mut values), Some((0, DELTA_MASK_X | (1 << 2))));
+        assert_eq!(frame.next_update_into(&mut values).unwrap(), Some((0, DELTA_MASK_X | (1 << 2))));
         assert_eq!(values, vec![2.0, 0.5]);
-        assert_eq!(frame.next_update_into(&mut values), Some((3, DELTA_MASK_Y)));
+        assert_eq!(frame.next_update_into(&mut values).unwrap(), Some((3, DELTA_MASK_Y)));
         assert_eq!(values, vec![-1.5]);
-        assert_eq!(frame.next_update_into(&mut values), None);
+        assert_eq!(frame.next_update_into(&mut values).unwrap(), None);
     }
 
     #[test]
@@ -498,10 +513,10 @@ mod tests {
         let mut enc = ReplicaDeltaEnc::new();
         assert!(enc.is_trivial());
         assert_eq!(enc.finish(), Bytes::new());
-        assert_eq!(decode_replica_delta(Bytes::new()), ReplicaDelta::default());
+        assert_eq!(decode_replica_delta(Bytes::new()).unwrap(), ReplicaDelta::default());
         enc.push_removal(0);
         assert!(!enc.is_trivial());
-        let frame = decode_replica_delta(enc.finish());
+        let frame = decode_replica_delta(enc.finish()).unwrap();
         assert!(frame.removals == [0] && frame.updates_len() == 0);
         enc.clear();
         assert!(enc.is_trivial());
@@ -547,7 +562,44 @@ mod tests {
         let mut forged = BytesMut::new();
         forged.put_u32_le(u32::MAX);
         assert!(decode_spawn_runs(forged.clone().freeze()).is_err());
-        assert!(decode_effect_writes(forged.freeze()).is_err());
+        assert!(decode_effect_writes(forged.clone().freeze()).is_err());
+        assert!(decode_agents(forged.clone().freeze()).is_err());
+        assert!(decode_replica_delta(forged.freeze()).is_err(), "u32::MAX removals");
+
+        let agents = encode_agents(&[agent(1), agent(2)]);
+        assert!(decode_agents_opt(agents.slice(0..agents.len() - 1)).is_err(), "truncated");
+        assert!(decode_agents(agents.slice(0..2)).is_err(), "no whole count");
+        let mut long = agents.to_vec();
+        long.push(0);
+        assert!(decode_agents(long.into()).is_err(), "trailing bytes");
+        let mut inflated = agents.to_vec();
+        inflated[4 + 8 + 16 + 1..][..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(decode_agents(inflated.into()).is_err(), "more state fields than bytes");
+
+        let pool = AgentPool::from_agents(&schema(), &[agent(0)]);
+        let mut enc = ReplicaDeltaEnc::new();
+        enc.push_removal(4);
+        enc.push_update(0, DELTA_MASK_X | DELTA_MASK_Y, &pool, 0);
+        let frame = enc.finish();
+        let mut values = Vec::new();
+        let mut drained = |bytes: Bytes| -> Result<usize> {
+            let mut delta = decode_replica_delta(bytes)?;
+            std::iter::from_fn(|| delta.next_update_into(&mut values).transpose())
+                .collect::<Result<Vec<_>>>()
+                .map(|u| u.len())
+        };
+        assert_eq!(drained(frame.clone()).unwrap(), 1);
+        assert!(drained(frame.slice(0..frame.len() - 1)).is_err(), "truncated value");
+        assert!(drained(frame.slice(0..6)).is_err(), "truncated removals");
+        let mut long = frame.to_vec();
+        long.push(0);
+        assert!(drained(long.into()).is_err(), "trailing bytes");
+        let mut more = frame.to_vec();
+        more[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(drained(more.into()).is_err(), "two updates announced, one sent");
+        let mut wide = frame.to_vec();
+        wide[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(drained(wide.into()).is_err(), "a mask of 32 fields over two values");
     }
 
     #[test]
@@ -596,7 +648,7 @@ mod tests {
         let s = schema();
         let mut a = Agent::new(AgentId::new(1), Vec2::ZERO, &s);
         a.alive = false;
-        let decoded = decode_agents(encode_agents(&[a.clone()]));
+        let decoded = decode_agents(encode_agents(&[a.clone()])).unwrap();
         assert!(!decoded[0].alive);
     }
 }

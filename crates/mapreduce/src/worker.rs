@@ -58,7 +58,7 @@
 //! All peer communication is serialized bytes over channels, recorded in
 //! the [`NetLedger`]. The worker speaks to the master only between epochs.
 
-use crate::codec::{self, ReplicaDelta, ReplicaDeltaEnc, WorkerSnapshot, DELTA_MASK_X, DELTA_MASK_Y};
+use crate::codec::{self, ReplicaDeltaEnc, WorkerSnapshot, DELTA_MASK_X, DELTA_MASK_Y};
 use crate::net::{NetLedger, Traffic};
 use crate::runtime::{Command, EpochCommand, PeerMsg, Report, Round, WorkerEpochStats};
 use brace_common::{AgentId, DetRng, FieldId, Welford, WorkerId};
@@ -247,6 +247,33 @@ impl ReplicaSession {
         self.entrants = entrants;
         (fulls, self.enc.finish())
     }
+}
+
+/// Apply one masked field update to pool row `row` (field order: x, y, then
+/// state slots; `values` holds one value per set bit).
+fn apply_update(pool: &mut AgentPool, row: u32, mask: u32, values: &[f64]) {
+    let mut vi = 0;
+    let mut pos = pool.pos(row);
+    if mask & DELTA_MASK_X != 0 {
+        pos.x = values[vi];
+        vi += 1;
+    }
+    if mask & DELTA_MASK_Y != 0 {
+        pos.y = values[vi];
+        vi += 1;
+    }
+    pool.set_pos(row, pos);
+    let mut bits = mask >> 2;
+    let mut s = 0u16;
+    while bits != 0 {
+        if bits & 1 != 0 {
+            pool.set_state(row, FieldId::new(s), values[vi]);
+            vi += 1;
+        }
+        bits >>= 1;
+        s += 1;
+    }
+    debug_assert_eq!(vi, values.len(), "mask/value shape mismatch");
 }
 
 /// One worker node. Owns its agents exclusively; everything in and out is
@@ -575,50 +602,54 @@ impl Worker {
         self.row_meta.push((src as u32, (self.registries[src].len() - 1) as u32));
     }
 
-    /// Apply one masked field update to pool row `row` (field order: x, y,
-    /// then state slots).
-    fn apply_update(&mut self, row: u32, mask: u32, values: &[f64]) {
-        let mut vi = 0;
-        let mut pos = self.pool.pos(row);
-        if mask & DELTA_MASK_X != 0 {
-            pos.x = values[vi];
-            vi += 1;
+    /// Decode and apply one sender's Distribute-round payloads: replica
+    /// removals, masked updates and entrant appends — in exactly the order
+    /// the sender's session performed them — then its ownership transfers.
+    /// Updates drain the frame's byte cursor through one reused value buffer.
+    /// Returns how many entrants, updates and transfers it applied.
+    ///
+    /// Peer bytes are not trusted: a payload that does not decode, a slot
+    /// past the sender's registry, a mask naming a field past the schema, a
+    /// record that is dead or of another shape, or a transfer of an agent
+    /// this worker already owns is an `Err`. What was applied before it stays;
+    /// the pool's structure is intact, and the epoch fails.
+    fn apply_batch(&mut self, src: usize, full: Bytes, delta: Bytes, transfers: Bytes) -> Result<[u64; 3], String> {
+        let decoded = codec::decode_agents_opt(full)
+            .and_then(|fulls| Ok((fulls, codec::decode_replica_delta(delta)?, codec::decode_agents_opt(transfers)?)));
+        let (fulls, mut delta, transfers) = decoded.map_err(|e| e.to_string())?;
+        let updates = delta.updates_len() as u64;
+        let schema = self.behavior.schema();
+        let (states, effects) = (schema.num_states(), schema.num_effects());
+        if let Some(a) =
+            fulls.iter().chain(&transfers).find(|a| !a.alive || a.state.len() != states || a.effects.len() != effects)
+        {
+            return Err(format!("{} is not a live agent of schema `{}`", a.id, schema.name()));
         }
-        if mask & DELTA_MASK_Y != 0 {
-            pos.y = values[vi];
-            vi += 1;
-        }
-        self.pool.set_pos(row, pos);
-        let mut bits = mask >> 2;
-        let mut s = 0u16;
-        while bits != 0 {
-            if bits & 1 != 0 {
-                self.pool.set_state(row, FieldId::new(s), values[vi]);
-                vi += 1;
-            }
-            bits >>= 1;
-            s += 1;
-        }
-        debug_assert_eq!(vi, values.len(), "mask/value shape mismatch");
-    }
-
-    /// Apply one sender's replica payloads: removals, masked updates, then
-    /// entrant appends — in exactly the order the sender's session
-    /// performed them. Updates drain the frame's byte cursor through one
-    /// reused value buffer.
-    fn apply_replicas(&mut self, src: usize, fulls: &[Agent], delta: &mut ReplicaDelta) {
+        let slot_of = |registry: &Vec<u32>, slot: u32| {
+            registry.get(slot as usize).copied().ok_or_else(|| format!("replica slot {slot} of {}", registry.len()))
+        };
         for &slot in &delta.removals {
+            slot_of(&self.registries[src], slot)?;
             self.remove_tail_row(src, slot as usize);
         }
-        let mut values = std::mem::take(&mut self.delta_values);
-        while let Some((slot, mask)) = delta.next_update_into(&mut values) {
-            let row = self.registries[src][slot as usize];
-            self.apply_update(row, mask, &values);
+        let Worker { pool, registries, delta_values: values, .. } = self;
+        while let Some((slot, mask)) = delta.next_update_into(values).map_err(|e| e.to_string())? {
+            let row = slot_of(&registries[src], slot)?;
+            if (mask >> 2) >> states != 0 {
+                return Err(format!("replica update mask {mask:#x} past {states} state fields"));
+            }
+            apply_update(pool, row, mask, values);
         }
-        self.delta_values = values;
-        for a in fulls {
+        for a in &fulls {
             self.push_tail_row(src, a);
         }
+        for a in &transfers {
+            if self.id_to_row.contains_key(&a.id) {
+                return Err(format!("transfer of {}, which this worker already owns", a.id));
+            }
+            self.insert_owned(a);
+        }
+        Ok([fulls.len() as u64, updates, transfers.len() as u64])
     }
 
     /// One tick of the map–reduce(–reduce) pipeline. Public within the
@@ -719,25 +750,22 @@ impl Worker {
 
         // ---- apply self replicas, then each peer's payloads in sender
         // order (the lockstep barrier of recv_round makes this
-        // deterministic) ----
-        let self_fulls = codec::decode_agents_opt(self_full);
-        let mut self_delta = codec::decode_replica_delta(self_delta);
-        self.apply_replicas(me, &self_fulls, &mut self_delta);
+        // deterministic); a payload this worker cannot apply fails the
+        // epoch ----
+        if let Err(e) = self.apply_batch(me, self_full, self_delta, Bytes::new()) {
+            _ = self.failure.get_or_insert(format!("own replicas: {e}"));
+        }
         for msg in self.recv_round(Round::Distribute) {
-            if let PeerMsg::Batch { from, transfers, replica_full, replica_delta, .. } = msg {
-                let src = from.index();
-                let fulls = codec::decode_agents_opt(replica_full);
-                let mut delta = codec::decode_replica_delta(replica_delta);
-                stats.replicas_in += fulls.len() as u64;
-                stats.replica_deltas_in += delta.updates_len() as u64;
-                self.apply_replicas(src, &fulls, &mut delta);
-                let transfers = codec::decode_agents_opt(transfers);
-                stats.transfers_in += transfers.len() as u64;
-                for a in &transfers {
-                    self.insert_owned(a);
+            let PeerMsg::Batch { from, transfers, replica_full, replica_delta, .. } = msg else {
+                unreachable!("recv_round filtered by round")
+            };
+            match self.apply_batch(from.index(), replica_full, replica_delta, transfers) {
+                Ok([replicas, deltas, transfers]) => {
+                    stats.replicas_in += replicas;
+                    stats.replica_deltas_in += deltas;
+                    stats.transfers_in += transfers;
                 }
-            } else {
-                unreachable!("recv_round filtered by round");
+                Err(e) => _ = self.failure.get_or_insert(format!("replicas and transfers from {from}: {e}")),
             }
         }
         let n_owned = self.n_owned;
@@ -1155,17 +1183,13 @@ mod tests {
         fn update(&self, _me: &mut Agent, _ctx: &mut UpdateCtx<'_>) {}
     }
 
-    /// Worker 0 of two runs a one-tick epoch while the test plays worker 1,
-    /// whose effects round carries `writes`. The worker must finish the
-    /// epoch, report why it failed and stop — never panic.
-    fn failed_epoch_reason(writes: Bytes) -> String {
-        let schema = AgentSchema::builder("Ping")
-            .effect("pings", Combinator::Sum)
-            .visibility(1.5)
-            .nonlocal_effects(true)
-            .build()
-            .unwrap();
-        let agents = (0..5).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64, 0.0), &schema)).collect();
+    /// Worker 0 of two runs an epoch of one tick per entry of `ticks` while
+    /// the test plays worker 1, whose Distribute round carries `[transfers,
+    /// replica_full, replica_delta]` and whose effects round carries the
+    /// writes. The worker must finish the epoch, report why it failed and
+    /// stop — never panic.
+    fn failed_epoch_reason(ticks: Vec<([Bytes; 3], Bytes)>) -> String {
+        let agents = (0..5).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64, 0.0), &ping_schema())).collect();
         let (to_me, inbox) = unbounded();
         let (to_peer, _peer_inbox) = unbounded();
         let (cmd_tx, commands) = unbounded();
@@ -1175,22 +1199,16 @@ mod tests {
         let cfg =
             WorkerConfig { id: WorkerId::new(0), num_workers: 2, index: IndexKind::Grid, seed: 11, parallelism: 1 };
         let part = GridPartitioning::columns(0.0, 100.0, 2);
-        let worker = Worker::new(Arc::new(Ping(schema)), cfg, links, part, agents, 1 << 32);
+        let worker = Worker::new(Arc::new(Ping(ping_schema())), cfg, links, part, agents, 1 << 32);
         let from = WorkerId::new(1);
-        let empty = Bytes::new();
-        to_me
-            .send(PeerMsg::Batch {
-                tick: 0,
-                from,
-                transfers: empty.clone(),
-                replica_full: empty.clone(),
-                replica_delta: empty.clone(),
-            })
-            .unwrap();
-        to_me.send(PeerMsg::Effects { tick: 0, from, writes }).unwrap();
-        to_me.send(PeerMsg::Spawns { tick: 0, from, runs: empty }).unwrap();
+        let n_ticks = ticks.len() as u64;
+        for (tick, ([transfers, replica_full, replica_delta], writes)) in (0..).zip(ticks) {
+            to_me.send(PeerMsg::Batch { tick, from, transfers, replica_full, replica_delta }).unwrap();
+            to_me.send(PeerMsg::Effects { tick, from, writes }).unwrap();
+            to_me.send(PeerMsg::Spawns { tick, from, runs: Bytes::new() }).unwrap();
+        }
         let epoch =
-            EpochCommand { epoch: 0, ticks: 1, new_x_bounds: None, checkpoint: false, hist_range: (0.0, 100.0) };
+            EpochCommand { epoch: 0, ticks: n_ticks, new_x_bounds: None, checkpoint: false, hist_range: (0.0, 100.0) };
         cmd_tx.send(Command::RunEpoch(epoch)).unwrap();
         worker.run_loop(); // returns: the worker stops after a failed epoch
         match report_rx.try_recv() {
@@ -1202,6 +1220,15 @@ mod tests {
         }
     }
 
+    fn ping_schema() -> AgentSchema {
+        AgentSchema::builder("Ping")
+            .effect("pings", Combinator::Sum)
+            .visibility(1.5)
+            .nonlocal_effects(true)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn peer_writes_the_worker_cannot_apply_fail_the_epoch_without_a_panic() {
         let write = |target: u64, field: u16| EffectWrite {
@@ -1210,12 +1237,54 @@ mod tests {
             field: FieldId::new(field),
             v: 1.0,
         };
-        let reason = failed_epoch_reason(codec::encode_effect_writes(&[write(3, 0), write(999, 0)]));
-        assert!(reason.contains("a999, which this worker does not own"), "{reason}");
-        let reason = failed_epoch_reason(codec::encode_effect_writes(&[write(3, 1)]));
-        assert!(reason.contains("effect field 1 of 1"), "{reason}");
-        let reason = failed_epoch_reason(Bytes::from(vec![1, 0, 0, 0, 7]));
-        assert!(reason.contains("effect writes from"), "{reason}");
+        let reason = |writes| failed_epoch_reason(vec![(Default::default(), writes)]);
+        let r = reason(codec::encode_effect_writes(&[write(3, 0), write(999, 0)]));
+        assert!(r.contains("a999, which this worker does not own"), "{r}");
+        let r = reason(codec::encode_effect_writes(&[write(3, 1)]));
+        assert!(r.contains("effect field 1 of 1"), "{r}");
+        let r = reason(Bytes::from(vec![1, 0, 0, 0, 7]));
+        assert!(r.contains("effect writes from"), "{r}");
+    }
+
+    #[test]
+    fn peer_replicas_and_transfers_the_worker_cannot_apply_fail_the_epoch_without_a_panic() {
+        let schema = ping_schema();
+        // In worker 1's column, so a ping to it would ship to worker 1.
+        let agent = |id: u64| Agent::new(AgentId::new(id), Vec2::new(60.0, 0.0), &schema);
+        let one = |batch: [Bytes; 3]| failed_epoch_reason(vec![(batch, Bytes::new())]);
+        let agents = codec::encode_agents(&[agent(70), agent(71)]);
+        let r = one([agents.slice(0..agents.len() - 1), Bytes::new(), Bytes::new()]);
+        assert!(r.contains("replicas and transfers from w1") && r.contains("agent records"), "{r}");
+        let r = one([codec::encode_agents(&[agent(3)]), Bytes::new(), Bytes::new()]);
+        assert!(r.contains("transfer of a3, which this worker already owns"), "{r}");
+        let mut wide = agent(72);
+        wide.state.push(1.0);
+        let r = one([Bytes::new(), codec::encode_agents(&[wide]), Bytes::new()]);
+        assert!(r.contains("a72 is not a live agent of schema `Ping`"), "{r}");
+        let mut dead = agent(73);
+        dead.alive = false;
+        let r = one([codec::encode_agents(&[dead]), Bytes::new(), Bytes::new()]);
+        assert!(r.contains("a73 is not a live agent"), "{r}");
+        let mut removal = ReplicaDeltaEnc::new();
+        removal.push_removal(3);
+        let r = one([Bytes::new(), Bytes::new(), removal.finish()]);
+        assert!(r.contains("replica slot 3 of 0"), "{r}");
+        // `[n_removals, n_updates, slot, mask, value]`: an update to slot 0.
+        let update = |mask: u32| {
+            let words = [0u32.to_le_bytes(), 1u32.to_le_bytes(), 0u32.to_le_bytes(), mask.to_le_bytes()].concat();
+            Bytes::from([words, 1.5f64.to_le_bytes().to_vec()].concat())
+        };
+        let r = one([Bytes::new(), Bytes::new(), update(DELTA_MASK_X)]);
+        assert!(r.contains("replica slot 0 of 0"), "{r}");
+        // Tick 0 registers a replica in slot 0; tick 1 updates a state field
+        // the schema does not have.
+        let r = failed_epoch_reason(vec![
+            ([Bytes::new(), codec::encode_agents(&[agent(74)]), Bytes::new()], Bytes::new()),
+            ([Bytes::new(), Bytes::new(), update(1 << 2)], Bytes::new()),
+        ]);
+        assert!(r.contains("replica update mask 0x4 past 0 state fields"), "{r}");
+        let r = one([Bytes::new(), Bytes::new(), update(DELTA_MASK_X).slice(0..19)]);
+        assert!(r.contains("replica delta"), "{r}");
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   the bit level — the contract of the struct-of-arrays refactor.
 //! * The BRASIL front end turns hostile source — arbitrary bytes, mutated
 //!   scripts, nesting past its depth bound — into an error, never a panic.
-//! * So do the checkpoint and manifest decoders and the peer decoders of
-//!   the effect and spawn rounds with hostile bytes — arbitrary, flipped,
-//!   truncated or with inflated counts — and none sizes an allocation from
-//!   a count it has not checked.
+//! * So do the checkpoint and manifest decoders, the manifest's frame reader
+//!   and every decoder of a peer's payloads with hostile bytes — arbitrary,
+//!   flipped, truncated or with inflated counts — and none sizes an
+//!   allocation from a count it has not checked.
 
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, FieldId, Rect, Vec2};
@@ -390,7 +390,7 @@ proptest! {
         alive in any::<bool>(),
     ) {
         let a = Agent { id: AgentId::new(id), pos: Vec2::new(x, y), state, effects, alive };
-        let decoded = codec::decode_agents(codec::encode_agents(std::slice::from_ref(&a)));
+        let decoded = codec::decode_agents(codec::encode_agents(std::slice::from_ref(&a))).map_err(|e| e.to_string())?;
         prop_assert_eq!(vec![a], decoded);
     }
 
@@ -1122,12 +1122,14 @@ impl Behavior for Lopsided {
     }
 }
 
-/// Shuffle `world`, swap-churn the pool built from it, own the first
-/// `owned_frac` of its rows, and compare the sharded query phase and its
-/// replay against the serial reference on that very pool: visit counts, and
-/// every row's effects bit for bit — owned rows against the replay, which
-/// walks them in id order like the reference, replica rows against the
-/// writes handed out for them.
+/// Send one drawn agent ≈ 10⁹ units out in a drawn direction, shuffle
+/// `world`, swap-churn the pool built from it, own the first `owned_frac` of
+/// its rows, and compare the sharded query phase and its replay against the
+/// serial reference on that very pool: visit counts, and every row's effects
+/// bit for bit — owned rows against the replay, which walks them in id order
+/// like the reference, replica rows against the writes handed out for them.
+/// The outlier makes the probe order's tile keys vary in several more bytes,
+/// so the radix sort takes its many-pass path.
 #[allow(clippy::too_many_arguments)]
 fn worker_shaped_pool_equals_serial<B: Behavior>(
     b: &B,
@@ -1140,6 +1142,12 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
 ) -> Result<(), String> {
     let n = world.len();
     let mut rng = DetRng::seed_from_u64(seed).stream(0x5A9);
+    let outlier = rng.below(n as u64) as usize;
+    let (dx, dy) =
+        [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)]
+            [rng.below(8) as usize];
+    let far = rng.range(1e9, 2e9);
+    world[outlier].pos += Vec2::new(dx * far, dy * far);
     for i in (1..n).rev() {
         world.swap(i, rng.below(i as u64 + 1) as usize);
     }
@@ -1341,10 +1349,11 @@ proptest! {
     }
 
     /// A distributed worker's pool: rows in no id order (shuffled, then
-    /// swap-churned) with a replica tail that joins the probe order and
-    /// every block but never queries. Blocks are canonicalized by
-    /// `(id, row)` once per group; the tables must equal the serial
-    /// reference's bit for bit.
+    /// swap-churned) and one agent ≈ 10⁹ units out, with a replica tail that
+    /// joins the probe order and every block but never queries. The id order
+    /// is a radix sort, each block's sorted id ranks put it in ascending id,
+    /// and tile-mates are swept in id order, not row order; the tables must
+    /// equal the serial reference's bit for bit.
     #[test]
     fn kernel_tile_join_on_a_worker_shaped_pool_equals_serial(
         seed in 0u64..10_000,
@@ -1893,9 +1902,12 @@ proptest! {
 // never a panic or an abort (CI reruns this section with PROPTEST_CASES=256)
 // ---------------------------------------------------------------------------
 
-use brace_mapreduce::manifest::{DeadLetterRecord, EpochDoneRecord, RunHeader};
+use brace_mapreduce::manifest::{
+    read_manifest, DeadLetterRecord, EpochDoneRecord, ManifestWriter, RunHeader, MANIFEST_FILE,
+};
 use brace_mapreduce::runtime::EpochCommand;
 use brace_mapreduce::{ClusterCheckpoint, ManifestRecord};
+use std::path::Path;
 
 /// A checkpoint shaped like the ones the master takes: hostile column bounds
 /// and histogram range, and one real worker-snapshot encoding per worker.
@@ -2018,6 +2030,81 @@ fn hostile_copies_survive(
     Ok(())
 }
 
+/// Write `records` (a header first) to a manifest file in `dir` through the
+/// writer, then read that file and hostile copies of it back through
+/// `read_manifest`: every cut at, just before and just after a frame boundary
+/// and at eight drawn points; each frame's length overwritten with all ones
+/// and with a length a little past the end; four copies with up to eight
+/// bytes flipped; and arbitrary bytes, behind a valid preamble half of the
+/// time. Each read is an `Err` or the header and a prefix of the other
+/// records, compared by encoding — never a panic. A cut file reads up to its
+/// last whole frame, torn exactly when the cut is not on a frame boundary.
+fn manifest_files_read_to_a_clean_prefix(
+    records: &[ManifestRecord],
+    rng: &mut DetRng,
+    dir: &Path,
+) -> Result<(), String> {
+    let ManifestRecord::Header(header) = &records[0] else { return Err("no header record".into()) };
+    let io = |e: std::io::Error| e.to_string();
+    let _ = std::fs::remove_dir_all(dir);
+    let mut writer = ManifestWriter::create(dir, header).map_err(|e| e.to_string())?;
+    for record in &records[1..] {
+        writer.append(record).map_err(|e| e.to_string())?;
+    }
+    drop(writer);
+    let path = dir.join(MANIFEST_FILE);
+    let valid = std::fs::read(&path).map_err(io)?;
+    let encoded: Vec<Vec<u8>> = records.iter().map(|r| r.encode().to_vec()).collect();
+    let read_back = |file: &[u8]| -> Result<Option<(usize, bool)>, String> {
+        std::fs::write(&path, file).map_err(io)?;
+        let read = std::panic::catch_unwind(|| read_manifest(dir))
+            .map_err(|_| format!("read_manifest panicked on {file:02x?}"))?;
+        let Ok(m) = read else { return Ok(None) };
+        let got: Vec<Vec<u8>> =
+            std::iter::once(ManifestRecord::Header(m.header)).chain(m.records).map(|r| r.encode().to_vec()).collect();
+        if !encoded.starts_with(&got) {
+            return Err(format!("read back records that were never written from {file:02x?}"));
+        }
+        Ok(Some((got.len() - 1, m.truncated)))
+    };
+    // The preamble, then each record's `u32 length + u64 checksum + body`.
+    let mut frames = vec![12];
+    for body in &encoded {
+        frames.push(frames[frames.len() - 1] + 12 + body.len());
+    }
+    let mut cuts: Vec<usize> = frames.iter().flat_map(|&f| [f - 1, f, f + 1]).collect();
+    cuts.extend((0..8).map(|_| rng.below(valid.len() as u64 + 1) as usize));
+    for cut in cuts.into_iter().filter(|&cut| cut <= valid.len()) {
+        let whole = frames.iter().filter(|&&f| f <= cut).count();
+        let want = (cut >= frames[1]).then(|| (whole - 2, !frames.contains(&cut)));
+        if read_back(&valid[..cut])? != want {
+            return Err(format!("a manifest cut at byte {cut} of {} does not read as {want:?}", valid.len()));
+        }
+    }
+    for &f in &frames[..frames.len() - 1] {
+        let past_end = (valid.len() - f - 12) as u32 + 1 + rng.below(64) as u32;
+        for len in [u32::MAX, past_end] {
+            let mut copy = valid.clone();
+            copy[f..f + 4].copy_from_slice(&len.to_le_bytes());
+            read_back(&copy)?;
+        }
+    }
+    for _ in 0..4 {
+        let mut flipped = valid.clone();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(flipped.len() as u64) as usize;
+            flipped[at] ^= 1 + rng.below(255) as u8;
+        }
+        read_back(&flipped)?;
+    }
+    let mut arbitrary: Vec<u8> = (0..rng.below(256)).map(|_| rng.next_raw() as u8).collect();
+    if rng.chance(0.5) {
+        arbitrary.splice(0..0, valid[..12].iter().copied());
+    }
+    read_back(&arbitrary)?;
+    std::fs::remove_dir_all(dir).map_err(io)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -2028,7 +2115,9 @@ proptest! {
     /// `ManifestRecord::decode` and `codec::decode_snapshot`, which return
     /// `Ok` or `Err` — never a panic, and never an allocation sized by an
     /// unchecked count, which aborts the process. Valid encodings round-trip
-    /// bit for bit.
+    /// bit for bit. The manifest's frame reader, `read_manifest`, reads
+    /// hostile files to an `Err` or a clean prefix of the records written
+    /// ([`manifest_files_read_to_a_clean_prefix`]).
     #[test]
     fn checkpoint_and_manifest_decoders_never_panic(seed in any::<u64>()) {
         let mut rng = DetRng::seed_from_u64(seed);
@@ -2042,7 +2131,8 @@ proptest! {
             prop_assert!(codec::encode_snapshot(&snapshot) == *payload, "seed {seed}: snapshot changed in a round trip");
             valid.push(payload.to_vec());
         }
-        for record in drawn_manifest_records(&mut rng) {
+        let records = drawn_manifest_records(&mut rng);
+        for record in &records {
             let encoded = record.encode();
             let back = ManifestRecord::decode(encoded.clone()).map_err(|e| format!("seed {seed}: {e}"))?;
             prop_assert!(back.encode() == encoded, "seed {seed}: record changed in a round trip: {record:?}");
@@ -2056,18 +2146,39 @@ proptest! {
         for v in &valid {
             hostile_copies_survive(v, &mut rng, decoders_survive).map_err(|e| format!("seed {seed}: {e}"))?;
         }
+        let dir = std::env::temp_dir().join(format!("brace-manifest-prop-{}-{seed}", std::process::id()));
+        manifest_files_read_to_a_clean_prefix(&records, &mut rng, &dir).map_err(|e| format!("seed {seed}: {e}"))?;
     }
 }
 
 // ---------------------------------------------------------------------------
-// Peer decoders: hostile effect-write and spawn-run bytes are an error, never
-// a panic or an abort (CI reruns this section with PROPTEST_CASES=256)
+// Peer decoders: hostile agent-record, replica-delta, effect-write and
+// spawn-run bytes are an error, never a panic or an abort (CI reruns this
+// section with PROPTEST_CASES=256)
 // ---------------------------------------------------------------------------
 
-/// `input` through the decoders of the effect and spawn rounds. Each must
-/// return `Ok` or `Err`; a panic is reported with the input.
+/// A replica delta frame decoded and drained: its removals, then each
+/// update's slot, mask and value bits.
+type DrainedDelta = (Vec<u32>, Vec<(u32, u32, Vec<u64>)>);
+
+fn drained_delta(input: &[u8]) -> Result<DrainedDelta, String> {
+    let mut delta = codec::decode_replica_delta(input.to_vec().into()).map_err(|e| e.to_string())?;
+    let (mut values, mut updates) = (Vec::new(), Vec::new());
+    while let Some((slot, mask)) = delta.next_update_into(&mut values).map_err(|e| e.to_string())? {
+        updates.push((slot, mask, values.iter().map(|v| v.to_bits()).collect()));
+    }
+    Ok((delta.removals, updates))
+}
+
+/// `input` through every decoder of a peer's payloads: the Distribute
+/// round's agent records and replica delta frames (drained), the effect
+/// round's writes and the spawn round's runs. Each must return `Ok` or `Err`;
+/// a panic is reported with the input.
 fn peer_decoders_survive(input: &[u8]) -> Result<(), String> {
     std::panic::catch_unwind(|| {
+        let _ = codec::decode_agents(input.to_vec().into());
+        let _ = codec::decode_agents_opt(input.to_vec().into());
+        let _ = drained_delta(input);
         let _ = codec::decode_effect_writes(input.to_vec().into());
         let _ = codec::decode_spawn_runs(input.to_vec().into());
     })
@@ -2077,17 +2188,58 @@ fn peer_decoders_survive(input: &[u8]) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// What a peer sends in a tick's effect and spawn rounds: drawn write
-    /// lists (hostile values, any field, ids at both ends of their range) and
-    /// spawn runs round-trip bit for bit through `codec::decode_effect_writes`
-    /// and `codec::decode_spawn_runs`; arbitrary bytes and the prefixes,
-    /// count-inflated and byte-flipped copies of their encodings decode to
-    /// `Ok` or `Err` — never a panic, and never an allocation sized by an
-    /// unchecked count.
+    /// What a peer sends in a tick: drawn agent records (hostile positions
+    /// and states, dead ones, 0–3 state fields), a replica delta frame over
+    /// them (removals, masked updates of any field subset), effect writes
+    /// (hostile values, any field, ids at both ends of their range) and spawn
+    /// runs round-trip bit for bit through `codec::decode_agents`,
+    /// `decode_replica_delta` + `ReplicaDelta::next_update_into`,
+    /// `decode_effect_writes` and `decode_spawn_runs`; arbitrary bytes and
+    /// the prefixes, count-inflated and byte-flipped copies of every
+    /// encoding decode to `Ok` or `Err` — never a panic, and never an
+    /// allocation sized by an unchecked count.
     #[test]
-    fn effect_and_spawn_decoders_never_panic(seed in any::<u64>()) {
+    fn peer_decoders_never_panic(seed in any::<u64>()) {
         let mut rng = DetRng::seed_from_u64(seed);
         let id = |rng: &mut DetRng| AgentId::new(if rng.chance(0.2) { u64::MAX - rng.below(2) } else { rng.below(1000) });
+        let states = rng.below(4) as usize;
+        let mut schema = AgentSchema::builder("Peer").effect("e", Combinator::Sum);
+        for s in 0..states {
+            schema = schema.state(format!("s{s}"));
+        }
+        let schema = schema.build().unwrap();
+        let agents: Vec<Agent> = (0..1 + rng.below(4))
+            .map(|i| {
+                let pos = Vec2::new(hostile_f64(rng.next_raw()), hostile_f64(rng.next_raw()));
+                let mut a = Agent::new(AgentId::new(i), pos, &schema);
+                a.id = id(&mut rng);
+                a.state.iter_mut().for_each(|v| *v = hostile_f64(rng.next_raw()));
+                a.alive = rng.chance(0.8);
+                a
+            })
+            .collect();
+        let encoded_agents = codec::encode_agents(&agents);
+        let back = codec::decode_agents(encoded_agents.clone()).map_err(|e| format!("seed {seed}: {e}"))?;
+        prop_assert!(codec::encode_agents(&back) == encoded_agents, "seed {seed}: agents changed in a round trip");
+
+        let pool = AgentPool::from_agents(&schema, &agents);
+        let mut enc = codec::ReplicaDeltaEnc::new();
+        let removals: Vec<u32> = (0..rng.below(4)).map(|_| rng.next_raw() as u32).collect();
+        removals.iter().for_each(|&slot| enc.push_removal(slot));
+        let mut updates = Vec::new();
+        for _ in 0..rng.below(4) {
+            let (slot, row) = (rng.next_raw() as u32, rng.below(agents.len() as u64) as u32);
+            let mask = 1 + rng.below((1 << (2 + states)) - 1) as u32;
+            enc.push_update(slot, mask, &pool, row);
+            let a = &agents[row as usize];
+            let fields = [a.pos.x, a.pos.y].into_iter().chain(a.state.iter().copied());
+            let values = fields.enumerate().filter(|&(f, _)| mask >> f & 1 != 0).map(|(_, v)| v.to_bits()).collect();
+            updates.push((slot, mask, values));
+        }
+        let encoded_delta = enc.finish();
+        let back = drained_delta(&encoded_delta).map_err(|e| format!("seed {seed}: {e}"))?;
+        prop_assert!(back == (removals, updates), "seed {seed}: delta frame changed in a round trip");
+
         let writes: Vec<EffectWrite> = (0..rng.below(6))
             .map(|_| EffectWrite {
                 target: id(&mut rng),
@@ -2108,7 +2260,7 @@ proptest! {
         prop_assert!(back == runs, "seed {seed}: spawn runs changed in a round trip: {runs:?}");
         let arbitrary: Vec<u8> = (0..rng.below(128)).map(|_| rng.next_raw() as u8).collect();
         peer_decoders_survive(&arbitrary).map_err(|e| format!("seed {seed}: {e}"))?;
-        for valid in [&encoded, &encoded_runs] {
+        for valid in [&encoded_agents, &encoded_delta, &encoded, &encoded_runs] {
             hostile_copies_survive(valid, &mut rng, peer_decoders_survive).map_err(|e| format!("seed {seed}: {e}"))?;
         }
     }
