@@ -113,9 +113,15 @@
 //! and effect assignments combine through associative, commutative ⊕
 //! operators. The executor exploits this by cutting the **probe order** of
 //! the owned rows into contiguous **sweep slices**, one per logical shard,
-//! and running them on a pool of scoped threads (the `parallelism` knob;
-//! `0` means one thread per available core):
+//! and running them through one fan-out, `for_each_shard` (the
+//! `parallelism` knob; `0` means one thread per available core):
 //!
+//! * The fan-out cuts its items into at most `parallelism` contiguous
+//!   groups. Every group but the last runs on a scoped thread of its own;
+//!   the calling thread runs the last one instead of idling at the join, so
+//!   a budget of `t` costs `t − 1` spawns per phase and a budget of one
+//!   spawns nothing. The update phase shares it: its chunks, each zipped
+//!   with a shard's spawn queues, are the items.
 //! * Slices follow the probe order, not the row order: a single-node pool's
 //!   rows are in id order — spatially random — so a row-range slice would
 //!   cut every tile into one sliver per shard and the amortization would
@@ -1070,32 +1076,27 @@ fn run_query_shards<B: Behavior, I: SpatialIndex>(
     for_each_shard(shards, threads, |i, shard| query_shard(plan, index, &plan.order[shard_range(n, k, i)], shard));
 }
 
-/// Run `run(i, &mut items[i])` for every shard `i`, on up to `threads`
-/// scoped worker threads in contiguous groups. Shard → result mapping is
-/// positional, so scheduling cannot affect any merge order.
+/// The executor's one fan-out: run `run(i, &mut items[i])` for every item
+/// `i`, in up to `threads` contiguous groups — each group but the last on a
+/// scoped thread of its own, the last on the calling thread (so a budget of
+/// one is a plain loop). Item → result mapping is positional, so scheduling
+/// cannot affect any merge order.
 fn for_each_shard<T: Send>(items: &mut [T], threads: usize, run: impl Fn(usize, &mut T) + Sync) {
     let k = items.len();
-    if threads <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            run(i, item);
-        }
-        return;
-    }
+    let groups = threads.clamp(1, k.max(1));
     std::thread::scope(|scope| {
         let mut rest = items;
-        let mut next = 0usize;
-        for t in 0..threads {
-            let group = shard_range(k, threads, t).len();
-            let (head, tail) = rest.split_at_mut(group);
+        for t in 0..groups {
+            let range = shard_range(k, groups, t);
+            let (head, tail) = rest.split_at_mut(range.len());
             rest = tail;
-            let first = next;
-            next += group;
             let run = &run;
-            scope.spawn(move || {
-                for (j, item) in head.iter_mut().enumerate() {
-                    run(first + j, item);
-                }
-            });
+            let group = move || head.iter_mut().zip(range).for_each(|(item, i)| run(i, item));
+            if t + 1 < groups {
+                scope.spawn(group);
+            } else {
+                group();
+            }
         }
     });
 }
@@ -1178,7 +1179,7 @@ pub struct PendingSpawn {
 
 /// Sharded, optionally parallel update phase over rows `0..n_owned` of the
 /// pool: [`Behavior::update`] in contiguous chunks, one per thread of the
-/// budget (on scoped threads when there is more than one). Each chunk gathers
+/// budget, through the query phase's fan-out (`for_each_shard`). Each chunk gathers
 /// one row at a time into a reused scratch record and scatters the written
 /// state back into the columns; rows past `n_owned` (a worker's persistent
 /// replica tail) are left alone.
@@ -1206,26 +1207,15 @@ pub fn update_phase_sharded<B: Behavior>(
     let schema = behavior.schema();
     let threads = effective_parallelism(parallelism).min(n_owned).max(1);
     let shards = scratch.ensure_shards(schema, threads);
-    for shard in shards.iter_mut() {
-        shard.spawns.clear();
-        shard.spawn_parents.clear();
-    }
     let counts: Vec<usize> = (0..threads).map(|t| shard_range(n_owned, threads, t).len()).collect();
-    let mut chunks = pool.update_chunks_prefix(&counts);
-    if threads <= 1 {
-        let ShardScratch { spawns, spawn_parents, .. } = &mut shards[0];
-        update_chunk_rows(behavior, schema, &mut chunks[0], tick, seed, spawns, spawn_parents);
-    } else {
-        std::thread::scope(|scope| {
-            let mut rest = &mut *shards;
-            for mut chunk in chunks {
-                let (shard, tail) = rest.split_at_mut(1);
-                rest = tail;
-                let ShardScratch { spawns, spawn_parents, .. } = &mut shard[0];
-                scope.spawn(move || update_chunk_rows(behavior, schema, &mut chunk, tick, seed, spawns, spawn_parents));
-            }
-        });
-    }
+    let mut work: Vec<_> = pool.update_chunks_prefix(&counts).into_iter().zip(shards.iter_mut()).collect();
+    for_each_shard(&mut work, threads, |_, (chunk, shard)| {
+        let ShardScratch { spawns, spawn_parents, .. } = shard;
+        spawns.clear();
+        spawn_parents.clear();
+        update_chunk_rows(behavior, schema, chunk, tick, seed, spawns, spawn_parents);
+    });
+    drop(work);
     killed.clear();
     killed.extend((0..n_owned as u32).filter(|&r| !pool.alive(r)));
     spawned.clear();
@@ -1356,6 +1346,31 @@ mod tests {
 
     fn line_of_agents(schema: &AgentSchema, n: usize, gap: f64) -> Vec<Agent> {
         (0..n).map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(i as f64 * gap, 0.0), schema)).collect()
+    }
+
+    /// The fan-out runs every item exactly once, with its own index, at any
+    /// budget — past the item count included — and the calling thread runs
+    /// the last group itself.
+    #[test]
+    fn for_each_shard_runs_every_item_once_and_the_last_group_inline() {
+        let caller = std::thread::current().id();
+        for k in [0usize, 1, 5, 7] {
+            for threads in 1..=k + 2 {
+                // Per item: (runs, index it was called with, thread it ran on).
+                let mut items = vec![(0u32, usize::MAX, None); k];
+                for_each_shard(&mut items, threads, |i, item| {
+                    item.0 += 1;
+                    item.1 = i;
+                    item.2 = Some(std::thread::current().id());
+                });
+                let groups = threads.min(k).max(1);
+                for (i, &(runs, seen, tid)) in items.iter().enumerate() {
+                    assert_eq!((runs, seen), (1, i), "item {i} of {k} at {threads} threads");
+                    let inline = shard_range(k, groups, groups - 1).contains(&i);
+                    assert_eq!(tid == Some(caller), inline, "item {i} of {k} at {threads} threads");
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub enum Backend {
     /// The in-process single-node engine (`brace_core::Simulation`).
     SingleNode {
         /// Thread budget (`1` = serial, `0` = all cores). Never affects
-        /// results.
+        /// results. [`Backend::parse`] gives `single` a budget of one;
+        /// `brace-serve` runs a served `single` job at its own budget of
+        /// `max(1, cores ÷ pool workers)` under the same label.
         parallelism: usize,
     },
     /// The simulated shared-nothing cluster. The embedded

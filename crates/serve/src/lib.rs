@@ -51,8 +51,10 @@ use brace_scenario::{Backend, JobSpec, Observer, Progress, Registry, RunKey, Run
 use brace_spatial::IndexKind;
 use brace_telemetry::{Counter as TelCounter, Gauge, HistId, Telemetry};
 use http::{ChunkedWriter, HttpError, Request};
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -64,7 +66,11 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see [`Server::addr`]).
     pub addr: String,
-    /// Simulation worker threads.
+    /// Simulation worker threads: the pool that runs jobs concurrently.
+    /// A served single-node run gets `max(1, cores ÷ workers)` threads of
+    /// its own (`run_threads` on `GET /stats`), so a full pool keeps every
+    /// core busy without oversubscribing them; the budget never changes a
+    /// result bit. Cluster runs keep their own placement.
     pub workers: usize,
     /// Bounded admission queue: jobs accepted but not yet picked up by a
     /// worker. A `POST` past this bound gets `503` + `Retry-After`.
@@ -213,6 +219,9 @@ struct App {
     queue_ready: Condvar,
     cache: Mutex<ResultCache>,
     stats: Stats,
+    /// Thread budget of a served single-node run (see
+    /// [`ServeConfig::workers`]), resolved once at start.
+    run_threads: usize,
     shutdown: AtomicBool,
     /// Telemetry handle captured after [`Server::start`] enables the
     /// registry, so every serve metric records.
@@ -236,8 +245,10 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| brace_common::BraceError::Config(format!("bind {}: {e}", cfg.addr)))?;
         let addr = listener.local_addr().expect("bound listener has a local addr");
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
         let app = Arc::new(App {
             cache: Mutex::new(ResultCache::new(cfg.cache_cap)),
+            run_threads: (cores / cfg.workers.max(1)).max(1),
             registry,
             cfg,
             runs: Mutex::new(HashMap::new()),
@@ -261,6 +272,11 @@ impl Server {
     /// The bound address (resolves port 0 to the ephemeral port picked).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Threads each served single-node run gets: `max(1, cores ÷ workers)`.
+    pub fn run_threads(&self) -> usize {
+        self.app.run_threads
     }
 
     /// Stop accepting connections and wake idle workers so they exit.
@@ -328,10 +344,17 @@ fn execute(app: &Arc<App>, record: &Arc<RunRecord>) {
     }
     record.progressed.notify_all();
 
-    let outcome = (|| {
+    // One unwind boundary around the run: a panicking behaviour fails this
+    // run alone, and the pool thread lives on to take the next job.
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         let key = &record.key;
         let scenario = app.registry.get_or_err(&key.job.scenario)?;
-        let backend = Backend::parse(&key.backend)?; // validated at POST time
+        // Validated at POST time. A single-node run takes the server's
+        // thread budget, which never changes a bit of the result.
+        let backend = match Backend::parse(&key.backend)? {
+            Backend::SingleNode { .. } => Backend::SingleNode { parallelism: app.run_threads },
+            cluster => cluster,
+        };
         let mut runner = Runner::new(scenario).backend(backend).seed(key.seed);
         if key.job.conformance {
             runner = runner.conformance();
@@ -345,7 +368,8 @@ fn execute(app: &Arc<App>, record: &Arc<RunRecord>) {
         }
         runner = runner.observe(Box::new(RecordObserver { record: Arc::clone(record) }));
         runner.run(key.ticks)
-    })();
+    }))
+    .map_or_else(|payload| Err(panic_message(payload.as_ref())), |run| run.map_err(|e| e.to_string()));
 
     match outcome {
         Ok(report) => {
@@ -381,13 +405,24 @@ fn execute(app: &Arc<App>, record: &Arc<RunRecord>) {
         Err(e) => {
             let mut st = record.state.lock().unwrap();
             st.status = Status::Failed;
-            st.error = Some(e.to_string());
+            st.error = Some(e);
             drop(st);
             app.stats.runs_failed.fetch_add(1, Ordering::Relaxed);
         }
     }
     record.progressed.notify_all();
     note_terminal(app, &record.id);
+}
+
+/// A panic payload as text: the `&str` or `String` it was raised with. A
+/// panic on a run's helper thread arrives through `thread::scope` as "a
+/// scoped thread panicked".
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => s.to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "run panicked".into(),
+    }
 }
 
 /// Record that `id` reached a terminal state (Done/Failed), then sweep.
@@ -502,12 +537,13 @@ fn stats_body(app: &Arc<App>) -> String {
     };
     let runs = app.runs.lock().unwrap().len();
     format!(
-        "{{\"workers\":{},\"queue_cap\":{},\"queue_depth\":{queue_depth},\"runs\":{runs},\
+        "{{\"workers\":{},\"run_threads\":{},\"queue_cap\":{},\"queue_depth\":{queue_depth},\"runs\":{runs},\
          \"max_runs\":{},\"evicted_runs\":{},\
          \"requests\":{},\"bad_requests\":{},\"rejected_saturated\":{},\
          \"runs_accepted\":{},\"runs_completed\":{},\"runs_failed\":{},\
          \"cache\":{{\"capacity\":{cache_cap},\"entries\":{cache_entries},\"hits\":{},\"misses\":{},\"evictions\":{}}}}}",
         app.cfg.workers,
+        app.run_threads,
         app.cfg.queue_cap,
         app.cfg.max_runs,
         s.evicted_runs.load(Ordering::Relaxed),

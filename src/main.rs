@@ -491,7 +491,12 @@ fn serve(args: &[String]) {
         Ok(s) => s,
         Err(e) => die(&e.to_string()),
     };
-    println!("brace-serve listening on http://{} ({} workers)", server.addr(), workers);
+    println!(
+        "brace-serve listening on http://{} ({} workers, {} run threads each)",
+        server.addr(),
+        workers,
+        server.run_threads()
+    );
     // Serve until the process is killed; the Server's threads do the work.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));

@@ -16,6 +16,7 @@
 //! deliberate model change (the failing assert prints actuals), and say so
 //! in the PR — the same protocol as `tests/golden_tick.rs`.
 
+use brace::core::executor::SHARD_ROWS;
 use brace::scenario::{conformance_setup, Backend, Registry, Runner};
 
 /// Conformance horizon: enough ticks for real boundary traffic (every
@@ -95,6 +96,36 @@ fn spawning_scenarios_conform_with_their_default_forms() {
             assert_eq!(
                 single.checksum, cluster.checksum,
                 "scenario `{name}`: {workers}-worker cluster diverged from single node on the spawning default form"
+            );
+        }
+    }
+}
+
+/// The thread budget is unobservable past one shard. The conformance
+/// population sits below `SHARD_ROWS`, so here every scenario runs at
+/// ≈ 4 500 agents — three shards of the query phase's sweep — and must
+/// reproduce its serial bits at 2 and 3 threads: the multi-shard fan-out
+/// and the chunked update phase, end to end.
+#[test]
+fn every_scenario_is_parallelism_invariant_past_one_shard() {
+    let registry = Registry::builtin();
+    for scenario in registry.iter() {
+        let run = |parallelism| {
+            Runner::new(scenario)
+                .seed(SEED)
+                .population(4_500)
+                .backend(Backend::SingleNode { parallelism })
+                .run(3)
+                .unwrap_or_else(|e| panic!("scenario `{}` failed at {parallelism} threads: {e}", scenario.name()))
+        };
+        let serial = run(1);
+        assert!(serial.agents > SHARD_ROWS, "scenario `{}` fits one shard ({} agents)", scenario.name(), serial.agents);
+        for parallelism in [2, 3] {
+            assert_eq!(
+                run(parallelism).checksum,
+                serial.checksum,
+                "scenario `{}` diverged from serial at {parallelism} threads",
+                scenario.name()
             );
         }
     }

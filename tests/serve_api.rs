@@ -14,12 +14,17 @@
 //! * past the bounded admission queue, `POST /runs` gets `503` with a
 //!   `Retry-After` header instead of unbounded buffering;
 //! * malformed input produces clean 4xx responses and the server keeps
-//!   serving afterwards.
+//!   serving afterwards;
+//! * a panicking behaviour fails its own run and nothing else.
 
-use brace_scenario::{Registry, Runner};
+use brace::common::{AgentId, DetRng, Vec2};
+use brace::core::{Agent, AgentRef, AgentSchema, Behavior, EffectWriter, Neighbors, UpdateCtx};
+use brace::spatial::IndexKind;
+use brace_scenario::{Registry, Runner, Scenario, ScenarioSetup};
 use brace_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One request, one response, connection closed (the server's model).
@@ -100,19 +105,24 @@ fn run_id(body: &str) -> String {
 }
 
 /// Poll `GET /runs/:id` until the run is terminal; panics after 60 s.
-fn wait_done(addr: SocketAddr, id: &str) -> String {
+fn wait_terminal(addr: SocketAddr, id: &str) -> String {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let (status, _, body) = get(addr, &format!("/runs/{id}"));
         assert_eq!(status, 200, "status poll failed: {body}");
-        match field(&body, "status") {
-            Some("done") => return body,
-            Some("failed") => panic!("run failed: {body}"),
-            _ => {}
+        if matches!(field(&body, "status"), Some("done" | "failed")) {
+            return body;
         }
         assert!(Instant::now() < deadline, "run {id} did not finish: {body}");
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// [`wait_terminal`], and the run must have succeeded.
+fn wait_done(addr: SocketAddr, id: &str) -> String {
+    let body = wait_terminal(addr, id);
+    assert_eq!(field(&body, "status"), Some("done"), "run failed: {body}");
+    body
 }
 
 fn server() -> Server {
@@ -473,4 +483,89 @@ fn metrics_scrape_exposes_prometheus_families() {
     assert!(value("brace_executor_ticks_total") >= 20, "the 20-tick run must have recorded its ticks");
     assert!(value("brace_phase_query_ns_count") >= 20);
     assert!(metrics.contains("brace_phase_query_ns_bucket{le=\"+Inf\"}"), "histograms must end at +Inf");
+}
+
+/// A served single-node run gets `max(1, cores ÷ workers)` threads, and
+/// `GET /stats` says so.
+#[test]
+fn stats_report_the_run_thread_budget() {
+    let server = Server::start(Registry::builtin(), ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(server.run_threads(), cores);
+    let (_, _, stats) = get(server.addr(), "/stats");
+    assert_eq!(field(&stats, "run_threads"), Some(cores.to_string().as_str()), "{stats}");
+}
+
+const PANIC_MESSAGE: &str = "behaviour gave up at tick 3";
+
+/// Every agent's update panics at tick 3.
+struct PanicsAtTickThree {
+    schema: AgentSchema,
+}
+
+impl Behavior for PanicsAtTickThree {
+    fn schema(&self) -> &AgentSchema {
+        &self.schema
+    }
+
+    fn query(&self, _me: AgentRef<'_>, _nbrs: &Neighbors<'_>, _eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {}
+
+    fn update(&self, _me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
+        if ctx.tick == 3 {
+            panic!("{PANIC_MESSAGE}");
+        }
+    }
+}
+
+struct PanickingScenario;
+
+impl Scenario for PanickingScenario {
+    fn name(&self) -> &'static str {
+        "panics-at-tick-3"
+    }
+
+    fn description(&self) -> &'static str {
+        "a behaviour whose update panics at tick 3"
+    }
+
+    fn default_population(&self) -> usize {
+        64
+    }
+
+    fn build(&self, size: Option<usize>, _seed: u64) -> brace::common::Result<ScenarioSetup> {
+        let schema = AgentSchema::builder("PanicsAtTickThree").visibility(1.0).reachability(1.0).build()?;
+        let n = size.unwrap_or(self.default_population());
+        let population =
+            (0..n).map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(i as f64, 0.0), &schema)).collect();
+        let behavior = Arc::new(PanicsAtTickThree { schema });
+        Ok(ScenarioSetup { behavior, population, index: IndexKind::Grid, epoch_len: 1, space_x: (0.0, n as f64) })
+    }
+}
+
+/// A panic inside a served run fails that run alone: the record reads
+/// `failed` with the panic's message, `runs_failed` counts it, and the one
+/// pool thread survives to run the next job bit-identically.
+#[test]
+fn a_panicking_behaviour_fails_its_run_alone() {
+    let mut registry = Registry::builtin();
+    registry.register(Box::new(PanickingScenario)).unwrap();
+    let server = Server::start(registry, ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+    let addr = server.addr();
+
+    let (status, _, body) = post(addr, "/runs", r#"{"scenario":"panics-at-tick-3","ticks":10}"#);
+    assert_eq!(status, 202, "{body}");
+    let failed = wait_terminal(addr, &run_id(&body));
+    assert_eq!(field(&failed, "status"), Some("failed"), "{failed}");
+    assert_eq!(field(&failed, "error"), Some(PANIC_MESSAGE), "{failed}");
+
+    let (status, _, body) = post(addr, "/runs", EPIDEMIC_RUN);
+    assert_eq!(status, 202, "{body}");
+    let done = wait_done(addr, &run_id(&body));
+    let direct =
+        Runner::new(Registry::builtin().get("epidemic").unwrap()).conformance().seed(42).run(20).expect("direct run");
+    assert_eq!(field(&done, "checksum"), Some(format!("{:#018X}", direct.checksum).as_str()));
+
+    let (_, _, stats) = get(addr, "/stats");
+    assert_eq!(field(&stats, "runs_failed"), Some("1"), "{stats}");
+    assert_eq!(field(&stats, "runs_completed"), Some("1"), "{stats}");
 }
