@@ -54,3 +54,19 @@ pub use geom::{Rect, Vec2};
 pub use ids::{AgentId, FieldId, PartitionId, WorkerId};
 pub use rng::DetRng;
 pub use stats::{rmspe, Histogram, Welford};
+
+/// 64-bit FNV-1a over a byte string: the checksum of durable manifest
+/// frames and checkpoint files, and the serve result cache's key hash.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

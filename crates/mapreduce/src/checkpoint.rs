@@ -7,12 +7,15 @@
 //! every tick is deterministic given the checkpointed state, recovery is
 //! re-execution of all epochs since the last checkpoint — the store keeps
 //! the master's command log for exactly that replay.
+//!
+//! A checkpoint file and its payload are read only through the codec's
+//! [`Reader`]: a file is a header and exactly one checkpoint, and each worker
+//! payload must decode as a worker snapshot, or the file is refused.
 
-use crate::codec::decode_snapshot;
-use crate::manifest::fnv1a;
+use crate::codec::{decode_snapshot, Reader};
 use crate::runtime::EpochCommand;
-use brace_common::{BraceError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use brace_common::{fnv1a, BraceError, Result};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
@@ -57,33 +60,22 @@ impl ClusterCheckpoint {
     }
 
     /// Inverse of [`ClusterCheckpoint::encode`]. The bytes may come from a
-    /// damaged or forged file, so every count is checked against the bytes
-    /// left before it is trusted, and nothing is allocated from a count.
-    pub fn decode(mut bytes: Bytes) -> Result<Self> {
-        let need = |b: &Bytes, n: usize| -> Result<()> {
-            if b.remaining() < n {
-                Err(BraceError::Checkpoint("truncated checkpoint".into()))
-            } else {
-                Ok(())
-            }
-        };
-        need(&bytes, 16)?;
-        let epoch = bytes.get_u64_le();
-        let tick = bytes.get_u64_le();
-        need(&bytes, 4)?;
-        let nb = bytes.get_u32_le() as usize;
-        need(&bytes, nb.saturating_mul(8).saturating_add(16 + 4))?;
-        let x_bounds = (0..nb).map(|_| bytes.get_f64_le()).collect();
-        let hist_range = (bytes.get_f64_le(), bytes.get_f64_le());
-        let nw = bytes.get_u32_le();
-        let mut workers = Vec::new();
-        for _ in 0..nw {
-            need(&bytes, 8)?;
-            let len = usize::try_from(bytes.get_u64_le()).unwrap_or(usize::MAX);
-            need(&bytes, len)?;
-            workers.push(bytes.copy_to_bytes(len));
-        }
-        Ok(ClusterCheckpoint { epoch, tick, x_bounds, hist_range, workers })
+    /// damaged or forged file, so they must be exactly one checkpoint.
+    pub fn decode(bytes: Bytes) -> Result<Self> {
+        Reader::read_all(&bytes, Self::read).ok_or_else(|| BraceError::Checkpoint("not a checkpoint".into()))
+    }
+
+    fn read(r: &mut Reader) -> Option<Self> {
+        Some(ClusterCheckpoint {
+            epoch: r.u64()?,
+            tick: r.u64()?,
+            x_bounds: r.records(8, Reader::f64)?,
+            hist_range: (r.f64()?, r.f64()?),
+            workers: r.records(8, |r| {
+                let len = usize::try_from(r.u64()?).ok()?;
+                Some(Bytes::from(r.bytes(len)?.to_vec()))
+            })?,
+        })
     }
 }
 
@@ -246,22 +238,21 @@ pub fn write_checkpoint_file(dir: &Path, cp: &ClusterCheckpoint) -> Result<()> {
 pub fn load_checkpoint_file(dir: &Path, epoch: u64) -> Result<ClusterCheckpoint> {
     let path = checkpoint_path(dir, epoch);
     let data = std::fs::read(&path).map_err(|e| BraceError::Checkpoint(format!("reading {}: {e}", path.display())))?;
-    let mut bytes = Bytes::from(data);
-    if bytes.remaining() < 20 {
+    let mut r = Reader::new(&data);
+    let (Some(magic), Some(version), Some(sum)) = (r.u64(), r.u32(), r.u64()) else {
         return Err(BraceError::Checkpoint(format!("{}: truncated header", path.display())));
-    }
-    if bytes.get_u64_le() != FILE_MAGIC {
+    };
+    if magic != FILE_MAGIC {
         return Err(BraceError::Checkpoint(format!("{}: not a checkpoint file", path.display())));
     }
-    let version = bytes.get_u32_le();
     if version != FILE_VERSION {
         return Err(BraceError::Checkpoint(format!("{}: unsupported version {version}", path.display())));
     }
-    let sum = bytes.get_u64_le();
-    if fnv1a(&bytes) != sum {
+    if fnv1a(r.rest()) != sum {
         return Err(BraceError::Checkpoint(format!("{}: checksum mismatch (torn write?)", path.display())));
     }
-    let cp = ClusterCheckpoint::decode(bytes)?;
+    let cp = Reader::read_all(r.rest(), ClusterCheckpoint::read)
+        .ok_or_else(|| BraceError::Checkpoint(format!("{}: not a checkpoint", path.display())))?;
     for (w, payload) in cp.workers.iter().enumerate() {
         decode_snapshot(payload.clone())
             .map_err(|e| BraceError::Checkpoint(format!("{}: worker {w}: {e}", path.display())))?;
@@ -321,6 +312,9 @@ mod tests {
         let c = cp(3).encode();
         let cut = c.slice(0..c.len() - 3);
         assert!(ClusterCheckpoint::decode(cut).is_err());
+        let mut long = c.to_vec();
+        long.push(0);
+        assert!(ClusterCheckpoint::decode(long.into()).is_err(), "a trailing byte");
     }
 
     #[test]

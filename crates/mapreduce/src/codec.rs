@@ -9,10 +9,127 @@
 //!
 //! The format is a straightforward little-endian layout (no self-description;
 //! both ends share the schema). Checkpoints reuse the same primitives.
+//!
+//! Every byte a peer or a file hands this crate is read through one
+//! [`Reader`]: the decoders here, in [`manifest`](crate::manifest) and in
+//! [`checkpoint`](crate::checkpoint) index nothing and check no length
+//! themselves. A read past the end is `None`, a count is proven against
+//! the bytes left before anything is sized from it, and bytes left over
+//! are malformed — so bad bytes are an `Err`, never a panic or an abort.
 
 use brace_common::{AgentId, BraceError, DetRng, FieldId, Result, Vec2};
 use brace_core::{Agent, AgentPool, EffectWrite};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+
+/// A bounded little-endian cursor over bytes this process did not write.
+/// Each read returns `None`, and consumes nothing, if the bytes left are
+/// too few.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self::at(bytes, 0)
+    }
+
+    /// A reader that resumes `pos` bytes into `bytes`, where an earlier
+    /// reader's [`Reader::pos`] left off.
+    pub fn at(bytes: &'a [u8], pos: usize) -> Self {
+        Reader { bytes, pos }
+    }
+
+    /// Read all of `bytes` with `read`: `None` if it fails or leaves bytes
+    /// unread.
+    pub fn read_all<T>(bytes: &'a [u8], read: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        let mut r = Self::new(bytes);
+        let value = read(&mut r)?;
+        r.finish().map(|()| value)
+    }
+
+    /// Bytes read so far.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The bytes not read yet.
+    pub fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
+    /// `Some` only if every byte has been read: trailing bytes are malformed.
+    pub fn finish(self) -> Option<()> {
+        self.rest().is_empty().then_some(())
+    }
+
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let head = *self.rest().first_chunk::<N>()?;
+        self.pos += N;
+        Some(head)
+    }
+
+    pub fn u8(&mut self) -> Option<u8> {
+        self.take().map(u8::from_le_bytes)
+    }
+
+    pub fn u16(&mut self) -> Option<u16> {
+        self.take().map(u16::from_le_bytes)
+    }
+
+    pub fn u32(&mut self) -> Option<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    pub fn u64(&mut self) -> Option<u64> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    pub fn f64(&mut self) -> Option<f64> {
+        self.take().map(f64::from_le_bytes)
+    }
+
+    /// A byte that is 0 or 1: any other value is malformed, so each value
+    /// has exactly one encoding.
+    pub fn bool(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    /// `len` bytes.
+    pub fn bytes(&mut self, len: usize) -> Option<&'a [u8]> {
+        let head = self.rest().get(..len)?;
+        self.pos += len;
+        Some(head)
+    }
+
+    /// A `u32` count of records at least `record_bytes` long, returned only
+    /// if that many fit in the bytes left — so a caller may size a `Vec`
+    /// from it.
+    pub fn count(&mut self, record_bytes: usize) -> Option<usize> {
+        let n = self.u32()?;
+        let fits = u64::from(n).checked_mul(record_bytes as u64)? <= self.rest().len() as u64;
+        fits.then_some(n as usize)
+    }
+
+    /// A [`Reader::count`], then that many records through `read`.
+    pub fn records<T>(&mut self, record_bytes: usize, mut read: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.count(record_bytes)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(read(self)?);
+        }
+        Some(out)
+    }
+}
+
+/// Wire size of an agent with no state or effect fields: id, position,
+/// liveness and the two field counts.
+const AGENT_MIN_BYTES: usize = 8 + 16 + 1 + 2 + 2;
 
 /// Append one agent to `buf`.
 pub fn put_agent(buf: &mut BytesMut, a: &Agent) {
@@ -30,30 +147,19 @@ pub fn put_agent(buf: &mut BytesMut, a: &Agent) {
     }
 }
 
-/// Decode one agent from `buf`, or `None` if `buf` ends inside the record:
-/// each field count is checked against the bytes left before anything is
-/// read or allocated for it.
-pub fn get_agent(buf: &mut impl Buf) -> Option<Agent> {
-    if buf.remaining() < 8 + 16 + 1 + 2 {
-        return None;
-    }
-    let id = AgentId::new(buf.get_u64_le());
-    let pos = Vec2::new(buf.get_f64_le(), buf.get_f64_le());
-    let alive = buf.get_u8() != 0;
-    let state = get_f64s(buf)?;
-    let effects = get_f64s(buf)?;
+/// Decode one agent, or `None` if the bytes end inside the record. A field
+/// list grows only as its values are read, so a lying `u16` count
+/// allocates nothing past the bytes there are.
+pub fn get_agent(r: &mut Reader) -> Option<Agent> {
+    let (id, pos, alive) = (AgentId::new(r.u64()?), Vec2::new(r.f64()?, r.f64()?), r.bool()?);
+    let mut fields = || (0..r.u16()?).map(|_| r.f64()).collect::<Option<Vec<f64>>>();
+    let (state, effects) = (fields()?, fields()?);
     Some(Agent { id, pos, state, effects, alive })
-}
-
-/// A `u16` count, then that many `f64`s; `None` if the bytes run out.
-fn get_f64s(buf: &mut impl Buf) -> Option<Vec<f64>> {
-    let n = (buf.remaining() >= 2).then(|| buf.get_u16_le() as usize)?;
-    (buf.remaining() >= 8 * n).then(|| (0..n).map(|_| buf.get_f64_le()).collect())
 }
 
 /// Encoded size of one agent in bytes (for pre-reservation and analysis).
 pub fn agent_wire_size(a: &Agent) -> usize {
-    8 + 16 + 1 + 2 + 8 * a.state.len() + 2 + 8 * a.effects.len()
+    AGENT_MIN_BYTES + 8 * (a.state.len() + a.effects.len())
 }
 
 /// Serialize a batch of agents.
@@ -72,18 +178,10 @@ pub fn encode_agents<'a>(agents: impl IntoIterator<Item = &'a Agent>) -> Bytes {
 
 /// Deserialize a batch of agents. The bytes come from a peer, so they must be
 /// exactly a count and that many records: a record that runs past the end,
-/// or bytes left over, is an `Err`, and nothing is allocated from the count.
-pub fn decode_agents(mut bytes: Bytes) -> Result<Vec<Agent>> {
-    let malformed = || BraceError::Unrecoverable("agent records: not a count and that many records".into());
-    let count = (bytes.remaining() >= 4).then(|| bytes.get_u32_le()).ok_or_else(malformed)?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        out.push(get_agent(&mut bytes).ok_or_else(malformed)?);
-    }
-    if bytes.has_remaining() {
-        return Err(malformed());
-    }
-    Ok(out)
+/// or bytes left over, is an `Err`.
+pub fn decode_agents(bytes: Bytes) -> Result<Vec<Agent>> {
+    Reader::read_all(&bytes, |r| r.records(AGENT_MIN_BYTES, get_agent))
+        .ok_or_else(|| BraceError::Unrecoverable("agent records: not a count and that many records".into()))
 }
 
 /// Append one agent to `buf` straight from a pool row — same wire format
@@ -232,15 +330,16 @@ impl ReplicaDeltaEnc {
 }
 
 /// A decoded replica delta frame. The header (removals) is
-/// materialized; the updates stay as an undecoded byte cursor drained
-/// through [`ReplicaDelta::next_update_into`] into a caller-reused value
-/// buffer — the per-peer per-tick receive path allocates nothing per
-/// update.
+/// materialized; the updates stay undecoded in the frame, past `pos`, and
+/// are drained through [`ReplicaDelta::next_update_into`] into a
+/// caller-reused value buffer — the per-peer per-tick receive path
+/// allocates nothing per update.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplicaDelta {
     pub removals: Vec<u32>,
     n_updates: u32,
-    updates: Bytes,
+    frame: Bytes,
+    pos: usize,
 }
 
 impl ReplicaDelta {
@@ -256,45 +355,39 @@ impl ReplicaDelta {
     /// `Err`; whether the slot and the mask's fields exist is the
     /// receiver's to check.
     pub fn next_update_into(&mut self, values: &mut Vec<f64>) -> Result<Option<(u32, u32)>> {
-        let malformed = |what: &str| Err(BraceError::Unrecoverable(format!("replica delta: {what}")));
+        let malformed = |what: &str| BraceError::Unrecoverable(format!("replica delta: {what}"));
+        let mut r = Reader::at(&self.frame, self.pos);
         if self.n_updates == 0 {
-            return if self.updates.has_remaining() { malformed("bytes past the last update") } else { Ok(None) };
-        }
-        if self.updates.remaining() < 8 {
-            return malformed("truncated update");
-        }
-        self.n_updates -= 1;
-        let slot = self.updates.get_u32_le();
-        let mask = self.updates.get_u32_le();
-        let n = mask.count_ones() as usize;
-        if self.updates.remaining() < 8 * n {
-            return malformed("truncated update");
+            return r.finish().map(|()| None).ok_or_else(|| malformed("bytes past the last update"));
         }
         values.clear();
-        values.extend((0..n).map(|_| self.updates.get_f64_le()));
-        Ok(Some((slot, mask)))
+        let mut update = || {
+            let (slot, mask) = (r.u32()?, r.u32()?);
+            for _ in 0..mask.count_ones() {
+                values.push(r.f64()?);
+            }
+            Some((slot, mask))
+        };
+        let update = update().ok_or_else(|| malformed("truncated update"))?;
+        self.n_updates -= 1;
+        self.pos = r.pos();
+        Ok(Some(update))
     }
 }
 
 /// Decode a frame produced by [`ReplicaDeltaEnc::finish`]. Zero-length
 /// input is the trivial frame. The removals and the update count must fit
-/// in the bytes (an update takes at least 8), so nothing is allocated from
-/// an unchecked count; the updates are checked as they are drained.
-pub fn decode_replica_delta(mut bytes: Bytes) -> Result<ReplicaDelta> {
+/// in the bytes (an update takes at least 8); the updates are checked as
+/// they are drained.
+pub fn decode_replica_delta(bytes: Bytes) -> Result<ReplicaDelta> {
     if bytes.is_empty() {
         return Ok(ReplicaDelta::default());
     }
-    let truncated = || BraceError::Unrecoverable("replica delta: truncated frame".into());
-    let nr = (bytes.remaining() >= 4).then(|| bytes.get_u32_le() as u64).ok_or_else(truncated)?;
-    if (nr + 1) * 4 > bytes.remaining() as u64 {
-        return Err(truncated());
-    }
-    let removals = (0..nr).map(|_| bytes.get_u32_le()).collect();
-    let n_updates = bytes.get_u32_le();
-    if n_updates as u64 * 8 > bytes.remaining() as u64 {
-        return Err(truncated());
-    }
-    Ok(ReplicaDelta { removals, n_updates, updates: bytes })
+    let mut r = Reader::new(&bytes);
+    let (removals, n_updates) = (|| Some((r.records(4, Reader::u32)?, r.count(8)? as u32)))()
+        .ok_or_else(|| BraceError::Unrecoverable("replica delta: truncated frame".into()))?;
+    let pos = r.pos();
+    Ok(ReplicaDelta { removals, n_updates, frame: bytes, pos })
 }
 
 /// Wire size of one [`EffectWrite`]: target id, source id, field, value.
@@ -320,16 +413,13 @@ pub fn encode_effect_writes(writes: &[EffectWrite]) -> Bytes {
 }
 
 /// Decode a payload produced by [`encode_effect_writes`]; see
-/// [`counted_records`]. Whether the targets and fields exist is the
+/// [`peer_records`]. Whether the targets and fields exist is the
 /// receiver's to check.
-pub fn decode_effect_writes(mut bytes: Bytes) -> Result<Vec<EffectWrite>> {
-    counted_records(&mut bytes, EFFECT_WRITE_BYTES, "effect writes")?;
-    let mut out = Vec::with_capacity(bytes.remaining() / EFFECT_WRITE_BYTES);
-    while bytes.has_remaining() {
-        let (target, source) = (AgentId::new(bytes.get_u64_le()), AgentId::new(bytes.get_u64_le()));
-        out.push(EffectWrite { target, source, field: FieldId::new(bytes.get_u16_le()), v: bytes.get_f64_le() });
-    }
-    Ok(out)
+pub fn decode_effect_writes(bytes: Bytes) -> Result<Vec<EffectWrite>> {
+    peer_records(&bytes, EFFECT_WRITE_BYTES, "effect writes", |r| {
+        let (target, source) = (AgentId::new(r.u64()?), AgentId::new(r.u64()?));
+        Some(EffectWrite { target, source, field: FieldId::new(r.u16()?), v: r.f64()? })
+    })
 }
 
 /// Serialize per-parent spawn-count runs — the payload of the spawn
@@ -351,29 +441,25 @@ pub fn encode_spawn_runs(runs: &[(AgentId, u32)]) -> Bytes {
 }
 
 /// Decode a payload produced by [`encode_spawn_runs`]; see
-/// [`counted_records`].
-pub fn decode_spawn_runs(mut bytes: Bytes) -> Result<Vec<(AgentId, u32)>> {
-    counted_records(&mut bytes, 12, "spawn runs")?;
-    let mut out = Vec::with_capacity(bytes.remaining() / 12);
-    while bytes.has_remaining() {
-        out.push((AgentId::new(bytes.get_u64_le()), bytes.get_u32_le()));
-    }
-    Ok(out)
+/// [`peer_records`].
+pub fn decode_spawn_runs(bytes: Bytes) -> Result<Vec<(AgentId, u32)>> {
+    peer_records(&bytes, 12, "spawn runs", |r| Some((AgentId::new(r.u64()?), r.u32()?)))
 }
 
-/// Check a peer payload of `u32 count` then `count` records of `record`
-/// bytes (zero bytes: no records) and leave `bytes` at the first record.
-/// The count must account for exactly the bytes after it, so no record runs
-/// past the end or leaves bytes over; callers size output from the bytes.
-fn counted_records(bytes: &mut Bytes, record: usize, what: &str) -> Result<()> {
+/// A peer payload of zero bytes (no records), or of a count and exactly
+/// that many `record_bytes`-byte records, each through `read`.
+fn peer_records<T>(
+    bytes: &[u8],
+    record_bytes: usize,
+    what: &str,
+    read: impl FnMut(&mut Reader) -> Option<T>,
+) -> Result<Vec<T>> {
     if bytes.is_empty() {
-        return Ok(());
+        return Ok(Vec::new());
     }
-    let count = (bytes.remaining() >= 4).then(|| bytes.get_u32_le() as u64);
-    if count.map(|count| count * record as u64) != Some(bytes.remaining() as u64) {
-        return Err(BraceError::Unrecoverable(format!("{what}: not a count and that many {record}-byte records")));
-    }
-    Ok(())
+    Reader::read_all(bytes, |r| r.records(record_bytes, read)).ok_or_else(|| {
+        BraceError::Unrecoverable(format!("{what}: not a count and that many {record_bytes}-byte records"))
+    })
 }
 
 /// A worker's checkpointable state: its simulation clock, its RNG (models
@@ -403,29 +489,14 @@ pub fn encode_snapshot(s: &WorkerSnapshot) -> Bytes {
 }
 
 /// Deserialize a worker snapshot. Snapshots are checkpoint payloads, and a
-/// checkpoint file may be damaged or forged, so every count and length is
-/// checked against the bytes left before it is trusted, nothing is
-/// allocated from a count, and bytes that are not exactly one snapshot are
-/// an `Err`.
-pub fn decode_snapshot(mut bytes: Bytes) -> Result<WorkerSnapshot> {
-    let truncated = || BraceError::Checkpoint("truncated worker snapshot".into());
-    if bytes.remaining() < 36 {
-        return Err(truncated());
-    }
-    let tick = bytes.get_u64_le();
-    let next_spawn_id = bytes.get_u64_le();
-    let state = bytes.get_u64_le();
-    let counter = bytes.get_u64_le();
-    let rng = DetRng::from_parts(state, counter);
-    let count = bytes.get_u32_le();
-    let mut agents = Vec::new();
-    for _ in 0..count {
-        agents.push(get_agent(&mut bytes).ok_or_else(truncated)?);
-    }
-    if bytes.has_remaining() {
-        return Err(BraceError::Checkpoint(format!("{} bytes past the worker snapshot", bytes.remaining())));
-    }
-    Ok(WorkerSnapshot { tick, next_spawn_id, rng, agents })
+/// checkpoint file may be damaged or forged, so bytes that are not exactly
+/// one snapshot are an `Err`.
+pub fn decode_snapshot(bytes: Bytes) -> Result<WorkerSnapshot> {
+    Reader::read_all(&bytes, |r| {
+        let (tick, next_spawn_id, rng) = (r.u64()?, r.u64()?, DetRng::from_parts(r.u64()?, r.u64()?));
+        Some(WorkerSnapshot { tick, next_spawn_id, rng, agents: r.records(AGENT_MIN_BYTES, get_agent)? })
+    })
+    .ok_or_else(|| BraceError::Checkpoint("not a worker snapshot".into()))
 }
 
 #[cfg(test)]
@@ -451,10 +522,36 @@ mod tests {
         let mut buf = BytesMut::new();
         put_agent(&mut buf, &a);
         assert_eq!(buf.len(), agent_wire_size(&a));
-        let mut bytes = buf.freeze();
-        let b = get_agent(&mut bytes).unwrap();
-        assert_eq!(a, b);
-        assert!(!bytes.has_remaining());
+        assert_eq!(Reader::read_all(&buf, get_agent), Some(a));
+    }
+
+    #[test]
+    fn reader_reads_only_what_is_there() {
+        let mut buf = BytesMut::new();
+        buf.put_u8(1);
+        buf.put_u16_le(300);
+        buf.put_u32_le(70_000);
+        buf.put_u64_le(1 << 40);
+        buf.put_f64_le(-1.5);
+        let mut r = Reader::new(&buf);
+        assert_eq!(
+            (r.bool(), r.u16(), r.u32(), r.u64(), r.f64()),
+            (Some(true), Some(300), Some(70_000), Some(1 << 40), Some(-1.5))
+        );
+        assert!(r.rest().is_empty() && r.u8().is_none() && r.bytes(1).is_none());
+        assert_eq!(r.bytes(0), Some(&[][..]));
+        // A short read consumes nothing; a bool is 0 or 1 and nothing else.
+        let mut r = Reader::new(&[2, 0, 0]);
+        assert_eq!((r.u32(), r.pos()), (None, 0));
+        assert_eq!(r.bool(), None);
+        assert_eq!((r.u16(), r.clone().finish()), (Some(0), Some(())));
+        assert_eq!(Reader::read_all(&[0, 0], Reader::u8), None, "a trailing byte");
+        // A count is returned only if that many records fit.
+        let four: Vec<u8> = [2u32.to_le_bytes(), [0; 4], [0; 4]].concat();
+        assert_eq!(Reader::new(&four).count(4), Some(2));
+        assert_eq!(Reader::new(&four).count(5), None);
+        assert_eq!(Reader::new(&u32::MAX.to_le_bytes()).count(usize::MAX), None, "count × size past u64");
+        assert_eq!(Reader::at(&four, 99).u8(), None);
     }
 
     #[test]

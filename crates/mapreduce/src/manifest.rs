@@ -21,10 +21,15 @@
 //! and dropped*, never trusted; everything before it is intact by
 //! construction. Resume therefore only believes epochs with a matching
 //! `EpochDone`, and re-runs the rest from the last verified checkpoint.
+//!
+//! The file and its records are read only through the codec's [`Reader`]:
+//! a record must be exactly its bytes, a bool or option tag is 0 or 1, and
+//! a string is UTF-8, so one record has one encoding.
 
+use crate::codec::Reader;
 use crate::runtime::EpochCommand;
-use brace_common::{BraceError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use brace_common::{fnv1a, BraceError, Result};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
@@ -36,17 +41,6 @@ pub const MANIFEST_FILE: &str = "manifest.brace";
 const FILE_MAGIC: u64 = 0x4252_4143_4552_554e;
 /// Manifest format version.
 const FILE_VERSION: u32 = 1;
-
-/// FNV-1a over a byte slice — the house hash (same constants as the
-/// scenario layer's `world_checksum`).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Immutable description of the job, written once at run creation.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,12 +124,9 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(bytes: &mut Bytes) -> Result<String> {
-    need(bytes, 4)?;
-    let len = bytes.get_u32_le() as usize;
-    need(bytes, len)?;
-    let raw = bytes.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| BraceError::Checkpoint("manifest: invalid utf-8".into()))
+fn get_str(r: &mut Reader) -> Option<String> {
+    let len = r.u32()? as usize;
+    std::str::from_utf8(r.bytes(len)?).ok().map(str::to_owned)
 }
 
 fn put_opt_bounds(buf: &mut BytesMut, bounds: &Option<Vec<f64>>) {
@@ -151,23 +142,8 @@ fn put_opt_bounds(buf: &mut BytesMut, bounds: &Option<Vec<f64>>) {
     }
 }
 
-fn get_opt_bounds(bytes: &mut Bytes) -> Result<Option<Vec<f64>>> {
-    need(bytes, 1)?;
-    if bytes.get_u8() == 0 {
-        return Ok(None);
-    }
-    need(bytes, 4)?;
-    let n = bytes.get_u32_le() as usize;
-    need(bytes, n.saturating_mul(8))?;
-    Ok(Some((0..n).map(|_| bytes.get_f64_le()).collect()))
-}
-
-fn need(bytes: &Bytes, n: usize) -> Result<()> {
-    if bytes.remaining() < n {
-        Err(BraceError::Checkpoint("manifest: truncated record".into()))
-    } else {
-        Ok(())
-    }
+fn get_opt_bounds(r: &mut Reader) -> Option<Option<Vec<f64>>> {
+    Some(if r.bool()? { Some(r.records(8, Reader::f64)?) } else { None })
 }
 
 impl ManifestRecord {
@@ -229,66 +205,51 @@ impl ManifestRecord {
         buf.freeze()
     }
 
-    /// Inverse of [`ManifestRecord::encode`].
-    pub fn decode(mut bytes: Bytes) -> Result<Self> {
-        need(&bytes, 1)?;
-        let tag = bytes.get_u8();
-        match tag {
-            1 => {
-                let run_id = get_str(&mut bytes)?;
-                let job = get_str(&mut bytes)?;
-                need(&bytes, 4 + 8 + 8 + 1 + 16 + 1 + 8 + 4 + 8)?;
-                Ok(ManifestRecord::Header(RunHeader {
-                    run_id,
-                    job,
-                    workers: bytes.get_u32_le(),
-                    epoch_len: bytes.get_u64_le(),
-                    seed: bytes.get_u64_le(),
-                    index: bytes.get_u8(),
-                    space_x: (bytes.get_f64_le(), bytes.get_f64_le()),
-                    load_balance: bytes.get_u8() != 0,
-                    checkpoint_every: bytes.get_u64_le(),
-                    keep_checkpoints: bytes.get_u32_le(),
-                    total_ticks: bytes.get_u64_le(),
-                }))
-            }
-            2 => {
-                need(&bytes, 16)?;
-                let epoch = bytes.get_u64_le();
-                let ticks = bytes.get_u64_le();
-                let new_x_bounds = get_opt_bounds(&mut bytes)?;
-                need(&bytes, 1 + 16)?;
-                let checkpoint = bytes.get_u8() != 0;
-                let hist_range = (bytes.get_f64_le(), bytes.get_f64_le());
-                Ok(ManifestRecord::Command(EpochCommand { epoch, ticks, new_x_bounds, checkpoint, hist_range }))
-            }
-            3 => {
-                need(&bytes, 8 + 1 + 16)?;
-                let epoch = bytes.get_u64_le();
-                let checkpoint = bytes.get_u8() != 0;
-                let hist_range = (bytes.get_f64_le(), bytes.get_f64_le());
-                let pending_bounds = get_opt_bounds(&mut bytes)?;
-                Ok(ManifestRecord::EpochDone(EpochDoneRecord { epoch, checkpoint, hist_range, pending_bounds }))
-            }
-            4 => {
-                need(&bytes, 4 + 8 + 4 + 8)?;
-                let worker = bytes.get_u32_le();
-                let epoch = bytes.get_u64_le();
-                let attempts = bytes.get_u32_le();
-                let agents_lost = bytes.get_u64_le();
-                let reason = get_str(&mut bytes)?;
-                Ok(ManifestRecord::DeadLetter(DeadLetterRecord { worker, epoch, attempts, agents_lost, reason }))
-            }
-            5 => {
-                need(&bytes, 12)?;
-                Ok(ManifestRecord::Membership { epoch: bytes.get_u64_le(), workers: bytes.get_u32_le() })
-            }
-            6 => {
-                need(&bytes, 16)?;
-                Ok(ManifestRecord::Complete { ticks: bytes.get_u64_le(), checksum: bytes.get_u64_le() })
-            }
-            t => Err(BraceError::Checkpoint(format!("manifest: unknown record tag {t}"))),
-        }
+    /// Inverse of [`ManifestRecord::encode`]: the bytes must be exactly one
+    /// record.
+    pub fn decode(bytes: Bytes) -> Result<Self> {
+        Reader::read_all(&bytes, Self::read).ok_or_else(|| BraceError::Checkpoint("manifest: not a record".into()))
+    }
+
+    fn read(r: &mut Reader) -> Option<Self> {
+        Some(match r.u8()? {
+            1 => ManifestRecord::Header(RunHeader {
+                run_id: get_str(r)?,
+                job: get_str(r)?,
+                workers: r.u32()?,
+                epoch_len: r.u64()?,
+                seed: r.u64()?,
+                index: r.u8()?,
+                space_x: (r.f64()?, r.f64()?),
+                load_balance: r.bool()?,
+                checkpoint_every: r.u64()?,
+                keep_checkpoints: r.u32()?,
+                total_ticks: r.u64()?,
+            }),
+            2 => ManifestRecord::Command(EpochCommand {
+                epoch: r.u64()?,
+                ticks: r.u64()?,
+                new_x_bounds: get_opt_bounds(r)?,
+                checkpoint: r.bool()?,
+                hist_range: (r.f64()?, r.f64()?),
+            }),
+            3 => ManifestRecord::EpochDone(EpochDoneRecord {
+                epoch: r.u64()?,
+                checkpoint: r.bool()?,
+                hist_range: (r.f64()?, r.f64()?),
+                pending_bounds: get_opt_bounds(r)?,
+            }),
+            4 => ManifestRecord::DeadLetter(DeadLetterRecord {
+                worker: r.u32()?,
+                epoch: r.u64()?,
+                attempts: r.u32()?,
+                agents_lost: r.u64()?,
+                reason: get_str(r)?,
+            }),
+            5 => ManifestRecord::Membership { epoch: r.u64()?, workers: r.u32()? },
+            6 => ManifestRecord::Complete { ticks: r.u64()?, checksum: r.u64()? },
+            _ => return None,
+        })
     }
 }
 
@@ -442,47 +403,33 @@ impl Manifest {
 }
 
 /// Read and verify `dir/manifest.brace`. Stops (setting `truncated`) at the
-/// first frame that is short or fails its checksum — the crash-torn tail is
-/// dropped, never trusted.
+/// first frame that is short, fails its checksum or is not exactly one
+/// record — the crash-torn tail is dropped, never trusted.
 pub fn read_manifest(dir: &Path) -> Result<Manifest> {
     let path = dir.join(MANIFEST_FILE);
     let data = std::fs::read(&path).map_err(|e| BraceError::Checkpoint(format!("reading {}: {e}", path.display())))?;
-    let mut bytes = Bytes::from(data);
-    if bytes.remaining() < 12 {
+    let mut r = Reader::new(&data);
+    let (Some(magic), Some(version)) = (r.u64(), r.u32()) else {
         return Err(BraceError::Checkpoint(format!("{}: truncated preamble", path.display())));
-    }
-    if bytes.get_u64_le() != FILE_MAGIC {
+    };
+    if magic != FILE_MAGIC {
         return Err(BraceError::Checkpoint(format!("{}: not a manifest", path.display())));
     }
-    let version = bytes.get_u32_le();
     if version != FILE_VERSION {
         return Err(BraceError::Checkpoint(format!("{}: unsupported version {version}", path.display())));
     }
     let mut records = Vec::new();
     let mut truncated = false;
-    while bytes.has_remaining() {
-        if bytes.remaining() < 12 {
+    while !r.rest().is_empty() {
+        let frame = (|| {
+            let (len, sum) = (r.u32()? as usize, r.u64()?);
+            Reader::read_all(r.bytes(len).filter(|body| fnv1a(body) == sum)?, ManifestRecord::read)
+        })();
+        let Some(record) = frame else {
             truncated = true;
             break;
-        }
-        let len = bytes.get_u32_le() as usize;
-        let sum = bytes.get_u64_le();
-        if bytes.remaining() < len {
-            truncated = true;
-            break;
-        }
-        let body = bytes.copy_to_bytes(len);
-        if fnv1a(&body) != sum {
-            truncated = true;
-            break;
-        }
-        match ManifestRecord::decode(body) {
-            Ok(r) => records.push(r),
-            Err(_) => {
-                truncated = true;
-                break;
-            }
-        }
+        };
+        records.push(record);
     }
     let Some(ManifestRecord::Header(header)) = records.first().cloned() else {
         return Err(BraceError::Checkpoint(format!("{}: missing run header", path.display())));
@@ -569,6 +516,19 @@ mod tests {
         for r in records {
             assert_eq!(ManifestRecord::decode(r.encode()).unwrap(), r);
         }
+    }
+
+    #[test]
+    fn a_record_has_one_encoding() {
+        let mut long = ManifestRecord::Membership { epoch: 1, workers: 2 }.encode().to_vec();
+        long.push(0);
+        assert!(ManifestRecord::decode(long.into()).is_err(), "a trailing byte");
+        let mut two = ManifestRecord::EpochDone(done(1)).encode().to_vec();
+        two[1 + 8] = 2; // the checkpoint flag, after the tag and the epoch
+        assert!(ManifestRecord::decode(two.into()).is_err(), "a bool of 2");
+        let mut tag = ManifestRecord::Command(cmd(0)).encode().to_vec();
+        tag[1 + 16] = 7; // the bounds' option tag, after the tag, epoch and ticks
+        assert!(ManifestRecord::decode(tag.into()).is_err(), "an option tag of 7");
     }
 
     #[test]

@@ -24,22 +24,8 @@
 //! them, so an older binary can still read a line written by a newer one
 //! that appended fields.
 
-use brace_common::{BraceError, Result};
+use brace_common::{fnv1a, BraceError, Result};
 use brace_spatial::IndexKind;
-
-/// FNV-1a over a byte string — the repo's standard non-cryptographic hash
-/// (same constants as `world_checksum`), here hashing canonical job lines
-/// into cache keys.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// The scenario/job line recorded in durable manifest headers. Everything
 /// needed to rebuild the behavior in a fresh process, given the header's

@@ -51,8 +51,9 @@ fn bad(status: u16, msg: impl Into<String>) -> HttpError {
     HttpError::Bad(status, msg.into())
 }
 
-/// Read and parse one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+/// Read and parse one request from the stream — a socket in the server, any
+/// byte source in a test. Hostile bytes are an `Err`, never a panic.
+pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 2048];
     let head_end = loop {

@@ -194,7 +194,12 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
                             let hex = self.bytes.get(self.pos + 1..self.pos + 5).ok_or("truncated \\u escape")?;
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err("bad \\u escape".into());
+                            }
                             let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
                             let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             // Surrogate pairs are rejected rather than
@@ -307,6 +312,16 @@ mod tests {
         // Depth bomb: errors out instead of blowing the stack.
         let deep = "[".repeat(2000) + &"]".repeat(2000);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let parse_escape = |hex: &str| Json::parse(&format!("\"\\u{hex}\""));
+        assert_eq!(parse_escape("00e9"), Ok(Json::Str("\u{e9}".into())));
+        assert_eq!(parse_escape("ABcd"), Ok(Json::Str("\u{abcd}".into())));
+        for bad in ["+041", "-041", " 041", "041", "004g", "00", ""] {
+            assert!(parse_escape(bad).is_err(), "a `\\u` escape of `{bad}` should not parse");
+        }
     }
 
     #[test]

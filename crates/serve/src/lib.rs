@@ -43,6 +43,7 @@ mod http;
 mod json;
 
 pub use cache::{CachedRun, ResultCache, MAX_CACHED_FRAMES};
+pub use http::{read_request, HttpError, Request, MAX_BODY};
 pub use json::Json;
 
 use brace_common::Result;
@@ -50,7 +51,7 @@ use brace_scenario::runner::DEFAULT_SEED;
 use brace_scenario::{Backend, JobSpec, Observer, Progress, Registry, RunKey, Runner};
 use brace_spatial::IndexKind;
 use brace_telemetry::{Counter as TelCounter, Gauge, HistId, Telemetry};
-use http::{ChunkedWriter, HttpError, Request};
+use http::ChunkedWriter;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};

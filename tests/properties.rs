@@ -14,10 +14,11 @@
 //!   the bit level — the contract of the struct-of-arrays refactor.
 //! * The BRASIL front end turns hostile source — arbitrary bytes, mutated
 //!   scripts, nesting past its depth bound — into an error, never a panic.
-//! * So do the checkpoint and manifest decoders, the manifest's frame reader
-//!   and every decoder of a peer's payloads with hostile bytes — arbitrary,
-//!   flipped, truncated or with inflated counts — and none sizes an
-//!   allocation from a count it has not checked.
+//! * So do the checkpoint and manifest decoders, the manifest's frame reader,
+//!   every decoder of a peer's payloads and the serve parsers (HTTP request,
+//!   JSON body, job line) with hostile bytes — arbitrary, flipped, truncated
+//!   or with inflated counts — and none sizes an allocation from a count it
+//!   has not checked. The durable decoders accept one encoding per value.
 
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, FieldId, Rect, Vec2};
@@ -2262,6 +2263,202 @@ proptest! {
         peer_decoders_survive(&arbitrary).map_err(|e| format!("seed {seed}: {e}"))?;
         for valid in [&encoded_agents, &encoded_delta, &encoded, &encoded_runs] {
             hostile_copies_survive(valid, &mut rng, peer_decoders_survive).map_err(|e| format!("seed {seed}: {e}"))?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Durable decoders accept one encoding per value (CI reruns this section
+// with PROPTEST_CASES=256)
+// ---------------------------------------------------------------------------
+
+/// `input` through the three durable decoders: whatever one of them accepts
+/// must re-encode to exactly `input`, so no two files decode to one state.
+fn durable_decoders_are_exact(input: &[u8]) -> Result<(), String> {
+    let reencoded = [
+        ("ClusterCheckpoint::decode", ClusterCheckpoint::decode(input.to_vec().into()).map(|cp| cp.encode())),
+        ("ManifestRecord::decode", ManifestRecord::decode(input.to_vec().into()).map(|r| r.encode())),
+        ("decode_snapshot", codec::decode_snapshot(input.to_vec().into()).map(|s| codec::encode_snapshot(&s))),
+    ];
+    match reencoded.into_iter().find(|(_, back)| back.as_ref().is_ok_and(|back| back[..] != *input)) {
+        Some((decoder, back)) => Err(format!("{decoder} accepted {input:02x?}, which re-encodes to {back:02x?}")),
+        None => Ok(()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A durable file has one encoding per state: every hostile copy of a
+    /// drawn checkpoint, of its worker snapshots and of every manifest record
+    /// — prefixes, count-inflated and flipped copies, and the valid bytes
+    /// with bytes appended — that `ClusterCheckpoint::decode`,
+    /// `ManifestRecord::decode` or `codec::decode_snapshot` accepts
+    /// re-encodes to exactly its input: no trailing bytes, and no bool or
+    /// option tag but 0 or 1. Peer decoders are exempt: a trivial replica
+    /// delta frame is legitimately both 0 and 8 bytes.
+    #[test]
+    fn durable_decoders_are_canonical(seed in any::<u64>()) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let checkpoint = drawn_checkpoint(&mut rng);
+        let mut valid = vec![checkpoint.encode().to_vec()];
+        valid.extend(checkpoint.workers.iter().map(|payload| payload.to_vec()));
+        valid.extend(drawn_manifest_records(&mut rng).iter().map(|record| record.encode().to_vec()));
+        for v in &valid {
+            for extra in 1..=1 + rng.below(8) as usize {
+                let long: Vec<u8> = v.iter().copied().chain((0..extra).map(|_| rng.next_raw() as u8)).collect();
+                durable_decoders_are_exact(&long).map_err(|e| format!("seed {seed}: {e}"))?;
+            }
+            hostile_copies_survive(v, &mut rng, durable_decoders_are_exact).map_err(|e| format!("seed {seed}: {e}"))?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Serve parsers: hostile HTTP requests, JSON bodies and job lines are an
+// error, never a panic (CI reruns this section with PROPTEST_CASES=256)
+// ---------------------------------------------------------------------------
+
+use brace_scenario::JobSpec;
+use brace_serve::{read_request, HttpError, Json, Request, MAX_BODY};
+
+/// A parser run on one input: `Err` with the input if it panicked.
+type Survive = fn(&[u8]) -> Result<(), String>;
+
+/// A byte source that hands out 1–7 bytes per `read`, like a slow socket.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    rng: DetRng,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = (1 + self.rng.below(7) as usize).min(buf.len()).min(self.bytes.len());
+        let (head, rest) = self.bytes.split_at(n);
+        buf[..n].copy_from_slice(head);
+        self.bytes = rest;
+        Ok(n)
+    }
+}
+
+/// `input` as one request through `read_request`, cut into reads of 1–7
+/// bytes drawn from the input's own hash.
+fn request_from(input: &[u8]) -> Result<Request, HttpError> {
+    read_request(&mut Trickle { bytes: input, rng: DetRng::seed_from_u64(brace_common::fnv1a(input)) })
+}
+
+/// `parse` on `input`, which must return rather than panic; a panic is
+/// reported with the input.
+fn parser_survives(name: &str, input: &[u8], parse: impl FnOnce() + std::panic::UnwindSafe) -> Result<(), String> {
+    std::panic::catch_unwind(parse).map_err(|_| format!("{name} panicked on b\"{}\"", input.escape_ascii()))
+}
+
+fn request_survives(input: &[u8]) -> Result<(), String> {
+    parser_survives("read_request", input, || {
+        let _ = request_from(input);
+    })
+}
+
+/// `Json::parse` and `JobSpec::parse` take text: `input` decoded lossily.
+fn json_survives(input: &[u8]) -> Result<(), String> {
+    parser_survives("Json::parse", input, || {
+        let _ = Json::parse(&String::from_utf8_lossy(input));
+    })
+}
+
+fn job_line_survives(input: &[u8]) -> Result<(), String> {
+    parser_survives("JobSpec::parse", input, || {
+        let _ = JobSpec::parse(&String::from_utf8_lossy(input));
+    })
+}
+
+/// A `POST /runs` body of the API's shape: a scenario, and drawn optional
+/// fields, some of them `null`, one string with an escape in it.
+fn drawn_run_body(rng: &mut DetRng) -> String {
+    let scenario = ["epidemic", "fish", "predator", "brasil-car", "traffic"][rng.below(5) as usize];
+    let optional = [
+        ("ticks", rng.below(1000).to_string()),
+        ("seed", rng.below(1 << 53).to_string()),
+        ("agents", (1 + rng.below(10_000)).to_string()),
+        ("conformance", rng.chance(0.5).to_string()),
+        ("backend", format!("\"cluster:{}\"", 1 + rng.below(4))),
+        ("index", format!("\"\\u{:04x}rid\"", 'g' as u32)),
+        ("future", "[1,2.5e3,-0.0,{\"nested\":null}]".to_string()),
+    ];
+    let mut fields = vec![format!("\"scenario\":\"{scenario}\"")];
+    for (key, value) in optional {
+        if rng.chance(0.5) {
+            fields.push(format!("\"{key}\":{}", if rng.chance(0.1) { "null" } else { &value }));
+        }
+    }
+    format!("{{{}}}", fields.join(if rng.chance(0.5) { "," } else { " , " }))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The control plane's parsers on bytes a client sends: valid `GET` and
+    /// `POST /runs` requests round-trip their method, path and body through
+    /// `read_request` at 1–7 bytes per read, and a `Content-Length` of
+    /// `u64::MAX`, of `MAX_BODY + 1` or a little past the bytes sent is an
+    /// `Err`. The prefixes, count-inflated and flipped copies of those
+    /// requests, of drawn API JSON bodies (with `[` and `{` nesting bombs)
+    /// and of `JobSpec::encode` lines go through `read_request`,
+    /// `Json::parse` and `JobSpec::parse` respectively, and arbitrary bytes
+    /// through all three; each returns `Ok` or `Err` — never a panic.
+    #[test]
+    fn serve_parsers_never_panic(seed in any::<u64>()) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let body = drawn_run_body(&mut rng);
+        prop_assert!(
+            Json::parse(&body).is_ok_and(|doc| doc.get("scenario").and_then(Json::as_str).is_some()),
+            "seed {seed}: the body {body:?} does not parse"
+        );
+        let length = if rng.chance(0.5) { "Content-Length" } else { "content-length" };
+        let post = |len: String| format!("POST /runs HTTP/1.1\r\nHost: localhost\r\n{length}: {len}\r\n\r\n{body}");
+        let get_path = format!("/runs/r{}/stream", rng.below(100));
+        let get = format!("GET {get_path} HTTP/1.1\r\nHost: localhost\r\nAccept: */*\r\n\r\n");
+        let valid_post = post(body.len().to_string());
+        for (request, method, path, want) in [(&valid_post, "POST", "/runs", body.as_str()), (&get, "GET", &get_path, "")] {
+            let got = request_from(request.as_bytes()).map_err(|e| format!("seed {seed}: {request:?} -> {e:?}"))?;
+            prop_assert!(
+                (got.method.as_str(), got.path.as_str(), got.body.as_str()) == (method, path, want),
+                "seed {seed}: {request:?} read back as {got:?}"
+            );
+        }
+        let past_end = (body.len() as u64 + 1 + rng.below(64)).to_string();
+        for len in [u64::MAX.to_string(), (MAX_BODY + 1).to_string(), past_end] {
+            let request = post(len);
+            prop_assert!(request_from(request.as_bytes()).is_err(), "seed {seed}: {request:?} was accepted");
+        }
+
+        let job = JobSpec {
+            scenario: ["fish", "epidemic", "brasil-car"][rng.below(3) as usize].to_string(),
+            size: rng.chance(0.5).then(|| rng.below(1 << 20) as usize),
+            conformance: rng.chance(0.5),
+        };
+        let line = job.encode();
+        prop_assert!(JobSpec::parse(&line).ok() == Some(job), "seed {seed}: {line:?} does not round-trip");
+
+        let depth = 1 + rng.below(100) as usize;
+        let bombs = [
+            "[".repeat(depth) + &body + &"]".repeat(depth),
+            "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth),
+        ];
+        let arbitrary: Vec<u8> = (0..rng.below(256)).map(|_| rng.next_raw() as u8).collect();
+        let survivals: [(&str, Survive); 6] = [
+            (&valid_post, request_survives),
+            (&get, request_survives),
+            (&body, json_survives),
+            (&bombs[0], json_survives),
+            (&bombs[1], json_survives),
+            (&line, job_line_survives),
+        ];
+        for survive in [request_survives, json_survives, job_line_survives] {
+            survive(&arbitrary).map_err(|e| format!("seed {seed}: {e}"))?;
+        }
+        for (valid, survive) in survivals {
+            hostile_copies_survive(valid.as_bytes(), &mut rng, survive).map_err(|e| format!("seed {seed}: {e}"))?;
         }
     }
 }
