@@ -121,14 +121,6 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Forget all retained checkpoints and the replay log. Used when the
-    /// cluster membership changes: replay can never span a membership
-    /// boundary, so history before the change is useless.
-    pub fn reset(&mut self) {
-        self.checkpoints.clear();
-        self.log.clear();
-    }
-
     /// Append an executed live command to the replay log.
     pub fn log_command(&mut self, cmd: EpochCommand) {
         self.log.push(cmd);
@@ -151,11 +143,6 @@ impl CheckpointStore {
     /// Commands to replay when resuming from `epoch` completed epochs.
     pub fn replay_since(&self, epoch: u64) -> Vec<EpochCommand> {
         self.log.iter().filter(|c| c.epoch >= epoch).cloned().collect()
-    }
-
-    /// Full retained log (diagnostics).
-    pub fn replay_log(&self) -> &[EpochCommand] {
-        &self.log
     }
 
     pub fn len(&self) -> usize {
@@ -395,7 +382,7 @@ mod tests {
         // New checkpoint after epoch 2: keep=1 drops cp(0); log trims to >= 2.
         s.push(cp(2)).unwrap();
         s.log_command(cmd(2));
-        assert_eq!(s.replay_log().iter().map(|c| c.epoch).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(s.replay_since(0).iter().map(|c| c.epoch).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
@@ -458,15 +445,5 @@ mod tests {
         let latest = CheckpointStore::load_latest_from(&dir).unwrap().unwrap();
         assert_eq!(latest, cp(1));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn reset_clears_checkpoints_and_log() {
-        let mut s = CheckpointStore::new(3);
-        s.push(cp(0)).unwrap();
-        s.log_command(cmd(0));
-        s.reset();
-        assert!(s.is_empty());
-        assert!(s.replay_log().is_empty());
     }
 }

@@ -7,19 +7,24 @@
 //! A population is admitted by the same `brace_core::check_population` the
 //! single node runs, so both backends accept and refuse the same inputs and
 //! start spawn ids at the same place.
+//!
+//! The worker count is fixed for a run's life. A scheduled [`FaultPlan`]
+//! fault and [`ClusterSim::resume`] recover the same way: restore every
+//! worker from a checkpoint, then replay the logged epochs. Any other epoch
+//! failure ends the run with `Err`.
 
 use crate::balance::LoadBalancer;
-use crate::checkpoint::{self, CheckpointStore, ClusterCheckpoint};
-use crate::codec::{self, WorkerSnapshot};
+use crate::checkpoint::{self, CheckpointStore};
+use crate::codec;
 use crate::manifest::{self, Manifest, ManifestRecord, ManifestWriter, RunHeader};
-use crate::master::{ClusterStats, Master, RetryPolicy, WorkerFault};
+use crate::master::{ClusterStats, Master};
 use crate::net::NetLedger;
 use crate::runtime::{Command, PeerMsg, Report};
 use crate::worker::{Worker, WorkerConfig, WorkerLinks};
 use brace_common::{BraceError, DetRng, Result, WorkerId};
 use brace_core::{check_population, Agent, Behavior};
 use brace_spatial::{GridPartitioning, IndexKind, Partitioner};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -64,16 +69,6 @@ impl FaultPlan {
     }
 }
 
-/// A scheduled cluster resize: after `at_epoch` completed epochs the run
-/// continues on `workers` workers (joins and leaves both go through the
-/// repartition path; results are unchanged because partition placement is
-/// unobservable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MembershipChange {
-    pub at_epoch: u64,
-    pub workers: usize,
-}
-
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -104,12 +99,6 @@ pub struct ClusterConfig {
     pub parallelism: usize,
     /// Scheduled whole-cluster failures, if any.
     pub fault: Option<FaultPlan>,
-    /// Injected per-worker failures (retry/dead-letter exercise).
-    pub worker_faults: Vec<WorkerFault>,
-    /// Retry budget for failing epochs.
-    pub retry: RetryPolicy,
-    /// Scheduled cluster resizes (elastic membership).
-    pub membership: Vec<MembershipChange>,
     /// Durable-run directory: holds the write-ahead manifest and the
     /// checkpoint files. A run with `run_dir` set survives a process crash —
     /// see [`ClusterSim::resume`].
@@ -136,9 +125,6 @@ impl Default for ClusterConfig {
             keep_checkpoints: 2,
             parallelism: 1,
             fault: None,
-            worker_faults: Vec::new(),
-            retry: RetryPolicy::default(),
-            membership: Vec::new(),
             run_dir: None,
             job: String::new(),
             total_ticks: 0,
@@ -146,41 +132,15 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Scenario-layer encoding of [`IndexKind`] for the manifest header.
-pub fn index_to_u8(index: IndexKind) -> u8 {
-    match index {
-        IndexKind::KdTree => 0,
-        IndexKind::Grid => 1,
-        IndexKind::Scan => 2,
-    }
-}
-
-/// Inverse of [`index_to_u8`] (unknown values fall back to the default).
-pub fn index_from_u8(v: u8) -> IndexKind {
-    match v {
-        1 => IndexKind::Grid,
-        2 => IndexKind::Scan,
-        _ => IndexKind::KdTree,
-    }
-}
-
 /// The distributed BRACE engine.
 pub struct ClusterSim {
     master: Master,
-    behavior: Arc<dyn Behavior>,
-    cfg: ClusterConfig,
     handles: Vec<JoinHandle<()>>,
     ledger: NetLedger,
     epoch_len: u64,
     /// Scheduled whole-cluster fault epochs not yet fired, ascending.
     fault_epochs: Vec<u64>,
-    /// Scheduled resizes not yet applied, ascending by epoch.
-    membership: Vec<MembershipChange>,
 }
-
-/// One worker fabric: command channels, the shared report channel and the
-/// running threads.
-type Fabric = (Vec<Sender<Command>>, Receiver<Report>, Vec<JoinHandle<()>>);
 
 impl ClusterSim {
     fn validate(behavior: &Arc<dyn Behavior>, cfg: &ClusterConfig) -> Result<()> {
@@ -194,30 +154,32 @@ impl ClusterSim {
             return Err(BraceError::Config("space_x must be a non-empty interval".into()));
         }
         let schema = behavior.schema();
-        if schema.num_states() > crate::codec::DELTA_MAX_STATES {
+        if schema.num_states() > codec::DELTA_MAX_STATES {
             return Err(BraceError::Config(format!(
                 "schema `{}` has {} state fields; the replica delta mask addresses at most {}",
                 schema.name(),
                 schema.num_states(),
-                crate::codec::DELTA_MAX_STATES
+                codec::DELTA_MAX_STATES
             )));
         }
         Ok(())
     }
 
-    /// Spawn `initial.len()` worker threads over `part`'s columns, wired to
-    /// a fresh channel fabric. `next_spawn_id` seeds the global spawn-id
+    /// Spawn one worker thread per entry of `initial` over `part`'s
+    /// columns, wired to a fresh channel fabric, and the master that drives
+    /// them from `x_bounds`. `next_spawn_id` seeds the global spawn-id
     /// cursor (every worker advances it identically through the per-tick
     /// spawn round).
-    fn spawn_fabric(
+    fn spawn(
         behavior: &Arc<dyn Behavior>,
         cfg: &ClusterConfig,
         part: &GridPartitioning,
         initial: Vec<Vec<Agent>>,
         next_spawn_id: u64,
-        ledger: &NetLedger,
-    ) -> Result<Fabric> {
+        x_bounds: Vec<f64>,
+    ) -> Result<Self> {
         let n = initial.len();
+        let ledger = NetLedger::new();
         let (report_tx, report_rx) = unbounded::<Report>();
         let mut peer_tx: Vec<Sender<PeerMsg>> = Vec::with_capacity(n);
         let mut peer_rx = Vec::with_capacity(n);
@@ -253,40 +215,25 @@ impl ClusterSim {
                     .map_err(|e| BraceError::Config(format!("spawning worker thread: {e}")))?,
             );
         }
-        Ok((cmd_tx, report_rx, handles))
-    }
-
-    /// Checkpoint store, persisting to the durable-run directory if any.
-    fn build_store(cfg: &ClusterConfig) -> CheckpointStore {
+        let mut balancer = cfg.balancer.clone();
+        balancer.epoch_len = cfg.epoch_len;
         let mut store = CheckpointStore::new(cfg.keep_checkpoints);
         if let Some(dir) = cfg.run_dir.clone() {
             store = store.with_dir(dir);
         }
-        store
-    }
-
-    fn build_master(
-        cfg: &ClusterConfig,
-        n: usize,
-        fabric: (Vec<Sender<Command>>, Receiver<Report>),
-        x_bounds: Vec<f64>,
-    ) -> Master {
-        let mut balancer = cfg.balancer.clone();
-        balancer.epoch_len = cfg.epoch_len;
-        let mut master = Master::new(
+        let master = Master::new(
             n,
             cfg.epoch_len,
             cfg.load_balance,
             balancer,
             cfg.checkpoint_every,
-            Self::build_store(cfg),
-            fabric.0,
-            fabric.1,
+            store,
+            cmd_tx,
+            report_rx,
             x_bounds,
         );
-        master.set_retry_policy(cfg.retry);
-        master.set_worker_faults(cfg.worker_faults.clone());
-        master
+        let fault_epochs = FaultPlan::at(cfg.fault.iter().flat_map(|p| p.at_epochs.iter().copied())).at_epochs;
+        Ok(ClusterSim { master, handles, ledger, epoch_len: cfg.epoch_len, fault_epochs })
     }
 
     /// Manifest header describing the job, for durable runs.
@@ -297,22 +244,13 @@ impl ClusterSim {
             workers: cfg.workers as u32,
             epoch_len: cfg.epoch_len,
             seed: cfg.seed,
-            index: index_to_u8(cfg.index),
+            index: cfg.index,
             space_x: cfg.space_x,
             load_balance: cfg.load_balance,
             checkpoint_every: cfg.checkpoint_every.unwrap_or(0),
             keep_checkpoints: cfg.keep_checkpoints as u32,
             total_ticks: cfg.total_ticks,
         }
-    }
-
-    fn sorted_plan(cfg: &ClusterConfig) -> (Vec<u64>, Vec<MembershipChange>) {
-        let mut fault_epochs = cfg.fault.clone().map(|p| p.at_epochs).unwrap_or_default();
-        fault_epochs.sort_unstable();
-        fault_epochs.dedup();
-        let mut membership = cfg.membership.clone();
-        membership.sort_by_key(|m| m.at_epoch);
-        (fault_epochs, membership)
     }
 
     /// Build the cluster: partition `agents` over `cfg.workers` column
@@ -335,72 +273,56 @@ impl ClusterSim {
             initial[part.partition_of(a.pos).index()].push(a);
         }
 
-        let ledger = NetLedger::new();
-        let (cmd_tx, report_rx, handles) =
-            Self::spawn_fabric(&behavior, &cfg, &part, initial, first_spawn_id, &ledger)?;
-        let mut master = Self::build_master(&cfg, n, (cmd_tx, report_rx), part.x_bounds().to_vec());
+        let mut sim = Self::spawn(&behavior, &cfg, &part, initial, first_spawn_id, part.x_bounds().to_vec())?;
         if let Some(dir) = cfg.run_dir.clone() {
             let run_id = dir.file_name().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
-            master.set_manifest(ManifestWriter::create(&dir, &Self::run_header(&cfg, run_id))?);
+            sim.master.set_manifest(ManifestWriter::create(&dir, &Self::run_header(&cfg, run_id))?);
         }
-        master.initial_checkpoint()?;
-        let (fault_epochs, membership) = Self::sorted_plan(&cfg);
-        Ok(ClusterSim { master, behavior, epoch_len: cfg.epoch_len, cfg, handles, ledger, fault_epochs, membership })
+        sim.master.initial_checkpoint()?;
+        Ok(sim)
     }
 
     /// Reconstruct a durable run from `cfg.run_dir` **in a fresh process**:
-    /// read the manifest, pick the newest checkpoint that verifies (torn
-    /// or corrupt files fall back to older ones), replay the completed
-    /// epochs past it, and land exactly where the interrupted run was.
-    /// Returns the parsed manifest alongside the cluster so the caller can
-    /// see total ticks, dead letters, and completion state.
-    pub fn resume(behavior: Arc<dyn Behavior>, mut cfg: ClusterConfig) -> Result<(Self, Manifest)> {
+    /// read the manifest, pick the newest checkpoint that verifies and has
+    /// `cfg.workers` worker payloads (torn, corrupt or mis-shaped files fall
+    /// back to older ones), replay the completed epochs past it, and land
+    /// exactly where the interrupted run was. Returns the parsed manifest
+    /// alongside the cluster so the caller can see total ticks and
+    /// completion state.
+    pub fn resume(behavior: Arc<dyn Behavior>, cfg: ClusterConfig) -> Result<(Self, Manifest)> {
+        Self::validate(&behavior, &cfg)?;
         let dir = cfg.run_dir.clone().ok_or_else(|| BraceError::Config("resume requires run_dir".into()))?;
         let m = manifest::read_manifest(&dir)?;
         if m.complete().is_some() {
             return Err(BraceError::Config(format!("run `{}` already completed", m.header.run_id)));
         }
         let completed = m.completed_epochs();
-        let floor = m.membership_floor();
         // Newest on-disk checkpoint that verifies, covers only completed
-        // epochs, and does not precede the last membership change.
-        let mut chosen: Option<ClusterCheckpoint> = None;
-        for epoch in checkpoint::list_checkpoint_epochs(&dir).into_iter().rev() {
-            if epoch > completed || epoch < floor {
-                continue;
-            }
-            if let Ok(cp) = checkpoint::load_checkpoint_file(&dir, epoch) {
-                chosen = Some(cp);
-                break;
-            }
-        }
-        let cp = chosen
+        // epochs and matches the run's worker count.
+        let cp = checkpoint::list_checkpoint_epochs(&dir)
+            .into_iter()
+            .rev()
+            .filter(|&epoch| epoch <= completed)
+            .filter_map(|epoch| checkpoint::load_checkpoint_file(&dir, epoch).ok())
+            .find(|cp| cp.workers.len() == cfg.workers)
             .ok_or_else(|| BraceError::Unrecoverable(format!("run `{}`: no valid checkpoint", m.header.run_id)))?;
-        let n = cp.workers.len();
-        cfg.workers = n;
-        Self::validate(&behavior, &cfg)?;
 
+        let n = cfg.workers;
         let part = GridPartitioning::columns(cfg.space_x.0, cfg.space_x.1, n);
-        let ledger = NetLedger::new();
         // Workers start empty; Restore from the checkpoint fills them.
-        let (cmd_tx, report_rx, handles) =
-            Self::spawn_fabric(&behavior, &cfg, &part, (0..n).map(|_| Vec::new()).collect(), 0, &ledger)?;
-        let mut master = Self::build_master(&cfg, n, (cmd_tx, report_rx), cp.x_bounds.clone());
-        master.set_manifest(ManifestWriter::open_append(&dir)?);
+        let mut sim = Self::spawn(&behavior, &cfg, &part, vec![Vec::new(); n], 0, cp.x_bounds.clone())?;
+        sim.master.set_manifest(ManifestWriter::open_append(&dir)?);
         let commands = m.commands_in(cp.epoch, completed);
         let (hist_range, pending_bounds) = match m.last_epoch_done() {
             Some(d) => (d.hist_range, d.pending_bounds.clone()),
             None => (cp.hist_range, None),
         };
-        master.resume_from(&cp, &commands, hist_range, pending_bounds)?;
-        let (fault_epochs, membership) = Self::sorted_plan(&cfg);
-        let sim =
-            ClusterSim { master, behavior, epoch_len: cfg.epoch_len, cfg, handles, ledger, fault_epochs, membership };
+        sim.master.resume_from(&cp, &commands, hist_range, pending_bounds)?;
         Ok((sim, m))
     }
 
-    /// Run `n` epochs, firing scheduled faults (recovery + replay) and
-    /// membership changes as their epochs complete.
+    /// Run `n` epochs, firing scheduled faults (recovery + replay) as their
+    /// epochs complete.
     pub fn run_epochs(&mut self, n: u64) -> Result<()> {
         for _ in 0..n {
             self.master.run_epoch()?;
@@ -409,74 +331,7 @@ impl ClusterSim {
                 let failed = self.fault_epochs.remove(0);
                 self.master.recover(failed)?;
             }
-            while self.membership.first().is_some_and(|m| self.master.epoch() >= m.at_epoch) {
-                let change = self.membership.remove(0);
-                self.resize_workers(change.workers)?;
-            }
         }
-        Ok(())
-    }
-
-    /// Resize the cluster to `n_new` workers at the current epoch boundary
-    /// (elastic membership). All state funnels through the repartition
-    /// path: snapshot everyone, retire the old fabric, spawn the new one,
-    /// repartition the agents over uniform columns, and take a fresh
-    /// coordinated checkpoint (replay never spans a membership change).
-    /// Results are bit-identical because partition placement is
-    /// unobservable and the global spawn-id cursor travels in the
-    /// snapshots.
-    pub fn resize_workers(&mut self, n_new: usize) -> Result<()> {
-        if n_new == 0 {
-            return Err(BraceError::Config("need at least one worker".into()));
-        }
-        let snaps = self.master.collect_snapshots()?;
-        if snaps.len() == n_new {
-            return Ok(());
-        }
-        let decoded = snaps.into_iter().map(codec::decode_snapshot).collect::<Result<Vec<WorkerSnapshot>>>()?;
-        let tick = decoded[0].tick;
-        let next_spawn_id = decoded[0].next_spawn_id;
-        let mut agents: Vec<Agent> = decoded.into_iter().flat_map(|s| s.agents).collect();
-        agents.sort_by_key(|a| a.id);
-
-        // Retire the old fabric.
-        self.master.stop();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-
-        // Uniform columns over the current occupied extent.
-        let bounds = self.master.x_bounds();
-        let (lo, hi) = (bounds[0], *bounds.last().unwrap());
-        let part = GridPartitioning::columns(lo, hi, n_new);
-        let (cmd_tx, report_rx, handles) = Self::spawn_fabric(
-            &self.behavior,
-            &self.cfg,
-            &part,
-            (0..n_new).map(|_| Vec::new()).collect(),
-            0,
-            &self.ledger,
-        )?;
-        self.handles = handles;
-        self.master.replace_fabric(n_new, cmd_tx, report_rx, part.x_bounds().to_vec());
-
-        let mut owned: Vec<Vec<Agent>> = (0..n_new).map(|_| Vec::new()).collect();
-        for a in agents {
-            owned[part.partition_of(a.pos).index()].push(a);
-        }
-        for (w, agents_w) in owned.into_iter().enumerate() {
-            let snap = WorkerSnapshot {
-                tick,
-                next_spawn_id,
-                rng: DetRng::seed_from_u64(self.cfg.seed).stream(0x5EED_0000 + w as u64),
-                agents: agents_w,
-            };
-            self.master.restore_worker(w, codec::encode_snapshot(&snap))?;
-        }
-        // Fresh durable point under the new membership, then the record.
-        self.master.force_checkpoint()?;
-        self.master
-            .append_manifest(&ManifestRecord::Membership { epoch: self.master.epoch(), workers: n_new as u32 })?;
         Ok(())
     }
 
@@ -543,9 +398,6 @@ impl Drop for ClusterSim {
         }
     }
 }
-
-/// Re-export for convenience at the crate root.
-pub use crate::master::ClusterStats as Stats;
 
 #[cfg(test)]
 mod tests {
@@ -748,89 +600,6 @@ mod tests {
         assert_eq!(clean, recovered, "multi-fault recovery must reproduce the failure-free run");
     }
 
-    #[test]
-    fn worker_retry_within_budget_reproduces_clean_run() {
-        let agents = population(Flock::new().schema(), 90, 23);
-        let base = ClusterConfig {
-            workers: 3,
-            epoch_len: 5,
-            seed: 19,
-            load_balance: false,
-            checkpoint_every: Some(2),
-            retry: RetryPolicy { max_attempts: 3, backoff_base_ms: 1, backoff_cap_ms: 4 },
-            ..Default::default()
-        };
-        let clean = run_cluster(Arc::new(Flock::new()), agents.clone(), 30, base.clone());
-        // Worker 1 fails twice during epoch 3 — inside the 3-attempt budget.
-        let cfg = ClusterConfig { worker_faults: vec![WorkerFault { worker: 1, epoch: 3, failures: 2 }], ..base };
-        let mut sim = ClusterSim::new(Arc::new(Flock::new()), agents, cfg).unwrap();
-        sim.run_ticks(30).unwrap();
-        let stats = sim.stats();
-        assert_eq!(stats.retries, 2, "two failed attempts, two retries");
-        assert_eq!(stats.dead_letters, 0, "budget was enough — no dead letter");
-        assert!(stats.recoveries >= 2, "each retry restores from checkpoint");
-        let recovered = sim.collect_agents().unwrap();
-        assert_eq!(clean, recovered, "retried run must match the clean run bit for bit");
-    }
-
-    #[test]
-    fn exhausted_retry_budget_dead_letters_and_degrades() {
-        let agents = population(Flock::new().schema(), 90, 29);
-        let base = ClusterConfig {
-            workers: 3,
-            epoch_len: 5,
-            seed: 31,
-            load_balance: false,
-            checkpoint_every: Some(2),
-            retry: RetryPolicy { max_attempts: 3, backoff_base_ms: 1, backoff_cap_ms: 4 },
-            ..Default::default()
-        };
-        let clean = run_cluster(Arc::new(Flock::new()), agents.clone(), 30, base.clone());
-        // Worker 1 fails more times than the budget allows: its partition
-        // must be dead-lettered and the run must *complete*, degraded.
-        let cfg = ClusterConfig { worker_faults: vec![WorkerFault { worker: 1, epoch: 3, failures: 10 }], ..base };
-        let mut sim = ClusterSim::new(Arc::new(Flock::new()), agents, cfg).unwrap();
-        sim.run_ticks(30).unwrap();
-        let stats = sim.stats();
-        assert_eq!(stats.dead_letters, 1, "the failing partition must be dead-lettered");
-        assert!(stats.agents_lost > 0, "the dead partition's agents are reported lost");
-        let degraded = sim.collect_agents().unwrap();
-        assert!(
-            degraded.len() < clean.len(),
-            "degraded run must have dropped the dead partition ({} vs {})",
-            degraded.len(),
-            clean.len()
-        );
-        assert_eq!(sim.tick(), 30, "the run must complete despite the dead partition");
-    }
-
-    #[test]
-    fn mid_run_membership_change_preserves_results() {
-        let agents = population(Flock::new().schema(), 120, 37);
-        let base = ClusterConfig {
-            workers: 3,
-            epoch_len: 5,
-            seed: 41,
-            load_balance: false,
-            checkpoint_every: Some(2),
-            ..Default::default()
-        };
-        let clean = run_cluster(Arc::new(Flock::new()), agents.clone(), 40, base.clone());
-        // Grow to 5 workers after epoch 3, shrink to 2 after epoch 6.
-        let cfg = ClusterConfig {
-            membership: vec![
-                MembershipChange { at_epoch: 3, workers: 5 },
-                MembershipChange { at_epoch: 6, workers: 2 },
-            ],
-            ..base
-        };
-        let mut sim = ClusterSim::new(Arc::new(Flock::new()), agents, cfg).unwrap();
-        sim.run_ticks(40).unwrap();
-        let elastic = sim.collect_agents().unwrap();
-        assert_eq!(clean, elastic, "joins/leaves must not change results");
-        assert!(sim.stats().checkpoints >= 2, "each membership change forces a checkpoint");
-    }
-
     /// Spawning model with deterministic per-agent reproduction: children
     /// get ids from the global `(parent id, ordinal)` sequence, so an
     /// N-worker cluster must be bit-identical to the single-node engine
@@ -893,7 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn spawning_survives_fault_recovery_and_membership() {
+    fn spawning_survives_fault_recovery() {
         let agents = population(Breeder::new().schema(), 100, 6);
         let base = ClusterConfig {
             workers: 3,
@@ -904,14 +673,10 @@ mod tests {
             ..ClusterConfig::default()
         };
         let clean = run_cluster(Arc::new(Breeder::new()), agents.clone(), 30, base.clone());
-        let cfg = ClusterConfig {
-            fault: Some(FaultPlan::once(3)),
-            membership: vec![MembershipChange { at_epoch: 4, workers: 4 }],
-            ..base
-        };
+        let cfg = ClusterConfig { fault: Some(FaultPlan::once(3)), ..base };
         let mut sim = ClusterSim::new(Arc::new(Breeder::new()), agents, cfg).unwrap();
         sim.run_ticks(30).unwrap();
-        assert_eq!(clean, sim.collect_agents().unwrap(), "spawn ids must survive recovery and resize");
+        assert_eq!(clean, sim.collect_agents().unwrap(), "spawn ids must survive recovery");
     }
 
     #[test]
@@ -974,6 +739,40 @@ mod tests {
         assert_eq!(sim.tick(), 8);
         sim.run_ticks(4).unwrap();
         assert_eq!(sim.collect_agents().unwrap(), clean, "resumed past the forged file, the run is the clean one");
+        drop(sim);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_falls_back_past_a_checkpoint_with_another_worker_count() {
+        let dir = std::env::temp_dir().join(format!("brace-resume-workers-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let agents = population(Flock::new().schema(), 60, 21);
+        let cfg = ClusterConfig {
+            workers: 2,
+            epoch_len: 2,
+            seed: 5,
+            load_balance: false,
+            checkpoint_every: Some(2),
+            run_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        let clean =
+            run_cluster(Arc::new(Flock::new()), agents.clone(), 12, ClusterConfig { run_dir: None, ..cfg.clone() });
+        // Four epochs, then the process "dies": no completion record.
+        ClusterSim::new(Arc::new(Flock::new()), agents, cfg.clone()).unwrap().run_epochs(4).unwrap();
+        // Rewrite the newest checkpoint with a third worker payload: the
+        // file verifies (valid checksum, every payload decodes), but this
+        // 2-worker run never wrote it.
+        let newest = *checkpoint::list_checkpoint_epochs(&dir).last().unwrap();
+        let mut cp = checkpoint::load_checkpoint_file(&dir, newest).unwrap();
+        cp.workers.push(cp.workers[0].clone());
+        checkpoint::write_checkpoint_file(&dir, &cp).unwrap();
+        assert!(checkpoint::load_checkpoint_file(&dir, newest).is_ok(), "the file itself verifies");
+        let (mut sim, _) = ClusterSim::resume(Arc::new(Flock::new()), cfg).expect("an older checkpoint fits");
+        assert_eq!(sim.tick(), 8);
+        sim.run_ticks(4).unwrap();
+        assert_eq!(sim.collect_agents().unwrap(), clean, "resumed past the 3-worker file, the run is the clean one");
         drop(sim);
         std::fs::remove_dir_all(&dir).unwrap();
     }

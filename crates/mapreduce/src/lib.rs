@@ -67,8 +67,10 @@
 //!   codec or the ledger), and per-destination replica sessions driving
 //!   the delta protocol, the one replica transport.
 //! * [`master`] — epoch-granularity coordination: statistics, load
-//!   balancing decisions, coordinated checkpoints, failure recovery by
-//!   replay.
+//!   balancing decisions, coordinated checkpoints, and one failure path —
+//!   restore every worker from a checkpoint and replay the logged epochs,
+//!   for a scheduled [`FaultPlan`] fault and for `--resume` alike. A real
+//!   epoch failure ends the run with an error.
 //! * [`balance`] — the one-dimensional load balancer.
 //! * [`checkpoint`] — coordinated checkpoint store (checksummed, fsynced
 //!   on-disk mirrors with retention pruning).
@@ -90,7 +92,7 @@ pub mod worker;
 
 pub use balance::{BalanceDecision, LoadBalancer};
 pub use checkpoint::{CheckpointStore, ClusterCheckpoint};
-pub use cluster::{ClusterConfig, ClusterSim, FaultPlan, MembershipChange};
+pub use cluster::{ClusterConfig, ClusterSim, FaultPlan};
 pub use manifest::{Manifest, ManifestRecord, ManifestWriter, RunHeader};
-pub use master::{ClusterStats, RetryPolicy, WorkerFault};
+pub use master::ClusterStats;
 pub use net::{NetLedger, NetStats};

@@ -15,6 +15,9 @@
 //!   resume lands in *exactly* the state an uninterrupted run would be in,
 //!   even when the replay window is empty.
 //!
+//! A [`ManifestRecord::Complete`] closes a finished run; nothing else is
+//! journaled. The header's worker count holds for the whole run.
+//!
 //! Each record is framed as `u32 length + u64 FNV-1a checksum + body` and
 //! fsynced on append. The reader stops at the first record that fails its
 //! checksum or is short — a torn tail from a crash mid-append is *detected
@@ -29,6 +32,7 @@
 use crate::codec::Reader;
 use crate::runtime::EpochCommand;
 use brace_common::{fnv1a, BraceError, Result};
+use brace_spatial::IndexKind;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -50,13 +54,13 @@ pub struct RunHeader {
     /// Opaque scenario-layer job description (scenario key and overrides);
     /// the runtime never interprets it.
     pub job: String,
-    /// Workers at run creation (membership changes append
-    /// [`ManifestRecord::Membership`]).
+    /// Workers for the whole run; every checkpoint it writes has this many
+    /// worker payloads.
     pub workers: u32,
     pub epoch_len: u64,
     pub seed: u64,
-    /// Spatial index selector, scenario-layer encoding.
-    pub index: u8,
+    /// Spatial index each reducer builds per tick.
+    pub index: IndexKind,
     pub space_x: (f64, f64),
     pub load_balance: bool,
     /// Coordinated checkpoint cadence in epochs; 0 = initial only.
@@ -81,22 +85,8 @@ pub struct EpochDoneRecord {
     pub pending_bounds: Option<Vec<f64>>,
 }
 
-/// A partition abandoned after exhausting its retry budget. The run
-/// continues degraded; the manifest is the report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeadLetterRecord {
-    pub worker: u32,
-    /// Epoch during which the worker kept failing.
-    pub epoch: u64,
-    /// Attempts made before giving up.
-    pub attempts: u32,
-    /// Agents lost with the partition (from the checkpoint it was restored
-    /// against).
-    pub agents_lost: u64,
-    pub reason: String,
-}
-
-/// One durable event in a run's life.
+/// One durable event in a run's life. Tags 4 and 5 are unassigned: a frame
+/// carrying one is not a record, so the reader stops there as at a torn tail.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ManifestRecord {
     Header(RunHeader),
@@ -104,14 +94,6 @@ pub enum ManifestRecord {
     Command(EpochCommand),
     /// The epoch (and its checkpoint, if any) is durable.
     EpochDone(EpochDoneRecord),
-    /// A partition was dead-lettered; the run continues without it.
-    DeadLetter(DeadLetterRecord),
-    /// Cluster membership changed to `workers` after `epoch` completed
-    /// epochs (a fresh coordinated checkpoint precedes this record).
-    Membership {
-        epoch: u64,
-        workers: u32,
-    },
     /// The run finished and produced `checksum` over the final world.
     Complete {
         ticks: u64,
@@ -127,6 +109,23 @@ fn put_str(buf: &mut BytesMut, s: &str) {
 fn get_str(r: &mut Reader) -> Option<String> {
     let len = r.u32()? as usize;
     std::str::from_utf8(r.bytes(len)?).ok().map(str::to_owned)
+}
+
+fn index_byte(index: IndexKind) -> u8 {
+    match index {
+        IndexKind::KdTree => 0,
+        IndexKind::Grid => 1,
+        IndexKind::Scan => 2,
+    }
+}
+
+fn get_index(r: &mut Reader) -> Option<IndexKind> {
+    match r.u8()? {
+        0 => Some(IndexKind::KdTree),
+        1 => Some(IndexKind::Grid),
+        2 => Some(IndexKind::Scan),
+        _ => None,
+    }
 }
 
 fn put_opt_bounds(buf: &mut BytesMut, bounds: &Option<Vec<f64>>) {
@@ -158,7 +157,7 @@ impl ManifestRecord {
                 buf.put_u32_le(h.workers);
                 buf.put_u64_le(h.epoch_len);
                 buf.put_u64_le(h.seed);
-                buf.put_u8(h.index);
+                buf.put_u8(index_byte(h.index));
                 buf.put_f64_le(h.space_x.0);
                 buf.put_f64_le(h.space_x.1);
                 buf.put_u8(h.load_balance as u8);
@@ -183,19 +182,6 @@ impl ManifestRecord {
                 buf.put_f64_le(d.hist_range.1);
                 put_opt_bounds(&mut buf, &d.pending_bounds);
             }
-            ManifestRecord::DeadLetter(d) => {
-                buf.put_u8(4);
-                buf.put_u32_le(d.worker);
-                buf.put_u64_le(d.epoch);
-                buf.put_u32_le(d.attempts);
-                buf.put_u64_le(d.agents_lost);
-                put_str(&mut buf, &d.reason);
-            }
-            ManifestRecord::Membership { epoch, workers } => {
-                buf.put_u8(5);
-                buf.put_u64_le(*epoch);
-                buf.put_u32_le(*workers);
-            }
             ManifestRecord::Complete { ticks, checksum } => {
                 buf.put_u8(6);
                 buf.put_u64_le(*ticks);
@@ -219,7 +205,7 @@ impl ManifestRecord {
                 workers: r.u32()?,
                 epoch_len: r.u64()?,
                 seed: r.u64()?,
-                index: r.u8()?,
+                index: get_index(r)?,
                 space_x: (r.f64()?, r.f64()?),
                 load_balance: r.bool()?,
                 checkpoint_every: r.u64()?,
@@ -239,14 +225,6 @@ impl ManifestRecord {
                 hist_range: (r.f64()?, r.f64()?),
                 pending_bounds: get_opt_bounds(r)?,
             }),
-            4 => ManifestRecord::DeadLetter(DeadLetterRecord {
-                worker: r.u32()?,
-                epoch: r.u64()?,
-                attempts: r.u32()?,
-                agents_lost: r.u64()?,
-                reason: get_str(r)?,
-            }),
-            5 => ManifestRecord::Membership { epoch: r.u64()?, workers: r.u32()? },
             6 => ManifestRecord::Complete { ticks: r.u64()?, checksum: r.u64()? },
             _ => return None,
         })
@@ -355,50 +333,12 @@ impl Manifest {
         by_epoch
     }
 
-    /// Worker count currently in force (last membership change, else the
-    /// header's).
-    pub fn current_workers(&self) -> u32 {
-        self.records
-            .iter()
-            .rev()
-            .find_map(|r| match r {
-                ManifestRecord::Membership { workers, .. } => Some(*workers),
-                _ => None,
-            })
-            .unwrap_or(self.header.workers)
-    }
-
-    /// Epoch floor for resumable checkpoints: replay can never span a
-    /// membership change, so only checkpoints at or after the last one
-    /// count.
-    pub fn membership_floor(&self) -> u64 {
-        self.records
-            .iter()
-            .rev()
-            .find_map(|r| match r {
-                ManifestRecord::Membership { epoch, .. } => Some(*epoch),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
     /// The final [`ManifestRecord::Complete`] record, if the run finished.
     pub fn complete(&self) -> Option<(u64, u64)> {
         self.records.iter().rev().find_map(|r| match r {
             ManifestRecord::Complete { ticks, checksum } => Some((*ticks, *checksum)),
             _ => None,
         })
-    }
-
-    /// Dead-letter records, in order.
-    pub fn dead_letters(&self) -> Vec<&DeadLetterRecord> {
-        self.records
-            .iter()
-            .filter_map(|r| match r {
-                ManifestRecord::DeadLetter(d) => Some(d),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -463,7 +403,7 @@ mod tests {
             workers: 4,
             epoch_len: 5,
             seed: 42,
-            index: 0,
+            index: IndexKind::KdTree,
             space_x: (0.0, 100.0),
             load_balance: true,
             checkpoint_every: 4,
@@ -503,14 +443,6 @@ mod tests {
             ManifestRecord::Header(header()),
             ManifestRecord::Command(cmd(2)),
             ManifestRecord::EpochDone(done(3)),
-            ManifestRecord::DeadLetter(DeadLetterRecord {
-                worker: 1,
-                epoch: 7,
-                attempts: 3,
-                agents_lost: 120,
-                reason: "injected fault".into(),
-            }),
-            ManifestRecord::Membership { epoch: 4, workers: 6 },
             ManifestRecord::Complete { ticks: 50, checksum: 0xdead_beef },
         ];
         for r in records {
@@ -520,7 +452,7 @@ mod tests {
 
     #[test]
     fn a_record_has_one_encoding() {
-        let mut long = ManifestRecord::Membership { epoch: 1, workers: 2 }.encode().to_vec();
+        let mut long = ManifestRecord::Complete { ticks: 1, checksum: 2 }.encode().to_vec();
         long.push(0);
         assert!(ManifestRecord::decode(long.into()).is_err(), "a trailing byte");
         let mut two = ManifestRecord::EpochDone(done(1)).encode().to_vec();
@@ -602,25 +534,40 @@ mod tests {
     }
 
     #[test]
-    fn membership_and_dead_letters_are_surfaced() {
-        let dir = tmp_dir("members");
-        let mut w = ManifestWriter::create(&dir, &header()).unwrap();
-        w.append(&ManifestRecord::Membership { epoch: 2, workers: 6 }).unwrap();
-        w.append(&ManifestRecord::DeadLetter(DeadLetterRecord {
-            worker: 3,
-            epoch: 5,
-            attempts: 3,
-            agents_lost: 9,
-            reason: "test".into(),
-        }))
-        .unwrap();
-        drop(w);
-        let m = read_manifest(&dir).unwrap();
-        assert_eq!(m.current_workers(), 6);
-        assert_eq!(m.membership_floor(), 2);
-        assert_eq!(m.dead_letters().len(), 1);
-        assert!(m.complete().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn a_header_names_a_known_index() {
+        for index in [IndexKind::KdTree, IndexKind::Grid, IndexKind::Scan] {
+            let rec = ManifestRecord::Header(RunHeader { index, ..header() });
+            assert_eq!(ManifestRecord::decode(rec.encode()).unwrap(), rec);
+        }
+        let mut bytes = ManifestRecord::Header(header()).encode().to_vec();
+        // The index byte follows the tag, two strings, workers, epoch_len and seed.
+        let at = 1 + (4 + header().run_id.len()) + (4 + header().job.len()) + 4 + 8 + 8;
+        assert_eq!(bytes[at], 0);
+        bytes[at] = 3;
+        assert!(ManifestRecord::decode(bytes.into()).is_err(), "an index byte of 3");
+    }
+
+    #[test]
+    fn unassigned_tags_read_as_the_torn_tail() {
+        for tag in [4u8, 5] {
+            let dir = tmp_dir(&format!("tag{tag}"));
+            let mut w = ManifestWriter::create(&dir, &header()).unwrap();
+            w.append(&ManifestRecord::Command(cmd(0))).unwrap();
+            drop(w);
+            // A well-framed record with a retired tag, then a valid record.
+            let body = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
+            let mut file = std::fs::OpenOptions::new().append(true).open(dir.join(MANIFEST_FILE)).unwrap();
+            file.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+            file.write_all(&fnv1a(&body).to_le_bytes()).unwrap();
+            file.write_all(&body).unwrap();
+            drop(file);
+            ManifestWriter::open_append(&dir).unwrap().append(&ManifestRecord::EpochDone(done(1))).unwrap();
+            let m = read_manifest(&dir).unwrap();
+            assert!(m.truncated, "tag {tag}");
+            assert_eq!(m.records, vec![ManifestRecord::Command(cmd(0))], "tag {tag}: nothing past it is read");
+            assert_eq!(m.completed_epochs(), 0, "tag {tag}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

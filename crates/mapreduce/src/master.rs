@@ -11,13 +11,13 @@
 //!   column boundaries at the next epoch boundary;
 //! * triggers coordinated checkpoints on a fixed epoch cadence and keeps the
 //!   command log needed to replay forward from the newest one;
-//! * recovers from a (simulated) worker failure by restoring every worker
-//!   from the last checkpoint and re-executing the logged epochs — exact,
-//!   because ticks are deterministic;
-//! * retries a failing epoch with bounded backoff, and when one worker's
-//!   partition keeps failing past the [`RetryPolicy`] budget, **dead-letters**
-//!   it: the run continues degraded (the partition's agents are dropped and
-//!   reported in the manifest) instead of aborting;
+//! * recovers from a lost epoch (a [`FaultPlan`](crate::FaultPlan) fault)
+//!   by restoring every worker from the newest checkpoint and re-executing
+//!   the logged epochs — exact, because ticks are deterministic. `--resume`
+//!   in a fresh process goes through the same restore-and-replay. A real
+//!   epoch failure (`Report::Failed`, a dead worker, a closed channel) ends
+//!   the run with `Err`; a durable run then resumes from its newest valid
+//!   checkpoint;
 //! * when attached to a durable run directory, maintains the write-ahead
 //!   [`manifest`](crate::manifest): each epoch's command is journaled
 //!   before broadcast and its completion after the checkpoint is durable,
@@ -27,59 +27,13 @@
 use crate::balance::{BalanceDecision, LoadBalancer};
 use crate::checkpoint::{CheckpointStore, ClusterCheckpoint};
 use crate::codec;
-use crate::manifest::{DeadLetterRecord, EpochDoneRecord, ManifestRecord, ManifestWriter};
+use crate::manifest::{EpochDoneRecord, ManifestRecord, ManifestWriter};
 use crate::net::NetStats;
 use crate::runtime::{Command, EpochCommand, Report, WorkerEpochStats};
-use brace_common::{BraceError, Result, WorkerId};
+use brace_common::{BraceError, Result};
 use brace_core::Agent;
 use brace_telemetry::{Counter as TelCounter, HistId, Telemetry};
 use crossbeam::channel::{Receiver, Sender};
-use std::time::{Duration, Instant};
-
-/// Bounded-backoff retry budget for a failing epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempts per epoch before the failing partition is dead-lettered.
-    pub max_attempts: u32,
-    /// First retry delay; doubles per attempt.
-    pub backoff_base_ms: u64,
-    /// Ceiling on any single delay.
-    pub backoff_cap_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3, backoff_base_ms: 5, backoff_cap_ms: 100 }
-    }
-}
-
-impl RetryPolicy {
-    /// Delay before retrying after `attempt` failed attempts (1-based).
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let shift = attempt.saturating_sub(1).min(16);
-        let ms = self.backoff_base_ms.saturating_mul(1u64 << shift);
-        Duration::from_millis(ms.min(self.backoff_cap_ms))
-    }
-}
-
-/// An injected worker failure (fault plan for tests/benchmarks): worker
-/// `worker` fails `failures` consecutive attempts of epoch `epoch`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerFault {
-    pub worker: u32,
-    /// Epoch (0-based) whose attempts fail.
-    pub epoch: u64,
-    /// Consecutive attempts that fail before the worker heals. Set this at
-    /// or above the retry budget to force a dead-letter.
-    pub failures: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct FaultState {
-    fault: WorkerFault,
-    attempts_done: u32,
-    resolved: bool,
-}
 
 /// Run-level statistics kept by the master (see also
 /// `NetStats` (merged in by the facade).
@@ -101,12 +55,6 @@ pub struct ClusterStats {
     pub checkpoints: u64,
     pub recoveries: u64,
     pub replayed_epochs: u64,
-    /// Epoch attempts retried after an injected worker failure.
-    pub retries: u64,
-    /// Partitions abandoned after exhausting the retry budget.
-    pub dead_letters: u64,
-    /// Agents dropped with dead-lettered partitions.
-    pub agents_lost: u64,
     /// Full replica records received across workers (band entrants).
     pub replicas_in: u64,
     /// Replica delta updates received across workers (persisting replicas
@@ -168,8 +116,6 @@ pub struct Master {
     stats: ClusterStats,
     /// Write-ahead run manifest; `None` for ephemeral (non-durable) runs.
     manifest: Option<ManifestWriter>,
-    retry: RetryPolicy,
-    worker_faults: Vec<FaultState>,
     /// Telemetry handle captured at construction (no-op when disabled).
     tel: Telemetry,
 }
@@ -204,8 +150,6 @@ impl Master {
             store,
             stats: ClusterStats::default(),
             manifest: None,
-            retry: RetryPolicy::default(),
-            worker_faults: Vec::new(),
             tel: Telemetry::current(),
         }
     }
@@ -213,16 +157,6 @@ impl Master {
     /// Attach the write-ahead run manifest (durable runs only).
     pub fn set_manifest(&mut self, w: ManifestWriter) {
         self.manifest = Some(w);
-    }
-
-    pub fn set_retry_policy(&mut self, p: RetryPolicy) {
-        self.retry = p;
-    }
-
-    /// Install the injected worker-failure plan.
-    pub fn set_worker_faults(&mut self, faults: Vec<WorkerFault>) {
-        self.worker_faults =
-            faults.into_iter().map(|fault| FaultState { fault, attempts_done: 0, resolved: false }).collect();
     }
 
     /// Append a record to the run manifest, if one is attached.
@@ -253,18 +187,10 @@ impl Master {
     /// that every failure is recoverable.
     pub fn initial_checkpoint(&mut self) -> Result<()> {
         let workers = self.collect_snapshots()?;
-        self.store.push(ClusterCheckpoint {
-            epoch: 0,
-            tick: 0,
-            x_bounds: self.x_bounds.clone(),
-            hist_range: self.hist_range,
-            workers,
-        })?;
-        Ok(())
+        self.push_checkpoint(0, self.hist_range, workers)
     }
 
-    /// Execute one live epoch: journal the intent, broadcast, gather
-    /// (retrying failed attempts within the [`RetryPolicy`] budget),
+    /// Execute one live epoch: journal the intent, broadcast and gather,
     /// checkpoint, commit, account, decide, journal completion.
     pub fn run_epoch(&mut self) -> Result<()> {
         let checkpoint = self.checkpoint_every.map(|k| (self.epoch + 1).is_multiple_of(k)).unwrap_or(false);
@@ -279,40 +205,19 @@ impl Master {
         // a crash mid-epoch leaves a command with no matching EpochDone —
         // resume re-runs it.
         self.append_manifest(&ManifestRecord::Command(cmd.clone()))?;
-        let mut attempt = 0u32;
-        let reports = loop {
-            attempt += 1;
-            let (reports, snapshots) = self.execute(&cmd)?;
-            if let Some(worker) = self.injected_failure(cmd.epoch) {
-                if attempt >= self.retry.max_attempts {
-                    self.dead_letter(worker, cmd.epoch, attempt)?;
-                } else {
-                    self.stats.retries += 1;
-                    std::thread::sleep(self.retry.backoff(attempt));
-                    self.restore_and_replay()?;
-                }
-                continue;
-            }
-            if cmd.checkpoint {
-                let timer = self.tel.timer(HistId::CheckpointWrite);
-                self.store.push(ClusterCheckpoint {
-                    epoch: cmd.epoch + 1,
-                    tick: (cmd.epoch + 1) * self.epoch_len,
-                    x_bounds: self.x_bounds.clone(),
-                    hist_range: cmd.hist_range,
-                    workers: snapshots,
-                })?;
-                timer.stop();
-                self.stats.checkpoints += 1;
-                self.tel.incr(TelCounter::ClusterCheckpoints);
-            }
-            break reports;
-        };
+        let (reports, snapshots) = self.execute(&cmd)?;
+        if cmd.checkpoint {
+            let timer = self.tel.timer(HistId::CheckpointWrite);
+            self.push_checkpoint(cmd.epoch + 1, cmd.hist_range, snapshots)?;
+            timer.stop();
+            self.stats.checkpoints += 1;
+            self.tel.incr(TelCounter::ClusterCheckpoints);
+        }
         self.store.log_command(cmd.clone());
         self.epoch += 1;
         self.tick += cmd.ticks;
         self.account(&reports);
-        self.decide(&reports);
+        self.decide(&reports, cmd.hist_range);
         // Completion carries the post-decide state (histogram range,
         // pending repartition) so resume rebuilds the next command exactly.
         self.append_manifest(&ManifestRecord::EpochDone(EpochDoneRecord {
@@ -324,87 +229,45 @@ impl Master {
         Ok(())
     }
 
-    /// Re-execute one logged command during recovery/resume. Checkpoint
-    /// commands re-push their snapshot, so a recovered store converges to
-    /// the failure-free store. Clocks and the log are untouched.
-    fn replay_command(&mut self, cmd: &EpochCommand) -> Result<Vec<WorkerEpochStats>> {
-        let (reports, snapshots) = self.execute(cmd)?;
-        if cmd.checkpoint {
-            self.store.push(ClusterCheckpoint {
-                epoch: cmd.epoch + 1,
-                tick: (cmd.epoch + 1) * self.epoch_len,
-                x_bounds: self.x_bounds.clone(),
-                hist_range: cmd.hist_range,
-                workers: snapshots,
-            })?;
-        }
-        self.stats.replayed_epochs += 1;
-        Ok(reports)
-    }
-
-    /// Next injected failure matching `epoch`, consuming one scheduled
-    /// attempt.
-    fn injected_failure(&mut self, epoch: u64) -> Option<u32> {
-        for f in &mut self.worker_faults {
-            if !f.resolved && f.fault.epoch == epoch && f.attempts_done < f.fault.failures {
-                f.attempts_done += 1;
-                return Some(f.fault.worker);
-            }
-        }
-        None
-    }
-
-    /// Restore every worker from the newest checkpoint and replay the
-    /// logged epochs (mid-epoch retry: the interrupted epoch was never
-    /// committed, so clocks and log are already correct).
-    fn restore_and_replay(&mut self) -> Result<()> {
-        let cp = self
-            .store
-            .latest()
-            .cloned()
-            .ok_or_else(|| BraceError::Unrecoverable("no checkpoint to recover from".into()))?;
-        self.restore_workers(&cp)?;
-        self.stats.recoveries += 1;
-        for cmd in &self.store.replay_since(cp.epoch) {
-            self.replay_command(cmd)?;
-        }
-        Ok(())
-    }
-
-    /// Abandon `worker`'s partition: restore from the newest checkpoint
-    /// with that worker's snapshot emptied, replay forward, and record the
-    /// loss in the manifest. The run continues degraded — reported, not
-    /// aborted.
-    fn dead_letter(&mut self, worker: u32, epoch: u64, attempts: u32) -> Result<()> {
-        let mut cp = self
-            .store
-            .latest()
-            .cloned()
-            .ok_or_else(|| BraceError::Unrecoverable("no checkpoint to dead-letter against".into()))?;
-        let mut snap = codec::decode_snapshot(cp.workers[worker as usize].clone())?;
-        let agents_lost = snap.agents.len() as u64;
-        snap.agents.clear();
-        cp.workers[worker as usize] = codec::encode_snapshot(&snap);
-        self.restore_workers(&cp)?;
-        self.stats.recoveries += 1;
-        for cmd in &self.store.replay_since(cp.epoch) {
-            self.replay_command(cmd)?;
-        }
-        for f in &mut self.worker_faults {
-            if f.fault.worker == worker && f.fault.epoch == epoch {
-                f.resolved = true;
-            }
-        }
-        self.stats.dead_letters += 1;
-        self.stats.agents_lost += agents_lost;
-        self.append_manifest(&ManifestRecord::DeadLetter(DeadLetterRecord {
-            worker,
+    /// Store the coordinated checkpoint taken after `epoch` completed epochs.
+    fn push_checkpoint(&mut self, epoch: u64, hist_range: (f64, f64), workers: Vec<bytes::Bytes>) -> Result<()> {
+        self.store.push(ClusterCheckpoint {
             epoch,
-            attempts,
-            agents_lost,
-            reason: "retry budget exhausted".into(),
-        }))?;
-        Ok(())
+            tick: epoch * self.epoch_len,
+            x_bounds: self.x_bounds.clone(),
+            hist_range,
+            workers,
+        })
+    }
+
+    /// Restore every worker from `cp`, then re-execute `commands` verbatim.
+    /// Ticks are deterministic, so this reproduces the lost state exactly.
+    /// Checkpoint commands re-push their snapshot, so a recovered store
+    /// converges to the failure-free store; clocks and the log are
+    /// untouched. Returns the last command's reports (empty if none ran).
+    fn replay_from(&mut self, cp: &ClusterCheckpoint, commands: &[EpochCommand]) -> Result<Vec<WorkerEpochStats>> {
+        if cp.workers.len() != self.num_workers {
+            return Err(BraceError::Unrecoverable(format!(
+                "checkpoint has {} workers, cluster has {}",
+                cp.workers.len(),
+                self.num_workers
+            )));
+        }
+        for (i, tx) in self.cmd_tx.iter().enumerate() {
+            tx.send(Command::Restore { snapshot: cp.workers[i].clone(), x_bounds: cp.x_bounds.clone() })
+                .map_err(|_| BraceError::Unrecoverable("worker channel closed".into()))?;
+        }
+        self.x_bounds = cp.x_bounds.clone();
+        let mut last = Vec::new();
+        for cmd in commands {
+            let (reports, snapshots) = self.execute(cmd)?;
+            if cmd.checkpoint {
+                self.push_checkpoint(cmd.epoch + 1, cmd.hist_range, snapshots)?;
+            }
+            self.stats.replayed_epochs += 1;
+            last = reports;
+        }
+        Ok(last)
     }
 
     /// Broadcast `cmd` and gather one report per worker (ordered by worker
@@ -467,7 +330,9 @@ impl Master {
     }
 
     /// Update the histogram range and ask the balancer about the next epoch.
-    fn decide(&mut self, reports: &[WorkerEpochStats]) {
+    /// `used_range` is the range the workers computed `reports`' histograms
+    /// over — the executed command's `hist_range`.
+    fn decide(&mut self, reports: &[WorkerEpochStats], used_range: (f64, f64)) {
         // Widen/track the histogram range from observed extents (fish swim
         // out of the initial space; the range must follow them).
         let xmin = reports.iter().map(|r| r.x_min).fold(f64::INFINITY, f64::min);
@@ -488,12 +353,6 @@ impl Master {
             }
         }
         let counts: Vec<u64> = reports.iter().map(|r| r.owned_agents as u64).collect();
-        // Histograms were computed over the *command's* range, which at this
-        // point is still `self.hist_range` from before the update above only
-        // if no drift happened; to stay exact we recompute decisions against
-        // the range the workers actually used — which the balancer receives.
-        let used_range =
-            reports.iter().map(|_| ()).next().map(|_| self.last_command_range()).unwrap_or(self.hist_range);
         match self.balancer.decide(&self.x_bounds, &counts, &hist, used_range) {
             BalanceDecision::Keep => {}
             BalanceDecision::Repartition { x_bounds, .. } => {
@@ -503,16 +362,10 @@ impl Master {
         }
     }
 
-    /// Range the previous epoch's histograms were computed over: the
-    /// current log/commands carry it; fall back to the live value.
-    fn last_command_range(&self) -> (f64, f64) {
-        self.store.replay_log().last().map(|c| c.hist_range).unwrap_or(self.hist_range)
-    }
-
     /// Recover from the loss of all live worker state during epoch
     /// `failed_epoch` (0-based; that epoch's results — including any
-    /// checkpoint it would have written — are gone). Restores every worker
-    /// from the newest surviving checkpoint and replays the logged epochs.
+    /// checkpoint it would have written — are gone): restore every worker
+    /// from the newest surviving checkpoint and replay the logged epochs.
     pub fn recover(&mut self, failed_epoch: u64) -> Result<()> {
         self.store.discard_after(failed_epoch);
         let cp = self
@@ -520,49 +373,24 @@ impl Master {
             .latest()
             .cloned()
             .ok_or_else(|| BraceError::Unrecoverable("no checkpoint to recover from".into()))?;
-        self.restore_workers(&cp)?;
         self.stats.recoveries += 1;
-        // Re-execute every epoch since the snapshot, verbatim. Ticks are
-        // deterministic, so this reproduces the lost state exactly.
         let log = self.store.replay_since(cp.epoch);
-        let mut last_reports: Option<Vec<WorkerEpochStats>> = None;
-        for cmd in &log {
-            let reports = self.replay_command(cmd)?;
-            last_reports = Some(reports);
-        }
+        let reports = self.replay_from(&cp, &log)?;
         // Re-derive the pending decision from the final replayed epoch so
         // the post-recovery trajectory matches a failure-free run exactly.
-        if let Some(reports) = &last_reports {
+        if let Some(last) = log.last() {
             self.pending_bounds = None;
-            self.decide(reports);
+            self.decide(&reports, last.hist_range);
         }
         Ok(())
     }
 
-    /// Send every worker its snapshot from `cp` and install the
-    /// checkpoint's column bounds.
-    fn restore_workers(&mut self, cp: &ClusterCheckpoint) -> Result<()> {
-        if cp.workers.len() != self.num_workers {
-            return Err(BraceError::Unrecoverable(format!(
-                "checkpoint has {} workers, cluster has {}",
-                cp.workers.len(),
-                self.num_workers
-            )));
-        }
-        for (i, tx) in self.cmd_tx.iter().enumerate() {
-            tx.send(Command::Restore { snapshot: cp.workers[i].clone(), x_bounds: cp.x_bounds.clone() })
-                .map_err(|_| BraceError::Unrecoverable("worker channel closed".into()))?;
-        }
-        self.x_bounds = cp.x_bounds.clone();
-        Ok(())
-    }
-
-    /// Reconstruct run state in a **fresh process**: restore every worker
-    /// from `cp`, seed the in-memory store (checkpoint + replay log),
-    /// re-execute the `completed` epochs past the checkpoint, and land the
-    /// clocks and post-decide state exactly where the interrupted run's
-    /// manifest says they were. Bit-identical to never having crashed,
-    /// because replayed ticks are deterministic.
+    /// Reconstruct run state in a **fresh process**: seed the in-memory
+    /// store (checkpoint + replay log), restore every worker from `cp`,
+    /// re-execute the `completed` epochs past it, and land the clocks and
+    /// post-decide state exactly where the interrupted run's manifest says
+    /// they were. Bit-identical to never having crashed, because replayed
+    /// ticks are deterministic.
     pub fn resume_from(
         &mut self,
         cp: &ClusterCheckpoint,
@@ -570,58 +398,15 @@ impl Master {
         hist_range: (f64, f64),
         pending_bounds: Option<Vec<f64>>,
     ) -> Result<()> {
-        self.restore_workers(cp)?;
         self.store.push(cp.clone())?;
         for cmd in completed {
-            self.replay_command(cmd)?;
             self.store.log_command(cmd.clone());
         }
+        self.replay_from(cp, completed)?;
         self.epoch = cp.epoch + completed.len() as u64;
         self.tick = self.epoch * self.epoch_len;
         self.hist_range = hist_range;
         self.pending_bounds = pending_bounds;
-        Ok(())
-    }
-
-    /// Swap the worker fabric (elastic membership). History cannot span a
-    /// membership change, so retained checkpoints and the replay log are
-    /// dropped — the caller must follow up with restores into the new
-    /// fabric and a [`Master::force_checkpoint`].
-    pub fn replace_fabric(
-        &mut self,
-        num_workers: usize,
-        cmd_tx: Vec<Sender<Command>>,
-        report_rx: Receiver<Report>,
-        x_bounds: Vec<f64>,
-    ) {
-        self.num_workers = num_workers;
-        self.cmd_tx = cmd_tx;
-        self.report_rx = report_rx;
-        self.x_bounds = x_bounds;
-        self.pending_bounds = None;
-        self.store.reset();
-    }
-
-    /// Push one worker's state into the fabric (membership migration).
-    pub fn restore_worker(&mut self, worker: usize, snapshot: bytes::Bytes) -> Result<()> {
-        self.cmd_tx[worker]
-            .send(Command::Restore { snapshot, x_bounds: self.x_bounds.clone() })
-            .map_err(|_| BraceError::Unrecoverable("worker channel closed".into()))
-    }
-
-    /// Take a coordinated checkpoint at the current clocks (outside the
-    /// regular cadence — e.g. right after a membership change).
-    pub fn force_checkpoint(&mut self) -> Result<()> {
-        let workers = self.collect_snapshots()?;
-        self.store.push(ClusterCheckpoint {
-            epoch: self.epoch,
-            tick: self.tick,
-            x_bounds: self.x_bounds.clone(),
-            hist_range: self.hist_range,
-            workers,
-        })?;
-        self.stats.checkpoints += 1;
-        self.tel.incr(TelCounter::ClusterCheckpoints);
         Ok(())
     }
 
@@ -659,17 +444,5 @@ impl Master {
         for tx in &self.cmd_tx {
             let _ = tx.send(Command::Stop);
         }
-    }
-
-    /// Wall-clock instrumentation hook used by the facade.
-    pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
-        let t0 = Instant::now();
-        let out = f();
-        (out, t0.elapsed().as_nanos() as u64)
-    }
-
-    /// Workers addressed by this master (test/diagnostic).
-    pub fn worker_ids(&self) -> impl Iterator<Item = WorkerId> + '_ {
-        (0..self.num_workers as u32).map(WorkerId::new)
     }
 }

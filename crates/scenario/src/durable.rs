@@ -26,7 +26,6 @@ use crate::jobline::JobSpec;
 use crate::runner::DEFAULT_SEED;
 use crate::{conformance_setup, world_checksum, Registry, Scenario};
 use brace_common::{BraceError, Result};
-use brace_mapreduce::cluster::index_from_u8;
 use brace_mapreduce::{manifest, ClusterConfig, ClusterSim, ClusterStats};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -95,8 +94,8 @@ pub struct DurableReport {
     /// [`world_checksum`] of the final world, sorted by id — directly
     /// comparable to [`crate::RunReport::checksum`].
     pub checksum: u64,
-    /// Cluster runtime counters (checkpoints, recoveries, retries,
-    /// dead letters, …) for the portion this process executed.
+    /// Cluster runtime counters (epochs, checkpoints, network traffic, …)
+    /// for the portion this process executed.
     pub stats: ClusterStats,
     /// Wall time of the portion this process executed.
     pub wall_secs: f64,
@@ -109,7 +108,7 @@ pub struct RunSummary {
     pub run_id: String,
     /// The recorded job line (`scenario=… size=… conformance=…`).
     pub job: String,
-    /// Current worker count (after any mid-run membership changes).
+    /// Worker count recorded in the manifest header.
     pub workers: u32,
     /// Ticks durably completed (epochs with an `EpochDone` record).
     pub completed_ticks: u64,
@@ -117,8 +116,6 @@ pub struct RunSummary {
     pub total_ticks: u64,
     /// `Some((ticks, checksum))` once a `Complete` record is on disk.
     pub complete: Option<(u64, u64)>,
-    /// Partitions abandoned after exhausting their retry budget.
-    pub dead_letters: usize,
     /// The manifest tail was torn (crash mid-append); everything up to the
     /// tear is still trusted and resumable.
     pub truncated: bool,
@@ -207,7 +204,7 @@ impl<'r> DurableRunner<'r> {
         let cfg = ClusterConfig {
             workers: m.header.workers as usize,
             epoch_len: m.header.epoch_len,
-            index: index_from_u8(m.header.index),
+            index: m.header.index,
             seed,
             space_x: m.header.space_x,
             load_balance: m.header.load_balance,
@@ -275,11 +272,10 @@ impl<'r> DurableRunner<'r> {
                 Some(RunSummary {
                     run_id,
                     job: m.header.job.clone(),
-                    workers: m.current_workers(),
+                    workers: m.header.workers,
                     completed_ticks: m.completed_epochs() * m.header.epoch_len,
                     total_ticks: m.header.total_ticks,
                     complete: m.complete(),
-                    dead_letters: m.dead_letters().len(),
                     truncated: m.truncated,
                 })
             })

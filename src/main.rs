@@ -446,12 +446,6 @@ fn run_durable(opts: &RunOpts) {
                 "{:<16} {:<12} {:>6} ticks  {:>7} agents  checksum {:#018X}  run-id {}",
                 report.scenario, how, report.ticks, report.agents, report.checksum, report.run_id
             );
-            if report.stats.dead_letters > 0 {
-                eprintln!(
-                    "  degraded: {} partition(s) dead-lettered, {} agents lost",
-                    report.stats.dead_letters, report.stats.agents_lost
-                );
-            }
         }
         Err(e) => {
             eprintln!("durable run FAILED: {e}");
@@ -529,15 +523,7 @@ fn list_runs(args: &[String]) {
             Some((ticks, checksum)) => format!("complete @ {ticks} ticks, checksum {checksum:#018X}"),
             None => format!("in progress ({}/{} ticks durable)", r.completed_ticks, r.total_ticks),
         };
-        let marks = match (r.dead_letters, r.truncated) {
-            (0, false) => String::new(),
-            (d, t) => format!(
-                "  [{}{}{}]",
-                if d > 0 { format!("{d} dead-lettered") } else { String::new() },
-                if d > 0 && t { ", " } else { "" },
-                if t { "torn tail" } else { "" }
-            ),
-        };
+        let marks = if r.truncated { "  [torn tail]" } else { "" };
         println!("  {:<24} {:>2} workers  {}{}  ({})", r.run_id, r.workers, status, marks, r.job);
     }
 }

@@ -1,8 +1,8 @@
 //! Fault tolerance end-to-end: coordinated checkpoints, failure injection
 //! (single, scheduled, and seeded-random schedules), recovery by replay —
-//! on the paper's real models. Worker-level retry/backoff, dead-letter
-//! degradation and elastic membership are covered by the cluster unit
-//! suite; process-restart resume by `tests/durable_resume.rs`.
+//! on the paper's real models. Recovery and process-restart resume share
+//! one restore-and-replay; the latter is covered by
+//! `tests/durable_resume.rs`.
 
 use brace_mapreduce::{CheckpointStore, ClusterConfig, ClusterSim, FaultPlan};
 use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams};

@@ -1903,9 +1903,7 @@ proptest! {
 // never a panic or an abort (CI reruns this section with PROPTEST_CASES=256)
 // ---------------------------------------------------------------------------
 
-use brace_mapreduce::manifest::{
-    read_manifest, DeadLetterRecord, EpochDoneRecord, ManifestWriter, RunHeader, MANIFEST_FILE,
-};
+use brace_mapreduce::manifest::{read_manifest, EpochDoneRecord, ManifestWriter, RunHeader, MANIFEST_FILE};
 use brace_mapreduce::runtime::EpochCommand;
 use brace_mapreduce::{ClusterCheckpoint, ManifestRecord};
 use std::path::Path;
@@ -1952,7 +1950,7 @@ fn drawn_manifest_records(rng: &mut DetRng) -> Vec<ManifestRecord> {
             workers: rng.next_raw() as u32,
             epoch_len: rng.next_raw(),
             seed: rng.next_raw(),
-            index: rng.next_raw() as u8,
+            index: [IndexKind::KdTree, IndexKind::Grid, IndexKind::Scan][rng.below(3) as usize],
             space_x: (hostile_f64(rng.next_raw()), hostile_f64(rng.next_raw())),
             load_balance: rng.chance(0.5),
             checkpoint_every: rng.next_raw(),
@@ -1972,14 +1970,6 @@ fn drawn_manifest_records(rng: &mut DetRng) -> Vec<ManifestRecord> {
             hist_range: (hostile_f64(rng.next_raw()), hostile_f64(rng.next_raw())),
             pending_bounds: bounds(rng),
         }),
-        ManifestRecord::DeadLetter(DeadLetterRecord {
-            worker: rng.next_raw() as u32,
-            epoch: rng.next_raw(),
-            attempts: rng.next_raw() as u32,
-            agents_lost: rng.next_raw(),
-            reason: text(rng),
-        }),
-        ManifestRecord::Membership { epoch: rng.next_raw(), workers: rng.next_raw() as u32 },
         ManifestRecord::Complete { ticks: rng.next_raw(), checksum: rng.next_raw() },
     ]
 }
