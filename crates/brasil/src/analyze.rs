@@ -51,7 +51,6 @@ pub struct AnalyzedClass {
     /// Per-tick movement bound (same tags; the paper uses one constraint
     /// for both roles).
     pub reachability: f64,
-    pub has_nonlocal: bool,
 }
 
 /// Evaluate a constant expression (for `#range` bounds).
@@ -89,7 +88,6 @@ struct Checker<'a> {
     locals: Vec<String>,
     /// Loop variables in scope, innermost last.
     loop_vars: Vec<String>,
-    has_nonlocal: bool,
 }
 
 impl<'a> Checker<'a> {
@@ -233,9 +231,7 @@ impl<'a> Checker<'a> {
                         // Non-local: target must be an agent expression —
                         // in this subset, a loop variable.
                         match t {
-                            Expr::Ident(v) if self.loop_vars.iter().any(|lv| lv == v) => {
-                                self.has_nonlocal = true;
-                            }
+                            Expr::Ident(v) if self.loop_vars.iter().any(|lv| lv == v) => {}
                             _ => return self.sem(*line, "non-local effect target must be a foreach loop variable"),
                         }
                     }
@@ -409,10 +405,8 @@ pub fn analyze(decl: &ClassDecl) -> Result<AnalyzedClass> {
             .collect(),
         locals: Vec::new(),
         loop_vars: Vec::new(),
-        has_nonlocal: false,
     };
     checker.query_block(&decl.run, false)?;
-    let has_nonlocal = checker.has_nonlocal;
 
     // ---- check update rules -------------------------------------------------
     for f in &decl.fields {
@@ -430,7 +424,6 @@ pub fn analyze(decl: &ClassDecl) -> Result<AnalyzedClass> {
         has_y,
         visibility,
         reachability,
-        has_nonlocal,
     })
 }
 
@@ -472,7 +465,8 @@ mod tests {
         assert!(a.has_x && a.has_y);
         assert_eq!(a.visibility, 1.0);
         assert_eq!(a.reachability, 1.0);
-        assert!(a.has_nonlocal);
+        let schema = crate::exec::compile(&a).unwrap().schema().clone();
+        assert!(schema.effect_defs().iter().all(|e| e.remote), "every effect is assigned to `p`");
     }
 
     #[test]
@@ -489,7 +483,7 @@ mod tests {
         "#,
         )
         .unwrap();
-        assert!(!a.has_nonlocal);
+        assert!(!crate::exec::compile(&a).unwrap().schema().has_nonlocal_effects());
         assert_eq!(a.visibility, 2.0);
     }
 

@@ -29,7 +29,8 @@ use crate::vm::Program;
 use brace_common::{BraceError, DetRng, Rect, Result, Vec2};
 use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::effect::EffectWriter;
-use brace_core::{Agent, AgentRef as RowRef, AgentSchema};
+use brace_core::schema::SchemaBuilder;
+use brace_core::{Agent, AgentRef as RowRef, AgentSchema, Combinator};
 use std::collections::HashMap;
 
 /// A fully compiled agent class.
@@ -59,26 +60,41 @@ impl CompiledClass {
     }
 
     /// Rebuild with a different query plan (used by the optimizer). The
-    /// schema's non-local flag is re-derived from the plan; the derived
+    /// schema's remote fields are re-derived from the plan; the derived
     /// probe bounds are dropped — they describe the *old* plan, and the
     /// pipeline re-derives them after every change.
     pub fn with_query(&self, query: QueryPlan) -> CompiledClass {
-        let has_remote = query.has_remote_effects();
         let mut b = AgentSchema::builder(self.schema.name());
         for s in self.schema.state_defs() {
             b = b.state(s.name.clone());
         }
-        for e in self.schema.effect_defs() {
-            b = b.effect(e.name.clone(), e.combinator);
-        }
-        let schema = b
+        let effects = self.schema.effect_defs().iter().map(|e| (e.name.clone(), e.combinator));
+        let schema = effects_of(b, effects, &query)
             .visibility(self.schema.visibility())
             .reachability(self.schema.reachability())
-            .nonlocal_effects(has_remote)
             .build()
             .expect("schema rebuilt from a valid schema");
         CompiledClass { schema, query, updates: self.updates.clone(), probe_bounds: None }
     }
+}
+
+/// Add a class's effect fields, in slot order, to its schema: a field is
+/// remote exactly when `query` assigns it to another agent (a
+/// `PStmt::RemoteEffect` target), and local-only otherwise.
+fn effects_of(
+    mut b: SchemaBuilder,
+    effects: impl Iterator<Item = (String, Combinator)>,
+    query: &QueryPlan,
+) -> SchemaBuilder {
+    let remote = query.remote_fields();
+    for (slot, (name, combinator)) in effects.enumerate() {
+        b = if remote.contains(&(slot as u16)) {
+            b.remote_effect(name, combinator)
+        } else {
+            b.effect(name, combinator)
+        };
+    }
+    b
 }
 
 // ---------------------------------------------------------------------------
@@ -210,16 +226,6 @@ impl<'a> Compiler<'a> {
 
 /// Lower an analyzed class to an executable [`CompiledClass`].
 pub fn compile(a: &AnalyzedClass) -> Result<CompiledClass> {
-    let mut builder = AgentSchema::builder(a.decl.name.clone());
-    for s in &a.state_names {
-        builder = builder.state(s.clone());
-    }
-    for (e, c) in a.effect_names.iter().zip(&a.combinators) {
-        builder = builder.effect(e.clone(), *c);
-    }
-    let schema =
-        builder.visibility(a.visibility).reachability(a.reachability).nonlocal_effects(a.has_nonlocal).build()?;
-
     let mut c = Compiler {
         state_ids: a.state_names.iter().enumerate().map(|(i, n)| (n.as_str(), i as u16)).collect(),
         effect_ids: a.effect_names.iter().enumerate().map(|(i, n)| (n.as_str(), i as u16)).collect(),
@@ -243,6 +249,13 @@ pub fn compile(a: &AnalyzedClass) -> Result<CompiledClass> {
             updates.push(UpdateRule { target, expr });
         }
     }
+
+    let mut builder = AgentSchema::builder(a.decl.name.clone());
+    for s in &a.state_names {
+        builder = builder.state(s.clone());
+    }
+    let effects = a.effect_names.iter().cloned().zip(a.combinators.iter().copied());
+    let schema = effects_of(builder, effects, &query).visibility(a.visibility).reachability(a.reachability).build()?;
     Ok(CompiledClass { schema, query, updates, probe_bounds: None })
 }
 
@@ -465,7 +478,7 @@ mod tests {
             }
         "#;
         let class = compile_src(src);
-        assert!(class.schema().has_nonlocal_effects());
+        assert!(class.schema().is_remote(brace_common::FieldId::new(0)));
         let behavior = BrasilBehavior::new(class);
         let schema = behavior.schema().clone();
         let agents: Vec<Agent> =

@@ -294,6 +294,23 @@ impl QueryPlan {
     pub fn has_remote_effects(&self) -> bool {
         self.count(&mut |s| matches!(s, PStmt::RemoteEffect { .. })) > 0
     }
+
+    /// The effect slots the plan assigns to other agents (the
+    /// `RemoteEffect` targets): the schema's remote fields. Ascending, each
+    /// once.
+    pub fn remote_fields(&self) -> Vec<u16> {
+        let mut fields = Vec::new();
+        for s in &self.stmts {
+            s.visit(&mut |st| {
+                if let PStmt::RemoteEffect { field, .. } = st {
+                    fields.push(*field);
+                }
+            });
+        }
+        fields.sort_unstable();
+        fields.dedup();
+        fields
+    }
 }
 
 /// Update-rule target: position axis or ordinary state slot.

@@ -113,6 +113,17 @@ fn stmts(schema: &AgentSchema, list: &[PStmt], indent: usize, out: &mut String) 
     }
 }
 
+/// ` [remote: a, b]` — the effect fields other agents may write — or
+/// nothing for a local-effect class.
+fn remote_fields(schema: &AgentSchema) -> String {
+    let names: Vec<&str> = schema.effect_defs().iter().filter(|e| e.remote).map(|e| e.name.as_str()).collect();
+    if names.is_empty() {
+        String::new()
+    } else {
+        format!(" [remote: {}]", names.join(", "))
+    }
+}
+
 /// Render a whole compiled class: query plan and update rules.
 pub fn class(c: &CompiledClass) -> String {
     let schema = c.schema();
@@ -124,7 +135,7 @@ pub fn class(c: &CompiledClass) -> String {
         schema.visibility(),
         schema.reachability(),
         schema.num_effects(),
-        if schema.has_nonlocal_effects() { " [NON-LOCAL]" } else { "" }
+        remote_fields(schema)
     );
     let _ = writeln!(out, "query {{");
     stmts(schema, &c.query.stmts, 1, &mut out);
@@ -215,7 +226,7 @@ mod tests {
     fn renders_all_constructs() {
         let rendered = class(&compile_src(SRC));
         assert!(rendered.contains("class Fish"), "{rendered}");
-        assert!(rendered.contains("[NON-LOCAL]"));
+        assert!(rendered.contains("effects) [remote: avoid]\n"), "{rendered}");
         assert!(rendered.contains("foreach p ∈ Extent {"));
         assert!(rendered.contains("let t0 = 1"));
         assert!(rendered.contains("p.avoid ⊕= (t0 / abs((self.x - p.x)))"));
@@ -236,7 +247,8 @@ mod tests {
         let class_nl = compile_src(&SRC.replace("one / abs", "1 / abs"));
         let inverted = crate::optimize::invert_effects(class_nl).unwrap();
         let rendered = class(&inverted);
-        assert!(!rendered.contains("[NON-LOCAL]"));
+        assert!(!rendered.contains("[remote"), "{rendered}");
+        assert!(rendered.contains("1 effects)\n"), "{rendered}");
         // The inverted assignment reads the *other* agent's x first.
         assert!(rendered.contains("avoid ⊕= "), "{rendered}");
         assert!(rendered.contains("(p.x - self.x)"), "{rendered}");

@@ -36,19 +36,30 @@
 //! have made, in the same order, on the same starting value; fields are
 //! independent, so interleaving across fields is immaterial. Nothing else
 //! can combine into the slot meanwhile: the fold holds the writer's
-//! `&mut self`, a local-effect shard table is addressed only at the writer's
-//! own slot, the serial reference has one writer at a time, and
-//! `remote(me, …)` is `local`. (Bit-identical up to NaN payloads: which
-//! operand's payload `a + b` propagates is the implementation's choice and
-//! LLVM may commute the operands — in `local` as much as in the fold.)
+//! `&mut self`, a shard table is addressed only at the writer's own slot,
+//! the serial reference has one writer at a time, and `remote(me, …)` is
+//! `local`. (Bit-identical up to NaN payloads: which operand's payload
+//! `a + b` propagates is the implementation's choice and LLVM may commute
+//! the operands — in `local` as much as in the fold.)
 //!
-//! *The log sink logs every combine.* For a schema with non-local effects a
-//! field may also receive other rows' `remote` writes in the same tick, and
-//! a folded partial would re-associate a float `Sum` against them — the
-//! reason the write-log records local writes at all (see `EffectLog`). So
-//! on the log sink each `acc.sum(k, v)` appends `(slot, field, v)` exactly
-//! as `local` would; the fold buys nothing there and costs nothing extra.
-//! The sink is resolved once per fold, not once per combine.
+//! # Remote fields and the write-log
+//!
+//! A schema declares, per field, whether other agents may write it
+//! ([`SchemaBuilder::remote_effect`](crate::schema::SchemaBuilder::remote_effect)).
+//! A *local-only* field has one writer, its own agent, so its fold order is
+//! fixed by that agent's query alone. A *remote* field may receive other
+//! rows' writes in the same tick, and a float `Sum` into it is pinned in
+//! source-id order — which the tile-ordered sweep does not visit in. So a
+//! non-local schema's writer has a **split sink**: a write to a local-only
+//! field folds in place into the shard's table, exactly as a local-effect
+//! schema's does; a write to a remote field, whoever makes it, is appended
+//! to the write-log ([`EffectLog`]) for the ordered replay. A fold over
+//! local-only fields alone is the register fold above. A fold that names a
+//! remote field routes each accumulator by its field: a remote field's
+//! combines are logged one by one, in call order, as `local` would log them
+//! (a folded partial would re-associate the `Sum` against the other rows'
+//! writes), and the local-only ones fold in registers and are stored at
+//! close. The sink is resolved once per fold, not once per combine.
 
 use crate::agent::Agent;
 use crate::combinator::Combinator;
@@ -194,14 +205,15 @@ impl EffectTable {
         }
     }
 
-    /// Apply the writes of segment `segment` of `log` — one agent's effect
-    /// writes — that target one of the first `owned` rows, in the order they
-    /// were made; writes to later rows (replicas) are their owners' to fold.
-    /// Replaying every owned row's segment in ascending source-id order
-    /// performs exactly the combines, in exactly the order, of writers run
+    /// Apply the writes `writer` (one member's `(id rank, start, end)` in
+    /// `log`) made to one of the first `owned` rows, in the order they were
+    /// made; writes to later rows (replicas) are their owners' to fold.
+    /// Replaying every writer in ascending source-id order performs exactly
+    /// the combines into remote fields, in exactly the order, of writers run
     /// over those rows in id order.
-    pub(crate) fn replay(&mut self, log: &EffectLog, segment: u32, owned: u32) {
-        for e in log.segment(segment).iter().filter(|e| e.row < owned) {
+    pub(crate) fn replay(&mut self, log: &EffectLog, writer: (u32, u32, u32), owned: u32) {
+        let (_, start, end) = writer;
+        for e in log.entries[start as usize..end as usize].iter().filter(|e| e.row < owned) {
             self.combine(e.row, e.field, e.v);
         }
     }
@@ -238,30 +250,31 @@ pub struct EffectWrite {
 }
 
 /// The effect **write-log** of one sweep slice of the query phase, for
-/// schemas with non-local effects.
+/// schemas with non-local effects: every write to a **remote** field, by its
+/// own agent or another, in the order it was made (module docs).
 ///
-/// A float `Sum` into a *target* row is pinned in source-id order, but the
-/// tile-ordered sweep visits source rows in probe order. So a non-local
-/// schema's writers do not combine in place: each appends its writes —
-/// local *and* remote, since one field may receive both in a tick and
-/// applying the locals early would re-associate the sum — to a segment of
-/// this log. After the sweep the executor [replays](EffectTable::replay)
-/// every owned row's segment once, in ascending source id, straight into
-/// the pool's effect columns, so the fold is the id-order pass's at every
-/// shard granule and on every engine. Segments are numbered in the order
-/// their writers were opened ([`EffectWriter::logged`]).
+/// A float `Sum` into a remote field is pinned in source-id order, but the
+/// tile-ordered sweep visits source rows in probe order. So those writes do
+/// not combine in place: each member appends them here, and one that logged
+/// any records itself as a **writer**, `(id rank, start, end)` of its run of
+/// entries. After the sweep the executor [replays](EffectTable::replay)
+/// every writer once, in ascending source id, straight into the pool's
+/// effect columns, so the fold is the id-order pass's at every shard granule
+/// and on every engine. A member that wrote no remote field adds nothing to
+/// that fold and is not a writer.
 #[derive(Debug, Default)]
 pub(crate) struct EffectLog {
     entries: Vec<LogEntry>,
-    /// `starts[j]`: index in `entries` of segment `j`'s first write.
-    starts: Vec<u32>,
+    /// `(id rank, start, end)` of every member that logged a write, in sweep
+    /// order: its writes are `entries[start..end]`.
+    writers: Vec<(u32, u32, u32)>,
 }
 
 impl EffectLog {
-    /// Forget every segment (allocations are kept).
+    /// Forget every write (allocations are kept).
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
-        self.starts.clear();
+        self.writers.clear();
     }
 
     /// Total writes logged since the last [`clear`](EffectLog::clear).
@@ -269,16 +282,27 @@ impl EffectLog {
         self.entries.len()
     }
 
-    fn segment(&self, j: u32) -> &[LogEntry] {
-        let j = j as usize;
-        let end = self.starts.get(j + 1).map_or(self.entries.len(), |&e| e as usize);
-        &self.entries[self.starts[j] as usize..end]
+    /// The writers, in the order they were swept.
+    pub(crate) fn writers(&self) -> &[(u32, u32, u32)] {
+        &self.writers
     }
 
-    /// The writes of segment `j` to rows at or past `owned` (replicas), in
-    /// the order they were made: `(target row, field, value)`.
-    pub(crate) fn writes_past(&self, j: u32, owned: u32) -> impl Iterator<Item = (u32, FieldId, f64)> + '_ {
-        self.segment(j).iter().filter(move |e| e.row >= owned).map(|e| (e.row, e.field, e.v))
+    /// Close the member with id rank `rank`, whose writes start at entry
+    /// `start`: a writer if it logged any. Returns its writes to rows at or
+    /// past `owned` (replicas), in the order they were made:
+    /// `(target row, field, value)`.
+    pub(crate) fn close(
+        &mut self,
+        rank: u32,
+        start: usize,
+        owned: u32,
+    ) -> impl Iterator<Item = (u32, FieldId, f64)> + '_ {
+        let end = self.entries.len();
+        if end > start {
+            let offset = |i: usize| u32::try_from(i).expect("effect log outgrew u32 offsets");
+            self.writers.push((rank, offset(start), offset(end)));
+        }
+        self.entries[start..].iter().filter(move |e| e.row >= owned).map(|e| (e.row, e.field, e.v))
     }
 }
 
@@ -287,8 +311,8 @@ impl EffectLog {
 /// from many call sites inside its candidate loop, and a vector's growth
 /// path inlined at every one of them costs the in-place sink the registers
 /// it keeps its loop state in (measured with eight `local` sites in the fish
-/// loop: 3–8 % of the dense tick). The log sink pays a call per write
-/// instead (≈180k per predator tick, well under a millisecond).
+/// loop: 3–8 % of the dense tick). A remote-field write pays a call
+/// instead (the predator's bites; its crowd count folds in place).
 #[cold]
 #[inline(never)]
 fn log_write(entries: &mut Vec<LogEntry>, entry: LogEntry) {
@@ -299,8 +323,9 @@ fn log_write(entries: &mut Vec<LogEntry>, entry: LogEntry) {
 enum Sink<'a> {
     /// Combine in place (local-effect schemas, and the serial reference).
     Table(&'a mut EffectTable),
-    /// Append to a write-log segment (non-local schemas).
-    Log(&'a mut Vec<LogEntry>),
+    /// Non-local schemas: local-only fields combine in place into the shard
+    /// table, remote fields append to the write-log (module docs).
+    Split(&'a mut EffectTable, &'a mut Vec<LogEntry>),
 }
 
 /// Write capability for one agent's query phase.
@@ -315,9 +340,9 @@ pub struct EffectWriter<'a> {
     schema: &'a AgentSchema,
     sink: Sink<'a>,
     me: u32,
-    /// Row that holds `me`'s effects: `me` itself where rows are visible-set
-    /// rows (the serial path and the write-log); the agent's position in its
-    /// shard's slice of the probe order for a local-effect shard table,
+    /// Row of the writer's table that holds `me`'s effects: `me` itself on
+    /// a table spanning the visible set (the serial path); the agent's
+    /// position in its shard's slice of the probe order on a shard table,
     /// where no other row is addressable.
     slot: u32,
     nonlocal_writes: u64,
@@ -335,44 +360,53 @@ impl<'a> EffectWriter<'a> {
         EffectWriter { schema, sink: Sink::Table(table), me, slot, nonlocal_writes: 0 }
     }
 
-    /// Writer that opens the next segment of `log` and appends every write
-    /// of visible row `me` to it, in order, combining nothing.
-    pub(crate) fn logged(schema: &'a AgentSchema, log: &'a mut EffectLog, me: u32) -> Self {
-        log.starts.push(u32::try_from(log.entries.len()).expect("effect log outgrew u32 offsets"));
-        EffectWriter { schema, sink: Sink::Log(&mut log.entries), me, slot: me, nonlocal_writes: 0 }
-    }
-
-    #[inline]
-    fn write(&mut self, row: u32, field: FieldId, v: f64) {
-        match &mut self.sink {
-            Sink::Table(table) => table.combine(row, field, v),
-            Sink::Log(entries) => log_write(entries, LogEntry { row, field, v }),
-        }
+    /// Writer for a non-local schema's shard: writes to local-only fields
+    /// combine into row `slot` of the shard `table`, and every write to a
+    /// remote field is appended to `log`, in order, addressed by visible row.
+    pub(crate) fn split(
+        schema: &'a AgentSchema,
+        table: &'a mut EffectTable,
+        log: &'a mut EffectLog,
+        me: u32,
+        slot: u32,
+    ) -> Self {
+        EffectWriter { schema, sink: Sink::Split(table, &mut log.entries), me, slot, nonlocal_writes: 0 }
     }
 
     /// `field <- v` on the querying agent itself.
     #[inline]
     pub fn local(&mut self, field: FieldId, v: f64) {
-        self.write(self.slot, field, v);
+        match &mut self.sink {
+            Sink::Table(table) => table.combine(self.slot, field, v),
+            Sink::Split(_, entries) if self.schema.is_remote(field) => {
+                log_write(entries, LogEntry { row: self.me, field, v })
+            }
+            Sink::Split(table, _) => table.combine(self.slot, field, v),
+        }
     }
 
-    /// `target.field <- v` on another visible agent. Models whose schema
-    /// does not declare [`nonlocal_effects`](crate::schema::SchemaBuilder::nonlocal_effects)
-    /// must not call this for any row but their own: the runtime would drop
-    /// the effect at partition boundaries, and a local-effect shard table
-    /// has no row for it — so the violation fails loudly, naming the schema.
+    /// `target.field <- v` on another visible agent. Only a field the schema
+    /// declares [remote](crate::schema::SchemaBuilder::remote_effect) may be
+    /// written on any row but the writer's own: the runtime would drop the
+    /// effect at partition boundaries, and a shard table has no row for it —
+    /// so the violation fails loudly, naming the schema and the field.
     #[inline]
     pub fn remote(&mut self, target_row: u32, field: FieldId, v: f64) {
         if target_row == self.me {
             return self.local(field, v);
         }
         assert!(
-            self.schema.has_nonlocal_effects(),
-            "schema `{}` declares local effects only but wrote to another agent (row {target_row})",
-            self.schema.name()
+            self.schema.is_remote(field),
+            "schema `{}` declares effect `{}` local-only but wrote it on another agent (row {target_row}); \
+             declare it with `remote_effect`",
+            self.schema.name(),
+            self.schema.effect_defs()[field.index()].name
         );
         self.nonlocal_writes += 1;
-        self.write(target_row, field, v);
+        match &mut self.sink {
+            Sink::Table(table) => table.combine(target_row, field, v),
+            Sink::Split(_, entries) => log_write(entries, LogEntry { row: target_row, field, v }),
+        }
     }
 
     /// Fold into `N` of the querying agent's own effect fields at register
@@ -391,32 +425,33 @@ impl<'a> EffectWriter<'a> {
         fields: [(FieldId, Combinator); N],
         f: impl FnOnce(&mut LocalFold<'_, N>),
     ) {
+        let schema = self.schema;
         for (k, &(field, comb)) in fields.iter().enumerate() {
-            let def = &self.schema.effect_defs()[field.index()];
+            let def = &schema.effect_defs()[field.index()];
             assert!(
                 def.combinator == comb,
                 "schema `{}` declares effect `{}` as {} but a fold combines it by {comb}",
-                self.schema.name(),
+                schema.name(),
                 def.name,
                 def.combinator
             );
             assert!(fields[..k].iter().all(|&(earlier, _)| earlier != field), "effect `{}` folded twice", def.name);
         }
-        let slot = self.slot;
-        match &mut self.sink {
-            Sink::Table(table) => {
-                let row = slot as usize;
-                let mut acc = LocalFold { vals: [0.0; N], fields, slot, log: None };
-                for (val, (field, _)) in acc.vals.iter_mut().zip(fields) {
-                    *val = table.cols[field.index()][row];
+        let (me, slot) = (self.me, self.slot);
+        // The table arm: every field the fold names combines in place.
+        let table = match &mut self.sink {
+            Sink::Table(table) => &mut **table,
+            Sink::Split(table, entries) => {
+                let remote = fields.map(|(field, _)| schema.is_remote(field));
+                if remote.contains(&true) {
+                    return fold_logged(table, entries, me, slot, fields, remote, f);
                 }
-                f(&mut acc);
-                for (val, (field, _)) in acc.vals.into_iter().zip(fields) {
-                    table.cols[field.index()][row] = val;
-                }
+                &mut **table
             }
-            Sink::Log(entries) => fold_logged(entries, slot, fields, f),
-        }
+        };
+        let mut acc = LocalFold::open(table, slot, fields, me, None);
+        f(&mut acc);
+        acc.close(table, slot);
     }
 
     /// Number of genuinely non-local writes performed through this writer
@@ -426,46 +461,81 @@ impl<'a> EffectWriter<'a> {
     }
 }
 
-/// [`EffectWriter::fold_local`] on the log sink. `f` is called from two
-/// places, each with the sink a constant, so the accumulators' sink test
-/// folds away in both once `f` is inlined; this one is kept out of line so
-/// that the table-sink caller holds nothing but the register fold (with both
-/// calls in one function the fish fold closure was inlined into neither, its
-/// accumulators were stored every iteration, and `fish-uniform` read 1.77×
-/// its parent instead of 1.86–1.94×).
+/// [`EffectWriter::fold_local`] on a split sink whose fold names a remote
+/// field: accumulator `k` is logged when `remote[k]`, folded in registers
+/// and stored at close otherwise. `f` is called from two places only: the
+/// table arm, where nothing is logged and the accumulators' routing test
+/// folds away once `f` is inlined, and this one, kept out of line so that
+/// the table arm holds nothing but the register fold (with both calls in one
+/// function the fish fold closure was inlined into neither, its accumulators
+/// were stored every iteration, and `fish-uniform` read 1.77× its parent
+/// instead of 1.86–1.94×).
 #[cold]
 #[inline(never)]
 fn fold_logged<const N: usize>(
+    table: &mut EffectTable,
     entries: &mut Vec<LogEntry>,
+    me: u32,
     slot: u32,
     fields: [(FieldId, Combinator); N],
+    remote: [bool; N],
     f: impl FnOnce(&mut LocalFold<'_, N>),
 ) {
-    f(&mut LocalFold { vals: [0.0; N], fields, slot, log: Some(entries) });
+    let mut acc = LocalFold::open(table, slot, fields, me, Some((entries, remote)));
+    f(&mut acc);
+    acc.close(table, slot);
 }
 
 /// The accumulators of one [`EffectWriter::fold_local`]: write-only, like the
-/// writer itself. On the table sink they are the fields' slot values held by
+/// writer itself. A local-only field's accumulator is its slot value held by
 /// value (in registers, once the fold is inlined) between the load at open
-/// and the store at close; on the log sink every combine is appended to the
-/// write-log, in call order, exactly as [`EffectWriter::local`] appends it.
+/// and the store at close; a remote field's combines on a split sink are
+/// appended to the write-log, in call order, exactly as
+/// [`EffectWriter::local`] appends them.
 pub struct LocalFold<'w, const N: usize> {
     vals: [f64; N],
     fields: [(FieldId, Combinator); N],
-    slot: u32,
-    log: Option<&'w mut Vec<LogEntry>>,
+    /// The visible row the log entries address.
+    me: u32,
+    /// Split sink with a remote field among `fields`: the log, and which
+    /// accumulators go to it.
+    log: Option<(&'w mut Vec<LogEntry>, [bool; N])>,
 }
 
-impl<const N: usize> LocalFold<'_, N> {
+impl<'w, const N: usize> LocalFold<'w, N> {
+    /// Load the fields' values at row `slot` of `table`.
+    #[inline(always)]
+    fn open(
+        table: &EffectTable,
+        slot: u32,
+        fields: [(FieldId, Combinator); N],
+        me: u32,
+        log: Option<(&'w mut Vec<LogEntry>, [bool; N])>,
+    ) -> Self {
+        let vals = fields.map(|(field, _)| table.cols[field.index()][slot as usize]);
+        LocalFold { vals, fields, me, log }
+    }
+
+    /// Store the accumulators back at row `slot`. A logged accumulator was
+    /// never combined into, so it stores the value it loaded.
+    #[inline(always)]
+    fn close(self, table: &mut EffectTable, slot: u32) {
+        for (val, (field, _)) in self.vals.into_iter().zip(self.fields) {
+            table.cols[field.index()][slot as usize] = val;
+        }
+    }
+
     /// `comb` is a constant at every call site, so `Combinator::combine`'s
-    /// `match` is resolved at compile time: the table-sink path is a bare
-    /// `vals[k] ⊕= v`.
+    /// `match` is resolved at compile time: an in-register accumulator is a
+    /// bare `vals[k] ⊕= v`.
     #[inline(always)]
     fn combine(&mut self, comb: Combinator, k: usize, v: f64) {
         debug_assert_eq!(self.fields[k].1, comb, "accumulator {k} was declared with another combinator");
         match &mut self.log {
-            None => self.vals[k] = comb.combine(self.vals[k], v),
-            Some(entries) => log_write(entries, LogEntry { row: self.slot, field: self.fields[k].0, v }),
+            Some((entries, remote)) if remote[k] => {
+                log_write(entries, LogEntry { row: self.me, field: self.fields[k].0, v })
+            }
+            _ => self.vals[k] = comb.combine(self.vals[k], v),
         }
     }
 
@@ -514,9 +584,8 @@ mod tests {
 
     fn schema() -> AgentSchema {
         AgentSchema::builder("T")
-            .effect("total", Combinator::Sum)
+            .remote_effect("total", Combinator::Sum)
             .effect("closest", Combinator::Min)
-            .nonlocal_effects(true)
             .build()
             .unwrap()
     }
@@ -584,9 +653,10 @@ mod tests {
         w.local(FieldId::new(0), 1.0);
         w.remote(1, FieldId::new(0), 2.0);
         w.remote(0, FieldId::new(0), 3.0); // remote to self counts as local
+        w.remote(0, FieldId::new(1), -1.0); // ... so it may name a local-only field
         assert_eq!(w.nonlocal_writes(), 1);
-        assert_eq!(t.get(0, FieldId::new(0)), 4.0);
-        assert_eq!(t.get(1, FieldId::new(0)), 2.0);
+        assert_eq!(t.row(0), &[4.0, -1.0]);
+        assert_eq!(t.row(1), &[2.0, f64::INFINITY]);
     }
 
     /// One source row's writes: `(target row, field, value)`, in order.
@@ -618,24 +688,35 @@ mod tests {
         (t, nonlocal)
     }
 
-    /// The write-log path: rows swept in `sweep` order, cut into two log
-    /// slices at `cut`, then replayed in ascending source-row order.
+    /// The executor's path: rows swept in `sweep` order and cut into two
+    /// shards at `cut`, each with a table of its slice and a log; then the
+    /// tables scattered and the writers replayed in ascending source row
+    /// (the rows' id order).
     fn replayed_table(s: &AgentSchema, rows: &[Writes], sweep: &[u32], cut: usize, apply: Apply) -> (EffectTable, u64) {
-        let mut logs = [EffectLog::default(), EffectLog::default()];
-        let mut segments = vec![(0usize, 0u32); rows.len()];
+        let owned = rows.len() as u32;
+        let slices = [&sweep[..cut], &sweep[cut..]];
+        let mut shards = slices.map(|_| (EffectTable::new(s), EffectLog::default()));
+        let mut writers = Vec::new();
         let mut nonlocal = 0;
-        for (slice, members) in [&sweep[..cut], &sweep[cut..]].into_iter().enumerate() {
-            for (j, &me) in members.iter().enumerate() {
-                let mut w = EffectWriter::logged(s, &mut logs[slice], me);
+        for (i, ((table, log), members)) in shards.iter_mut().zip(slices).enumerate() {
+            table.reset(members.len());
+            for (slot, &me) in members.iter().enumerate() {
+                let start = log.len();
+                let mut w = EffectWriter::split(s, table, log, me, slot as u32);
                 apply(&mut w, me, &rows[me as usize]);
                 nonlocal += w.nonlocal_writes();
-                segments[me as usize] = (slice, j as u32);
+                assert_eq!(log.close(me, start, owned).count(), 0, "every row is owned");
             }
+            writers.extend(log.writers().iter().map(|&writer| (i, writer)));
         }
+        writers.sort_by_key(|&(_, (rank, ..))| rank);
         let mut t = EffectTable::new(s);
         t.reset(rows.len());
-        for &(slice, j) in &segments {
-            t.replay(&logs[slice], j, rows.len() as u32);
+        for ((table, _), members) in shards.iter().zip(slices) {
+            t.scatter_rows_from(table, members.iter().copied());
+        }
+        for (i, writer) in writers {
+            t.replay(&shards[i].1, writer, owned);
         }
         (t, nonlocal)
     }
@@ -650,15 +731,15 @@ mod tests {
         }
     }
 
-    /// One float `Sum` field that receives a row's own local writes *and*
-    /// other rows' remote writes in the same tick, with magnitudes that make
-    /// every re-association visible. Replay reproduces the serial table bit
-    /// for bit in any sweep order — which "apply locals in place, log only
-    /// the remotes" cannot: the locals would reach the cell before the
-    /// remotes of lower rows.
+    /// One remote float `Sum` field that receives a row's own local writes
+    /// *and* other rows' remote writes in the same tick, with magnitudes
+    /// that make every re-association visible. Replay reproduces the serial
+    /// table bit for bit in any sweep order — which routing by target
+    /// ("apply my own writes in place, log only those to others") cannot:
+    /// the own writes would reach the cell before the remotes of lower rows.
     #[test]
     fn replay_of_mixed_local_and_remote_float_sums_equals_serial_in_any_sweep_order() {
-        let s = AgentSchema::builder("W").effect("w", Combinator::Sum).nonlocal_effects(true).build().unwrap();
+        let s = AgentSchema::builder("W").remote_effect("w", Combinator::Sum).build().unwrap();
         let rows: Vec<Writes> = vec![
             vec![(0, 0, 0.1), (2, 0, 1e16), (1, 0, 0.3)],
             vec![(1, 0, 1e-3), (2, 0, 1.0), (0, 0, -1e16)],
@@ -685,15 +766,14 @@ mod tests {
     #[test]
     fn replay_covers_lattice_and_integer_fields_and_silent_agents() {
         let s = AgentSchema::builder("M")
-            .effect("lo", Combinator::Min)
-            .effect("hi", Combinator::Max)
-            .effect("n", Combinator::Sum)
-            .nonlocal_effects(true)
+            .remote_effect("lo", Combinator::Min)
+            .remote_effect("hi", Combinator::Max)
+            .remote_effect("n", Combinator::Sum)
             .build()
             .unwrap();
         let rows: Vec<Writes> = vec![
             vec![(1, 0, 4.0), (1, 1, 4.0), (1, 2, 1.0), (0, 2, 1.0)],
-            vec![], // an agent with zero writes: an empty segment
+            vec![], // an agent with zero writes: not a writer
             vec![(1, 0, -2.5), (0, 1, 9.0), (1, 2, 1.0), (2, 0, 0.5)],
             vec![],
         ];
@@ -706,27 +786,55 @@ mod tests {
     }
 
     /// Rows at or past `owned` are replicas: the replay folds none of their
-    /// writes, and `writes_past` hands out exactly those, in write order.
+    /// writes, and closing the writer hands out exactly those, in write
+    /// order. Local-only fields never reach the log.
     #[test]
     fn replay_folds_owned_targets_and_hands_out_the_rest_in_order() {
-        let s = AgentSchema::builder("W").effect("w", Combinator::Sum).nonlocal_effects(true).build().unwrap();
-        let writes: Writes = vec![(2, 0, 1.0), (0, 0, 0.5), (3, 0, -2.0), (1, 0, 4.0), (2, 0, 3.0)];
-        let mut log = EffectLog::default();
-        apply(&mut EffectWriter::logged(&s, &mut log, 0), 0, &writes);
-        let mut t = EffectTable::new(&s);
-        t.reset(4);
-        t.replay(&log, 0, 2);
-        assert_eq!(t.col(FieldId::new(0)), &[0.5, 4.0, 0.0, 0.0]);
-        let past: Vec<(u32, FieldId, f64)> = log.writes_past(0, 2).collect();
+        let s = AgentSchema::builder("W")
+            .remote_effect("w", Combinator::Sum)
+            .effect("own", Combinator::Sum)
+            .build()
+            .unwrap();
+        let writes: Writes =
+            vec![(2, 0, 1.0), (0, 0, 0.5), (0, 1, 7.0), (3, 0, -2.0), (1, 0, 4.0), (0, 1, 1.0), (2, 0, 3.0)];
+        let (mut shard, mut log) = (EffectTable::new(&s), EffectLog::default());
+        shard.reset(1);
+        apply(&mut EffectWriter::split(&s, &mut shard, &mut log, 0, 0), 0, &writes);
+        assert_eq!(log.len(), 5, "the two `own` writes combine in place");
+        assert_eq!(shard.row(0), &[0.0, 8.0]);
+        let past: Vec<(u32, FieldId, f64)> = log.close(6, 0, 2).collect();
         let field = FieldId::new(0);
         assert_eq!(past, [(2, field, 1.0), (3, field, -2.0), (2, field, 3.0)]);
+        assert_eq!(log.writers(), &[(6, 0, 5)]);
+        let mut t = EffectTable::new(&s);
+        t.reset(4);
+        t.replay(&log, log.writers()[0], 2);
+        assert_eq!(t.col(FieldId::new(0)), &[0.5, 4.0, 0.0, 0.0]);
+        assert_eq!(t.col(FieldId::new(1)), &[0.0; 4], "the replay folds remote fields only");
+        // A member that logs nothing is no writer.
+        let start = log.len();
+        apply(&mut EffectWriter::split(&s, &mut shard, &mut log, 1, 0), 1, &[(1, 1, 2.0)]);
+        assert_eq!(log.close(7, start, 2).count(), 0);
+        assert_eq!(log.writers().len(), 1);
     }
 
-    /// One effect field per combinator, in [`Combinator::ALL`] order.
-    fn every_combinator(nonlocal: bool) -> AgentSchema {
-        let builder = Combinator::ALL.iter().fold(AgentSchema::builder("C"), |b, &c| b.effect(c.to_string(), c));
-        builder.nonlocal_effects(nonlocal).build().unwrap()
+    /// One effect field per combinator, in [`Combinator::ALL`] order, remote
+    /// where `remote` says so.
+    fn every_combinator(remote: [bool; 6]) -> AgentSchema {
+        let builder = Combinator::ALL.iter().zip(remote).fold(AgentSchema::builder("C"), |b, (&c, remote)| {
+            if remote {
+                b.remote_effect(c.to_string(), c)
+            } else {
+                b.effect(c.to_string(), c)
+            }
+        });
+        builder.build().unwrap()
     }
+
+    const ALL_REMOTE: [bool; 6] = [true; 6];
+    const ALL_LOCAL: [bool; 6] = [false; 6];
+    /// `sum`, `max` and `and` remote; `prod`, `min` and `or` local-only.
+    const MIXED: [bool; 6] = [true, false, false, true, false, true];
 
     const EVERY_FIELD: [(FieldId, Combinator); 6] = [
         (FieldId::new(0), Combinator::Sum),
@@ -737,19 +845,29 @@ mod tests {
         (FieldId::new(5), Combinator::And),
     ];
 
+    /// The local-only fields of [`MIXED`].
+    const MIXED_LOCAL_FIELDS: [(FieldId, Combinator); 3] = [EVERY_FIELD[1], EVERY_FIELD[2], EVERY_FIELD[4]];
+
     /// `writes` through the writer with every maximal run of own-row writes
-    /// as one [`EffectWriter::fold_local`] over [`EVERY_FIELD`]; writes to
-    /// other rows go through `remote`, between the folds.
-    fn apply_folded(w: &mut EffectWriter<'_>, me: u32, writes: &[(u32, u16, f64)]) {
-        for run in writes.chunk_by(|a, b| (a.0 == me) == (b.0 == me)) {
-            if run[0].0 != me {
+    /// to `fields` as one [`EffectWriter::fold_local`] over `fields`; other
+    /// writes go through `local` / `remote`, between the folds.
+    fn fold_runs<const N: usize>(
+        w: &mut EffectWriter<'_>,
+        me: u32,
+        writes: &[(u32, u16, f64)],
+        fields: [(FieldId, Combinator); N],
+    ) {
+        let slot = |field: u16| fields.iter().position(|&(f, _)| f == FieldId::new(field));
+        let folded = |&(target, field, _): &(u32, u16, f64)| target == me && slot(field).is_some();
+        for run in writes.chunk_by(|a, b| folded(a) == folded(b)) {
+            if !folded(&run[0]) {
                 apply(w, me, run);
                 continue;
             }
-            w.fold_local(EVERY_FIELD, |acc| {
+            w.fold_local(fields, |acc| {
                 for &(_, field, v) in run {
-                    let k = field as usize;
-                    match EVERY_FIELD[k].1 {
+                    let k = slot(field).unwrap();
+                    match fields[k].1 {
                         Combinator::Sum => acc.sum(k, v),
                         Combinator::Prod => acc.prod(k, v),
                         Combinator::Min => acc.min(k, v),
@@ -762,11 +880,22 @@ mod tests {
         }
     }
 
+    /// Folds over [`EVERY_FIELD`].
+    fn apply_folded(w: &mut EffectWriter<'_>, me: u32, writes: &[(u32, u16, f64)]) {
+        fold_runs(w, me, writes, EVERY_FIELD);
+    }
+
+    /// Folds over [`MIXED_LOCAL_FIELDS`] only.
+    fn apply_folded_local(w: &mut EffectWriter<'_>, me: u32, writes: &[(u32, u16, f64)]) {
+        fold_runs(w, me, writes, MIXED_LOCAL_FIELDS);
+    }
+
     /// `n` writes by row `me` of `rows`, two thirds of them to itself, over
-    /// every field, drawn from the values float folds are sensitive to:
-    /// signed zeros, infinities, NaN, subnormals and magnitudes that make a
-    /// re-associated `Sum` or `Prod` visible.
-    fn hostile_writes(me: u32, rows: u32, n: usize, seed: u64) -> Writes {
+    /// every field (those to other rows over the `remote` ones only), drawn
+    /// from the values float folds are sensitive to: signed zeros,
+    /// infinities, NaN, subnormals and magnitudes that make a re-associated
+    /// `Sum` or `Prod` visible.
+    fn hostile_writes(me: u32, rows: u32, n: usize, seed: u64, remote: [bool; 6]) -> Writes {
         let sub = f64::from_bits(3);
         let values =
             [0.0, -0.0, 1.0, -1.0, 0.1, 0.3, 1e16, -1e16, 1e-3, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, sub, -sub];
@@ -774,7 +903,9 @@ mod tests {
         (0..n)
             .map(|_| {
                 let target = if rng.below(3) < 2 { me } else { rng.below(rows as u64) as u32 };
-                (target, rng.below(6) as u16, values[rng.below(values.len() as u64) as usize])
+                let field = rng.below(6) as u16;
+                let target = if remote[field as usize] { target } else { me };
+                (target, field, values[rng.below(values.len() as u64) as usize])
             })
             .collect()
     }
@@ -786,9 +917,9 @@ mod tests {
     /// writer's, untouched by folding.
     #[test]
     fn fold_local_equals_the_same_local_writes_in_place() {
-        let s = every_combinator(true);
+        let s = every_combinator(ALL_REMOTE);
         for seed in 0..32 {
-            let rows: Vec<Writes> = (0..4).map(|me| hostile_writes(me, 4, 48, seed)).collect();
+            let rows: Vec<Writes> = (0..4).map(|me| hostile_writes(me, 4, 48, seed, ALL_REMOTE)).collect();
             let (by_local, nonlocal) = serial_table(&s, &rows, apply);
             let (by_fold, nonlocal_folded) = serial_table(&s, &rows, apply_folded);
             assert_bit_identical(&by_local, &by_fold);
@@ -801,10 +932,9 @@ mod tests {
     /// `local` before and after it on the same fields continues the sequence.
     #[test]
     fn fold_local_addresses_the_shard_slot_between_local_writes() {
-        let s = every_combinator(false);
+        let s = every_combinator(ALL_LOCAL);
         for seed in 0..32 {
-            let writes: Writes =
-                hostile_writes(9, 1, 60, seed).into_iter().map(|(_, field, v)| (9, field, v)).collect();
+            let writes = hostile_writes(9, 1, 60, seed, ALL_LOCAL);
             let (head, rest) = writes.split_at(7);
             let (mid, tail) = rest.split_at(40);
             let (mut by_local, mut by_fold) = (EffectTable::new(&s), EffectTable::new(&s));
@@ -821,16 +951,16 @@ mod tests {
         }
     }
 
-    /// The log sink logs every combine of a fold, in order: replayed in
+    /// A fold over remote fields logs every combine, in order: replayed in
     /// source-row order among the other rows' remote writes into the same
     /// fields, the table is the serial one, in any sweep order — which a
     /// fold that logged one partial per field could not be (the partial
     /// would re-associate the `Sum` against the remotes).
     #[test]
-    fn fold_local_on_the_log_sink_logs_every_combine_in_order() {
-        let s = every_combinator(true);
+    fn fold_local_over_remote_fields_logs_every_combine_in_order() {
+        let s = every_combinator(ALL_REMOTE);
         for seed in 0..16 {
-            let rows: Vec<Writes> = (0..4).map(|me| hostile_writes(me, 4, 40, seed)).collect();
+            let rows: Vec<Writes> = (0..4).map(|me| hostile_writes(me, 4, 40, seed, ALL_REMOTE)).collect();
             let (serial, serial_nonlocal) = serial_table(&s, &rows, apply);
             for sweep in [[0u32, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
                 let (replayed, nonlocal) = replayed_table(&s, &rows, &sweep, 2, apply_folded);
@@ -838,15 +968,58 @@ mod tests {
                 assert_eq!(nonlocal, serial_nonlocal);
             }
         }
-        let mut log = EffectLog::default();
-        apply_folded(&mut EffectWriter::logged(&s, &mut log, 1), 1, &[(1, 0, 2.0), (1, 0, 3.0), (1, 2, -1.0)]);
+        let (mut shard, mut log) = (EffectTable::new(&s), EffectLog::default());
+        shard.reset(1);
+        let mut w = EffectWriter::split(&s, &mut shard, &mut log, 1, 0);
+        apply_folded(&mut w, 1, &[(1, 0, 2.0), (1, 0, 3.0), (1, 2, -1.0)]);
         assert_eq!(log.len(), 3, "one entry per combine, not one per field");
+    }
+
+    /// The split sink of a schema with remote and local-only fields: one
+    /// row's writes through folds — over every field (remote accumulators
+    /// logged, local-only ones in registers) and over the local-only fields
+    /// alone (the register fold) — leave the bits of the same `local`
+    /// sequence in the shard table *and* in the log, and no local-only field
+    /// reaches the log. Across rows, the replay equals the serial table.
+    #[test]
+    fn fold_local_on_a_split_sink_routes_each_accumulator_by_its_field() {
+        let s = every_combinator(MIXED);
+        for seed in 0..32 {
+            let rows: Vec<Writes> = (0..4).map(|me| hostile_writes(me, 4, 48, seed, MIXED)).collect();
+            for me in 0..4u32 {
+                let run = |apply: Apply| {
+                    let (mut shard, mut log) = (EffectTable::new(&s), EffectLog::default());
+                    shard.reset(1);
+                    let mut w = EffectWriter::split(&s, &mut shard, &mut log, me, 0);
+                    apply(&mut w, me, &rows[me as usize]);
+                    let nonlocal = w.nonlocal_writes();
+                    let logged: Vec<(u32, FieldId, u64)> =
+                        log.entries.iter().map(|e| (e.row, e.field, e.v.to_bits())).collect();
+                    (shard, logged, nonlocal)
+                };
+                let (by_local, local_log, nonlocal) = run(apply);
+                assert!(local_log.iter().all(|&(_, field, _)| s.is_remote(field)), "a local-only field was logged");
+                assert!(local_log.iter().any(|&(row, ..)| row == me), "the case must log own remote-field writes");
+                for folding in [apply_folded as Apply, apply_folded_local] {
+                    let (by_fold, fold_log, nonlocal_folded) = run(folding);
+                    assert_bit_identical(&by_local, &by_fold);
+                    assert_eq!(fold_log, local_log);
+                    assert_eq!(nonlocal_folded, nonlocal);
+                }
+            }
+            let (serial, _) = serial_table(&s, &rows, apply);
+            for sweep in [[0u32, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
+                for folding in [apply_folded as Apply, apply_folded_local] {
+                    assert_bit_identical(&serial, &replayed_table(&s, &rows, &sweep, 2, folding).0);
+                }
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "schema `C` declares effect `sum` as sum but a fold combines it by min")]
     fn fold_local_rejects_a_combinator_the_schema_does_not_declare() {
-        let s = every_combinator(false);
+        let s = every_combinator(ALL_LOCAL);
         let mut t = EffectTable::new(&s);
         t.reset(1);
         EffectWriter::new(&s, &mut t, 0).fold_local([(FieldId::new(0), Combinator::Min)], |acc| acc.min(0, 1.0));
@@ -855,7 +1028,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "effect `max` folded twice")]
     fn fold_local_rejects_a_field_listed_twice() {
-        let s = every_combinator(false);
+        let s = every_combinator(ALL_LOCAL);
         let mut t = EffectTable::new(&s);
         t.reset(1);
         let max = (FieldId::new(3), Combinator::Max);
@@ -891,13 +1064,44 @@ mod tests {
         assert_eq!(t.col(FieldId::new(0)), &[0.0, 5.0]);
     }
 
+    /// On the split sink `remote(me, …)` routes by field exactly as `local`
+    /// does: a remote field to the log, a local-only one into the slot.
     #[test]
-    #[should_panic(expected = "local effects only")]
-    fn writer_rejects_undeclared_nonlocal() {
+    fn split_writer_routes_remote_to_self_by_field() {
+        let s = schema();
+        let (mut shard, mut log) = (EffectTable::new(&s), EffectLog::default());
+        shard.reset(2);
+        let mut w = EffectWriter::split(&s, &mut shard, &mut log, 9, 1);
+        w.remote(9, FieldId::new(0), 3.0);
+        w.remote(9, FieldId::new(1), -4.0);
+        assert_eq!(w.nonlocal_writes(), 0);
+        assert_eq!(shard.row(1), &[0.0, -4.0]);
+        let logged: Vec<(u32, FieldId, f64)> = log.close(0, 0, u32::MAX).collect();
+        assert!(logged.is_empty(), "row 9 is owned");
+        assert_eq!((log.entries[0].row, log.entries[0].field, log.entries[0].v), (9, FieldId::new(0), 3.0));
+        assert_eq!(log.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "schema `L` declares effect `e` local-only but wrote it on another agent (row 1)")]
+    fn writer_rejects_an_undeclared_remote_write() {
         let s = AgentSchema::builder("L").effect("e", Combinator::Sum).build().unwrap();
         let mut t = EffectTable::new(&s);
         t.reset(2);
         let mut w = EffectWriter::new(&s, &mut t, 0);
         w.remote(1, FieldId::new(0), 1.0);
+    }
+
+    /// A non-local schema does not license writes to another row's
+    /// local-only field: the check is per field.
+    #[test]
+    #[should_panic(expected = "schema `T` declares effect `closest` local-only but wrote it on another agent (row 4)")]
+    fn split_writer_rejects_a_remote_write_to_a_local_only_field() {
+        let s = schema();
+        let (mut shard, mut log) = (EffectTable::new(&s), EffectLog::default());
+        shard.reset(1);
+        let mut w = EffectWriter::split(&s, &mut shard, &mut log, 0, 0);
+        w.remote(4, FieldId::new(0), 1.0);
+        w.remote(4, FieldId::new(1), 1.0);
     }
 }

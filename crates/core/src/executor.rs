@@ -10,8 +10,8 @@
 //! ```text
 //!   mapᵗ        = update phase of t−1 + distribute (runtime)
 //!   reduceᵗ₁    = query phase over owned agents        (query_phase_sharded)
-//!   reduceᵗ₂    = replay of every non-local write, the
-//!                 peers' shipped ones included          (replay_effects)
+//!   reduceᵗ₂    = replay of every remote-field write,
+//!                 the peers' shipped ones included      (replay_effects)
 //!   mapᵗ⁺¹      = update phase                          (update_phase_sharded)
 //! ```
 //!
@@ -131,23 +131,21 @@
 //! * Each shard reuses its own block and column scratch, so the hot loop
 //!   performs no allocation and no synchronization. All per-tick buffers
 //!   live in a [`TickScratch`] that persists across ticks.
-//! * For **local-effect** schemas every row's effects are written by that
-//!   row alone, so a shard accumulates into its **own** [`EffectTable`]
-//!   holding just its slice (indexed by position in the slice) and the merge
-//!   is a bitwise scatter through the order — parallel output is identical
-//!   to serial output at the bit level, for any shard plan and any thread
-//!   count.
-//! * For **non-local** schemas any row may write to any visible row, and a
-//!   float `Sum` into a *target* row is pinned in **source-id order** — but
-//!   the sweep visits sources in tile order. So the sweep combines nothing:
-//!   every write, local *and* remote (one field may receive both in a tick,
-//!   and applying the locals early would re-associate it), is appended to a
-//!   segment of the slice's **effect write-log**
-//!   (`crate::effect::EffectLog`), one segment per source row. Then
-//!   [`replay_effects`] replays every owned row's segment **once**, in the
-//!   id order, with the writes peers shipped in interleaved by source id,
-//!   into the pool's effect columns (writes to replica rows go to their
-//!   owners instead): sort, then replay. The replay is serial.
+//! * A **local-only** effect field is written by its own row alone, so a
+//!   shard accumulates it into its **own** [`EffectTable`] of just its slice
+//!   (indexed by position in the slice) and the merge is a bitwise scatter
+//!   through the order: parallel ≡ serial at the bit level, for any shard
+//!   plan and thread count. A local-effect schema has no other kind of field.
+//! * A **remote** field (`AgentSchema::is_remote`) may be written by any
+//!   visible row, and a float `Sum` into a *target* row is pinned in
+//!   **source-id order** — but the sweep visits sources in tile order. So
+//!   every write to a remote field, the row's own included (applying those
+//!   early would re-associate the sum), is appended to the slice's **effect
+//!   write-log** (`crate::effect::EffectLog`), and a member that logged any
+//!   is recorded as a writer. Then [`replay_effects`] replays every writer
+//!   **once**, in the id order, with the writes peers shipped interleaved by
+//!   source id, into the pool's effect columns (writes to replica rows go to
+//!   their owners instead). The replay is serial.
 //! * The inner loop is monomorphized over the concrete index type
 //!   ([`ScanIndex`] / [`KdTree`] / [`UniformGrid`]) where one is probed: the
 //!   [`BuiltIndex`] enum is dispatched once per tick, not once per probe.
@@ -157,13 +155,14 @@
 //! One contract, for every schema, shard granule, thread count and
 //! partitioning: the sharded query phase and its replay are
 //! **bit-identical to [`query_phase`]**, the unsharded, unjoined serial
-//! reference (one index probe and one sort per row, in id order). Local
-//! effects are written by their own row alone, and the merge is a scatter.
-//! Non-local effects are combined in one place only — the replay — in
-//! source-id order, as the reference combines them; a slice boundary or a
-//! partition boundary changes where a write is logged, not when it is
-//! folded (`tests/properties.rs` proves this across seeds, populations,
-//! granules, thread budgets and every [`IndexKind`]). The update phase
+//! reference (one index probe and one sort per row, in id order). A
+//! local-only field is combined by its own row alone, in its query's order,
+//! and the merge is a scatter. A remote field is combined in one place only
+//! — the replay — in (source id, emission) order, as the reference combines
+//! it; a slice or partition boundary changes where a write is logged, not
+//! when it is folded, and a source that logged nothing adds nothing
+//! (`tests/properties.rs` proves this across seeds, populations, granules,
+//! thread budgets and every [`IndexKind`]). The update phase
 //! parallelizes with any contiguous chunking:
 //! each agent's update depends only on `(seed, tick, agent)`, and per-chunk
 //! spawn queues are concatenated in chunk order, preserving the serial
@@ -194,7 +193,14 @@ use std::time::Instant;
 /// construction.
 #[inline]
 pub fn agent_rng(seed: u64, tick: u64, agent: brace_common::AgentId, phase: u64) -> DetRng {
-    DetRng::seed_from_u64(seed).stream(tick.wrapping_shl(1) | phase).stream(agent.raw())
+    tick_rng(seed, tick, phase).stream(agent.raw())
+}
+
+/// The root of one tick's and phase's [`agent_rng`] streams: a phase loop
+/// derives it once and then takes `.stream(id)` per agent.
+#[inline]
+fn tick_rng(seed: u64, tick: u64, phase: u64) -> DetRng {
+    DetRng::seed_from_u64(seed).stream(tick.wrapping_shl(1) | phase)
 }
 
 /// Rows per logical shard of the query phase. Small enough to give a
@@ -310,8 +316,8 @@ pub struct QueryStats {
     pub index_build_ns: u64,
     pub query_ns: u64,
     /// Time spent bringing the shards' effects into the pool's effect
-    /// columns (the local scatter, or the non-local write-log's replay,
-    /// which the engine adds) — a subset of `query_ns`, broken out so the
+    /// columns (the scatter, and for a non-local schema the write-log's
+    /// replay, which the engine adds) — a subset of `query_ns`, broken out so the
     /// effect-merge phase is visible on its own (telemetry, `--trace`).
     pub merge_ns: u64,
     pub neighbor_visits: u64,
@@ -507,9 +513,9 @@ fn tile_window(cells: &[ProbeKey], side: f64, rect: &Rect, cursors: &mut [usize;
 
 /// Reusable per-tick working memory, threaded through the executor so the
 /// hot path allocates nothing after the first tick: the tick's id and probe
-/// orders with their sort buffers, one [`ShardScratch`] (effect table or
-/// write-log + candidate block + spawn queue) per logical shard, and for
-/// non-local schemas the replay's source order and the writes to replicas.
+/// orders with their sort buffers, one [`ShardScratch`] (effect table,
+/// write-log, candidate block, spawn queue) per logical shard, and for
+/// non-local schemas the replay's writer order and the writes to replicas.
 /// One `TickScratch` belongs to one behavior (its tables are shaped by the
 /// behavior's schema).
 #[derive(Default)]
@@ -517,9 +523,11 @@ pub struct TickScratch {
     shards: Vec<ShardScratch>,
     /// The id order, the probe order and the sweep.
     probe: ProbeOrder,
-    /// Non-local schemas: `(row, sweep slice, log segment)` of every owned
-    /// row, in the id order — the replay's order. Empty otherwise.
-    sources: Vec<(u32, u32, u32)>,
+    /// Non-local schemas: the shards' writers, `(sweep slice, (id rank, start,
+    /// end))`, in the id order — the replay's order. Empty otherwise.
+    writers: Vec<(u32, (u32, u32, u32))>,
+    /// The writers' radix-sort scatter buffer.
+    spare_writers: Vec<(u32, (u32, u32, u32))>,
     /// Non-local schemas: the writes to replica rows, `(target row, write)`,
     /// in ascending source id.
     outbound: Vec<(u32, EffectWrite)>,
@@ -529,11 +537,11 @@ pub struct TickScratch {
 
 /// Working memory of one logical shard.
 struct ShardScratch {
-    /// Local-effect schemas: this slice's effects, indexed by position in
-    /// the slice.
+    /// This slice's effects, indexed by position in the slice (for a
+    /// non-local schema, its local-only fields').
     table: EffectTable,
-    /// Non-local schemas: this slice's effect writes, one segment per member,
-    /// and those of them to replica rows, `(target row, write)`, in order.
+    /// Non-local schemas: this slice's remote-field writes and writers, and
+    /// the writes to replica rows, `(target row, write)`, in order.
     log: EffectLog,
     outbound: Vec<(u32, EffectWrite)>,
     /// Candidate rows of the current probe group, canonical order (on the
@@ -746,12 +754,12 @@ struct QueryPlan<'a, B> {
     /// A group's block is the sort-merge tile join over `cells`, and every
     /// member filters its own candidates out of it; no index is probed.
     join: bool,
-    /// Effect writes go to the shard's write-log (otherwise a shard's table
-    /// is indexed by position in its slice of `order`).
+    /// Writes to remote fields go to the shard's write-log; all others to its
+    /// table, indexed by position in its slice of `order`.
     nonlocal: bool,
     rows_in_id_order: bool,
-    tick: u64,
-    seed: u64,
+    /// The tick's query-phase RNG root ([`tick_rng`]).
+    rng: DetRng,
 }
 
 /// The most members a strip of several tiles may hold: two `filter_rect`
@@ -889,12 +897,13 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
             let row = key.row;
             let me = view.agent(row);
             debug_assert!(me.alive(), "dead agent in query phase");
+            let start = log.len();
             let mut writer = if plan.nonlocal {
-                EffectWriter::logged(schema, log, row)
+                EffectWriter::split(schema, table, log, row, slot)
             } else {
                 EffectWriter::with_slot(schema, table, row, slot)
             };
-            let mut rng = agent_rng(plan.seed, plan.tick, me.id(), 0);
+            let mut rng = plan.rng.stream(me.id().raw());
             let candidates = if plan.join {
                 rows.clear();
                 filter_rect(block_xs, block_ys, block, &behavior.probe_rect(me.pos(), vis), rows);
@@ -906,12 +915,14 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
             behavior.query(me, &Neighbors::new(view, candidates, row), &mut writer, &mut rng);
             let remote = writer.nonlocal_writes();
             nonlocal += remote;
-            if remote > 0 && owned < view.len() as u32 {
-                // Only `remote` reaches a replica row; hand its writes out
-                // while the segment is hot.
-                outbound.extend(log.writes_past(slot, owned).map(|(target, field, v)| {
-                    (target, EffectWrite { target: view.ids[target as usize], source: me.id(), field, v })
-                }));
+            if plan.nonlocal {
+                // Hand the writes to replica rows out while they are hot.
+                let past = log.close(key.rank, start, owned);
+                if remote > 0 && owned < view.len() as u32 {
+                    outbound.extend(past.map(|(target, field, v)| {
+                        (target, EffectWrite { target: view.ids[target as usize], source: me.id(), field, v })
+                    }));
+                }
             }
             slot += 1;
         }
@@ -925,10 +936,10 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
 /// Sharded, optionally parallel query phase: rows `0..n_owned` of the pool
 /// are queried over the shard plan described in the module docs, and their
 /// effects aggregated into the **pool's own effect columns** (by
-/// [`replay_effects`] for a non-local schema) — bit-identically to
-/// [`query_phase`]. `index` is built and probed only where
-/// the sort-merge tile join does not apply (the scan, k-NN probes, unbounded
-/// visibility); a bounded-visibility range schema never builds it.
+/// [`replay_effects`] for a non-local schema's remote fields) —
+/// bit-identically to [`query_phase`]. `index` is built and probed only
+/// where the sort-merge tile join does not apply (the scan, k-NN probes,
+/// unbounded visibility); a bounded-visibility range schema never builds it.
 ///
 /// `shard_rows` is the rows-per-shard granule: production passes
 /// [`SHARD_ROWS`], property tests pass tiny granules to cut small worlds
@@ -954,9 +965,9 @@ pub fn query_phase_sharded<B: Behavior>(
     let nonlocal = schema.has_nonlocal_effects();
     let k = shard_count(n_owned, shard_rows);
     scratch.ensure_shards(schema, k);
-    let TickScratch { shards, probe, sources, outbound, tel } = scratch;
+    let TickScratch { shards, probe, writers, spare_writers, outbound, tel } = scratch;
     let shards = &mut shards[..k];
-    sources.clear();
+    writers.clear();
     outbound.clear();
 
     // Range probes are shared between tile-mates — except by the scan: it is
@@ -984,13 +995,12 @@ pub fn query_phase_sharded<B: Behavior>(
     let threads = effective_parallelism(parallelism).min(k);
 
     let t1 = Instant::now();
-    let plan = QueryPlan { behavior, view, order, cells, by_id, grouped, join, nonlocal, rows_in_id_order, tick, seed };
-    // A local-effect shard accumulates into a table of the rows it sweeps; a
-    // non-local one only logs.
-    if !nonlocal {
-        for (i, shard) in shards.iter_mut().enumerate() {
-            shard.table.reset(shard_range(n_owned, k, i).len());
-        }
+    let rng = tick_rng(seed, tick, 0);
+    let plan = QueryPlan { behavior, view, order, cells, by_id, grouped, join, nonlocal, rows_in_id_order, rng };
+    // A shard accumulates into a table of the rows it sweeps (a non-local
+    // one logs its remote fields' writes besides).
+    for (i, shard) in shards.iter_mut().enumerate() {
+        shard.table.reset(shard_range(n_owned, k, i).len());
     }
     // One monomorphized dispatch per tick, then the shard loop runs against
     // the concrete index type (the join has none: its type parameter idles).
@@ -1003,25 +1013,21 @@ pub fn query_phase_sharded<B: Behavior>(
 
     // Deterministic merge, directly into the pool's effect columns.
     let t2 = Instant::now();
-    if !nonlocal {
-        // Local-effect shards own disjoint slices of the probe order: a
-        // bitwise scatter through it.
-        for (i, shard) in shards.iter().enumerate() {
-            table.scatter_rows_from(&shard.table, order[shard_range(n_owned, k, i)].iter().map(|key| key.row));
-        }
-    } else {
-        // Non-local shards logged every write, for `replay_effects` to fold
-        // in the id order: placed by id rank, with the replicas' places
-        // dropped. The writes to replica rows leave for their owners in
-        // source-id order too (the sort is stable).
-        sources.resize(view.len(), (u32::MAX, 0, 0));
+    // Shards own disjoint slices of the probe order: a bitwise scatter
+    // through it.
+    for (i, shard) in shards.iter().enumerate() {
+        table.scatter_rows_from(&shard.table, order[shard_range(n_owned, k, i)].iter().map(|key| key.row));
+    }
+    if nonlocal {
+        // The remote fields' writes wait for `replay_effects` to fold them in
+        // the id order: the writers, radix-sorted by id rank. The writes to
+        // replica rows leave for their owners in source-id order too (the
+        // sort is stable).
         for (s, shard) in shards.iter().enumerate() {
-            for (j, key) in order[shard_range(n_owned, k, s)].iter().enumerate() {
-                sources[key.rank as usize] = (key.row, s as u32, j as u32);
-            }
+            writers.extend(shard.log.writers().iter().map(|&writer| (s as u32, writer)));
             outbound.extend_from_slice(&shard.outbound);
         }
-        sources.retain(|&(row, ..)| (row as usize) < n_owned);
+        radix_sort_by_key(writers, spare_writers, |&(_, (rank, ..))| rank as u128);
         outbound.sort_by_key(|(_, write)| write.source);
     }
     stats.merge_ns = t2.elapsed().as_nanos() as u64;
@@ -1040,24 +1046,26 @@ pub fn query_phase_sharded<B: Behavior>(
     stats
 }
 
-/// The second reduce pass, and the only place any engine combines a
-/// non-local write: fold the writes the last [`query_phase_sharded`] over
+/// The second reduce pass, and the only place any engine combines a write
+/// to a remote field: fold the writes the last [`query_phase_sharded`] over
 /// `pool` logged for owned agents, and `inbound` — the writes peers made to
 /// them, as `(target row, write)` — into the pool's effect columns, once, in
-/// ascending source id. A source's writes keep the order it made them (they
-/// are one ordered run of `inbound`, and the sort is stable). A single node
-/// passes no inbound writes. Returns the nanoseconds it took.
+/// ascending source id. Only the members that logged a write are walked. A
+/// source's writes keep the order it made them (they are one ordered run of
+/// `inbound`, and the sort is stable). A single node passes no inbound
+/// writes. Returns the nanoseconds it took.
 pub fn replay_effects(pool: &mut AgentPool, scratch: &TickScratch, inbound: &mut [(u32, EffectWrite)]) -> u64 {
     let t0 = Instant::now();
     inbound.sort_by_key(|(_, write)| write.source);
     let (view, table) = pool.split_query();
-    let owned = scratch.sources.len() as u32;
+    let owned = scratch.probe.members.len() as u32;
     let mut peers = inbound.iter().peekable();
-    for &(row, s, j) in &scratch.sources {
-        while let Some((target, write)) = peers.next_if(|(_, write)| write.source < view.ids[row as usize]) {
+    for &(s, writer) in &scratch.writers {
+        let source = view.ids[scratch.probe.by_id[writer.0 as usize] as usize];
+        while let Some((target, write)) = peers.next_if(|(_, write)| write.source < source) {
             table.combine(*target, write.field, write.v);
         }
-        table.replay(&scratch.shards[s as usize].log, j, owned);
+        table.replay(&scratch.shards[s as usize].log, writer, owned);
     }
     for (target, write) in peers {
         table.combine(*target, write.field, write.v);
@@ -1240,6 +1248,7 @@ fn update_chunk_rows<B: Behavior>(
     parents: &mut Vec<AgentId>,
 ) {
     let reach = schema.reachability();
+    let root = tick_rng(seed, tick, 1);
     let mut me = Agent {
         id: AgentId::new(0),
         pos: Vec2::ZERO,
@@ -1250,7 +1259,7 @@ fn update_chunk_rows<B: Behavior>(
     for i in 0..chunk.len() {
         chunk.load(i, &mut me);
         let from = me.pos;
-        let rng = agent_rng(seed, tick, me.id, 1);
+        let rng = root.stream(me.id.raw());
         let before = spawns.len();
         let mut ctx = UpdateCtx::new(tick, rng, spawns);
         behavior.update(&mut me, &mut ctx);
@@ -1790,6 +1799,25 @@ mod tests {
         /// coordinates that straddle 0, tiles 10⁹ apart and ±1e300 (saturated
         /// tiles); down to one row and none; one `ProbeOrder` reused across
         /// every tile side.
+        #[test]
+        fn tick_rng_streams_equal_agent_rng(
+            seed in any::<u64>(),
+            tick in any::<u64>(),
+            id in any::<u64>(),
+            phase in 0u64..2,
+        ) {
+            // The phase loops derive the root once and a stream per agent;
+            // each must be the per-agent derivation, draw for draw.
+            let mut hoisted = tick_rng(seed, tick, phase).stream(id);
+            let mut spelled = DetRng::seed_from_u64(seed).stream(tick.wrapping_shl(1) | phase).stream(id);
+            let mut per_agent = agent_rng(seed, tick, AgentId::new(id), phase);
+            for _ in 0..4 {
+                let draw = per_agent.next_raw();
+                prop_assert_eq!(hoisted.next_raw(), draw);
+                prop_assert_eq!(spelled.next_raw(), draw);
+            }
+        }
+
         #[test]
         fn radix_orders_equal_comparison_sorts(
             points in prop::collection::vec((0usize..4, -9i32..9, -9i32..9), 0..200),

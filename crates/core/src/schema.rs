@@ -24,6 +24,10 @@ pub struct StateFieldDef {
 pub struct EffectFieldDef {
     pub name: String,
     pub combinator: Combinator,
+    /// Other agents may write this field: it is the target of a non-local
+    /// effect assignment ([`SchemaBuilder::remote_effect`]). A field that is
+    /// not remote is *local-only* — written by its own agent alone.
+    pub remote: bool,
 }
 
 /// The schema of an agent class. Construct through [`SchemaBuilder`].
@@ -34,7 +38,6 @@ pub struct AgentSchema {
     effects: Vec<EffectFieldDef>,
     visibility: f64,
     reachability: f64,
-    has_nonlocal_effects: bool,
 }
 
 impl AgentSchema {
@@ -46,7 +49,6 @@ impl AgentSchema {
             effects: Vec::new(),
             visibility: f64::INFINITY,
             reachability: f64::INFINITY,
-            has_nonlocal_effects: false,
         }
     }
 
@@ -106,10 +108,19 @@ impl AgentSchema {
     }
 
     /// Whether the model performs non-local effect assignments, i.e. writes
-    /// to effect fields of *other* agents. Decides between the single
-    /// reduce pass (local only) and the map-reduce-reduce pipeline (§3.2).
+    /// to effect fields of *other* agents: whether any effect field is
+    /// [remote](Self::is_remote). Decides between the single reduce pass
+    /// (local only) and the map-reduce-reduce pipeline (§3.2).
     pub fn has_nonlocal_effects(&self) -> bool {
-        self.has_nonlocal_effects
+        self.effects.iter().any(|e| e.remote)
+    }
+
+    /// Whether other agents may write effect field `f`. Only a remote
+    /// field's writes need the ordered second reduce pass; a local-only
+    /// field has one writer, its own agent. Panics on out-of-range ids.
+    #[inline]
+    pub fn is_remote(&self, f: FieldId) -> bool {
+        self.effects[f.index()].remote
     }
 }
 
@@ -121,7 +132,6 @@ pub struct SchemaBuilder {
     effects: Vec<EffectFieldDef>,
     visibility: f64,
     reachability: f64,
-    has_nonlocal_effects: bool,
 }
 
 impl SchemaBuilder {
@@ -131,9 +141,18 @@ impl SchemaBuilder {
         self
     }
 
-    /// Add an effect field with its combinator.
+    /// Add a local-only effect field with its combinator: only the agent
+    /// itself assigns it.
     pub fn effect(mut self, name: impl Into<String>, combinator: Combinator) -> Self {
-        self.effects.push(EffectFieldDef { name: name.into(), combinator });
+        self.effects.push(EffectFieldDef { name: name.into(), combinator, remote: false });
+        self
+    }
+
+    /// Add an effect field that other agents may assign too — the target of
+    /// a non-local effect assignment. Any remote field makes the schema
+    /// non-local ([`AgentSchema::has_nonlocal_effects`]).
+    pub fn remote_effect(mut self, name: impl Into<String>, combinator: Combinator) -> Self {
+        self.effects.push(EffectFieldDef { name: name.into(), combinator, remote: true });
         self
     }
 
@@ -146,12 +165,6 @@ impl SchemaBuilder {
     /// Set the reachability bound (L∞ per tick).
     pub fn reachability(mut self, reach: f64) -> Self {
         self.reachability = reach;
-        self
-    }
-
-    /// Declare that the model assigns effects to other agents.
-    pub fn nonlocal_effects(mut self, yes: bool) -> Self {
-        self.has_nonlocal_effects = yes;
         self
     }
 
@@ -178,7 +191,6 @@ impl SchemaBuilder {
             effects: self.effects,
             visibility: self.visibility,
             reachability: self.reachability,
-            has_nonlocal_effects: self.has_nonlocal_effects,
         })
     }
 }
@@ -246,8 +258,15 @@ mod tests {
     }
 
     #[test]
-    fn nonlocal_flag_propagates() {
-        let s = AgentSchema::builder("Shark").nonlocal_effects(true).build().unwrap();
+    fn remote_fields_make_the_schema_nonlocal() {
+        let s = AgentSchema::builder("Shark")
+            .effect("crowd", Combinator::Sum)
+            .remote_effect("hurt", Combinator::Sum)
+            .build()
+            .unwrap();
         assert!(s.has_nonlocal_effects());
+        assert!(!s.is_remote(FieldId::new(0)));
+        assert!(s.is_remote(FieldId::new(1)));
+        assert!(!fish_schema().has_nonlocal_effects());
     }
 }

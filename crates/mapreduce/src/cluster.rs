@@ -464,10 +464,9 @@ mod tests {
             Ping(
                 AgentSchema::builder("Ping")
                     .state("received")
-                    .effect("pings", Combinator::Sum)
+                    .remote_effect("pings", Combinator::Sum)
                     .visibility(2.5)
                     .reachability(0.5)
-                    .nonlocal_effects(true)
                     .build()
                     .unwrap(),
             )

@@ -804,8 +804,13 @@ impl Worker {
                 let PeerMsg::Effects { from, writes, .. } = msg else { unreachable!("recv_round filtered by round") };
                 let received = codec::decode_effect_writes(writes).map_err(|e| e.to_string()).and_then(|writes| {
                     let target = |w: EffectWrite| match self.id_to_row.get(&w.target) {
-                        Some(&row) if w.field.index() < width => Ok((row, w)),
-                        Some(_) => Err(format!("effect field {} of {width}", w.field.index())),
+                        Some(_) if w.field.index() >= width => {
+                            Err(format!("effect field {} of {width}", w.field.index()))
+                        }
+                        Some(_) if !schema.is_remote(w.field) => {
+                            Err(format!("local-only effect `{}`", schema.effect_defs()[w.field.index()].name))
+                        }
+                        Some(&row) => Ok((row, w)),
                         None => Err(format!("{}, which this worker does not own", w.target)),
                     };
                     writes.into_iter().map(target).collect::<Result<Vec<_>, _>>()
@@ -1222,9 +1227,9 @@ mod tests {
 
     fn ping_schema() -> AgentSchema {
         AgentSchema::builder("Ping")
-            .effect("pings", Combinator::Sum)
+            .remote_effect("pings", Combinator::Sum)
+            .effect("seen", Combinator::Sum)
             .visibility(1.5)
-            .nonlocal_effects(true)
             .build()
             .unwrap()
     }
@@ -1241,7 +1246,9 @@ mod tests {
         let r = reason(codec::encode_effect_writes(&[write(3, 0), write(999, 0)]));
         assert!(r.contains("a999, which this worker does not own"), "{r}");
         let r = reason(codec::encode_effect_writes(&[write(3, 1)]));
-        assert!(r.contains("effect field 1 of 1"), "{r}");
+        assert!(r.contains("local-only effect `seen`"), "{r}");
+        let r = reason(codec::encode_effect_writes(&[write(3, 2)]));
+        assert!(r.contains("effect field 2 of 2"), "{r}");
         let r = reason(Bytes::from(vec![1, 0, 0, 0, 7]));
         assert!(r.contains("effect writes from"), "{r}");
     }

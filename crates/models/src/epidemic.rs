@@ -98,10 +98,9 @@ impl EpidemicBehavior {
             .state("status")
             .state("heading")
             .state("timer")
-            .effect("contacts", Combinator::Sum)
+            .remote_effect("contacts", Combinator::Sum)
             .visibility(params.radius)
             .reachability(params.speed)
-            .nonlocal_effects(true)
             .build()
             .expect("static schema is valid");
         EpidemicBehavior { params, schema }

@@ -100,14 +100,18 @@ pub struct PredatorBehavior {
 
 impl PredatorBehavior {
     pub fn new(params: PredatorParams) -> Self {
-        let schema = AgentSchema::builder("Predator")
-            .state("size")
-            .state("heading")
-            .effect("hurt", Combinator::Sum)
+        // Only biting writes another fish's field: the non-local form
+        // declares `hurt` remote, and `crowd` is local-only in both forms.
+        let builder = AgentSchema::builder("Predator").state("size").state("heading");
+        let builder = if params.nonlocal {
+            builder.remote_effect("hurt", Combinator::Sum)
+        } else {
+            builder.effect("hurt", Combinator::Sum)
+        };
+        let schema = builder
             .effect("crowd", Combinator::Sum)
             .visibility(params.reach)
             .reachability(params.speed)
-            .nonlocal_effects(params.nonlocal)
             .build()
             .expect("static schema is valid");
         PredatorBehavior { params, schema }
@@ -192,7 +196,9 @@ mod tests {
 
     #[test]
     fn schema_flags_follow_form() {
-        assert!(behavior(true).schema().has_nonlocal_effects());
+        let schema = behavior(true).schema().clone();
+        assert!(schema.is_remote(FieldId::new(effect::HURT)));
+        assert!(!schema.is_remote(FieldId::new(effect::CROWD)), "crowd is counted by each fish itself");
         assert!(!behavior(false).schema().has_nonlocal_effects());
     }
 

@@ -162,13 +162,18 @@ pub fn scenario_script(name: &str) -> Option<(&'static str, bool)> {
 mod tests {
     use super::*;
     use brace_common::{AgentId, DetRng, Vec2};
-    use brace_core::{Agent, Behavior, Simulation};
+    use brace_core::{Agent, AgentSchema, Behavior, Simulation};
+
+    /// The effect fields a schema declares remote, in slot order.
+    fn remote_fields(schema: &AgentSchema) -> Vec<&str> {
+        schema.effect_defs().iter().filter(|e| e.remote).map(|e| e.name.as_str()).collect()
+    }
 
     #[test]
     fn figure2_parses_checks_and_inverts() {
         let script = Script::compile(FIGURE2_FISH).unwrap();
         let class = script.classes()[0].clone();
-        assert!(class.schema().has_nonlocal_effects());
+        assert_eq!(remote_fields(class.schema()), ["avoidx", "avoidy", "count"]);
         assert_eq!(class.schema().visibility(), 1.0);
         let inverted = invert_effects(class).unwrap();
         assert!(!inverted.schema().has_nonlocal_effects());
@@ -225,9 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn predator_schema_flags() {
-        assert!(predator(false).unwrap().schema().has_nonlocal_effects());
-        assert!(!predator(true).unwrap().schema().has_nonlocal_effects());
+    fn predator_declares_exactly_hurt_remote() {
+        assert_eq!(remote_fields(predator(false).unwrap().schema()), ["hurt"]);
+        assert!(remote_fields(predator(true).unwrap().schema()).is_empty(), "the inverted form writes nobody else");
     }
 
     /// The production plans' register programs, by op count (agent level,

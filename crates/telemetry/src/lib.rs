@@ -43,7 +43,7 @@
 //! | `brace_serve_run_latency_ns` | histogram | serve: accepted-run wall time |
 //! | `brace_executor_ticks_total` … | counter | executor per-tick counters |
 //! | `brace_executor_probe_groups_total`, `brace_executor_block_candidates_total` | counter | query phase (executor and cluster workers): candidate blocks built and the rows in them — agent-ticks ÷ groups is the members one block serves |
-//! | `brace_executor_effect_log_entries_total` | counter | query phase (executor and cluster workers): effect writes a non-local schema logged for replay in source-id order (0 for local-effect schemas) |
+//! | `brace_executor_effect_log_entries_total` | counter | query phase (executor and cluster workers): writes to remote effect fields, logged for replay in source-id order (0 for local-effect schemas; a local-only field's writes fold in place) |
 //! | `brace_net_*_bytes_total` | counter | cluster `NetLedger`, per traffic class |
 //! | `brace_cluster_epochs_total`, `brace_cluster_checkpoints_total` | counter | cluster master |
 //! | `brace_serve_cache_{hits,misses}_total`, `brace_serve_runs_total` | counter | serve result cache / admissions |
@@ -86,7 +86,7 @@ const COUNTER_NAMES: &[(&str, &str)] = &[
     ("brace_executor_killed_total", "Agents killed by update phases"),
     ("brace_executor_probe_groups_total", "Probe groups (one candidate block each) answered by query phases"),
     ("brace_executor_block_candidates_total", "Candidate rows in the blocks of all probe groups"),
-    ("brace_executor_effect_log_entries_total", "Effect writes logged for ordered replay by non-local schemas"),
+    ("brace_executor_effect_log_entries_total", "Writes to remote effect fields logged for ordered replay"),
     ("brace_net_transfer_bytes_total", "Cluster bytes: agent ownership transfers"),
     ("brace_net_replica_full_bytes_total", "Cluster bytes: full replica distribution"),
     ("brace_net_replica_delta_bytes_total", "Cluster bytes: masked columnar replica deltas"),

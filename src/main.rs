@@ -41,7 +41,7 @@
 //! line with its query-phase amortisation from the telemetry registry:
 //! `probe_groups` (candidate blocks built), `block_candidates` (rows in
 //! those blocks) — agent-ticks ÷ groups is the members one block served — and
-//! `effect_log_entries` (effect writes a non-local schema logged for ordered
+//! `effect_log_entries` (writes to remote effect fields, logged for ordered
 //! replay; 0 for local-effect schemas).
 //! Tracing observes the same metrics the executor already measures — it
 //! never changes results.

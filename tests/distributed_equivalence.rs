@@ -155,16 +155,15 @@ struct ChurnStorm {
 
 impl ChurnStorm {
     fn new(churn: bool, nonlocal: bool) -> Self {
-        let schema = AgentSchema::builder("ChurnStorm")
-            .state("w")
-            .state("drift")
-            .effect("acc", Combinator::Sum)
-            .effect("near", Combinator::Min)
-            .visibility(4.0)
-            .reachability(1.5)
-            .nonlocal_effects(nonlocal)
-            .build()
-            .unwrap();
+        // The non-local form writes `acc` across the pair, so `acc` is
+        // remote; `near` stays local-only either way.
+        let builder = AgentSchema::builder("ChurnStorm").state("w").state("drift");
+        let builder = if nonlocal {
+            builder.remote_effect("acc", Combinator::Sum)
+        } else {
+            builder.effect("acc", Combinator::Sum)
+        };
+        let schema = builder.effect("near", Combinator::Min).visibility(4.0).reachability(1.5).build().unwrap();
         ChurnStorm { schema, churn, nonlocal }
     }
 

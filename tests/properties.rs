@@ -101,11 +101,10 @@ impl NonlocalExact {
         NonlocalExact(
             AgentSchema::builder("NonlocalExact")
                 .state("hits")
-                .effect("pings", Combinator::Sum)
-                .effect("near", Combinator::Min)
+                .remote_effect("pings", Combinator::Sum)
+                .remote_effect("near", Combinator::Min)
                 .visibility(vis)
                 .reachability(0.5)
-                .nonlocal_effects(true)
                 .build()
                 .unwrap(),
         )
@@ -140,10 +139,9 @@ impl NonlocalFloat {
     fn new(vis: f64) -> Self {
         NonlocalFloat(
             AgentSchema::builder("NonlocalFloat")
-                .effect("w", Combinator::Sum)
+                .remote_effect("w", Combinator::Sum)
                 .visibility(vis)
                 .reachability(0.5)
-                .nonlocal_effects(true)
                 .build()
                 .unwrap(),
         )
@@ -162,6 +160,64 @@ impl Behavior for NonlocalFloat {
     }
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
         me.pos.y += ctx.rng.range(-0.2, 0.2);
+    }
+}
+
+/// Non-local model whose schema mixes remote and local-only fields, each
+/// written the way the split sink must route by field, not by target:
+/// `own` is an order-sensitive float `Sum` written only by its own row
+/// (folded in place), `w` a remote float `Sum` that also receives its own
+/// row's writes in the same tick (every one logged and replayed in source-id
+/// order), and one `fold_local` mixes both kinds with a local-only `Min`.
+struct NonlocalMixed(AgentSchema);
+
+impl NonlocalMixed {
+    const OWN: FieldId = FieldId::new(0);
+    const W: FieldId = FieldId::new(1);
+    const NEAR: FieldId = FieldId::new(2);
+
+    fn new(vis: f64) -> Self {
+        NonlocalMixed(
+            AgentSchema::builder("NonlocalMixed")
+                .effect("own", Combinator::Sum)
+                .remote_effect("w", Combinator::Sum)
+                .effect("near", Combinator::Min)
+                .visibility(vis)
+                .reachability(0.5)
+                .build()
+                .unwrap(),
+        )
+    }
+}
+
+impl Behavior for NonlocalMixed {
+    fn schema(&self) -> &AgentSchema {
+        &self.0
+    }
+    fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
+        let my_pos = me.pos();
+        for nb in nbrs.iter() {
+            let dx = my_pos.x - nb.agent.pos().x;
+            eff.remote(nb.row, Self::W, dx * rng.range(0.01, 2.7));
+            eff.local(Self::OWN, dx * rng.range(0.1, 1.3));
+        }
+        let own_bias = rng.range(-1e3, 1e3);
+        eff.fold_local(
+            [(Self::OWN, Combinator::Sum), (Self::W, Combinator::Sum), (Self::NEAR, Combinator::Min)],
+            |acc| {
+                for nb in nbrs.iter() {
+                    let dy = my_pos.y - nb.agent.pos().y;
+                    acc.sum(0, dy * 0.37 + own_bias);
+                    acc.sum(1, dy * 1e-3 - 0.1);
+                    acc.min(2, dy.abs());
+                }
+            },
+        );
+        eff.local(Self::W, own_bias * 1e5);
+        eff.local(Self::OWN, -own_bias);
+    }
+    fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
+        me.pos.y += ctx.rng.range(-0.2, 0.2) + 1e-3 * me.effect(Self::OWN).tanh();
     }
 }
 
@@ -615,6 +671,39 @@ proptest! {
             let mut index = TickIndex::new(kind);
             let mut scratch = TickScratch::new();
             query_phase_sharded(&b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
+            replayed_equals_serial(&serial, &mut pool, n_owned, &scratch)?;
+        }
+    }
+
+    /// A schema with remote and local-only fields: the local-only ones fold
+    /// in place in each shard's table, the remote one is logged and replayed
+    /// (its own row's writes, folded ones included, among the others'), so
+    /// the tables equal the serial reference bit for bit at every granule
+    /// and thread budget.
+    #[test]
+    fn sharded_query_equals_serial_for_mixed_remote_and_local_only_fields(
+        seed in 0u64..10_000,
+        n in 2usize..180,
+        owned_frac in 0.3f64..1.0,
+        vis in 0.4f64..8.0,
+        kind in any_index_kind(),
+        shard_rows in 1usize..30,
+        threads_a in 1usize..6,
+        threads_b in 1usize..6,
+    ) {
+        let b = NonlocalMixed::new(vis);
+        let agents = random_population(b.schema(), n, seed);
+        let n_owned = ((n as f64 * owned_frac) as usize).max(1);
+        let mut serial = EffectTable::new(b.schema());
+        let s_stats =
+            query_phase(&b, &AgentPool::from_agents(b.schema(), &agents), n_owned, kind, &mut serial, 2, seed);
+        for threads in [threads_a, threads_b] {
+            let mut pool = AgentPool::from_agents(b.schema(), &agents);
+            let mut index = TickIndex::new(kind);
+            let mut scratch = TickScratch::new();
+            let p_stats =
+                query_phase_sharded(&b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
+            prop_assert_eq!(s_stats.nonlocal_writes, p_stats.nonlocal_writes);
             replayed_equals_serial(&serial, &mut pool, n_owned, &scratch)?;
         }
     }
@@ -1373,8 +1462,9 @@ proptest! {
 
     /// The same pool under non-local schemas, where replica rows *receive*
     /// writes (what a worker ships to their owners) and the replay walks the
-    /// owned rows in id order, not row order: exactly associative effects
-    /// and float sums, both at the drawn granule.
+    /// writers in id order, not row order: exactly associative effects,
+    /// float sums, and remote and local-only fields side by side, all at
+    /// the drawn granule.
     #[test]
     fn kernel_tile_join_on_a_worker_shaped_pool_equals_serial_for_nonlocal_effects(
         seed in 0u64..10_000,
@@ -1394,6 +1484,10 @@ proptest! {
         let mut world = random_population(float.schema(), n, seed);
         join_geometry(&mut world, vis, 4.0 * vis, seed, sparse);
         worker_shaped_pool_equals_serial(&float, world, owned_frac, kind, shard_rows, threads, seed)?;
+        let mixed = NonlocalMixed::new(vis);
+        let mut world = random_population(mixed.schema(), n, seed);
+        join_geometry(&mut world, vis, 4.0 * vis, seed, sparse);
+        worker_shaped_pool_equals_serial(&mixed, world, owned_frac, kind, shard_rows, threads, seed)?;
     }
 }
 

@@ -117,9 +117,10 @@ fn enabled_runs_record_into_the_registry() {
         assert_eq!(counter(Counter::ExecutorEffectLogEntries), 0, "fish on `{}` logged effects", report.backend);
     }
 
-    // The non-local predator logs *everything* it writes: one local `crowd`
-    // write per visible neighbor (every candidate but the fish itself, which
-    // its own closed visibility square always contains) plus its bites.
+    // The non-local predator logs only the writes to its remote field,
+    // `hurt` — its bites, every one non-local. The local `crowd` writes (one
+    // per visible neighbor: every candidate but the fish itself, which its
+    // own closed visibility square always contains) fold in place.
     brace_telemetry::reset();
     let predator = PredatorBehavior::new(PredatorParams::default());
     let mut sim = Simulation::builder(predator.clone())
@@ -136,6 +137,6 @@ fn enabled_runs_record_into_the_registry() {
         nonlocal += tm.nonlocal_writes;
     }
     assert!(local > 0 && nonlocal > 0, "the predator world is too sparse to test anything");
-    assert_eq!(counter(Counter::ExecutorEffectLogEntries), local + nonlocal);
+    assert_eq!(counter(Counter::ExecutorEffectLogEntries), nonlocal);
     brace_telemetry::reset();
 }
