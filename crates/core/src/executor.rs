@@ -61,11 +61,14 @@
 //!    where the same window tile-row began for the previous group — one
 //!    cursor per window row (sort + batched multi-search — Goodrich,
 //!    Sitchinava & Zhang's MapReduce primitive pair). Sparse tiles share one
-//!    window, one canonical sort and one gather per strip instead of paying
+//!    window, one block order and one gather per strip instead of paying
 //!    them per tile;
-//! 2. the block's id ranks are sorted **once** — a plain integer sort that
-//!    puts it in ascending id on every engine — and mapped back to rows
-//!    while its positions are gathered **once** into contiguous columns;
+//! 2. the block is put in ascending id **once**, on every engine, by
+//!    `kernels::block_order` — its id ranks are distinct integers below the
+//!    visible-row count, so up to 32 are placed by their counts of smaller
+//!    ranks and more are radix-sorted by their bytes; no comparison sort —
+//!    and mapped back to rows while its positions are gathered **once** into
+//!    contiguous columns;
 //! 3. each member takes *its own* candidates out of the block by running
 //!    the lane kernel `kernels::filter_rect` over those columns with *its
 //!    own* probe rect, and runs its scalar [`Behavior::query`] over them.
@@ -87,9 +90,9 @@
 //! space costs nothing extra and one agent 10⁹ units away adds a few passes.
 //!
 //! **Candidates are canonical**: every block is put in ascending agent-id
-//! order before any behavior sees it (its id ranks, sorted), so float effect
-//! aggregation is a pure function of the agent set, independent of row
-//! placement.
+//! order before any behavior sees it (its id ranks, ascending), so float
+//! effect aggregation is a pure function of the agent set, independent of
+//! row placement.
 //!
 //! What has no rect to share keeps one probe per row, through the same loop
 //! as one-row groups in id order and against a [`TickIndex`] (the only
@@ -182,7 +185,7 @@ use crate::effect::{EffectLog, EffectTable, EffectWrite, EffectWriter};
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, Rect, Vec2};
-use brace_spatial::kernels::{filter_rect, LANES};
+use brace_spatial::kernels::{block_order, filter_rect, radix_sort_by_key, LANES};
 use brace_spatial::{IndexKind, KdTree, ScanIndex, SpatialIndex, UniformGrid};
 use brace_telemetry::{Counter, Telemetry};
 use std::ops::Range;
@@ -345,7 +348,8 @@ impl ProbeKey {
     }
 }
 
-/// The tile coordinate of `v` at tile side `side`. Monotone in `v` (IEEE
+/// The tile coordinate of `v` at tile side `side`: `(v / side).floor() as
+/// i64` for every input, NaN and infinities included. Monotone in `v` (IEEE
 /// division by a positive side, `floor` and the saturating `as` all are), so
 /// every point of a rect lies in a tile between the tiles of the rect's own
 /// corners — which is all the join needs to be exact, whatever the rounding.
@@ -353,7 +357,15 @@ impl ProbeKey {
 /// tiling decides how much each block amortizes, never what a probe finds.
 #[inline]
 fn tile_of(v: f64, side: f64) -> i64 {
-    (v / side).floor() as i64
+    // `floor` without the libm call it is on the baseline target: truncate
+    // (saturating, NaN to 0), then step down where truncation rounded up.
+    let q = v / side;
+    let t = q as i64;
+    if (t as f64) > q {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
 }
 
 /// The tick's two orders over the visible rows, rebuilt every tick into
@@ -403,31 +415,6 @@ impl ProbeOrder {
         });
         members.clear();
         members.extend(cells.iter().filter(|c| (c.row as usize) < n_owned));
-    }
-}
-
-/// Stable LSD radix sort of `items` by `key`, through the scatter buffer
-/// `spare`: one counting pass per byte of the key that not every key shares
-/// — none when all keys are equal, two or three for a run's agent ids, one
-/// per byte of a world's extent in tiles.
-fn radix_sort_by_key<T: Copy>(items: &mut Vec<T>, spare: &mut Vec<T>, key: impl Fn(&T) -> u128) {
-    let Some(&head) = items.first() else { return };
-    let first = key(&head);
-    let varying = items.iter().fold(0, |bits, item| bits | (key(item) ^ first));
-    for shift in (0..128).step_by(8).filter(|&shift| (varying >> shift) as u8 != 0) {
-        let digit = |item: &T| (key(item) >> shift) as u8 as usize;
-        // Count each digit, then turn the counts into where each digit's
-        // next item goes.
-        let mut next = [0usize; 256];
-        items.iter().for_each(|item| next[digit(item)] += 1);
-        next.iter_mut().fold(0, |start, n| start + std::mem::replace(n, start));
-        spare.resize(items.len(), head);
-        for item in items.iter() {
-            let d = digit(item);
-            spare[next[d]] = *item;
-            next[d] += 1;
-        }
-        std::mem::swap(items, spare);
     }
 }
 
@@ -545,8 +532,10 @@ struct ShardScratch {
     log: EffectLog,
     outbound: Vec<(u32, EffectWrite)>,
     /// Candidate rows of the current probe group, canonical order (on the
-    /// join path, their id ranks until the block is sorted).
+    /// join path, their id ranks until the block is ordered).
     block: Vec<u32>,
+    /// The join block's radix scatter buffer ([`block_order`]).
+    spare_block: Vec<u32>,
     /// Where each tile-row of the last group's window began in the probe
     /// order, by offset from the window's first row ([`tile_window`]).
     cursors: [usize; 3],
@@ -573,6 +562,7 @@ impl ShardScratch {
             log: EffectLog::default(),
             outbound: Vec::new(),
             block: Vec::new(),
+            spare_block: Vec::new(),
             cursors: [0; 3],
             block_xs: Vec::new(),
             block_ys: Vec::new(),
@@ -695,7 +685,7 @@ fn reference_rows<B: Behavior, I: SpatialIndex>(
 }
 
 /// Put an index's range candidates in the canonical order: **ascending
-/// agent id**, always — the order a join block's sorted id ranks give.
+/// agent id**, always — the order a join block's ascending id ranks give.
 /// Per-agent neighbor iteration order — and therefore float effect
 /// aggregation — is then a pure function of the agent set, independent of
 /// where the candidates came from (a join block or an index) *and* of row
@@ -817,8 +807,9 @@ fn group_len(slice: &[ProbeKey], grouped: bool, join: bool) -> usize {
 /// index at all**: its candidate *block* is the rows of the tiles that the
 /// union of its members' [`Behavior::probe_rect`]s spans, a few contiguous
 /// runs of the probe order ([`tile_window`]). The
-/// block's id ranks are sorted once (ascending id), mapped back to rows, and
-/// its positions gathered once, and each
+/// block's id ranks are put in ascending order once ([`block_order`]:
+/// ascending id, by rank placement or a byte radix), mapped back to rows,
+/// and its positions gathered once, and each
 /// member then takes its own candidates out of it by running the lane
 /// kernel [`filter_rect`] over the block's contiguous columns with *its own*
 /// probe rect. Every visible row inside the member's rect lies in a tile of
@@ -842,7 +833,7 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
     let schema = behavior.schema();
     let vis = schema.visibility();
     let probe = behavior.probe();
-    let ShardScratch { table, log, outbound, block, cursors, block_xs, block_ys, rows, .. } = shard;
+    let ShardScratch { table, log, outbound, block, spare_block, cursors, block_xs, block_ys, rows, .. } = shard;
     let (mut visits, mut nonlocal, mut groups, mut block_rows) = (0u64, 0u64, 0u64, 0u64);
     let mut slot = 0u32;
     let owned = plan.order.len() as u32;
@@ -867,9 +858,8 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                 if !union.is_empty() {
                     tile_window(plan.cells, vis, &union, cursors, block);
                 }
-                // Sorted id ranks are ascending ids; then rows again.
-                block.sort_unstable();
-                block.iter_mut().for_each(|rank| *rank = plan.by_id[*rank as usize]);
+                // Ascending id ranks are ascending ids; then rows again.
+                block_order(block, plan.by_id, spare_block);
                 block_xs.clear();
                 block_xs.extend(block.iter().map(|&r| view.xs[r as usize]));
                 block_ys.clear();
@@ -1707,6 +1697,26 @@ mod tests {
         assert_eq!(window_checked(&cells, &everything, &mut cursors).len(), points.len());
     }
 
+    /// The values where truncating and stepping down could part from libm's
+    /// `floor`: signed zeros, infinities, NaN, subnormals, halves, the
+    /// largest doubles, and the neighbours of ±2⁶³ (where `as` saturates)
+    /// and of ±2⁵² and ±2⁵³ (where doubles stop having fractions: 2⁵² − ½
+    /// is the last with one, and 2⁵² + ½ falls between 2⁵² and 2⁵² + 1).
+    #[test]
+    fn tile_of_is_the_libm_floor_at_special_values() {
+        let mut values = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MAX, f64::MIN];
+        values.extend([f64::from_bits(1), f64::MIN_POSITIVE, 0.5, 1.0, 1.5, 1e300, 2.5e-300]);
+        for base in [2f64.powi(63), 2f64.powi(52), 2f64.powi(53)] {
+            values.extend([base.next_down(), base, base.next_up()]);
+        }
+        values.extend(values.clone().iter().map(|v| -v));
+        for v in values {
+            for side in [1.0, 0.37, 3.0, 1e-300, 1e300] {
+                assert_eq!(tile_of(v, side), (v / side).floor() as i64, "tile_of({v:e}, {side:e})");
+            }
+        }
+    }
+
     /// The probe groups one query phase of `CountAndDrift` (visibility 1, so
     /// tile side 1) builds over agents at `points`, summed over its shards.
     fn probe_groups(points: &[(f64, f64)], shard_rows: usize) -> u64 {
@@ -1855,6 +1865,20 @@ mod tests {
                 }
                 let members: Vec<ProbeKey> = probe.cells.iter().filter(|c| (c.row as usize) < n_owned).copied().collect();
                 prop_assert_eq!(&probe.members, &members);
+            }
+        }
+
+        /// `tile_of` against `floor() as i64`: every bit pattern (NaN,
+        /// infinities and subnormals among them) and finite doubles with
+        /// fractions, at tile sides from tiny to huge.
+        #[test]
+        fn tile_of_equals_floor_as_i64(
+            bits in prop::collection::vec(any::<u64>(), 64..65),
+            finite in prop::collection::vec(any::<f64>(), 64..65),
+            side in prop::sample::select(vec![1.0, 0.37, 2.5, 4e-3, 1e-300, 7e300]),
+        ) {
+            for v in bits.iter().map(|&b| f64::from_bits(b)).chain(finite) {
+                prop_assert_eq!(tile_of(v, side), (v / side).floor() as i64, "tile_of({:e}, {:e})", v, side);
             }
         }
 

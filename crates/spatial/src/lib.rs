@@ -25,7 +25,8 @@
 //!   distances) behind the executor's probe groups (each agent filters its
 //!   tile's shared candidate block with `filter_rect`), the scan's range
 //!   probe and the k-NN gathers, proven bit-identical to the scalar loops by
-//!   the kernel conformance suite in `tests/properties.rs`.
+//!   the kernel conformance suite in `tests/properties.rs`; and the join's
+//!   integer orders (`block_order`, `radix_sort_by_key`).
 
 pub mod grid;
 pub mod index;

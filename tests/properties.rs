@@ -32,6 +32,7 @@ use brace_core::{
 };
 use brace_mapreduce::codec;
 use brace_spatial::join::{distribute, nested_loop_join, partitioned_join};
+use brace_spatial::kernels::block_order;
 use brace_spatial::{GridPartitioning, KdTree, Partitioner, ScanIndex, SpatialIndex, UniformGrid};
 use proptest::prelude::*;
 
@@ -997,6 +998,38 @@ proptest! {
             }
         }
     }
+
+    /// A join block's order: `block_order` puts distinct id ranks in
+    /// ascending order and maps each to its row exactly as `sort_unstable`
+    /// followed by the map does — by rank placement at 0..=40 ranks (across
+    /// its 8-, 16- and 32-wide buffers and past them) and by the byte radix
+    /// at 33..=700, over rank ranges that need one, two and three radix
+    /// bytes, through one scatter buffer reused from call to call.
+    #[test]
+    fn kernel_block_order_equals_sort(
+        seed in any::<u64>(),
+        short in 0usize..41,
+        long in 33usize..701,
+        range in prop::sample::select(vec![256u32, 40_000, 200_000]),
+    ) {
+        let mut rng = DetRng::seed_from_u64(seed).stream(0xB10C);
+        // An odd multiplier is a bijection: distinct ranks name distinct rows.
+        let by_id: Vec<u32> = (0..range).map(|rank| rank.wrapping_mul(0x9E37_79B1)).collect();
+        let mut spare = vec![7; 5];
+        for len in [short, long.min(range as usize)] {
+            let mut seen = std::collections::HashSet::new();
+            let ranks: Vec<u32> = std::iter::repeat_with(|| rng.below(range as u64) as u32)
+                .filter(|&rank| seen.insert(rank))
+                .take(len)
+                .collect();
+            let mut want = ranks.clone();
+            want.sort_unstable();
+            want.iter_mut().for_each(|rank| *rank = by_id[*rank as usize]);
+            let mut got = ranks;
+            block_order(&mut got, &by_id, &mut spare);
+            prop_assert_eq!(got, want, "{} ranks below {}", len, range);
+        }
+    }
 }
 
 /// Decode random bits into the doubles a float fold is sensitive to: one
@@ -1219,7 +1252,8 @@ impl Behavior for Lopsided {
 /// bit for bit — owned rows against the replay, which walks them in id order
 /// like the reference, replica rows against the writes handed out for them.
 /// The outlier makes the probe order's tile keys vary in several more bytes,
-/// so the radix sort takes its many-pass path.
+/// so the radix sort takes its many-pass path. Returns the queried pool and
+/// its owned-row count.
 #[allow(clippy::too_many_arguments)]
 fn worker_shaped_pool_equals_serial<B: Behavior>(
     b: &B,
@@ -1229,7 +1263,7 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
     shard_rows: usize,
     threads: usize,
     seed: u64,
-) -> Result<(), String> {
+) -> Result<(AgentPool, usize), String> {
     let n = world.len();
     let mut rng = DetRng::seed_from_u64(seed).stream(0x5A9);
     let outlier = rng.below(n as u64) as usize;
@@ -1263,7 +1297,24 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
     if (s_stats.neighbor_visits, s_stats.nonlocal_writes) != (p_stats.neighbor_visits, p_stats.nonlocal_writes) {
         return Err(format!("counters differ: {s_stats:?} vs {p_stats:?}"));
     }
-    replayed_equals_serial(&serial, &mut pool, n_owned, &scratch)
+    replayed_equals_serial(&serial, &mut pool, n_owned, &scratch)?;
+    Ok((pool, n_owned))
+}
+
+/// Re-draw `world`'s positions so that join blocks come both long and short:
+/// every other agent inside one crowded tile (tile side `vis`), the rest
+/// alone, twenty tiles apart along a tile-row of their own. Both stay clear of
+/// `Lopsided`'s inverted and wide bands, so every probe rect holds its own
+/// agent.
+fn crowded_and_lone_geometry(world: &mut [Agent], vis: f64, seed: u64) {
+    let mut rng = DetRng::seed_from_u64(seed).stream(0xC20D);
+    for (i, agent) in world.iter_mut().enumerate() {
+        agent.pos = if i % 2 == 0 {
+            Vec2::new(rng.range(0.25, 0.75) * vis, rng.range(0.25, 0.75) * vis)
+        } else {
+            Vec2::new((10 * i) as f64 * vis + 0.5 * vis, -20.5 * vis)
+        };
+    }
 }
 
 fn lopsided_world(b: &Lopsided, n: usize, vis: f64, seed: u64, sparse: bool) -> Vec<Agent> {
@@ -1441,9 +1492,12 @@ proptest! {
     /// A distributed worker's pool: rows in no id order (shuffled, then
     /// swap-churned) and one agent ≈ 10⁹ units out, with a replica tail that
     /// joins the probe order and every block but never queries. The id order
-    /// is a radix sort, each block's sorted id ranks put it in ascending id,
-    /// and tile-mates are swept in id order, not row order; the tables must
-    /// equal the serial reference's bit for bit.
+    /// is a radix sort, each block's ascending id ranks put it in ascending
+    /// id, and tile-mates are swept in id order, not row order; the tables
+    /// must equal the serial reference's bit for bit. A third of the draws
+    /// are crowded: 120 more agents, half of them in one tile, so that
+    /// blocks of more than 32 rows take the block order's radix arm and the
+    /// lone agents' blocks of one row its 8-wide placement, on this pool.
     #[test]
     fn kernel_tile_join_on_a_worker_shaped_pool_equals_serial(
         seed in 0u64..10_000,
@@ -1453,11 +1507,30 @@ proptest! {
         kind in any_index_kind(),
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
-        sparse in any::<bool>(),
+        geometry in 0u8..3,
     ) {
         let b = Lopsided::new(vis);
-        let world = lopsided_world(&b, n, vis, seed, sparse);
-        worker_shaped_pool_equals_serial(&b, world, owned_frac, kind, shard_rows, threads, seed)?;
+        let crowded = geometry == 2;
+        let mut world = lopsided_world(&b, if crowded { n + 120 } else { n }, vis, seed, geometry == 1);
+        if crowded {
+            crowded_and_lone_geometry(&mut world, vis, seed);
+        }
+        let (pool, n_owned) = worker_shaped_pool_equals_serial(&b, world, owned_frac, kind, shard_rows, threads, seed)?;
+        if crowded {
+            // A member's block holds every row of its own tile, and a lone
+            // member's no row more than two tiles away.
+            let tile = |row: usize| {
+                let p = pool.pos(row as u32);
+                ((p.x / vis).floor() as i64, (p.y / vis).floor() as i64)
+            };
+            let tiles: Vec<(i64, i64)> = (0..pool.len()).map(tile).collect();
+            let within = |row: usize, reach: u64| {
+                let (tx, ty) = tiles[row];
+                tiles.iter().filter(|&&(x, y)| x.abs_diff(tx) <= reach && y.abs_diff(ty) <= reach).count()
+            };
+            prop_assert!((0..n_owned).any(|row| within(row, 0) > 32), "no owned row's block exceeds 32 rows");
+            prop_assert!((0..n_owned).any(|row| within(row, 2) <= 8), "no owned row's block holds 8 rows or fewer");
+        }
     }
 
     /// The same pool under non-local schemas, where replica rows *receive*
