@@ -42,7 +42,7 @@
 //! visible row** (owned and replica) is put in the **id order** — ascending
 //! agent id, which is row order on an id-ordered pool and one radix sort
 //! over the ids' varying bytes on a worker's — and then, fed in that order
-//! through a stable radix sort, into the **probe order**: by the tile its
+//! through a stable sort, into the **probe order**: by the tile its
 //! position falls in (tile side = the schema's visibility bound: a rule, not
 //! a knob), y-major, then by id. Each row of the probe order carries its
 //! **id rank**, its place in the id order. That sorted order *is* the index
@@ -57,12 +57,16 @@
 //!
 //! 1. the group's candidate *block* is the rows of the tiles that the union
 //!    of the members' [`Behavior::probe_rect`]s spans: per tile-row, one
-//!    contiguous run of the probe order, found by a galloping search from
-//!    where the same window tile-row began for the previous group — one
-//!    cursor per window row (sort + batched multi-search — Goodrich,
-//!    Sitchinava & Zhang's MapReduce primitive pair). Sparse tiles share one
-//!    window, one block order and one gather per strip instead of paying
-//!    them per tile;
+//!    contiguous run of the probe order. When the occupied tiles fit a dense
+//!    box, the probe order is a counting sort by tile and its prefix sums are
+//!    a **tile directory** (`kernels::TileDirectory`): the window is clamped
+//!    into the box and each of its tile-rows is two offset loads. A box too
+//!    sparse for one (an agent 10⁹ units out) falls back to a galloping
+//!    search from where the same window tile-row began for the previous
+//!    group — one cursor per window row (sort + batched multi-search —
+//!    Goodrich, Sitchinava & Zhang's MapReduce primitive pair). Sparse tiles
+//!    share one window, one block order and one gather per strip instead of
+//!    paying them per tile;
 //! 2. the block is put in ascending id **once**, on every engine, by
 //!    `kernels::block_order` — its id ranks are distinct integers below the
 //!    visible-row count, so up to 32 are placed by their counts of smaller
@@ -82,12 +86,16 @@
 //! block order, so each member sees exactly the rows
 //! `index.range(member's rect)` returns, in the same canonical order:
 //! effects, `neighbor_visits` and every golden are those of one index probe
-//! per agent. Both sorts are LSD radix sorts that make one stable counting
-//! pass per key byte that varies, so the orders cost O(passes · n) time and
-//! O(n) memory, with no dense cell array and nothing carried between ticks:
-//! spawn/kill churn changes nothing. The tile key is the tile's offset from
-//! the lowest occupied tile, so a school that swims out of its initial
-//! space costs nothing extra and one agent 10⁹ units away adds a few passes.
+//! per agent. Both sorts are stable counting sorts and nothing is carried
+//! between ticks: spawn/kill churn changes nothing. The id order is an LSD
+//! radix sort, one pass per id byte that varies. The probe order keys each
+//! row by its tile's offset from the lowest occupied tile, so a school that
+//! swims out of its initial space costs nothing extra: when the box of
+//! occupied tiles holds at most 8 tiles per visible row plus 4 096 it is one
+//! counting pass over the dense tile index, whose prefix sums are the
+//! directory; past that it is a radix sort over the offset's varying bytes,
+//! so one agent 10⁹ units away adds a few passes and no cell array. Time is
+//! O(passes · n) and memory O(n) either way.
 //!
 //! **Candidates are canonical**: every block is put in ascending agent-id
 //! order before any behavior sees it (its id ranks, ascending), so float
@@ -185,7 +193,9 @@ use crate::effect::{EffectLog, EffectTable, EffectWrite, EffectWriter};
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, Rect, Vec2};
-use brace_spatial::kernels::{block_order, filter_rect, radix_sort_by_key, LANES};
+use brace_spatial::kernels::{
+    block_order, filter_rect, radix_sort_by_key, seek_window, ProbeKey, TileDirectory, LANES,
+};
 use brace_spatial::{IndexKind, KdTree, ScanIndex, SpatialIndex, UniformGrid};
 use brace_telemetry::{Counter, Telemetry};
 use std::ops::Range;
@@ -327,27 +337,6 @@ pub struct QueryStats {
     pub nonlocal_writes: u64,
 }
 
-/// One visible row in the tick's **probe order**: the tile its position falls
-/// in (tile side = the schema's visibility bound), the row, and its id rank
-/// (its place in the id order). The order is sorted by `(ty, tx, id)` —
-/// y-major, so the tiles a rect spans along x are one contiguous run per
-/// tile-row — and runs of equal tiles among the owned rows are the probe
-/// groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ProbeKey {
-    ty: i64,
-    tx: i64,
-    row: u32,
-    rank: u32,
-}
-
-impl ProbeKey {
-    #[inline]
-    fn tile(&self) -> (i64, i64) {
-        (self.ty, self.tx)
-    }
-}
-
 /// The tile coordinate of `v` at tile side `side`: `(v / side).floor() as
 /// i64` for every input, NaN and infinities included. Monotone in `v` (IEEE
 /// division by a positive side, `floor` and the saturating `as` all are), so
@@ -378,9 +367,11 @@ struct ProbeOrder {
     /// The probe order: every visible row, by `(ty, tx, id)` (the join's
     /// build side).
     cells: Vec<ProbeKey>,
+    /// Where each tile of `cells` begins, when the occupied box is dense.
+    directory: TileDirectory,
     /// The owned rows of `cells`, in probe order (the sweep).
     members: Vec<ProbeKey>,
-    /// The radix sorts' scatter buffers.
+    /// The sorts' scatter buffers.
     spare_rows: Vec<u32>,
     spare_cells: Vec<ProbeKey>,
 }
@@ -388,14 +379,15 @@ struct ProbeOrder {
 impl ProbeOrder {
     /// Plan the tick. `by_id` is the identity when `rows_in_id_order`, and
     /// otherwise one radix sort over the ids' varying bytes. `cells` is fed in
-    /// `by_id` order and radix-sorted by tile — the tile's offset from the
-    /// lowest occupied one, so only the bytes that the world's extent in
-    /// tiles needs make passes — and the sort is stable, so ties keep
-    /// ascending id. Without a tile side every row is in tile (0, 0), and an
-    /// unbounded side does the same: `cells` is then the id order. `members`
-    /// receives the owned cells, rows `0..n_owned`, in probe order.
+    /// `by_id` order and, given a tile side, sorted by tile with
+    /// [`TileDirectory::sort`] — a counting sort that leaves the directory
+    /// when the occupied box is dense, a radix sort over the tile's offset
+    /// from the lowest one otherwise — and both are stable, so ties keep
+    /// ascending id. Without a tile side every row is in tile (0, 0), and
+    /// `cells` is the id order. `members` receives the owned cells, rows
+    /// `0..n_owned`, in probe order.
     fn plan(&mut self, view: PoolView<'_>, n_owned: usize, rows_in_id_order: bool, tile_side: Option<f64>) {
-        let ProbeOrder { by_id, cells, members, spare_rows, spare_cells } = self;
+        let ProbeOrder { by_id, cells, directory, members, spare_rows, spare_cells } = self;
         by_id.clear();
         by_id.extend(0..view.len() as u32);
         if !rows_in_id_order {
@@ -407,94 +399,13 @@ impl ProbeOrder {
             let (ty, tx) = (tile(view.ys[row as usize]), tile(view.xs[row as usize]));
             ProbeKey { ty, tx, row, rank: rank as u32 }
         }));
-        // Offsets, not the tiles' sign-flipped bits: a world that straddles
-        // tile 0 would vary in every byte of those.
-        let (ty0, tx0) = cells.iter().fold((i64::MAX, i64::MAX), |(ty, tx), c| (ty.min(c.ty), tx.min(c.tx)));
-        radix_sort_by_key(cells, spare_cells, |c| {
-            ((c.ty.wrapping_sub(ty0) as u64 as u128) << 64) | c.tx.wrapping_sub(tx0) as u64 as u128
-        });
+        if tile_side.is_some() {
+            directory.sort(cells, spare_cells);
+        } else {
+            directory.clear();
+        }
         members.clear();
         members.extend(cells.iter().filter(|c| (c.row as usize) < n_owned));
-    }
-}
-
-/// First index `i` of `cells` (sorted) with `cells[i].tile() >= lo`, found by
-/// galloping outward from `hint`: O(log distance), so a hint near the answer
-/// — where the same window tile-row began for the previous probe group —
-/// costs a step or two, and any hint at all is merely slower, never wrong.
-fn seek_tile(cells: &[ProbeKey], hint: usize, lo: (i64, i64)) -> usize {
-    let before = |c: &ProbeKey| c.tile() < lo;
-    let hint = hint.min(cells.len());
-    let mut step = 1;
-    if hint < cells.len() && before(&cells[hint]) {
-        // Everything left of `base` is before `lo`.
-        let mut base = hint + 1;
-        while base + step <= cells.len() && before(&cells[base + step - 1]) {
-            base += step;
-            step *= 2;
-        }
-        let end = (base + step - 1).min(cells.len());
-        base + cells[base..end].partition_point(before)
-    } else {
-        // Everything from `top` on is at or after `lo`.
-        let mut top = hint;
-        while top >= step && !before(&cells[top - step]) {
-            top -= step;
-            step *= 2;
-        }
-        let start = top.saturating_sub(step);
-        start + cells[start..top].partition_point(before)
-    }
-}
-
-/// The join's probe: append to `block` the id rank of every row of `cells`
-/// (all visible rows in probe order, tile side `side`) whose tile lies in the
-/// window of tiles that `rect` spans — one contiguous run of `cells` per
-/// tile-row, in probe order. The
-/// window is derived from the rect's own corners with the function that
-/// keyed the rows, so it is exact for any rect: one that float rounding
-/// pushed two tiles out, one a pushdown shrank, one wider than the
-/// visibility square.
-///
-/// `cursors[d]` is the seek hint for the window's tile-row `ty0 + d`, keyed
-/// by row — not by how many runs were found — so a window with empty rows
-/// (every window of a 1-D world has two) keeps each hint on its own row.
-/// Every landing is stored, and a row the seek skipped because it holds
-/// nothing from `tx0` on begins where the seek landed, so after the call
-/// `cursors[d]` is exactly where row `ty0 + d` of this window begins: a step
-/// or two from where it begins for the next probe group, which is usually
-/// the same window moved right. Each row's seek consults its own cursor,
-/// including the row a seek landed in after skipping empty ones.
-fn tile_window(cells: &[ProbeKey], side: f64, rect: &Rect, cursors: &mut [usize; 3], block: &mut Vec<u32>) {
-    let (tx0, tx1) = (tile_of(rect.lo.x, side), tile_of(rect.hi.x, side));
-    let (ty0, ty1) = (tile_of(rect.lo.y, side), tile_of(rect.hi.y, side));
-    let mut ty = ty0;
-    // Everything before `i` lies before `(ty, tx0)`.
-    let mut i = 0;
-    loop {
-        let d = ty.abs_diff(ty0);
-        i = seek_tile(cells, cursors.get(d as usize).map_or(i, |&cursor| cursor.max(i)), (ty, tx0));
-        let landed = cells.get(i).filter(|c| c.ty <= ty1);
-        // Rows `ty0 + d .. ty0 + end` all begin at `i`.
-        let end = landed.map_or(u64::MAX, |c| c.ty.abs_diff(ty0).max(d.saturating_add(1)));
-        for cursor in cursors.iter_mut().take(end.min(3) as usize).skip(d as usize) {
-            *cursor = i;
-        }
-        let Some(first) = landed else { break };
-        if first.ty > ty {
-            // Skipped empty tile-rows and landed in a later one, maybe left
-            // of the window: seek that row from its own cursor.
-            ty = first.ty;
-            continue;
-        }
-        while let Some(c) = cells.get(i).filter(|c| c.ty == ty && c.tx <= tx1) {
-            block.push(c.rank);
-            i += 1;
-        }
-        if ty == ty1 {
-            break;
-        }
-        ty += 1;
     }
 }
 
@@ -537,7 +448,7 @@ struct ShardScratch {
     /// The join block's radix scatter buffer ([`block_order`]).
     spare_block: Vec<u32>,
     /// Where each tile-row of the last group's window began in the probe
-    /// order, by offset from the window's first row ([`tile_window`]).
+    /// order, by offset from the window's first row ([`seek_window`]).
     cursors: [usize; 3],
     /// The join block's positions, gathered once per group.
     block_xs: Vec<f64>,
@@ -734,8 +645,10 @@ struct QueryPlan<'a, B> {
     /// The owned rows in probe order; shard `i` of `k` sweeps the slice
     /// `shard_range(order.len(), k, i)`.
     order: &'a [ProbeKey],
-    /// Every visible row in probe order: what the join probes.
+    /// Every visible row in probe order: what the join probes, through its
+    /// tile directory when the tick built one.
     cells: &'a [ProbeKey],
+    directory: Option<&'a TileDirectory>,
     /// Every visible row in the id order: what an id rank names.
     by_id: &'a [u32],
     /// Runs of equal tiles in `order` — strips of them, on the join path —
@@ -805,12 +718,13 @@ fn group_len(slice: &[ProbeKey], grouped: bool, join: bool) -> usize {
 /// unless the index kind is the scan) a group — a strip of the slice's
 /// neighbouring tiles in one tile-row ([`group_len`]) — is answered by **no
 /// index at all**: its candidate *block* is the rows of the tiles that the
-/// union of its members' [`Behavior::probe_rect`]s spans, a few contiguous
-/// runs of the probe order ([`tile_window`]). The
-/// block's id ranks are put in ascending order once ([`block_order`]:
-/// ascending id, by rank placement or a byte radix), mapped back to rows,
-/// and its positions gathered once, and each
-/// member then takes its own candidates out of it by running the lane
+/// union of its members' [`Behavior::probe_rect`]s spans, one contiguous
+/// run of the probe order per window tile-row — read off the tile directory
+/// ([`TileDirectory::window`]) when the tick built one, found by a galloping
+/// seek ([`seek_window`]) otherwise. The block's id ranks are put in
+/// ascending order once ([`block_order`]: ascending id, by rank placement or
+/// a byte radix), mapped back to rows, and its positions gathered once, and
+/// each member then takes its own candidates out of it by running the lane
 /// kernel [`filter_rect`] over the block's contiguous columns with *its own*
 /// probe rect. Every visible row inside the member's rect lies in a tile of
 /// the window (the tile function is monotone and the member's rect lies
@@ -856,7 +770,13 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                     .filter(|rect| !rect.is_empty())
                     .fold(Rect::EMPTY, |union, rect| union.union(&rect));
                 if !union.is_empty() {
-                    tile_window(plan.cells, vis, &union, cursors, block);
+                    // The window: the tiles of the union's own corners.
+                    let tiles = |p: Vec2| (tile_of(p.y, vis), tile_of(p.x, vis));
+                    let (lo, hi) = (tiles(union.lo), tiles(union.hi));
+                    match plan.directory {
+                        Some(directory) => directory.window(lo, hi, block),
+                        None => seek_window(plan.cells, lo, hi, cursors, block),
+                    }
                 }
                 // Ascending id ranks are ascending ids; then rows again.
                 block_order(block, plan.by_id, spare_block);
@@ -974,8 +894,9 @@ pub fn query_phase_sharded<B: Behavior>(
     }
     // Once per tick, early-out on the first inversion.
     let rows_in_id_order = ids_strictly_increasing(view.ids);
-    probe.plan(view, n_owned, rows_in_id_order, grouped.then_some(vis));
-    let ProbeOrder { by_id, cells, members: order, .. } = &*probe;
+    probe.plan(view, n_owned, rows_in_id_order, join.then_some(vis));
+    let ProbeOrder { by_id, cells, directory, members: order, .. } = &*probe;
+    let directory = directory.is_built().then_some(directory);
     stats.index_build_ns = t0.elapsed().as_nanos() as u64;
 
     table.reset(view.len());
@@ -986,7 +907,8 @@ pub fn query_phase_sharded<B: Behavior>(
 
     let t1 = Instant::now();
     let rng = tick_rng(seed, tick, 0);
-    let plan = QueryPlan { behavior, view, order, cells, by_id, grouped, join, nonlocal, rows_in_id_order, rng };
+    let plan =
+        QueryPlan { behavior, view, order, cells, directory, by_id, grouped, join, nonlocal, rows_in_id_order, rng };
     // A shard accumulates into a table of the rows it sweeps (a non-local
     // one logs its remote fields' writes besides).
     for (i, shard) in shards.iter_mut().enumerate() {
@@ -1033,6 +955,7 @@ pub fn query_phase_sharded<B: Behavior>(
     tel.add(Counter::ExecutorProbeGroups, groups);
     tel.add(Counter::ExecutorBlockCandidates, block_rows);
     tel.add(Counter::ExecutorEffectLogEntries, logged);
+    tel.add(Counter::ExecutorTileDirectoryTicks, directory.is_some() as u64);
     stats
 }
 
@@ -1612,16 +1535,16 @@ mod tests {
         probe.cells
     }
 
-    /// Run [`tile_window`] from `cursors` and check it against its
-    /// specification: the block is the rank of every row whose tile lies in
-    /// the rect's window, in probe order — what a walk that seeks every row
-    /// from index 0 finds — and afterwards each cursor holds exactly where its
-    /// window tile-row begins.
+    /// Run [`seek_window`] over the tiles of `rect`'s corners from `cursors`
+    /// and check it against its specification: the block is the rank of every
+    /// row whose tile lies in the rect's window, in probe order — what a walk
+    /// that seeks every row from index 0 finds — and afterwards each cursor
+    /// holds exactly where its window tile-row begins.
     fn window_checked(cells: &[ProbeKey], rect: &Rect, cursors: &mut [usize; 3]) -> Vec<u32> {
         let mut block = Vec::new();
-        tile_window(cells, 1.0, rect, cursors, &mut block);
         let (tx0, tx1) = (tile_of(rect.lo.x, 1.0), tile_of(rect.hi.x, 1.0));
         let (ty0, ty1) = (tile_of(rect.lo.y, 1.0), tile_of(rect.hi.y, 1.0));
+        seek_window(cells, (ty0, tx0), (ty1, tx1), cursors, &mut block);
         let from_zero: Vec<u32> = cells
             .iter()
             .filter(|c| (ty0..=ty1).contains(&c.ty) && (tx0..=tx1).contains(&c.tx))
@@ -1637,7 +1560,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_window_keys_its_cursors_by_tile_row_in_a_one_dimensional_world() {
+    fn seek_window_keys_its_cursors_by_tile_row_in_a_one_dimensional_world() {
         // Every window has an empty tile-row above and below the road; the
         // cursors carry from one agent's window to the next, as in a sweep.
         let points: Vec<(f64, f64)> = (0..60).map(|i| (i as f64 * 0.7, 0.0)).collect();
@@ -1650,7 +1573,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_window_is_exact_from_hints_behind_ahead_and_past_the_end() {
+    fn seek_window_is_exact_from_hints_behind_ahead_and_past_the_end() {
         let points: Vec<(f64, f64)> =
             (0..200).map(|i| ((i * 37 % 23) as f64 * 0.9 - 4.0, (i * 11 % 17) as f64 * 0.8 - 3.0)).collect();
         let cells = probe_order(&points);
@@ -1665,7 +1588,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_window_spans_five_tile_rows_with_an_empty_middle_row() {
+    fn seek_window_spans_five_tile_rows_with_an_empty_middle_row() {
         // Tile-rows 0, 1, 3 and 4 are occupied, row 2 is empty, and each
         // occupied row also holds a tile left and right of the window.
         let mut points = Vec::new();
@@ -1683,7 +1606,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_window_handles_tiles_saturated_at_the_ends_of_i64() {
+    fn seek_window_handles_tiles_saturated_at_the_ends_of_i64() {
         let points = [(-1e300, -1e300), (-1e300, 1e300), (0.5, 0.5), (1e300, -1e300), (1e300, 1e300), (2.0, 1e300)];
         let cells = probe_order(&points);
         assert_eq!(cells[0].tile(), (i64::MIN, i64::MIN));
@@ -1801,14 +1724,6 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The tick's radix-sorted orders against comparison sorts: the id
-        /// order is the rows sorted by id, and the probe order is the rows
-        /// sorted by `(ty, tx, id)`, each carrying its place in the id order,
-        /// with the owned ones its sweep. Id-ordered and shuffled pools,
-        /// whichever id bytes vary (low ones, high ones, all eight);
-        /// coordinates that straddle 0, tiles 10⁹ apart and ±1e300 (saturated
-        /// tiles); down to one row and none; one `ProbeOrder` reused across
-        /// every tile side.
         #[test]
         fn tick_rng_streams_equal_agent_rng(
             seed in any::<u64>(),
@@ -1828,6 +1743,15 @@ mod tests {
             }
         }
 
+        /// The tick's orders against comparison sorts: the id order is the
+        /// rows sorted by id, and the probe order is the rows sorted by
+        /// `(ty, tx, id)`, each carrying its place in the id order, with the
+        /// owned ones its sweep — whether the counting sort built the tile
+        /// directory (a dense box) or the radix sort ran (tiles 10⁹ apart,
+        /// ±1e300: saturated tiles), which happens exactly by the budget.
+        /// Id-ordered and shuffled pools, whichever id bytes vary (low ones,
+        /// high ones, all eight); coordinates that straddle 0; down to one
+        /// row and none; one `ProbeOrder` reused across every tile side.
         #[test]
         fn radix_orders_equal_comparison_sorts(
             points in prop::collection::vec((0usize..4, -9i32..9, -9i32..9), 0..200),
@@ -1835,6 +1759,7 @@ mod tests {
             mask in prop::sample::select(vec![0xFFFFu64, 0xFF00_0000_0000_0000, u64::MAX]),
             shuffled in any::<bool>(),
             owned in 0usize..201,
+            far in any::<bool>(),
         ) {
             let mut seen = std::collections::HashSet::new();
             let mut ids: Vec<u64> = raw.iter().map(|&id| id & mask).filter(|&id| seen.insert(id)).collect();
@@ -1842,9 +1767,10 @@ mod tests {
             if !shuffled {
                 ids.sort_unstable();
             }
-            let scale = [0.37, 1e9, 1e300, 1.0];
+            // Without `far`, every world is one dense box.
+            let scale = |s: usize| if far { [0.37, 1e9, 1e300, 1.0][s] } else { [0.37, 1.0][s % 2] };
             let points: Vec<(f64, f64)> =
-                points.iter().take(ids.len()).map(|&(s, x, y)| (x as f64 * scale[s], y as f64 * scale[s])).collect();
+                points.iter().take(ids.len()).map(|&(s, x, y)| (x as f64 * scale(s), y as f64 * scale(s))).collect();
             let (n, n_owned) = (points.len(), owned.min(points.len()));
             let mut probe = ProbeOrder::default();
             for side in [None, Some(1.0), Some(2.5)] {
@@ -1865,6 +1791,14 @@ mod tests {
                 }
                 let members: Vec<ProbeKey> = probe.cells.iter().filter(|c| (c.row as usize) < n_owned).copied().collect();
                 prop_assert_eq!(&probe.members, &members);
+                let span = |axis: fn(&ProbeKey) -> i64| {
+                    let lo = probe.cells.iter().map(axis).min().unwrap_or(0);
+                    let hi = probe.cells.iter().map(axis).max().unwrap_or(0);
+                    hi as i128 - lo as i128 + 1
+                };
+                let tiles = span(|c| c.ty).checked_mul(span(|c| c.tx));
+                let dense = tiles.is_some_and(|tiles| tiles <= 8 * n as i128 + 4096);
+                prop_assert_eq!(probe.directory.is_built(), side.is_some() && n > 0 && dense);
             }
         }
 
@@ -1887,7 +1821,7 @@ mod tests {
         /// a seek from index 0 reads, and every cursor ends where its window
         /// tile-row begins.
         #[test]
-        fn tile_window_equals_a_seek_from_zero_and_keys_cursors_by_row(
+        fn seek_window_equals_a_seek_from_zero_and_keys_cursors_by_row(
             points in prop::collection::vec((-6i32..6, -6i32..6, 0u8..4), 0..60),
             rects in prop::collection::vec((-8i32..8, -8i32..8, 0u8..5, 0u8..5), 1..12),
             hints in (0usize..80, 0usize..80, 0usize..80),

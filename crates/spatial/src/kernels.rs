@@ -8,9 +8,13 @@
 //! fixed-width kernels the indexes and the executor batch through: the
 //! executor's join members and the scan filter with [`filter_rect`], the scan
 //! and the grid gather k-NN distances with [`dist2`]. The executor's join
-//! also orders here: each block goes into ascending id by [`block_order`]
-//! (rank placement, or the byte radix [`radix_sort_by_key`] that builds the
-//! tick's id and probe orders too) — exact integer work, no float at all.
+//! also orders and looks up here: each block goes into ascending id by
+//! [`block_order`] (rank placement, or the byte radix [`radix_sort_by_key`]
+//! that builds the tick's id order too), the probe order of [`ProbeKey`]s is
+//! sorted by [`TileDirectory::sort`] (a counting sort whose prefix sums are
+//! the tile directory, or that radix sort for a sparse world), and each
+//! block's rows are found by [`TileDirectory::window`] or, without a
+//! directory, [`seek_window`] — exact integer work, no float at all.
 //!
 //! # Lane-width / tail contract
 //!
@@ -310,6 +314,206 @@ pub fn radix_sort_by_key<T: Copy>(items: &mut Vec<T>, spare: &mut Vec<T>, key: i
             next[d] += 1;
         }
         std::mem::swap(items, spare);
+    }
+}
+
+/// One visible row in a tick's **probe order**: the tile its position falls
+/// in, the row, and its id rank (its place in the id order). The order is
+/// sorted by `(ty, tx, id)` — y-major, so the tiles a rect spans along x are
+/// one contiguous run per tile-row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeKey {
+    pub ty: i64,
+    pub tx: i64,
+    pub row: u32,
+    pub rank: u32,
+}
+
+impl ProbeKey {
+    #[inline]
+    pub fn tile(&self) -> (i64, i64) {
+        (self.ty, self.tx)
+    }
+}
+
+/// Tiles a [`TileDirectory`] may span per visible row (agent) it sorts,
+/// beyond [`DIRECTORY_SLACK`]: within that, its prefix-sum pass and its
+/// offsets (4 bytes a tile) stay a small multiple of the rows' own counting
+/// pass and memory; a sparser world keeps the radix sort.
+const DIRECTORY_TILES_PER_ROW: usize = 8;
+
+/// Tiles any world's directory may span (16 KiB of offsets), so a small
+/// world is never refused for being sparse.
+const DIRECTORY_SLACK: usize = 4096;
+
+/// The probe order's **tile directory**: when the box of occupied tiles is
+/// dense enough, the order is a counting sort by the dense tile index
+/// `(ty − ty0)·w + (tx − tx0)`, and its prefix sums are kept — `start[t]` is
+/// where tile `t` begins — with the rows' id ranks in probe order, so every
+/// tile-row of a window is one slice of `ranks`, two offset loads away
+/// ([`TileDirectory::window`]). Buffers are kept across ticks.
+#[derive(Debug, Default)]
+pub struct TileDirectory {
+    /// The occupied tile box's lowest and highest tiles, `(ty, tx)`.
+    lo: (i64, i64),
+    hi: (i64, i64),
+    /// Tiles per box row.
+    w: usize,
+    /// `w·h + 1` offsets into `ranks`; empty when the directory is not built.
+    start: Vec<u32>,
+    ranks: Vec<u32>,
+}
+
+impl TileDirectory {
+    /// Sort `cells`, fed in id order, into the probe order through the
+    /// scatter buffer `spare`. When the occupied box holds at most [`DIRECTORY_TILES_PER_ROW`] tiles
+    /// per row plus [`DIRECTORY_SLACK`], the sort is a counting sort by dense
+    /// tile index and builds the directory; a box over that (an outlier
+    /// 10⁹ units out, tiles saturated at the ends of `i64`, a sparse
+    /// diagonal) takes [`radix_sort_by_key`] over the tile's offset from
+    /// the lowest one. Both are stable, so ties keep ascending id and the
+    /// two orders are the same.
+    pub fn sort(&mut self, cells: &mut Vec<ProbeKey>, spare: &mut Vec<ProbeKey>) {
+        self.clear();
+        let (lo, hi) = cells.iter().fold(((i64::MAX, i64::MAX), (i64::MIN, i64::MIN)), |(lo, hi), c| {
+            ((lo.0.min(c.ty), lo.1.min(c.tx)), (hi.0.max(c.ty), hi.1.max(c.tx)))
+        });
+        // Checked: tiles saturate at the ends of `i64`, and an empty world's
+        // box is inverted.
+        let span = |lo: i64, hi: i64| usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1);
+        let budget = cells.len().saturating_mul(DIRECTORY_TILES_PER_ROW).saturating_add(DIRECTORY_SLACK);
+        let dense = span(lo.1, hi.1).zip(span(lo.0, hi.0)).and_then(|(w, h)| Some((w, w.checked_mul(h)?)));
+        let (Some((w, tiles)), Some(&head)) = (dense.filter(|&(_, tiles)| tiles <= budget), cells.first()) else {
+            // Offsets, not the tiles' sign-flipped bits: a world that
+            // straddles tile 0 would vary in every byte of those.
+            radix_sort_by_key(cells, spare, |c| {
+                ((c.ty.wrapping_sub(lo.0) as u64 as u128) << 64) | c.tx.wrapping_sub(lo.1) as u64 as u128
+            });
+            return;
+        };
+        let tile = |c: &ProbeKey| (c.ty - lo.0) as usize * w + (c.tx - lo.1) as usize;
+        // Count tile `t` at `start[t + 1]`; the exclusive prefix sums then
+        // put where tile `t` begins there, and the scatter advances it to
+        // where tile `t + 1` begins.
+        let start = &mut self.start;
+        start.resize(tiles + 1, 0);
+        cells.iter().for_each(|c| start[tile(c) + 1] += 1);
+        start.iter_mut().fold(0, |begin, n| begin + std::mem::replace(n, begin));
+        spare.resize(cells.len(), head);
+        for c in cells.iter() {
+            let next = &mut start[tile(c) + 1];
+            spare[*next as usize] = *c;
+            *next += 1;
+        }
+        std::mem::swap(cells, spare);
+        self.ranks.extend(cells.iter().map(|c| c.rank));
+        (self.lo, self.hi, self.w) = (lo, hi, w);
+    }
+
+    /// Drop the directory, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.start.clear();
+        self.ranks.clear();
+    }
+
+    /// Whether the last [`TileDirectory::sort`] built the directory.
+    pub fn is_built(&self) -> bool {
+        !self.start.is_empty()
+    }
+
+    /// Append to `block` the id rank of every sorted row whose tile lies in
+    /// the window `lo..=hi` (`(ty, tx)` corners), in probe order: the window
+    /// is clamped into the occupied box — exact, since no row lies outside
+    /// it — and each of its tile-rows is the slice of `ranks` from where its
+    /// first tile begins to where the tile after its last one does. The
+    /// directory must be built.
+    #[inline]
+    pub fn window(&self, lo: (i64, i64), hi: (i64, i64), block: &mut Vec<u32>) {
+        let (y0, x0) = (lo.0.max(self.lo.0), lo.1.max(self.lo.1));
+        let (y1, x1) = (hi.0.min(self.hi.0), hi.1.min(self.hi.1));
+        if x0 > x1 {
+            return;
+        }
+        let (x0, x1) = ((x0 - self.lo.1) as usize, (x1 - self.lo.1) as usize);
+        for y in y0..=y1 {
+            let row = (y - self.lo.0) as usize * self.w;
+            block.extend_from_slice(&self.ranks[self.start[row + x0] as usize..self.start[row + x1 + 1] as usize]);
+        }
+    }
+}
+
+/// First index `i` of `cells` (sorted) with `cells[i].tile() >= lo`, found by
+/// galloping outward from `hint`: O(log distance), so a hint near the answer
+/// — where the same window tile-row began for the previous probe group —
+/// costs a step or two, and any hint at all is merely slower, never wrong.
+fn seek_tile(cells: &[ProbeKey], hint: usize, lo: (i64, i64)) -> usize {
+    let before = |c: &ProbeKey| c.tile() < lo;
+    let hint = hint.min(cells.len());
+    let mut step = 1;
+    if hint < cells.len() && before(&cells[hint]) {
+        // Everything left of `base` is before `lo`.
+        let mut base = hint + 1;
+        while base + step <= cells.len() && before(&cells[base + step - 1]) {
+            base += step;
+            step *= 2;
+        }
+        let end = (base + step - 1).min(cells.len());
+        base + cells[base..end].partition_point(before)
+    } else {
+        // Everything from `top` on is at or after `lo`.
+        let mut top = hint;
+        while top >= step && !before(&cells[top - step]) {
+            top -= step;
+            step *= 2;
+        }
+        let start = top.saturating_sub(step);
+        start + cells[start..top].partition_point(before)
+    }
+}
+
+/// The probe order's window without a directory: append to `block` the id
+/// rank of every row of `cells` (sorted by `(ty, tx, id)`) whose tile lies in
+/// the window `lo..=hi` (`(ty, tx)` corners) — one contiguous run of `cells`
+/// per tile-row, in probe order, each found by a galloping search.
+///
+/// `cursors[d]` is the seek hint for the window's tile-row `lo.0 + d`, keyed
+/// by row — not by how many runs were found — so a window with empty rows
+/// (every window of a 1-D world has two) keeps each hint on its own row.
+/// Every landing is stored, and a row the seek skipped because it holds
+/// nothing from `lo.1` on begins where the seek landed, so after the call
+/// `cursors[d]` is exactly where row `lo.0 + d` of this window begins: a step
+/// or two from where it begins for the next probe group, which is usually
+/// the same window moved right. Each row's seek consults its own cursor,
+/// including the row a seek landed in after skipping empty ones.
+pub fn seek_window(cells: &[ProbeKey], lo: (i64, i64), hi: (i64, i64), cursors: &mut [usize; 3], block: &mut Vec<u32>) {
+    let ((ty0, tx0), (ty1, tx1)) = (lo, hi);
+    let mut ty = ty0;
+    // Everything before `i` lies before `(ty, tx0)`.
+    let mut i = 0;
+    loop {
+        let d = ty.abs_diff(ty0);
+        i = seek_tile(cells, cursors.get(d as usize).map_or(i, |&cursor| cursor.max(i)), (ty, tx0));
+        let landed = cells.get(i).filter(|c| c.ty <= ty1);
+        // Rows `ty0 + d .. ty0 + end` all begin at `i`.
+        let end = landed.map_or(u64::MAX, |c| c.ty.abs_diff(ty0).max(d.saturating_add(1)));
+        for cursor in cursors.iter_mut().take(end.min(3) as usize).skip(d as usize) {
+            *cursor = i;
+        }
+        let Some(first) = landed else { break };
+        if first.ty > ty {
+            // Skipped empty tile-rows and landed in a later one, maybe left
+            // of the window: seek that row from its own cursor.
+            ty = first.ty;
+            continue;
+        }
+        while let Some(c) = cells.get(i).filter(|c| c.ty == ty && c.tx <= tx1) {
+            block.push(c.rank);
+            i += 1;
+        }
+        if ty == ty1 {
+            break;
+        }
+        ty += 1;
     }
 }
 

@@ -26,7 +26,8 @@
 //!   tile's shared candidate block with `filter_rect`), the scan's range
 //!   probe and the k-NN gathers, proven bit-identical to the scalar loops by
 //!   the kernel conformance suite in `tests/properties.rs`; and the join's
-//!   integer orders (`block_order`, `radix_sort_by_key`).
+//!   integer orders and lookups (`block_order`, `radix_sort_by_key`, the
+//!   probe order's `TileDirectory` and its `seek_window` fallback).
 
 pub mod grid;
 pub mod index;

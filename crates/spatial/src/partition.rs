@@ -162,10 +162,14 @@ impl GridPartitioning {
     /// contains x-position `x` under visibility `vis` — the 1-D fast path
     /// of [`Partitioner::replica_targets`] for the `rows() == 1` layout
     /// (every target has row 0, so the cell range *is* the target list).
+    /// Branch-free like [`Self::owners_into`]: each end is Σⱼ [v ≥ bⱼ] over
+    /// the interior boundaries, which is `axis_cell`'s clamped
+    /// `partition_point` for every `v` — NaN and −∞ count none, +∞ all.
     #[inline]
     pub fn replica_col_range(&self, x: f64, vis: f64) -> (u32, u32) {
-        let (c0, c1) = Self::axis_range(&self.x_bounds, x - vis, x + vis);
-        (c0 as u32, c1 as u32)
+        let (lo, hi) = (x - vis, x + vis);
+        let interior = &self.x_bounds[1..self.x_bounds.len() - 1];
+        interior.iter().fold((0, 0), |(c0, c1), &b| (c0 + (lo >= b) as u32, c1 + (hi >= b) as u32))
     }
 
     fn cell_of(&self, pid: PartitionId) -> (usize, usize) {
@@ -361,19 +365,34 @@ mod tests {
         }
     }
 
+    /// The branch-free band against `replica_targets`' `partition_point`
+    /// search: random positions, NaN, ±∞, and `x` exactly at `b ± vis` for
+    /// every boundary `b` (outer ones included), at one, two and four
+    /// columns, with visibilities drawn whole (so `b ± vis` is exact) or not.
     #[test]
     fn replica_col_range_matches_replica_targets_for_columns() {
-        let g = GridPartitioning::columns(0.0, 100.0, 4);
         let mut rng = DetRng::seed_from_u64(9);
-        for _ in 0..500 {
-            let p = Vec2::new(rng.range(-20.0, 120.0), rng.range(-5.0, 5.0));
-            let vis = rng.range(0.0, 40.0);
-            let (c0, c1) = g.replica_col_range(p.x, vis);
-            let mut targets = Vec::new();
-            g.replica_targets(p, vis, &mut targets);
-            targets.sort_unstable();
-            let expected: Vec<PartitionId> = (c0..=c1).map(PartitionId::new).collect();
-            assert_eq!(targets, expected, "p={p} vis={vis}");
+        for cols in [1, 2, 4] {
+            let g = GridPartitioning::columns(0.0, 100.0, cols);
+            for i in 0..2000 {
+                let vis = if i % 2 == 0 { rng.below(40) as f64 } else { rng.range(0.0, 40.0) };
+                let b = g.x_bounds()[rng.below(cols as u64 + 1) as usize];
+                let x = match i % 7 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => b + vis,
+                    4 => b - vis,
+                    _ => rng.range(-20.0, 120.0),
+                };
+                let p = Vec2::new(x, rng.range(-5.0, 5.0));
+                let (c0, c1) = g.replica_col_range(p.x, vis);
+                let mut targets = Vec::new();
+                g.replica_targets(p, vis, &mut targets);
+                targets.sort_unstable();
+                let expected: Vec<PartitionId> = (c0..=c1).map(PartitionId::new).collect();
+                assert_eq!(targets, expected, "cols={cols} p={p} vis={vis}");
+            }
         }
     }
 

@@ -44,6 +44,7 @@
 //! | `brace_executor_ticks_total` … | counter | executor per-tick counters |
 //! | `brace_executor_probe_groups_total`, `brace_executor_block_candidates_total` | counter | query phase (executor and cluster workers): candidate blocks built and the rows in them — agent-ticks ÷ groups is the members one block serves |
 //! | `brace_executor_effect_log_entries_total` | counter | query phase (executor and cluster workers): writes to remote effect fields, logged for replay in source-id order (0 for local-effect schemas; a local-only field's writes fold in place) |
+//! | `brace_executor_tile_directory_ticks_total` | counter | query phase (executor and cluster workers): join ticks whose window rows were read off the probe order's tile directory (the occupied tile box was dense); the rest galloped |
 //! | `brace_net_*_bytes_total` | counter | cluster `NetLedger`, per traffic class |
 //! | `brace_cluster_epochs_total`, `brace_cluster_checkpoints_total` | counter | cluster master |
 //! | `brace_serve_cache_{hits,misses}_total`, `brace_serve_runs_total` | counter | serve result cache / admissions |
@@ -65,6 +66,7 @@ pub enum Counter {
     ExecutorProbeGroups,
     ExecutorBlockCandidates,
     ExecutorEffectLogEntries,
+    ExecutorTileDirectoryTicks,
     NetTransferBytes,
     NetReplicaFullBytes,
     NetReplicaDeltaBytes,
@@ -87,6 +89,7 @@ const COUNTER_NAMES: &[(&str, &str)] = &[
     ("brace_executor_probe_groups_total", "Probe groups (one candidate block each) answered by query phases"),
     ("brace_executor_block_candidates_total", "Candidate rows in the blocks of all probe groups"),
     ("brace_executor_effect_log_entries_total", "Writes to remote effect fields logged for ordered replay"),
+    ("brace_executor_tile_directory_ticks_total", "Join query phases whose windows were read off a tile directory"),
     ("brace_net_transfer_bytes_total", "Cluster bytes: agent ownership transfers"),
     ("brace_net_replica_full_bytes_total", "Cluster bytes: full replica distribution"),
     ("brace_net_replica_delta_bytes_total", "Cluster bytes: masked columnar replica deltas"),

@@ -42,7 +42,9 @@
 //! `probe_groups` (candidate blocks built), `block_candidates` (rows in
 //! those blocks) — agent-ticks ÷ groups is the members one block served — and
 //! `effect_log_entries` (writes to remote effect fields, logged for ordered
-//! replay; 0 for local-effect schemas).
+//! replay; 0 for local-effect schemas) and `tile_directory_ticks` (query
+//! phases whose join windows were read off the probe order's tile
+//! directory — one per tick per worker when the occupied tiles are dense).
 //! Tracing observes the same metrics the executor already measures — it
 //! never changes results.
 //!
@@ -253,10 +255,16 @@ impl Observer for TraceWriter {
 }
 
 /// The query-phase amortisation counters, as
-/// `[probe groups, block candidates, effect-log entries]`.
-fn probe_counters() -> [u64; 3] {
+/// `[probe groups, block candidates, effect-log entries, tile-directory ticks]`.
+fn probe_counters() -> [u64; 4] {
     use brace_telemetry::{counter, Counter};
-    [Counter::ExecutorProbeGroups, Counter::ExecutorBlockCandidates, Counter::ExecutorEffectLogEntries].map(counter)
+    [
+        Counter::ExecutorProbeGroups,
+        Counter::ExecutorBlockCandidates,
+        Counter::ExecutorEffectLogEntries,
+        Counter::ExecutorTileDirectoryTicks,
+    ]
+    .map(counter)
 }
 
 fn main() {
@@ -374,16 +382,17 @@ fn run(opts: &RunOpts) {
             let result = runner.run(opts.ticks);
             if let (Some(out), Some(before)) = (&trace_out, probes_before) {
                 use std::io::Write;
-                let [groups, candidates, logged] = probe_counters();
+                let [groups, candidates, logged, directory] = probe_counters();
                 let mut out = out.lock().unwrap();
                 let _ = writeln!(
                     out,
                     "{{\"scenario\":\"{name}\",\"backend\":\"{}\",\"probe_groups\":{},\"block_candidates\":{},\
-                     \"effect_log_entries\":{}}}",
+                     \"effect_log_entries\":{},\"tile_directory_ticks\":{}}}",
                     backend.label(),
                     groups - before[0],
                     candidates - before[1],
-                    logged - before[2]
+                    logged - before[2],
+                    directory - before[3]
                 );
                 let _ = out.flush();
             }

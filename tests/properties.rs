@@ -32,7 +32,7 @@ use brace_core::{
 };
 use brace_mapreduce::codec;
 use brace_spatial::join::{distribute, nested_loop_join, partitioned_join};
-use brace_spatial::kernels::block_order;
+use brace_spatial::kernels::{block_order, radix_sort_by_key, seek_window, ProbeKey, TileDirectory};
 use brace_spatial::{GridPartitioning, KdTree, Partitioner, ScanIndex, SpatialIndex, UniformGrid};
 use proptest::prelude::*;
 
@@ -1030,6 +1030,158 @@ proptest! {
             prop_assert_eq!(got, want, "{} ranks below {}", len, range);
         }
     }
+
+    /// The probe order through [`TileDirectory::sort`] against the radix
+    /// sort by tile offset it falls back to and against a comparison sort by
+    /// `(ty, tx, id rank)`, rows fed in id-rank order: equal on both sides of
+    /// the directory's budget (8 tiles per visible row plus 4 096), and the
+    /// directory is built exactly when the occupied box fits it. Boxes from
+    /// one tile to past the budget, exactly at it or one tile-row over it,
+    /// boxes at the ends of `i64`, an outlier 10⁹ tiles out and saturated
+    /// tiles; one directory and one scatter buffer reused across draws.
+    #[test]
+    fn kernel_tile_directory_sort_equals_radix_probe_order(
+        seeds in prop::collection::vec(any::<u64>(), 1..4),
+    ) {
+        let (mut directory, mut spare) = (TileDirectory::default(), Vec::new());
+        for world in seeds.into_iter().map(tile_world) {
+            let mut got = world.cells.clone();
+            directory.sort(&mut got, &mut spare);
+            let mut radix = world.cells.clone();
+            let (lo, hi) = (world.lo(), world.hi());
+            radix_sort_by_key(&mut radix, &mut Vec::new(), |c| {
+                ((c.ty.wrapping_sub(lo.0) as u64 as u128) << 64) | c.tx.wrapping_sub(lo.1) as u64 as u128
+            });
+            let mut compared = world.cells.clone();
+            compared.sort_by_key(|c| (c.ty, c.tx, c.rank));
+            prop_assert_eq!(&got, &radix);
+            prop_assert_eq!(&got, &compared);
+            prop_assert_eq!(directory.is_built(), world.fits(), "box {:?}..={:?} of {} rows", lo, hi, got.len());
+        }
+    }
+
+    /// Every window three ways — off the directory, by the galloping seek
+    /// from carried and arbitrary cursors, and by a brute-force scan of the
+    /// sorted rows — the same id ranks in the same order. Windows are
+    /// lopsided, wider than 3 tiles, shrunk to one tile (or inverted) and
+    /// partly or wholly outside the occupied box; worlds over the budget
+    /// check the seek alone.
+    #[test]
+    fn kernel_tile_directory_window_equals_seek_and_scan(
+        seed in any::<u64>(),
+        windows in prop::collection::vec((any::<u64>(), (-6i64..3, -6i64..3), (-2i64..7, -2i64..7)), 1..24),
+        hints in (0usize..400, 0usize..400, 0usize..400),
+    ) {
+        let world = tile_world(seed);
+        let (mut directory, mut cells) = (TileDirectory::default(), world.cells.clone());
+        directory.sort(&mut cells, &mut Vec::new());
+        let (box_lo, box_hi) = (world.lo(), world.hi());
+        let mut cursors = [hints.0, hints.1, hints.2];
+        for &(at, (dy0, dx0), (dy1, dx1)) in &windows {
+            // Anchor on a row's tile, or anywhere within 8 tiles of the box
+            // (which may saturate).
+            let anchor = match at % 3 {
+                0 => cells.get((at >> 2) as usize % cells.len().max(1)).map_or((0, 0), ProbeKey::tile),
+                _ => {
+                    let wobble = |v: u64| (v % 17) as i64 - 8;
+                    let (y, x) = if at & 4 == 0 { box_lo } else { box_hi };
+                    (y.saturating_add(wobble(at >> 3)), x.saturating_add(wobble(at >> 8)))
+                }
+            };
+            let lo = (anchor.0.saturating_add(dy0), anchor.1.saturating_add(dx0));
+            let hi = (anchor.0.saturating_add(dy1), anchor.1.saturating_add(dx1));
+            let scanned: Vec<u32> = cells
+                .iter()
+                .filter(|c| (lo.0..=hi.0).contains(&c.ty) && (lo.1..=hi.1).contains(&c.tx))
+                .map(|c| c.rank)
+                .collect();
+            let mut sought = Vec::new();
+            seek_window(&cells, lo, hi, &mut cursors, &mut sought);
+            prop_assert_eq!(&sought, &scanned, "seek, window {:?}..={:?}", lo, hi);
+            let mut fresh = Vec::new();
+            seek_window(&cells, lo, hi, &mut [at as usize % 500; 3], &mut fresh);
+            prop_assert_eq!(&fresh, &scanned, "seek from hint {}, window {:?}..={:?}", at as usize % 500, lo, hi);
+            if directory.is_built() {
+                let mut read = vec![u32::MAX];
+                directory.window(lo, hi, &mut read);
+                let what = format!("directory, window {lo:?}..={hi:?} of box {box_lo:?}..={box_hi:?}");
+                prop_assert_eq!(&read[1..], &scanned[..], "{}", what);
+            }
+        }
+    }
+}
+
+/// A drawn world for the tile-directory properties: its rows in id-rank
+/// order (the order the probe order is fed in), rows a bijection of ranks.
+#[derive(Debug, Clone)]
+struct TileWorld {
+    cells: Vec<ProbeKey>,
+}
+
+impl TileWorld {
+    fn lo(&self) -> (i64, i64) {
+        self.cells.iter().fold((i64::MAX, i64::MAX), |lo, c| (lo.0.min(c.ty), lo.1.min(c.tx)))
+    }
+
+    fn hi(&self) -> (i64, i64) {
+        self.cells.iter().fold((i64::MIN, i64::MIN), |hi, c| (hi.0.max(c.ty), hi.1.max(c.tx)))
+    }
+
+    /// Whether the occupied box holds at most 8 tiles per row plus 4 096.
+    fn fits(&self) -> bool {
+        let (lo, hi) = (self.lo(), self.hi());
+        let span = |lo: i64, hi: i64| hi as i128 - lo as i128 + 1;
+        let tiles = span(lo.0, hi.0).checked_mul(span(lo.1, hi.1));
+        !self.cells.is_empty() && tiles.is_some_and(|tiles| tiles <= 8 * self.cells.len() as i128 + 4096)
+    }
+}
+
+/// The world `seed` draws: 0–300 rows in a `w × h` tile box anchored near 0
+/// or at either end of `i64` — boxes up to 120 × 120 tiles (both sides of
+/// the budget), a box of exactly the budget or one tile-row over it — and
+/// worlds with an outlier 10⁹ tiles out or a tile saturated at
+/// `(i64::MIN, i64::MAX)`. Two rows sit on the box's corners, so it is the
+/// occupied box; every fifth row shares its predecessor's tile.
+fn tile_world(seed: u64) -> TileWorld {
+    let mut rng = DetRng::seed_from_u64(seed).stream(0x7D12);
+    let n = rng.below(301) as usize;
+    let (w, h) = (1 + rng.below(120) as i64, 1 + rng.below(120) as i64);
+    let shape = rng.below(6);
+    let (w, h) = match shape {
+        // Exactly at the budget, or one tile-row past it.
+        3 => (w, (8 * n as i64 + 4096) / w + rng.below(2) as i64),
+        _ => (w, h),
+    };
+    let y0 = match rng.below(3) {
+        0 => rng.range(-500.0, 500.0) as i64,
+        1 => i64::MIN,
+        _ => i64::MAX - (h - 1),
+    };
+    let x0 = rng.range(-500.0, 500.0) as i64;
+    let mut tiles: Vec<(i64, i64)> = Vec::with_capacity(n);
+    for i in 0..n {
+        let tile = match i {
+            0 => (y0, x0),
+            1 => (y0 + (h - 1), x0 + (w - 1)),
+            _ if i % 5 == 0 => tiles[i - 1],
+            _ => (y0 + rng.below(h as u64) as i64, x0 + rng.below(w as u64) as i64),
+        };
+        tiles.push(tile);
+    }
+    match (shape, tiles.last_mut()) {
+        (4, Some(last)) => last.1 = last.1.saturating_add(1_000_000_000),
+        (5, Some(last)) => *last = (i64::MIN, i64::MAX),
+        _ => {}
+    }
+    // Rows: an odd multiplier is a bijection, so distinct ranks name
+    // distinct rows.
+    let row = |rank: usize| (rank as u32).wrapping_mul(0x9E37_79B1);
+    let cells = tiles
+        .iter()
+        .enumerate()
+        .map(|(rank, &(ty, tx))| ProbeKey { ty, tx, row: row(rank), rank: rank as u32 })
+        .collect();
+    TileWorld { cells }
 }
 
 /// Decode random bits into the doubles a float fold is sensitive to: one

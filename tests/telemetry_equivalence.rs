@@ -9,9 +9,11 @@
 //! tests below still share the flag with each other, so they serialize
 //! behind one mutex and restore the prior state on drop.
 
+use brace_common::Vec2;
+use brace_core::behavior::NeighborProbe;
 use brace_core::Simulation;
 use brace_models::{PredatorBehavior, PredatorParams};
-use brace_scenario::{Backend, Registry, Runner};
+use brace_scenario::{Backend, Registry, Runner, Scenario, ScenarioSetup};
 use brace_spatial::IndexKind;
 use brace_telemetry::{counter, Counter};
 use std::sync::{Mutex, MutexGuard};
@@ -103,6 +105,9 @@ fn enabled_runs_record_into_the_registry() {
     assert!(groups >= TICKS && groups < report.agents as u64 * TICKS, "{groups} groups");
     assert!(counter(Counter::ExecutorBlockCandidates) > 0);
     assert!(value("brace_executor_effect_log_entries_total") > 0, "an epidemic run infects someone");
+    // Its occupied tiles are a dense box: every tick's windows come off the
+    // tile directory.
+    assert_eq!(value("brace_executor_tile_directory_ticks_total"), TICKS);
     assert_eq!(counter(Counter::ExecutorEffectLogEntries), counter(Counter::ExecutorNonlocalWrites));
 
     // A local-effect scenario shares blocks between tile-mates — fewer
@@ -138,5 +143,75 @@ fn enabled_runs_record_into_the_registry() {
     }
     assert!(local > 0 && nonlocal > 0, "the predator world is too sparse to test anything");
     assert_eq!(counter(Counter::ExecutorEffectLogEntries), nonlocal);
+    brace_telemetry::reset();
+}
+
+/// Whether `setup` answers its probes with the tile join: a bounded range
+/// probe on an index other than the scan.
+fn joins(setup: &ScenarioSetup) -> bool {
+    let vis = setup.behavior.schema().visibility();
+    setup.behavior.probe() == NeighborProbe::Range && vis > 0.0 && vis.is_finite() && setup.index != IndexKind::Scan
+}
+
+/// Run `setup` for `ticks` on `backend` with the counters reset, and return
+/// `(tile-directory ticks, probe groups)`.
+fn directory_ticks(scenario: &dyn Scenario, mut setup: ScenarioSetup, backend: Backend, ticks: u64) -> (u64, u64) {
+    brace_telemetry::reset();
+    // `SimHandle::run` takes whole epochs.
+    setup.epoch_len = 5;
+    let mut handle = Runner::new(scenario).seed(42).backend(backend).launch_with(setup).unwrap();
+    handle.run(ticks).unwrap_or_else(|e| panic!("`{}` failed: {e}", scenario.name()));
+    (counter(Counter::ExecutorTileDirectoryTicks), counter(Counter::ExecutorProbeGroups))
+}
+
+/// Which arm of the join's window ran: every registry scenario that joins
+/// reads its windows off the tile directory on every tick of every query
+/// phase — on one node and on each of two workers, at its default size and
+/// at 4 000 agents — and so do the benchmark's sizes, `fish` at 12 000 and
+/// `predator` at 40 000. A world with agents 10⁹ units out is too sparse for
+/// a directory and never takes it, though it still joins.
+#[test]
+fn joining_scenarios_read_their_windows_off_the_tile_directory() {
+    let _g = flag_lock();
+    brace_telemetry::set_enabled(true);
+    const TICKS: u64 = 25;
+    let registry = Registry::builtin();
+    let mut runs = Vec::new();
+    for scenario in registry.iter() {
+        for workers in [1, 2] {
+            runs.extend([(scenario, None, workers), (scenario, Some(4_000), workers)]);
+        }
+    }
+    // The benchmark's rows: `fish` on one node, `predator` on two workers.
+    runs.push((registry.get("fish").unwrap(), Some(12_000), 1));
+    runs.push((registry.get("predator").unwrap(), Some(40_000), 2));
+    let mut joined = 0;
+    for (scenario, size, workers) in runs {
+        let setup = scenario.build(size, 42).unwrap();
+        if !joins(&setup) {
+            continue;
+        }
+        joined += 1;
+        let backend = if workers == 1 { Backend::single() } else { Backend::cluster(workers) };
+        let label = backend.label();
+        let (directory, groups) = directory_ticks(scenario, setup, backend, TICKS);
+        assert!(groups > 0, "`{}` at {size:?} on `{label}` built no probe group", scenario.name());
+        assert_eq!(directory, TICKS * workers as u64, "`{}` at {size:?} on `{label}`", scenario.name());
+    }
+    assert!(joined >= 2 * 2 * registry.len(), "only {joined} runs joined");
+
+    for name in ["fish", "epidemic"] {
+        let scenario = registry.get(name).unwrap();
+        for backend in [Backend::single(), Backend::cluster(2)] {
+            let label = backend.label();
+            let mut setup = scenario.build(Some(2_000), 42).unwrap();
+            // One far out on either side, so each worker owns one.
+            setup.population[7].pos += Vec2::new(1e9, -1e9);
+            setup.population[8].pos += Vec2::new(-1e9, 1e9);
+            let (directory, groups) = directory_ticks(scenario, setup, backend, TICKS);
+            assert!(groups > 0, "the outlier `{name}` on `{label}` built no probe group");
+            assert_eq!(directory, 0, "the outlier `{name}` on `{label}` took the tile directory");
+        }
+    }
     brace_telemetry::reset();
 }
