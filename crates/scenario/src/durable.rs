@@ -23,7 +23,7 @@
 //! [`list`]: DurableRunner::list
 
 use crate::jobline::JobSpec;
-use crate::runner::DEFAULT_SEED;
+use crate::runner::{fit_epoch, DEFAULT_SEED};
 use crate::{conformance_setup, world_checksum, Registry, Scenario};
 use brace_common::{BraceError, Result};
 use brace_mapreduce::{manifest, ClusterConfig, ClusterSim, ClusterStats};
@@ -125,12 +125,6 @@ pub struct RunSummary {
 // [`crate::jobline`] now, shared with the serve layer's result-cache
 // keys. The byte format is unchanged — old manifests stay resumable.
 
-/// Largest epoch length ≤ `preferred` dividing `ticks` (the coordination
-/// cadence never affects results, so fitting is free).
-fn fit_epoch(preferred: u64, ticks: u64) -> u64 {
-    (1..=preferred.max(1)).rev().find(|&e| ticks.is_multiple_of(e)).unwrap_or(1)
-}
-
 /// Start / resume / list crash-safe runs under one root directory.
 pub struct DurableRunner<'r> {
     registry: &'r Registry,
@@ -146,16 +140,19 @@ impl<'r> DurableRunner<'r> {
     /// the write-ahead manifest at every coordinated checkpoint. Refuses a
     /// run id whose manifest already exists.
     pub fn start(&self, opts: &DurableOpts) -> Result<DurableReport> {
-        let (sim, run_id, scenario) = self.launch(opts)?;
+        let (sim, run_id) = self.launch(opts)?;
+        let scenario = self.registry.get_or_err(&opts.scenario)?;
         self.finish(scenario, run_id, sim, opts.ticks, opts.epoch_sleep_ms, 0)
     }
 
     /// Launch a fresh durable run without driving it — [`start`] minus the
-    /// epoch loop. The split exists for tests that need to abandon a run
-    /// mid-flight (simulating a crash) and resume it.
+    /// epoch loop — and return it with its run id. The split exists for
+    /// callers that abandon a run mid-flight (a simulated crash: drop the
+    /// [`ClusterSim`] after some epochs) and finish it with [`resume`].
     ///
     /// [`start`]: DurableRunner::start
-    fn launch(&self, opts: &DurableOpts) -> Result<(ClusterSim, String, &'r dyn Scenario)> {
+    /// [`resume`]: DurableRunner::resume
+    pub fn launch(&self, opts: &DurableOpts) -> Result<(ClusterSim, String)> {
         let scenario = self.registry.get_or_err(&opts.scenario)?;
         let mut setup = if opts.conformance {
             conformance_setup(scenario, opts.seed)?
@@ -181,7 +178,7 @@ impl<'r> DurableRunner<'r> {
             ..ClusterConfig::default()
         };
         let sim = ClusterSim::new(setup.behavior, setup.population, cfg)?;
-        Ok((sim, run_id, scenario))
+        Ok((sim, run_id))
     }
 
     /// Resume `root/<run-id>/` in this process: read the manifest, rebuild
@@ -354,7 +351,7 @@ mod tests {
 
         let crash_root = temp_root("crash");
         let runner = DurableRunner::new(&registry, &crash_root);
-        let (mut sim, run_id, _) = runner.launch(&epidemic_opts()).unwrap();
+        let (mut sim, run_id) = runner.launch(&epidemic_opts()).unwrap();
         sim.run_epochs(2).unwrap();
         drop(sim); // the "crash": no Complete record, no graceful anything
 
@@ -372,13 +369,5 @@ mod tests {
         assert_eq!(resumed.agents, clean.agents);
         let _ = std::fs::remove_dir_all(&clean_root);
         let _ = std::fs::remove_dir_all(&crash_root);
-    }
-
-    #[test]
-    fn fit_epoch_prefers_large_divisors() {
-        assert_eq!(fit_epoch(5, 20), 5);
-        assert_eq!(fit_epoch(5, 7), 1);
-        assert_eq!(fit_epoch(5, 12), 4);
-        assert_eq!(fit_epoch(0, 9), 1);
     }
 }

@@ -40,7 +40,7 @@ pub mod runner;
 pub use builtin::brasil_unoptimized;
 pub use durable::{DurableOpts, DurableReport, DurableRunner, RunSummary};
 pub use jobline::{JobSpec, RunKey};
-pub use runner::{Backend, Observer, Progress, RunReport, Runner, SimHandle};
+pub use runner::{fit_epoch, Backend, Observer, Progress, RunReport, Runner, SimHandle};
 
 use brace_common::{BraceError, Result};
 use brace_core::{Agent, Behavior};

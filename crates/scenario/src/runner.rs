@@ -279,7 +279,7 @@ impl<'s> Runner<'s> {
         let backend_label = self.backend.label();
         let mut setup = self.setup()?;
         if matches!(self.backend, Backend::Cluster(_)) && ticks > 0 {
-            setup.epoch_len = (1..=setup.epoch_len.max(1)).rev().find(|&e| ticks.is_multiple_of(e)).unwrap_or(1);
+            setup.epoch_len = fit_epoch(setup.epoch_len, ticks);
         }
         let mut handle = self.launch_with(setup)?;
         let t0 = Instant::now();
@@ -299,6 +299,12 @@ impl<'s> Runner<'s> {
             world,
         })
     }
+}
+
+/// Largest epoch length ≤ `preferred` dividing `ticks` (the coordination
+/// cadence never affects results, so fitting is free).
+pub fn fit_epoch(preferred: u64, ticks: u64) -> u64 {
+    (1..=preferred.max(1)).rev().find(|&e| ticks.is_multiple_of(e)).unwrap_or(1)
 }
 
 /// Outcome of [`Runner::run`].
@@ -442,6 +448,14 @@ mod tests {
     use super::*;
     use crate::Registry;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn fit_epoch_prefers_large_divisors() {
+        assert_eq!(fit_epoch(5, 20), 5);
+        assert_eq!(fit_epoch(5, 7), 1);
+        assert_eq!(fit_epoch(5, 12), 4);
+        assert_eq!(fit_epoch(0, 9), 1);
+    }
 
     #[test]
     fn backend_parses_cli_specs() {

@@ -26,7 +26,7 @@ pub enum Json {
 impl Json {
     /// Parse a complete JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
@@ -71,7 +71,10 @@ impl Json {
 const MAX_DEPTH: usize = 32;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Always on a char boundary of `text`: every step consumes a whole
+    /// ASCII byte or a whole UTF-8 scalar.
     pos: usize,
 }
 
@@ -212,10 +215,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar: decode the char at `pos`
+                    // (a boundary), not the rest of the input.
+                    let c = self.text[self.pos..].chars().next().unwrap();
                     if (c as u32) < 0x20 {
                         return Err(format!("raw control character at byte {}", self.pos));
                     }
@@ -335,7 +337,12 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "line\nbreak \"quote\" back\\slash \t tab \u{1} control";
-        let doc = format!("\"{}\"", escape(nasty));
-        assert_eq!(Json::parse(&doc).unwrap(), Json::Str(nasty.into()));
+        // 64 KiB of one-, two-, three- and four-byte scalars: parsing is
+        // linear in the string, so this is as quick as the short one.
+        let long: String = "aé€😀".repeat(64 * 1024 / 10);
+        for input in [nasty, long.as_str()] {
+            let doc = format!("\"{}\"", escape(input));
+            assert_eq!(Json::parse(&doc).unwrap(), Json::Str(input.into()));
+        }
     }
 }

@@ -27,8 +27,8 @@
 //! Telemetry observes, never perturbs: nothing recorded here feeds back
 //! into simulation state, RNG streams, shard plans or iteration order, so
 //! every golden checksum and conformance form is bit-identical with
-//! telemetry on and off (`tests/telemetry_equivalence.rs` pins this
-//! across the whole scenario registry, single-node and cluster).
+//! telemetry on and off (the engine matrix in `tests/common/mod.rs` pins
+//! this across the whole scenario registry, single-node and cluster).
 //!
 //! ## The metric catalogue
 //!

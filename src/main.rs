@@ -52,8 +52,9 @@
 //! [`DurableRunner`](brace_scenario::DurableRunner): the run lives in
 //! `DIR/<run-id>/` behind a crash-safe write-ahead manifest and fsynced
 //! checkpoints, and `--resume <run-id>` finishes an interrupted run in a
-//! fresh process, bit-identically to never having crashed. `list-runs`
-//! summarizes what a run directory holds.
+//! fresh process, bit-identically to never having crashed. A durable run
+//! refuses `--trace`, `--index` and `--progress` (exit 2) rather than
+//! ignore them. `list-runs` summarizes what a run directory holds.
 //!
 //! `serve` puts the registry on a socket: a [`brace_serve::Server`] with a
 //! bounded simulation worker pool, explicit admission backpressure, and a
@@ -422,6 +423,15 @@ fn run(opts: &RunOpts) {
 /// The durable path: `--run-dir` starts a crash-safe job, `--resume`
 /// finishes one.
 fn run_durable(opts: &RunOpts) {
+    // A durable run drives no observer and picks its index from the job, so
+    // these would be silently dropped: refuse them before touching the disk.
+    for (flag, given) in
+        [("--trace", opts.trace.is_some()), ("--index", opts.index.is_some()), ("--progress", opts.progress)]
+    {
+        if given {
+            die(&format!("{flag} is not supported on durable runs (--run-dir / --resume); drop it"));
+        }
+    }
     let registry = Registry::builtin();
     let root = opts.run_dir.clone().expect("caller checked --run-dir");
     let runner = DurableRunner::new(&registry, &root);

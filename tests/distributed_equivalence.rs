@@ -2,143 +2,118 @@
 //! behavioral simulation on the distributed MapReduce runtime produces the
 //! same world as running it on a single node — for any worker count, for
 //! local-effect and non-local-effect models, with and without the load
-//! balancer moving partition boundaries mid-run.
-//!
-//! (The mapreduce crate asserts this for synthetic behaviors; here it is
-//! asserted end-to-end for the paper's real models and compiled BRASIL
-//! scripts.)
+//! balancer moving partition boundaries mid-run. Every pin below is a call
+//! into the engine matrix (`tests/common`), so each runs on every leg.
+
+mod common;
 
 use brace_common::{AgentId, DetRng, FieldId, Vec2};
 use brace_core::behavior::{Neighbors, UpdateCtx};
 use brace_core::effect::EffectWriter;
-use brace_core::{Agent, AgentSchema, Behavior, Combinator, Simulation};
-use brace_mapreduce::{ClusterConfig, ClusterSim, LoadBalancer};
+use brace_core::{Agent, AgentSchema, Behavior, Combinator};
 use brace_models::scripts;
-use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams, TrafficBehavior, TrafficParams};
+use brace_models::{FishBehavior, FishParams};
+use brace_scenario::{Registry, Runner};
+use brace_spatial::IndexKind;
+use common::{custom_setup, engines_agree, registry_of, telemetry_off, Case, Custom};
 use proptest::prelude::*;
-use std::sync::Arc;
 
-fn single_node<B: Behavior>(behavior: B, agents: Vec<Agent>, ticks: u64, seed: u64) -> Vec<Agent> {
-    let mut sim = Simulation::builder(behavior).agents(agents).seed(seed).build().unwrap();
-    sim.run(ticks);
-    let mut out = sim.agents().to_vec();
-    out.sort_by_key(|a| a.id);
-    out
-}
-
-/// The first agent whose record differs between two id-sorted worlds.
-fn first_difference(a: &[Agent], b: &[Agent]) -> String {
-    match a.iter().zip(b).find(|(x, y)| x != y) {
-        Some((x, y)) => format!("first differing agent {}: {x:?} vs {y:?}", x.id),
-        None => format!("populations of {} and {} agents", a.len(), b.len()),
-    }
-}
-
-fn cluster(
-    behavior: Arc<dyn Behavior>,
-    agents: Vec<Agent>,
-    ticks: u64,
-    seed: u64,
-    workers: usize,
-    space_x: (f64, f64),
-    lb: bool,
-) -> Vec<Agent> {
-    let cfg = ClusterConfig {
-        workers,
-        epoch_len: 5,
-        seed,
-        space_x,
-        load_balance: lb,
-        balancer: LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5, epoch_len: 5 },
-        ..ClusterConfig::default()
-    };
-    let mut sim = ClusterSim::new(behavior, agents, cfg).unwrap();
-    sim.run_ticks(ticks).unwrap();
-    sim.collect_agents().unwrap()
+/// The setups the builtin registry does not ship, as test-local scenarios.
+fn registry() -> Registry {
+    registry_of([
+        Custom {
+            // Compiled BRASIL, not inverted: its non-local effects are float
+            // sums, which every engine folds once, in source-id order, at the
+            // target's owner.
+            name: "brasil-predator-nonlocal",
+            agents: 150,
+            build: |n, seed| {
+                let b = scripts::predator(false).unwrap();
+                let mut rng = DetRng::seed_from_u64(seed);
+                let pop = (0..n)
+                    .map(|i| {
+                        let pos = Vec2::new(rng.range(0.0, 18.0), rng.range(0.0, 18.0));
+                        let mut a = Agent::new(AgentId::new(i as u64), pos, b.schema());
+                        a.state[0] = rng.range(0.5, 1.5);
+                        a
+                    })
+                    .collect();
+                custom_setup(b, pop, IndexKind::KdTree, (0.0, 18.0))
+            },
+        },
+        Custom {
+            // Every fish informed and heading one way: the school drifts, so
+            // the load balancer has boundaries to move.
+            name: "fish-drifting",
+            agents: 150,
+            build: |n, seed| {
+                let mut params = FishParams { school_radius: 12.0, ..FishParams::default() };
+                (params.informed_a, params.informed_b, params.omega) = (1.0, 0.0, 2.0);
+                let b = FishBehavior::new(params);
+                let pop = b.population(n, seed);
+                custom_setup(b, pop, IndexKind::KdTree, (-12.0, 12.0))
+            },
+        },
+        Custom { name: "churn-storm", agents: 60, build: |n, seed| ChurnStorm::new(false, false).setup(n, seed) },
+        Custom { name: "churn-storm-churn", agents: 60, build: |n, seed| ChurnStorm::new(true, false).setup(n, seed) },
+        Custom {
+            name: "churn-storm-nonlocal",
+            agents: 60,
+            build: |n, seed| ChurnStorm::new(false, true).setup(n, seed),
+        },
+        Custom { name: "churn-storm-both", agents: 60, build: |n, seed| ChurnStorm::new(true, true).setup(n, seed) },
+    ])
 }
 
 #[test]
 fn fish_school_cluster_equals_single_node() {
-    let params = FishParams { school_radius: 15.0, ..FishParams::default() };
-    let make = || FishBehavior::new(params.clone());
-    let pop = make().population(200, 31);
-    let reference = single_node(make(), pop.clone(), 15, 77);
-    for workers in [1, 2, 3, 4] {
-        let got = cluster(Arc::new(make()), pop.clone(), 15, 77, workers, (-15.0, 15.0), false);
-        assert_eq!(reference, got, "fish x{workers}");
-    }
+    engines_agree(Registry::builtin, "fish", &Case::sized(200, 15).seed(77));
 }
 
 #[test]
 fn traffic_cluster_equals_single_node() {
-    let params = TrafficParams { segment: 4000.0, density: 0.02, ..TrafficParams::default() };
-    let make = || TrafficBehavior::new(params.clone());
-    let pop: Vec<Agent> = make().population(5).into_iter().filter(|a| a.pos.x < 2000.0).collect();
-    let reference = single_node(make(), pop.clone(), 20, 13);
-    for workers in [1, 2, 4] {
-        let got = cluster(Arc::new(make()), pop.clone(), 20, 13, workers, (0.0, 4000.0), false);
-        assert_eq!(reference, got, "traffic x{workers}");
-    }
+    engines_agree(Registry::builtin, "traffic", &Case::sized(240, 20).seed(13));
 }
 
+/// The map-reduce-reduce path: non-local bites cross partitions.
 #[test]
 fn predator_nonlocal_cluster_equals_single_node() {
-    // The map-reduce-reduce path: non-local hurt effects cross partitions.
-    let params = PredatorParams { spawn_probability: 0.0, nonlocal: true, ..Default::default() };
-    let make = || PredatorBehavior::new(params.clone());
-    let pop = make().population(150, 20.0, 3);
-    let reference = single_node(make(), pop.clone(), 10, 5);
-    for workers in [2, 3] {
-        let got = cluster(Arc::new(make()), pop.clone(), 10, 5, workers, (0.0, 20.0), false);
-        assert_eq!(reference, got, "predator x{workers}");
-    }
+    engines_agree(Registry::builtin, "predator", &Case::sized(150, 10).seed(5));
 }
 
 #[test]
 fn brasil_script_cluster_equals_single_node() {
-    // Compiled BRASIL runs through both engines. This script is not
-    // inverted: its non-local effects are float sums, which every engine
-    // folds once, in source-id order, at the target's owner.
-    let make = || scripts::predator(false).unwrap();
-    let schema = make().schema().clone();
-    let mut rng = DetRng::seed_from_u64(21);
-    let pop: Vec<Agent> = (0..150)
-        .map(|i| {
-            let mut a = Agent::new(AgentId::new(i), Vec2::new(rng.range(0.0, 18.0), rng.range(0.0, 18.0)), &schema);
-            a.state[0] = rng.range(0.5, 1.5);
-            a
-        })
-        .collect();
-    let reference = single_node(make(), pop.clone(), 10, 55);
-    for workers in [2, 3, 4] {
-        let got = cluster(Arc::new(make()), pop.clone(), 10, 55, workers, (0.0, 18.0), false);
-        assert_eq!(reference, got, "brasil predator x{workers}");
-    }
+    engines_agree(registry, "brasil-predator-nonlocal", &Case::sized(150, 10).seed(55));
 }
 
+/// Moving partition boundaries mid-run must be invisible to the agents:
+/// the matrix's load-balanced `cluster:3` leg against every other leg.
 #[test]
 fn load_balancing_does_not_change_results() {
-    // Moving partition boundaries mid-run must be invisible to the agents.
-    let params =
-        FishParams { informed_a: 1.0, informed_b: 0.0, omega: 2.0, school_radius: 12.0, ..FishParams::default() };
-    let make = || FishBehavior::new(params.clone());
-    let pop = make().population(150, 41);
-    let without = cluster(Arc::new(make()), pop.clone(), 30, 9, 3, (-12.0, 12.0), false);
-    let with = cluster(Arc::new(make()), pop, 30, 9, 3, (-12.0, 12.0), true);
-    assert_eq!(without, with, "fish LB vs no-LB");
+    engines_agree(registry, "fish-drifting", &Case::sized(150, 30).seed(9));
+}
+
+/// Spawn ids are sequenced globally by `(parent id, ordinal)`, and an
+/// agent's RNG stream is keyed by its id, so spawning children behave
+/// exactly as on the single node — and this run does spawn.
+#[test]
+fn predator_spawning_cluster_equals_single_node() {
+    let case = Case::sized(200, 10).seed(15);
+    let single = {
+        let _off = telemetry_off();
+        Runner::new(Registry::builtin().get("predator").unwrap()).population(200).seed(15).run(10).unwrap()
+    };
+    assert!(single.world.iter().any(|a| a.id.raw() >= 200), "no spawns happened");
+    assert_eq!(engines_agree(Registry::builtin, "predator", &case), single.checksum);
 }
 
 // ---- delta-distributed cluster ≡ single node -------------------------------
 //
-// The pool-resident worker ships persisting replicas as masked delta
-// frames against per-peer sessions, and the writes its agents make to
-// replicas as effect writes to their owners. The cluster must be
-// **bit-identical** to the single-node engine in every observable way,
-// under the nastiest dynamics we can generate: float-valued effect sums
-// (order-sensitive in the last bit, so any replica staleness or ordering
-// slip shows) — local ones, and non-local ones that a field also receives
-// locally —, agents migrating across partition boundaries, spawn/kill
-// churn, and the load balancer repartitioning mid-run. 1–4 workers.
+// Workers ship persisting replicas as masked delta frames and the writes
+// their agents make to replicas as effect writes to the owners. Every leg
+// must match the single node bit for bit under the nastiest dynamics we can
+// generate: order-sensitive float sums, local and non-local, migration,
+// spawn/kill churn and mid-run repartitioning.
 
 /// Float-effect model with deterministic churn: agents drift (migration),
 /// spawn children on a sparse id×tick schedule and die on another, and
@@ -167,20 +142,19 @@ impl ChurnStorm {
         ChurnStorm { schema, churn, nonlocal }
     }
 
-    fn population(&self, n: usize, seed: u64) -> Vec<Agent> {
-        let mut rng = DetRng::seed_from_u64(seed);
-        (0..n)
+    /// `n` agents drawn from `seed` over a 60 × 12 strip.
+    fn setup(self, n: usize, seed: u64) -> brace_scenario::ScenarioSetup {
+        let mut rng = DetRng::seed_from_u64(seed ^ 0x3C3C);
+        let pop = (0..n)
             .map(|i| {
-                let mut a = Agent::new(
-                    AgentId::new(i as u64),
-                    Vec2::new(rng.range(0.0, 60.0), rng.range(0.0, 12.0)),
-                    &self.schema,
-                );
+                let pos = Vec2::new(rng.range(0.0, 60.0), rng.range(0.0, 12.0));
+                let mut a = Agent::new(AgentId::new(i as u64), pos, &self.schema);
                 a.state[0] = rng.range(0.5, 2.0);
                 a.state[1] = rng.range(-1.0, 1.0);
                 a
             })
-            .collect()
+            .collect();
+        custom_setup(self, pop, IndexKind::KdTree, (0.0, 60.0))
     }
 }
 
@@ -223,64 +197,31 @@ impl Behavior for ChurnStorm {
     }
 }
 
-fn run_mode(storm: &ChurnStorm, pop: &[Agent], seed: u64, workers: usize, epochs: u64, lb: bool) -> Vec<Agent> {
-    let cfg = ClusterConfig {
-        workers,
-        epoch_len: 5,
-        seed,
-        space_x: (0.0, 60.0),
-        load_balance: lb,
-        balancer: LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5, epoch_len: 5 },
-        ..ClusterConfig::default()
-    };
-    let mut sim = ClusterSim::new(Arc::new(storm.clone()), pop.to_vec(), cfg).unwrap();
-    sim.run_epochs(epochs).unwrap();
-    sim.collect_agents().unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The delta-distributed cluster is bit-identical to the single-node
-    /// engine — under churn (spawn/kill), migration, repartitioning (load
-    /// balancer on/off) and 1–4 workers, with local float sums or with
-    /// non-local ones crossing partitions. This is the placement-independence
-    /// guarantee of id-canonical neighbor order, globally ordered spawn ids
-    /// and one fold of every non-local write in source-id order. Full
-    /// `Agent` records — positions, states and effects must agree to the
-    /// last bit; a failure names the draw and the first differing agent.
+    /// engine on every leg of the matrix — under churn (spawn/kill),
+    /// migration and repartitioning, with local float sums or with
+    /// non-local ones crossing partitions. This is the
+    /// placement-independence guarantee of id-canonical neighbor order,
+    /// globally ordered spawn ids and one fold of every non-local write in
+    /// source-id order. A failure names the draw and the first leg that
+    /// differs.
     #[test]
     fn delta_cluster_equals_single_node_bitwise(
         seed in 0u64..1_000,
-        workers in 1usize..5,
         n in 30usize..90,
         epochs in 2u64..4,
-        lb in any::<bool>(),
         churn in any::<bool>(),
         nonlocal in any::<bool>(),
     ) {
-        let storm = ChurnStorm::new(churn, nonlocal);
-        let pop = storm.population(n, seed ^ 0x3C3C);
-        let single = single_node(storm.clone(), pop.clone(), epochs * 5, seed);
-        let cluster = run_mode(&storm, &pop, seed, workers, epochs, lb);
-        prop_assert!(
-            single == cluster,
-            "seed {seed}, {workers} workers, n {n}, {epochs} epochs, lb {lb}, churn {churn}, nonlocal {nonlocal}: {}",
-            first_difference(&single, &cluster)
-        );
+        let name = match (churn, nonlocal) {
+            (false, false) => "churn-storm",
+            (true, false) => "churn-storm-churn",
+            (false, true) => "churn-storm-nonlocal",
+            (true, true) => "churn-storm-both",
+        };
+        engines_agree(registry, name, &Case::sized(n, epochs * 5).seed(seed));
     }
-}
-
-#[test]
-fn predator_spawning_cluster_equals_single_node() {
-    // Spawn ids are sequenced globally by `(parent id, ordinal)`, and an
-    // agent's RNG stream is keyed by its id, so spawning children behave
-    // exactly as on the single node: the worlds agree bit for bit.
-    let params = PredatorParams { nonlocal: true, ..Default::default() };
-    let make = || PredatorBehavior::new(params.clone());
-    let pop = make().population(200, 22.0, 8);
-    let reference = single_node(make(), pop.clone(), 10, 15);
-    let got = cluster(Arc::new(make()), pop, 10, 15, 3, (0.0, 22.0), false);
-    assert!(got.iter().any(|a| a.id.raw() >= 200), "spawns happened");
-    assert_eq!(reference, got, "spawning predator x3");
 }

@@ -14,8 +14,11 @@
 //! throttle, so the parent can reliably observe "some epochs durable, run
 //! not finished" before pulling the trigger.
 
+mod common;
+
 use brace::mapreduce::manifest;
-use brace::scenario::{Backend, Registry, Runner};
+use brace::scenario::Registry;
+use common::{engines_agree, Case, GOLDEN_EPIDEMIC};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -33,12 +36,10 @@ fn temp_root(tag: &str) -> PathBuf {
     dir
 }
 
-/// The expected bits: the same scenario conformance run, uninterrupted,
-/// in-process, on the same worker count.
+/// The expected bits: the same conformance run, uninterrupted and
+/// in-process, as every engine leg agrees on it.
 fn uninterrupted_checksum(scenario: &str) -> u64 {
-    let registry = Registry::builtin();
-    let scenario = registry.get(scenario).unwrap();
-    Runner::new(scenario).conformance().backend(Backend::cluster(WORKERS)).run(TICKS).unwrap().checksum
+    engines_agree(Registry::builtin, scenario, &Case::conformance(TICKS))
 }
 
 /// Start a durable run in a child process, SIGKILL it once at least two
@@ -133,5 +134,29 @@ fn sigkill_and_resume_is_bit_identical_for_epidemic() {
     let checksum = kill_and_resume("epidemic");
     assert_eq!(checksum, uninterrupted_checksum("epidemic"));
     // And the absolute bits: the same golden the conformance suite pins.
-    assert_eq!(checksum, 0xEFDF_A3ED_B826_E4CE, "resumed epidemic drifted from the pinned conformance golden");
+    assert_eq!(checksum, GOLDEN_EPIDEMIC, "resumed epidemic drifted from the pinned conformance golden");
+}
+
+/// A durable run drives no observer and takes its index from the job, so
+/// `--trace`, `--index` and `--progress` are refused, not silently dropped:
+/// the command fails, names the flag, and creates no run directory.
+#[test]
+fn durable_runs_refuse_the_flags_they_would_ignore() {
+    let root = temp_root("refused");
+    let runs = root.join("runs");
+    let trace = root.join("trace.ndjson");
+    let start =
+        ["run", "--scenario", "fish", "--backend", "cluster:2", "--ticks", "5", "--run-dir", runs.to_str().unwrap()];
+    let resume = ["run", "--run-dir", runs.to_str().unwrap(), "--resume", "fish-42"];
+    for base in [&start[..], &resume[..]] {
+        for extra in [&["--trace", trace.to_str().unwrap()][..], &["--index", "grid"], &["--progress"]] {
+            let out = Command::new(BRACE).args(base).args(extra).output().expect("spawn brace run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "`{}` succeeded", extra[0]);
+            assert!(stderr.contains(extra[0]), "`{}` is not named: {stderr}", extra[0]);
+            assert!(!runs.exists(), "`{}` created a run directory", extra[0]);
+            assert!(!trace.exists(), "`{}` wrote a trace", extra[0]);
+        }
+    }
+    cleanup(&root);
 }

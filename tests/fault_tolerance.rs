@@ -2,28 +2,38 @@
 //! (single, scheduled, and seeded-random schedules), recovery by replay —
 //! on the paper's real models. Recovery and process-restart resume share
 //! one restore-and-replay; the latter is covered by
-//! `tests/durable_resume.rs`.
+//! `tests/durable_resume.rs`. That a recovered run lands on the
+//! failure-free bits for every scenario — spawning and non-local ones
+//! included — is the engine matrix's fault leg (`tests/common`); the tests
+//! here pin the protocol: how far recovery rolls back and what it replays.
 
 use brace_mapreduce::{CheckpointStore, ClusterConfig, ClusterSim, FaultPlan};
-use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams};
+use brace_models::{FishBehavior, FishParams};
 use std::sync::Arc;
 
 fn fish() -> FishBehavior {
     FishBehavior::new(FishParams { school_radius: 12.0, ..FishParams::default() })
 }
 
+/// A fish cluster of `workers` without the load balancer, checkpointing
+/// every `checkpoint_every` epochs of 5 ticks.
+fn config(workers: usize, seed: u64, checkpoint_every: Option<u64>) -> ClusterConfig {
+    let space_x = (-12.0, 12.0);
+    ClusterConfig {
+        workers,
+        epoch_len: 5,
+        seed,
+        space_x,
+        load_balance: false,
+        checkpoint_every,
+        ..ClusterConfig::default()
+    }
+}
+
 #[test]
 fn recovery_reproduces_failure_free_fish_run() {
     let pop = fish().population(150, 17);
-    let base = ClusterConfig {
-        workers: 3,
-        epoch_len: 5,
-        seed: 17,
-        space_x: (-12.0, 12.0),
-        load_balance: false,
-        checkpoint_every: Some(2),
-        ..ClusterConfig::default()
-    };
+    let base = config(3, 17, Some(2));
     let mut clean = ClusterSim::new(Arc::new(fish()), pop.clone(), base.clone()).unwrap();
     clean.run_epochs(8).unwrap();
     let clean_world = clean.collect_agents().unwrap();
@@ -47,61 +57,18 @@ fn recovery_reproduces_failure_free_fish_run() {
 }
 
 #[test]
-fn recovery_with_spawning_model_is_exact() {
-    // Spawn ids are assigned in global `(parent id, ordinal)` order; the
-    // snapshot carries the global next-id cursor, so replayed spawns get
-    // identical ids.
-    let params = PredatorParams { nonlocal: true, ..Default::default() };
-    let make = || PredatorBehavior::new(params.clone());
-    let pop = make().population(120, 16.0, 23);
-    let base = ClusterConfig {
-        workers: 2,
-        epoch_len: 4,
-        seed: 23,
-        space_x: (0.0, 16.0),
-        load_balance: false,
-        checkpoint_every: Some(2),
-        ..ClusterConfig::default()
-    };
-    let mut clean = ClusterSim::new(Arc::new(make()), pop.clone(), base.clone()).unwrap();
-    clean.run_epochs(6).unwrap();
-    let clean_world = clean.collect_agents().unwrap();
-
-    let cfg = ClusterConfig { fault: Some(FaultPlan::once(4)), ..base };
-    let mut faulty = ClusterSim::new(Arc::new(make()), pop, cfg).unwrap();
-    faulty.run_epochs(6).unwrap();
-    assert_eq!(faulty.collect_agents().unwrap(), clean_world);
-}
-
-#[test]
 fn fault_before_any_periodic_checkpoint_uses_initial_snapshot() {
     // The constructor takes an initial checkpoint, so even an immediate
     // fault is recoverable (replaying from tick 0).
     let pop = fish().population(80, 29);
-    let cfg = ClusterConfig {
-        workers: 2,
-        epoch_len: 5,
-        seed: 29,
-        space_x: (-12.0, 12.0),
-        load_balance: false,
-        checkpoint_every: None, // only the initial checkpoint exists
-        fault: Some(FaultPlan::once(1)),
-        ..ClusterConfig::default()
-    };
+    // Only the initial checkpoint exists.
+    let cfg = ClusterConfig { fault: Some(FaultPlan::once(1)), ..config(2, 29, None) };
     let mut sim = ClusterSim::new(Arc::new(fish()), pop.clone(), cfg).unwrap();
     sim.run_epochs(3).unwrap();
     assert_eq!(sim.stats().recoveries, 1);
     assert_eq!(sim.stats().replayed_epochs, 2, "epochs 0 and 1 replay from tick 0");
 
-    let clean_cfg = ClusterConfig {
-        workers: 2,
-        epoch_len: 5,
-        seed: 29,
-        space_x: (-12.0, 12.0),
-        load_balance: false,
-        ..ClusterConfig::default()
-    };
-    let mut clean = ClusterSim::new(Arc::new(fish()), pop, clean_cfg).unwrap();
+    let mut clean = ClusterSim::new(Arc::new(fish()), pop, config(2, 29, None)).unwrap();
     clean.run_epochs(3).unwrap();
     assert_eq!(sim.collect_agents().unwrap(), clean.collect_agents().unwrap());
 }
@@ -111,16 +78,7 @@ fn checkpoints_persist_to_disk_and_reload() {
     let dir = std::env::temp_dir().join(format!("brace-ft-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let pop = fish().population(60, 31);
-    let cfg = ClusterConfig {
-        workers: 2,
-        epoch_len: 5,
-        seed: 31,
-        space_x: (-12.0, 12.0),
-        load_balance: false,
-        checkpoint_every: Some(1),
-        run_dir: Some(dir.clone()),
-        ..ClusterConfig::default()
-    };
+    let cfg = ClusterConfig { run_dir: Some(dir.clone()), ..config(2, 31, Some(1)) };
     let mut sim = ClusterSim::new(Arc::new(fish()), pop, cfg).unwrap();
     sim.run_epochs(3).unwrap();
     drop(sim);
@@ -145,15 +103,7 @@ mod random_fault_schedules {
         #[test]
         fn seeded_random_fault_schedule_recovers_exactly(fault_seed in 0u64..1_000, n_faults in 1usize..4) {
             let pop = fish().population(90, 41);
-            let base = ClusterConfig {
-                workers: 3,
-                epoch_len: 5,
-                seed: 41,
-                space_x: (-12.0, 12.0),
-                load_balance: false,
-                checkpoint_every: Some(2),
-                ..ClusterConfig::default()
-            };
+            let base = config(3, 41, Some(2));
             let mut clean = ClusterSim::new(Arc::new(fish()), pop.clone(), base.clone()).unwrap();
             clean.run_epochs(8).unwrap();
             let clean_world = clean.collect_agents().unwrap();
@@ -175,16 +125,7 @@ fn recovery_cost_is_bounded_by_checkpoint_cadence() {
     // With checkpoints every k epochs, a replay never exceeds k epochs.
     for (every, at_epoch, max_replay) in [(1u64, 5u64, 1u64), (3, 7, 3)] {
         let pop = fish().population(60, 37);
-        let cfg = ClusterConfig {
-            workers: 2,
-            epoch_len: 5,
-            seed: 37,
-            space_x: (-12.0, 12.0),
-            load_balance: false,
-            checkpoint_every: Some(every),
-            fault: Some(FaultPlan::once(at_epoch)),
-            ..ClusterConfig::default()
-        };
+        let cfg = ClusterConfig { fault: Some(FaultPlan::once(at_epoch)), ..config(2, 37, Some(every)) };
         let mut sim = ClusterSim::new(Arc::new(fish()), pop, cfg).unwrap();
         sim.run_epochs(9).unwrap();
         let s = sim.stats();

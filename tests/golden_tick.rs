@@ -22,142 +22,97 @@
 //! and say so in the PR. An *unexplained* checksum change is a determinism
 //! bug; do not update the constants to paper over one.
 
-use brace_core::{Agent, Behavior, Simulation};
-use brace_mapreduce::{ClusterConfig, ClusterSim, FaultPlan, LoadBalancer};
+mod common;
+
 use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams, TrafficBehavior, TrafficParams};
+use brace_scenario::{Registry, ScenarioSetup};
 use brace_spatial::IndexKind;
-// The canonical world fingerprint (FNV-1a over every bit: ids, positions,
-// states, effects, liveness — `to_bits`, so even a `-0.0` vs `0.0` flip
-// moves the sum). Shared with the registry conformance suite and the CLI,
-// so all three report directly comparable numbers.
-use brace_scenario::world_checksum;
-use std::sync::Arc;
+use common::{custom_setup, engines_agree, registry_of, Case, Custom};
 
-const TICKS: u64 = 100;
-const SEED: u64 = 42;
+/// The three trajectories, as test-local scenarios: each model with the
+/// index it is pinned on. The checksum every one is compared by is the
+/// canonical world fingerprint (`brace_scenario::world_checksum`: FNV-1a
+/// over every bit — ids, positions, states, effects, liveness — through
+/// `to_bits`, so even a `-0.0` vs `0.0` flip moves the sum), the same number
+/// the CLI and the conformance suite report.
+fn registry() -> Registry {
+    registry_of([
+        Custom {
+            name: "golden-fish",
+            agents: 300,
+            build: |n, seed| {
+                let b = FishBehavior::new(FishParams::default());
+                let pop = b.population(n, seed);
+                custom_setup(b, pop, IndexKind::KdTree, (-20.0, 20.0))
+            },
+        },
+        Custom {
+            name: "golden-traffic",
+            agents: 90,
+            build: |_, seed| {
+                traffic(TrafficParams { segment: 1_000.0, density: 0.03, ..TrafficParams::default() }, seed)
+            },
+        },
+        Custom {
+            name: "golden-predator",
+            agents: 200,
+            build: |n, seed| {
+                let b = PredatorBehavior::new(PredatorParams::default());
+                let pop = b.population(n, 30.0, seed);
+                custom_setup(b, pop, IndexKind::Scan, (0.0, 30.0))
+            },
+        },
+        Custom {
+            // Vehicles that cannot reach the segment end within the horizon
+            // (max_speed × dt × TICKS = 3600 < 10000 − 6000): a spawn-free
+            // trajectory, kept pinned beside the spawning conformance
+            // coverage.
+            name: "golden-traffic-wrap-free",
+            agents: 180,
+            build: |_, seed| {
+                let mut setup =
+                    traffic(TrafficParams { segment: 10_000.0, density: 0.01, ..TrafficParams::default() }, seed);
+                setup.population.retain(|a| a.pos.x < 6_000.0);
+                setup
+            },
+        },
+    ])
+}
 
-fn run_checksum<B: brace_core::Behavior>(behavior: B, pop: Vec<Agent>, kind: IndexKind) -> u64 {
-    let mut sim = Simulation::builder(behavior).agents(pop).index(kind).seed(SEED).parallelism(1).build().unwrap();
-    sim.run(TICKS);
-    world_checksum(&sim.agents())
+/// Three-lane traffic on the grid over a segment of its own.
+fn traffic(params: TrafficParams, seed: u64) -> ScenarioSetup {
+    let (segment, b) = (params.segment, TrafficBehavior::new(TrafficParams { lanes: 3, ..params }));
+    let pop = b.population(seed);
+    custom_setup(b, pop, IndexKind::Grid, (0.0, segment))
+}
+
+/// 100 ticks at seed 42, on every leg of the engine matrix: one constant
+/// pins the single node at every thread budget, the 2- and 3-worker
+/// clusters (load balancer moving boundaries mid-run, delta distribution
+/// shipping replicas as masked frames), a fault recovered by checkpoint
+/// restore and replay, the durable and resumed runs, and the served run.
+fn golden(name: &str, want: u64) {
+    let agents = registry().get(name).unwrap().default_population();
+    let got = engines_agree(registry, name, &Case::sized(agents, 100));
+    assert_eq!(got, want, "`{name}` drifted (got {got:#06X}); see the module docs before touching this constant");
 }
 
 #[test]
 fn golden_fish_100_ticks() {
-    let b = FishBehavior::new(FishParams::default());
-    let pop = b.population(300, SEED);
-    let got = run_checksum(b, pop, IndexKind::KdTree);
-    assert_eq!(
-        got, 0x7FCC_939F_AE16_A057,
-        "fish golden world drifted (got {got:#06X}); see the module docs before touching this constant"
-    );
+    golden("golden-fish", 0x7FCC_939F_AE16_A057);
 }
 
 #[test]
 fn golden_traffic_100_ticks() {
-    let b =
-        TrafficBehavior::new(TrafficParams { segment: 1_000.0, lanes: 3, density: 0.03, ..TrafficParams::default() });
-    let pop = b.population(SEED);
-    let got = run_checksum(b, pop, IndexKind::Grid);
-    assert_eq!(
-        got, 0xA23D_BFEE_B720_92E2,
-        "traffic golden world drifted (got {got:#06X}); see the module docs before touching this constant"
-    );
+    golden("golden-traffic", 0xA23D_BFEE_B720_92E2);
 }
 
 #[test]
 fn golden_predator_100_ticks() {
-    let b = PredatorBehavior::new(PredatorParams::default());
-    let pop = b.population(200, 30.0, SEED);
-    let got = run_checksum(b, pop, IndexKind::Scan);
-    assert_eq!(
-        got, 0x4009_9BD6_5F84_5536,
-        "predator golden world drifted (got {got:#06X}); see the module docs before touching this constant"
-    );
-}
-
-// ---- golden *cluster* checksums ------------------------------------------
-//
-// The distributed claims, pinned at the same strength as the single-node
-// ones: a 4-worker cluster — load balancer ON, partition boundaries moving
-// mid-run, delta distribution shipping replicas as masked frames — produces
-// **the same bits** as the single-node engine. The fish test reuses the
-// single-node constant above verbatim; traffic pins a fresh constant for a
-// wrap-free configuration (it predates globally-ordered spawn ids and
-// stays pinned as a second trajectory; the *wrapping* respawn path is now
-// exactly distributable too, which `tests/scenario_conformance.rs` proves
-// on traffic's default form). The fault-recovery test replays through a
-// checkpoint restore and must land on the identical checksum.
-
-/// Run a 4-worker, load-balanced, delta-distributed cluster and checksum
-/// the collected world (sorted by id — which is also the single-node
-/// executor's row order for these non-spawning runs).
-fn cluster_checksum<B: Behavior + 'static>(
-    behavior: B,
-    pop: Vec<Agent>,
-    space_x: (f64, f64),
-    fault: Option<FaultPlan>,
-) -> u64 {
-    let cfg = ClusterConfig {
-        workers: 4,
-        epoch_len: 5,
-        seed: SEED,
-        space_x,
-        load_balance: true,
-        balancer: LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5, epoch_len: 5 },
-        checkpoint_every: Some(4),
-        fault,
-        ..ClusterConfig::default()
-    };
-    let mut sim = ClusterSim::new(Arc::new(behavior), pop, cfg).unwrap();
-    sim.run_ticks(TICKS).unwrap();
-    world_checksum(&sim.collect_agents().unwrap())
-}
-
-#[test]
-fn golden_fish_cluster_100_ticks_matches_single_node_constant() {
-    let b = FishBehavior::new(FishParams::default());
-    let pop = b.population(300, SEED);
-    let got = cluster_checksum(b, pop, (-20.0, 20.0), None);
-    assert_eq!(
-        got, 0x7FCC_939F_AE16_A057,
-        "4-worker fish cluster drifted from the single-node golden world (got {got:#06X})"
-    );
-}
-
-#[test]
-fn golden_fish_cluster_fault_recovery_matches_single_node_constant() {
-    // Lose all live worker state during epoch 10 (its checkpoint included),
-    // recover from the last surviving coordinated checkpoint, replay — and
-    // still land on the single-node constant.
-    let b = FishBehavior::new(FishParams::default());
-    let pop = b.population(300, SEED);
-    let got = cluster_checksum(b, pop, (-20.0, 20.0), Some(FaultPlan::once(10)));
-    assert_eq!(
-        got, 0x7FCC_939F_AE16_A057,
-        "fault-recovery fish cluster drifted from the single-node golden world (got {got:#06X})"
-    );
-}
-
-/// Traffic config whose vehicles cannot reach the segment end within the
-/// horizon (max_speed × dt × TICKS = 3600 < 10000 − 6000) — a spawn-free
-/// trajectory, kept pinned alongside the spawning conformance coverage.
-fn wrap_free_traffic() -> (TrafficBehavior, Vec<Agent>) {
-    let b =
-        TrafficBehavior::new(TrafficParams { segment: 10_000.0, lanes: 3, density: 0.01, ..TrafficParams::default() });
-    let pop: Vec<Agent> = b.population(SEED).into_iter().filter(|a| a.pos.x < 6_000.0).collect();
-    (b, pop)
+    golden("golden-predator", 0x4009_9BD6_5F84_5536);
 }
 
 #[test]
 fn golden_traffic_cluster_100_ticks_matches_single_node() {
-    let (b, pop) = wrap_free_traffic();
-    let single = run_checksum(b, pop.clone(), IndexKind::Grid);
-    assert_eq!(
-        single, 0x431B_E404_82D3_8EAC,
-        "wrap-free traffic single-node world drifted (got {single:#06X}); see the module docs"
-    );
-    let (b, _) = wrap_free_traffic();
-    let cluster = cluster_checksum(b, pop, (0.0, 10_000.0), None);
-    assert_eq!(cluster, single, "4-worker traffic cluster must equal the single-node bits (got {cluster:#06X})");
+    golden("golden-traffic-wrap-free", 0x431B_E404_82D3_8EAC);
 }

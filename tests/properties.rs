@@ -20,6 +20,8 @@
 //!   or with inflated counts — and none sizes an allocation from a count it
 //!   has not checked. The durable decoders accept one encoding per value.
 
+mod common;
+
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, FieldId, Rect, Vec2};
 use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
@@ -34,18 +36,11 @@ use brace_mapreduce::codec;
 use brace_spatial::join::{distribute, nested_loop_join, partitioned_join};
 use brace_spatial::kernels::{block_order, radix_sort_by_key, seek_window, ProbeKey, TileDirectory};
 use brace_spatial::{GridPartitioning, KdTree, Partitioner, ScanIndex, SpatialIndex, UniformGrid};
+use common::{any_index_kind, worlds_bit_identical};
 use proptest::prelude::*;
 
 fn any_combinator() -> impl Strategy<Value = Combinator> {
     prop::sample::select(Combinator::ALL.to_vec())
-}
-
-fn any_index_kind() -> impl Strategy<Value = brace_spatial::IndexKind> {
-    prop::sample::select(vec![
-        brace_spatial::IndexKind::Scan,
-        brace_spatial::IndexKind::KdTree,
-        brace_spatial::IndexKind::Grid,
-    ])
 }
 
 /// Local-effects model with float-valued aggregates (Sum + Min + Max):
@@ -815,28 +810,6 @@ fn edge_points(n: usize, seed: u64) -> Vec<(Vec2, u32)> {
         }
     }
     pts
-}
-
-/// Bitwise world equality: stricter than `Agent == Agent` (which treats
-/// `0.0 == -0.0`), because the join and evaluator contracts are bit-identity.
-fn worlds_bit_identical(a: &[Agent], b: &[Agent]) -> Result<(), String> {
-    if a.len() != b.len() {
-        return Err(format!("world sizes differ: {} vs {}", a.len(), b.len()));
-    }
-    for (x, y) in a.iter().zip(b) {
-        let same = x.id == y.id
-            && x.alive == y.alive
-            && x.pos.x.to_bits() == y.pos.x.to_bits()
-            && x.pos.y.to_bits() == y.pos.y.to_bits()
-            && x.state.len() == y.state.len()
-            && x.state.iter().zip(&y.state).all(|(u, v)| u.to_bits() == v.to_bits())
-            && x.effects.len() == y.effects.len()
-            && x.effects.iter().zip(&y.effects).all(|(u, v)| u.to_bits() == v.to_bits());
-        if !same {
-            return Err(format!("agent {} diverged:\n  a: {:?}\n  b: {:?}", x.id, x, y));
-        }
-    }
-    Ok(())
 }
 
 proptest! {

@@ -1,74 +1,62 @@
 //! The registry-driven conformance suite: **every** registered scenario
-//! runs through the one `Runner` facade on both backends, and the cluster
-//! must reproduce the single-node world bit for bit.
-//!
-//! This is the test that makes future scenario PRs cheap: register a
-//! scenario and it is automatically driven through the single-node
-//! executor and a 2-worker cluster on its
-//! [`conformance_setup`](brace::scenario::conformance_setup)
-//! configuration, checksummed, equality-asserted, and run through its own
-//! post-run sanity checks ([`Runner::run`] applies them). Nothing here
-//! names an individual scenario except the committed golden constants for
-//! the two registry-era workloads.
+//! runs through every leg of the engine matrix (`tests/common`) — thread
+//! budgets, 2- and 3-worker clusters, telemetry on, a recovered fault, a
+//! durable run and a resumed one, a served run — on its
+//! [`conformance_setup`](brace::scenario::conformance_setup) configuration
+//! and at ≈ 4 500 agents, and every leg must reproduce the serial
+//! single-node world bit for bit and pass the scenario's own post-run
+//! checks. Register a scenario and it is covered; nothing here names one
+//! except the goldens and the two that spawn.
 //!
 //! Golden constants: regenerate with
 //! `cargo test --test scenario_conformance -- --nocapture` after a
 //! deliberate model change (the failing assert prints actuals), and say so
 //! in the PR — the same protocol as `tests/golden_tick.rs`.
 
-use brace::core::executor::SHARD_ROWS;
-use brace::scenario::{conformance_setup, Backend, Registry, Runner};
+mod common;
+
+use brace::scenario::{conformance_setup, Registry, Runner};
+use common::{assert_did_real_work, engines_agree, telemetry_off, Case, Work, GOLDEN_EPIDEMIC};
 
 /// Conformance horizon: enough ticks for real boundary traffic (every
 /// builtin's population spans both partitions within visibility of the
-/// split) while keeping registry × backends CI-cheap.
+/// split) and four epochs, so the fault and resume legs restore mid-run.
 const TICKS: u64 = 20;
-const SEED: u64 = 42;
 
-fn run(scenario: &dyn brace::scenario::Scenario, backend: Backend) -> brace::scenario::RunReport {
-    Runner::new(scenario)
-        .seed(SEED)
-        .conformance()
-        .backend(backend)
-        .run(TICKS)
-        .unwrap_or_else(|e| panic!("scenario `{}` failed: {e}", scenario.name()))
+fn conformance() -> Case {
+    Case::conformance(TICKS)
 }
 
-/// The tentpole invariant: cluster ≡ single node, bitwise, for every
-/// registered scenario's conformance configuration.
+/// The tentpole invariant: every engine leg ≡ the serial single node,
+/// bitwise, for every registered scenario's conformance configuration —
+/// worker counts 2 and 3, a moving load balancer, telemetry on, a
+/// recovered fault, durable and resumed runs, and a served one.
 #[test]
 fn every_scenario_cluster_matches_single_node_bitwise() {
     let registry = Registry::builtin();
     assert!(registry.len() >= 8, "catalogue shrank: {:?}", registry.names());
-    for scenario in registry.iter() {
-        let single = run(scenario, Backend::single());
-        let cluster = run(scenario, Backend::cluster(2));
-        assert_eq!(
-            single.checksum,
-            cluster.checksum,
-            "scenario `{}`: 2-worker cluster diverged from single node \
-             (single {:#018X}, cluster {:#018X})",
-            scenario.name(),
-            single.checksum,
-            cluster.checksum
-        );
-        assert_eq!(single.agents, cluster.agents, "scenario `{}` population diverged", scenario.name());
-        assert!(single.agents > 0, "scenario `{}` conformance world is empty", scenario.name());
+    for name in registry.names() {
+        engines_agree(Registry::builtin, name, &conformance());
     }
+    // Every builtin joins, and its telemetry-on legs read each window off
+    // the tile directory, on one node and on two workers.
+    assert_did_real_work(Work::TileDirectory, registry.names());
 }
 
-/// Worker count is unobservable too: 3 workers reproduce the same bits
-/// (spot-checked on the two registry-era scenarios, whose goldens are
-/// pinned below).
+/// The thread budget is unobservable past one shard. The conformance
+/// population sits below `SHARD_ROWS`, so here every scenario runs at
+/// ≈ 4 500 agents — three shards of the query phase's sweep, and more than
+/// one per worker on `cluster:2` — through every leg: the multi-shard
+/// fan-out and the chunked update phase at 2 and 3 threads, and at 2
+/// threads per worker, end to end.
 #[test]
-fn worker_count_is_unobservable_for_new_scenarios() {
+fn every_scenario_is_parallelism_invariant_past_one_shard() {
     let registry = Registry::builtin();
-    for name in ["epidemic", "flock-obstacles"] {
-        let scenario = registry.get(name).unwrap();
-        let single = run(scenario, Backend::single());
-        let cluster = run(scenario, Backend::cluster(3));
-        assert_eq!(single.checksum, cluster.checksum, "scenario `{name}` diverged at 3 workers");
+    for name in registry.names() {
+        engines_agree(Registry::builtin, name, &Case::sized(4_500, 3));
     }
+    assert_did_real_work(Work::Threads, registry.names());
+    assert_did_real_work(Work::TileDirectory, registry.names());
 }
 
 /// The spawn machinery is under the bit-identity contract too: the two
@@ -84,50 +72,16 @@ fn spawning_scenarios_conform_with_their_default_forms() {
     let registry = Registry::builtin();
     for name in ["traffic", "predator"] {
         let scenario = registry.get(name).unwrap();
-        let initial_max =
-            conformance_setup(scenario, SEED).unwrap().population.iter().map(|a| a.id.raw()).max().unwrap();
-        let single = run(scenario, Backend::single());
+        let initial_max = conformance_setup(scenario, 42).unwrap().population.iter().map(|a| a.id.raw()).max().unwrap();
+        let single = {
+            let _off = telemetry_off();
+            Runner::new(scenario).conformance().run(TICKS).unwrap()
+        };
         assert!(
             single.world.iter().any(|a| a.id.raw() > initial_max),
             "scenario `{name}` conformance run spawned nothing — the spawn path is untested"
         );
-        for workers in [2, 3] {
-            let cluster = run(scenario, Backend::cluster(workers));
-            assert_eq!(
-                single.checksum, cluster.checksum,
-                "scenario `{name}`: {workers}-worker cluster diverged from single node on the spawning default form"
-            );
-        }
-    }
-}
-
-/// The thread budget is unobservable past one shard. The conformance
-/// population sits below `SHARD_ROWS`, so here every scenario runs at
-/// ≈ 4 500 agents — three shards of the query phase's sweep — and must
-/// reproduce its serial bits at 2 and 3 threads: the multi-shard fan-out
-/// and the chunked update phase, end to end.
-#[test]
-fn every_scenario_is_parallelism_invariant_past_one_shard() {
-    let registry = Registry::builtin();
-    for scenario in registry.iter() {
-        let run = |parallelism| {
-            Runner::new(scenario)
-                .seed(SEED)
-                .population(4_500)
-                .backend(Backend::SingleNode { parallelism })
-                .run(3)
-                .unwrap_or_else(|e| panic!("scenario `{}` failed at {parallelism} threads: {e}", scenario.name()))
-        };
-        let serial = run(1);
-        assert!(serial.agents > SHARD_ROWS, "scenario `{}` fits one shard ({} agents)", scenario.name(), serial.agents);
-        for parallelism in [2, 3] {
-            assert_eq!(
-                run(parallelism).checksum,
-                serial.checksum,
-                "scenario `{}` diverged from serial at {parallelism} threads",
-                scenario.name()
-            );
-        }
+        assert_eq!(engines_agree(Registry::builtin, name, &conformance()), single.checksum);
     }
 }
 
@@ -135,38 +89,25 @@ fn every_scenario_is_parallelism_invariant_past_one_shard() {
 //
 // The absolute bits of the two new workloads, pinned across builds at the
 // same strength as tests/golden_tick.rs pins the paper's three: if any
-// future change perturbs a single bit of either trajectory, these move.
+// future change perturbs a single bit of either trajectory, on any engine
+// leg, these move.
 
-const GOLDEN_EPIDEMIC: u64 = 0xEFDF_A3ED_B826_E4CE;
 const GOLDEN_FLOCK_OBSTACLES: u64 = 0x8207_542D_825E_ECCA;
 
 #[test]
 fn golden_epidemic_conformance_20_ticks() {
-    let registry = Registry::builtin();
-    let scenario = registry.get("epidemic").unwrap();
-    for backend in [Backend::single(), Backend::cluster(2)] {
-        let got = run(scenario, backend.clone()).checksum;
-        assert_eq!(
-            got,
-            GOLDEN_EPIDEMIC,
-            "epidemic golden world drifted on {} (got {got:#018X}); see the module docs before touching this constant",
-            backend.label()
-        );
-    }
+    let got = engines_agree(Registry::builtin, "epidemic", &conformance());
+    assert_eq!(
+        got, GOLDEN_EPIDEMIC,
+        "epidemic golden world drifted (got {got:#018X}); see the module docs before touching this constant"
+    );
 }
 
 #[test]
 fn golden_flock_obstacles_conformance_20_ticks() {
-    let registry = Registry::builtin();
-    let scenario = registry.get("flock-obstacles").unwrap();
-    for backend in [Backend::single(), Backend::cluster(2)] {
-        let got = run(scenario, backend.clone()).checksum;
-        assert_eq!(
-            got,
-            GOLDEN_FLOCK_OBSTACLES,
-            "flock-obstacles golden world drifted on {} (got {got:#018X}); \
-             see the module docs before touching this constant",
-            backend.label()
-        );
-    }
+    let got = engines_agree(Registry::builtin, "flock-obstacles", &conformance());
+    assert_eq!(
+        got, GOLDEN_FLOCK_OBSTACLES,
+        "flock-obstacles golden world drifted (got {got:#018X}); see the module docs before touching this constant"
+    );
 }

@@ -6,8 +6,8 @@
 //! load-bearing assertions:
 //!
 //! * a run served through the API is **bit-identical** to the same run
-//!   driven directly through [`Runner`] (the control plane adds transport,
-//!   not nondeterminism);
+//!   driven directly: it lands on the epidemic's golden checksum, which
+//!   every leg of the engine matrix (`tests/common`) agrees on;
 //! * a repeat `POST /runs` is answered from the result cache with the
 //!   identical checksum and **without re-simulating** (`runs_completed`
 //!   does not move, `cache.hits` does);
@@ -17,92 +17,17 @@
 //!   serving afterwards;
 //! * a panicking behaviour fails its own run and nothing else.
 
+mod common;
+
 use brace::common::{AgentId, DetRng, Vec2};
 use brace::core::{Agent, AgentRef, AgentSchema, Behavior, EffectWriter, Neighbors, UpdateCtx};
+use brace::scenario::CONFORMANCE_POPULATION;
 use brace::spatial::IndexKind;
-use brace_scenario::{Registry, Runner, Scenario, ScenarioSetup};
+use brace_scenario::Registry;
 use brace_serve::{ServeConfig, Server};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use common::{custom_setup, field, get, post, request, run_id, Custom, GOLDEN_EPIDEMIC};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-
-/// One request, one response, connection closed (the server's model).
-/// Returns `(status, raw head, body)` with chunked bodies decoded.
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let raw = String::from_utf8(raw).expect("UTF-8 response");
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("response has a head");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in `{head}`"));
-    let body = if head.to_ascii_lowercase().contains("transfer-encoding: chunked") {
-        dechunk(payload)
-    } else {
-        payload.to_string()
-    };
-    (status, head.to_string(), body)
-}
-
-fn dechunk(payload: &str) -> String {
-    let mut out = String::new();
-    let mut rest = payload;
-    while let Some((size_line, after)) = rest.split_once("\r\n") {
-        let size = usize::from_str_radix(size_line.trim(), 16).expect("chunk size");
-        if size == 0 {
-            break;
-        }
-        out.push_str(&after[..size]);
-        rest = &after[size + 2..]; // skip chunk body + CRLF
-    }
-    out
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
-    request(addr, "GET", path, None)
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String, String) {
-    request(addr, "POST", path, Some(body))
-}
-
-/// Pull a JSON field's raw value out of a flat body by text; plenty for
-/// asserting on responses this small.
-fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = body.find(&pat)? + pat.len();
-    let rest = &body[start..];
-    let end = rest
-        .char_indices()
-        .scan(false, |in_str, (i, c)| {
-            match c {
-                '"' => *in_str = !*in_str,
-                ',' | '}' if !*in_str => return Some(Some(i)),
-                _ => {}
-            }
-            Some(None)
-        })
-        .flatten()
-        .next()
-        .unwrap_or(rest.len());
-    Some(rest[..end].trim_matches('"'))
-}
-
-fn run_id(body: &str) -> String {
-    field(body, "run_id").expect("response names a run_id").to_string()
-}
 
 /// Poll `GET /runs/:id` until the run is terminal; panics after 60 s.
 fn wait_terminal(addr: SocketAddr, id: &str) -> String {
@@ -154,11 +79,9 @@ fn served_run_is_bit_identical_to_a_direct_runner_run() {
     let id = run_id(&body);
     let done = wait_done(server.addr(), &id);
 
-    let registry = Registry::builtin();
-    let direct = Runner::new(registry.get("epidemic").unwrap()).conformance().seed(42).run(20).expect("direct run");
-    let expect = format!("{:#018X}", direct.checksum);
+    let expect = format!("{GOLDEN_EPIDEMIC:#018X}");
     assert_eq!(field(&done, "checksum"), Some(expect.as_str()), "API and direct runs must agree bit-for-bit");
-    assert_eq!(field(&done, "agents"), Some(direct.agents.to_string().as_str()));
+    assert_eq!(field(&done, "agents"), Some(CONFORMANCE_POPULATION.to_string().as_str()));
     // Single-node conformance runs observe every tick.
     assert_eq!(field(&done, "frames"), Some("20"));
 }
@@ -179,10 +102,7 @@ fn stream_delivers_frames_then_the_final_checksum() {
     assert!(lines[19].contains("\"tick\":20"));
     let last = lines[20];
     assert!(last.contains("\"done\":true") && last.contains("\"status\":\"done\""), "terminal line: {last}");
-
-    let direct =
-        Runner::new(Registry::builtin().get("epidemic").unwrap()).conformance().seed(42).run(20).expect("direct run");
-    assert!(last.contains(&format!("{:#018X}", direct.checksum)), "streamed checksum must match: {last}");
+    assert!(last.contains(&format!("{GOLDEN_EPIDEMIC:#018X}")), "streamed checksum must match: {last}");
 }
 
 #[test]
@@ -517,38 +437,22 @@ impl Behavior for PanicsAtTickThree {
     }
 }
 
-struct PanickingScenario;
-
-impl Scenario for PanickingScenario {
-    fn name(&self) -> &'static str {
-        "panics-at-tick-3"
-    }
-
-    fn description(&self) -> &'static str {
-        "a behaviour whose update panics at tick 3"
-    }
-
-    fn default_population(&self) -> usize {
-        64
-    }
-
-    fn build(&self, size: Option<usize>, _seed: u64) -> brace::common::Result<ScenarioSetup> {
-        let schema = AgentSchema::builder("PanicsAtTickThree").visibility(1.0).reachability(1.0).build()?;
-        let n = size.unwrap_or(self.default_population());
-        let population =
-            (0..n).map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(i as f64, 0.0), &schema)).collect();
-        let behavior = Arc::new(PanicsAtTickThree { schema });
-        Ok(ScenarioSetup { behavior, population, index: IndexKind::Grid, epoch_len: 1, space_x: (0.0, n as f64) })
-    }
-}
-
 /// A panic inside a served run fails that run alone: the record reads
 /// `failed` with the panic's message, `runs_failed` counts it, and the one
 /// pool thread survives to run the next job bit-identically.
 #[test]
 fn a_panicking_behaviour_fails_its_run_alone() {
     let mut registry = Registry::builtin();
-    registry.register(Box::new(PanickingScenario)).unwrap();
+    let panics = Custom {
+        name: "panics-at-tick-3",
+        agents: 64,
+        build: |n, _| {
+            let schema = AgentSchema::builder("PanicsAtTickThree").visibility(1.0).reachability(1.0).build().unwrap();
+            let pop = (0..n).map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(i as f64, 0.0), &schema)).collect();
+            custom_setup(PanicsAtTickThree { schema }, pop, IndexKind::Grid, (0.0, n as f64))
+        },
+    };
+    registry.register(Box::new(panics)).unwrap();
     let server = Server::start(registry, ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
     let addr = server.addr();
 
@@ -561,9 +465,7 @@ fn a_panicking_behaviour_fails_its_run_alone() {
     let (status, _, body) = post(addr, "/runs", EPIDEMIC_RUN);
     assert_eq!(status, 202, "{body}");
     let done = wait_done(addr, &run_id(&body));
-    let direct =
-        Runner::new(Registry::builtin().get("epidemic").unwrap()).conformance().seed(42).run(20).expect("direct run");
-    assert_eq!(field(&done, "checksum"), Some(format!("{:#018X}", direct.checksum).as_str()));
+    assert_eq!(field(&done, "checksum"), Some(format!("{GOLDEN_EPIDEMIC:#018X}").as_str()));
 
     let (_, _, stats) = get(addr, "/stats");
     assert_eq!(field(&stats, "runs_failed"), Some("1"), "{stats}");

@@ -1,82 +1,29 @@
-//! Telemetry observes, never perturbs: with recording enabled, every
-//! scenario's conformance run — single-node and 2-worker cluster — must
-//! produce checksums bit-identical to the same run with telemetry off. The
-//! registry's predator is the non-local form, whose float sums go through
-//! the effect write-log, its replay and the cluster's shipped writes.
+//! Telemetry observes, never perturbs — and records what it observes.
 //!
-//! This is its own test binary because the enable flag is process-global:
-//! flipping it here can never race another suite's expectations. The two
-//! tests below still share the flag with each other, so they serialize
-//! behind one mutex and restore the prior state on drop.
+//! Telemetry on ≡ off, bit for bit, is a leg of the engine matrix
+//! (`tests/common`), whose telemetry-on legs also check that every
+//! builtin's join reads its windows off the tile directory. This binary
+//! pins what the recording shows: the counters an enabled run moves, and
+//! the directory at the benchmark's sizes and on a world too sparse for
+//! it. Each test holds the write side of the matrix's telemetry lock.
+
+mod common;
 
 use brace_common::Vec2;
-use brace_core::behavior::NeighborProbe;
 use brace_core::Simulation;
 use brace_models::{PredatorBehavior, PredatorParams};
 use brace_scenario::{Backend, Registry, Runner, Scenario, ScenarioSetup};
 use brace_spatial::IndexKind;
 use brace_telemetry::{counter, Counter};
-use std::sync::{Mutex, MutexGuard};
-
-static FLAG_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the flag lock and restores the pre-test flag state on drop.
-struct FlagGuard {
-    was: bool,
-    _lock: MutexGuard<'static, ()>,
-}
-
-fn flag_lock() -> FlagGuard {
-    let lock = FLAG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    FlagGuard { was: brace_telemetry::enabled(), _lock: lock }
-}
-
-impl Drop for FlagGuard {
-    fn drop(&mut self) {
-        brace_telemetry::set_enabled(self.was);
-    }
-}
+use common::{joins, telemetry_on};
 
 const TICKS: u64 = 10;
 
-/// Run `scenario`'s conformance form on `backend` and return the checksum.
-fn checksum(registry: &Registry, name: &str, backend: Backend) -> u64 {
-    let scenario = registry.get(name).expect("registry scenario");
-    Runner::new(scenario)
-        .conformance()
-        .backend(backend)
-        .run(TICKS)
-        .unwrap_or_else(|e| panic!("`{name}` failed: {e}"))
-        .checksum
-}
-
-#[test]
-fn telemetry_on_and_off_agree_bit_for_bit_across_the_registry() {
-    let _g = flag_lock();
-    let registry = Registry::builtin();
-    for scenario in registry.iter() {
-        let name = scenario.name();
-        for backend in [Backend::single(), Backend::cluster(2)] {
-            brace_telemetry::set_enabled(false);
-            let off = checksum(&registry, name, backend.clone());
-            brace_telemetry::set_enabled(true);
-            let on = checksum(&registry, name, backend.clone());
-            assert_eq!(
-                off,
-                on,
-                "`{name}` on backend `{}` changed its checksum when telemetry was enabled",
-                backend.label()
-            );
-        }
-    }
-}
-
-/// The enabled runs above are not silently no-ops: an enabled run must
-/// actually move the executor counters and phase histograms.
+/// Enabled runs are not silently no-ops: an enabled run must actually move
+/// the executor counters and phase histograms.
 #[test]
 fn enabled_runs_record_into_the_registry() {
-    let _g = flag_lock();
-    brace_telemetry::set_enabled(true);
+    let _on = telemetry_on();
     brace_telemetry::reset();
     let registry = Registry::builtin();
     let scenario = registry.get("epidemic").unwrap();
@@ -146,13 +93,6 @@ fn enabled_runs_record_into_the_registry() {
     brace_telemetry::reset();
 }
 
-/// Whether `setup` answers its probes with the tile join: a bounded range
-/// probe on an index other than the scan.
-fn joins(setup: &ScenarioSetup) -> bool {
-    let vis = setup.behavior.schema().visibility();
-    setup.behavior.probe() == NeighborProbe::Range && vis > 0.0 && vis.is_finite() && setup.index != IndexKind::Scan
-}
-
 /// Run `setup` for `ticks` on `backend` with the counters reset, and return
 /// `(tile-directory ticks, probe groups)`.
 fn directory_ticks(scenario: &dyn Scenario, mut setup: ScenarioSetup, backend: Backend, ticks: u64) -> (u64, u64) {
@@ -164,41 +104,27 @@ fn directory_ticks(scenario: &dyn Scenario, mut setup: ScenarioSetup, backend: B
     (counter(Counter::ExecutorTileDirectoryTicks), counter(Counter::ExecutorProbeGroups))
 }
 
-/// Which arm of the join's window ran: every registry scenario that joins
-/// reads its windows off the tile directory on every tick of every query
-/// phase — on one node and on each of two workers, at its default size and
-/// at 4 000 agents — and so do the benchmark's sizes, `fish` at 12 000 and
-/// `predator` at 40 000. A world with agents 10⁹ units out is too sparse for
-/// a directory and never takes it, though it still joins.
+/// Which arm of the join's window ran: the benchmark's sizes, `fish` at
+/// 12 000 on one node and `predator` at 40 000 on two workers, read their
+/// windows off the tile directory on every tick of every query phase (the
+/// matrix's telemetry-on legs check every registry scenario the same way,
+/// at 300 and 4 500 agents). A world with agents 10⁹ units out is too
+/// sparse for a directory and never takes it, though it still joins.
 #[test]
 fn joining_scenarios_read_their_windows_off_the_tile_directory() {
-    let _g = flag_lock();
-    brace_telemetry::set_enabled(true);
+    let _on = telemetry_on();
     const TICKS: u64 = 25;
     let registry = Registry::builtin();
-    let mut runs = Vec::new();
-    for scenario in registry.iter() {
-        for workers in [1, 2] {
-            runs.extend([(scenario, None, workers), (scenario, Some(4_000), workers)]);
-        }
-    }
-    // The benchmark's rows: `fish` on one node, `predator` on two workers.
-    runs.push((registry.get("fish").unwrap(), Some(12_000), 1));
-    runs.push((registry.get("predator").unwrap(), Some(40_000), 2));
-    let mut joined = 0;
-    for (scenario, size, workers) in runs {
-        let setup = scenario.build(size, 42).unwrap();
-        if !joins(&setup) {
-            continue;
-        }
-        joined += 1;
+    for (name, size, workers) in [("fish", 12_000, 1), ("predator", 40_000, 2)] {
+        let scenario = registry.get(name).unwrap();
+        let setup = scenario.build(Some(size), 42).unwrap();
+        assert!(joins(&setup), "`{name}` at {size} does not join");
         let backend = if workers == 1 { Backend::single() } else { Backend::cluster(workers) };
         let label = backend.label();
         let (directory, groups) = directory_ticks(scenario, setup, backend, TICKS);
-        assert!(groups > 0, "`{}` at {size:?} on `{label}` built no probe group", scenario.name());
-        assert_eq!(directory, TICKS * workers as u64, "`{}` at {size:?} on `{label}`", scenario.name());
+        assert!(groups > 0, "`{name}` at {size} on `{label}` built no probe group");
+        assert_eq!(directory, TICKS * workers as u64, "`{name}` at {size} on `{label}`");
     }
-    assert!(joined >= 2 * 2 * registry.len(), "only {joined} runs joined");
 
     for name in ["fish", "epidemic"] {
         let scenario = registry.get(name).unwrap();
