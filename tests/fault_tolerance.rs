@@ -4,11 +4,17 @@
 //! one restore-and-replay; the latter is covered by
 //! `tests/durable_resume.rs`. That a recovered run lands on the
 //! failure-free bits for every scenario — spawning and non-local ones
-//! included — is the engine matrix's fault leg (`tests/common`); the tests
-//! here pin the protocol: how far recovery rolls back and what it replays.
+//! included — is the engine matrix's fault leg (`tests/common`), which one
+//! test below calls on a spawning model; the rest pin the protocol: how far
+//! recovery rolls back and what it replays.
+
+mod common;
 
 use brace_mapreduce::{CheckpointStore, ClusterConfig, ClusterSim, FaultPlan};
-use brace_models::{FishBehavior, FishParams};
+use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams};
+use brace_scenario::Runner;
+use brace_spatial::IndexKind;
+use common::{custom_setup, engines_agree, registry_of, telemetry_off, Case, Custom};
 use std::sync::Arc;
 
 fn fish() -> FishBehavior {
@@ -54,6 +60,31 @@ fn recovery_reproduces_failure_free_fish_run() {
     assert_eq!(faulty2.stats().recoveries, 1);
     assert!(faulty2.stats().replayed_epochs >= 2, "lost checkpoint forces a longer replay");
     assert_eq!(faulty2.collect_agents().unwrap(), clean_world);
+}
+
+/// Spawn ids are assigned in global `(parent id, ordinal)` order and the
+/// snapshot carries the global next-id cursor, so replayed spawns get
+/// identical ids: the non-local predator on a 16-wide field, through the
+/// matrix's fault leg (6 epochs, a fault at the third).
+#[test]
+fn recovery_with_spawning_model_is_exact() {
+    let registry = || {
+        registry_of([Custom {
+            name: "predator-nonlocal",
+            agents: 120,
+            build: |n, seed| {
+                let b = PredatorBehavior::new(PredatorParams { nonlocal: true, ..Default::default() });
+                let pop = b.population(n, 16.0, seed);
+                custom_setup(b, pop, IndexKind::KdTree, (0.0, 16.0))
+            },
+        }])
+    };
+    let single = {
+        let _off = telemetry_off();
+        Runner::new(registry().get("predator-nonlocal").unwrap()).seed(23).run(30).unwrap()
+    };
+    assert!(single.world.iter().any(|a| a.id.raw() >= 120), "the predators spawned nothing");
+    assert_eq!(engines_agree(registry, "predator-nonlocal", &Case::sized(120, 30).seed(23)), single.checksum);
 }
 
 #[test]

@@ -24,10 +24,11 @@
 
 mod common;
 
+use brace_mapreduce::{ClusterConfig, FaultPlan, LoadBalancer};
 use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams, TrafficBehavior, TrafficParams};
-use brace_scenario::{Registry, ScenarioSetup};
+use brace_scenario::{Backend, Registry, Runner, ScenarioSetup};
 use brace_spatial::IndexKind;
-use common::{custom_setup, engines_agree, registry_of, Case, Custom};
+use common::{custom_setup, engines_agree, registry_of, telemetry_off, Case, Custom};
 
 /// The three trajectories, as test-local scenarios: each model with the
 /// index it is pinned on. The checksum every one is compared by is the
@@ -100,6 +101,36 @@ fn golden(name: &str, want: u64) {
 #[test]
 fn golden_fish_100_ticks() {
     golden("golden-fish", 0x7FCC_939F_AE16_A057);
+}
+
+/// The fish golden on 4 workers — one more than any matrix leg — with the
+/// load balancer moving boundaries mid-run and a checkpoint every 4 epochs;
+/// with `fault`, all live worker state is lost once and recovered by
+/// checkpoint restore and replay.
+fn four_worker_fish(fault: Option<FaultPlan>) -> u64 {
+    let (registry, recoveries) = (registry(), u64::from(fault.is_some()));
+    let balancer = LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5, epoch_len: 5 };
+    let config = ClusterConfig { workers: 4, balancer, checkpoint_every: Some(4), fault, ..ClusterConfig::default() };
+    let _off = telemetry_off();
+    let runner = Runner::new(registry.get("golden-fish").unwrap()).seed(42).backend(Backend::Cluster(config));
+    let mut handle = runner.launch().unwrap();
+    handle.run(100).unwrap();
+    let stats = handle.cluster_stats().expect("a cluster run");
+    assert_eq!(stats.recoveries, recoveries, "{stats:?}");
+    handle.checksum().unwrap()
+}
+
+#[test]
+fn golden_fish_cluster_100_ticks_matches_single_node_constant() {
+    let got = four_worker_fish(None);
+    assert_eq!(got, 0x7FCC_939F_AE16_A057, "4-worker fish cluster drifted from the single-node golden world");
+}
+
+#[test]
+fn golden_fish_cluster_fault_recovery_matches_single_node_constant() {
+    // Epoch 10 of 20: the checkpoint of epoch 8 is the last to survive.
+    let got = four_worker_fish(Some(FaultPlan::once(10)));
+    assert_eq!(got, 0x7FCC_939F_AE16_A057, "fault-recovery fish cluster drifted from the single-node golden world");
 }
 
 #[test]

@@ -9,10 +9,10 @@
 //!   dead-code and visibility-predicate pushdown (the shrunken probe rect
 //!   must not drop a contributing candidate) — and that the optimized and
 //!   the unoptimized plan lower to register programs that agree.
-//! * The register program against the tree-walking specification is the
-//!   root property `brasil_vm_equals_reference` (`tests/properties.rs`):
-//!   every shipped script, optimized or not, and the hand-written edge
-//!   scripts.
+//! * The register program against the tree-walking specification, on the
+//!   optimized car and inverted predator scripts (the root property
+//!   `brasil_vm_equals_reference` in `tests/properties.rs` draws every
+//!   shipped script, optimized or not, and the hand-written edge scripts).
 //! * A backend sweep: the optimized and the unoptimized plan each through
 //!   every leg of the engine matrix (`tests/common`) on the registry
 //!   conformance configurations — every checksum must agree (the optimizer
@@ -24,11 +24,13 @@
 
 mod common;
 
-use brace::core::{Agent, Simulation};
+use brace::core::{Agent, Behavior, Simulation};
 use brace::scenario::{brasil_unoptimized, Registry};
 use brace::spatial::IndexKind;
+use brace_common::{AgentId, DetRng, Vec2};
 use common::{any_index_kind, engines_agree, telemetry_off, worlds_bit_identical, Case};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Every registered BRASIL scenario (asserted against the registry so a
 /// new `brasil-*` workload cannot silently dodge this suite).
@@ -106,6 +108,41 @@ proptest! {
         if name == "brasil-car" {
             prop_assert!(opt_visits < unopt_visits, "car pushdown removed no candidates: {opt_visits} visits");
         }
+    }
+
+    /// The car and the (inverted) predator script — a pushed-down probe
+    /// rect, an `if` in the body, state columns read off the candidate —
+    /// through the register program against the tree-walking specification:
+    /// bit-identical worlds.
+    #[test]
+    fn opt_vm_matches_reference_interpreter(
+        which in prop::sample::select(vec!["car", "predator"]),
+        n in 10usize..80,
+        seed in 0u64..10_000,
+        kind in any_index_kind(),
+        ticks in 1u64..4,
+    ) {
+        let behavior = match which {
+            "car" => brace::models::scripts::car_following_opt(true).unwrap(),
+            _ => brace::models::scripts::predator_opt(true, true).unwrap(),
+        };
+        let mut rng = DetRng::seed_from_u64(seed);
+        let agents: Vec<Agent> = (0..n)
+            .map(|i| {
+                let pos = Vec2::new(rng.range(-10.0, 10.0), rng.range(-10.0, 10.0));
+                let mut a = Agent::new(AgentId::new(i as u64), pos, behavior.schema());
+                a.state[0] = rng.range(0.5, 1.5);
+                a
+            })
+            .collect();
+        let _off = telemetry_off();
+        let run = |b: Arc<dyn Behavior>| {
+            let mut sim = Simulation::builder(b).agents(agents.clone()).index(kind).seed(seed).parallelism(1).build().unwrap();
+            sim.run(ticks);
+            sim.agents()
+        };
+        let (spec, vm) = (run(Arc::new(behavior.reference())), run(Arc::new(behavior)));
+        worlds_bit_identical(&vm, &spec).map_err(|e| format!("{which} register program vs reference: {e}"))?;
     }
 }
 

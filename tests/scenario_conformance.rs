@@ -15,7 +15,7 @@
 
 mod common;
 
-use brace::scenario::{conformance_setup, Registry, Runner};
+use brace::scenario::{conformance_setup, Backend, Registry, Runner};
 use common::{assert_did_real_work, engines_agree, telemetry_off, Case, Work, GOLDEN_EPIDEMIC};
 
 /// Conformance horizon: enough ticks for real boundary traffic (every
@@ -57,6 +57,21 @@ fn every_scenario_is_parallelism_invariant_past_one_shard() {
     }
     assert_did_real_work(Work::Threads, registry.names());
     assert_did_real_work(Work::TileDirectory, registry.names());
+}
+
+/// Worker count is unobservable for the two registry-era scenarios whose
+/// goldens are pinned below: one more worker than any matrix leg, on top
+/// of the 2- and 3-worker legs every scenario runs.
+#[test]
+fn worker_count_is_unobservable_for_new_scenarios() {
+    let registry = Registry::builtin();
+    for name in ["epidemic", "flock-obstacles"] {
+        let four = {
+            let _off = telemetry_off();
+            Runner::new(registry.get(name).unwrap()).conformance().backend(Backend::cluster(4)).run(TICKS).unwrap()
+        };
+        assert_eq!(four.checksum, engines_agree(Registry::builtin, name, &conformance()), "`{name}` at 4 workers");
+    }
 }
 
 /// The spawn machinery is under the bit-identity contract too: the two

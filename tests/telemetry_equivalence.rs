@@ -2,8 +2,9 @@
 //!
 //! Telemetry on ≡ off, bit for bit, is a leg of the engine matrix
 //! (`tests/common`), whose telemetry-on legs also check that every
-//! builtin's join reads its windows off the tile directory. This binary
-//! pins what the recording shows: the counters an enabled run moves, and
+//! builtin's join reads its windows off the tile directory; the first test
+//! below runs it across the registry. The rest of this binary pins what
+//! the recording shows: the counters an enabled run moves, and
 //! the directory at the benchmark's sizes and on a world too sparse for
 //! it. Each test holds the write side of the matrix's telemetry lock.
 
@@ -15,9 +16,22 @@ use brace_models::{PredatorBehavior, PredatorParams};
 use brace_scenario::{Backend, Registry, Runner, Scenario, ScenarioSetup};
 use brace_spatial::IndexKind;
 use brace_telemetry::{counter, Counter};
-use common::{joins, telemetry_on};
+use common::{assert_did_real_work, engines_agree, joins, telemetry_on, Case, Work};
 
 const TICKS: u64 = 10;
+
+/// Every scenario's conformance run, telemetry on (single node, `cluster:2`
+/// and served) against the same runs with it off. The registry's predator
+/// is the non-local form, whose float sums go through the effect write-log,
+/// its replay and the cluster's shipped writes.
+#[test]
+fn telemetry_on_and_off_agree_bit_for_bit_across_the_registry() {
+    let registry = Registry::builtin();
+    for name in registry.names() {
+        engines_agree(Registry::builtin, name, &Case::conformance(TICKS));
+    }
+    assert_did_real_work(Work::TileDirectory, registry.names());
+}
 
 /// Enabled runs are not silently no-ops: an enabled run must actually move
 /// the executor counters and phase histograms.
