@@ -2,17 +2,18 @@
 //!
 //! [`engines_agree`] runs one [`Case`] of a registered scenario on a
 //! baseline — the single node, one thread, telemetry off — and on every
-//! other engine leg: the single node at 2 and 3 threads; `cluster:2`;
-//! `cluster:3` with a load balancer eager enough to move boundaries
-//! mid-run; `cluster:2` at 2 threads per worker; telemetry on, on one node
-//! and on `cluster:2`; `cluster:3` with a whole-cluster fault at the middle
+//! other engine leg ([`LEGS`]): the single node at 2 and 3 threads;
+//! `cluster:1`; `cluster:2` with the balancer off; `cluster:4` with a load
+//! balancer eager enough to move boundaries mid-run; `cluster:2` at 2
+//! threads per worker; `cluster:3` with a whole-cluster fault at the middle
 //! epoch; a durable `cluster:2` run with a checkpoint every epoch; the same
 //! durable run abandoned halfway and finished by [`DurableRunner::resume`];
-//! and served, through `POST /runs` on an ephemeral [`Server`]. Every leg's
-//! world checksum must equal the baseline's, a failure names the first leg
-//! that differs, and the agreed checksum is returned, so a golden asserts
-//! one constant for every engine. A new scenario gets every leg by being
-//! registered and making one call.
+//! telemetry on, on one node and on `cluster:2`; and served, through
+//! `POST /runs` on an ephemeral [`Server`]. Every leg's world checksum must
+//! equal the baseline's, a failure names the first leg that differs, and
+//! the agreed checksum is returned, so a golden asserts one constant for
+//! every engine. A new scenario gets every leg by being registered and
+//! making one call; a pin about some legs only names them ([`Case::on`]).
 //!
 //! Also here, so that each exists once: the telemetry lock, the HTTP client
 //! the served leg and `tests/serve_api.rs` share, a test-local [`Custom`]
@@ -22,19 +23,17 @@
 #![allow(dead_code)]
 
 use brace_common::{BraceError, Result};
-use brace_core::behavior::NeighborProbe;
 use brace_core::executor::SHARD_ROWS;
 use brace_core::{Agent, Behavior};
 use brace_mapreduce::{ClusterConfig, FaultPlan, LoadBalancer};
 use brace_scenario::{fit_epoch, Backend, DurableOpts, DurableRunner, Registry, Runner, Scenario, ScenarioSetup};
 use brace_serve::{ServeConfig, Server};
 use brace_spatial::IndexKind;
-use brace_telemetry::{counter, Counter};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
@@ -42,6 +41,35 @@ use std::time::Duration;
 /// engine (`tests/scenario_conformance.rs` pins it through the matrix; the
 /// SIGKILL resume, the served runs and CI's serve smoke assert it too).
 pub const GOLDEN_EPIDEMIC: u64 = 0xEFDF_A3ED_B826_E4CE;
+
+const BASELINE: &str = "baseline: single node, 1 thread";
+const THREADS_2: &str = "single node, 2 threads";
+const THREADS_3: &str = "single node, 3 threads";
+const CLUSTER_2_THREADS_2: &str = "cluster:2, 2 threads per worker";
+const FAULT: &str = "cluster:3, a fault at the middle epoch recovered from a checkpoint";
+const DURABLE: &str = "durable cluster:2";
+const RESUMED: &str = "durable cluster:2, abandoned halfway and resumed";
+const TELEMETRY_SINGLE: &str = "telemetry on, single node";
+const TELEMETRY_CLUSTER: &str = "telemetry on, cluster:2";
+const SERVED: &str = "served";
+
+/// Every leg but the baseline, by the label a failure names, in the order
+/// they are compared.
+#[rustfmt::skip]
+pub const LEGS: &[&str] = &[
+    THREADS_2, THREADS_3, "cluster:1", "cluster:2, balancer off", "cluster:4, load-balanced",
+    CLUSTER_2_THREADS_2, FAULT, DURABLE, RESUMED, TELEMETRY_SINGLE, TELEMETRY_CLUSTER, SERVED,
+];
+/// The legs that run more than one thread on a node.
+pub const THREADED: &[&str] = &[THREADS_2, THREADS_3, CLUSTER_2_THREADS_2];
+/// The legs that run with telemetry on.
+pub const TELEMETRY_ON: &[&str] = &[TELEMETRY_SINGLE, TELEMETRY_CLUSTER, SERVED];
+
+/// One leg of the matrix, drawn: a property that draws it runs each draw
+/// on the baseline and one leg, and its draws spread over all of them.
+pub fn any_leg() -> impl Strategy<Value = &'static [&'static str]> {
+    prop::sample::select((0..LEGS.len()).map(|i| &LEGS[i..=i]).collect())
+}
 
 /// One run every leg repeats: a population, a seed and a horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -51,19 +79,31 @@ pub struct Case {
     pub size: Option<usize>,
     pub seed: u64,
     pub ticks: u64,
+    /// The legs besides the baseline this case runs on; `None` for all.
+    pub legs: Option<&'static [&'static str]>,
 }
 
 impl Case {
     pub fn conformance(ticks: u64) -> Case {
-        Case { size: None, seed: 42, ticks }
+        Case { size: None, seed: 42, ticks, legs: None }
     }
 
     pub fn sized(agents: usize, ticks: u64) -> Case {
-        Case { size: Some(agents), seed: 42, ticks }
+        Case { size: Some(agents), seed: 42, ticks, legs: None }
     }
 
     pub fn seed(self, seed: u64) -> Case {
         Case { seed, ..self }
+    }
+
+    /// Run on the baseline and `legs` (members of [`LEGS`]) only.
+    pub fn on(self, legs: &'static [&'static str]) -> Case {
+        assert!(legs.iter().all(|leg| LEGS.contains(leg)), "not a leg of the matrix: {legs:?}");
+        Case { legs: Some(legs), ..self }
+    }
+
+    fn runs(&self, leg: &str) -> bool {
+        self.legs.is_none_or(|legs| legs.contains(&leg))
     }
 
     fn runner<'s>(&self, scenario: &'s dyn Scenario) -> Runner<'s> {
@@ -101,65 +141,55 @@ impl Case {
     }
 }
 
-/// What the legs that can be vacuous showed, over every call for one
-/// scenario name: see [`Work`].
-#[derive(Debug, Default, Clone)]
-struct Evidence {
-    threads: bool,
-    joined: bool,
-    directory_misses: Vec<String>,
+/// What every leg of one call agreed on.
+#[derive(Debug, Clone, Copy)]
+struct Agreed {
+    checksum: u64,
+    /// The world holds an agent the run spawned.
+    spawned: bool,
 }
 
-type Agreed = BTreeMap<(usize, String, Case), Arc<OnceLock<u64>>>;
-static AGREED: Mutex<Agreed> = Mutex::new(BTreeMap::new());
-static EVIDENCE: Mutex<BTreeMap<String, Evidence>> = Mutex::new(BTreeMap::new());
+type Memo = BTreeMap<(usize, String, Case), Arc<OnceLock<Agreed>>>;
+static AGREED: Mutex<Memo> = Mutex::new(BTreeMap::new());
+/// The scenarios some call of this binary ran past one shard on every
+/// threaded leg.
+static PAST_ONE_SHARD: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 
 /// Run `case` of `scenario` (registered in `registry()`) on every engine
-/// leg and return the checksum they all agree on. Each `(registry,
-/// scenario, case)` runs once per test binary; a repeat call returns the
-/// checksum the first one agreed on.
+/// leg it names and return the checksum they all agree on. Each `(registry,
+/// scenario, case)` runs once per test binary; a repeat call returns what
+/// the first one agreed on.
 pub fn engines_agree(registry: fn() -> Registry, scenario: &str, case: &Case) -> u64 {
+    agreed(registry, scenario, case).checksum
+}
+
+/// Whether the world [`engines_agree`] agreed on for this call holds an
+/// agent the run spawned: a spawn pin whose run spawns nothing is vacuous.
+pub fn spawned(registry: fn() -> Registry, scenario: &str, case: &Case) -> bool {
+    agreed(registry, scenario, case).spawned
+}
+
+fn agreed(registry: fn() -> Registry, scenario: &str, case: &Case) -> Agreed {
     let key = (registry as usize, scenario.to_string(), *case);
     let cell = Arc::clone(AGREED.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default());
     *cell.get_or_init(|| run_matrix(registry, scenario, case))
 }
 
-/// Real work legs must show for a scenario in some [`engines_agree`] call
-/// of this binary. (Every call checks the fault and resume legs' own.)
-pub enum Work {
-    /// The thread legs ran past one `SHARD_ROWS` shard.
-    Threads,
-    /// The scenario joins, and on every call its telemetry-on legs read the
-    /// join's windows off the tile directory in every query phase.
-    TileDirectory,
-}
-
-pub fn assert_did_real_work<'a>(work: Work, scenarios: impl IntoIterator<Item = &'a str>) {
-    let evidence = EVIDENCE.lock().unwrap_or_else(PoisonError::into_inner);
+/// The threaded legs are vacuous below one `SHARD_ROWS` shard: each of
+/// `scenarios` must have run past one on all of them in some
+/// [`engines_agree`] call of this binary. (Every call checks the fault and
+/// resume legs' own work.)
+pub fn assert_ran_past_one_shard<'a>(scenarios: impl IntoIterator<Item = &'a str>) {
+    let seen = PAST_ONE_SHARD.lock().unwrap_or_else(PoisonError::into_inner);
     for name in scenarios {
-        let seen = evidence.get(name).cloned().unwrap_or_default();
-        let did = match work {
-            Work::Threads => seen.threads,
-            Work::TileDirectory => seen.joined && seen.directory_misses.is_empty(),
-        };
-        assert!(did, "`{name}` did no real work on some leg: {seen:?}");
+        assert!(seen.contains(name), "`{name}` never ran its threaded legs past one shard");
     }
 }
-
-/// Whether `setup` answers its probes with the tile join: a bounded range
-/// probe on an index other than the scan.
-pub fn joins(setup: &ScenarioSetup) -> bool {
-    let vis = setup.behavior.schema().visibility();
-    setup.behavior.probe() == NeighborProbe::Range && vis > 0.0 && vis.is_finite() && setup.index != IndexKind::Scan
-}
-
-const FAULT: &str = "cluster:3, a fault at the middle epoch recovered from a checkpoint";
-const RESUMED: &str = "durable cluster:2, abandoned halfway and resumed";
 
 /// A leg that runs concurrently with the others: its label and its checksum.
 type Leg<'a> = (&'static str, Box<dyn FnOnce() -> u64 + Send + 'a>);
 
-fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> u64 {
+fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     let reg = registry();
     let scenario = reg.get(name).unwrap_or_else(|| panic!("`{name}` is not registered: {:?}", reg.names()));
     let call = format!("`{name}` {case:?}");
@@ -167,64 +197,67 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> u64 {
     let run =
         |leg: &str, backend| case.runner(scenario).backend(backend).run(case.ticks).unwrap_or_else(|e| fail(leg, e));
     let setup = case.setup(scenario).unwrap_or_else(|e| fail("build", e));
-    let (joins, epoch_len) = (joins(&setup), fit_epoch(setup.epoch_len, case.ticks));
+    let epoch_len = fit_epoch(setup.epoch_len, case.ticks);
     let epochs = case.ticks / epoch_len;
+    let first_spawn = setup.population.iter().map(|a| a.id.raw()).max().map_or(0, |id| id + 1);
     let plain = |leg, backend| -> Leg<'_> { (leg, Box::new(move || run(leg, backend).checksum)) };
 
     // The baseline and every leg that runs with telemetry off, at once.
     let root = temp_dir();
-    let baseline_agents = AtomicUsize::new(0);
+    let (baseline_agents, spawned) = (AtomicUsize::new(0), AtomicBool::new(false));
     let balancer = LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5, epoch_len: 5 };
-    let legs: Vec<Leg<'_>> = vec![
+    let mut legs: Vec<Leg<'_>> = vec![
         (
-            "baseline: single node, 1 thread",
+            BASELINE,
             Box::new(|| {
-                let report = run("baseline", Backend::single());
+                let report = run(BASELINE, Backend::single());
                 baseline_agents.store(report.agents, Ordering::Relaxed);
+                spawned.store(report.world.iter().any(|a| a.id.raw() >= first_spawn), Ordering::Relaxed);
                 report.checksum
             }),
         ),
-        plain("single node, 2 threads", Backend::SingleNode { parallelism: 2 }),
-        plain("single node, 3 threads", Backend::SingleNode { parallelism: 3 }),
-        plain("cluster:2", Backend::Cluster(cluster(2))),
-        plain("cluster:3, load-balanced", Backend::Cluster(ClusterConfig { balancer, ..cluster(3) })),
-        plain("cluster:2, 2 threads per worker", Backend::Cluster(ClusterConfig { parallelism: 2, ..cluster(2) })),
+        plain(THREADS_2, Backend::SingleNode { parallelism: 2 }),
+        plain(THREADS_3, Backend::SingleNode { parallelism: 3 }),
+        plain("cluster:1", Backend::Cluster(cluster(1))),
+        plain("cluster:2, balancer off", Backend::Cluster(ClusterConfig { load_balance: false, ..cluster(2) })),
+        plain("cluster:4, load-balanced", Backend::Cluster(ClusterConfig { balancer, ..cluster(4) })),
+        plain(CLUSTER_2_THREADS_2, Backend::Cluster(ClusterConfig { parallelism: 2, ..cluster(2) })),
         (
             FAULT,
             Box::new(|| {
-                let leg = FAULT;
                 let fault = Some(FaultPlan::once(epochs / 2));
                 let backend = Backend::Cluster(ClusterConfig { checkpoint_every: Some(2), fault, ..cluster(3) });
                 let launched = case.runner(scenario).epoch_len(epoch_len).backend(backend).launch();
-                let mut handle = launched.unwrap_or_else(|e| fail(leg, e));
-                handle.run(case.ticks).unwrap_or_else(|e| fail(leg, e));
+                let mut handle = launched.unwrap_or_else(|e| fail(FAULT, e));
+                handle.run(case.ticks).unwrap_or_else(|e| fail(FAULT, e));
                 let stats = handle.cluster_stats().expect("a cluster leg");
                 let recovered = stats.recoveries == 1 && stats.replayed_epochs > 0;
-                assert!(recovered, "{call}: leg `{leg}` did not recover: {stats:?}");
-                handle.checksum().unwrap_or_else(|e| fail(leg, e))
+                assert!(recovered, "{call}: leg `{FAULT}` did not recover: {stats:?}");
+                handle.checksum().unwrap_or_else(|e| fail(FAULT, e))
             }),
         ),
         (
-            "durable cluster:2",
+            DURABLE,
             Box::new(|| {
                 let report = DurableRunner::new(&reg, &root).start(&case.durable_opts(name, "durable"));
-                report.unwrap_or_else(|e| fail("durable cluster:2", e)).checksum
+                report.unwrap_or_else(|e| fail(DURABLE, e)).checksum
             }),
         ),
         (
             RESUMED,
             Box::new(|| {
-                let (leg, durable) = (RESUMED, DurableRunner::new(&reg, &root));
+                let durable = DurableRunner::new(&reg, &root);
                 let launched = durable.launch(&case.durable_opts(name, "abandoned"));
-                let (mut sim, run_id) = launched.unwrap_or_else(|e| fail(leg, e));
-                sim.run_epochs(epochs / 2).unwrap_or_else(|e| fail(leg, e));
+                let (mut sim, run_id) = launched.unwrap_or_else(|e| fail(RESUMED, e));
+                sim.run_epochs(epochs / 2).unwrap_or_else(|e| fail(RESUMED, e));
                 drop(sim);
-                let resumed = durable.resume(&run_id, 0).unwrap_or_else(|e| fail(leg, e));
-                assert!(epochs < 2 || resumed.resumed_from > 0, "{call}: leg `{leg}` restarted");
+                let resumed = durable.resume(&run_id, 0).unwrap_or_else(|e| fail(RESUMED, e));
+                assert!(epochs < 2 || resumed.resumed_from > 0, "{call}: leg `{RESUMED}` restarted");
                 resumed.checksum
             }),
         ),
     ];
+    legs.retain(|(leg, _)| *leg == BASELINE || case.runs(leg));
     let results = {
         let _off = telemetry_off();
         run_at_once(&call, legs)
@@ -236,34 +269,26 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> u64 {
     };
     results.into_iter().for_each(agree);
 
-    // The legs that run with telemetry on, at once and alone: they own the
-    // counters. A served run turns telemetry on as its server starts.
-    let (results, directory) = {
+    // The legs that run with telemetry on, at once and alone. A served run
+    // turns telemetry on as its server starts.
+    let mut legs: Vec<Leg<'_>> = vec![
+        plain(TELEMETRY_SINGLE, Backend::single()),
+        plain(TELEMETRY_CLUSTER, Backend::Cluster(cluster(2))),
+        (SERVED, Box::new(|| served_checksum(registry, name, case))),
+    ];
+    legs.retain(|(leg, _)| case.runs(leg));
+    let results = {
         let _on = telemetry_on();
-        brace_telemetry::reset();
-        let legs: Vec<Leg<'_>> = vec![
-            plain("telemetry on, single node", Backend::single()),
-            plain("telemetry on, cluster:2", Backend::Cluster(cluster(2))),
-            ("served", Box::new(|| served_checksum(registry, name, case))),
-        ];
-        let results = run_at_once(&call, legs);
-        assert!(!joins || counter(Counter::ExecutorProbeGroups) > 0, "{call}: no probe group was built");
-        (results, counter(Counter::ExecutorTileDirectoryTicks))
+        run_at_once(&call, legs)
     };
     results.into_iter().for_each(agree);
 
     let baseline_agents = baseline_agents.into_inner();
     assert!(baseline_agents > 0, "{call}: the baseline world is empty");
-    let mut evidence = EVIDENCE.lock().unwrap_or_else(PoisonError::into_inner);
-    let seen = evidence.entry(name.to_string()).or_default();
-    seen.threads |= baseline_agents > SHARD_ROWS;
-    seen.joined |= joins;
-    // One query phase per tick on the single node and the served run, and
-    // per tick per worker on `cluster:2`.
-    if joins && directory != 4 * case.ticks {
-        seen.directory_misses.push(format!("{case:?}: the directory served {directory} of {} phases", 4 * case.ticks));
+    if baseline_agents > SHARD_ROWS && THREADED.iter().all(|leg| case.runs(leg)) {
+        PAST_ONE_SHARD.lock().unwrap_or_else(PoisonError::into_inner).insert(name.to_string());
     }
-    want
+    Agreed { checksum: want, spawned: spawned.into_inner() }
 }
 
 /// Run every leg on a thread of its own; their checksums, in order. A leg

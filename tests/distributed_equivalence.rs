@@ -3,7 +3,8 @@
 //! same world as running it on a single node — for any worker count, for
 //! local-effect and non-local-effect models, with and without the load
 //! balancer moving partition boundaries mid-run. Every pin below is a call
-//! into the engine matrix (`tests/common`), so each runs on every leg.
+//! into the engine matrix (`tests/common`), so each runs on every leg (the
+//! drawn property on one drawn leg a draw).
 
 mod common;
 
@@ -13,9 +14,9 @@ use brace_core::effect::EffectWriter;
 use brace_core::{Agent, AgentSchema, Behavior, Combinator};
 use brace_models::scripts;
 use brace_models::{FishBehavior, FishParams};
-use brace_scenario::{Registry, Runner};
+use brace_scenario::Registry;
 use brace_spatial::IndexKind;
-use common::{custom_setup, engines_agree, registry_of, telemetry_off, Case, Custom};
+use common::{any_leg, custom_setup, engines_agree, registry_of, spawned, Case, Custom};
 use proptest::prelude::*;
 
 /// The setups the builtin registry does not ship, as test-local scenarios.
@@ -87,7 +88,8 @@ fn brasil_script_cluster_equals_single_node() {
 }
 
 /// Moving partition boundaries mid-run must be invisible to the agents:
-/// the matrix's load-balanced `cluster:3` leg against every other leg.
+/// the matrix's load-balanced `cluster:4` leg against every other leg,
+/// the balancer-off `cluster:2` leg among them.
 #[test]
 fn load_balancing_does_not_change_results() {
     engines_agree(registry, "fish-drifting", &Case::sized(150, 30).seed(9));
@@ -98,13 +100,7 @@ fn load_balancing_does_not_change_results() {
 /// exactly as on the single node — and this run does spawn.
 #[test]
 fn predator_spawning_cluster_equals_single_node() {
-    let case = Case::sized(200, 10).seed(15);
-    let single = {
-        let _off = telemetry_off();
-        Runner::new(Registry::builtin().get("predator").unwrap()).population(200).seed(15).run(10).unwrap()
-    };
-    assert!(single.world.iter().any(|a| a.id.raw() >= 200), "no spawns happened");
-    assert_eq!(engines_agree(Registry::builtin, "predator", &case), single.checksum);
+    assert!(spawned(Registry::builtin, "predator", &Case::sized(200, 10).seed(15)), "no spawns happened");
 }
 
 // ---- delta-distributed cluster ≡ single node -------------------------------
@@ -197,31 +193,36 @@ impl Behavior for ChurnStorm {
     }
 }
 
+const CHURN_STORMS: [&str; 4] = ["churn-storm", "churn-storm-churn", "churn-storm-nonlocal", "churn-storm-both"];
+
+/// Each ChurnStorm form at its default draw, on every leg of the matrix.
+#[test]
+fn churn_storms_agree_on_every_leg() {
+    for name in CHURN_STORMS {
+        engines_agree(registry, name, &Case::sized(60, 15));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The delta-distributed cluster is bit-identical to the single-node
-    /// engine on every leg of the matrix — under churn (spawn/kill),
-    /// migration and repartitioning, with local float sums or with
-    /// non-local ones crossing partitions. This is the
-    /// placement-independence guarantee of id-canonical neighbor order,
-    /// globally ordered spawn ids and one fold of every non-local write in
-    /// source-id order. A failure names the draw and the first leg that
-    /// differs.
+    /// engine — under churn (spawn/kill), migration and repartitioning,
+    /// with local float sums or with non-local ones crossing partitions.
+    /// This is the placement-independence guarantee of id-canonical
+    /// neighbor order, globally ordered spawn ids and one fold of every
+    /// non-local write in source-id order. Each draw runs the baseline and
+    /// one drawn leg of the matrix (1 to 4 workers, the balancer off or
+    /// moving boundaries, a fault, a resume, …), so the draws spread over
+    /// every leg. A failure names the draw and the leg that differs.
     #[test]
     fn delta_cluster_equals_single_node_bitwise(
         seed in 0u64..1_000,
         n in 30usize..90,
         epochs in 2u64..4,
-        churn in any::<bool>(),
-        nonlocal in any::<bool>(),
+        form in 0usize..4,
+        leg in any_leg(),
     ) {
-        let name = match (churn, nonlocal) {
-            (false, false) => "churn-storm",
-            (true, false) => "churn-storm-churn",
-            (false, true) => "churn-storm-nonlocal",
-            (true, true) => "churn-storm-both",
-        };
-        engines_agree(registry, name, &Case::sized(n, epochs * 5).seed(seed));
+        engines_agree(registry, CHURN_STORMS[form], &Case::sized(n, epochs * 5).seed(seed).on(leg));
     }
 }

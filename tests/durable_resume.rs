@@ -153,7 +153,8 @@ fn durable_runs_refuse_the_flags_they_would_ignore() {
             let out = Command::new(BRACE).args(base).args(extra).output().expect("spawn brace run");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(!out.status.success(), "`{}` succeeded", extra[0]);
-            assert!(stderr.contains(extra[0]), "`{}` is not named: {stderr}", extra[0]);
+            let refusal = format!("{} is not supported on durable runs", extra[0]);
+            assert!(stderr.contains(&refusal), "`{}` is not refused by name: {stderr}", extra[0]);
             assert!(!runs.exists(), "`{}` created a run directory", extra[0]);
             assert!(!trace.exists(), "`{}` wrote a trace", extra[0]);
         }

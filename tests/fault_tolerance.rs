@@ -12,9 +12,8 @@ mod common;
 
 use brace_mapreduce::{CheckpointStore, ClusterConfig, ClusterSim, FaultPlan};
 use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams};
-use brace_scenario::Runner;
 use brace_spatial::IndexKind;
-use common::{custom_setup, engines_agree, registry_of, telemetry_off, Case, Custom};
+use common::{custom_setup, registry_of, spawned, Case, Custom};
 use std::sync::Arc;
 
 fn fish() -> FishBehavior {
@@ -79,12 +78,7 @@ fn recovery_with_spawning_model_is_exact() {
             },
         }])
     };
-    let single = {
-        let _off = telemetry_off();
-        Runner::new(registry().get("predator-nonlocal").unwrap()).seed(23).run(30).unwrap()
-    };
-    assert!(single.world.iter().any(|a| a.id.raw() >= 120), "the predators spawned nothing");
-    assert_eq!(engines_agree(registry, "predator-nonlocal", &Case::sized(120, 30).seed(23)), single.checksum);
+    assert!(spawned(registry, "predator-nonlocal", &Case::sized(120, 30).seed(23)), "the predators spawned nothing");
 }
 
 #[test]

@@ -24,11 +24,10 @@
 
 mod common;
 
-use brace_mapreduce::{ClusterConfig, FaultPlan, LoadBalancer};
 use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams, TrafficBehavior, TrafficParams};
-use brace_scenario::{Backend, Registry, Runner, ScenarioSetup};
+use brace_scenario::{Registry, ScenarioSetup};
 use brace_spatial::IndexKind;
-use common::{custom_setup, engines_agree, registry_of, telemetry_off, Case, Custom};
+use common::{custom_setup, engines_agree, registry_of, Case, Custom};
 
 /// The three trajectories, as test-local scenarios: each model with the
 /// index it is pinned on. The checksum every one is compared by is the
@@ -88,49 +87,36 @@ fn traffic(params: TrafficParams, seed: u64) -> ScenarioSetup {
 }
 
 /// 100 ticks at seed 42, on every leg of the engine matrix: one constant
-/// pins the single node at every thread budget, the 2- and 3-worker
-/// clusters (load balancer moving boundaries mid-run, delta distribution
-/// shipping replicas as masked frames), a fault recovered by checkpoint
-/// restore and replay, the durable and resumed runs, and the served run.
+/// pins the single node at every thread budget, clusters of 1 to 4 workers
+/// (the balancer off, and moving boundaries mid-run on 4; delta
+/// distribution shipping replicas as masked frames), a fault recovered by
+/// checkpoint restore and replay on 3, the durable and resumed runs, and
+/// the served run.
 fn golden(name: &str, want: u64) {
     let agents = registry().get(name).unwrap().default_population();
     let got = engines_agree(registry, name, &Case::sized(agents, 100));
     assert_eq!(got, want, "`{name}` drifted (got {got:#06X}); see the module docs before touching this constant");
 }
 
+const GOLDEN_FISH: u64 = 0x7FCC_939F_AE16_A057;
+
 #[test]
 fn golden_fish_100_ticks() {
-    golden("golden-fish", 0x7FCC_939F_AE16_A057);
+    golden("golden-fish", GOLDEN_FISH);
 }
 
-/// The fish golden on 4 workers — one more than any matrix leg — with the
-/// load balancer moving boundaries mid-run and a checkpoint every 4 epochs;
-/// with `fault`, all live worker state is lost once and recovered by
-/// checkpoint restore and replay.
-fn four_worker_fish(fault: Option<FaultPlan>) -> u64 {
-    let (registry, recoveries) = (registry(), u64::from(fault.is_some()));
-    let balancer = LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5, epoch_len: 5 };
-    let config = ClusterConfig { workers: 4, balancer, checkpoint_every: Some(4), fault, ..ClusterConfig::default() };
-    let _off = telemetry_off();
-    let runner = Runner::new(registry.get("golden-fish").unwrap()).seed(42).backend(Backend::Cluster(config));
-    let mut handle = runner.launch().unwrap();
-    handle.run(100).unwrap();
-    let stats = handle.cluster_stats().expect("a cluster run");
-    assert_eq!(stats.recoveries, recoveries, "{stats:?}");
-    handle.checksum().unwrap()
-}
-
+/// The matrix's load-balanced `cluster:4` leg reaches the single-node
+/// constant (the same call as above: the matrix runs once).
 #[test]
 fn golden_fish_cluster_100_ticks_matches_single_node_constant() {
-    let got = four_worker_fish(None);
-    assert_eq!(got, 0x7FCC_939F_AE16_A057, "4-worker fish cluster drifted from the single-node golden world");
+    golden("golden-fish", GOLDEN_FISH);
 }
 
+/// The matrix's fault leg — all live worker state lost at epoch 10 of 20,
+/// recovered by checkpoint restore and replay — reaches it too.
 #[test]
 fn golden_fish_cluster_fault_recovery_matches_single_node_constant() {
-    // Epoch 10 of 20: the checkpoint of epoch 8 is the last to survive.
-    let got = four_worker_fish(Some(FaultPlan::once(10)));
-    assert_eq!(got, 0x7FCC_939F_AE16_A057, "fault-recovery fish cluster drifted from the single-node golden world");
+    golden("golden-fish", GOLDEN_FISH);
 }
 
 #[test]

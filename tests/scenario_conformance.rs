@@ -1,12 +1,12 @@
 //! The registry-driven conformance suite: **every** registered scenario
 //! runs through every leg of the engine matrix (`tests/common`) — thread
-//! budgets, 2- and 3-worker clusters, telemetry on, a recovered fault, a
+//! budgets, clusters of 1 to 4 workers, telemetry on, a recovered fault, a
 //! durable run and a resumed one, a served run — on its
-//! [`conformance_setup`](brace::scenario::conformance_setup) configuration
-//! and at ≈ 4 500 agents, and every leg must reproduce the serial
-//! single-node world bit for bit and pass the scenario's own post-run
-//! checks. Register a scenario and it is covered; nothing here names one
-//! except the goldens and the two that spawn.
+//! [`conformance_setup`](brace::scenario::conformance_setup) configuration,
+//! and through its threaded legs at ≈ 4 500 agents; every leg must
+//! reproduce the serial single-node world bit for bit and pass the
+//! scenario's own post-run checks. Register a scenario and it is covered;
+//! nothing here names one except the goldens and the two that spawn.
 //!
 //! Golden constants: regenerate with
 //! `cargo test --test scenario_conformance -- --nocapture` after a
@@ -15,8 +15,8 @@
 
 mod common;
 
-use brace::scenario::{conformance_setup, Backend, Registry, Runner};
-use common::{assert_did_real_work, engines_agree, telemetry_off, Case, Work, GOLDEN_EPIDEMIC};
+use brace::scenario::Registry;
+use common::{assert_ran_past_one_shard, engines_agree, spawned, Case, GOLDEN_EPIDEMIC, THREADED};
 
 /// Conformance horizon: enough ticks for real boundary traffic (every
 /// builtin's population spans both partitions within visibility of the
@@ -29,8 +29,8 @@ fn conformance() -> Case {
 
 /// The tentpole invariant: every engine leg ≡ the serial single node,
 /// bitwise, for every registered scenario's conformance configuration —
-/// worker counts 2 and 3, a moving load balancer, telemetry on, a
-/// recovered fault, durable and resumed runs, and a served one.
+/// worker counts 1 to 4, the balancer off and moving boundaries, telemetry
+/// on, a recovered fault, durable and resumed runs, and a served one.
 #[test]
 fn every_scenario_cluster_matches_single_node_bitwise() {
     let registry = Registry::builtin();
@@ -38,39 +38,29 @@ fn every_scenario_cluster_matches_single_node_bitwise() {
     for name in registry.names() {
         engines_agree(Registry::builtin, name, &conformance());
     }
-    // Every builtin joins, and its telemetry-on legs read each window off
-    // the tile directory, on one node and on two workers.
-    assert_did_real_work(Work::TileDirectory, registry.names());
 }
 
 /// The thread budget is unobservable past one shard. The conformance
 /// population sits below `SHARD_ROWS`, so here every scenario runs at
 /// ≈ 4 500 agents — three shards of the query phase's sweep, and more than
-/// one per worker on `cluster:2` — through every leg: the multi-shard
-/// fan-out and the chunked update phase at 2 and 3 threads, and at 2
-/// threads per worker, end to end.
+/// one per worker on `cluster:2` — through the threaded legs: the
+/// multi-shard fan-out and the chunked update phase at 2 and 3 threads,
+/// and at 2 threads per worker, end to end.
 #[test]
 fn every_scenario_is_parallelism_invariant_past_one_shard() {
     let registry = Registry::builtin();
     for name in registry.names() {
-        engines_agree(Registry::builtin, name, &Case::sized(4_500, 3));
+        engines_agree(Registry::builtin, name, &Case::sized(4_500, 3).on(THREADED));
     }
-    assert_did_real_work(Work::Threads, registry.names());
-    assert_did_real_work(Work::TileDirectory, registry.names());
+    assert_ran_past_one_shard(registry.names());
 }
 
 /// Worker count is unobservable for the two registry-era scenarios whose
-/// goldens are pinned below: one more worker than any matrix leg, on top
-/// of the 2- and 3-worker legs every scenario runs.
+/// goldens are pinned below: the matrix's 1-, 2-, 3- and 4-worker legs.
 #[test]
 fn worker_count_is_unobservable_for_new_scenarios() {
-    let registry = Registry::builtin();
     for name in ["epidemic", "flock-obstacles"] {
-        let four = {
-            let _off = telemetry_off();
-            Runner::new(registry.get(name).unwrap()).conformance().backend(Backend::cluster(4)).run(TICKS).unwrap()
-        };
-        assert_eq!(four.checksum, engines_agree(Registry::builtin, name, &conformance()), "`{name}` at 4 workers");
+        engines_agree(Registry::builtin, name, &conformance());
     }
 }
 
@@ -84,19 +74,9 @@ fn worker_count_is_unobservable_for_new_scenarios() {
 /// population would be vacuous proof.
 #[test]
 fn spawning_scenarios_conform_with_their_default_forms() {
-    let registry = Registry::builtin();
     for name in ["traffic", "predator"] {
-        let scenario = registry.get(name).unwrap();
-        let initial_max = conformance_setup(scenario, 42).unwrap().population.iter().map(|a| a.id.raw()).max().unwrap();
-        let single = {
-            let _off = telemetry_off();
-            Runner::new(scenario).conformance().run(TICKS).unwrap()
-        };
-        assert!(
-            single.world.iter().any(|a| a.id.raw() > initial_max),
-            "scenario `{name}` conformance run spawned nothing — the spawn path is untested"
-        );
-        assert_eq!(engines_agree(Registry::builtin, name, &conformance()), single.checksum);
+        let spawned = spawned(Registry::builtin, name, &conformance());
+        assert!(spawned, "scenario `{name}` conformance run spawned nothing — the spawn path is untested");
     }
 }
 

@@ -1,36 +1,37 @@
 //! Telemetry observes, never perturbs — and records what it observes.
 //!
 //! Telemetry on ≡ off, bit for bit, is a leg of the engine matrix
-//! (`tests/common`), whose telemetry-on legs also check that every
-//! builtin's join reads its windows off the tile directory; the first test
-//! below runs it across the registry. The rest of this binary pins what
-//! the recording shows: the counters an enabled run moves, and
-//! the directory at the benchmark's sizes and on a world too sparse for
-//! it. Each test holds the write side of the matrix's telemetry lock.
+//! (`tests/common`); the first test below runs the telemetry-on legs
+//! across the registry. The rest of this binary pins what the recording
+//! shows: the counters an enabled run moves, and the tile directory's
+//! ticks at default sizes, 4 000 agents and the benchmark's sizes, and on a
+//! world too sparse for it. Each test holds the write side of the matrix's
+//! telemetry lock.
 
 mod common;
 
 use brace_common::Vec2;
+use brace_core::behavior::NeighborProbe;
 use brace_core::Simulation;
 use brace_models::{PredatorBehavior, PredatorParams};
 use brace_scenario::{Backend, Registry, Runner, Scenario, ScenarioSetup};
 use brace_spatial::IndexKind;
 use brace_telemetry::{counter, Counter};
-use common::{assert_did_real_work, engines_agree, joins, telemetry_on, Case, Work};
+use common::{engines_agree, telemetry_on, Case, TELEMETRY_ON};
 
 const TICKS: u64 = 10;
 
-/// Every scenario's conformance run, telemetry on (single node, `cluster:2`
-/// and served) against the same runs with it off. The registry's predator
-/// is the non-local form, whose float sums go through the effect write-log,
-/// its replay and the cluster's shipped writes.
+/// Every scenario's conformance run on the matrix's telemetry-on legs
+/// (single node, `cluster:2` and served) against the baseline, which runs
+/// with it off. The registry's predator is the non-local form, whose float
+/// sums go through the effect write-log, its replay and the cluster's
+/// shipped writes.
 #[test]
 fn telemetry_on_and_off_agree_bit_for_bit_across_the_registry() {
     let registry = Registry::builtin();
     for name in registry.names() {
-        engines_agree(Registry::builtin, name, &Case::conformance(TICKS));
+        engines_agree(Registry::builtin, name, &Case::conformance(TICKS).on(TELEMETRY_ON));
     }
-    assert_did_real_work(Work::TileDirectory, registry.names());
 }
 
 /// Enabled runs are not silently no-ops: an enabled run must actually move
@@ -107,6 +108,13 @@ fn enabled_runs_record_into_the_registry() {
     brace_telemetry::reset();
 }
 
+/// Whether `setup` answers its probes with the tile join: a bounded range
+/// probe on an index other than the scan.
+fn joins(setup: &ScenarioSetup) -> bool {
+    let vis = setup.behavior.schema().visibility();
+    setup.behavior.probe() == NeighborProbe::Range && vis > 0.0 && vis.is_finite() && setup.index != IndexKind::Scan
+}
+
 /// Run `setup` for `ticks` on `backend` with the counters reset, and return
 /// `(tile-directory ticks, probe groups)`.
 fn directory_ticks(scenario: &dyn Scenario, mut setup: ScenarioSetup, backend: Backend, ticks: u64) -> (u64, u64) {
@@ -118,27 +126,40 @@ fn directory_ticks(scenario: &dyn Scenario, mut setup: ScenarioSetup, backend: B
     (counter(Counter::ExecutorTileDirectoryTicks), counter(Counter::ExecutorProbeGroups))
 }
 
-/// Which arm of the join's window ran: the benchmark's sizes, `fish` at
-/// 12 000 on one node and `predator` at 40 000 on two workers, read their
-/// windows off the tile directory on every tick of every query phase (the
-/// matrix's telemetry-on legs check every registry scenario the same way,
-/// at 300 and 4 500 agents). A world with agents 10⁹ units out is too
-/// sparse for a directory and never takes it, though it still joins.
+/// Which arm of the join's window ran: every joining registry scenario at
+/// its default size and at 4 000 agents, on one node and two workers, and
+/// the benchmark's sizes — `fish` at 12 000 on one node, `predator` at
+/// 40 000 on two workers — read their windows off the tile directory on
+/// every tick of every query phase. A world with agents 10⁹ units out is
+/// too sparse for a directory and never takes it, though it still joins.
 #[test]
 fn joining_scenarios_read_their_windows_off_the_tile_directory() {
     let _on = telemetry_on();
     const TICKS: u64 = 25;
     let registry = Registry::builtin();
-    for (name, size, workers) in [("fish", 12_000, 1), ("predator", 40_000, 2)] {
-        let scenario = registry.get(name).unwrap();
-        let setup = scenario.build(Some(size), 42).unwrap();
-        assert!(joins(&setup), "`{name}` at {size} does not join");
+    let mut runs = Vec::new();
+    for scenario in registry.iter() {
+        for workers in [1, 2] {
+            runs.extend([(scenario, None, workers), (scenario, Some(4_000), workers)]);
+        }
+    }
+    // The benchmark's rows: `fish` on one node, `predator` on two workers.
+    runs.push((registry.get("fish").unwrap(), Some(12_000), 1));
+    runs.push((registry.get("predator").unwrap(), Some(40_000), 2));
+    let mut joined = 0;
+    for (scenario, size, workers) in runs {
+        let setup = scenario.build(size, 42).unwrap();
+        if !joins(&setup) {
+            continue;
+        }
+        joined += 1;
         let backend = if workers == 1 { Backend::single() } else { Backend::cluster(workers) };
         let label = backend.label();
         let (directory, groups) = directory_ticks(scenario, setup, backend, TICKS);
-        assert!(groups > 0, "`{name}` at {size} on `{label}` built no probe group");
-        assert_eq!(directory, TICKS * workers as u64, "`{name}` at {size} on `{label}`");
+        assert!(groups > 0, "`{}` at {size:?} on `{label}` built no probe group", scenario.name());
+        assert_eq!(directory, TICKS * workers as u64, "`{}` at {size:?} on `{label}`", scenario.name());
     }
+    assert!(joined >= 2 * 2 * registry.len(), "only {joined} runs joined");
 
     for name in ["fish", "epidemic"] {
         let scenario = registry.get(name).unwrap();
