@@ -59,14 +59,6 @@ id_type!(
 );
 
 id_type!(
-    /// Identifier of a spatial partition (one owned region of the
-    /// partitioning function `P`). Each reducer processes one partition.
-    PartitionId,
-    u32,
-    "p"
-);
-
-id_type!(
     /// Identifier of a worker node in the (simulated) cluster. Workers host
     /// collocated map + reduce tasks for the partitions assigned to them.
     WorkerId,
@@ -120,15 +112,12 @@ mod tests {
     #[test]
     fn ids_are_distinct_types_with_display() {
         let a = AgentId::new(7);
-        let p = PartitionId::new(3);
         let w = WorkerId::new(1);
         let f = FieldId::new(2);
         assert_eq!(a.to_string(), "a7");
-        assert_eq!(p.to_string(), "p3");
         assert_eq!(w.to_string(), "w1");
         assert_eq!(f.to_string(), "f2");
         assert_eq!(a.raw(), 7);
-        assert_eq!(p.index(), 3);
     }
 
     #[test]

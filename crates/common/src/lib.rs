@@ -5,13 +5,13 @@
 //!
 //! * [`geom`] — two-dimensional geometry ([`Vec2`], [`Rect`]) used for agent
 //!   positions, visible regions and partition bounds.
-//! * [`ids`] — strongly-typed identifiers for agents, partitions, workers and
-//!   fields so the compiler catches id mix-ups.
+//! * [`ids`] — strongly-typed identifiers for agents, workers and fields so
+//!   the compiler catches id mix-ups.
 //! * [`rng`] — a deterministic, splittable random-number generator. Every
 //!   simulation run in this workspace is reproducible from a single `u64`
 //!   seed; per-agent streams keep results independent of iteration order.
-//! * [`stats`] — online statistics (Welford), the RMSPE goodness-of-fit
-//!   measure used by the paper's Table 2, and simple histograms.
+//! * [`stats`] — the RMSPE goodness-of-fit measure used by the paper's
+//!   Table 2 and the log-log slope the scaling shape tests fit.
 //! * [`error`] — the shared error type.
 
 pub mod error;
@@ -51,9 +51,9 @@ macro_rules! tls_scratch {
     };
 }
 pub use geom::{Rect, Vec2};
-pub use ids::{AgentId, FieldId, PartitionId, WorkerId};
+pub use ids::{AgentId, FieldId, WorkerId};
 pub use rng::DetRng;
-pub use stats::{rmspe, Histogram, Welford};
+pub use stats::rmspe;
 
 /// 64-bit FNV-1a over a byte string: the checksum of durable manifest
 /// frames and checkpoint files, and the serve result cache's key hash.

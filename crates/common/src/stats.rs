@@ -2,88 +2,8 @@
 //!
 //! The paper validates its MITSIM reimplementation with RMSPE (Relative Mean
 //! Square Percentage Error, Table 2) over per-lane traffic statistics, and
-//! reports throughput in agent-ticks/second. This module provides those
-//! measures plus the online accumulators the load balancer uses.
-
-use serde::{Deserialize, Serialize};
-
-/// Online mean/variance accumulator (Welford's algorithm). Numerically
-/// stable for the long streams produced by epoch statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    pub fn new() -> Self {
-        Welford { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator (parallel Welford); lets workers aggregate
-    /// statistics locally and the master combine them per epoch.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
+//! fits growth orders to its scaling figures. This module provides those
+//! two measures.
 
 /// Relative Mean Square Percentage Error between an observed series and a
 /// reference series, the goodness-of-fit measure of the paper's Table 2:
@@ -114,66 +34,6 @@ pub fn rmspe(observed: &[f64], reference: &[f64]) -> Option<f64> {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with saturating edge bins; used for
-/// spatial density profiles (lane densities, fish distribution over the
-/// partitioning axis).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram interval must be non-empty");
-        Histogram { lo, hi, bins: vec![0; bins], total: 0 }
-    }
-
-    /// Index of the bin holding `x`; values outside `[lo, hi)` clamp to the
-    /// edge bins so nothing is lost.
-    fn bin_of(&self, x: f64) -> usize {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        let i = ((x - self.lo) / w).floor();
-        (i.max(0.0) as usize).min(self.bins.len() - 1)
-    }
-
-    pub fn push(&mut self, x: f64) {
-        let b = self.bin_of(x);
-        self.bins[b] += 1;
-        self.total += 1;
-    }
-
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of all samples in the most loaded bin; 1/bins for a uniform
-    /// distribution, approaching 1.0 as everything piles into one bin. The
-    /// Fig. 7/8 analysis uses this as its imbalance measure.
-    pub fn max_share(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        *self.bins.iter().max().unwrap() as f64 / self.total as f64
-    }
-}
-
-/// Simple throughput helper: agent-ticks per second, the unit of Figures
-/// 5–7.
-pub fn agent_ticks_per_sec(agents: usize, ticks: usize, elapsed_secs: f64) -> f64 {
-    if elapsed_secs <= 0.0 {
-        return 0.0;
-    }
-    (agents as f64 * ticks as f64) / elapsed_secs
-}
-
 /// Least-squares slope of `log2(y)` against `log2(x)`: the empirical growth
 /// exponent. Benchmark shape tests use this to distinguish quadratic
 /// (slope ≈ 2) from (log-)linear (slope ≈ 1) scaling, mirroring the paper's
@@ -201,54 +61,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn welford_matches_closed_form() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
-        assert_eq!(w.max(), 9.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        let b = Welford::new();
-        let before = a.clone();
-        a.merge(&b);
-        assert_eq!(a, before);
-        let mut empty = Welford::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn rmspe_zero_for_identical_series() {
         let s = [1.0, 2.0, 3.0];
         assert_eq!(rmspe(&s, &s), Some(0.0));
@@ -271,25 +83,6 @@ mod tests {
         assert!((e - 0.1).abs() < 1e-12);
         assert_eq!(rmspe(&[1.0], &[0.0]), None);
         assert_eq!(rmspe(&[1.0, 2.0], &[1.0]), None);
-    }
-
-    #[test]
-    fn histogram_bins_and_clamps() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.push(0.5); // bin 0
-        h.push(9.9); // bin 4
-        h.push(-3.0); // clamps to bin 0
-        h.push(42.0); // clamps to bin 4
-        h.push(5.0); // bin 2
-        assert_eq!(h.counts(), &[2, 0, 1, 0, 2]);
-        assert_eq!(h.total(), 5);
-        assert!((h.max_share() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throughput_helper() {
-        assert_eq!(agent_ticks_per_sec(1000, 10, 2.0), 5000.0);
-        assert_eq!(agent_ticks_per_sec(1000, 10, 0.0), 0.0);
     }
 
     #[test]

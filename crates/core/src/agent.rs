@@ -463,17 +463,6 @@ impl AgentPool {
         }
     }
 
-    /// Gather row `r` into a reused scratch record (update-phase entry).
-    pub fn load_agent(&self, r: usize, into: &mut Agent) {
-        into.id = self.ids[r];
-        into.pos = Vec2::new(self.xs[r], self.ys[r]);
-        into.alive = self.alive[r];
-        into.state.clear();
-        into.state.extend(self.states.iter().map(|col| col[r]));
-        into.effects.clear();
-        into.effects.extend((0..self.effects.width()).map(|f| self.effects.get(r as u32, FieldId::new(f as u16))));
-    }
-
     /// Split the first `counts.iter().sum()` rows into disjoint mutable
     /// chunks of `counts` rows each, sharing the effect columns read-only —
     /// the parallel update phase's entry point. The remaining rows (the

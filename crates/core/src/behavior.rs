@@ -67,12 +67,6 @@ impl<'a> Neighbors<'a> {
     pub fn len_hint(&self) -> usize {
         self.candidates.len()
     }
-
-    /// The nearest neighbor by Euclidean distance, if any. Linear in the
-    /// candidate set — the candidates already come from an index probe.
-    pub fn nearest(&self, to: Vec2) -> Option<NeighborRef<'a>> {
-        self.iter().min_by(|a, b| a.agent.pos().dist2(to).total_cmp(&b.agent.pos().dist2(to)))
-    }
 }
 
 /// Context for the update phase: the tick number, a deterministic per-agent
@@ -208,19 +202,6 @@ mod tests {
         let rows: Vec<u32> = n.iter().map(|r| r.row).collect();
         assert_eq!(rows, vec![0, 1, 3]);
         assert_eq!(n.len_hint(), 4);
-    }
-
-    #[test]
-    fn neighbors_nearest() {
-        let s = schema();
-        let p = pool(&s);
-        let cands = [0u32, 1, 2, 3];
-        let n = Neighbors::new(p.view(), &cands, 0);
-        let near = n.nearest(Vec2::new(0.0, 0.0)).unwrap();
-        assert_eq!(near.row, 1);
-        // Empty candidate set -> None.
-        let empty = Neighbors::new(p.view(), &[], 0);
-        assert!(empty.nearest(Vec2::ZERO).is_none());
     }
 
     #[test]

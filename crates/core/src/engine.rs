@@ -1,12 +1,12 @@
 //! The single-node engine.
 //!
 //! [`Simulation`] is BRACE's one-partition runtime. It owns the agent pool,
-//! the tick's [`TickIndex`] and [`TickScratch`], the spawn-id generator, the
-//! metrics and the telemetry handle, and each [`Simulation::step`] runs the
-//! executor's phases back to back — [`query_phase_sharded`],
-//! [`replay_effects`], then [`update_phase_sharded`] — and applies the
-//! update's membership changes. The MapReduce worker calls the very same
-//! functions with communication in between, so a single node *is* the
+//! the tick's [`TickIndex`] and [`TickScratch`], the spawn-id generator and
+//! the telemetry handle, and each [`Simulation::step`] runs the executor's
+//! phases back to back — [`query_phase_sharded`], [`replay_effects`], then
+//! [`update_phase_sharded`] — applies the update's membership changes and
+//! returns the tick's [`TickMetrics`]. The MapReduce worker calls the very
+//! same functions with communication in between, so a single node *is* the
 //! runtime with one partition.
 //!
 //! It is one of the two engines behind the backend-erased driver in
@@ -22,7 +22,7 @@ use crate::behavior::Behavior;
 use crate::executor::{
     query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickIndex, TickScratch, SHARD_ROWS,
 };
-use crate::metrics::{SimMetrics, TickMetrics};
+use crate::metrics::TickMetrics;
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
 use brace_common::{BraceError, Result};
@@ -125,7 +125,6 @@ impl<B: Behavior> SimulationBuilder<B> {
             parallelism: self.parallelism,
             seed: self.seed,
             tick: 0,
-            metrics: SimMetrics::default(),
             tel: Telemetry::current(),
         })
     }
@@ -146,7 +145,6 @@ pub struct Simulation<B: Behavior> {
     parallelism: usize,
     seed: u64,
     tick: u64,
-    metrics: SimMetrics,
     /// Captured once at construction: recording when telemetry was enabled
     /// then, a branch-only no-op otherwise (the off path touches no
     /// atomics — see `brace_telemetry`).
@@ -223,7 +221,6 @@ impl<B: Behavior> Simulation<B> {
         self.tel.add(Counter::ExecutorNonlocalWrites, tm.nonlocal_writes);
         self.tel.add(Counter::ExecutorSpawned, tm.spawned as u64);
         self.tel.add(Counter::ExecutorKilled, tm.killed as u64);
-        self.metrics.record(tm.clone());
         self.tick += 1;
         tm
     }
@@ -252,16 +249,6 @@ impl<B: Behavior> Simulation<B> {
 
     pub fn tick(&self) -> u64 {
         self.tick
-    }
-
-    pub fn metrics(&self) -> &SimMetrics {
-        &self.metrics
-    }
-
-    /// Discard accumulated metrics (start-up transient elimination) without
-    /// rewinding the simulation clock.
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
     }
 
     /// Index builds performed so far: one per tick for a k-NN, scan or

@@ -1240,7 +1240,7 @@ mod tests {
 
         /// The same model over its `k` nearest neighbors — the probe that
         /// still builds an index.
-        fn nearest(k: usize) -> Self {
+        fn knn(k: usize) -> Self {
             CountAndDrift { probe: NeighborProbe::Nearest(k), ..Self::new() }
         }
     }
@@ -1398,16 +1398,14 @@ mod tests {
     }
 
     #[test]
-    fn metrics_accumulate() {
+    fn step_reports_each_tick() {
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 10, 0.4);
         let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
-        sim.run(4);
-        assert_eq!(sim.metrics().ticks, 4);
-        assert_eq!(sim.metrics().agent_ticks, 40);
-        sim.reset_metrics();
-        assert_eq!(sim.metrics().ticks, 0);
-        assert_eq!(sim.tick(), 4, "reset_metrics must not rewind the clock");
+        let ticks: Vec<_> = (0..4).map(|_| sim.step()).collect();
+        assert_eq!(ticks.iter().map(|tm| tm.tick).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(ticks.iter().map(|tm| tm.n_agents).sum::<usize>(), 40);
+        assert_eq!(sim.tick(), 4);
     }
 
     #[test]
@@ -1428,7 +1426,7 @@ mod tests {
     #[test]
     fn knn_schemas_build_one_index_per_tick() {
         for kind in [IndexKind::Scan, IndexKind::KdTree, IndexKind::Grid] {
-            let b = CountAndDrift::nearest(3);
+            let b = CountAndDrift::knn(3);
             let agents = line_of_agents(b.schema(), 300, 0.25);
             let mut e = build_sim(b, agents, kind, 11, 1);
             e.run(10);

@@ -53,5 +53,5 @@ pub use combinator::Combinator;
 pub use effect::{EffectTable, EffectWrite, EffectWriter};
 pub use engine::{check_population, Simulation, SimulationBuilder};
 pub use executor::{PendingSpawn, TickIndex, TickScratch};
-pub use metrics::{SimMetrics, TickMetrics};
+pub use metrics::TickMetrics;
 pub use schema::{AgentSchema, SchemaBuilder};

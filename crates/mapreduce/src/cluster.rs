@@ -23,7 +23,7 @@ use crate::runtime::{Command, PeerMsg, Report};
 use crate::worker::{Worker, WorkerConfig, WorkerLinks};
 use brace_common::{BraceError, DetRng, Result, WorkerId};
 use brace_core::{check_population, Agent, Behavior};
-use brace_spatial::{GridPartitioning, IndexKind, Partitioner};
+use brace_spatial::{GridPartitioning, IndexKind};
 use crossbeam::channel::{unbounded, Sender};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -270,7 +270,7 @@ impl ClusterSim {
         // Distribute the initial population to owners.
         let mut initial: Vec<Vec<Agent>> = (0..n).map(|_| Vec::new()).collect();
         for a in agents {
-            initial[part.partition_of(a.pos).index()].push(a);
+            initial[part.column_of(a.pos.x)].push(a);
         }
 
         let mut sim = Self::spawn(&behavior, &cfg, &part, initial, first_spawn_id, part.x_bounds().to_vec())?;

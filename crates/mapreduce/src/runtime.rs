@@ -14,7 +14,7 @@
 //! at *epoch* granularity only, which is the design point that amortizes
 //! coordination over many in-memory ticks.
 
-use brace_common::{Welford, WorkerId};
+use brace_common::WorkerId;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -125,8 +125,6 @@ pub struct WorkerEpochStats {
     /// Communication rounds executed per tick (1 = local effects only,
     /// 2 = map-reduce-reduce). Exposed to assert the Table 1 mapping.
     pub comm_rounds_per_tick: u32,
-    /// Per-tick busy-time distribution.
-    pub tick_time: Welford,
     /// Full replica records received this epoch (band entrants; under
     /// delta distribution a stable boundary population stops paying this
     /// after its first tick).

@@ -61,12 +61,12 @@
 use crate::codec::{self, ReplicaDeltaEnc, WorkerSnapshot, DELTA_MASK_X, DELTA_MASK_Y};
 use crate::net::{NetLedger, Traffic};
 use crate::runtime::{Command, EpochCommand, PeerMsg, Report, Round, WorkerEpochStats};
-use brace_common::{AgentId, DetRng, FieldId, Welford, WorkerId};
+use brace_common::{AgentId, DetRng, FieldId, WorkerId};
 use brace_core::executor::{
     query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickIndex, TickScratch, SHARD_ROWS,
 };
 use brace_core::{Agent, AgentPool, Behavior, EffectWrite};
-use brace_spatial::{GridPartitioning, IndexKind, Partitioner};
+use brace_spatial::{GridPartitioning, IndexKind};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
@@ -330,7 +330,6 @@ pub struct Worker {
     vec_roundtrips: u64,
     // Reusable per-tick scratch.
     owners: Vec<u32>,
-    targets: Vec<brace_common::PartitionId>,
     dest_transfers: Vec<Vec<u32>>,
     dest_replicas: Vec<Vec<u32>>,
     removals: Vec<u32>,
@@ -389,7 +388,6 @@ impl Worker {
             pool_rebuilds: 0,
             vec_roundtrips: 0,
             owners: Vec::new(),
-            targets: Vec::new(),
             dest_transfers: (0..n).map(|_| Vec::new()).collect(),
             dest_replicas: (0..n).map(|_| Vec::new()).collect(),
             removals: Vec::new(),
@@ -491,7 +489,6 @@ impl Worker {
             comm_rounds_per_tick: if self.behavior.schema().has_nonlocal_effects() { 2 } else { 1 },
             x_min: f64::INFINITY,
             x_max: f64::NEG_INFINITY,
-            tick_time: Welford::new(),
             ..Default::default()
         };
         let (rebuilds0, roundtrips0, index0) = (self.pool_rebuilds, self.vec_roundtrips, self.index.rebuilds());
@@ -500,9 +497,7 @@ impl Worker {
             let owned_at_start = self.n_owned;
             self.run_tick(&mut stats);
             stats.agent_ticks += owned_at_start as u64;
-            let ns = t0.elapsed().as_nanos() as u64;
-            stats.busy_ns += ns;
-            stats.tick_time.push(ns as f64);
+            stats.busy_ns += t0.elapsed().as_nanos() as u64;
         }
         stats.pool_rebuilds = self.pool_rebuilds - rebuilds0;
         stats.vec_roundtrips = self.vec_roundtrips - roundtrips0;
@@ -671,26 +666,13 @@ impl Worker {
         for d in &mut self.dest_replicas {
             d.clear();
         }
-        let one_row = self.part.rows() == 1;
         for r in 0..self.n_owned as u32 {
             let owner = self.owners[r as usize] as usize;
-            if one_row {
-                // 1-D columns layout: the replica band is a contiguous
-                // column range around the owner.
-                let (c0, c1) = self.part.replica_col_range(self.pool.xs()[r as usize], vis);
-                for t in c0..=c1 {
-                    if t as usize != owner {
-                        self.dest_replicas[t as usize].push(r);
-                    }
-                }
-            } else {
-                self.targets.clear();
-                self.part.replica_targets(self.pool.pos(r), vis, &mut self.targets);
-                for i in 0..self.targets.len() {
-                    let t = self.targets[i].index();
-                    if t != owner {
-                        self.dest_replicas[t].push(r);
-                    }
+            // The replica band is a contiguous column range around the owner.
+            let (c0, c1) = self.part.replica_col_range(self.pool.xs()[r as usize], vis);
+            for t in c0..=c1 {
+                if t as usize != owner {
+                    self.dest_replicas[t as usize].push(r);
                 }
             }
             if owner != me {
@@ -787,7 +769,7 @@ impl Worker {
         if schema.has_nonlocal_effects() {
             let mut dest_writes: Vec<Vec<EffectWrite>> = (0..n).map(|_| Vec::new()).collect();
             for &(row, write) in self.scratch.outbound() {
-                let owner = self.part.partition_of(self.pool.pos(row)).index();
+                let owner = self.part.column_of(self.pool.xs()[row as usize]);
                 debug_assert_ne!(owner, me, "replica owned by its replica holder");
                 dest_writes[owner].push(write);
             }
@@ -1031,7 +1013,7 @@ mod tests {
 
         /// The same model over its `k` nearest neighbors — the probe that
         /// still builds an index.
-        fn nearest(k: usize) -> Self {
+        fn knn(k: usize) -> Self {
             Drift(Self::new().0, NeighborProbe::Nearest(k))
         }
     }
@@ -1110,7 +1092,7 @@ mod tests {
     #[test]
     fn steady_ticks_never_rebuild_the_pool() {
         // A k-NN probe, the path that still builds an index, on the grid.
-        let mut worker = single_worker_of(Drift::nearest(4), line(40, 0.6), IndexKind::Grid);
+        let mut worker = single_worker_of(Drift::knn(4), line(40, 0.6), IndexKind::Grid);
         let mut stats = WorkerEpochStats::default();
         let rebuilds0 = worker.pool_rebuilds;
         let roundtrips0 = worker.vec_roundtrips;

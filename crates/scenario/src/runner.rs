@@ -265,7 +265,7 @@ impl<'s> Runner<'s> {
                 Inner::Cluster(Box::new(ClusterSim::new(setup.behavior, setup.population, cfg)?))
             }
         };
-        Ok(SimHandle { inner, observers: self.observers })
+        Ok(SimHandle { inner, observers: self.observers, single_agent_ticks: 0 })
     }
 
     /// One-shot convenience: launch, run `ticks`, collect, run the
@@ -348,6 +348,9 @@ fn world_of(inner: &mut Inner) -> Result<Vec<Agent>> {
 pub struct SimHandle {
     inner: Inner,
     observers: Vec<Box<dyn Observer>>,
+    /// Agent-ticks the single node has stepped, summed from each tick's
+    /// `TickMetrics` (a cluster counts its own).
+    single_agent_ticks: u64,
 }
 
 impl SimHandle {
@@ -371,6 +374,7 @@ impl SimHandle {
                 Inner::Single(sim) => {
                     let tm = sim.step();
                     done += 1;
+                    self.single_agent_ticks += tm.n_agents as u64;
                     for o in &mut self.observers {
                         o.on_tick_metrics(&tm);
                     }
@@ -413,7 +417,7 @@ impl SimHandle {
     /// Agent-ticks executed so far.
     pub fn agent_ticks(&self) -> u64 {
         match &self.inner {
-            Inner::Single(sim) => sim.metrics().agent_ticks,
+            Inner::Single(_) => self.single_agent_ticks,
             Inner::Cluster(sim) => sim.stats().agent_ticks,
         }
     }

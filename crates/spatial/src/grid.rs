@@ -240,22 +240,6 @@ impl UniformGrid {
             f(Vec2::new(self.xs[at], self.ys[at]), payload);
         }
     }
-
-    /// Fold `bucket`'s points into the running `(dist², payload)` best for
-    /// the expanding-ring nearest search.
-    fn consider_bucket(&self, b: Bucket, q: Vec2, exclude: Option<u32>, best: &mut Option<(f64, u32)>) {
-        let (s, e) = Self::run_bounds(b);
-        for i in s..e {
-            let payload = self.payloads[i];
-            if Some(payload) == exclude {
-                continue;
-            }
-            let d = Vec2::new(self.xs[i], self.ys[i]).dist2(q);
-            if best.is_none_or(|(bd, _)| d < bd) {
-                *best = Some((d, payload));
-            }
-        }
-    }
 }
 
 brace_common::tls_scratch!(
@@ -285,48 +269,6 @@ impl SpatialIndex for UniformGrid {
                 out.push(payload);
             }
         });
-    }
-
-    fn nearest(&self, q: Vec2, exclude: Option<u32>) -> Option<u32> {
-        if self.payloads.is_empty() {
-            return None;
-        }
-        // Expanding ring search over cells; falls back to a full scan once
-        // the ring is larger than the populated area.
-        let (qx, qy) = Self::key(q, self.cell);
-        let mut best: Option<(f64, u32)> = None;
-        let mut ring = 0i64;
-        loop {
-            let mut saw_any = false;
-            for cx in (qx - ring)..=(qx + ring) {
-                for cy in (qy - ring)..=(qy + ring) {
-                    // Only the ring boundary (inner cells were already done).
-                    if ring > 0 && cx != qx - ring && cx != qx + ring && cy != qy - ring && cy != qy + ring {
-                        continue;
-                    }
-                    if let Some(&b) = self.buckets.get(&(cx, cy)) {
-                        saw_any = true;
-                        self.consider_bucket(b, q, exclude, &mut best);
-                    }
-                }
-            }
-            // A hit in ring r guarantees the true nearest is within ring
-            // r+1 (cell geometry), so scan one extra ring then stop.
-            if let Some((bd, _)) = best {
-                let safe_radius = (ring as f64) * self.cell;
-                if bd.sqrt() <= safe_radius || ring as usize > self.buckets.len() {
-                    return best.map(|(_, p)| p);
-                }
-            }
-            if !saw_any && ring > 0 && (ring as u64) > 2 * self.payloads.len() as u64 + 2 {
-                // Degenerate spread; brute force the remainder.
-                for &b in self.buckets.values() {
-                    self.consider_bucket(b, q, exclude, &mut best);
-                }
-                return best.map(|(_, p)| p);
-            }
-            ring += 1;
-        }
     }
 
     /// Grid k-NN: search rings of cells outward from the query's cell and
@@ -461,11 +403,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(14);
         for _ in 0..100 {
             let q = Vec2::new(rng.range(-70.0, 70.0), rng.range(-70.0, 70.0));
-            let a = grid.nearest(q, None).unwrap();
-            let b = scan.nearest(q, None).unwrap();
-            let da = pts[a as usize].0.dist2(q);
-            let db = pts[b as usize].0.dist2(q);
-            assert!((da - db).abs() < 1e-12, "grid {da} vs scan {db}");
+            assert_eq!(knn(&grid, q, 1, None), knn(&scan, q, 1, None), "q={q}");
         }
     }
 
@@ -493,21 +431,21 @@ mod tests {
     fn empty_grid() {
         let grid = UniformGrid::build(&[]);
         assert!(grid.is_empty());
-        assert_eq!(grid.nearest(Vec2::ZERO, None), None);
+        assert!(knn(&grid, Vec2::ZERO, 1, None).is_empty());
     }
 
     #[test]
     fn nearest_with_exclusion() {
         let pts = vec![(Vec2::ZERO, 0), (Vec2::new(1.0, 0.0), 1)];
         let grid = UniformGrid::with_cell(&pts, 1.0);
-        assert_eq!(grid.nearest(Vec2::new(0.1, 0.0), Some(0)), Some(1));
+        assert_eq!(knn(&grid, Vec2::new(0.1, 0.0), 1, Some(0)), [1]);
     }
 
     #[test]
     fn far_query_still_finds_nearest() {
         let pts = vec![(Vec2::new(1000.0, 1000.0), 7)];
         let grid = UniformGrid::with_cell(&pts, 1.0);
-        assert_eq!(grid.nearest(Vec2::ZERO, None), Some(7));
+        assert_eq!(knn(&grid, Vec2::ZERO, 1, None), [7]);
     }
 
     fn knn(idx: &impl SpatialIndex, q: Vec2, k: usize, exclude: Option<u32>) -> Vec<u32> {

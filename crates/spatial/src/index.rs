@@ -37,12 +37,6 @@ pub trait SpatialIndex: Send + Sync {
     /// `rect` to `out`, in unspecified order.
     fn range(&self, rect: &Rect, out: &mut Vec<u32>);
 
-    /// Payload of a point nearest to `q` in Euclidean distance (ties are
-    /// broken arbitrarily), excluding points whose payload equals `exclude`
-    /// (so an agent can ask for its nearest *other* agent). `None` when no
-    /// eligible point exists.
-    fn nearest(&self, q: Vec2, exclude: Option<u32>) -> Option<u32>;
-
     /// The `k` nearest points to `q` by Euclidean distance, sorted
     /// ascending into `out` (cleared first), excluding payload `exclude`.
     /// Fewer than `k` results when fewer points exist. This is the probe
@@ -153,20 +147,6 @@ impl SpatialIndex for ScanIndex {
         crate::kernels::filter_rect(&self.xs, &self.ys, &self.payloads, rect, out);
     }
 
-    fn nearest(&self, q: Vec2, exclude: Option<u32>) -> Option<u32> {
-        let mut best: Option<(f64, u32)> = None;
-        for ((&x, &y), &payload) in self.xs.iter().zip(&self.ys).zip(&self.payloads) {
-            if Some(payload) == exclude {
-                continue;
-            }
-            let d = Vec2::new(x, y).dist2(q);
-            if best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, payload));
-            }
-        }
-        best.map(|(_, payload)| payload)
-    }
-
     fn k_nearest_into(&self, q: Vec2, k: usize, exclude: Option<u32>, out: &mut Vec<u32>) {
         out.clear();
         if k == 0 {
@@ -222,18 +202,22 @@ mod tests {
     }
 
     #[test]
-    fn scan_nearest_with_exclusion() {
+    fn scan_knn_with_exclusion() {
         let idx = ScanIndex::build(&pts());
-        assert_eq!(idx.nearest(Vec2::new(0.1, 0.1), None), Some(0));
-        assert_eq!(idx.nearest(Vec2::new(0.1, 0.1), Some(0)), Some(1));
+        let mut out = Vec::new();
+        idx.k_nearest_into(Vec2::new(0.1, 0.1), 1, None, &mut out);
+        assert_eq!(out, [0]);
+        idx.k_nearest_into(Vec2::new(0.1, 0.1), 1, Some(0), &mut out);
+        assert_eq!(out, [1]);
     }
 
     #[test]
     fn scan_empty() {
         let idx = ScanIndex::build(&[]);
         assert!(idx.is_empty());
-        assert_eq!(idx.nearest(Vec2::ZERO, None), None);
         let mut out = Vec::new();
+        idx.k_nearest_into(Vec2::ZERO, 1, None, &mut out);
+        assert!(out.is_empty());
         idx.range(&Rect::EVERYTHING, &mut out);
         assert!(out.is_empty());
     }

@@ -9,7 +9,7 @@
 //!   (`select_nth_unstable_by`), alternating split axes — O(n log n);
 //! * leaves hold up to a fixed number of points (16) and are scanned linearly, which
 //!   beats deeper recursion for the query sizes behavioral simulations see;
-//! * orthogonal range queries and nearest-neighbor search both prune by the
+//! * orthogonal range queries and k-nearest-neighbor search both prune by the
 //!   node bounding boxes computed during the build.
 //!
 //! The tree is build-only: positions are frozen for a tick's query phase and
@@ -134,36 +134,6 @@ impl KdTree {
         }
     }
 
-    fn nearest_rec(&self, n: u32, q: Vec2, exclude: Option<u32>, best: &mut (f64, Option<u32>)) {
-        match &self.nodes[n as usize] {
-            Node::Leaf { start, end, bounds } => {
-                if bounds.dist2_to_point(q) > best.0 {
-                    return;
-                }
-                for &(p, payload) in &self.points[*start as usize..*end as usize] {
-                    if Some(payload) == exclude {
-                        continue;
-                    }
-                    let d = p.dist2(q);
-                    if d < best.0 {
-                        *best = (d, Some(payload));
-                    }
-                }
-            }
-            Node::Inner { axis, split, left, right, bounds } => {
-                if bounds.dist2_to_point(q) > best.0 {
-                    return;
-                }
-                let qk = if *axis == 0 { q.x } else { q.y };
-                // Descend the side containing q first so `best` shrinks
-                // early and prunes the far side.
-                let (near, far) = if qk <= *split { (*left, *right) } else { (*right, *left) };
-                self.nearest_rec(near, q, exclude, best);
-                self.nearest_rec(far, q, exclude, best);
-            }
-        }
-    }
-
     fn knn_rec(&self, n: u32, q: Vec2, exclude: Option<u32>, k: usize, heap: &mut Vec<(f64, u32)>) {
         let worst = if heap.len() < k { f64::INFINITY } else { heap.last().unwrap().0 };
         match &self.nodes[n as usize] {
@@ -217,13 +187,6 @@ impl SpatialIndex for KdTree {
         }
     }
 
-    fn nearest(&self, q: Vec2, exclude: Option<u32>) -> Option<u32> {
-        let r = self.root?;
-        let mut best = (f64::INFINITY, None);
-        self.nearest_rec(r, q, exclude, &mut best);
-        best.1
-    }
-
     /// Branch-and-bound k-NN over the tree: a sorted bounded buffer plays
     /// the max-heap, and subtree bounding boxes prune against its worst
     /// entry.
@@ -267,7 +230,7 @@ mod tests {
     fn empty_tree_behaves() {
         let t = KdTree::build(&[]);
         assert!(t.is_empty());
-        assert_eq!(t.nearest(Vec2::ZERO, None), None);
+        assert!(knn(&t, Vec2::ZERO, 1, None).is_empty());
         assert_eq!(t.depth(), 0);
         assert!(t.bounds().is_empty());
         let mut out = Vec::new();
@@ -278,8 +241,8 @@ mod tests {
     #[test]
     fn single_point() {
         let t = KdTree::build(&[(Vec2::new(1.0, 2.0), 42)]);
-        assert_eq!(t.nearest(Vec2::ZERO, None), Some(42));
-        assert_eq!(t.nearest(Vec2::ZERO, Some(42)), None);
+        assert_eq!(knn(&t, Vec2::ZERO, 1, None), [42]);
+        assert!(knn(&t, Vec2::ZERO, 1, Some(42)).is_empty());
         let mut out = Vec::new();
         t.range(&Rect::centered(Vec2::new(1.0, 2.0), 0.1), &mut out);
         assert_eq!(out, vec![42]);
@@ -312,12 +275,9 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(4);
         for _ in 0..100 {
             let q = Vec2::new(rng.range(-120.0, 120.0), rng.range(-120.0, 120.0));
-            let a = tree.nearest(q, None).unwrap();
-            let b = scan.nearest(q, None).unwrap();
-            // Distances must match (payload may differ on exact ties).
-            let da = pts[a as usize].0.dist2(q);
-            let db = pts[b as usize].0.dist2(q);
-            assert!((da - db).abs() < 1e-12);
+            let mut b = Vec::new();
+            scan.k_nearest_into(q, 1, None, &mut b);
+            assert_eq!(knn(&tree, q, 1, None), b, "q={q}");
         }
     }
 

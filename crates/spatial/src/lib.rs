@@ -15,12 +15,9 @@
 //!   sort-merge tile join does not answer: k-NN probes, the scan and
 //!   unbounded visibility.
 //! * [`partition`] — the spatial partitioning function `P : L → P` of the
-//!   paper's Appendix A: a rectilinear grid whose column boundaries can be
-//!   moved by the load balancer, owned regions, partition visible regions
-//!   and replica-target enumeration.
-//! * [`join`] — reference spatial self-join implementations: the oracle
-//!   that pins replica-target enumeration and the partitioned join to the
-//!   single-node join in `tests/properties.rs`.
+//!   paper's Appendix A, in the one layout the runtime builds: vertical
+//!   columns over x whose boundaries the 1-D load balancer moves, with the
+//!   owner lookup and the contiguous replica band of each agent.
 //! * [`kernels`] — fixed-width lane kernels (range filter, squared
 //!   distances) behind the executor's probe groups (each agent filters its
 //!   tile's shared candidate block with `filter_rect`), the scan's range
@@ -31,7 +28,6 @@
 
 pub mod grid;
 pub mod index;
-pub mod join;
 pub mod kdtree;
 pub mod kernels;
 pub mod partition;
@@ -39,4 +35,4 @@ pub mod partition;
 pub use grid::UniformGrid;
 pub use index::{IndexKind, ScanIndex, SpatialIndex};
 pub use kdtree::KdTree;
-pub use partition::{GridPartitioning, Partitioner};
+pub use partition::GridPartitioning;

@@ -34,7 +34,7 @@ pub use brace_mapreduce as mapreduce;
 pub use brace_models as models;
 /// The scenario registry and the backend-erased driver.
 pub use brace_scenario as scenario;
-/// Spatial indexes, partitioning and joins.
+/// Spatial indexes, the column partitioning and the join kernels.
 pub use brace_spatial as spatial;
 /// The BRASIL agent language.
 pub use brasil;
@@ -43,5 +43,5 @@ pub use brasil;
 pub mod prelude {
     pub use brace_common::{AgentId, DetRng, Rect, Vec2};
     pub use brace_scenario::{Backend, Observer, Progress, Registry, Runner, Scenario, SimHandle};
-    pub use brace_spatial::{IndexKind, Partitioner};
+    pub use brace_spatial::IndexKind;
 }

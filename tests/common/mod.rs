@@ -45,6 +45,7 @@ pub const GOLDEN_EPIDEMIC: u64 = 0xEFDF_A3ED_B826_E4CE;
 const BASELINE: &str = "baseline: single node, 1 thread";
 const THREADS_2: &str = "single node, 2 threads";
 const THREADS_3: &str = "single node, 3 threads";
+const BALANCED: &str = "cluster:4, load-balanced";
 const CLUSTER_2_THREADS_2: &str = "cluster:2, 2 threads per worker";
 const FAULT: &str = "cluster:3, a fault at the middle epoch recovered from a checkpoint";
 const DURABLE: &str = "durable cluster:2";
@@ -57,7 +58,7 @@ const SERVED: &str = "served";
 /// they are compared.
 #[rustfmt::skip]
 pub const LEGS: &[&str] = &[
-    THREADS_2, THREADS_3, "cluster:1", "cluster:2, balancer off", "cluster:4, load-balanced",
+    THREADS_2, THREADS_3, "cluster:1", "cluster:2, balancer off", BALANCED,
     CLUSTER_2_THREADS_2, FAULT, DURABLE, RESUMED, TELEMETRY_SINGLE, TELEMETRY_CLUSTER, SERVED,
 ];
 /// The legs that run more than one thread on a node.
@@ -147,6 +148,8 @@ struct Agreed {
     checksum: u64,
     /// The world holds an agent the run spawned.
     spawned: bool,
+    /// The load-balanced leg moved its boundaries at least once.
+    rebalanced: bool,
 }
 
 type Memo = BTreeMap<(usize, String, Case), Arc<OnceLock<Agreed>>>;
@@ -167,6 +170,14 @@ pub fn engines_agree(registry: fn() -> Registry, scenario: &str, case: &Case) ->
 /// agent the run spawned: a spawn pin whose run spawns nothing is vacuous.
 pub fn spawned(registry: fn() -> Registry, scenario: &str, case: &Case) -> bool {
     agreed(registry, scenario, case).spawned
+}
+
+/// Whether the load-balanced `cluster:4` leg of this [`engines_agree`]
+/// call repartitioned: a balancer pin whose boundaries never move is
+/// vacuous.
+pub fn rebalanced(registry: fn() -> Registry, scenario: &str, case: &Case) -> bool {
+    assert!(case.runs(BALANCED), "{case:?} does not run the `{BALANCED}` leg");
+    agreed(registry, scenario, case).rebalanced
 }
 
 fn agreed(registry: fn() -> Registry, scenario: &str, case: &Case) -> Agreed {
@@ -204,7 +215,7 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
 
     // The baseline and every leg that runs with telemetry off, at once.
     let root = temp_dir();
-    let (baseline_agents, spawned) = (AtomicUsize::new(0), AtomicBool::new(false));
+    let (baseline_agents, spawned, rebalanced) = (AtomicUsize::new(0), AtomicBool::new(false), AtomicBool::new(false));
     let balancer = LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5, epoch_len: 5 };
     let mut legs: Vec<Leg<'_>> = vec![
         (
@@ -220,7 +231,18 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
         plain(THREADS_3, Backend::SingleNode { parallelism: 3 }),
         plain("cluster:1", Backend::Cluster(cluster(1))),
         plain("cluster:2, balancer off", Backend::Cluster(ClusterConfig { load_balance: false, ..cluster(2) })),
-        plain("cluster:4, load-balanced", Backend::Cluster(ClusterConfig { balancer, ..cluster(4) })),
+        (
+            BALANCED,
+            Box::new(|| {
+                let backend = Backend::Cluster(ClusterConfig { balancer, ..cluster(4) });
+                let launched = case.runner(scenario).epoch_len(epoch_len).backend(backend).launch();
+                let mut handle = launched.unwrap_or_else(|e| fail(BALANCED, e));
+                handle.run(case.ticks).unwrap_or_else(|e| fail(BALANCED, e));
+                let stats = handle.cluster_stats().expect("a cluster leg");
+                rebalanced.store(stats.repartitions > 0, Ordering::Relaxed);
+                handle.checksum().unwrap_or_else(|e| fail(BALANCED, e))
+            }),
+        ),
         plain(CLUSTER_2_THREADS_2, Backend::Cluster(ClusterConfig { parallelism: 2, ..cluster(2) })),
         (
             FAULT,
@@ -288,7 +310,7 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     if baseline_agents > SHARD_ROWS && THREADED.iter().all(|leg| case.runs(leg)) {
         PAST_ONE_SHARD.lock().unwrap_or_else(PoisonError::into_inner).insert(name.to_string());
     }
-    Agreed { checksum: want, spawned: spawned.into_inner() }
+    Agreed { checksum: want, spawned: spawned.into_inner(), rebalanced: rebalanced.into_inner() }
 }
 
 /// Run every leg on a thread of its own; their checksums, in order. A leg

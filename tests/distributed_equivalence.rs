@@ -16,7 +16,7 @@ use brace_models::scripts;
 use brace_models::{FishBehavior, FishParams};
 use brace_scenario::Registry;
 use brace_spatial::IndexKind;
-use common::{any_leg, custom_setup, engines_agree, registry_of, spawned, Case, Custom};
+use common::{any_leg, custom_setup, engines_agree, rebalanced, registry_of, spawned, Case, Custom};
 use proptest::prelude::*;
 
 /// The setups the builtin registry does not ship, as test-local scenarios.
@@ -63,8 +63,14 @@ fn registry() -> Registry {
             build: |n, seed| ChurnStorm::new(false, true).setup(n, seed),
         },
         Custom { name: "churn-storm-both", agents: 60, build: |n, seed| ChurnStorm::new(true, true).setup(n, seed) },
+        Custom { name: "replica-edge", agents: 2, build: |_, _| ChurnStorm::new(false, false).edge_pair(EDGE) },
     ])
 }
+
+/// A column boundary where `(EDGE − 4) + 4` rounds below `EDGE` (4 is the
+/// ChurnStorm visibility).
+const EDGE: f64 = -62.23366320288317;
+const _: () = assert!((EDGE - 4.0) + 4.0 < EDGE);
 
 #[test]
 fn fish_school_cluster_equals_single_node() {
@@ -89,10 +95,18 @@ fn brasil_script_cluster_equals_single_node() {
 
 /// Moving partition boundaries mid-run must be invisible to the agents:
 /// the matrix's load-balanced `cluster:4` leg against every other leg,
-/// the balancer-off `cluster:2` leg among them.
+/// the balancer-off `cluster:2` leg among them — and that leg did move them.
 #[test]
 fn load_balancing_does_not_change_results() {
-    engines_agree(registry, "fish-drifting", &Case::sized(150, 30).seed(9));
+    assert!(rebalanced(registry, "fish-drifting", &Case::sized(150, 30).seed(9)), "the balancer never repartitioned");
+}
+
+/// A neighbour at exactly the visibility left of a column boundary `b`
+/// is in the view of an agent on `b`, even where `(b − vis) + vis` rounds
+/// below `b`: the column right of `b` must still get its replica.
+#[test]
+fn a_neighbour_at_exactly_the_visibility_is_replicated() {
+    engines_agree(registry, "replica-edge", &Case::sized(2, 5));
 }
 
 /// Spawn ids are sequenced globally by `(parent id, ordinal)`, and an
@@ -151,6 +165,22 @@ impl ChurnStorm {
             })
             .collect();
         custom_setup(self, pop, IndexKind::KdTree, (0.0, 60.0))
+    }
+
+    /// One agent on the boundary `b` the 2- and 4-worker clusters start
+    /// with, and one at exactly `b − vis`, which the first sees.
+    fn edge_pair(self, b: f64) -> brace_scenario::ScenarioSetup {
+        let vis = self.schema.visibility();
+        let pop = [b, b - vis]
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let mut a = Agent::new(AgentId::new(i as u64), Vec2::new(x, 0.0), &self.schema);
+                a.state[0] = 1.0 + i as f64;
+                a
+            })
+            .collect();
+        custom_setup(self, pop, IndexKind::KdTree, (2.0 * b, 0.0))
     }
 }
 

@@ -69,8 +69,8 @@ fn run_world(
         .parallelism(1)
         .build()
         .unwrap();
-    sim.run(ticks);
-    (sim.agents(), sim.metrics().neighbor_visits)
+    let visits = (0..ticks).map(|_| sim.step().neighbor_visits).sum();
+    (sim.agents(), visits)
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests on the invariants the paper's design rests on.
 //!
-//! * The distributed spatial join equals the single-node join for *every*
-//!   partitioning and visibility (the Appendix A decomposition).
-//! * Replication is exactly the visible-region membership — no agent is
-//!   missing where it is visible, none is shipped where it is not.
+//! * The worker's column partitioning ships every join pair's neighbour to
+//!   its owner's column, for any boundaries the balancer installs (the
+//!   Appendix A decomposition), and replication is exactly visible-interval
+//!   membership — no agent is missing where it is visible, none is shipped
+//!   where it is not.
 //! * Codec round-trips are lossless (checkpoints and messages cannot
 //!   corrupt a world).
 //! * The sharded/parallel executor phases equal the serial reference at
@@ -33,9 +34,8 @@ use brace_core::{
     Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWrite, EffectWriter, Simulation,
 };
 use brace_mapreduce::codec;
-use brace_spatial::join::{distribute, nested_loop_join, partitioned_join};
 use brace_spatial::kernels::{block_order, radix_sort_by_key, seek_window, ProbeKey, TileDirectory};
-use brace_spatial::{GridPartitioning, KdTree, Partitioner, ScanIndex, SpatialIndex, UniformGrid};
+use brace_spatial::{GridPartitioning, KdTree, ScanIndex, SpatialIndex, UniformGrid};
 use common::{any_index_kind, worlds_bit_identical};
 use proptest::prelude::*;
 
@@ -290,6 +290,40 @@ impl Behavior for ChurnField {
     }
 }
 
+/// A column partitioning as the balancer leaves it — `cols` columns, the
+/// interior boundaries drawn anywhere in `[-20, 120)` and installed with
+/// `set_x_bounds` — and `n` agents over it. A quarter of the agents sit
+/// exactly on a boundary `b`, at `b + vis` or at `b − vis`, so the band's
+/// edges are met on the nose. Half the draws use a whole visibility and
+/// whole boundaries, where those sums are exact; the rest round, where
+/// `(b − vis) + vis` can land below `b`.
+fn partition_draw(seed: u64, n: usize, vis: f64, cols: usize) -> (GridPartitioning, Vec<Vec2>, f64) {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let whole = rng.chance(0.5);
+    let vis = if whole { vis.floor() } else { vis };
+    let mut interior: Vec<f64> =
+        (1..cols).map(|_| if whole { rng.below(140) as f64 - 20.0 } else { rng.range(-20.0, 120.0) }).collect();
+    interior.sort_by(f64::total_cmp);
+    interior.dedup();
+    let mut bounds = vec![interior.first().map_or(0.0, |&b| b.min(0.0) - 1.0)];
+    bounds.extend(&interior);
+    bounds.push(interior.last().map_or(100.0, |&b| b.max(100.0) + 1.0));
+    let mut part = GridPartitioning::columns(0.0, 100.0, bounds.len() - 1);
+    part.set_x_bounds(bounds);
+    let points = (0..n)
+        .map(|_| {
+            let x = if rng.chance(0.25) {
+                let b = part.x_bounds()[rng.below(part.x_bounds().len() as u64) as usize];
+                [b, b + vis, b - vis][rng.below(3) as usize]
+            } else {
+                rng.range(-30.0, 130.0)
+            };
+            Vec2::new(x, rng.range(0.0, 50.0))
+        })
+        .collect();
+    (part, points, vis)
+}
+
 /// Collecting k-NN helper for assertions over `k_nearest_into`.
 fn knn<I: SpatialIndex>(idx: &I, q: Vec2, k: usize) -> Vec<u32> {
     let mut out = Vec::new();
@@ -352,51 +386,62 @@ fn replayed_equals_serial(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Appendix A, as a property: the partitioned spatial join equals the
-    /// single-node join for arbitrary populations, visibilities and grid
-    /// shapes.
+    /// Appendix A, as a property of the functions the worker runs: every
+    /// pair of a nested-loop join has its neighbour shipped to the column
+    /// that owns the prober (`owners_into` + `replica_col_range`), for any
+    /// boundaries the balancer installs.
     #[test]
-    fn partitioned_join_always_equals_reference(
+    fn partition_ships_every_join_pair_to_the_owners_column(
         seed in 0u64..1000,
         n in 1usize..120,
         vis in 0.0f64..30.0,
         cols in 1usize..6,
-        rows in 1usize..4,
     ) {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let points: Vec<Vec2> =
-            (0..n).map(|_| Vec2::new(rng.range(-20.0, 120.0), rng.range(-20.0, 120.0))).collect();
-        let part = GridPartitioning::uniform(Rect::from_bounds(0.0, 100.0, 0.0, 100.0), cols, rows);
-        let mut reference = nested_loop_join(&points, vis);
-        let mut got = partitioned_join(&points, &part, vis);
-        reference.sort_unstable();
-        got.sort_unstable();
-        prop_assert_eq!(reference, got);
+        let (part, points, vis) = partition_draw(seed, n, vis, cols);
+        let (xs, ys): (Vec<f64>, Vec<f64>) = points.iter().map(|p| (p.x, p.y)).unzip();
+        let mut owners = Vec::new();
+        part.owners_into(&xs, &ys, &mut owners);
+        let shipped = |j: usize, column: u32| {
+            let (c0, c1) = part.replica_col_range(xs[j], vis);
+            (c0..=c1).contains(&column)
+        };
+        for (i, &a) in points.iter().enumerate() {
+            prop_assert!(shipped(i, owners[i]), "agent {} at {} is not in its own column {}", i, a, owners[i]);
+            let region = Rect::centered(a, vis);
+            for (j, &b) in points.iter().enumerate().filter(|&(j, &b)| j != i && region.contains(b)) {
+                prop_assert!(
+                    shipped(j, owners[i]),
+                    "{} sees {} within {}, but column {} of {:?} never receives it",
+                    a, b, vis, owners[i], part.x_bounds()
+                );
+            }
+        }
     }
 
-    /// Replication invariant: agent a is shipped to partition p iff a lies
-    /// in p's visible region.
+    /// Replication invariant: a finite agent is shipped to column `c` iff
+    /// it lies in `c`'s visible interval `[b[c] − vis, b[c+1] + vis]`, the
+    /// border columns reaching to ±∞.
     #[test]
-    fn replication_is_exactly_visible_region_membership(
+    fn partition_ships_exactly_the_visible_interval(
         seed in 0u64..1000,
         n in 1usize..80,
         vis in 0.0f64..25.0,
         cols in 1usize..6,
     ) {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let points: Vec<Vec2> =
-            (0..n).map(|_| Vec2::new(rng.range(-10.0, 110.0), rng.range(0.0, 50.0))).collect();
-        let part = GridPartitioning::columns(0.0, 100.0, cols);
-        let slices = distribute(&points, &part, vis);
-        for (p, slice) in slices.iter().enumerate() {
-            let vr = part.visible_region(brace_common::PartitionId::new(p as u32), vis);
-            for (i, pt) in points.iter().enumerate() {
-                let shipped = slice.visible.contains(&(i as u32));
+        let (part, points, vis) = partition_draw(seed, n, vis, cols);
+        let b = part.x_bounds();
+        let last = part.cols() - 1;
+        for p in &points {
+            let (c0, c1) = part.replica_col_range(p.x, vis);
+            for c in 0..part.cols() {
+                let lo = if c == 0 { f64::NEG_INFINITY } else { b[c] };
+                let hi = if c == last { f64::INFINITY } else { b[c + 1] };
+                let visible = lo - vis <= p.x && p.x <= hi + vis;
                 prop_assert_eq!(
-                    shipped,
-                    vr.contains(*pt),
-                    "agent {} at {} vs partition {} visible region {}",
-                    i, pt, p, vr
+                    (c0 as usize..=c1 as usize).contains(&c),
+                    visible,
+                    "agent at {} (vis {}) vs column {} of {:?}",
+                    p, vis, c, b
                 );
             }
         }
@@ -535,7 +580,9 @@ proptest! {
         prop_assert_eq!(buf, a);
     }
 
-    /// KD-tree nearest neighbor matches brute force for arbitrary inputs.
+    /// KD-tree nearest neighbour (`k_nearest_into` at k = 1, with and
+    /// without an excluded payload) matches brute force for arbitrary
+    /// inputs, ties broken by ascending payload.
     #[test]
     fn kdtree_nearest_matches_brute_force(
         seed in 0u64..1000,
@@ -548,9 +595,15 @@ proptest! {
             (0..n).map(|i| (Vec2::new(rng.range(0.0, 100.0), rng.range(0.0, 100.0)), i as u32)).collect();
         let kd = KdTree::build(&pts);
         let q = Vec2::new(qx, qy);
-        let got = kd.nearest(q, None).unwrap();
-        let best = pts.iter().map(|&(p, _)| p.dist2(q)).fold(f64::INFINITY, f64::min);
-        prop_assert!((pts[got as usize].0.dist2(q) - best).abs() < 1e-12);
+        for exclude in [None, Some(rng.below(n as u64) as u32)] {
+            let mut got = Vec::new();
+            kd.k_nearest_into(q, 1, exclude, &mut got);
+            let best = pts
+                .iter()
+                .filter(|&&(_, payload)| Some(payload) != exclude)
+                .min_by(|a, b| a.0.dist2(q).total_cmp(&b.0.dist2(q)).then(a.1.cmp(&b.1)));
+            prop_assert_eq!(got, best.map(|&(_, payload)| payload).into_iter().collect::<Vec<_>>());
+        }
     }
 }
 
