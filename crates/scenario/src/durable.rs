@@ -1,105 +1,33 @@
-//! Durable runs: the registry surface promoted to crash-safe *jobs*.
+//! Durable runs: crash-safe jobs under one root directory.
 //!
-//! A [`DurableRunner`] owns a root directory of runs. [`start`] creates
-//! `root/<run-id>/` and launches a cluster run whose every coordinated
+//! A durable run is an ordinary [`Runner`](crate::Runner) run on a cluster
+//! backend whose `ClusterConfig::run_dir` is set: every coordinated
 //! checkpoint appends to the write-ahead manifest in that directory
 //! (`manifest.brace`, fsynced, checksummed per record — see
-//! `brace_mapreduce::manifest`). If the process dies — crash, SIGKILL,
-//! power loss — [`resume`] reads the manifest back in a *fresh* process,
+//! `brace_mapreduce::manifest`), and [`Runner::run`](crate::Runner::run)
+//! records the job line and tick horizon in its header and a `Complete`
+//! record at the end. If the process dies — crash, SIGKILL, power loss —
+//! [`DurableRunner::resume`] reads the manifest back in a *fresh* process,
 //! rebuilds the behavior from the recorded job line, restores the workers
 //! from the newest valid on-disk checkpoint, replays the logged epoch
-//! commands, and finishes the run **bit-identically** to the uninterrupted
-//! execution (`tests/durable_resume.rs` proves this across a real
-//! `SIGKILL`). [`list`] summarizes what is on disk.
+//! commands, and finishes the run the way `Runner::run` does,
+//! **bit-identically** to the uninterrupted execution
+//! (`tests/durable_resume.rs` proves this across a real `SIGKILL`).
+//! [`DurableRunner::list`] summarizes what is on disk.
 //!
 //! The job line in the manifest header (`scenario=… size=… conformance=…`)
 //! plus the recorded seed fully identify the behavior, because scenario
 //! builds are pure functions of `(size, seed)` — that is the
 //! [`Scenario`](crate::Scenario) determinism contract doing durability
 //! work.
-//!
-//! [`start`]: DurableRunner::start
-//! [`resume`]: DurableRunner::resume
-//! [`list`]: DurableRunner::list
 
 use crate::jobline::JobSpec;
-use crate::runner::{fit_epoch, DEFAULT_SEED};
-use crate::{conformance_setup, world_checksum, Registry, Scenario};
+use crate::runner::{finish, RunReport, SimHandle, Throttle};
+use crate::{conformance_setup, Registry};
 use brace_common::{BraceError, Result};
-use brace_mapreduce::{manifest, ClusterConfig, ClusterSim, ClusterStats};
+use brace_mapreduce::{manifest, ClusterConfig, ClusterSim};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-/// Everything [`DurableRunner::start`] needs to create a new run.
-#[derive(Debug, Clone)]
-pub struct DurableOpts {
-    /// Registry name of the scenario to run.
-    pub scenario: String,
-    /// Run directory name under the root; defaults to `<scenario>-<seed>`.
-    /// Starting a run whose manifest already exists is refused (resume it
-    /// instead) — run ids are identities, not scratch names.
-    pub run_id: Option<String>,
-    /// Population size (`None` = the scenario default).
-    pub size: Option<usize>,
-    /// Use the scenario's reduced conformance form ([`conformance_setup`]).
-    pub conformance: bool,
-    /// Master seed (behavior, population and worker RNGs derive from it).
-    pub seed: u64,
-    /// Cluster worker count.
-    pub workers: usize,
-    /// Total ticks the job runs for (recorded in the manifest header;
-    /// resume finishes exactly the remainder).
-    pub ticks: u64,
-    /// Coordinated-checkpoint cadence in epochs (clamped to ≥ 1: a durable
-    /// run without checkpoints could never be resumed).
-    pub checkpoint_every: u64,
-    /// On-disk checkpoint retention (newest K kept, older pruned).
-    pub keep_checkpoints: usize,
-    /// Results-neutral per-epoch throttle. Only the wall clock sees it —
-    /// it exists so restart tests (and demos) can reliably catch a run
-    /// mid-flight.
-    pub epoch_sleep_ms: u64,
-}
-
-impl Default for DurableOpts {
-    fn default() -> Self {
-        DurableOpts {
-            scenario: String::new(),
-            run_id: None,
-            size: None,
-            conformance: false,
-            seed: DEFAULT_SEED,
-            workers: 2,
-            ticks: 50,
-            checkpoint_every: 1,
-            keep_checkpoints: 4,
-            epoch_sleep_ms: 0,
-        }
-    }
-}
-
-/// What a finished (or resumed-to-finish) durable run reports.
-#[derive(Debug, Clone)]
-pub struct DurableReport {
-    /// The run directory name under the root.
-    pub run_id: String,
-    /// Scenario registry name.
-    pub scenario: String,
-    /// Total ticks at completion (fresh start and resume agree on this).
-    pub ticks: u64,
-    /// Tick the run was restored at (`0` for a fresh start).
-    pub resumed_from: u64,
-    /// Final live population.
-    pub agents: usize,
-    /// [`world_checksum`] of the final world, sorted by id — directly
-    /// comparable to [`crate::RunReport::checksum`].
-    pub checksum: u64,
-    /// Cluster runtime counters (epochs, checkpoints, network traffic, …)
-    /// for the portion this process executed.
-    pub stats: ClusterStats,
-    /// Wall time of the portion this process executed.
-    pub wall_secs: f64,
-}
+use std::time::Duration;
 
 /// One row of [`DurableRunner::list`].
 #[derive(Debug, Clone)]
@@ -121,11 +49,8 @@ pub struct RunSummary {
     pub truncated: bool,
 }
 
-// The job line written to / parsed from the manifest header lives in
-// [`crate::jobline`] now, shared with the serve layer's result-cache
-// keys. The byte format is unchanged — old manifests stay resumable.
-
-/// Start / resume / list crash-safe runs under one root directory.
+/// Resume / list crash-safe runs under one root directory (a run starts
+/// through [`Runner`](crate::Runner)).
 pub struct DurableRunner<'r> {
     registry: &'r Registry,
     root: PathBuf,
@@ -136,56 +61,12 @@ impl<'r> DurableRunner<'r> {
         DurableRunner { registry, root: root.into() }
     }
 
-    /// Create `root/<run-id>/` and run the job to completion, appending to
-    /// the write-ahead manifest at every coordinated checkpoint. Refuses a
-    /// run id whose manifest already exists.
-    pub fn start(&self, opts: &DurableOpts) -> Result<DurableReport> {
-        let (sim, run_id) = self.launch(opts)?;
-        let scenario = self.registry.get_or_err(&opts.scenario)?;
-        self.finish(scenario, run_id, sim, opts.ticks, opts.epoch_sleep_ms, 0)
-    }
-
-    /// Launch a fresh durable run without driving it — [`start`] minus the
-    /// epoch loop — and return it with its run id. The split exists for
-    /// callers that abandon a run mid-flight (a simulated crash: drop the
-    /// [`ClusterSim`] after some epochs) and finish it with [`resume`].
-    ///
-    /// [`start`]: DurableRunner::start
-    /// [`resume`]: DurableRunner::resume
-    pub fn launch(&self, opts: &DurableOpts) -> Result<(ClusterSim, String)> {
-        let scenario = self.registry.get_or_err(&opts.scenario)?;
-        let mut setup = if opts.conformance {
-            conformance_setup(scenario, opts.seed)?
-        } else {
-            scenario.build(opts.size, opts.seed)?
-        };
-        if opts.ticks == 0 {
-            return Err(BraceError::Config("a durable run needs a positive tick horizon".into()));
-        }
-        setup.epoch_len = fit_epoch(setup.epoch_len, opts.ticks);
-        let run_id = opts.run_id.clone().unwrap_or_else(|| format!("{}-{}", opts.scenario, opts.seed));
-        let cfg = ClusterConfig {
-            workers: opts.workers.max(1),
-            epoch_len: setup.epoch_len,
-            index: setup.index,
-            seed: opts.seed,
-            space_x: setup.space_x,
-            checkpoint_every: Some(opts.checkpoint_every.max(1)),
-            keep_checkpoints: opts.keep_checkpoints.max(1),
-            run_dir: Some(self.root.join(&run_id)),
-            job: JobSpec { scenario: opts.scenario.clone(), size: opts.size, conformance: opts.conformance }.encode(),
-            total_ticks: opts.ticks,
-            ..ClusterConfig::default()
-        };
-        let sim = ClusterSim::new(setup.behavior, setup.population, cfg)?;
-        Ok((sim, run_id))
-    }
-
     /// Resume `root/<run-id>/` in this process: read the manifest, rebuild
     /// the behavior from the recorded job line and seed, restore from the
     /// newest valid checkpoint, replay the logged epoch commands, and run
-    /// the remaining ticks. Bit-identical to never having crashed.
-    pub fn resume(&self, run_id: &str, epoch_sleep_ms: u64) -> Result<DurableReport> {
+    /// the remaining ticks, sleeping `epoch_sleep_ms` after each epoch
+    /// ([`Throttle`]). Bit-identical to never having crashed.
+    pub fn resume(&self, run_id: &str, epoch_sleep_ms: u64) -> Result<RunReport> {
         let dir = self.root.join(run_id);
         let m = manifest::read_manifest(&dir)?;
         if let Some((ticks, checksum)) = m.complete() {
@@ -212,50 +93,11 @@ impl<'r> DurableRunner<'r> {
             total_ticks: m.header.total_ticks,
             ..ClusterConfig::default()
         };
-        let (sim, m) = ClusterSim::resume(setup.behavior, cfg)?;
+        let (sim, _) = ClusterSim::resume(setup.behavior, cfg)?;
         let resumed_from = sim.tick();
+        let throttle = Box::new(Throttle(Duration::from_millis(epoch_sleep_ms)));
         let remaining = m.header.total_ticks.saturating_sub(resumed_from);
-        self.finish(scenario, run_id.to_string(), sim, remaining, epoch_sleep_ms, resumed_from)
-    }
-
-    /// Drive `ticks` more ticks epoch by epoch, then collect, sanity-check,
-    /// checksum, and append the `Complete` record.
-    fn finish(
-        &self,
-        scenario: &dyn Scenario,
-        run_id: String,
-        mut sim: ClusterSim,
-        ticks: u64,
-        epoch_sleep_ms: u64,
-        resumed_from: u64,
-    ) -> Result<DurableReport> {
-        let epoch_len = sim.epoch_len();
-        if !ticks.is_multiple_of(epoch_len) {
-            return Err(BraceError::Config(format!(
-                "{ticks} remaining ticks is not a multiple of the recorded epoch length {epoch_len}"
-            )));
-        }
-        let t0 = Instant::now();
-        for _ in 0..ticks / epoch_len {
-            sim.run_epochs(1)?;
-            if epoch_sleep_ms > 0 {
-                std::thread::sleep(Duration::from_millis(epoch_sleep_ms));
-            }
-        }
-        let world = sim.collect_agents()?;
-        scenario.check(&world)?;
-        let checksum = world_checksum(&world);
-        sim.record_complete(sim.tick(), checksum)?;
-        Ok(DurableReport {
-            run_id,
-            scenario: scenario.name().to_string(),
-            ticks: sim.tick(),
-            resumed_from,
-            agents: world.len(),
-            checksum,
-            stats: sim.stats(),
-            wall_secs: t0.elapsed().as_secs_f64(),
-        })
+        finish(scenario, SimHandle::resumed(sim, vec![throttle]), remaining, resumed_from)
     }
 
     /// Summaries of every run under the root, sorted by run id. Unreadable
@@ -283,6 +125,8 @@ impl<'r> DurableRunner<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Backend, Runner};
+    use std::path::Path;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -294,8 +138,16 @@ mod tests {
         dir
     }
 
-    fn epidemic_opts() -> DurableOpts {
-        DurableOpts { scenario: "epidemic".into(), conformance: true, workers: 2, ticks: 20, ..DurableOpts::default() }
+    /// A durable `cluster:2` under `root/<run_id>`, a checkpoint every epoch.
+    fn durable(root: &Path, run_id: &str, total_ticks: u64) -> Backend {
+        let run_dir = Some(root.join(run_id));
+        Backend::Cluster(ClusterConfig {
+            workers: 2,
+            checkpoint_every: Some(1),
+            run_dir,
+            total_ticks,
+            ..Default::default()
+        })
     }
 
     #[test]
@@ -312,29 +164,50 @@ mod tests {
         assert!(JobSpec::parse("scenario=fish shiny=new").is_ok());
     }
 
+    /// `Runner::run` into a run directory is a complete durable job: the
+    /// manifest names the runner's own job and records completion, resuming
+    /// it is an explicit error, and a second run into it is refused.
     #[test]
-    fn start_completes_and_lists_and_refuses_double_start() {
-        let root = temp_root("start");
+    fn run_completes_and_lists_and_refuses_double_start() {
+        let root = temp_root("run");
         let registry = Registry::builtin();
+        let (epidemic, fish) = (registry.get("epidemic").unwrap(), registry.get("fish").unwrap());
+        let report = Runner::new(epidemic).conformance().backend(durable(&root, "epidemic-42", 0)).run(20).unwrap();
+        assert_eq!((report.ticks, report.resumed_from), (20, 0));
+        let sized = Runner::new(fish).population(60).backend(durable(&root, "fish-60", 0)).run(4).unwrap();
+
         let runner = DurableRunner::new(&registry, &root);
-        let report = runner.start(&epidemic_opts()).unwrap();
-        assert_eq!(report.ticks, 20);
-        assert_eq!(report.resumed_from, 0);
-        assert!(report.agents > 0);
-
         let runs = runner.list();
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].run_id, report.run_id);
-        assert_eq!(runs[0].complete, Some((20, report.checksum)));
-        assert_eq!(runs[0].completed_ticks, 20);
-        assert!(!runs[0].truncated);
+        assert_eq!(runs.len(), 2);
+        let jobs = [("epidemic", None, true, &report), ("fish", Some(60), false, &sized)];
+        for (run, (scenario, size, conformance, report)) in runs.iter().zip(jobs) {
+            assert_eq!(run.complete, Some((report.ticks, report.checksum)), "{}: no Complete record", run.run_id);
+            assert_eq!((run.completed_ticks, run.total_ticks), (report.ticks, report.ticks));
+            assert!(!run.truncated);
+            let job = JobSpec { scenario: scenario.into(), size, conformance };
+            assert_eq!(JobSpec::parse(&run.job).unwrap(), job, "the header names another job");
+        }
 
-        // Same run id again: the manifest already exists — identity, not scratch.
-        let err = runner.start(&epidemic_opts()).unwrap_err();
+        // Same run directory again: the manifest already exists — identity, not scratch.
+        let again = Runner::new(epidemic).conformance().backend(durable(&root, "epidemic-42", 0)).run(20);
+        let err = again.unwrap_err();
         assert!(err.to_string().contains("manifest"), "{err}");
         // And resuming a complete run is an explicit error, not a silent no-op.
-        let err = runner.resume(&report.run_id, 0).unwrap_err();
+        let err = runner.resume("epidemic-42", 0).unwrap_err();
         assert!(err.to_string().contains("already completed"), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A durable run without a horizon could never be resumed to its end:
+    /// `Runner::run` refuses it before creating the run directory.
+    #[test]
+    fn a_durable_run_needs_a_positive_horizon() {
+        let root = temp_root("zero");
+        let registry = Registry::builtin();
+        let runner = Runner::new(registry.get("epidemic").unwrap()).conformance();
+        let err = runner.backend(durable(&root, "zero", 0)).run(0).unwrap_err();
+        assert!(err.to_string().contains("a durable run needs a positive tick horizon"), "{err}");
+        assert!(!root.join("zero").exists(), "the refused run created its directory");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -344,30 +217,27 @@ mod tests {
     /// land on the same bits as a never-interrupted run.
     #[test]
     fn abandoned_run_resumes_bit_identically() {
+        let root = temp_root("abandoned");
         let registry = Registry::builtin();
+        let epidemic = registry.get("epidemic").unwrap();
+        let clean = Runner::new(epidemic).conformance().backend(durable(&root, "clean", 0)).run(20).unwrap();
 
-        let clean_root = temp_root("clean");
-        let clean = DurableRunner::new(&registry, &clean_root).start(&epidemic_opts()).unwrap();
+        let mut handle = Runner::new(epidemic).conformance().backend(durable(&root, "crash", 20)).launch().unwrap();
+        handle.run(10).unwrap();
+        drop(handle); // the "crash": no Complete record, no graceful anything
 
-        let crash_root = temp_root("crash");
-        let runner = DurableRunner::new(&registry, &crash_root);
-        let (mut sim, run_id) = runner.launch(&epidemic_opts()).unwrap();
-        sim.run_epochs(2).unwrap();
-        drop(sim); // the "crash": no Complete record, no graceful anything
+        let runner = DurableRunner::new(&registry, &root);
+        let crashed = runner.list().into_iter().find(|r| r.run_id == "crash").unwrap();
+        assert!(crashed.complete.is_none());
+        // Two epochs of length 5 ran before the crash; both must have
+        // durable EpochDone records.
+        assert_eq!((crashed.completed_ticks, crashed.total_ticks), (10, 20));
 
-        let runs = runner.list();
-        assert_eq!(runs.len(), 1);
-        assert!(runs[0].complete.is_none());
-        // Two epochs of the fitted length 5 ran before the crash; both must
-        // have durable EpochDone records.
-        assert_eq!(runs[0].completed_ticks, 10);
-
-        let resumed = runner.resume(&run_id, 0).unwrap();
+        let resumed = runner.resume("crash", 0).unwrap();
         assert!(resumed.resumed_from > 0, "resume must restore mid-run, not restart");
         assert_eq!(resumed.ticks, clean.ticks);
         assert_eq!(resumed.checksum, clean.checksum, "resumed run diverged from the uninterrupted run");
         assert_eq!(resumed.agents, clean.agents);
-        let _ = std::fs::remove_dir_all(&clean_root);
-        let _ = std::fs::remove_dir_all(&crash_root);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -20,10 +20,11 @@
 //!   progress through [`Observer`] hooks, collect the world and its
 //!   [`world_checksum`]. One facade, both engines, no per-backend call
 //!   sites.
-//! * [`DurableRunner`] — the same registry surface promoted to crash-safe
-//!   *jobs*: start a run under a run directory (write-ahead manifest +
-//!   fsynced checkpoints), resume it bit-identically after a process
-//!   restart (`brace run --resume <run-id>`), and list what is on disk.
+//! * Durable runs — a [`Runner`] run on a cluster backend with a run
+//!   directory (`ClusterConfig::run_dir`: write-ahead manifest + fsynced
+//!   checkpoints) is a crash-safe *job*; [`DurableRunner`] resumes one
+//!   bit-identically after a process restart (`brace run --resume
+//!   <run-id>`) and lists what is on disk.
 //!
 //! The load-bearing invariant — enforced by the registry-driven conformance
 //! suite in `tests/scenario_conformance.rs` — is that every registered
@@ -38,9 +39,9 @@ pub mod jobline;
 pub mod runner;
 
 pub use builtin::brasil_unoptimized;
-pub use durable::{DurableOpts, DurableReport, DurableRunner, RunSummary};
+pub use durable::{DurableRunner, RunSummary};
 pub use jobline::{JobSpec, RunKey};
-pub use runner::{fit_epoch, Backend, Observer, Progress, RunReport, Runner, SimHandle};
+pub use runner::{fit_epoch, Backend, Observer, Progress, RunReport, Runner, SimHandle, Throttle};
 
 use brace_common::{BraceError, Result};
 use brace_core::{Agent, Behavior};

@@ -17,6 +17,7 @@
 //! `tests/scenario_conformance.rs` enforces this for every registry entry's
 //! [`conformance_setup`](crate::conformance_setup).
 
+use crate::jobline::JobSpec;
 use crate::{conformance_setup, Scenario, ScenarioSetup};
 use brace_common::{BraceError, Result};
 use brace_core::metrics::TickMetrics;
@@ -24,7 +25,7 @@ use brace_core::{Agent, Behavior, Simulation};
 use brace_mapreduce::{ClusterConfig, ClusterSim, ClusterStats};
 use brace_spatial::IndexKind;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default master seed for runner-driven runs (the repo's golden seed).
 pub const DEFAULT_SEED: u64 = 42;
@@ -50,7 +51,10 @@ pub enum Backend {
     /// [`ClusterConfig`]'s placement fields (`workers`, `load_balance`,
     /// `balancer`, `checkpoint_*`, `parallelism`, `fault`) are honored;
     /// its `seed`, `index`, `space_x` and `epoch_len` are overwritten from
-    /// the scenario setup and the runner at launch.
+    /// the scenario setup and the runner at launch. With `run_dir` set the
+    /// run is durable ([`crate::durable`]): [`Runner::launch`] and
+    /// [`Runner::run`] write its `job` line, and [`Runner::run`] its
+    /// `total_ticks`.
     Cluster(ClusterConfig),
 }
 
@@ -124,6 +128,17 @@ pub trait Observer: Send {
     /// [`SimHandle::cluster_stats`], so cluster runs never call this.
     fn on_tick_metrics(&mut self, tm: &TickMetrics) {
         let _ = tm;
+    }
+}
+
+/// A results-neutral throttle: sleeps after every tick (single node) or
+/// epoch (cluster); a zero duration sleeps not at all. Only the wall clock
+/// sees it; it lets restart tests and demos catch a durable run mid-flight.
+pub struct Throttle(pub Duration);
+
+impl Observer for Throttle {
+    fn on_tick(&mut self, _: &Progress) {
+        std::thread::sleep(self.0);
     }
 }
 
@@ -232,9 +247,28 @@ impl<'s> Runner<'s> {
         Ok(setup)
     }
 
-    /// Launch the scenario on the configured backend.
-    pub fn launch(self) -> Result<SimHandle> {
+    /// On a durable cluster (`ClusterConfig::run_dir` set), record the job
+    /// line that rebuilds this run in a fresh process — the runner's own
+    /// scenario, size and conformance — and, given one, the tick horizon a
+    /// resume finishes.
+    fn record_job(&mut self, horizon: Option<u64>) -> Result<()> {
+        let Backend::Cluster(cfg @ ClusterConfig { run_dir: Some(_), .. }) = &mut self.backend else { return Ok(()) };
+        let (scenario, size, conformance) = (self.scenario.name().to_string(), self.size, self.conformance);
+        cfg.job = JobSpec { scenario, size, conformance }.encode();
+        if let Some(ticks) = horizon {
+            if ticks == 0 {
+                return Err(BraceError::Config("a durable run needs a positive tick horizon".into()));
+            }
+            cfg.total_ticks = ticks;
+        }
+        Ok(())
+    }
+
+    /// Launch the scenario on the configured backend. A durable cluster's
+    /// `total_ticks` stays as the caller set it.
+    pub fn launch(mut self) -> Result<SimHandle> {
         let setup = self.setup()?;
+        self.record_job(None)?;
         self.launch_with(setup)
     }
 
@@ -245,7 +279,8 @@ impl<'s> Runner<'s> {
     /// build — BRASIL scenarios compile their script per build. The setup
     /// should come from this runner's scenario and seed, or the eventual
     /// report's provenance is a lie; `size`/`index`/`conformance` set on
-    /// the runner are ignored.
+    /// the runner are ignored, and a durable cluster's `job` and
+    /// `total_ticks` stay as the caller set them.
     pub fn launch_with(self, setup: ScenarioSetup) -> Result<SimHandle> {
         let inner = match self.backend {
             Backend::SingleNode { parallelism } => {
@@ -273,32 +308,46 @@ impl<'s> Runner<'s> {
     /// cluster backends the epoch length is first fitted to `ticks` (the
     /// largest value ≤ the configured epoch length dividing `ticks` — the
     /// coordination cadence never affects results), so any tick count
-    /// works on any backend.
-    pub fn run(self, ticks: u64) -> Result<RunReport> {
-        let scenario = self.scenario;
-        let backend_label = self.backend.label();
+    /// works on any backend. A durable cluster records `ticks` as its
+    /// horizon and, once the check passes, a `Complete` record.
+    pub fn run(mut self, ticks: u64) -> Result<RunReport> {
         let mut setup = self.setup()?;
+        self.record_job(Some(ticks))?;
         if matches!(self.backend, Backend::Cluster(_)) && ticks > 0 {
             setup.epoch_len = fit_epoch(setup.epoch_len, ticks);
         }
-        let mut handle = self.launch_with(setup)?;
-        let t0 = Instant::now();
-        handle.run(ticks)?;
-        let wall_secs = t0.elapsed().as_secs_f64();
-        let world = handle.world()?;
-        scenario.check(&world)?;
-        let agent_ticks = handle.agent_ticks();
-        Ok(RunReport {
-            scenario: scenario.name().to_string(),
-            backend: backend_label,
-            ticks,
-            agents: world.len(),
-            checksum: crate::world_checksum(&world),
-            wall_secs,
-            agents_per_sec: if wall_secs > 0.0 { agent_ticks as f64 / wall_secs } else { 0.0 },
-            world,
-        })
+        let scenario = self.scenario;
+        finish(scenario, self.launch_with(setup)?, ticks, 0)
     }
+}
+
+/// Run `ticks` more ticks, collect, run the scenario's check, and report; a
+/// durable cluster then appends its `Complete` record (an ephemeral one has
+/// no manifest to append to). [`Runner::run`] and
+/// [`DurableRunner::resume`](crate::DurableRunner::resume) both end here.
+pub(crate) fn finish(scenario: &dyn Scenario, mut handle: SimHandle, ticks: u64, from: u64) -> Result<RunReport> {
+    let t0 = Instant::now();
+    handle.run(ticks)?;
+    let wall_secs = t0.elapsed().as_secs_f64();
+    let world = handle.world()?;
+    scenario.check(&world)?;
+    let checksum = crate::world_checksum(&world);
+    let tick = handle.tick();
+    if let Inner::Cluster(sim) = &mut handle.inner {
+        sim.record_complete(tick, checksum)?;
+    }
+    let agent_ticks = handle.agent_ticks();
+    Ok(RunReport {
+        scenario: scenario.name().to_string(),
+        backend: handle.backend_label(),
+        ticks: tick,
+        resumed_from: from,
+        agents: world.len(),
+        checksum,
+        wall_secs,
+        agents_per_sec: if wall_secs > 0.0 { agent_ticks as f64 / wall_secs } else { 0.0 },
+        world,
+    })
 }
 
 /// Largest epoch length ≤ `preferred` dividing `ticks` (the coordination
@@ -314,13 +363,16 @@ pub struct RunReport {
     pub scenario: String,
     /// Backend label (`single`, `cluster:4`).
     pub backend: String,
-    /// Ticks executed.
+    /// The tick at completion (a resumed run counts the ticks it ran
+    /// before the restart too).
     pub ticks: u64,
+    /// The tick a resumed run was restored at (`0` for a fresh run).
+    pub resumed_from: u64,
     /// Final live population.
     pub agents: usize,
     /// [`crate::world_checksum`] of the final world (sorted by id).
     pub checksum: u64,
-    /// Wall time of the run.
+    /// Wall time of the ticks this process ran.
     pub wall_secs: f64,
     /// Agent-ticks per second of wall time.
     pub agents_per_sec: f64,
@@ -354,6 +406,11 @@ pub struct SimHandle {
 }
 
 impl SimHandle {
+    /// A cluster restored from its run directory (`ClusterSim::resume`).
+    pub(crate) fn resumed(sim: ClusterSim, observers: Vec<Box<dyn Observer>>) -> SimHandle {
+        SimHandle { inner: Inner::Cluster(Box::new(sim)), observers, single_agent_ticks: 0 }
+    }
+
     /// Execute `ticks` ticks, driving observers as they complete. On the
     /// cluster backend `ticks` must be a multiple of the epoch length
     /// (use [`Runner::run`], which fits the epoch length automatically, or

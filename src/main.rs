@@ -6,7 +6,7 @@
 //! brace run --scenario <name|all> [--backend single|cluster[:N]|both]
 //!           [--ticks T] [--agents N] [--seed S] [--index kdtree|grid|scan]
 //!           [--conformance] [--progress] [--trace PATH]
-//! brace run --scenario <name> --run-dir DIR [--run-id ID] [--backend cluster[:N]]
+//! brace run --scenario <name> --backend cluster[:N] --run-dir DIR [--run-id ID]
 //!           [--checkpoint-every E] [--keep-checkpoints K] [--epoch-sleep-ms MS] ...
 //! brace run --run-dir DIR --resume <run-id> [--epoch-sleep-ms MS]
 //! brace list-runs --run-dir DIR
@@ -48,13 +48,16 @@
 //! Tracing observes the same metrics the executor already measures — it
 //! never changes results.
 //!
-//! With `--run-dir`, `run` becomes a **durable job** through
-//! [`DurableRunner`](brace_scenario::DurableRunner): the run lives in
-//! `DIR/<run-id>/` behind a crash-safe write-ahead manifest and fsynced
-//! checkpoints, and `--resume <run-id>` finishes an interrupted run in a
-//! fresh process, bit-identically to never having crashed. A durable run
-//! refuses `--trace`, `--index` and `--progress` (exit 2) rather than
-//! ignore them. `list-runs` summarizes what a run directory holds.
+//! With `--run-dir`, `run` becomes a **durable job**: the same `Runner` run
+//! on a cluster backend whose run lives in `DIR/<run-id>/` (default run id
+//! `<scenario>-<seed>`) behind a crash-safe write-ahead manifest and fsynced
+//! checkpoints, so `--trace`, `--progress` and `--index` work as on any run.
+//! `--resume <run-id>` finishes an interrupted run in a fresh process,
+//! bit-identically to never having crashed, through [`DurableRunner`]; its
+//! manifest decides its configuration, so it refuses `--trace`, `--index`
+//! and `--progress` (exit 2) rather than ignore them. `--epoch-sleep-ms`
+//! sleeps after every epoch ([`Throttle`]). `list-runs` summarizes what a
+//! run directory holds.
 //!
 //! `serve` puts the registry on a socket: a [`brace_serve::Server`] with a
 //! bounded simulation worker pool, explicit admission backpressure, and a
@@ -63,9 +66,10 @@
 
 use brace_core::metrics::TickMetrics;
 use brace_scenario::runner::DEFAULT_SEED;
-use brace_scenario::{Backend, DurableOpts, DurableRunner, Observer, Progress, Registry, Runner};
+use brace_scenario::{Backend, DurableRunner, Observer, Progress, Registry, RunReport, Runner, Throttle};
 use brace_spatial::IndexKind;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -75,8 +79,8 @@ fn die(msg: &str) -> ! {
          \x20      brace run --scenario <name|all> [--backend single|cluster[:N]|both] [--ticks T]\n\
          \x20            [--agents N] [--seed S] [--index kdtree|grid|scan] [--conformance] [--progress]\n\
          \x20            [--trace PATH]\n\
-         \x20            [--run-dir DIR [--run-id ID] [--checkpoint-every E] [--keep-checkpoints K]\n\
-         \x20            [--epoch-sleep-ms MS]]\n\
+         \x20            [--run-dir DIR [--run-id ID] [--checkpoint-every E] [--keep-checkpoints K]]\n\
+         \x20            [--epoch-sleep-ms MS]\n\
          \x20      brace run --run-dir DIR --resume <run-id> [--epoch-sleep-ms MS]\n\
          \x20      brace list-runs --run-dir DIR\n\
          \x20      brace serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
@@ -98,10 +102,7 @@ struct RunOpts {
     progress: bool,
     trace: Option<PathBuf>,
     run_dir: Option<PathBuf>,
-    run_id: Option<String>,
     resume: Option<String>,
-    checkpoint_every: u64,
-    keep_checkpoints: usize,
     epoch_sleep_ms: u64,
 }
 
@@ -126,12 +127,10 @@ fn parse_run_opts(args: &[String]) -> RunOpts {
         progress: false,
         trace: None,
         run_dir: None,
-        run_id: None,
         resume: None,
-        checkpoint_every: 1,
-        keep_checkpoints: 4,
         epoch_sleep_ms: 0,
     };
+    let (mut run_id, mut checkpoint_every, mut keep_checkpoints) = (None, 1u64, 4usize);
     let mut i = 0;
     let take = |args: &[String], i: &mut usize, what: &str| -> String {
         *i += 1;
@@ -166,15 +165,15 @@ fn parse_run_opts(args: &[String]) -> RunOpts {
             "--progress" => opts.progress = true,
             "--trace" => opts.trace = Some(PathBuf::from(take(args, &mut i, "--trace"))),
             "--run-dir" => opts.run_dir = Some(PathBuf::from(take(args, &mut i, "--run-dir"))),
-            "--run-id" => opts.run_id = Some(take(args, &mut i, "--run-id")),
+            "--run-id" => run_id = Some(take(args, &mut i, "--run-id")),
             "--resume" => opts.resume = Some(take(args, &mut i, "--resume")),
             "--checkpoint-every" => {
-                opts.checkpoint_every = take(args, &mut i, "--checkpoint-every")
+                checkpoint_every = take(args, &mut i, "--checkpoint-every")
                     .parse()
                     .unwrap_or_else(|e| die(&format!("--checkpoint-every: {e}")))
             }
             "--keep-checkpoints" => {
-                opts.keep_checkpoints = take(args, &mut i, "--keep-checkpoints")
+                keep_checkpoints = take(args, &mut i, "--keep-checkpoints")
                     .parse()
                     .unwrap_or_else(|e| die(&format!("--keep-checkpoints: {e}")))
             }
@@ -191,8 +190,29 @@ fn parse_run_opts(args: &[String]) -> RunOpts {
         if opts.run_dir.is_none() {
             die("--resume needs --run-dir (the root the run lives under)");
         }
+        // The manifest decides a resumed run's configuration: refuse what it
+        // would ignore, before touching the disk.
+        for (flag, given) in
+            [("--trace", opts.trace.is_some()), ("--index", opts.index.is_some()), ("--progress", opts.progress)]
+        {
+            if given {
+                die(&format!("{flag} is not supported on --resume (the run's manifest decides); drop it"));
+            }
+        }
     } else if opts.scenario.is_empty() {
         die("--scenario is required (or `brace list` to see what exists)");
+    } else if let Some(root) = &opts.run_dir {
+        // A durable run is the one cluster backend with a run directory.
+        if opts.scenario == "all" {
+            die("durable runs take one scenario per run id, not `all`");
+        }
+        let [Backend::Cluster(cfg)] = opts.backends.as_mut_slice() else {
+            die("durable runs execute on the cluster backend; pass --backend cluster[:N]")
+        };
+        let run_id = run_id.unwrap_or_else(|| format!("{}-{}", opts.scenario, opts.seed.unwrap_or(DEFAULT_SEED)));
+        cfg.run_dir = Some(root.join(run_id));
+        cfg.checkpoint_every = Some(checkpoint_every.max(1));
+        cfg.keep_checkpoints = keep_checkpoints.max(1);
     }
     opts
 }
@@ -281,10 +301,9 @@ fn main() {
         Some("compile") => compile_cmd(&args[1..]),
         Some("run") => {
             let opts = parse_run_opts(&args[1..]);
-            if opts.run_dir.is_some() {
-                run_durable(&opts);
-            } else {
-                run(&opts);
+            match (&opts.run_dir, &opts.resume) {
+                (Some(root), Some(run_id)) => resume(root, run_id, opts.epoch_sleep_ms),
+                _ => run(&opts),
             }
         }
         Some("list-runs") => list_runs(&args[1..]),
@@ -355,7 +374,8 @@ fn run(opts: &RunOpts) {
             Err(e) => die(&e.to_string()),
         };
         for backend in &opts.backends {
-            let mut runner = Runner::new(scenario).backend(backend.clone());
+            let throttle = Throttle(Duration::from_millis(opts.epoch_sleep_ms));
+            let mut runner = Runner::new(scenario).backend(backend.clone()).observe(Box::new(throttle));
             if let Some(n) = opts.agents {
                 runner = runner.population(n);
             }
@@ -398,15 +418,7 @@ fn run(opts: &RunOpts) {
                 let _ = out.flush();
             }
             match result {
-                Ok(report) => println!(
-                    "{:<16} {:<10} {:>6} ticks  {:>7} agents  checksum {:#018X}  {:>12.0} agent-ticks/s",
-                    report.scenario,
-                    report.backend,
-                    report.ticks,
-                    report.agents,
-                    report.checksum,
-                    report.agents_per_sec
-                ),
+                Ok(report) => print_report(&report, &report.backend),
                 Err(e) => {
                     eprintln!("{name:<16} {:<10} FAILED: {e}", backend.label());
                     failures += 1;
@@ -420,54 +432,25 @@ fn run(opts: &RunOpts) {
     }
 }
 
-/// The durable path: `--run-dir` starts a crash-safe job, `--resume`
-/// finishes one.
-fn run_durable(opts: &RunOpts) {
-    // A durable run drives no observer and picks its index from the job, so
-    // these would be silently dropped: refuse them before touching the disk.
-    for (flag, given) in
-        [("--trace", opts.trace.is_some()), ("--index", opts.index.is_some()), ("--progress", opts.progress)]
-    {
-        if given {
-            die(&format!("{flag} is not supported on durable runs (--run-dir / --resume); drop it"));
-        }
-    }
+/// One result line; `how` is the backend, or where a resumed run restarted.
+fn print_report(report: &RunReport, how: &str) {
+    println!(
+        "{:<16} {:<12} {:>6} ticks  {:>7} agents  checksum {:#018X}  {:>12.0} agent-ticks/s",
+        report.scenario, how, report.ticks, report.agents, report.checksum, report.agents_per_sec
+    );
+}
+
+/// `--resume`: finish an interrupted durable run in this process.
+fn resume(root: &Path, run_id: &str, epoch_sleep_ms: u64) {
     let registry = Registry::builtin();
-    let root = opts.run_dir.clone().expect("caller checked --run-dir");
-    let runner = DurableRunner::new(&registry, &root);
-    let result = if let Some(run_id) = &opts.resume {
-        runner.resume(run_id, opts.epoch_sleep_ms)
-    } else {
-        let workers = match opts.backends.as_slice() {
-            [Backend::Cluster(cfg)] => cfg.workers,
-            _ => die("durable runs execute on the cluster backend; pass --backend cluster[:N]"),
-        };
-        if opts.scenario == "all" {
-            die("durable runs take one scenario per run id, not `all`");
-        }
-        runner.start(&DurableOpts {
-            scenario: opts.scenario.clone(),
-            run_id: opts.run_id.clone(),
-            size: opts.agents,
-            conformance: opts.conformance,
-            seed: opts.seed.unwrap_or(DEFAULT_SEED),
-            workers,
-            ticks: opts.ticks,
-            checkpoint_every: opts.checkpoint_every,
-            keep_checkpoints: opts.keep_checkpoints,
-            epoch_sleep_ms: opts.epoch_sleep_ms,
-        })
-    };
-    match result {
+    match DurableRunner::new(&registry, root).resume(run_id, epoch_sleep_ms) {
         Ok(report) => {
+            // A run with no durable epoch restarts from its initial checkpoint.
             let how = if report.resumed_from > 0 { format!("resumed@{}", report.resumed_from) } else { "run".into() };
-            println!(
-                "{:<16} {:<12} {:>6} ticks  {:>7} agents  checksum {:#018X}  run-id {}",
-                report.scenario, how, report.ticks, report.agents, report.checksum, report.run_id
-            );
+            print_report(&report, &how)
         }
         Err(e) => {
-            eprintln!("durable run FAILED: {e}");
+            eprintln!("resume of `{run_id}` FAILED: {e}");
             std::process::exit(1);
         }
     }

@@ -6,14 +6,17 @@
 //! `cluster:1`; `cluster:2` with the balancer off; `cluster:4` with a load
 //! balancer eager enough to move boundaries mid-run; `cluster:2` at 2
 //! threads per worker; `cluster:3` with a whole-cluster fault at the middle
-//! epoch; a durable `cluster:2` run with a checkpoint every epoch; the same
-//! durable run abandoned halfway and finished by [`DurableRunner::resume`];
-//! telemetry on, on one node and on `cluster:2`; and served, through
-//! `POST /runs` on an ephemeral [`Server`]. Every leg's world checksum must
-//! equal the baseline's, a failure names the first leg that differs, and
-//! the agreed checksum is returned, so a golden asserts one constant for
-//! every engine. A new scenario gets every leg by being registered and
-//! making one call; a pin about some legs only names them ([`Case::on`]).
+//! epoch; a durable `cluster:2` run (a run directory, a checkpoint every
+//! epoch); the same launched through [`Runner::launch`], abandoned halfway
+//! and finished by [`DurableRunner::resume`]; telemetry on, on one node and
+//! on `cluster:2`; and served, through `POST /runs` on an ephemeral
+//! [`Server`]. Both durable legs start the way every durable run does: a
+//! `Runner` on a cluster whose `ClusterConfig::run_dir` is set. Every leg's
+//! world checksum must equal the baseline's, a failure names the first leg
+//! that differs, and the agreed checksum is returned, so a golden asserts
+//! one constant for every engine. A new scenario gets every leg by being
+//! registered and making one call; a pin about some legs only names them
+//! ([`Case::on`]).
 //!
 //! Also here, so that each exists once: the telemetry lock, the HTTP client
 //! the served leg and `tests/serve_api.rs` share, a test-local [`Custom`]
@@ -26,7 +29,7 @@ use brace_common::{BraceError, Result};
 use brace_core::executor::SHARD_ROWS;
 use brace_core::{Agent, Behavior};
 use brace_mapreduce::{ClusterConfig, FaultPlan, LoadBalancer};
-use brace_scenario::{fit_epoch, Backend, DurableOpts, DurableRunner, Registry, Runner, Scenario, ScenarioSetup};
+use brace_scenario::{fit_epoch, Backend, DurableRunner, Registry, Runner, Scenario, ScenarioSetup};
 use brace_serve::{ServeConfig, Server};
 use brace_spatial::IndexKind;
 use proptest::prelude::*;
@@ -122,20 +125,6 @@ impl Case {
         }
     }
 
-    fn durable_opts(&self, scenario: &str, run_id: &str) -> DurableOpts {
-        DurableOpts {
-            scenario: scenario.to_string(),
-            run_id: Some(run_id.to_string()),
-            size: self.size,
-            conformance: self.size.is_none(),
-            seed: self.seed,
-            workers: 2,
-            ticks: self.ticks,
-            checkpoint_every: 1,
-            ..DurableOpts::default()
-        }
-    }
-
     fn served_body(&self, scenario: &str) -> String {
         let size = self.size.map_or(r#""conformance":true"#.to_string(), |n| format!(r#""agents":{n}"#));
         format!(r#"{{"scenario":"{scenario}","ticks":{},"seed":{},{size}}}"#, self.ticks, self.seed)
@@ -215,6 +204,10 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
 
     // The baseline and every leg that runs with telemetry off, at once.
     let root = temp_dir();
+    let durable = |run_id: &str, total_ticks| {
+        let run_dir = Some(root.join(run_id));
+        ClusterConfig { checkpoint_every: Some(1), run_dir, total_ticks, ..cluster(2) }
+    };
     let (baseline_agents, spawned, rebalanced) = (AtomicUsize::new(0), AtomicBool::new(false), AtomicBool::new(false));
     let balancer = LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5, epoch_len: 5 };
     let mut legs: Vec<Leg<'_>> = vec![
@@ -258,22 +251,17 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
                 handle.checksum().unwrap_or_else(|e| fail(FAULT, e))
             }),
         ),
-        (
-            DURABLE,
-            Box::new(|| {
-                let report = DurableRunner::new(&reg, &root).start(&case.durable_opts(name, "durable"));
-                report.unwrap_or_else(|e| fail(DURABLE, e)).checksum
-            }),
-        ),
+        plain(DURABLE, Backend::Cluster(durable("durable", 0))),
         (
             RESUMED,
             Box::new(|| {
-                let durable = DurableRunner::new(&reg, &root);
-                let launched = durable.launch(&case.durable_opts(name, "abandoned"));
-                let (mut sim, run_id) = launched.unwrap_or_else(|e| fail(RESUMED, e));
-                sim.run_epochs(epochs / 2).unwrap_or_else(|e| fail(RESUMED, e));
-                drop(sim);
-                let resumed = durable.resume(&run_id, 0).unwrap_or_else(|e| fail(RESUMED, e));
+                let backend = Backend::Cluster(durable("abandoned", case.ticks));
+                let launched = case.runner(scenario).epoch_len(epoch_len).backend(backend).launch();
+                let mut handle = launched.unwrap_or_else(|e| fail(RESUMED, e));
+                handle.run(epochs / 2 * epoch_len).unwrap_or_else(|e| fail(RESUMED, e));
+                drop(handle);
+                let resumed = DurableRunner::new(&reg, &root).resume("abandoned", 0);
+                let resumed = resumed.unwrap_or_else(|e| fail(RESUMED, e));
                 assert!(epochs < 2 || resumed.resumed_from > 0, "{call}: leg `{RESUMED}` restarted");
                 resumed.checksum
             }),

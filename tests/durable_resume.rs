@@ -18,9 +18,10 @@ mod common;
 
 use brace::mapreduce::manifest;
 use brace::scenario::Registry;
+use brace::spatial::IndexKind;
 use common::{engines_agree, Case, GOLDEN_EPIDEMIC};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 const BRACE: &str = env!("CARGO_BIN_EXE_brace");
@@ -137,27 +138,68 @@ fn sigkill_and_resume_is_bit_identical_for_epidemic() {
     assert_eq!(checksum, GOLDEN_EPIDEMIC, "resumed epidemic drifted from the pinned conformance golden");
 }
 
-/// A durable run drives no observer and takes its index from the job, so
-/// `--trace`, `--index` and `--progress` are refused, not silently dropped:
-/// the command fails, names the flag, and creates no run directory.
+fn brace(args: &[&str]) -> Output {
+    Command::new(BRACE).args(args).output().expect("spawn brace")
+}
+
+/// A fresh durable run is a `Runner` run like any other, so `--trace`,
+/// `--progress` and `--index` work on it. `--resume` takes its
+/// configuration from the manifest, so it refuses all three by name before
+/// it writes anything.
 #[test]
-fn durable_runs_refuse_the_flags_they_would_ignore() {
-    let root = temp_root("refused");
-    let runs = root.join("runs");
-    let trace = root.join("trace.ndjson");
-    let start =
-        ["run", "--scenario", "fish", "--backend", "cluster:2", "--ticks", "5", "--run-dir", runs.to_str().unwrap()];
-    let resume = ["run", "--run-dir", runs.to_str().unwrap(), "--resume", "fish-42"];
-    for base in [&start[..], &resume[..]] {
-        for extra in [&["--trace", trace.to_str().unwrap()][..], &["--index", "grid"], &["--progress"]] {
-            let out = Command::new(BRACE).args(base).args(extra).output().expect("spawn brace run");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(!out.status.success(), "`{}` succeeded", extra[0]);
-            let refusal = format!("{} is not supported on durable runs", extra[0]);
-            assert!(stderr.contains(&refusal), "`{}` is not refused by name: {stderr}", extra[0]);
-            assert!(!runs.exists(), "`{}` created a run directory", extra[0]);
-            assert!(!trace.exists(), "`{}` wrote a trace", extra[0]);
-        }
+fn durable_starts_take_trace_progress_and_index_and_resume_refuses_them() {
+    let root = temp_root("flags");
+    let (runs, trace) = (root.join("runs"), root.join("trace.ndjson"));
+    let (runs_arg, trace_arg) = (runs.to_str().unwrap(), trace.to_str().unwrap());
+    let epidemic = ["run", "--scenario", "epidemic", "--conformance", "--backend", "cluster:2", "--ticks", "20"];
+    let out = brace(&[&epidemic[..], &["--run-dir", runs_arg, "--trace", trace_arg, "--progress"]].concat());
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "durable epidemic failed: {stdout}{stderr}");
+    assert!(stdout.contains(&format!("checksum {GOLDEN_EPIDEMIC:#018X}")), "{stdout}");
+    // 20 ticks are four epochs of 5: one trace and one progress line each,
+    // then the trace's summary line.
+    let lines: Vec<String> = std::fs::read_to_string(&trace).unwrap().lines().map(String::from).collect();
+    assert_eq!(lines.len(), 5, "not one trace line per epoch plus the summary: {lines:?}");
+    for (line, tick) in lines.iter().zip([5, 10, 15, 20]) {
+        assert!(line.contains(&format!(r#""tick":{tick},"#)), "not the epoch ending at tick {tick}: {line}");
     }
+    assert!(lines[4].contains("probe_groups"), "no summary line: {lines:?}");
+    assert_eq!(stderr.lines().filter(|l| l.trim_start().starts_with("tick")).count(), 4, "{stderr}");
+    let m = manifest::read_manifest(&runs.join("epidemic-42")).expect("the durable run's manifest");
+    assert_eq!(m.complete(), Some((TICKS, GOLDEN_EPIDEMIC)));
+
+    let fish = ["run", "--scenario", "fish", "--agents", "200", "--backend", "cluster:2", "--ticks", "5"];
+    let out = brace(&[&fish[..], &["--run-dir", runs_arg, "--index", "grid"]].concat());
+    assert!(out.status.success(), "--index on a durable start: {}", String::from_utf8_lossy(&out.stderr));
+    let m = manifest::read_manifest(&runs.join("fish-42")).expect("the indexed run's manifest");
+    assert_eq!(m.header.index, IndexKind::Grid);
+    assert!(m.complete().is_some());
+
+    std::fs::remove_file(&trace).unwrap();
+    let resume = ["run", "--run-dir", runs_arg, "--resume", "epidemic-42"];
+    for extra in [&["--trace", trace_arg][..], &["--index", "grid"], &["--progress"]] {
+        let out = brace(&[&resume[..], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "`{}` succeeded", extra[0]);
+        let refusal = format!("{} is not supported on --resume", extra[0]);
+        assert!(stderr.contains(&refusal), "`{}` is not refused by name: {stderr}", extra[0]);
+        assert!(!trace.exists(), "`{}` wrote a trace", extra[0]);
+    }
+    cleanup(&root);
+}
+
+/// The conformance form's population is part of what it certifies, so a
+/// durable conformance run refuses `--agents` as every run does, before it
+/// creates a run directory.
+#[test]
+fn durable_conformance_runs_refuse_a_population_override() {
+    let root = temp_root("override");
+    let runs = root.join("runs");
+    let conformance = ["run", "--scenario", "fish", "--conformance", "--agents", "50", "--backend", "cluster:2"];
+    let out = brace(&[&conformance[..], &["--ticks", "5", "--run-dir", runs.to_str().unwrap()]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "--conformance --agents ran: {}", String::from_utf8_lossy(&out.stdout));
+    assert!(stderr.contains("population override"), "{stderr}");
+    assert!(!runs.exists(), "the refused run created a run directory");
     cleanup(&root);
 }
