@@ -303,7 +303,7 @@ fn fish_cluster(n: usize, workers: usize, lb: bool, drift_ticks: u64, measure_ti
         seed: 7,
         space_x: (-radius, radius),
         load_balance: lb,
-        balancer: LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 2.0, epoch_len: 10 },
+        balancer: LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 2.0 },
         ..ClusterConfig::default()
     };
     let mut sim = ClusterSim::new(Arc::new(behavior), pop, cfg).unwrap();
@@ -372,7 +372,7 @@ pub fn fig8(scale: Scale) -> Fig8Series {
             seed: 8,
             space_x: (-radius, radius),
             load_balance: lb,
-            balancer: LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 2.0, epoch_len: 10 },
+            balancer: LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 2.0 },
             ..ClusterConfig::default()
         };
         let mut sim = ClusterSim::new(Arc::new(behavior), pop, cfg).unwrap();

@@ -58,6 +58,7 @@ use brace_common::{DetRng, FieldId};
 use brace_core::behavior::Neighbors;
 use brace_core::effect::EffectWriter;
 use brace_core::{Agent, AgentRead, AgentRef as RowRef, AgentSchema, Combinator};
+use std::cell::RefCell;
 
 /// Candidates per chunk: the lane width of the engine's kernels,
 /// `brace_spatial::kernels::LANES`. Restated rather than imported — a test
@@ -735,10 +736,10 @@ struct RegFile {
     nil: Vec<u8>,
 }
 
-brace_common::tls_scratch!(
+thread_local! {
     /// Not reentrant: a program never runs another program.
-    fn with_regfile -> RegFile
-);
+    static REGFILE: RefCell<RegFile> = RefCell::default();
+}
 
 impl RegFile {
     /// The first `regs.count` registers: NIL bits cleared (where the phase
@@ -1020,7 +1021,7 @@ impl Query<'_, '_, '_> {
 impl Program {
     /// The query phase of one agent.
     pub fn query(&self, me: RowRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
-        with_regfile(|file| {
+        REGFILE.with_borrow_mut(|file| {
             let (vals, nil) = file.enter(&self.query_regs);
             let mut q = Query { prog: self, vals, nil, rows: [0; LANES], me: &me, neighbors, eff, rng };
             if self.query_regs.nil {
@@ -1033,7 +1034,7 @@ impl Program {
 
     /// The update phase of one agent.
     pub fn update(&self, me: &mut Agent, rng: &mut DetRng) {
-        with_regfile(|file| {
+        REGFILE.with_borrow_mut(|file| {
             let (vals, nil) = file.enter(&self.update_regs);
             let tracked = self.update_regs.nil;
             if tracked {
@@ -1222,7 +1223,7 @@ mod tests {
         let program = lower(&class);
         let mut me = Agent::new(AgentId::new(0), Vec2::ZERO, class.schema());
         me.state[0] = v;
-        with_regfile(|file| {
+        REGFILE.with_borrow_mut(|file| {
             let (vals, nil) = file.enter(&program.update_regs);
             run_ops::<1, false, _>(&program.update, 1, vals, nil, &me, &[], &mut DetRng::seed_from_u64(0));
             vals[program.commits[0].1 as usize][0]

@@ -21,35 +21,6 @@ pub mod rng;
 pub mod stats;
 
 pub use error::{BraceError, Result};
-
-/// Define a `with_*`-style accessor over a per-thread reusable scratch
-/// value:
-///
-/// ```ignore
-/// tls_scratch!(
-///     /// Reusable per-thread candidate buffer.
-///     pub fn with_candidate_scratch -> Vec<u32>
-/// );
-/// ```
-///
-/// expands to `fn with_candidate_scratch<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R`
-/// backed by a `thread_local!` `RefCell` initialized with `Default`. Hot
-/// probe paths use these so per-probe buffers allocate nothing after
-/// warm-up. Accessors are **not reentrant** — nesting the same accessor
-/// panics on the `RefCell` borrow; callers gather, compute, and return.
-#[macro_export]
-macro_rules! tls_scratch {
-    ($(#[$meta:meta])* $vis:vis fn $name:ident -> $ty:ty) => {
-        $(#[$meta])*
-        $vis fn $name<R>(f: impl FnOnce(&mut $ty) -> R) -> R {
-            ::std::thread_local! {
-                static SCRATCH: ::std::cell::RefCell<$ty> =
-                    ::std::cell::RefCell::new(<$ty as ::core::default::Default>::default());
-            }
-            SCRATCH.with(|s| f(&mut s.borrow_mut()))
-        }
-    };
-}
 pub use geom::{Rect, Vec2};
 pub use ids::{AgentId, FieldId, WorkerId};
 pub use rng::DetRng;

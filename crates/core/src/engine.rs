@@ -1,11 +1,12 @@
 //! The single-node engine.
 //!
 //! [`Simulation`] is BRACE's one-partition runtime. It owns the agent pool,
-//! the tick's [`TickIndex`] and [`TickScratch`], the spawn-id generator and
-//! the telemetry handle, and each [`Simulation::step`] runs the executor's
-//! phases back to back — [`query_phase_sharded`], [`replay_effects`], then
-//! [`update_phase_sharded`] — applies the update's membership changes and
-//! returns the tick's [`TickMetrics`]. The MapReduce worker calls the very
+//! the tick's [`TickIndex`] and [`TickScratch`] and the spawn-id generator,
+//! and each [`Simulation::step`] runs the executor's phases back to back —
+//! [`query_phase_sharded`], [`replay_effects`], then
+//! [`update_phase_sharded`] — applies the update's membership changes,
+//! records the tick into the `brace_telemetry` registry and returns the
+//! tick's [`TickMetrics`]. The MapReduce worker calls the very
 //! same functions with communication in between, so a single node *is* the
 //! runtime with one partition.
 //!
@@ -27,7 +28,7 @@ use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
 use brace_common::{BraceError, Result};
 use brace_spatial::IndexKind;
-use brace_telemetry::{Counter, HistId, Telemetry};
+use brace_telemetry::{add, incr, observe, Counter, HistId};
 use std::time::Instant;
 
 /// Admit an initial population — the one check both engines run
@@ -125,7 +126,6 @@ impl<B: Behavior> SimulationBuilder<B> {
             parallelism: self.parallelism,
             seed: self.seed,
             tick: 0,
-            tel: Telemetry::current(),
         })
     }
 }
@@ -145,10 +145,6 @@ pub struct Simulation<B: Behavior> {
     parallelism: usize,
     seed: u64,
     tick: u64,
-    /// Captured once at construction: recording when telemetry was enabled
-    /// then, a branch-only no-op otherwise (the off path touches no
-    /// atomics — see `brace_telemetry`).
-    tel: Telemetry,
 }
 
 impl<B: Behavior> Simulation<B> {
@@ -212,15 +208,15 @@ impl<B: Behavior> Simulation<B> {
         };
         // Phase timings re-use the stats the phases already measured:
         // telemetry adds no clock reads to the tick, only these records.
-        self.tel.observe(HistId::PhaseIndexMaintain, tm.index_build_ns);
-        self.tel.observe(HistId::PhaseQuery, tm.query_ns);
-        self.tel.observe(HistId::PhaseEffectMerge, tm.merge_ns);
-        self.tel.observe(HistId::PhaseUpdate, tm.update_ns);
-        self.tel.incr(Counter::ExecutorTicks);
-        self.tel.add(Counter::ExecutorNeighborVisits, tm.neighbor_visits);
-        self.tel.add(Counter::ExecutorNonlocalWrites, tm.nonlocal_writes);
-        self.tel.add(Counter::ExecutorSpawned, tm.spawned as u64);
-        self.tel.add(Counter::ExecutorKilled, tm.killed as u64);
+        observe(HistId::PhaseIndexMaintain, tm.index_build_ns);
+        observe(HistId::PhaseQuery, tm.query_ns);
+        observe(HistId::PhaseEffectMerge, tm.merge_ns);
+        observe(HistId::PhaseUpdate, tm.update_ns);
+        incr(Counter::ExecutorTicks);
+        add(Counter::ExecutorNeighborVisits, tm.neighbor_visits);
+        add(Counter::ExecutorNonlocalWrites, tm.nonlocal_writes);
+        add(Counter::ExecutorSpawned, tm.spawned as u64);
+        add(Counter::ExecutorKilled, tm.killed as u64);
         self.tick += 1;
         tm
     }

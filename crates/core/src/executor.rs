@@ -197,7 +197,7 @@ use brace_spatial::kernels::{
     block_order, filter_rect, radix_sort_by_key, seek_window, ProbeKey, TileDirectory, LANES,
 };
 use brace_spatial::{IndexKind, KdTree, ScanIndex, SpatialIndex, UniformGrid};
-use brace_telemetry::{Counter, Telemetry};
+use brace_telemetry::{add, Counter};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -429,8 +429,6 @@ pub struct TickScratch {
     /// Non-local schemas: the writes to replica rows, `(target row, write)`,
     /// in ascending source id.
     outbound: Vec<(u32, EffectWrite)>,
-    /// Captured at construction, like the `Simulation`'s own handle.
-    tel: Telemetry,
 }
 
 /// Working memory of one logical shard.
@@ -875,7 +873,7 @@ pub fn query_phase_sharded<B: Behavior>(
     let nonlocal = schema.has_nonlocal_effects();
     let k = shard_count(n_owned, shard_rows);
     scratch.ensure_shards(schema, k);
-    let TickScratch { shards, probe, writers, spare_writers, outbound, tel } = scratch;
+    let TickScratch { shards, probe, writers, spare_writers, outbound } = scratch;
     let shards = &mut shards[..k];
     writers.clear();
     outbound.clear();
@@ -952,10 +950,10 @@ pub fn query_phase_sharded<B: Behavior>(
         block_rows += shard.block_rows;
         logged += shard.log.len() as u64;
     }
-    tel.add(Counter::ExecutorProbeGroups, groups);
-    tel.add(Counter::ExecutorBlockCandidates, block_rows);
-    tel.add(Counter::ExecutorEffectLogEntries, logged);
-    tel.add(Counter::ExecutorTileDirectoryTicks, directory.is_some() as u64);
+    add(Counter::ExecutorProbeGroups, groups);
+    add(Counter::ExecutorBlockCandidates, block_rows);
+    add(Counter::ExecutorEffectLogEntries, logged);
+    add(Counter::ExecutorTileDirectoryTicks, directory.is_some() as u64);
     stats
 }
 

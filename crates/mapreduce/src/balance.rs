@@ -27,14 +27,11 @@ pub struct LoadBalancer {
     /// worth it if it relieves at least `migration_cost_ticks / E` ticks of
     /// imbalance.
     pub migration_cost_ticks: f64,
-    /// Ticks per epoch (the horizon over which a better partitioning pays
-    /// off before the next decision point).
-    pub epoch_len: u64,
 }
 
 impl Default for LoadBalancer {
     fn default() -> Self {
-        LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 4.0, epoch_len: 10 }
+        LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 4.0 }
     }
 }
 
@@ -50,13 +47,16 @@ pub enum BalanceDecision {
 impl LoadBalancer {
     /// Decide from per-worker owned-agent counts and the merged x-position
     /// histogram. `hist_range` is the interval the histogram covers;
-    /// `current_bounds` are the active column boundaries (`workers + 1`).
+    /// `current_bounds` are the active column boundaries (`workers + 1`);
+    /// `epoch_len` is the ticks per epoch, the horizon over which a better
+    /// partitioning pays off before the next decision point.
     pub fn decide(
         &self,
         current_bounds: &[f64],
         counts: &[u64],
         hist: &[u64],
         hist_range: (f64, f64),
+        epoch_len: u64,
     ) -> BalanceDecision {
         let workers = counts.len();
         debug_assert_eq!(current_bounds.len(), workers + 1);
@@ -84,7 +84,7 @@ impl LoadBalancer {
         // Benefit: the most loaded worker sheds (max - mean) agents for
         // epoch_len ticks. Cost: each moved agent pays a fixed migration
         // charge. Keep the partitioning when moving wouldn't pay off.
-        let benefit = (max - mean) * self.epoch_len as f64;
+        let benefit = (max - mean) * epoch_len as f64;
         let cost = predicted_moves as f64 * self.migration_cost_ticks;
         if benefit <= cost {
             return BalanceDecision::Keep;
@@ -171,19 +171,19 @@ mod tests {
         let lb = LoadBalancer::default();
         let bounds = [0.0, 50.0, 100.0];
         let hist = vec![10, 10, 10, 10];
-        let d = lb.decide(&bounds, &[20, 20], &hist, (0.0, 100.0));
+        let d = lb.decide(&bounds, &[20, 20], &hist, (0.0, 100.0), 10);
         assert_eq!(d, BalanceDecision::Keep);
     }
 
     #[test]
     fn skewed_load_repartitions_toward_quantiles() {
-        let lb = LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 1.0, epoch_len: 10 };
+        let lb = LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 1.0 };
         let bounds = [0.0, 50.0, 100.0];
         // All mass in [0, 25): worker 0 owns everything.
         let mut hist = vec![0u64; 8];
         hist[0] = 500;
         hist[1] = 500;
-        let d = lb.decide(&bounds, &[1000, 0], &hist, (0.0, 100.0));
+        let d = lb.decide(&bounds, &[1000, 0], &hist, (0.0, 100.0), 10);
         match d {
             BalanceDecision::Repartition { x_bounds, imbalance, .. } => {
                 assert!(imbalance > 1.9);
@@ -201,14 +201,15 @@ mod tests {
         // Mild imbalance whose fix would move agents, but migration is
         // priced prohibitively -> Keep. (Median of this histogram is at 45,
         // so the boundary would shift 50 -> 45, moving ~5 agents.)
-        let lb = LoadBalancer { imbalance_threshold: 1.05, migration_cost_ticks: 1e9, epoch_len: 1 };
+        let lb = LoadBalancer { imbalance_threshold: 1.05, migration_cost_ticks: 1e9 };
         let bounds = [0.0, 50.0, 100.0];
         let hist = vec![30, 25, 25, 20];
-        let d = lb.decide(&bounds, &[55, 45], &hist, (0.0, 100.0));
+        let d = lb.decide(&bounds, &[55, 45], &hist, (0.0, 100.0), 1);
         assert_eq!(d, BalanceDecision::Keep);
         // Same situation with cheap migration -> Repartition.
-        let cheap = LoadBalancer { imbalance_threshold: 1.05, migration_cost_ticks: 0.1, epoch_len: 10 };
-        assert!(matches!(cheap.decide(&bounds, &[55, 45], &hist, (0.0, 100.0)), BalanceDecision::Repartition { .. }));
+        let cheap = LoadBalancer { imbalance_threshold: 1.05, migration_cost_ticks: 0.1 };
+        let d = cheap.decide(&bounds, &[55, 45], &hist, (0.0, 100.0), 10);
+        assert!(matches!(d, BalanceDecision::Repartition { .. }));
     }
 
     #[test]
@@ -251,14 +252,14 @@ mod tests {
     #[test]
     fn single_worker_never_repartitions() {
         let lb = LoadBalancer::default();
-        let d = lb.decide(&[0.0, 100.0], &[100], &[100], (0.0, 100.0));
+        let d = lb.decide(&[0.0, 100.0], &[100], &[100], (0.0, 100.0), 10);
         assert_eq!(d, BalanceDecision::Keep);
     }
 
     #[test]
     fn empty_world_keeps() {
         let lb = LoadBalancer::default();
-        let d = lb.decide(&[0.0, 50.0, 100.0], &[0, 0], &[0, 0], (0.0, 100.0));
+        let d = lb.decide(&[0.0, 50.0, 100.0], &[0, 0], &[0, 0], (0.0, 100.0), 10);
         assert_eq!(d, BalanceDecision::Keep);
     }
 }

@@ -215,8 +215,6 @@ impl ClusterSim {
                     .map_err(|e| BraceError::Config(format!("spawning worker thread: {e}")))?,
             );
         }
-        let mut balancer = cfg.balancer.clone();
-        balancer.epoch_len = cfg.epoch_len;
         let mut store = CheckpointStore::new(cfg.keep_checkpoints);
         if let Some(dir) = cfg.run_dir.clone() {
             store = store.with_dir(dir);
@@ -225,7 +223,7 @@ impl ClusterSim {
             n,
             cfg.epoch_len,
             cfg.load_balance,
-            balancer,
+            cfg.balancer.clone(),
             cfg.checkpoint_every,
             store,
             cmd_tx,
@@ -693,7 +691,7 @@ mod tests {
             epoch_len: 3,
             seed: 21,
             load_balance: true,
-            balancer: LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 0.5, epoch_len: 3 },
+            balancer: LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 0.5 },
             ..Default::default()
         };
         let before = GridPartitioning::columns(0.0, 100.0, 4).x_bounds().to_vec();

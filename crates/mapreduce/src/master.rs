@@ -32,7 +32,7 @@ use crate::net::NetStats;
 use crate::runtime::{Command, EpochCommand, Report, WorkerEpochStats};
 use brace_common::{BraceError, Result};
 use brace_core::Agent;
-use brace_telemetry::{Counter as TelCounter, HistId, Telemetry};
+use brace_telemetry::{Counter as TelCounter, HistId};
 use crossbeam::channel::{Receiver, Sender};
 
 /// Run-level statistics kept by the master (see also
@@ -116,8 +116,6 @@ pub struct Master {
     stats: ClusterStats,
     /// Write-ahead run manifest; `None` for ephemeral (non-durable) runs.
     manifest: Option<ManifestWriter>,
-    /// Telemetry handle captured at construction (no-op when disabled).
-    tel: Telemetry,
 }
 
 impl Master {
@@ -150,7 +148,6 @@ impl Master {
             store,
             stats: ClusterStats::default(),
             manifest: None,
-            tel: Telemetry::current(),
         }
     }
 
@@ -207,11 +204,11 @@ impl Master {
         self.append_manifest(&ManifestRecord::Command(cmd.clone()))?;
         let (reports, snapshots) = self.execute(&cmd)?;
         if cmd.checkpoint {
-            let timer = self.tel.timer(HistId::CheckpointWrite);
+            let timer = brace_telemetry::timer(HistId::CheckpointWrite);
             self.push_checkpoint(cmd.epoch + 1, cmd.hist_range, snapshots)?;
             timer.stop();
             self.stats.checkpoints += 1;
-            self.tel.incr(TelCounter::ClusterCheckpoints);
+            brace_telemetry::incr(TelCounter::ClusterCheckpoints);
         }
         self.store.log_command(cmd.clone());
         self.epoch += 1;
@@ -312,9 +309,9 @@ impl Master {
         let wall = reports.iter().map(|r| r.wall_ns).max().unwrap_or(0);
         // Barrier wait per worker: how long each worker idled at the epoch
         // barrier while the straggler (max wall) finished.
-        self.tel.incr(TelCounter::ClusterEpochs);
+        brace_telemetry::incr(TelCounter::ClusterEpochs);
         for r in reports {
-            self.tel.observe(HistId::EpochBarrierWait, wall.saturating_sub(r.wall_ns));
+            brace_telemetry::observe(HistId::EpochBarrierWait, wall.saturating_sub(r.wall_ns));
         }
         self.stats.wall_ns += wall;
         self.stats.epoch_wall_ns.push(wall);
@@ -353,7 +350,7 @@ impl Master {
             }
         }
         let counts: Vec<u64> = reports.iter().map(|r| r.owned_agents as u64).collect();
-        match self.balancer.decide(&self.x_bounds, &counts, &hist, used_range) {
+        match self.balancer.decide(&self.x_bounds, &counts, &hist, used_range, self.epoch_len) {
             BalanceDecision::Keep => {}
             BalanceDecision::Repartition { x_bounds, .. } => {
                 self.pending_bounds = Some(x_bounds);

@@ -6,7 +6,7 @@
 //! touches the ledger or the codec, which is exactly the saving the
 //! paper's collocation design buys.
 
-use brace_telemetry::{Counter as TelCounter, Telemetry};
+use brace_telemetry::Counter as TelCounter;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -74,13 +74,12 @@ impl NetStats {
     }
 }
 
-/// Shared, thread-safe ledger. Cloning shares the underlying counters.
+/// Shared, thread-safe ledger. Cloning shares the underlying counters; every
+/// record is mirrored into the `brace_telemetry` registry's per-class byte
+/// counters.
 #[derive(Debug, Clone, Default)]
 pub struct NetLedger {
     inner: Arc<Mutex<NetStats>>,
-    /// Telemetry handle captured at construction; mirrors per-class byte
-    /// totals into the process-wide registry (no-op when telemetry is off).
-    tel: Telemetry,
 }
 
 impl NetLedger {
@@ -110,7 +109,7 @@ impl NetLedger {
             Traffic::Spawns => TelCounter::NetSpawnsBytes,
             Traffic::Control => TelCounter::NetControlBytes,
         };
-        self.tel.add(counter, bytes as u64);
+        brace_telemetry::add(counter, bytes as u64);
     }
 
     /// Snapshot the totals.

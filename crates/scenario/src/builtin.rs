@@ -12,14 +12,13 @@
 //! exactly distributable as built: spawns (traffic's wrapping respawns, the
 //! predator's births) take their ids in global `(parent id, ordinal)`
 //! order, and non-local float sums (the predator's bites) are folded once,
-//! in source-id order, by the target's owner. Default `build` forms use the
-//! KD-tree across the catalogue: the paper's index for the fish-style
-//! workloads, and — since the hotspot-erosion fix — also for traffic and
-//! the epidemic, whose jams and infection clusters concentrate agents into a
-//! few grid buckets and erode the grid's constant-density advantage. The
-//! index is never semantics; KD-tree cross-backend equivalence stays pinned
-//! by the golden cluster tests and the distributed-equivalence property
-//! suite, while the conformance forms certify the grid.
+//! in source-id order, by the target's owner. Every builtin is a
+//! bounded-range schema: the executor answers its probes with the sort-merge
+//! tile join over the tick's probe order and builds no index, so the KD-tree
+//! its default `build` names changes neither its bits nor its speed.
+//! `index` still selects two things: [`IndexKind::Scan`], the paper's
+//! no-index baseline, and the structure a k-NN probe searches — and no
+//! builtin uses a k-NN probe.
 
 use crate::{Scenario, ScenarioSetup};
 use brace_common::{AgentId, DetRng, Result, Vec2};

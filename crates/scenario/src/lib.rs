@@ -102,10 +102,13 @@ pub trait Scenario: Send + Sync {
 pub const CONFORMANCE_POPULATION: usize = 300;
 
 /// The reduced configuration the conformance suite certifies, the same for
-/// every scenario: its default build at [`CONFORMANCE_POPULATION`], on the
-/// uniform grid (whose range emission is already in the canonical ascending
-/// order, so no backend pays a candidate sort). Like every run, it is
-/// bit-identical on every backend and worker count.
+/// every scenario: its default build at [`CONFORMANCE_POPULATION`], with
+/// `index` set to the uniform grid. Every registry scenario is a
+/// bounded-range schema that joins on the probe order and builds no index,
+/// so the grid changes nothing here: `index` selects only the scan baseline
+/// and the structure a k-NN probe searches, and no registry scenario uses a
+/// k-NN probe. Like every run, it is bit-identical on every backend and
+/// worker count.
 pub fn conformance_setup(scenario: &dyn Scenario, seed: u64) -> Result<ScenarioSetup> {
     let mut setup = scenario.build(Some(CONFORMANCE_POPULATION), seed)?;
     setup.index = IndexKind::Grid;

@@ -50,7 +50,7 @@ use brace_common::Result;
 use brace_scenario::runner::DEFAULT_SEED;
 use brace_scenario::{Backend, JobSpec, Observer, Progress, Registry, RunKey, Runner};
 use brace_spatial::IndexKind;
-use brace_telemetry::{Counter as TelCounter, Gauge, HistId, Telemetry};
+use brace_telemetry::{Counter as TelCounter, Gauge, HistId};
 use http::ChunkedWriter;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -224,9 +224,6 @@ struct App {
     /// [`ServeConfig::workers`]), resolved once at start.
     run_threads: usize,
     shutdown: AtomicBool,
-    /// Telemetry handle captured after [`Server::start`] enables the
-    /// registry, so every serve metric records.
-    tel: Telemetry,
 }
 
 /// A running control plane. Bind with [`Server::start`]; the accept loop
@@ -240,9 +237,6 @@ pub struct Server {
 impl Server {
     /// Bind, spawn the worker pool and the accept loop, return immediately.
     pub fn start(registry: Registry, cfg: ServeConfig) -> Result<Server> {
-        // The control plane is the natural owner of the observability
-        // surface: serving turns telemetry on so `GET /metrics` has data.
-        brace_telemetry::set_enabled(true);
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| brace_common::BraceError::Config(format!("bind {}: {e}", cfg.addr)))?;
         let addr = listener.local_addr().expect("bound listener has a local addr");
@@ -259,7 +253,6 @@ impl Server {
             queue_ready: Condvar::new(),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
-            tel: Telemetry::current(),
         });
         for _ in 0..app.cfg.workers.max(1) {
             let app = Arc::clone(&app);
@@ -374,7 +367,7 @@ fn execute(app: &Arc<App>, record: &Arc<RunRecord>) {
 
     match outcome {
         Ok(report) => {
-            app.tel.observe(HistId::ServeRunLatency, (report.wall_secs * 1e9) as u64);
+            brace_telemetry::observe(HistId::ServeRunLatency, (report.wall_secs * 1e9) as u64);
             let finished = Finished {
                 checksum: report.checksum,
                 agents: report.agents,
@@ -508,7 +501,7 @@ fn index_body() -> String {
 /// Prometheus text exposition (v0.0.4) of the process-wide telemetry
 /// registry. Point-in-time gauges (queue depth) are sampled at scrape.
 fn metrics(app: &Arc<App>, stream: &mut TcpStream) -> std::io::Result<()> {
-    app.tel.gauge_set(Gauge::ServeQueueDepth, app.queue.lock().unwrap().len() as u64);
+    brace_telemetry::gauge_set(Gauge::ServeQueueDepth, app.queue.lock().unwrap().len() as u64);
     let body = brace_telemetry::render_prometheus();
     http::write_response(stream, 200, "OK", &[], "text/plain; version=0.0.4", &body)
 }
@@ -649,7 +642,7 @@ fn post_run(app: &Arc<App>, stream: &mut TcpStream, body: &str) -> std::io::Resu
     let cached = app.cache.lock().unwrap().get(key.cache_key());
     if let Some(hit) = cached {
         app.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        app.tel.incr(TelCounter::ServeCacheHits);
+        brace_telemetry::incr(TelCounter::ServeCacheHits);
         let id = format!("r{}", app.next_id.fetch_add(1, Ordering::Relaxed));
         let record = RunRecord::new(
             id.clone(),
@@ -670,7 +663,7 @@ fn post_run(app: &Arc<App>, stream: &mut TcpStream, body: &str) -> std::io::Resu
         );
         app.runs.lock().unwrap().insert(id.clone(), record);
         app.stats.runs_accepted.fetch_add(1, Ordering::Relaxed);
-        app.tel.incr(TelCounter::ServeRuns);
+        brace_telemetry::incr(TelCounter::ServeRuns);
         // A cache-hit record is born terminal: evictable immediately.
         note_terminal(app, &id);
         let body = format!(
@@ -680,7 +673,7 @@ fn post_run(app: &Arc<App>, stream: &mut TcpStream, body: &str) -> std::io::Resu
         return http::write_response(stream, 200, "OK", &[], "application/json", &body);
     }
     app.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-    app.tel.incr(TelCounter::ServeCacheMisses);
+    brace_telemetry::incr(TelCounter::ServeCacheMisses);
     // TTL-expire old terminal records even when nothing is completing.
     sweep_runs(app);
 
@@ -721,7 +714,7 @@ fn post_run(app: &Arc<App>, stream: &mut TcpStream, body: &str) -> std::io::Resu
     }
     app.queue_ready.notify_one();
     app.stats.runs_accepted.fetch_add(1, Ordering::Relaxed);
-    app.tel.incr(TelCounter::ServeRuns);
+    brace_telemetry::incr(TelCounter::ServeRuns);
     let body = format!("{{\"run_id\":\"{id}\",\"status\":\"queued\",\"cached\":false}}");
     http::write_response(stream, 202, "Accepted", &[], "application/json", &body)
 }

@@ -30,9 +30,10 @@
 //! `brace_scenario::builtin`). The order is a pure function of the matching
 //! point *set* — not even the cell size can perturb it.
 
-use crate::index::{finish_knn, knn_cmp, with_dist2_scratch, with_knn_scratch, SpatialIndex};
+use crate::index::{finish_knn, knn_cmp, SpatialIndex, DIST2_SCRATCH, KNN_SCRATCH};
 use crate::kernels::dist2;
 use brace_common::{Rect, Vec2};
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -191,7 +192,7 @@ impl UniformGrid {
         if overflow {
             // Wide rectangle or degenerate occupancy: one gather + one
             // payload sort beats an O(points × buckets) min-scan here.
-            with_merge_scratch(|pairs| {
+            MERGE_SCRATCH.with_borrow_mut(|pairs| {
                 pairs.clear();
                 let mut gather = |b: Bucket| {
                     let (s, e) = Self::run_bounds(b);
@@ -242,12 +243,12 @@ impl UniformGrid {
     }
 }
 
-brace_common::tls_scratch!(
+thread_local! {
     /// Reusable per-thread point buffer for range probes too wide for the
     /// fixed-width bucket merge, which must still emit in ascending
     /// payload order without a per-probe allocation.
-    fn with_merge_scratch -> Vec<(Vec2, u32)>
-);
+    static MERGE_SCRATCH: RefCell<Vec<(Vec2, u32)>> = RefCell::default();
+}
 
 impl SpatialIndex for UniformGrid {
     /// Emission is globally **ascending by payload** (runs are
@@ -291,8 +292,8 @@ impl SpatialIndex for UniformGrid {
         if k == 0 || n == 0 {
             return;
         }
-        with_knn_scratch(|found| {
-            with_dist2_scratch(|d2| {
+        KNN_SCRATCH.with_borrow_mut(|found| {
+            DIST2_SCRATCH.with_borrow_mut(|d2| {
                 found.clear();
                 let mut gather = |b: Bucket, found: &mut Vec<(f64, u32)>| {
                     let (s, e) = Self::run_bounds(b);

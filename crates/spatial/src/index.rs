@@ -17,6 +17,7 @@
 //! it was never meaningfully slower.
 
 use brace_common::{Rect, Vec2};
+use std::cell::RefCell;
 
 /// A read-only spatial index over a set of points, each carrying a `u32`
 /// payload (the index of the agent in the tick's agent table).
@@ -84,18 +85,16 @@ pub enum IndexKind {
     Grid,
 }
 
-brace_common::tls_scratch!(
+thread_local! {
     /// Reusable per-thread `(dist², payload)` buffer for k-NN gathering, so
     /// [`SpatialIndex::k_nearest_into`] implementations allocate nothing
     /// per probe after warm-up.
-    pub(crate) fn with_knn_scratch -> Vec<(f64, u32)>
-);
+    pub(crate) static KNN_SCRATCH: RefCell<Vec<(f64, u32)>> = RefCell::default();
 
-brace_common::tls_scratch!(
     /// Reusable per-thread squared-distance column for batched k-NN
     /// gathering (the output of [`crate::kernels::dist2`]).
-    pub(crate) fn with_dist2_scratch -> Vec<f64>
-);
+    pub(crate) static DIST2_SCRATCH: RefCell<Vec<f64>> = RefCell::default();
+}
 
 /// Canonical k-NN ordering: ascending distance, ties by ascending payload.
 #[inline]
@@ -155,9 +154,9 @@ impl SpatialIndex for ScanIndex {
         // Squared distances as one lane kernel over the columns, then the
         // canonical (distance, payload) selection — element-for-element the
         // same arithmetic as the per-point path, so results are identical.
-        with_dist2_scratch(|d2| {
+        DIST2_SCRATCH.with_borrow_mut(|d2| {
             crate::kernels::dist2(&self.xs, &self.ys, q.x, q.y, d2);
-            with_knn_scratch(|scratch| {
+            KNN_SCRATCH.with_borrow_mut(|scratch| {
                 scratch.clear();
                 scratch.extend(
                     d2.iter()

@@ -17,7 +17,7 @@
 //! unbounded-visibility schemas; a bounded range schema joins through the
 //! probe order and builds none).
 
-use crate::index::{knn_cmp, with_knn_scratch, SpatialIndex};
+use crate::index::{knn_cmp, SpatialIndex, KNN_SCRATCH};
 use brace_common::{Rect, Vec2};
 
 /// Maximum number of points in a leaf node. 16 keeps the tree shallow while
@@ -196,7 +196,7 @@ impl SpatialIndex for KdTree {
         if k == 0 {
             return;
         }
-        with_knn_scratch(|heap| {
+        KNN_SCRATCH.with_borrow_mut(|heap| {
             heap.clear();
             self.knn_rec(root, q, exclude, k, heap);
             out.extend(heap.iter().map(|&(_, p)| p));

@@ -1,4 +1,4 @@
-//! # brace-telemetry — zero-cost-when-off observability for BRACE
+//! # brace-telemetry — always-on observability for BRACE
 //!
 //! The paper's BSP tick loop (map₁/query → shuffle → map₂/update) is
 //! exactly the structure worth *seeing*: per-phase wall time, candidate
@@ -7,17 +7,13 @@
 //! This crate is the one place they are recorded:
 //!
 //! * a **static registry** of metrics — monotonic [`Counter`]s, [`Gauge`]s
-//!   and log₂-bucketed [`Hist`]ograms — held in fixed arrays of
-//!   `AtomicU64`, so recording is one relaxed `fetch_add` with no locks,
-//!   no allocation and no labels to hash;
-//! * a copyable [`Telemetry`] handle that components capture **once** at
-//!   construction. The handle is an `Option<&'static Registry>`: when
-//!   telemetry is disabled it is `None`, and every recording call is a
-//!   single predictable branch that touches **no atomics and no clock** —
-//!   the off path costs nothing measurable (pinned by the bench ablation);
-//! * a scoped [`PhaseTimer`] for the tick loop: started through the
-//!   handle, it reads the clock only when enabled and records elapsed
-//!   nanoseconds into a histogram on drop;
+//!   and log₂-bucketed histograms — held in fixed arrays of `AtomicU64`,
+//!   so recording is one relaxed `fetch_add` with no locks, no allocation
+//!   and no labels to hash. Every run records: [`add`], [`incr`],
+//!   [`gauge_set`] and [`observe`] write straight into it, a few times per
+//!   tick and never per row;
+//! * a scoped [`PhaseTimer`] ([`timer`]) that records elapsed nanoseconds
+//!   into a histogram on drop;
 //! * a Prometheus **text-format v0.0.4** renderer
 //!   ([`render_prometheus`]) that `brace-serve` exposes as
 //!   `GET /metrics`.
@@ -25,10 +21,9 @@
 //! ## Determinism contract
 //!
 //! Telemetry observes, never perturbs: nothing recorded here feeds back
-//! into simulation state, RNG streams, shard plans or iteration order, so
-//! every golden checksum and conformance form is bit-identical with
-//! telemetry on and off (the engine matrix in `tests/common/mod.rs` pins
-//! this across the whole scenario registry, single-node and cluster).
+//! into simulation state, RNG streams, shard plans or iteration order. Every
+//! leg of the engine matrix in `tests/common/mod.rs` records, so each golden
+//! checksum it pins is the checksum of a recording run.
 //!
 //! ## The metric catalogue
 //!
@@ -50,7 +45,7 @@
 //! | `brace_serve_cache_{hits,misses}_total`, `brace_serve_runs_total` | counter | serve result cache / admissions |
 //! | `brace_serve_queue_depth` | gauge | serve admission queue (set at scrape) |
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Monotonic counters. The discriminant is the registry slot; `NAMES`
@@ -147,7 +142,7 @@ const N_BUCKETS: usize = 41;
 /// One log₂ histogram: per-bucket counts (not cumulative — the renderer
 /// accumulates), plus sum and count for the Prometheus `_sum`/`_count`
 /// series.
-pub struct Hist {
+struct Hist {
     buckets: [AtomicU64; N_BUCKETS],
     sum: AtomicU64,
     count: AtomicU64,
@@ -186,9 +181,8 @@ impl Hist {
 }
 
 /// The static metric registry: every family lives here, at a fixed slot,
-/// for the whole process lifetime. There is exactly one ([`Telemetry`]
-/// handles either point at it or at nothing).
-pub struct Registry {
+/// for the whole process lifetime. There is exactly one.
+struct Registry {
     counters: [AtomicU64; N_COUNTERS],
     gauges: [AtomicU64; N_GAUGES],
     hists: [Hist; N_HISTS],
@@ -200,24 +194,7 @@ static REGISTRY: Registry = Registry {
     hists: [const { Hist::new() }; N_HISTS],
 };
 
-/// The global enable flag. Read **once** per [`Telemetry::current`] call —
-/// never on the per-record path, which is what makes the off path free.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turn recording on or off process-wide. Handles captured **after** the
-/// change observe it; handles captured before keep their state (components
-/// capture at construction, so flip this before building what you want to
-/// observe).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Current state of the global enable flag.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
-/// Zero every metric (tests and bench ablations; production never resets).
+/// Zero every metric (tests; production never resets).
 pub fn reset() {
     for c in &REGISTRY.counters {
         c.store(0, Ordering::Relaxed);
@@ -236,95 +213,41 @@ pub fn counter(c: Counter) -> u64 {
     REGISTRY.counters[c as usize].load(Ordering::Relaxed)
 }
 
-/// The recording handle: a copyable `Option<&'static Registry>`. Capture
-/// one at component construction ([`Telemetry::current`]); every recording
-/// method is a single branch on the option — when disabled, no atomic is
-/// touched and no clock is read.
-#[derive(Clone, Copy)]
-pub struct Telemetry {
-    inner: Option<&'static Registry>,
+/// Add `v` to a counter.
+#[inline]
+pub fn add(c: Counter, v: u64) {
+    REGISTRY.counters[c as usize].fetch_add(v, Ordering::Relaxed);
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Telemetry::current()
-    }
+/// Increment a counter by one.
+#[inline]
+pub fn incr(c: Counter) {
+    add(c, 1);
 }
 
-impl std::fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry").field("enabled", &self.inner.is_some()).finish()
-    }
+/// Set a gauge to `v` (last write wins).
+#[inline]
+pub fn gauge_set(g: Gauge, v: u64) {
+    REGISTRY.gauges[g as usize].store(v, Ordering::Relaxed);
 }
 
-impl Telemetry {
-    /// A permanently-disabled handle (`const`, for defaults).
-    pub const fn off() -> Telemetry {
-        Telemetry { inner: None }
-    }
-
-    /// A handle bound to the current state of the global flag: recording if
-    /// telemetry is enabled **now**, a no-op handle otherwise.
-    pub fn current() -> Telemetry {
-        if ENABLED.load(Ordering::Relaxed) {
-            Telemetry { inner: Some(&REGISTRY) }
-        } else {
-            Telemetry { inner: None }
-        }
-    }
-
-    /// Is this handle recording?
-    #[inline]
-    pub fn is_on(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Add `v` to a counter.
-    #[inline]
-    pub fn add(&self, c: Counter, v: u64) {
-        if let Some(r) = self.inner {
-            r.counters[c as usize].fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Increment a counter by one.
-    #[inline]
-    pub fn incr(&self, c: Counter) {
-        self.add(c, 1);
-    }
-
-    /// Set a gauge to `v` (last write wins).
-    #[inline]
-    pub fn gauge_set(&self, g: Gauge, v: u64) {
-        if let Some(r) = self.inner {
-            r.gauges[g as usize].store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Record one observation (nanoseconds) into a histogram.
-    #[inline]
-    pub fn observe(&self, h: HistId, v: u64) {
-        if let Some(r) = self.inner {
-            r.hists[h as usize].observe(v);
-        }
-    }
-
-    /// Start a scoped phase timer that records into `h` on drop. When the
-    /// handle is off the timer never reads the clock.
-    #[inline]
-    pub fn timer(&self, h: HistId) -> PhaseTimer {
-        PhaseTimer { tel: *self, hist: h, start: self.inner.map(|_| Instant::now()) }
-    }
+/// Record one observation (nanoseconds) into a histogram.
+#[inline]
+pub fn observe(h: HistId, v: u64) {
+    REGISTRY.hists[h as usize].observe(v);
 }
 
-/// Scoped timer for one phase of the tick loop: created through
-/// [`Telemetry::timer`], records elapsed nanoseconds into its histogram
-/// when dropped. On a disabled handle it holds no start time and drops for
-/// free.
+/// Start a scoped phase timer that records into `h` on drop.
+#[inline]
+pub fn timer(h: HistId) -> PhaseTimer {
+    PhaseTimer { hist: h, start: Instant::now() }
+}
+
+/// Scoped timer for one phase: created by [`timer`], records elapsed
+/// nanoseconds into its histogram when dropped.
 pub struct PhaseTimer {
-    tel: Telemetry,
     hist: HistId,
-    start: Option<Instant>,
+    start: Instant,
 }
 
 impl PhaseTimer {
@@ -334,9 +257,7 @@ impl PhaseTimer {
 
 impl Drop for PhaseTimer {
     fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            self.tel.observe(self.hist, start.elapsed().as_nanos() as u64);
-        }
+        observe(self.hist, self.start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -377,30 +298,16 @@ pub fn render_prometheus() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    /// The process-global flag is shared by every test in this binary, so
-    /// tests that flip it serialize behind one mutex and restore the prior
-    /// state on drop.
-    struct FlagGuard {
-        was: bool,
-        _lock: std::sync::MutexGuard<'static, ()>,
-    }
+    /// The registry is shared by every test in this binary: a test that
+    /// resets it and reads it back holds this lock throughout.
+    static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
 
-    static FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn enable_for_test() -> FlagGuard {
-        let lock = FLAG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let was = enabled();
-        set_enabled(true);
+    fn fresh_registry() -> MutexGuard<'static, ()> {
+        let lock = REGISTRY_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset();
-        FlagGuard { was, _lock: lock }
-    }
-
-    impl Drop for FlagGuard {
-        fn drop(&mut self) {
-            reset();
-            set_enabled(self.was);
-        }
+        lock
     }
 
     #[test]
@@ -428,31 +335,15 @@ mod tests {
     }
 
     #[test]
-    fn off_handle_records_nothing() {
-        let _g = enable_for_test();
-        let off = Telemetry::off();
-        off.incr(Counter::ExecutorTicks);
-        off.observe(HistId::PhaseQuery, 123);
-        off.gauge_set(Gauge::ServeQueueDepth, 9);
-        let t = off.timer(HistId::PhaseUpdate);
-        assert!(t.start.is_none(), "off timers must not read the clock");
-        drop(t);
-        let text = render_prometheus();
-        assert!(text.contains("brace_executor_ticks_total 0"), "{text}");
-        assert!(text.contains("brace_phase_query_ns_count 0"), "{text}");
-    }
-
-    #[test]
-    fn on_handle_counts_and_renders() {
-        let _g = enable_for_test();
-        let tel = Telemetry::current();
-        assert!(tel.is_on());
-        tel.add(Counter::NetEffectsBytes, 640);
-        tel.incr(Counter::ServeCacheHits);
-        tel.gauge_set(Gauge::ServeQueueDepth, 3);
-        tel.observe(HistId::PhaseQuery, 5); // bucket le=8
-        tel.observe(HistId::PhaseQuery, 8); // same bucket
-        tel.observe(HistId::PhaseQuery, 9); // le=16
+    fn records_count_and_render() {
+        let _g = fresh_registry();
+        add(Counter::NetEffectsBytes, 640);
+        incr(Counter::ServeCacheHits);
+        gauge_set(Gauge::ServeQueueDepth, 3);
+        observe(HistId::PhaseQuery, 5); // bucket le=8
+        observe(HistId::PhaseQuery, 8); // same bucket
+        observe(HistId::PhaseQuery, 9); // le=16
+        assert_eq!(counter(Counter::NetEffectsBytes), 640);
         let text = render_prometheus();
         assert!(text.contains("brace_net_effects_bytes_total 640"), "{text}");
         assert!(text.contains("brace_serve_cache_hits_total 1"), "{text}");
@@ -464,15 +355,20 @@ mod tests {
         assert!(text.contains("brace_phase_query_ns_bucket{le=\"+Inf\"} 3"), "{text}");
         assert!(text.contains("brace_phase_query_ns_sum 22"), "{text}");
         assert!(text.contains("brace_phase_query_ns_count 3"), "{text}");
+        // `reset` zeroes every family.
+        reset();
+        let text = render_prometheus();
+        assert!(text.contains("brace_net_effects_bytes_total 0"), "{text}");
+        assert!(text.contains("brace_serve_queue_depth 0"), "{text}");
+        assert!(text.contains("brace_phase_query_ns_count 0"), "{text}");
     }
 
     #[test]
     fn phase_timer_records_on_drop() {
-        let _g = enable_for_test();
-        let tel = Telemetry::current();
-        tel.timer(HistId::CheckpointWrite).stop();
+        let _g = fresh_registry();
+        timer(HistId::CheckpointWrite).stop();
         {
-            let _t = tel.timer(HistId::CheckpointWrite);
+            let _t = timer(HistId::CheckpointWrite);
         }
         let text = render_prometheus();
         assert!(text.contains("brace_checkpoint_write_ns_count 2"), "{text}");
@@ -480,26 +376,10 @@ mod tests {
 
     #[test]
     fn every_family_renders_with_help_and_type() {
-        let _g = enable_for_test();
         let text = render_prometheus();
         for (name, _) in COUNTER_NAMES.iter().chain(GAUGE_NAMES).chain(HIST_NAMES) {
             assert!(text.contains(&format!("# HELP {name} ")), "missing HELP for {name}");
             assert!(text.contains(&format!("# TYPE {name} ")), "missing TYPE for {name}");
         }
-    }
-
-    #[test]
-    fn handles_capture_the_flag_at_construction() {
-        let _g = enable_for_test();
-        let on = Telemetry::current();
-        set_enabled(false);
-        let off = Telemetry::current();
-        assert!(on.is_on() && !off.is_on());
-        // The earlier handle keeps recording: capture-at-construction, not
-        // per-call flag reads.
-        on.incr(Counter::ExecutorTicks);
-        off.incr(Counter::ExecutorTicks);
-        assert!(render_prometheus().contains("brace_executor_ticks_total 1"));
-        set_enabled(true);
     }
 }

@@ -73,7 +73,7 @@ fn main() {
     let backend_cfg = brace::mapreduce::ClusterConfig {
         workers,
         load_balance: lb,
-        balancer: brace::mapreduce::LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 1.0, epoch_len: 10 },
+        balancer: brace::mapreduce::LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 1.0 },
         ..Default::default()
     };
 

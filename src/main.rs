@@ -360,11 +360,6 @@ fn run(opts: &RunOpts) {
     let trace_out = opts.trace.as_ref().map(|path| {
         let file = std::fs::File::create(path)
             .unwrap_or_else(|e| die(&format!("--trace: cannot create {}: {e}", path.display())));
-        // The trace's per-run summary reads the telemetry registry, and
-        // executors capture the flag when they are built. Recording is a
-        // few relaxed atomic adds per tick (none per row), far below the
-        // phase timings the trace reports.
-        brace_telemetry::set_enabled(true);
         std::sync::Arc::new(std::sync::Mutex::new(std::io::BufWriter::new(file)))
     });
     let mut failures = 0usize;

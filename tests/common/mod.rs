@@ -1,26 +1,26 @@
 //! The engine matrix, shared by every test binary that compares engines.
 //!
 //! [`engines_agree`] runs one [`Case`] of a registered scenario on a
-//! baseline — the single node, one thread, telemetry off — and on every
-//! other engine leg ([`LEGS`]): the single node at 2 and 3 threads;
-//! `cluster:1`; `cluster:2` with the balancer off; `cluster:4` with a load
-//! balancer eager enough to move boundaries mid-run; `cluster:2` at 2
-//! threads per worker; `cluster:3` with a whole-cluster fault at the middle
-//! epoch; a durable `cluster:2` run (a run directory, a checkpoint every
-//! epoch); the same launched through [`Runner::launch`], abandoned halfway
-//! and finished by [`DurableRunner::resume`]; telemetry on, on one node and
-//! on `cluster:2`; and served, through `POST /runs` on an ephemeral
-//! [`Server`]. Both durable legs start the way every durable run does: a
-//! `Runner` on a cluster whose `ClusterConfig::run_dir` is set. Every leg's
-//! world checksum must equal the baseline's, a failure names the first leg
-//! that differs, and the agreed checksum is returned, so a golden asserts
-//! one constant for every engine. A new scenario gets every leg by being
-//! registered and making one call; a pin about some legs only names them
-//! ([`Case::on`]).
+//! baseline — the single node, one thread — and on every other engine leg
+//! ([`LEGS`]): the single node at 2 and 3 threads; `cluster:1`; `cluster:2`
+//! with the balancer off; `cluster:4` with a load balancer eager enough to
+//! move boundaries mid-run; `cluster:2` at 2 threads per worker;
+//! `cluster:3` with a whole-cluster fault at the middle epoch; a durable
+//! `cluster:2` run (a run directory, a checkpoint every epoch); the same
+//! launched through [`Runner::launch`], abandoned halfway and finished by
+//! [`DurableRunner::resume`]; and served, through `POST /runs` on an
+//! ephemeral [`Server`]. All of them run at once, and every one records
+//! into the telemetry registry, as every run does. Both durable legs start
+//! the way every durable run does: a `Runner` on a cluster whose
+//! `ClusterConfig::run_dir` is set. Every leg's world checksum must equal
+//! the baseline's, a failure names the first leg that differs, and the
+//! agreed checksum is returned, so a golden asserts one constant for every
+//! engine. A new scenario gets every leg by being registered and making one
+//! call; a pin about some legs only names them ([`Case::on`]).
 //!
-//! Also here, so that each exists once: the telemetry lock, the HTTP client
-//! the served leg and `tests/serve_api.rs` share, a test-local [`Custom`]
-//! scenario, bitwise world equality and the index-kind strategy.
+//! Also here, so that each exists once: the HTTP client the served leg and
+//! `tests/serve_api.rs` share, a test-local [`Custom`] scenario, bitwise
+//! world equality and the index-kind strategy.
 
 // Each test binary uses a different part of this module.
 #![allow(dead_code)]
@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// The epidemic's conformance world after 20 ticks at seed 42, on every
@@ -53,8 +53,6 @@ const CLUSTER_2_THREADS_2: &str = "cluster:2, 2 threads per worker";
 const FAULT: &str = "cluster:3, a fault at the middle epoch recovered from a checkpoint";
 const DURABLE: &str = "durable cluster:2";
 const RESUMED: &str = "durable cluster:2, abandoned halfway and resumed";
-const TELEMETRY_SINGLE: &str = "telemetry on, single node";
-const TELEMETRY_CLUSTER: &str = "telemetry on, cluster:2";
 const SERVED: &str = "served";
 
 /// Every leg but the baseline, by the label a failure names, in the order
@@ -62,12 +60,10 @@ const SERVED: &str = "served";
 #[rustfmt::skip]
 pub const LEGS: &[&str] = &[
     THREADS_2, THREADS_3, "cluster:1", "cluster:2, balancer off", BALANCED,
-    CLUSTER_2_THREADS_2, FAULT, DURABLE, RESUMED, TELEMETRY_SINGLE, TELEMETRY_CLUSTER, SERVED,
+    CLUSTER_2_THREADS_2, FAULT, DURABLE, RESUMED, SERVED,
 ];
 /// The legs that run more than one thread on a node.
 pub const THREADED: &[&str] = &[THREADS_2, THREADS_3, CLUSTER_2_THREADS_2];
-/// The legs that run with telemetry on.
-pub const TELEMETRY_ON: &[&str] = &[TELEMETRY_SINGLE, TELEMETRY_CLUSTER, SERVED];
 
 /// One leg of the matrix, drawn: a property that draws it runs each draw
 /// on the baseline and one leg, and its draws spread over all of them.
@@ -202,14 +198,14 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     let first_spawn = setup.population.iter().map(|a| a.id.raw()).max().map_or(0, |id| id + 1);
     let plain = |leg, backend| -> Leg<'_> { (leg, Box::new(move || run(leg, backend).checksum)) };
 
-    // The baseline and every leg that runs with telemetry off, at once.
+    // The baseline and every leg, at once.
     let root = temp_dir();
     let durable = |run_id: &str, total_ticks| {
         let run_dir = Some(root.join(run_id));
         ClusterConfig { checkpoint_every: Some(1), run_dir, total_ticks, ..cluster(2) }
     };
     let (baseline_agents, spawned, rebalanced) = (AtomicUsize::new(0), AtomicBool::new(false), AtomicBool::new(false));
-    let balancer = LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5, epoch_len: 5 };
+    let balancer = LoadBalancer { imbalance_threshold: 1.1, migration_cost_ticks: 0.5 };
     let mut legs: Vec<Leg<'_>> = vec![
         (
             BASELINE,
@@ -266,32 +262,15 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
                 resumed.checksum
             }),
         ),
-    ];
-    legs.retain(|(leg, _)| *leg == BASELINE || case.runs(leg));
-    let results = {
-        let _off = telemetry_off();
-        run_at_once(&call, legs)
-    };
-    let _ = std::fs::remove_dir_all(&root);
-    let want = results[0].1;
-    let agree = |(leg, got): (&str, u64)| {
-        assert_eq!(got, want, "{call}: leg `{leg}` diverged from the baseline: {got:#018X} vs {want:#018X}");
-    };
-    results.into_iter().for_each(agree);
-
-    // The legs that run with telemetry on, at once and alone. A served run
-    // turns telemetry on as its server starts.
-    let mut legs: Vec<Leg<'_>> = vec![
-        plain(TELEMETRY_SINGLE, Backend::single()),
-        plain(TELEMETRY_CLUSTER, Backend::Cluster(cluster(2))),
         (SERVED, Box::new(|| served_checksum(registry, name, case))),
     ];
-    legs.retain(|(leg, _)| case.runs(leg));
-    let results = {
-        let _on = telemetry_on();
-        run_at_once(&call, legs)
-    };
-    results.into_iter().for_each(agree);
+    legs.retain(|(leg, _)| *leg == BASELINE || case.runs(leg));
+    let results = run_at_once(&call, legs);
+    let _ = std::fs::remove_dir_all(&root);
+    let want = results[0].1;
+    for (leg, got) in results {
+        assert_eq!(got, want, "{call}: leg `{leg}` diverged from the baseline: {got:#018X} vs {want:#018X}");
+    }
 
     let baseline_agents = baseline_agents.into_inner();
     assert!(baseline_agents > 0, "{call}: the baseline world is empty");
@@ -313,8 +292,7 @@ fn run_at_once(call: &str, legs: Vec<Leg<'_>>) -> Vec<(&'static str, u64)> {
     })
 }
 
-/// `case` through `POST /runs` on a server of its own. Starting a server
-/// turns telemetry on: the caller holds the write side of the lock.
+/// `case` through `POST /runs` on a server of its own.
 fn served_checksum(registry: fn() -> Registry, name: &str, case: &Case) -> u64 {
     let server = Server::start(registry(), ServeConfig::default()).expect("bind an ephemeral port");
     let (status, _, body) = post(server.addr(), "/runs", &case.served_body(name));
@@ -335,38 +313,6 @@ fn temp_dir() -> std::path::PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
     let n = N.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("brace-matrix-{}-{n}", std::process::id()))
-}
-
-// ---- the telemetry lock ----------------------------------------------------
-//
-// The telemetry flag is process-global. A leg that turns it on holds the
-// write side of this lock; every other leg holds the read side, so an "off"
-// leg really runs with telemetry off.
-
-static TELEMETRY: RwLock<()> = RwLock::new(());
-
-/// Hold the read side: telemetry stays off for as long as this lives.
-pub fn telemetry_off() -> RwLockReadGuard<'static, ()> {
-    let guard = TELEMETRY.read().unwrap_or_else(PoisonError::into_inner);
-    assert!(!brace_telemetry::enabled(), "telemetry was left on outside the lock");
-    guard
-}
-
-/// Telemetry on, under the write side of the lock; off again on drop.
-pub struct TelemetryOn {
-    _lock: RwLockWriteGuard<'static, ()>,
-}
-
-pub fn telemetry_on() -> TelemetryOn {
-    let lock = TELEMETRY.write().unwrap_or_else(PoisonError::into_inner);
-    brace_telemetry::set_enabled(true);
-    TelemetryOn { _lock: lock }
-}
-
-impl Drop for TelemetryOn {
-    fn drop(&mut self) {
-        brace_telemetry::set_enabled(false);
-    }
 }
 
 // ---- a test-local scenario -------------------------------------------------

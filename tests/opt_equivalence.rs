@@ -28,7 +28,7 @@ use brace::core::{Agent, Behavior, Simulation};
 use brace::scenario::{brasil_unoptimized, Registry};
 use brace::spatial::IndexKind;
 use brace_common::{AgentId, DetRng, Vec2};
-use common::{any_index_kind, engines_agree, telemetry_off, worlds_bit_identical, Case};
+use common::{any_index_kind, engines_agree, worlds_bit_identical, Case};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -61,7 +61,6 @@ fn run_world(
     ticks: u64,
 ) -> (Vec<Agent>, u64) {
     let setup = registry().get(name).expect("registered scenario").build(Some(n), seed).unwrap();
-    let _off = telemetry_off();
     let mut sim = Simulation::builder(setup.behavior)
         .agents(setup.population)
         .index(kind)
@@ -135,7 +134,6 @@ proptest! {
                 a
             })
             .collect();
-        let _off = telemetry_off();
         let run = |b: Arc<dyn Behavior>| {
             let mut sim = Simulation::builder(b).agents(agents.clone()).index(kind).seed(seed).parallelism(1).build().unwrap();
             sim.run(ticks);

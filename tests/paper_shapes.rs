@@ -193,7 +193,7 @@ fn fig7_shape_load_balancer_tracks_drifting_school() {
             seed: 7,
             space_x: (-15.0, 15.0),
             load_balance: lb,
-            balancer: LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 1.0, epoch_len: 5 },
+            balancer: LoadBalancer { imbalance_threshold: 1.2, migration_cost_ticks: 1.0 },
             ..ClusterConfig::default()
         };
         let mut sim = ClusterSim::new(Arc::new(behavior), pop, cfg).unwrap();

@@ -1,7 +1,7 @@
 //! The registry-driven conformance suite: **every** registered scenario
 //! runs through every leg of the engine matrix (`tests/common`) — thread
-//! budgets, clusters of 1 to 4 workers, telemetry on, a recovered fault, a
-//! durable run and a resumed one, a served run — on its
+//! budgets, clusters of 1 to 4 workers, a recovered fault, a durable run
+//! and a resumed one, a served run — on its
 //! [`conformance_setup`](brace::scenario::conformance_setup) configuration,
 //! and through its threaded legs at ≈ 4 500 agents; every leg must
 //! reproduce the serial single-node world bit for bit and pass the
@@ -29,8 +29,8 @@ fn conformance() -> Case {
 
 /// The tentpole invariant: every engine leg ≡ the serial single node,
 /// bitwise, for every registered scenario's conformance configuration —
-/// worker counts 1 to 4, the balancer off and moving boundaries, telemetry
-/// on, a recovered fault, durable and resumed runs, and a served one.
+/// worker counts 1 to 4, the balancer off and moving boundaries, a
+/// recovered fault, durable and resumed runs, and a served one.
 #[test]
 fn every_scenario_cluster_matches_single_node_bitwise() {
     let registry = Registry::builtin();

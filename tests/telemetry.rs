@@ -1,14 +1,12 @@
-//! Telemetry observes, never perturbs — and records what it observes.
+//! Every run records into the telemetry registry: what the recording shows.
 //!
-//! Telemetry on ≡ off, bit for bit, is a leg of the engine matrix
-//! (`tests/common`); the first test below runs the telemetry-on legs
-//! across the registry. The rest of this binary pins what the recording
-//! shows: the counters an enabled run moves, and the tile directory's
-//! ticks at default sizes, 4 000 agents and the benchmark's sizes, and on a
-//! world too sparse for it. Each test holds the write side of the matrix's
-//! telemetry lock.
-
-mod common;
+//! Recording never perturbs a run — every leg of the engine matrix
+//! (`tests/common`) records, and each must reproduce the baseline bit for
+//! bit. This binary pins what the registry holds after a run: the counters
+//! a run moves, and the tile directory's ticks at default sizes, 4 000
+//! agents and the benchmark's sizes, and on a world too sparse for it. The
+//! registry is process-global: a test that resets it and reads it back
+//! holds [`zeroed_metrics`] throughout.
 
 use brace_common::Vec2;
 use brace_core::behavior::NeighborProbe;
@@ -17,29 +15,23 @@ use brace_models::{PredatorBehavior, PredatorParams};
 use brace_scenario::{Backend, Registry, Runner, Scenario, ScenarioSetup};
 use brace_spatial::IndexKind;
 use brace_telemetry::{counter, Counter};
-use common::{engines_agree, telemetry_on, Case, TELEMETRY_ON};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const TICKS: u64 = 10;
 
-/// Every scenario's conformance run on the matrix's telemetry-on legs
-/// (single node, `cluster:2` and served) against the baseline, which runs
-/// with it off. The registry's predator is the non-local form, whose float
-/// sums go through the effect write-log, its replay and the cluster's
-/// shipped writes.
-#[test]
-fn telemetry_on_and_off_agree_bit_for_bit_across_the_registry() {
-    let registry = Registry::builtin();
-    for name in registry.names() {
-        engines_agree(Registry::builtin, name, &Case::conformance(TICKS).on(TELEMETRY_ON));
-    }
+/// Exclusive use of the telemetry registry, zeroed.
+fn zeroed_metrics() -> MutexGuard<'static, ()> {
+    static REGISTRY: Mutex<()> = Mutex::new(());
+    let guard = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+    brace_telemetry::reset();
+    guard
 }
 
-/// Enabled runs are not silently no-ops: an enabled run must actually move
-/// the executor counters and phase histograms.
+/// Runs are not silently no-ops: a plain run, with nothing switched on,
+/// moves the executor counters and phase histograms.
 #[test]
-fn enabled_runs_record_into_the_registry() {
-    let _on = telemetry_on();
-    brace_telemetry::reset();
+fn runs_record_into_the_registry() {
+    let _metrics = zeroed_metrics();
     let registry = Registry::builtin();
     let scenario = registry.get("epidemic").unwrap();
     let report = Runner::new(scenario).conformance().run(TICKS).unwrap();
@@ -57,12 +49,12 @@ fn enabled_runs_record_into_the_registry() {
     assert!(value("brace_phase_update_ns_count") >= TICKS);
     assert!(value("brace_executor_neighbor_visits_total") > 0, "an epidemic run visits neighbors");
     // The query phase's own recording site (it also runs inside cluster
-    // workers, which the equivalence test above covers). Even this sparse
-    // world shares blocks: a group is a strip of neighbouring tiles, so there
-    // are fewer groups than agent-ticks. (A block is a superset of each of
-    // its members' candidates, not of their sum.) The epidemic has non-local
-    // effects and only ever writes to *other* agents: every write is logged,
-    // every one non-local.
+    // workers, below). Even this sparse world shares blocks: a group is a
+    // strip of neighbouring tiles, so there are fewer groups than
+    // agent-ticks. (A block is a superset of each of its members'
+    // candidates, not of their sum.) The epidemic has non-local effects and
+    // only ever writes to *other* agents: every write is logged, every one
+    // non-local.
     let groups = value("brace_executor_probe_groups_total");
     assert!(groups >= TICKS && groups < report.agents as u64 * TICKS, "{groups} groups");
     assert!(counter(Counter::ExecutorBlockCandidates) > 0);
@@ -74,7 +66,8 @@ fn enabled_runs_record_into_the_registry() {
 
     // A local-effect scenario shares blocks between tile-mates — fewer
     // groups than agent-ticks, on the single node and on cluster workers —
-    // and never touches the write-log.
+    // and never touches the write-log. The cluster's master and ledger
+    // record too.
     for backend in [Backend::single(), Backend::cluster(2)] {
         brace_telemetry::reset();
         let report = Runner::new(registry.get("fish").unwrap()).backend(backend).run(TICKS).unwrap();
@@ -83,6 +76,8 @@ fn enabled_runs_record_into_the_registry() {
         assert!(counter(Counter::ExecutorBlockCandidates) > 0);
         assert_eq!(counter(Counter::ExecutorEffectLogEntries), 0, "fish on `{}` logged effects", report.backend);
     }
+    assert!(counter(Counter::ClusterEpochs) > 0, "the cluster run recorded no epoch");
+    assert!(counter(Counter::NetControlBytes) > 0, "the cluster run recorded no control traffic");
 
     // The non-local predator logs only the writes to its remote field,
     // `hurt` — its bites, every one non-local. The local `crowd` writes (one
@@ -105,7 +100,6 @@ fn enabled_runs_record_into_the_registry() {
     }
     assert!(local > 0 && nonlocal > 0, "the predator world is too sparse to test anything");
     assert_eq!(counter(Counter::ExecutorEffectLogEntries), nonlocal);
-    brace_telemetry::reset();
 }
 
 /// Whether `setup` answers its probes with the tile join: a bounded range
@@ -134,7 +128,7 @@ fn directory_ticks(scenario: &dyn Scenario, mut setup: ScenarioSetup, backend: B
 /// too sparse for a directory and never takes it, though it still joins.
 #[test]
 fn joining_scenarios_read_their_windows_off_the_tile_directory() {
-    let _on = telemetry_on();
+    let _metrics = zeroed_metrics();
     const TICKS: u64 = 25;
     let registry = Registry::builtin();
     let mut runs = Vec::new();
@@ -174,5 +168,4 @@ fn joining_scenarios_read_their_windows_off_the_tile_directory() {
             assert_eq!(directory, 0, "the outlier `{name}` on `{label}` took the tile directory");
         }
     }
-    brace_telemetry::reset();
 }
