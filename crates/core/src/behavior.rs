@@ -63,6 +63,12 @@ impl<'a> Neighbors<'a> {
             .map(move |i| NeighborRef { row: i, agent: view.agent(i) })
     }
 
+    /// The columns every [`NeighborRef::row`] indexes: a neighbor met during
+    /// iteration reads again as `view().agent(row)`.
+    pub fn view(&self) -> PoolView<'a> {
+        self.view
+    }
+
     /// Upper bound on the neighbor count (candidates may include self).
     pub fn len_hint(&self) -> usize {
         self.candidates.len()

@@ -21,11 +21,16 @@
 //!
 //! All effects are local (each fish aggregates its neighbors' influence on
 //! itself), so the runtime needs a single reduce pass.
+//!
+//! The query is `fold_zonal_forces`, shared with the flock-obstacles
+//! model; its doc says how it stays bit-identical to the per-candidate loop.
 
 use brace_common::{AgentId, DetRng, FieldId, Vec2};
 use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::effect::{EffectWriter, LocalFold};
 use brace_core::{Agent, AgentRef, AgentSchema, Combinator};
+use brace_spatial::kernels;
+use std::cmp::Ordering;
 
 /// Model parameters. Distances in body lengths, speeds in body lengths per
 /// tick.
@@ -93,24 +98,6 @@ pub mod effect {
     pub const N_VIS: u16 = 7;
 }
 
-/// Per-candidate force geometry: squared distance from the querying fish to
-/// the candidate plus the unit direction toward it — zero when (near)
-/// coincident, the same guard `Vec2::normalized` applies, but on the
-/// cheaper `sqrt(d²)` rather than `hypot`. Zone cutoffs compare against
-/// squared radii for the same reason.
-#[inline]
-pub(crate) fn candidate_force(mx: f64, my: f64, cx: f64, cy: f64) -> (f64, f64, f64) {
-    let dx = cx - mx;
-    let dy = cy - my;
-    let d2 = dx * dx + dy * dy;
-    let d = d2.sqrt();
-    if d > f64::EPSILON {
-        (d2, dx / d, dy / d)
-    } else {
-        (d2, 0.0, 0.0)
-    }
-}
-
 /// Every fish effect is a `Sum` into the fish's own row, a few hundred of
 /// them per query — folded in registers through
 /// [`EffectWriter::fold_local`]. In effect-slot order, so accumulator `k`
@@ -147,6 +134,68 @@ fn fold_force(acc: &mut LocalFold<'_, 8>, personal: bool, ux: f64, uy: f64, hx: 
         acc.sum(effect::ALI_Y as usize, hy);
         acc.sum(effect::N_VIS as usize, 1.0);
     }
+}
+
+/// Candidates per compress pass of [`fold_zonal_forces`] (16 and 64
+/// measured no faster).
+const BLOCK: usize = 32;
+
+/// The zonal query of the Couzin-style models — the fish and
+/// flock-obstacles, whose schemas both put the eight [`effect`] sums in
+/// slots 0–7 and the heading in state slots 0–1: fold every neighbor within
+/// `sqrt(rho2)` of `me` into the querying agent's own effects through
+/// [`EffectWriter::fold_local`], repulsion inside `sqrt(alpha2)`. Two passes
+/// per block of [`BLOCK`] candidates:
+///
+/// 1. **Compress.** Every candidate's row, displacement and squared distance
+///    are written at a cursor that advances unless `d2 > rho2` — the
+///    corners of the square probe region, beyond the radial model; a NaN
+///    distance is not beyond it and stays in. No branch, so no mispredict
+///    for a corner, and no heading load or divide for it either.
+/// 2. **Map and fold.** The kept entries, two at a time, become unit
+///    directions through [`kernels::unit_dirs`] (one packed square root and
+///    two packed divides; `kernels::candidate_force` per element, bit for
+///    bit), and [`fold_force`] folds each, with the heading read back by row,
+///    in candidate order.
+///
+/// Each accumulator receives the adds of the per-candidate loop
+/// `candidate_force` → `continue` beyond ρ → `fold_force`, in its order, so
+/// no bit moves (`kernel_zonal_forces_equal_the_candidate_loop`).
+pub(crate) fn fold_zonal_forces(eff: &mut EffectWriter<'_>, me: Vec2, nbrs: &Neighbors<'_>, alpha2: f64, rho2: f64) {
+    let view = nbrs.view();
+    eff.fold_local(FORCE_FOLD, |acc| {
+        let (mut rows, mut dx, mut dy, mut d2) = ([0u32; BLOCK], [0.0; BLOCK], [0.0; BLOCK], [0.0; BLOCK]);
+        let mut nbrs = nbrs.iter();
+        loop {
+            let (mut seen, mut kept) = (0, 0);
+            for nb in nbrs.by_ref().take(BLOCK) {
+                let pos = nb.agent.pos();
+                let (x, y) = (pos.x - me.x, pos.y - me.y);
+                let s = x * x + y * y;
+                (rows[kept], dx[kept], dy[kept], d2[kept]) = (nb.row, x, y, s);
+                // Not beyond ρ: within it, or a NaN distance (one compare).
+                kept += (s.partial_cmp(&rho2) != Some(Ordering::Greater)) as usize;
+                seen += 1;
+            }
+            let mut i = 0;
+            while i + 2 <= kept {
+                let ([ux0, ux1], [uy0, uy1]) =
+                    kernels::unit_dirs([dx[i], dx[i + 1]], [dy[i], dy[i + 1]], [d2[i], d2[i + 1]]);
+                let (a, b) = (view.agent(rows[i]), view.agent(rows[i + 1]));
+                fold_force(acc, d2[i] <= alpha2, ux0, uy0, a.state(state::HX), a.state(state::HY));
+                fold_force(acc, d2[i + 1] <= alpha2, ux1, uy1, b.state(state::HX), b.state(state::HY));
+                i += 2;
+            }
+            if i < kept {
+                let ([ux], [uy]) = kernels::unit_dirs([dx[i]], [dy[i]], [d2[i]]);
+                let a = view.agent(rows[i]);
+                fold_force(acc, d2[i] <= alpha2, ux, uy, a.state(state::HX), a.state(state::HY));
+            }
+            if seen < BLOCK {
+                break;
+            }
+        }
+    });
 }
 
 /// The fish school as a BRACE behavior.
@@ -220,20 +269,7 @@ impl Behavior for FishBehavior {
 
     fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
         let p = &self.params;
-        let (alpha2, rho2) = (p.alpha * p.alpha, p.rho * p.rho);
-        let my_pos = me.pos();
-        eff.fold_local(FORCE_FOLD, |acc| {
-            for nb in nbrs.iter() {
-                let npos = nb.agent.pos();
-                let (d2, ux, uy) = candidate_force(my_pos.x, my_pos.y, npos.x, npos.y);
-                if d2 > rho2 {
-                    // Corner of the square visible region beyond ρ: the model
-                    // is radial, the index is rectangular; filter here.
-                    continue;
-                }
-                fold_force(acc, d2 <= alpha2, ux, uy, nb.agent.state(state::HX), nb.agent.state(state::HY));
-            }
-        });
+        fold_zonal_forces(eff, me.pos(), nbrs, p.alpha * p.alpha, p.rho * p.rho);
     }
 
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {

@@ -91,6 +91,17 @@ pub mod effect {
     pub const N_VIS: u16 = 7;
 }
 
+// The query is the fish's zonal fold, which reads the heading from the
+// fish's state slots and folds into the fish's effect slots.
+const _: () = {
+    use crate::fish;
+    assert!(state::HX == fish::state::HX && state::HY == fish::state::HY);
+    assert!(effect::REP_X == fish::effect::REP_X && effect::REP_Y == fish::effect::REP_Y);
+    assert!(effect::ATT_X == fish::effect::ATT_X && effect::ATT_Y == fish::effect::ATT_Y);
+    assert!(effect::ALI_X == fish::effect::ALI_X && effect::ALI_Y == fish::effect::ALI_Y);
+    assert!(effect::N_REP == fish::effect::N_REP && effect::N_VIS == fish::effect::N_VIS);
+};
+
 /// A static circular obstacle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Obstacle {
@@ -179,26 +190,7 @@ impl Behavior for FlockObstaclesBehavior {
 
     fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
         let p = &self.params;
-        let (alpha2, rho2) = (p.alpha * p.alpha, p.rho * p.rho);
-        let my_pos = me.pos();
-        for nb in nbrs.iter() {
-            let npos = nb.agent.pos();
-            let (d2, ux, uy) = crate::fish::candidate_force(my_pos.x, my_pos.y, npos.x, npos.y);
-            if d2 > rho2 {
-                continue;
-            }
-            if d2 <= alpha2 {
-                eff.local(FieldId::new(effect::REP_X), -ux);
-                eff.local(FieldId::new(effect::REP_Y), -uy);
-                eff.local(FieldId::new(effect::N_REP), 1.0);
-            } else {
-                eff.local(FieldId::new(effect::ATT_X), ux);
-                eff.local(FieldId::new(effect::ATT_Y), uy);
-                eff.local(FieldId::new(effect::ALI_X), nb.agent.state(state::HX));
-                eff.local(FieldId::new(effect::ALI_Y), nb.agent.state(state::HY));
-                eff.local(FieldId::new(effect::N_VIS), 1.0);
-            }
-        }
+        crate::fish::fold_zonal_forces(eff, me.pos(), nbrs, p.alpha * p.alpha, p.rho * p.rho);
     }
 
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {

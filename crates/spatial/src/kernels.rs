@@ -7,8 +7,10 @@
 //! shape that vectorizes, and this module is the single home for the
 //! fixed-width kernels the indexes and the executor batch through: the
 //! executor's join members and the scan filter with [`filter_rect`], the scan
-//! and the grid gather k-NN distances with [`dist2`]. The executor's join
-//! also orders and looks up here: each block goes into ascending id by
+//! and the grid gather k-NN distances with [`dist2`], and the zonal models
+//! (fish, flock-obstacles) turn their kept candidates into unit directions
+//! with [`unit_dirs`]. The executor's join also orders and looks up here:
+//! each block goes into ascending id by
 //! [`block_order`] (rank placement, or the byte radix [`radix_sort_by_key`]
 //! that builds the tick's id order too), the probe order of [`ProbeKey`]s is
 //! sorted by [`TileDirectory::sort`] (a counting sort whose prefix sums are
@@ -27,7 +29,10 @@
 //! every input length. The tail boundary can never change results — only
 //! which instructions produce them. `tests` pins the remainder handling at
 //! candidate counts of 0, 1, `LANES−1`, `LANES`, `LANES+1` and `2·LANES−1`
-//! — for [`filter_rect`], under every hit pattern of those lengths.
+//! — for [`filter_rect`], under every hit pattern of those lengths, and for
+//! [`unit_dirs`], which maps `N` elements per call (its caller takes a run
+//! in chunks of `N` and the remainder one at a time), at `N` = 1, 2 and
+//! [`LANES`] against [`candidate_force`], element by element.
 //!
 //! # Emission: write, then advance
 //!
@@ -63,17 +68,17 @@
 //! subsequence preserves the input order, so a batched filter composed with
 //! the indexes' canonical emission order ([`crate::SpatialIndex::RANGE_CANONICAL`])
 //! feeds the behavior's effect aggregation in exactly the order the scalar
-//! path would have. Reduction-shaped model kernels (fish forces, traffic
-//! gap scans) keep the same guarantee by splitting into a vectorized
-//! per-candidate map (distances, directions, gaps — independent elements)
-//! followed by an ordered scalar fold over the mapped columns: the fold
-//! runs in canonical candidate order, so float aggregation is bit-identical
-//! to the per-row path by construction. `tests/properties.rs` proves the
-//! equivalence end to end (`kernel_*` conformance properties).
+//! path would have. The one model kernel, [`unit_dirs`], keeps the same
+//! guarantee by being a pure map — independent elements, each bit for bit
+//! what [`candidate_force`] returns; the zonal query that folds its output
+//! in candidate order is described at `brace_models`' `fold_zonal_forces`,
+//! and `tests/properties.rs` proves it end to end
+//! (`kernel_zonal_forces_equal_the_candidate_loop`), as
+//! `kernel_range_filter_batched_equals_scalar` does the filter.
 //!
 //! The portable kernels are written so stable LLVM autovectorizes them
-//! (branch-free masks, exact chunking); on x86-64 an explicit `std::arch`
-//! AVX path is selected by runtime feature detection
+//! (branch-free masks, exact chunking); on x86-64 [`filter_rect`] has an
+//! explicit `std::arch` AVX path, selected by runtime feature detection
 //! ([`std::arch::is_x86_feature_detected`]) — it computes the identical
 //! comparisons and emits the identical subsequence, so the dispatch never
 //! affects results, only speed. It needs AVX and nothing newer: runners
@@ -241,6 +246,48 @@ pub fn dist2(xs: &[f64], ys: &[f64], qx: f64, qy: f64, out: &mut Vec<f64>) {
         let (dx, dy) = (x - qx, y - qy);
         dx * dx + dy * dy
     }));
+}
+
+/// The zonal models' per-candidate force geometry, and the scalar
+/// specification [`unit_dirs`] is held to: the squared distance from
+/// `(mx, my)` to `(cx, cy)` plus the unit direction toward it — zero when
+/// (near) coincident, the same guard `Vec2::normalized` applies, but on the
+/// cheaper `sqrt(d²)` rather than `hypot`. Zone cutoffs compare against
+/// squared radii for the same reason.
+#[inline]
+pub fn candidate_force(mx: f64, my: f64, cx: f64, cy: f64) -> (f64, f64, f64) {
+    let dx = cx - mx;
+    let dy = cy - my;
+    let d2 = dx * dx + dy * dy;
+    let d = d2.sqrt();
+    if d > f64::EPSILON {
+        (d2, dx / d, dy / d)
+    } else {
+        (d2, 0.0, 0.0)
+    }
+}
+
+/// The unit directions of `N` displacements `(dx[j], dy[j])` whose squared
+/// lengths are `d2[j]` (`dx[j]² + dy[j]²`, computed by the caller): bit for
+/// bit the `(ux, uy)` [`candidate_force`] returns for each. A pure map whose
+/// guard is a bit mask, not a branch, so LLVM packs an `N = 2` call into one
+/// square root and two divides on the baseline target. A caller that maps a
+/// run of any length takes it in chunks of `N` and its remainder with
+/// `N = 1`.
+#[inline(always)]
+pub fn unit_dirs<const N: usize>(dx: [f64; N], dy: [f64; N], d2: [f64; N]) -> ([f64; N], [f64; N]) {
+    let d = d2.map(f64::sqrt);
+    let (mut ux, mut uy) = ([0.0; N], [0.0; N]);
+    for j in 0..N {
+        // All ones where the length exceeds `f64::EPSILON`, else (a NaN length
+        // included) all zeros, which turns both quotients into `+0.0`,
+        // `candidate_force`'s `0.0`. A discarded quotient (`x / 0`, `∞ / ∞`,
+        // …) traps no floating-point exception.
+        let keep = u64::from(d[j] > f64::EPSILON).wrapping_neg();
+        ux[j] = f64::from_bits((dx[j] / d[j]).to_bits() & keep);
+        uy[j] = f64::from_bits((dy[j] / d[j]).to_bits() & keep);
+    }
+    (ux, uy)
 }
 
 /// The longest block [`block_order`] orders by rank placement; a longer one
@@ -680,6 +727,104 @@ mod tests {
         assert_paths_match_naive(&xs, &ys, &pls, &rect, &[], "denormals and signed zeros");
         // ±0.0 compare equal: both zero-x points are inside [-0.0, tiny].
         assert!(got.contains(&0) && got.contains(&1));
+    }
+
+    /// Candidates around a querying point at the origin that reach every
+    /// branch of the guard: coincident and ±0.0 displacements, lengths at and
+    /// either side of `f64::EPSILON`, subnormals, ordinary ones, squared
+    /// lengths that overflow to ∞ or underflow to 0, infinite and NaN
+    /// coordinates.
+    fn unit_dir_candidates(n: usize, seed: u64) -> Vec<(f64, f64)> {
+        let eps = f64::EPSILON;
+        let special = [
+            (0.0, 0.0),
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (eps, 0.0),
+            (0.0, -eps),
+            (f64::from_bits(eps.to_bits() + 1), 0.0),
+            (f64::from_bits(eps.to_bits() - 1), 0.0),
+            (eps * 0.6, eps * 0.8),
+            (f64::from_bits(1), -f64::from_bits(3)),
+            (1e-160, 1e-160),
+            (1e155, 1e155),
+            (-1e300, 3.0),
+            (f64::INFINITY, 1.0),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (f64::NAN, 0.5),
+            (2.0, f64::NAN),
+        ];
+        let mut rng = DetRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| match rng.range(0.0, 3.0) as u32 {
+                0 => special[(i * 7 + seed as usize) % special.len()],
+                _ => (rng.range(-6.0, 6.0), rng.range(-6.0, 6.0)),
+            })
+            .collect()
+    }
+
+    /// A run mapped the way a caller of [`unit_dirs`] maps it: chunks of
+    /// `N`, then the remainder one element at a time.
+    fn unit_dirs_run<const N: usize>(dx: &[f64], dy: &[f64], d2: &[f64]) -> Vec<(f64, f64)> {
+        let head = dx.len() - dx.len() % N;
+        let mut out = Vec::new();
+        for i in (0..head).step_by(N) {
+            let chunk = |col: &[f64]| -> [f64; N] { col[i..i + N].try_into().unwrap() };
+            let (ux, uy) = unit_dirs(chunk(dx), chunk(dy), chunk(d2));
+            out.extend(ux.into_iter().zip(uy));
+        }
+        for i in head..dx.len() {
+            let ([ux], [uy]) = unit_dirs([dx[i]], [dy[i]], [d2[i]]);
+            out.push((ux, uy));
+        }
+        out
+    }
+
+    /// The lane/tail contract for [`unit_dirs`]: at every tail-contract
+    /// length, a run mapped one, two or [`LANES`] elements at a time equals
+    /// [`candidate_force`] element by element, bit for bit, for
+    /// displacements from a querying point at the origin.
+    #[test]
+    fn unit_dirs_matches_candidate_force_at_tail_counts() {
+        for n in [0, 1, LANES - 1, LANES, LANES + 1, 2 * LANES - 1] {
+            for seed in 0..64 {
+                let cands = unit_dir_candidates(n, seed);
+                let (dx, dy): (Vec<f64>, Vec<f64>) = cands.iter().copied().unzip();
+                let d2: Vec<f64> = cands.iter().map(|&(x, y)| x * x + y * y).collect();
+                let runs = [
+                    (1, unit_dirs_run::<1>(&dx, &dy, &d2)),
+                    (2, unit_dirs_run::<2>(&dx, &dy, &d2)),
+                    (LANES, unit_dirs_run::<LANES>(&dx, &dy, &d2)),
+                ];
+                for (width, run) in runs {
+                    assert_eq!(run.len(), n);
+                    for (i, (&(cx, cy), (ux, uy))) in cands.iter().zip(run).enumerate() {
+                        let (s, wx, wy) = candidate_force(0.0, 0.0, cx, cy);
+                        let got = (d2[i].to_bits(), ux.to_bits(), uy.to_bits());
+                        assert_eq!(
+                            got,
+                            (s.to_bits(), wx.to_bits(), wy.to_bits()),
+                            "width {width} n {n} seed {seed} element {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A non-origin querying point: the displacement the caller computes is
+    /// `c − m`, exactly as [`candidate_force`] computes it.
+    #[test]
+    fn unit_dirs_matches_candidate_force_off_the_origin() {
+        let (xs, ys, _) = columns(2 * LANES - 1, 17);
+        let (mx, my) = (3.25, -1.5);
+        let dx: Vec<f64> = xs.iter().map(|x| x - mx).collect();
+        let dy: Vec<f64> = ys.iter().map(|y| y - my).collect();
+        let d2: Vec<f64> = dx.iter().zip(&dy).map(|(x, y)| x * x + y * y).collect();
+        for (i, (ux, uy)) in unit_dirs_run::<2>(&dx, &dy, &d2).into_iter().enumerate() {
+            let (_, wx, wy) = candidate_force(mx, my, xs[i], ys[i]);
+            assert_eq!((ux.to_bits(), uy.to_bits()), (wx.to_bits(), wy.to_bits()), "element {i}");
+        }
     }
 
     #[test]

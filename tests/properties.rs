@@ -34,7 +34,7 @@ use brace_core::{
     Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWrite, EffectWriter, Simulation,
 };
 use brace_mapreduce::codec;
-use brace_spatial::kernels::{block_order, radix_sort_by_key, seek_window, ProbeKey, TileDirectory};
+use brace_spatial::kernels::{block_order, candidate_force, radix_sort_by_key, seek_window, ProbeKey, TileDirectory};
 use brace_spatial::{GridPartitioning, KdTree, ScanIndex, SpatialIndex, UniformGrid};
 use common::{any_index_kind, worlds_bit_identical};
 use proptest::prelude::*;
@@ -836,13 +836,14 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Kernel conformance: the spatial layer's lane kernels ≡ their scalar
-// definitions, bitwise, and the register-resident effect fold ≡ plain writes
+// definitions, bitwise, the register-resident effect fold ≡ plain writes, and
+// the zonal models' blocked query ≡ their per-candidate loop
 // (CI reruns this section with PROPTEST_CASES=256)
 // ---------------------------------------------------------------------------
 
 use brace_models::{
-    EpidemicBehavior, EpidemicParams, FishBehavior, FishParams, PredatorBehavior, PredatorParams, TrafficBehavior,
-    TrafficParams,
+    EpidemicBehavior, EpidemicParams, FishBehavior, FishParams, FlockObstaclesBehavior, FlockObstaclesParams,
+    PredatorBehavior, PredatorParams, TrafficBehavior, TrafficParams,
 };
 
 /// Point sets that stress the lane kernels' compare/select paths: ordinary
@@ -863,6 +864,47 @@ fn edge_points(n: usize, seed: u64) -> Vec<(Vec2, u32)> {
         }
     }
     pts
+}
+
+/// A position for `kernel_zonal_forces_equal_the_candidate_loop`, drawn
+/// relative to the querying agent at `me` (personal radius `alpha`, visible
+/// radius `rho`): hostile doubles, coincident points, displacements at and
+/// around `f64::EPSILON`, squared distances of exactly `alpha²` and `rho²`
+/// (and one ulp either side of the radius), ±0.0, distances whose square
+/// overflows, ±∞ and NaN coordinates, and ordinary points of the probe
+/// square — corners beyond `rho` included.
+fn zonal_point(kind: u8, bits: u64, me: Vec2, alpha: f64, rho: f64) -> Vec2 {
+    let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+    // Along x or y, by another bit.
+    let offset = |d: f64| if bits & 2 == 0 { Vec2::new(me.x + d, me.y) } else { Vec2::new(me.x, me.y + d) };
+    let eps = f64::EPSILON;
+    match kind {
+        0 => Vec2::new(hostile_f64(bits), hostile_f64(bits.rotate_left(29))),
+        1 => me,
+        2 => offset(
+            sign * [eps, eps / 2.0, f64::from_bits(eps.to_bits() + 1), f64::from_bits(eps.to_bits() - 1)]
+                [(bits >> 2) as usize % 4],
+        ),
+        3 => {
+            let r = [alpha, rho][(bits >> 2) as usize % 2];
+            offset(
+                sign * [r, f64::from_bits(r.to_bits() + 1), f64::from_bits(r.to_bits() - 1)][(bits >> 3) as usize % 3],
+            )
+        }
+        4 => Vec2::new(sign * 0.0, if bits & 2 == 0 { 0.0 } else { -0.0 }),
+        5 => Vec2::new(me.x + sign * 1e155, me.y - sign * [1e155, 1e308][(bits >> 2) as usize % 2]),
+        6 => match (bits >> 2) % 4 {
+            0 => Vec2::new(sign * f64::INFINITY, me.y),
+            1 => Vec2::new(f64::INFINITY, f64::NEG_INFINITY),
+            2 => Vec2::new(f64::NAN, me.y),
+            _ => Vec2::new(me.x, f64::NAN),
+        },
+        _ => {
+            // Uniform over the probe square `rho` on a side of `me`.
+            let unit = |b: u64| (b >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+            Vec2::new(me.x + rho * unit(bits), me.y + rho * unit(bits.rotate_left(32)))
+        }
+    }
 }
 
 proptest! {
@@ -1021,6 +1063,97 @@ proptest! {
         for r in 0..3 {
             for (x, y) in by_local.row(r).into_iter().zip(by_fold.row(r)) {
                 prop_assert!(x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()), "row {}: {} vs {}", r, x, y);
+            }
+        }
+    }
+
+    /// The zonal models' query — candidates compressed to the visible disc
+    /// in blocks of 32, then unit directions two at a time folded in
+    /// registers — folds the bits of the per-candidate loop it replaced
+    /// (`candidate_force`, skip beyond ρ, repulsion inside α), restated here
+    /// over plain sums, into all eight accumulators: for the fish and
+    /// flock-obstacles, from no candidate to past three blocks, with the
+    /// querying row anywhere among them (block edges included), over the
+    /// positions `zonal_point` draws. A NaN distance stays in, as it always
+    /// has (`check_population` admits NaN and infinite positions).
+    #[test]
+    fn kernel_zonal_forces_equal_the_candidate_loop(
+        n_draw in 0usize..160,
+        draws in prop::collection::vec((0u8..10, any::<u64>(), any::<u64>(), any::<u64>()), 110..111),
+        me_draw in (0u8..7, any::<u64>()),
+        me_at in 0usize..200,
+    ) {
+        let fish = FishBehavior::new(FishParams::default());
+        let flock = FlockObstaclesBehavior::new(FlockObstaclesParams::default());
+        let zonal: [(&dyn Behavior, f64, f64); 2] = [
+            (&fish, fish.params().alpha, fish.params().rho),
+            (&flock, flock.params().alpha, flock.params().rho),
+        ];
+        let (me_kind, me_bits) = me_draw;
+        let me_pos = match me_kind {
+            0 => Vec2::new(0.0, 0.0),
+            1 => Vec2::new(-0.0, -0.0),
+            2 => Vec2::new(hostile_f64(me_bits), hostile_f64(me_bits.rotate_left(17))),
+            3 => Vec2::new(1e308, -1e308),
+            4 => Vec2::new(f64::NEG_INFINITY, 0.0),
+            5 => Vec2::new(0.0, f64::NAN),
+            _ => Vec2::new((me_bits % 1000) as f64 / 8.0 - 60.0, (me_bits >> 32) as f64 / (1u64 << 32) as f64 * 100.0),
+        };
+        // Rows `0..n` are the candidates — any count up to past three blocks,
+        // a block edge in a third of the draws; the querying row `n` sits
+        // among them at `me_at`.
+        let n = if n_draw < 111 { n_draw } else { [31, 32, 33, 63, 64, 65, 96, 97][n_draw % 8] };
+        let me_at = if me_at < 120 { me_at % (n + 1) } else { [0, 31, 32, 33, 63, 64, 65, 96][me_at % 8].min(n) };
+        let mut cands: Vec<u32> = (0..n as u32).collect();
+        cands.insert(me_at, n as u32);
+        for (b, alpha, rho) in zonal {
+            let schema = b.schema();
+            let agents: Vec<Agent> = (0..=n)
+                .map(|i| {
+                    let (kind, bits, hx, hy) = draws[i % draws.len()];
+                    let pos = if i < n { zonal_point(kind, bits, me_pos, alpha, rho) } else { me_pos };
+                    let mut a = Agent::new(AgentId::new(i as u64), pos, schema);
+                    a.state[0] = hostile_f64(hx);
+                    a.state[1] = hostile_f64(hy);
+                    a
+                })
+                .collect();
+            let pool = AgentPool::from_agents(schema, &agents);
+            let view = pool.view();
+            let me = n as u32;
+            let mut table = EffectTable::new(schema);
+            table.reset(n + 1);
+            let mut w = EffectWriter::new(schema, &mut table, me);
+            b.query(view.agent(me), &Neighbors::new(view, &cands, me), &mut w, &mut DetRng::seed_from_u64(0));
+            // The per-candidate loop, accumulator `k` being effect slot `k`.
+            let (alpha2, rho2) = (alpha * alpha, rho * rho);
+            let mut want = [0.0f64; 8];
+            for &c in cands.iter().filter(|&&c| c != me) {
+                let nb = &agents[c as usize];
+                let (d2, ux, uy) = candidate_force(me_pos.x, me_pos.y, nb.pos.x, nb.pos.y);
+                if d2 > rho2 {
+                    continue;
+                }
+                if d2 <= alpha2 {
+                    want[0] += -ux;
+                    want[1] += -uy;
+                    want[6] += 1.0;
+                } else {
+                    want[2] += ux;
+                    want[3] += uy;
+                    want[4] += nb.state[0];
+                    want[5] += nb.state[1];
+                    want[7] += 1.0;
+                }
+            }
+            // Bitwise, except that a NaN is any NaN (see
+            // `kernel_fold_local_equals_local_writes`).
+            let got = table.row(me);
+            for k in 0..8 {
+                prop_assert!(
+                    got[k].to_bits() == want[k].to_bits() || (got[k].is_nan() && want[k].is_nan()),
+                    "{} accumulator {}: {} vs {} (n {}, querying row at {})", schema.name(), k, got[k], want[k], n, me_at
+                );
             }
         }
     }
