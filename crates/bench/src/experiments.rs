@@ -42,7 +42,7 @@ pub struct Fig3Row {
     pub mitsim_secs: f64,
     /// BRACE with the scan "index" — quadratic.
     pub noidx_secs: f64,
-    /// BRACE with the KD-tree — log-linear.
+    /// BRACE with the sort-merge tile join — log-linear.
     pub idx_secs: f64,
 }
 
@@ -76,7 +76,7 @@ pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
                 (n, secs)
             };
             let (agents, noidx_secs) = run_brace(IndexKind::Scan);
-            let (_, idx_secs) = run_brace(IndexKind::KdTree);
+            let (_, idx_secs) = run_brace(IndexKind::Join);
             Fig3Row { segment, agents, mitsim_secs, noidx_secs, idx_secs }
         })
         .collect()
@@ -95,7 +95,9 @@ pub struct Fig4Row {
 }
 
 /// Figure 4: total simulation time vs visibility range ρ, with and without
-/// the KD-tree.
+/// indexing. The paper's prototype indexed with a KD-tree; the indexed runs
+/// here time the sort-merge tile join, whose per-tick probe order is the
+/// index.
 ///
 /// Expected shape: indexing wins by 2–3× at small ρ; the advantage shrinks
 /// as ρ grows (each probe returns more of the school), exactly the paper's
@@ -120,7 +122,7 @@ pub fn fig4(scale: Scale) -> Vec<Fig4Row> {
                 });
                 secs
             };
-            Fig4Row { visibility: rho, noidx_secs: run(IndexKind::Scan), idx_secs: run(IndexKind::KdTree) }
+            Fig4Row { visibility: rho, noidx_secs: run(IndexKind::Scan), idx_secs: run(IndexKind::Join) }
         })
         .collect()
 }
@@ -136,11 +138,11 @@ pub struct Fig5Result {
     pub agents: usize,
     /// Scan index, non-local script (two reduce passes).
     pub no_opt: f64,
-    /// KD-tree, non-local script.
+    /// Tile join, non-local script.
     pub idx_only: f64,
     /// Scan index, effect-inverted script (single reduce pass).
     pub inv_only: f64,
-    /// KD-tree + inversion.
+    /// Tile join + inversion.
     pub idx_inv: f64,
     /// Bytes of effect traffic in the non-local runs (zero when inverted).
     pub effect_bytes_nonlocal: u64,
@@ -189,9 +191,9 @@ pub fn fig5(scale: Scale) -> Fig5Result {
         (tput, sim.stats().net.effects.bytes)
     };
     let (no_opt, eff_nl) = run(false, IndexKind::Scan);
-    let (idx_only, _) = run(false, IndexKind::KdTree);
+    let (idx_only, _) = run(false, IndexKind::Join);
     let (inv_only, eff_inv) = run(true, IndexKind::Scan);
-    let (idx_inv, _) = run(true, IndexKind::KdTree);
+    let (idx_inv, _) = run(true, IndexKind::Join);
     Fig5Result {
         workers,
         agents: n,

@@ -483,7 +483,7 @@ mod tests {
         let schema = behavior.schema().clone();
         let agents: Vec<Agent> =
             (0..4).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64, 0.0), &schema)).collect();
-        let mut sim = Simulation::builder(behavior).agents(agents).index(IndexKind::KdTree).build().unwrap();
+        let mut sim = Simulation::builder(behavior).agents(agents).index(IndexKind::Join).build().unwrap();
         sim.step();
         // Line of 4 with visibility 2: ends are hit by 2, middles by 3.
         let hits: Vec<f64> = sim.agents().iter().map(|a| a.state[0]).collect();

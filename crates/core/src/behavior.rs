@@ -46,7 +46,7 @@ pub struct Neighbors<'a> {
 
 impl<'a> Neighbors<'a> {
     /// `view` is the partition's visible agent columns; `candidates` are
-    /// row indices produced by the index probe (they may include `me`,
+    /// row indices produced by the range probe (they may include `me`,
     /// which iteration skips).
     pub fn new(view: PoolView<'a>, candidates: &'a [u32], me: u32) -> Self {
         Neighbors { view, candidates, me }
@@ -104,22 +104,6 @@ impl<'a> UpdateCtx<'a> {
     }
 }
 
-/// How the engine materializes a behavior's neighborhood each tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NeighborProbe {
-    /// Orthogonal range query over the visible region — the paper's
-    /// compiled form of a BRASIL `foreach` under `#range` (default).
-    #[default]
-    Range,
-    /// The `k` nearest agents (Euclidean), cropped to the visible region —
-    /// the paper's nearest-neighbor-indexing extension ("planned future
-    /// work" in §5.2, needed for parity with MITSIM's hand-coded lookup).
-    /// Correctness note: candidates beyond the schema's visibility bound
-    /// are filtered out, because the distributed runtime replicates only
-    /// the visible region — k-NN cannot see further than `#range` allows.
-    Nearest(usize),
-}
-
 /// A simulation model: the query and update phases over a fixed schema.
 pub trait Behavior: Send + Sync {
     /// The agent schema this behavior operates on. The executor shapes
@@ -127,16 +111,12 @@ pub trait Behavior: Send + Sync {
     /// between calls.
     fn schema(&self) -> &AgentSchema;
 
-    /// Neighborhood materialization (default: range query).
-    fn probe(&self) -> NeighborProbe {
-        NeighborProbe::Range
-    }
-
-    /// The rect handed to the spatial index for a [`NeighborProbe::Range`]
-    /// probe centered on `pos` with visibility bound `vis`. The default is
-    /// the full visibility square; a behavior that can *prove* its query
-    /// ignores part of that square (BRASIL's visibility-predicate pushdown)
-    /// may return a tighter rect so the index does the filtering. Contract:
+    /// The range probe centered on `pos` with visibility bound `vis`: the
+    /// rect whose visible rows the query sees — the compiled form of a BRASIL
+    /// `foreach` under `#range`. The default is the full visibility square; a
+    /// behavior that can *prove* its query ignores part of that square
+    /// (BRASIL's visibility-predicate pushdown) may return a tighter rect so
+    /// the probe does the filtering. Contract:
     /// the returned rect must contain every candidate whose inclusion can
     /// change any observable result — shrinking it is an optimization,
     /// never a semantic change, and replica shipping still covers the full
@@ -163,9 +143,6 @@ macro_rules! forward_behavior {
         impl<B: Behavior + ?Sized> Behavior for $ptr<B> {
             fn schema(&self) -> &AgentSchema {
                 (**self).schema()
-            }
-            fn probe(&self) -> NeighborProbe {
-                (**self).probe()
             }
             fn probe_rect(&self, pos: Vec2, vis: f64) -> Rect {
                 (**self).probe_rect(pos, vis)

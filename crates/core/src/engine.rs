@@ -1,7 +1,7 @@
 //! The single-node engine.
 //!
 //! [`Simulation`] is BRACE's one-partition runtime. It owns the agent pool,
-//! the tick's [`TickIndex`] and [`TickScratch`] and the spawn-id generator,
+//! the tick's [`TickScratch`] and the spawn-id generator,
 //! and each [`Simulation::step`] runs the executor's phases back to back —
 //! [`query_phase_sharded`], [`replay_effects`], then
 //! [`update_phase_sharded`] — applies the update's membership changes,
@@ -21,7 +21,7 @@
 use crate::agent::{Agent, AgentPool};
 use crate::behavior::Behavior;
 use crate::executor::{
-    query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickIndex, TickScratch, SHARD_ROWS,
+    query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickScratch, SHARD_ROWS,
 };
 use crate::metrics::TickMetrics;
 use crate::schema::AgentSchema;
@@ -89,7 +89,7 @@ impl<B: Behavior> SimulationBuilder<B> {
         self
     }
 
-    /// Spatial index used by the query phase (default: KD-tree).
+    /// How the query phase answers range probes (default: the tile join).
     pub fn index(mut self, kind: IndexKind) -> Self {
         self.index = kind;
         self
@@ -118,7 +118,7 @@ impl<B: Behavior> SimulationBuilder<B> {
         Ok(Simulation {
             behavior: self.behavior,
             pool,
-            index: TickIndex::new(self.index),
+            index: self.index,
             scratch: TickScratch::new(),
             id_gen: AgentIdGen::from(first_spawn_id),
             killed: Vec::new(),
@@ -135,7 +135,7 @@ impl<B: Behavior> SimulationBuilder<B> {
 pub struct Simulation<B: Behavior> {
     behavior: B,
     pool: AgentPool,
-    index: TickIndex,
+    index: IndexKind,
     scratch: TickScratch,
     id_gen: AgentIdGen,
     /// The update phase's report, reused across ticks: the rows it killed and
@@ -150,7 +150,7 @@ pub struct Simulation<B: Behavior> {
 impl<B: Behavior> Simulation<B> {
     /// Start building a simulation around `behavior`.
     pub fn builder(behavior: B) -> SimulationBuilder<B> {
-        SimulationBuilder { behavior, agents: Vec::new(), index: IndexKind::KdTree, seed: 0, parallelism: 1 }
+        SimulationBuilder { behavior, agents: Vec::new(), index: IndexKind::Join, seed: 0, parallelism: 1 }
     }
 
     /// Execute one tick (query → finalize effects → update).
@@ -160,7 +160,7 @@ impl<B: Behavior> Simulation<B> {
             &self.behavior,
             &mut self.pool,
             n,
-            &mut self.index,
+            self.index,
             self.tick,
             self.seed,
             &mut self.scratch,
@@ -245,13 +245,6 @@ impl<B: Behavior> Simulation<B> {
 
     pub fn tick(&self) -> u64 {
         self.tick
-    }
-
-    /// Index builds performed so far: one per tick for a k-NN, scan or
-    /// unbounded-visibility schema, 0 for a bounded-visibility range schema,
-    /// whose probe order is its index.
-    pub fn index_rebuilds(&self) -> u64 {
-        self.index.rebuilds()
     }
 }
 

@@ -1,6 +1,6 @@
 //! The tick's phase functions: query phase, effect finalization, update
-//! phase — sharded for intra-worker parallelism, columnar, and — for range
-//! probes — index-free: the query phase is a sort-merge spatial join.
+//! phase — sharded for intra-worker parallelism, columnar, and index-free:
+//! the query phase is a sort-merge spatial join.
 //!
 //! Each phase has one production entry point — [`query_phase_sharded`],
 //! [`replay_effects`] and [`update_phase_sharded`] — exposed separately
@@ -46,9 +46,9 @@
 //! position falls in (tile side = the schema's visibility bound: a rule, not
 //! a knob), y-major, then by id. Each row of the probe order carries its
 //! **id rank**, its place in the id order. That sorted order *is* the index
-//! for every [`NeighborProbe::Range`] schema with a bounded visibility: no
-//! [`SpatialIndex`] is built, synced or probed (both sorts are the join's
-//! build side and are charged to `index_build_ns`). The owned rows
+//! for every schema with a bounded, positive visibility: no spatial index is
+//! built, synced or probed (both sorts are the join's build side and are
+//! charged to `index_build_ns`). The owned rows
 //! of a **strip** of neighbouring tiles — consecutive occupied tiles of one
 //! tile-row, each at most two tiles right of the one before, whole tiles
 //! while the strip holds at most `2 * LANES` rows; a tile that full on its
@@ -82,11 +82,10 @@
 //! to be 3×3: every visible row inside a member's rect lies in a tile of the
 //! window whatever float rounding did to `x + vis`, whatever a pushdown
 //! shrank, however far past the visibility square a rect reaches. Step 3
-//! tests closed containment exactly as an index's `range` does and preserves
-//! block order, so each member sees exactly the rows
-//! `index.range(member's rect)` returns, in the same canonical order:
-//! effects, `neighbor_visits` and every golden are those of one index probe
-//! per agent. Both sorts are stable counting sorts and nothing is carried
+//! tests closed containment and preserves block order, so each member sees
+//! exactly the visible rows inside its own rect, in the canonical order:
+//! effects, `neighbor_visits` and every golden are those of one containment
+//! scan per agent. Both sorts are stable counting sorts and nothing is carried
 //! between ticks: spawn/kill churn changes nothing. The id order is an LSD
 //! radix sort, one pass per id byte that varies. The probe order keys each
 //! row by its tile's offset from the lowest occupied tile, so a school that
@@ -102,20 +101,14 @@
 //! effect aggregation is a pure function of the agent set, independent of
 //! row placement.
 //!
-//! What has no rect to share keeps one probe per row, through the same loop
-//! as one-row groups in id order and against a [`TickIndex`] (the only
-//! callers that still build one): [`NeighborProbe::Nearest`], which
-//! asks `k_nearest_into`; and [`IndexKind::Scan`], the paper's *no-indexing*
-//! baseline — sharing its scans between tile-mates would make it an index.
-//! Unbounded visibility is one group whose block is the id order.
-//!
-//! # Index builds (k-NN probes and the scan)
-//!
-//! Where an index is still probed, the [`TickIndex`] builds it fresh each
-//! tick over the pool's position columns: positions are frozen for the query
-//! phase, and in-place maintenance across ticks measured no cheaper than a
-//! rebuild. k-NN results are canonical — (distance, row) order, ties broken
-//! by row in every index kind — so the kind never changes a bit.
+//! [`IndexKind::Scan`], the paper's *no-indexing* baseline, keeps one probe
+//! per row — sharing its scans between tile-mates would make it an index —
+//! through the same loop, as one-row groups in id order: each row runs
+//! `kernels::filter_rect` over every visible position, gathered into the id
+//! order once per tick, so its candidates come out in ascending id with no
+//! sort. A zero visibility takes the scan too (a tile of side 0 is no tile).
+//! Unbounded visibility is one group per sweep slice whose block is the id
+//! order.
 //!
 //! # Sharded execution model
 //!
@@ -157,23 +150,21 @@
 //!   **once**, in the id order, with the writes peers shipped interleaved by
 //!   source id, into the pool's effect columns (writes to replica rows go to
 //!   their owners instead). The replay is serial.
-//! * The inner loop is monomorphized over the concrete index type
-//!   ([`ScanIndex`] / [`KdTree`] / [`UniformGrid`]) where one is probed: the
-//!   [`BuiltIndex`] enum is dispatched once per tick, not once per probe.
 //!
 //! # Determinism argument
 //!
 //! One contract, for every schema, shard granule, thread count and
 //! partitioning: the sharded query phase and its replay are
 //! **bit-identical to [`query_phase`]**, the unsharded, unjoined serial
-//! reference (one index probe and one sort per row, in id order). A
+//! reference (one scalar containment loop over the visible rows per row, in
+//! id order). A
 //! local-only field is combined by its own row alone, in its query's order,
 //! and the merge is a scatter. A remote field is combined in one place only
 //! — the replay — in (source id, emission) order, as the reference combines
 //! it; a slice or partition boundary changes where a write is logged, not
 //! when it is folded, and a source that logged nothing adds nothing
 //! (`tests/properties.rs` proves this across seeds, populations, granules,
-//! thread budgets and every [`IndexKind`]). The update phase
+//! thread budgets and both [`IndexKind`]s). The update phase
 //! parallelizes with any contiguous chunking:
 //! each agent's update depends only on `(seed, tick, agent)`, and per-chunk
 //! spawn queues are concatenated in chunk order, preserving the serial
@@ -188,7 +179,7 @@
 //! handed out for the replica's owner.
 
 use crate::agent::{Agent, AgentPool, PoolView, UpdateChunk};
-use crate::behavior::{Behavior, NeighborProbe, Neighbors, UpdateCtx};
+use crate::behavior::{Behavior, Neighbors, UpdateCtx};
 use crate::effect::{EffectLog, EffectTable, EffectWrite, EffectWriter};
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
@@ -196,7 +187,7 @@ use brace_common::{AgentId, DetRng, Rect, Vec2};
 use brace_spatial::kernels::{
     block_order, filter_rect, radix_sort_by_key, seek_window, ProbeKey, TileDirectory, LANES,
 };
-use brace_spatial::{IndexKind, KdTree, ScanIndex, SpatialIndex, UniformGrid};
+use brace_spatial::IndexKind;
 use brace_telemetry::{add, Counter};
 use std::ops::Range;
 use std::time::Instant;
@@ -240,8 +231,8 @@ fn shard_range(n: usize, k: usize, i: usize) -> Range<usize> {
 /// lose monotonicity; candidates are still put in **agent id** order, making
 /// per-agent neighbor iteration order — and therefore float effect
 /// aggregation — a pure function of the agent set, independent of row
-/// placement. When ids are monotone the two orders coincide: the id order
-/// needs no sort, and an index's ascending-row candidates none either.
+/// placement. When ids are monotone the two orders coincide and the id order
+/// needs no sort.
 #[inline]
 fn ids_strictly_increasing(ids: &[AgentId]) -> bool {
     ids.windows(2).all(|w| w[0] < w[1])
@@ -256,76 +247,11 @@ pub fn effective_parallelism(parallelism: usize) -> usize {
     }
 }
 
-/// An index over the visible set. The enum exists so [`IndexKind`] can
-/// live in run configuration; it is dispatched **once per tick** into a
-/// monomorphized shard loop, so no per-probe branching remains in the hot
-/// path.
-enum BuiltIndex {
-    Scan(ScanIndex),
-    Kd(KdTree),
-    Grid(UniformGrid),
-}
-
-impl BuiltIndex {
-    fn build(kind: IndexKind, points: &[(Vec2, u32)], vis: f64) -> BuiltIndex {
-        match kind {
-            IndexKind::Scan => BuiltIndex::Scan(ScanIndex::build(points)),
-            IndexKind::KdTree => BuiltIndex::Kd(KdTree::build(points)),
-            IndexKind::Grid => {
-                // Cell ≈ visibility is the classic tuning; fall back to the
-                // auto heuristic when visibility is unbounded.
-                if vis.is_finite() && vis > 0.0 {
-                    BuiltIndex::Grid(UniformGrid::with_cell(points, vis))
-                } else {
-                    BuiltIndex::Grid(UniformGrid::build(points))
-                }
-            }
-        }
-    }
-}
-
-/// The spatial index of one tick's visible set, for the probes the
-/// sort-merge tile join does not answer (k-NN, the scan, unbounded
-/// visibility): every sync is one fresh build over the pool's position
-/// columns. For a bounded-visibility range schema it carries the
-/// [`IndexKind`] and stays unbuilt.
-pub struct TickIndex {
-    kind: IndexKind,
-    built: Option<BuiltIndex>,
-    /// The build input, reused across ticks.
-    points: Vec<(Vec2, u32)>,
-    rebuilds: u64,
-}
-
-impl TickIndex {
-    pub fn new(kind: IndexKind) -> Self {
-        TickIndex { kind, built: None, points: Vec::new(), rebuilds: 0 }
-    }
-
-    pub fn kind(&self) -> IndexKind {
-        self.kind
-    }
-
-    /// Index builds performed so far: one per tick the index was probed.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// Build the index over `view`'s positions.
-    fn sync(&mut self, view: PoolView<'_>, vis: f64) {
-        self.points.clear();
-        self.points.extend((0..view.len()).map(|r| (Vec2::new(view.xs[r], view.ys[r]), r as u32)));
-        self.built = Some(BuiltIndex::build(self.kind, &self.points, vis));
-        self.rebuilds += 1;
-    }
-}
-
 /// Counters returned by the query phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Time spent on the join's build side — the id order and the probe
-    /// order — plus, for the probes the join does not answer, the index
-    /// build.
+    /// order — or, for the scan, on the id order and its gathered positions.
     pub index_build_ns: u64,
     pub query_ns: u64,
     /// Time spent bringing the shards' effects into the pool's effect
@@ -371,28 +297,35 @@ struct ProbeOrder {
     directory: TileDirectory,
     /// The owned rows of `cells`, in probe order (the sweep).
     members: Vec<ProbeKey>,
+    /// The scan: every visible row's position, in the id order (empty on
+    /// every other path).
+    xs: Vec<f64>,
+    ys: Vec<f64>,
     /// The sorts' scatter buffers.
     spare_rows: Vec<u32>,
     spare_cells: Vec<ProbeKey>,
 }
 
 impl ProbeOrder {
-    /// Plan the tick. `by_id` is the identity when `rows_in_id_order`, and
-    /// otherwise one radix sort over the ids' varying bytes. `cells` is fed in
-    /// `by_id` order and, given a tile side, sorted by tile with
-    /// [`TileDirectory::sort`] — a counting sort that leaves the directory
-    /// when the occupied box is dense, a radix sort over the tile's offset
-    /// from the lowest one otherwise — and both are stable, so ties keep
-    /// ascending id. Without a tile side every row is in tile (0, 0), and
-    /// `cells` is the id order. `members` receives the owned cells, rows
-    /// `0..n_owned`, in probe order.
-    fn plan(&mut self, view: PoolView<'_>, n_owned: usize, rows_in_id_order: bool, tile_side: Option<f64>) {
-        let ProbeOrder { by_id, cells, directory, members, spare_rows, spare_cells } = self;
+    /// Plan the tick for `probe` at visibility `vis`. `by_id` is the
+    /// identity when `rows_in_id_order`, and otherwise one radix sort over
+    /// the ids' varying bytes. `cells` is fed in `by_id` order and, for the
+    /// join, sorted by tile of side `vis` with [`TileDirectory::sort`] — a
+    /// counting sort that leaves the directory when the occupied box is
+    /// dense, a radix sort over the tile's offset from the lowest one
+    /// otherwise — and both are stable, so ties keep ascending id. On the
+    /// other paths every row is in tile (0, 0), and `cells` is the id order.
+    /// `members` receives the owned cells, rows `0..n_owned`, in probe
+    /// order. For the scan, `xs` and `ys` receive every row's position in
+    /// the id order.
+    fn plan(&mut self, view: PoolView<'_>, n_owned: usize, rows_in_id_order: bool, probe: Probe, vis: f64) {
+        let ProbeOrder { by_id, cells, directory, members, xs, ys, spare_rows, spare_cells } = self;
         by_id.clear();
         by_id.extend(0..view.len() as u32);
         if !rows_in_id_order {
             radix_sort_by_key(by_id, spare_rows, |&row| view.ids[row as usize].raw() as u128);
         }
+        let tile_side = (probe == Probe::Join).then_some(vis);
         let tile = |v: f64| tile_side.map_or(0, |side| tile_of(v, side));
         cells.clear();
         cells.extend(by_id.iter().enumerate().map(|(rank, &row)| {
@@ -406,6 +339,12 @@ impl ProbeOrder {
         }
         members.clear();
         members.extend(cells.iter().filter(|c| (c.row as usize) < n_owned));
+        xs.clear();
+        ys.clear();
+        if probe == Probe::Scan {
+            xs.extend(by_id.iter().map(|&row| view.xs[row as usize]));
+            ys.extend(by_id.iter().map(|&row| view.ys[row as usize]));
+        }
     }
 }
 
@@ -508,12 +447,13 @@ impl TickScratch {
 
 /// Serial reference implementation of the query phase: one pass over rows
 /// `0..n_owned` in ascending agent id (row order on an id-ordered pool) —
-/// one index probe, one canonicalizing sort and one scalar
-/// [`Behavior::query`] per row, combined in place — into a single full-width
-/// `table` (which is reset first), over an index built fresh for this call.
-/// This is the executable specification the join and the write-log replay
-/// are tested against; production paths (the `Simulation`, the MapReduce
-/// worker) call [`query_phase_sharded`] and [`replay_effects`].
+/// one scalar containment loop over every visible row in ascending id, and
+/// one scalar [`Behavior::query`] per row, combined in place — into a single
+/// full-width `table` (which is reset first). It builds no index and shares
+/// no kernel with the sharded phase. This is the executable specification
+/// the join, the scan and the write-log replay are tested against;
+/// production paths (the `Simulation`, the MapReduce worker) call
+/// [`query_phase_sharded`] and [`replay_effects`].
 ///
 /// After this returns, rows `0..n_owned` hold this partition's aggregated
 /// effects and rows `n_owned..` its agents' writes to the replicas, folded
@@ -522,118 +462,52 @@ pub fn query_phase<B: Behavior>(
     behavior: &B,
     pool: &AgentPool,
     n_owned: usize,
-    kind: IndexKind,
     table: &mut EffectTable,
     tick: u64,
     seed: u64,
 ) -> QueryStats {
     let view = pool.view();
-    let mut stats = QueryStats::default();
-    table.reset(view.len());
-
-    let t0 = Instant::now();
-    let points: Vec<(Vec2, u32)> = (0..view.len()).map(|r| (view.pos(r as u32), r as u32)).collect();
-    let index = BuiltIndex::build(kind, &points, behavior.schema().visibility());
-    stats.index_build_ns = t0.elapsed().as_nanos() as u64;
-
-    let t1 = Instant::now();
-    let (visits, nonlocal) = match &index {
-        BuiltIndex::Scan(i) => reference_rows(behavior, i, view, n_owned, table, tick, seed),
-        BuiltIndex::Kd(i) => reference_rows(behavior, i, view, n_owned, table, tick, seed),
-        BuiltIndex::Grid(i) => reference_rows(behavior, i, view, n_owned, table, tick, seed),
-    };
-    stats.neighbor_visits = visits;
-    stats.nonlocal_writes = nonlocal;
-    stats.query_ns = t1.elapsed().as_nanos() as u64;
-    stats
-}
-
-/// The reference probe loop behind [`query_phase`]. Returns
-/// `(neighbor_visits, nonlocal_writes)`.
-fn reference_rows<B: Behavior, I: SpatialIndex>(
-    behavior: &B,
-    index: &I,
-    view: PoolView<'_>,
-    n_owned: usize,
-    table: &mut EffectTable,
-    tick: u64,
-    seed: u64,
-) -> (u64, u64) {
     let schema = behavior.schema();
     let vis = schema.visibility();
-    let rows_in_id_order = ids_strictly_increasing(view.ids);
-    let mut candidates: Vec<u32> = Vec::new();
-    let mut visits = 0u64;
-    let mut nonlocal = 0u64;
-    let mut by_id: Vec<u32> = (0..n_owned as u32).collect();
+    let mut stats = QueryStats::default();
+    table.reset(view.len());
+    let t0 = Instant::now();
+    let mut by_id: Vec<u32> = (0..view.len() as u32).collect();
     by_id.sort_unstable_by_key(|&row| view.ids[row as usize]);
-    for row in by_id {
+    let mut candidates: Vec<u32> = Vec::new();
+    for &row in by_id.iter().filter(|&&row| (row as usize) < n_owned) {
         let me = view.agent(row);
         debug_assert!(me.alive(), "dead agent in query phase");
-        let pos = me.pos();
         candidates.clear();
-        match behavior.probe() {
-            NeighborProbe::Range => {
-                if vis.is_finite() {
-                    index.range(&behavior.probe_rect(pos, vis), &mut candidates);
-                    canonicalize(&mut candidates, view, rows_in_id_order, I::RANGE_CANONICAL);
-                } else {
-                    candidates.extend(0..view.len() as u32);
-                    canonicalize(&mut candidates, view, rows_in_id_order, true);
-                }
-            }
-            NeighborProbe::Nearest(k) => nearest_candidates(index, view, pos, k, vis, &mut candidates),
+        if vis.is_finite() {
+            let rect = behavior.probe_rect(me.pos(), vis);
+            candidates.extend(by_id.iter().copied().filter(|&r| rect.contains(view.pos(r))));
+        } else {
+            candidates.extend_from_slice(&by_id);
         }
-        visits += candidates.len() as u64;
+        stats.neighbor_visits += candidates.len() as u64;
         let mut writer = EffectWriter::new(schema, table, row);
         let mut rng = agent_rng(seed, tick, me.id(), 0);
         behavior.query(me, &Neighbors::new(view, &candidates, row), &mut writer, &mut rng);
-        nonlocal += writer.nonlocal_writes();
+        stats.nonlocal_writes += writer.nonlocal_writes();
     }
-    (visits, nonlocal)
+    stats.query_ns = t0.elapsed().as_nanos() as u64;
+    stats
 }
 
-/// Put an index's range candidates in the canonical order: **ascending
-/// agent id**, always — the order a join block's ascending id ranks give.
-/// Per-agent neighbor iteration order — and therefore float effect
-/// aggregation — is then a pure function of the agent set, independent of
-/// where the candidates came from (a join block or an index) *and* of row
-/// placement (single-node pool vs a distributed worker's swap-mutated pool,
-/// which is what makes an N-worker cluster bit-identical to one node). When
-/// rows are already in id order (every single-node pool), row order *is* id
-/// order, so candidates that are `ascending_rows` already — the scan's
-/// row-order columns and the grid's ascending-payload bucket merge
-/// (`RANGE_CANONICAL`), or the whole visible set — are canonical by
-/// construction; the KD-tree (tree-order emission) pays a sort.
-#[inline]
-fn canonicalize(candidates: &mut [u32], view: PoolView<'_>, rows_in_id_order: bool, ascending_rows: bool) {
-    if !rows_in_id_order {
-        candidates.sort_unstable_by_key(|&r| (view.ids[r as usize], r));
-    } else if !ascending_rows {
-        candidates.sort_unstable();
-    }
-}
-
-/// The candidates of a [`NeighborProbe::Nearest`] probe at `pos`. Asks for
-/// `k + 1` so self (always distance 0) doesn't crowd out a real neighbor,
-/// and crops to the visible region, which is all the distributed runtime
-/// replicates. k-NN results are canonical already ((distance, row) order);
-/// note the row tie-break makes k-th-neighbor ties placement-dependent, so
-/// Nearest-probe models carry a documented approximate (not bit-exact)
-/// distributed-equivalence contract.
-#[inline]
-fn nearest_candidates<I: SpatialIndex>(
-    index: &I,
-    view: PoolView<'_>,
-    pos: Vec2,
-    k: usize,
-    vis: f64,
-    out: &mut Vec<u32>,
-) {
-    index.k_nearest_into(pos, k + 1, None, out);
-    if vis.is_finite() {
-        out.retain(|&i| view.pos(i).dist_linf(pos) <= vis);
-    }
+/// How one tick's probe groups find their candidates.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// The sort-merge tile join: a group is a strip of tiles, its block the
+    /// rows of the tiles its members' rects span ([`IndexKind::Join`] under a
+    /// bounded, positive visibility).
+    Join,
+    /// One row per group, whose block is [`filter_rect`] over every visible
+    /// row in the id order ([`IndexKind::Scan`], or a zero visibility).
+    Scan,
+    /// Unbounded visibility: one group per sweep slice, whose block is the
+    /// id order.
+    Everyone,
 }
 
 /// What every shard of one query phase shares.
@@ -649,16 +523,13 @@ struct QueryPlan<'a, B> {
     directory: Option<&'a TileDirectory>,
     /// Every visible row in the id order: what an id rank names.
     by_id: &'a [u32],
-    /// Runs of equal tiles in `order` — strips of them, on the join path —
-    /// are probe groups (otherwise every row is its own group).
-    grouped: bool,
-    /// A group's block is the sort-merge tile join over `cells`, and every
-    /// member filters its own candidates out of it; no index is probed.
-    join: bool,
+    /// The scan's columns: every visible row's position, in the id order.
+    xs: &'a [f64],
+    ys: &'a [f64],
+    probe: Probe,
     /// Writes to remote fields go to the shard's write-log; all others to its
     /// table, indexed by position in its slice of `order`.
     nonlocal: bool,
-    rows_in_id_order: bool,
     /// The tick's query-phase RNG root ([`tick_rng`]).
     rng: DetRng,
 }
@@ -680,19 +551,20 @@ const STRIP_MEMBERS: usize = 2 * LANES;
 const STRIP_GAP: u64 = 2;
 
 /// The length of the probe group at the head of `slice` (the rest of a
-/// sweep slice, in probe order). Ungrouped probes are one row each; grouped
-/// ones take the rows of one tile. On the join path a group is a **strip**:
-/// the next occupied tiles of the same tile-row, each at most [`STRIP_GAP`]
-/// tiles right of the one before, added whole while the strip holds at most
-/// [`STRIP_MEMBERS`] rows. A strip never leaves its slice, so the plan stays
-/// a function of the probe order and the shard granule.
-fn group_len(slice: &[ProbeKey], grouped: bool, join: bool) -> usize {
-    if !grouped {
+/// sweep slice, in probe order). A scan probe is one row; under unbounded
+/// visibility every row is in one tile, so the group is the slice. On the
+/// join path a group is a **strip**: the next occupied tiles of the same
+/// tile-row, each at most [`STRIP_GAP`] tiles right of the one before, added
+/// whole while the strip holds at most [`STRIP_MEMBERS`] rows. A strip never
+/// leaves its slice, so the plan stays a function of the probe order and the
+/// shard granule.
+fn group_len(slice: &[ProbeKey], probe: Probe) -> usize {
+    if probe == Probe::Scan {
         return 1;
     }
     let head = slice[0].tile();
     let mut len = slice.iter().take_while(|key| key.tile() == head).count();
-    while join && len < STRIP_MEMBERS {
+    while probe == Probe::Join && len < STRIP_MEMBERS {
         let (last, Some(next)) = (slice[len - 1], slice.get(len)) else { break };
         if next.ty != last.ty || next.tx.abs_diff(last.tx) > STRIP_GAP {
             break;
@@ -707,13 +579,12 @@ fn group_len(slice: &[ProbeKey], grouped: bool, join: bool) -> usize {
     len
 }
 
-/// The monomorphized inner loop — the only production probe loop, for every
-/// schema and index kind: run the query phase for one shard's `slice` of the
-/// probe order, one **probe group** at a time, and [`Behavior::query`] once
-/// per member.
+/// The inner loop — the only production probe loop, for every schema and
+/// index kind: run the query phase for one shard's `slice` of the probe
+/// order, one **probe group** at a time, and [`Behavior::query`] once per
+/// member.
 ///
-/// On the join path (`plan.join`: every bounded-visibility range schema
-/// unless the index kind is the scan) a group — a strip of the slice's
+/// On the join path ([`Probe::Join`]) a group — a strip of the slice's
 /// neighbouring tiles in one tile-row ([`group_len`]) — is answered by **no
 /// index at all**: its candidate *block* is the rows of the tiles that the
 /// union of its members' [`Behavior::probe_rect`]s spans, one contiguous
@@ -726,25 +597,19 @@ fn group_len(slice: &[ProbeKey], grouped: bool, join: bool) -> usize {
 /// kernel [`filter_rect`] over the block's contiguous columns with *its own*
 /// probe rect. Every visible row inside the member's rect lies in a tile of
 /// the window (the tile function is monotone and the member's rect lies
-/// inside the union), and the filter tests closed containment exactly as an
-/// index's `range` does, so the member gets precisely the rows
-/// `index.range(member's rect)` returns; the filter selects in block order,
-/// so they come out in the same canonical order. Effects, visit counts and
-/// goldens are those of one index probe per row.
+/// inside the union), and the filter tests closed containment, so the
+/// member gets precisely the visible rows inside its rect; the filter
+/// selects in block order, so they come out in ascending id. Effects, visit
+/// counts and goldens are those of one containment scan per row.
 ///
-/// What the join does not cover goes through `index` (which is `None` on
-/// the join path): the scan's one range probe per row and k-NN probes; and
-/// under unbounded visibility the block is the id order, for everyone.
-fn query_shard<B: Behavior, I: SpatialIndex>(
-    plan: &QueryPlan<'_, B>,
-    index: Option<&I>,
-    slice: &[ProbeKey],
-    shard: &mut ShardScratch,
-) {
+/// The scan ([`Probe::Scan`]) runs the same filter once per row over the
+/// tick's id-ordered columns instead; under unbounded visibility the block
+/// is the id order, for everyone.
+fn query_shard<B: Behavior>(plan: &QueryPlan<'_, B>, slice: &[ProbeKey], shard: &mut ShardScratch) {
     let (behavior, view) = (plan.behavior, plan.view);
     let schema = behavior.schema();
     let vis = schema.visibility();
-    let probe = behavior.probe();
+    let join = plan.probe == Probe::Join;
     let ShardScratch { table, log, outbound, block, spare_block, cursors, block_xs, block_ys, rows, .. } = shard;
     let (mut visits, mut nonlocal, mut groups, mut block_rows) = (0u64, 0u64, 0u64, 0u64);
     let mut slot = 0u32;
@@ -754,10 +619,10 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
     let mut rest = slice;
     while !rest.is_empty() {
         let group;
-        (group, rest) = rest.split_at(group_len(rest, plan.grouped, plan.join));
+        (group, rest) = rest.split_at(group_len(rest, plan.probe));
         block.clear();
-        match probe {
-            NeighborProbe::Range if plan.join => {
+        match plan.probe {
+            Probe::Join => {
                 // Behaviors with a derived visibility predicate shrink the
                 // probe rect (pushdown); the default is the full visibility
                 // square. Semantically invisible candidates are excluded
@@ -783,21 +648,11 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                 block_ys.clear();
                 block_ys.extend(block.iter().map(|&r| view.ys[r as usize]));
             }
-            NeighborProbe::Range if vis.is_finite() => {
-                debug_assert_eq!(group.len(), 1, "only the join shares a bounded range probe");
-                let index = index.expect("a range probe outside the join has an index");
+            Probe::Scan => {
                 let rect = behavior.probe_rect(view.pos(group[0].row), vis);
-                if !rect.is_empty() {
-                    index.range(&rect, block);
-                }
-                canonicalize(block, view, plan.rows_in_id_order, I::RANGE_CANONICAL);
+                filter_rect(plan.xs, plan.ys, plan.by_id, &rect, block);
             }
-            NeighborProbe::Range => block.extend_from_slice(plan.by_id),
-            NeighborProbe::Nearest(k) => {
-                debug_assert_eq!(group.len(), 1, "k-NN probes are never grouped");
-                let index = index.expect("k-NN probes have an index");
-                nearest_candidates(index, view, view.pos(group[0].row), k, vis, block);
-            }
+            Probe::Everyone => block.extend_from_slice(plan.by_id),
         }
         groups += 1;
         block_rows += block.len() as u64;
@@ -812,7 +667,7 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
                 EffectWriter::with_slot(schema, table, row, slot)
             };
             let mut rng = plan.rng.stream(me.id().raw());
-            let candidates = if plan.join {
+            let candidates = if join {
                 rows.clear();
                 filter_rect(block_xs, block_ys, block, &behavior.probe_rect(me.pos(), vis), rows);
                 &rows[..]
@@ -845,9 +700,7 @@ fn query_shard<B: Behavior, I: SpatialIndex>(
 /// are queried over the shard plan described in the module docs, and their
 /// effects aggregated into the **pool's own effect columns** (by
 /// [`replay_effects`] for a non-local schema's remote fields) —
-/// bit-identically to [`query_phase`]. `index` is built and probed only
-/// where the sort-merge tile join does not apply (the scan, k-NN probes,
-/// unbounded visibility); a bounded-visibility range schema never builds it.
+/// bit-identically to [`query_phase`], for either `index` kind.
 ///
 /// `shard_rows` is the rows-per-shard granule: production passes
 /// [`SHARD_ROWS`], property tests pass tiny granules to cut small worlds
@@ -859,7 +712,7 @@ pub fn query_phase_sharded<B: Behavior>(
     behavior: &B,
     pool: &mut AgentPool,
     n_owned: usize,
-    index: &mut TickIndex,
+    index: IndexKind,
     tick: u64,
     seed: u64,
     scratch: &mut TickScratch,
@@ -873,7 +726,7 @@ pub fn query_phase_sharded<B: Behavior>(
     let nonlocal = schema.has_nonlocal_effects();
     let k = shard_count(n_owned, shard_rows);
     scratch.ensure_shards(schema, k);
-    let TickScratch { shards, probe, writers, spare_writers, outbound } = scratch;
+    let TickScratch { shards, probe: orders, writers, spare_writers, outbound } = scratch;
     let shards = &mut shards[..k];
     writers.clear();
     outbound.clear();
@@ -882,18 +735,19 @@ pub fn query_phase_sharded<B: Behavior>(
     // the paper's *no-indexing* baseline (Figures 3 and 4), and sorting
     // agents into tiles to share its scans would be an index. Under a
     // bounded visibility the shared probe is the sort-merge tile join, whose
-    // build side is these sorts: the probe order *is* the index, so none is
-    // built. k-NN probes have no rect to union and run one per row.
+    // build side is these sorts: the probe order *is* the index.
     let t0 = Instant::now();
-    let grouped = behavior.probe() == NeighborProbe::Range && vis > 0.0 && index.kind() != IndexKind::Scan;
-    let join = grouped && vis.is_finite();
-    if !join {
-        index.sync(view, vis);
-    }
+    let probe = if !vis.is_finite() {
+        Probe::Everyone
+    } else if index == IndexKind::Join && vis > 0.0 {
+        Probe::Join
+    } else {
+        Probe::Scan
+    };
     // Once per tick, early-out on the first inversion.
     let rows_in_id_order = ids_strictly_increasing(view.ids);
-    probe.plan(view, n_owned, rows_in_id_order, join.then_some(vis));
-    let ProbeOrder { by_id, cells, directory, members: order, .. } = &*probe;
+    orders.plan(view, n_owned, rows_in_id_order, probe, vis);
+    let ProbeOrder { by_id, cells, directory, members: order, xs, ys, .. } = &*orders;
     let directory = directory.is_built().then_some(directory);
     stats.index_build_ns = t0.elapsed().as_nanos() as u64;
 
@@ -905,21 +759,14 @@ pub fn query_phase_sharded<B: Behavior>(
 
     let t1 = Instant::now();
     let rng = tick_rng(seed, tick, 0);
-    let plan =
-        QueryPlan { behavior, view, order, cells, directory, by_id, grouped, join, nonlocal, rows_in_id_order, rng };
+    let plan = QueryPlan { behavior, view, order, cells, directory, by_id, xs, ys, probe, nonlocal, rng };
     // A shard accumulates into a table of the rows it sweeps (a non-local
     // one logs its remote fields' writes besides).
     for (i, shard) in shards.iter_mut().enumerate() {
         shard.table.reset(shard_range(n_owned, k, i).len());
     }
-    // One monomorphized dispatch per tick, then the shard loop runs against
-    // the concrete index type (the join has none: its type parameter idles).
-    match index.built.as_ref().filter(|_| !join) {
-        None => run_query_shards(&plan, None::<&ScanIndex>, shards, threads),
-        Some(BuiltIndex::Scan(i)) => run_query_shards(&plan, Some(i), shards, threads),
-        Some(BuiltIndex::Kd(i)) => run_query_shards(&plan, Some(i), shards, threads),
-        Some(BuiltIndex::Grid(i)) => run_query_shards(&plan, Some(i), shards, threads),
-    }
+    let n = order.len();
+    for_each_shard(shards, threads, |i, shard| query_shard(&plan, &order[shard_range(n, k, i)], shard));
 
     // Deterministic merge, directly into the pool's effect columns.
     let t2 = Instant::now();
@@ -982,17 +829,6 @@ pub fn replay_effects(pool: &mut AgentPool, scratch: &TickScratch, inbound: &mut
         table.combine(*target, write.field, write.v);
     }
     t0.elapsed().as_nanos() as u64
-}
-
-/// Sweep every shard's slice of the probe order ([`query_shard`]).
-fn run_query_shards<B: Behavior, I: SpatialIndex>(
-    plan: &QueryPlan<'_, B>,
-    index: Option<&I>,
-    shards: &mut [ShardScratch],
-    threads: usize,
-) {
-    let (n, k) = (plan.order.len(), shards.len());
-    for_each_shard(shards, threads, |i, shard| query_shard(plan, index, &plan.order[shard_range(n, k, i)], shard));
 }
 
 /// The executor's one fan-out: run `run(i, &mut items[i])` for every item
@@ -1184,15 +1020,13 @@ fn update_chunk_rows<B: Behavior>(
 }
 
 /// One full tick over a `Vec<Agent>` world: convert to a fresh pool at the
-/// boundary, run the unsharded reference query phase over a freshly built
-/// index, copy effects back into the records, run the serial reference
-/// update phase. This is the row-oriented executable specification the
+/// boundary, run the unsharded reference query phase, copy effects back into
+/// the records, run the serial reference update phase. This is the row-oriented executable specification the
 /// pool-backed `Simulation` is property-tested against (bit-identical
 /// worlds).
 pub fn reference_step<B: Behavior>(
     behavior: &B,
     agents: &mut Vec<Agent>,
-    kind: IndexKind,
     tick: u64,
     seed: u64,
     id_gen: &mut AgentIdGen,
@@ -1200,7 +1034,7 @@ pub fn reference_step<B: Behavior>(
     let schema = behavior.schema();
     let pool = AgentPool::from_agents(schema, agents);
     let mut table = EffectTable::new(schema);
-    query_phase(behavior, &pool, agents.len(), kind, &mut table, tick, seed);
+    query_phase(behavior, &pool, agents.len(), &mut table, tick, seed);
     table.write_into(agents);
     update_phase(behavior, agents, tick, seed, id_gen);
 }
@@ -1222,7 +1056,6 @@ mod tests {
     /// effect `n`, then moves right by 0.1 * n (cropped by reachability).
     struct CountAndDrift {
         schema: AgentSchema,
-        probe: NeighborProbe,
     }
 
     impl CountAndDrift {
@@ -1233,23 +1066,13 @@ mod tests {
                 .reachability(0.5)
                 .build()
                 .unwrap();
-            CountAndDrift { schema, probe: NeighborProbe::Range }
-        }
-
-        /// The same model over its `k` nearest neighbors — the probe that
-        /// still builds an index.
-        fn knn(k: usize) -> Self {
-            CountAndDrift { probe: NeighborProbe::Nearest(k), ..Self::new() }
+            CountAndDrift { schema }
         }
     }
 
     impl Behavior for CountAndDrift {
         fn schema(&self) -> &AgentSchema {
             &self.schema
-        }
-
-        fn probe(&self) -> NeighborProbe {
-            self.probe
         }
 
         fn query(&self, _me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
@@ -1297,7 +1120,7 @@ mod tests {
     fn neighbor_counts_are_correct() {
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 5, 0.9); // each sees adjacent only
-        let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
+        let mut sim = build_sim(b, agents, IndexKind::Join, 1, 1);
         let tm = sim.step();
         assert_eq!(tm.n_agents, 5);
         // After the tick, agents moved: ends saw 1 neighbor (moved 0.1),
@@ -1317,9 +1140,7 @@ mod tests {
             e.run(5);
             e.agents().iter().map(|a| a.pos).collect::<Vec<_>>()
         };
-        let k = run(IndexKind::KdTree);
-        assert_eq!(k, run(IndexKind::Scan));
-        assert_eq!(k, run(IndexKind::Grid));
+        assert_eq!(run(IndexKind::Join), run(IndexKind::Scan));
     }
 
     #[test]
@@ -1327,7 +1148,7 @@ mod tests {
         // One dense cluster: counts are large, drift would exceed 0.5.
         let b = CountAndDrift::new();
         let agents: Vec<Agent> = (0..20).map(|i| Agent::new(AgentId::new(i), Vec2::ZERO, b.schema())).collect();
-        let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
+        let mut sim = build_sim(b, agents, IndexKind::Join, 1, 1);
         sim.step();
         for a in sim.agents() {
             assert!((a.pos.x - 0.5).abs() < 1e-12, "movement not cropped: {}", a.pos.x);
@@ -1338,7 +1159,7 @@ mod tests {
     fn effects_reset_between_ticks() {
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 3, 0.5);
-        let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
+        let mut sim = build_sim(b, agents, IndexKind::Join, 1, 1);
         sim.step();
         for a in sim.agents() {
             assert_eq!(a.effects, vec![0.0], "effects must be identity after tick");
@@ -1372,7 +1193,7 @@ mod tests {
         let b = SpawnKill { schema };
         let agents: Vec<Agent> =
             (0..4).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64, 0.0), b.schema())).collect();
-        let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
+        let mut sim = build_sim(b, agents, IndexKind::Join, 1, 1);
         let tm0 = sim.step();
         assert_eq!(tm0.spawned, 4);
         assert_eq!(sim.agents().len(), 8);
@@ -1388,7 +1209,7 @@ mod tests {
         let run = |seed| {
             let b = CountAndDrift::new();
             let agents = line_of_agents(b.schema(), 30, 0.4);
-            let mut e = build_sim(b, agents, IndexKind::KdTree, seed, 1);
+            let mut e = build_sim(b, agents, IndexKind::Join, seed, 1);
             e.run(10);
             e.agents().iter().map(|a| (a.id, a.pos)).collect::<Vec<_>>()
         };
@@ -1399,7 +1220,7 @@ mod tests {
     fn step_reports_each_tick() {
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 10, 0.4);
-        let mut sim = build_sim(b, agents, IndexKind::KdTree, 1, 1);
+        let mut sim = build_sim(b, agents, IndexKind::Join, 1, 1);
         let ticks: Vec<_> = (0..4).map(|_| sim.step()).collect();
         assert_eq!(ticks.iter().map(|tm| tm.tick).collect::<Vec<_>>(), [0, 1, 2, 3]);
         assert_eq!(ticks.iter().map(|tm| tm.n_agents).sum::<usize>(), 40);
@@ -1412,7 +1233,7 @@ mod tests {
         let run = |threads: usize| {
             let b = CountAndDrift::new();
             let agents = line_of_agents(b.schema(), 500, 0.2);
-            let mut e = build_sim(b, agents, IndexKind::KdTree, 9, threads);
+            let mut e = build_sim(b, agents, IndexKind::Join, 9, threads);
             e.run(8);
             e.agents()
         };
@@ -1422,39 +1243,14 @@ mod tests {
     }
 
     #[test]
-    fn knn_schemas_build_one_index_per_tick() {
-        for kind in [IndexKind::Scan, IndexKind::KdTree, IndexKind::Grid] {
-            let b = CountAndDrift::knn(3);
-            let agents = line_of_agents(b.schema(), 300, 0.25);
-            let mut e = build_sim(b, agents, kind, 11, 1);
-            e.run(10);
-            assert_eq!(e.index_rebuilds(), 10, "{kind:?}: one build per probed tick");
-        }
-    }
-
-    #[test]
-    fn range_schemas_build_no_index_unless_the_kind_is_the_scan() {
-        let builds = |kind: IndexKind| {
-            let b = CountAndDrift::new();
-            let agents = line_of_agents(b.schema(), 300, 0.25);
-            let mut e = build_sim(b, agents, kind, 11, 1);
-            e.run(10);
-            e.index_rebuilds()
-        };
-        assert_eq!(builds(IndexKind::KdTree), 0, "the probe order is the index");
-        assert_eq!(builds(IndexKind::Grid), 0, "the probe order is the index");
-        assert_eq!(builds(IndexKind::Scan), 10, "the no-index baseline builds its scan every tick");
-    }
-
-    #[test]
     fn pool_executor_matches_reference_step() {
         let b = CountAndDrift::new();
         let mut world = line_of_agents(b.schema(), 120, 0.3);
-        let mut sim = build_sim(CountAndDrift::new(), world.clone(), IndexKind::Grid, 13, 1);
+        let mut sim = build_sim(CountAndDrift::new(), world.clone(), IndexKind::Join, 13, 1);
         let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw()).max().unwrap() + 1);
         for tick in 0..6 {
             sim.step();
-            reference_step(&b, &mut world, IndexKind::Grid, tick, 13, &mut id_gen);
+            reference_step(&b, &mut world, tick, 13, &mut id_gen);
         }
         assert_eq!(sim.agents(), world);
     }
@@ -1464,20 +1260,21 @@ mod tests {
         // Direct phase-level comparison against the unsharded reference:
         // 5000 owned rows put the deterministic plan at 3 shards, and a
         // local-effect schema merges by copy, so the tables must agree
-        // bit for bit.
+        // bit for bit, on the join and on the scan.
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 5000, 0.2);
         let pool = AgentPool::from_agents(b.schema(), &agents);
         let mut ref_table = EffectTable::new(b.schema());
-        let ref_stats = query_phase(&b, &pool, pool.len(), IndexKind::Grid, &mut ref_table, 0, 3);
-        let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
-        let n = sh_pool.len();
-        let mut index = TickIndex::new(IndexKind::Grid);
-        let mut scratch = TickScratch::new();
-        let sh_stats = query_phase_sharded(&b, &mut sh_pool, n, &mut index, 0, 3, &mut scratch, SHARD_ROWS, 2);
-        assert_eq!(ref_stats.neighbor_visits, sh_stats.neighbor_visits);
-        for r in 0..n as u32 {
-            assert_eq!(ref_table.row(r), sh_pool.effects().row(r), "row {r}");
+        let ref_stats = query_phase(&b, &pool, pool.len(), &mut ref_table, 0, 3);
+        for kind in [IndexKind::Join, IndexKind::Scan] {
+            let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
+            let n = sh_pool.len();
+            let mut scratch = TickScratch::new();
+            let sh_stats = query_phase_sharded(&b, &mut sh_pool, n, kind, 0, 3, &mut scratch, SHARD_ROWS, 2);
+            assert_eq!(ref_stats.neighbor_visits, sh_stats.neighbor_visits, "{kind:?}");
+            for r in 0..n as u32 {
+                assert_eq!(ref_table.row(r), sh_pool.effects().row(r), "{kind:?} row {r}");
+            }
         }
     }
 
@@ -1502,7 +1299,7 @@ mod tests {
             let b = Spawner(schema.clone());
             let agents: Vec<Agent> =
                 (0..1500).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64 * 0.1, 0.0), &schema)).collect();
-            let mut e = build_sim(b, agents, IndexKind::Grid, 2, threads);
+            let mut e = build_sim(b, agents, IndexKind::Join, 2, threads);
             e.run(3); // population: 1500 -> 2000 -> ~2667 -> crosses 2048
             e.agents().iter().map(|a| (a.id, a.pos)).collect::<Vec<_>>()
         };
@@ -1510,8 +1307,15 @@ mod tests {
     }
 
     /// A pool of agents at `points` with ids `ids`, the first `n_owned` of
-    /// them owned, planned at tile side `side` into `probe`.
-    fn plan_points(probe: &mut ProbeOrder, points: &[(f64, f64)], ids: &[u64], n_owned: usize, side: Option<f64>) {
+    /// them owned, planned for `probe` at visibility `vis` into `orders`.
+    fn plan_points(
+        orders: &mut ProbeOrder,
+        points: &[(f64, f64)],
+        ids: &[u64],
+        n_owned: usize,
+        probe: Probe,
+        vis: f64,
+    ) {
         let schema = CountAndDrift::new().schema;
         let agents: Vec<Agent> = points
             .iter()
@@ -1519,16 +1323,16 @@ mod tests {
             .map(|(&(x, y), &id)| Agent::new(AgentId::new(id), Vec2::new(x, y), &schema))
             .collect();
         let pool = AgentPool::from_agents(&schema, &agents);
-        probe.plan(pool.view(), n_owned, ids_strictly_increasing(pool.view().ids), side);
+        orders.plan(pool.view(), n_owned, ids_strictly_increasing(pool.view().ids), probe, vis);
     }
 
     /// Every position, with ids in row order, in the probe order at tile
     /// side 1.
     fn probe_order(points: &[(f64, f64)]) -> Vec<ProbeKey> {
-        let mut probe = ProbeOrder::default();
+        let mut orders = ProbeOrder::default();
         let ids: Vec<u64> = (0..points.len() as u64).collect();
-        plan_points(&mut probe, points, &ids, points.len(), Some(1.0));
-        probe.cells
+        plan_points(&mut orders, points, &ids, points.len(), Probe::Join, 1.0);
+        orders.cells
     }
 
     /// Run [`seek_window`] over the tiles of `rect`'s corners from `cursors`
@@ -1644,8 +1448,8 @@ mod tests {
             .map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(points[i].0, points[i].1), b.schema()))
             .collect();
         let mut pool = AgentPool::from_agents(b.schema(), &agents);
-        let (mut index, mut scratch) = (TickIndex::new(IndexKind::KdTree), TickScratch::new());
-        query_phase_sharded(&b, &mut pool, agents.len(), &mut index, 0, 1, &mut scratch, shard_rows, 1);
+        let mut scratch = TickScratch::new();
+        query_phase_sharded(&b, &mut pool, agents.len(), IndexKind::Join, 0, 1, &mut scratch, shard_rows, 1);
         let k = shard_count(agents.len(), shard_rows);
         scratch.shards[..k].iter().map(|shard| shard.groups).sum()
     }
@@ -1747,7 +1551,8 @@ mod tests {
         /// ±1e300: saturated tiles), which happens exactly by the budget.
         /// Id-ordered and shuffled pools, whichever id bytes vary (low ones,
         /// high ones, all eight); coordinates that straddle 0; down to one
-        /// row and none; one `ProbeOrder` reused across every tile side.
+        /// row and none; one `ProbeOrder` reused across every probe path and
+        /// tile side.
         #[test]
         fn radix_orders_equal_comparison_sorts(
             points in prop::collection::vec((0usize..4, -9i32..9, -9i32..9), 0..200),
@@ -1769,8 +1574,10 @@ mod tests {
                 points.iter().take(ids.len()).map(|&(s, x, y)| (x as f64 * scale(s), y as f64 * scale(s))).collect();
             let (n, n_owned) = (points.len(), owned.min(points.len()));
             let mut probe = ProbeOrder::default();
-            for side in [None, Some(1.0), Some(2.5)] {
-                plan_points(&mut probe, &points, &ids, n_owned, side);
+            let paths = [(Probe::Everyone, f64::INFINITY), (Probe::Scan, 1.0), (Probe::Join, 1.0), (Probe::Join, 2.5)];
+            for (path, vis) in paths {
+                plan_points(&mut probe, &points, &ids, n_owned, path, vis);
+                let side = (path == Probe::Join).then_some(vis);
                 let mut by_id: Vec<u32> = (0..n as u32).collect();
                 by_id.sort_by_key(|&row| ids[row as usize]);
                 prop_assert_eq!(&probe.by_id, &by_id);
@@ -1787,6 +1594,10 @@ mod tests {
                 }
                 let members: Vec<ProbeKey> = probe.cells.iter().filter(|c| (c.row as usize) < n_owned).copied().collect();
                 prop_assert_eq!(&probe.members, &members);
+                // The scan's positions, gathered in the id order.
+                let (xs, ys): (Vec<f64>, Vec<f64>) =
+                    by_id.iter().filter(|_| path == Probe::Scan).map(|&row| points[row as usize]).unzip();
+                prop_assert_eq!((&probe.xs, &probe.ys), (&xs, &ys));
                 let span = |axis: fn(&ProbeKey) -> i64| {
                     let lo = probe.cells.iter().map(axis).min().unwrap_or(0);
                     let hi = probe.cells.iter().map(axis).max().unwrap_or(0);

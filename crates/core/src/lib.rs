@@ -52,6 +52,6 @@ pub use behavior::{Behavior, NeighborRef, Neighbors, UpdateCtx};
 pub use combinator::Combinator;
 pub use effect::{EffectTable, EffectWrite, EffectWriter};
 pub use engine::{check_population, Simulation, SimulationBuilder};
-pub use executor::{PendingSpawn, TickIndex, TickScratch};
+pub use executor::{PendingSpawn, TickScratch};
 pub use metrics::TickMetrics;
 pub use schema::{AgentSchema, SchemaBuilder};

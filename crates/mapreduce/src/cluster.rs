@@ -76,7 +76,7 @@ pub struct ClusterConfig {
     pub workers: usize,
     /// Ticks per epoch (master coordination cadence).
     pub epoch_len: u64,
-    /// Spatial index each reducer builds per tick.
+    /// How each reducer's query phase answers range probes.
     pub index: IndexKind,
     /// Master seed; identical seeds give bit-identical simulations
     /// regardless of worker count.
@@ -116,7 +116,7 @@ impl Default for ClusterConfig {
         ClusterConfig {
             workers: 4,
             epoch_len: 10,
-            index: IndexKind::KdTree,
+            index: IndexKind::Join,
             seed: 0,
             space_x: (0.0, 100.0),
             load_balance: true,
@@ -401,7 +401,7 @@ impl Drop for ClusterSim {
 mod tests {
     use super::*;
     use brace_common::{AgentId, DetRng, FieldId, Vec2};
-    use brace_core::behavior::{NeighborProbe, Neighbors, UpdateCtx};
+    use brace_core::behavior::{Neighbors, UpdateCtx};
     use brace_core::effect::EffectWriter;
     use brace_core::{AgentSchema, Combinator, Simulation};
 
@@ -826,10 +826,10 @@ mod tests {
     /// A model whose agents never move nor change state: the acceptance
     /// bar for delta distribution — its boundary replicas must cost zero
     /// bytes per steady-state tick.
-    struct Frozen(AgentSchema, NeighborProbe);
+    struct Frozen(AgentSchema);
 
     impl Frozen {
-        fn with_probe(probe: NeighborProbe) -> Self {
+        fn new() -> Self {
             Frozen(
                 AgentSchema::builder("Frozen")
                     .state("s")
@@ -838,7 +838,6 @@ mod tests {
                     .reachability(1.0)
                     .build()
                     .unwrap(),
-                probe,
             )
         }
     }
@@ -846,9 +845,6 @@ mod tests {
     impl Behavior for Frozen {
         fn schema(&self) -> &AgentSchema {
             &self.0
-        }
-        fn probe(&self) -> NeighborProbe {
-            self.1
         }
         fn query(
             &self,
@@ -915,17 +911,16 @@ mod tests {
         // Agents straddle the x = 50 boundary well inside visibility, so
         // both workers hold replicas. Epoch 1 ships them as full records;
         // every steady-state tick after that must ship *nothing*: the pool
-        // is resident and empty delta frames are never sent.
-        // A bounded range probe joins through the probe order and never
-        // builds an index; the k-NN form of the same model builds one per
-        // worker per tick: 2 workers × 2 epochs × 4 ticks.
-        for (probe, index_builds) in [(NeighborProbe::Range, 0), (NeighborProbe::Nearest(4), 16)] {
-            let schema = Frozen::with_probe(probe);
+        // is resident and empty delta frames are never sent. On the join
+        // and on the scan alike.
+        for index in [IndexKind::Join, IndexKind::Scan] {
+            let schema = Frozen::new();
             let agents: Vec<Agent> = (0..40)
                 .map(|i| Agent::new(AgentId::new(i), Vec2::new(48.0 + (i % 5) as f64, i as f64), schema.schema()))
                 .collect();
-            let cfg = ClusterConfig { workers: 2, epoch_len: 4, seed: 3, load_balance: false, ..Default::default() };
-            let mut sim = ClusterSim::new(Arc::new(Frozen::with_probe(probe)), agents, cfg).unwrap();
+            let cfg =
+                ClusterConfig { workers: 2, epoch_len: 4, seed: 3, load_balance: false, index, ..Default::default() };
+            let mut sim = ClusterSim::new(Arc::new(schema), agents, cfg).unwrap();
             sim.run_epochs(1).unwrap();
             let warm = sim.stats();
             assert!(warm.net.replica_full.bytes > 0, "boundary population must replicate at all");
@@ -936,16 +931,11 @@ mod tests {
             assert_eq!(steady.net.replica_full.bytes, 0, "steady state must ship no full replicas");
             assert_eq!(steady.net.replica_delta.bytes, 0, "stationary agents must ship no deltas either");
             assert_eq!(steady.net.transfer.bytes, 0, "no ownership changes");
-            // The pool-resident counters: live ticks never rebuilt a pool
-            // or materialized Vec<Agent>, and built an index only where
-            // they probe one.
+            // The pool-resident counters: live ticks never rebuilt a pool,
+            // materialized Vec<Agent> or built an index.
             assert_eq!(steady.pool_rebuilds, 0, "steady-state ticks must not rebuild pools");
             assert_eq!(steady.vec_roundtrips, 0, "steady-state ticks must not round-trip Vec<Agent>");
-            assert_eq!(
-                steady.index_rebuilds - warm.index_rebuilds,
-                index_builds,
-                "one build per worker per tick, and only for k-NN probes"
-            );
+            assert_eq!(steady.index_rebuilds, 0, "no engine builds an index");
         }
     }
 

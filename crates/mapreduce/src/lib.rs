@@ -18,8 +18,7 @@
 //! [`AgentPool`](brace_core::AgentPool) persists: owned rows mutate only
 //! through stable-row ops (swap-removal + insertion, with a persistent
 //! id ↔ row map) and replicas live in a persistent tail refreshed in place,
-//! so the tick's probe order re-sorts a nearly sorted sequence (k-NN
-//! schemas build their one index per tick over the same columns). On the
+//! so the tick's probe order re-sorts a nearly sorted sequence. On the
 //! wire, only *changes* travel: agents entering a peer's visible band ship
 //! once as full records ([`net::Traffic::ReplicaFull`]), persisting
 //! replicas ship masked
@@ -39,15 +38,12 @@
 //!
 //! Results are unchanged by any of this: each worker runs the same sharded
 //! phase functions as `brace_core::Simulation` (the single node is this
-//! runtime with one partition), and for range-probe models an N-worker
-//! cluster is bit-identical to it (the query phase canonicalizes neighbor
-//! order by agent id, so row placement is unobservable, and every non-local
-//! write is folded once, in source-id order, by its target's owner), proven
-//! by the `distributed_equivalence` proptests and the golden cluster
-//! checksums in `tests/golden_tick.rs`. The one
-//! documented exception is `NeighborProbe::Nearest`: exact distance ties
-//! at the k-th neighbor break by pool row, so k-NN models keep an
-//! approximate (tolerance-checked) distributed contract.
+//! runtime with one partition), and an N-worker cluster is bit-identical to
+//! it (the query phase canonicalizes neighbor order by agent id, so row
+//! placement is unobservable, and every non-local write is folded once, in
+//! source-id order, by its target's owner), proven by the
+//! `distributed_equivalence` proptests and the golden cluster checksums in
+//! `tests/golden_tick.rs`.
 //!
 //! Layout:
 //!

@@ -59,7 +59,7 @@ pub struct RunHeader {
     pub workers: u32,
     pub epoch_len: u64,
     pub seed: u64,
-    /// Spatial index each reducer builds per tick.
+    /// How each reducer's query phase answers range probes.
     pub index: IndexKind,
     pub space_x: (f64, f64),
     pub load_balance: bool,
@@ -111,18 +111,20 @@ fn get_str(r: &mut Reader) -> Option<String> {
     std::str::from_utf8(r.bytes(len)?).ok().map(str::to_owned)
 }
 
+/// The header's index byte. Runs written while the engine still named a
+/// KD-tree (0) and a grid (1) wrote bytes the join now answers identically,
+/// so both read as [`IndexKind::Join`], which writes 0: such a run resumes,
+/// and its header is the one value with two encodings.
 fn index_byte(index: IndexKind) -> u8 {
     match index {
-        IndexKind::KdTree => 0,
-        IndexKind::Grid => 1,
+        IndexKind::Join => 0,
         IndexKind::Scan => 2,
     }
 }
 
 fn get_index(r: &mut Reader) -> Option<IndexKind> {
     match r.u8()? {
-        0 => Some(IndexKind::KdTree),
-        1 => Some(IndexKind::Grid),
+        0 | 1 => Some(IndexKind::Join),
         2 => Some(IndexKind::Scan),
         _ => None,
     }
@@ -403,7 +405,7 @@ mod tests {
             workers: 4,
             epoch_len: 5,
             seed: 42,
-            index: IndexKind::KdTree,
+            index: IndexKind::Join,
             space_x: (0.0, 100.0),
             load_balance: true,
             checkpoint_every: 4,
@@ -535,7 +537,7 @@ mod tests {
 
     #[test]
     fn a_header_names_a_known_index() {
-        for index in [IndexKind::KdTree, IndexKind::Grid, IndexKind::Scan] {
+        for index in [IndexKind::Join, IndexKind::Scan] {
             let rec = ManifestRecord::Header(RunHeader { index, ..header() });
             assert_eq!(ManifestRecord::decode(rec.encode()).unwrap(), rec);
         }
@@ -543,6 +545,12 @@ mod tests {
         // The index byte follows the tag, two strings, workers, epoch_len and seed.
         let at = 1 + (4 + header().run_id.len()) + (4 + header().job.len()) + 4 + 8 + 8;
         assert_eq!(bytes[at], 0);
+        // The bytes of the retired KD-tree and grid runs read as the join.
+        for (byte, index) in [(0, IndexKind::Join), (1, IndexKind::Join), (2, IndexKind::Scan)] {
+            bytes[at] = byte;
+            let decoded = ManifestRecord::decode(bytes.clone().into()).unwrap();
+            assert_eq!(decoded, ManifestRecord::Header(RunHeader { index, ..header() }), "index byte {byte}");
+        }
         bytes[at] = 3;
         assert!(ManifestRecord::decode(bytes.into()).is_err(), "an index byte of 3");
     }

@@ -68,7 +68,9 @@ pub struct ClusterStats {
     /// Full-population `Vec<Agent>` materializations inside live ticks
     /// (also pinned to zero — snapshots at epoch boundaries don't count).
     pub vec_roundtrips: u64,
-    /// Full spatial-index rebuilds across workers during live epochs.
+    /// Always 0: no engine builds a spatial index (the query phase's probe
+    /// order is the index). Kept because `perfbench` reports it as
+    /// `mapreduce.index_rebuilds`.
     pub index_rebuilds: u64,
     /// 1 for local-effects models, 2 for map-reduce-reduce (Table 1).
     pub comm_rounds_per_tick: u32,
@@ -322,7 +324,6 @@ impl Master {
         self.stats.transfers_in += reports.iter().map(|r| r.transfers_in).sum::<u64>();
         self.stats.pool_rebuilds += reports.iter().map(|r| r.pool_rebuilds).sum::<u64>();
         self.stats.vec_roundtrips += reports.iter().map(|r| r.vec_roundtrips).sum::<u64>();
-        self.stats.index_rebuilds += reports.iter().map(|r| r.index_rebuilds).sum::<u64>();
         self.stats.comm_rounds_per_tick = reports.iter().map(|r| r.comm_rounds_per_tick).max().unwrap_or(1);
     }
 

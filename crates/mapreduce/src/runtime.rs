@@ -142,10 +142,6 @@ pub struct WorkerEpochStats {
     /// epoch's ticks (also pinned to zero; snapshots at epoch boundaries
     /// are the real serialization boundary and are not counted here).
     pub vec_roundtrips: u64,
-    /// Spatial-index builds during the epoch: one per tick for a k-NN,
-    /// scan or unbounded-visibility schema, 0 for a bounded range schema
-    /// (its probe order is the index).
-    pub index_rebuilds: u64,
 }
 
 /// Worker-to-master reports. A worker sends `Failed` instead of `EpochDone`

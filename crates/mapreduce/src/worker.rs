@@ -30,9 +30,8 @@
 //! updated in place by incoming delta frames. In the steady state a tick
 //! performs *zero* pool rebuilds and *zero* full-population `Vec<Agent>`
 //! round-trips (`WorkerEpochStats::{pool_rebuilds, vec_roundtrips}` pin
-//! this in tests), a bounded range schema builds no spatial index at all
-//! (its probe order is the index; a k-NN schema builds one per tick), and a
-//! stationary boundary population costs zero replica bytes per tick (empty
+//! this in tests), no tick builds a spatial index (the query phase's probe
+//! order is the index), and a stationary boundary population costs zero replica bytes per tick (empty
 //! delta frames are never sent).
 //!
 //! `Vec<Agent>` materialization survives only at the real serialization
@@ -63,7 +62,7 @@ use crate::net::{NetLedger, Traffic};
 use crate::runtime::{Command, EpochCommand, PeerMsg, Report, Round, WorkerEpochStats};
 use brace_common::{AgentId, DetRng, FieldId, WorkerId};
 use brace_core::executor::{
-    query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickIndex, TickScratch, SHARD_ROWS,
+    query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickScratch, SHARD_ROWS,
 };
 use brace_core::{Agent, AgentPool, Behavior, EffectWrite};
 use brace_spatial::{GridPartitioning, IndexKind};
@@ -302,9 +301,6 @@ pub struct Worker {
     /// every stable-row mutation updates it in O(1) — only the one row
     /// that physically moved needs its entry touched.
     row_meta: Vec<(u32, u32)>,
-    /// The tick's spatial index: built once per tick for k-NN, scan and
-    /// unbounded-visibility schemas, never for a bounded range schema.
-    index: TickIndex,
     /// Reusable per-tick buffers (probe order, sweep-slice tables and
     /// write-logs, spawn queues) for the sharded executor phases.
     scratch: TickScratch,
@@ -363,7 +359,6 @@ impl Worker {
             codec::DELTA_MAX_STATES
         );
         let pool = AgentPool::new(schema);
-        let index = TickIndex::new(cfg.index);
         let rng = DetRng::seed_from_u64(cfg.seed).stream(0x5EED_0000 + cfg.id.raw() as u64);
         let n = cfg.num_workers;
         let num_states = schema.num_states();
@@ -378,7 +373,6 @@ impl Worker {
             sessions: (0..n).map(|_| ReplicaSession::new(num_states)).collect(),
             registries: (0..n).map(|_| Vec::new()).collect(),
             row_meta: Vec::new(),
-            index,
             scratch: TickScratch::new(),
             tick: 0,
             next_id: next_spawn_id,
@@ -491,7 +485,7 @@ impl Worker {
             x_max: f64::NEG_INFINITY,
             ..Default::default()
         };
-        let (rebuilds0, roundtrips0, index0) = (self.pool_rebuilds, self.vec_roundtrips, self.index.rebuilds());
+        let (rebuilds0, roundtrips0) = (self.pool_rebuilds, self.vec_roundtrips);
         for _ in 0..cmd.ticks {
             let t0 = Instant::now();
             let owned_at_start = self.n_owned;
@@ -501,7 +495,6 @@ impl Worker {
         }
         stats.pool_rebuilds = self.pool_rebuilds - rebuilds0;
         stats.vec_roundtrips = self.vec_roundtrips - roundtrips0;
-        stats.index_rebuilds = self.index.rebuilds() - index0;
         stats.wall_ns = wall.elapsed().as_nanos() as u64;
         stats.owned_agents = self.n_owned;
         stats.x_hist = self.histogram(cmd.hist_range);
@@ -757,7 +750,7 @@ impl Worker {
             &behavior,
             &mut self.pool,
             n_owned,
-            &mut self.index,
+            self.cfg.index,
             self.tick,
             self.cfg.seed,
             &mut self.scratch,
@@ -990,13 +983,13 @@ mod tests {
     use super::*;
     use crate::runtime::EpochCommand;
     use brace_common::{FieldId, Vec2};
-    use brace_core::behavior::{NeighborProbe, Neighbors, UpdateCtx};
+    use brace_core::behavior::{Neighbors, UpdateCtx};
     use brace_core::effect::EffectWriter;
     use brace_core::{AgentSchema, Combinator, Simulation};
     use crossbeam::channel::unbounded;
 
     /// Count visible neighbors; drift right by 0.1 * count.
-    struct Drift(AgentSchema, NeighborProbe);
+    struct Drift(AgentSchema);
 
     impl Drift {
         fn new() -> Self {
@@ -1007,23 +1000,13 @@ mod tests {
                     .reachability(1.0)
                     .build()
                     .unwrap(),
-                NeighborProbe::Range,
             )
-        }
-
-        /// The same model over its `k` nearest neighbors — the probe that
-        /// still builds an index.
-        fn knn(k: usize) -> Self {
-            Drift(Self::new().0, NeighborProbe::Nearest(k))
         }
     }
 
     impl Behavior for Drift {
         fn schema(&self) -> &AgentSchema {
             &self.0
-        }
-        fn probe(&self) -> NeighborProbe {
-            self.1
         }
         fn query(
             &self,
@@ -1042,21 +1025,17 @@ mod tests {
     }
 
     fn single_worker_with(agents: Vec<Agent>, index: IndexKind) -> Worker {
-        single_worker_of(Drift::new(), agents, index)
-    }
-
-    fn single_worker_of(behavior: Drift, agents: Vec<Agent>, index: IndexKind) -> Worker {
         let (_peer_tx, inbox) = unbounded();
         let (_cmd_tx, commands) = unbounded::<Command>();
         let (reports, _report_rx) = unbounded();
         let links = WorkerLinks { peers: vec![_peer_tx], inbox, commands, reports, ledger: NetLedger::new() };
         let cfg = WorkerConfig { id: WorkerId::new(0), num_workers: 1, index, seed: 11, parallelism: 2 };
         let part = GridPartitioning::columns(0.0, 100.0, 1);
-        Worker::new(Arc::new(behavior), cfg, links, part, agents, 1 << 32)
+        Worker::new(Arc::new(Drift::new()), cfg, links, part, agents, 1 << 32)
     }
 
     fn single_worker(agents: Vec<Agent>) -> Worker {
-        single_worker_with(agents, IndexKind::KdTree)
+        single_worker_with(agents, IndexKind::Join)
     }
 
     fn line(n: usize, gap: f64) -> Vec<Agent> {
@@ -1070,7 +1049,7 @@ mod tests {
         let mut worker = single_worker(agents.clone());
         let mut sim = Simulation::builder(Drift::new())
             .agents(agents)
-            .index(IndexKind::KdTree)
+            .index(IndexKind::Join)
             .seed(11)
             .parallelism(2)
             .build()
@@ -1091,32 +1070,19 @@ mod tests {
 
     #[test]
     fn steady_ticks_never_rebuild_the_pool() {
-        // A k-NN probe, the path that still builds an index, on the grid.
-        let mut worker = single_worker_of(Drift::knn(4), line(40, 0.6), IndexKind::Grid);
-        let mut stats = WorkerEpochStats::default();
-        let rebuilds0 = worker.pool_rebuilds;
-        let roundtrips0 = worker.vec_roundtrips;
-        for _ in 0..8 {
-            worker.run_tick(&mut stats);
+        // On the join and on the scan alike.
+        for index in [IndexKind::Join, IndexKind::Scan] {
+            let mut worker = single_worker_with(line(40, 0.6), index);
+            let mut stats = WorkerEpochStats::default();
+            let rebuilds0 = worker.pool_rebuilds;
+            let roundtrips0 = worker.vec_roundtrips;
+            for _ in 0..8 {
+                worker.run_tick(&mut stats);
+            }
+            assert_eq!(worker.pool_rebuilds, rebuilds0, "{index:?}: ticks must not rebuild the pool");
+            assert_eq!(worker.vec_roundtrips, roundtrips0, "{index:?}: ticks must not materialize Vec<Agent>");
+            worker.check_invariants();
         }
-        assert_eq!(worker.pool_rebuilds, rebuilds0, "ticks must not rebuild the pool");
-        assert_eq!(worker.vec_roundtrips, roundtrips0, "ticks must not materialize Vec<Agent>");
-        // The index is build-only: exactly one build per tick it is probed.
-        assert_eq!(worker.index.rebuilds(), 8, "steady state builds once per tick");
-        worker.check_invariants();
-    }
-
-    #[test]
-    fn range_schemas_never_build_an_index() {
-        // A bounded range probe joins through the probe order: the worker's
-        // tick index stays unbuilt, tick after tick.
-        let mut worker = single_worker_with(line(40, 0.6), IndexKind::Grid);
-        let mut stats = WorkerEpochStats::default();
-        for _ in 0..8 {
-            worker.run_tick(&mut stats);
-        }
-        assert_eq!(worker.index.rebuilds(), 0, "the probe order is the index");
-        worker.check_invariants();
     }
 
     #[test]
@@ -1184,7 +1150,7 @@ mod tests {
         let links =
             WorkerLinks { peers: vec![to_me.clone(), to_peer], inbox, commands, reports, ledger: NetLedger::new() };
         let cfg =
-            WorkerConfig { id: WorkerId::new(0), num_workers: 2, index: IndexKind::Grid, seed: 11, parallelism: 1 };
+            WorkerConfig { id: WorkerId::new(0), num_workers: 2, index: IndexKind::Join, seed: 11, parallelism: 1 };
         let part = GridPartitioning::columns(0.0, 100.0, 2);
         let worker = Worker::new(Arc::new(Ping(ping_schema())), cfg, links, part, agents, 1 << 32);
         let from = WorkerId::new(1);

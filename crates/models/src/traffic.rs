@@ -78,13 +78,6 @@ pub struct TrafficParams {
     pub vehicle_length: f64,
     /// Upstream spawn density: vehicles per meter per lane at entry.
     pub density: f64,
-    /// Nearest-neighbor probe: `Some(k)` makes each driver inspect only her
-    /// `k` nearest vehicles (cropped to the lookahead) instead of scanning
-    /// the full range — MITSIM's hand-coded lookup semantics, the paper's
-    /// nearest-neighbor-indexing extension ("planned future work … we
-    /// expect to achieve performance parity with MITSIM"). `None` (default)
-    /// is the fixed-lookahead scan the paper used for validation.
-    pub knn: Option<usize>,
 }
 
 impl Default for TrafficParams {
@@ -108,7 +101,6 @@ impl Default for TrafficParams {
             rightmost_penalty: 5.0,
             vehicle_length: 5.0,
             density: 0.02,
-            knn: None,
         }
     }
 }
@@ -323,13 +315,6 @@ impl Behavior for TrafficBehavior {
         &self.schema
     }
 
-    fn probe(&self) -> brace_core::behavior::NeighborProbe {
-        match self.params.knn {
-            Some(k) => brace_core::behavior::NeighborProbe::Nearest(k),
-            None => brace_core::behavior::NeighborProbe::Range,
-        }
-    }
-
     fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
         let p = &self.params;
         let my_pos = me.pos();
@@ -481,7 +466,7 @@ mod tests {
         let b = TrafficBehavior::new(small_params());
         let pop = b.population(2);
         let n = pop.len();
-        let mut sim = Simulation::builder(b).agents(pop).seed(3).index(IndexKind::KdTree).build().unwrap();
+        let mut sim = Simulation::builder(b).agents(pop).seed(3).index(IndexKind::Join).build().unwrap();
         sim.run(50);
         // Exit + respawn keeps the population constant.
         assert_eq!(sim.agents().len(), n);
@@ -511,40 +496,6 @@ mod tests {
         }
         let total: usize = by_lane.iter().map(|l| l.len()).sum();
         assert!(collisions < total / 20, "{collisions} near-collisions among {total} vehicles");
-    }
-
-    #[test]
-    fn knn_probe_mode_runs_with_similar_dynamics() {
-        // The k-NN probe changes which neighbors a driver inspects (her k
-        // nearest instead of everyone in range); aggregate traffic should
-        // stay in the same regime.
-        let run = |knn: Option<usize>| {
-            let b = TrafficBehavior::new(TrafficParams { knn, ..small_params() });
-            let pop = b.population(6);
-            let mut sim = Simulation::builder(b).agents(pop).seed(6).build().unwrap();
-            sim.run(60);
-            let vels: Vec<f64> = sim.agents().iter().map(|a| a.state[state::VEL as usize]).collect();
-            vels.iter().sum::<f64>() / vels.len() as f64
-        };
-        let mean_range = run(None);
-        let mean_knn = run(Some(12));
-        assert!(mean_knn > 0.0 && mean_knn <= 36.0);
-        let rel = (mean_range - mean_knn).abs() / mean_range;
-        assert!(rel < 0.2, "regimes diverged: range {mean_range} vs knn {mean_knn}");
-    }
-
-    #[test]
-    fn knn_probe_sees_at_most_k_neighbors() {
-        use brace_core::behavior::NeighborProbe;
-        let b = TrafficBehavior::new(TrafficParams { knn: Some(4), ..small_params() });
-        assert_eq!(b.probe(), NeighborProbe::Nearest(4));
-        let pop = b.population(7);
-        let mut sim = Simulation::builder(b).agents(pop).seed(7).build().unwrap();
-        let m = sim.step();
-        // neighbor_visits counts candidates per agent; with k = 4 the mean
-        // must be bounded by k + 1 (self slot).
-        let per_agent = m.neighbor_visits as f64 / m.n_agents as f64;
-        assert!(per_agent <= 5.0, "visits/agent {per_agent} exceeds k+1");
     }
 
     #[test]

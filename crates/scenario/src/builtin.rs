@@ -14,11 +14,9 @@
 //! order, and non-local float sums (the predator's bites) are folded once,
 //! in source-id order, by the target's owner. Every builtin is a
 //! bounded-range schema: the executor answers its probes with the sort-merge
-//! tile join over the tick's probe order and builds no index, so the KD-tree
-//! its default `build` names changes neither its bits nor its speed.
-//! `index` still selects two things: [`IndexKind::Scan`], the paper's
-//! no-index baseline, and the structure a k-NN probe searches — and no
-//! builtin uses a k-NN probe.
+//! tile join over the tick's probe order, or, on a run that asks for
+//! `IndexKind::Scan`, with the paper's no-index scan — the same bits either
+//! way. A setup names no index: that is the run's choice.
 
 use crate::{Scenario, ScenarioSetup};
 use brace_common::{AgentId, DetRng, Result, Vec2};
@@ -28,7 +26,6 @@ use brace_models::{
     EpidemicBehavior, EpidemicParams, FishBehavior, FishParams, FlockObstaclesBehavior, FlockObstaclesParams,
     PredatorBehavior, PredatorParams, TrafficBehavior, TrafficParams,
 };
-use brace_spatial::IndexKind;
 use std::sync::Arc;
 
 /// Default ticks-per-epoch for every builtin (divides the conformance
@@ -113,13 +110,7 @@ impl Scenario for Fish {
         let behavior = FishBehavior::new(Self::params(n));
         let r = behavior.params().school_radius;
         let population = behavior.population(n, seed);
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            index: IndexKind::KdTree,
-            epoch_len: EPOCH_LEN,
-            space_x: (-r, r),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: EPOCH_LEN, space_x: (-r, r) })
     }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
@@ -157,17 +148,7 @@ impl Scenario for Traffic {
         let segment = (n as f64 / (defaults.density * defaults.lanes as f64)).max(100.0);
         let behavior = TrafficBehavior::new(TrafficParams { segment, ..defaults });
         let population = behavior.population(seed);
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            // KD-tree since the hotspot-erosion fix: traffic jams pile
-            // vehicles into a handful of grid buckets, so the grid's probe
-            // cost degrades toward a scan exactly when the workload gets
-            // interesting. The KD-tree adapts its cuts to the jam.
-            index: IndexKind::KdTree,
-            epoch_len: EPOCH_LEN,
-            space_x: (0.0, segment),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: EPOCH_LEN, space_x: (0.0, segment) })
     }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
@@ -207,13 +188,7 @@ impl Scenario for Predator {
         let side = Self::side(n);
         let behavior = PredatorBehavior::new(PredatorParams::default());
         let population = behavior.population(n, side, seed);
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            index: IndexKind::KdTree,
-            epoch_len: EPOCH_LEN,
-            space_x: (0.0, side),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: EPOCH_LEN, space_x: (0.0, side) })
     }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
@@ -258,13 +233,7 @@ impl Scenario for BrasilFish {
         let behavior = scripts::fish_school_opt(self.optimize)?;
         let side = (n as f64 * 2.0).sqrt().max(1.0);
         let population = brasil_population(behavior.schema(), n, seed, side);
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            index: IndexKind::KdTree,
-            epoch_len: EPOCH_LEN,
-            space_x: (0.0, side),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: EPOCH_LEN, space_x: (0.0, side) })
     }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
@@ -304,13 +273,7 @@ impl Scenario for BrasilPredator {
         for a in &mut population {
             a.state[0] = rng.range(0.5, 1.5); // size
         }
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            index: IndexKind::KdTree,
-            epoch_len: EPOCH_LEN,
-            space_x: (0.0, side),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: EPOCH_LEN, space_x: (0.0, side) })
     }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)
@@ -346,13 +309,7 @@ impl Scenario for BrasilCar {
             })
             .collect();
         let extent = n as f64 * 30.0 + 10.0;
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            index: IndexKind::KdTree,
-            epoch_len: EPOCH_LEN,
-            space_x: (0.0, extent),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: EPOCH_LEN, space_x: (0.0, extent) })
     }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
@@ -385,16 +342,7 @@ impl Scenario for Epidemic {
         let behavior = EpidemicBehavior::new(EpidemicParams::default());
         let side = behavior.side(n);
         let population = behavior.population(n, seed);
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            // KD-tree since the hotspot-erosion fix: infection clusters are
-            // hotspots by construction, and dense buckets erode the grid's
-            // constant-density probe bound.
-            index: IndexKind::KdTree,
-            epoch_len: EPOCH_LEN,
-            space_x: (0.0, side),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: EPOCH_LEN, space_x: (0.0, side) })
     }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
@@ -443,13 +391,7 @@ impl Scenario for FlockObstacles {
         let side = params.side;
         let behavior = FlockObstaclesBehavior::new(params);
         let population = behavior.population(n, seed);
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            index: IndexKind::KdTree,
-            epoch_len: EPOCH_LEN,
-            space_x: (0.0, side),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: EPOCH_LEN, space_x: (0.0, side) })
     }
     fn check(&self, world: &[Agent]) -> Result<()> {
         no_nan(world)?;
@@ -495,7 +437,6 @@ mod tests {
             let a = scenario.build(Some(80), 7).unwrap();
             let b = scenario.build(Some(80), 7).unwrap();
             assert_eq!(a.population, b.population, "scenario `{}` population not deterministic", scenario.name());
-            assert_eq!(a.index, b.index);
             assert_eq!(a.space_x, b.space_x);
             let c = scenario.build(Some(80), 8).unwrap();
             assert_ne!(a.population, c.population, "scenario `{}` ignores the seed", scenario.name());

@@ -79,12 +79,22 @@ impl JobSpec {
     }
 }
 
-/// Stable textual name for an index override in a canonical line.
+/// Stable textual name of an index kind: what a canonical line writes.
 fn index_name(kind: IndexKind) -> &'static str {
     match kind {
+        IndexKind::Join => "join",
         IndexKind::Scan => "scan",
-        IndexKind::KdTree => "kd",
-        IndexKind::Grid => "grid",
+    }
+}
+
+/// The index kind a CLI flag or a served request names: `join` or `scan`,
+/// and the retired `kd`, `kdtree` and `grid`, whose runs the join answers
+/// bit for bit.
+pub fn index_by_name(name: &str) -> Option<IndexKind> {
+    match name {
+        "join" | "kd" | "kdtree" | "grid" => Some(IndexKind::Join),
+        "scan" => Some(IndexKind::Scan),
+        _ => None,
     }
 }
 
@@ -98,9 +108,9 @@ pub struct RunKey {
     pub seed: u64,
     /// Run horizon in ticks.
     pub ticks: u64,
-    /// Explicit index override (`None` = the scenario's own choice, which
-    /// is itself a pure function of the job — so `None` is canonical).
-    pub index: Option<IndexKind>,
+    /// How the query phase answers range probes. Both kinds give the same
+    /// bits; the key names the one the run used.
+    pub index: IndexKind,
     /// Backend label (`single`, `cluster:N`) — see the module docs for why
     /// this is keyed even for exactly-distributable jobs.
     pub backend: String,
@@ -114,7 +124,7 @@ impl RunKey {
     pub fn canonical(&self) -> String {
         let mut line = self.job.encode();
         line.push_str(&format!(" seed={} ticks={}", self.seed, self.ticks));
-        line.push_str(&format!(" index={}", self.index.map(index_name).unwrap_or("auto")));
+        line.push_str(&format!(" index={}", index_name(self.index)));
         line.push_str(&format!(" backend={}", self.backend));
         line
     }
@@ -157,17 +167,17 @@ mod tests {
             job: JobSpec { scenario: "epidemic".into(), size: None, conformance: true },
             seed: 42,
             ticks: 20,
-            index: None,
+            index: IndexKind::Join,
             backend: "single".into(),
         };
         assert_eq!(
             base.canonical(),
-            "scenario=epidemic size=default conformance=true seed=42 ticks=20 index=auto backend=single"
+            "scenario=epidemic size=default conformance=true seed=42 ticks=20 index=join backend=single"
         );
         let variants = [
             RunKey { seed: 43, ..base.clone() },
             RunKey { ticks: 21, ..base.clone() },
-            RunKey { index: Some(IndexKind::Grid), ..base.clone() },
+            RunKey { index: IndexKind::Scan, ..base.clone() },
             RunKey { backend: "cluster:4".into(), ..base.clone() },
             RunKey { job: JobSpec { conformance: false, ..base.job.clone() }, ..base.clone() },
             RunKey { job: JobSpec { size: Some(300), ..base.job.clone() }, ..base.clone() },

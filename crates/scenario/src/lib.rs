@@ -40,12 +40,11 @@ pub mod runner;
 
 pub use builtin::brasil_unoptimized;
 pub use durable::{DurableRunner, RunSummary};
-pub use jobline::{JobSpec, RunKey};
+pub use jobline::{index_by_name, JobSpec, RunKey};
 pub use runner::{fit_epoch, Backend, Observer, Progress, RunReport, Runner, SimHandle, Throttle};
 
 use brace_common::{BraceError, Result};
 use brace_core::{Agent, Behavior};
-use brace_spatial::IndexKind;
 use std::sync::Arc;
 
 /// Everything the driver needs to launch one scenario instance: the
@@ -56,8 +55,6 @@ pub struct ScenarioSetup {
     pub behavior: Arc<dyn Behavior>,
     /// Deterministic initial population (a pure function of the build seed).
     pub population: Vec<Agent>,
-    /// Spatial index the query phase should build.
-    pub index: IndexKind,
     /// Master-coordination cadence for cluster runs (ticks per epoch).
     pub epoch_len: u64,
     /// x-extent of the initial 1-D column partitioning for cluster runs.
@@ -102,17 +99,11 @@ pub trait Scenario: Send + Sync {
 pub const CONFORMANCE_POPULATION: usize = 300;
 
 /// The reduced configuration the conformance suite certifies, the same for
-/// every scenario: its default build at [`CONFORMANCE_POPULATION`], with
-/// `index` set to the uniform grid. Every registry scenario is a
-/// bounded-range schema that joins on the probe order and builds no index,
-/// so the grid changes nothing here: `index` selects only the scan baseline
-/// and the structure a k-NN probe searches, and no registry scenario uses a
-/// k-NN probe. Like every run, it is bit-identical on every backend and
-/// worker count.
+/// every scenario: its default build at [`CONFORMANCE_POPULATION`]. Like
+/// every run, it is bit-identical on every backend and worker count, on the
+/// join and on the scan.
 pub fn conformance_setup(scenario: &dyn Scenario, seed: u64) -> Result<ScenarioSetup> {
-    let mut setup = scenario.build(Some(CONFORMANCE_POPULATION), seed)?;
-    setup.index = IndexKind::Grid;
-    Ok(setup)
+    scenario.build(Some(CONFORMANCE_POPULATION), seed)
 }
 
 /// The named scenario collection.

@@ -187,7 +187,8 @@ impl<'s> Runner<'s> {
         self
     }
 
-    /// Override the scenario's default spatial index.
+    /// How the query phase answers range probes (default: the join). Never
+    /// changes a bit of the result.
     pub fn index(mut self, kind: IndexKind) -> Self {
         self.index = Some(kind);
         self
@@ -215,10 +216,10 @@ impl<'s> Runner<'s> {
 
     fn setup(&self) -> Result<ScenarioSetup> {
         let mut setup = if self.conformance {
-            // The conformance configuration is a fixed point: population
-            // and index are part of what the conformance suite certifies, so
-            // overriding either would run something else under its name.
-            // Reject instead.
+            // The conformance configuration is a fixed point: its population
+            // and its index (the join) are what the conformance suite
+            // certifies, so overriding either would run something else under
+            // its name. Reject instead.
             if self.size.is_some() {
                 return Err(BraceError::Config(
                     "population override conflicts with the conformance configuration \
@@ -235,11 +236,7 @@ impl<'s> Runner<'s> {
             }
             conformance_setup(self.scenario, self.seed)?
         } else {
-            let mut setup = self.scenario.build(self.size, self.seed)?;
-            if let Some(kind) = self.index {
-                setup.index = kind;
-            }
-            setup
+            self.scenario.build(self.size, self.seed)?
         };
         if let Some(e) = self.epoch_len {
             setup.epoch_len = e.max(1);
@@ -274,19 +271,20 @@ impl<'s> Runner<'s> {
 
     /// Launch a **prebuilt** setup on the configured backend, skipping the
     /// scenario's build. For callers that also
-    /// inspect the setup (e.g. the bench harness reads the index and
+    /// inspect the setup (e.g. the bench harness reads the behavior and
     /// population size it is about to measure) and must not pay a second
     /// build — BRASIL scenarios compile their script per build. The setup
     /// should come from this runner's scenario and seed, or the eventual
-    /// report's provenance is a lie; `size`/`index`/`conformance` set on
-    /// the runner are ignored, and a durable cluster's `job` and
-    /// `total_ticks` stay as the caller set them.
+    /// report's provenance is a lie; `size`/`conformance` set on the runner
+    /// are ignored, and a durable cluster's `job` and `total_ticks` stay as
+    /// the caller set them.
     pub fn launch_with(self, setup: ScenarioSetup) -> Result<SimHandle> {
+        let index = self.index.unwrap_or_default();
         let inner = match self.backend {
             Backend::SingleNode { parallelism } => {
                 let sim = Simulation::builder(setup.behavior)
                     .agents(setup.population)
-                    .index(setup.index)
+                    .index(index)
                     .seed(self.seed)
                     .parallelism(parallelism)
                     .build()?;
@@ -294,7 +292,7 @@ impl<'s> Runner<'s> {
             }
             Backend::Cluster(mut cfg) => {
                 cfg.seed = self.seed;
-                cfg.index = setup.index;
+                cfg.index = index;
                 cfg.space_x = setup.space_x;
                 cfg.epoch_len = setup.epoch_len;
                 Inner::Cluster(Box::new(ClusterSim::new(setup.behavior, setup.population, cfg)?))
@@ -560,7 +558,7 @@ mod tests {
         let scenario = registry.get("fish").unwrap();
         let err = Runner::new(scenario).conformance().population(50).run(2).expect_err("must conflict");
         assert!(err.to_string().contains("population override"), "{err}");
-        let err = Runner::new(scenario).conformance().index(IndexKind::Grid).run(2).expect_err("must conflict");
+        let err = Runner::new(scenario).conformance().index(IndexKind::Scan).run(2).expect_err("must conflict");
         assert!(err.to_string().contains("index override"), "{err}");
     }
 
@@ -614,14 +612,16 @@ mod tests {
 
     #[test]
     fn index_override_reaches_the_executor() {
-        // Same scenario, two index kinds: results identical (the index is
-        // never semantics), so the override is observable only through the
-        // run succeeding — plus the checksum equality doubling as an
-        // index-equivalence spot check.
+        // Same scenario, the join and the scan: results identical (the index
+        // is never semantics), so the override is observable only through
+        // the run succeeding — plus the checksum equality doubling as a
+        // join-equivalence spot check, on one node and on two workers.
         let registry = Registry::builtin();
         let scenario = registry.get("epidemic").unwrap();
-        let kd = Runner::new(scenario).population(80).index(IndexKind::KdTree).run(6).unwrap();
-        let grid = Runner::new(scenario).population(80).index(IndexKind::Grid).run(6).unwrap();
-        assert_eq!(kd.checksum, grid.checksum);
+        let join = Runner::new(scenario).population(80).index(IndexKind::Join).run(6).unwrap();
+        for backend in [Backend::default(), Backend::cluster(2)] {
+            let scan = Runner::new(scenario).population(80).index(IndexKind::Scan).backend(backend).run(6).unwrap();
+            assert_eq!(join.checksum, scan.checksum);
+        }
     }
 }

@@ -48,8 +48,7 @@ pub use json::Json;
 
 use brace_common::Result;
 use brace_scenario::runner::DEFAULT_SEED;
-use brace_scenario::{Backend, JobSpec, Observer, Progress, Registry, RunKey, Runner};
-use brace_spatial::IndexKind;
+use brace_scenario::{index_by_name, Backend, JobSpec, Observer, Progress, Registry, RunKey, Runner};
 use brace_telemetry::{Counter as TelCounter, Gauge, HistId};
 use http::ChunkedWriter;
 use std::any::Any;
@@ -356,9 +355,7 @@ fn execute(app: &Arc<App>, record: &Arc<RunRecord>) {
             if let Some(size) = key.job.size {
                 runner = runner.population(size);
             }
-            if let Some(kind) = key.index {
-                runner = runner.index(kind);
-            }
+            runner = runner.index(key.index);
         }
         runner = runner.observe(Box::new(RecordObserver { record: Arc::clone(record) }));
         runner.run(key.ticks)
@@ -374,14 +371,11 @@ fn execute(app: &Arc<App>, record: &Arc<RunRecord>) {
                 wall_secs: report.wall_secs,
                 agents_per_sec: report.agents_per_sec,
             };
-            let frames = {
-                let mut st = record.state.lock().unwrap();
-                st.status = Status::Done;
-                st.result = Some(finished);
-                st.frames.clone()
-            };
+            // The run's frames are final. The result reaches the cache and
+            // the counters before the record says done: a client that reads
+            // the terminal line and posts the job again gets a hit.
+            let mut frames = record.state.lock().unwrap().frames.clone();
             let frames_dropped = frames.len().saturating_sub(MAX_CACHED_FRAMES);
-            let mut frames = frames;
             frames.truncate(MAX_CACHED_FRAMES);
             let entry = CachedRun {
                 checksum: finished.checksum,
@@ -395,13 +389,15 @@ fn execute(app: &Arc<App>, record: &Arc<RunRecord>) {
             let evicted = app.cache.lock().unwrap().insert(record.key.cache_key(), entry);
             app.stats.cache_evictions.fetch_add(evicted as u64, Ordering::Relaxed);
             app.stats.runs_completed.fetch_add(1, Ordering::Relaxed);
+            let mut st = record.state.lock().unwrap();
+            st.status = Status::Done;
+            st.result = Some(finished);
         }
         Err(e) => {
+            app.stats.runs_failed.fetch_add(1, Ordering::Relaxed);
             let mut st = record.state.lock().unwrap();
             st.status = Status::Failed;
             st.error = Some(e);
-            drop(st);
-            app.stats.runs_failed.fetch_add(1, Ordering::Relaxed);
         }
     }
     record.progressed.notify_all();
@@ -606,12 +602,7 @@ fn parse_run_spec(body: &str, registry: &Registry, cfg: &ServeConfig) -> std::re
         None | Some(Json::Null) => None,
         Some(v) => {
             let s = v.as_str().ok_or((400, "\"index\" must be a string".to_string()))?;
-            Some(match s {
-                "kd" | "kdtree" => IndexKind::KdTree,
-                "grid" => IndexKind::Grid,
-                "scan" => IndexKind::Scan,
-                other => return Err((400, format!("unknown index `{other}` (kd|grid|scan)"))),
-            })
+            Some(index_by_name(s).ok_or((400, format!("unknown index `{s}` (join|scan)")))?)
         }
     };
     // Mirror the Runner's conformance fixed-point rule at admission so the
@@ -625,6 +616,7 @@ fn parse_run_spec(body: &str, registry: &Registry, cfg: &ServeConfig) -> std::re
         ));
     }
 
+    let index = index.unwrap_or_default();
     Ok(RunKey { job: JobSpec { scenario, size: agents, conformance }, seed, ticks, index, backend: backend.label() })
 }
 
@@ -846,7 +838,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             key.canonical(),
-            format!("scenario=epidemic size=default conformance=true seed={DEFAULT_SEED} ticks=20 index=auto backend=single")
+            format!("scenario=epidemic size=default conformance=true seed={DEFAULT_SEED} ticks=20 index=join backend=single")
         );
     }
 

@@ -1,6 +1,6 @@
 //! Uniform-grid (bucket) spatial index with bucket-major SoA storage.
 //!
-//! The ablation alternative to the KD-tree: space is covered by square cells
+//! The bucket alternative to the KD-tree: space is covered by square cells
 //! of side `cell`; each cell holds the points inside it. Range queries visit
 //! only the cells overlapping the query rectangle. For the roughly uniform
 //! densities of the traffic workload a grid with cell ≈ visibility radius is
@@ -19,8 +19,7 @@
 //! `[start, start+len)` range of those columns, sorted by payload. A k-NN
 //! probe therefore streams each visited bucket's coordinates straight
 //! through the lane kernel ([`crate::kernels::dist2`]) with no per-probe
-//! gather. The grid is build-only: the executor builds a fresh one for each
-//! tick it probes one (k-NN, unbounded visibility).
+//! gather. The grid is build-only; the engine builds none (see `crate::index`).
 //!
 //! Range emission is globally **ascending by payload**: probes merge the
 //! overlapping payload-sorted runs by payload, so candidates stream out in

@@ -1,32 +1,27 @@
 //! The spatial-index abstraction.
 //!
-//! BRACE's reducers answer one query shape billions of times: *"which agents
-//! lie inside this axis-aligned rectangle?"* (the compiled form of a BRASIL
-//! `foreach` under a `#range` visibility constraint) — plus nearest-neighbor
-//! probes for models like MITSIM's lead/rear-vehicle lookup. The engine is
-//! generic over [`SpatialIndex`] so the paper's indexing-on/off experiments
-//! (Figures 3 and 4) are a one-line configuration change, and so the KD-tree
-//! can be compared against a uniform grid in the ablation benchmarks.
+//! A [`SpatialIndex`] answers *"which points lie inside this axis-aligned
+//! rectangle?"* and *"which `k` points lie nearest?"* over one frozen point
+//! set. Three structures implement it: [`ScanIndex`], `KdTree` and
+//! `UniformGrid`. The engine builds none of them: a tick's range probes are
+//! answered by the sort-merge tile join, whose probe order is the index, or
+//! by the no-indexing scan over the id order (`brace_core::executor`). The
+//! structures serve `perfbench`'s per-layer probes (`spatial.*`) and the
+//! `all_indexes_*` properties, which hold each one to the others as an
+//! oracle.
 //!
-//! Every index is **build-only**. Positions are frozen for the whole query
-//! phase (the state-effect pattern), so an index answers one tick's probes
-//! and is then dropped: the executor builds one per tick it probes (k-NN,
-//! the scan, unbounded visibility) and none at all for a bounded range
-//! schema, whose sort-merge tile join needs no index (`brace_core::executor`).
-//! Rebuilding is the maintenance policy — measured against in-place updates
-//! it was never meaningfully slower.
+//! Every index is **build-only**: a moved point set means a fresh
+//! [`SpatialIndex::build`].
 
 use brace_common::{Rect, Vec2};
 use std::cell::RefCell;
 
 /// A read-only spatial index over a set of points, each carrying a `u32`
-/// payload (the index of the agent in the tick's agent table).
+/// payload (an agent's row).
 pub trait SpatialIndex: Send + Sync {
     /// True when [`SpatialIndex::range`] emits candidates in ascending
     /// payload order whenever the points were built in ascending payload
-    /// order (the executor builds them that way: payload = row). On an
-    /// id-ordered pool that is the canonical candidate order itself, so the
-    /// executor skips its per-probe candidate sort.
+    /// order.
     const RANGE_CANONICAL: bool = false;
 
     /// Build an index over `points`. Payloads need not be unique or dense.
@@ -40,15 +35,11 @@ pub trait SpatialIndex: Send + Sync {
 
     /// The `k` nearest points to `q` by Euclidean distance, sorted
     /// ascending into `out` (cleared first), excluding payload `exclude`.
-    /// Fewer than `k` results when fewer points exist. This is the probe
-    /// behind the paper's nearest-neighbor-indexing extension (its
-    /// "planned future work"): MITSIM-style models look up lead/rear
-    /// vehicles by proximity rather than fixed range. Ties are broken by
+    /// Fewer than `k` results when fewer points exist. Ties are broken by
     /// ascending payload, so the result is a pure function of the point
     /// *set* — every index kind answers bit-identically to every other.
-    /// Taking the caller's buffer means a caller probing once per agent per
-    /// tick performs no per-probe allocation (the `Nearest` probe path of
-    /// the executor).
+    /// Taking the caller's buffer means a caller probing many times
+    /// performs no per-probe allocation.
     fn k_nearest_into(&self, q: Vec2, k: usize, exclude: Option<u32>, out: &mut Vec<u32>);
 
     /// Always `false`: every index is build-only, so a moved point set
@@ -69,20 +60,19 @@ pub trait SpatialIndex: Send + Sync {
     }
 }
 
-/// Which index the engine should build each tick. This enum exists so that
-/// configuration is data (serializable into experiment manifests) rather
-/// than a type parameter, while the hot loops still run against the
-/// concrete, monomorphized index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How the engine answers a tick's range probes. The choice is run
+/// configuration (a CLI flag, a serve field, a manifest byte), read once per
+/// tick; both kinds give every agent the same neighbours in the same order,
+/// so it never moves a bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum IndexKind {
+    /// The sort-merge tile join: the tick's probe order is the index, and the
+    /// agents of neighbouring tiles share one candidate block.
+    #[default]
+    Join,
     /// No index: the query phase scans every agent for every agent. This is
     /// the quadratic baseline of Figures 3 and 4.
     Scan,
-    /// KD-tree with orthogonal range queries (the paper's choice).
-    #[default]
-    KdTree,
-    /// Uniform grid (bucket) index; ablation alternative.
-    Grid,
 }
 
 thread_local! {
@@ -119,7 +109,8 @@ pub(crate) fn finish_knn(scratch: &mut Vec<(f64, u32)>, k: usize, out: &mut Vec<
 ///
 /// Storage is struct-of-arrays (`xs`/`ys`/`payloads` columns): every probe
 /// touches every point, so the range probe *is* one lane-kernel pass over
-/// the flat coordinate columns ([`crate::kernels::filter_rect`]).
+/// the flat coordinate columns ([`crate::kernels::filter_rect`]) — the pass
+/// the engine's `IndexKind::Scan` runs over the id order.
 #[derive(Debug, Clone, Default)]
 pub struct ScanIndex {
     xs: Vec<f64>,
@@ -128,8 +119,7 @@ pub struct ScanIndex {
 }
 
 impl SpatialIndex for ScanIndex {
-    /// The scan emits in build order, which the executor builds in
-    /// ascending row order.
+    /// The scan emits in build order.
     const RANGE_CANONICAL: bool = true;
 
     fn build(points: &[(Vec2, u32)]) -> Self {

@@ -12,10 +12,7 @@
 //! * orthogonal range queries and k-nearest-neighbor search both prune by the
 //!   node bounding boxes computed during the build.
 //!
-//! The tree is build-only: positions are frozen for a tick's query phase and
-//! the executor builds a fresh tree for each tick it probes one (k-NN and
-//! unbounded-visibility schemas; a bounded range schema joins through the
-//! probe order and builds none).
+//! The tree is build-only; the engine builds none (see `crate::index`).
 
 use crate::index::{knn_cmp, SpatialIndex, KNN_SCRATCH};
 use brace_common::{Rect, Vec2};

@@ -6,8 +6,8 @@
 //! flat `f64` columns with no loop-carried dependence. That is exactly the
 //! shape that vectorizes, and this module is the single home for the
 //! fixed-width kernels the indexes and the executor batch through: the
-//! executor's join members and the scan filter with [`filter_rect`], the scan
-//! and the grid gather k-NN distances with [`dist2`], and the zonal models
+//! executor's join members and its scan filter with [`filter_rect`], the
+//! scan and grid indexes gather k-NN distances with [`dist2`], and the zonal models
 //! (fish, flock-obstacles) turn their kept candidates into unit directions
 //! with [`unit_dirs`]. The executor's join also orders and looks up here:
 //! each block goes into ascending id by

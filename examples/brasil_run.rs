@@ -76,13 +76,7 @@ impl Scenario for ScriptScenario {
         let population: Vec<Agent> = (0..n)
             .map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(rng.range(0.0, side), rng.range(0.0, side)), &schema))
             .collect();
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            index: IndexKind::KdTree,
-            epoch_len: 10,
-            space_x: (0.0, side),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: 10, space_x: (0.0, side) })
     }
 }
 

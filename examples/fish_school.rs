@@ -51,13 +51,7 @@ impl Scenario for Migration {
         let behavior = FishBehavior::new(Self::params(n));
         let r = behavior.params().school_radius;
         let population = behavior.population(n, seed);
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            index: IndexKind::KdTree,
-            epoch_len: 10,
-            space_x: (-r, r),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: 10, space_x: (-r, r) })
     }
 }
 

@@ -47,13 +47,7 @@ impl Scenario for CompiledPredator {
                 a
             })
             .collect();
-        Ok(ScenarioSetup {
-            behavior: Arc::new(behavior),
-            population,
-            index: IndexKind::KdTree,
-            epoch_len: 5,
-            space_x: (0.0, 60.0),
-        })
+        Ok(ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: 5, space_x: (0.0, 60.0) })
     }
 }
 

@@ -4,7 +4,7 @@
 //! brace list
 //! brace compile <scenario|all> [--no-opt]
 //! brace run --scenario <name|all> [--backend single|cluster[:N]|both]
-//!           [--ticks T] [--agents N] [--seed S] [--index kdtree|grid|scan]
+//!           [--ticks T] [--agents N] [--seed S] [--index join|scan]
 //!           [--conformance] [--progress] [--trace PATH]
 //! brace run --scenario <name> --backend cluster[:N] --run-dir DIR [--run-id ID]
 //!           [--checkpoint-every E] [--keep-checkpoints K] [--epoch-sleep-ms MS] ...
@@ -28,10 +28,10 @@
 //! [`brace_scenario::world_checksum`] values — directly comparable with the
 //! golden-tick and conformance suites.
 //!
-//! `--index kdtree|grid` selects the structure k-NN probes search; bounded
-//! range schemas ignore it (their per-tick probe order is the index), so it
-//! changes neither their bits nor their speed. `--index scan` is the paper's
-//! no-index baseline: every probe scans every agent.
+//! `--index join` (the default) answers range probes with the sort-merge
+//! tile join, whose per-tick probe order is the index; `--index scan` is the
+//! paper's no-index baseline: every probe scans every agent. Both give the
+//! same bits. The retired names `kd`, `kdtree` and `grid` mean `join`.
 //!
 //! `--trace PATH` writes an NDJSON per-tick phase trace: one line per
 //! completed tick with the executor's phase timings (`index_maintain_ns`,
@@ -66,7 +66,9 @@
 
 use brace_core::metrics::TickMetrics;
 use brace_scenario::runner::DEFAULT_SEED;
-use brace_scenario::{Backend, DurableRunner, Observer, Progress, Registry, RunReport, Runner, Throttle};
+use brace_scenario::{
+    index_by_name, Backend, DurableRunner, Observer, Progress, Registry, RunReport, Runner, Throttle,
+};
 use brace_spatial::IndexKind;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -77,7 +79,7 @@ fn die(msg: &str) -> ! {
         "usage: brace list\n\
          \x20      brace compile <scenario|all> [--no-opt]\n\
          \x20      brace run --scenario <name|all> [--backend single|cluster[:N]|both] [--ticks T]\n\
-         \x20            [--agents N] [--seed S] [--index kdtree|grid|scan] [--conformance] [--progress]\n\
+         \x20            [--agents N] [--seed S] [--index join|scan] [--conformance] [--progress]\n\
          \x20            [--trace PATH]\n\
          \x20            [--run-dir DIR [--run-id ID] [--checkpoint-every E] [--keep-checkpoints K]]\n\
          \x20            [--epoch-sleep-ms MS]\n\
@@ -85,8 +87,8 @@ fn die(msg: &str) -> ! {
          \x20      brace list-runs --run-dir DIR\n\
          \x20      brace serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
          \n\
-         --index kdtree|grid selects the k-NN structure; bounded range schemas ignore it\n\
-         (their per-tick probe order is the index). --index scan is the no-index baseline."
+         --index join (default) is the sort-merge tile join; --index scan is the no-index\n\
+         baseline. Both give the same bits; kd, kdtree and grid mean join."
     );
     std::process::exit(2);
 }
@@ -104,15 +106,6 @@ struct RunOpts {
     run_dir: Option<PathBuf>,
     resume: Option<String>,
     epoch_sleep_ms: u64,
-}
-
-fn parse_index(s: &str) -> Option<IndexKind> {
-    match s {
-        "kd" | "kdtree" => Some(IndexKind::KdTree),
-        "grid" => Some(IndexKind::Grid),
-        "scan" => Some(IndexKind::Scan),
-        _ => None,
-    }
 }
 
 fn parse_run_opts(args: &[String]) -> RunOpts {
@@ -159,7 +152,7 @@ fn parse_run_opts(args: &[String]) -> RunOpts {
             }
             "--index" => {
                 let s = take(args, &mut i, "--index");
-                opts.index = Some(parse_index(&s).unwrap_or_else(|| die(&format!("unknown index `{s}`"))));
+                opts.index = Some(index_by_name(&s).unwrap_or_else(|| die(&format!("unknown index `{s}`"))));
             }
             "--conformance" => opts.conformance = true,
             "--progress" => opts.progress = true,

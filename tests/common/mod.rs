@@ -71,7 +71,7 @@ pub fn any_leg() -> impl Strategy<Value = &'static [&'static str]> {
     prop::sample::select((0..LEGS.len()).map(|i| &LEGS[i..=i]).collect())
 }
 
-/// One run every leg repeats: a population, a seed and a horizon.
+/// One run every leg repeats: a population, a seed, a horizon and an index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Case {
     /// The scenario's build at this many agents; `None` for its conformance
@@ -79,21 +79,31 @@ pub struct Case {
     pub size: Option<usize>,
     pub seed: u64,
     pub ticks: u64,
+    /// How every leg answers range probes (the conformance form runs the
+    /// join).
+    pub index: IndexKind,
     /// The legs besides the baseline this case runs on; `None` for all.
     pub legs: Option<&'static [&'static str]>,
 }
 
 impl Case {
     pub fn conformance(ticks: u64) -> Case {
-        Case { size: None, seed: 42, ticks, legs: None }
+        Case { size: None, seed: 42, ticks, index: IndexKind::Join, legs: None }
     }
 
     pub fn sized(agents: usize, ticks: u64) -> Case {
-        Case { size: Some(agents), seed: 42, ticks, legs: None }
+        Case { size: Some(agents), seed: 42, ticks, index: IndexKind::Join, legs: None }
     }
 
     pub fn seed(self, seed: u64) -> Case {
         Case { seed, ..self }
+    }
+
+    /// Run every leg on `index` (a sized case only: the conformance form
+    /// refuses an index override).
+    pub fn index(self, index: IndexKind) -> Case {
+        assert!(self.size.is_some(), "the conformance form runs the join");
+        Case { index, ..self }
     }
 
     /// Run on the baseline and `legs` (members of [`LEGS`]) only.
@@ -109,7 +119,7 @@ impl Case {
     fn runner<'s>(&self, scenario: &'s dyn Scenario) -> Runner<'s> {
         let runner = Runner::new(scenario).seed(self.seed);
         match self.size {
-            Some(n) => runner.population(n),
+            Some(n) => runner.population(n).index(self.index),
             None => runner.conformance(),
         }
     }
@@ -122,7 +132,10 @@ impl Case {
     }
 
     fn served_body(&self, scenario: &str) -> String {
-        let size = self.size.map_or(r#""conformance":true"#.to_string(), |n| format!(r#""agents":{n}"#));
+        let size = self.size.map_or(r#""conformance":true"#.to_string(), |n| {
+            let index = if self.index == IndexKind::Scan { r#","index":"scan""# } else { "" };
+            format!(r#""agents":{n}{index}"#)
+        });
         format!(r#"{{"scenario":"{scenario}","ticks":{},"seed":{},{size}}}"#, self.ticks, self.seed)
     }
 }
@@ -345,15 +358,10 @@ impl Scenario for Custom {
     }
 }
 
-/// A [`Custom`] setup: `behavior` over `population` on `index`, in epochs
-/// of 5 ticks, the cluster's first partition spanning `space_x`.
-pub fn custom_setup(
-    behavior: impl Behavior + 'static,
-    population: Vec<Agent>,
-    index: IndexKind,
-    space_x: (f64, f64),
-) -> ScenarioSetup {
-    ScenarioSetup { behavior: Arc::new(behavior), population, index, epoch_len: 5, space_x }
+/// A [`Custom`] setup: `behavior` over `population`, in epochs of 5 ticks,
+/// the cluster's first partition spanning `space_x`.
+pub fn custom_setup(behavior: impl Behavior + 'static, population: Vec<Agent>, space_x: (f64, f64)) -> ScenarioSetup {
+    ScenarioSetup { behavior: Arc::new(behavior), population, epoch_len: 5, space_x }
 }
 
 /// A registry holding exactly `scenarios`.
@@ -391,7 +399,7 @@ pub fn worlds_bit_identical(a: &[Agent], b: &[Agent]) -> std::result::Result<(),
 }
 
 pub fn any_index_kind() -> impl Strategy<Value = IndexKind> {
-    prop::sample::select(vec![IndexKind::Scan, IndexKind::KdTree, IndexKind::Grid])
+    prop::sample::select(vec![IndexKind::Join, IndexKind::Scan])
 }
 
 // ---- the HTTP client ---------------------------------------------------------

@@ -15,7 +15,6 @@ use brace_core::{Agent, AgentSchema, Behavior, Combinator};
 use brace_models::scripts;
 use brace_models::{FishBehavior, FishParams};
 use brace_scenario::Registry;
-use brace_spatial::IndexKind;
 use common::{any_leg, custom_setup, engines_agree, rebalanced, registry_of, spawned, Case, Custom};
 use proptest::prelude::*;
 
@@ -39,7 +38,7 @@ fn registry() -> Registry {
                         a
                     })
                     .collect();
-                custom_setup(b, pop, IndexKind::KdTree, (0.0, 18.0))
+                custom_setup(b, pop, (0.0, 18.0))
             },
         },
         Custom {
@@ -52,7 +51,7 @@ fn registry() -> Registry {
                 (params.informed_a, params.informed_b, params.omega) = (1.0, 0.0, 2.0);
                 let b = FishBehavior::new(params);
                 let pop = b.population(n, seed);
-                custom_setup(b, pop, IndexKind::KdTree, (-12.0, 12.0))
+                custom_setup(b, pop, (-12.0, 12.0))
             },
         },
         Custom { name: "churn-storm", agents: 60, build: |n, seed| ChurnStorm::new(false, false).setup(n, seed) },
@@ -164,7 +163,7 @@ impl ChurnStorm {
                 a
             })
             .collect();
-        custom_setup(self, pop, IndexKind::KdTree, (0.0, 60.0))
+        custom_setup(self, pop, (0.0, 60.0))
     }
 
     /// One agent on the boundary `b` the 2- and 4-worker clusters start
@@ -180,7 +179,7 @@ impl ChurnStorm {
                 a
             })
             .collect();
-        custom_setup(self, pop, IndexKind::KdTree, (2.0 * b, 0.0))
+        custom_setup(self, pop, (2.0 * b, 0.0))
     }
 }
 

@@ -169,15 +169,15 @@ fn durable_starts_take_trace_progress_and_index_and_resume_refuses_them() {
     assert_eq!(m.complete(), Some((TICKS, GOLDEN_EPIDEMIC)));
 
     let fish = ["run", "--scenario", "fish", "--agents", "200", "--backend", "cluster:2", "--ticks", "5"];
-    let out = brace(&[&fish[..], &["--run-dir", runs_arg, "--index", "grid"]].concat());
+    let out = brace(&[&fish[..], &["--run-dir", runs_arg, "--index", "scan"]].concat());
     assert!(out.status.success(), "--index on a durable start: {}", String::from_utf8_lossy(&out.stderr));
     let m = manifest::read_manifest(&runs.join("fish-42")).expect("the indexed run's manifest");
-    assert_eq!(m.header.index, IndexKind::Grid);
+    assert_eq!(m.header.index, IndexKind::Scan);
     assert!(m.complete().is_some());
 
     std::fs::remove_file(&trace).unwrap();
     let resume = ["run", "--run-dir", runs_arg, "--resume", "epidemic-42"];
-    for extra in [&["--trace", trace_arg][..], &["--index", "grid"], &["--progress"]] {
+    for extra in [&["--trace", trace_arg][..], &["--index", "scan"], &["--progress"]] {
         let out = brace(&[&resume[..], extra].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "`{}` succeeded", extra[0]);

@@ -12,7 +12,6 @@ mod common;
 
 use brace_mapreduce::{CheckpointStore, ClusterConfig, ClusterSim, FaultPlan};
 use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams};
-use brace_spatial::IndexKind;
 use common::{custom_setup, registry_of, spawned, Case, Custom};
 use std::sync::Arc;
 
@@ -74,7 +73,7 @@ fn recovery_with_spawning_model_is_exact() {
             build: |n, seed| {
                 let b = PredatorBehavior::new(PredatorParams { nonlocal: true, ..Default::default() });
                 let pop = b.population(n, 16.0, seed);
-                custom_setup(b, pop, IndexKind::KdTree, (0.0, 16.0))
+                custom_setup(b, pop, (0.0, 16.0))
             },
         }])
     };

@@ -29,8 +29,7 @@ use brace_scenario::{Registry, ScenarioSetup};
 use brace_spatial::IndexKind;
 use common::{custom_setup, engines_agree, registry_of, Case, Custom};
 
-/// The three trajectories, as test-local scenarios: each model with the
-/// index it is pinned on. The checksum every one is compared by is the
+/// The three trajectories, as test-local scenarios. The checksum every one is compared by is the
 /// canonical world fingerprint (`brace_scenario::world_checksum`: FNV-1a
 /// over every bit — ids, positions, states, effects, liveness — through
 /// `to_bits`, so even a `-0.0` vs `0.0` flip moves the sum), the same number
@@ -43,7 +42,7 @@ fn registry() -> Registry {
             build: |n, seed| {
                 let b = FishBehavior::new(FishParams::default());
                 let pop = b.population(n, seed);
-                custom_setup(b, pop, IndexKind::KdTree, (-20.0, 20.0))
+                custom_setup(b, pop, (-20.0, 20.0))
             },
         },
         Custom {
@@ -59,7 +58,7 @@ fn registry() -> Registry {
             build: |n, seed| {
                 let b = PredatorBehavior::new(PredatorParams::default());
                 let pop = b.population(n, 30.0, seed);
-                custom_setup(b, pop, IndexKind::Scan, (0.0, 30.0))
+                custom_setup(b, pop, (0.0, 30.0))
             },
         },
         Custom {
@@ -79,23 +78,32 @@ fn registry() -> Registry {
     ])
 }
 
-/// Three-lane traffic on the grid over a segment of its own.
+/// Three-lane traffic over a segment of its own.
 fn traffic(params: TrafficParams, seed: u64) -> ScenarioSetup {
     let (segment, b) = (params.segment, TrafficBehavior::new(TrafficParams { lanes: 3, ..params }));
     let pop = b.population(seed);
-    custom_setup(b, pop, IndexKind::Grid, (0.0, segment))
+    custom_setup(b, pop, (0.0, segment))
 }
 
-/// 100 ticks at seed 42, on every leg of the engine matrix: one constant
+/// `name`'s default population for 100 ticks at seed 42.
+fn hundred_ticks(name: &str) -> Case {
+    Case::sized(registry().get(name).unwrap().default_population(), 100)
+}
+
+/// `want` must hold on the baseline and on every leg `case` names.
+fn assert_golden(name: &str, case: &Case, want: u64) {
+    let got = engines_agree(registry, name, case);
+    assert_eq!(got, want, "`{name}` drifted (got {got:#06X}); see the module docs before touching this constant");
+}
+
+/// 100 ticks at seed 42 on every leg of the engine matrix: one constant
 /// pins the single node at every thread budget, clusters of 1 to 4 workers
 /// (the balancer off, and moving boundaries mid-run on 4; delta
 /// distribution shipping replicas as masked frames), a fault recovered by
 /// checkpoint restore and replay on 3, the durable and resumed runs, and
 /// the served run.
 fn golden(name: &str, want: u64) {
-    let agents = registry().get(name).unwrap().default_population();
-    let got = engines_agree(registry, name, &Case::sized(agents, 100));
-    assert_eq!(got, want, "`{name}` drifted (got {got:#06X}); see the module docs before touching this constant");
+    assert_golden(name, &hundred_ticks(name), want);
 }
 
 const GOLDEN_FISH: u64 = 0x7FCC_939F_AE16_A057;
@@ -124,9 +132,25 @@ fn golden_traffic_100_ticks() {
     golden("golden-traffic", 0xA23D_BFEE_B720_92E2);
 }
 
+/// The one non-local trajectory (float sums folded in source-id order),
+/// pinned on the scan on every leg.
 #[test]
 fn golden_predator_100_ticks() {
-    golden("golden-predator", 0x4009_9BD6_5F84_5536);
+    assert_golden("golden-predator", &hundred_ticks("golden-predator").index(IndexKind::Scan), GOLDEN_PREDATOR);
+}
+
+const GOLDEN_PREDATOR: u64 = 0x4009_9BD6_5F84_5536;
+
+/// The scan and the join reach the same constants on one node and on
+/// `cluster:2`, each on the trajectory the other pins on every leg: the
+/// predator on the join, and the fish school (float forces over every
+/// neighbour) on the scan, whose candidates must come out in ascending id
+/// on a worker's unordered pool as on one node.
+#[test]
+fn golden_fish_on_the_scan_and_predator_on_the_join() {
+    const LEGS: &[&str] = &["cluster:2, balancer off"];
+    assert_golden("golden-fish", &hundred_ticks("golden-fish").index(IndexKind::Scan).on(LEGS), GOLDEN_FISH);
+    assert_golden("golden-predator", &hundred_ticks("golden-predator").on(LEGS), GOLDEN_PREDATOR);
 }
 
 #[test]

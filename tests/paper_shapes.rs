@@ -27,7 +27,8 @@ fn timed(f: impl FnOnce()) -> f64 {
 }
 
 /// Figure 3's shape: without indexing, tick cost grows markedly faster
-/// with population than with the KD-tree. Wall-time growth exponents over
+/// with population than with the tile join, whose probe order is the index
+/// (the paper's prototype used a KD-tree). Wall-time growth exponents over
 /// a 4x size range, with wide margins for scheduler noise. The repetitions
 /// of the six configurations are interleaved, so a burst of contention from
 /// a concurrently running test slows one repetition of every size rather
@@ -44,7 +45,7 @@ fn fig3_shape_indexing_changes_growth_order() {
     let segments = if cfg!(debug_assertions) { [5000.0, 10000.0, 20000.0] } else { [20000.0, 40000.0, 80000.0] };
     for segment in segments {
         let params = TrafficParams { segment, ..TrafficParams::default() };
-        for kind in [IndexKind::Scan, IndexKind::KdTree] {
+        for kind in [IndexKind::Scan, IndexKind::Join] {
             let behavior = TrafficBehavior::new(params.clone());
             let pop = behavior.population(1);
             let n = pop.len() as f64;
@@ -61,15 +62,15 @@ fn fig3_shape_indexing_changes_growth_order() {
     let secs = |of: IndexKind| -> Vec<(f64, f64)> {
         sims.iter().filter(|(kind, ..)| *kind == of).map(|&(_, n, _, best)| (n, best)).collect()
     };
-    let (secs_scan, secs_kd) = (secs(IndexKind::Scan), secs(IndexKind::KdTree));
+    let (secs_scan, secs_join) = (secs(IndexKind::Scan), secs(IndexKind::Join));
     let slope_scan = log_log_slope(&secs_scan).unwrap();
-    let slope_kd = log_log_slope(&secs_kd).unwrap();
+    let slope_join = log_log_slope(&secs_join).unwrap();
     assert!(
-        slope_scan > slope_kd + 0.4,
-        "scan must grow clearly faster than indexed: {slope_scan:.2} vs {slope_kd:.2}"
+        slope_scan > slope_join + 0.4,
+        "scan must grow clearly faster than indexed: {slope_scan:.2} vs {slope_join:.2}"
     );
     assert!(slope_scan > 1.4, "scan growth must tend quadratic, got {slope_scan:.2}");
-    assert!(slope_kd < 1.5, "indexed growth must stay near-linear, got {slope_kd:.2}");
+    assert!(slope_join < 1.5, "indexed growth must stay near-linear, got {slope_join:.2}");
 }
 
 /// MITSIM's role in Figure 3: the hand-coded baseline beats the generic
@@ -94,7 +95,8 @@ fn fig3_shape_baseline_is_faster_than_generic_engine() {
 }
 
 /// Figure 4's shape: the index's wall-time advantage shrinks as visibility
-/// grows (probes return ever larger fractions of the school). The school is
+/// grows (probes return ever larger fractions of the school). The index is
+/// the tile join. The school is
 /// large enough that the scan's O(n) pass per probe dominates its tick at
 /// small visibility in either build profile — at 1 200 agents the release
 /// build's vectorised scan was cheap enough to hide the shape — and, as in
@@ -107,7 +109,7 @@ fn fig4_shape_index_advantage_shrinks_with_visibility() {
     let radius = (n as f64 / std::f64::consts::PI / 0.5).sqrt();
     let mut sims = Vec::new();
     for rho in [2.0, radius] {
-        for kind in [IndexKind::Scan, IndexKind::KdTree] {
+        for kind in [IndexKind::Scan, IndexKind::Join] {
             let behavior = FishBehavior::new(FishParams { rho, school_radius: radius, ..FishParams::default() });
             let pop = behavior.population(n, 2);
             let sim = Simulation::builder(behavior).agents(pop).seed(2).index(kind).build().unwrap();
@@ -121,7 +123,7 @@ fn fig4_shape_index_advantage_shrinks_with_visibility() {
         }
     }
     let secs = |at: f64, of: IndexKind| sims.iter().find(|(rho, kind, ..)| *rho == at && *kind == of).unwrap().3;
-    let ratio_at = |rho: f64| secs(rho, IndexKind::Scan) / secs(rho, IndexKind::KdTree);
+    let ratio_at = |rho: f64| secs(rho, IndexKind::Scan) / secs(rho, IndexKind::Join);
     let small_vis = ratio_at(2.0);
     let large_vis = ratio_at(radius);
     assert!(

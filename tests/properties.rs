@@ -27,8 +27,7 @@ use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, FieldId, Rect, Vec2};
 use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::executor::{
-    query_phase, query_phase_sharded, reference_step, replay_effects, update_phase, update_phase_sharded, TickIndex,
-    TickScratch,
+    query_phase, query_phase_sharded, reference_step, replay_effects, update_phase, update_phase_sharded, TickScratch,
 };
 use brace_core::{
     Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWrite, EffectWriter, Simulation,
@@ -657,12 +656,11 @@ proptest! {
         let n_owned = ((n as f64 * owned_frac) as usize).max(1);
         let pool = AgentPool::from_agents(b.schema(), &agents);
         let mut serial = EffectTable::new(b.schema());
-        let s_stats = query_phase(&b, &pool, n_owned, kind, &mut serial, 3, seed);
+        let s_stats = query_phase(&b, &pool, n_owned, &mut serial, 3, seed);
         let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
-        let mut index = TickIndex::new(kind);
         let mut scratch = TickScratch::new();
         let p_stats =
-            query_phase_sharded(&b, &mut sh_pool, n_owned, &mut index, 3, seed, &mut scratch, shard_rows, threads);
+            query_phase_sharded(&b, &mut sh_pool, n_owned, kind, 3, seed, &mut scratch, shard_rows, threads);
         prop_assert_eq!(s_stats.neighbor_visits, p_stats.neighbor_visits);
         prop_assert_eq!(s_stats.nonlocal_writes, p_stats.nonlocal_writes);
         replayed_equals_serial(&serial, &mut sh_pool, n_owned, &scratch)?;
@@ -686,11 +684,10 @@ proptest! {
         let n_owned = ((n as f64 * owned_frac) as usize).max(1);
         let pool = AgentPool::from_agents(b.schema(), &agents);
         let mut serial = EffectTable::new(b.schema());
-        query_phase(&b, &pool, n_owned, kind, &mut serial, 1, seed);
+        query_phase(&b, &pool, n_owned, &mut serial, 1, seed);
         let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
-        let mut index = TickIndex::new(kind);
         let mut scratch = TickScratch::new();
-        query_phase_sharded(&b, &mut sh_pool, n_owned, &mut index, 1, seed, &mut scratch, shard_rows, threads);
+        query_phase_sharded(&b, &mut sh_pool, n_owned, kind, 1, seed, &mut scratch, shard_rows, threads);
         replayed_equals_serial(&serial, &mut sh_pool, n_owned, &scratch)?;
     }
 
@@ -714,12 +711,11 @@ proptest! {
         let agents = random_population(b.schema(), n, seed);
         let n_owned = ((n as f64 * owned_frac) as usize).max(1);
         let mut serial = EffectTable::new(b.schema());
-        query_phase(&b, &AgentPool::from_agents(b.schema(), &agents), n_owned, kind, &mut serial, 2, seed);
+        query_phase(&b, &AgentPool::from_agents(b.schema(), &agents), n_owned, &mut serial, 2, seed);
         for threads in [threads_a, threads_b] {
             let mut pool = AgentPool::from_agents(b.schema(), &agents);
-            let mut index = TickIndex::new(kind);
             let mut scratch = TickScratch::new();
-            query_phase_sharded(&b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
+            query_phase_sharded(&b, &mut pool, n_owned, kind, 2, seed, &mut scratch, shard_rows, threads);
             replayed_equals_serial(&serial, &mut pool, n_owned, &scratch)?;
         }
     }
@@ -745,13 +741,12 @@ proptest! {
         let n_owned = ((n as f64 * owned_frac) as usize).max(1);
         let mut serial = EffectTable::new(b.schema());
         let s_stats =
-            query_phase(&b, &AgentPool::from_agents(b.schema(), &agents), n_owned, kind, &mut serial, 2, seed);
+            query_phase(&b, &AgentPool::from_agents(b.schema(), &agents), n_owned, &mut serial, 2, seed);
         for threads in [threads_a, threads_b] {
             let mut pool = AgentPool::from_agents(b.schema(), &agents);
-            let mut index = TickIndex::new(kind);
             let mut scratch = TickScratch::new();
             let p_stats =
-                query_phase_sharded(&b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
+                query_phase_sharded(&b, &mut pool, n_owned, kind, 2, seed, &mut scratch, shard_rows, threads);
             prop_assert_eq!(s_stats.nonlocal_writes, p_stats.nonlocal_writes);
             replayed_equals_serial(&serial, &mut pool, n_owned, &scratch)?;
         }
@@ -805,8 +800,8 @@ proptest! {
     /// End to end: the pool-backed sharded executor (persistent scratch,
     /// tile join, columnar effects) produces a world
     /// bit-identical to the `Vec<Agent>` reference path (per-tick pool
-    /// conversion, fresh index build, serial phases) — across seeds,
-    /// models with churn, visibilities and every index kind.
+    /// conversion, scalar containment loops, serial phases) — across seeds,
+    /// models with churn, visibilities and both index kinds.
     #[test]
     fn pool_executor_equals_vec_agent_reference(
         seed in 0u64..10_000,
@@ -828,7 +823,7 @@ proptest! {
         let mut id_gen = AgentIdGen::from(n as u64);
         for tick in 0..ticks {
             sim.step();
-            reference_step(&b, &mut world, kind, tick, seed, &mut id_gen);
+            reference_step(&b, &mut world, tick, seed, &mut id_gen);
         }
         prop_assert_eq!(sim.agents(), world);
     }
@@ -1360,8 +1355,8 @@ fn hostile_f64(bits: u64) -> f64 {
 
 // ---------------------------------------------------------------------------
 // The sort-merge tile join: the tile-ordered query loop — blocks read off the
-// probe order, no index; non-local effects through the write-log — ≡ one
-// index probe per row in row order, bitwise
+// probe order, no index; non-local effects through the write-log — and the
+// scan ≡ one scalar containment loop per row in id order, bitwise
 // (named `kernel_*` so CI's PROPTEST_CASES=256 step reruns them)
 // ---------------------------------------------------------------------------
 
@@ -1475,25 +1470,24 @@ fn grouped_ticks<B: Behavior>(
     seed: u64,
 ) -> Vec<Agent> {
     let mut pool = AgentPool::from_agents(b.schema(), world);
-    let mut index = TickIndex::new(kind);
     let mut scratch = TickScratch::new();
     let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw() + 1).max().unwrap_or(0));
     for tick in 0..ticks {
         let n = pool.len();
-        query_phase_sharded(b, &mut pool, n, &mut index, tick, seed, &mut scratch, shard_rows, threads);
+        query_phase_sharded(b, &mut pool, n, kind, tick, seed, &mut scratch, shard_rows, threads);
         replay_effects(&mut pool, &scratch, &mut []);
         sharded_update_applied(b, &mut pool, tick, seed, &mut id_gen, &mut scratch, threads);
     }
     pool.to_agents()
 }
 
-/// The same ticks through the row-oriented oracle: one fresh index, one
-/// probe and one sort per row, in row order.
-fn reference_ticks<B: Behavior>(b: &B, world: &[Agent], kind: IndexKind, ticks: u64, seed: u64) -> Vec<Agent> {
+/// The same ticks through the row-oriented oracle: one scalar containment
+/// loop over the visible rows per row, in id order.
+fn reference_ticks<B: Behavior>(b: &B, world: &[Agent], ticks: u64, seed: u64) -> Vec<Agent> {
     let mut world = world.to_vec();
     let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw() + 1).max().unwrap_or(0));
     for tick in 0..ticks {
-        reference_step(b, &mut world, kind, tick, seed, &mut id_gen);
+        reference_step(b, &mut world, tick, seed, &mut id_gen);
     }
     world
 }
@@ -1601,10 +1595,10 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
     let rows = serial_pool.len();
     let n_owned = ((rows as f64 * owned_frac) as usize).max(1);
     let mut serial = EffectTable::new(b.schema());
-    let s_stats = query_phase(b, &serial_pool, n_owned, kind, &mut serial, 2, seed);
+    let s_stats = query_phase(b, &serial_pool, n_owned, &mut serial, 2, seed);
     let mut pool = churned();
-    let (mut index, mut scratch) = (TickIndex::new(kind), TickScratch::new());
-    let p_stats = query_phase_sharded(b, &mut pool, n_owned, &mut index, 2, seed, &mut scratch, shard_rows, threads);
+    let mut scratch = TickScratch::new();
+    let p_stats = query_phase_sharded(b, &mut pool, n_owned, kind, 2, seed, &mut scratch, shard_rows, threads);
     if (s_stats.neighbor_visits, s_stats.nonlocal_writes) != (p_stats.neighbor_visits, p_stats.nonlocal_writes) {
         return Err(format!("counters differ: {s_stats:?} vs {p_stats:?}"));
     }
@@ -1663,7 +1657,7 @@ proptest! {
         let mut world = b.population(n, seed);
         join_geometry(&mut world, params.rho, 3.0 * params.rho, seed, sparse);
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
-        worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
+        worlds_bit_identical(&got, &reference_ticks(&b, &world, ticks, seed))?;
     }
 
     /// Traffic in its range form (a 1-D road: tiles are road segments, lane
@@ -1695,7 +1689,7 @@ proptest! {
             }
         }
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
-        worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
+        worlds_bit_identical(&got, &reference_ticks(&b, &world, ticks, seed))?;
     }
 
     /// The BRASIL car script: visibility-predicate pushdown makes its probe
@@ -1725,7 +1719,7 @@ proptest! {
             .collect();
         join_geometry(&mut world, b.schema().visibility(), 250.0, seed, sparse);
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
-        worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
+        worlds_bit_identical(&got, &reference_ticks(&b, &world, ticks, seed))?;
     }
 
     /// Lopsided, empty and wider-than-visibility probe rects, with a
@@ -1744,7 +1738,7 @@ proptest! {
         let b = Lopsided::new(vis);
         let world = lopsided_world(&b, n, vis, seed, sparse);
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
-        worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
+        worlds_bit_identical(&got, &reference_ticks(&b, &world, ticks, seed))?;
     }
 
     /// Predator (non-local float sums, local and remote writes into the
@@ -1766,16 +1760,16 @@ proptest! {
         let b = PredatorBehavior::new(params.clone());
         let mut world = b.population(n, 12.0, seed);
         join_geometry(&mut world, params.reach, 3.0 * params.reach, seed, sparse);
-        let want = reference_ticks(&b, &world, kind, ticks, seed);
+        let want = reference_ticks(&b, &world, ticks, seed);
         // Worlds only see `hurt` through the death threshold; the effect
         // tables show every bit of its association.
         let mut serial_table = EffectTable::new(b.schema());
-        query_phase(&b, &AgentPool::from_agents(b.schema(), &world), n, kind, &mut serial_table, 0, seed);
+        query_phase(&b, &AgentPool::from_agents(b.schema(), &world), n, &mut serial_table, 0, seed);
         for threads in [1, 3] {
             worlds_bit_identical(&grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed), &want)?;
             let mut pool = AgentPool::from_agents(b.schema(), &world);
-            let (mut index, mut scratch) = (TickIndex::new(kind), TickScratch::new());
-            query_phase_sharded(&b, &mut pool, n, &mut index, 0, seed, &mut scratch, shard_rows, threads);
+            let mut scratch = TickScratch::new();
+            query_phase_sharded(&b, &mut pool, n, kind, 0, seed, &mut scratch, shard_rows, threads);
             replayed_equals_serial(&serial_table, &mut pool, n, &scratch)?;
         }
     }
@@ -1797,7 +1791,7 @@ proptest! {
         let mut world = b.population(n, seed);
         join_geometry(&mut world, params.radius, 3.0 * params.radius, seed, sparse);
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
-        worlds_bit_identical(&got, &reference_ticks(&b, &world, kind, ticks, seed))?;
+        worlds_bit_identical(&got, &reference_ticks(&b, &world, ticks, seed))?;
     }
 
     /// A distributed worker's pool: rows in no id order (shuffled, then
@@ -2428,7 +2422,7 @@ fn drawn_manifest_records(rng: &mut DetRng) -> Vec<ManifestRecord> {
             workers: rng.next_raw() as u32,
             epoch_len: rng.next_raw(),
             seed: rng.next_raw(),
-            index: [IndexKind::KdTree, IndexKind::Grid, IndexKind::Scan][rng.below(3) as usize],
+            index: [IndexKind::Join, IndexKind::Scan][rng.below(2) as usize],
             space_x: (hostile_f64(rng.next_raw()), hostile_f64(rng.next_raw())),
             load_balance: rng.chance(0.5),
             checkpoint_every: rng.next_raw(),
@@ -2741,17 +2735,37 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// `input` through the three durable decoders: whatever one of them accepts
-/// must re-encode to exactly `input`, so no two files decode to one state.
+/// must re-encode to exactly `input`, so no two files decode to one state —
+/// but for the one value with two encodings by design, a run header whose
+/// index byte is the retired grid's 1: it reads as the join, which writes 0
+/// ([`manifest_reencoded`]).
 fn durable_decoders_are_exact(input: &[u8]) -> Result<(), String> {
     let reencoded = [
-        ("ClusterCheckpoint::decode", ClusterCheckpoint::decode(input.to_vec().into()).map(|cp| cp.encode())),
-        ("ManifestRecord::decode", ManifestRecord::decode(input.to_vec().into()).map(|r| r.encode())),
-        ("decode_snapshot", codec::decode_snapshot(input.to_vec().into()).map(|s| codec::encode_snapshot(&s))),
+        ("ClusterCheckpoint::decode", ClusterCheckpoint::decode(input.to_vec().into()).map(|cp| cp.encode().to_vec())),
+        ("ManifestRecord::decode", manifest_reencoded(input)),
+        ("decode_snapshot", codec::decode_snapshot(input.to_vec().into()).map(|s| codec::encode_snapshot(&s).to_vec())),
     ];
     match reencoded.into_iter().find(|(_, back)| back.as_ref().is_ok_and(|back| back[..] != *input)) {
         Some((decoder, back)) => Err(format!("{decoder} accepted {input:02x?}, which re-encodes to {back:02x?}")),
         None => Ok(()),
     }
+}
+
+/// `input` decoded as a manifest record and encoded again, with a run
+/// header's index byte put back to 1 where `input` has the retired grid's
+/// byte there and the record reads as the join. Every other byte must
+/// still come back as it was.
+fn manifest_reencoded(input: &[u8]) -> brace_common::Result<Vec<u8>> {
+    let record = ManifestRecord::decode(input.to_vec().into())?;
+    let mut back = record.encode().to_vec();
+    if let ManifestRecord::Header(h) = &record {
+        // The index byte follows the tag, two strings, workers, epoch_len and seed.
+        let at = 1 + (4 + h.run_id.len()) + (4 + h.job.len()) + 4 + 8 + 8;
+        if h.index == IndexKind::Join && input.get(at) == Some(&1) {
+            back[at] = 1;
+        }
+    }
+    Ok(back)
 }
 
 proptest! {

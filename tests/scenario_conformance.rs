@@ -5,8 +5,10 @@
 //! [`conformance_setup`](brace::scenario::conformance_setup) configuration,
 //! and through its threaded legs at ≈ 4 500 agents; every leg must
 //! reproduce the serial single-node world bit for bit and pass the
-//! scenario's own post-run checks. Register a scenario and it is covered;
-//! nothing here names one except the goldens and the two that spawn.
+//! scenario's own post-run checks; and the no-index scan must reproduce the
+//! join's world on one node and on two workers. Register a scenario and it
+//! is covered; nothing here names one except the goldens and the two that
+//! spawn.
 //!
 //! Golden constants: regenerate with
 //! `cargo test --test scenario_conformance -- --nocapture` after a
@@ -15,7 +17,8 @@
 
 mod common;
 
-use brace::scenario::Registry;
+use brace::scenario::{Registry, CONFORMANCE_POPULATION};
+use brace::spatial::IndexKind;
 use common::{assert_ran_past_one_shard, engines_agree, spawned, Case, GOLDEN_EPIDEMIC, THREADED};
 
 /// Conformance horizon: enough ticks for real boundary traffic (every
@@ -30,13 +33,19 @@ fn conformance() -> Case {
 /// The tentpole invariant: every engine leg ≡ the serial single node,
 /// bitwise, for every registered scenario's conformance configuration —
 /// worker counts 1 to 4, the balancer off and moving boundaries, a
-/// recovered fault, durable and resumed runs, and a served one.
+/// recovered fault, durable and resumed runs, and a served one. The same
+/// world on the scan (the conformance population, built by size), on one
+/// node and on `cluster:2`, whose pools are not in id order: the scan's
+/// candidates must come out in ascending id there too.
 #[test]
 fn every_scenario_cluster_matches_single_node_bitwise() {
     let registry = Registry::builtin();
     assert!(registry.len() >= 8, "catalogue shrank: {:?}", registry.names());
+    let scan = Case::sized(CONFORMANCE_POPULATION, TICKS).index(IndexKind::Scan).on(&["cluster:2, balancer off"]);
     for name in registry.names() {
-        engines_agree(Registry::builtin, name, &conformance());
+        let join = engines_agree(Registry::builtin, name, &conformance());
+        let got = engines_agree(Registry::builtin, name, &scan);
+        assert_eq!(got, join, "`{name}`: the scan diverged from the join: {got:#018X} vs {join:#018X}");
     }
 }
 

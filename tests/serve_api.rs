@@ -22,7 +22,6 @@ mod common;
 use brace::common::{AgentId, DetRng, Vec2};
 use brace::core::{Agent, AgentRef, AgentSchema, Behavior, EffectWriter, Neighbors, UpdateCtx};
 use brace::scenario::CONFORMANCE_POPULATION;
-use brace::spatial::IndexKind;
 use brace_scenario::Registry;
 use brace_serve::{ServeConfig, Server};
 use common::{custom_setup, field, get, post, request, run_id, Custom, GOLDEN_EPIDEMIC};
@@ -135,6 +134,37 @@ fn second_identical_post_is_served_from_the_cache_without_resimulating() {
     assert_eq!(status, 202, "{other}");
     let other_done = wait_done(server.addr(), &run_id(&other));
     assert_ne!(field(&other_done, "checksum").unwrap(), first_checksum);
+}
+
+/// The retired index names are the join: `"kd"`, then `"grid"`, then
+/// `"join"`, then no index, on one job — every request after the first is
+/// answered from the first one's cache entry. The scan is an entry of its
+/// own with the same bits, and an unknown index is still a 400.
+#[test]
+fn retired_index_names_share_the_join_cache_entry() {
+    let server = server();
+    let addr = server.addr();
+    let job = |index: &str| {
+        format!(r#"{{"scenario":"epidemic","agents":{CONFORMANCE_POPULATION},"ticks":20,"seed":42{index}}}"#)
+    };
+    let golden = format!("{GOLDEN_EPIDEMIC:#018X}");
+    let (status, _, first) = post(addr, "/runs", &job(r#","index":"kd""#));
+    assert_eq!(status, 202, "{first}");
+    assert!(wait_done(addr, &run_id(&first)).contains(&golden), "the conformance world");
+    for index in [r#","index":"grid""#, r#","index":"join""#, ""] {
+        let (status, _, hit) = post(addr, "/runs", &job(index));
+        assert_eq!(status, 200, "`{index}` is a cache hit: {hit}");
+        assert_eq!(field(&hit, "cached"), Some("true"), "{hit}");
+        assert!(hit.contains(&golden), "{hit}");
+    }
+    let (status, _, scan) = post(addr, "/runs", &job(r#","index":"scan""#));
+    assert_eq!(status, 202, "the scan is a miss: {scan}");
+    assert!(wait_done(addr, &run_id(&scan)).contains(&golden), "the scan's world is the join's");
+    let (_, _, stats) = get(addr, "/stats");
+    assert_eq!(field(&stats, "hits"), Some("3"), "{stats}");
+    assert_eq!(field(&stats, "misses"), Some("2"), "{stats}");
+    let (status, _, resp) = post(addr, "/runs", &job(r#","index":"octree""#));
+    assert_eq!(status, 400, "{resp}");
 }
 
 /// The replay cap at its edge: a run of exactly `MAX_CACHED_FRAMES` ticks
@@ -449,7 +479,7 @@ fn a_panicking_behaviour_fails_its_run_alone() {
         build: |n, _| {
             let schema = AgentSchema::builder("PanicsAtTickThree").visibility(1.0).reachability(1.0).build().unwrap();
             let pop = (0..n).map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(i as f64, 0.0), &schema)).collect();
-            custom_setup(PanicsAtTickThree { schema }, pop, IndexKind::Grid, (0.0, n as f64))
+            custom_setup(PanicsAtTickThree { schema }, pop, (0.0, n as f64))
         },
     };
     registry.register(Box::new(panics)).unwrap();

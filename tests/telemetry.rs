@@ -9,7 +9,6 @@
 //! holds [`zeroed_metrics`] throughout.
 
 use brace_common::Vec2;
-use brace_core::behavior::NeighborProbe;
 use brace_core::Simulation;
 use brace_models::{PredatorBehavior, PredatorParams};
 use brace_scenario::{Backend, Registry, Runner, Scenario, ScenarioSetup};
@@ -87,7 +86,7 @@ fn runs_record_into_the_registry() {
     let predator = PredatorBehavior::new(PredatorParams::default());
     let mut sim = Simulation::builder(predator.clone())
         .agents(predator.population(400, 40.0, 9))
-        .index(IndexKind::KdTree)
+        .index(IndexKind::Join)
         .seed(9)
         .parallelism(1)
         .build()
@@ -102,11 +101,11 @@ fn runs_record_into_the_registry() {
     assert_eq!(counter(Counter::ExecutorEffectLogEntries), nonlocal);
 }
 
-/// Whether `setup` answers its probes with the tile join: a bounded range
-/// probe on an index other than the scan.
+/// Whether `setup` answers its probes with the tile join on the default
+/// index: a bounded, positive visibility.
 fn joins(setup: &ScenarioSetup) -> bool {
     let vis = setup.behavior.schema().visibility();
-    setup.behavior.probe() == NeighborProbe::Range && vis > 0.0 && vis.is_finite() && setup.index != IndexKind::Scan
+    vis > 0.0 && vis.is_finite()
 }
 
 /// Run `setup` for `ticks` on `backend` with the counters reset, and return
