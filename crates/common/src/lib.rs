@@ -27,9 +27,40 @@ pub use rng::DetRng;
 pub use stats::rmspe;
 
 /// 64-bit FNV-1a over a byte string: the checksum of durable manifest
-/// frames and checkpoint files, and the serve result cache's key hash.
+/// frames and checkpoint files, and the serve result cache's key hash. The
+/// one-shot form of [`Fnv1a`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Incremental 64-bit FNV-1a: a byte string fed in parts, in order, hashes
+/// to [`fnv1a`] of their concatenation, so a checkpoint file is checksummed
+/// without first being copied into one buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feed the next part.
+    pub fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes.iter().fold(self.0, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3));
+    }
+
+    /// The hash of every part fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[cfg(test)]
@@ -39,5 +70,19 @@ mod tests {
         assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(super::fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fnv1a_in_parts_is_fnv1a_of_the_whole() {
+        let whole = b"a checkpoint file, hashed in parts";
+        for cut in 0..=whole.len() {
+            for cut2 in cut..=whole.len() {
+                let mut h = super::Fnv1a::new();
+                h.write(&whole[..cut]);
+                h.write(&whole[cut..cut2]);
+                h.write(&whole[cut2..]);
+                assert_eq!(h.finish(), super::fnv1a(whole), "cut at {cut} and {cut2}");
+            }
+        }
     }
 }

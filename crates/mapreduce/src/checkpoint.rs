@@ -11,18 +11,30 @@
 //! A checkpoint file and its payload are read only through the codec's
 //! [`Reader`]: a file is a header and exactly one checkpoint, and each worker
 //! payload must decode as a worker snapshot, or the file is refused.
+//!
+//! A checkpoint is one copy of the workers' agents. Each worker encodes its
+//! snapshot straight from its pool's columns into a buffer of exactly its
+//! size (`codec::encode_pool_snapshot`), which moves to the master without
+//! another copy. [`write_checkpoint_file`] hashes the checkpoint's parts
+//! where they lie and then writes them where they lie, with no whole-file
+//! buffer, and a durable [`CheckpointStore`] then drops the payloads: the
+//! file is the only copy it keeps, and in-process recovery reads it back.
+//! An ephemeral store keeps its payloads in memory instead.
 
 use crate::codec::{decode_snapshot, Reader};
 use crate::runtime::EpochCommand;
-use brace_common::{fnv1a, BraceError, Result};
+use brace_common::{fnv1a, BraceError, Fnv1a, Result};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::VecDeque;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic tag opening every on-disk checkpoint file ("BRACECP\0").
 const FILE_MAGIC: u64 = 0x4252_4143_4543_5000;
 /// On-disk checkpoint format version.
 const FILE_VERSION: u32 = 1;
+/// A file's head: magic, version, and the FNV-1a of the checkpoint after it.
+const FILE_HEAD_BYTES: usize = 8 + 4 + 8;
 
 /// A complete, consistent cluster state at an epoch boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,32 +52,56 @@ pub struct ClusterCheckpoint {
 }
 
 impl ClusterCheckpoint {
-    /// Serialize to a single buffer (for the on-disk option).
+    /// Serialize to a single buffer of exactly its size: the bytes
+    /// [`ClusterCheckpoint::write_parts`] writes.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(self.epoch);
-        buf.put_u64_le(self.tick);
-        buf.put_u32_le(self.x_bounds.len() as u32);
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.write_parts(&mut buf).expect("a Vec takes every write");
+        debug_assert_eq!(buf.len(), buf.capacity(), "a checkpoint buffer is sized exactly");
+        buf.into()
+    }
+
+    /// Write the checkpoint to `out` in parts, each from where it lies: the
+    /// head (epoch, tick, column bounds, histogram range, worker count),
+    /// then each worker's length and payload. The file writer hashes the
+    /// parts and then writes them, so no worker payload is ever copied into
+    /// a buffer holding the whole checkpoint.
+    fn write_parts(&self, out: &mut impl Write) -> std::io::Result<()> {
+        let mut head = BytesMut::with_capacity(self.head_len());
+        head.put_u64_le(self.epoch);
+        head.put_u64_le(self.tick);
+        head.put_u32_le(self.x_bounds.len() as u32);
         for &b in &self.x_bounds {
-            buf.put_f64_le(b);
+            head.put_f64_le(b);
         }
-        buf.put_f64_le(self.hist_range.0);
-        buf.put_f64_le(self.hist_range.1);
-        buf.put_u32_le(self.workers.len() as u32);
+        head.put_f64_le(self.hist_range.0);
+        head.put_f64_le(self.hist_range.1);
+        head.put_u32_le(self.workers.len() as u32);
+        out.write_all(&head)?;
         for w in &self.workers {
-            buf.put_u64_le(w.len() as u64);
-            buf.extend_from_slice(w);
+            out.write_all(&(w.len() as u64).to_le_bytes())?;
+            out.write_all(w)?;
         }
-        buf.freeze()
+        Ok(())
+    }
+
+    fn head_len(&self) -> usize {
+        8 + 8 + 4 + 8 * self.x_bounds.len() + 16 + 4
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.head_len() + self.workers.iter().map(|w| 8 + w.len()).sum::<usize>()
     }
 
     /// Inverse of [`ClusterCheckpoint::encode`]. The bytes may come from a
-    /// damaged or forged file, so they must be exactly one checkpoint.
+    /// damaged or forged file, so they must be exactly one checkpoint. The
+    /// worker payloads are views into `bytes`, not copies.
     pub fn decode(bytes: Bytes) -> Result<Self> {
-        Reader::read_all(&bytes, Self::read).ok_or_else(|| BraceError::Checkpoint("not a checkpoint".into()))
+        Reader::read_all(&bytes, |r| Self::read(&bytes, r))
+            .ok_or_else(|| BraceError::Checkpoint("not a checkpoint".into()))
     }
 
-    fn read(r: &mut Reader) -> Option<Self> {
+    fn read(bytes: &Bytes, r: &mut Reader) -> Option<Self> {
         Some(ClusterCheckpoint {
             epoch: r.u64()?,
             tick: r.u64()?,
@@ -73,18 +109,56 @@ impl ClusterCheckpoint {
             hist_range: (r.f64()?, r.f64()?),
             workers: r.records(8, |r| {
                 let len = usize::try_from(r.u64()?).ok()?;
-                Some(Bytes::from(r.bytes(len)?.to_vec()))
+                let start = r.pos();
+                r.bytes(len)?;
+                Some(bytes.slice(start..start + len))
             })?,
         })
     }
 }
 
-/// Ring buffer of recent checkpoints plus the command log needed to replay
-/// past any kept one. Optionally mirrors checkpoints to disk.
+/// Bytes written to it are hashed, not stored: the first of the file
+/// writer's two passes over a checkpoint's parts.
+struct Hashing(Fnv1a);
+
+impl Write for Hashing {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.write(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A checkpoint the store keeps.
+#[derive(Debug)]
+enum Kept {
+    /// An ephemeral run's checkpoint, payloads and all.
+    Memory(ClusterCheckpoint),
+    /// A durable run's, by epoch: its payloads are only in its file.
+    File(u64),
+}
+
+impl Kept {
+    fn epoch(&self) -> u64 {
+        match self {
+            Kept::Memory(cp) => cp.epoch,
+            Kept::File(epoch) => *epoch,
+        }
+    }
+}
+
+/// The recent checkpoints plus the command log needed to replay past any
+/// kept one. An ephemeral store keeps them in memory; a durable one (with
+/// a directory) writes each to disk and keeps only its epoch, so a
+/// checkpoint's payloads exist once, in its file.
 #[derive(Debug)]
 pub struct CheckpointStore {
     keep: usize,
-    checkpoints: VecDeque<ClusterCheckpoint>,
+    /// Oldest first; never more than `keep`.
+    kept: VecDeque<Kept>,
     /// Every live command executed, trimmed below the oldest kept
     /// checkpoint. `cp.epoch` counts *completed* epochs, so resuming from a
     /// checkpoint means replaying commands with `cmd.epoch >= cp.epoch`.
@@ -93,30 +167,37 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Keep the `keep` most recent checkpoints in memory (≥ 1).
+    /// Keep the `keep` most recent checkpoints (≥ 1).
     pub fn new(keep: usize) -> Self {
-        CheckpointStore { keep: keep.max(1), checkpoints: VecDeque::new(), log: Vec::new(), dir: None }
+        CheckpointStore { keep: keep.max(1), kept: VecDeque::new(), log: Vec::new(), dir: None }
     }
 
-    /// Also write each checkpoint to `dir` as `checkpoint-<epoch>.brace`.
+    /// Write each checkpoint to `dir` as `checkpoint-<epoch>.brace` and keep
+    /// it there only.
     pub fn with_dir(mut self, dir: PathBuf) -> Self {
         self.dir = Some(dir);
         self
     }
 
     /// Record a new checkpoint and trim the log below the oldest kept one.
-    /// On-disk mirrors are durable (fsynced, checksummed, written via a
-    /// temp-file rename) and pruned to the `keep` newest epochs.
+    /// The oldest kept checkpoint is dropped first if the store is full, so
+    /// it never holds more than `keep`. On-disk checkpoints are durable
+    /// (fsynced, checksummed, written via a temp-file rename) and pruned to
+    /// the `keep` newest epochs.
     pub fn push(&mut self, cp: ClusterCheckpoint) -> Result<()> {
-        if let Some(dir) = &self.dir {
-            write_checkpoint_file(dir, &cp)?;
-            prune_checkpoint_files(dir, self.keep);
+        while self.kept.len() >= self.keep {
+            self.kept.pop_front();
         }
-        self.checkpoints.push_back(cp);
-        while self.checkpoints.len() > self.keep {
-            self.checkpoints.pop_front();
-        }
-        let floor = self.checkpoints.front().map(|c| c.epoch).unwrap_or(0);
+        let kept = match &self.dir {
+            Some(dir) => {
+                write_checkpoint_file(dir, &cp)?;
+                prune_checkpoint_files(dir, self.keep);
+                Kept::File(cp.epoch)
+            }
+            None => Kept::Memory(cp),
+        };
+        self.kept.push_back(kept);
+        let floor = self.kept.front().map_or(0, Kept::epoch);
         self.log.retain(|c| c.epoch >= floor);
         Ok(())
     }
@@ -126,17 +207,39 @@ impl CheckpointStore {
         self.log.push(cmd);
     }
 
-    /// Most recent checkpoint, if any.
-    pub fn latest(&self) -> Option<&ClusterCheckpoint> {
-        self.checkpoints.back()
+    /// The newest kept checkpoint that loads, for in-process recovery; the
+    /// kept ones newer than it are dropped, so replay takes them again. A
+    /// durable store reads and verifies its kept files newest first, as
+    /// [`CheckpointStore::load_latest_from`] does for a fresh process: a
+    /// file that fails verification falls back to the older kept one.
+    pub fn restore_point(&mut self) -> Result<ClusterCheckpoint> {
+        let mut refused = Vec::new();
+        while let Some(newest) = self.kept.back() {
+            match newest {
+                Kept::Memory(cp) => return Ok(cp.clone()),
+                Kept::File(epoch) => {
+                    let dir = self.dir.as_deref().expect("a store keeps files only with a directory");
+                    match load_checkpoint_file(dir, *epoch) {
+                        Ok(cp) => return Ok(cp),
+                        Err(e) => refused.push(e.to_string()),
+                    }
+                }
+            }
+            self.kept.pop_back();
+        }
+        Err(BraceError::Unrecoverable(if refused.is_empty() {
+            "no checkpoint to recover from".into()
+        } else {
+            format!("no kept checkpoint loads: {}", refused.join("; "))
+        }))
     }
 
     /// Discard checkpoints taken after `epoch` completed epochs — a failure
     /// during epoch `e` destroys any snapshot written at its end
     /// (`cp.epoch == e + 1`).
     pub fn discard_after(&mut self, epoch: u64) {
-        while self.checkpoints.back().is_some_and(|c| c.epoch > epoch) {
-            self.checkpoints.pop_back();
+        while self.kept.back().is_some_and(|k| k.epoch() > epoch) {
+            self.kept.pop_back();
         }
     }
 
@@ -146,11 +249,11 @@ impl CheckpointStore {
     }
 
     pub fn len(&self) -> usize {
-        self.checkpoints.len()
+        self.kept.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.checkpoints.is_empty()
+        self.kept.is_empty()
     }
 
     /// Load the newest *valid* on-disk checkpoint from `dir` (for cold
@@ -195,20 +298,24 @@ fn checkpoint_path(dir: &Path, epoch: u64) -> PathBuf {
 /// atomic rename. A crash mid-write leaves either the old file or a temp
 /// file that no loader will ever pick up — never a half-written checkpoint
 /// under the real name.
+///
+/// The file is `FILE_MAGIC ‖ FILE_VERSION ‖ fnv1a(cp.encode()) ‖
+/// cp.encode()`, but no such buffer is built: the checkpoint's parts are
+/// hashed where they lie, then written where they lie, after the head.
 pub fn write_checkpoint_file(dir: &Path, cp: &ClusterCheckpoint) -> Result<()> {
     let io = |e: std::io::Error| BraceError::Checkpoint(format!("writing checkpoint: {e}"));
     std::fs::create_dir_all(dir).map_err(io)?;
-    let payload = cp.encode();
-    let mut buf = BytesMut::with_capacity(20 + payload.len());
-    buf.put_u64_le(FILE_MAGIC);
-    buf.put_u32_le(FILE_VERSION);
-    buf.put_u64_le(fnv1a(&payload));
-    buf.extend_from_slice(&payload);
+    let mut sum = Hashing(Fnv1a::new());
+    cp.write_parts(&mut sum).map_err(io)?;
+    let mut head = BytesMut::with_capacity(FILE_HEAD_BYTES);
+    head.put_u64_le(FILE_MAGIC);
+    head.put_u32_le(FILE_VERSION);
+    head.put_u64_le(sum.0.finish());
     let tmp = dir.join(format!(".checkpoint-{}.tmp", cp.epoch));
     {
-        use std::io::Write;
         let mut f = std::fs::File::create(&tmp).map_err(io)?;
-        f.write_all(&buf).map_err(io)?;
+        f.write_all(&head).map_err(io)?;
+        cp.write_parts(&mut f).map_err(io)?;
         f.sync_all().map_err(io)?;
     }
     std::fs::rename(&tmp, checkpoint_path(dir, cp.epoch)).map_err(io)?;
@@ -221,10 +328,11 @@ pub fn write_checkpoint_file(dir: &Path, cp: &ClusterCheckpoint) -> Result<()> {
 /// Load and *verify* the checkpoint for `epoch` from `dir`. Refuses (with
 /// an error, not a guess) any file whose magic, version, or checksum does
 /// not match, or whose worker payloads do not decode — a forged file can
-/// carry a valid checksum.
+/// carry a valid checksum. The payloads are views into the file's bytes.
 pub fn load_checkpoint_file(dir: &Path, epoch: u64) -> Result<ClusterCheckpoint> {
     let path = checkpoint_path(dir, epoch);
     let data = std::fs::read(&path).map_err(|e| BraceError::Checkpoint(format!("reading {}: {e}", path.display())))?;
+    let data = Bytes::from(data);
     let mut r = Reader::new(&data);
     let (Some(magic), Some(version), Some(sum)) = (r.u64(), r.u32(), r.u64()) else {
         return Err(BraceError::Checkpoint(format!("{}: truncated header", path.display())));
@@ -238,8 +346,8 @@ pub fn load_checkpoint_file(dir: &Path, epoch: u64) -> Result<ClusterCheckpoint>
     if fnv1a(r.rest()) != sum {
         return Err(BraceError::Checkpoint(format!("{}: checksum mismatch (torn write?)", path.display())));
     }
-    let cp = Reader::read_all(r.rest(), ClusterCheckpoint::read)
-        .ok_or_else(|| BraceError::Checkpoint(format!("{}: not a checkpoint", path.display())))?;
+    let cp = ClusterCheckpoint::decode(data.slice(r.pos()..data.len()))
+        .map_err(|_| BraceError::Checkpoint(format!("{}: not a checkpoint", path.display())))?;
     for (w, payload) in cp.workers.iter().enumerate() {
         decode_snapshot(payload.clone())
             .map_err(|e| BraceError::Checkpoint(format!("{}: worker {w}: {e}", path.display())))?;
@@ -263,15 +371,21 @@ pub fn prune_checkpoint_files(dir: &Path, keep: usize) {
 mod tests {
     use super::*;
     use crate::codec::{encode_snapshot, WorkerSnapshot};
-    use brace_common::DetRng;
+    use brace_common::{AgentId, DetRng, Vec2};
+    use brace_core::{Agent, AgentSchema, Combinator};
 
+    /// Worker `w` of two holds `w + 1` agents.
     fn cp(epoch: u64) -> ClusterCheckpoint {
+        let schema = AgentSchema::builder("T").state("v").effect("e", Combinator::Sum).build().unwrap();
         let snapshot = |w: u64| {
+            let agents = (0..=w)
+                .map(|i| Agent::with_state(AgentId::new(10 * w + i), Vec2::new(i as f64, -0.5), vec![1.5], &schema))
+                .collect();
             encode_snapshot(&WorkerSnapshot {
                 tick: epoch * 10,
                 next_spawn_id: 7,
                 rng: DetRng::seed_from_u64(w),
-                agents: Vec::new(),
+                agents,
             })
         };
         ClusterCheckpoint {
@@ -283,6 +397,20 @@ mod tests {
         }
     }
 
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("brace-cp-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Flip the last byte of the checkpoint file for `epoch`.
+    fn corrupt(dir: &Path, epoch: u64) {
+        let path = checkpoint_path(dir, epoch);
+        let mut data = std::fs::read(&path).unwrap();
+        *data.last_mut().unwrap() ^= 0xff;
+        std::fs::write(&path, data).unwrap();
+    }
+
     fn cmd(epoch: u64) -> EpochCommand {
         EpochCommand { epoch, ticks: 10, new_x_bounds: None, checkpoint: false, hist_range: (0.0, 100.0) }
     }
@@ -292,6 +420,31 @@ mod tests {
         let c = cp(3);
         let d = ClusterCheckpoint::decode(c.encode()).unwrap();
         assert_eq!(c, d);
+    }
+
+    #[test]
+    fn encode_is_sized_exactly_and_decode_views_the_bytes() {
+        let bytes = cp(3).encode();
+        assert_eq!(bytes.len(), cp(3).encoded_len());
+        let back = ClusterCheckpoint::decode(bytes.clone()).unwrap();
+        let first = bytes.len() - back.workers.iter().map(|w| 8 + w.len()).sum::<usize>() + 8;
+        assert_eq!(back.workers[0].as_ptr(), bytes[first..].as_ptr(), "a worker payload was copied");
+    }
+
+    /// The file is written in parts with no whole-file buffer, and is byte
+    /// for byte `FILE_MAGIC ‖ FILE_VERSION ‖ fnv1a(cp.encode()) ‖
+    /// cp.encode()`.
+    #[test]
+    fn streamed_file_is_the_head_then_the_encoded_checkpoint() {
+        let dir = temp_dir("streamed");
+        let c = ClusterCheckpoint { x_bounds: vec![-3.0, 0.5, 2.25, 40.0], ..cp(5) };
+        write_checkpoint_file(&dir, &c).unwrap();
+        let payload = c.encode();
+        let head = [&FILE_MAGIC.to_le_bytes()[..], &FILE_VERSION.to_le_bytes(), &fnv1a(&payload).to_le_bytes()];
+        let want = [&head.concat()[..], &payload].concat();
+        assert_eq!(std::fs::read(checkpoint_path(&dir, 5)).unwrap(), want);
+        assert_eq!(load_checkpoint_file(&dir, 5).unwrap(), c);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -357,9 +510,10 @@ mod tests {
         let mut s = CheckpointStore::new(2);
         for e in 0..5 {
             s.push(cp(e)).unwrap();
+            assert!(s.len() <= 2);
         }
         assert_eq!(s.len(), 2);
-        assert_eq!(s.latest().unwrap().epoch, 4);
+        assert_eq!(s.restore_point().unwrap().epoch, 4);
     }
 
     #[test]
@@ -393,8 +547,8 @@ mod tests {
         s.push(cp(4)).unwrap();
         // Fault during epoch 3: snapshots with epoch > 3 are lost.
         s.discard_after(3);
-        assert_eq!(s.latest().unwrap().epoch, 2);
         assert_eq!(s.len(), 2);
+        assert_eq!(s.restore_point().unwrap().epoch, 2);
     }
 
     #[test]
@@ -407,6 +561,28 @@ mod tests {
         let loaded = CheckpointStore::load_latest_from(&dir).unwrap().unwrap();
         assert_eq!(loaded.epoch, 7);
         assert_eq!(loaded, cp(7));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A durable store keeps epochs, not payloads: recovery reads its kept
+    /// files newest first, drops one that fails verification, and is an
+    /// `Err` once none is left.
+    #[test]
+    fn durable_store_recovers_from_its_newest_valid_file() {
+        let dir = temp_dir("durable-store");
+        let mut s = CheckpointStore::new(2).with_dir(dir.clone());
+        for e in 0..3 {
+            s.push(cp(e)).unwrap();
+        }
+        assert!(s.kept.iter().all(|k| matches!(k, Kept::File(_))), "a durable store keeps no payload");
+        assert_eq!(s.restore_point().unwrap(), cp(2));
+        corrupt(&dir, 2);
+        assert_eq!(s.restore_point().unwrap(), cp(1), "falls back to the older kept file");
+        assert_eq!(s.len(), 1, "the newer kept file that failed is dropped");
+        corrupt(&dir, 1);
+        let err = s.restore_point().unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        assert!(s.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

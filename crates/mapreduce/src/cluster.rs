@@ -90,7 +90,8 @@ pub struct ClusterConfig {
     /// Coordinated checkpoint cadence in epochs (`None` = only the initial
     /// checkpoint).
     pub checkpoint_every: Option<u64>,
-    /// Keep this many recent checkpoints in memory.
+    /// Keep this many recent checkpoints: in memory, or, with `run_dir`
+    /// set, only as files in it.
     pub keep_checkpoints: usize,
     /// Intra-worker thread budget for the query/update phases (`1` =
     /// serial, `0` = all cores, `n` = up to `n` threads **per worker**).

@@ -164,15 +164,12 @@ pub fn agent_wire_size(a: &Agent) -> usize {
 
 /// Serialize a batch of agents.
 pub fn encode_agents<'a>(agents: impl IntoIterator<Item = &'a Agent>) -> Bytes {
-    let mut buf = BytesMut::new();
-    let mut count = 0u32;
-    let mut body = BytesMut::new();
+    let agents: Vec<&Agent> = agents.into_iter().collect();
+    let mut buf = BytesMut::with_capacity(4 + agents.iter().map(|a| agent_wire_size(a)).sum::<usize>());
+    buf.put_u32_le(agents.len() as u32);
     for a in agents {
-        put_agent(&mut body, a);
-        count += 1;
+        put_agent(&mut buf, a);
     }
-    buf.put_u32_le(count);
-    buf.extend_from_slice(&body);
     buf.freeze()
 }
 
@@ -206,6 +203,12 @@ pub fn put_pool_row(buf: &mut BytesMut, pool: &AgentPool, row: u32) {
     }
 }
 
+/// Wire size of one row of `pool`: every row of a pool has the schema's
+/// fields, so every record [`put_pool_row`] writes from it is this long.
+fn pool_row_wire_size(pool: &AgentPool) -> usize {
+    AGENT_MIN_BYTES + 8 * (pool.num_states() + pool.effects().width())
+}
+
 /// Serialize a batch of pool rows as full agent records (wire-compatible
 /// with [`encode_agents`] / [`decode_agents`]). Returns an empty buffer for
 /// an empty row list so callers can skip charging the ledger.
@@ -213,7 +216,7 @@ pub fn encode_pool_rows(pool: &AgentPool, rows: &[u32]) -> Bytes {
     if rows.is_empty() {
         return Bytes::new();
     }
-    let mut buf = BytesMut::new();
+    let mut buf = BytesMut::with_capacity(4 + rows.len() * pool_row_wire_size(pool));
     buf.put_u32_le(rows.len() as u32);
     for &r in rows {
         put_pool_row(&mut buf, pool, r);
@@ -473,18 +476,45 @@ pub struct WorkerSnapshot {
     pub agents: Vec<Agent>,
 }
 
-/// Serialize a worker snapshot (checkpoint payload).
-pub fn encode_snapshot(s: &WorkerSnapshot) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u64_le(s.tick);
-    buf.put_u64_le(s.next_spawn_id);
-    let (state, counter) = s.rng.to_parts();
+/// Wire size of a worker snapshot's head: clock, spawn cursor, RNG and the
+/// agent count.
+const SNAPSHOT_HEAD_BYTES: usize = 8 + 8 + 16 + 4;
+
+fn put_snapshot_head(buf: &mut BytesMut, tick: u64, next_spawn_id: u64, rng: &DetRng, agents: usize) {
+    buf.put_u64_le(tick);
+    buf.put_u64_le(next_spawn_id);
+    let (state, counter) = rng.to_parts();
     buf.put_u64_le(state);
     buf.put_u64_le(counter);
-    buf.put_u32_le(s.agents.len() as u32);
+    buf.put_u32_le(agents as u32);
+}
+
+/// Serialize a worker snapshot (checkpoint payload).
+pub fn encode_snapshot(s: &WorkerSnapshot) -> Bytes {
+    let size = SNAPSHOT_HEAD_BYTES + s.agents.iter().map(agent_wire_size).sum::<usize>();
+    let mut buf = BytesMut::with_capacity(size);
+    put_snapshot_head(&mut buf, s.tick, s.next_spawn_id, &s.rng, s.agents.len());
     for a in &s.agents {
         put_agent(&mut buf, a);
     }
+    buf.freeze()
+}
+
+/// Serialize a worker snapshot straight from a pool: its clock, spawn
+/// cursor and RNG, then rows `0..n_owned` — a worker's owned prefix; the
+/// replica tail past it belongs to other workers. Wire-identical to
+/// [`encode_snapshot`] over those rows' records, but gathered from the
+/// columns by [`put_pool_row`] into one buffer of exactly its size, with
+/// no intermediate [`Agent`]: the checkpoint and collect path's one copy
+/// of a worker's agents.
+pub fn encode_pool_snapshot(tick: u64, next_spawn_id: u64, rng: &DetRng, pool: &AgentPool, n_owned: usize) -> Bytes {
+    assert!(n_owned <= pool.len(), "owned prefix of {n_owned} rows past a pool of {}", pool.len());
+    let mut buf = BytesMut::with_capacity(SNAPSHOT_HEAD_BYTES + n_owned * pool_row_wire_size(pool));
+    put_snapshot_head(&mut buf, tick, next_spawn_id, rng, n_owned);
+    for r in 0..n_owned as u32 {
+        put_pool_row(&mut buf, pool, r);
+    }
+    debug_assert_eq!(buf.len(), buf.capacity(), "a snapshot buffer is sized exactly");
     buf.freeze()
 }
 
@@ -712,6 +742,19 @@ mod tests {
         let mut a = snap.rng.clone();
         let mut b = restored.rng.clone();
         assert_eq!(a.next_raw(), b.next_raw());
+    }
+
+    #[test]
+    fn pool_snapshot_is_the_owned_prefix_encoded_as_records() {
+        let s = schema();
+        let owned: Vec<Agent> = (0..4).map(agent).collect();
+        let mut pool = AgentPool::from_agents(&s, &owned);
+        pool.push_agent(&agent(99)); // a replica in the tail
+        let rng = DetRng::seed_from_u64(3);
+        let snap = WorkerSnapshot { tick: 7, next_spawn_id: 100, rng: rng.clone(), agents: owned };
+        assert_eq!(encode_pool_snapshot(7, 100, &rng, &pool, 4), encode_snapshot(&snap));
+        let empty = WorkerSnapshot { agents: Vec::new(), ..snap };
+        assert_eq!(encode_pool_snapshot(7, 100, &rng, &pool, 0), encode_snapshot(&empty));
     }
 
     #[test]

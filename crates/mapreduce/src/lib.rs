@@ -29,12 +29,12 @@
 //! changes.
 //!
 //! **The `Vec<Agent>` boundary** now lives exactly at the real
-//! serialization surfaces and nowhere else: coordinated checkpoint /
-//! collect snapshots, restore-time pool rebuilds, the initial population
-//! hand-off, and decoded full-record payloads (transfers, band entrants).
-//! No tick materializes an owned population as row records —
-//! `WorkerEpochStats::{pool_rebuilds, vec_roundtrips}` count the
-//! violations and tests pin them to zero.
+//! serialization surfaces and nowhere else: restore-time pool rebuilds,
+//! the initial population hand-off, and decoded full-record payloads
+//! (transfers, band entrants). Checkpoint and collect snapshots are
+//! encoded straight from the pool's columns. No tick materializes an owned
+//! population as row records — `WorkerEpochStats::{pool_rebuilds,
+//! vec_roundtrips}` count the violations and tests pin them to zero.
 //!
 //! Results are unchanged by any of this: each worker runs the same sharded
 //! phase functions as `brace_core::Simulation` (the single node is this

@@ -66,7 +66,8 @@ pub struct ClusterStats {
     /// pool-resident protocol; restores are the only sanctioned path).
     pub pool_rebuilds: u64,
     /// Full-population `Vec<Agent>` materializations inside live ticks
-    /// (also pinned to zero — snapshots at epoch boundaries don't count).
+    /// (also pinned to zero). Only a restore makes one, between epochs;
+    /// snapshots are encoded from the pool.
     pub vec_roundtrips: u64,
     /// Always 0: no engine builds a spatial index (the query phase's probe
     /// order is the index). Kept because `perfbench` reports it as
@@ -363,14 +364,11 @@ impl Master {
     /// Recover from the loss of all live worker state during epoch
     /// `failed_epoch` (0-based; that epoch's results — including any
     /// checkpoint it would have written — are gone): restore every worker
-    /// from the newest surviving checkpoint and replay the logged epochs.
+    /// from the newest surviving checkpoint that loads (a durable run reads
+    /// it from its file) and replay the logged epochs.
     pub fn recover(&mut self, failed_epoch: u64) -> Result<()> {
         self.store.discard_after(failed_epoch);
-        let cp = self
-            .store
-            .latest()
-            .cloned()
-            .ok_or_else(|| BraceError::Unrecoverable("no checkpoint to recover from".into()))?;
+        let cp = self.store.restore_point()?;
         self.stats.recoveries += 1;
         let log = self.store.replay_since(cp.epoch);
         let reports = self.replay_from(&cp, &log)?;

@@ -139,8 +139,9 @@ pub struct WorkerEpochStats {
     /// this stays **zero** outside restores — asserted in tests.
     pub pool_rebuilds: u64,
     /// Full-population `Vec<Agent>` materializations performed inside the
-    /// epoch's ticks (also pinned to zero; snapshots at epoch boundaries
-    /// are the real serialization boundary and are not counted here).
+    /// epoch's ticks (also pinned to zero). A worker makes one only when a
+    /// restore decodes a snapshot, between epochs; snapshots themselves
+    /// are encoded from the pool and make none.
     pub vec_roundtrips: u64,
 }
 

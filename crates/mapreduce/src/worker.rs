@@ -35,8 +35,12 @@
 //! delta frames are never sent).
 //!
 //! `Vec<Agent>` materialization survives only at the real serialization
-//! boundaries: checkpoint/collect snapshots, restore, and the initial
-//! population hand-off — never inside a tick.
+//! boundaries into the pool: restore and the initial population hand-off —
+//! never inside a tick. Checkpoint and collect snapshots go the other way
+//! with none: `codec::encode_pool_snapshot` writes the owned prefix
+//! straight from the columns into one exactly sized buffer, the only copy
+//! of a worker's agents a checkpoint makes. `vec_roundtrips` counts the
+//! restores.
 //!
 //! # Replica sessions and registries
 //!
@@ -427,7 +431,7 @@ impl Worker {
                 Err(_) => break, // master dropped; shut down
                 Ok(Command::Stop) => break,
                 Ok(Command::Collect) => {
-                    let snapshot = codec::encode_snapshot(&self.snapshot());
+                    let snapshot = self.snapshot();
                     self.links.ledger.record(Traffic::Control, snapshot.len());
                     let _ = self.links.reports.send(Report::Collected { worker: self.cfg.id, snapshot });
                 }
@@ -453,17 +457,17 @@ impl Worker {
         }
     }
 
-    fn snapshot(&mut self) -> WorkerSnapshot {
-        // The one sanctioned owned-population materialization: checkpoint /
-        // collect, at epoch granularity. Counted so epoch stats can prove
-        // ticks never did this.
-        self.vec_roundtrips += 1;
-        let mut agents = Vec::new();
-        self.pool.write_agents_prefix_into(self.n_owned, &mut agents);
-        WorkerSnapshot { tick: self.tick, next_spawn_id: self.next_id, rng: self.rng.clone(), agents }
+    /// This worker's snapshot (checkpoint and collect payload), encoded
+    /// straight from the owned prefix of the pool.
+    fn snapshot(&self) -> Bytes {
+        codec::encode_pool_snapshot(self.tick, self.next_id, &self.rng, &self.pool, self.n_owned)
     }
 
     fn restore(&mut self, snap: WorkerSnapshot, x_bounds: Vec<f64>) {
+        // The one owned-population `Vec<Agent>` left: a restore decodes
+        // the snapshot's records before it rebuilds the pool from them.
+        // Counted, so epoch stats can prove ticks never materialize one.
+        self.vec_roundtrips += 1;
         self.tick = snap.tick;
         self.next_id = snap.next_spawn_id;
         self.rng = snap.rng;
@@ -502,7 +506,7 @@ impl Worker {
             stats.x_min = stats.x_min.min(x);
             stats.x_max = stats.x_max.max(x);
         }
-        let snapshot = cmd.checkpoint.then(|| codec::encode_snapshot(&self.snapshot()));
+        let snapshot = cmd.checkpoint.then(|| self.snapshot());
         (stats, snapshot)
     }
 
@@ -1097,18 +1101,22 @@ mod tests {
         let mut worker = single_worker(line(5, 1.0));
         let mut stats = WorkerEpochStats::default();
         worker.run_tick(&mut stats);
-        let snap = worker.snapshot();
+        let roundtrips0 = worker.vec_roundtrips;
+        let snap = codec::decode_snapshot(worker.snapshot()).unwrap();
+        assert_eq!(worker.vec_roundtrips, roundtrips0, "a snapshot is encoded from the pool");
         let before: Vec<_> = worker.owned_agents();
+        assert_eq!(snap.agents, before);
         // Run further, then roll back.
         worker.run_tick(&mut stats);
         worker.run_tick(&mut stats);
         worker.restore(snap, vec![0.0, 100.0]);
+        assert_eq!(worker.vec_roundtrips, roundtrips0 + 1, "a restore decodes the records");
         assert_eq!(worker.owned_agents(), before);
         assert_eq!(worker.current_tick(), 1);
         // Replay is deterministic.
         worker.run_tick(&mut stats);
         let replayed: Vec<_> = worker.owned_agents();
-        let snap = worker.snapshot();
+        let snap = codec::decode_snapshot(worker.snapshot()).unwrap();
         worker.restore(snap, vec![0.0, 100.0]);
         assert_eq!(worker.owned_agents(), replayed);
         worker.check_invariants();

@@ -348,14 +348,11 @@ fn execute(app: &Arc<App>, record: &Arc<RunRecord>) {
             Backend::SingleNode { .. } => Backend::SingleNode { parallelism: app.run_threads },
             cluster => cluster,
         };
-        let mut runner = Runner::new(scenario).backend(backend).seed(key.seed);
+        let mut runner = Runner::new(scenario).backend(backend).seed(key.seed).index(key.index);
         if key.job.conformance {
             runner = runner.conformance();
-        } else {
-            if let Some(size) = key.job.size {
-                runner = runner.population(size);
-            }
-            runner = runner.index(key.index);
+        } else if let Some(size) = key.job.size {
+            runner = runner.population(size);
         }
         runner = runner.observe(Box::new(RecordObserver { record: Arc::clone(record) }));
         runner.run(key.ticks)
@@ -607,11 +604,11 @@ fn parse_run_spec(body: &str, registry: &Registry, cfg: &ServeConfig) -> std::re
     };
     // Mirror the Runner's conformance fixed-point rule at admission so the
     // conflict is a clean 400, not a failed run.
-    if conformance && (agents.is_some() || index.is_some()) {
+    if conformance && agents.is_some() {
         return Err((
             400,
-            "\"agents\"/\"index\" overrides conflict with \"conformance\": true \
-             (the conformance configuration is part of the exactly-distributable contract)"
+            "an \"agents\" override conflicts with \"conformance\": true \
+             (the conformance population is part of the exactly-distributable contract)"
                 .into(),
         ));
     }

@@ -6,10 +6,11 @@
 //! with the balancer off; `cluster:4` with a load balancer eager enough to
 //! move boundaries mid-run; `cluster:2` at 2 threads per worker;
 //! `cluster:3` with a whole-cluster fault at the middle epoch; a durable
-//! `cluster:2` run (a run directory, a checkpoint every epoch); the same
-//! launched through [`Runner::launch`], abandoned halfway and finished by
-//! [`DurableRunner::resume`]; and served, through `POST /runs` on an
-//! ephemeral [`Server`]. All of them run at once, and every one records
+//! `cluster:2` run (a run directory, a checkpoint every epoch) with the
+//! same fault, which it recovers from by reading a checkpoint file back;
+//! the same launched through [`Runner::launch`], abandoned halfway and
+//! finished by [`DurableRunner::resume`]; and served, through `POST /runs`
+//! on an ephemeral [`Server`]. All of them run at once, and every one records
 //! into the telemetry registry, as every run does. Both durable legs start
 //! the way every durable run does: a `Runner` on a cluster whose
 //! `ClusterConfig::run_dir` is set. Every leg's world checksum must equal
@@ -51,7 +52,7 @@ const THREADS_3: &str = "single node, 3 threads";
 const BALANCED: &str = "cluster:4, load-balanced";
 const CLUSTER_2_THREADS_2: &str = "cluster:2, 2 threads per worker";
 const FAULT: &str = "cluster:3, a fault at the middle epoch recovered from a checkpoint";
-const DURABLE: &str = "durable cluster:2";
+const DURABLE: &str = "durable cluster:2, a fault at the middle epoch recovered from its checkpoint file";
 const RESUMED: &str = "durable cluster:2, abandoned halfway and resumed";
 const SERVED: &str = "served";
 
@@ -79,8 +80,7 @@ pub struct Case {
     pub size: Option<usize>,
     pub seed: u64,
     pub ticks: u64,
-    /// How every leg answers range probes (the conformance form runs the
-    /// join).
+    /// How every leg answers range probes.
     pub index: IndexKind,
     /// The legs besides the baseline this case runs on; `None` for all.
     pub legs: Option<&'static [&'static str]>,
@@ -99,10 +99,8 @@ impl Case {
         Case { seed, ..self }
     }
 
-    /// Run every leg on `index` (a sized case only: the conformance form
-    /// refuses an index override).
+    /// Run every leg on `index`.
     pub fn index(self, index: IndexKind) -> Case {
-        assert!(self.size.is_some(), "the conformance form runs the join");
         Case { index, ..self }
     }
 
@@ -117,9 +115,9 @@ impl Case {
     }
 
     fn runner<'s>(&self, scenario: &'s dyn Scenario) -> Runner<'s> {
-        let runner = Runner::new(scenario).seed(self.seed);
+        let runner = Runner::new(scenario).seed(self.seed).index(self.index);
         match self.size {
-            Some(n) => runner.population(n).index(self.index),
+            Some(n) => runner.population(n),
             None => runner.conformance(),
         }
     }
@@ -132,11 +130,9 @@ impl Case {
     }
 
     fn served_body(&self, scenario: &str) -> String {
-        let size = self.size.map_or(r#""conformance":true"#.to_string(), |n| {
-            let index = if self.index == IndexKind::Scan { r#","index":"scan""# } else { "" };
-            format!(r#""agents":{n}{index}"#)
-        });
-        format!(r#"{{"scenario":"{scenario}","ticks":{},"seed":{},{size}}}"#, self.ticks, self.seed)
+        let size = self.size.map_or(r#""conformance":true"#.to_string(), |n| format!(r#""agents":{n}"#));
+        let index = if self.index == IndexKind::Scan { r#","index":"scan""# } else { "" };
+        format!(r#"{{"scenario":"{scenario}","ticks":{},"seed":{},{size}{index}}}"#, self.ticks, self.seed)
     }
 }
 
@@ -210,6 +206,25 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     let epochs = case.ticks / epoch_len;
     let first_spawn = setup.population.iter().map(|a| a.id.raw()).max().map_or(0, |id| id + 1);
     let plain = |leg, backend| -> Leg<'_> { (leg, Box::new(move || run(leg, backend).checksum)) };
+    // A cluster that loses the middle epoch must recover from a checkpoint
+    // once (a durable one reads it back from its file).
+    let recovered = |leg, cfg: ClusterConfig| -> Leg<'_> {
+        let fault = Some(FaultPlan::once(epochs / 2));
+        let backend = Backend::Cluster(ClusterConfig { fault, ..cfg });
+        let call = &call;
+        (
+            leg,
+            Box::new(move || {
+                let launched = case.runner(scenario).epoch_len(epoch_len).backend(backend).launch();
+                let mut handle = launched.unwrap_or_else(|e| fail(leg, e));
+                handle.run(case.ticks).unwrap_or_else(|e| fail(leg, e));
+                let stats = handle.cluster_stats().expect("a cluster leg");
+                let recovered = stats.recoveries == 1 && stats.replayed_epochs > 0;
+                assert!(recovered, "{call}: leg `{leg}` did not recover: {stats:?}");
+                handle.checksum().unwrap_or_else(|e| fail(leg, e))
+            }),
+        )
+    };
 
     // The baseline and every leg, at once.
     let root = temp_dir();
@@ -246,21 +261,8 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
             }),
         ),
         plain(CLUSTER_2_THREADS_2, Backend::Cluster(ClusterConfig { parallelism: 2, ..cluster(2) })),
-        (
-            FAULT,
-            Box::new(|| {
-                let fault = Some(FaultPlan::once(epochs / 2));
-                let backend = Backend::Cluster(ClusterConfig { checkpoint_every: Some(2), fault, ..cluster(3) });
-                let launched = case.runner(scenario).epoch_len(epoch_len).backend(backend).launch();
-                let mut handle = launched.unwrap_or_else(|e| fail(FAULT, e));
-                handle.run(case.ticks).unwrap_or_else(|e| fail(FAULT, e));
-                let stats = handle.cluster_stats().expect("a cluster leg");
-                let recovered = stats.recoveries == 1 && stats.replayed_epochs > 0;
-                assert!(recovered, "{call}: leg `{FAULT}` did not recover: {stats:?}");
-                handle.checksum().unwrap_or_else(|e| fail(FAULT, e))
-            }),
-        ),
-        plain(DURABLE, Backend::Cluster(durable("durable", 0))),
+        recovered(FAULT, ClusterConfig { checkpoint_every: Some(2), ..cluster(3) }),
+        recovered(DURABLE, durable("durable", case.ticks)),
         (
             RESUMED,
             Box::new(|| {

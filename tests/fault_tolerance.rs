@@ -10,9 +10,11 @@
 
 mod common;
 
+use brace_mapreduce::checkpoint::list_checkpoint_epochs;
 use brace_mapreduce::{CheckpointStore, ClusterConfig, ClusterSim, FaultPlan};
 use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams};
 use common::{custom_setup, registry_of, spawned, Case, Custom};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn fish() -> FishBehavior {
@@ -97,10 +99,64 @@ fn fault_before_any_periodic_checkpoint_uses_initial_snapshot() {
     assert_eq!(sim.collect_agents().unwrap(), clean.collect_agents().unwrap());
 }
 
+/// A fresh directory for one durable run of this process.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("brace-ft-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Flip the last byte of a checkpoint file: it no longer verifies.
+fn corrupt(dir: &Path, epoch: u64) {
+    let path = dir.join(format!("checkpoint-{epoch}.brace"));
+    let mut data = std::fs::read(&path).unwrap();
+    *data.last_mut().unwrap() ^= 0xff;
+    std::fs::write(&path, data).unwrap();
+}
+
+/// A durable run recovers from its checkpoint files, not from memory: with
+/// the newest kept file corrupted before a fault, recovery falls back to
+/// the older kept file and still lands on the failure-free bits. With no
+/// kept file that verifies, the run is an `Err` — no panic, no world.
+#[test]
+fn durable_recovery_falls_back_past_a_corrupt_checkpoint_file() {
+    let pop = fish().population(120, 43);
+    // Checkpoints after epochs 1 and 3 are files 2 and 4; epoch 4 writes
+    // none, so a fault there rolls back to file 4.
+    let base = config(2, 43, Some(2));
+    let mut clean = ClusterSim::new(Arc::new(fish()), pop.clone(), base.clone()).unwrap();
+    clean.run_epochs(8).unwrap();
+    let clean_world = clean.collect_agents().unwrap();
+
+    let dir = temp_dir("fallback");
+    let cfg = ClusterConfig { fault: Some(FaultPlan::once(4)), run_dir: Some(dir.clone()), ..base.clone() };
+    let mut sim = ClusterSim::new(Arc::new(fish()), pop.clone(), cfg).unwrap();
+    sim.run_epochs(4).unwrap();
+    assert_eq!(list_checkpoint_epochs(&dir), vec![2, 4]);
+    corrupt(&dir, 4);
+    sim.run_epochs(4).unwrap();
+    let s = sim.stats();
+    assert_eq!(s.recoveries, 1);
+    assert_eq!(s.replayed_epochs, 3, "epochs 2 to 4 replay from file 2");
+    assert_eq!(sim.collect_agents().unwrap(), clean_world, "recovery from the older file must be exact");
+    drop(sim);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = temp_dir("no-valid-file");
+    let cfg = ClusterConfig { fault: Some(FaultPlan::once(4)), run_dir: Some(dir.clone()), ..base };
+    let mut sim = ClusterSim::new(Arc::new(fish()), pop, cfg).unwrap();
+    sim.run_epochs(4).unwrap();
+    corrupt(&dir, 2);
+    corrupt(&dir, 4);
+    let err = sim.run_epochs(4).expect_err("no kept checkpoint verifies");
+    assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    drop(sim);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn checkpoints_persist_to_disk_and_reload() {
-    let dir = std::env::temp_dir().join(format!("brace-ft-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_dir("reload");
     let pop = fish().population(60, 31);
     let cfg = ClusterConfig { run_dir: Some(dir.clone()), ..config(2, 31, Some(1)) };
     let mut sim = ClusterSim::new(Arc::new(fish()), pop, cfg).unwrap();
@@ -123,9 +179,14 @@ mod random_fault_schedules {
         /// Seeded random fault schedules: any number of whole-cluster
         /// failures at arbitrary (seeded) epochs — before, on, or after
         /// checkpoint boundaries, including back-to-back — recover to the
-        /// bits of the failure-free run, with one recovery per fault.
+        /// bits of the failure-free run, with one recovery per fault. Half
+        /// the draws are durable runs, which recover from their files.
         #[test]
-        fn seeded_random_fault_schedule_recovers_exactly(fault_seed in 0u64..1_000, n_faults in 1usize..4) {
+        fn seeded_random_fault_schedule_recovers_exactly(
+            fault_seed in 0u64..1_000,
+            n_faults in 1usize..4,
+            durable in any::<bool>(),
+        ) {
             let pop = fish().population(90, 41);
             let base = config(3, 41, Some(2));
             let mut clean = ClusterSim::new(Arc::new(fish()), pop.clone(), base.clone()).unwrap();
@@ -135,11 +196,15 @@ mod random_fault_schedules {
             let plan = FaultPlan::random(fault_seed, n_faults, 8);
             let scheduled = plan.at_epochs.len() as u64; // deduped, so ≤ n_faults
             prop_assert!(scheduled >= 1);
-            let cfg = ClusterConfig { fault: Some(plan), ..base };
+            let dir = durable.then(|| temp_dir(&format!("random-{fault_seed}-{n_faults}")));
+            let cfg = ClusterConfig { fault: Some(plan), run_dir: dir.clone(), ..base };
             let mut faulty = ClusterSim::new(Arc::new(fish()), pop, cfg).unwrap();
             faulty.run_epochs(8).unwrap();
             prop_assert_eq!(faulty.stats().recoveries, scheduled);
             prop_assert_eq!(faulty.collect_agents().unwrap(), clean_world);
+            if let Some(dir) = dir {
+                std::fs::remove_dir_all(dir).unwrap();
+            }
         }
     }
 }

@@ -2615,6 +2615,121 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// A checkpoint's one copy: worker snapshots encoded straight from the pool
+// (CI reruns `pool_snapshot_` with PROPTEST_CASES=256)
+// ---------------------------------------------------------------------------
+
+/// An agent of `schema` at a drawn place, with drawn state and effects; one
+/// in ten is dead.
+fn drawn_agent(schema: &AgentSchema, id: u64, rng: &mut DetRng) -> Agent {
+    let state = (0..schema.num_states()).map(|_| rng.range(-1e3, 1e3)).collect();
+    let mut a = Agent::with_state(AgentId::new(id), Vec2::new(rng.range(-50.0, 50.0), rng.unit()), state, schema);
+    for e in &mut a.effects {
+        *e = rng.range(-1.0, 1.0);
+    }
+    a.alive = rng.chance(0.9);
+    a
+}
+
+proptest! {
+    /// A worker's checkpoint and collect payload is encoded straight from
+    /// its pool's owned prefix (`codec::encode_pool_snapshot`), and must be
+    /// byte for byte `codec::encode_snapshot` of the owned agents' records.
+    /// The pool is shaped the way a worker's is: owned rows swap-removed
+    /// (the tail's last row filling the hole), transfers in and spawns at
+    /// their effect identities inserted by relocating the first tail row,
+    /// rows edited in place, and a replica tail after the prefix that
+    /// enters and leaves and that the snapshot must leave out (there is
+    /// one when it is taken). The records
+    /// go through the same mutations beside the pool, so the oracle never
+    /// reads the pool.
+    #[test]
+    fn pool_snapshot_equals_the_owned_records_encoded(
+        seed in any::<u64>(),
+        states in 0usize..4,
+        n in 0usize..30,
+        ops in 0usize..80,
+    ) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut builder = AgentSchema::builder("W");
+        for s in 0..states {
+            builder = builder.state(format!("s{s}"));
+        }
+        let schema = builder.effect("sum", Combinator::Sum).effect("max", Combinator::Max).build().unwrap();
+        let mut owned: Vec<Agent> = (0..n as u64).map(|id| drawn_agent(&schema, id, &mut rng)).collect();
+        let mut pool = AgentPool::from_agents(&schema, &owned);
+        let mut next_id = n as u64;
+        let replica = |pool: &mut AgentPool, rng: &mut DetRng, next_id: &mut u64| {
+            pool.push_agent(&drawn_agent(&schema, 1_000_000 + *next_id, rng));
+            *next_id += 1;
+        };
+        for _ in 0..1 + rng.below(3) {
+            replica(&mut pool, &mut rng, &mut next_id);
+        }
+        for _ in 0..ops {
+            let n_owned = owned.len();
+            let tail = pool.len() - n_owned;
+            match rng.below(6) {
+                0 if n_owned > 0 => {
+                    let r = rng.below(n_owned as u64) as usize;
+                    owned.swap_remove(r);
+                    pool.copy_row_within(n_owned as u32 - 1, r as u32);
+                    if tail > 0 {
+                        pool.copy_row_within(pool.len() as u32 - 1, n_owned as u32 - 1);
+                    }
+                    pool.pop_row();
+                }
+                1 | 2 => {
+                    let spawn = rng.chance(0.5);
+                    let a = if spawn {
+                        let state = (0..states).map(|_| rng.range(-1.0, 1.0)).collect();
+                        Agent::with_state(AgentId::new(next_id), Vec2::new(rng.unit(), rng.unit()), state, &schema)
+                    } else {
+                        drawn_agent(&schema, next_id, &mut rng)
+                    };
+                    next_id += 1;
+                    if tail > 0 {
+                        pool.push_row_copy(n_owned as u32);
+                        pool.overwrite_row(n_owned as u32, &a);
+                    } else if spawn {
+                        pool.push_spawn(a.id, a.pos, &a.state);
+                    } else {
+                        pool.push_agent(&a);
+                    }
+                    owned.push(a);
+                }
+                3 if n_owned > 0 => {
+                    let r = rng.below(n_owned as u64) as usize;
+                    owned[r].pos = Vec2::new(rng.range(-50.0, 50.0), rng.unit());
+                    pool.set_pos(r as u32, owned[r].pos);
+                    if states > 0 {
+                        let f = rng.below(states as u64) as usize;
+                        owned[r].state[f] = rng.range(-1.0, 1.0);
+                        pool.set_state(r as u32, FieldId::new(f as u16), owned[r].state[f]);
+                    }
+                }
+                4 if tail > 0 => {
+                    let r = n_owned + rng.below(tail as u64) as usize;
+                    pool.copy_row_within(pool.len() as u32 - 1, r as u32);
+                    pool.pop_row();
+                }
+                _ => replica(&mut pool, &mut rng, &mut next_id),
+            }
+        }
+        if pool.len() == owned.len() {
+            replica(&mut pool, &mut rng, &mut next_id);
+        }
+        let worker_rng = DetRng::seed_from_u64(rng.next_raw());
+        let (tick, next_spawn_id) = (rng.next_raw(), next_id);
+        let records = codec::WorkerSnapshot { tick, next_spawn_id, rng: worker_rng.clone(), agents: owned.clone() };
+        let from_pool = codec::encode_pool_snapshot(tick, next_spawn_id, &worker_rng, &pool, owned.len());
+        prop_assert!(from_pool == codec::encode_snapshot(&records), "seed {seed}: the pool's snapshot differs");
+        let back = codec::decode_snapshot(from_pool).map_err(|e| format!("seed {seed}: {e}"))?;
+        prop_assert_eq!(back, records);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Peer decoders: hostile agent-record, replica-delta, effect-write and
 // spawn-run bytes are an error, never a panic or an abort (CI reruns this
 // section with PROPTEST_CASES=256)

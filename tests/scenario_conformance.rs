@@ -17,7 +17,7 @@
 
 mod common;
 
-use brace::scenario::{Registry, CONFORMANCE_POPULATION};
+use brace::scenario::Registry;
 use brace::spatial::IndexKind;
 use common::{assert_ran_past_one_shard, engines_agree, spawned, Case, GOLDEN_EPIDEMIC, THREADED};
 
@@ -34,14 +34,14 @@ fn conformance() -> Case {
 /// bitwise, for every registered scenario's conformance configuration —
 /// worker counts 1 to 4, the balancer off and moving boundaries, a
 /// recovered fault, durable and resumed runs, and a served one. The same
-/// world on the scan (the conformance population, built by size), on one
-/// node and on `cluster:2`, whose pools are not in id order: the scan's
-/// candidates must come out in ascending id there too.
+/// conformance form on the scan, on one node and on `cluster:2`, whose
+/// pools are not in id order: the scan's candidates must come out in
+/// ascending id there too.
 #[test]
 fn every_scenario_cluster_matches_single_node_bitwise() {
     let registry = Registry::builtin();
     assert!(registry.len() >= 8, "catalogue shrank: {:?}", registry.names());
-    let scan = Case::sized(CONFORMANCE_POPULATION, TICKS).index(IndexKind::Scan).on(&["cluster:2, balancer off"]);
+    let scan = conformance().index(IndexKind::Scan).on(&["cluster:2, balancer off"]);
     for name in registry.names() {
         let join = engines_agree(Registry::builtin, name, &conformance());
         let got = engines_agree(Registry::builtin, name, &scan);

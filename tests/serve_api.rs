@@ -136,6 +136,20 @@ fn second_identical_post_is_served_from_the_cache_without_resimulating() {
     assert_ne!(field(&other_done, "checksum").unwrap(), first_checksum);
 }
 
+/// A conformance run takes an index override: on the scan it streams the
+/// join's checksum, the epidemic's golden.
+#[test]
+fn conformance_run_on_the_scan_streams_the_joins_checksum() {
+    let server = server();
+    let body = r#"{"scenario":"epidemic","conformance":true,"ticks":20,"seed":42,"index":"scan"}"#;
+    let (status, _, posted) = post(server.addr(), "/runs", body);
+    assert_eq!(status, 202, "{posted}");
+    let (_, _, stream) = get(server.addr(), &format!("/runs/{}/stream", run_id(&posted)));
+    let last = stream.lines().last().unwrap_or_default();
+    assert!(last.contains(r#""status":"done""#), "terminal line: {last}");
+    assert_eq!(field(last, "checksum"), Some(format!("{GOLDEN_EPIDEMIC:#018X}").as_str()), "{last}");
+}
+
 /// The retired index names are the join: `"kd"`, then `"grid"`, then
 /// `"join"`, then no index, on one job — every request after the first is
 /// answered from the first one's cache entry. The scan is an entry of its
