@@ -14,6 +14,23 @@
 //!   state (including the position, which the executor crops to the
 //!   reachable region). It sees no other agent — also enforced by types.
 //!
+//! Two optional hooks push work out of the query phase's spatial join, and
+//! neither may change a result:
+//!
+//! * the **candidate side**, [`Behavior::probe_rect`]: a rect tighter than
+//!   the visibility square where the query provably ignores the rest
+//!   (BRASIL's visibility-predicate pushdown);
+//! * the **probe side**, [`Behavior::reads_neighbors`]: `false` for an agent
+//!   whose query, by its own state, reads no neighbour this tick (the
+//!   epidemic's non-infectious agents). The engine hands it no candidates
+//!   and runs its query anyway, so the hook may return `false` only where
+//!   the query over an empty neighbourhood makes the same writes and draws
+//!   as over the real one.
+//!
+//! The serial oracle (`executor::query_phase`) calls neither the probe-side
+//! hook nor any shortcut: it hands every query its full neighbourhood, so
+//! every oracle ≡ engine comparison checks each override.
+//!
 //! The same trait object drives the single-node engine and every reducer
 //! of the distributed runtime, which is precisely the paper's claim that
 //! programming the agent once suffices ("hides all the complexities of
@@ -125,6 +142,20 @@ pub trait Behavior: Send + Sync {
         Rect::centered(pos, vis)
     }
 
+    /// Whether `me`'s query reads its neighbourhood this tick: the
+    /// *probe-side* pushdown, where [`Behavior::probe_rect`] is the
+    /// candidate side. A member that returns `false` is handed no candidates
+    /// — the join builds no block for it and runs no filter — while its
+    /// [`Behavior::query`] still runs. Contract: return `false` only when
+    /// `me`'s query, handed an empty neighbourhood, makes exactly the writes
+    /// and RNG draws it would make over its real one (say, a guard on `me`'s
+    /// own state that returns before the neighbour loop). The default reads
+    /// everyone.
+    fn reads_neighbors(&self, me: AgentRef<'_>) -> bool {
+        let _ = me;
+        true
+    }
+
     /// Query phase for one agent. `me` is the querying agent's row view
     /// (`me.row` addresses it in the effect table); `rng` is a
     /// deterministic stream derived from `(seed, agent id, tick)`.
@@ -146,6 +177,9 @@ macro_rules! forward_behavior {
             }
             fn probe_rect(&self, pos: Vec2, vis: f64) -> Rect {
                 (**self).probe_rect(pos, vis)
+            }
+            fn reads_neighbors(&self, me: AgentRef<'_>) -> bool {
+                (**self).reads_neighbors(me)
             }
             fn query(&self, me: AgentRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
                 (**self).query(me, neighbors, eff, rng)

@@ -101,6 +101,19 @@
 //! effect aggregation is a pure function of the agent set, independent of
 //! row placement.
 //!
+//! **Pushdown, both sides.** A member's probe rect is the *candidate-side*
+//! pushdown ([`Behavior::probe_rect`]: a rect tighter than the visibility
+//! square). The *probe side* is [`Behavior::reads_neighbors`]: the group's
+//! first pass asks each member once, and a member whose query reads no
+//! neighbour this tick keeps [`Rect::EMPTY`] as its rect — it runs no
+//! `filter_rect`, widens no window, and its query runs over no candidates.
+//! A strip without a reader builds no window, block order or gather; the
+//! scan and the unbounded path hand a non-reader no candidates either. The
+//! hook's contract (an empty neighbourhood makes the same writes and draws)
+//! keeps every effect that of the full-neighbourhood oracle, which never
+//! asks it. So `neighbor_visits` counts the candidates handed to queries —
+//! a reader's containment scan — not every probe's.
+//!
 //! [`IndexKind::Scan`], the paper's *no-indexing* baseline, keeps one probe
 //! per row — sharing its scans between tile-mates would make it an index —
 //! through the same loop, as one-row groups in id order: each row runs
@@ -259,6 +272,10 @@ pub struct QueryStats {
     /// replay, which the engine adds) — a subset of `query_ns`, broken out so the
     /// effect-merge phase is visible on its own (telemetry, `--trace`).
     pub merge_ns: u64,
+    /// Candidates handed to queries: a non-reader
+    /// ([`Behavior::reads_neighbors`]) adds none, except in the serial
+    /// oracle [`query_phase`], which hands every query its full
+    /// neighbourhood.
     pub neighbor_visits: u64,
     pub nonlocal_writes: u64,
 }
@@ -390,6 +407,9 @@ struct ShardScratch {
     /// The join block's positions, gathered once per group.
     block_xs: Vec<f64>,
     block_ys: Vec<f64>,
+    /// Each member's probe rect, in group order: [`Rect::EMPTY`] for a
+    /// member whose query reads no neighbour.
+    rects: Vec<Rect>,
     /// One member's candidates, filtered out of the block.
     rows: Vec<u32>,
     spawns: Vec<(Vec2, Vec<f64>)>,
@@ -414,6 +434,7 @@ impl ShardScratch {
             cursors: [0; 3],
             block_xs: Vec::new(),
             block_ys: Vec::new(),
+            rects: Vec::new(),
             rows: Vec::new(),
             spawns: Vec::new(),
             spawn_parents: Vec::new(),
@@ -582,7 +603,9 @@ fn group_len(slice: &[ProbeKey], probe: Probe) -> usize {
 /// The inner loop — the only production probe loop, for every schema and
 /// index kind: run the query phase for one shard's `slice` of the probe
 /// order, one **probe group** at a time, and [`Behavior::query`] once per
-/// member.
+/// member. A first pass over the group calls [`Behavior::reads_neighbors`]
+/// and, for a reader, [`Behavior::probe_rect`] once per member and keeps
+/// the rect for the member's filter.
 ///
 /// On the join path ([`Probe::Join`]) a group — a strip of the slice's
 /// neighbouring tiles in one tile-row ([`group_len`]) — is answered by **no
@@ -599,8 +622,11 @@ fn group_len(slice: &[ProbeKey], probe: Probe) -> usize {
 /// the window (the tile function is monotone and the member's rect lies
 /// inside the union), and the filter tests closed containment, so the
 /// member gets precisely the visible rows inside its rect; the filter
-/// selects in block order, so they come out in ascending id. Effects, visit
-/// counts and goldens are those of one containment scan per row.
+/// selects in block order, so they come out in ascending id. Effects and
+/// goldens are those of one containment scan per row, and visit counts
+/// those of one per reader: a member whose [`Behavior::reads_neighbors`]
+/// is false keeps an empty rect and is handed no candidates on any path
+/// (see the module docs).
 ///
 /// The scan ([`Probe::Scan`]) runs the same filter once per row over the
 /// tick's id-ordered columns instead; under unbounded visibility the block
@@ -610,7 +636,7 @@ fn query_shard<B: Behavior>(plan: &QueryPlan<'_, B>, slice: &[ProbeKey], shard: 
     let schema = behavior.schema();
     let vis = schema.visibility();
     let join = plan.probe == Probe::Join;
-    let ShardScratch { table, log, outbound, block, spare_block, cursors, block_xs, block_ys, rows, .. } = shard;
+    let ShardScratch { table, log, outbound, block, spare_block, cursors, block_xs, block_ys, rects, rows, .. } = shard;
     let (mut visits, mut nonlocal, mut groups, mut block_rows) = (0u64, 0u64, 0u64, 0u64);
     let mut slot = 0u32;
     let owned = plan.order.len() as u32;
@@ -620,18 +646,26 @@ fn query_shard<B: Behavior>(plan: &QueryPlan<'_, B>, slice: &[ProbeKey], shard: 
     while !rest.is_empty() {
         let group;
         (group, rest) = rest.split_at(group_len(rest, plan.probe));
+        // Probe-side pushdown: a member whose query reads no neighbour keeps
+        // an empty rect, so it filters nothing and widens no window.
+        // Candidate-side pushdown is the behaviour's own: a derived
+        // visibility predicate shrinks the probe rect, whose default is the
+        // full visibility square (everything, when that is unbounded).
+        rects.clear();
+        rects.extend(group.iter().map(|key| {
+            let me = view.agent(key.row);
+            match (behavior.reads_neighbors(me), plan.probe) {
+                (false, _) => Rect::EMPTY,
+                (true, Probe::Everyone) => Rect::EVERYTHING,
+                (true, _) => behavior.probe_rect(me.pos(), vis),
+            }
+        }));
         block.clear();
         match plan.probe {
             Probe::Join => {
-                // Behaviors with a derived visibility predicate shrink the
-                // probe rect (pushdown); the default is the full visibility
-                // square. Semantically invisible candidates are excluded
-                // earlier, never added.
-                let union = group
-                    .iter()
-                    .map(|key| behavior.probe_rect(view.pos(key.row), vis))
-                    .filter(|rect| !rect.is_empty())
-                    .fold(Rect::EMPTY, |union, rect| union.union(&rect));
+                let union =
+                    rects.iter().filter(|rect| !rect.is_empty()).fold(Rect::EMPTY, |union, rect| union.union(rect));
+                // A strip with no reader builds no window, order or gather.
                 if !union.is_empty() {
                     // The window: the tiles of the union's own corners.
                     let tiles = |p: Vec2| (tile_of(p.y, vis), tile_of(p.x, vis));
@@ -640,23 +674,28 @@ fn query_shard<B: Behavior>(plan: &QueryPlan<'_, B>, slice: &[ProbeKey], shard: 
                         Some(directory) => directory.window(lo, hi, block),
                         None => seek_window(plan.cells, lo, hi, cursors, block),
                     }
+                    // Ascending id ranks are ascending ids; then rows again.
+                    block_order(block, plan.by_id, spare_block);
+                    block_xs.clear();
+                    block_xs.extend(block.iter().map(|&r| view.xs[r as usize]));
+                    block_ys.clear();
+                    block_ys.extend(block.iter().map(|&r| view.ys[r as usize]));
                 }
-                // Ascending id ranks are ascending ids; then rows again.
-                block_order(block, plan.by_id, spare_block);
-                block_xs.clear();
-                block_xs.extend(block.iter().map(|&r| view.xs[r as usize]));
-                block_ys.clear();
-                block_ys.extend(block.iter().map(|&r| view.ys[r as usize]));
             }
             Probe::Scan => {
-                let rect = behavior.probe_rect(view.pos(group[0].row), vis);
-                filter_rect(plan.xs, plan.ys, plan.by_id, &rect, block);
+                if !rects[0].is_empty() {
+                    filter_rect(plan.xs, plan.ys, plan.by_id, &rects[0], block);
+                }
             }
-            Probe::Everyone => block.extend_from_slice(plan.by_id),
+            Probe::Everyone => {
+                if rects.iter().any(|rect| !rect.is_empty()) {
+                    block.extend_from_slice(plan.by_id);
+                }
+            }
         }
         groups += 1;
         block_rows += block.len() as u64;
-        for key in group {
+        for (key, rect) in group.iter().zip(rects.iter()) {
             let row = key.row;
             let me = view.agent(row);
             debug_assert!(me.alive(), "dead agent in query phase");
@@ -667,9 +706,11 @@ fn query_shard<B: Behavior>(plan: &QueryPlan<'_, B>, slice: &[ProbeKey], shard: 
                 EffectWriter::with_slot(schema, table, row, slot)
             };
             let mut rng = plan.rng.stream(me.id().raw());
-            let candidates = if join {
+            let candidates = if rect.is_empty() {
+                &[][..]
+            } else if join {
                 rows.clear();
-                filter_rect(block_xs, block_ys, block, &behavior.probe_rect(me.pos(), vis), rows);
+                filter_rect(block_xs, block_ys, block, rect, rows);
                 &rows[..]
             } else {
                 &block[..]
@@ -1274,6 +1315,107 @@ mod tests {
             assert_eq!(ref_stats.neighbor_visits, sh_stats.neighbor_visits, "{kind:?}");
             for r in 0..n as u32 {
                 assert_eq!(ref_table.row(r), sh_pool.effects().row(r), "{kind:?} row {r}");
+            }
+        }
+    }
+
+    /// Reads its neighbourhood only while its `reader` state is positive:
+    /// then it counts its neighbours into a local field and pushes a unit
+    /// onto each through a remote one. Every agent draws once and writes the
+    /// draw first, reader or not — the writes and draws a non-reader makes
+    /// over any neighbourhood.
+    struct Guarded {
+        schema: AgentSchema,
+    }
+
+    impl Guarded {
+        fn new(vis: f64) -> Self {
+            let schema = AgentSchema::builder("Guarded")
+                .state("reader")
+                .effect("draw", Combinator::Sum)
+                .effect("seen", Combinator::Sum)
+                .remote_effect("pushed", Combinator::Sum)
+                .visibility(vis)
+                .reachability(0.5)
+                .build()
+                .unwrap();
+            Guarded { schema }
+        }
+    }
+
+    impl Behavior for Guarded {
+        fn schema(&self) -> &AgentSchema {
+            &self.schema
+        }
+
+        fn reads_neighbors(&self, me: AgentRef<'_>) -> bool {
+            me.state(0) > 0.0
+        }
+
+        fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
+            eff.local(FieldId::new(0), rng.unit());
+            if me.state(0) <= 0.0 {
+                return;
+            }
+            for nb in nbrs.iter() {
+                eff.local(FieldId::new(1), 1.0);
+                eff.remote(nb.row, FieldId::new(2), 1.0);
+            }
+        }
+
+        fn update(&self, _me: &mut Agent, _ctx: &mut UpdateCtx<'_>) {}
+    }
+
+    /// Probe-side pushdown: a member whose `reads_neighbors` is false gets
+    /// no candidates and adds none to any block — on the join, on the scan
+    /// and under unbounded visibility — while its query still runs, and the
+    /// effects stay bit-equal to the oracle's, which hands every query its
+    /// full neighbourhood. With no reader at all nothing is visited; with
+    /// every third agent a reader, only the readers' candidates are.
+    #[test]
+    fn non_readers_are_handed_no_candidates_and_change_no_effect() {
+        let mut rng = DetRng::seed_from_u64(17);
+        let points: Vec<Vec2> = (0..300).map(|_| Vec2::new(rng.range(0.0, 12.0), rng.range(0.0, 12.0))).collect();
+        for vis in [1.0, f64::INFINITY] {
+            for kind in [IndexKind::Join, IndexKind::Scan] {
+                for readers in [0usize, 3] {
+                    let b = Guarded::new(vis);
+                    let agents: Vec<Agent> = points
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &p)| {
+                            let reader = readers > 0 && i % readers == 0;
+                            Agent::with_state(AgentId::new(i as u64), p, vec![reader as u8 as f64], b.schema())
+                        })
+                        .collect();
+                    let case = format!("visibility {vis}, {kind:?}, readers 1 in {readers}");
+                    let pool = AgentPool::from_agents(b.schema(), &agents);
+                    let n = pool.len();
+                    let mut oracle = EffectTable::new(b.schema());
+                    let full = query_phase(&b, &pool, n, &mut oracle, 4, 9);
+                    // The readers' share of the oracle's visits.
+                    let read: u64 = (0..n as u32)
+                        .filter(|&r| b.reads_neighbors(pool.view().agent(r)))
+                        .map(|r| {
+                            let rect = b.probe_rect(pool.pos(r), vis);
+                            (0..n as u32).filter(|&c| !vis.is_finite() || rect.contains(pool.pos(c))).count() as u64
+                        })
+                        .sum();
+                    let mut sharded = AgentPool::from_agents(b.schema(), &agents);
+                    let mut scratch = TickScratch::new();
+                    let stats = query_phase_sharded(&b, &mut sharded, n, kind, 4, 9, &mut scratch, 64, 2);
+                    replay_effects(&mut sharded, &scratch, &mut []);
+                    let blocks: u64 = scratch.shards[..shard_count(n, 64)].iter().map(|s| s.block_rows).sum();
+                    assert_eq!(stats.neighbor_visits, read, "{case}");
+                    assert!(full.neighbor_visits > read, "{case}: the oracle reads every neighbourhood");
+                    if readers == 0 {
+                        assert_eq!((stats.neighbor_visits, blocks), (0, 0), "{case}");
+                    }
+                    assert_eq!(stats.nonlocal_writes, full.nonlocal_writes, "{case}");
+                    for r in 0..n as u32 {
+                        assert_eq!(oracle.row(r), sharded.effects().row(r), "{case}: row {r}");
+                    }
+                }
             }
         }
     }

@@ -25,8 +25,9 @@ pub struct TickMetrics {
     pub merge_ns: u64,
     /// Nanoseconds spent in the update phase.
     pub update_ns: u64,
-    /// Total neighbor candidates visited across all probes (the join's
-    /// output cardinality plus index false positives).
+    /// Neighbor candidates handed to queries: every visible row inside a
+    /// reading agent's probe rect. An agent whose query reads no neighbour
+    /// this tick (`Behavior::reads_neighbors`) is handed none.
     pub neighbor_visits: u64,
     /// Non-local effect writes performed.
     pub nonlocal_writes: u64,

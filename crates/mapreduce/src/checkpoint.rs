@@ -10,7 +10,9 @@
 //!
 //! A checkpoint file and its payload are read only through the codec's
 //! [`Reader`]: a file is a header and exactly one checkpoint, and each worker
-//! payload must decode as a worker snapshot, or the file is refused.
+//! payload must be exactly one worker snapshot, or the file is refused. The
+//! payloads are checked without being decoded (`codec::validate_snapshot`):
+//! the workers they restore decode them, once.
 //!
 //! A checkpoint is one copy of the workers' agents. Each worker encodes its
 //! snapshot straight from its pool's columns into a buffer of exactly its
@@ -21,7 +23,7 @@
 //! file is the only copy it keeps, and in-process recovery reads it back.
 //! An ephemeral store keeps its payloads in memory instead.
 
-use crate::codec::{decode_snapshot, Reader};
+use crate::codec::{validate_snapshot, Reader};
 use crate::runtime::EpochCommand;
 use brace_common::{fnv1a, BraceError, Fnv1a, Result};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -185,9 +187,6 @@ impl CheckpointStore {
     /// (fsynced, checksummed, written via a temp-file rename) and pruned to
     /// the `keep` newest epochs.
     pub fn push(&mut self, cp: ClusterCheckpoint) -> Result<()> {
-        while self.kept.len() >= self.keep {
-            self.kept.pop_front();
-        }
         let kept = match &self.dir {
             Some(dir) => {
                 write_checkpoint_file(dir, &cp)?;
@@ -196,10 +195,32 @@ impl CheckpointStore {
             }
             None => Kept::Memory(cp),
         };
+        self.hold(kept);
+        Ok(())
+    }
+
+    /// Record `cp`, which a durable store's directory already holds — the
+    /// checkpoint a resumed run was loaded from — as the newest kept one,
+    /// with [`CheckpointStore::push`]'s trim and log floor, but without
+    /// writing its file again or pruning any. An ephemeral store keeps a
+    /// copy, as `push` would.
+    pub fn adopt(&mut self, cp: &ClusterCheckpoint) {
+        let kept = match self.dir {
+            Some(_) => Kept::File(cp.epoch),
+            None => Kept::Memory(cp.clone()),
+        };
+        self.hold(kept);
+    }
+
+    /// Keep `kept` as the newest checkpoint, dropping the oldest first if
+    /// the store is full, and trim the log below the oldest kept one.
+    fn hold(&mut self, kept: Kept) {
+        while self.kept.len() >= self.keep {
+            self.kept.pop_front();
+        }
         self.kept.push_back(kept);
         let floor = self.kept.front().map_or(0, Kept::epoch);
         self.log.retain(|c| c.epoch >= floor);
-        Ok(())
     }
 
     /// Append an executed live command to the replay log.
@@ -327,8 +348,10 @@ pub fn write_checkpoint_file(dir: &Path, cp: &ClusterCheckpoint) -> Result<()> {
 
 /// Load and *verify* the checkpoint for `epoch` from `dir`. Refuses (with
 /// an error, not a guess) any file whose magic, version, or checksum does
-/// not match, or whose worker payloads do not decode — a forged file can
-/// carry a valid checksum. The payloads are views into the file's bytes.
+/// not match, or whose worker payloads are not worker snapshots — a forged
+/// file can carry a valid checksum. The payloads are checked by
+/// [`validate_snapshot`], which decodes nothing, and are views into the
+/// file's bytes.
 pub fn load_checkpoint_file(dir: &Path, epoch: u64) -> Result<ClusterCheckpoint> {
     let path = checkpoint_path(dir, epoch);
     let data = std::fs::read(&path).map_err(|e| BraceError::Checkpoint(format!("reading {}: {e}", path.display())))?;
@@ -349,7 +372,7 @@ pub fn load_checkpoint_file(dir: &Path, epoch: u64) -> Result<ClusterCheckpoint>
     let cp = ClusterCheckpoint::decode(data.slice(r.pos()..data.len()))
         .map_err(|_| BraceError::Checkpoint(format!("{}: not a checkpoint", path.display())))?;
     for (w, payload) in cp.workers.iter().enumerate() {
-        decode_snapshot(payload.clone())
+        validate_snapshot(payload)
             .map_err(|e| BraceError::Checkpoint(format!("{}: worker {w}: {e}", path.display())))?;
     }
     Ok(cp)
@@ -583,6 +606,28 @@ mod tests {
         let err = s.restore_point().unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
         assert!(s.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Adopting a file already on disk is `push`'s bookkeeping with no I/O:
+    /// the file is neither rewritten nor pruned, the log is trimmed below it,
+    /// and recovery reads it back.
+    #[test]
+    fn adopt_keeps_a_file_on_disk_without_writing_or_pruning() {
+        let dir = temp_dir("adopt");
+        for e in [1, 2, 3] {
+            write_checkpoint_file(&dir, &cp(e)).unwrap();
+        }
+        let before = std::fs::read(checkpoint_path(&dir, 2)).unwrap();
+        let mut s = CheckpointStore::new(1).with_dir(dir.clone());
+        s.log_command(cmd(1));
+        s.log_command(cmd(2));
+        s.adopt(&cp(2));
+        assert!(matches!(s.kept.back(), Some(Kept::File(2))));
+        assert_eq!(list_checkpoint_epochs(&dir), vec![1, 2, 3], "adopt pruned a file");
+        assert_eq!(s.replay_since(0).iter().map(|c| c.epoch).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(std::fs::read(checkpoint_path(&dir, 2)).unwrap(), before);
+        assert_eq!(s.restore_point().unwrap(), cp(2));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

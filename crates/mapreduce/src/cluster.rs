@@ -741,6 +741,41 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `--resume` reads the checkpoint it restores from and leaves the file
+    /// alone: same inode (no temp-file rename) and same bytes.
+    #[test]
+    fn resume_leaves_the_checkpoint_it_loaded_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir().join(format!("brace-resume-in-place-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let agents = population(Flock::new().schema(), 60, 21);
+        let cfg = ClusterConfig {
+            workers: 2,
+            epoch_len: 2,
+            seed: 5,
+            load_balance: false,
+            checkpoint_every: Some(2),
+            run_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        let clean =
+            run_cluster(Arc::new(Flock::new()), agents.clone(), 12, ClusterConfig { run_dir: None, ..cfg.clone() });
+        // Five epochs, then the process "dies": the newest checkpoint is
+        // one epoch behind, so resume replays past it.
+        ClusterSim::new(Arc::new(Flock::new()), agents, cfg.clone()).unwrap().run_epochs(5).unwrap();
+        let newest = *checkpoint::list_checkpoint_epochs(&dir).last().unwrap();
+        let path = dir.join(format!("checkpoint-{newest}.brace"));
+        let (inode, bytes) = (std::fs::metadata(&path).unwrap().ino(), std::fs::read(&path).unwrap());
+        let (mut sim, _) = ClusterSim::resume(Arc::new(Flock::new()), cfg).unwrap();
+        assert_eq!(sim.tick(), 10);
+        assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode, "resume rewrote the checkpoint it loaded");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        sim.run_ticks(2).unwrap();
+        assert_eq!(sim.collect_agents().unwrap(), clean);
+        drop(sim);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn resume_falls_back_past_a_checkpoint_with_another_worker_count() {
         let dir = std::env::temp_dir().join(format!("brace-resume-workers-{}", std::process::id()));

@@ -529,6 +529,36 @@ pub fn decode_snapshot(bytes: Bytes) -> Result<WorkerSnapshot> {
     .ok_or_else(|| BraceError::Checkpoint("not a worker snapshot".into()))
 }
 
+/// Check that `bytes` are exactly one worker snapshot — `Ok` exactly where
+/// [`decode_snapshot`] is — without decoding it: the same head, count and
+/// record-length checks, walking each agent record's fields by their counts
+/// and allocating nothing. A checkpoint file is verified this way when it
+/// is loaded; its payloads are decoded once, by the workers they restore.
+pub fn validate_snapshot(bytes: &[u8]) -> Result<()> {
+    Reader::read_all(bytes, |r| {
+        // Clock, spawn cursor and RNG, then the agent count.
+        r.bytes(SNAPSHOT_HEAD_BYTES - 4)?;
+        for _ in 0..r.count(AGENT_MIN_BYTES)? {
+            skip_agent(r)?;
+        }
+        Some(())
+    })
+    .ok_or_else(|| BraceError::Checkpoint("not a worker snapshot".into()))
+}
+
+/// Read past one agent record: `Some` exactly where [`get_agent`] is.
+fn skip_agent(r: &mut Reader) -> Option<()> {
+    // Id and position, then a strict liveness byte.
+    r.bytes(8 + 16)?;
+    r.bool()?;
+    // The state fields, then the effect fields: a count, then that many f64s.
+    for _ in 0..2 {
+        let n = r.u16()?;
+        r.bytes(8 * n as usize)?;
+    }
+    Some(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

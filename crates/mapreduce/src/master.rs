@@ -381,8 +381,9 @@ impl Master {
         Ok(())
     }
 
-    /// Reconstruct run state in a **fresh process**: seed the in-memory
-    /// store (checkpoint + replay log), restore every worker from `cp`,
+    /// Reconstruct run state in a **fresh process**: seed the store (it
+    /// adopts `cp`, whose file it neither rewrites nor prunes, and the
+    /// replay log), restore every worker from `cp`,
     /// re-execute the `completed` epochs past it, and land the clocks and
     /// post-decide state exactly where the interrupted run's manifest says
     /// they were. Bit-identical to never having crashed, because replayed
@@ -394,7 +395,7 @@ impl Master {
         hist_range: (f64, f64),
         pending_bounds: Option<Vec<f64>>,
     ) -> Result<()> {
-        self.store.push(cp.clone())?;
+        self.store.adopt(cp);
         for cmd in completed {
             self.store.log_command(cmd.clone());
         }

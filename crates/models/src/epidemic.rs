@@ -139,6 +139,12 @@ impl Behavior for EpidemicBehavior {
         &self.schema
     }
 
+    /// Only an infectious agent's query reads its neighbours; everyone
+    /// else's returns before the loop, writing nothing and drawing nothing.
+    fn reads_neighbors(&self, me: AgentRef<'_>) -> bool {
+        me.state(state::STATUS) == status::INFECTIOUS
+    }
+
     fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
         // Only infectious agents write, and only onto susceptible victims:
         // the non-local push of the paper's bite, with an integer payload.

@@ -605,6 +605,39 @@ mod tests {
         assert_eq!(ticks.load(Ordering::Relaxed), 4, "cluster observes at epoch grain");
     }
 
+    /// Records each tick's neighbour visits.
+    struct VisitLog(Arc<std::sync::Mutex<Vec<u64>>>);
+
+    impl Observer for VisitLog {
+        fn on_tick_metrics(&mut self, tm: &TickMetrics) {
+            self.0.lock().unwrap().push(tm.neighbor_visits);
+        }
+    }
+
+    /// The registry's epidemic is an `Arc<dyn Behavior>`, so its probe-side
+    /// hook reaches the engine only through the forwarding impl: the
+    /// Runner's run must visit, tick by tick, what the concrete behaviour's
+    /// `Simulation` visits — only the infectious agents' neighbourhoods.
+    #[test]
+    fn the_runner_path_forwards_the_probe_side_hook() {
+        use brace_models::{EpidemicBehavior, EpidemicParams};
+        let registry = Registry::builtin();
+        let (n, seed, ticks) = (1_500, 7, 12);
+        let visits = Arc::new(std::sync::Mutex::new(Vec::new()));
+        Runner::new(registry.get("epidemic").unwrap())
+            .population(n)
+            .seed(seed)
+            .observe(Box::new(VisitLog(visits.clone())))
+            .run(ticks)
+            .unwrap();
+        let behavior = EpidemicBehavior::new(EpidemicParams::default());
+        let population = behavior.population(n, seed);
+        let mut sim = Simulation::builder(behavior).agents(population).seed(seed).build().unwrap();
+        let want: Vec<u64> = (0..ticks).map(|_| sim.step().neighbor_visits).collect();
+        assert_eq!(*visits.lock().unwrap(), want);
+        assert!(want.iter().all(|&v| v < n as u64), "non-infectious agents visited neighbours: {want:?}");
+    }
+
     #[test]
     fn index_override_reaches_the_executor() {
         // Same scenario, the join and the scan: results identical (the index

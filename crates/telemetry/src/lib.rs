@@ -77,7 +77,7 @@ pub enum Counter {
 
 const COUNTER_NAMES: &[(&str, &str)] = &[
     ("brace_executor_ticks_total", "Ticks executed by single-node tick executors"),
-    ("brace_executor_neighbor_visits_total", "Neighbor candidates visited across all query probes"),
+    ("brace_executor_neighbor_visits_total", "Neighbor candidates handed to queries"),
     ("brace_executor_nonlocal_writes_total", "Non-local effect writes performed in query phases"),
     ("brace_executor_spawned_total", "Agents spawned by update phases"),
     ("brace_executor_killed_total", "Agents killed by update phases"),

@@ -224,7 +224,9 @@ impl Observer for ProgressPrinter {
 /// same file; each line carries its scenario and backend so the stream
 /// stays self-describing. Single-node lines add the executor's per-phase
 /// timings (delivered via [`Observer::on_tick_metrics`] just before the
-/// matching `on_tick`); cluster lines are epoch-grain `tick`/`agents`.
+/// matching `on_tick`) and work counters — `neighbor_visits` is the
+/// candidates handed to queries, none to an agent whose query reads no
+/// neighbour that tick; cluster lines are epoch-grain `tick`/`agents`.
 struct TraceWriter {
     out: std::sync::Arc<std::sync::Mutex<std::io::BufWriter<std::fs::File>>>,
     scenario: String,

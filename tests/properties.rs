@@ -2911,6 +2911,50 @@ proptest! {
     }
 }
 
+/// `input` through `codec::validate_snapshot` and `codec::decode_snapshot`:
+/// the check that verifies a checkpoint file's payloads without decoding
+/// them must accept exactly the bytes the decoder accepts.
+fn snapshot_check_is_the_decoder(input: &[u8]) -> Result<(), String> {
+    let checked = codec::validate_snapshot(input).is_ok();
+    let decoded = codec::decode_snapshot(input.to_vec().into()).is_ok();
+    if checked == decoded {
+        Ok(())
+    } else {
+        Err(format!("validate_snapshot is {checked} and decode_snapshot {decoded} on {input:02x?}"))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A checkpoint file is verified by `codec::validate_snapshot`, which
+    /// walks each worker payload without decoding it, and its payloads are
+    /// decoded later, by the workers they restore — so the check must be
+    /// `Ok` exactly where `codec::decode_snapshot` is, on the same hostile
+    /// bytes `checkpoint_and_manifest_decoders_never_panic` feeds the
+    /// decoders: a drawn checkpoint's encoding, its worker snapshots and
+    /// every manifest record, their prefixes, count-inflated and flipped
+    /// copies and copies with bytes appended, and arbitrary bytes.
+    #[test]
+    fn durable_decoders_validate_exactly_the_snapshots_they_decode(seed in any::<u64>()) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let checkpoint = drawn_checkpoint(&mut rng);
+        let mut valid = vec![checkpoint.encode().to_vec()];
+        valid.extend(checkpoint.workers.iter().map(|payload| payload.to_vec()));
+        valid.extend(drawn_manifest_records(&mut rng).iter().map(|record| record.encode().to_vec()));
+        for payload in &checkpoint.workers {
+            prop_assert!(codec::validate_snapshot(payload).is_ok(), "seed {seed}: a valid snapshot was refused");
+        }
+        let arbitrary: Vec<u8> = (0..rng.below(256)).map(|_| rng.next_raw() as u8).collect();
+        snapshot_check_is_the_decoder(&arbitrary).map_err(|e| format!("seed {seed}: {e}"))?;
+        for v in &valid {
+            let long: Vec<u8> = v.iter().copied().chain((0..1 + rng.below(8)).map(|_| rng.next_raw() as u8)).collect();
+            snapshot_check_is_the_decoder(&long).map_err(|e| format!("seed {seed}: {e}"))?;
+            hostile_copies_survive(v, &mut rng, snapshot_check_is_the_decoder).map_err(|e| format!("seed {seed}: {e}"))?;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Serve parsers: hostile HTTP requests, JSON bodies and job lines are an
 // error, never a panic (CI reruns this section with PROPTEST_CASES=256)
