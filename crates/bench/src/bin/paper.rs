@@ -7,11 +7,12 @@
 //!
 //! Absolute numbers are machine-dependent; the shapes (growth orders,
 //! who-wins, crossovers) are what reproduce the paper. Each section prints
-//! a shape summary next to the raw rows; `tests/paper_shapes.rs` asserts
-//! the same shapes in miniature.
+//! a `shape:` line next to the raw rows; `tests/paper_shapes.rs` runs the
+//! same runners at `--scale small` (the default) and asserts those shapes.
+//! An unknown experiment or scale exits 2 before anything runs.
 
-use brace_bench::table::{print_table, secs, tput};
-use brace_bench::{fig3, fig4, fig5, fig6, fig7, fig8, table2, Scale};
+use brace_bench::table::{ms, print_table, secs, tput};
+use brace_bench::{fig3, fig4, fig5, fig6, fig7, fig8, table2, DriftPair, DriftRun, Scale};
 use brace_common::stats::log_log_slope;
 
 fn main() {
@@ -23,14 +24,9 @@ fn main() {
         match args[i].as_str() {
             "--scale" => {
                 i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| die("--scale takes `small` or `paper`"));
+                scale = parse_scale(args.get(i).map_or("", String::as_str));
             }
-            s if s.starts_with("--scale=") => {
-                scale = Scale::parse(&s["--scale=".len()..]).unwrap_or_else(|| die("--scale takes `small` or `paper`"));
-            }
+            s if s.starts_with("--scale=") => scale = parse_scale(&s["--scale=".len()..]),
             "-h" | "--help" => {
                 println!("usage: paper [fig3|fig4|fig5|fig6|fig7|fig8|table2|all] [--scale small|paper]");
                 return;
@@ -39,8 +35,11 @@ fn main() {
         }
         i += 1;
     }
+    if let Some(other) = which.iter().find(|w| *w != "all" && !SECTIONS.contains(&w.as_str())) {
+        die(&format!("unknown experiment `{other}` (expected one of {}, or all)", SECTIONS.join(", ")));
+    }
     if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2"].iter().map(|s| s.to_string()).collect();
+        which = SECTIONS.iter().map(|s| s.to_string()).collect();
     }
     println!("BRACE paper harness — scale: {scale:?}");
     for w in &which {
@@ -51,10 +50,15 @@ fn main() {
             "fig6" => run_fig6(scale),
             "fig7" => run_fig7(scale),
             "fig8" => run_fig8(scale),
-            "table2" => run_table2(scale),
-            other => die(&format!("unknown experiment `{other}`")),
+            _ => run_table2(scale),
         }
     }
+}
+
+const SECTIONS: [&str; 7] = ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2"];
+
+fn parse_scale(s: &str) -> Scale {
+    Scale::parse(s).unwrap_or_else(|| die(&format!("unknown --scale `{s}` (expected `small` or `paper`)")))
 }
 
 fn die(msg: &str) -> ! {
@@ -65,52 +69,53 @@ fn die(msg: &str) -> ! {
 fn run_fig3(scale: Scale) {
     let rows = fig3(scale);
     print_table(
-        "Figure 3 — traffic: total simulation time vs segment length",
-        &["segment", "vehicles", "mitsim[s]", "brace-noidx[s]", "brace-idx[s]"],
+        "Figure 3 — traffic: simulation time per tick vs segment length",
+        &["segment", "vehicles", "mitsim[ms]", "brace-noidx[ms]", "brace-idx[ms]"],
         &rows
             .iter()
             .map(|r| {
                 vec![
                     format!("{:.0}", r.segment),
                     r.agents.to_string(),
-                    secs(r.mitsim_secs),
-                    secs(r.noidx_secs),
-                    secs(r.idx_secs),
+                    ms(r.mitsim_tick_secs),
+                    ms(r.noidx_tick_secs),
+                    ms(r.idx_tick_secs),
                 ]
             })
             .collect::<Vec<_>>(),
     );
-    let pts = |f: fn(&brace_bench::Fig3Row) -> f64| rows.iter().map(|r| (r.segment, f(r))).collect::<Vec<_>>();
-    let s_noidx = log_log_slope(&pts(|r| r.noidx_secs)).unwrap_or(f64::NAN);
-    let s_idx = log_log_slope(&pts(|r| r.idx_secs)).unwrap_or(f64::NAN);
-    let s_mitsim = log_log_slope(&pts(|r| r.mitsim_secs)).unwrap_or(f64::NAN);
+    let pts = |f: fn(&brace_bench::Fig3Row) -> f64| rows.iter().map(|r| (r.agents as f64, f(r))).collect::<Vec<_>>();
+    let s_noidx = log_log_slope(&pts(|r| r.noidx_tick_secs)).unwrap_or(f64::NAN);
+    let s_idx = log_log_slope(&pts(|r| r.idx_tick_secs)).unwrap_or(f64::NAN);
+    let s_mitsim = log_log_slope(&pts(|r| r.mitsim_tick_secs)).unwrap_or(f64::NAN);
     println!(
         "shape: growth exponents — noidx {s_noidx:.2} (paper: ~2, quadratic), \
          idx {s_idx:.2} (paper: ~1, log-linear), mitsim {s_mitsim:.2}; \
          mitsim fastest everywhere: {}",
-        rows.iter().all(|r| r.mitsim_secs <= r.idx_secs)
+        rows.iter().all(|r| r.mitsim_tick_secs <= r.idx_tick_secs)
     );
 }
 
 fn run_fig4(scale: Scale) {
     let rows = fig4(scale);
     print_table(
-        "Figure 4 — fish: total simulation time vs visibility range",
-        &["visibility", "noidx[s]", "idx[s]", "speedup"],
+        "Figure 4 — fish: simulation time per tick vs visibility range",
+        &["visibility", "noidx[ms]", "idx[ms]", "speedup"],
         &rows
             .iter()
             .map(|r| {
                 vec![
                     format!("{:.0}", r.visibility),
-                    secs(r.noidx_secs),
-                    secs(r.idx_secs),
-                    format!("{:.2}x", r.noidx_secs / r.idx_secs),
+                    ms(r.noidx_tick_secs),
+                    ms(r.idx_tick_secs),
+                    format!("{:.2}x", r.noidx_tick_secs / r.idx_tick_secs),
                 ]
             })
             .collect::<Vec<_>>(),
     );
-    let first = rows.first().map(|r| r.noidx_secs / r.idx_secs).unwrap_or(0.0);
-    let last = rows.last().map(|r| r.noidx_secs / r.idx_secs).unwrap_or(0.0);
+    let speedup = |r: &brace_bench::Fig4Row| r.noidx_tick_secs / r.idx_tick_secs;
+    let first = rows.first().map(speedup).unwrap_or(0.0);
+    let last = rows.last().map(speedup).unwrap_or(0.0);
     println!(
         "shape: index speedup {first:.2}x at smallest visibility, {last:.2}x at largest \
          (paper: 2-3x, shrinking as each probe returns more of the school)"
@@ -131,9 +136,12 @@ fn run_fig5(scale: Scale) {
     );
     println!(
         "shape: inversion gain without index {:+.1}%, with index {:+.1}% (paper: >20% both); \
-         effect traffic {} B (non-local) vs {} B (inverted eliminates the second reduce pass)",
+         {} vs {} communication rounds per tick and effect traffic {} B (non-local) vs {} B \
+         (inverted eliminates the second reduce pass)",
         (r.inv_only / r.no_opt - 1.0) * 100.0,
         (r.idx_inv / r.idx_only - 1.0) * 100.0,
+        r.rounds_nonlocal,
+        r.rounds_inverted,
         r.effect_bytes_nonlocal,
         r.effect_bytes_inverted,
     );
@@ -143,15 +151,32 @@ fn run_fig6(scale: Scale) {
     let rows = fig6(scale);
     print_table(
         "Figure 6 — traffic: scale-up (size grows with workers)",
-        &["workers", "vehicles", "throughput"],
-        &rows.iter().map(|r| vec![r.workers.to_string(), r.agents.to_string(), tput(r.throughput)]).collect::<Vec<_>>(),
+        &["workers", "vehicles", "throughput", "agents/worker/tick", "replica B/worker/tick"],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.workers.to_string(),
+                    r.agents.to_string(),
+                    tput(r.throughput),
+                    format!("{:.1}", r.agents_per_worker_tick),
+                    format!("{:.0}", r.replica_bytes_per_worker_tick),
+                ]
+            })
+            .collect::<Vec<_>>(),
     );
     if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
         let ideal = last.workers as f64 / first.workers as f64;
         let got = last.throughput / first.throughput;
         println!(
-            "shape: throughput grew {got:.2}x over {ideal:.0}x workers \
-             (paper: near-linear; expect sub-ideal on shared-cache laptop cores)"
+            "shape: throughput grew {got:.2}x over {ideal:.1}x workers on {} cores; per worker per tick, \
+             agents {:.1} -> {:.1} and replica bytes {:.0} -> {:.0} (paper: near-linear; flat per-worker \
+             work and bytes are what scale-up needs, and no core count bends them)",
+            brace_bench::max_workers(),
+            first.agents_per_worker_tick,
+            last.agents_per_worker_tick,
+            first.replica_bytes_per_worker_tick,
+            last.replica_bytes_per_worker_tick,
         );
     }
 }
@@ -160,17 +185,18 @@ fn run_fig7(scale: Scale) {
     let rows = fig7(scale);
     print_table(
         "Figure 7 — fish: scale-up with/without load balancing",
-        &["workers", "fish", "tput LB", "tput no-LB", "imbalance LB", "imbalance no-LB"],
+        &["workers", "fish", "tput LB", "tput no-LB", "imbalance LB", "imbalance no-LB", "repartitions LB"],
         &rows
             .iter()
             .map(|r| {
                 vec![
                     r.workers.to_string(),
-                    r.agents.to_string(),
-                    tput(r.tput_lb),
-                    tput(r.tput_nolb),
-                    format!("{:.2}", r.final_imbalance_lb),
-                    format!("{:.2}", r.final_imbalance_nolb),
+                    r.fish.to_string(),
+                    tput(r.lb.throughput),
+                    tput(r.nolb.throughput),
+                    format!("{:.2}", r.lb.final_imbalance),
+                    format!("{:.2}", r.nolb.final_imbalance),
+                    r.lb.repartitions.to_string(),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -178,34 +204,38 @@ fn run_fig7(scale: Scale) {
     if let Some(last) = rows.last() {
         println!(
             "shape: at {} workers LB/no-LB throughput ratio {:.2}x; final agent imbalance {:.2} (LB) vs {:.2} (no-LB) \
-             (paper: no-LB collapses onto two nodes as the schools separate)",
+             (paper: without LB the load falls to zero everywhere but where the school went; \
+             here the school drifts onto one border partition)",
             last.workers,
-            last.tput_lb / last.tput_nolb,
-            last.final_imbalance_lb,
-            last.final_imbalance_nolb
+            last.lb.throughput / last.nolb.throughput,
+            last.lb.final_imbalance,
+            last.nolb.final_imbalance
         );
     }
 }
 
 fn run_fig8(scale: Scale) {
-    let series = fig8(scale);
-    let rows: Vec<Vec<String>> = series
-        .epoch_secs_lb
-        .iter()
-        .zip(&series.epoch_secs_nolb)
-        .enumerate()
-        .map(|(i, (lb, nolb))| vec![i.to_string(), secs(*lb), secs(*nolb)])
+    let DriftPair { lb, nolb, .. } = fig8(scale);
+    let rows: Vec<Vec<String>> = (0..lb.epoch_secs.len())
+        .map(|i| {
+            let share = |r: &DriftRun| format!("{:.2}", r.busiest_share[i]);
+            vec![i.to_string(), secs(lb.epoch_secs[i]), secs(nolb.epoch_secs[i]), share(&lb), share(&nolb)]
+        })
         .collect();
-    print_table("Figure 8 — fish: per-epoch time over epochs", &["epoch", "LB[s]", "no-LB[s]"], &rows);
+    print_table(
+        "Figure 8 — fish: per-epoch time and busiest worker's share of agents",
+        &["epoch", "LB[s]", "no-LB[s]", "busiest LB", "busiest no-LB"],
+        &rows,
+    );
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
-    let half = series.epoch_secs_nolb.len() / 2;
+    let half = lb.epoch_secs.len() / 2;
+    let halves = |xs: &[f64]| (mean(&xs[..half]), mean(&xs[half..]));
+    let (t_nolb, t_lb) = (halves(&nolb.epoch_secs), halves(&lb.epoch_secs));
+    let (s_nolb, s_lb) = (halves(&nolb.busiest_share), halves(&lb.busiest_share));
     println!(
-        "shape: no-LB epoch time mean {:.3}s (first half) -> {:.3}s (second half), LB {:.3}s -> {:.3}s \
-         (paper: LB flat, no-LB grows)",
-        mean(&series.epoch_secs_nolb[..half]),
-        mean(&series.epoch_secs_nolb[half..]),
-        mean(&series.epoch_secs_lb[..half]),
-        mean(&series.epoch_secs_lb[half..]),
+        "shape: mean epoch time, first half -> second half: no-LB {:.3}s -> {:.3}s, LB {:.3}s -> {:.3}s; \
+         busiest worker's share: no-LB {:.2} -> {:.2}, LB {:.2} -> {:.2} (paper: LB flat, no-LB grows)",
+        t_nolb.0, t_nolb.1, t_lb.0, t_lb.1, s_nolb.0, s_nolb.1, s_lb.0, s_lb.1,
     );
 }
 

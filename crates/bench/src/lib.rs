@@ -3,17 +3,21 @@
 //! Each `figN`/`tableN` function runs the corresponding experiment and
 //! returns typed rows; the `paper` binary prints them. Absolute numbers are
 //! machine-dependent — the *shape* (who wins, growth orders, crossovers)
-//! is what reproduces the paper; each experiment's expected shape is
-//! documented on its function and asserted in `tests/paper_shapes.rs`.
-//! Performance is measured by `perfbench`, not here.
+//! is what reproduces the paper. Each experiment's expected shape is
+//! documented on its function, and `tests/paper_shapes.rs` asserts it: one
+//! named test per section the binary prints calls the same runner at
+//! [`Scale::Small`], so `paper --scale small` prints exactly what the tests
+//! check (in the same build profile). Performance is measured by
+//! `perfbench`, not here.
 
 pub mod experiments;
 pub mod table;
 
 pub use experiments::*;
 
-/// Scale presets: `Small` finishes in seconds per experiment (CI-friendly);
-/// `Paper` approaches the paper's problem sizes (minutes).
+/// Scale presets: `Small` is the miniature `tests/paper_shapes.rs` asserts,
+/// seconds per experiment; `Paper` approaches the paper's problem sizes
+/// (minutes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     Small,
@@ -24,7 +28,7 @@ impl Scale {
     pub fn parse(s: &str) -> Option<Scale> {
         match s {
             "small" => Some(Scale::Small),
-            "paper" | "full" => Some(Scale::Paper),
+            "paper" => Some(Scale::Paper),
             _ => None,
         }
     }

@@ -31,6 +31,11 @@ pub fn secs(s: f64) -> String {
     format!("{s:.3}")
 }
 
+/// Format seconds as milliseconds with 3 decimals.
+pub fn ms(s: f64) -> String {
+    format!("{:.3}", s * 1e3)
+}
+
 /// Format a throughput in agent-ticks/second.
 pub fn tput(t: f64) -> String {
     if t >= 1e6 {

@@ -661,7 +661,8 @@ fn query_shard<B: Behavior>(plan: &QueryPlan<'_, B>, slice: &[ProbeKey], shard: 
             }
         }));
         block.clear();
-        match plan.probe {
+        // A group counts in `groups` only when its block is built.
+        let built = match plan.probe {
             Probe::Join => {
                 let union =
                     rects.iter().filter(|rect| !rect.is_empty()).fold(Rect::EMPTY, |union, rect| union.union(rect));
@@ -681,19 +682,24 @@ fn query_shard<B: Behavior>(plan: &QueryPlan<'_, B>, slice: &[ProbeKey], shard: 
                     block_ys.clear();
                     block_ys.extend(block.iter().map(|&r| view.ys[r as usize]));
                 }
+                !union.is_empty()
             }
             Probe::Scan => {
-                if !rects[0].is_empty() {
+                let reader = !rects[0].is_empty();
+                if reader {
                     filter_rect(plan.xs, plan.ys, plan.by_id, &rects[0], block);
                 }
+                reader
             }
             Probe::Everyone => {
-                if rects.iter().any(|rect| !rect.is_empty()) {
+                let reader = rects.iter().any(|rect| !rect.is_empty());
+                if reader {
                     block.extend_from_slice(plan.by_id);
                 }
+                reader
             }
-        }
-        groups += 1;
+        };
+        groups += built as u64;
         block_rows += block.len() as u64;
         for (key, rect) in group.iter().zip(rects.iter()) {
             let row = key.row;
@@ -1405,11 +1411,15 @@ mod tests {
                     let mut scratch = TickScratch::new();
                     let stats = query_phase_sharded(&b, &mut sharded, n, kind, 4, 9, &mut scratch, 64, 2);
                     replay_effects(&mut sharded, &scratch, &mut []);
-                    let blocks: u64 = scratch.shards[..shard_count(n, 64)].iter().map(|s| s.block_rows).sum();
+                    let shards = &scratch.shards[..shard_count(n, 64)];
+                    let blocks: u64 = shards.iter().map(|s| s.block_rows).sum();
+                    let groups: u64 = shards.iter().map(|s| s.groups).sum();
                     assert_eq!(stats.neighbor_visits, read, "{case}");
                     assert!(full.neighbor_visits > read, "{case}: the oracle reads every neighbourhood");
                     if readers == 0 {
-                        assert_eq!((stats.neighbor_visits, blocks), (0, 0), "{case}");
+                        assert_eq!((stats.neighbor_visits, blocks, groups), (0, 0, 0), "{case}");
+                    } else {
+                        assert!(groups > 0, "{case}: a reader's group builds its block");
                     }
                     assert_eq!(stats.nonlocal_writes, full.nonlocal_writes, "{case}");
                     for r in 0..n as u32 {

@@ -35,8 +35,8 @@ use brace_core::Agent;
 use brace_telemetry::{Counter as TelCounter, HistId};
 use crossbeam::channel::{Receiver, Sender};
 
-/// Run-level statistics kept by the master (see also
-/// `NetStats` (merged in by the facade).
+/// Run-level statistics kept by the master (see also `NetStats`, merged in
+/// by the facade).
 #[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
     /// Live (non-replay) epochs completed.
@@ -216,6 +216,7 @@ impl Master {
         self.store.log_command(cmd.clone());
         self.epoch += 1;
         self.tick += cmd.ticks;
+        self.stats.ticks += cmd.ticks;
         self.account(&reports);
         self.decide(&reports, cmd.hist_range);
         // Completion carries the post-decide state (histogram range,

@@ -37,7 +37,7 @@
 //! | `brace_checkpoint_write_ns` | histogram | cluster master: checkpoint store |
 //! | `brace_serve_run_latency_ns` | histogram | serve: accepted-run wall time |
 //! | `brace_executor_ticks_total` … | counter | executor per-tick counters |
-//! | `brace_executor_probe_groups_total`, `brace_executor_block_candidates_total` | counter | query phase (executor and cluster workers): candidate blocks built and the rows in them — agent-ticks ÷ groups is the members one block serves |
+//! | `brace_executor_probe_groups_total`, `brace_executor_block_candidates_total` | counter | query phase (executor and cluster workers): candidate blocks built (a probe group whose members all read no neighbour builds none) and the rows in them — reading agent-ticks ÷ groups is the readers one block serves |
 //! | `brace_executor_effect_log_entries_total` | counter | query phase (executor and cluster workers): writes to remote effect fields, logged for replay in source-id order (0 for local-effect schemas; a local-only field's writes fold in place) |
 //! | `brace_executor_tile_directory_ticks_total` | counter | query phase (executor and cluster workers): join ticks whose window rows were read off the probe order's tile directory (the occupied tile box was dense); the rest galloped |
 //! | `brace_net_*_bytes_total` | counter | cluster `NetLedger`, per traffic class |
@@ -81,7 +81,7 @@ const COUNTER_NAMES: &[(&str, &str)] = &[
     ("brace_executor_nonlocal_writes_total", "Non-local effect writes performed in query phases"),
     ("brace_executor_spawned_total", "Agents spawned by update phases"),
     ("brace_executor_killed_total", "Agents killed by update phases"),
-    ("brace_executor_probe_groups_total", "Probe groups (one candidate block each) answered by query phases"),
+    ("brace_executor_probe_groups_total", "Candidate blocks built by query phases (probe groups with a reader)"),
     ("brace_executor_block_candidates_total", "Candidate rows in the blocks of all probe groups"),
     ("brace_executor_effect_log_entries_total", "Writes to remote effect fields logged for ordered replay"),
     ("brace_executor_tile_directory_ticks_total", "Join query phases whose windows were read off a tile directory"),

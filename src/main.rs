@@ -39,8 +39,9 @@
 //! runs trace at epoch grain with `tick`/`agents` only (per-worker phase
 //! accounting is aggregated, not per tick). Each run then adds one summary
 //! line with its query-phase amortisation from the telemetry registry:
-//! `probe_groups` (candidate blocks built), `block_candidates` (rows in
-//! those blocks) — agent-ticks ÷ groups is the members one block served — and
+//! `probe_groups` (candidate blocks built; a group whose members all read
+//! no neighbour builds none), `block_candidates` (rows in those blocks) —
+//! reading agent-ticks ÷ groups is the readers one block served — and
 //! `effect_log_entries` (writes to remote effect fields, logged for ordered
 //! replay; 0 for local-effect schemas) and `tile_directory_ticks` (query
 //! phases whose join windows were read off the probe order's tile
