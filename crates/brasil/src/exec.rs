@@ -26,11 +26,11 @@ use crate::ast::{self, BinOp, Expr, Stmt};
 use crate::plan::{AgentRef, Axis, Builtin, PExpr, PStmt, ProbeBounds, QueryPlan, UpdateRule, UpdateTarget};
 use crate::reference::ReferenceBehavior;
 use crate::vm::Program;
-use brace_common::{BraceError, DetRng, Rect, Result, Vec2};
+use brace_common::{AgentId, BraceError, DetRng, Rect, Result, Vec2};
 use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::effect::EffectWriter;
 use brace_core::schema::SchemaBuilder;
-use brace_core::{Agent, AgentRef as RowRef, AgentSchema, Combinator};
+use brace_core::{Agent, AgentRef as RowRef, AgentSchema, Combinator, UpdateChunk};
 use std::collections::HashMap;
 
 /// A fully compiled agent class.
@@ -303,7 +303,20 @@ impl Behavior for BrasilBehavior {
     }
 
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
-        self.program.update(me, &mut ctx.rng);
+        self.program.update(me, &ctx.rng);
+    }
+
+    /// The register program over a lane of agents per pass, read straight
+    /// off the chunk's columns (a script never kills or spawns).
+    fn update_rows(
+        &self,
+        chunk: &mut UpdateChunk<'_>,
+        _tick: u64,
+        root: &DetRng,
+        _spawns: &mut Vec<(Vec2, Vec<f64>)>,
+        _parents: &mut Vec<AgentId>,
+    ) {
+        self.program.update_rows(chunk, root, self.schema().reachability());
     }
 }
 

@@ -173,7 +173,7 @@ pub fn class(c: &CompiledClass) -> String {
     let _ = writeln!(
         out,
         "register-program: query {} op(s) per agent ({} hoisted out of the loop) + {} per chunk of {} candidate(s){}, \
-         {} register(s); update {} op(s), {} register(s)",
+         {} register(s); update {} op(s) {}, {} register(s)",
         p.agent_ops,
         p.hoisted_ops,
         p.candidate_ops,
@@ -181,6 +181,11 @@ pub fn class(c: &CompiledClass) -> String {
         if p.ordered_body { " (the body draws)" } else { "" },
         p.query_registers,
         p.update_ops,
+        if p.update_lanes == 1 {
+            "over 1 agent per pass (a guarded draw)".to_string()
+        } else {
+            format!("over {} agents per pass", p.update_lanes)
+        },
         p.update_registers,
     );
     out
@@ -239,6 +244,14 @@ mod tests {
                 .contains("register-program: query 2 op(s) per agent (1 hoisted out of the loop) + 3 per chunk of 4"),
             "{rendered}"
         );
+        assert!(rendered.contains("update 4 op(s) over 8 agents per pass, "), "{rendered}");
+    }
+
+    #[test]
+    fn a_guarded_update_draw_renders_one_agent_per_pass() {
+        let guarded = SRC.replace("vx * 0.5;", "vx * 0.5 + (vx > 1 && rand() < 0.5);");
+        let rendered = class(&compile_src(&guarded));
+        assert!(rendered.contains("over 1 agent per pass (a guarded draw), "), "{rendered}");
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! after the loop, the `foreach` body, and the update rules — into one flat
 //! [`Program`] of fixed-size register ops, value-numbered, with every op that
 //! does not depend on the loop candidate hoisted out of the per-candidate
-//! section. One evaluator runs it, driven only through `Behavior::query` and
-//! `Behavior::update`: the per-candidate section runs [`LANES`] candidates
-//! per chunk over registers of `LANES` lanes filled from the member's
-//! candidate rows, everything else runs the same ops at chunk length 1 (lane
-//! 0). The tree walker in [`reference`](mod@crate::reference) is the
+//! section. One evaluator runs it, driven through `Behavior::query` and
+//! `Behavior::update_rows`: the per-candidate section runs [`LANES`]
+//! candidates per chunk over registers of `LANES` lanes filled from the
+//! member's candidate rows; the update rules run [`UPDATE_LANES`] agents per
+//! pass — the update is the map side of the tick, a pure function of each
+//! agent — every lane reading its own row straight off the pool chunk's
+//! columns; everything else runs the same ops at chunk length 1 (lane 0).
+//! The tree walker in [`reference`](mod@crate::reference) is the
 //! specification; this module is bit-identical to it by construction, and
 //! `brasil_vm_equals_reference` (`tests/properties.rs`) holds it to that.
 //!
@@ -36,9 +39,14 @@
 //!   before the statement, branches not taken skipped, and an operand that
 //!   draws is guarded by what the walker tests before evaluating it (a NIL
 //!   earlier operand, the left side of `&&`/`||`). Agent-level statements
-//!   and update rules always run that way.
+//!   always run that way. Update rules draw from each agent's own stream,
+//!   in rule order, so a lane of agents draws what each would alone — but
+//!   a guard tests lane 0 only, so an update program with a guarded draw
+//!   runs one agent per pass. [`lower`] decides it from the program.
 //! * **Update rules** read the pre-update agent, keep their results in
-//!   registers and commit together; a NIL or NaN result leaves its field.
+//!   registers and commit together; a NIL or NaN result leaves its field,
+//!   and the move is cropped by the rule every update obeys
+//!   (`UpdateChunk::move_to`).
 //!
 //! ## One arithmetic table
 //!
@@ -48,16 +56,17 @@
 //! folding calls the same three functions, so fold time and run time cannot
 //! diverge.
 //!
-//! No call allocates: the register file is a per-thread scratch sized by the
-//! largest program the thread has run, so there is no size limit either.
+//! No call allocates: the register files (one per phase width) are per-thread
+//! scratch sized by the largest program the thread has run, so there is no
+//! size limit either.
 
 use crate::ast::{BinOp, UnOp};
 use crate::exec::CompiledClass;
 use crate::plan::{Axis, Builtin, PExpr, PStmt, UpdateTarget};
-use brace_common::{DetRng, FieldId};
+use brace_common::{AgentId, DetRng, FieldId, Vec2};
 use brace_core::behavior::Neighbors;
 use brace_core::effect::EffectWriter;
-use brace_core::{Agent, AgentRead, AgentRef as RowRef, AgentSchema, Combinator};
+use brace_core::{Agent, AgentRead, AgentRef as RowRef, AgentSchema, Combinator, UpdateChunk};
 use std::cell::RefCell;
 
 /// Candidates per chunk: the lane width of the engine's kernels,
@@ -66,6 +75,14 @@ use std::cell::RefCell;
 /// would rewrite `perfbench/Cargo.lock`, which a change that claims a gain
 /// must leave byte-identical.
 pub const LANES: usize = 4;
+
+/// Agents per update pass: an update program without a guard runs its ops
+/// over this many agents at a time, each lane reading its own row. Eight
+/// measured faster than four (`LANES`) on both shipped update programs.
+pub const UPDATE_LANES: usize = 8;
+
+// A register's NIL bits are one `u8`.
+const _: () = assert!(LANES <= 8 && UPDATE_LANES <= 8);
 
 // ---------------------------------------------------------------------------
 // The arithmetic table
@@ -126,12 +143,13 @@ pub fn binop(op: BinOp, l: f64, r: f64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Code {
     /// The agent's own position / state slot `a` / (update phase) final
-    /// effect `a`. Chunk length 1 only: in a body they are loop-invariant.
+    /// effect `a`: the same in every lane of a query (in a body they are
+    /// loop-invariant), each lane's own agent's in an update pass.
     SelfX,
     SelfY,
     SelfState,
     SelfEffect,
-    /// One draw from the agent's stream. Never value-numbered.
+    /// One draw from each lane's agent's stream. Never value-numbered.
     Rand,
     /// Read of the locally aggregated effect held in register `a`, which
     /// emission keeps combining into. Never value-numbered.
@@ -161,7 +179,8 @@ enum Code {
     Max,
     /// Every other builtin, one library call per candidate.
     Call(Builtin),
-    /// Guards, in ordered sections only (chunk length 1), before an operand
+    /// Guards, run at chunk length 1 only (an ordered body, the agent level
+    /// of a query, a guarded update program), before an operand
     /// that draws: when the walker would not evaluate it, settle `dst` and
     /// skip the next `b` ops. `NilGuard`: `a` NIL ⇒ `dst` NIL. `AndGuard` /
     /// `OrGuard`: also `a == 0` ⇒ 0 / `a != 0` ⇒ 1.
@@ -274,6 +293,11 @@ pub struct Program {
     update_regs: Registers,
     update: Vec<Op>,
     commits: Vec<(UpdateTarget, u32)>,
+    /// Agents per update pass: [`UPDATE_LANES`], or 1 when a guard settles
+    /// a draw (guards test lane 0 alone).
+    update_lanes: usize,
+    /// The update program draws: each lane derives its agent's stream.
+    update_draws: bool,
 }
 
 /// What `brace compile` prints about a program.
@@ -286,6 +310,9 @@ pub struct Summary {
     /// Query ops run per chunk of candidates.
     pub candidate_ops: usize,
     pub update_ops: usize,
+    /// Agents each update op runs over: [`UPDATE_LANES`], or 1 for a
+    /// program with a guarded draw.
+    pub update_lanes: usize,
     pub query_registers: usize,
     pub update_registers: usize,
     /// A body draws (or reads an effect): it runs at chunk length 1.
@@ -299,6 +326,7 @@ impl Program {
             hoisted_ops: self.hoisted,
             candidate_ops: self.bodies.iter().map(|b| b.code.ops.len()).sum(),
             update_ops: self.update.len(),
+            update_lanes: self.update_lanes,
             query_registers: self.query_regs.count,
             update_registers: self.update_regs.count,
             ordered_body: self.bodies.iter().any(|b| b.ordered),
@@ -712,12 +740,15 @@ pub fn lower(class: &CompiledClass) -> Program {
 
     let mut u = Lower::new(class, true);
     let commits = class.updates.iter().map(|rule| (rule.target, u.expr(&rule.expr))).collect();
+    let guarded = u.outer.ops.iter().any(|o| matches!(o.code, Code::NilGuard | Code::AndGuard | Code::OrGuard));
     Program {
         query_regs: q.registers(),
         query: q.outer,
         bodies: q.bodies,
         hoisted: q.hoisted,
         update_regs: u.registers(),
+        update_lanes: if guarded { 1 } else { UPDATE_LANES },
+        update_draws: u.outer.ops.iter().any(|o| o.code == Code::Rand),
         update: u.outer.ops,
         commits,
     }
@@ -729,26 +760,27 @@ pub fn lower(class: &CompiledClass) -> Program {
 
 type Lanes = [f64; LANES];
 
-/// The per-thread register file: value lanes and one NIL bit per lane.
+/// A per-thread register file of `N` lanes: values and one NIL bit per lane.
 #[derive(Default)]
-struct RegFile {
-    vals: Vec<Lanes>,
+struct RegFile<const N: usize> {
+    vals: Vec<[f64; N]>,
     nil: Vec<u8>,
 }
 
 thread_local! {
     /// Not reentrant: a program never runs another program.
-    static REGFILE: RefCell<RegFile> = RefCell::default();
+    static REGFILE: RefCell<RegFile<LANES>> = RefCell::default();
+    static UPDATE_REGFILE: RefCell<RegFile<UPDATE_LANES>> = RefCell::default();
 }
 
-impl RegFile {
+impl<const N: usize> RegFile<N> {
     /// The first `regs.count` registers: NIL bits cleared (where the phase
     /// tracks them), presets written to every lane, everything else stale (an
     /// op writes before anything reads).
     #[inline]
-    fn enter(&mut self, regs: &Registers) -> (&mut [Lanes], &mut [u8]) {
+    fn enter(&mut self, regs: &Registers) -> (&mut [[f64; N]], &mut [u8]) {
         if self.vals.len() < regs.count {
-            self.vals.resize(regs.count, [0.0; LANES]);
+            self.vals.resize(regs.count, [0.0; N]);
             self.nil.resize(regs.count, 0);
         }
         let (vals, nil) = (&mut self.vals[..regs.count], &mut self.nil[..regs.count]);
@@ -756,15 +788,175 @@ impl RegFile {
             nil.fill(0);
         }
         for &(r, v) in &regs.presets {
-            vals[r as usize] = [v; LANES];
+            vals[r as usize] = [v; N];
         }
         (vals, nil)
     }
 }
 
+/// What a pass's `Self*` and `Rand` ops read: the agents its lanes stand for.
+trait Own<const N: usize> {
+    fn x(&self, out: &mut [f64; N]);
+    fn y(&self, out: &mut [f64; N]);
+    fn state(&self, slot: u16, out: &mut [f64; N]);
+    fn effect(&self, slot: u16, out: &mut [f64; N]);
+    fn draw(&mut self, out: &mut [f64; N]);
+}
+
+/// A query's one agent, in every lane; its draws land in lane 0 (draws run
+/// at chunk length 1).
+struct Querier<'a, M> {
+    me: &'a M,
+    rng: &'a mut DetRng,
+}
+
+impl<M: AgentRead, const N: usize> Own<N> for Querier<'_, M> {
+    #[inline(always)]
+    fn x(&self, out: &mut [f64; N]) {
+        *out = [self.me.pos().x; N];
+    }
+    #[inline(always)]
+    fn y(&self, out: &mut [f64; N]) {
+        *out = [self.me.pos().y; N];
+    }
+    #[inline(always)]
+    fn state(&self, slot: u16, out: &mut [f64; N]) {
+        *out = [self.me.state(slot); N];
+    }
+    fn effect(&self, _: u16, _: &mut [f64; N]) {
+        unreachable!("a query reads its effects through `Copy`")
+    }
+    #[inline(always)]
+    fn draw(&mut self, out: &mut [f64; N]) {
+        out[0] = self.rng.unit();
+    }
+}
+
+/// The rows an update pass reads and commits: a pool chunk's columns, or one
+/// row record (a one-row column each).
+trait Rows {
+    fn ids(&self) -> &[AgentId];
+    fn xs(&self) -> &[f64];
+    fn ys(&self) -> &[f64];
+    fn state(&self, slot: u16) -> &[f64];
+    fn effect(&self, slot: u16) -> &[f64];
+    fn state_mut(&mut self, slot: u16) -> &mut [f64];
+    /// Row `i`'s next position.
+    fn move_to(&mut self, i: usize, to: Vec2);
+}
+
+/// A chunk moves its rows under the reachability crop, as the default
+/// `Behavior::update_rows` does.
+struct Columns<'c, 'p> {
+    chunk: &'c mut UpdateChunk<'p>,
+    reach: f64,
+}
+
+impl Rows for Columns<'_, '_> {
+    #[inline(always)]
+    fn ids(&self) -> &[AgentId] {
+        self.chunk.ids()
+    }
+    #[inline(always)]
+    fn xs(&self) -> &[f64] {
+        self.chunk.xs()
+    }
+    #[inline(always)]
+    fn ys(&self) -> &[f64] {
+        self.chunk.ys()
+    }
+    #[inline(always)]
+    fn state(&self, slot: u16) -> &[f64] {
+        self.chunk.state(slot)
+    }
+    #[inline(always)]
+    fn effect(&self, slot: u16) -> &[f64] {
+        self.chunk.effect(slot)
+    }
+    #[inline(always)]
+    fn state_mut(&mut self, slot: u16) -> &mut [f64] {
+        self.chunk.state_mut(slot)
+    }
+    #[inline(always)]
+    fn move_to(&mut self, i: usize, to: Vec2) {
+        self.chunk.move_to(i, to, self.reach);
+    }
+}
+
+/// A row record moves uncropped: `Behavior::update`'s caller crops.
+impl Rows for Agent {
+    fn ids(&self) -> &[AgentId] {
+        std::slice::from_ref(&self.id)
+    }
+    fn xs(&self) -> &[f64] {
+        std::slice::from_ref(&self.pos.x)
+    }
+    fn ys(&self) -> &[f64] {
+        std::slice::from_ref(&self.pos.y)
+    }
+    fn state(&self, slot: u16) -> &[f64] {
+        std::slice::from_ref(&self.state[slot as usize])
+    }
+    fn effect(&self, slot: u16) -> &[f64] {
+        std::slice::from_ref(&self.effects[slot as usize])
+    }
+    fn state_mut(&mut self, slot: u16) -> &mut [f64] {
+        std::slice::from_mut(&mut self.state[slot as usize])
+    }
+    fn move_to(&mut self, _: usize, to: Vec2) {
+        self.pos = to;
+    }
+}
+
+/// One update pass: rows `at..at + n`, row `at + l` in lane `l`, drawing from
+/// its own stream.
+struct Pass<'a, R> {
+    rows: &'a R,
+    at: usize,
+    n: usize,
+    rngs: &'a mut [DetRng],
+}
+
+impl<R: Rows> Pass<'_, R> {
+    /// Lanes `..n` of `out` from the pass's rows of `col` (a whole pass is
+    /// one fixed-size copy).
+    #[inline(always)]
+    fn read<const N: usize>(&self, col: &[f64], out: &mut [f64; N]) {
+        match col.get(self.at..self.at + N) {
+            Some(full) if self.n == N => out.copy_from_slice(full),
+            _ => out[..self.n].copy_from_slice(&col[self.at..self.at + self.n]),
+        }
+    }
+}
+
+impl<R: Rows, const N: usize> Own<N> for Pass<'_, R> {
+    #[inline(always)]
+    fn x(&self, out: &mut [f64; N]) {
+        self.read(self.rows.xs(), out);
+    }
+    #[inline(always)]
+    fn y(&self, out: &mut [f64; N]) {
+        self.read(self.rows.ys(), out);
+    }
+    #[inline(always)]
+    fn state(&self, slot: u16, out: &mut [f64; N]) {
+        self.read(self.rows.state(slot), out);
+    }
+    #[inline(always)]
+    fn effect(&self, slot: u16, out: &mut [f64; N]) {
+        self.read(self.rows.effect(slot), out);
+    }
+    #[inline(always)]
+    fn draw(&mut self, out: &mut [f64; N]) {
+        for (v, rng) in out.iter_mut().zip(&mut self.rngs[..self.n]) {
+            *v = rng.unit();
+        }
+    }
+}
+
 /// `dst[l] = f(a[l])` over the first `W` lanes.
 #[inline(always)]
-fn map1<const W: usize>(vals: &mut [Lanes], d: usize, a: usize, f: impl Fn(f64) -> f64) {
+fn map1<const N: usize, const W: usize>(vals: &mut [[f64; N]], d: usize, a: usize, f: impl Fn(f64) -> f64) {
     let x = vals[a];
     let out = &mut vals[d];
     for l in 0..W {
@@ -773,7 +965,13 @@ fn map1<const W: usize>(vals: &mut [Lanes], d: usize, a: usize, f: impl Fn(f64) 
 }
 
 #[inline(always)]
-fn map2<const W: usize>(vals: &mut [Lanes], d: usize, a: usize, b: usize, f: impl Fn(f64, f64) -> f64) {
+fn map2<const N: usize, const W: usize>(
+    vals: &mut [[f64; N]],
+    d: usize,
+    a: usize,
+    b: usize,
+    f: impl Fn(f64, f64) -> f64,
+) {
     let (x, y) = (vals[a], vals[b]);
     let out = &mut vals[d];
     for l in 0..W {
@@ -783,7 +981,7 @@ fn map2<const W: usize>(vals: &mut [Lanes], d: usize, a: usize, b: usize, f: imp
 
 /// Bit `l` set where `test(x[l])`.
 #[inline(always)]
-fn lanes_where<const W: usize>(x: &Lanes, test: impl Fn(f64) -> bool) -> u8 {
+fn lanes_where<const N: usize, const W: usize>(x: &[f64; N], test: impl Fn(f64) -> bool) -> u8 {
     let mut m = 0u8;
     for (l, &v) in x.iter().enumerate().take(W) {
         m |= (test(v) as u8) << l;
@@ -791,20 +989,19 @@ fn lanes_where<const W: usize>(x: &Lanes, test: impl Fn(f64) -> bool) -> u8 {
     m
 }
 
-/// Run `ops` over the first `W` lanes; `n ≤ W` of them hold candidates (the
-/// rest are stale and harmless — no op traps — so only library calls, which
-/// cost real time per lane, stop at `n`). Sources, draws and guards are
-/// chunk-length-1 ops. `NIL`: the phase tracks NIL bits ([`Registers::nil`]);
-/// without it no register is ever NIL and `nil` is not touched.
+/// Run `ops` over the first `W` of `N` lanes; `n ≤ W` of them hold agents or
+/// candidates (the rest are stale and harmless — no op traps — so only
+/// sources, draws and library calls, which cost real time per lane, stop at
+/// `n`). Guards are chunk-length-1 ops. `NIL`: the phase tracks NIL bits
+/// ([`Registers::nil`]); without it no register is ever NIL and `nil` is not
+/// touched.
 #[inline(always)]
-fn run_ops<const W: usize, const NIL: bool, M: AgentRead>(
+fn run_ops<const N: usize, const W: usize, const NIL: bool>(
     ops: &[Op],
     n: usize,
-    vals: &mut [Lanes],
+    vals: &mut [[f64; N]],
     nil: &mut [u8],
-    me: &M,
-    effects: &[f64],
-    rng: &mut DetRng,
+    own: &mut impl Own<N>,
 ) {
     let mut pc = 0;
     while pc < ops.len() {
@@ -814,29 +1011,29 @@ fn run_ops<const W: usize, const NIL: bool, M: AgentRead>(
         // `dst = f(a)` / `f(a, b)` lane by lane, NIL where an operand is.
         macro_rules! lanes {
             (|$x:ident| $f:expr) => {{
-                map1::<W>(vals, d, a, |$x| $f);
+                map1::<N, W>(vals, d, a, |$x| $f);
                 if NIL {
                     nil[d] = nil[a];
                 }
             }};
             (|$x:ident, $y:ident| $f:expr) => {{
-                map2::<W>(vals, d, a, b, |$x, $y| $f);
+                map2::<N, W>(vals, d, a, b, |$x, $y| $f);
                 if NIL {
                     nil[d] = nil[a] | nil[b];
                 }
             }};
         }
         match code {
-            Code::SelfX => vals[d] = [me.pos().x; LANES],
-            Code::SelfY => vals[d] = [me.pos().y; LANES],
-            Code::SelfState => vals[d] = [me.state(a as u16); LANES],
-            Code::SelfEffect => vals[d] = [effects[a]; LANES],
-            Code::Rand => vals[d][0] = rng.unit(),
+            Code::SelfX => own.x(&mut vals[d]),
+            Code::SelfY => own.y(&mut vals[d]),
+            Code::SelfState => own.state(a as u16, &mut vals[d]),
+            Code::SelfEffect => own.effect(a as u16, &mut vals[d]),
+            Code::Rand => own.draw(&mut vals[d]),
             Code::Copy => vals[d][0] = vals[a][0],
             Code::Coerce => {
                 debug_assert!(NIL, "a program with a binding that coerces tracks NIL");
-                map1::<W>(vals, d, a, |x| x);
-                nil[d] = nil[a] | lanes_where::<W>(&vals[a], f64::is_nan);
+                map1::<N, W>(vals, d, a, |x| x);
+                nil[d] = nil[a] | lanes_where::<N, W>(&vals[a], f64::is_nan);
             }
             Code::Neg => lanes!(|x| unop(UnOp::Neg, x)),
             Code::Not => lanes!(|x| unop(UnOp::Not, x)),
@@ -853,15 +1050,17 @@ fn run_ops<const W: usize, const NIL: bool, M: AgentRead>(
             Code::Ne => lanes!(|x, y| binop(BinOp::Ne, x, y)),
             // Where `a` decides, `b` is unevaluated: its NIL does not count.
             Code::And => {
-                map2::<W>(vals, d, a, b, |x, y| binop(BinOp::And, x, y));
+                map2::<N, W>(vals, d, a, b, |x, y| binop(BinOp::And, x, y));
                 if NIL {
-                    nil[d] = nil[a] | if nil[b] == 0 { 0 } else { nil[b] & lanes_where::<W>(&vals[a], |x| x != 0.0) };
+                    nil[d] =
+                        nil[a] | if nil[b] == 0 { 0 } else { nil[b] & lanes_where::<N, W>(&vals[a], |x| x != 0.0) };
                 }
             }
             Code::Or => {
-                map2::<W>(vals, d, a, b, |x, y| binop(BinOp::Or, x, y));
+                map2::<N, W>(vals, d, a, b, |x, y| binop(BinOp::Or, x, y));
                 if NIL {
-                    nil[d] = nil[a] | if nil[b] == 0 { 0 } else { nil[b] & lanes_where::<W>(&vals[a], |x| x == 0.0) };
+                    nil[d] =
+                        nil[a] | if nil[b] == 0 { 0 } else { nil[b] & lanes_where::<N, W>(&vals[a], |x| x == 0.0) };
                 }
             }
             Code::Abs => lanes!(|x| Builtin::Abs.apply(&[x])),
@@ -928,7 +1127,7 @@ impl Query<'_, '_, '_> {
             i += 1;
             if ORDERED {
                 let ops = &section.ops[pc..ops_end as usize];
-                run_ops::<1, NIL, _>(ops, 1, self.vals, self.nil, self.me, &[], self.rng);
+                run_ops::<LANES, 1, NIL>(ops, 1, self.vals, self.nil, &mut Querier { me: self.me, rng: self.rng });
                 pc = ops_end as usize;
             }
             let is_nil = |nil: &[u8], r: u32| NIL && nil[r as usize] & bit != 0;
@@ -1006,7 +1205,8 @@ impl Query<'_, '_, '_> {
             if W == 1 {
                 self.walk::<true, NIL>(&body.code, 0);
             } else {
-                run_ops::<W, NIL, _>(&body.code.ops, n, self.vals, self.nil, self.me, &[], self.rng);
+                let me = &mut Querier { me: self.me, rng: self.rng };
+                run_ops::<LANES, W, NIL>(&body.code.ops, n, self.vals, self.nil, me);
                 for lane in 0..n {
                     self.walk::<false, NIL>(&body.code, lane);
                 }
@@ -1032,28 +1232,73 @@ impl Program {
         });
     }
 
-    /// The update phase of one agent.
-    pub fn update(&self, me: &mut Agent, rng: &mut DetRng) {
-        REGFILE.with_borrow_mut(|file| {
+    /// The update phase of a chunk of pool rows, straight off its columns:
+    /// [`Summary::update_lanes`] agents per pass, each drawing from
+    /// `root.stream(id)`, each move cropped to `reach` — where the default
+    /// `Behavior::update_rows` leaves every row.
+    pub fn update_rows(&self, chunk: &mut UpdateChunk<'_>, root: &DetRng, reach: f64) {
+        self.run_update(&mut Columns { chunk, reach }, |id| root.stream(id.raw()));
+    }
+
+    /// The update phase of one row record, drawing from `rng` (the same
+    /// evaluator at one lane; the caller crops the move).
+    pub fn update(&self, me: &mut Agent, rng: &DetRng) {
+        self.run_update(me, |_| rng.clone());
+    }
+
+    fn run_update<R: Rows>(&self, rows: &mut R, stream: impl Fn(AgentId) -> DetRng) {
+        UPDATE_REGFILE.with_borrow_mut(|file| {
             let (vals, nil) = file.enter(&self.update_regs);
-            let tracked = self.update_regs.nil;
-            if tracked {
-                run_ops::<1, true, _>(&self.update, 1, vals, nil, &*me, &me.effects, rng);
-            } else {
-                run_ops::<1, false, _>(&self.update, 1, vals, nil, &*me, &me.effects, rng);
-            }
-            for &(target, r) in &self.commits {
-                let v = vals[r as usize][0];
-                if (tracked && nil[r as usize] & 1 != 0) || v.is_nan() {
-                    continue;
-                }
-                match target {
-                    UpdateTarget::PosX => me.pos.x = v,
-                    UpdateTarget::PosY => me.pos.y = v,
-                    UpdateTarget::State(i) => me.state[i as usize] = v,
-                }
+            match (self.update_lanes, self.update_regs.nil) {
+                (1, false) => self.passes::<1, false, R>(rows, vals, nil, stream),
+                (1, true) => self.passes::<1, true, R>(rows, vals, nil, stream),
+                (_, false) => self.passes::<UPDATE_LANES, false, R>(rows, vals, nil, stream),
+                (_, true) => self.passes::<UPDATE_LANES, true, R>(rows, vals, nil, stream),
             }
         });
+    }
+
+    /// Every row of `rows`, `W` per pass: the ops over the pass's lanes, then
+    /// each lane's non-NIL, non-NaN results committed together (every rule
+    /// read the pre-update row), the position through [`Rows::move_to`].
+    fn passes<const W: usize, const NIL: bool, R: Rows>(
+        &self,
+        rows: &mut R,
+        vals: &mut [[f64; UPDATE_LANES]],
+        nil: &mut [u8],
+        stream: impl Fn(AgentId) -> DetRng,
+    ) {
+        let len = rows.ids().len();
+        let mut rngs: [DetRng; W] = std::array::from_fn(|_| DetRng::from_parts(0, 0));
+        for at in (0..len).step_by(W) {
+            let n = W.min(len - at);
+            if self.update_draws {
+                for (rng, &id) in rngs.iter_mut().zip(&rows.ids()[at..at + n]) {
+                    *rng = stream(id);
+                }
+            }
+            let mut pass = Pass { rows: &*rows, at, n, rngs: &mut rngs };
+            run_ops::<UPDATE_LANES, W, NIL>(&self.update, n, vals, nil, &mut pass);
+            let (mut xs, mut ys) = ([0.0; UPDATE_LANES], [0.0; UPDATE_LANES]);
+            pass.read(rows.xs(), &mut xs);
+            pass.read(rows.ys(), &mut ys);
+            for &(target, r) in &self.commits {
+                let (v, undefined) = (&vals[r as usize], if NIL { nil[r as usize] } else { 0 });
+                let field = match target {
+                    UpdateTarget::PosX => &mut xs[..n],
+                    UpdateTarget::PosY => &mut ys[..n],
+                    UpdateTarget::State(k) => &mut rows.state_mut(k)[at..at + n],
+                };
+                for (l, field) in field.iter_mut().enumerate() {
+                    if undefined >> l & 1 == 0 && !v[l].is_nan() {
+                        *field = v[l];
+                    }
+                }
+            }
+            for l in 0..n {
+                rows.move_to(at + l, Vec2::new(xs[l], ys[l]));
+            }
+        }
     }
 }
 
@@ -1063,7 +1308,6 @@ mod tests {
     use crate::exec::BrasilBehavior;
     use crate::optimize::{constant_fold, optimize};
     use crate::plan::{QueryPlan, UpdateRule};
-    use brace_common::{AgentId, Vec2};
     use brace_core::{Behavior, Simulation};
 
     fn compile_src(src: &str) -> CompiledClass {
@@ -1223,9 +1467,11 @@ mod tests {
         let program = lower(&class);
         let mut me = Agent::new(AgentId::new(0), Vec2::ZERO, class.schema());
         me.state[0] = v;
-        REGFILE.with_borrow_mut(|file| {
+        let rngs = &mut [DetRng::seed_from_u64(0)];
+        UPDATE_REGFILE.with_borrow_mut(|file| {
             let (vals, nil) = file.enter(&program.update_regs);
-            run_ops::<1, false, _>(&program.update, 1, vals, nil, &me, &[], &mut DetRng::seed_from_u64(0));
+            let pass = &mut Pass { rows: &me, at: 0, n: 1, rngs };
+            run_ops::<UPDATE_LANES, 1, false>(&program.update, 1, vals, nil, pass);
             vals[program.commits[0].1 as usize][0]
         })
     }

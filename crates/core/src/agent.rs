@@ -23,10 +23,13 @@
 //! ([`AgentPool::from_agents`] / [`AgentPool::to_agents`]): checkpoints
 //! stay byte-compatible, and the executor never materializes row records
 //! in its hot loops. During the query phase behaviors see rows through the
-//! read-only [`AgentRef`] view; the update phase gathers one row at a time
-//! into a reused scratch [`Agent`] (updates are O(fields) per agent and
-//! touch every column anyway, so the gather adds no asymptotic cost while
-//! keeping `Behavior::update`'s `&mut Agent` contract stable).
+//! read-only [`AgentRef`] view; the update phase hands each thread an
+//! [`UpdateChunk`] of rows, which `Behavior::update_rows` by default gathers
+//! one row at a time into a reused scratch [`Agent`] (updates are O(fields)
+//! per agent and touch every column anyway, so the gather adds no
+//! asymptotic cost while keeping `Behavior::update`'s `&mut Agent` contract
+//! stable) and a behavior that works a lane of agents at a time (BRASIL's
+//! register program) reads and writes through the chunk's column accessors.
 
 use crate::effect::EffectTable;
 use crate::schema::AgentSchema;
@@ -647,15 +650,62 @@ impl UpdateChunk<'_> {
         );
     }
 
-    /// Scatter the updated position/state/liveness of local row `i` back
-    /// into the columns (effects are reset wholesale afterwards).
-    pub fn store(&mut self, i: usize, from: &Agent) {
-        self.xs[i] = from.pos.x;
-        self.ys[i] = from.pos.y;
+    /// Scatter the updated state and liveness of local row `i` back into the
+    /// columns, and move it to `from.pos` cropped by [`move_to`](Self::move_to)
+    /// (effects are reset wholesale afterwards).
+    pub fn store(&mut self, i: usize, from: &Agent, reach: f64) {
+        self.move_to(i, from.pos, reach);
         self.alive[i] = from.alive;
         for (col, &v) in self.states.iter_mut().zip(&from.state) {
             col[i] = v;
         }
+    }
+
+    /// Move local row `i` to `to`, cropped to the reachable region of side
+    /// `reach` around where the row stands: the one reachability rule every
+    /// update path applies.
+    #[inline]
+    pub fn move_to(&mut self, i: usize, to: Vec2, reach: f64) {
+        let pos = Agent::clamp_move(Vec2::new(self.xs[i], self.ys[i]), to, reach);
+        debug_assert!(!pos.is_nan(), "model produced NaN position for {}", self.ids[i]);
+        self.xs[i] = pos.x;
+        self.ys[i] = pos.y;
+    }
+
+    /// The chunk's id column.
+    #[inline]
+    pub fn ids(&self) -> &[AgentId] {
+        self.ids
+    }
+
+    /// The chunk's x column.
+    #[inline]
+    pub fn xs(&self) -> &[f64] {
+        self.xs
+    }
+
+    /// The chunk's y column.
+    #[inline]
+    pub fn ys(&self) -> &[f64] {
+        self.ys
+    }
+
+    /// The chunk's column of state slot `slot`.
+    #[inline]
+    pub fn state(&self, slot: u16) -> &[f64] {
+        self.states[slot as usize]
+    }
+
+    /// The chunk's column of state slot `slot`, writable.
+    #[inline]
+    pub fn state_mut(&mut self, slot: u16) -> &mut [f64] {
+        self.states[slot as usize]
+    }
+
+    /// The chunk's rows of effect column `slot`: the tick's aggregates.
+    #[inline]
+    pub fn effect(&self, slot: u16) -> &[f64] {
+        &self.effects.col(FieldId::new(slot))[self.base..self.base + self.len()]
     }
 }
 
@@ -855,7 +905,7 @@ mod tests {
         chunks[1].load(0, &mut scratch);
         assert_eq!(scratch.id, AgentId::new(4));
         scratch.pos.y = 9.0;
-        chunks[1].store(0, &scratch);
+        chunks[1].store(0, &scratch, f64::INFINITY);
         drop(chunks);
         assert_eq!(pool.pos(4), Vec2::new(4.0, 9.0));
     }

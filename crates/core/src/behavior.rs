@@ -13,6 +13,10 @@
 //!   the tick's aggregates; it may read state + effects and write next
 //!   state (including the position, which the executor crops to the
 //!   reachable region). It sees no other agent — also enforced by types.
+//!   The executor reaches it through [`Behavior::update_rows`], one chunk
+//!   of rows at a time, whose default runs `update` row by row; a behavior
+//!   that can update many agents per pass straight off the pool's columns
+//!   (BRASIL's register program) overrides that hook instead.
 //!
 //! Two optional hooks push work out of the query phase's spatial join, and
 //! neither may change a result:
@@ -36,10 +40,10 @@
 //! programming the agent once suffices ("hides all the complexities of
 //! modeling computations in MapReduce").
 
-use crate::agent::{Agent, AgentRef, PoolView};
+use crate::agent::{Agent, AgentRef, PoolView, UpdateChunk};
 use crate::effect::EffectWriter;
 use crate::schema::AgentSchema;
-use brace_common::{DetRng, Rect, Vec2};
+use brace_common::{AgentId, DetRng, Rect, Vec2};
 use std::sync::Arc;
 
 /// A reference to a visible neighbor: the row view (previous-tick state)
@@ -165,10 +169,50 @@ pub trait Behavior: Send + Sync {
     /// `me.pos` (cropped to reachability by the executor), optionally kill
     /// (`me.alive = false`) or spawn (`ctx.spawn`).
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>);
+
+    /// Update phase for one chunk of owned rows — the map side of the tick,
+    /// which the executor calls once per chunk. Row `i`'s update draws from
+    /// `root.stream(id)`; each spawn is queued in `spawns` with its parent's
+    /// id pushed to `parents` (lockstep). The default gathers each row into a
+    /// scratch record, runs [`Behavior::update`] on it, crops the move
+    /// ([`UpdateChunk::move_to`]) and scatters it back. A behavior may
+    /// override it to update many rows per pass straight off the columns
+    /// (BRASIL's register program does); contract: the chunk ends exactly as
+    /// the default leaves it, with the same spawns in the same order.
+    fn update_rows(
+        &self,
+        chunk: &mut UpdateChunk<'_>,
+        tick: u64,
+        root: &DetRng,
+        spawns: &mut Vec<(Vec2, Vec<f64>)>,
+        parents: &mut Vec<AgentId>,
+    ) {
+        let schema = self.schema();
+        let reach = schema.reachability();
+        let mut me = Agent {
+            id: AgentId::new(0),
+            pos: Vec2::ZERO,
+            state: Vec::with_capacity(schema.num_states()),
+            effects: Vec::with_capacity(schema.num_effects()),
+            alive: true,
+        };
+        for i in 0..chunk.len() {
+            chunk.load(i, &mut me);
+            let before = spawns.len();
+            let mut ctx = UpdateCtx::new(tick, root.stream(me.id.raw()), spawns);
+            self.update(&mut me, &mut ctx);
+            for _ in before..spawns.len() {
+                parents.push(me.id);
+            }
+            chunk.store(i, &me, reach);
+        }
+    }
 }
 
 /// Forwarding impls, so `Arc<B>` and `Box<B>` are behaviors too — the
-/// runtime shares one behavior across worker threads via `Arc`.
+/// runtime shares one behavior across worker threads via `Arc`. Every hook
+/// is forwarded: an omitted one would silently run the default instead of
+/// the wrapped behavior's override.
 macro_rules! forward_behavior {
     ($($ptr:ident),+) => {$(
         impl<B: Behavior + ?Sized> Behavior for $ptr<B> {
@@ -187,6 +231,16 @@ macro_rules! forward_behavior {
             fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
                 (**self).update(me, ctx)
             }
+            fn update_rows(
+                &self,
+                chunk: &mut UpdateChunk<'_>,
+                tick: u64,
+                root: &DetRng,
+                spawns: &mut Vec<(Vec2, Vec<f64>)>,
+                parents: &mut Vec<AgentId>,
+            ) {
+                (**self).update_rows(chunk, tick, root, spawns, parents)
+            }
         }
     )+};
 }
@@ -198,7 +252,6 @@ mod tests {
     use super::*;
     use crate::agent::AgentPool;
     use crate::combinator::Combinator;
-    use brace_common::AgentId;
 
     fn schema() -> AgentSchema {
         AgentSchema::builder("T").effect("n", Combinator::Sum).build().unwrap()

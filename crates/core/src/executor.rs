@@ -191,7 +191,7 @@
 //! in blocks; a non-local write to a replica row is not folded here but
 //! handed out for the replica's owner.
 
-use crate::agent::{Agent, AgentPool, PoolView, UpdateChunk};
+use crate::agent::{Agent, AgentPool, PoolView};
 use crate::behavior::{Behavior, Neighbors, UpdateCtx};
 use crate::effect::{EffectLog, EffectTable, EffectWrite, EffectWriter};
 use crate::schema::AgentSchema;
@@ -980,11 +980,12 @@ pub struct PendingSpawn {
 }
 
 /// Sharded, optionally parallel update phase over rows `0..n_owned` of the
-/// pool: [`Behavior::update`] in contiguous chunks, one per thread of the
-/// budget, through the query phase's fan-out (`for_each_shard`). Each chunk gathers
-/// one row at a time into a reused scratch record and scatters the written
-/// state back into the columns; rows past `n_owned` (a worker's persistent
-/// replica tail) are left alone.
+/// pool — the map side of the tick: one [`Behavior::update_rows`] call per
+/// contiguous chunk, one chunk per thread of the budget, through the query
+/// phase's fan-out (`for_each_shard`). The hook's default gathers one row at
+/// a time into a scratch record for [`Behavior::update`]; BRASIL's register
+/// program reads the chunk's columns a lane of agents per pass. Rows past
+/// `n_owned` (a worker's persistent replica tail) are left alone.
 ///
 /// Pool membership is left to the caller, so a single node and a worker share
 /// this one entry point: killed rows are reported in `killed` (ascending row
@@ -1011,11 +1012,12 @@ pub fn update_phase_sharded<B: Behavior>(
     let shards = scratch.ensure_shards(schema, threads);
     let counts: Vec<usize> = (0..threads).map(|t| shard_range(n_owned, threads, t).len()).collect();
     let mut work: Vec<_> = pool.update_chunks_prefix(&counts).into_iter().zip(shards.iter_mut()).collect();
+    let root = tick_rng(seed, tick, 1);
     for_each_shard(&mut work, threads, |_, (chunk, shard)| {
         let ShardScratch { spawns, spawn_parents, .. } = shard;
         spawns.clear();
         spawn_parents.clear();
-        update_chunk_rows(behavior, schema, chunk, tick, seed, spawns, spawn_parents);
+        behavior.update_rows(chunk, tick, &root, spawns, spawn_parents);
     });
     drop(work);
     killed.clear();
@@ -1025,44 +1027,6 @@ pub fn update_phase_sharded<B: Behavior>(
         for ((pos, state), parent) in shard.spawns.drain(..).zip(shard.spawn_parents.drain(..)) {
             spawned.push(PendingSpawn { parent, pos, state });
         }
-    }
-}
-
-/// Update one pool chunk through a reused scratch record. Every spawn the
-/// chunk queues is tagged with its requesting parent in `parents`
-/// (lockstep with `spawns`).
-#[allow(clippy::too_many_arguments)]
-fn update_chunk_rows<B: Behavior>(
-    behavior: &B,
-    schema: &AgentSchema,
-    chunk: &mut UpdateChunk<'_>,
-    tick: u64,
-    seed: u64,
-    spawns: &mut Vec<(Vec2, Vec<f64>)>,
-    parents: &mut Vec<AgentId>,
-) {
-    let reach = schema.reachability();
-    let root = tick_rng(seed, tick, 1);
-    let mut me = Agent {
-        id: AgentId::new(0),
-        pos: Vec2::ZERO,
-        state: Vec::with_capacity(schema.num_states()),
-        effects: Vec::with_capacity(schema.num_effects()),
-        alive: true,
-    };
-    for i in 0..chunk.len() {
-        chunk.load(i, &mut me);
-        let from = me.pos;
-        let rng = root.stream(me.id.raw());
-        let before = spawns.len();
-        let mut ctx = UpdateCtx::new(tick, rng, spawns);
-        behavior.update(&mut me, &mut ctx);
-        for _ in before..spawns.len() {
-            parents.push(me.id);
-        }
-        me.pos = Agent::clamp_move(from, me.pos, reach);
-        debug_assert!(!me.pos.is_nan(), "model produced NaN position for {}", me.id);
-        chunk.store(i, &me);
     }
 }
 

@@ -47,7 +47,7 @@ pub mod executor;
 pub mod metrics;
 pub mod schema;
 
-pub use agent::{Agent, AgentPool, AgentRead, AgentRef, PoolView};
+pub use agent::{Agent, AgentPool, AgentRead, AgentRef, PoolView, UpdateChunk};
 pub use behavior::{Behavior, NeighborRef, Neighbors, UpdateCtx};
 pub use combinator::Combinator;
 pub use effect::{EffectTable, EffectWrite, EffectWriter};

@@ -236,17 +236,20 @@ mod tests {
     }
 
     /// The production plans' register programs, by op count (agent level,
-    /// of which hoisted, per chunk, update): a pass edit that makes one of
-    /// them bigger fails here.
+    /// of which hoisted, per chunk, update) and by agents per update pass: a
+    /// pass edit that makes one of them bigger, or that puts a guard in front
+    /// of an update's draw (one agent per pass), fails here.
     #[test]
     fn production_register_programs_keep_their_op_counts() {
         let ops = |behavior: BrasilBehavior| {
             let s = brasil::vm::lower(behavior.class()).summary();
-            (s.agent_ops, s.hoisted_ops, s.candidate_ops, s.update_ops)
+            (s.agent_ops, s.hoisted_ops, s.candidate_ops, s.update_ops, s.update_lanes)
         };
-        assert_eq!(ops(fish_school().unwrap()), (2, 2, 8, 26));
-        assert_eq!(ops(car_following().unwrap()), (1, 1, 5, 12));
-        assert_eq!(ops(predator(true).unwrap()), (2, 2, 2, 14));
+        let lanes = brasil::vm::UPDATE_LANES;
+        assert!(lanes > 1);
+        assert_eq!(ops(fish_school().unwrap()), (2, 2, 8, 26, lanes));
+        assert_eq!(ops(car_following().unwrap()), (1, 1, 5, 12, lanes));
+        assert_eq!(ops(predator(true).unwrap()), (2, 2, 2, 14, lanes));
     }
 
     #[test]

@@ -614,10 +614,59 @@ mod tests {
         }
     }
 
+    /// Counts the update path a run takes: calls that reach this
+    /// `update_rows` override, and per-row `update` calls, which only the
+    /// hook's default makes.
+    struct UpdatePaths {
+        inner: Arc<dyn Behavior>,
+        chunks: Arc<AtomicUsize>,
+        rows: Arc<AtomicUsize>,
+    }
+
+    impl Behavior for UpdatePaths {
+        fn schema(&self) -> &brace_core::AgentSchema {
+            self.inner.schema()
+        }
+        fn probe_rect(&self, pos: brace_common::Vec2, vis: f64) -> brace_common::Rect {
+            self.inner.probe_rect(pos, vis)
+        }
+        fn reads_neighbors(&self, me: brace_core::AgentRef<'_>) -> bool {
+            self.inner.reads_neighbors(me)
+        }
+        fn query(
+            &self,
+            me: brace_core::AgentRef<'_>,
+            neighbors: &brace_core::Neighbors<'_>,
+            eff: &mut brace_core::EffectWriter<'_>,
+            rng: &mut brace_common::DetRng,
+        ) {
+            self.inner.query(me, neighbors, eff, rng)
+        }
+        fn update(&self, me: &mut Agent, ctx: &mut brace_core::UpdateCtx<'_>) {
+            self.rows.fetch_add(1, Ordering::Relaxed);
+            self.inner.update(me, ctx)
+        }
+        fn update_rows(
+            &self,
+            chunk: &mut brace_core::UpdateChunk<'_>,
+            tick: u64,
+            root: &brace_common::DetRng,
+            spawns: &mut Vec<(brace_common::Vec2, Vec<f64>)>,
+            parents: &mut Vec<brace_common::AgentId>,
+        ) {
+            self.chunks.fetch_add(1, Ordering::Relaxed);
+            self.inner.update_rows(chunk, tick, root, spawns, parents)
+        }
+    }
+
     /// The registry's epidemic is an `Arc<dyn Behavior>`, so its probe-side
     /// hook reaches the engine only through the forwarding impl: the
     /// Runner's run must visit, tick by tick, what the concrete behaviour's
-    /// `Simulation` visits — only the infectious agents' neighbourhoods.
+    /// `Simulation` visits — only the infectious agents' neighbourhoods. So
+    /// must an `update_rows` override (BRASIL's lanes): wrapped in an `Arc`
+    /// or a `Box`, on one node and on two workers, every chunk reaches it,
+    /// no row takes the default's per-row path, and the world is the plain
+    /// run's.
     #[test]
     fn the_runner_path_forwards_the_probe_side_hook() {
         use brace_models::{EpidemicBehavior, EpidemicParams};
@@ -636,6 +685,25 @@ mod tests {
         let want: Vec<u64> = (0..ticks).map(|_| sim.step().neighbor_visits).collect();
         assert_eq!(*visits.lock().unwrap(), want);
         assert!(want.iter().all(|&v| v < n as u64), "non-infectious agents visited neighbours: {want:?}");
+
+        let scenario = registry.get("brasil-car").unwrap();
+        let (n, ticks) = (200, 4);
+        let plain = Runner::new(scenario).population(n).seed(seed).run(ticks).unwrap().checksum;
+        for boxed in [false, true] {
+            for backend in [Backend::single(), Backend::cluster(2)] {
+                let (chunks, rows) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+                let mut setup = scenario.build(Some(n), seed).unwrap();
+                let paths = UpdatePaths { inner: setup.behavior, chunks: chunks.clone(), rows: rows.clone() };
+                setup.behavior = if boxed { Arc::new(Box::new(paths)) } else { Arc::new(paths) };
+                setup.epoch_len = ticks;
+                let label = format!("boxed {boxed}, {}", backend.label());
+                let mut handle = Runner::new(scenario).seed(seed).backend(backend).launch_with(setup).unwrap();
+                handle.run(ticks).unwrap();
+                assert_eq!(handle.checksum().unwrap(), plain, "{label}");
+                assert!(chunks.load(Ordering::Relaxed) as u64 >= ticks, "{label}: the override was not reached");
+                assert_eq!(rows.load(Ordering::Relaxed), 0, "{label}: rows took the per-row path");
+            }
+        }
     }
 
     #[test]

@@ -2251,6 +2251,78 @@ proptest! {
         worlds_bit_identical(&cluster(std::sync::Arc::new(vm)), &cluster(std::sync::Arc::new(spec)))
             .map_err(|e| format!("{}: {e}", label("2-worker cluster")))?;
     }
+
+    /// For every script, optimized and not, over chunks of 0, 1, W − 1, W,
+    /// W + 1, 2W − 1 and 2W + 3 rows (W = `UPDATE_LANES`) behind a chunk of
+    /// 0–2 rows, with NaN, ±∞ and ±0 among the effects and states: the
+    /// register program's lanes leave the pool bit for bit where one-agent
+    /// passes (`Behavior::update` under the default `update_rows`) and the
+    /// tree walker leave it — a field kept where its result is NaN or NIL,
+    /// each lane's draws taken from its own stream in rule order, every move
+    /// cropped.
+    #[test]
+    fn brasil_vm_update_lanes_equal_one_agent_passes(
+        which in 0..BRASIL_SCRIPTS,
+        optimize in any::<bool>(),
+        len in 0usize..7,
+        lead in 0usize..3,
+        seed in 0u64..10_000,
+        tick in 0u64..4,
+    ) {
+        let w = brasil::vm::UPDATE_LANES;
+        let len = [0, 1, w - 1, w, w + 1, 2 * w - 1, 2 * w + 3][len];
+        let (name, class) = brasil_script(which);
+        let class = if optimize { brasil::optimize(class) } else { class };
+        let vm = brasil::BrasilBehavior::new(class);
+        let schema = vm.schema().clone();
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        let mut rng = DetRng::seed_from_u64(seed).stream(0x1A4E);
+        let value = |rng: &mut DetRng| match rng.below(3) {
+            0 => special[rng.below(special.len() as u64) as usize],
+            _ => rng.range(-3.0, 3.0),
+        };
+        let world: Vec<Agent> = (0..lead + len)
+            .map(|i| {
+                let xy = [0.0, -0.0, rng.range(-5.0, 5.0)];
+                let pos = Vec2::new(xy[rng.below(3) as usize], xy[rng.below(3) as usize]);
+                let mut a = Agent::new(AgentId::new(3 * i as u64 + 1), pos, &schema);
+                a.state.iter_mut().chain(a.effects.iter_mut()).for_each(|v| *v = value(&mut rng));
+                a
+            })
+            .collect();
+        let root = DetRng::seed_from_u64(seed).stream(tick);
+        let updated = |b: &dyn Behavior| {
+            let mut pool = AgentPool::from_agents(&schema, &world);
+            for chunk in pool.update_chunks_prefix(&[lead, len]).iter_mut() {
+                let (mut spawns, mut parents) = (Vec::new(), Vec::new());
+                b.update_rows(chunk, tick, &root, &mut spawns, &mut parents);
+                assert!(spawns.is_empty() && parents.is_empty());
+            }
+            pool.to_agents()
+        };
+        let lanes = updated(&vm);
+        let label = |path: &str| format!("`{name}` (optimize {optimize}), {len} rows after {lead}: lanes vs {path}");
+        worlds_bit_identical(&lanes, &updated(&OneAgentPasses(&vm)))
+            .map_err(|e| format!("{}: {e}", label("one-agent passes")))?;
+        worlds_bit_identical(&lanes, &updated(&vm.reference()))
+            .map_err(|e| format!("{}: {e}", label("the tree walker")))?;
+    }
+}
+
+/// A behavior's per-row [`Behavior::update`] under the default
+/// `update_rows`: what an override of the hook must reproduce.
+struct OneAgentPasses<'a, B>(&'a B);
+
+impl<B: Behavior> Behavior for OneAgentPasses<'_, B> {
+    fn schema(&self) -> &AgentSchema {
+        self.0.schema()
+    }
+    fn query(&self, me: AgentRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
+        self.0.query(me, neighbors, eff, rng)
+    }
+    fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
+        self.0.update(me, ctx)
+    }
 }
 
 // ---------------------------------------------------------------------------
