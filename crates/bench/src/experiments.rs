@@ -71,12 +71,10 @@ pub struct Fig3Row {
 /// growth order as `idx`.
 pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
     let (segments, rounds, ticks): (&[f64], u32, u64) = match scale {
-        // The release build's vectorised scan is cheap enough that at
-        // 400–1 600 vehicles its per-vehicle costs still rival the quadratic
-        // term (exponent ≈ 1.45), so release runs four times the debug
-        // population: 1 600–6 400 vehicles give ≈ 1.85. `Paper` spans at
-        // least `Small`'s roads, so its exponent is the quadratic one too.
-        Scale::Small if cfg!(debug_assertions) => (&[5000.0, 10000.0, 20000.0], 5, 3),
+        // At 400–1 600 vehicles the vectorised scan's per-vehicle costs
+        // still rival the quadratic term (exponent ≈ 1.45), so `Small` runs
+        // 1 600–6 400 vehicles, which give ≈ 1.85. `Paper` spans at least
+        // `Small`'s roads, so its exponent is the quadratic one too.
         Scale::Small => (&[20000.0, 40000.0, 80000.0], 5, 3),
         Scale::Paper => (&[20000.0, 40000.0, 60000.0, 80000.0, 100000.0], 5, 10),
     };

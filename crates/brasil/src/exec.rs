@@ -39,8 +39,8 @@ pub struct CompiledClass {
     schema: AgentSchema,
     pub query: QueryPlan,
     pub updates: Vec<UpdateRule>,
-    /// Probe-rect bounds proven by the optimizer's pushdown pass; `None`
-    /// until (and unless) the pass derives any.
+    /// Probe-rect bounds proven by the optimizer's pushdown; `None` until
+    /// (and unless) it derives any.
     pub probe_bounds: Option<ProbeBounds>,
 }
 
@@ -62,7 +62,7 @@ impl CompiledClass {
     /// Rebuild with a different query plan (used by the optimizer). The
     /// schema's remote fields are re-derived from the plan; the derived
     /// probe bounds are dropped — they describe the *old* plan, and the
-    /// pipeline re-derives them after every change.
+    /// optimizer derives them once, after its last rewrite.
     pub fn with_query(&self, query: QueryPlan) -> CompiledClass {
         let mut b = AgentSchema::builder(self.schema.name());
         for s in self.schema.state_defs() {

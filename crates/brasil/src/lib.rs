@@ -13,9 +13,9 @@
 //! ```text
 //!   source ──lexer──► tokens ──parser──► AST ──analyze──► typed AST
 //!          ──compile──► dataflow plan (plan.rs, the "monad-algebra-lite")
-//!          ──optimize──► plan (a fixpoint pass pipeline: const folding,
-//!                        dead code, visibility-predicate pushdown, and
-//!                        effect inversion on request)
+//!          ──optimize──► plan (one straight line: const folding, dead
+//!                        code, effect inversion on request and dead code
+//!                        again, then visibility-predicate pushdown)
 //!          ──vm::lower──► one flat register program (query + update),
 //!                        every pure op value-numbered
 //!          ──exec──► a `brace_core::Behavior` the engine runs anywhere
@@ -75,7 +75,7 @@ pub mod vm;
 
 pub use analyze::analyze;
 pub use exec::{BrasilBehavior, CompiledClass};
-pub use optimize::{constant_fold, invert_effects, optimize, Pass, PassReport, Pipeline, PipelineReport};
+pub use optimize::{constant_fold, invert_effects, optimize, PassReport};
 pub use parser::parse;
 
 use brace_common::Result;

@@ -1,23 +1,32 @@
 //! Algebraic optimization of compiled plans.
 //!
-//! Four passes, mirroring §4.2:
+//! Three rewrites, mirroring §4.2, and one derivation:
 //!
-//! * **const-fold** ([`constant_fold`]) — evaluate constant subtrees at
+//! * **const-fold** ([`fold_constants`]) — evaluate constant subtrees at
 //!   compile time (the garden-variety algebraic rewrite; `rand()` and agent
 //!   reads block folding). It folds by calling the evaluator's own
 //!   arithmetic table ([`vm::unop`](crate::vm::unop),
 //!   [`vm::binop`](crate::vm::binop),
 //!   [`Builtin::apply`](crate::plan::Builtin::apply)), so fold time and run
 //!   time are one function and cannot diverge.
-//! * **dead-code** — remove `Let`s whose slot is never read, `If`s with
-//!   constant conditions, and empty loops/branches (the paper's "rewrite
-//!   rules that function like dead-code elimination").
-//! * **pushdown** ([`derive_probe_bounds`]) — turn a loop's guard into
-//!   bounds on the probe rect.
+//! * **dead-code** ([`eliminate_dead_code`]) — remove `Let`s whose slot is
+//!   never read, `If`s with constant conditions, and empty loops/branches
+//!   (the paper's "rewrite rules that function like dead-code elimination").
 //! * **invert** ([`invert_effects`]) — **effect inversion** (Theorems 2/3):
 //!   rewrite non-local effect assignments `p.f <- E(this, p)` into local ones
 //!   `f <- E(p, this)` by swapping the roles of the querying agent and the
 //!   loop variable, eliminating the second reduce pass of the runtime.
+//! * **pushdown** ([`with_probe_bounds`]) — turn a loop's guard into bounds
+//!   on the probe rect. It rewrites nothing, so it runs once, last.
+//!
+//! [`standard`] runs const-fold → dead-code; [`with_inversion`] runs
+//! const-fold → dead-code → invert → dead-code. One run of each rewrite is
+//! its fixpoint: folding is bottom-up, dead code sweeps until nothing more
+//! goes, and neither makes work for the other. Fold and dead code come
+//! before inversion so that a dead branch — an `if (false)` that draws,
+//! reads a prelude local or assigns to a neighbour — neither makes it refuse
+//! nor gets inverted; the dead code after it drops the `Let`s of the loop's
+//! local part that only the non-local assignments read.
 //!
 //! Repeated subexpressions are not a plan rewrite: [`vm::lower`](crate::vm::lower)
 //! value-numbers every pure op, so a repeat is computed once whatever the
@@ -31,10 +40,14 @@
 //! (the draw would move from the assigner's stream to the target's,
 //! changing the realization) and reads no local bound before the loop (the
 //! inverted assignment would need the neighbour's binding, which the
-//! querying agent never computes). Condition (a) is the uniform-distance-bound
-//! special case of the paper's Theorem 3 in which the factor-2 relaxation
-//! of the visibility bound is unnecessary; `invert_effects` returns an
-//! error rather than silently changing semantics when the conditions fail.
+//! querying agent never computes), and (c) `run()` reads back no effect
+//! field it assigns to other agents (the read sees this agent's own local
+//! contributions; inverted, it would also see what its neighbours send,
+//! which only the second reduce pass delivers). Condition (a) is the
+//! uniform-distance-bound special case of the paper's Theorem 3 in which
+//! the factor-2 relaxation of the visibility bound is unnecessary;
+//! `invert_effects` returns an error rather than silently changing
+//! semantics when the conditions fail.
 
 use crate::ast::BinOp;
 use crate::exec::CompiledClass;
@@ -42,206 +55,84 @@ use crate::plan::{AgentRef, Axis, Bound, PExpr, PStmt, ProbeBounds, QueryPlan};
 use crate::vm::{binop, unop};
 use brace_common::{BraceError, Result};
 
-/// Apply the always-safe (bit-preserving) passes: the standard pipeline of
-/// constant folding, dead code and predicate pushdown, run to fixpoint.
-pub fn optimize(class: CompiledClass) -> CompiledClass {
-    Pipeline::standard().run(class).0
-}
-
-// ---------------------------------------------------------------------------
-// Pass pipeline
-// ---------------------------------------------------------------------------
-
-/// One rewrite pass over a compiled class. A pass must return the class
-/// *untouched* with a rewrite count of zero when it has nothing to do —
-/// the pipeline's fixpoint detection depends on it (and `with_query` drops
-/// the derived probe bounds, so a gratuitous rebuild would force pushdown
-/// to re-fire every round).
-pub trait Pass {
-    fn name(&self) -> &'static str;
-    fn run(&self, class: CompiledClass) -> (CompiledClass, usize);
-}
-
-/// Per-pass rewrite total accumulated across all rounds.
+/// What one rewrite did: its name and how much it rewrote.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassReport {
     pub name: &'static str,
     pub rewrites: usize,
 }
 
-/// What the pipeline did: how many rounds ran and what each pass rewrote.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineReport {
-    pub rounds: usize,
-    pub passes: Vec<PassReport>,
+/// The bit-preserving optimizer: [`standard`] without its report.
+pub fn optimize(class: CompiledClass) -> CompiledClass {
+    standard(class).0
 }
 
-impl PipelineReport {
-    pub fn total_rewrites(&self) -> usize {
-        self.passes.iter().map(|p| p.rewrites).sum()
-    }
+/// Const-fold → dead-code, then probe bounds. Every rewrite here preserves
+/// the plan's results bit for bit. The report lists the rewrites in the
+/// order they ran.
+pub fn standard(class: CompiledClass) -> (CompiledClass, Vec<PassReport>) {
+    let (class, folded) = fold_constants(class);
+    let (class, dead) = eliminate_dead_code(class);
+    let report =
+        vec![PassReport { name: "const-fold", rewrites: folded }, PassReport { name: "dead-code", rewrites: dead }];
+    (with_probe_bounds(class), report)
 }
 
-/// An ordered list of passes run round-robin until a full round makes no
-/// rewrite. Every pass here is semantics-preserving bit-for-bit; effect
-/// inversion (which is only ~1e-9-equivalent) is opt-in via
-/// [`Pipeline::with_inversion`].
-pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-/// Safety net; real plans reach fixpoint in two or three rounds.
-const MAX_ROUNDS: usize = 8;
-
-impl Pipeline {
-    /// Folding, dead code, visibility-predicate pushdown — the always-safe
-    /// set.
-    pub fn standard() -> Pipeline {
-        Pipeline { passes: vec![Box::new(ConstFold), Box::new(DeadCode), Box::new(Pushdown)] }
-    }
-
-    /// The standard set with effect inversion (Theorems 2/3) first. Only
-    /// numerically equivalent, not bit-identical, to the uninverted class —
-    /// A/B comparisons must invert both sides or neither.
-    pub fn with_inversion() -> Pipeline {
-        let mut p = Pipeline::standard();
-        p.passes.insert(0, Box::new(Invert));
-        p
-    }
-
-    /// Run all passes to fixpoint, returning the rewritten class and a
-    /// report of per-pass rewrite counts.
-    pub fn run(&self, mut class: CompiledClass) -> (CompiledClass, PipelineReport) {
-        let mut report = PipelineReport {
-            rounds: 0,
-            passes: self.passes.iter().map(|p| PassReport { name: p.name(), rewrites: 0 }).collect(),
-        };
-        for _ in 0..MAX_ROUNDS {
-            report.rounds += 1;
-            let mut round_total = 0;
-            for (i, pass) in self.passes.iter().enumerate() {
-                let (next, n) = pass.run(class);
-                class = next;
-                report.passes[i].rewrites += n;
-                round_total += n;
-            }
-            if round_total == 0 {
-                break;
-            }
-        }
-        (class, report)
-    }
-}
-
-/// Count expression nodes (rewrite metric for the folding pass).
-fn expr_nodes(e: &PExpr) -> usize {
-    let mut n = 0;
-    e.any(&mut |_| {
-        n += 1;
-        false
-    });
-    n
-}
-
-fn plan_nodes(stmts: &[PStmt]) -> usize {
-    let mut n = 0;
-    for s in stmts {
-        s.visit(&mut |st| n += st.expr().map_or(0, expr_nodes));
-    }
-    n
-}
-
-struct ConstFold;
-
-impl Pass for ConstFold {
-    fn name(&self) -> &'static str {
-        "const-fold"
-    }
-
-    fn run(&self, class: CompiledClass) -> (CompiledClass, usize) {
-        let folded_stmts = fold_stmts(class.query.stmts.clone());
-        let folded_updates: Vec<_> = class
-            .updates
-            .iter()
-            .map(|r| crate::plan::UpdateRule { target: r.target, expr: fold_expr(r.expr.clone()) })
-            .collect();
-        let stmts_changed = folded_stmts != class.query.stmts;
-        if !stmts_changed && folded_updates == class.updates {
-            return (class, 0);
-        }
-        let before = plan_nodes(&class.query.stmts) + class.updates.iter().map(|r| expr_nodes(&r.expr)).sum::<usize>();
-        let after = plan_nodes(&folded_stmts) + folded_updates.iter().map(|r| expr_nodes(&r.expr)).sum::<usize>();
-        let mut out = if stmts_changed {
-            class.with_query(QueryPlan { stmts: folded_stmts, n_locals: class.query.n_locals })
-        } else {
-            class
-        };
-        out.updates = folded_updates;
-        (out, before.saturating_sub(after).max(1))
-    }
-}
-
-/// Remove unread `Let`s, constant `If`s and empty control structures.
-struct DeadCode;
-
-impl Pass for DeadCode {
-    fn name(&self) -> &'static str {
-        "dead-code"
-    }
-
-    fn run(&self, class: CompiledClass) -> (CompiledClass, usize) {
-        let mut stmts = class.query.stmts.clone();
-        let before = size(&stmts);
-        // Iterate to fixpoint: removing an If can orphan a Let, etc.
-        loop {
-            let used = used_slots(&stmts);
-            let n = size(&stmts);
-            stmts = sweep(stmts, &used);
-            if size(&stmts) == n {
-                break;
-            }
-        }
-        let after = size(&stmts);
-        if after == before {
-            return (class, 0);
-        }
-        let plan = QueryPlan { stmts, n_locals: class.query.n_locals };
-        (class.with_query(plan), before - after)
-    }
-}
-
-struct Invert;
-
-impl Pass for Invert {
-    fn name(&self) -> &'static str {
-        "invert"
-    }
-
-    fn run(&self, class: CompiledClass) -> (CompiledClass, usize) {
-        if !class.query.has_remote_effects() {
-            return (class, 0);
-        }
-        // Inversion refusals (rand in loop, a prelude local read by the
-        // inverted fragment, remote outside loop, too many local slots to
-        // double) leave the class alone: the two-pass reduce path still runs
-        // it correctly.
-        match invert_effects(class.clone()) {
-            Ok(inv) => (inv, 1),
-            Err(_) => (class, 0),
-        }
-    }
+/// [`standard`], then invert → dead-code, then probe bounds again. Only
+/// numerically equivalent, not bit-identical, to the uninverted class — A/B
+/// comparisons must invert both sides or neither. An inversion refusal
+/// (rand in the loop, a prelude local read by the inverted fragment, a
+/// read of a non-local field, a loop under an `if`, too many local slots
+/// to double) leaves the class as it is: the two-pass reduce path still
+/// runs it correctly.
+pub fn with_inversion(class: CompiledClass) -> (CompiledClass, Vec<PassReport>) {
+    let (class, mut report) = standard(class);
+    let (class, inverted) = if class.query.has_remote_effects() {
+        invert_effects(class.clone()).map_or((class, 0), |inv| (inv, 1))
+    } else {
+        (class, 0)
+    };
+    let (class, dead) = eliminate_dead_code(class);
+    report
+        .extend([PassReport { name: "invert", rewrites: inverted }, PassReport { name: "dead-code", rewrites: dead }]);
+    (with_probe_bounds(class), report)
 }
 
 // ---------------------------------------------------------------------------
 // Constant folding
 // ---------------------------------------------------------------------------
 
-/// Fold constant subtrees of an expression.
-pub fn constant_fold(e: PExpr) -> PExpr {
-    fold_expr(e)
+/// Fold the constant subtrees of every query expression and update rule.
+/// Each fold leaves fewer expression nodes, so the count of nodes gone is
+/// the rewrite count, and zero means nothing changed. Folding removes no
+/// statement, so the schema stands.
+pub fn fold_constants(mut class: CompiledClass) -> (CompiledClass, usize) {
+    let before = class_nodes(&class);
+    class.query.stmts = fold_stmts(std::mem::take(&mut class.query.stmts));
+    for rule in &mut class.updates {
+        rule.expr = constant_fold(rule.expr.clone());
+    }
+    let folded = before - class_nodes(&class);
+    (class, folded)
 }
 
-fn fold_expr(e: PExpr) -> PExpr {
+fn class_nodes(class: &CompiledClass) -> usize {
+    let mut n = 0;
+    let mut count = |e: &PExpr| {
+        e.any(&mut |_| {
+            n += 1;
+            false
+        });
+    };
+    for s in &class.query.stmts {
+        s.visit(&mut |st| st.expr().into_iter().for_each(&mut count));
+    }
+    class.updates.iter().for_each(|r| count(&r.expr));
+    n
+}
+
+/// Fold the constant subtrees of an expression.
+pub fn constant_fold(e: PExpr) -> PExpr {
     e.map(&mut |node| match node {
         PExpr::Unary(op, inner) => match *inner {
             PExpr::Const(v) => PExpr::Const(unop(op, v)),
@@ -298,11 +189,11 @@ fn fold_stmts(stmts: Vec<PStmt>) -> Vec<PStmt> {
     stmts
         .into_iter()
         .map(|s| match s {
-            PStmt::Let { slot, value } => PStmt::Let { slot, value: fold_expr(value) },
-            PStmt::LocalEffect { field, value } => PStmt::LocalEffect { field, value: fold_expr(value) },
-            PStmt::RemoteEffect { field, value } => PStmt::RemoteEffect { field, value: fold_expr(value) },
+            PStmt::Let { slot, value } => PStmt::Let { slot, value: constant_fold(value) },
+            PStmt::LocalEffect { field, value } => PStmt::LocalEffect { field, value: constant_fold(value) },
+            PStmt::RemoteEffect { field, value } => PStmt::RemoteEffect { field, value: constant_fold(value) },
             PStmt::If { cond, then_, else_ } => {
-                PStmt::If { cond: fold_expr(cond), then_: fold_stmts(then_), else_: fold_stmts(else_) }
+                PStmt::If { cond: constant_fold(cond), then_: fold_stmts(then_), else_: fold_stmts(else_) }
             }
             PStmt::Foreach { body } => PStmt::Foreach { body: fold_stmts(body) },
         })
@@ -312,6 +203,32 @@ fn fold_stmts(stmts: Vec<PStmt>) -> Vec<PStmt> {
 // ---------------------------------------------------------------------------
 // Dead code elimination
 // ---------------------------------------------------------------------------
+
+/// Remove unread `Let`s, constant `If`s and empty control structures, until
+/// none is left (removing an `If` can orphan a `Let`). Returns how many
+/// statements went. A `Let` or an empty `If` that draws stays: every
+/// `rand()` takes the next number of the agent's stream, so dropping one
+/// would shift every later draw.
+pub fn eliminate_dead_code(class: CompiledClass) -> (CompiledClass, usize) {
+    let mut stmts = class.query.stmts.clone();
+    let before = size(&stmts);
+    loop {
+        let used = used_slots(&stmts);
+        let n = size(&stmts);
+        stmts = sweep(stmts, &used);
+        if size(&stmts) == n {
+            break;
+        }
+    }
+    let removed = before - size(&stmts);
+    if removed == 0 {
+        return (class, 0);
+    }
+    // Rebuilt, because a removed non-local assignment can leave a field
+    // local-only.
+    let plan = QueryPlan { stmts, n_locals: class.query.n_locals };
+    (class.with_query(plan), removed)
+}
 
 fn size(stmts: &[PStmt]) -> usize {
     let mut n = 0;
@@ -347,9 +264,8 @@ fn sweep(stmts: Vec<PStmt>, used: &[bool]) -> Vec<PStmt> {
     for s in stmts {
         match s {
             PStmt::Let { slot, value } => {
-                // Keep the binding only if read somewhere. (Expressions are
-                // pure — no effects are lost by dropping the computation.)
-                if used[slot as usize] {
+                // Keep the binding only if read somewhere or if it draws.
+                if used[slot as usize] || draws(&value) {
                     out.push(PStmt::Let { slot, value });
                 }
             }
@@ -360,7 +276,7 @@ fn sweep(stmts: Vec<PStmt>, used: &[bool]) -> Vec<PStmt> {
                     PExpr::Const(v) if v != 0.0 => out.extend(then_),
                     PExpr::Const(_) => out.extend(else_),
                     cond => {
-                        if !(then_.is_empty() && else_.is_empty()) {
+                        if !(then_.is_empty() && else_.is_empty()) || draws(&cond) {
                             out.push(PStmt::If { cond, then_, else_ });
                         }
                     }
@@ -477,10 +393,14 @@ fn reads_outer_local(stmts: &[PStmt]) -> bool {
     outer
 }
 
+fn draws(e: &PExpr) -> bool {
+    e.any(&mut |n| matches!(n, PExpr::Rand))
+}
+
 fn contains_rand(stmts: &[PStmt]) -> bool {
     let mut found = false;
     for s in stmts {
-        s.visit(&mut |st| found |= st.expr().is_some_and(|e| e.any(&mut |n| matches!(n, PExpr::Rand))));
+        s.visit(&mut |st| found |= st.expr().is_some_and(draws));
     }
     found
 }
@@ -490,6 +410,20 @@ fn contains_rand(stmts: &[PStmt]) -> bool {
 pub fn invert_effects(class: CompiledClass) -> Result<CompiledClass> {
     if !class.query.has_remote_effects() {
         return Ok(class);
+    }
+    // Condition (c) of the module docs.
+    let remote = class.query.remote_fields();
+    let mut reads_remote = false;
+    for s in &class.query.stmts {
+        s.visit(&mut |st| {
+            reads_remote |=
+                st.expr().is_some_and(|e| e.any(&mut |n| matches!(n, PExpr::SelfEffect(f) if remote.contains(f))))
+        });
+    }
+    if reads_remote {
+        return Err(BraceError::Rewrite(
+            "effect inversion would let `run()` read the contributions other agents send to a field; refusing".into(),
+        ));
     }
     let n_locals = class.query.n_locals;
     // The inverted fragment takes a second copy of every slot.
@@ -530,9 +464,14 @@ pub fn invert_effects(class: CompiledClass) -> Result<CompiledClass> {
                 }
             }
             other => {
-                if matches!(other, PStmt::RemoteEffect { .. }) {
+                // A loop under an `if`: the inverted fragment would need the
+                // neighbour's condition, which the querying agent never
+                // evaluates.
+                let mut remote = false;
+                other.visit(&mut |s| remote |= matches!(s, PStmt::RemoteEffect { .. }));
+                if remote {
                     return Err(BraceError::Rewrite(
-                        "non-local effect assignment outside a foreach loop cannot be inverted".into(),
+                        "non-local effect assignment outside a top-level foreach loop cannot be inverted".into(),
                     ));
                 }
                 out.push(other);
@@ -548,32 +487,20 @@ pub fn invert_effects(class: CompiledClass) -> Result<CompiledClass> {
 // Visibility-predicate pushdown
 // ---------------------------------------------------------------------------
 
-/// Derive [`ProbeBounds`] from a loop whose entire body is guarded by a
-/// single `if` with no else branch, and record them on the class so the
-/// executor probes a smaller rect. Sound because comparison and `&&` nodes
-/// always evaluate to 0/1 (never NIL/NaN): if the root conjunction is
-/// non-zero, every comparison reachable through `&&` spines alone evaluated
-/// to 1 — so a candidate violating any harvested bound makes the guard
-/// false (or NIL, which also skips the `if`) and contributed nothing.
-struct Pushdown;
-
-impl Pass for Pushdown {
-    fn name(&self) -> &'static str {
-        "pushdown"
-    }
-
-    fn run(&self, mut class: CompiledClass) -> (CompiledClass, usize) {
-        let derived = derive_probe_bounds(&class.query);
-        if class.probe_bounds == derived {
-            return (class, 0);
-        }
-        class.probe_bounds = derived;
-        (class, 1)
-    }
+/// Record on the class the [`ProbeBounds`] its plan proves, so the executor
+/// probes a smaller rect; `None` if it proves none. Bounds come from a loop
+/// whose entire body is guarded by a single `if` with no else branch. Sound
+/// because comparison and `&&` nodes always evaluate to 0/1 (never
+/// NIL/NaN): if the root conjunction is non-zero, every comparison reachable
+/// through `&&` spines alone evaluated to 1 — so a candidate violating any
+/// harvested bound makes the guard false (or NIL, which also skips the
+/// `if`) and contributed nothing.
+pub fn with_probe_bounds(mut class: CompiledClass) -> CompiledClass {
+    class.probe_bounds = derive_probe_bounds(&class.query);
+    class
 }
 
-/// See [`Pushdown`]. Public for the `brace compile` inspector.
-pub fn derive_probe_bounds(plan: &QueryPlan) -> Option<ProbeBounds> {
+fn derive_probe_bounds(plan: &QueryPlan) -> Option<ProbeBounds> {
     let body = sole_loop_body(plan)?;
     if contains_rand(body) {
         return None;
@@ -932,12 +859,35 @@ mod tests {
             let src = prelude_script(prelude);
             let err = invert_effects(compile_src(&src)).expect_err("must refuse");
             assert!(err.to_string().contains("before the loop"), "{err}");
-            let (inverted, _) = Pipeline::with_inversion().run(compile_src(&src));
-            assert!(inverted.schema().has_nonlocal_effects(), "the Invert pass must leave the class alone");
+            let (inverted, _) = with_inversion(compile_src(&src));
+            assert!(inverted.schema().has_nonlocal_effects(), "a refused inversion must leave the class alone");
             let want = bits_after_steps(compile_src(&src));
             assert_eq!(bits_after_steps(inverted), want, "prelude `{prelude}`");
             assert!(want.iter().any(|(_, s)| s[2] != 0.0f64.to_bits()), "no agent counted anything");
         }
+    }
+
+    #[test]
+    fn inversion_refuses_a_read_of_a_non_local_field() {
+        // `count` read after the loop is this agent's own contributions: 0.
+        let src = PAPER_FISH.replace(
+            "p.count <- 1;\n                }",
+            "p.count <- 1;\n                }\n                avoidx <- count;",
+        );
+        let err = invert_effects(compile_src(&src)).expect_err("must refuse");
+        assert!(err.to_string().contains("contributions"), "{err}");
+    }
+
+    #[test]
+    fn inversion_refuses_a_loop_under_an_if() {
+        let src = PAPER_FISH
+            .replace("foreach (Fish p : Extent<Fish>) {", "if (x > 0) { foreach (Fish p : Extent<Fish>) {")
+            .replace("p.count <- 1;\n                }", "p.count <- 1;\n                } }");
+        let err = invert_effects(compile_src(&src)).expect_err("must refuse");
+        assert!(err.to_string().contains("top-level foreach"), "{err}");
+        let (out, report) = with_inversion(compile_src(&src));
+        assert!(out.schema().has_nonlocal_effects(), "{report:?}");
+        assert_idempotent(compile_src(&src));
     }
 
     /// A loop of `n` sibling `if`s that each bind one `const`, then a
@@ -1031,16 +981,43 @@ mod tests {
         sim.agents().iter().map(|a| (a.id, a.state.clone())).collect()
     }
 
+    /// Optimizing `class` a second time, with inversion or without, rewrites
+    /// nothing and leaves the plan, the update rules and the probe bounds as
+    /// the first run left them.
+    fn assert_idempotent(class: CompiledClass) {
+        for entry in [standard, with_inversion] {
+            let (once, _) = entry(class.clone());
+            let (twice, again) = entry(once.clone());
+            assert!(again.iter().all(|p| p.rewrites == 0), "{again:?}");
+            assert_eq!(
+                (&twice.query, &twice.updates, &twice.probe_bounds),
+                (&once.query, &once.updates, &once.probe_bounds)
+            );
+        }
+    }
+
     #[test]
-    fn pipeline_reports_and_reaches_fixpoint() {
-        let (out, report) = Pipeline::with_inversion().run(compile_src(PAPER_FISH));
-        assert!(report.rounds <= MAX_ROUNDS);
-        let invert = report.passes.iter().find(|p| p.name == "invert").unwrap();
-        assert_eq!(invert.rewrites, 1);
-        // Re-running the pipeline is a no-op: fixpoint in one quiet round.
-        let (_, again) = Pipeline::with_inversion().run(out);
-        assert_eq!(again.rounds, 1);
-        assert_eq!(again.total_rewrites(), 0, "{again:?}");
+    fn a_second_run_of_the_optimizer_rewrites_nothing() {
+        let (_, report) = with_inversion(compile_src(PAPER_FISH));
+        let names: Vec<_> = report.iter().map(|p| (p.name, p.rewrites)).collect();
+        assert_eq!(names, [("const-fold", 0), ("dead-code", 0), ("invert", 1), ("dead-code", 0)]);
+        for src in [PAPER_FISH, SCHOOL, GUARDED] {
+            assert_idempotent(compile_src(src));
+        }
+    }
+
+    #[test]
+    fn dead_code_keeps_a_draw_nothing_reads() {
+        // Dropping `c` would hand `e` the draw `c` takes.
+        let src = two_effect_script("const float c = rand(); a <- rand(); if (rand() < 0.5) { } b <- rand();");
+        let (out, report) = standard(compile_src(&src));
+        assert_eq!(out.query, compile_src(&src).query, "{report:?}");
+        assert_eq!(bits_after_steps(out), bits_after_steps(compile_src(&src)));
+        // In a loop with a non-local assignment, the kept draw makes
+        // inversion refuse.
+        let src = PAPER_FISH.replace("p.count <- 1;", "p.count <- 1; const float r = rand();");
+        let (out, report) = with_inversion(compile_src(&src));
+        assert!(out.schema().has_nonlocal_effects(), "{report:?}");
     }
 
     /// Positions and states after [`states_after_steps`]' run, as bits.
@@ -1086,8 +1063,7 @@ mod tests {
         // `1 / ±0` is `±∞`: a rewrite that merged the two products would
         // flip `b`'s sign.
         let src = two_effect_script("a <- 1 / ((p.x - x) * 0); b <- 1 / ((p.x - x) * -0);");
-        let (out, _) = Pipeline::standard().run(compile_src(&src));
-        assert_eq!(bits_after_steps(out), bits_after_steps(compile_src(&src)));
+        assert_eq!(bits_after_steps(optimize(compile_src(&src))), bits_after_steps(compile_src(&src)));
     }
 
     #[test]
@@ -1095,45 +1071,39 @@ mod tests {
         // `p.x * -0 + 0` is `+0` for every `p.x`, so `a` is `+∞` everywhere;
         // folding the `+ 0` away would leave `-0` and `-∞` for `p.x > 0`.
         let src = two_effect_script("a <- 1 / ((p.x * -0) + 0); b <- 1;");
-        let (out, _) = Pipeline::standard().run(compile_src(&src));
-        assert_eq!(bits_after_steps(out), bits_after_steps(compile_src(&src)));
+        assert_eq!(bits_after_steps(optimize(compile_src(&src))), bits_after_steps(compile_src(&src)));
     }
 
     #[test]
-    fn nan_constants_reach_a_fixpoint() {
+    fn nan_constants_are_idempotent() {
         for body in ["a <- (0 / 0) * p.x;", "if (p.x > 0 / 0) { a <- 1; }"] {
-            let (_, report) = Pipeline::standard().run(compile_src(&two_effect_script(body)));
-            assert!(report.rounds <= 2, "`{body}`: {report:?}");
+            assert_idempotent(compile_src(&two_effect_script(body)));
         }
     }
 
     #[test]
     fn pipeline_output_is_bit_identical_on_a_repeated_denominator() {
         let a = states_after_steps(compile_src(SCHOOL));
-        let b = states_after_steps(Pipeline::standard().run(compile_src(SCHOOL)).0);
+        let b = states_after_steps(optimize(compile_src(SCHOOL)));
         assert_eq!(a, b);
     }
 
     #[test]
     fn pushdown_derives_lower_bound_from_guard() {
-        let (out, report) = Pipeline::standard().run(compile_src(GUARDED));
-        let pd = report.passes.iter().find(|p| p.name == "pushdown").unwrap();
-        assert_eq!(pd.rewrites, 1);
-        let b = out.probe_bounds.expect("bounds derived");
+        let b = optimize(compile_src(GUARDED)).probe_bounds.expect("bounds derived");
         assert_eq!(b.x_lo, vec![Bound::Rel(0.0)]);
         assert!(b.x_hi.is_empty() && b.y_lo.is_empty() && b.y_hi.is_empty());
     }
 
     #[test]
     fn pushdown_refuses_unguarded_loop() {
-        let (out, _) = Pipeline::standard().run(compile_src(SCHOOL));
-        assert!(out.probe_bounds.is_none());
+        assert!(optimize(compile_src(SCHOOL)).probe_bounds.is_none());
     }
 
     #[test]
     fn pushdown_output_is_bit_identical() {
         let a = states_after_steps(compile_src(GUARDED));
-        let b = states_after_steps(Pipeline::standard().run(compile_src(GUARDED)).0);
+        let b = states_after_steps(optimize(compile_src(GUARDED)));
         assert_eq!(a, b);
     }
 }

@@ -155,12 +155,12 @@ pub enum PExpr {
     Rand,
 }
 
-/// Structural equality, with `Const`s equal only when their bits are. The
-/// pipeline detects a pass's change by comparing plans, and under IEEE `==`
-/// a folded `0/0` would be unequal to itself: const-fold would report a
-/// rewrite every round and never reach its fixpoint. Pushdown's [`Bound`]s,
-/// harvested from such constants, compare the same way. `PStmt`,
-/// `UpdateRule` and `QueryPlan` derive their equality from this.
+/// Structural equality, with `Const`s equal only when their bits are: the
+/// optimizer's idempotence property and the tests compare plans bit for
+/// bit, and under IEEE `==` a folded `0/0` would be unequal to itself while
+/// `0` and `-0` would be one constant. Pushdown's [`Bound`]s, harvested from
+/// such constants, compare the same way. `PStmt`, `UpdateRule` and
+/// `QueryPlan` derive their equality from this.
 impl PartialEq for PExpr {
     fn eq(&self, other: &PExpr) -> bool {
         use PExpr::*;
@@ -336,7 +336,7 @@ pub struct UpdateRule {
 /// One proven axis bound on a candidate's position, either relative to the
 /// querying agent's own coordinate on the same axis or absolute. Equal by
 /// bit pattern, like [`PExpr`]'s constants: a guard against a folded `0/0`
-/// harvests a NaN bound, and the pushdown pass detects change by comparing.
+/// harvests a NaN bound, and the tests compare derived bounds bit for bit.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub enum Bound {
     /// `self coordinate + offset`.
@@ -363,8 +363,8 @@ impl Bound {
     }
 }
 
-/// Axis bounds proven by the pushdown pass: every candidate that can take
-/// the loop's guarded branch satisfies all of them, so the probe rect may
+/// Axis bounds proven by pushdown: every candidate that can take the
+/// loop's guarded branch satisfies all of them, so the probe rect may
 /// be intersected with them before the spatial index runs. Bounds are
 /// inclusive — boundary candidates still pass through the interpreted
 /// guard, which is what decides semantics.

@@ -191,11 +191,10 @@ pub fn class(c: &CompiledClass) -> String {
     out
 }
 
-/// Render a pipeline report: rounds and per-pass rewrite counts.
-pub fn report(r: &crate::optimize::PipelineReport) -> String {
+/// Render an optimizer report: each rewrite's count, in the order they ran.
+pub fn report(passes: &[crate::optimize::PassReport]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "pipeline: {} round(s) to fixpoint", r.rounds);
-    for p in &r.passes {
+    for p in passes {
         let _ = writeln!(out, "  {:<12} {} rewrite(s)", p.name, p.rewrites);
     }
     out

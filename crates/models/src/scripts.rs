@@ -11,7 +11,7 @@
 //! automatically — the optimization whose payoff Figure 5 measures.
 
 use brace_common::Result;
-use brasil::{invert_effects, BrasilBehavior, Pipeline, Script};
+use brasil::{invert_effects, BrasilBehavior, Script};
 
 /// The paper's Figure 2, normalized to this implementation's surface
 /// syntax (update rule and `#range` tag in one declaration; explicit
@@ -128,7 +128,7 @@ pub fn predator_opt(inverted: bool, optimize: bool) -> Result<BrasilBehavior> {
     let script = Script::compile_unoptimized(PREDATOR)?;
     let class = script.classes()[0].clone();
     let class = match (inverted, optimize) {
-        (true, true) => Pipeline::with_inversion().run(class).0,
+        (true, true) => brasil::optimize::with_inversion(class).0,
         (true, false) => invert_effects(class)?,
         (false, true) => brasil::optimize(class),
         (false, false) => class,

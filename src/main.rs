@@ -14,9 +14,11 @@
 //! ```
 //!
 //! `compile` is the optimizer inspector for the BRASIL-scripted scenarios:
-//! it prints the compiled plan before and after the
-//! [`brasil::Pipeline`] runs, with per-pass rewrite counts, derived probe
-//! bounds, and the size of the register program each plan lowers to.
+//! it prints the compiled plan before and after the optimizer
+//! ([`brasil::optimize::standard`], or [`brasil::optimize::with_inversion`]
+//! for a scenario that inverts), with each rewrite's count in the order
+//! they ran, derived probe bounds, and the size of the register program
+//! each plan lowers to.
 //! `--no-opt` stops after the unoptimized plan.
 //!
 //! `run` drives every named scenario through the backend-erased
@@ -310,7 +312,7 @@ fn main() {
 }
 
 /// `brace compile <scenario|all> [--no-opt]` — pretty-print a BRASIL
-/// scenario's plan before and after the optimizer pipeline.
+/// scenario's plan before and after the optimizer.
 fn compile_cmd(args: &[String]) {
     let mut target: Option<String> = None;
     let mut no_opt = false;
@@ -336,8 +338,8 @@ fn compile_cmd(args: &[String]) {
         if no_opt {
             continue;
         }
-        let pipeline = if invert { brasil::Pipeline::with_inversion() } else { brasil::Pipeline::standard() };
-        let (optimized, report) = pipeline.run(class);
+        let (optimized, report) =
+            if invert { brasil::optimize::with_inversion(class) } else { brasil::optimize::standard(class) };
         println!("---- {name} — pass pipeline ----");
         print!("{}", brasil::pretty::report(&report));
         println!("---- {name} — optimized plan ----");

@@ -1,6 +1,6 @@
 //! Optimizer equivalence suite: for every registered BRASIL scenario the
 //! optimized plan must be **bit-identical** to the unoptimized one — the
-//! conformance bar of the pass pipeline (`brasil::optimize`). Three angles:
+//! conformance bar of the optimizer (`brasil::optimize`). Three angles:
 //!
 //! * Proptests (named `opt_*` so CI can select them) drive each
 //!   `brasil-*` scenario against its [`brasil_unoptimized`] twin through
