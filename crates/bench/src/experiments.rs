@@ -224,12 +224,12 @@ pub fn fig5(scale: Scale) -> Fig5Result {
         };
         let mut sim = ClusterSim::new(Arc::new(behavior), agents, cfg).unwrap();
         sim.run_epochs(warmup).unwrap();
-        sim.reset_net();
+        let warm = sim.stats().net.effects.bytes;
         let wall = best_of(3, || sim.run_epochs(epochs).unwrap());
         let ticks = epochs * 5;
         let tput = (n as u64 * ticks) as f64 / wall;
         let stats = sim.stats();
-        (tput, stats.comm_rounds_per_tick, stats.net.effects.bytes)
+        (tput, stats.comm_rounds_per_tick, stats.net.effects.bytes - warm)
     };
     let (no_opt, rounds_nonlocal, effect_bytes_nonlocal) = run(false, IndexKind::Scan);
     let (idx_only, ..) = run(false, IndexKind::Join);
@@ -298,7 +298,6 @@ pub fn fig6(scale: Scale) -> Vec<ScaleUpRow> {
             let mut sim = ClusterSim::new(Arc::new(behavior), pop, cfg).unwrap();
             // Warm up once, then take the best of three measured windows.
             sim.run_ticks(ticks).unwrap();
-            sim.reset_net();
             let before = sim.stats();
             let wall = best_of(3, || sim.run_ticks(ticks).unwrap());
             let after = sim.stats();
@@ -308,7 +307,8 @@ pub fn fig6(scale: Scale) -> Vec<ScaleUpRow> {
                 agents,
                 throughput: (agents as u64 * ticks) as f64 / wall,
                 agents_per_worker_tick: (after.agent_ticks - before.agent_ticks) as f64 / worker_ticks,
-                replica_bytes_per_worker_tick: after.net.replica_bytes() as f64 / worker_ticks,
+                replica_bytes_per_worker_tick: (after.net.replica_bytes() - before.net.replica_bytes()) as f64
+                    / worker_ticks,
             }
         })
         .collect()

@@ -1,14 +1,14 @@
 //! The single-node engine.
 //!
 //! [`Simulation`] is BRACE's one-partition runtime. It owns the agent pool,
-//! the tick's [`TickScratch`] and the spawn-id generator,
-//! and each [`Simulation::step`] runs the executor's phases back to back —
+//! the tick's [`TickScratch`], the spawn-id generator and the run's
+//! telemetry registry ([`Simulation::metrics`]), and each
+//! [`Simulation::step`] runs the executor's phases back to back —
 //! [`query_phase_sharded`], [`replay_effects`], then
 //! [`update_phase_sharded`] — applies the update's membership changes,
-//! records the tick into the `brace_telemetry` registry and returns the
-//! tick's [`TickMetrics`]. The MapReduce worker calls the very
-//! same functions with communication in between, so a single node *is* the
-//! runtime with one partition.
+//! records the tick and returns its [`TickMetrics`]. The MapReduce worker
+//! calls the very same functions with communication in between, so a single
+//! node *is* the runtime with one partition.
 //!
 //! It is one of the two engines behind the backend-erased driver in
 //! `brace_scenario` — `Runner`/`SimHandle` drive either this or
@@ -28,7 +28,8 @@ use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
 use brace_common::{BraceError, Result};
 use brace_spatial::IndexKind;
-use brace_telemetry::{add, incr, observe, Counter, HistId};
+use brace_telemetry::{incr, observe, Counter, HistId, Metrics};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Admit an initial population — the one check both engines run
@@ -126,6 +127,7 @@ impl<B: Behavior> SimulationBuilder<B> {
             parallelism: self.parallelism,
             seed: self.seed,
             tick: 0,
+            metrics: Arc::default(),
         })
     }
 }
@@ -145,6 +147,8 @@ pub struct Simulation<B: Behavior> {
     parallelism: usize,
     seed: u64,
     tick: u64,
+    /// This run's telemetry registry: the scope of every step.
+    metrics: Arc<Metrics>,
 }
 
 impl<B: Behavior> Simulation<B> {
@@ -155,8 +159,9 @@ impl<B: Behavior> Simulation<B> {
 
     /// Execute one tick (query → finalize effects → update).
     pub fn step(&mut self) -> TickMetrics {
+        let _scope = brace_telemetry::enter(&self.metrics);
         let n = self.pool.len();
-        let mut qs = query_phase_sharded(
+        let mut tm = query_phase_sharded(
             &self.behavior,
             &mut self.pool,
             n,
@@ -169,8 +174,8 @@ impl<B: Behavior> Simulation<B> {
         );
         // One partition owns every target: nothing is shipped in.
         let replay_ns = replay_effects(&mut self.pool, &self.scratch, &mut []);
-        qs.merge_ns += replay_ns;
-        qs.query_ns += replay_ns;
+        tm.merge_ns += replay_ns;
+        tm.query_ns += replay_ns;
         // The update phase only reports membership changes; a single node
         // applies them in place — survivors keep their (id-ordered) rows and
         // spawns take fresh ids in the order they were emitted. The apply is
@@ -188,24 +193,13 @@ impl<B: Behavior> Simulation<B> {
             &mut self.spawned,
         );
         self.pool.retain_alive();
-        let spawned = self.spawned.len();
+        (tm.spawned, tm.killed) = (self.spawned.len(), self.killed.len());
         for s in self.spawned.drain(..) {
             let id = self.id_gen.alloc().expect("agent id space exhausted");
             self.pool.push_spawn(id, s.pos, &s.state);
         }
         self.pool.reset_effects();
-        let tm = TickMetrics {
-            tick: self.tick,
-            n_agents: n,
-            index_build_ns: qs.index_build_ns,
-            query_ns: qs.query_ns,
-            merge_ns: qs.merge_ns,
-            update_ns: t0.elapsed().as_nanos() as u64,
-            neighbor_visits: qs.neighbor_visits,
-            nonlocal_writes: qs.nonlocal_writes,
-            spawned,
-            killed: self.killed.len(),
-        };
+        (tm.tick, tm.n_agents, tm.update_ns) = (self.tick, n, t0.elapsed().as_nanos() as u64);
         // Phase timings re-use the stats the phases already measured:
         // telemetry adds no clock reads to the tick, only these records.
         observe(HistId::PhaseIndexMaintain, tm.index_build_ns);
@@ -213,10 +207,6 @@ impl<B: Behavior> Simulation<B> {
         observe(HistId::PhaseEffectMerge, tm.merge_ns);
         observe(HistId::PhaseUpdate, tm.update_ns);
         incr(Counter::ExecutorTicks);
-        add(Counter::ExecutorNeighborVisits, tm.neighbor_visits);
-        add(Counter::ExecutorNonlocalWrites, tm.nonlocal_writes);
-        add(Counter::ExecutorSpawned, tm.spawned as u64);
-        add(Counter::ExecutorKilled, tm.killed as u64);
         self.tick += 1;
         tm
     }
@@ -239,12 +229,13 @@ impl<B: Behavior> Simulation<B> {
         &self.pool
     }
 
-    pub fn behavior(&self) -> &B {
-        &self.behavior
-    }
-
     pub fn tick(&self) -> u64 {
         self.tick
+    }
+
+    /// This run's telemetry registry: what it recorded, and nothing else.
+    pub fn metrics(&self) -> &Arc<Metrics> {
+        &self.metrics
     }
 }
 

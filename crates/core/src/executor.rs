@@ -194,6 +194,7 @@
 use crate::agent::{Agent, AgentPool, PoolView};
 use crate::behavior::{Behavior, Neighbors, UpdateCtx};
 use crate::effect::{EffectLog, EffectTable, EffectWrite, EffectWriter};
+use crate::metrics::TickMetrics;
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, Rect, Vec2};
@@ -258,26 +259,6 @@ pub fn effective_parallelism(parallelism: usize) -> usize {
     } else {
         parallelism
     }
-}
-
-/// Counters returned by the query phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Time spent on the join's build side — the id order and the probe
-    /// order — or, for the scan, on the id order and its gathered positions.
-    pub index_build_ns: u64,
-    pub query_ns: u64,
-    /// Time spent bringing the shards' effects into the pool's effect
-    /// columns (the scatter, and for a non-local schema the write-log's
-    /// replay, which the engine adds) — a subset of `query_ns`, broken out so the
-    /// effect-merge phase is visible on its own (telemetry, `--trace`).
-    pub merge_ns: u64,
-    /// Candidates handed to queries: a non-reader
-    /// ([`Behavior::reads_neighbors`]) adds none, except in the serial
-    /// oracle [`query_phase`], which hands every query its full
-    /// neighbourhood.
-    pub neighbor_visits: u64,
-    pub nonlocal_writes: u64,
 }
 
 /// The tile coordinate of `v` at tile side `side`: `(v / side).floor() as
@@ -478,7 +459,10 @@ impl TickScratch {
 ///
 /// After this returns, rows `0..n_owned` hold this partition's aggregated
 /// effects and rows `n_owned..` its agents' writes to the replicas, folded
-/// in the order [`TickScratch::outbound`] hands them out.
+/// in the order [`TickScratch::outbound`] hands them out. It returns the
+/// query fields of a [`TickMetrics`]: `query_ns`, `nonlocal_writes`, and
+/// `neighbor_visits` counting every query's full neighbourhood, readers or
+/// not.
 pub fn query_phase<B: Behavior>(
     behavior: &B,
     pool: &AgentPool,
@@ -486,11 +470,11 @@ pub fn query_phase<B: Behavior>(
     table: &mut EffectTable,
     tick: u64,
     seed: u64,
-) -> QueryStats {
+) -> TickMetrics {
     let view = pool.view();
     let schema = behavior.schema();
     let vis = schema.visibility();
-    let mut stats = QueryStats::default();
+    let mut stats = TickMetrics::default();
     table.reset(view.len());
     let t0 = Instant::now();
     let mut by_id: Vec<u32> = (0..view.len() as u32).collect();
@@ -754,6 +738,11 @@ fn query_shard<B: Behavior>(plan: &QueryPlan<'_, B>, slice: &[ProbeKey], shard: 
 /// into many sweep slices. `parallelism` is the physical thread budget
 /// (`0` = all cores, `1` = run shards inline). Neither affects results, only
 /// wall time.
+///
+/// Returns the query fields of a [`TickMetrics`] (`index_build_ns`,
+/// `query_ns`, `merge_ns`, `neighbor_visits`, `nonlocal_writes`), and
+/// records the work counters into the thread's telemetry scope: a single
+/// node and a cluster worker count alike.
 #[allow(clippy::too_many_arguments)]
 pub fn query_phase_sharded<B: Behavior>(
     behavior: &B,
@@ -765,10 +754,10 @@ pub fn query_phase_sharded<B: Behavior>(
     scratch: &mut TickScratch,
     shard_rows: usize,
     parallelism: usize,
-) -> QueryStats {
+) -> TickMetrics {
     let schema = behavior.schema();
     let vis = schema.visibility();
-    let mut stats = QueryStats::default();
+    let mut stats = TickMetrics::default();
     let (view, table) = pool.split_query();
     let nonlocal = schema.has_nonlocal_effects();
     let k = shard_count(n_owned, shard_rows);
@@ -844,6 +833,8 @@ pub fn query_phase_sharded<B: Behavior>(
         block_rows += shard.block_rows;
         logged += shard.log.len() as u64;
     }
+    add(Counter::ExecutorNeighborVisits, stats.neighbor_visits);
+    add(Counter::ExecutorNonlocalWrites, stats.nonlocal_writes);
     add(Counter::ExecutorProbeGroups, groups);
     add(Counter::ExecutorBlockCandidates, block_rows);
     add(Counter::ExecutorEffectLogEntries, logged);
@@ -903,27 +894,21 @@ fn for_each_shard<T: Send>(items: &mut [T], threads: usize, run: impl Fn(usize, 
     });
 }
 
-/// Counters returned by the reference update phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UpdateStats {
-    pub spawned: usize,
-    pub killed: usize,
-}
-
 /// Serial reference implementation of the update phase over row records
 /// (owned agents with final effects already written into `agent.effects`):
 /// run updates, crop movement to the reachable region, remove killed
 /// agents, materialize spawns with ids from `id_gen`, and reset effect
 /// slots for the next tick. Production paths call
 /// [`update_phase_sharded`] and apply its report; this is the `Vec<Agent>`
-/// half of the executable specification (see [`reference_step`]).
+/// half of the executable specification (see [`reference_step`]). Returns
+/// the `spawned` and `killed` fields of a [`TickMetrics`].
 pub fn update_phase<B: Behavior>(
     behavior: &B,
     agents: &mut Vec<Agent>,
     tick: u64,
     seed: u64,
     id_gen: &mut AgentIdGen,
-) -> UpdateStats {
+) -> TickMetrics {
     let schema = behavior.schema();
     let mut spawns: Vec<(Vec2, Vec<f64>)> = Vec::new();
     update_rows(behavior, schema, agents, tick, seed, &mut spawns);
@@ -935,7 +920,7 @@ pub fn update_phase<B: Behavior>(
         let id = id_gen.alloc().expect("agent id space exhausted");
         agents.push(Agent::with_state(id, pos, state, schema));
     }
-    UpdateStats { spawned, killed }
+    TickMetrics { spawned, killed, ..TickMetrics::default() }
 }
 
 /// Update one contiguous run of row records, queueing spawns locally
@@ -995,6 +980,7 @@ pub struct PendingSpawn {
 /// `(seed, tick, agent)` — so applied in order (compact the killed rows,
 /// allocate ids in emitted order, reset the effect columns) the result is
 /// bit-identical to [`update_phase`] for every chunking and thread count.
+/// The spawns and kills are counted into the thread's telemetry scope.
 #[allow(clippy::too_many_arguments)]
 pub fn update_phase_sharded<B: Behavior>(
     behavior: &B,
@@ -1028,6 +1014,8 @@ pub fn update_phase_sharded<B: Behavior>(
             spawned.push(PendingSpawn { parent, pos, state });
         }
     }
+    add(Counter::ExecutorSpawned, spawned.len() as u64);
+    add(Counter::ExecutorKilled, killed.len() as u64);
 }
 
 /// One full tick over a `Vec<Agent>` world: convert to a fresh pool at the

@@ -30,7 +30,7 @@
 //! * [`engine`] — [`Simulation`], the single-node engine: those phases run
 //!   back to back over one partition, with its builder and the population
 //!   check ([`check_population`]) both engines share;
-//! * [`metrics`] — per-tick timing and throughput accounting.
+//! * [`metrics`] — per-tick accounting, and a run's registry ([`Metrics`]).
 //!
 //! This crate is the *engine* layer. User-facing entry points live one
 //! level up in `brace_scenario`: a `Scenario` registry (every workload —
@@ -53,5 +53,5 @@ pub use combinator::Combinator;
 pub use effect::{EffectTable, EffectWrite, EffectWriter};
 pub use engine::{check_population, Simulation, SimulationBuilder};
 pub use executor::{PendingSpawn, TickScratch};
-pub use metrics::TickMetrics;
+pub use metrics::{Metrics, TickMetrics};
 pub use schema::{AgentSchema, SchemaBuilder};

@@ -4,8 +4,9 @@
 //! (Figures 3, 4) and *agent-ticks per second* for cluster experiments
 //! (Figures 5–7). [`TickMetrics`] is what one executed tick reports, with a
 //! per-phase breakdown; a caller that wants a run's totals sums the ticks it
-//! stepped.
+//! stepped, or reads the run's own telemetry registry, a [`Metrics`].
 
+pub use brace_telemetry::Metrics;
 use serde::{Deserialize, Serialize};
 
 /// Timing and counters for one executed tick.
@@ -20,8 +21,8 @@ pub struct TickMetrics {
     /// the shard effect-table merge).
     pub query_ns: u64,
     /// Nanoseconds of `query_ns` spent ⊕-merging shard effect tables into
-    /// the pool's effect columns (a subset, not an additional phase —
-    /// `total_ns` must not count it twice).
+    /// the pool's effect columns (a subset, not an additional phase — a
+    /// tick's total must not count it twice).
     pub merge_ns: u64,
     /// Nanoseconds spent in the update phase.
     pub update_ns: u64,
@@ -33,10 +34,4 @@ pub struct TickMetrics {
     pub nonlocal_writes: u64,
     pub spawned: usize,
     pub killed: usize,
-}
-
-impl TickMetrics {
-    pub fn total_ns(&self) -> u64 {
-        self.index_build_ns + self.query_ns + self.update_ns
-    }
 }

@@ -8,6 +8,10 @@
 //! single node runs, so both backends accept and refuse the same inputs and
 //! start spawn ids at the same place.
 //!
+//! Each cluster owns its run's telemetry registry ([`ClusterSim::metrics`]):
+//! workers record into it for their threads' lives, the master while
+//! [`ClusterSim::run_epochs`] drives it.
+//!
 //! The worker count is fixed for a run's life. A scheduled [`FaultPlan`]
 //! fault and [`ClusterSim::resume`] recover the same way: restore every
 //! worker from a checkpoint, then replay the logged epochs. Any other epoch
@@ -18,12 +22,13 @@ use crate::checkpoint::{self, CheckpointStore};
 use crate::codec;
 use crate::manifest::{self, Manifest, ManifestRecord, ManifestWriter, RunHeader};
 use crate::master::{ClusterStats, Master};
-use crate::net::NetLedger;
+use crate::net::NetStats;
 use crate::runtime::{Command, PeerMsg, Report};
 use crate::worker::{Worker, WorkerConfig, WorkerLinks};
 use brace_common::{BraceError, DetRng, Result, WorkerId};
 use brace_core::{check_population, Agent, Behavior};
 use brace_spatial::{GridPartitioning, IndexKind};
+use brace_telemetry::Metrics;
 use crossbeam::channel::{unbounded, Sender};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -137,7 +142,7 @@ impl Default for ClusterConfig {
 pub struct ClusterSim {
     master: Master,
     handles: Vec<JoinHandle<()>>,
-    ledger: NetLedger,
+    metrics: Arc<Metrics>,
     epoch_len: u64,
     /// Scheduled whole-cluster fault epochs not yet fired, ascending.
     fault_epochs: Vec<u64>,
@@ -180,7 +185,7 @@ impl ClusterSim {
         x_bounds: Vec<f64>,
     ) -> Result<Self> {
         let n = initial.len();
-        let ledger = NetLedger::new();
+        let metrics = Arc::<Metrics>::default();
         let (report_tx, report_rx) = unbounded::<Report>();
         let mut peer_tx: Vec<Sender<PeerMsg>> = Vec::with_capacity(n);
         let mut peer_rx = Vec::with_capacity(n);
@@ -199,7 +204,7 @@ impl ClusterSim {
                 inbox,
                 commands: crx,
                 reports: report_tx.clone(),
-                ledger: ledger.clone(),
+                metrics: Arc::clone(&metrics),
             };
             let wcfg = WorkerConfig {
                 id: WorkerId::new(w as u32),
@@ -232,7 +237,7 @@ impl ClusterSim {
             x_bounds,
         );
         let fault_epochs = FaultPlan::at(cfg.fault.iter().flat_map(|p| p.at_epochs.iter().copied())).at_epochs;
-        Ok(ClusterSim { master, handles, ledger, epoch_len: cfg.epoch_len, fault_epochs })
+        Ok(ClusterSim { master, handles, metrics, epoch_len: cfg.epoch_len, fault_epochs })
     }
 
     /// Manifest header describing the job, for durable runs.
@@ -323,6 +328,7 @@ impl ClusterSim {
     /// Run `n` epochs, firing scheduled faults (recovery + replay) as their
     /// epochs complete.
     pub fn run_epochs(&mut self, n: u64) -> Result<()> {
+        let _scope = brace_telemetry::enter(&self.metrics);
         for _ in 0..n {
             self.master.run_epoch()?;
             while self.fault_epochs.first().is_some_and(|&e| self.master.epoch() == e + 1) {
@@ -361,11 +367,6 @@ impl ClusterSim {
         self.master.tick()
     }
 
-    /// Completed epochs.
-    pub fn epoch(&self) -> u64 {
-        self.master.epoch()
-    }
-
     /// Ticks per epoch (the master's coordination cadence).
     pub fn epoch_len(&self) -> u64 {
         self.epoch_len
@@ -376,16 +377,19 @@ impl ClusterSim {
         self.master.x_bounds()
     }
 
-    /// Run statistics with current network totals merged in.
+    /// Run statistics, network totals read off the run's registry.
     pub fn stats(&self) -> ClusterStats {
-        let mut s = self.master.stats().clone();
-        s.net = self.ledger.stats();
-        s
+        ClusterStats { net: NetStats::of(&self.metrics), ..self.master.stats().clone() }
     }
 
-    /// Zero the network counters (e.g. after warm-up epochs).
-    pub fn reset_net(&self) {
-        self.ledger.reset();
+    /// Owned agents across workers at the end of the last live epoch.
+    pub fn agents(&self) -> usize {
+        self.master.stats().agents_per_worker.last().map_or(0, |w| w.iter().sum())
+    }
+
+    /// This run's telemetry registry: what it recorded, and nothing else.
+    pub fn metrics(&self) -> &Arc<Metrics> {
+        &self.metrics
     }
 }
 
@@ -960,12 +964,14 @@ mod tests {
             sim.run_epochs(1).unwrap();
             let warm = sim.stats();
             assert!(warm.net.replica_full.bytes > 0, "boundary population must replicate at all");
-            assert!(warm.replicas_in > 0, "replicas must arrive");
-            sim.reset_net();
+            assert!(warm.net.replica_full.messages > 0, "replicas must arrive");
             sim.run_epochs(2).unwrap();
             let steady = sim.stats();
-            assert_eq!(steady.net.replica_full.bytes, 0, "steady state must ship no full replicas");
-            assert_eq!(steady.net.replica_delta.bytes, 0, "stationary agents must ship no deltas either");
+            assert_eq!(steady.net.replica_full, warm.net.replica_full, "steady state must ship no full replicas");
+            assert_eq!(
+                steady.net.replica_delta, warm.net.replica_delta,
+                "stationary agents must ship no deltas either"
+            );
             assert_eq!(steady.net.transfer.bytes, 0, "no ownership changes");
             // The pool-resident counters: live ticks never rebuilt a pool,
             // materialized Vec<Agent> or built an index.
@@ -984,12 +990,13 @@ mod tests {
         let cfg = ClusterConfig { workers: 2, epoch_len: 4, seed: 3, load_balance: false, ..Default::default() };
         let mut sim = ClusterSim::new(Arc::new(Wiggle::new()), agents.clone(), cfg).unwrap();
         sim.run_epochs(1).unwrap();
-        sim.reset_net();
+        let warm = sim.stats().net;
         sim.run_epochs(2).unwrap();
         let steady = sim.stats();
-        assert_eq!(steady.net.replica_full.bytes, 0, "persisting replicas must never re-ship full records");
-        assert!(steady.net.replica_delta.bytes > 0, "moving replicas must ship deltas");
-        assert!(steady.replica_deltas_in > 0, "delta updates must arrive");
+        let delta_bytes = steady.net.replica_delta.bytes - warm.replica_delta.bytes;
+        assert_eq!(steady.net.replica_full, warm.replica_full, "persisting replicas must never re-ship full records");
+        assert!(delta_bytes > 0, "moving replicas must ship deltas");
+        assert!(steady.net.replica_delta.messages > warm.replica_delta.messages, "delta updates must arrive");
         // Agents only move in y, so the replicated band (every agent within
         // visibility of the x = 50 boundary) is the same each tick. Deltas
         // (y + phase per agent per tick) must be far smaller than re-shipping
@@ -1000,9 +1007,8 @@ mod tests {
         let measured_ticks = 2 * 4; // 2 epochs × epoch_len 4
         let full_bytes = codec::encode_agents(band).len() as u64 * measured_ticks;
         assert!(
-            steady.net.replica_delta.bytes * 2 < full_bytes,
-            "delta traffic ({}) must be well under full records for the same band ({full_bytes})",
-            steady.net.replica_delta.bytes
+            delta_bytes * 2 < full_bytes,
+            "delta traffic ({delta_bytes}) must be well under full records for the same band ({full_bytes})"
         );
     }
 }

@@ -4,8 +4,8 @@
 //! they would over MPI: agents are *serialized* out of the sending worker's
 //! memory and *deserialized* into the receiver's. This keeps the
 //! shared-nothing claim honest — a worker cannot observe another worker's
-//! agents except through these buffers — and gives the
-//! [`NetLedger`](crate::net::NetLedger) true byte counts.
+//! agents except through these buffers — and gives the network counters
+//! ([`net::record`](crate::net::record)) true byte counts.
 //!
 //! The format is a straightforward little-endian layout (no self-description;
 //! both ends share the schema). Checkpoints reuse the same primitives.
@@ -211,7 +211,7 @@ fn pool_row_wire_size(pool: &AgentPool) -> usize {
 
 /// Serialize a batch of pool rows as full agent records (wire-compatible
 /// with [`encode_agents`] / [`decode_agents`]). Returns an empty buffer for
-/// an empty row list so callers can skip charging the ledger.
+/// an empty row list so callers can skip recording it as traffic.
 pub fn encode_pool_rows(pool: &AgentPool, rows: &[u32]) -> Bytes {
     if rows.is_empty() {
         return Bytes::new();
@@ -346,11 +346,6 @@ pub struct ReplicaDelta {
 }
 
 impl ReplicaDelta {
-    /// Masked updates carried by this frame (before any draining).
-    pub fn updates_len(&self) -> u32 {
-        self.n_updates
-    }
-
     /// Decode the next masked update: returns `(slot, mask)` and fills
     /// `values` (cleared first) with the changed field values in field
     /// order (x, y, states). `None` once the frame is drained. An update
@@ -656,7 +651,7 @@ mod tests {
         enc.push_update(3, DELTA_MASK_Y, &pool, 1);
         let mut frame = decode_replica_delta(enc.finish()).unwrap();
         assert_eq!(frame.removals, vec![5, 1]);
-        assert_eq!(frame.updates_len(), 2);
+        assert_eq!(frame.n_updates, 2);
         let mut values = Vec::new();
         assert_eq!(frame.next_update_into(&mut values).unwrap(), Some((0, DELTA_MASK_X | (1 << 2))));
         assert_eq!(values, vec![2.0, 0.5]);
@@ -674,7 +669,7 @@ mod tests {
         enc.push_removal(0);
         assert!(!enc.is_trivial());
         let frame = decode_replica_delta(enc.finish()).unwrap();
-        assert!(frame.removals == [0] && frame.updates_len() == 0);
+        assert!(frame.removals == [0] && frame.n_updates == 0);
         enc.clear();
         assert!(enc.is_trivial());
     }

@@ -50,17 +50,17 @@
 //! * [`codec`] — the wire format: agents (from records or straight from
 //!   pool columns), replica delta frames, effect writes, spawn runs and
 //!   worker snapshots encoded to [`bytes::Bytes`].
-//! * [`net`] — the network ledger: every cross-worker payload is counted
+//! * [`net`] — network accounting: every cross-worker payload is counted
 //!   (messages, bytes) per traffic class — transfers, full replicas,
-//!   replica deltas, effects, control — exactly where a real transport
-//!   would sit.
+//!   replica deltas, effects, spawns, control — into the run's telemetry
+//!   registry, exactly where a real transport would sit.
 //! * [`runtime`] — worker protocol types and the per-tick map–reduce–reduce
 //!   schedule of Table 1.
 //! * [`worker`] — the pool-resident worker node: distribute as a column
 //!   scan (map), query/local effects (reduce 1), effect aggregation
 //!   (reduce 2), update over the owned prefix — every task for a partition
 //!   collocated on its node (same-partition hand-offs never touch the
-//!   codec or the ledger), and per-destination replica sessions driving
+//!   codec or the network counters), and per-destination replica sessions driving
 //!   the delta protocol, the one replica transport.
 //! * [`master`] — epoch-granularity coordination: statistics, load
 //!   balancing decisions, coordinated checkpoints, and one failure path —
@@ -91,4 +91,4 @@ pub use checkpoint::{CheckpointStore, ClusterCheckpoint};
 pub use cluster::{ClusterConfig, ClusterSim, FaultPlan};
 pub use manifest::{Manifest, ManifestRecord, ManifestWriter, RunHeader};
 pub use master::ClusterStats;
-pub use net::{NetLedger, NetStats};
+pub use net::NetStats;

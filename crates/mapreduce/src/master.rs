@@ -35,8 +35,8 @@ use brace_core::Agent;
 use brace_telemetry::{Counter as TelCounter, HistId};
 use crossbeam::channel::{Receiver, Sender};
 
-/// Run-level statistics kept by the master (see also `NetStats`, merged in
-/// by the facade).
+/// Run-level statistics kept by the master (see also `NetStats`, which the
+/// facade reads in off the run's telemetry registry).
 #[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
     /// Live (non-replay) epochs completed.
@@ -55,13 +55,6 @@ pub struct ClusterStats {
     pub checkpoints: u64,
     pub recoveries: u64,
     pub replayed_epochs: u64,
-    /// Full replica records received across workers (band entrants).
-    pub replicas_in: u64,
-    /// Replica delta updates received across workers (persisting replicas
-    /// refreshed in place — the delta-distribution steady state).
-    pub replica_deltas_in: u64,
-    /// Ownership transfers received across workers.
-    pub transfers_in: u64,
     /// Worker pool rebuilds during live epochs (pinned to zero by the
     /// pool-resident protocol; restores are the only sanctioned path).
     pub pool_rebuilds: u64,
@@ -75,7 +68,8 @@ pub struct ClusterStats {
     pub index_rebuilds: u64,
     /// 1 for local-effects models, 2 for map-reduce-reduce (Table 1).
     pub comm_rounds_per_tick: u32,
-    /// Network totals, snapshotted by the facade.
+    /// Network totals, read off the run's registry by
+    /// [`ClusterSim::stats`](crate::ClusterSim::stats).
     pub net: NetStats,
 }
 
@@ -321,9 +315,6 @@ impl Master {
         self.stats.epoch_wall_ns.push(wall);
         self.stats.agent_ticks += reports.iter().map(|r| r.agent_ticks).sum::<u64>();
         self.stats.agents_per_worker.push(reports.iter().map(|r| r.owned_agents).collect());
-        self.stats.replicas_in += reports.iter().map(|r| r.replicas_in).sum::<u64>();
-        self.stats.replica_deltas_in += reports.iter().map(|r| r.replica_deltas_in).sum::<u64>();
-        self.stats.transfers_in += reports.iter().map(|r| r.transfers_in).sum::<u64>();
         self.stats.pool_rebuilds += reports.iter().map(|r| r.pool_rebuilds).sum::<u64>();
         self.stats.vec_roundtrips += reports.iter().map(|r| r.vec_roundtrips).sum::<u64>();
         self.stats.comm_rounds_per_tick = reports.iter().map(|r| r.comm_rounds_per_tick).max().unwrap_or(1);

@@ -1,15 +1,13 @@
 //! Network accounting — the seam where a real transport would sit.
 //!
-//! Every cross-worker message in the runtime passes through a
-//! [`NetLedger`], which counts messages and payload bytes per category.
-//! Collocated traffic (a worker handing agents to its own next tick) never
-//! touches the ledger or the codec, which is exactly the saving the
-//! paper's collocation design buys.
+//! Every cross-worker message in the runtime is [`record`]ed, message and
+//! payload bytes per category, into the run's telemetry registry; a run's
+//! [`NetStats`] are read back off it. Collocated traffic (a worker handing
+//! agents to its own next tick) is never recorded and never touches the
+//! codec, which is exactly the saving the paper's collocation design buys.
 
-use brace_telemetry::Counter as TelCounter;
-use parking_lot::Mutex;
+use brace_telemetry::{Counter as TelCounter, Metrics};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// What a message carries, for per-category accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,6 +33,27 @@ pub enum Traffic {
     Control,
 }
 
+impl Traffic {
+    /// The category's telemetry counters: `(bytes, messages)`.
+    fn counters(self) -> (TelCounter, TelCounter) {
+        match self {
+            Traffic::Transfer => (TelCounter::NetTransferBytes, TelCounter::NetTransferMessages),
+            Traffic::ReplicaFull => (TelCounter::NetReplicaFullBytes, TelCounter::NetReplicaFullMessages),
+            Traffic::ReplicaDelta => (TelCounter::NetReplicaDeltaBytes, TelCounter::NetReplicaDeltaMessages),
+            Traffic::Effects => (TelCounter::NetEffectsBytes, TelCounter::NetEffectsMessages),
+            Traffic::Spawns => (TelCounter::NetSpawnsBytes, TelCounter::NetSpawnsMessages),
+            Traffic::Control => (TelCounter::NetControlBytes, TelCounter::NetControlMessages),
+        }
+    }
+}
+
+/// Record one message of `bytes` payload in category `kind`.
+pub fn record(kind: Traffic, bytes: usize) {
+    let (bytes_counter, messages) = kind.counters();
+    brace_telemetry::add(bytes_counter, bytes as u64);
+    brace_telemetry::incr(messages);
+}
+
 /// Aggregate counters for one traffic category.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Counter {
@@ -54,6 +73,22 @@ pub struct NetStats {
 }
 
 impl NetStats {
+    /// The totals a run's registry holds.
+    pub fn of(metrics: &Metrics) -> NetStats {
+        let read = |kind: Traffic| {
+            let (bytes, messages) = kind.counters();
+            Counter { messages: metrics.counter(messages), bytes: metrics.counter(bytes) }
+        };
+        NetStats {
+            transfer: read(Traffic::Transfer),
+            replica_full: read(Traffic::ReplicaFull),
+            replica_delta: read(Traffic::ReplicaDelta),
+            effects: read(Traffic::Effects),
+            spawns: read(Traffic::Spawns),
+            control: read(Traffic::Control),
+        }
+    }
+
     pub fn total_bytes(&self) -> u64 {
         self.transfer.bytes + self.replica_bytes() + self.effects.bytes + self.spawns.bytes + self.control.bytes
     }
@@ -74,105 +109,41 @@ impl NetStats {
     }
 }
 
-/// Shared, thread-safe ledger. Cloning shares the underlying counters; every
-/// record is mirrored into the `brace_telemetry` registry's per-class byte
-/// counters.
-#[derive(Debug, Clone, Default)]
-pub struct NetLedger {
-    inner: Arc<Mutex<NetStats>>,
-}
-
-impl NetLedger {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one message of `bytes` payload in category `kind`.
-    pub fn record(&self, kind: Traffic, bytes: usize) {
-        let mut s = self.inner.lock();
-        let c = match kind {
-            Traffic::Transfer => &mut s.transfer,
-            Traffic::ReplicaFull => &mut s.replica_full,
-            Traffic::ReplicaDelta => &mut s.replica_delta,
-            Traffic::Effects => &mut s.effects,
-            Traffic::Spawns => &mut s.spawns,
-            Traffic::Control => &mut s.control,
-        };
-        c.messages += 1;
-        c.bytes += bytes as u64;
-        drop(s);
-        let counter = match kind {
-            Traffic::Transfer => TelCounter::NetTransferBytes,
-            Traffic::ReplicaFull => TelCounter::NetReplicaFullBytes,
-            Traffic::ReplicaDelta => TelCounter::NetReplicaDeltaBytes,
-            Traffic::Effects => TelCounter::NetEffectsBytes,
-            Traffic::Spawns => TelCounter::NetSpawnsBytes,
-            Traffic::Control => TelCounter::NetControlBytes,
-        };
-        brace_telemetry::add(counter, bytes as u64);
-    }
-
-    /// Snapshot the totals.
-    pub fn stats(&self) -> NetStats {
-        *self.inner.lock()
-    }
-
-    /// Zero all counters (e.g. after warm-up).
-    pub fn reset(&self) {
-        *self.inner.lock() = NetStats::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
-    fn record_accumulates_per_category() {
-        let l = NetLedger::new();
-        l.record(Traffic::Transfer, 100);
-        l.record(Traffic::Transfer, 50);
-        l.record(Traffic::Effects, 10);
-        let s = l.stats();
+    fn records_accumulate_per_category_in_the_scope() {
+        let run = Arc::new(Metrics::new());
+        let _scope = brace_telemetry::enter(&run);
+        record(Traffic::Transfer, 100);
+        record(Traffic::Transfer, 50);
+        record(Traffic::Effects, 10);
+        record(Traffic::ReplicaFull, 7);
+        record(Traffic::ReplicaDelta, 2);
+        let s = NetStats::of(&run);
         assert_eq!(s.transfer, Counter { messages: 2, bytes: 150 });
         assert_eq!(s.effects, Counter { messages: 1, bytes: 10 });
-        assert_eq!(s.total_bytes(), 160);
-        assert_eq!(s.total_messages(), 3);
+        assert_eq!(s.replica_bytes(), 9);
+        assert_eq!(s.total_bytes(), 169);
+        assert_eq!(s.total_messages(), 5);
     }
 
     #[test]
-    fn clones_share_counters() {
-        let l = NetLedger::new();
-        let l2 = l.clone();
-        l2.record(Traffic::ReplicaFull, 7);
-        l2.record(Traffic::ReplicaDelta, 2);
-        assert_eq!(l.stats().replica_full.bytes, 7);
-        assert_eq!(l.stats().replica_delta.bytes, 2);
-        assert_eq!(l.stats().replica_bytes(), 9);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let l = NetLedger::new();
-        l.record(Traffic::Control, 1);
-        l.reset();
-        assert_eq!(l.stats(), NetStats::default());
-    }
-
-    #[test]
-    fn ledger_is_thread_safe() {
-        let l = NetLedger::new();
+    fn records_from_many_threads_sum() {
+        let run = Arc::new(Metrics::new());
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let l = l.clone();
-                s.spawn(move || {
+                s.spawn(|| {
+                    let _scope = brace_telemetry::enter(&run);
                     for _ in 0..1000 {
-                        l.record(Traffic::ReplicaFull, 8);
+                        record(Traffic::ReplicaFull, 8);
                     }
                 });
             }
         });
-        assert_eq!(l.stats().replica_full.messages, 4000);
-        assert_eq!(l.stats().replica_full.bytes, 32000);
+        assert_eq!(NetStats::of(&run).replica_full, Counter { messages: 4000, bytes: 32000 });
     }
 }

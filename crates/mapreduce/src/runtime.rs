@@ -113,8 +113,6 @@ pub struct WorkerEpochStats {
     /// Wall time of the epoch on this worker (includes waiting on peers —
     /// the straggler effect load balancing exists to fix).
     pub wall_ns: u64,
-    /// Busy time actually spent computing (index+query+update).
-    pub busy_ns: u64,
     /// Histogram of owned agents' x positions over the command's
     /// `hist_range` (input to the 1-D load balancer).
     pub x_hist: Vec<u64>,
@@ -125,15 +123,6 @@ pub struct WorkerEpochStats {
     /// Communication rounds executed per tick (1 = local effects only,
     /// 2 = map-reduce-reduce). Exposed to assert the Table 1 mapping.
     pub comm_rounds_per_tick: u32,
-    /// Full replica records received this epoch (band entrants; under
-    /// delta distribution a stable boundary population stops paying this
-    /// after its first tick).
-    pub replicas_in: u64,
-    /// Replica delta updates received this epoch (persisting replicas
-    /// refreshed in place).
-    pub replica_deltas_in: u64,
-    /// Agents whose ownership transferred in this epoch.
-    pub transfers_in: u64,
     /// Times this worker rebuilt its agent pool from row records during
     /// the epoch's ticks. The pool-resident protocol's core claim is that
     /// this stays **zero** outside restores — asserted in tests.

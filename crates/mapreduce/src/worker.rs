@@ -58,11 +58,12 @@
 //! Sessions are the one replica transport: nothing ever re-ships a
 //! persisting replica as a full record.
 //!
-//! All peer communication is serialized bytes over channels, recorded in
-//! the [`NetLedger`]. The worker speaks to the master only between epochs.
+//! All peer communication is serialized bytes over channels, each message
+//! counted by [`net::record`] into the run's registry, the worker thread's
+//! scope for its life. The worker speaks to the master only between epochs.
 
 use crate::codec::{self, ReplicaDeltaEnc, WorkerSnapshot, DELTA_MASK_X, DELTA_MASK_Y};
-use crate::net::{NetLedger, Traffic};
+use crate::net::{self, Traffic};
 use crate::runtime::{Command, EpochCommand, PeerMsg, Report, Round, WorkerEpochStats};
 use brace_common::{AgentId, DetRng, FieldId, WorkerId};
 use brace_core::executor::{
@@ -70,6 +71,7 @@ use brace_core::executor::{
 };
 use brace_core::{Agent, AgentPool, Behavior, EffectWrite};
 use brace_spatial::{GridPartitioning, IndexKind};
+use brace_telemetry::Metrics;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
@@ -107,7 +109,8 @@ pub struct WorkerLinks {
     pub inbox: Receiver<PeerMsg>,
     pub commands: Receiver<Command>,
     pub reports: Sender<Report>,
-    pub ledger: NetLedger,
+    /// The run's telemetry registry: this worker thread's scope.
+    pub metrics: Arc<Metrics>,
 }
 
 /// Sender-side replica state for one destination: which agents are
@@ -424,15 +427,17 @@ impl Worker {
         self.pool_rebuilds += 1;
     }
 
-    /// Thread entry point: serve master commands until `Stop`.
+    /// Thread entry point: serve master commands until `Stop`, recording
+    /// into the run's registry throughout.
     pub fn run_loop(mut self) {
+        let _scope = brace_telemetry::enter(&self.links.metrics);
         loop {
             match self.links.commands.recv() {
                 Err(_) => break, // master dropped; shut down
                 Ok(Command::Stop) => break,
                 Ok(Command::Collect) => {
                     let snapshot = self.snapshot();
-                    self.links.ledger.record(Traffic::Control, snapshot.len());
+                    net::record(Traffic::Control, snapshot.len());
                     let _ = self.links.reports.send(Report::Collected { worker: self.cfg.id, snapshot });
                 }
                 Ok(Command::Restore { snapshot, x_bounds }) => match codec::decode_snapshot(snapshot) {
@@ -450,7 +455,7 @@ impl Worker {
                         let _ = self.links.reports.send(Report::Failed { worker: self.cfg.id, reason });
                         break;
                     }
-                    self.links.ledger.record(Traffic::Control, 64 + stats.x_hist.len() * 8);
+                    net::record(Traffic::Control, 64 + stats.x_hist.len() * 8);
                     let _ = self.links.reports.send(Report::EpochDone { worker: self.cfg.id, stats, snapshot });
                 }
             }
@@ -491,11 +496,9 @@ impl Worker {
         };
         let (rebuilds0, roundtrips0) = (self.pool_rebuilds, self.vec_roundtrips);
         for _ in 0..cmd.ticks {
-            let t0 = Instant::now();
             let owned_at_start = self.n_owned;
-            self.run_tick(&mut stats);
+            self.run_tick();
             stats.agent_ticks += owned_at_start as u64;
-            stats.busy_ns += t0.elapsed().as_nanos() as u64;
         }
         stats.pool_rebuilds = self.pool_rebuilds - rebuilds0;
         stats.vec_roundtrips = self.vec_roundtrips - roundtrips0;
@@ -598,18 +601,16 @@ impl Worker {
     /// removals, masked updates and entrant appends — in exactly the order
     /// the sender's session performed them — then its ownership transfers.
     /// Updates drain the frame's byte cursor through one reused value buffer.
-    /// Returns how many entrants, updates and transfers it applied.
     ///
     /// Peer bytes are not trusted: a payload that does not decode, a slot
     /// past the sender's registry, a mask naming a field past the schema, a
     /// record that is dead or of another shape, or a transfer of an agent
     /// this worker already owns is an `Err`. What was applied before it stays;
     /// the pool's structure is intact, and the epoch fails.
-    fn apply_batch(&mut self, src: usize, full: Bytes, delta: Bytes, transfers: Bytes) -> Result<[u64; 3], String> {
+    fn apply_batch(&mut self, src: usize, full: Bytes, delta: Bytes, transfers: Bytes) -> Result<(), String> {
         let decoded = codec::decode_agents_opt(full)
             .and_then(|fulls| Ok((fulls, codec::decode_replica_delta(delta)?, codec::decode_agents_opt(transfers)?)));
         let (fulls, mut delta, transfers) = decoded.map_err(|e| e.to_string())?;
-        let updates = delta.updates_len() as u64;
         let schema = self.behavior.schema();
         let (states, effects) = (schema.num_states(), schema.num_effects());
         if let Some(a) =
@@ -641,12 +642,12 @@ impl Worker {
             }
             self.insert_owned(a);
         }
-        Ok([fulls.len() as u64, updates, transfers.len() as u64])
+        Ok(())
     }
 
     /// One tick of the map–reduce(–reduce) pipeline. Public within the
     /// crate so tests can drive a worker directly.
-    pub(crate) fn run_tick(&mut self, stats: &mut WorkerEpochStats) {
+    pub(crate) fn run_tick(&mut self) {
         let n = self.cfg.num_workers;
         let me = self.me();
         // Clone the Arc so the schema borrow is independent of `self` (the
@@ -677,8 +678,8 @@ impl Worker {
             }
         }
         // Encode and send every peer's payloads before any pool mutation
-        // (the collected rows stay valid). Empty payloads cost no ledger
-        // bytes — a stationary band is literally free.
+        // (the collected rows stay valid). Empty payloads are never sent as
+        // traffic — a stationary band is literally free.
         for j in 0..n {
             if j == me {
                 continue;
@@ -688,13 +689,13 @@ impl Worker {
             let (full, delta) = self.sessions[j].encode_tick(&self.pool, &rows);
             self.dest_replicas[j] = rows;
             if !transfers.is_empty() {
-                self.links.ledger.record(Traffic::Transfer, transfers.len());
+                net::record(Traffic::Transfer, transfers.len());
             }
             if !full.is_empty() {
-                self.links.ledger.record(Traffic::ReplicaFull, full.len());
+                net::record(Traffic::ReplicaFull, full.len());
             }
             if !delta.is_empty() {
-                self.links.ledger.record(Traffic::ReplicaDelta, delta.len());
+                net::record(Traffic::ReplicaDelta, delta.len());
             }
             self.links.peers[j]
                 .send(PeerMsg::Batch {
@@ -738,13 +739,8 @@ impl Worker {
             let PeerMsg::Batch { from, transfers, replica_full, replica_delta, .. } = msg else {
                 unreachable!("recv_round filtered by round")
             };
-            match self.apply_batch(from.index(), replica_full, replica_delta, transfers) {
-                Ok([replicas, deltas, transfers]) => {
-                    stats.replicas_in += replicas;
-                    stats.replica_deltas_in += deltas;
-                    stats.transfers_in += transfers;
-                }
-                Err(e) => _ = self.failure.get_or_insert(format!("replicas and transfers from {from}: {e}")),
+            if let Err(e) = self.apply_batch(from.index(), replica_full, replica_delta, transfers) {
+                _ = self.failure.get_or_insert(format!("replicas and transfers from {from}: {e}"));
             }
         }
         let n_owned = self.n_owned;
@@ -772,7 +768,7 @@ impl Worker {
             }
             for (j, writes) in dest_writes.iter().enumerate().filter(|&(j, _)| j != me) {
                 let bytes = codec::encode_effect_writes(writes);
-                self.links.ledger.record(Traffic::Effects, bytes.len());
+                net::record(Traffic::Effects, bytes.len());
                 self.links.peers[j]
                     .send(PeerMsg::Effects { tick: self.tick, from: self.cfg.id, writes: bytes })
                     .expect("peer inbox closed");
@@ -839,7 +835,7 @@ impl Worker {
                     continue;
                 }
                 if !runs.is_empty() {
-                    self.links.ledger.record(Traffic::Spawns, runs.len());
+                    net::record(Traffic::Spawns, runs.len());
                 }
                 self.links.peers[j]
                     .send(PeerMsg::Spawns { tick: self.tick, from: self.cfg.id, runs: runs.clone() })
@@ -1032,7 +1028,7 @@ mod tests {
         let (_peer_tx, inbox) = unbounded();
         let (_cmd_tx, commands) = unbounded::<Command>();
         let (reports, _report_rx) = unbounded();
-        let links = WorkerLinks { peers: vec![_peer_tx], inbox, commands, reports, ledger: NetLedger::new() };
+        let links = WorkerLinks { peers: vec![_peer_tx], inbox, commands, reports, metrics: Arc::default() };
         let cfg = WorkerConfig { id: WorkerId::new(0), num_workers: 1, index, seed: 11, parallelism: 2 };
         let part = GridPartitioning::columns(0.0, 100.0, 1);
         Worker::new(Arc::new(Drift::new()), cfg, links, part, agents, 1 << 32)
@@ -1058,9 +1054,8 @@ mod tests {
             .parallelism(2)
             .build()
             .unwrap();
-        let mut stats = WorkerEpochStats::default();
         for _ in 0..6 {
-            worker.run_tick(&mut stats);
+            worker.run_tick();
             sim.step();
         }
         let mut a: Vec<_> = worker.owned_agents();
@@ -1077,11 +1072,10 @@ mod tests {
         // On the join and on the scan alike.
         for index in [IndexKind::Join, IndexKind::Scan] {
             let mut worker = single_worker_with(line(40, 0.6), index);
-            let mut stats = WorkerEpochStats::default();
             let rebuilds0 = worker.pool_rebuilds;
             let roundtrips0 = worker.vec_roundtrips;
             for _ in 0..8 {
-                worker.run_tick(&mut stats);
+                worker.run_tick();
             }
             assert_eq!(worker.pool_rebuilds, rebuilds0, "{index:?}: ticks must not rebuild the pool");
             assert_eq!(worker.vec_roundtrips, roundtrips0, "{index:?}: ticks must not materialize Vec<Agent>");
@@ -1099,22 +1093,21 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trip() {
         let mut worker = single_worker(line(5, 1.0));
-        let mut stats = WorkerEpochStats::default();
-        worker.run_tick(&mut stats);
+        worker.run_tick();
         let roundtrips0 = worker.vec_roundtrips;
         let snap = codec::decode_snapshot(worker.snapshot()).unwrap();
         assert_eq!(worker.vec_roundtrips, roundtrips0, "a snapshot is encoded from the pool");
         let before: Vec<_> = worker.owned_agents();
         assert_eq!(snap.agents, before);
         // Run further, then roll back.
-        worker.run_tick(&mut stats);
-        worker.run_tick(&mut stats);
+        worker.run_tick();
+        worker.run_tick();
         worker.restore(snap, vec![0.0, 100.0]);
         assert_eq!(worker.vec_roundtrips, roundtrips0 + 1, "a restore decodes the records");
         assert_eq!(worker.owned_agents(), before);
         assert_eq!(worker.current_tick(), 1);
         // Replay is deterministic.
-        worker.run_tick(&mut stats);
+        worker.run_tick();
         let replayed: Vec<_> = worker.owned_agents();
         let snap = codec::decode_snapshot(worker.snapshot()).unwrap();
         worker.restore(snap, vec![0.0, 100.0]);
@@ -1156,7 +1149,7 @@ mod tests {
         let (cmd_tx, commands) = unbounded();
         let (reports, report_rx) = unbounded();
         let links =
-            WorkerLinks { peers: vec![to_me.clone(), to_peer], inbox, commands, reports, ledger: NetLedger::new() };
+            WorkerLinks { peers: vec![to_me.clone(), to_peer], inbox, commands, reports, metrics: Arc::default() };
         let cfg =
             WorkerConfig { id: WorkerId::new(0), num_workers: 2, index: IndexKind::Join, seed: 11, parallelism: 1 };
         let part = GridPartitioning::columns(0.0, 100.0, 2);

@@ -22,7 +22,7 @@
 //! work.
 
 use crate::jobline::JobSpec;
-use crate::runner::{finish, RunReport, SimHandle, Throttle};
+use crate::runner::{finish, Observer, RunReport, SimHandle, Throttle};
 use crate::{conformance_setup, Registry};
 use brace_common::{BraceError, Result};
 use brace_mapreduce::{manifest, ClusterConfig, ClusterSim};
@@ -54,19 +54,27 @@ pub struct RunSummary {
 pub struct DurableRunner<'r> {
     registry: &'r Registry,
     root: PathBuf,
+    observers: Vec<Box<dyn Observer>>,
 }
 
 impl<'r> DurableRunner<'r> {
     pub fn new(registry: &'r Registry, root: impl Into<PathBuf>) -> Self {
-        DurableRunner { registry, root: root.into() }
+        DurableRunner { registry, root: root.into(), observers: Vec::new() }
+    }
+
+    /// Attach an observer to the resumed run (any number may be attached).
+    pub fn observe(mut self, observer: Box<dyn Observer>) -> Self {
+        self.observers.push(observer);
+        self
     }
 
     /// Resume `root/<run-id>/` in this process: read the manifest, rebuild
     /// the behavior from the recorded job line and seed, restore from the
     /// newest valid checkpoint, replay the logged epoch commands, and run
     /// the remaining ticks, sleeping `epoch_sleep_ms` after each epoch
-    /// ([`Throttle`]). Bit-identical to never having crashed.
-    pub fn resume(&self, run_id: &str, epoch_sleep_ms: u64) -> Result<RunReport> {
+    /// ([`Throttle`]) and driving the attached observers. Bit-identical to
+    /// never having crashed.
+    pub fn resume(self, run_id: &str, epoch_sleep_ms: u64) -> Result<RunReport> {
         let dir = self.root.join(run_id);
         let m = manifest::read_manifest(&dir)?;
         if let Some((ticks, checksum)) = m.complete() {
@@ -95,9 +103,10 @@ impl<'r> DurableRunner<'r> {
         };
         let (sim, _) = ClusterSim::resume(setup.behavior, cfg)?;
         let resumed_from = sim.tick();
-        let throttle = Box::new(Throttle(Duration::from_millis(epoch_sleep_ms)));
+        let mut observers: Vec<Box<dyn Observer>> = vec![Box::new(Throttle(Duration::from_millis(epoch_sleep_ms)))];
+        observers.extend(self.observers);
         let remaining = m.header.total_ticks.saturating_sub(resumed_from);
-        finish(scenario, SimHandle::resumed(sim, vec![throttle]), remaining, resumed_from)
+        finish(scenario, SimHandle::resumed(sim, observers), remaining, resumed_from)
     }
 
     /// Summaries of every run under the root, sorted by run id. Unreadable

@@ -6,7 +6,8 @@
 //! `brace_mapreduce::ClusterSim` is dyn-based and epoch-grained
 //! (`run_epochs`, `collect_agents()`). A [`Runner`] erases the difference:
 //! pick a [`Backend`], launch a [`SimHandle`], run ticks, collect the world.
-//! Metric sinks hang off [`Observer`]s. Both engines admit a population through the
+//! Metric sinks hang off [`Observer`]s, and the run's own telemetry registry
+//! is [`SimHandle::metrics`] (and [`RunReport::metrics`]). Both engines admit a population through the
 //! same `brace_core::check_population`, so a launch fails or succeeds alike
 //! on every backend.
 //!
@@ -20,7 +21,7 @@
 use crate::jobline::JobSpec;
 use crate::{conformance_setup, Scenario, ScenarioSetup};
 use brace_common::{BraceError, Result};
-use brace_core::metrics::TickMetrics;
+use brace_core::metrics::{Metrics, TickMetrics};
 use brace_core::{Agent, Behavior, Simulation};
 use brace_mapreduce::{ClusterConfig, ClusterSim, ClusterStats};
 use brace_spatial::IndexKind;
@@ -338,6 +339,7 @@ pub(crate) fn finish(scenario: &dyn Scenario, mut handle: SimHandle, ticks: u64,
         wall_secs,
         agents_per_sec: if wall_secs > 0.0 { agent_ticks as f64 / wall_secs } else { 0.0 },
         world,
+        metrics: Arc::clone(handle.metrics()),
     })
 }
 
@@ -369,22 +371,13 @@ pub struct RunReport {
     pub agents_per_sec: f64,
     /// The final world, sorted by agent id.
     pub world: Vec<Agent>,
+    /// What the run recorded in this process: its own telemetry registry.
+    pub metrics: Arc<Metrics>,
 }
 
 enum Inner {
     Single(Box<Simulation<Arc<dyn Behavior>>>),
     Cluster(Box<ClusterSim>),
-}
-
-fn world_of(inner: &mut Inner) -> Result<Vec<Agent>> {
-    match inner {
-        Inner::Single(sim) => {
-            let mut world = sim.agents();
-            world.sort_by_key(|a| a.id);
-            Ok(world)
-        }
-        Inner::Cluster(sim) => sim.collect_agents(),
-    }
 }
 
 /// A launched simulation with the backend erased.
@@ -431,9 +424,7 @@ impl SimHandle {
                 Inner::Cluster(sim) => {
                     sim.run_epochs(1)?;
                     done += sim.epoch_len();
-                    let stats = sim.stats();
-                    let agents = stats.agents_per_worker.last().map(|w| w.iter().sum()).unwrap_or(0);
-                    Progress { tick: sim.tick(), agents }
+                    Progress { tick: sim.tick(), agents: sim.agents() }
                 }
             };
             for o in &mut self.observers {
@@ -454,7 +445,14 @@ impl SimHandle {
     /// The current world, sorted by agent id (cluster: a master-coordinated
     /// collection at the current epoch boundary).
     pub fn world(&mut self) -> Result<Vec<Agent>> {
-        world_of(&mut self.inner)
+        match &mut self.inner {
+            Inner::Single(sim) => {
+                let mut world = sim.agents();
+                world.sort_by_key(|a| a.id);
+                Ok(world)
+            }
+            Inner::Cluster(sim) => sim.collect_agents(),
+        }
     }
 
     /// [`crate::world_checksum`] of [`SimHandle::world`].
@@ -467,6 +465,14 @@ impl SimHandle {
         match &self.inner {
             Inner::Single(_) => self.single_agent_ticks,
             Inner::Cluster(sim) => sim.stats().agent_ticks,
+        }
+    }
+
+    /// The run's telemetry registry: what it recorded, and nothing else.
+    pub fn metrics(&self) -> &Arc<Metrics> {
+        match &self.inner {
+            Inner::Single(sim) => sim.metrics(),
+            Inner::Cluster(sim) => sim.metrics(),
         }
     }
 

@@ -13,8 +13,9 @@
 //! | `POST /runs` | submit a run (scenario, backend, ticks, agents, seed, …) |
 //! | `GET /runs/:id` | status and result metrics |
 //! | `GET /runs/:id/stream` | chunked per-tick observations, then the result |
+//! | `GET /runs/:id/metrics` | Prometheus text exposition of a finished run's own telemetry registry |
 //! | `GET /stats` | pool, admission and cache counters |
-//! | `GET /metrics` | Prometheus text exposition of the telemetry registry |
+//! | `GET /metrics` | Prometheus text exposition of the process's telemetry total |
 //!
 //! **Admission control** is explicit: jobs wait in a bounded queue and a
 //! `POST` that finds the queue full is rejected with `503` plus a
@@ -49,7 +50,7 @@ pub use json::Json;
 use brace_common::Result;
 use brace_scenario::runner::DEFAULT_SEED;
 use brace_scenario::{index_by_name, Backend, JobSpec, Observer, Progress, Registry, RunKey, Runner};
-use brace_telemetry::{Counter as TelCounter, Gauge, HistId};
+use brace_telemetry::{Counter as TelCounter, HistId, Metrics};
 use http::ChunkedWriter;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -144,12 +145,14 @@ impl Status {
 }
 
 /// Result metrics of a finished run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Finished {
     checksum: u64,
     agents: usize,
     wall_secs: f64,
     agents_per_sec: f64,
+    /// What the run recorded (`None` when served from the cache).
+    metrics: Option<Arc<Metrics>>,
 }
 
 struct RunState {
@@ -367,6 +370,7 @@ fn execute(app: &Arc<App>, record: &Arc<RunRecord>) {
                 agents: report.agents,
                 wall_secs: report.wall_secs,
                 agents_per_sec: report.agents_per_sec,
+                metrics: Some(report.metrics),
             };
             // The run's frames are final. The result reaches the cache and
             // the counters before the record says done: a client that reads
@@ -472,6 +476,7 @@ fn route(app: &Arc<App>, stream: &mut TcpStream, req: &Request) -> std::io::Resu
             match rest.split_once('/') {
                 None => run_status(app, stream, rest),
                 Some((id, "stream")) => run_stream(app, stream, id),
+                Some((id, "metrics")) => run_metrics(app, stream, id),
                 Some(_) => not_found(app, stream, path),
             }
         }
@@ -487,16 +492,29 @@ fn route(app: &Arc<App>, stream: &mut TcpStream, req: &Request) -> std::io::Resu
 
 fn index_body() -> String {
     "{\"service\":\"brace-serve\",\"endpoints\":[\"GET /scenarios\",\"POST /runs\",\"GET /runs/:id\",\
-     \"GET /runs/:id/stream\",\"GET /stats\",\"GET /metrics\"]}"
+     \"GET /runs/:id/stream\",\"GET /runs/:id/metrics\",\"GET /stats\",\"GET /metrics\"]}"
         .to_string()
 }
 
-/// Prometheus text exposition (v0.0.4) of the process-wide telemetry
-/// registry. Point-in-time gauges (queue depth) are sampled at scrape.
+/// Prometheus text exposition (v0.0.4) of the process's telemetry total —
+/// every run's records and the serve plane's own — then this server's queue
+/// depth, sampled at scrape.
 fn metrics(app: &Arc<App>, stream: &mut TcpStream) -> std::io::Result<()> {
-    brace_telemetry::gauge_set(Gauge::ServeQueueDepth, app.queue.lock().unwrap().len() as u64);
-    let body = brace_telemetry::render_prometheus();
+    let (name, depth) = ("brace_serve_queue_depth", app.queue.lock().unwrap().len());
+    let gauge =
+        format!("# HELP {name} Jobs waiting in the serve admission queue\n# TYPE {name} gauge\n{name} {depth}\n");
+    let body = brace_telemetry::TOTAL.render_prometheus() + &gauge;
     http::write_response(stream, 200, "OK", &[], "text/plain; version=0.0.4", &body)
+}
+
+/// The same exposition of one finished run's own registry: what that run
+/// recorded, and nothing else (none while in flight, failed or cached).
+fn run_metrics(app: &Arc<App>, stream: &mut TcpStream, id: &str) -> std::io::Result<()> {
+    let metrics = lookup(app, id).and_then(|r| r.state.lock().unwrap().result.as_ref()?.metrics.clone());
+    match metrics {
+        Some(m) => http::write_response(stream, 200, "OK", &[], "text/plain; version=0.0.4", &m.render_prometheus()),
+        None => not_found(app, stream, &format!("/runs/{id}/metrics")),
+    }
 }
 
 fn scenarios_body(app: &Arc<App>) -> String {
@@ -644,6 +662,7 @@ fn post_run(app: &Arc<App>, stream: &mut TcpStream, body: &str) -> std::io::Resu
                     agents: hit.agents,
                     wall_secs: hit.wall_secs,
                     agents_per_sec: hit.agents_per_sec,
+                    metrics: None,
                 }),
                 error: None,
                 cached: true,
@@ -726,7 +745,7 @@ fn run_status(app: &Arc<App>, stream: &mut TcpStream, id: &str) -> std::io::Resu
         record.key.ticks,
         st.frames.len()
     );
-    if let Some(r) = st.result {
+    if let Some(r) = &st.result {
         body.push_str(&format!(
             ",\"checksum\":\"{:#018X}\",\"agents\":{},\"wall_secs\":{:.6},\"agents_per_sec\":{:.1}",
             r.checksum, r.agents, r.wall_secs, r.agents_per_sec

@@ -8,7 +8,7 @@
 //!           [--conformance] [--progress] [--trace PATH]
 //! brace run --scenario <name> --backend cluster[:N] --run-dir DIR [--run-id ID]
 //!           [--checkpoint-every E] [--keep-checkpoints K] [--epoch-sleep-ms MS] ...
-//! brace run --run-dir DIR --resume <run-id> [--epoch-sleep-ms MS]
+//! brace run --run-dir DIR --resume <run-id> [--progress] [--trace PATH] [--epoch-sleep-ms MS]
 //! brace list-runs --run-dir DIR
 //! brace serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
 //! ```
@@ -39,28 +39,29 @@
 //! completed tick with the executor's phase timings (`index_maintain_ns`,
 //! `query_ns`, `effect_merge_ns`, `update_ns`) plus work counters. Cluster
 //! runs trace at epoch grain with `tick`/`agents` only (per-worker phase
-//! accounting is aggregated, not per tick). Each run then adds one summary
-//! line with its query-phase amortisation from the telemetry registry:
-//! `probe_groups` (candidate blocks built; a group whose members all read
-//! no neighbour builds none), `block_candidates` (rows in those blocks) —
-//! reading agent-ticks ÷ groups is the readers one block served — and
-//! `effect_log_entries` (writes to remote effect fields, logged for ordered
-//! replay; 0 for local-effect schemas) and `tile_directory_ticks` (query
-//! phases whose join windows were read off the probe order's tile
-//! directory — one per tick per worker when the occupied tiles are dense).
-//! Tracing observes the same metrics the executor already measures — it
-//! never changes results.
+//! accounting is aggregated, not per tick). Each run that succeeds then adds
+//! one summary line with its query-phase amortisation, read off the run's
+//! own telemetry registry ([`RunReport::metrics`]), so nothing else the
+//! process records can leak into it: `probe_groups` (candidate blocks built;
+//! a group whose members all read no neighbour builds none),
+//! `block_candidates` (rows in those blocks) — reading agent-ticks ÷ groups
+//! is the readers one block served — and `effect_log_entries` (writes to
+//! remote effect fields, logged for ordered replay; 0 for local-effect
+//! schemas) and `tile_directory_ticks` (query phases whose join windows were
+//! read off the probe order's tile directory — one per tick per worker when
+//! the occupied tiles are dense). Tracing observes the same metrics the
+//! executor already measures — it never changes results.
 //!
 //! With `--run-dir`, `run` becomes a **durable job**: the same `Runner` run
 //! on a cluster backend whose run lives in `DIR/<run-id>/` (default run id
 //! `<scenario>-<seed>`) behind a crash-safe write-ahead manifest and fsynced
 //! checkpoints, so `--trace`, `--progress` and `--index` work as on any run.
 //! `--resume <run-id>` finishes an interrupted run in a fresh process,
-//! bit-identically to never having crashed, through [`DurableRunner`]; its
-//! manifest decides its configuration, so it refuses `--trace`, `--index`
-//! and `--progress` (exit 2) rather than ignore them. `--epoch-sleep-ms`
-//! sleeps after every epoch ([`Throttle`]). `list-runs` summarizes what a
-//! run directory holds.
+//! bit-identically to never having crashed, through [`DurableRunner`], which
+//! takes `--trace` and `--progress` as a fresh run does. Its manifest decides
+//! its configuration, so it refuses `--index` (exit 2) rather than ignore it.
+//! `--epoch-sleep-ms` sleeps after every epoch ([`Throttle`]). `list-runs`
+//! summarizes what a run directory holds.
 //!
 //! `serve` puts the registry on a socket: a [`brace_serve::Server`] with a
 //! bounded simulation worker pool, explicit admission backpressure, and a
@@ -68,13 +69,20 @@
 //! the `brace-serve` crate docs and README for the endpoint reference.
 
 use brace_core::metrics::TickMetrics;
+use brace_mapreduce::manifest;
 use brace_scenario::runner::DEFAULT_SEED;
 use brace_scenario::{
-    index_by_name, Backend, DurableRunner, Observer, Progress, Registry, RunReport, Runner, Throttle,
+    index_by_name, Backend, DurableRunner, JobSpec, Observer, Progress, Registry, RunReport, Runner, Throttle,
 };
 use brace_spatial::IndexKind;
+use brace_telemetry::Counter;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// The file every run of one invocation appends its `--trace` lines to.
+type TraceOut = Arc<Mutex<BufWriter<std::fs::File>>>;
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -86,7 +94,7 @@ fn die(msg: &str) -> ! {
          \x20            [--trace PATH]\n\
          \x20            [--run-dir DIR [--run-id ID] [--checkpoint-every E] [--keep-checkpoints K]]\n\
          \x20            [--epoch-sleep-ms MS]\n\
-         \x20      brace run --run-dir DIR --resume <run-id> [--epoch-sleep-ms MS]\n\
+         \x20      brace run --run-dir DIR --resume <run-id> [--progress] [--trace PATH] [--epoch-sleep-ms MS]\n\
          \x20      brace list-runs --run-dir DIR\n\
          \x20      brace serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
          \n\
@@ -188,12 +196,8 @@ fn parse_run_opts(args: &[String]) -> RunOpts {
         }
         // The manifest decides a resumed run's configuration: refuse what it
         // would ignore, before touching the disk.
-        for (flag, given) in
-            [("--trace", opts.trace.is_some()), ("--index", opts.index.is_some()), ("--progress", opts.progress)]
-        {
-            if given {
-                die(&format!("{flag} is not supported on --resume (the run's manifest decides); drop it"));
-            }
+        if opts.index.is_some() {
+            die("--index is not supported on --resume (the run's manifest decides); drop it");
         }
     } else if opts.scenario.is_empty() {
         die("--scenario is required (or `brace list` to see what exists)");
@@ -231,7 +235,7 @@ impl Observer for ProgressPrinter {
 /// candidates handed to queries, none to an agent whose query reads no
 /// neighbour that tick; cluster lines are epoch-grain `tick`/`agents`.
 struct TraceWriter {
-    out: std::sync::Arc<std::sync::Mutex<std::io::BufWriter<std::fs::File>>>,
+    out: TraceOut,
     scenario: String,
     backend: String,
     pending: Option<TickMetrics>,
@@ -243,7 +247,6 @@ impl Observer for TraceWriter {
     }
 
     fn on_tick(&mut self, p: &Progress) {
-        use std::io::Write;
         let line = match self.pending.take() {
             Some(tm) => format!(
                 "{{\"scenario\":\"{}\",\"backend\":\"{}\",\"tick\":{},\"agents\":{},\
@@ -273,17 +276,40 @@ impl Observer for TraceWriter {
     }
 }
 
-/// The query-phase amortisation counters, as
-/// `[probe groups, block candidates, effect-log entries, tile-directory ticks]`.
-fn probe_counters() -> [u64; 4] {
-    use brace_telemetry::{counter, Counter};
-    [
-        Counter::ExecutorProbeGroups,
-        Counter::ExecutorBlockCandidates,
-        Counter::ExecutorEffectLogEntries,
-        Counter::ExecutorTileDirectoryTicks,
+/// The observers `--progress` and `--trace` attach to one run of
+/// `scenario` on `backend`.
+fn observers(opts: &RunOpts, trace: Option<&TraceOut>, scenario: &str, backend: &str) -> Vec<Box<dyn Observer>> {
+    let mut observers: Vec<Box<dyn Observer>> = Vec::new();
+    if opts.progress {
+        observers.push(Box::new(ProgressPrinter));
+    }
+    if let Some(out) = trace {
+        let (scenario, backend) = (scenario.to_string(), backend.to_string());
+        observers.push(Box::new(TraceWriter { out: Arc::clone(out), scenario, backend, pending: None }));
+    }
+    observers
+}
+
+/// One result line; `how` is the backend, or where a resumed run restarted.
+/// With `--trace`, the run's summary line too: the query-phase amortisation
+/// counters its own registry holds.
+fn print_report(report: &RunReport, how: &str, trace: Option<&TraceOut>) {
+    println!(
+        "{:<16} {:<12} {:>6} ticks  {:>7} agents  checksum {:#018X}  {:>12.0} agent-ticks/s",
+        report.scenario, how, report.ticks, report.agents, report.checksum, report.agents_per_sec
+    );
+    let Some(out) = trace else { return };
+    let fields = [
+        ("probe_groups", Counter::ExecutorProbeGroups),
+        ("block_candidates", Counter::ExecutorBlockCandidates),
+        ("effect_log_entries", Counter::ExecutorEffectLogEntries),
+        ("tile_directory_ticks", Counter::ExecutorTileDirectoryTicks),
     ]
-    .map(counter)
+    .map(|(key, c)| format!(",\"{key}\":{}", report.metrics.counter(c)));
+    let mut out = out.lock().unwrap();
+    let _ =
+        writeln!(out, "{{\"scenario\":\"{}\",\"backend\":\"{}\"{}}}", report.scenario, report.backend, fields.concat());
+    let _ = out.flush();
 }
 
 fn main() {
@@ -299,9 +325,14 @@ fn main() {
         Some("compile") => compile_cmd(&args[1..]),
         Some("run") => {
             let opts = parse_run_opts(&args[1..]);
+            let trace = opts.trace.as_ref().map(|path| {
+                let file = std::fs::File::create(path)
+                    .unwrap_or_else(|e| die(&format!("--trace: cannot create {}: {e}", path.display())));
+                Arc::new(Mutex::new(BufWriter::new(file)))
+            });
             match (&opts.run_dir, &opts.resume) {
-                (Some(root), Some(run_id)) => resume(root, run_id, opts.epoch_sleep_ms),
-                _ => run(&opts),
+                (Some(root), Some(run_id)) => resume(&opts, trace.as_ref(), root, run_id),
+                _ => run(&opts, trace.as_ref()),
             }
         }
         Some("list-runs") => list_runs(&args[1..]),
@@ -348,18 +379,13 @@ fn compile_cmd(args: &[String]) {
     }
 }
 
-fn run(opts: &RunOpts) {
+fn run(opts: &RunOpts, trace: Option<&TraceOut>) {
     let registry = Registry::builtin();
     let names: Vec<String> = if opts.scenario == "all" {
         registry.names().iter().map(|s| s.to_string()).collect()
     } else {
         vec![opts.scenario.clone()]
     };
-    let trace_out = opts.trace.as_ref().map(|path| {
-        let file = std::fs::File::create(path)
-            .unwrap_or_else(|e| die(&format!("--trace: cannot create {}: {e}", path.display())));
-        std::sync::Arc::new(std::sync::Mutex::new(std::io::BufWriter::new(file)))
-    });
     let mut failures = 0usize;
     for name in &names {
         let scenario = match registry.get_or_err(name) {
@@ -381,37 +407,11 @@ fn run(opts: &RunOpts) {
             if opts.conformance {
                 runner = runner.conformance();
             }
-            if opts.progress {
-                runner = runner.observe(Box::new(ProgressPrinter));
+            for observer in observers(opts, trace, name, &backend.label()) {
+                runner = runner.observe(observer);
             }
-            if let Some(out) = &trace_out {
-                runner = runner.observe(Box::new(TraceWriter {
-                    out: std::sync::Arc::clone(out),
-                    scenario: name.clone(),
-                    backend: backend.label(),
-                    pending: None,
-                }));
-            }
-            let probes_before = trace_out.as_ref().map(|_| probe_counters());
-            let result = runner.run(opts.ticks);
-            if let (Some(out), Some(before)) = (&trace_out, probes_before) {
-                use std::io::Write;
-                let [groups, candidates, logged, directory] = probe_counters();
-                let mut out = out.lock().unwrap();
-                let _ = writeln!(
-                    out,
-                    "{{\"scenario\":\"{name}\",\"backend\":\"{}\",\"probe_groups\":{},\"block_candidates\":{},\
-                     \"effect_log_entries\":{},\"tile_directory_ticks\":{}}}",
-                    backend.label(),
-                    groups - before[0],
-                    candidates - before[1],
-                    logged - before[2],
-                    directory - before[3]
-                );
-                let _ = out.flush();
-            }
-            match result {
-                Ok(report) => print_report(&report, &report.backend),
+            match runner.run(opts.ticks) {
+                Ok(report) => print_report(&report, &report.backend, trace),
                 Err(e) => {
                     eprintln!("{name:<16} {:<10} FAILED: {e}", backend.label());
                     failures += 1;
@@ -425,22 +425,23 @@ fn run(opts: &RunOpts) {
     }
 }
 
-/// One result line; `how` is the backend, or where a resumed run restarted.
-fn print_report(report: &RunReport, how: &str) {
-    println!(
-        "{:<16} {:<12} {:>6} ticks  {:>7} agents  checksum {:#018X}  {:>12.0} agent-ticks/s",
-        report.scenario, how, report.ticks, report.agents, report.checksum, report.agents_per_sec
-    );
-}
-
 /// `--resume`: finish an interrupted durable run in this process.
-fn resume(root: &Path, run_id: &str, epoch_sleep_ms: u64) {
+fn resume(opts: &RunOpts, trace: Option<&TraceOut>, root: &Path, run_id: &str) {
     let registry = Registry::builtin();
-    match DurableRunner::new(&registry, root).resume(run_id, epoch_sleep_ms) {
+    // Trace lines name the scenario and backend the manifest records.
+    let (name, backend) = match manifest::read_manifest(&root.join(run_id)) {
+        Ok(m) => (JobSpec::parse(&m.header.job).map_or(run_id.into(), |job| job.scenario), m.header.workers),
+        Err(_) => (run_id.to_string(), 0),
+    };
+    let mut runner = DurableRunner::new(&registry, root);
+    for observer in observers(opts, trace, &name, &format!("cluster:{backend}")) {
+        runner = runner.observe(observer);
+    }
+    match runner.resume(run_id, opts.epoch_sleep_ms) {
         Ok(report) => {
             // A run with no durable epoch restarts from its initial checkpoint.
             let how = if report.resumed_from > 0 { format!("resumed@{}", report.resumed_from) } else { "run".into() };
-            print_report(&report, &how)
+            print_report(&report, &how, trace)
         }
         Err(e) => {
             eprintln!("resume of `{run_id}` FAILED: {e}");

@@ -11,7 +11,9 @@
 //! the same launched through [`Runner::launch`], abandoned halfway and
 //! finished by [`DurableRunner::resume`]; and served, through `POST /runs`
 //! on an ephemeral [`Server`]. All of them run at once, and every one records
-//! into the telemetry registry, as every run does. Both durable legs start
+//! into its own telemetry registry, as every run does; [`counters_differing`]
+//! names, per leg, the counters that differ from the baseline's. Both
+//! durable legs start
 //! the way every durable run does: a `Runner` on a cluster whose
 //! `ClusterConfig::run_dir` is set. Every leg's world checksum must equal
 //! the baseline's, a failure names the first leg that differs, and the
@@ -136,14 +138,20 @@ impl Case {
     }
 }
 
+/// A run's telemetry counts, as `Metrics::counts` lists them.
+pub type Counts = Vec<(String, u64)>;
+
 /// What every leg of one call agreed on.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Agreed {
     checksum: u64,
     /// The world holds an agent the run spawned.
     spawned: bool,
     /// The load-balanced leg moved its boundaries at least once.
     rebalanced: bool,
+    /// Per leg, the counter and histogram-count families whose value
+    /// differs from the baseline's.
+    differing: Vec<(&'static str, Vec<String>)>,
 }
 
 type Memo = BTreeMap<(usize, String, Case), Arc<OnceLock<Agreed>>>;
@@ -174,10 +182,18 @@ pub fn rebalanced(registry: fn() -> Registry, scenario: &str, case: &Case) -> bo
     agreed(registry, scenario, case).rebalanced
 }
 
+/// Per leg of this [`engines_agree`] call, in [`LEGS`] order, the
+/// telemetry families (counters, and histograms' `_count`s) whose value in
+/// the leg's own registry differs from the baseline's. A family not named
+/// holds the baseline's value exactly on that leg.
+pub fn counters_differing(registry: fn() -> Registry, scenario: &str, case: &Case) -> Vec<(&'static str, Vec<String>)> {
+    agreed(registry, scenario, case).differing
+}
+
 fn agreed(registry: fn() -> Registry, scenario: &str, case: &Case) -> Agreed {
     let key = (registry as usize, scenario.to_string(), *case);
     let cell = Arc::clone(AGREED.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default());
-    *cell.get_or_init(|| run_matrix(registry, scenario, case))
+    cell.get_or_init(|| run_matrix(registry, scenario, case)).clone()
 }
 
 /// The threaded legs are vacuous below one `SHARD_ROWS` shard: each of
@@ -191,8 +207,9 @@ pub fn assert_ran_past_one_shard<'a>(scenarios: impl IntoIterator<Item = &'a str
     }
 }
 
-/// A leg that runs concurrently with the others: its label and its checksum.
-type Leg<'a> = (&'static str, Box<dyn FnOnce() -> u64 + Send + 'a>);
+/// A leg that runs concurrently with the others: its label, and what it
+/// returns — its checksum and its run's telemetry counts.
+type Leg<'a> = (&'static str, Box<dyn FnOnce() -> (u64, Counts) + Send + 'a>);
 
 fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     let reg = registry();
@@ -205,7 +222,15 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     let epoch_len = fit_epoch(setup.epoch_len, case.ticks);
     let epochs = case.ticks / epoch_len;
     let first_spawn = setup.population.iter().map(|a| a.id.raw()).max().map_or(0, |id| id + 1);
-    let plain = |leg, backend| -> Leg<'_> { (leg, Box::new(move || run(leg, backend).checksum)) };
+    let plain = |leg, backend| -> Leg<'_> {
+        (
+            leg,
+            Box::new(move || {
+                let report = run(leg, backend);
+                (report.checksum, report.metrics.counts())
+            }),
+        )
+    };
     // A cluster that loses the middle epoch must recover from a checkpoint
     // once (a durable one reads it back from its file).
     let recovered = |leg, cfg: ClusterConfig| -> Leg<'_> {
@@ -221,7 +246,7 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
                 let stats = handle.cluster_stats().expect("a cluster leg");
                 let recovered = stats.recoveries == 1 && stats.replayed_epochs > 0;
                 assert!(recovered, "{call}: leg `{leg}` did not recover: {stats:?}");
-                handle.checksum().unwrap_or_else(|e| fail(leg, e))
+                (handle.checksum().unwrap_or_else(|e| fail(leg, e)), handle.metrics().counts())
             }),
         )
     };
@@ -241,7 +266,7 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
                 let report = run(BASELINE, Backend::single());
                 baseline_agents.store(report.agents, Ordering::Relaxed);
                 spawned.store(report.world.iter().any(|a| a.id.raw() >= first_spawn), Ordering::Relaxed);
-                report.checksum
+                (report.checksum, report.metrics.counts())
             }),
         ),
         plain(THREADS_2, Backend::SingleNode { parallelism: 2 }),
@@ -257,7 +282,7 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
                 handle.run(case.ticks).unwrap_or_else(|e| fail(BALANCED, e));
                 let stats = handle.cluster_stats().expect("a cluster leg");
                 rebalanced.store(stats.repartitions > 0, Ordering::Relaxed);
-                handle.checksum().unwrap_or_else(|e| fail(BALANCED, e))
+                (handle.checksum().unwrap_or_else(|e| fail(BALANCED, e)), handle.metrics().counts())
             }),
         ),
         plain(CLUSTER_2_THREADS_2, Backend::Cluster(ClusterConfig { parallelism: 2, ..cluster(2) })),
@@ -270,21 +295,27 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
                 let launched = case.runner(scenario).epoch_len(epoch_len).backend(backend).launch();
                 let mut handle = launched.unwrap_or_else(|e| fail(RESUMED, e));
                 handle.run(epochs / 2 * epoch_len).unwrap_or_else(|e| fail(RESUMED, e));
+                let abandoned = handle.metrics().counts();
                 drop(handle);
                 let resumed = DurableRunner::new(&reg, &root).resume("abandoned", 0);
                 let resumed = resumed.unwrap_or_else(|e| fail(RESUMED, e));
                 assert!(epochs < 2 || resumed.resumed_from > 0, "{call}: leg `{RESUMED}` restarted");
-                resumed.checksum
+                // Both processes' worth of work: the part abandoned and the resumed rest.
+                let counts = abandoned.into_iter().zip(resumed.metrics.counts()).map(|((k, a), (_, b))| (k, a + b));
+                (resumed.checksum, counts.collect())
             }),
         ),
-        (SERVED, Box::new(|| served_checksum(registry, name, case))),
+        (SERVED, Box::new(|| served(registry, name, case))),
     ];
     legs.retain(|(leg, _)| *leg == BASELINE || case.runs(leg));
     let results = run_at_once(&call, legs);
     let _ = std::fs::remove_dir_all(&root);
-    let want = results[0].1;
-    for (leg, got) in results {
+    let (want, baseline) = results[0].1.clone();
+    let mut differing = Vec::new();
+    for (leg, (got, counts)) in results {
         assert_eq!(got, want, "{call}: leg `{leg}` diverged from the baseline: {got:#018X} vs {want:#018X}");
+        let names = counts.iter().zip(&baseline).filter(|(a, b)| a != b).map(|((name, _), _)| name.clone());
+        differing.extend((leg != BASELINE).then(|| (leg, names.collect())));
     }
 
     let baseline_agents = baseline_agents.into_inner();
@@ -292,12 +323,12 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     if baseline_agents > SHARD_ROWS && THREADED.iter().all(|leg| case.runs(leg)) {
         PAST_ONE_SHARD.lock().unwrap_or_else(PoisonError::into_inner).insert(name.to_string());
     }
-    Agreed { checksum: want, spawned: spawned.into_inner(), rebalanced: rebalanced.into_inner() }
+    Agreed { checksum: want, spawned: spawned.into_inner(), rebalanced: rebalanced.into_inner(), differing }
 }
 
-/// Run every leg on a thread of its own; their checksums, in order. A leg
+/// Run every leg on a thread of its own; what they return, in order. A leg
 /// that panics (its message printed above) fails the call, named.
-fn run_at_once(call: &str, legs: Vec<Leg<'_>>) -> Vec<(&'static str, u64)> {
+fn run_at_once(call: &str, legs: Vec<Leg<'_>>) -> Vec<(&'static str, (u64, Counts))> {
     std::thread::scope(|s| {
         let running: Vec<_> = legs.into_iter().map(|(leg, body)| (leg, s.spawn(body))).collect();
         running
@@ -307,17 +338,32 @@ fn run_at_once(call: &str, legs: Vec<Leg<'_>>) -> Vec<(&'static str, u64)> {
     })
 }
 
-/// `case` through `POST /runs` on a server of its own.
-fn served_checksum(registry: fn() -> Registry, name: &str, case: &Case) -> u64 {
+/// `case` through `POST /runs` on a server of its own: the streamed checksum
+/// and the counts of the run's registry (`GET /runs/:id/metrics`).
+fn served(registry: fn() -> Registry, name: &str, case: &Case) -> (u64, Counts) {
     let server = Server::start(registry(), ServeConfig::default()).expect("bind an ephemeral port");
     let (status, _, body) = post(server.addr(), "/runs", &case.served_body(name));
     assert_eq!(status, 202, "`{name}` {case:?}: served run refused: {body}");
     // The stream blocks until the run ends; its last line carries the result.
-    let (_, _, stream) = get(server.addr(), &format!("/runs/{}/stream", run_id(&body)));
+    let id = run_id(&body);
+    let (_, _, stream) = get(server.addr(), &format!("/runs/{id}/stream"));
     let last = stream.lines().last().unwrap_or_default();
     assert!(last.contains(r#""status":"done""#), "`{name}` {case:?}: served run did not finish: {last}");
     let checksum = field(last, "checksum").unwrap_or_else(|| panic!("no checksum in {last}"));
-    u64::from_str_radix(checksum.trim_start_matches("0x"), 16).unwrap_or_else(|e| panic!("`{checksum}`: {e}"))
+    let checksum =
+        u64::from_str_radix(checksum.trim_start_matches("0x"), 16).unwrap_or_else(|e| panic!("`{checksum}`: {e}"));
+    let (status, _, metrics) = get(server.addr(), &format!("/runs/{id}/metrics"));
+    assert_eq!(status, 200, "`{name}` {case:?}: no registry for the served run: {metrics}");
+    (checksum, counts_of(&metrics))
+}
+
+/// The counts a Prometheus exposition of one registry holds, as
+/// `Metrics::counts` lists them: every counter, and every histogram's
+/// `_count`.
+pub fn counts_of(exposition: &str) -> Counts {
+    let samples = exposition.lines().filter(|line| !line.starts_with('#')).filter_map(|line| line.split_once(' '));
+    let counts = samples.filter(|(name, _)| name.ends_with("_total") || name.ends_with("_count"));
+    counts.map(|(name, v)| (name.to_string(), v.parse().unwrap_or_else(|e| panic!("`{name} {v}`: {e}")))).collect()
 }
 
 fn cluster(workers: usize) -> ClusterConfig {

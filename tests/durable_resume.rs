@@ -16,8 +16,8 @@
 
 mod common;
 
-use brace::mapreduce::manifest;
-use brace::scenario::Registry;
+use brace::mapreduce::{manifest, ClusterConfig};
+use brace::scenario::{Backend, Registry, Runner};
 use brace::spatial::IndexKind;
 use common::{engines_agree, Case, GOLDEN_EPIDEMIC};
 use std::path::{Path, PathBuf};
@@ -143,11 +143,13 @@ fn brace(args: &[&str]) -> Output {
 }
 
 /// A fresh durable run is a `Runner` run like any other, so `--trace`,
-/// `--progress` and `--index` work on it. `--resume` takes its
-/// configuration from the manifest, so it refuses all three by name before
-/// it writes anything.
+/// `--progress` and `--index` work on it. A resumed run takes `--trace` and
+/// `--progress` too: its trace lines cover the epochs it runs, and its
+/// summary line reads the resumed run's own registry. Its manifest decides
+/// its index, so `--resume` refuses `--index` by name before it writes
+/// anything.
 #[test]
-fn durable_starts_take_trace_progress_and_index_and_resume_refuses_them() {
+fn durable_runs_take_trace_and_progress_and_resume_refuses_only_index() {
     let root = temp_root("flags");
     let (runs, trace) = (root.join("runs"), root.join("trace.ndjson"));
     let (runs_arg, trace_arg) = (runs.to_str().unwrap(), trace.to_str().unwrap());
@@ -175,16 +177,39 @@ fn durable_starts_take_trace_progress_and_index_and_resume_refuses_them() {
     assert_eq!(m.header.index, IndexKind::Scan);
     assert!(m.complete().is_some());
 
+    // Abandon the same job halfway: two of its four epochs are durable.
+    let backend = Backend::Cluster(ClusterConfig {
+        workers: 2,
+        checkpoint_every: Some(1),
+        run_dir: Some(runs.join("abandoned")),
+        total_ticks: TICKS,
+        ..ClusterConfig::default()
+    });
+    let registry = Registry::builtin();
+    let mut handle = Runner::new(registry.get("epidemic").unwrap()).conformance().backend(backend).launch().unwrap();
+    handle.run(TICKS / 2).unwrap();
+    drop(handle);
+
     std::fs::remove_file(&trace).unwrap();
-    let resume = ["run", "--run-dir", runs_arg, "--resume", "epidemic-42"];
-    for extra in [&["--trace", trace_arg][..], &["--index", "scan"], &["--progress"]] {
-        let out = brace(&[&resume[..], extra].concat());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "`{}` succeeded", extra[0]);
-        let refusal = format!("{} is not supported on --resume", extra[0]);
-        assert!(stderr.contains(&refusal), "`{}` is not refused by name: {stderr}", extra[0]);
-        assert!(!trace.exists(), "`{}` wrote a trace", extra[0]);
+    let resume = ["run", "--run-dir", runs_arg, "--resume", "abandoned"];
+    let out = brace(&[&resume[..], &["--index", "scan", "--trace", trace_arg]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "`--index` on --resume succeeded");
+    assert!(stderr.contains("--index is not supported on --resume"), "`--index` is not refused by name: {stderr}");
+    assert!(!trace.exists(), "the refused resume wrote a trace");
+
+    let out = brace(&[&resume[..], &["--trace", trace_arg, "--progress"]].concat());
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "resume with --trace and --progress failed: {stdout}{stderr}");
+    assert!(stdout.contains("resumed@10") && stdout.contains(&format!("{GOLDEN_EPIDEMIC:#018X}")), "{stdout}");
+    let lines: Vec<String> = std::fs::read_to_string(&trace).unwrap().lines().map(String::from).collect();
+    assert_eq!(lines.len(), 3, "not one trace line per resumed epoch plus the summary: {lines:?}");
+    for (line, tick) in lines.iter().zip([15, 20]) {
+        let labels = r#""scenario":"epidemic","backend":"cluster:2""#;
+        assert!(line.contains(labels) && line.contains(&format!(r#""tick":{tick},"#)), "epoch to {tick}: {line}");
     }
+    assert!(lines[2].contains("probe_groups"), "no summary line: {lines:?}");
+    assert_eq!(stderr.lines().filter(|l| l.trim_start().starts_with("tick")).count(), 2, "{stderr}");
     cleanup(&root);
 }
 

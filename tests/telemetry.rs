@@ -1,40 +1,35 @@
-//! Every run records into the telemetry registry: what the recording shows.
+//! Every run records into its own telemetry registry: what the recording
+//! shows.
 //!
 //! Recording never perturbs a run — every leg of the engine matrix
 //! (`tests/common`) records, and each must reproduce the baseline bit for
-//! bit. This binary pins what the registry holds after a run: the counters
-//! a run moves, and the tile directory's ticks at default sizes, 4 000
-//! agents and the benchmark's sizes, and on a world too sparse for it. The
-//! registry is process-global: a test that resets it and reads it back
-//! holds [`zeroed_metrics`] throughout.
+//! bit. This binary pins what a run's registry holds after it: the counters
+//! a run moves, which of them each leg of the matrix moves as the baseline
+//! does, and the tile directory's ticks at default sizes, 4 000 agents and
+//! the benchmark's sizes, and on a world too sparse for it. Each test reads
+//! the registries of the runs it made, so the tests run side by side.
+
+mod common;
 
 use brace_common::Vec2;
 use brace_core::Simulation;
 use brace_models::{PredatorBehavior, PredatorParams};
 use brace_scenario::{Backend, Registry, Runner, Scenario, ScenarioSetup};
 use brace_spatial::IndexKind;
-use brace_telemetry::{counter, Counter};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use brace_telemetry::Counter;
+use common::{counters_differing, Case, LEGS};
 
 const TICKS: u64 = 10;
 
-/// Exclusive use of the telemetry registry, zeroed.
-fn zeroed_metrics() -> MutexGuard<'static, ()> {
-    static REGISTRY: Mutex<()> = Mutex::new(());
-    let guard = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-    brace_telemetry::reset();
-    guard
-}
-
 /// Runs are not silently no-ops: a plain run, with nothing switched on,
-/// moves the executor counters and phase histograms.
+/// moves the executor counters and phase histograms of its own registry.
 #[test]
-fn runs_record_into_the_registry() {
-    let _metrics = zeroed_metrics();
+fn runs_record_into_their_registry() {
     let registry = Registry::builtin();
     let scenario = registry.get("epidemic").unwrap();
     let report = Runner::new(scenario).conformance().run(TICKS).unwrap();
-    let text = brace_telemetry::render_prometheus();
+    let text = report.metrics.render_prometheus();
+    let counter = |c| report.metrics.counter(c);
     let value = |metric: &str| -> u64 {
         text.lines()
             .find(|l| l.starts_with(metric) && l.as_bytes().get(metric.len()) == Some(&b' '))
@@ -43,9 +38,9 @@ fn runs_record_into_the_registry() {
             .parse()
             .expect("metric value is an integer")
     };
-    assert!(value("brace_executor_ticks_total") >= TICKS, "{text}");
-    assert!(value("brace_phase_query_ns_count") >= TICKS);
-    assert!(value("brace_phase_update_ns_count") >= TICKS);
+    assert_eq!(value("brace_executor_ticks_total"), TICKS, "{text}");
+    assert_eq!(value("brace_phase_query_ns_count"), TICKS);
+    assert_eq!(value("brace_phase_update_ns_count"), TICKS);
     assert!(value("brace_executor_neighbor_visits_total") > 0, "an epidemic run visits neighbors");
     // The query phase's own recording site (it also runs inside cluster
     // workers, below). Even this sparse world shares blocks: a group is a
@@ -65,24 +60,25 @@ fn runs_record_into_the_registry() {
 
     // A local-effect scenario shares blocks between tile-mates — fewer
     // groups than agent-ticks, on the single node and on cluster workers —
-    // and never touches the write-log. The cluster's master and ledger
-    // record too.
+    // and never touches the write-log. The cluster's master and workers
+    // record into the run's registry too.
     for backend in [Backend::single(), Backend::cluster(2)] {
-        brace_telemetry::reset();
         let report = Runner::new(registry.get("fish").unwrap()).backend(backend).run(TICKS).unwrap();
+        let counter = |c| report.metrics.counter(c);
         let groups = counter(Counter::ExecutorProbeGroups);
         assert!(groups > 0 && groups < report.agents as u64 * TICKS, "{groups} groups on `{}`", report.backend);
         assert!(counter(Counter::ExecutorBlockCandidates) > 0);
         assert_eq!(counter(Counter::ExecutorEffectLogEntries), 0, "fish on `{}` logged effects", report.backend);
+        if report.backend != "single" {
+            assert_eq!(counter(Counter::ClusterEpochs), TICKS / 5, "the cluster run did not record its epochs");
+            assert!(counter(Counter::NetControlBytes) > 0, "the cluster run recorded no control traffic");
+        }
     }
-    assert!(counter(Counter::ClusterEpochs) > 0, "the cluster run recorded no epoch");
-    assert!(counter(Counter::NetControlBytes) > 0, "the cluster run recorded no control traffic");
 
     // The non-local predator logs only the writes to its remote field,
     // `hurt` — its bites, every one non-local. The local `crowd` writes (one
     // per visible neighbor: every candidate but the fish itself, which its
     // own closed visibility square always contains) fold in place.
-    brace_telemetry::reset();
     let predator = PredatorBehavior::new(PredatorParams::default());
     let mut sim = Simulation::builder(predator.clone())
         .agents(predator.population(400, 40.0, 9))
@@ -98,7 +94,7 @@ fn runs_record_into_the_registry() {
         nonlocal += tm.nonlocal_writes;
     }
     assert!(local > 0 && nonlocal > 0, "the predator world is too sparse to test anything");
-    assert_eq!(counter(Counter::ExecutorEffectLogEntries), nonlocal);
+    assert_eq!(sim.metrics().counter(Counter::ExecutorEffectLogEntries), nonlocal);
 }
 
 /// Whether `setup` answers its probes with the tile join on the default
@@ -108,15 +104,15 @@ fn joins(setup: &ScenarioSetup) -> bool {
     vis > 0.0 && vis.is_finite()
 }
 
-/// Run `setup` for `ticks` on `backend` with the counters reset, and return
+/// Run `setup` for `ticks` on `backend`, and return the run's
 /// `(tile-directory ticks, probe groups)`.
 fn directory_ticks(scenario: &dyn Scenario, mut setup: ScenarioSetup, backend: Backend, ticks: u64) -> (u64, u64) {
-    brace_telemetry::reset();
     // `SimHandle::run` takes whole epochs.
     setup.epoch_len = 5;
     let mut handle = Runner::new(scenario).seed(42).backend(backend).launch_with(setup).unwrap();
     handle.run(ticks).unwrap_or_else(|e| panic!("`{}` failed: {e}", scenario.name()));
-    (counter(Counter::ExecutorTileDirectoryTicks), counter(Counter::ExecutorProbeGroups))
+    let metrics = handle.metrics();
+    (metrics.counter(Counter::ExecutorTileDirectoryTicks), metrics.counter(Counter::ExecutorProbeGroups))
 }
 
 /// Which arm of the join's window ran: every joining registry scenario at
@@ -127,7 +123,6 @@ fn directory_ticks(scenario: &dyn Scenario, mut setup: ScenarioSetup, backend: B
 /// too sparse for a directory and never takes it, though it still joins.
 #[test]
 fn joining_scenarios_read_their_windows_off_the_tile_directory() {
-    let _metrics = zeroed_metrics();
     const TICKS: u64 = 25;
     let registry = Registry::builtin();
     let mut runs = Vec::new();
@@ -166,5 +161,90 @@ fn joining_scenarios_read_their_windows_off_the_tile_directory() {
             assert!(groups > 0, "the outlier `{name}` on `{label}` built no probe group");
             assert_eq!(directory, 0, "the outlier `{name}` on `{label}` took the tile directory");
         }
+    }
+}
+
+/// Families only the single-node engine records: its ticks and its phase
+/// histograms. A cluster's workers record neither.
+const ENGINE: &[&str] = &[
+    "brace_executor_ticks_total",
+    "brace_phase_index_maintain_ns_count",
+    "brace_phase_query_ns_count",
+    "brace_phase_effect_merge_ns_count",
+    "brace_phase_update_ns_count",
+];
+/// Families only a cluster records, on any worker count: its epochs, their
+/// barriers and the control traffic between master and workers.
+const MASTER: &[&str] = &[
+    "brace_cluster_epochs_total",
+    "brace_epoch_barrier_wait_ns_count",
+    "brace_net_control_bytes_total",
+    "brace_net_control_messages_total",
+];
+/// What a partition boundary moves: each worker builds its own probe
+/// groups over owned rows and replicas, and peers exchange the other
+/// traffic classes.
+const PARTITION: &[&str] = &[
+    "brace_executor_probe_groups_total",
+    "brace_executor_block_candidates_total",
+    "brace_executor_tile_directory_ticks_total",
+    "brace_net_transfer_bytes_total",
+    "brace_net_transfer_messages_total",
+    "brace_net_replica_full_bytes_total",
+    "brace_net_replica_full_messages_total",
+    "brace_net_replica_delta_bytes_total",
+    "brace_net_replica_delta_messages_total",
+    "brace_net_effects_bytes_total",
+    "brace_net_effects_messages_total",
+    "brace_net_spawns_bytes_total",
+    "brace_net_spawns_messages_total",
+];
+/// The query and update work a replayed epoch does a second time.
+const REPLAY: &[&str] = &[
+    "brace_executor_neighbor_visits_total",
+    "brace_executor_nonlocal_writes_total",
+    "brace_executor_spawned_total",
+    "brace_executor_killed_total",
+    "brace_executor_effect_log_entries_total",
+];
+const CHECKPOINTS: &[&str] = &["brace_cluster_checkpoints_total", "brace_checkpoint_write_ns_count"];
+
+/// Which counters each leg of the engine matrix shares with the baseline
+/// (single node, one thread), on the predator's conformance world, which
+/// spawns, kills and writes to other agents. Every leg records into its own
+/// registry, and each names exactly the families that differ:
+/// - threads and serving change no count at all;
+/// - any cluster trades the engine's tick and phase records for the
+///   master's, and more than one worker adds what partitions move;
+/// - a fault adds the replayed epochs' work and the checkpoints, and a
+///   resume the checkpoints.
+///
+/// So `REPLAY` — neighbour visits, non-local writes, spawns, kills and
+/// effect-log entries — holds the baseline's value on every leg that
+/// replays nothing, and on a single node the partition counters do too at
+/// any thread count.
+#[test]
+fn each_leg_names_the_counters_that_differ_from_the_baseline() {
+    let case = Case::conformance(20);
+    assert!(common::spawned(Registry::builtin, "predator", &case), "a predator world that spawns nothing");
+    let differing = counters_differing(Registry::builtin, "predator", &case);
+    let legs: Vec<&str> = differing.iter().map(|(leg, _)| *leg).collect();
+    assert_eq!(legs, LEGS, "a leg recorded nothing to compare");
+    let clustered = [ENGINE, MASTER].concat();
+    let partitioned = [ENGINE, MASTER, PARTITION].concat();
+    for (leg, names) in differing {
+        let want = match leg {
+            "single node, 2 threads" | "single node, 3 threads" | "served" => vec![],
+            "cluster:1" => clustered.clone(),
+            "cluster:2, balancer off" | "cluster:4, load-balanced" | "cluster:2, 2 threads per worker" => {
+                partitioned.clone()
+            }
+            "durable cluster:2, abandoned halfway and resumed" => [&partitioned[..], CHECKPOINTS].concat(),
+            _ => [&partitioned[..], REPLAY, CHECKPOINTS].concat(),
+        };
+        let (mut names, mut want) = (names, want.iter().map(|name| name.to_string()).collect::<Vec<_>>());
+        names.sort();
+        want.sort();
+        assert_eq!(names, want, "leg `{leg}`");
     }
 }
