@@ -26,6 +26,17 @@ pub use ids::{AgentId, FieldId, WorkerId};
 pub use rng::DetRng;
 pub use stats::rmspe;
 
+/// A panic payload as text: the `&str` or `String` it was raised with. The
+/// one rendering of a caught panic, at every unwind boundary (a served run,
+/// a cluster worker's epoch).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => s.to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "run panicked".into(),
+    }
+}
+
 /// 64-bit FNV-1a over a byte string: the checksum of durable manifest
 /// frames and checkpoint files, and the serve result cache's key hash. The
 /// one-shot form of [`Fnv1a`].

@@ -873,12 +873,15 @@ pub fn replay_effects(pool: &mut AgentPool, scratch: &TickScratch, inbound: &mut
 /// `i`, in up to `threads` contiguous groups — each group but the last on a
 /// scoped thread of its own, the last on the calling thread (so a budget of
 /// one is a plain loop). Item → result mapping is positional, so scheduling
-/// cannot affect any merge order.
+/// cannot affect any merge order. A panic in `run` reaches the caller with
+/// its own payload: the calling thread's group's, else the first spawned
+/// group's.
 fn for_each_shard<T: Send>(items: &mut [T], threads: usize, run: impl Fn(usize, &mut T) + Sync) {
     let k = items.len();
     let groups = threads.clamp(1, k.max(1));
     std::thread::scope(|scope| {
         let mut rest = items;
+        let mut spawned = Vec::with_capacity(groups - 1);
         for t in 0..groups {
             let range = shard_range(k, groups, t);
             let (head, tail) = rest.split_at_mut(range.len());
@@ -886,9 +889,16 @@ fn for_each_shard<T: Send>(items: &mut [T], threads: usize, run: impl Fn(usize, 
             let run = &run;
             let group = move || head.iter_mut().zip(range).for_each(|(item, i)| run(i, item));
             if t + 1 < groups {
-                scope.spawn(group);
+                spawned.push(scope.spawn(group));
             } else {
                 group();
+            }
+        }
+        // Joined by hand: an unjoined thread's panic would reach the caller
+        // as "a scoped thread panicked", without the behaviour's message.
+        for handle in spawned {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
             }
         }
     });
@@ -1113,6 +1123,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A panic on a spawned group's thread reaches the caller with its own
+    /// message, not as "a scoped thread panicked".
+    #[test]
+    fn for_each_shard_passes_a_shard_threads_panic_on() {
+        let mut items = [(); 4];
+        let run = || for_each_shard(&mut items, 2, |i, _| assert_ne!(i, 0, "item 0 gave up"));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+        assert!(brace_common::panic_message(payload.as_ref()).contains("item 0 gave up"));
     }
 
     #[test]

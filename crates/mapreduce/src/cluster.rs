@@ -15,7 +15,8 @@
 //! The worker count is fixed for a run's life. A scheduled [`FaultPlan`]
 //! fault and [`ClusterSim::resume`] recover the same way: restore every
 //! worker from a checkpoint, then replay the logged epochs. Any other epoch
-//! failure ends the run with `Err`.
+//! failure — a peer payload a worker cannot apply, a closed link, a panic in
+//! the behaviour — ends the run with `Err` naming the worker and the cause.
 
 use crate::balance::LoadBalancer;
 use crate::checkpoint::{self, CheckpointStore};
@@ -29,7 +30,7 @@ use brace_common::{BraceError, DetRng, Result, WorkerId};
 use brace_core::{check_population, Agent, Behavior};
 use brace_spatial::{GridPartitioning, IndexKind};
 use brace_telemetry::Metrics;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -187,21 +188,25 @@ impl ClusterSim {
         let n = initial.len();
         let metrics = Arc::<Metrics>::default();
         let (report_tx, report_rx) = unbounded::<Report>();
-        let mut peer_tx: Vec<Sender<PeerMsg>> = Vec::with_capacity(n);
-        let mut peer_rx = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<PeerMsg>();
-            peer_tx.push(tx);
-            peer_rx.push(rx);
+        // One link per ordered worker pair: worker `i` sends to `j` on
+        // `peers[i][j]`, and `j` receives it on `inboxes[j][i]`.
+        let mut peers: Vec<Vec<Sender<PeerMsg>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+        let mut inboxes: Vec<Vec<Receiver<PeerMsg>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+        for senders in &mut peers {
+            for receivers in &mut inboxes {
+                let (tx, rx) = unbounded();
+                senders.push(tx);
+                receivers.push(rx);
+            }
         }
         let mut cmd_tx: Vec<Sender<Command>> = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        for (w, (inbox, owned)) in peer_rx.into_iter().zip(initial).enumerate() {
+        for (w, ((peers, inboxes), owned)) in peers.into_iter().zip(inboxes).zip(initial).enumerate() {
             let (ctx, crx) = unbounded::<Command>();
             cmd_tx.push(ctx);
             let links = WorkerLinks {
-                peers: peer_tx.clone(),
-                inbox,
+                peers,
+                inboxes,
                 commands: crx,
                 reports: report_tx.clone(),
                 metrics: Arc::clone(&metrics),
@@ -380,6 +385,11 @@ impl ClusterSim {
     /// Run statistics, network totals read off the run's registry.
     pub fn stats(&self) -> ClusterStats {
         ClusterStats { net: NetStats::of(&self.metrics), ..self.master.stats().clone() }
+    }
+
+    /// Agent-ticks executed in live epochs, read without copying the stats.
+    pub fn agent_ticks(&self) -> u64 {
+        self.master.stats().agent_ticks
     }
 
     /// Owned agents across workers at the end of the last live epoch.

@@ -15,8 +15,9 @@
 //!   by restoring every worker from the newest checkpoint and re-executing
 //!   the logged epochs — exact, because ticks are deterministic. `--resume`
 //!   in a fresh process goes through the same restore-and-replay. A real
-//!   epoch failure (`Report::Failed`, a dead worker, a closed channel) ends
-//!   the run with `Err`; a durable run then resumes from its newest valid
+//!   epoch failure (a worker's `Report::Failed`: a bad payload, a closed
+//!   link, a panic) ends the run with the first reason read, the failing
+//!   worker's own; a durable run then resumes from its newest valid
 //!   checkpoint;
 //! * when attached to a durable run directory, maintains the write-ahead
 //!   [`manifest`](crate::manifest): each epoch's command is journaled
@@ -292,13 +293,8 @@ impl Master {
                 Err(_) => return Err(BraceError::Unrecoverable("a worker died without checkpoint protocol".into())),
             }
         }
-        let stats: Vec<WorkerEpochStats> = stats.into_iter().map(|s| s.expect("worker reported")).collect();
-        let snapshots: Vec<bytes::Bytes> = if cmd.checkpoint {
-            snaps.into_iter().map(|s| s.expect("checkpoint snapshot")).collect()
-        } else {
-            Vec::new()
-        };
-        Ok((stats, snapshots))
+        let snapshots = if cmd.checkpoint { from_every_worker(snaps, "checkpoint snapshot")? } else { Vec::new() };
+        Ok((from_every_worker(stats, "epoch report")?, snapshots))
     }
 
     /// Merge an epoch's worker reports into run statistics.
@@ -425,7 +421,7 @@ impl Master {
                 Err(_) => return Err(BraceError::Unrecoverable("worker died during collect".into())),
             }
         }
-        Ok(snaps.into_iter().map(|s| s.expect("collected")).collect())
+        from_every_worker(snaps, "snapshot to collect")
     }
 
     /// Ask all workers to stop (the facade joins the threads).
@@ -434,4 +430,12 @@ impl Master {
             let _ = tx.send(Command::Stop);
         }
     }
+}
+
+/// One entry per worker, by index, or `Err` if a worker sent no `what`.
+fn from_every_worker<T>(slots: Vec<Option<T>>, what: &str) -> Result<Vec<T>> {
+    slots
+        .into_iter()
+        .collect::<Option<_>>()
+        .ok_or_else(|| BraceError::Unrecoverable(format!("a worker sent no {what}")))
 }

@@ -19,57 +19,29 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// Worker-to-worker message. Payloads are opaque bytes (agents, delta
-/// frames, effect writes or spawn runs); `tick` tags the lockstep round the
-/// message belongs to.
+/// frames, effect writes or spawn runs). Each ordered worker pair has a link
+/// of its own, which carries its sender's rounds in tick order, so the
+/// receiver knows a message's sender and round from where and when it reads
+/// it.
 #[derive(Debug, Clone)]
 pub enum PeerMsg {
-    /// Round 1 of a tick: ownership transfers plus the two replica
+    /// The first round of a tick: ownership transfers plus the two replica
     /// payloads of the delta-distribution protocol — full records for
     /// agents *entering* the receiver's visible band, and a compact
     /// columnar delta frame (removals + masked field updates) for replicas
     /// that persist there ([`codec::ReplicaDeltaEnc`](crate::codec::ReplicaDeltaEnc)).
-    Batch { tick: u64, from: WorkerId, transfers: Bytes, replica_full: Bytes, replica_delta: Bytes },
-    /// Round 2 of a tick (non-local effects only): the sender's agents'
+    Batch { transfers: Bytes, replica_full: Bytes, replica_delta: Bytes },
+    /// The second round of a tick (non-local effects only): the sender's agents'
     /// writes to agents the receiver owns, uncombined, in ascending source id
     /// ([`codec::encode_effect_writes`](crate::codec::encode_effect_writes)).
-    Effects { tick: u64, from: WorkerId, writes: Bytes },
+    Effects { writes: Bytes },
     /// Final round of a tick (spawning runs only): the sender's per-parent
     /// spawn counts as ascending `(parent id, count)` runs
     /// ([`codec::encode_spawn_runs`](crate::codec::encode_spawn_runs)).
     /// Merging every worker's runs in parent-id order yields the global
     /// spawn sequence, from which each worker derives final spawn ids —
     /// `(parent id, ordinal)` ordering, placement-independent.
-    Spawns { tick: u64, from: WorkerId, runs: Bytes },
-}
-
-impl PeerMsg {
-    pub fn tick(&self) -> u64 {
-        match self {
-            PeerMsg::Batch { tick, .. } | PeerMsg::Effects { tick, .. } | PeerMsg::Spawns { tick, .. } => *tick,
-        }
-    }
-
-    pub fn from(&self) -> WorkerId {
-        match self {
-            PeerMsg::Batch { from, .. } | PeerMsg::Effects { from, .. } | PeerMsg::Spawns { from, .. } => *from,
-        }
-    }
-
-    pub fn round(&self) -> Round {
-        match self {
-            PeerMsg::Batch { .. } => Round::Distribute,
-            PeerMsg::Effects { .. } => Round::Effects,
-            PeerMsg::Spawns { .. } => Round::Spawns,
-        }
-    }
-}
-
-/// The communication rounds of a tick, in per-tick order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Round {
-    Distribute,
-    Effects,
-    Spawns,
+    Spawns { runs: Bytes },
 }
 
 /// One epoch's marching orders from the master.
@@ -135,34 +107,14 @@ pub struct WorkerEpochStats {
 }
 
 /// Worker-to-master reports. A worker sends `Failed` instead of `EpochDone`
-/// when a peer's payload did not decode or could not be applied: it ran the
-/// epoch to its end in lockstep, but its state is not the simulation's, so it
-/// stops, and the master fails the epoch with `reason`.
+/// when its epoch cannot finish: a peer's payload did not decode or could not
+/// be applied, a link to a peer closed, or the behaviour panicked. Its state
+/// is not the simulation's, so it stops; the links it drops fail every peer
+/// that waits on them, and the master fails the epoch with the first
+/// `reason` it reads.
 #[derive(Debug)]
 pub enum Report {
     EpochDone { worker: WorkerId, stats: WorkerEpochStats, snapshot: Option<Bytes> },
     Collected { worker: WorkerId, snapshot: Bytes },
     Failed { worker: WorkerId, reason: String },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn peer_msg_accessors() {
-        let b = PeerMsg::Batch {
-            tick: 3,
-            from: WorkerId::new(1),
-            transfers: Bytes::new(),
-            replica_full: Bytes::new(),
-            replica_delta: Bytes::new(),
-        };
-        assert_eq!(b.tick(), 3);
-        assert_eq!(b.from(), WorkerId::new(1));
-        assert_eq!(b.round(), Round::Distribute);
-        let e = PeerMsg::Effects { tick: 4, from: WorkerId::new(2), writes: Bytes::new() };
-        assert_eq!(e.round(), Round::Effects);
-        assert_eq!(e.tick(), 4);
-    }
 }

@@ -58,14 +58,24 @@
 //! Sessions are the one replica transport: nothing ever re-ships a
 //! persisting replica as a full record.
 //!
-//! All peer communication is serialized bytes over channels, each message
-//! counted by [`net::record`] into the run's registry, the worker thread's
-//! scope for its life. The worker speaks to the master only between epochs.
+//! All peer communication is serialized bytes over one channel per ordered
+//! worker pair, each message counted by [`net::record`] into the run's
+//! registry, the worker thread's scope for its life. A link carries its
+//! sender's rounds in tick order, so a round is one `recv` per peer, in
+//! sender order. The worker speaks to the master only between epochs.
+//!
+//! # Failure
+//!
+//! An epoch that cannot finish — a peer payload that does not decode or
+//! apply, a send or receive on a closed link, a panic in the behaviour —
+//! takes one path: the worker reports [`Report::Failed`] and stops. The
+//! links it drops fail every peer that waits on them, so a failure ends the
+//! epoch on every worker and never blocks one.
 
 use crate::codec::{self, ReplicaDeltaEnc, WorkerSnapshot, DELTA_MASK_X, DELTA_MASK_Y};
 use crate::net::{self, Traffic};
-use crate::runtime::{Command, EpochCommand, PeerMsg, Report, Round, WorkerEpochStats};
-use brace_common::{AgentId, DetRng, FieldId, WorkerId};
+use crate::runtime::{Command, EpochCommand, PeerMsg, Report, WorkerEpochStats};
+use brace_common::{panic_message, AgentId, DetRng, FieldId, WorkerId};
 use brace_core::executor::{
     query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickScratch, SHARD_ROWS,
 };
@@ -75,6 +85,7 @@ use brace_telemetry::Metrics;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,10 +114,10 @@ pub struct WorkerConfig {
 
 /// Communication endpoints for one worker.
 pub struct WorkerLinks {
-    /// Senders to every worker's inbox, indexed by worker; `peers[self]` is
-    /// unused.
+    /// One link per ordered worker pair: `peers[j]` sends to worker `j`,
+    /// `inboxes[j]` receives from it. A worker's own entries are unused.
     pub peers: Vec<Sender<PeerMsg>>,
-    pub inbox: Receiver<PeerMsg>,
+    pub inboxes: Vec<Receiver<PeerMsg>>,
     pub commands: Receiver<Command>,
     pub reports: Sender<Report>,
     /// The run's telemetry registry: this worker thread's scope.
@@ -282,6 +293,21 @@ fn apply_update(pool: &mut AgentPool, row: u32, mask: u32, values: &[f64]) {
     debug_assert_eq!(vi, values.len(), "mask/value shape mismatch");
 }
 
+/// Every worker index of `0..n` but `me`, ascending: the peers of a round,
+/// in the order their messages are read.
+fn others(n: usize, me: usize) -> impl Iterator<Item = usize> {
+    (0..n).filter(move |&j| j != me)
+}
+
+fn worker_id(j: usize) -> WorkerId {
+    WorkerId::new(j as u32)
+}
+
+/// A message of another round on the link from worker `j`.
+fn out_of_order(j: usize, expected: &str) -> String {
+    format!("{} sent another round's message where its {expected} belong", worker_id(j))
+}
+
 /// One worker node. Owns its agents exclusively; everything in and out is
 /// a message.
 pub struct Worker {
@@ -321,12 +347,6 @@ pub struct Worker {
     /// Worker-level RNG (reserved for runtime-level randomness; agent
     /// streams come from the seed directly). Checkpointed for completeness.
     rng: DetRng,
-    /// Out-of-round messages (peers may run one round ahead).
-    stash: Vec<PeerMsg>,
-    /// Why the first peer payload this epoch that did not decode or could not
-    /// be applied failed. The epoch still runs to its end in lockstep, so no
-    /// peer waits forever; then the worker reports the failure and stops.
-    failure: Option<String>,
     /// Lifetime counters behind `WorkerEpochStats::{pool_rebuilds,
     /// vec_roundtrips}` — the tripwires pinning the pool-resident claim.
     pool_rebuilds: u64,
@@ -384,8 +404,6 @@ impl Worker {
             tick: 0,
             next_id: next_spawn_id,
             rng,
-            stash: Vec::new(),
-            failure: None,
             pool_rebuilds: 0,
             vec_roundtrips: 0,
             owners: Vec::new(),
@@ -428,37 +446,40 @@ impl Worker {
     }
 
     /// Thread entry point: serve master commands until `Stop`, recording
-    /// into the run's registry throughout.
+    /// into the run's registry throughout. Every failure takes one path: the
+    /// worker reports `Failed` and stops, dropping its links.
     pub fn run_loop(mut self) {
         let _scope = brace_telemetry::enter(&self.links.metrics);
-        loop {
-            match self.links.commands.recv() {
-                Err(_) => break, // master dropped; shut down
-                Ok(Command::Stop) => break,
-                Ok(Command::Collect) => {
+        // A closed command channel means the master dropped: shut down.
+        while let Ok(command) = self.links.commands.recv() {
+            let reason = match command {
+                Command::Stop => break,
+                Command::Collect => {
                     let snapshot = self.snapshot();
                     net::record(Traffic::Control, snapshot.len());
                     let _ = self.links.reports.send(Report::Collected { worker: self.cfg.id, snapshot });
+                    continue;
                 }
-                Ok(Command::Restore { snapshot, x_bounds }) => match codec::decode_snapshot(snapshot) {
-                    Ok(snap) => self.restore(snap, x_bounds),
-                    // No state to continue from: stop. The master sees this
-                    // worker's channels close and fails the epoch with an
-                    // error.
-                    Err(_) => break,
-                },
-                Ok(Command::RunEpoch(cmd)) => {
-                    let (stats, snapshot) = self.run_epoch(&cmd);
-                    if let Some(reason) = self.failure.take() {
-                        // As with an undecodable restore: no state worth
-                        // continuing from. The master fails the epoch.
-                        let _ = self.links.reports.send(Report::Failed { worker: self.cfg.id, reason });
-                        break;
+                Command::Restore { snapshot, x_bounds } => match codec::decode_snapshot(snapshot) {
+                    Ok(snap) => {
+                        self.restore(snap, x_bounds);
+                        continue;
                     }
-                    net::record(Traffic::Control, 64 + stats.x_hist.len() * 8);
-                    let _ = self.links.reports.send(Report::EpochDone { worker: self.cfg.id, stats, snapshot });
-                }
-            }
+                    Err(e) => format!("restore: {e}"),
+                },
+                Command::RunEpoch(cmd) => match panic::catch_unwind(AssertUnwindSafe(|| self.run_epoch(&cmd))) {
+                    Ok(Ok((stats, snapshot))) => {
+                        net::record(Traffic::Control, 64 + stats.x_hist.len() * 8);
+                        let _ = self.links.reports.send(Report::EpochDone { worker: self.cfg.id, stats, snapshot });
+                        continue;
+                    }
+                    Ok(Err(reason)) => reason,
+                    Err(payload) => format!("panicked: {}", panic_message(payload.as_ref())),
+                },
+            };
+            // No state worth continuing from.
+            let _ = self.links.reports.send(Report::Failed { worker: self.cfg.id, reason });
+            break;
         }
     }
 
@@ -477,13 +498,12 @@ impl Worker {
         self.next_id = snap.next_spawn_id;
         self.rng = snap.rng;
         self.part.set_x_bounds(x_bounds);
-        self.stash.clear();
         self.rebuild_pool(&snap.agents);
     }
 
     /// Execute one epoch: optional repartition switch, then `cmd.ticks`
     /// ticks, then statistics (and a checkpoint snapshot if asked).
-    fn run_epoch(&mut self, cmd: &EpochCommand) -> (WorkerEpochStats, Option<Bytes>) {
+    fn run_epoch(&mut self, cmd: &EpochCommand) -> Result<(WorkerEpochStats, Option<Bytes>), String> {
         if let Some(bounds) = &cmd.new_x_bounds {
             self.part.set_x_bounds(bounds.clone());
         }
@@ -497,7 +517,7 @@ impl Worker {
         let (rebuilds0, roundtrips0) = (self.pool_rebuilds, self.vec_roundtrips);
         for _ in 0..cmd.ticks {
             let owned_at_start = self.n_owned;
-            self.run_tick();
+            self.run_tick()?;
             stats.agent_ticks += owned_at_start as u64;
         }
         stats.pool_rebuilds = self.pool_rebuilds - rebuilds0;
@@ -510,7 +530,7 @@ impl Worker {
             stats.x_max = stats.x_max.max(x);
         }
         let snapshot = cmd.checkpoint.then(|| self.snapshot());
-        (stats, snapshot)
+        Ok((stats, snapshot))
     }
 
     fn histogram(&self, range: (f64, f64)) -> Vec<u64> {
@@ -646,8 +666,9 @@ impl Worker {
     }
 
     /// One tick of the map–reduce(–reduce) pipeline. Public within the
-    /// crate so tests can drive a worker directly.
-    pub(crate) fn run_tick(&mut self) {
+    /// crate so tests can drive a worker directly. An `Err` leaves the
+    /// worker's state unfit to continue from.
+    pub(crate) fn run_tick(&mut self) -> Result<(), String> {
         let n = self.cfg.num_workers;
         let me = self.me();
         // Clone the Arc so the schema borrow is independent of `self` (the
@@ -680,10 +701,7 @@ impl Worker {
         // Encode and send every peer's payloads before any pool mutation
         // (the collected rows stay valid). Empty payloads are never sent as
         // traffic — a stationary band is literally free.
-        for j in 0..n {
-            if j == me {
-                continue;
-            }
+        for j in others(n, me) {
             let transfers = codec::encode_pool_rows(&self.pool, &self.dest_transfers[j]);
             let rows = std::mem::take(&mut self.dest_replicas[j]);
             let (full, delta) = self.sessions[j].encode_tick(&self.pool, &rows);
@@ -697,15 +715,7 @@ impl Worker {
             if !delta.is_empty() {
                 net::record(Traffic::ReplicaDelta, delta.len());
             }
-            self.links.peers[j]
-                .send(PeerMsg::Batch {
-                    tick: self.tick,
-                    from: self.cfg.id,
-                    transfers,
-                    replica_full: full,
-                    replica_delta: delta,
-                })
-                .expect("peer inbox closed");
+            self.send(j, PeerMsg::Batch { transfers, replica_full: full, replica_delta: delta })?;
         }
         // Self-destined replicas: agents transferring away that remain in
         // this worker's own visible band go through the same session, so
@@ -729,19 +739,15 @@ impl Worker {
         self.removals = removals;
 
         // ---- apply self replicas, then each peer's payloads in sender
-        // order (the lockstep barrier of recv_round makes this
-        // deterministic); a payload this worker cannot apply fails the
-        // epoch ----
-        if let Err(e) = self.apply_batch(me, self_full, self_delta, Bytes::new()) {
-            _ = self.failure.get_or_insert(format!("own replicas: {e}"));
-        }
-        for msg in self.recv_round(Round::Distribute) {
-            let PeerMsg::Batch { from, transfers, replica_full, replica_delta, .. } = msg else {
-                unreachable!("recv_round filtered by round")
+        // order, so the result is deterministic; a payload this worker
+        // cannot apply fails the epoch ----
+        self.apply_batch(me, self_full, self_delta, Bytes::new()).map_err(|e| format!("own replicas: {e}"))?;
+        for j in others(n, me) {
+            let PeerMsg::Batch { transfers, replica_full, replica_delta } = self.recv(j)? else {
+                return Err(out_of_order(j, "replicas and transfers"));
             };
-            if let Err(e) = self.apply_batch(from.index(), replica_full, replica_delta, transfers) {
-                _ = self.failure.get_or_insert(format!("replicas and transfers from {from}: {e}"));
-            }
+            self.apply_batch(j, replica_full, replica_delta, transfers)
+                .map_err(|e| format!("replicas and transfers from {}: {e}", worker_id(j)))?;
         }
         let n_owned = self.n_owned;
 
@@ -766,17 +772,15 @@ impl Worker {
                 debug_assert_ne!(owner, me, "replica owned by its replica holder");
                 dest_writes[owner].push(write);
             }
-            for (j, writes) in dest_writes.iter().enumerate().filter(|&(j, _)| j != me) {
-                let bytes = codec::encode_effect_writes(writes);
+            for j in others(n, me) {
+                let bytes = codec::encode_effect_writes(&dest_writes[j]);
                 net::record(Traffic::Effects, bytes.len());
-                self.links.peers[j]
-                    .send(PeerMsg::Effects { tick: self.tick, from: self.cfg.id, writes: bytes })
-                    .expect("peer inbox closed");
+                self.send(j, PeerMsg::Effects { writes: bytes })?;
             }
             let width = schema.num_effects();
             let mut inbound = Vec::new();
-            for msg in self.recv_round(Round::Effects) {
-                let PeerMsg::Effects { from, writes, .. } = msg else { unreachable!("recv_round filtered by round") };
+            for j in others(n, me) {
+                let PeerMsg::Effects { writes } = self.recv(j)? else { return Err(out_of_order(j, "effect writes")) };
                 let received = codec::decode_effect_writes(writes).map_err(|e| e.to_string()).and_then(|writes| {
                     let target = |w: EffectWrite| match self.id_to_row.get(&w.target) {
                         Some(_) if w.field.index() >= width => {
@@ -790,10 +794,7 @@ impl Worker {
                     };
                     writes.into_iter().map(target).collect::<Result<Vec<_>, _>>()
                 });
-                match received {
-                    Ok(writes) => inbound.extend(writes),
-                    Err(e) => _ = self.failure.get_or_insert(format!("effect writes from {from}: {e}")),
-                }
+                inbound.extend(received.map_err(|e| format!("effect writes from {}: {e}", worker_id(j)))?);
             }
             replay_effects(&mut self.pool, &self.scratch, &mut inbound);
         }
@@ -830,16 +831,11 @@ impl Worker {
         }
         if n > 1 {
             let runs = codec::encode_spawn_runs(&self.spawn_runs);
-            for j in 0..n {
-                if j == me {
-                    continue;
-                }
+            for j in others(n, me) {
                 if !runs.is_empty() {
                     net::record(Traffic::Spawns, runs.len());
                 }
-                self.links.peers[j]
-                    .send(PeerMsg::Spawns { tick: self.tick, from: self.cfg.id, runs: runs.clone() })
-                    .expect("peer inbox closed");
+                self.send(j, PeerMsg::Spawns { runs: runs.clone() })?;
             }
         }
 
@@ -857,12 +853,11 @@ impl Worker {
         merged.clear();
         merged.extend(self.spawn_runs.iter().map(|&(p, c)| (p, c, true)));
         if n > 1 {
-            for msg in self.recv_round(Round::Spawns) {
-                let PeerMsg::Spawns { from, runs, .. } = msg else { unreachable!("recv_round filtered by round") };
-                match codec::decode_spawn_runs(runs) {
-                    Ok(runs) => merged.extend(runs.into_iter().map(|(p, c)| (p, c, false))),
-                    Err(e) => _ = self.failure.get_or_insert(format!("spawn runs from {from}: {e}")),
-                }
+            for j in others(n, me) {
+                let PeerMsg::Spawns { runs } = self.recv(j)? else { return Err(out_of_order(j, "spawn runs")) };
+                let runs =
+                    codec::decode_spawn_runs(runs).map_err(|e| format!("spawn runs from {}: {e}", worker_id(j)))?;
+                merged.extend(runs.into_iter().map(|(p, c)| (p, c, false)));
             }
             merged.sort_unstable_by_key(|&(p, _, _)| p);
         }
@@ -888,58 +883,18 @@ impl Worker {
         self.merged_runs = merged;
         self.pool.reset_effects();
         self.tick += 1;
+        Ok(())
     }
 
-    /// Receive exactly one message of `round` for the current tick from
-    /// every peer, buffering out-of-round traffic. Messages are returned in
-    /// ascending sender order so downstream state is deterministic.
-    fn recv_round(&mut self, round: Round) -> Vec<PeerMsg> {
-        let n = self.cfg.num_workers;
-        if n == 1 {
-            return Vec::new();
-        }
-        let me = self.me();
-        let tick = self.tick;
-        let mut got: Vec<Option<PeerMsg>> = (0..n).map(|_| None).collect();
-        let mut remaining = n - 1;
-        // Drain previously stashed messages for this round first.
-        let mut i = 0;
-        while i < self.stash.len() {
-            let m = &self.stash[i];
-            if m.tick() == tick && m.round() == round {
-                let m = self.stash.swap_remove(i);
-                let from = m.from().index();
-                debug_assert!(got[from].is_none(), "duplicate message from {from}");
-                got[from] = Some(m);
-                remaining -= 1;
-            } else {
-                i += 1;
-            }
-        }
-        while remaining > 0 {
-            let m = self.links.inbox.recv().expect("peer channel closed mid-round");
-            if m.tick() == tick && m.round() == round {
-                let from = m.from().index();
-                debug_assert!(got[from].is_none(), "duplicate message from {from}");
-                got[from] = Some(m);
-                remaining -= 1;
-            } else {
-                debug_assert!(
-                    m.tick() >= tick,
-                    "stale message: tick {} round {:?} while at {} {:?}",
-                    m.tick(),
-                    m.round(),
-                    tick,
-                    round
-                );
-                self.stash.push(m);
-            }
-        }
-        got.into_iter()
-            .enumerate()
-            .filter(|(j, _)| *j != me)
-            .map(|(_, m)| m.expect("round barrier incomplete"))
-            .collect()
+    /// Send `msg` on the link to worker `j`.
+    fn send(&self, j: usize, msg: PeerMsg) -> Result<(), String> {
+        self.links.peers[j].send(msg).map_err(|_| format!("link to {} closed", worker_id(j)))
+    }
+
+    /// The next message on the link from worker `j`: the current round's,
+    /// because each link carries its sender's rounds in tick order.
+    fn recv(&self, j: usize) -> Result<PeerMsg, String> {
+        self.links.inboxes[j].recv().map_err(|_| format!("link from {} closed", worker_id(j)))
     }
 
     /// Current tick (tests).
@@ -1025,10 +980,10 @@ mod tests {
     }
 
     fn single_worker_with(agents: Vec<Agent>, index: IndexKind) -> Worker {
-        let (_peer_tx, inbox) = unbounded();
+        let (peer, inbox) = unbounded();
         let (_cmd_tx, commands) = unbounded::<Command>();
         let (reports, _report_rx) = unbounded();
-        let links = WorkerLinks { peers: vec![_peer_tx], inbox, commands, reports, metrics: Arc::default() };
+        let links = WorkerLinks { peers: vec![peer], inboxes: vec![inbox], commands, reports, metrics: Arc::default() };
         let cfg = WorkerConfig { id: WorkerId::new(0), num_workers: 1, index, seed: 11, parallelism: 2 };
         let part = GridPartitioning::columns(0.0, 100.0, 1);
         Worker::new(Arc::new(Drift::new()), cfg, links, part, agents, 1 << 32)
@@ -1055,7 +1010,7 @@ mod tests {
             .build()
             .unwrap();
         for _ in 0..6 {
-            worker.run_tick();
+            worker.run_tick().unwrap();
             sim.step();
         }
         let mut a: Vec<_> = worker.owned_agents();
@@ -1075,7 +1030,7 @@ mod tests {
             let rebuilds0 = worker.pool_rebuilds;
             let roundtrips0 = worker.vec_roundtrips;
             for _ in 0..8 {
-                worker.run_tick();
+                worker.run_tick().unwrap();
             }
             assert_eq!(worker.pool_rebuilds, rebuilds0, "{index:?}: ticks must not rebuild the pool");
             assert_eq!(worker.vec_roundtrips, roundtrips0, "{index:?}: ticks must not materialize Vec<Agent>");
@@ -1093,21 +1048,21 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trip() {
         let mut worker = single_worker(line(5, 1.0));
-        worker.run_tick();
+        worker.run_tick().unwrap();
         let roundtrips0 = worker.vec_roundtrips;
         let snap = codec::decode_snapshot(worker.snapshot()).unwrap();
         assert_eq!(worker.vec_roundtrips, roundtrips0, "a snapshot is encoded from the pool");
         let before: Vec<_> = worker.owned_agents();
         assert_eq!(snap.agents, before);
         // Run further, then roll back.
-        worker.run_tick();
-        worker.run_tick();
+        worker.run_tick().unwrap();
+        worker.run_tick().unwrap();
         worker.restore(snap, vec![0.0, 100.0]);
         assert_eq!(worker.vec_roundtrips, roundtrips0 + 1, "a restore decodes the records");
         assert_eq!(worker.owned_agents(), before);
         assert_eq!(worker.current_tick(), 1);
         // Replay is deterministic.
-        worker.run_tick();
+        worker.run_tick().unwrap();
         let replayed: Vec<_> = worker.owned_agents();
         let snap = codec::decode_snapshot(worker.snapshot()).unwrap();
         worker.restore(snap, vec![0.0, 100.0]);
@@ -1137,32 +1092,33 @@ mod tests {
         fn update(&self, _me: &mut Agent, _ctx: &mut UpdateCtx<'_>) {}
     }
 
-    /// Worker 0 of two runs an epoch of one tick per entry of `ticks` while
-    /// the test plays worker 1, whose Distribute round carries `[transfers,
-    /// replica_full, replica_delta]` and whose effects round carries the
-    /// writes. The worker must finish the epoch, report why it failed and
-    /// stop — never panic.
-    fn failed_epoch_reason(ticks: Vec<([Bytes; 3], Bytes)>) -> String {
+    /// Worker 0 of two runs an epoch of `ticks` ticks while the test plays
+    /// worker 1: it sends `script` on its link to worker 0, then drops that
+    /// link. The worker must report why its epoch failed and stop — never
+    /// panic, never hang.
+    fn failed_epoch_reason(ticks: u64, script: Vec<PeerMsg>) -> String {
         let agents = (0..5).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64, 0.0), &ping_schema())).collect();
-        let (to_me, inbox) = unbounded();
+        let (to_me, from_peer) = unbounded();
         let (to_peer, _peer_inbox) = unbounded();
+        let (own_tx, own_rx) = unbounded();
         let (cmd_tx, commands) = unbounded();
         let (reports, report_rx) = unbounded();
-        let links =
-            WorkerLinks { peers: vec![to_me.clone(), to_peer], inbox, commands, reports, metrics: Arc::default() };
+        let links = WorkerLinks {
+            peers: vec![own_tx, to_peer],
+            inboxes: vec![own_rx, from_peer],
+            commands,
+            reports,
+            metrics: Arc::default(),
+        };
         let cfg =
             WorkerConfig { id: WorkerId::new(0), num_workers: 2, index: IndexKind::Join, seed: 11, parallelism: 1 };
         let part = GridPartitioning::columns(0.0, 100.0, 2);
         let worker = Worker::new(Arc::new(Ping(ping_schema())), cfg, links, part, agents, 1 << 32);
-        let from = WorkerId::new(1);
-        let n_ticks = ticks.len() as u64;
-        for (tick, ([transfers, replica_full, replica_delta], writes)) in (0..).zip(ticks) {
-            to_me.send(PeerMsg::Batch { tick, from, transfers, replica_full, replica_delta }).unwrap();
-            to_me.send(PeerMsg::Effects { tick, from, writes }).unwrap();
-            to_me.send(PeerMsg::Spawns { tick, from, runs: Bytes::new() }).unwrap();
+        for msg in script {
+            to_me.send(msg).unwrap();
         }
-        let epoch =
-            EpochCommand { epoch: 0, ticks: n_ticks, new_x_bounds: None, checkpoint: false, hist_range: (0.0, 100.0) };
+        drop(to_me);
+        let epoch = EpochCommand { epoch: 0, ticks, new_x_bounds: None, checkpoint: false, hist_range: (0.0, 100.0) };
         cmd_tx.send(Command::RunEpoch(epoch)).unwrap();
         worker.run_loop(); // returns: the worker stops after a failed epoch
         match report_rx.try_recv() {
@@ -1172,6 +1128,16 @@ mod tests {
             }
             other => panic!("expected a failed epoch, got {other:?}"),
         }
+    }
+
+    /// Worker 1's messages for one tick: its Distribute round carries
+    /// `[transfers, replica_full, replica_delta]`, its effects round `writes`.
+    fn tick_script([transfers, replica_full, replica_delta]: [Bytes; 3], writes: Bytes) -> [PeerMsg; 3] {
+        [
+            PeerMsg::Batch { transfers, replica_full, replica_delta },
+            PeerMsg::Effects { writes },
+            PeerMsg::Spawns { runs: Bytes::new() },
+        ]
     }
 
     fn ping_schema() -> AgentSchema {
@@ -1191,7 +1157,7 @@ mod tests {
             field: FieldId::new(field),
             v: 1.0,
         };
-        let reason = |writes| failed_epoch_reason(vec![(Default::default(), writes)]);
+        let reason = |writes| failed_epoch_reason(1, tick_script(Default::default(), writes).into());
         let r = reason(codec::encode_effect_writes(&[write(3, 0), write(999, 0)]));
         assert!(r.contains("a999, which this worker does not own"), "{r}");
         let r = reason(codec::encode_effect_writes(&[write(3, 1)]));
@@ -1207,7 +1173,7 @@ mod tests {
         let schema = ping_schema();
         // In worker 1's column, so a ping to it would ship to worker 1.
         let agent = |id: u64| Agent::new(AgentId::new(id), Vec2::new(60.0, 0.0), &schema);
-        let one = |batch: [Bytes; 3]| failed_epoch_reason(vec![(batch, Bytes::new())]);
+        let one = |batch: [Bytes; 3]| failed_epoch_reason(1, tick_script(batch, Bytes::new()).into());
         let agents = codec::encode_agents(&[agent(70), agent(71)]);
         let r = one([agents.slice(0..agents.len() - 1), Bytes::new(), Bytes::new()]);
         assert!(r.contains("replicas and transfers from w1") && r.contains("agent records"), "{r}");
@@ -1234,13 +1200,30 @@ mod tests {
         assert!(r.contains("replica slot 0 of 0"), "{r}");
         // Tick 0 registers a replica in slot 0; tick 1 updates a state field
         // the schema does not have.
-        let r = failed_epoch_reason(vec![
-            ([Bytes::new(), codec::encode_agents(&[agent(74)]), Bytes::new()], Bytes::new()),
-            ([Bytes::new(), Bytes::new(), update(1 << 2)], Bytes::new()),
-        ]);
+        let r = failed_epoch_reason(
+            2,
+            [
+                tick_script([Bytes::new(), codec::encode_agents(&[agent(74)]), Bytes::new()], Bytes::new()),
+                tick_script([Bytes::new(), Bytes::new(), update(1 << 2)], Bytes::new()),
+            ]
+            .concat(),
+        );
         assert!(r.contains("replica update mask 0x4 past 0 state fields"), "{r}");
         let r = one([Bytes::new(), Bytes::new(), update(DELTA_MASK_X).slice(0..19)]);
         assert!(r.contains("replica delta"), "{r}");
+    }
+
+    /// Worker 1 sends its Batch, then its link closes: worker 0 fails the
+    /// epoch at the effects round instead of waiting on the link forever.
+    #[test]
+    fn a_closed_peer_link_fails_the_epoch() {
+        let batch = PeerMsg::Batch { transfers: Bytes::new(), replica_full: Bytes::new(), replica_delta: Bytes::new() };
+        let r = failed_epoch_reason(1, vec![batch]);
+        assert_eq!(r, "link from w1 closed");
+        // A link is read in round order: a spawn run where the Batch belongs
+        // fails the epoch too.
+        let r = failed_epoch_reason(1, vec![PeerMsg::Spawns { runs: Bytes::new() }]);
+        assert_eq!(r, "w1 sent another round's message where its replicas and transfers belong");
     }
 
     #[test]

@@ -464,7 +464,7 @@ impl SimHandle {
     pub fn agent_ticks(&self) -> u64 {
         match &self.inner {
             Inner::Single(_) => self.single_agent_ticks,
-            Inner::Cluster(sim) => sim.stats().agent_ticks,
+            Inner::Cluster(sim) => sim.agent_ticks(),
         }
     }
 

@@ -47,12 +47,11 @@ pub use cache::{CachedRun, ResultCache, MAX_CACHED_FRAMES};
 pub use http::{read_request, HttpError, Request, MAX_BODY};
 pub use json::Json;
 
-use brace_common::Result;
+use brace_common::{panic_message, Result};
 use brace_scenario::runner::DEFAULT_SEED;
 use brace_scenario::{index_by_name, Backend, JobSpec, Observer, Progress, Registry, RunKey, Runner};
 use brace_telemetry::{Counter as TelCounter, HistId, Metrics};
 use http::ChunkedWriter;
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -403,17 +402,6 @@ fn execute(app: &Arc<App>, record: &Arc<RunRecord>) {
     }
     record.progressed.notify_all();
     note_terminal(app, &record.id);
-}
-
-/// A panic payload as text: the `&str` or `String` it was raised with. A
-/// panic on a run's helper thread arrives through `thread::scope` as "a
-/// scoped thread panicked".
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
-        (Some(s), _) => s.to_string(),
-        (_, Some(s)) => s.clone(),
-        _ => "run panicked".into(),
-    }
 }
 
 /// Record that `id` reached a terminal state (Done/Failed), then sweep.

@@ -10,12 +10,15 @@
 
 mod common;
 
+use brace_common::{AgentId, DetRng, FieldId, Vec2};
+use brace_core::{Agent, AgentRef, AgentSchema, Behavior, EffectWriter, Neighbors, UpdateCtx};
 use brace_mapreduce::checkpoint::list_checkpoint_epochs;
 use brace_mapreduce::{CheckpointStore, ClusterConfig, ClusterSim, FaultPlan};
 use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams};
 use common::{custom_setup, registry_of, spawned, Case, Custom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn fish() -> FishBehavior {
     FishBehavior::new(FishParams { school_radius: 12.0, ..FishParams::default() })
@@ -220,5 +223,86 @@ fn recovery_cost_is_bounded_by_checkpoint_cadence() {
         let s = sim.stats();
         assert_eq!(s.recoveries, 1);
         assert!(s.replayed_epochs <= max_replay, "cadence {every}: replayed {} > {max_replay}", s.replayed_epochs);
+    }
+}
+
+const PANIC_MESSAGE: &str = "behaviour gave up at tick 3";
+
+/// Where [`PanicsOnce`] panics.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    Query,
+    Update,
+}
+
+/// One agent's query or update panics at tick 3 (its `age`); every other
+/// agent just ages.
+struct PanicsOnce {
+    schema: AgentSchema,
+    culprit: AgentId,
+    phase: Phase,
+}
+
+impl Behavior for PanicsOnce {
+    fn schema(&self) -> &AgentSchema {
+        &self.schema
+    }
+
+    fn query(&self, me: AgentRef<'_>, _nbrs: &Neighbors<'_>, _eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
+        if matches!(self.phase, Phase::Query) && me.id() == self.culprit && me.get(FieldId::new(0)) == 3.0 {
+            panic!("{PANIC_MESSAGE}");
+        }
+    }
+
+    fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
+        if matches!(self.phase, Phase::Update) && me.id == self.culprit && ctx.tick == 3 {
+            panic!("{PANIC_MESSAGE}");
+        }
+        me.set(FieldId::new(0), me.get(FieldId::new(0)) + 1.0);
+    }
+}
+
+/// A behaviour that panics on one agent of the last worker fails the epoch:
+/// `run_epochs` returns an `Err` naming that worker and the panic's message
+/// (its peers, waiting on its links, fail with it), and dropping the sim
+/// joins every worker thread. Each worker owns three executor shards, so at
+/// two threads per worker the panic can come from a shard thread. A hang is
+/// caught by the watchdog.
+#[test]
+fn a_panicking_behaviour_fails_the_epoch_on_every_worker_count() {
+    const PER_WORKER: usize = 4_500;
+    for workers in 1..=3 {
+        for parallelism in [1, 2] {
+            for phase in [Phase::Query, Phase::Update] {
+                let n = PER_WORKER * workers;
+                let schema = AgentSchema::builder("PanicsOnce").state("age").visibility(1.0).build().unwrap();
+                let pop: Vec<Agent> =
+                    (0..n).map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(i as f64, 0.0), &schema)).collect();
+                // Early in the last worker's column.
+                let culprit = AgentId::new((PER_WORKER * (workers - 1) + 1) as u64);
+                let behavior = PanicsOnce { schema, culprit, phase };
+                let cfg = ClusterConfig {
+                    workers,
+                    epoch_len: 5,
+                    space_x: (0.0, n as f64),
+                    load_balance: false,
+                    parallelism,
+                    ..ClusterConfig::default()
+                };
+                let case = format!("{workers} worker(s), {parallelism} thread(s), panic in {phase:?}");
+                let (done_tx, done_rx) = std::sync::mpsc::channel();
+                let watched = std::thread::spawn(move || {
+                    let mut sim = ClusterSim::new(Arc::new(behavior), pop, cfg).unwrap();
+                    let run = sim.run_epochs(2).map(|_| ()).map_err(|e| e.to_string());
+                    drop(sim);
+                    let _ = done_tx.send(run);
+                });
+                let run = done_rx.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|e| panic!("{case}: {e}"));
+                watched.join().unwrap();
+                let err = run.expect_err(&case);
+                let worker = format!("w{} failed epoch 0", workers - 1);
+                assert!(err.contains(&worker) && err.contains(PANIC_MESSAGE), "{case}: {err}");
+            }
+        }
     }
 }

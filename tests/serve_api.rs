@@ -462,7 +462,8 @@ fn stats_report_the_run_thread_budget() {
 
 const PANIC_MESSAGE: &str = "behaviour gave up at tick 3";
 
-/// Every agent's update panics at tick 3.
+/// Agent 0's update panics at tick 3, and no other agent's: on a cluster,
+/// one worker fails while its peers wait on it.
 struct PanicsAtTickThree {
     schema: AgentSchema,
 }
@@ -474,22 +475,25 @@ impl Behavior for PanicsAtTickThree {
 
     fn query(&self, _me: AgentRef<'_>, _nbrs: &Neighbors<'_>, _eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {}
 
-    fn update(&self, _me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
-        if ctx.tick == 3 {
+    fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
+        if ctx.tick == 3 && me.id == AgentId::new(0) {
             panic!("{PANIC_MESSAGE}");
         }
     }
 }
 
-/// A panic inside a served run fails that run alone: the record reads
-/// `failed` with the panic's message, `runs_failed` counts it, and the one
-/// pool thread survives to run the next job bit-identically.
+/// A panic inside a served run fails that run alone, on either backend: the
+/// record reads `failed` with the panic's message, `runs_failed` counts it,
+/// and the one pool thread survives to run the next job bit-identically.
+/// The population spans three executor shards, so a single-node run on more
+/// than one thread panics on a shard thread, not the calling one; on
+/// `cluster:2` the worker that panics fails the epoch for both.
 #[test]
 fn a_panicking_behaviour_fails_its_run_alone() {
     let mut registry = Registry::builtin();
     let panics = Custom {
         name: "panics-at-tick-3",
-        agents: 64,
+        agents: 4_500,
         build: |n, _| {
             let schema = AgentSchema::builder("PanicsAtTickThree").visibility(1.0).reachability(1.0).build().unwrap();
             let pop = (0..n).map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(i as f64, 0.0), &schema)).collect();
@@ -500,11 +504,15 @@ fn a_panicking_behaviour_fails_its_run_alone() {
     let server = Server::start(registry, ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
     let addr = server.addr();
 
-    let (status, _, body) = post(addr, "/runs", r#"{"scenario":"panics-at-tick-3","ticks":10}"#);
-    assert_eq!(status, 202, "{body}");
-    let failed = wait_terminal(addr, &run_id(&body));
-    assert_eq!(field(&failed, "status"), Some("failed"), "{failed}");
-    assert_eq!(field(&failed, "error"), Some(PANIC_MESSAGE), "{failed}");
+    for backend in ["single", "cluster:2"] {
+        let job = format!(r#"{{"scenario":"panics-at-tick-3","ticks":10,"backend":"{backend}"}}"#);
+        let (status, _, body) = post(addr, "/runs", &job);
+        assert_eq!(status, 202, "{body}");
+        let failed = wait_terminal(addr, &run_id(&body));
+        assert_eq!(field(&failed, "status"), Some("failed"), "{backend}: {failed}");
+        let error = field(&failed, "error").unwrap_or_default();
+        assert!(error.contains(PANIC_MESSAGE), "{backend}: {failed}");
+    }
 
     let (status, _, body) = post(addr, "/runs", EPIDEMIC_RUN);
     assert_eq!(status, 202, "{body}");
@@ -512,6 +520,6 @@ fn a_panicking_behaviour_fails_its_run_alone() {
     assert_eq!(field(&done, "checksum"), Some(format!("{GOLDEN_EPIDEMIC:#018X}").as_str()));
 
     let (_, _, stats) = get(addr, "/stats");
-    assert_eq!(field(&stats, "runs_failed"), Some("1"), "{stats}");
+    assert_eq!(field(&stats, "runs_failed"), Some("2"), "{stats}");
     assert_eq!(field(&stats, "runs_completed"), Some("1"), "{stats}");
 }
