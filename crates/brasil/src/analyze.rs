@@ -1,4 +1,4 @@
-//! Semantic analysis: the state-effect checker.
+//! The state-effect checker, which emits the plan it checks.
 //!
 //! "The BRASIL compiler then enforces the read-write restrictions of the
 //! state-effect pattern over those fields" (§4.1). Concretely:
@@ -17,238 +17,246 @@
 //! * non-local effect assignments (`p.f <- e`) are detected and recorded —
 //!   they decide between one and two reduce passes downstream.
 //!
-//! The checker is also a light type checker with three types: numbers
+//! The checker is also a light type checker: an expression is a number
 //! (`float`/`int`/`bool` all evaluate to numeric values, with booleans as
-//! 0/1), and agent references (only comparable and only dereferenceable).
+//! 0/1) or an agent reference (only comparable and only dereferenceable).
+//! [`analyze`] walks `run()` and then the update rules once, with one scope
+//! table (the locals in scope with their slots, and the loop variable), and
+//! lowers each expression to the dataflow plan ([`crate::plan`]) as it
+//! checks it: what it returns is the [`CompiledClass`] the optimizer takes.
 
 use crate::ast::*;
-use crate::plan::Builtin;
+use crate::exec::CompiledClass;
+use crate::plan::{AgentRef, Axis, Builtin, PExpr, PStmt, QueryPlan, UpdateRule, UpdateTarget};
 use brace_common::{BraceError, Result};
-use brace_core::Combinator;
-use std::collections::{HashMap, HashSet};
+use brace_core::{AgentSchema, Combinator};
+use std::collections::HashMap;
 
-/// Built-in functions: name → arity.
-pub fn builtin_arity(name: &str) -> Option<usize> {
-    if name == "rand" {
-        return Some(0);
-    }
-    Builtin::parse(name).map(Builtin::arity)
+fn sem<T>(line: u32, msg: impl std::fmt::Display) -> Result<T> {
+    Err(BraceError::Semantic(format!("line {line}: {msg}")))
 }
 
-/// Analysis output: validated class plus resolved symbol information.
-#[derive(Debug, Clone)]
-pub struct AnalyzedClass {
-    pub decl: ClassDecl,
-    /// Non-spatial state field names, in declaration order (schema order).
-    pub state_names: Vec<String>,
-    /// Effect field names in declaration order.
-    pub effect_names: Vec<String>,
-    pub combinators: Vec<Combinator>,
-    pub has_x: bool,
-    pub has_y: bool,
-    /// L∞ visibility bound derived from `#range` tags (∞ when untagged).
-    pub visibility: f64,
-    /// Per-tick movement bound (same tags; the paper uses one constraint
-    /// for both roles).
-    pub reachability: f64,
-}
-
-/// Evaluate a constant expression (for `#range` bounds).
-fn const_eval(e: &Expr) -> Result<f64> {
+/// Evaluate a constant expression (a `#range` bound on line `line`).
+fn const_eval(e: &Expr, line: u32) -> Result<f64> {
     match e {
         Expr::Number(n) => Ok(*n),
         Expr::Bool(b) => Ok(*b as i32 as f64),
-        Expr::Unary(UnOp::Neg, inner) => Ok(-const_eval(inner)?),
+        Expr::Unary(UnOp::Neg, inner) => Ok(-const_eval(inner, line)?),
         Expr::Binary(op, a, b) => {
-            let (a, b) = (const_eval(a)?, const_eval(b)?);
+            let (a, b) = (const_eval(a, line)?, const_eval(b, line)?);
             Ok(match op {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
                 BinOp::Mul => a * b,
                 BinOp::Div => a / b,
-                _ => return Err(BraceError::Semantic("non-arithmetic operator in #range bound".into())),
+                _ => return sem(line, "non-arithmetic operator in #range bound"),
             })
         }
-        _ => Err(BraceError::Semantic("#range bounds must be constant expressions".into())),
+        _ => sem(line, "#range bounds must be constant expressions"),
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ty {
-    Num,
-    Bool,
-    Agent,
+/// What a field name reads: a position axis, or a state or effect slot.
+#[derive(Clone, Copy)]
+enum Field {
+    Pos(Axis),
+    State(u16),
+    Effect(u16),
+}
+
+/// A checked expression: a number, or an agent reference.
+enum Val {
+    Num(PExpr),
+    Agent(AgentRef),
 }
 
 struct Checker<'a> {
     class: &'a str,
-    states: HashSet<&'a str>,
-    effects: HashSet<&'a str>,
-    /// Locals in scope (query phase only).
-    locals: Vec<String>,
-    /// Loop variables in scope, innermost last.
-    loop_vars: Vec<String>,
+    fields: HashMap<&'a str, Field>,
+    /// Locals in scope with their slots (query phase only).
+    locals: Vec<(&'a str, u16)>,
+    /// The loop variable, inside the `foreach`.
+    loop_var: Option<&'a str>,
+    /// Slots handed out so far, in source order; none is reused.
+    next_local: u16,
+    /// Walking the update rules rather than `run()`.
+    update: bool,
+    /// The first fault in source order that breaks no state-effect rule: a
+    /// local bound to an agent reference, or a local past the last slot.
+    /// [`analyze`] reports it once every rule has been checked, so a class
+    /// that breaks a rule is refused for the rule.
+    late: Option<BraceError>,
 }
 
 impl<'a> Checker<'a> {
-    fn sem<T>(&self, line: u32, msg: impl std::fmt::Display) -> Result<T> {
-        Err(BraceError::Semantic(format!("line {line}: {msg}")))
+    /// What field `name` reads: `x` and `y` are the position whatever is
+    /// declared.
+    fn field(&self, name: &str) -> Option<Field> {
+        match name {
+            "x" => Some(Field::Pos(Axis::X)),
+            "y" => Some(Field::Pos(Axis::Y)),
+            _ => self.fields.get(name).copied(),
+        }
     }
 
-    fn is_spatial(name: &str) -> bool {
-        name == "x" || name == "y"
-    }
-
-    /// Type of an identifier in query-phase expression position.
-    fn ident_ty(&self, name: &str, line: u32, in_loop: bool) -> Result<Ty> {
-        if self.loop_vars.iter().any(|v| v == name) {
-            return Ok(Ty::Agent);
+    fn ident(&self, name: &str, line: u32) -> Result<Val> {
+        if self.loop_var == Some(name) {
+            return Ok(Val::Agent(AgentRef::Other));
         }
-        if self.locals.iter().any(|v| v == name) {
-            return Ok(Ty::Num);
+        if let Some(&(_, slot)) = self.locals.iter().find(|(l, _)| *l == name) {
+            return Ok(Val::Num(PExpr::Local(slot)));
         }
-        if Self::is_spatial(name) || self.states.contains(name) {
-            return Ok(Ty::Num);
-        }
-        if self.effects.contains(name) {
-            if in_loop {
-                return self.sem(
+        Ok(Val::Num(match self.field(name) {
+            Some(Field::Pos(axis)) => PExpr::SelfPos(axis),
+            Some(Field::State(slot)) => PExpr::SelfState(slot),
+            Some(Field::Effect(_)) if self.loop_var.is_some() => {
+                return sem(
                     line,
                     format!("effect field `{name}` cannot be read inside a foreach loop (effects aggregate until the loop completes)"),
                 );
             }
-            return Ok(Ty::Num);
-        }
-        self.sem(line, format!("unknown identifier `{name}`"))
+            Some(Field::Effect(slot)) => PExpr::SelfEffect(slot),
+            None if self.update => {
+                return sem(line, format!("update rules may only read the agent's own fields; `{name}` is not one"))
+            }
+            None => return sem(line, format!("unknown identifier `{name}`")),
+        }))
     }
 
-    /// Validate a query-phase expression; returns its type.
-    fn query_expr(&self, e: &Expr, line: u32, in_loop: bool) -> Result<Ty> {
-        match e {
-            Expr::Number(_) => Ok(Ty::Num),
-            Expr::Bool(_) => Ok(Ty::Bool),
-            Expr::This => Ok(Ty::Agent),
-            Expr::Ident(name) => self.ident_ty(name, line, in_loop),
+    /// Check and lower an expression of a statement (or update rule) on
+    /// line `line`.
+    fn expr(&self, e: &Expr, line: u32) -> Result<Val> {
+        Ok(Val::Num(match e {
+            Expr::Number(n) => PExpr::Const(*n),
+            Expr::Bool(b) => PExpr::Const(*b as i32 as f64),
+            Expr::This if self.update => return sem(line, "`this` has no meaning in an update rule"),
+            Expr::This => return Ok(Val::Agent(AgentRef::This)),
+            Expr::Ident(name) => return self.ident(name, line),
+            Expr::Field(_, field) if self.update => {
+                return sem(line, format!("update rules cannot access other agents (`.{field}`)"))
+            }
             Expr::Field(base, field) => {
-                let bt = self.query_expr(base, line, in_loop)?;
-                if bt != Ty::Agent {
-                    return self.sem(line, format!("`.{field}` applied to a non-agent expression"));
-                }
-                if Self::is_spatial(field) || self.states.contains(field.as_str()) {
-                    Ok(Ty::Num)
-                } else if self.effects.contains(field.as_str()) {
-                    self.sem(line, format!("cannot read effect field `{field}` of another agent"))
-                } else {
-                    self.sem(line, format!("class `{}` has no state field `{field}`", self.class))
+                let Val::Agent(on) = self.expr(base, line)? else {
+                    return sem(line, format!("`.{field}` applied to a non-agent expression"));
+                };
+                let this = on == AgentRef::This;
+                match self.field(field) {
+                    Some(Field::Pos(axis)) if this => PExpr::SelfPos(axis),
+                    Some(Field::Pos(axis)) => PExpr::OtherPos(axis),
+                    Some(Field::State(slot)) if this => PExpr::SelfState(slot),
+                    Some(Field::State(slot)) => PExpr::OtherState(slot),
+                    Some(Field::Effect(_)) => {
+                        return sem(line, format!("cannot read effect field `{field}` of another agent"))
+                    }
+                    None => return sem(line, format!("class `{}` has no state field `{field}`", self.class)),
                 }
             }
             Expr::Unary(op, inner) => {
-                let t = self.query_expr(inner, line, in_loop)?;
-                match op {
-                    UnOp::Neg if t == Ty::Num || t == Ty::Bool => Ok(Ty::Num),
-                    UnOp::Not if t == Ty::Bool || t == Ty::Num => Ok(Ty::Bool),
-                    _ => self.sem(line, "unary operator applied to an agent reference"),
-                }
+                PExpr::Unary(*op, Box::new(self.num(inner, line, || "unary operator applied to an agent reference")?))
             }
-            Expr::Binary(op, a, b) => {
-                let (ta, tb) = (self.query_expr(a, line, in_loop)?, self.query_expr(b, line, in_loop)?);
-                match op {
-                    BinOp::Eq | BinOp::Ne => {
-                        if (ta == Ty::Agent) != (tb == Ty::Agent) {
-                            self.sem(line, "cannot compare an agent with a number")
-                        } else {
-                            Ok(Ty::Bool)
-                        }
-                    }
-                    BinOp::And | BinOp::Or => {
-                        if ta == Ty::Agent || tb == Ty::Agent {
-                            self.sem(line, "logical operator applied to an agent reference")
-                        } else {
-                            Ok(Ty::Bool)
-                        }
-                    }
-                    BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                        if ta == Ty::Agent || tb == Ty::Agent {
-                            self.sem(line, "comparison applied to an agent reference")
-                        } else {
-                            Ok(Ty::Bool)
-                        }
-                    }
-                    _ => {
-                        if ta == Ty::Agent || tb == Ty::Agent {
-                            self.sem(line, "arithmetic applied to an agent reference")
-                        } else {
-                            Ok(Ty::Num)
-                        }
-                    }
+            Expr::Binary(op, a, b) => match (self.expr(a, line)?, self.expr(b, line)?) {
+                (Val::Num(a), Val::Num(b)) => PExpr::Binary(*op, Box::new(a), Box::new(b)),
+                (Val::Agent(left), Val::Agent(right)) if matches!(op, BinOp::Eq | BinOp::Ne) => {
+                    PExpr::AgentEq { left, right, negate: *op == BinOp::Ne }
                 }
-            }
+                _ => {
+                    return sem(
+                        line,
+                        match op {
+                            BinOp::Eq | BinOp::Ne => "cannot compare an agent with a number",
+                            BinOp::And | BinOp::Or => "logical operator applied to an agent reference",
+                            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => "comparison applied to an agent reference",
+                            _ => "arithmetic applied to an agent reference",
+                        },
+                    )
+                }
+            },
             Expr::Call(name, args) => {
-                let Some(arity) = builtin_arity(name) else {
-                    return self.sem(line, format!("unknown function `{name}`"));
+                // `rand()` is the one call that is not a `Builtin`.
+                let builtin = match (name.as_str(), Builtin::parse(name)) {
+                    ("rand", _) => None,
+                    (_, None) => return sem(line, format!("unknown function `{name}`")),
+                    (_, builtin) => builtin,
                 };
+                let arity = builtin.map_or(0, Builtin::arity);
                 if args.len() != arity {
-                    return self.sem(line, format!("`{name}` takes {arity} argument(s), got {}", args.len()));
+                    return sem(line, format!("`{name}` takes {arity} argument(s), got {}", args.len()));
                 }
-                for a in args {
-                    if self.query_expr(a, line, in_loop)? == Ty::Agent {
-                        return self.sem(line, format!("agent reference passed to `{name}`"));
-                    }
-                }
-                Ok(Ty::Num)
+                let args = args
+                    .iter()
+                    .map(|a| self.num(a, line, || format!("agent reference passed to `{name}`")))
+                    .collect::<Result<Vec<_>>>()?;
+                builtin.map_or(PExpr::Rand, |b| PExpr::Call(b, args))
             }
+        }))
+    }
+
+    /// [`Checker::expr`] where only a number may stand; `agent` says why
+    /// an agent reference may not.
+    fn num<M: std::fmt::Display>(&self, e: &Expr, line: u32, agent: impl FnOnce() -> M) -> Result<PExpr> {
+        match self.expr(e, line)? {
+            Val::Num(e) => Ok(e),
+            Val::Agent(_) => sem(line, agent()),
         }
     }
 
-    fn query_block(&mut self, block: &Block, in_loop: bool) -> Result<()> {
+    fn block(&mut self, block: &'a Block) -> Result<Vec<PStmt>> {
         let locals_at_entry = self.locals.len();
+        let mut out = Vec::with_capacity(block.stmts.len());
         for stmt in &block.stmts {
-            match stmt {
+            out.push(match stmt {
                 Stmt::Const { name, value, line, .. } => {
-                    if self.states.contains(name.as_str())
-                        || self.effects.contains(name.as_str())
-                        || Self::is_spatial(name)
-                    {
-                        return self.sem(*line, format!("local `{name}` shadows a field"));
+                    if self.field(name).is_some() {
+                        return sem(*line, format!("local `{name}` shadows a field"));
                     }
-                    if self.locals.iter().any(|l| l == name) || self.loop_vars.iter().any(|l| l == name) {
-                        return self.sem(*line, format!("duplicate local `{name}`"));
+                    if self.locals.iter().any(|(l, _)| l == name) || self.loop_var == Some(name.as_str()) {
+                        return sem(*line, format!("duplicate local `{name}`"));
                     }
-                    self.query_expr(value, *line, in_loop)?;
-                    self.locals.push(name.clone());
+                    let value = match self.expr(value, *line)? {
+                        Val::Num(value) => value,
+                        Val::Agent(_) => {
+                            let err = format!("line {line}: local `{name}` cannot hold an agent reference");
+                            self.late.get_or_insert(BraceError::Semantic(err));
+                            PExpr::Const(0.0)
+                        }
+                    };
+                    let slot = self.next_local;
+                    self.next_local = slot.checked_add(1).unwrap_or_else(|| {
+                        let err = format!("more than {} `const` bindings in one script", u16::MAX);
+                        self.late.get_or_insert(BraceError::Semantic(err));
+                        slot
+                    });
+                    self.locals.push((name.as_str(), slot));
+                    PStmt::Let { slot, value }
                 }
                 Stmt::EffectAssign { target, field, value, line } => {
-                    if !self.effects.contains(field.as_str()) {
-                        return self.sem(
+                    let Some(&Field::Effect(field)) = self.fields.get(field.as_str()) else {
+                        return sem(
                             *line,
                             format!("`<-` target `{field}` is not an effect field (states are read-only in run())"),
                         );
-                    }
-                    if self.query_expr(value, *line, in_loop)? == Ty::Agent {
-                        return self.sem(*line, "cannot assign an agent reference to an effect");
-                    }
-                    if let Some(t) = target {
-                        // Non-local: target must be an agent expression —
-                        // in this subset, a loop variable.
-                        match t {
-                            Expr::Ident(v) if self.loop_vars.iter().any(|lv| lv == v) => {}
-                            _ => return self.sem(*line, "non-local effect target must be a foreach loop variable"),
-                        }
+                    };
+                    let value = self.num(value, *line, || "cannot assign an agent reference to an effect")?;
+                    // Non-local: the target must be an agent expression —
+                    // in this subset, the loop variable.
+                    match target {
+                        None => PStmt::LocalEffect { field, value },
+                        Some(Expr::Ident(v)) if self.loop_var == Some(v.as_str()) => PStmt::RemoteEffect { field, value },
+                        Some(_) => return sem(*line, "non-local effect target must be a foreach loop variable"),
                     }
                 }
                 Stmt::If { cond, then_, else_, line } => {
-                    let t = self.query_expr(cond, *line, in_loop)?;
-                    if t == Ty::Agent {
-                        return self.sem(*line, "if condition cannot be an agent reference");
-                    }
-                    self.query_block(then_, in_loop)?;
-                    if let Some(e) = else_ {
-                        self.query_block(e, in_loop)?;
-                    }
+                    let cond = self.num(cond, *line, || "if condition cannot be an agent reference")?;
+                    let then_ = self.block(then_)?;
+                    let else_ = match else_ {
+                        Some(e) => self.block(e)?,
+                        None => Vec::new(),
+                    };
+                    PStmt::If { cond, then_, else_ }
                 }
                 Stmt::Foreach { class, var, extent, body, line } => {
                     if class != self.class || extent != self.class {
-                        return self.sem(
+                        return sem(
                             *line,
                             format!(
                                 "foreach over `Extent<{extent}>` of class `{class}`: only the agent's own class `{}` is supported",
@@ -256,175 +264,123 @@ impl<'a> Checker<'a> {
                             ),
                         );
                     }
-                    if in_loop {
-                        return self.sem(
+                    if self.loop_var.is_some() {
+                        return sem(
                             *line,
                             "nested foreach loops are not supported (no self-join of extents inside a tick)",
                         );
                     }
-                    if self.loop_vars.iter().any(|v| v == var) || self.locals.iter().any(|v| v == var) {
-                        return self.sem(*line, format!("loop variable `{var}` shadows another binding"));
+                    if self.locals.iter().any(|(l, _)| l == var) {
+                        return sem(*line, format!("loop variable `{var}` shadows another binding"));
                     }
-                    self.loop_vars.push(var.clone());
-                    self.query_block(body, true)?;
-                    self.loop_vars.pop();
+                    self.loop_var = Some(var.as_str());
+                    let body = self.block(body)?;
+                    self.loop_var = None;
+                    PStmt::Foreach { body }
                 }
-            }
+            });
         }
         self.locals.truncate(locals_at_entry);
-        Ok(())
-    }
-
-    /// Validate an update-rule expression: own fields + effects + builtins
-    /// only.
-    fn update_expr(&self, e: &Expr, line: u32) -> Result<()> {
-        match e {
-            Expr::Number(_) | Expr::Bool(_) => Ok(()),
-            Expr::This => self.sem(line, "`this` has no meaning in an update rule"),
-            Expr::Ident(name) => {
-                if Self::is_spatial(name) || self.states.contains(name.as_str()) || self.effects.contains(name.as_str())
-                {
-                    Ok(())
-                } else {
-                    self.sem(line, format!("update rules may only read the agent's own fields; `{name}` is not one"))
-                }
-            }
-            Expr::Field(_, f) => self.sem(line, format!("update rules cannot access other agents (`.{f}`)")),
-            Expr::Unary(_, inner) => self.update_expr(inner, line),
-            Expr::Binary(_, a, b) => {
-                self.update_expr(a, line)?;
-                self.update_expr(b, line)
-            }
-            Expr::Call(name, args) => {
-                let Some(arity) = builtin_arity(name) else {
-                    return self.sem(line, format!("unknown function `{name}`"));
-                };
-                if args.len() != arity {
-                    return self.sem(line, format!("`{name}` takes {arity} argument(s), got {}", args.len()));
-                }
-                for a in args {
-                    self.update_expr(a, line)?;
-                }
-                Ok(())
-            }
-        }
+        Ok(out)
     }
 }
 
-/// Analyze one class declaration.
-pub fn analyze(decl: &ClassDecl) -> Result<AnalyzedClass> {
+/// Check one class declaration and lower it: fields first, then `run()`,
+/// then the update rules in declaration order.
+pub fn analyze(decl: &ClassDecl) -> Result<CompiledClass> {
     // ---- field tables ------------------------------------------------------
     let mut seen: HashMap<&str, u32> = HashMap::new();
     for f in &decl.fields {
         if let Some(prev) = seen.insert(f.name.as_str(), f.line) {
-            return Err(BraceError::Semantic(format!(
-                "line {}: field `{}` already declared at line {prev}",
-                f.line, f.name
-            )));
+            return sem(f.line, format!("field `{}` already declared at line {prev}", f.name));
         }
     }
-    let mut state_names = Vec::new();
-    let mut effect_names = Vec::new();
-    let mut combinators = Vec::new();
-    let mut has_x = false;
-    let mut has_y = false;
+    let mut fields = HashMap::new();
+    let mut schema = AgentSchema::builder(decl.name.clone());
+    let mut states = 0usize;
+    let mut effects = Vec::new();
     let mut ranges: Vec<(f64, f64)> = Vec::new();
+    let mut rules = Vec::new();
     for f in &decl.fields {
-        match &f.kind {
-            FieldKind::State { range, .. } => {
+        let field = match &f.kind {
+            FieldKind::State { range, update } => {
                 if let TypeName::Agent(t) = &f.ty {
-                    return Err(BraceError::Semantic(format!(
-                        "line {}: agent-typed state fields (`{t}`) are outside the supported subset",
-                        f.line
-                    )));
+                    return sem(f.line, format!("agent-typed state fields (`{t}`) are outside the supported subset"));
                 }
-                let spatial = f.name == "x" || f.name == "y";
-                if spatial {
-                    if f.name == "x" {
-                        has_x = true;
-                    } else {
-                        has_y = true;
-                    }
-                    if let Some((lo, hi)) = range {
-                        let (lo, hi) = (const_eval(lo)?, const_eval(hi)?);
-                        if lo > hi {
-                            return Err(BraceError::Semantic(format!(
-                                "line {}: #range lower bound {lo} exceeds upper bound {hi}",
-                                f.line
-                            )));
+                let (field, target) = match f.name.as_str() {
+                    "x" | "y" => {
+                        if let Some((lo, hi)) = range {
+                            let (lo, hi) = (const_eval(lo, f.line)?, const_eval(hi, f.line)?);
+                            if lo > hi {
+                                return sem(f.line, format!("#range lower bound {lo} exceeds upper bound {hi}"));
+                            }
+                            ranges.push((lo, hi));
                         }
-                        ranges.push((lo, hi));
+                        if f.name == "x" {
+                            (Field::Pos(Axis::X), UpdateTarget::PosX)
+                        } else {
+                            (Field::Pos(Axis::Y), UpdateTarget::PosY)
+                        }
                     }
-                } else {
-                    if range.is_some() {
-                        return Err(BraceError::Semantic(format!(
-                            "line {}: #range only applies to the spatial fields x and y",
-                            f.line
-                        )));
+                    _ if range.is_some() => return sem(f.line, "#range only applies to the spatial fields x and y"),
+                    name => {
+                        schema = schema.state(name);
+                        let slot = states as u16;
+                        states += 1;
+                        (Field::State(slot), UpdateTarget::State(slot))
                     }
-                    state_names.push(f.name.clone());
+                };
+                if let Some(rule) = update {
+                    rules.push((rule, f.line, target));
                 }
+                field
             }
             FieldKind::Effect { combinator } => {
                 let Some(c) = Combinator::parse(combinator) else {
-                    return Err(BraceError::Semantic(format!(
-                        "line {}: unknown combinator `{combinator}` (expected sum, prod, min, max, or, and)",
-                        f.line
-                    )));
+                    return sem(
+                        f.line,
+                        format!("unknown combinator `{combinator}` (expected sum, prod, min, max, or, and)"),
+                    );
                 };
-                effect_names.push(f.name.clone());
-                combinators.push(c);
+                effects.push((f.name.clone(), c));
+                Field::Effect((effects.len() - 1) as u16)
             }
-        }
+        };
+        fields.insert(f.name.as_str(), field);
     }
 
     // Visibility/reachability: the largest |bound| across spatial ranges
     // (square L∞ regions). Untagged spatial fields leave it unbounded.
-    let spatial_fields = has_x as usize + has_y as usize;
-    let (visibility, reachability) = if !ranges.is_empty() && ranges.len() == spatial_fields {
-        let ext = ranges.iter().map(|(lo, hi)| lo.abs().max(hi.abs())).fold(0.0f64, f64::max);
-        (ext, ext)
+    let spatial_fields = fields.values().filter(|f| matches!(f, Field::Pos(_))).count();
+    let bound = if !ranges.is_empty() && ranges.len() == spatial_fields {
+        ranges.iter().map(|(lo, hi)| lo.abs().max(hi.abs())).fold(0.0f64, f64::max)
     } else {
-        (f64::INFINITY, f64::INFINITY)
+        f64::INFINITY
     };
+    // The paper uses one constraint for both roles.
+    let schema = schema.visibility(bound).reachability(bound);
 
-    // ---- check run() --------------------------------------------------------
+    // ---- run(), then the update rules ---------------------------------------
     let mut checker = Checker {
         class: &decl.name,
-        states: decl
-            .fields
-            .iter()
-            .filter(|f| matches!(f.kind, FieldKind::State { .. }))
-            .map(|f| f.name.as_str())
-            .collect(),
-        effects: decl
-            .fields
-            .iter()
-            .filter(|f| matches!(f.kind, FieldKind::Effect { .. }))
-            .map(|f| f.name.as_str())
-            .collect(),
+        fields,
         locals: Vec::new(),
-        loop_vars: Vec::new(),
+        loop_var: None,
+        next_local: 0,
+        update: false,
+        late: None,
     };
-    checker.query_block(&decl.run, false)?;
-
-    // ---- check update rules -------------------------------------------------
-    for f in &decl.fields {
-        if let FieldKind::State { update: Some(rule), .. } = &f.kind {
-            checker.update_expr(rule, f.line)?;
-        }
+    let stmts = checker.block(&decl.run)?;
+    checker.update = true;
+    let mut updates = Vec::with_capacity(rules.len());
+    for (rule, line, target) in rules {
+        let expr = checker.num(rule, line, || "an update rule cannot be an agent reference")?;
+        updates.push(UpdateRule { target, expr });
     }
-
-    Ok(AnalyzedClass {
-        decl: decl.clone(),
-        state_names,
-        effect_names,
-        combinators,
-        has_x,
-        has_y,
-        visibility,
-        reachability,
-    })
+    if let Some(err) = checker.late {
+        return Err(err);
+    }
+    CompiledClass::new(schema, effects.into_iter(), QueryPlan { stmts, n_locals: checker.next_local }, updates)
 }
 
 #[cfg(test)]
@@ -432,9 +388,14 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    fn analyze_src(src: &str) -> Result<AnalyzedClass> {
+    fn analyze_src(src: &str) -> Result<CompiledClass> {
         let prog = parse(src)?;
         analyze(&prog.classes[0])
+    }
+
+    /// The message `src` is refused with.
+    fn refusal(src: &str) -> String {
+        analyze_src(src).expect_err("must reject").to_string()
     }
 
     const FISH: &str = r#"
@@ -459,13 +420,17 @@ mod tests {
     #[test]
     fn fish_analyzes_with_bounds_and_nonlocal() {
         let a = analyze_src(FISH).unwrap();
-        assert_eq!(a.state_names, vec!["vx", "vy"]);
-        assert_eq!(a.effect_names, vec!["avoidx", "avoidy", "count"]);
-        assert_eq!(a.combinators, vec![Combinator::Sum; 3]);
-        assert!(a.has_x && a.has_y);
-        assert_eq!(a.visibility, 1.0);
-        assert_eq!(a.reachability, 1.0);
-        let schema = crate::exec::compile(&a).unwrap().schema().clone();
+        let schema = a.schema();
+        assert_eq!(schema.state_defs().iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["vx", "vy"]);
+        assert_eq!(
+            schema.effect_defs().iter().map(|e| e.name.as_str()).collect::<Vec<_>>(),
+            ["avoidx", "avoidy", "count"]
+        );
+        assert_eq!(schema.effect_defs().iter().map(|e| e.combinator).collect::<Vec<_>>(), vec![Combinator::Sum; 3]);
+        let targets: Vec<UpdateTarget> = a.updates.iter().map(|u| u.target).collect();
+        assert_eq!(targets, [UpdateTarget::PosX, UpdateTarget::PosY, UpdateTarget::State(0), UpdateTarget::State(1)]);
+        assert_eq!(schema.visibility(), 1.0);
+        assert_eq!(schema.reachability(), 1.0);
         assert!(schema.effect_defs().iter().all(|e| e.remote), "every effect is assigned to `p`");
     }
 
@@ -483,8 +448,8 @@ mod tests {
         "#,
         )
         .unwrap();
-        assert!(!crate::exec::compile(&a).unwrap().schema().has_nonlocal_effects());
-        assert_eq!(a.visibility, 2.0);
+        assert!(!a.schema().has_nonlocal_effects());
+        assert_eq!(a.schema().visibility(), 2.0);
     }
 
     #[test]
@@ -634,7 +599,7 @@ mod tests {
         "#,
         )
         .unwrap();
-        assert_eq!(a.visibility, f64::INFINITY);
+        assert_eq!(a.schema().visibility(), f64::INFINITY);
     }
 
     #[test]
@@ -699,6 +664,66 @@ mod tests {
         "#,
         )
         .unwrap();
-        assert_eq!(a.visibility, 6.0);
+        assert_eq!(a.schema().visibility(), 6.0);
+    }
+
+    #[test]
+    fn range_bounds_that_are_not_constant_name_their_line() {
+        let class =
+            |range: &str| format!("class A {{\n public state float x : x #range[{range}];\n public void run() {{}} }}");
+        let err = refusal(&class("-1, x"));
+        assert!(err.contains("line 2: #range bounds must be constant expressions"), "{err}");
+        let err = refusal(&class("-1, 1 < 2"));
+        assert!(err.contains("line 2: non-arithmetic operator in #range bound"), "{err}");
+    }
+
+    #[test]
+    fn a_local_cannot_hold_an_agent_reference() {
+        let err =
+            refusal("class A { private effect float n : sum;\n public void run() {\n const float a = this;\n } }");
+        assert!(err.contains("line 3: local `a` cannot hold an agent reference"), "{err}");
+        let err = refusal(
+            "class A { private effect float n : sum;\n public void run() {\n foreach (A p : Extent<A>) {\n \
+             const float q = p;\n n <- q; } } }",
+        );
+        assert!(err.contains("line 4: local `q` cannot hold an agent reference"), "{err}");
+        // A rule broken further on is what the class is refused for.
+        let err = refusal(
+            "class A { private effect float n : sum;\n public void run() {\n const float a = this;\n \
+             foreach (A p : Extent<A>) { n <- n; } } }",
+        );
+        assert!(err.contains("line 4: effect field `n` cannot be read inside a foreach loop"), "{err}");
+    }
+
+    #[test]
+    fn locals_take_slots_in_source_order_and_rules_keep_declaration_order() {
+        let a = analyze_src(
+            r#"
+            class A {
+                public state float v : v + 1;
+                public state float x : x #range[-1, 1];
+                private effect float n : sum;
+                public state float w : n;
+                public void run() {
+                    const float a = 1;
+                    if (a > 0) { const float b = 2; n <- b; }
+                    foreach (A p : Extent<A>) { const float c = p.v; n <- c; }
+                }
+            }
+        "#,
+        )
+        .unwrap();
+        assert_eq!(a.query.n_locals, 3);
+        let mut slots = Vec::new();
+        for s in &a.query.stmts {
+            s.visit(&mut |s| {
+                if let PStmt::Let { slot, .. } = s {
+                    slots.push(*slot);
+                }
+            });
+        }
+        assert_eq!(slots, [0, 1, 2]);
+        let targets: Vec<UpdateTarget> = a.updates.iter().map(|u| u.target).collect();
+        assert_eq!(targets, [UpdateTarget::State(0), UpdateTarget::PosX, UpdateTarget::State(1)]);
     }
 }

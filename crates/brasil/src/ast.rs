@@ -1,8 +1,9 @@
 //! Abstract syntax of BRASIL.
 //!
 //! The shapes here mirror the surface grammar closely; resolution (field
-//! ids, local slots, state/effect classification) happens in
-//! [`analyze`](mod@crate::analyze).
+//! ids, local slots, state/effect classification) happens in the one walk
+//! of [`analyze`](mod@crate::analyze), which checks the tree and lowers it
+//! to the plan.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,12 +1,13 @@
-//! Compilation to the dataflow plan, and the behavior that runs it.
+//! The compiled class, and the behavior that runs it.
 //!
-//! [`compile`] lowers an [`AnalyzedClass`] to a [`CompiledClass`] (schema +
-//! query plan + update rules); [`BrasilBehavior`] lowers that once more, to
-//! the flat register program of [`vm`](mod@crate::vm), and runs it as a
-//! [`brace_core::Behavior`], so compiled scripts run unchanged on the
-//! single-node engine and on every worker of the distributed runtime —
-//! which is the whole point of the language ("hides all the complexities of
-//! modeling computations in MapReduce and parallel programming").
+//! [`analyze`](crate::analyze()) checks a class and lowers it to a
+//! [`CompiledClass`] (schema + query plan + update rules);
+//! [`BrasilBehavior`] lowers that once more, to the flat register program
+//! of [`vm`](mod@crate::vm), and runs it as a [`brace_core::Behavior`], so
+//! compiled scripts run unchanged on the single-node engine and on every
+//! worker of the distributed runtime — which is the whole point of the
+//! language ("hides all the complexities of modeling computations in
+//! MapReduce and parallel programming").
 //!
 //! ## NIL semantics
 //!
@@ -21,17 +22,14 @@
 //! [`reference`](mod@crate::reference) spells these rules out with
 //! `Option<f64>`; the register program carries NIL as a per-lane mask.
 
-use crate::analyze::AnalyzedClass;
-use crate::ast::{self, BinOp, Expr, Stmt};
-use crate::plan::{AgentRef, Axis, Builtin, PExpr, PStmt, ProbeBounds, QueryPlan, UpdateRule, UpdateTarget};
+use crate::plan::{ProbeBounds, QueryPlan, UpdateRule};
 use crate::reference::ReferenceBehavior;
 use crate::vm::Program;
-use brace_common::{AgentId, BraceError, DetRng, Rect, Result, Vec2};
+use brace_common::{AgentId, DetRng, Rect, Result, Vec2};
 use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::effect::EffectWriter;
 use brace_core::schema::SchemaBuilder;
 use brace_core::{Agent, AgentRef as RowRef, AgentSchema, Combinator, UpdateChunk};
-use std::collections::HashMap;
 
 /// A fully compiled agent class.
 #[derive(Debug, Clone)]
@@ -45,6 +43,27 @@ pub struct CompiledClass {
 }
 
 impl CompiledClass {
+    /// A class from its plan. `schema` carries the name, the state fields
+    /// and the bounds; each of `effects`, in slot order, is added remote
+    /// exactly when `query` assigns it to another agent (a
+    /// `PStmt::RemoteEffect` target), and local-only otherwise.
+    pub(crate) fn new(
+        mut schema: SchemaBuilder,
+        effects: impl Iterator<Item = (String, Combinator)>,
+        query: QueryPlan,
+        updates: Vec<UpdateRule>,
+    ) -> Result<CompiledClass> {
+        let remote = query.remote_fields();
+        for (slot, (name, combinator)) in effects.enumerate() {
+            schema = if remote.contains(&(slot as u16)) {
+                schema.remote_effect(name, combinator)
+            } else {
+                schema.effect(name, combinator)
+            };
+        }
+        Ok(CompiledClass { schema: schema.build()?, query, updates, probe_bounds: None })
+    }
+
     pub fn schema(&self) -> &AgentSchema {
         &self.schema
     }
@@ -64,199 +83,15 @@ impl CompiledClass {
     /// probe bounds are dropped — they describe the *old* plan, and the
     /// optimizer derives them once, after its last rewrite.
     pub fn with_query(&self, query: QueryPlan) -> CompiledClass {
-        let mut b = AgentSchema::builder(self.schema.name());
+        let mut b = AgentSchema::builder(self.schema.name())
+            .visibility(self.schema.visibility())
+            .reachability(self.schema.reachability());
         for s in self.schema.state_defs() {
             b = b.state(s.name.clone());
         }
         let effects = self.schema.effect_defs().iter().map(|e| (e.name.clone(), e.combinator));
-        let schema = effects_of(b, effects, &query)
-            .visibility(self.schema.visibility())
-            .reachability(self.schema.reachability())
-            .build()
-            .expect("schema rebuilt from a valid schema");
-        CompiledClass { schema, query, updates: self.updates.clone(), probe_bounds: None }
+        CompiledClass::new(b, effects, query, self.updates.clone()).expect("schema rebuilt from a valid schema")
     }
-}
-
-/// Add a class's effect fields, in slot order, to its schema: a field is
-/// remote exactly when `query` assigns it to another agent (a
-/// `PStmt::RemoteEffect` target), and local-only otherwise.
-fn effects_of(
-    mut b: SchemaBuilder,
-    effects: impl Iterator<Item = (String, Combinator)>,
-    query: &QueryPlan,
-) -> SchemaBuilder {
-    let remote = query.remote_fields();
-    for (slot, (name, combinator)) in effects.enumerate() {
-        b = if remote.contains(&(slot as u16)) {
-            b.remote_effect(name, combinator)
-        } else {
-            b.effect(name, combinator)
-        };
-    }
-    b
-}
-
-// ---------------------------------------------------------------------------
-// Compilation
-// ---------------------------------------------------------------------------
-
-struct Compiler<'a> {
-    state_ids: HashMap<&'a str, u16>,
-    effect_ids: HashMap<&'a str, u16>,
-    locals: Vec<(String, u16)>,
-    loop_var: Option<String>,
-    next_local: u16,
-}
-
-impl<'a> Compiler<'a> {
-    fn expr(&self, e: &Expr) -> Result<PExpr> {
-        Ok(match e {
-            Expr::Number(n) => PExpr::Const(*n),
-            Expr::Bool(b) => PExpr::Const(*b as i32 as f64),
-            Expr::This => return Err(BraceError::Semantic("bare `this` outside comparison".into())),
-            Expr::Ident(name) => self.ident(name, false)?,
-            Expr::Field(base, field) => {
-                // Analysis guarantees base is agent-typed: `this` or loop var.
-                match &**base {
-                    Expr::This => self.ident(field, false)?,
-                    Expr::Ident(v) if Some(v) == self.loop_var.as_ref() => self.ident(field, true)?,
-                    _ => return Err(BraceError::Semantic(format!("unsupported field base for `.{field}`"))),
-                }
-            }
-            Expr::Unary(op, inner) => PExpr::Unary(*op, Box::new(self.expr(inner)?)),
-            Expr::Binary(op @ (BinOp::Eq | BinOp::Ne), a, b) if self.is_agent(a) && self.is_agent(b) => {
-                PExpr::AgentEq { left: self.agent_ref(a), right: self.agent_ref(b), negate: *op == BinOp::Ne }
-            }
-            Expr::Binary(op, a, b) => PExpr::Binary(*op, Box::new(self.expr(a)?), Box::new(self.expr(b)?)),
-            Expr::Call(name, args) => {
-                if name == "rand" {
-                    PExpr::Rand
-                } else {
-                    let b = Builtin::parse(name)
-                        .ok_or_else(|| BraceError::Semantic(format!("unknown function `{name}`")))?;
-                    PExpr::Call(b, args.iter().map(|a| self.expr(a)).collect::<Result<_>>()?)
-                }
-            }
-        })
-    }
-
-    fn is_agent(&self, e: &Expr) -> bool {
-        matches!(e, Expr::This) || matches!(e, Expr::Ident(v) if Some(v) == self.loop_var.as_ref())
-    }
-
-    fn agent_ref(&self, e: &Expr) -> AgentRef {
-        if matches!(e, Expr::This) {
-            AgentRef::This
-        } else {
-            AgentRef::Other
-        }
-    }
-
-    /// Resolve an identifier against (loop-var-qualified) field tables.
-    fn ident(&self, name: &str, on_other: bool) -> Result<PExpr> {
-        if !on_other {
-            if let Some((_, slot)) = self.locals.iter().rev().find(|(n, _)| n == name) {
-                return Ok(PExpr::Local(*slot));
-            }
-        }
-        match name {
-            "x" => Ok(if on_other { PExpr::OtherPos(Axis::X) } else { PExpr::SelfPos(Axis::X) }),
-            "y" => Ok(if on_other { PExpr::OtherPos(Axis::Y) } else { PExpr::SelfPos(Axis::Y) }),
-            _ => {
-                if let Some(&id) = self.state_ids.get(name) {
-                    Ok(if on_other { PExpr::OtherState(id) } else { PExpr::SelfState(id) })
-                } else if let Some(&id) = self.effect_ids.get(name) {
-                    if on_other {
-                        Err(BraceError::Semantic(format!("effect `{name}` of another agent is unreadable")))
-                    } else {
-                        Ok(PExpr::SelfEffect(id))
-                    }
-                } else {
-                    Err(BraceError::Semantic(format!("unknown identifier `{name}`")))
-                }
-            }
-        }
-    }
-
-    fn block(&mut self, block: &ast::Block) -> Result<Vec<PStmt>> {
-        let scope_mark = self.locals.len();
-        let mut out = Vec::with_capacity(block.stmts.len());
-        for stmt in &block.stmts {
-            match stmt {
-                Stmt::Const { name, value, .. } => {
-                    let value = self.expr(value)?;
-                    let slot = self.next_local;
-                    self.next_local = slot.checked_add(1).ok_or_else(|| {
-                        BraceError::Semantic(format!("more than {} `const` bindings in one script", u16::MAX))
-                    })?;
-                    self.locals.push((name.clone(), slot));
-                    out.push(PStmt::Let { slot, value });
-                }
-                Stmt::EffectAssign { target, field, value, .. } => {
-                    let fid = *self.effect_ids.get(field.as_str()).expect("checked by analysis");
-                    let value = self.expr(value)?;
-                    if target.is_some() {
-                        out.push(PStmt::RemoteEffect { field: fid, value });
-                    } else {
-                        out.push(PStmt::LocalEffect { field: fid, value });
-                    }
-                }
-                Stmt::If { cond, then_, else_, .. } => {
-                    let cond = self.expr(cond)?;
-                    let then_ = self.block(then_)?;
-                    let else_ = match else_ {
-                        Some(b) => self.block(b)?,
-                        None => Vec::new(),
-                    };
-                    out.push(PStmt::If { cond, then_, else_ });
-                }
-                Stmt::Foreach { var, body, .. } => {
-                    self.loop_var = Some(var.clone());
-                    let body = self.block(body)?;
-                    self.loop_var = None;
-                    out.push(PStmt::Foreach { body });
-                }
-            }
-        }
-        self.locals.truncate(scope_mark);
-        Ok(out)
-    }
-}
-
-/// Lower an analyzed class to an executable [`CompiledClass`].
-pub fn compile(a: &AnalyzedClass) -> Result<CompiledClass> {
-    let mut c = Compiler {
-        state_ids: a.state_names.iter().enumerate().map(|(i, n)| (n.as_str(), i as u16)).collect(),
-        effect_ids: a.effect_names.iter().enumerate().map(|(i, n)| (n.as_str(), i as u16)).collect(),
-        locals: Vec::new(),
-        loop_var: None,
-        next_local: 0,
-    };
-    let stmts = c.block(&a.decl.run)?;
-    let query = QueryPlan { stmts, n_locals: c.next_local };
-
-    // Update rules, in field declaration order.
-    let mut updates = Vec::new();
-    for f in &a.decl.fields {
-        if let ast::FieldKind::State { update: Some(rule), .. } = &f.kind {
-            let expr = c.expr(rule)?;
-            let target = match f.name.as_str() {
-                "x" => UpdateTarget::PosX,
-                "y" => UpdateTarget::PosY,
-                name => UpdateTarget::State(*c.state_ids.get(name).expect("state field")),
-            };
-            updates.push(UpdateRule { target, expr });
-        }
-    }
-
-    let mut builder = AgentSchema::builder(a.decl.name.clone());
-    for s in &a.state_names {
-        builder = builder.state(s.clone());
-    }
-    let effects = a.effect_names.iter().cloned().zip(a.combinators.iter().copied());
-    let schema = effects_of(builder, effects, &query).visibility(a.visibility).reachability(a.reachability).build()?;
-    Ok(CompiledClass { schema, query, updates, probe_bounds: None })
 }
 
 // ---------------------------------------------------------------------------
@@ -330,8 +165,7 @@ mod tests {
     use brace_spatial::IndexKind;
 
     fn compile_src(src: &str) -> CompiledClass {
-        let prog = parse(src).unwrap();
-        compile(&analyze(&prog.classes[0]).unwrap()).unwrap()
+        analyze(&parse(src).unwrap().classes[0]).unwrap()
     }
 
     const COUNTER: &str = r#"

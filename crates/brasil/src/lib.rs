@@ -11,8 +11,10 @@
 //! Pipeline (one module per stage):
 //!
 //! ```text
-//!   source ──lexer──► tokens ──parser──► AST ──analyze──► typed AST
-//!          ──compile──► dataflow plan (plan.rs, the "monad-algebra-lite")
+//!   source ──lexer──► tokens ──parser──► AST
+//!          ──analyze──► dataflow plan (plan.rs, the "monad-algebra-lite"):
+//!                       the state-effect checker lowers each expression
+//!                       as it checks it, in one walk
 //!          ──optimize──► plan (one straight line: const folding, dead
 //!                        code, effect inversion on request and dead code
 //!                        again, then visibility-predicate pushdown)
@@ -86,7 +88,7 @@ pub struct Script {
 }
 
 impl Script {
-    /// Lex, parse, analyze, compile and optimize `source`.
+    /// Lex, parse, check and plan, and optimize `source`.
     pub fn compile(source: &str) -> Result<Script> {
         Self::compile_with(source, true)
     }
@@ -100,8 +102,7 @@ impl Script {
         let program = parser::parse(source)?;
         let mut classes = Vec::with_capacity(program.classes.len());
         for class in &program.classes {
-            let analyzed = analyze::analyze(class)?;
-            let mut compiled = exec::compile(&analyzed)?;
+            let mut compiled = analyze::analyze(class)?;
             if optimize_plans {
                 compiled = optimize::optimize(compiled);
             }

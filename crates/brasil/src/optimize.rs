@@ -605,14 +605,13 @@ fn self_side(e: &PExpr, axis: Axis) -> Option<Bound> {
 mod tests {
     use super::*;
     use crate::analyze::analyze;
-    use crate::exec::{compile, BrasilBehavior};
+    use crate::exec::BrasilBehavior;
     use crate::parser::parse;
     use brace_common::{AgentId, DetRng, Vec2};
     use brace_core::{Agent, Behavior, Simulation};
 
     fn compile_src(src: &str) -> CompiledClass {
-        let prog = parse(src).unwrap();
-        compile(&analyze(&prog.classes[0]).unwrap()).unwrap()
+        analyze(&parse(src).unwrap().classes[0]).unwrap()
     }
 
     #[test]
@@ -905,7 +904,7 @@ mod tests {
         let err = invert_effects(compile_src(&many_locals_script(1 << 15))).expect_err("must refuse");
         assert!(err.to_string().contains("local slots"), "{err}");
         let prog = parse(&many_locals_script(1 << 16)).unwrap();
-        let err = compile(&analyze(&prog.classes[0]).unwrap()).expect_err("must refuse");
+        let err = analyze(&prog.classes[0]).expect_err("must refuse");
         assert!(err.to_string().contains("`const` bindings"), "{err}");
     }
 

@@ -28,7 +28,7 @@ use brace_common::{BraceError, Result};
 
 /// How deep a program may nest, in levels. The parser recurses over what is
 /// open at a token — blocks, parentheses, argument lists, unary operators —
-/// and every later stage (analysis, planning, the rewrites, lowering, dropping
+/// and every later stage (checking and planning, the rewrites, lowering, dropping
 /// the tree) over the height of the tree it built, so an unbounded input
 /// would overflow the stack; at this depth a whole compile fits a 2 MiB
 /// thread in a debug build. A block, a parenthesis and an argument list

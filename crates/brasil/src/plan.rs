@@ -5,7 +5,8 @@
 //! shape the language can express: a straight-line prefix, one optional
 //! `foreach` join with the visible extent (the simplified loop form
 //! `F(E, B)` of equation (11)), conditionals, and effect aggregation (⊕).
-//! Every slot is resolved — no names survive compilation — which makes the
+//! [`analyze`](crate::analyze()) emits it as it checks the source. Every
+//! slot is resolved — no names survive that walk — which makes the
 //! algebraic rewrites in [`optimize`](mod@crate::optimize) plain tree surgery.
 
 use crate::ast::{BinOp, UnOp};

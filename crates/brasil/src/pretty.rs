@@ -204,12 +204,10 @@ pub fn report(passes: &[crate::optimize::PassReport]) -> String {
 mod tests {
     use super::*;
     use crate::analyze::analyze;
-    use crate::exec::compile;
     use crate::parser::parse;
 
     fn compile_src(src: &str) -> CompiledClass {
-        let prog = parse(src).unwrap();
-        compile(&analyze(&prog.classes[0]).unwrap()).unwrap()
+        analyze(&parse(src).unwrap().classes[0]).unwrap()
     }
 
     const SRC: &str = r#"

@@ -60,6 +60,12 @@ pub enum Backend {
 }
 
 impl Backend {
+    /// The most workers a `cluster:N` spec may name. A cluster of N workers
+    /// runs N threads joined by N² links, so [`Backend::parse`], which reads
+    /// both the CLI's `--backend` and a served run's `"backend"`, refuses
+    /// more (and refuses 0).
+    pub const MAX_WORKERS: usize = 64;
+
     /// Serial single-node backend.
     pub fn single() -> Backend {
         Backend::SingleNode { parallelism: 1 }
@@ -71,7 +77,7 @@ impl Backend {
     }
 
     /// Parse a CLI backend spec: `single`, `cluster` (4 workers) or
-    /// `cluster:N`.
+    /// `cluster:N`, N from 1 to [`Backend::MAX_WORKERS`].
     pub fn parse(s: &str) -> Result<Backend> {
         match s {
             "single" => Ok(Backend::single()),
@@ -80,6 +86,12 @@ impl Backend {
                 Some(n) => {
                     let workers: usize =
                         n.parse().map_err(|e| BraceError::Config(format!("backend `{s}`: bad worker count: {e}")))?;
+                    if workers == 0 || workers > Self::MAX_WORKERS {
+                        return Err(BraceError::Config(format!(
+                            "backend `{s}`: the worker count must be between 1 and {}",
+                            Self::MAX_WORKERS
+                        )));
+                    }
                     Ok(Backend::cluster(workers))
                 }
                 None => Err(BraceError::Config(format!(
@@ -525,6 +537,12 @@ mod tests {
         assert_eq!(Backend::parse("cluster").unwrap().label(), "cluster:4");
         assert!(Backend::parse("gpu").is_err());
         assert!(Backend::parse("cluster:x").is_err());
+        let max = Backend::MAX_WORKERS;
+        assert_eq!(Backend::parse(&format!("cluster:{max}")).unwrap().label(), format!("cluster:{max}"));
+        for spec in ["cluster:0".to_string(), format!("cluster:{}", max + 1), "cluster:1000000".into()] {
+            let err = Backend::parse(&spec).expect_err("must refuse").to_string();
+            assert!(err.contains(&format!("between 1 and {max}")), "{spec}: {err}");
+        }
     }
 
     #[test]

@@ -850,13 +850,16 @@ mod tests {
     fn run_spec_rejects_bad_requests_with_the_right_status() {
         let cfg = ServeConfig::default();
         let r = registry();
-        let cases: [(&str, u16); 8] = [
+        let cases: [(&str, u16); 11] = [
             ("not json", 400),
             ("{\"ticks\":5}", 400),                                        // no scenario
             (r#"{"scenario":"nope"}"#, 404),                               // unknown scenario
             (r#"{"scenario":"fish","ticks":0}"#, 400),                     // zero horizon
             (r#"{"scenario":"fish","ticks":-3}"#, 400),                    // negative
             (r#"{"scenario":"fish","backend":"gpu"}"#, 400),               // unknown backend
+            (r#"{"scenario":"fish","backend":"cluster:0"}"#, 400),         // no workers
+            (r#"{"scenario":"fish","backend":"cluster:65"}"#, 400),        // past Backend::MAX_WORKERS
+            (r#"{"scenario":"fish","backend":"cluster:1000000"}"#, 400),   // a million threads
             (r#"{"scenario":"fish","index":"octree"}"#, 400),              // unknown index
             (r#"{"scenario":"fish","conformance":true,"agents":5}"#, 400), // contract conflict
         ];

@@ -31,7 +31,7 @@
 //!
 //! | family | kind | source |
 //! |---|---|---|
-//! | `brace_phase_index_maintain_ns` | histogram | executor: index sync/rebuild |
+//! | `brace_phase_index_maintain_ns` | histogram | executor: the join's build side — the id-order and probe-order sorts |
 //! | `brace_phase_query_ns` | histogram | executor: query phase (incl. merge) |
 //! | `brace_phase_effect_merge_ns` | histogram | executor: shard-table ⊕-merge |
 //! | `brace_phase_update_ns` | histogram | executor: update phase |
@@ -132,7 +132,7 @@ pub enum HistId {
 }
 
 const HIST_NAMES: &[(&str, &str)] = &[
-    ("brace_phase_index_maintain_ns", "Per-tick spatial index maintain/rebuild time"),
+    ("brace_phase_index_maintain_ns", "Per-tick join build side time (id-order and probe-order sorts)"),
     ("brace_phase_query_ns", "Per-tick query phase time (probes, behavior queries, shard merge)"),
     ("brace_phase_effect_merge_ns", "Per-tick shard effect-table merge time"),
     ("brace_phase_update_ns", "Per-tick update phase time"),

@@ -2445,8 +2445,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 // BRASIL generated programs: source round-trips, the register program ≡ the
 // tree walker, the optimizer and each of its rewrites ≡ no optimizer, a
-// second run of the optimizer rewrites nothing, and inversion agrees to
-// rounding (CI reruns this section with PROPTEST_CASES=256)
+// second run of the optimizer rewrites nothing, inversion agrees to
+// rounding, and an agent reference planted where only a number may stand
+// is refused on its line (CI reruns this section with PROPTEST_CASES=256)
 // ---------------------------------------------------------------------------
 
 /// A seeded generator of small, well-typed BRASIL classes, a printer back to
@@ -3242,6 +3243,89 @@ mod generated_brasil {
         None
     }
 
+    /// The expression of every statement of `b` that has one — a `const` or
+    /// effect value, an `if` condition — nested ones included, with whether
+    /// it sits in the loop.
+    fn statement_exprs<'a>(b: &'a mut Block, in_loop: bool, out: &mut Vec<(&'a mut Expr, bool)>) {
+        for s in &mut b.stmts {
+            match s {
+                Stmt::Const { value, .. } | Stmt::EffectAssign { value, .. } => out.push((value, in_loop)),
+                Stmt::If { cond, then_, else_, .. } => {
+                    out.push((cond, in_loop));
+                    statement_exprs(then_, in_loop, out);
+                    if let Some(e) = else_ {
+                        statement_exprs(e, in_loop, out);
+                    }
+                }
+                Stmt::Foreach { body, .. } => statement_exprs(body, true, out),
+            }
+        }
+    }
+
+    /// `c` with an agent reference — `this`, or the loop variable `p` in
+    /// the loop — planted where only a number may stand: the whole of a
+    /// `const` or effect value, an `if` condition or an update rule, or an
+    /// operand of arithmetic or an argument of a call there. Returns the
+    /// class and the name planted; `None` if `c` has no statement with an
+    /// expression and no update rule (a shrunk class may not).
+    fn planted(c: &ClassDecl, seed: u64) -> Option<(ClassDecl, &'static str)> {
+        let mut rng = DetRng::seed_from_u64(seed).stream(0xA6E7);
+        let mut c = c.clone();
+        let mut sites = Vec::new();
+        statement_exprs(&mut c.run, false, &mut sites);
+        for f in &mut c.fields {
+            if let FieldKind::State { update: Some(rule), .. } = &mut f.kind {
+                // An update rule may name neither.
+                sites.push((rule, true));
+            }
+        }
+        if sites.is_empty() {
+            return None;
+        }
+        let (site, in_loop) = sites.swap_remove(rng.below(sites.len() as u64) as usize);
+        let name = if in_loop && rng.below(2) == 0 { "p" } else { "this" };
+        let agent = if name == "this" { Expr::This } else { ident(name) };
+        let old = site.clone();
+        *site = match rng.below(3) {
+            0 => agent,
+            1 => {
+                let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem][rng.below(5) as usize];
+                if rng.below(2) == 0 {
+                    bin(op, agent, old)
+                } else {
+                    bin(op, old, agent)
+                }
+            }
+            _ => {
+                let f = BUILTINS[rng.below(BUILTINS.len() as u64) as usize];
+                let arity = brasil::plan::Builtin::parse(f).expect("a builtin").arity();
+                let at = rng.below(arity as u64) as usize;
+                Expr::Call(f.into(), (0..arity).map(|i| if i == at { agent.clone() } else { old.clone() }).collect())
+            }
+        };
+        Some((c, name))
+    }
+
+    /// The class with an agent reference planted is refused, by a semantic
+    /// error on a line that holds the name planted.
+    fn planted_agent_fault(c: &ClassDecl, seed: u64) -> Option<String> {
+        let (bad, name) = planted(c, seed)?;
+        let src = print_class(&bad);
+        let err = match brasil::Script::compile(&src) {
+            Ok(_) => return Some(format!("`{name}` planted, and the class compiles:\n{src}")),
+            Err(e) => e.to_string(),
+        };
+        let line = err
+            .strip_prefix("semantic error: line ")
+            .and_then(|rest| rest.split_once(':'))
+            .and_then(|(n, _)| n.parse::<usize>().ok())
+            .and_then(|n| src.lines().nth(n.wrapping_sub(1)));
+        match line {
+            Some(l) if l.split(|ch: char| !ch.is_alphanumeric() && ch != '_').any(|w| w == name) => None,
+            _ => Some(format!("`{name}` planted, refused with `{err}`, not on a line that holds it:\n{src}")),
+        }
+    }
+
     proptest! {
         /// Printing a drawn class and parsing it gives the class back, and
         /// so does printing and parsing that, line numbers aside.
@@ -3277,6 +3361,13 @@ mod generated_brasil {
         #[test]
         fn brasil_gen_inversion_matches_to_rounding(seed in any::<u64>()) {
             holds(seed, |c| inversion_fault(c, seed))?;
+        }
+
+        /// `this` or the loop variable where only a number may stand is a
+        /// semantic error that names its line.
+        #[test]
+        fn brasil_gen_agent_in_a_numeric_position_is_refused_on_its_line(seed in any::<u64>()) {
+            holds(seed, |c| planted_agent_fault(c, seed))?;
         }
     }
 }

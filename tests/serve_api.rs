@@ -376,6 +376,8 @@ fn malformed_requests_get_clean_errors_and_the_server_survives() {
         ("{\"scenario\": \"no-such-model\"}", 404),
         ("{\"scenario\": \"fish\", \"ticks\": 0}", 400),
         ("{\"scenario\": \"fish\", \"backend\": \"gpu\"}", 400),
+        ("{\"scenario\": \"fish\", \"backend\": \"cluster:0\"}", 400),
+        ("{\"scenario\": \"fish\", \"backend\": \"cluster:65\"}", 400), // past Backend::MAX_WORKERS
         ("{\"scenario\": \"fish\", \"index\": \"octree\"}", 400),
         ("{\"scenario\": \"fish\", \"conformance\": true, \"agents\": 7}", 400),
         ("[1,2,3]", 400),                                // not an object
