@@ -109,18 +109,24 @@ impl<'a> Checker<'a> {
         Ok(Val::Num(match self.field(name) {
             Some(Field::Pos(axis)) => PExpr::SelfPos(axis),
             Some(Field::State(slot)) => PExpr::SelfState(slot),
-            Some(Field::Effect(_)) if self.loop_var.is_some() => {
-                return sem(
-                    line,
-                    format!("effect field `{name}` cannot be read inside a foreach loop (effects aggregate until the loop completes)"),
-                );
-            }
-            Some(Field::Effect(slot)) => PExpr::SelfEffect(slot),
+            Some(Field::Effect(slot)) => self.own_effect(name, slot, line)?,
             None if self.update => {
                 return sem(line, format!("update rules may only read the agent's own fields; `{name}` is not one"))
             }
             None => return sem(line, format!("unknown identifier `{name}`")),
         }))
+    }
+
+    /// A read of the agent's own effect field `name` (bare or through
+    /// `this`): its aggregate, so only outside the `foreach`.
+    fn own_effect(&self, name: &str, slot: u16, line: u32) -> Result<PExpr> {
+        if self.loop_var.is_some() {
+            return sem(
+                line,
+                format!("effect field `{name}` cannot be read inside a foreach loop (effects aggregate until the loop completes)"),
+            );
+        }
+        Ok(PExpr::SelfEffect(slot))
     }
 
     /// Check and lower an expression of a statement (or update rule) on
@@ -145,6 +151,7 @@ impl<'a> Checker<'a> {
                     Some(Field::Pos(axis)) => PExpr::OtherPos(axis),
                     Some(Field::State(slot)) if this => PExpr::SelfState(slot),
                     Some(Field::State(slot)) => PExpr::OtherState(slot),
+                    Some(Field::Effect(slot)) if this => self.own_effect(field, slot, line)?,
                     Some(Field::Effect(_)) => {
                         return sem(line, format!("cannot read effect field `{field}` of another agent"))
                     }
@@ -514,6 +521,23 @@ mod tests {
         )
         .expect_err("must reject");
         assert!(err.to_string().contains("effect field `n` of another agent"));
+    }
+
+    #[test]
+    fn this_reads_the_own_effect_where_the_bare_name_does() {
+        // `in_loop` ends the foreach on line 4, `after` follows it on line 5.
+        let class = |in_loop: &str, after: &str| {
+            format!(
+                "class A {{ private effect float n : sum;\n private effect float m : sum;\n public void run() {{\n \
+                 foreach (A p : Extent<A>) {{ p.n <- 1; {in_loop} }}\n {after} }} }}",
+            )
+        };
+        let plan = |read: &str| analyze_src(&class("", &format!("m <- {read};"))).unwrap().query;
+        assert_eq!(plan("this.n"), plan("n"));
+        for read in ["this.n", "n"] {
+            let err = refusal(&class(&format!("m <- {read};"), ""));
+            assert!(err.contains("line 4: effect field `n` cannot be read inside a foreach loop"), "{read}: {err}");
+        }
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub enum Expr {
     Bool(bool),
     /// Bare identifier: a field of `this` or a local `const`.
     Ident(String),
-    /// `this` (only meaningful in comparisons / as assignment target).
+    /// `this`: in comparisons, as an assignment target, and before `.field`.
     This,
     /// `base.field` — field access on an agent-valued expression.
     Field(Box<Expr>, String),
@@ -120,48 +120,4 @@ pub enum Expr {
     Binary(BinOp, Box<Expr>, Box<Expr>),
     /// Built-in function call `name(args)`.
     Call(String, Vec<Expr>),
-}
-
-impl Expr {
-    /// Convenience for tests and rewrites.
-    pub fn num(v: f64) -> Expr {
-        Expr::Number(v)
-    }
-
-    /// Walk the expression tree, visiting every node.
-    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
-        match self {
-            Expr::Field(base, _) => base.visit(f),
-            Expr::Unary(_, e) => e.visit(f),
-            Expr::Binary(_, a, b) => {
-                a.visit(f);
-                b.visit(f);
-            }
-            Expr::Call(_, args) => {
-                for a in args {
-                    a.visit(f);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn visit_covers_all_nodes() {
-        let e = Expr::Binary(
-            BinOp::Add,
-            Box::new(Expr::Unary(UnOp::Neg, Box::new(Expr::Ident("x".into())))),
-            Box::new(Expr::Call("abs".into(), vec![Expr::Field(Box::new(Expr::Ident("p".into())), "y".into())])),
-        );
-        let mut count = 0;
-        e.visit(&mut |_| count += 1);
-        // Binary, Unary, Ident(x), Call, Field, Ident(p).
-        assert_eq!(count, 6);
-    }
 }

@@ -1,14 +1,12 @@
 //! The single-node engine.
 //!
 //! [`Simulation`] is BRACE's one-partition runtime. It owns the agent pool,
-//! the tick's [`TickScratch`], the spawn-id generator and the run's
-//! telemetry registry ([`Simulation::metrics`]), and each
-//! [`Simulation::step`] runs the executor's phases back to back —
-//! [`query_phase_sharded`], [`replay_effects`], then
-//! [`update_phase_sharded`] — applies the update's membership changes,
-//! records the tick and returns its [`TickMetrics`]. The MapReduce worker
-//! calls the very same functions with communication in between, so a single
-//! node *is* the runtime with one partition.
+//! the spawn-id generator, the run's telemetry registry
+//! ([`Simulation::metrics`]) and a [`Superstep`], the tick driver a cluster
+//! worker runs too: each [`Simulation::step`] is one driver call on a
+//! partition that owns every row, so nothing is exchanged, and that applies
+//! the update's kills and spawns in place. A single node *is* the runtime
+//! with one partition.
 //!
 //! It is one of the two engines behind the backend-erased driver in
 //! `brace_scenario` — `Runner`/`SimHandle` drive either this or
@@ -20,17 +18,16 @@
 
 use crate::agent::{Agent, AgentPool};
 use crate::behavior::Behavior;
-use crate::executor::{
-    query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickScratch, SHARD_ROWS,
-};
+use crate::executor::PendingSpawn;
 use crate::metrics::TickMetrics;
 use crate::schema::AgentSchema;
+use crate::superstep::{Partition, Superstep};
 use brace_common::ids::AgentIdGen;
 use brace_common::{BraceError, Result};
 use brace_spatial::IndexKind;
-use brace_telemetry::{incr, observe, Counter, HistId, Metrics};
+use brace_telemetry::Metrics;
+use std::convert::Infallible;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Admit an initial population — the one check both engines run
 /// ([`SimulationBuilder::build`] and `brace_mapreduce::ClusterSim::new`), so
@@ -118,15 +115,8 @@ impl<B: Behavior> SimulationBuilder<B> {
         let pool = AgentPool::from_agents(schema, &self.agents);
         Ok(Simulation {
             behavior: self.behavior,
-            pool,
-            index: self.index,
-            scratch: TickScratch::new(),
-            id_gen: AgentIdGen::from(first_spawn_id),
-            killed: Vec::new(),
-            spawned: Vec::new(),
-            parallelism: self.parallelism,
-            seed: self.seed,
-            tick: 0,
+            node: OneNode { pool, id_gen: AgentIdGen::from(first_spawn_id) },
+            superstep: Superstep::new(self.index, self.seed, self.parallelism),
             metrics: Arc::default(),
         })
     }
@@ -136,17 +126,8 @@ impl<B: Behavior> SimulationBuilder<B> {
 /// BRACE tick, and the baseline of the paper's Figures 3 and 4.
 pub struct Simulation<B: Behavior> {
     behavior: B,
-    pool: AgentPool,
-    index: IndexKind,
-    scratch: TickScratch,
-    id_gen: AgentIdGen,
-    /// The update phase's report, reused across ticks: the rows it killed and
-    /// the spawns it requested, in chunk order.
-    killed: Vec<u32>,
-    spawned: Vec<PendingSpawn>,
-    parallelism: usize,
-    seed: u64,
-    tick: u64,
+    node: OneNode,
+    superstep: Superstep,
     /// This run's telemetry registry: the scope of every step.
     metrics: Arc<Metrics>,
 }
@@ -160,54 +141,8 @@ impl<B: Behavior> Simulation<B> {
     /// Execute one tick (query → finalize effects → update).
     pub fn step(&mut self) -> TickMetrics {
         let _scope = brace_telemetry::enter(&self.metrics);
-        let n = self.pool.len();
-        let mut tm = query_phase_sharded(
-            &self.behavior,
-            &mut self.pool,
-            n,
-            self.index,
-            self.tick,
-            self.seed,
-            &mut self.scratch,
-            SHARD_ROWS,
-            self.parallelism,
-        );
-        // One partition owns every target: nothing is shipped in.
-        let replay_ns = replay_effects(&mut self.pool, &self.scratch, &mut []);
-        tm.merge_ns += replay_ns;
-        tm.query_ns += replay_ns;
-        // The update phase only reports membership changes; a single node
-        // applies them in place — survivors keep their (id-ordered) rows and
-        // spawns take fresh ids in the order they were emitted. The apply is
-        // part of the phase's time.
-        let t0 = Instant::now();
-        update_phase_sharded(
-            &self.behavior,
-            &mut self.pool,
-            n,
-            self.tick,
-            self.seed,
-            &mut self.scratch,
-            self.parallelism,
-            &mut self.killed,
-            &mut self.spawned,
-        );
-        self.pool.retain_alive();
-        (tm.spawned, tm.killed) = (self.spawned.len(), self.killed.len());
-        for s in self.spawned.drain(..) {
-            let id = self.id_gen.alloc().expect("agent id space exhausted");
-            self.pool.push_spawn(id, s.pos, &s.state);
-        }
-        self.pool.reset_effects();
-        (tm.tick, tm.n_agents, tm.update_ns) = (self.tick, n, t0.elapsed().as_nanos() as u64);
-        // Phase timings re-use the stats the phases already measured:
-        // telemetry adds no clock reads to the tick, only these records.
-        observe(HistId::PhaseIndexMaintain, tm.index_build_ns);
-        observe(HistId::PhaseQuery, tm.query_ns);
-        observe(HistId::PhaseEffectMerge, tm.merge_ns);
-        observe(HistId::PhaseUpdate, tm.update_ns);
-        incr(Counter::ExecutorTicks);
-        self.tick += 1;
+        let n = self.node.pool.len();
+        let Ok(tm) = self.superstep.run(&self.behavior, &mut self.node, n);
         tm
     }
 
@@ -221,21 +156,46 @@ impl<B: Behavior> Simulation<B> {
     /// Materialize the world as row records (the serialization boundary;
     /// hot paths read [`Simulation::pool`]).
     pub fn agents(&self) -> Vec<Agent> {
-        self.pool.to_agents()
+        self.node.pool.to_agents()
     }
 
     /// The columnar working representation.
     pub fn pool(&self) -> &AgentPool {
-        &self.pool
+        &self.node.pool
     }
 
     pub fn tick(&self) -> u64 {
-        self.tick
+        self.superstep.tick
     }
 
     /// This run's telemetry registry: what it recorded, and nothing else.
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
+    }
+}
+
+/// A single node's partition: it owns every row, so the effect exchange is
+/// the identity, and its pool stays in id order — survivors keep their rows,
+/// spawns take fresh ids in emission order.
+struct OneNode {
+    pool: AgentPool,
+    id_gen: AgentIdGen,
+}
+
+impl Partition for OneNode {
+    type Error = Infallible;
+
+    fn pool(&mut self) -> &mut AgentPool {
+        &mut self.pool
+    }
+
+    fn apply_membership(&mut self, _: &[u32], spawned: &mut Vec<PendingSpawn>) -> std::result::Result<(), Infallible> {
+        self.pool.retain_alive();
+        for s in spawned.drain(..) {
+            let id = self.id_gen.alloc().expect("agent id space exhausted");
+            self.pool.push_spawn(id, s.pos, &s.state);
+        }
+        Ok(())
     }
 }
 

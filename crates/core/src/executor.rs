@@ -2,27 +2,18 @@
 //! phase — sharded for intra-worker parallelism, columnar, and index-free:
 //! the query phase is a sort-merge spatial join.
 //!
-//! Each phase has one production entry point — [`query_phase_sharded`],
-//! [`replay_effects`] and [`update_phase_sharded`] — exposed separately
-//! because the distributed runtime interleaves communication between them
-//! (Table 1 of the paper):
-//!
-//! ```text
-//!   mapᵗ        = update phase of t−1 + distribute (runtime)
-//!   reduceᵗ₁    = query phase over owned agents        (query_phase_sharded)
-//!   reduceᵗ₂    = replay of every remote-field write,
-//!                 the peers' shipped ones included      (replay_effects)
-//!   mapᵗ⁺¹      = update phase                          (update_phase_sharded)
-//! ```
-//!
-//! The single-node engine (`crate::engine::Simulation`) calls the same
-//! functions back to back with nothing in between — it *is* the
-//! one-partition special case of the runtime, and the integration tests
-//! exploit that: the distributed engine must produce bit-identical agents.
-//! The update phase changes no pool membership: it reports killed rows and
-//! id-less spawns, and each caller applies them its own way (a single node
-//! compacts the pool and allocates ids in emitted order; a worker
-//! swap-removes rows and sequences ids with its peers).
+//! Each phase has one production entry point — [`query_phase_sharded`]
+//! (reduce₁ of Table 1 of the paper), [`replay_effects`] (reduce₂, the
+//! peers' shipped writes included) and [`update_phase_sharded`] (map) —
+//! and one caller, `crate::superstep::Superstep::run`, the tick driver of
+//! the single node and of every cluster worker, which puts a partition's
+//! communication between them. The update phase changes no pool
+//! membership: it reports killed rows and id-less spawns, and the driver
+//! hands them to the partition (a single node compacts the pool and
+//! allocates ids in emitted order; a worker swap-removes rows and sequences
+//! ids with its peers). So the single node *is* the one-partition case of
+//! the runtime, and the integration tests exploit that: the distributed
+//! engine must produce bit-identical agents.
 //!
 //! # Columnar working representation
 //!
@@ -454,7 +445,7 @@ impl TickScratch {
 /// full-width `table` (which is reset first). It builds no index and shares
 /// no kernel with the sharded phase. This is the executable specification
 /// the join, the scan and the write-log replay are tested against;
-/// production paths (the `Simulation`, the MapReduce worker) call
+/// production (the superstep, on a single node and on a worker) calls
 /// [`query_phase_sharded`] and [`replay_effects`].
 ///
 /// After this returns, rows `0..n_owned` hold this partition's aggregated
@@ -848,10 +839,9 @@ pub fn query_phase_sharded<B: Behavior>(
 /// them, as `(target row, write)` — into the pool's effect columns, once, in
 /// ascending source id. Only the members that logged a write are walked. A
 /// source's writes keep the order it made them (they are one ordered run of
-/// `inbound`, and the sort is stable). A single node passes no inbound
-/// writes. Returns the nanoseconds it took.
-pub fn replay_effects(pool: &mut AgentPool, scratch: &TickScratch, inbound: &mut [(u32, EffectWrite)]) -> u64 {
-    let t0 = Instant::now();
+/// `inbound`, and the sort is stable). A single node has no inbound
+/// writes.
+pub fn replay_effects(pool: &mut AgentPool, scratch: &TickScratch, inbound: &mut [(u32, EffectWrite)]) {
     inbound.sort_by_key(|(_, write)| write.source);
     let (view, table) = pool.split_query();
     let owned = scratch.probe.members.len() as u32;
@@ -866,7 +856,6 @@ pub fn replay_effects(pool: &mut AgentPool, scratch: &TickScratch, inbound: &mut
     for (target, write) in peers {
         table.combine(*target, write.field, write.v);
     }
-    t0.elapsed().as_nanos() as u64
 }
 
 /// The executor's one fan-out: run `run(i, &mut items[i])` for every item

@@ -27,8 +27,12 @@
 //! * [`executor`] — the tick's two sharded phase functions (sort-merge join
 //!   query shards in parallel → deterministic merge; update), the unit the
 //!   MapReduce runtime runs per partition, plus the row-oriented oracle;
-//! * [`engine`] — [`Simulation`], the single-node engine: those phases run
-//!   back to back over one partition, with its builder and the population
+//! * [`superstep`] — [`Superstep`], the one tick driver: the phases, their
+//!   timings and their telemetry, over a [`Partition`]'s two seams (the
+//!   effect exchange and the membership apply), for a single node and a
+//!   cluster worker alike;
+//! * [`engine`] — [`Simulation`], the single-node engine: a superstep over
+//!   one partition that owns every row, with its builder and the population
 //!   check ([`check_population`]) both engines share;
 //! * [`metrics`] — per-tick accounting, and a run's registry ([`Metrics`]).
 //!
@@ -46,6 +50,7 @@ pub mod engine;
 pub mod executor;
 pub mod metrics;
 pub mod schema;
+pub mod superstep;
 
 pub use agent::{Agent, AgentPool, AgentRead, AgentRef, PoolView, UpdateChunk};
 pub use behavior::{Behavior, NeighborRef, Neighbors, UpdateCtx};
@@ -55,3 +60,4 @@ pub use engine::{check_population, Simulation, SimulationBuilder};
 pub use executor::{PendingSpawn, TickScratch};
 pub use metrics::{Metrics, TickMetrics};
 pub use schema::{AgentSchema, SchemaBuilder};
+pub use superstep::{Partition, Superstep};

@@ -2,24 +2,15 @@
 //! delta-based communication.
 //!
 //! Each worker is one OS thread owning one spatial partition (the paper
-//! assigns "each grid cell to a separate slave node"). Per tick it executes
-//! the collocated task chain of Figure 1:
-//!
-//! 1. **map (distribute)** — a column scan over the pool's x/y position
-//!    columns computes each owned row's owner and replica band; ownership
-//!    transfers and band *entrants* ship as full records, replicas that
-//!    *persist* in a peer's band ship as compact columnar delta frames
-//!    (membership removals + masked field updates), and same-partition
-//!    agents never move at all — they simply stay in their pool rows.
-//! 2. **reduce 1 (query / local effects)** — run the query phase for its
-//!    owned rows over the visible set (owned rows + the persistent replica
-//!    tail), aggregating effects for every visible row.
-//! 3. **reduce 2 (global effects)** — only for models with non-local effect
-//!    assignments: ship the writes its agents made to replicas to their
-//!    owners, uncombined, and hand those it receives to the executor's replay.
-//! 4. **update** — the next tick's map-side update, executed eagerly over
-//!    the owned prefix only; kills and spawns apply through the pool's
-//!    stable-row mutation ops.
+//! assigns "each grid cell to a separate slave node"). Per tick it runs the
+//! collocated task chain of Figure 1: its **distribute** (map) ships
+//! ownership transfers and band *entrants* as full records and replicas that
+//! *persist* in a peer's band as columnar delta frames, then one
+//! [`Superstep`] — the tick driver a single node runs too — runs the phases
+//! over its owned rows and replica tail. The worker is the driver's
+//! [`Partition`]: its seams ship replica writes to their owners and rank
+//! spawns with its peers, applying kills and spawns through the pool's
+//! stable-row mutation ops.
 //!
 //! # The persistent pool
 //!
@@ -76,10 +67,7 @@ use crate::codec::{self, ReplicaDeltaEnc, WorkerSnapshot, DELTA_MASK_X, DELTA_MA
 use crate::net::{self, Traffic};
 use crate::runtime::{Command, EpochCommand, PeerMsg, Report, WorkerEpochStats};
 use brace_common::{panic_message, AgentId, DetRng, FieldId, WorkerId};
-use brace_core::executor::{
-    query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickScratch, SHARD_ROWS,
-};
-use brace_core::{Agent, AgentPool, Behavior, EffectWrite};
+use brace_core::{Agent, AgentPool, Behavior, EffectWrite, Partition, PendingSpawn, Superstep, TickMetrics};
 use brace_spatial::{GridPartitioning, IndexKind};
 use brace_telemetry::Metrics;
 use bytes::Bytes;
@@ -334,10 +322,8 @@ pub struct Worker {
     /// every stable-row mutation updates it in O(1) — only the one row
     /// that physically moved needs its entry touched.
     row_meta: Vec<(u32, u32)>,
-    /// Reusable per-tick buffers (probe order, sweep-slice tables and
-    /// write-logs, spawn queues) for the sharded executor phases.
-    scratch: TickScratch,
-    tick: u64,
+    /// The tick driver: the tick counter and the phases' buffers.
+    superstep: Superstep,
     /// Next spawn id of the **global** cross-worker counter. Every worker
     /// advances it identically each tick (the spawn sequencing round ships
     /// per-parent counts), so spawn ids are a pure function of the world —
@@ -356,10 +342,8 @@ pub struct Worker {
     dest_transfers: Vec<Vec<u32>>,
     dest_replicas: Vec<Vec<u32>>,
     removals: Vec<u32>,
-    killed: Vec<u32>,
-    spawned: Vec<PendingSpawn>,
+    /// The spawn round's per-parent counts: ours, then the peers'.
     spawn_runs: Vec<(AgentId, u32)>,
-    merged_runs: Vec<(AgentId, u32, bool)>,
     delta_values: Vec<f64>,
 }
 
@@ -389,6 +373,7 @@ impl Worker {
         let rng = DetRng::seed_from_u64(cfg.seed).stream(0x5EED_0000 + cfg.id.raw() as u64);
         let n = cfg.num_workers;
         let num_states = schema.num_states();
+        let superstep = Superstep::new(cfg.index, cfg.seed, cfg.parallelism);
         let mut worker = Worker {
             behavior,
             cfg,
@@ -400,8 +385,7 @@ impl Worker {
             sessions: (0..n).map(|_| ReplicaSession::new(num_states)).collect(),
             registries: (0..n).map(|_| Vec::new()).collect(),
             row_meta: Vec::new(),
-            scratch: TickScratch::new(),
-            tick: 0,
+            superstep,
             next_id: next_spawn_id,
             rng,
             pool_rebuilds: 0,
@@ -410,10 +394,7 @@ impl Worker {
             dest_transfers: (0..n).map(|_| Vec::new()).collect(),
             dest_replicas: (0..n).map(|_| Vec::new()).collect(),
             removals: Vec::new(),
-            killed: Vec::new(),
-            spawned: Vec::new(),
             spawn_runs: Vec::new(),
-            merged_runs: Vec::new(),
             delta_values: Vec::new(),
         };
         worker.rebuild_pool(&owned);
@@ -486,7 +467,7 @@ impl Worker {
     /// This worker's snapshot (checkpoint and collect payload), encoded
     /// straight from the owned prefix of the pool.
     fn snapshot(&self) -> Bytes {
-        codec::encode_pool_snapshot(self.tick, self.next_id, &self.rng, &self.pool, self.n_owned)
+        codec::encode_pool_snapshot(self.superstep.tick, self.next_id, &self.rng, &self.pool, self.n_owned)
     }
 
     fn restore(&mut self, snap: WorkerSnapshot, x_bounds: Vec<f64>) {
@@ -494,7 +475,7 @@ impl Worker {
         // the snapshot's records before it rebuilds the pool from them.
         // Counted, so epoch stats can prove ticks never materialize one.
         self.vec_roundtrips += 1;
-        self.tick = snap.tick;
+        self.superstep.tick = snap.tick;
         self.next_id = snap.next_spawn_id;
         self.rng = snap.rng;
         self.part.set_x_bounds(x_bounds);
@@ -516,32 +497,25 @@ impl Worker {
         };
         let (rebuilds0, roundtrips0) = (self.pool_rebuilds, self.vec_roundtrips);
         for _ in 0..cmd.ticks {
-            let owned_at_start = self.n_owned;
-            self.run_tick()?;
-            stats.agent_ticks += owned_at_start as u64;
+            stats.agent_ticks += self.run_tick()?.n_agents as u64;
         }
         stats.pool_rebuilds = self.pool_rebuilds - rebuilds0;
         stats.vec_roundtrips = self.vec_roundtrips - roundtrips0;
         stats.wall_ns = wall.elapsed().as_nanos() as u64;
         stats.owned_agents = self.n_owned;
-        stats.x_hist = self.histogram(cmd.hist_range);
+        // One pass over the owned x positions: their histogram over the
+        // command's range, and their extent.
+        let (lo, hi) = cmd.hist_range;
+        let w = (hi - lo).max(1e-12) / HIST_BINS as f64;
+        stats.x_hist = vec![0u64; HIST_BINS];
         for &x in &self.pool.xs()[..self.n_owned] {
+            let bin = (((x - lo) / w).floor().max(0.0) as usize).min(HIST_BINS - 1);
+            stats.x_hist[bin] += 1;
             stats.x_min = stats.x_min.min(x);
             stats.x_max = stats.x_max.max(x);
         }
         let snapshot = cmd.checkpoint.then(|| self.snapshot());
         Ok((stats, snapshot))
-    }
-
-    fn histogram(&self, range: (f64, f64)) -> Vec<u64> {
-        let (lo, hi) = range;
-        let mut hist = vec![0u64; HIST_BINS];
-        let w = (hi - lo).max(1e-12) / HIST_BINS as f64;
-        for &x in &self.pool.xs()[..self.n_owned] {
-            let bin = (((x - lo) / w).floor().max(0.0) as usize).min(HIST_BINS - 1);
-            hist[bin] += 1;
-        }
-        hist
     }
 
     // ---- stable-row pool mutations (all O(1) in pool size) ------------
@@ -665,19 +639,28 @@ impl Worker {
         Ok(())
     }
 
-    /// One tick of the map–reduce(–reduce) pipeline. Public within the
+    /// One tick of the map–reduce(–reduce) pipeline: this worker's
+    /// distribute, then the superstep over its partition. Public within the
     /// crate so tests can drive a worker directly. An `Err` leaves the
     /// worker's state unfit to continue from.
-    pub(crate) fn run_tick(&mut self) -> Result<(), String> {
+    pub(crate) fn run_tick(&mut self) -> Result<TickMetrics, String> {
+        self.distribute()?;
+        let behavior = Arc::clone(&self.behavior);
+        // The driver is lent out for the call: the worker is its partition.
+        let mut superstep = std::mem::take(&mut self.superstep);
+        let n_owned = self.n_owned;
+        let tick = superstep.run(&behavior, self, n_owned);
+        self.superstep = superstep;
+        tick
+    }
+
+    /// The map side's distribute — a column scan over the position columns:
+    /// ship ownership transfers and replica bands, then apply this worker's
+    /// own and every peer's, in sender order.
+    fn distribute(&mut self) -> Result<(), String> {
         let n = self.cfg.num_workers;
         let me = self.me();
-        // Clone the Arc so the schema borrow is independent of `self` (the
-        // receive loops below need `&mut self`).
-        let behavior = Arc::clone(&self.behavior);
-        let schema = behavior.schema();
-        let vis = schema.visibility();
-
-        // ---- map: distribute — a column scan over the position columns ----
+        let vis = self.behavior.schema().visibility();
         self.part.owners_into(&self.pool.xs()[..self.n_owned], &self.pool.ys()[..self.n_owned], &mut self.owners);
         for d in &mut self.dest_transfers {
             d.clear();
@@ -726,10 +709,8 @@ impl Worker {
 
         // ---- apply outbound ownership transfers (rows leave the pool) ----
         self.removals.clear();
-        for j in 0..n {
-            if j != me {
-                self.removals.extend_from_slice(&self.dest_transfers[j]);
-            }
+        for j in others(n, me) {
+            self.removals.extend_from_slice(&self.dest_transfers[j]);
         }
         self.removals.sort_unstable_by(|a, b| b.cmp(a));
         let removals = std::mem::take(&mut self.removals);
@@ -749,140 +730,6 @@ impl Worker {
             self.apply_batch(j, replica_full, replica_delta, transfers)
                 .map_err(|e| format!("replicas and transfers from {}: {e}", worker_id(j)))?;
         }
-        let n_owned = self.n_owned;
-
-        // ---- reduce 1: query phase over owned rows ------------------------
-        query_phase_sharded(
-            &behavior,
-            &mut self.pool,
-            n_owned,
-            self.cfg.index,
-            self.tick,
-            self.cfg.seed,
-            &mut self.scratch,
-            SHARD_ROWS,
-            self.cfg.parallelism,
-        );
-
-        // ---- reduce 2: ship replica writes to their owners, replay ours + theirs
-        if schema.has_nonlocal_effects() {
-            let mut dest_writes: Vec<Vec<EffectWrite>> = (0..n).map(|_| Vec::new()).collect();
-            for &(row, write) in self.scratch.outbound() {
-                let owner = self.part.column_of(self.pool.xs()[row as usize]);
-                debug_assert_ne!(owner, me, "replica owned by its replica holder");
-                dest_writes[owner].push(write);
-            }
-            for j in others(n, me) {
-                let bytes = codec::encode_effect_writes(&dest_writes[j]);
-                net::record(Traffic::Effects, bytes.len());
-                self.send(j, PeerMsg::Effects { writes: bytes })?;
-            }
-            let width = schema.num_effects();
-            let mut inbound = Vec::new();
-            for j in others(n, me) {
-                let PeerMsg::Effects { writes } = self.recv(j)? else { return Err(out_of_order(j, "effect writes")) };
-                let received = codec::decode_effect_writes(writes).map_err(|e| e.to_string()).and_then(|writes| {
-                    let target = |w: EffectWrite| match self.id_to_row.get(&w.target) {
-                        Some(_) if w.field.index() >= width => {
-                            Err(format!("effect field {} of {width}", w.field.index()))
-                        }
-                        Some(_) if !schema.is_remote(w.field) => {
-                            Err(format!("local-only effect `{}`", schema.effect_defs()[w.field.index()].name))
-                        }
-                        Some(&row) => Ok((row, w)),
-                        None => Err(format!("{}, which this worker does not own", w.target)),
-                    };
-                    writes.into_iter().map(target).collect::<Result<Vec<_>, _>>()
-                });
-                inbound.extend(received.map_err(|e| format!("effect writes from {}: {e}", worker_id(j)))?);
-            }
-            replay_effects(&mut self.pool, &self.scratch, &mut inbound);
-        }
-
-        // ---- update (next tick's map side) over the owned prefix only;
-        // the replica tail stays resident for the next distribute ----------
-        update_phase_sharded(
-            &behavior,
-            &mut self.pool,
-            n_owned,
-            self.tick,
-            self.cfg.seed,
-            &mut self.scratch,
-            self.cfg.parallelism,
-            &mut self.killed,
-            &mut self.spawned,
-        );
-
-        // ---- spawn sequencing round: global (parent id, ordinal) ids ------
-        // Pending spawns sort by parent (stable, so each parent's spawn-call
-        // order survives; worker pool rows are swap-churned, unlike the
-        // id-ordered single-node pool). Parents are globally unique, so
-        // merging every worker's ascending per-parent count runs yields one
-        // total order — the same order a single node produces — and each
-        // worker ranks its own spawns inside it. All workers advance the
-        // shared `next_id` cursor by the tick's global spawn total.
-        self.spawned.sort_by_key(|s| s.parent);
-        self.spawn_runs.clear();
-        for s in &self.spawned {
-            match self.spawn_runs.last_mut() {
-                Some((p, c)) if *p == s.parent => *c += 1,
-                _ => self.spawn_runs.push((s.parent, 1)),
-            }
-        }
-        if n > 1 {
-            let runs = codec::encode_spawn_runs(&self.spawn_runs);
-            for j in others(n, me) {
-                if !runs.is_empty() {
-                    net::record(Traffic::Spawns, runs.len());
-                }
-                self.send(j, PeerMsg::Spawns { runs: runs.clone() })?;
-            }
-        }
-
-        // Kills, descending so pending rows stay valid (before inserts, as
-        // on a single node: retain_alive precedes spawn appends).
-        let killed = std::mem::take(&mut self.killed);
-        for &r in killed.iter().rev() {
-            self.remove_owned_row(r);
-        }
-        self.killed = killed;
-
-        // Merge the peers' runs with ours and insert our spawns at their
-        // global ranks.
-        let mut merged = std::mem::take(&mut self.merged_runs);
-        merged.clear();
-        merged.extend(self.spawn_runs.iter().map(|&(p, c)| (p, c, true)));
-        if n > 1 {
-            for j in others(n, me) {
-                let PeerMsg::Spawns { runs } = self.recv(j)? else { return Err(out_of_order(j, "spawn runs")) };
-                let runs =
-                    codec::decode_spawn_runs(runs).map_err(|e| format!("spawn runs from {}: {e}", worker_id(j)))?;
-                merged.extend(runs.into_iter().map(|(p, c)| (p, c, false)));
-            }
-            merged.sort_unstable_by_key(|&(p, _, _)| p);
-        }
-        let mut spawned = std::mem::take(&mut self.spawned);
-        {
-            let mut mine = spawned.drain(..);
-            for &(parent, count, is_mine) in &merged {
-                if is_mine {
-                    for _ in 0..count {
-                        let s = mine.next().expect("run/pending shape mismatch");
-                        debug_assert_eq!(s.parent, parent);
-                        let a = Agent::with_state(AgentId::new(self.next_id), s.pos, s.state, schema);
-                        self.insert_owned(&a);
-                        self.next_id += 1;
-                    }
-                } else {
-                    self.next_id += count as u64;
-                }
-            }
-            debug_assert!(mine.next().is_none(), "pending spawns left unsequenced");
-        }
-        self.spawned = spawned;
-        self.merged_runs = merged;
-        self.pool.reset_effects();
-        self.tick += 1;
         Ok(())
     }
 
@@ -896,40 +743,105 @@ impl Worker {
     fn recv(&self, j: usize) -> Result<PeerMsg, String> {
         self.links.inboxes[j].recv().map_err(|_| format!("link from {} closed", worker_id(j)))
     }
+}
 
-    /// Current tick (tests).
-    #[cfg(test)]
-    pub(crate) fn current_tick(&self) -> u64 {
-        self.tick
+impl Partition for Worker {
+    type Error = String;
+
+    fn pool(&mut self) -> &mut AgentPool {
+        &mut self.pool
     }
 
-    /// Materialized owned agents (tests only — production reads columns).
-    #[cfg(test)]
-    pub(crate) fn owned_agents(&self) -> Vec<Agent> {
-        let mut out = Vec::new();
-        self.pool.write_agents_prefix_into(self.n_owned, &mut out);
-        out
+    /// Reduce 2's round: ship the writes this worker's agents made to replicas
+    /// to their owners, uncombined, and resolve the ones peers shipped here to
+    /// owned rows. A write this worker cannot take fails the epoch.
+    fn exchange_effects(
+        &mut self,
+        outbound: &[(u32, EffectWrite)],
+        inbound: &mut Vec<(u32, EffectWrite)>,
+    ) -> Result<(), String> {
+        let (n, me) = (self.cfg.num_workers, self.me());
+        let mut dest_writes: Vec<Vec<EffectWrite>> = (0..n).map(|_| Vec::new()).collect();
+        for &(row, write) in outbound {
+            let owner = self.part.column_of(self.pool.xs()[row as usize]);
+            debug_assert_ne!(owner, me, "replica owned by its replica holder");
+            dest_writes[owner].push(write);
+        }
+        for j in others(n, me) {
+            let bytes = codec::encode_effect_writes(&dest_writes[j]);
+            net::record(Traffic::Effects, bytes.len());
+            self.send(j, PeerMsg::Effects { writes: bytes })?;
+        }
+        let schema = self.behavior.schema();
+        let width = schema.num_effects();
+        for j in others(n, me) {
+            let PeerMsg::Effects { writes } = self.recv(j)? else { return Err(out_of_order(j, "effect writes")) };
+            let received = codec::decode_effect_writes(writes).map_err(|e| e.to_string()).and_then(|writes| {
+                let target = |w: EffectWrite| match self.id_to_row.get(&w.target) {
+                    Some(_) if w.field.index() >= width => Err(format!("effect field {} of {width}", w.field.index())),
+                    Some(_) if !schema.is_remote(w.field) => {
+                        Err(format!("local-only effect `{}`", schema.effect_defs()[w.field.index()].name))
+                    }
+                    Some(&row) => Ok((row, w)),
+                    None => Err(format!("{}, which this worker does not own", w.target)),
+                };
+                writes.into_iter().map(target).collect::<Result<Vec<_>, _>>()
+            });
+            inbound.extend(received.map_err(|e| format!("effect writes from {}: {e}", worker_id(j)))?);
+        }
+        Ok(())
     }
 
-    /// Structural invariants of the persistent pool (test support): the
-    /// id map covers exactly the owned prefix, registries and row_meta
-    /// describe the same bijection onto the tail rows.
-    #[cfg(test)]
-    pub(crate) fn check_invariants(&self) {
-        assert_eq!(self.id_to_row.len(), self.n_owned, "id map covers the owned prefix");
-        for r in 0..self.n_owned as u32 {
-            assert_eq!(self.id_to_row.get(&self.pool.id(r)), Some(&r), "id map row {r}");
+    /// The spawn-sequencing round: global `(parent id, ordinal)` ids.
+    /// Pending spawns sort by parent (stable, so each parent's spawn-call
+    /// order survives; worker pool rows are swap-churned, unlike the
+    /// id-ordered single-node pool). Parents are globally unique, so merging
+    /// every worker's ascending per-parent count runs yields one total order
+    /// — the same order a single node produces — and each worker ranks its
+    /// own spawns inside it. All workers advance the shared `next_id` cursor
+    /// by the tick's global spawn total.
+    fn apply_membership(&mut self, killed: &[u32], spawned: &mut Vec<PendingSpawn>) -> Result<(), String> {
+        let (n, me) = (self.cfg.num_workers, self.me());
+        spawned.sort_by_key(|s| s.parent);
+        self.spawn_runs.clear();
+        let runs = spawned.chunk_by(|a, b| a.parent == b.parent).map(|run| (run[0].parent, run.len() as u32));
+        self.spawn_runs.extend(runs);
+        let runs = codec::encode_spawn_runs(&self.spawn_runs);
+        for j in others(n, me) {
+            if !runs.is_empty() {
+                net::record(Traffic::Spawns, runs.len());
+            }
+            self.send(j, PeerMsg::Spawns { runs: runs.clone() })?;
         }
-        assert_eq!(self.row_meta.len(), self.pool.len(), "row_meta covers the pool");
-        for r in 0..self.n_owned {
-            assert_eq!(self.row_meta[r], NO_META, "owned row {r} must carry no replica meta");
+
+        // Kills, descending so pending rows stay valid (before inserts, as
+        // on a single node: retain_alive precedes spawn appends).
+        for &r in killed.iter().rev() {
+            self.remove_owned_row(r);
         }
-        for r in self.n_owned..self.pool.len() {
-            let (src, slot) = self.row_meta[r];
-            assert_eq!(self.registries[src as usize][slot as usize], r as u32, "registry/meta bijection at row {r}");
+
+        // Insert our spawns at their global ranks: each id follows every
+        // spawn of a smaller parent, ours or a peer's (the peers' runs,
+        // merged by parent, replace ours in the buffer).
+        self.spawn_runs.clear();
+        for j in others(n, me) {
+            let PeerMsg::Spawns { runs } = self.recv(j)? else { return Err(out_of_order(j, "spawn runs")) };
+            let runs = codec::decode_spawn_runs(runs).map_err(|e| format!("spawn runs from {}: {e}", worker_id(j)))?;
+            self.spawn_runs.extend(runs);
         }
-        let registry_total: usize = self.registries.iter().map(|r| r.len()).sum();
-        assert_eq!(registry_total, self.pool.len() - self.n_owned, "registries cover the tail");
+        self.spawn_runs.sort_unstable_by_key(|&(parent, _)| parent);
+        let mut k = 0;
+        for s in spawned.drain(..) {
+            while let Some(&(_, count)) = self.spawn_runs.get(k).filter(|&&(parent, _)| parent < s.parent) {
+                self.next_id += count as u64;
+                k += 1;
+            }
+            let a = Agent::with_state(AgentId::new(self.next_id), s.pos, s.state, self.behavior.schema());
+            self.insert_owned(&a);
+            self.next_id += 1;
+        }
+        self.next_id += self.spawn_runs[k..].iter().map(|&(_, count)| count as u64).sum::<u64>();
+        Ok(())
     }
 }
 
@@ -942,6 +854,44 @@ mod tests {
     use brace_core::effect::EffectWriter;
     use brace_core::{AgentSchema, Combinator, Simulation};
     use crossbeam::channel::unbounded;
+
+    /// Test support: drive and inspect a worker directly.
+    impl Worker {
+        /// Current tick (tests).
+        pub(crate) fn current_tick(&self) -> u64 {
+            self.superstep.tick
+        }
+
+        /// Materialized owned agents (tests only — production reads columns).
+        pub(crate) fn owned_agents(&self) -> Vec<Agent> {
+            let mut out = Vec::new();
+            self.pool.write_agents_prefix_into(self.n_owned, &mut out);
+            out
+        }
+
+        /// Structural invariants of the persistent pool (test support): the
+        /// id map covers exactly the owned prefix, registries and row_meta
+        /// describe the same bijection onto the tail rows.
+        pub(crate) fn check_invariants(&self) {
+            assert_eq!(self.id_to_row.len(), self.n_owned, "id map covers the owned prefix");
+            for r in 0..self.n_owned as u32 {
+                assert_eq!(self.id_to_row.get(&self.pool.id(r)), Some(&r), "id map row {r}");
+            }
+            assert_eq!(self.row_meta.len(), self.pool.len(), "row_meta covers the pool");
+            for r in 0..self.n_owned {
+                assert_eq!(self.row_meta[r], NO_META, "owned row {r} must carry no replica meta");
+            }
+            for r in self.n_owned..self.pool.len() {
+                let (src, slot) = self.row_meta[r];
+                assert_eq!(
+                    self.registries[src as usize][slot as usize], r as u32,
+                    "registry/meta bijection at row {r}"
+                );
+            }
+            let registry_total: usize = self.registries.iter().map(|r| r.len()).sum();
+            assert_eq!(registry_total, self.pool.len() - self.n_owned, "registries cover the tail");
+        }
+    }
 
     /// Count visible neighbors; drift right by 0.1 * count.
     struct Drift(AgentSchema);
@@ -1040,9 +990,12 @@ mod tests {
 
     #[test]
     fn histogram_counts_owned_agents() {
-        let worker = single_worker(line(10, 1.0)); // x = 0..9
-        let hist = worker.histogram((0.0, 10.0));
-        assert_eq!(hist.iter().sum::<u64>(), 10);
+        let mut worker = single_worker(line(10, 1.0)); // x = 0..9
+        let cmd = EpochCommand { epoch: 0, ticks: 0, new_x_bounds: None, checkpoint: false, hist_range: (0.0, 10.0) };
+        let (stats, _) = worker.run_epoch(&cmd).unwrap();
+        assert_eq!(stats.x_hist.iter().sum::<u64>(), 10);
+        assert_eq!(stats.x_hist[0], 1, "x = 0 falls in the first of {HIST_BINS} bins");
+        assert_eq!((stats.x_min, stats.x_max), (0.0, 9.0));
     }
 
     #[test]

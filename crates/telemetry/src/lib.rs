@@ -31,14 +31,14 @@
 //!
 //! | family | kind | source |
 //! |---|---|---|
-//! | `brace_phase_index_maintain_ns` | histogram | executor: the join's build side — the id-order and probe-order sorts |
-//! | `brace_phase_query_ns` | histogram | executor: query phase (incl. merge) |
-//! | `brace_phase_effect_merge_ns` | histogram | executor: shard-table ⊕-merge |
-//! | `brace_phase_update_ns` | histogram | executor: update phase |
+//! | `brace_phase_index_maintain_ns` | histogram | superstep (single node and each cluster worker), per tick: the join's build side — the id-order and probe-order sorts |
+//! | `brace_phase_query_ns` | histogram | superstep, per tick: query phase, its effect merge included |
+//! | `brace_phase_effect_merge_ns` | histogram | superstep, per tick: shard-table ⊕-merge, the remote-write exchange (a worker's wait on peers included) and the replay |
+//! | `brace_phase_update_ns` | histogram | superstep, per tick: update phase and its membership apply (a worker's spawn round and its wait on peers included) |
 //! | `brace_epoch_barrier_wait_ns` | histogram | cluster master: each worker's wait behind the epoch's straggler |
 //! | `brace_checkpoint_write_ns` | histogram | cluster master: checkpoint store |
 //! | `brace_serve_run_latency_ns` | histogram | serve: accepted-run wall time |
-//! | `brace_executor_ticks_total` | counter | single-node engine: ticks stepped |
+//! | `brace_executor_ticks_total` | counter | superstep: ticks run, one per worker on a cluster (so `cluster:2` counts 2 per tick) |
 //! | `brace_executor_neighbor_visits_total`, `brace_executor_nonlocal_writes_total` | counter | query phase (executor and cluster workers): candidates handed to queries, and writes to other agents |
 //! | `brace_executor_spawned_total`, `brace_executor_killed_total` | counter | update phase (executor and cluster workers): agents spawned and killed |
 //! | `brace_executor_probe_groups_total`, `brace_executor_block_candidates_total` | counter | query phase (executor and cluster workers): candidate blocks built (a probe group whose members all read no neighbour builds none) and the rows in them — reading agent-ticks ÷ groups is the readers one block serves |
@@ -90,7 +90,7 @@ pub enum Counter {
 }
 
 const COUNTER_NAMES: &[(&str, &str)] = &[
-    ("brace_executor_ticks_total", "Ticks executed by single-node tick executors"),
+    ("brace_executor_ticks_total", "Ticks run by supersteps (single node, or each cluster worker)"),
     ("brace_executor_neighbor_visits_total", "Neighbor candidates handed to queries"),
     ("brace_executor_nonlocal_writes_total", "Non-local effect writes performed in query phases"),
     ("brace_executor_spawned_total", "Agents spawned by update phases"),
@@ -133,9 +133,9 @@ pub enum HistId {
 
 const HIST_NAMES: &[(&str, &str)] = &[
     ("brace_phase_index_maintain_ns", "Per-tick join build side time (id-order and probe-order sorts)"),
-    ("brace_phase_query_ns", "Per-tick query phase time (probes, behavior queries, shard merge)"),
-    ("brace_phase_effect_merge_ns", "Per-tick shard effect-table merge time"),
-    ("brace_phase_update_ns", "Per-tick update phase time"),
+    ("brace_phase_query_ns", "Per-tick query phase time (probes, behavior queries, effect merge)"),
+    ("brace_phase_effect_merge_ns", "Per-tick effect merge time (shard tables, remote-write exchange and replay)"),
+    ("brace_phase_update_ns", "Per-tick update phase time (updates, kills and spawns applied)"),
     (
         "brace_epoch_barrier_wait_ns",
         "Per-epoch worker barrier wait (the slowest worker's epoch wall time minus its own)",

@@ -12,7 +12,8 @@
 //! finished by [`DurableRunner::resume`]; and served, through `POST /runs`
 //! on an ephemeral [`Server`]. All of them run at once, and every one records
 //! into its own telemetry registry, as every run does; [`counters_differing`]
-//! names, per leg, the counters that differ from the baseline's. Both
+//! names, per leg, the counters that differ from the baseline's, and
+//! [`supersteps`] gives each leg's counts with the supersteps it ran. Both
 //! durable legs start
 //! the way every durable run does: a `Runner` on a cluster whose
 //! `ClusterConfig::run_dir` is set. Every leg's world checksum must equal
@@ -152,6 +153,8 @@ struct Agreed {
     /// Per leg, the counter and histogram-count families whose value
     /// differs from the baseline's.
     differing: Vec<(&'static str, Vec<String>)>,
+    /// Per leg, the baseline first, the supersteps it ran and its counts.
+    supersteps: Vec<(&'static str, u64, Counts)>,
 }
 
 type Memo = BTreeMap<(usize, String, Case), Arc<OnceLock<Agreed>>>;
@@ -190,6 +193,13 @@ pub fn counters_differing(registry: fn() -> Registry, scenario: &str, case: &Cas
     agreed(registry, scenario, case).differing
 }
 
+/// Per leg of this [`engines_agree`] call, the baseline first: the
+/// supersteps it ran — one per tick on each of its partitions, the ticks a
+/// recovery replayed included — and its run's telemetry counts.
+pub fn supersteps(registry: fn() -> Registry, scenario: &str, case: &Case) -> Vec<(&'static str, u64, Counts)> {
+    agreed(registry, scenario, case).supersteps
+}
+
 fn agreed(registry: fn() -> Registry, scenario: &str, case: &Case) -> Agreed {
     let key = (registry as usize, scenario.to_string(), *case);
     let cell = Arc::clone(AGREED.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default());
@@ -208,8 +218,9 @@ pub fn assert_ran_past_one_shard<'a>(scenarios: impl IntoIterator<Item = &'a str
 }
 
 /// A leg that runs concurrently with the others: its label, and what it
-/// returns — its checksum and its run's telemetry counts.
-type Leg<'a> = (&'static str, Box<dyn FnOnce() -> (u64, Counts) + Send + 'a>);
+/// returns — its checksum, its run's telemetry counts and the supersteps
+/// its partitions ran.
+type Leg<'a> = (&'static str, Box<dyn FnOnce() -> (u64, Counts, u64) + Send + 'a>);
 
 fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     let reg = registry();
@@ -223,11 +234,15 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     let epochs = case.ticks / epoch_len;
     let first_spawn = setup.population.iter().map(|a| a.id.raw()).max().map_or(0, |id| id + 1);
     let plain = |leg, backend| -> Leg<'_> {
+        let partitions = match &backend {
+            Backend::Cluster(cfg) => cfg.workers as u64,
+            _ => 1,
+        };
         (
             leg,
             Box::new(move || {
                 let report = run(leg, backend);
-                (report.checksum, report.metrics.counts())
+                (report.checksum, report.metrics.counts(), partitions * case.ticks)
             }),
         )
     };
@@ -235,6 +250,7 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     // once (a durable one reads it back from its file).
     let recovered = |leg, cfg: ClusterConfig| -> Leg<'_> {
         let fault = Some(FaultPlan::once(epochs / 2));
+        let workers = cfg.workers as u64;
         let backend = Backend::Cluster(ClusterConfig { fault, ..cfg });
         let call = &call;
         (
@@ -246,7 +262,8 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
                 let stats = handle.cluster_stats().expect("a cluster leg");
                 let recovered = stats.recoveries == 1 && stats.replayed_epochs > 0;
                 assert!(recovered, "{call}: leg `{leg}` did not recover: {stats:?}");
-                (handle.checksum().unwrap_or_else(|e| fail(leg, e)), handle.metrics().counts())
+                let supersteps = workers * (case.ticks + stats.replayed_epochs * epoch_len);
+                (handle.checksum().unwrap_or_else(|e| fail(leg, e)), handle.metrics().counts(), supersteps)
             }),
         )
     };
@@ -266,7 +283,7 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
                 let report = run(BASELINE, Backend::single());
                 baseline_agents.store(report.agents, Ordering::Relaxed);
                 spawned.store(report.world.iter().any(|a| a.id.raw() >= first_spawn), Ordering::Relaxed);
-                (report.checksum, report.metrics.counts())
+                (report.checksum, report.metrics.counts(), case.ticks)
             }),
         ),
         plain(THREADS_2, Backend::SingleNode { parallelism: 2 }),
@@ -282,7 +299,7 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
                 handle.run(case.ticks).unwrap_or_else(|e| fail(BALANCED, e));
                 let stats = handle.cluster_stats().expect("a cluster leg");
                 rebalanced.store(stats.repartitions > 0, Ordering::Relaxed);
-                (handle.checksum().unwrap_or_else(|e| fail(BALANCED, e)), handle.metrics().counts())
+                (handle.checksum().unwrap_or_else(|e| fail(BALANCED, e)), handle.metrics().counts(), 4 * case.ticks)
             }),
         ),
         plain(CLUSTER_2_THREADS_2, Backend::Cluster(ClusterConfig { parallelism: 2, ..cluster(2) })),
@@ -291,10 +308,12 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
         (
             RESUMED,
             Box::new(|| {
-                let backend = Backend::Cluster(durable("abandoned", case.ticks));
-                let launched = case.runner(scenario).epoch_len(epoch_len).backend(backend).launch();
+                let cfg = durable("abandoned", case.ticks);
+                let workers = cfg.workers as u64;
+                let launched = case.runner(scenario).epoch_len(epoch_len).backend(Backend::Cluster(cfg)).launch();
                 let mut handle = launched.unwrap_or_else(|e| fail(RESUMED, e));
-                handle.run(epochs / 2 * epoch_len).unwrap_or_else(|e| fail(RESUMED, e));
+                let abandoned_at = epochs / 2 * epoch_len;
+                handle.run(abandoned_at).unwrap_or_else(|e| fail(RESUMED, e));
                 let abandoned = handle.metrics().counts();
                 drop(handle);
                 let resumed = DurableRunner::new(&reg, &root).resume("abandoned", 0);
@@ -302,20 +321,28 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
                 assert!(epochs < 2 || resumed.resumed_from > 0, "{call}: leg `{RESUMED}` restarted");
                 // Both processes' worth of work: the part abandoned and the resumed rest.
                 let counts = abandoned.into_iter().zip(resumed.metrics.counts()).map(|((k, a), (_, b))| (k, a + b));
-                (resumed.checksum, counts.collect())
+                let supersteps = workers * (abandoned_at + resumed.ticks - resumed.resumed_from);
+                (resumed.checksum, counts.collect(), supersteps)
             }),
         ),
-        (SERVED, Box::new(|| served(registry, name, case))),
+        (
+            SERVED,
+            Box::new(|| {
+                let (checksum, counts) = served(registry, name, case);
+                (checksum, counts, case.ticks)
+            }),
+        ),
     ];
     legs.retain(|(leg, _)| *leg == BASELINE || case.runs(leg));
     let results = run_at_once(&call, legs);
     let _ = std::fs::remove_dir_all(&root);
-    let (want, baseline) = results[0].1.clone();
-    let mut differing = Vec::new();
-    for (leg, (got, counts)) in results {
+    let (want, baseline, _) = results[0].1.clone();
+    let (mut differing, mut supersteps) = (Vec::new(), Vec::new());
+    for (leg, (got, counts, steps)) in results {
         assert_eq!(got, want, "{call}: leg `{leg}` diverged from the baseline: {got:#018X} vs {want:#018X}");
         let names = counts.iter().zip(&baseline).filter(|(a, b)| a != b).map(|((name, _), _)| name.clone());
         differing.extend((leg != BASELINE).then(|| (leg, names.collect())));
+        supersteps.push((leg, steps, counts));
     }
 
     let baseline_agents = baseline_agents.into_inner();
@@ -323,12 +350,12 @@ fn run_matrix(registry: fn() -> Registry, name: &str, case: &Case) -> Agreed {
     if baseline_agents > SHARD_ROWS && THREADED.iter().all(|leg| case.runs(leg)) {
         PAST_ONE_SHARD.lock().unwrap_or_else(PoisonError::into_inner).insert(name.to_string());
     }
-    Agreed { checksum: want, spawned: spawned.into_inner(), rebalanced: rebalanced.into_inner(), differing }
+    Agreed { checksum: want, spawned: spawned.into_inner(), rebalanced: rebalanced.into_inner(), differing, supersteps }
 }
 
 /// Run every leg on a thread of its own; what they return, in order. A leg
 /// that panics (its message printed above) fails the call, named.
-fn run_at_once(call: &str, legs: Vec<Leg<'_>>) -> Vec<(&'static str, (u64, Counts))> {
+fn run_at_once(call: &str, legs: Vec<Leg<'_>>) -> Vec<(&'static str, (u64, Counts, u64))> {
     std::thread::scope(|s| {
         let running: Vec<_> = legs.into_iter().map(|(leg, body)| (leg, s.spawn(body))).collect();
         running

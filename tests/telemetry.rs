@@ -164,8 +164,9 @@ fn joining_scenarios_read_their_windows_off_the_tile_directory() {
     }
 }
 
-/// Families only the single-node engine records: its ticks and its phase
-/// histograms. A cluster's workers record neither.
+/// Families every superstep records, once per tick on each partition: its
+/// ticks and its phase histograms. `cluster:1` records them as the baseline
+/// does; more workers record them once each.
 const ENGINE: &[&str] = &[
     "brace_executor_ticks_total",
     "brace_phase_index_maintain_ns_count",
@@ -214,15 +215,17 @@ const CHECKPOINTS: &[&str] = &["brace_cluster_checkpoints_total", "brace_checkpo
 /// spawns, kills and writes to other agents. Every leg records into its own
 /// registry, and each names exactly the families that differ:
 /// - threads and serving change no count at all;
-/// - any cluster trades the engine's tick and phase records for the
-///   master's, and more than one worker adds what partitions move;
+/// - any cluster adds the master's records, and more than one worker adds
+///   its ticks and phase records once per worker and what partitions move;
 /// - a fault adds the replayed epochs' work and the checkpoints, and a
 ///   resume the checkpoints.
 ///
 /// So `REPLAY` — neighbour visits, non-local writes, spawns, kills and
 /// effect-log entries — holds the baseline's value on every leg that
 /// replays nothing, and on a single node the partition counters do too at
-/// any thread count.
+/// any thread count. And every leg records one tick and one observation in
+/// each phase histogram per superstep: per tick on each of its partitions,
+/// a replayed tick included.
 #[test]
 fn each_leg_names_the_counters_that_differ_from_the_baseline() {
     let case = Case::conformance(20);
@@ -230,12 +233,11 @@ fn each_leg_names_the_counters_that_differ_from_the_baseline() {
     let differing = counters_differing(Registry::builtin, "predator", &case);
     let legs: Vec<&str> = differing.iter().map(|(leg, _)| *leg).collect();
     assert_eq!(legs, LEGS, "a leg recorded nothing to compare");
-    let clustered = [ENGINE, MASTER].concat();
     let partitioned = [ENGINE, MASTER, PARTITION].concat();
     for (leg, names) in differing {
         let want = match leg {
             "single node, 2 threads" | "single node, 3 threads" | "served" => vec![],
-            "cluster:1" => clustered.clone(),
+            "cluster:1" => MASTER.to_vec(),
             "cluster:2, balancer off" | "cluster:4, load-balanced" | "cluster:2, 2 threads per worker" => {
                 partitioned.clone()
             }
@@ -246,5 +248,11 @@ fn each_leg_names_the_counters_that_differ_from_the_baseline() {
         names.sort();
         want.sort();
         assert_eq!(names, want, "leg `{leg}`");
+    }
+    for (leg, supersteps, counts) in common::supersteps(Registry::builtin, "predator", &case) {
+        for family in ENGINE {
+            let value = counts.iter().find(|(name, _)| name == family).map(|&(_, v)| v);
+            assert_eq!(value, Some(supersteps), "leg `{leg}`: `{family}`");
+        }
     }
 }
