@@ -100,9 +100,10 @@ impl<B: Behavior> SimulationBuilder<B> {
     }
 
     /// Thread budget for the query/update phases: `1` (default) runs the
-    /// deterministic shard plan serially, `0` uses every available core,
-    /// `n` caps at `n` threads. Results are identical for every setting —
-    /// only wall time changes.
+    /// deterministic shard plan serially and starts no thread, `0` uses
+    /// every available core, `n` caps at `n` threads — `n − 1` parked
+    /// helpers held for the simulation's life. Results are identical for
+    /// every setting — only wall time changes.
     pub fn parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
         self

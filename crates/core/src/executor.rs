@@ -121,15 +121,15 @@
 //! and effect assignments combine through associative, commutative ⊕
 //! operators. The executor exploits this by cutting the **probe order** of
 //! the owned rows into contiguous **sweep slices**, one per logical shard,
-//! and running them through one fan-out, `for_each_shard` (the
-//! `parallelism` knob; `0` means one thread per available core):
+//! and running them through the run's [`ShardPool`] (the `parallelism`
+//! knob; `0` means one thread per available core):
 //!
-//! * The fan-out cuts its items into at most `parallelism` contiguous
-//!   groups. Every group but the last runs on a scoped thread of its own;
-//!   the calling thread runs the last one instead of idling at the join, so
-//!   a budget of `t` costs `t − 1` spawns per phase and a budget of one
-//!   spawns nothing. The update phase shares it: its chunks, each zipped
-//!   with a shard's spawn queues, are the items.
+//! * The pool cuts its items into at most `parallelism` contiguous groups.
+//!   A budget of `t` is `t − 1` helper threads started once per run and
+//!   parked between phases; helper `i` runs group `i` and the calling thread
+//!   the last one, so a phase starts no thread and a budget of one holds
+//!   none. The update phase shares it: its chunks, each zipped with a
+//!   shard's spawn queues, are the items.
 //! * Slices follow the probe order, not the row order: a single-node pool's
 //!   rows are in id order — spatially random — so a row-range slice would
 //!   cut every tile into one sliver per shard and the amortization would
@@ -185,6 +185,7 @@
 use crate::agent::{Agent, AgentPool, PoolView};
 use crate::behavior::{Behavior, Neighbors, UpdateCtx};
 use crate::effect::{EffectLog, EffectTable, EffectWrite, EffectWriter};
+use crate::fanout::ShardPool;
 use crate::metrics::TickMetrics;
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
@@ -225,7 +226,7 @@ fn shard_count(n_owned: usize, shard_rows: usize) -> usize {
 }
 
 /// Row range of shard `i` of `k` over `n` rows (balanced contiguous split).
-fn shard_range(n: usize, k: usize, i: usize) -> Range<usize> {
+pub(crate) fn shard_range(n: usize, k: usize, i: usize) -> Range<usize> {
     (i * n / k)..((i + 1) * n / k)
 }
 
@@ -241,15 +242,6 @@ fn shard_range(n: usize, k: usize, i: usize) -> Range<usize> {
 #[inline]
 fn ids_strictly_increasing(ids: &[AgentId]) -> bool {
     ids.windows(2).all(|w| w[0] < w[1])
-}
-
-/// Resolve a `parallelism` knob: `0` = one thread per available core.
-pub fn effective_parallelism(parallelism: usize) -> usize {
-    if parallelism == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        parallelism
-    }
 }
 
 /// The tile coordinate of `v` at tile side `side`: `(v / side).floor() as
@@ -726,9 +718,9 @@ fn query_shard<B: Behavior>(plan: &QueryPlan<'_, B>, slice: &[ProbeKey], shard: 
 ///
 /// `shard_rows` is the rows-per-shard granule: production passes
 /// [`SHARD_ROWS`], property tests pass tiny granules to cut small worlds
-/// into many sweep slices. `parallelism` is the physical thread budget
-/// (`0` = all cores, `1` = run shards inline). Neither affects results, only
-/// wall time.
+/// into many sweep slices. `fanout` holds the physical thread budget (a
+/// budget of one runs shards inline). Neither affects results, only wall
+/// time.
 ///
 /// Returns the query fields of a [`TickMetrics`] (`index_build_ns`,
 /// `query_ns`, `merge_ns`, `neighbor_visits`, `nonlocal_writes`), and
@@ -744,7 +736,7 @@ pub fn query_phase_sharded<B: Behavior>(
     seed: u64,
     scratch: &mut TickScratch,
     shard_rows: usize,
-    parallelism: usize,
+    fanout: &mut ShardPool,
 ) -> TickMetrics {
     let schema = behavior.schema();
     let vis = schema.visibility();
@@ -782,7 +774,6 @@ pub fn query_phase_sharded<B: Behavior>(
     if k == 0 {
         return stats;
     }
-    let threads = effective_parallelism(parallelism).min(k);
 
     let t1 = Instant::now();
     let rng = tick_rng(seed, tick, 0);
@@ -793,7 +784,7 @@ pub fn query_phase_sharded<B: Behavior>(
         shard.table.reset(shard_range(n_owned, k, i).len());
     }
     let n = order.len();
-    for_each_shard(shards, threads, |i, shard| query_shard(&plan, &order[shard_range(n, k, i)], shard));
+    fanout.for_each(shards, |i, shard| query_shard(&plan, &order[shard_range(n, k, i)], shard));
 
     // Deterministic merge, directly into the pool's effect columns.
     let t2 = Instant::now();
@@ -856,41 +847,6 @@ pub fn replay_effects(pool: &mut AgentPool, scratch: &TickScratch, inbound: &mut
     for (target, write) in peers {
         table.combine(*target, write.field, write.v);
     }
-}
-
-/// The executor's one fan-out: run `run(i, &mut items[i])` for every item
-/// `i`, in up to `threads` contiguous groups — each group but the last on a
-/// scoped thread of its own, the last on the calling thread (so a budget of
-/// one is a plain loop). Item → result mapping is positional, so scheduling
-/// cannot affect any merge order. A panic in `run` reaches the caller with
-/// its own payload: the calling thread's group's, else the first spawned
-/// group's.
-fn for_each_shard<T: Send>(items: &mut [T], threads: usize, run: impl Fn(usize, &mut T) + Sync) {
-    let k = items.len();
-    let groups = threads.clamp(1, k.max(1));
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        let mut spawned = Vec::with_capacity(groups - 1);
-        for t in 0..groups {
-            let range = shard_range(k, groups, t);
-            let (head, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            let run = &run;
-            let group = move || head.iter_mut().zip(range).for_each(|(item, i)| run(i, item));
-            if t + 1 < groups {
-                spawned.push(scope.spawn(group));
-            } else {
-                group();
-            }
-        }
-        // Joined by hand: an unjoined thread's panic would reach the caller
-        // as "a scoped thread panicked", without the behaviour's message.
-        for handle in spawned {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
 }
 
 /// Serial reference implementation of the update phase over row records
@@ -966,7 +922,7 @@ pub struct PendingSpawn {
 /// Sharded, optionally parallel update phase over rows `0..n_owned` of the
 /// pool — the map side of the tick: one [`Behavior::update_rows`] call per
 /// contiguous chunk, one chunk per thread of the budget, through the query
-/// phase's fan-out (`for_each_shard`). The hook's default gathers one row at
+/// phase's [`ShardPool`]. The hook's default gathers one row at
 /// a time into a scratch record for [`Behavior::update`]; BRASIL's register
 /// program reads the chunk's columns a lane of agents per pass. Rows past
 /// `n_owned` (a worker's persistent replica tail) are left alone.
@@ -988,17 +944,17 @@ pub fn update_phase_sharded<B: Behavior>(
     tick: u64,
     seed: u64,
     scratch: &mut TickScratch,
-    parallelism: usize,
+    fanout: &mut ShardPool,
     killed: &mut Vec<u32>,
     spawned: &mut Vec<PendingSpawn>,
 ) {
     let schema = behavior.schema();
-    let threads = effective_parallelism(parallelism).min(n_owned).max(1);
+    let threads = fanout.budget().min(n_owned).max(1);
     let shards = scratch.ensure_shards(schema, threads);
     let counts: Vec<usize> = (0..threads).map(|t| shard_range(n_owned, threads, t).len()).collect();
     let mut work: Vec<_> = pool.update_chunks_prefix(&counts).into_iter().zip(shards.iter_mut()).collect();
     let root = tick_rng(seed, tick, 1);
-    for_each_shard(&mut work, threads, |_, (chunk, shard)| {
+    fanout.for_each(&mut work, |_, (chunk, shard)| {
         let ShardScratch { spawns, spawn_parents, .. } = shard;
         spawns.clear();
         spawn_parents.clear();
@@ -1087,41 +1043,6 @@ mod tests {
 
     fn line_of_agents(schema: &AgentSchema, n: usize, gap: f64) -> Vec<Agent> {
         (0..n).map(|i| Agent::new(AgentId::new(i as u64), Vec2::new(i as f64 * gap, 0.0), schema)).collect()
-    }
-
-    /// The fan-out runs every item exactly once, with its own index, at any
-    /// budget — past the item count included — and the calling thread runs
-    /// the last group itself.
-    #[test]
-    fn for_each_shard_runs_every_item_once_and_the_last_group_inline() {
-        let caller = std::thread::current().id();
-        for k in [0usize, 1, 5, 7] {
-            for threads in 1..=k + 2 {
-                // Per item: (runs, index it was called with, thread it ran on).
-                let mut items = vec![(0u32, usize::MAX, None); k];
-                for_each_shard(&mut items, threads, |i, item| {
-                    item.0 += 1;
-                    item.1 = i;
-                    item.2 = Some(std::thread::current().id());
-                });
-                let groups = threads.min(k).max(1);
-                for (i, &(runs, seen, tid)) in items.iter().enumerate() {
-                    assert_eq!((runs, seen), (1, i), "item {i} of {k} at {threads} threads");
-                    let inline = shard_range(k, groups, groups - 1).contains(&i);
-                    assert_eq!(tid == Some(caller), inline, "item {i} of {k} at {threads} threads");
-                }
-            }
-        }
-    }
-
-    /// A panic on a spawned group's thread reaches the caller with its own
-    /// message, not as "a scoped thread panicked".
-    #[test]
-    fn for_each_shard_passes_a_shard_threads_panic_on() {
-        let mut items = [(); 4];
-        let run = || for_each_shard(&mut items, 2, |i, _| assert_ne!(i, 0, "item 0 gave up"));
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
-        assert!(brace_common::panic_message(payload.as_ref()).contains("item 0 gave up"));
     }
 
     #[test]
@@ -1278,7 +1199,8 @@ mod tests {
             let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
             let n = sh_pool.len();
             let mut scratch = TickScratch::new();
-            let sh_stats = query_phase_sharded(&b, &mut sh_pool, n, kind, 0, 3, &mut scratch, SHARD_ROWS, 2);
+            let sh_stats =
+                query_phase_sharded(&b, &mut sh_pool, n, kind, 0, 3, &mut scratch, SHARD_ROWS, &mut ShardPool::new(2));
             assert_eq!(ref_stats.neighbor_visits, sh_stats.neighbor_visits, "{kind:?}");
             for r in 0..n as u32 {
                 assert_eq!(ref_table.row(r), sh_pool.effects().row(r), "{kind:?} row {r}");
@@ -1370,7 +1292,8 @@ mod tests {
                         .sum();
                     let mut sharded = AgentPool::from_agents(b.schema(), &agents);
                     let mut scratch = TickScratch::new();
-                    let stats = query_phase_sharded(&b, &mut sharded, n, kind, 4, 9, &mut scratch, 64, 2);
+                    let stats =
+                        query_phase_sharded(&b, &mut sharded, n, kind, 4, 9, &mut scratch, 64, &mut ShardPool::new(2));
                     replay_effects(&mut sharded, &scratch, &mut []);
                     let shards = &scratch.shards[..shard_count(n, 64)];
                     let blocks: u64 = shards.iter().map(|s| s.block_rows).sum();
@@ -1562,7 +1485,17 @@ mod tests {
             .collect();
         let mut pool = AgentPool::from_agents(b.schema(), &agents);
         let mut scratch = TickScratch::new();
-        query_phase_sharded(&b, &mut pool, agents.len(), IndexKind::Join, 0, 1, &mut scratch, shard_rows, 1);
+        query_phase_sharded(
+            &b,
+            &mut pool,
+            agents.len(),
+            IndexKind::Join,
+            0,
+            1,
+            &mut scratch,
+            shard_rows,
+            &mut ShardPool::new(1),
+        );
         let k = shard_count(agents.len(), shard_rows);
         scratch.shards[..k].iter().map(|shard| shard.groups).sum()
     }

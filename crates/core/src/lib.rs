@@ -27,6 +27,8 @@
 //! * [`executor`] — the tick's two sharded phase functions (sort-merge join
 //!   query shards in parallel → deterministic merge; update), the unit the
 //!   MapReduce runtime runs per partition, plus the row-oriented oracle;
+//! * [`fanout`] — [`ShardPool`], the run's thread budget held as parked
+//!   helper threads, through which both phases fan out;
 //! * [`superstep`] — [`Superstep`], the one tick driver: the phases, their
 //!   timings and their telemetry, over a [`Partition`]'s two seams (the
 //!   effect exchange and the membership apply), for a single node and a
@@ -48,6 +50,7 @@ pub mod combinator;
 pub mod effect;
 pub mod engine;
 pub mod executor;
+pub mod fanout;
 pub mod metrics;
 pub mod schema;
 pub mod superstep;
@@ -58,6 +61,7 @@ pub use combinator::Combinator;
 pub use effect::{EffectTable, EffectWrite, EffectWriter};
 pub use engine::{check_population, Simulation, SimulationBuilder};
 pub use executor::{PendingSpawn, TickScratch};
+pub use fanout::ShardPool;
 pub use metrics::{Metrics, TickMetrics};
 pub use schema::{AgentSchema, SchemaBuilder};
 pub use superstep::{Partition, Superstep};

@@ -6,7 +6,8 @@
 //! made to rows owned elsewhere and the replay of every remote write; map,
 //! the update phase and its kills and spawns. [`Superstep`] owns the phase
 //! calls, what a tick carries to the next (the [`TickScratch`], the update's
-//! buffers, the tick counter, the run's seed, index kind and thread budget),
+//! buffers, the tick counter, the run's seed and index kind, and its thread
+//! budget as a [`ShardPool`] of parked helpers),
 //! the [`TickMetrics`] it returns and the tick's telemetry. A [`Partition`]
 //! is what differs: a single node's exchange is the identity and it compacts
 //! its id-ordered pool; a cluster worker ships writes to their owners and
@@ -18,6 +19,7 @@ use crate::effect::EffectWrite;
 use crate::executor::{
     query_phase_sharded, replay_effects, update_phase_sharded, PendingSpawn, TickScratch, SHARD_ROWS,
 };
+use crate::fanout::ShardPool;
 use crate::metrics::TickMetrics;
 use brace_spatial::IndexKind;
 use brace_telemetry::{incr, observe, Counter, HistId};
@@ -56,7 +58,8 @@ pub trait Partition {
 pub struct Superstep {
     index: IndexKind,
     seed: u64,
-    parallelism: usize,
+    /// The run's thread budget: both phases fan out through it.
+    pool: ShardPool,
     /// The next tick to run (a restored partition sets it).
     pub tick: u64,
     scratch: TickScratch,
@@ -69,9 +72,11 @@ pub struct Superstep {
 
 impl Superstep {
     /// A driver at tick 0. `index`, `seed` and the `parallelism` thread
-    /// budget are the run's; none of them changes a result but `seed`.
+    /// budget are the run's; none of them changes a result but `seed`. The
+    /// budget (`0` = every core) is started here as `budget − 1` parked
+    /// helper threads, joined when the driver drops.
     pub fn new(index: IndexKind, seed: u64, parallelism: usize) -> Self {
-        Superstep { index, seed, parallelism, ..Superstep::default() }
+        Superstep { index, seed, pool: ShardPool::new(parallelism), ..Superstep::default() }
     }
 
     /// Run one tick over the first `n_owned` rows of `part`'s pool, and
@@ -86,10 +91,10 @@ impl Superstep {
         part: &mut P,
         n_owned: usize,
     ) -> Result<TickMetrics, P::Error> {
-        let (tick, seed, threads) = (self.tick, self.seed, self.parallelism);
+        let (tick, seed, fanout) = (self.tick, self.seed, &mut self.pool);
         let scratch = &mut self.scratch;
         let mut tm =
-            query_phase_sharded(behavior, part.pool(), n_owned, self.index, tick, seed, scratch, SHARD_ROWS, threads);
+            query_phase_sharded(behavior, part.pool(), n_owned, self.index, tick, seed, scratch, SHARD_ROWS, fanout);
         let t0 = Instant::now();
         self.inbound.clear();
         if behavior.schema().has_nonlocal_effects() {
@@ -101,7 +106,7 @@ impl Superstep {
         tm.query_ns += reduce2_ns;
         let t1 = Instant::now();
         let (killed, spawned) = (&mut self.killed, &mut self.spawned);
-        update_phase_sharded(behavior, part.pool(), n_owned, tick, seed, scratch, threads, killed, spawned);
+        update_phase_sharded(behavior, part.pool(), n_owned, tick, seed, scratch, fanout, killed, spawned);
         (tm.spawned, tm.killed) = (spawned.len(), killed.len());
         part.apply_membership(killed, spawned)?;
         part.pool().reset_effects();

@@ -101,8 +101,9 @@ pub struct ClusterConfig {
     pub keep_checkpoints: usize,
     /// Intra-worker thread budget for the query/update phases (`1` =
     /// serial, `0` = all cores, `n` = up to `n` threads **per worker**).
-    /// Never affects results — the executor's shard plan is thread-count
-    /// independent.
+    /// Each worker holds it as `budget − 1` parked helper threads for the
+    /// run's life, so `1` starts none. Never affects results — the
+    /// executor's shard plan is thread-count independent.
     pub parallelism: usize,
     /// Scheduled whole-cluster failures, if any.
     pub fault: Option<FaultPlan>,

@@ -93,9 +93,10 @@ pub struct WorkerConfig {
     /// node, so placement does not perturb the simulation.
     pub seed: u64,
     /// Intra-worker thread budget for the query/update phases (`1` =
-    /// serial, `0` = all cores). Multiplies with the worker count, so
-    /// clusters saturating the machine with workers should leave this at 1.
-    /// Never affects results (the executor's shard plan is thread-count
+    /// serial, `0` = all cores), held as `budget − 1` parked helper threads
+    /// for the worker's life (none at 1). Multiplies with the worker count,
+    /// so clusters saturating the machine with workers should leave it at
+    /// one. Never affects results (the executor's shard plan is thread-count
     /// independent).
     pub parallelism: usize,
 }
@@ -341,6 +342,8 @@ pub struct Worker {
     owners: Vec<u32>,
     dest_transfers: Vec<Vec<u32>>,
     dest_replicas: Vec<Vec<u32>>,
+    /// The effect round's outgoing writes, by owner.
+    dest_writes: Vec<Vec<EffectWrite>>,
     removals: Vec<u32>,
     /// The spawn round's per-parent counts: ours, then the peers'.
     spawn_runs: Vec<(AgentId, u32)>,
@@ -393,6 +396,7 @@ impl Worker {
             owners: Vec::new(),
             dest_transfers: (0..n).map(|_| Vec::new()).collect(),
             dest_replicas: (0..n).map(|_| Vec::new()).collect(),
+            dest_writes: (0..n).map(|_| Vec::new()).collect(),
             removals: Vec::new(),
             spawn_runs: Vec::new(),
             delta_values: Vec::new(),
@@ -761,14 +765,16 @@ impl Partition for Worker {
         inbound: &mut Vec<(u32, EffectWrite)>,
     ) -> Result<(), String> {
         let (n, me) = (self.cfg.num_workers, self.me());
-        let mut dest_writes: Vec<Vec<EffectWrite>> = (0..n).map(|_| Vec::new()).collect();
+        for d in &mut self.dest_writes {
+            d.clear();
+        }
         for &(row, write) in outbound {
             let owner = self.part.column_of(self.pool.xs()[row as usize]);
             debug_assert_ne!(owner, me, "replica owned by its replica holder");
-            dest_writes[owner].push(write);
+            self.dest_writes[owner].push(write);
         }
         for j in others(n, me) {
-            let bytes = codec::encode_effect_writes(&dest_writes[j]);
+            let bytes = codec::encode_effect_writes(&self.dest_writes[j]);
             net::record(Traffic::Effects, bytes.len());
             self.send(j, PeerMsg::Effects { writes: bytes })?;
         }

@@ -68,9 +68,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// Simulation worker threads: the pool that runs jobs concurrently.
     /// A served single-node run gets `max(1, cores ÷ workers)` threads of
-    /// its own (`run_threads` on `GET /stats`), so a full pool keeps every
-    /// core busy without oversubscribing them; the budget never changes a
-    /// result bit. Cluster runs keep their own placement.
+    /// its own (`run_threads` on `GET /stats`), held as `run_threads − 1`
+    /// parked helpers for the run's life and joined when it ends, so a full
+    /// pool keeps every core busy without oversubscribing them; the budget
+    /// never changes a result bit. Cluster runs keep their own placement.
     pub workers: usize,
     /// Bounded admission queue: jobs accepted but not yet picked up by a
     /// worker. A `POST` past this bound gets `503` + `Retry-After`.
@@ -269,7 +270,9 @@ impl Server {
         self.addr
     }
 
-    /// Threads each served single-node run gets: `max(1, cores ÷ workers)`.
+    /// Threads each served single-node run gets: `max(1, cores ÷ workers)`,
+    /// the calling pool thread and `run_threads − 1` parked helpers that
+    /// live as long as the run.
     pub fn run_threads(&self) -> usize {
         self.app.run_threads
     }

@@ -30,7 +30,7 @@ use brace_core::executor::{
     query_phase, query_phase_sharded, reference_step, replay_effects, update_phase, update_phase_sharded, TickScratch,
 };
 use brace_core::{
-    Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWrite, EffectWriter, Simulation,
+    Agent, AgentPool, AgentRef, AgentSchema, Combinator, EffectTable, EffectWrite, EffectWriter, ShardPool, Simulation,
 };
 use brace_mapreduce::codec;
 use brace_spatial::kernels::{block_order, candidate_force, radix_sort_by_key, seek_window, ProbeKey, TileDirectory};
@@ -621,11 +621,11 @@ fn sharded_update_applied<B: Behavior>(
     seed: u64,
     id_gen: &mut AgentIdGen,
     scratch: &mut TickScratch,
-    threads: usize,
+    fanout: &mut ShardPool,
 ) -> (usize, usize) {
     let (mut killed, mut spawned) = (Vec::new(), Vec::new());
     let n = pool.len();
-    update_phase_sharded(b, pool, n, tick, seed, scratch, threads, &mut killed, &mut spawned);
+    update_phase_sharded(b, pool, n, tick, seed, scratch, fanout, &mut killed, &mut spawned);
     pool.retain_alive();
     for s in &spawned {
         pool.push_spawn(id_gen.alloc().expect("id space"), s.pos, &s.state);
@@ -660,7 +660,7 @@ proptest! {
         let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
         let mut scratch = TickScratch::new();
         let p_stats =
-            query_phase_sharded(&b, &mut sh_pool, n_owned, kind, 3, seed, &mut scratch, shard_rows, threads);
+            query_phase_sharded(&b, &mut sh_pool, n_owned, kind, 3, seed, &mut scratch, shard_rows, &mut ShardPool::new(threads));
         prop_assert_eq!(s_stats.neighbor_visits, p_stats.neighbor_visits);
         prop_assert_eq!(s_stats.nonlocal_writes, p_stats.nonlocal_writes);
         replayed_equals_serial(&serial, &mut sh_pool, n_owned, &scratch)?;
@@ -687,7 +687,7 @@ proptest! {
         query_phase(&b, &pool, n_owned, &mut serial, 1, seed);
         let mut sh_pool = AgentPool::from_agents(b.schema(), &agents);
         let mut scratch = TickScratch::new();
-        query_phase_sharded(&b, &mut sh_pool, n_owned, kind, 1, seed, &mut scratch, shard_rows, threads);
+        query_phase_sharded(&b, &mut sh_pool, n_owned, kind, 1, seed, &mut scratch, shard_rows, &mut ShardPool::new(threads));
         replayed_equals_serial(&serial, &mut sh_pool, n_owned, &scratch)?;
     }
 
@@ -715,7 +715,7 @@ proptest! {
         for threads in [threads_a, threads_b] {
             let mut pool = AgentPool::from_agents(b.schema(), &agents);
             let mut scratch = TickScratch::new();
-            query_phase_sharded(&b, &mut pool, n_owned, kind, 2, seed, &mut scratch, shard_rows, threads);
+            query_phase_sharded(&b, &mut pool, n_owned, kind, 2, seed, &mut scratch, shard_rows, &mut ShardPool::new(threads));
             replayed_equals_serial(&serial, &mut pool, n_owned, &scratch)?;
         }
     }
@@ -746,7 +746,7 @@ proptest! {
             let mut pool = AgentPool::from_agents(b.schema(), &agents);
             let mut scratch = TickScratch::new();
             let p_stats =
-                query_phase_sharded(&b, &mut pool, n_owned, kind, 2, seed, &mut scratch, shard_rows, threads);
+                query_phase_sharded(&b, &mut pool, n_owned, kind, 2, seed, &mut scratch, shard_rows, &mut ShardPool::new(threads));
             prop_assert_eq!(s_stats.nonlocal_writes, p_stats.nonlocal_writes);
             replayed_equals_serial(&serial, &mut pool, n_owned, &scratch)?;
         }
@@ -769,7 +769,7 @@ proptest! {
         let mut gen_b = AgentIdGen::from(n as u64);
         let s = update_phase(&b, &mut serial_agents, tick, seed, &mut gen_a);
         let mut scratch = TickScratch::new();
-        let (spawned, killed) = sharded_update_applied(&b, &mut pool, tick, seed, &mut gen_b, &mut scratch, threads);
+        let (spawned, killed) = sharded_update_applied(&b, &mut pool, tick, seed, &mut gen_b, &mut scratch, &mut ShardPool::new(threads));
         prop_assert_eq!(s.spawned, spawned);
         prop_assert_eq!(s.killed, killed);
         prop_assert_eq!(serial_agents, pool.to_agents());
@@ -1472,11 +1472,12 @@ fn grouped_ticks<B: Behavior>(
     let mut pool = AgentPool::from_agents(b.schema(), world);
     let mut scratch = TickScratch::new();
     let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw() + 1).max().unwrap_or(0));
+    let mut fanout = ShardPool::new(threads);
     for tick in 0..ticks {
         let n = pool.len();
-        query_phase_sharded(b, &mut pool, n, kind, tick, seed, &mut scratch, shard_rows, threads);
+        query_phase_sharded(b, &mut pool, n, kind, tick, seed, &mut scratch, shard_rows, &mut fanout);
         replay_effects(&mut pool, &scratch, &mut []);
-        sharded_update_applied(b, &mut pool, tick, seed, &mut id_gen, &mut scratch, threads);
+        sharded_update_applied(b, &mut pool, tick, seed, &mut id_gen, &mut scratch, &mut fanout);
     }
     pool.to_agents()
 }
@@ -1598,7 +1599,17 @@ fn worker_shaped_pool_equals_serial<B: Behavior>(
     let s_stats = query_phase(b, &serial_pool, n_owned, &mut serial, 2, seed);
     let mut pool = churned();
     let mut scratch = TickScratch::new();
-    let p_stats = query_phase_sharded(b, &mut pool, n_owned, kind, 2, seed, &mut scratch, shard_rows, threads);
+    let p_stats = query_phase_sharded(
+        b,
+        &mut pool,
+        n_owned,
+        kind,
+        2,
+        seed,
+        &mut scratch,
+        shard_rows,
+        &mut ShardPool::new(threads),
+    );
     if (s_stats.neighbor_visits, s_stats.nonlocal_writes) != (p_stats.neighbor_visits, p_stats.nonlocal_writes) {
         return Err(format!("counters differ: {s_stats:?} vs {p_stats:?}"));
     }
@@ -1769,7 +1780,7 @@ proptest! {
             worlds_bit_identical(&grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed), &want)?;
             let mut pool = AgentPool::from_agents(b.schema(), &world);
             let mut scratch = TickScratch::new();
-            query_phase_sharded(&b, &mut pool, n, kind, 0, seed, &mut scratch, shard_rows, threads);
+            query_phase_sharded(&b, &mut pool, n, kind, 0, seed, &mut scratch, shard_rows, &mut ShardPool::new(threads));
             replayed_equals_serial(&serial_table, &mut pool, n, &scratch)?;
         }
     }
@@ -3127,7 +3138,7 @@ mod generated_brasil {
         let mut pool = AgentPool::from_agents(b.schema(), &drawn_world(b.schema(), seed));
         let mut scratch = TickScratch::new();
         let n = pool.len();
-        query_phase_sharded(b, &mut pool, n, kind, 0, seed, &mut scratch, shard_rows, 1);
+        query_phase_sharded(b, &mut pool, n, kind, 0, seed, &mut scratch, shard_rows, &mut ShardPool::new(1));
         replay_effects(&mut pool, &scratch, &mut []);
         pool.to_agents()
     }
