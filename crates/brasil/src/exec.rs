@@ -29,7 +29,7 @@ use brace_common::{AgentId, DetRng, Rect, Result, Vec2};
 use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::effect::EffectWriter;
 use brace_core::schema::SchemaBuilder;
-use brace_core::{Agent, AgentRef as RowRef, AgentSchema, Combinator, UpdateChunk};
+use brace_core::{Agent, AgentRef as RowRef, AgentSchema, Combinator, QuerySlice, UpdateChunk};
 
 /// A fully compiled agent class.
 #[derive(Debug, Clone)]
@@ -131,6 +131,12 @@ impl Behavior for BrasilBehavior {
 
     fn query(&self, me: RowRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
         self.program.query(me, neighbors, eff, rng);
+    }
+
+    /// The register program over a run of members at a time, each body op
+    /// once over the run's `(member, candidate)` pairs.
+    fn query_slice(&self, slice: &mut QuerySlice<'_, '_>) {
+        self.program.query_slice(slice);
     }
 
     fn probe_rect(&self, pos: Vec2, vis: f64) -> Rect {

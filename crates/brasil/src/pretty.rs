@@ -172,13 +172,17 @@ pub fn class(c: &CompiledClass) -> String {
     let p = crate::vm::lower(c).summary();
     let _ = writeln!(
         out,
-        "register-program: query {} op(s) per agent ({} hoisted out of the loop) + {} per chunk of {} candidate(s){}, \
+        "register-program: query {} op(s) per agent ({} hoisted out of the loop) + {} {}, \
          {} register(s); update {} op(s) {}, {} register(s)",
         p.agent_ops,
         p.hoisted_ops,
         p.candidate_ops,
-        if p.ordered_body { 1 } else { crate::vm::LANES },
-        if p.ordered_body { " (the body draws)" } else { "" },
+        match (p.columns, p.ordered_body, p.loops) {
+            (true, ..) => "per (agent, neighbour) pair in columns",
+            (false, true, _) => "per candidate, one at a time (a body draws or reads an effect)",
+            (false, false, 0) => "per candidate (no loop)",
+            (false, false, _) => "per candidate, one at a time (more than one loop)",
+        },
         p.query_registers,
         p.update_ops,
         if p.update_lanes == 1 {
@@ -238,7 +242,7 @@ mod tests {
         // `one`, `self.x` leave the loop; identity test, subtract, abs, divide stay.
         assert!(
             rendered
-                .contains("register-program: query 2 op(s) per agent (1 hoisted out of the loop) + 3 per chunk of 4"),
+                .contains("register-program: query 2 op(s) per agent (1 hoisted out of the loop) + 3 per (agent, neighbour) pair in columns"),
             "{rendered}"
         );
         assert!(rendered.contains("update 4 op(s) over 8 agents per pass, "), "{rendered}");

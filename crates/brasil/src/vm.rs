@@ -4,22 +4,50 @@
 //! after the loop, the `foreach` body, and the update rules — into one flat
 //! [`Program`] of fixed-size register ops, value-numbered, with every op that
 //! does not depend on the loop candidate hoisted out of the per-candidate
-//! section. One evaluator runs it, driven through `Behavior::query` and
-//! `Behavior::update_rows`: the per-candidate section runs [`LANES`]
-//! candidates per chunk over registers of `LANES` lanes filled from the
-//! member's candidate rows; the update rules run [`UPDATE_LANES`] agents per
-//! pass — the update is the map side of the tick, a pure function of each
-//! agent — every lane reading its own row straight off the pool chunk's
-//! columns; everything else runs the same ops at chunk length 1 (lane 0).
-//! The tree walker in [`reference`](mod@crate::reference) is the
-//! specification; this module is bit-identical to it by construction, and
-//! `brasil_vm_equals_reference` (`tests/properties.rs`) holds it to that.
+//! section. One evaluator runs it, driven through `Behavior::query_slice`
+//! and `Behavior::update_rows`.
+//!
+//! ## The query as one data-flow pass per run of members
+//!
+//! A query whose one loop neither draws nor reads an effect has a
+//! `ColumnPlan`: a sweep slice runs in *runs* of members (at most
+//! `RUN_MEMBERS` members, closed once they hold `RUN_PAIRS`
+//! `(member, candidate)` pairs — a member's pairs are never split, so the
+//! columns stay in cache whatever the slice's length):
+//!
+//! 1. each member's agent level is computed and its candidates collected as
+//!    pairs — when the query is nothing but its loop, as columns over the
+//!    run's members (the agent level's ops once over the run); otherwise by
+//!    walking the member up to its loop, writing nothing;
+//! 2. every body op runs once over the run's pair columns: the candidate
+//!    fields gathered, the agent-level registers broadcast over each
+//!    member's pairs, then each op through the arithmetic table;
+//! 3. each member's effects are written in probe order: its agent level
+//!    (walked again, this time writing), then its loop's acts from the
+//!    columns — one register fold per local-only field, the fields' acts
+//!    pair by pair within it, stored once; the acts the write-log sees pair
+//!    by pair, in statement order — then whatever follows the loop.
+//!
+//! Per field the combines are the walker's, in its order, so every effect
+//! and the write-log's every entry are bit for bit the member-by-member
+//! walk's. A query with an ordered body (it draws, or reads an effect
+//! mid-loop), more than one loop or none runs [`Program::query`] member by
+//! member: the section walked in statement order, the body once per
+//! candidate. NIL tracking has column masks (one byte per pair), so it
+//! keeps a program on the column path.
+//!
+//! The update rules run [`UPDATE_LANES`] agents per pass — the update is the
+//! map side of the tick, a pure function of each agent — every lane reading
+//! its own row straight off the pool chunk's columns. The tree walker in
+//! [`reference`](mod@crate::reference) is the specification; this module is
+//! bit-identical to it by construction, and `brasil_vm_equals_reference`
+//! (`tests/properties.rs`) holds it to that.
 //!
 //! ## Semantics carried over from the tree walker
 //!
 //! * **NIL is a mask, not NaN.** NaN does not propagate through comparisons,
 //!   `min`/`max`, `&&`/`||` or `p == this`, so every register carries one
-//!   NIL bit per lane. A result is NIL where an operand is; `a && b` is NIL
+//!   NIL bit per lane (per pair, in a column). A result is NIL where an operand is; `a && b` is NIL
 //!   where `a` is, or where `a ≠ 0` and `b` is (`||` dually); a `const`
 //!   binding (a `Coerce` op) adds its NaN lanes; an `if` whose condition lane
 //!   is NIL skips the statement for that lane; an effect assignment of a NIL
@@ -28,14 +56,14 @@
 //!   can reach it: a program that binds none runs the evaluator with NIL
 //!   tracking compiled out.
 //! * **Order.** The value ops of a body that neither draws nor reads an
-//!   effect are pure, so they run for every lane of a chunk and both sides
-//!   of every branch. *Emission* is what is ordered: lanes in candidate
-//!   order, statements in source order, so every effect write lands where
-//!   the tree walker puts it (the write-log's replay and every float sum
-//!   depend on it).
+//!   effect are pure, so they run for every pair of a run and both sides of
+//!   every branch. *Emission* is what is ordered: per field, candidates in
+//!   order and statements in source order, so every effect write lands
+//!   where the tree walker puts it (the write-log's replay and every float
+//!   sum depend on it).
 //! * **`rand()`.** The tree walker draws candidate-major and only on the
 //!   paths it evaluates. A body that draws (or reads an effect mid-loop) is
-//!   *ordered*: it runs at chunk length 1, each statement's ops immediately
+//!   *ordered*: it runs one candidate at a time, each statement's ops immediately
 //!   before the statement, branches not taken skipped, and an operand that
 //!   draws is guarded by what the walker tests before evaluating it (a NIL
 //!   earlier operand, the left side of `&&`/`||`). Agent-level statements
@@ -51,14 +79,14 @@
 //! ## One arithmetic table
 //!
 //! [`unop`], [`binop`] and [`Builtin::apply`] are the only implementation of
-//! BRASIL arithmetic outside the reference: the lane loops call them with
-//! the operator a constant (so the common ones vectorise), and constant
+//! BRASIL arithmetic outside the reference: the lane and column loops call
+//! them with the operator a constant (so the common ones vectorise), and constant
 //! folding calls the same three functions, so fold time and run time cannot
 //! diverge.
 //!
-//! No call allocates: the register files (one per phase width) are per-thread
-//! scratch sized by the largest program the thread has run, so there is no
-//! size limit either.
+//! No call allocates once warm: the register files and columns are
+//! per-thread scratch sized by the largest program and run the thread has
+//! met, so there is no size limit either.
 
 use crate::ast::{BinOp, UnOp};
 use crate::exec::CompiledClass;
@@ -66,23 +94,17 @@ use crate::plan::{Axis, Builtin, PExpr, PStmt, UpdateTarget};
 use brace_common::{AgentId, DetRng, FieldId, Vec2};
 use brace_core::behavior::Neighbors;
 use brace_core::effect::EffectWriter;
-use brace_core::{Agent, AgentRead, AgentRef as RowRef, AgentSchema, Combinator, UpdateChunk};
+use brace_core::{Agent, AgentRead, AgentRef as RowRef, AgentSchema, Combinator, QuerySlice, UpdateChunk};
 use std::cell::RefCell;
-
-/// Candidates per chunk: the lane width of the engine's kernels,
-/// `brace_spatial::kernels::LANES`. Restated rather than imported — a test
-/// pins the two equal — because a `brasil → brace-spatial` dependency edge
-/// would rewrite `perfbench/Cargo.lock`, which a change that claims a gain
-/// must leave byte-identical.
-pub const LANES: usize = 4;
+use std::ops::Range;
 
 /// Agents per update pass: an update program without a guard runs its ops
 /// over this many agents at a time, each lane reading its own row. Eight
-/// measured faster than four (`LANES`) on both shipped update programs.
+/// measured faster than four on both shipped update programs.
 pub const UPDATE_LANES: usize = 8;
 
 // A register's NIL bits are one `u8`.
-const _: () = assert!(LANES <= 8 && UPDATE_LANES <= 8);
+const _: () = assert!(UPDATE_LANES <= 8);
 
 // ---------------------------------------------------------------------------
 // The arithmetic table
@@ -179,8 +201,8 @@ enum Code {
     Max,
     /// Every other builtin, one library call per candidate.
     Call(Builtin),
-    /// Guards, run at chunk length 1 only (an ordered body, the agent level
-    /// of a query, a guarded update program), before an operand
+    /// Guards, run one lane wide only (a query's walk, a guarded update
+    /// program), before an operand
     /// that draws: when the walker would not evaluate it, settle `dst` and
     /// skip the next `b` ops. `NilGuard`: `a` NIL ⇒ `dst` NIL. `AndGuard` /
     /// `OrGuard`: also `a == 0` ⇒ 0 / `a != 0` ⇒ 1.
@@ -220,7 +242,7 @@ enum Act {
         shadow: u32,
         comb: Combinator,
     },
-    /// `field ⊕= value` on the lane's candidate.
+    /// `field ⊕= value` on the candidate.
     Remote {
         field: u16,
         value: u32,
@@ -236,8 +258,8 @@ enum Act {
     Foreach(u32),
 }
 
-/// One statement: an ordered section runs `ops[..ops_end]` (what has not run
-/// yet) before acting; a lane section has run every op already.
+/// One statement: a walk runs `ops[..ops_end]` (what has not run yet)
+/// before acting.
 #[derive(Debug, Clone, Copy)]
 struct Step {
     ops_end: u32,
@@ -264,11 +286,15 @@ enum Fill {
 struct Body {
     fills: Vec<(u32, Fill)>,
     code: Section,
-    /// Draws or reads an effect mid-loop: chunk length 1, statement order.
+    /// Draws or reads an effect mid-loop: one candidate at a time, statement
+    /// order.
     ordered: bool,
-    /// Registers computed outside the body that it reads: broadcast to every
-    /// lane once per agent.
+    /// Registers computed outside the body that it reads: a column pass
+    /// broadcasts each over a member's pairs.
     invariants: Vec<u32>,
+    /// Every `Local` and `Remote` act, in step order, with the `if`
+    /// conditions that reach it: `(cond, taken when non-zero)`.
+    acts: Vec<(Act, Vec<(u32, bool)>)>,
 }
 
 /// A phase's registers: how many, and the ones preset on every call —
@@ -280,6 +306,13 @@ struct Registers {
     /// Some register can be NIL (a source `const` binding is the only way
     /// in): the phase tracks NIL bits. Most programs have none and skip it.
     nil: bool,
+}
+
+impl Registers {
+    /// Register `r`'s preset value, if it has one.
+    fn preset(&self, r: u32) -> Option<f64> {
+        self.presets.iter().find(|&&(p, _)| p == r).map(|&(_, v)| v)
+    }
 }
 
 /// A compiled class as one flat register program. See the module docs.
@@ -298,6 +331,190 @@ pub struct Program {
     update_lanes: usize,
     /// The update program draws: each lane derives its agent's stream.
     update_draws: bool,
+    /// The body as columns, when the query runs a slice a run of members at
+    /// a time.
+    columns: Option<ColumnPlan>,
+}
+
+/// One effect act of a body as the column pass writes it.
+#[derive(Debug, Clone)]
+struct ColAct {
+    field: u16,
+    /// The column of the value written.
+    value: u32,
+    /// Written to the pair's candidate (a `Remote` act), not the member.
+    target: bool,
+    /// The member's register that reads the field back, or [`NO_REG`].
+    shadow: u32,
+    comb: Combinator,
+    /// The `if` conditions that reach the act: `(column, taken when
+    /// non-zero)`.
+    path: Vec<(u32, bool)>,
+}
+
+/// The acts that write one local-only field: one fold per member.
+#[derive(Debug, Clone)]
+struct Fold {
+    field: FieldId,
+    comb: Combinator,
+    shadow: u32,
+    acts: Vec<ColAct>,
+}
+
+/// A body as columns: what a run of members' `(member, candidate)` pairs
+/// evaluates, one op at a time over all of them, and how each member's
+/// effects are then written from the columns.
+#[derive(Debug, Clone)]
+struct ColumnPlan {
+    /// Columns, one value per pair each.
+    width: usize,
+    /// Columns written from each pair's candidate row.
+    fills: Vec<(u32, Fill)>,
+    /// Constants the body reads: every pair's value.
+    constants: Vec<(u32, f64)>,
+    /// Agent-level registers the body reads, `(register, column)`: each
+    /// member's value over its pairs.
+    broadcast: Vec<(u32, u32)>,
+    /// The body's ops over columns.
+    ops: Vec<Op>,
+    /// Per local-only field the body writes: its acts, in step order.
+    folds: Vec<Fold>,
+    /// The acts whose writes the write-log sees (remote acts, local acts on
+    /// a remote field), in step order: written pair by pair.
+    logged: Vec<ColAct>,
+    /// The agent level as columns too, when the query is nothing but its
+    /// loop (below); otherwise each member's agent level is walked.
+    agents: Option<AgentColumns>,
+}
+
+/// The agent level of a query that is nothing but its loop — the loop is
+/// the query's only statement and no op before it draws or reads an effect
+/// — as columns over a run's members: its ops once over the run, each
+/// broadcast register then gathered into the pairs' columns.
+#[derive(Debug, Clone)]
+struct AgentColumns {
+    width: usize,
+    /// Columns written from each member's own row.
+    own: Vec<(u32, Fill)>,
+    constants: Vec<(u32, f64)>,
+    ops: Vec<Op>,
+    /// `(member column, pair column)` of each of the plan's `broadcast`.
+    broadcast: Vec<(u32, u32)>,
+}
+
+impl ColumnPlan {
+    /// The plan of `body`, the only loop of a query whose registers are
+    /// `regs`: `None` if it is ordered (it draws or reads an effect), or
+    /// holds an op the column pass does not run.
+    fn new(query: &Section, body: &Body, regs: &Registers, schema: &AgentSchema) -> Option<ColumnPlan> {
+        if body.ordered || !body.code.ops.iter().all(|op| op.code.is_arithmetic()) {
+            return None;
+        }
+        let mut col = Placement::new(regs.count);
+        let fills = body.fills.iter().map(|&(r, fill)| (col.place(r), fill)).collect();
+        let (mut constants, mut broadcast) = (Vec::new(), Vec::new());
+        for &r in &body.invariants {
+            match regs.preset(r) {
+                Some(v) => constants.push((col.place(r), v)),
+                None => broadcast.push((r, col.place(r))),
+            }
+        }
+        let ops = body.code.ops.iter().map(|op| col.op(op)).collect();
+        let agents = AgentColumns::new(query, regs, &broadcast);
+        let (width, col) = (col.len(), col.col);
+        let (mut folds, mut logged) = (Vec::<Fold>::new(), Vec::new());
+        for (act, path) in &body.acts {
+            let path = path.iter().map(|&(c, taken)| (col[c as usize], taken)).collect();
+            let act = match *act {
+                Act::Local { field, value, shadow, comb } => {
+                    ColAct { field, value: col[value as usize], target: false, shadow, comb, path }
+                }
+                Act::Remote { field, value } => {
+                    let comb = schema.combinator(FieldId::new(field));
+                    ColAct { field, value: col[value as usize], target: true, shadow: NO_REG, comb, path }
+                }
+                _ => unreachable!("only effect acts are recorded"),
+            };
+            let field = FieldId::new(act.field);
+            if act.target || schema.is_remote(field) {
+                logged.push(act);
+            } else if let Some(fold) = folds.iter_mut().find(|f| f.field == field) {
+                fold.acts.push(act);
+            } else {
+                folds.push(Fold { field, comb: act.comb, shadow: act.shadow, acts: vec![act] });
+            }
+        }
+        Some(ColumnPlan { width, fills, constants, broadcast, ops, folds, logged, agents })
+    }
+}
+
+impl AgentColumns {
+    /// The agent level of `query` as columns, if the loop is its only step
+    /// and every op before it is arithmetic or reads the member's own row.
+    fn new(query: &Section, regs: &Registers, broadcast: &[(u32, u32)]) -> Option<AgentColumns> {
+        let [Step { ops_end, act: Act::Foreach(_) }] = query.steps[..] else { return None };
+        let mut col = Placement::new(regs.count);
+        let (mut own, mut constants, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+        for op in &query.ops[..ops_end as usize] {
+            let fill = match op.code {
+                Code::SelfX => Fill::X,
+                Code::SelfY => Fill::Y,
+                Code::SelfState => Fill::State(op.a as u16),
+                code if code.is_arithmetic() => {
+                    for &r in &[op.a, op.b, op.c][..code.arity()] {
+                        if col.col[r as usize] == NO_REG {
+                            let v = regs.preset(r)?;
+                            constants.push((col.place(r), v));
+                        }
+                    }
+                    ops.push(col.op(op));
+                    continue;
+                }
+                _ => return None,
+            };
+            own.push((col.place(op.dst), fill));
+        }
+        let broadcast = broadcast
+            .iter()
+            .map(|&(r, c)| Some((col.col.get(r as usize).copied().filter(|&m| m != NO_REG)?, c)))
+            .collect::<Option<_>>()?;
+        Some(AgentColumns { width: col.len(), own, constants, ops, broadcast })
+    }
+}
+
+/// Columns given out to registers in order of need.
+struct Placement {
+    /// Each register's column, or [`NO_REG`].
+    col: Vec<u32>,
+    width: u32,
+}
+
+impl Placement {
+    fn new(registers: usize) -> Self {
+        Placement { col: vec![NO_REG; registers], width: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.width as usize
+    }
+
+    fn place(&mut self, r: u32) -> u32 {
+        debug_assert_eq!(self.col[r as usize], NO_REG, "register {r} placed twice");
+        self.col[r as usize] = self.width;
+        self.width += 1;
+        self.width - 1
+    }
+
+    /// `op` over columns: its operands' columns, and a new one for its result.
+    fn op(&mut self, op: &Op) -> Op {
+        let mut args = [op.a, op.b, op.c];
+        for a in &mut args[..op.code.arity()] {
+            *a = self.col[*a as usize];
+            assert_ne!(*a, NO_REG, "an op reads a register no column holds");
+        }
+        let [a, b, c] = args;
+        Op { code: op.code, dst: self.place(op.dst), a, b, c }
+    }
 }
 
 /// What `brace compile` prints about a program.
@@ -315,8 +532,16 @@ pub struct Summary {
     pub update_lanes: usize,
     pub query_registers: usize,
     pub update_registers: usize,
-    /// A body draws (or reads an effect): it runs at chunk length 1.
+    /// `foreach` loops in the query.
+    pub loops: usize,
+    /// A body draws (or reads an effect): it runs one candidate at a time.
     pub ordered_body: bool,
+    /// The query runs a slice in columns: each body op once over a run of
+    /// members' `(member, candidate)` pairs.
+    pub columns: bool,
+    /// Its agent level too, once over a run's members (the query is nothing
+    /// but its loop); otherwise each member's agent level is walked.
+    pub agent_columns: bool,
 }
 
 impl Program {
@@ -329,7 +554,10 @@ impl Program {
             update_lanes: self.update_lanes,
             query_registers: self.query_regs.count,
             update_registers: self.update_regs.count,
+            loops: self.bodies.len(),
             ordered_body: self.bodies.iter().any(|b| b.ordered),
+            columns: self.columns.is_some(),
+            agent_columns: self.columns.as_ref().is_some_and(|c| c.agents.is_some()),
         }
     }
 }
@@ -367,6 +595,9 @@ struct Lower<'a> {
     body: Option<Body>,
     bodies: Vec<Body>,
     hoisted: usize,
+    /// The `if` conditions around the statement being lowered, inside the
+    /// current body.
+    conds: Vec<(u32, bool)>,
 }
 
 fn draws(e: &PExpr) -> bool {
@@ -415,6 +646,35 @@ impl From<Builtin> for Code {
 }
 
 impl Code {
+    /// A pure function of its operands: what a column pass runs.
+    fn is_arithmetic(self) -> bool {
+        use Code::*;
+        matches!(
+            self,
+            Coerce
+                | Neg
+                | Not
+                | Add
+                | Sub
+                | Mul
+                | Div
+                | Rem
+                | Lt
+                | Le
+                | Gt
+                | Ge
+                | Eq
+                | Ne
+                | And
+                | Or
+                | Abs
+                | Sqrt
+                | Min
+                | Max
+                | Call(_)
+        )
+    }
+
     /// How many of `a`, `b`, `c` are register operands.
     fn arity(self) -> usize {
         use Code::*;
@@ -444,6 +704,7 @@ impl<'a> Lower<'a> {
             body: None,
             bodies: Vec::new(),
             hoisted: 0,
+            conds: Vec::new(),
         }
     }
 
@@ -481,11 +742,11 @@ impl<'a> Lower<'a> {
         Jump { step: s.steps.len() as u32, op: s.ops.len() as u32 }
     }
 
-    /// A body reads register `r`: if it was computed at agent level it must
-    /// be broadcast before the sweep.
+    /// A body reads register `r`: if it was not computed per candidate, a
+    /// column pass broadcasts it.
     fn body_reads(&mut self, r: u32) {
         if let Some(b) = &mut self.body {
-            if self.kinds[r as usize] == RegKind::Invariant && !b.invariants.contains(&r) {
+            if self.kinds[r as usize] != RegKind::Varying && !b.invariants.contains(&r) {
                 b.invariants.push(r);
             }
         }
@@ -672,25 +933,29 @@ impl<'a> Lower<'a> {
                     let value = self.expr(value);
                     self.body_reads(value);
                     let comb = self.schema.combinator(FieldId::new(*field));
-                    self.step(Act::Local { field: *field, value, shadow: self.shadows[*field as usize], comb });
+                    self.act(Act::Local { field: *field, value, shadow: self.shadows[*field as usize], comb });
                 }
                 PStmt::RemoteEffect { field, value } => {
                     assert!(self.body.is_some(), "remote effect outside a foreach (rejected by analysis)");
                     let value = self.expr(value);
                     self.body_reads(value);
-                    self.step(Act::Remote { field: *field, value });
+                    self.act(Act::Remote { field: *field, value });
                 }
                 PStmt::If { cond, then_, else_ } => {
                     let cond = self.expr(cond);
                     self.body_reads(cond);
                     let at = self.step(Act::If { cond, else_: Jump::default(), end: Jump::default() });
+                    self.conds.push((cond, true));
                     self.scoped(|this| this.stmts(then_));
+                    self.conds.pop();
                     let (else_at, end) = if else_.is_empty() {
                         (self.here(), self.here())
                     } else {
                         let skip = self.step(Act::Goto(Jump::default()));
                         let else_at = self.here();
+                        self.conds.push((cond, false));
                         self.scoped(|this| this.stmts(else_));
+                        self.conds.pop();
                         let end = self.here();
                         self.here_mut().steps[skip].act = Act::Goto(end);
                         (else_at, end)
@@ -700,11 +965,22 @@ impl<'a> Lower<'a> {
                 PStmt::Foreach { body } => {
                     assert!(self.body.is_none(), "nested foreach (rejected by analysis)");
                     self.body = Some(Body::default());
+                    let outer = std::mem::take(&mut self.conds);
                     self.scoped(|this| this.stmts(body));
+                    self.conds = outer;
                     self.bodies.push(self.body.take().expect("set above"));
                     self.step(Act::Foreach((self.bodies.len() - 1) as u32));
                 }
             }
+        }
+    }
+
+    /// An effect act: a step, and in a body also a column act under the
+    /// conditions that reach it.
+    fn act(&mut self, act: Act) {
+        self.step(act);
+        if let Some(b) = &mut self.body {
+            b.acts.push((act, self.conds.clone()));
         }
     }
 
@@ -738,11 +1014,17 @@ pub fn lower(class: &CompiledClass) -> Program {
     }
     q.stmts(&class.query.stmts);
 
+    let query_regs = q.registers();
+    let columns = match &q.bodies[..] {
+        [body] => ColumnPlan::new(&q.outer, body, &query_regs, class.schema()),
+        _ => None,
+    };
+
     let mut u = Lower::new(class, true);
     let commits = class.updates.iter().map(|rule| (rule.target, u.expr(&rule.expr))).collect();
     let guarded = u.outer.ops.iter().any(|o| matches!(o.code, Code::NilGuard | Code::AndGuard | Code::OrGuard));
     Program {
-        query_regs: q.registers(),
+        query_regs,
         query: q.outer,
         bodies: q.bodies,
         hoisted: q.hoisted,
@@ -751,6 +1033,7 @@ pub fn lower(class: &CompiledClass) -> Program {
         update_draws: u.outer.ops.iter().any(|o| o.code == Code::Rand),
         update: u.outer.ops,
         commits,
+        columns,
     }
 }
 
@@ -758,7 +1041,8 @@ pub fn lower(class: &CompiledClass) -> Program {
 // Evaluation
 // ---------------------------------------------------------------------------
 
-type Lanes = [f64; LANES];
+/// One member's registers in a walk: a single lane.
+type Scalar = [f64; 1];
 
 /// A per-thread register file of `N` lanes: values and one NIL bit per lane.
 #[derive(Default)]
@@ -767,9 +1051,46 @@ struct RegFile<const N: usize> {
     nil: Vec<u8>,
 }
 
+/// A thread's query-phase scratch: two walks' registers and one run's
+/// columns, each sized by the largest program and run the thread has met.
+#[derive(Default)]
+struct QueryScratch {
+    /// The walk that emits a member's effects.
+    walk: RegFile<1>,
+    /// The column path's first walk of a member, up to its `foreach`.
+    dry: RegFile<1>,
+    /// The run's columns, column-major, `stride` pairs apart, and their NIL
+    /// bits (programs that track NIL).
+    cols: Vec<f64>,
+    col_nil: Vec<u8>,
+    stride: usize,
+    /// The run's pairs: each candidate's row, members in probe order, and
+    /// (a query that is nothing but its loop) each pair's member.
+    pairs: Vec<u32>,
+    members: Vec<RunMember>,
+    pair_member: Vec<u32>,
+    /// The agent level's columns, [`RUN_MEMBERS`] apart, and their NIL bits.
+    agent_cols: Vec<f64>,
+    agent_nil: Vec<u8>,
+    /// The broadcast registers' values and NIL bits,
+    /// `ColumnPlan::broadcast.len()` per member whose loop runs.
+    inv: Vec<f64>,
+    inv_nil: Vec<u8>,
+}
+
+/// One member of a column run.
+struct RunMember {
+    row: u32,
+    /// Its walk reaches the `foreach`: its pairs are `pairs`, its broadcast
+    /// values start at `inv`.
+    looped: bool,
+    pairs: Range<usize>,
+    inv: usize,
+}
+
 thread_local! {
     /// Not reentrant: a program never runs another program.
-    static REGFILE: RefCell<RegFile<LANES>> = RefCell::default();
+    static QUERY: RefCell<QueryScratch> = RefCell::default();
     static UPDATE_REGFILE: RefCell<RegFile<UPDATE_LANES>> = RefCell::default();
 }
 
@@ -803,8 +1124,8 @@ trait Own<const N: usize> {
     fn draw(&mut self, out: &mut [f64; N]);
 }
 
-/// A query's one agent, in every lane; its draws land in lane 0 (draws run
-/// at chunk length 1).
+/// A query's one agent; its draws land in lane 0 (a query's walk is one
+/// lane wide).
 struct Querier<'a, M> {
     me: &'a M,
     rng: &'a mut DetRng,
@@ -1102,41 +1423,43 @@ fn run_ops<const N: usize, const W: usize, const NIL: bool>(
     }
 }
 
-/// Everything one agent's query evaluates against.
-struct Query<'q, 'v, 'w> {
-    prog: &'q Program,
-    vals: &'q mut [Lanes],
+/// A member's walk over a section: its registers, the agent its `Self*` ops
+/// read and the stream its draws take.
+struct Walker<'q, 'v> {
+    vals: &'q mut [Scalar],
     nil: &'q mut [u8],
-    /// The chunk's candidate rows, by lane.
-    rows: [u32; LANES],
-    me: &'q RowRef<'v>,
-    neighbors: &'q Neighbors<'v>,
-    eff: &'q mut EffectWriter<'w>,
+    me: RowRef<'v>,
     rng: &'q mut DetRng,
 }
 
-impl Query<'_, '_, '_> {
-    /// Walk a section's steps for one lane. `ORDERED`: run each step's ops
-    /// first (lane 0, chunk length 1) and skip what is not taken; otherwise
-    /// the ops have all run and only emission is left.
-    fn walk<const ORDERED: bool, const NIL: bool>(&mut self, section: &Section, lane: usize) {
-        let bit = 1u8 << lane;
+/// Where a walk's effect acts go, and what its `foreach` does.
+trait Emit {
+    fn local(&mut self, field: FieldId, v: f64);
+    fn remote(&mut self, row: u32, field: FieldId, v: f64);
+    /// The `foreach` over `body`; `false` ends the walk there.
+    fn foreach<const NIL: bool>(&mut self, w: &mut Walker<'_, '_>, prog: &Program, body: &Body) -> bool;
+}
+
+impl Walker<'_, '_> {
+    /// Walk `section` in statement order: each step's ops first, then its
+    /// act; branches not taken are skipped. `row` is the candidate a
+    /// `Remote` act writes (a body's walk). Returns `false` where `out`
+    /// ended the walk at a `foreach`.
+    fn walk<const NIL: bool>(&mut self, prog: &Program, section: &Section, out: &mut impl Emit, row: u32) -> bool {
         let (mut i, mut pc) = (0, 0);
         while i < section.steps.len() {
-            let Step { ops_end, ref act } = section.steps[i];
+            let Step { ops_end, act } = section.steps[i];
             i += 1;
-            if ORDERED {
-                let ops = &section.ops[pc..ops_end as usize];
-                run_ops::<LANES, 1, NIL>(ops, 1, self.vals, self.nil, &mut Querier { me: self.me, rng: self.rng });
-                pc = ops_end as usize;
-            }
-            let is_nil = |nil: &[u8], r: u32| NIL && nil[r as usize] & bit != 0;
-            match *act {
+            let own = &mut Querier { me: &self.me, rng: &mut *self.rng };
+            run_ops::<1, 1, NIL>(&section.ops[pc..ops_end as usize], 1, self.vals, self.nil, own);
+            pc = ops_end as usize;
+            let is_nil = |nil: &[u8], r: u32| NIL && nil[r as usize] & 1 != 0;
+            match act {
                 Act::Eval => {}
                 Act::Local { field, value, shadow, comb } => {
-                    let v = self.vals[value as usize][lane];
+                    let v = self.vals[value as usize][0];
                     if !is_nil(self.nil, value) && !v.is_nan() {
-                        self.eff.local(FieldId::new(field), v);
+                        out.local(FieldId::new(field), v);
                         if shadow != NO_REG {
                             let acc = &mut self.vals[shadow as usize][0];
                             *acc = comb.combine(*acc, v);
@@ -1144,92 +1467,528 @@ impl Query<'_, '_, '_> {
                     }
                 }
                 Act::Remote { field, value } => {
-                    let v = self.vals[value as usize][lane];
+                    let v = self.vals[value as usize][0];
                     if !is_nil(self.nil, value) && !v.is_nan() {
-                        self.eff.remote(self.rows[lane], FieldId::new(field), v);
+                        out.remote(row, FieldId::new(field), v);
                     }
                 }
                 Act::If { cond, else_, end } => {
                     if is_nil(self.nil, cond) {
                         (i, pc) = (end.step as usize, end.op as usize);
-                    } else if self.vals[cond as usize][lane] == 0.0 {
+                    } else if self.vals[cond as usize][0] == 0.0 {
                         (i, pc) = (else_.step as usize, else_.op as usize);
                     }
                 }
                 Act::Goto(to) => (i, pc) = (to.step as usize, to.op as usize),
                 Act::Foreach(body) => {
-                    let prog = self.prog;
-                    self.sweep::<NIL>(&prog.bodies[body as usize]);
+                    if !out.foreach::<NIL>(self, prog, &prog.bodies[body as usize]) {
+                        return false;
+                    }
                 }
             }
         }
+        true
     }
+}
 
-    fn sweep<const NIL: bool>(&mut self, body: &Body) {
-        for &r in &body.invariants {
-            let r = r as usize;
-            self.vals[r] = [self.vals[r][0]; LANES];
-            if NIL {
-                self.nil[r] = (self.nil[r] & 1).wrapping_neg();
-            }
-        }
-        if body.ordered {
-            self.chunks::<1, NIL>(body);
-        } else {
-            self.chunks::<LANES, NIL>(body);
-        }
+/// One member at a time: the body walked once per candidate, in candidate
+/// order (`me` is never one).
+struct Sweep<'q, 'n, 'w> {
+    neighbors: &'q Neighbors<'n>,
+    eff: &'q mut EffectWriter<'w>,
+}
+
+impl Emit for Sweep<'_, '_, '_> {
+    fn local(&mut self, field: FieldId, v: f64) {
+        self.eff.local(field, v);
     }
-
-    /// `W` candidates at a time, in candidate order (`me` is never one).
-    fn chunks<const W: usize, const NIL: bool>(&mut self, body: &Body) {
+    fn remote(&mut self, row: u32, field: FieldId, v: f64) {
+        self.eff.remote(row, field, v);
+    }
+    fn foreach<const NIL: bool>(&mut self, w: &mut Walker<'_, '_>, prog: &Program, body: &Body) -> bool {
         let neighbors = self.neighbors;
-        let mut candidates = neighbors.iter();
-        loop {
-            let mut n = 0;
-            while n < W {
-                let Some(nb) = candidates.next() else { break };
-                self.rows[n] = nb.row;
-                for &(r, fill) in &body.fills {
-                    self.vals[r as usize][n] = match fill {
-                        Fill::X => nb.agent.pos().x,
-                        Fill::Y => nb.agent.pos().y,
-                        Fill::State(k) => nb.agent.state(k),
-                        Fill::IsMe => truth(nb.agent.id() == self.me.id()),
-                    };
-                }
-                n += 1;
+        for nb in neighbors.iter() {
+            for &(r, fill) in &body.fills {
+                w.vals[r as usize][0] = match fill {
+                    Fill::X => nb.agent.pos().x,
+                    Fill::Y => nb.agent.pos().y,
+                    Fill::State(k) => nb.agent.state(k),
+                    Fill::IsMe => truth(nb.agent.id() == w.me.id()),
+                };
             }
-            if n == 0 {
-                break;
-            }
-            if W == 1 {
-                self.walk::<true, NIL>(&body.code, 0);
+            w.walk::<NIL>(prog, &body.code, self, nb.row);
+        }
+        true
+    }
+}
+
+/// The column path's first walk of a member: no effect written, the walk
+/// stopped at the `foreach` (its registers are what the body broadcasts).
+struct Dry;
+
+impl Emit for Dry {
+    fn local(&mut self, _: FieldId, _: f64) {}
+    fn remote(&mut self, _: u32, _: FieldId, _: f64) {}
+    fn foreach<const NIL: bool>(&mut self, _: &mut Walker<'_, '_>, _: &Program, _: &Body) -> bool {
+        false
+    }
+}
+
+/// A run's evaluated columns.
+#[derive(Clone, Copy)]
+struct Cols<'q> {
+    vals: &'q [f64],
+    nil: &'q [u8],
+    stride: usize,
+}
+
+impl Cols<'_> {
+    /// The value `act` writes for pair `p`, if the pair reaches it and it is
+    /// neither NIL nor NaN.
+    #[inline(always)]
+    fn value<const NIL: bool>(&self, act: &ColAct, p: usize) -> Option<f64> {
+        let at = |c: u32| c as usize * self.stride + p;
+        let reached =
+            act.path.iter().all(|&(c, taken)| !(NIL && self.nil[at(c)] != 0) && (self.vals[at(c)] != 0.0) == taken);
+        let v = self.vals[at(act.value)];
+        (reached && !(NIL && self.nil[at(act.value)] != 0) && !v.is_nan()).then_some(v)
+    }
+}
+
+/// The column path's second walk of a member, for a query with more than its
+/// loop: its effects, the body's from the run's columns.
+struct ColumnEmit<'q, 'w> {
+    plan: &'q ColumnPlan,
+    cols: Cols<'q>,
+    pairs: &'q [u32],
+    range: Range<usize>,
+    eff: &'q mut EffectWriter<'w>,
+}
+
+impl Emit for ColumnEmit<'_, '_> {
+    fn local(&mut self, field: FieldId, v: f64) {
+        self.eff.local(field, v);
+    }
+    fn remote(&mut self, row: u32, field: FieldId, v: f64) {
+        self.eff.remote(row, field, v);
+    }
+    fn foreach<const NIL: bool>(&mut self, w: &mut Walker<'_, '_>, _: &Program, _: &Body) -> bool {
+        emit_pairs::<NIL>(self.plan, self.cols, self.pairs, self.range.clone(), self.eff, Some(w.vals));
+        true
+    }
+}
+
+/// Write one member's body effects from the run's columns, its pairs
+/// `range`: each local-only field folded in a register and stored once, the
+/// logged acts pair by pair. `shadows`: the member's registers, where a
+/// field read back is combined too (a query that is nothing but its loop
+/// reads none).
+#[inline(always)]
+fn emit_pairs<const NIL: bool>(
+    plan: &ColumnPlan,
+    cols: Cols<'_>,
+    pairs: &[u32],
+    range: Range<usize>,
+    eff: &mut EffectWriter<'_>,
+    mut shadows: Option<&mut [Scalar]>,
+) {
+    // A member without pairs writes nothing here.
+    if range.is_empty() {
+        return;
+    }
+    // One fold per (at most) four fields: each field's accumulator held in
+    // a register across the member's pairs, stored once.
+    for folds in plan.folds.chunks(4) {
+        let range = range.clone();
+        let shadows = shadows.as_deref_mut();
+        match folds.len() {
+            1 => fold_fields::<1, NIL>(folds, cols, range, shadows, eff),
+            2 => fold_fields::<2, NIL>(folds, cols, range, shadows, eff),
+            3 => fold_fields::<3, NIL>(folds, cols, range, shadows, eff),
+            _ => fold_fields::<4, NIL>(folds, cols, range, shadows, eff),
+        }
+    }
+    if plan.logged.is_empty() {
+        return;
+    }
+    for p in range {
+        for act in &plan.logged {
+            let Some(v) = cols.value::<NIL>(act, p) else { continue };
+            let field = FieldId::new(act.field);
+            if act.target {
+                eff.remote(pairs[p], field, v);
             } else {
-                let me = &mut Querier { me: self.me, rng: self.rng };
-                run_ops::<LANES, W, NIL>(&body.code.ops, n, self.vals, self.nil, me);
-                for lane in 0..n {
-                    self.walk::<false, NIL>(&body.code, lane);
+                eff.local(field, v);
+                if let Some(vals) = shadows.as_deref_mut().filter(|_| act.shadow != NO_REG) {
+                    let acc = &mut vals[act.shadow as usize][0];
+                    *acc = act.comb.combine(*acc, v);
                 }
-            }
-            if n < W {
-                break;
             }
         }
     }
 }
 
+/// `N` local-only fields' folds over a member's pairs, through one
+/// [`EffectWriter::fold_local`].
+#[inline(always)]
+fn fold_fields<const N: usize, const NIL: bool>(
+    folds: &[Fold],
+    cols: Cols<'_>,
+    range: Range<usize>,
+    mut shadows: Option<&mut [Scalar]>,
+    eff: &mut EffectWriter<'_>,
+) {
+    let fields = std::array::from_fn(|k| (folds[k].field, folds[k].comb));
+    eff.fold_local::<N>(fields, |acc| {
+        for (k, fold) in folds.iter().enumerate() {
+            let shadow = match shadows.as_deref_mut() {
+                Some(vals) if fold.shadow != NO_REG => Some(&mut vals[fold.shadow as usize][0]),
+                _ => None,
+            };
+            let range = range.clone();
+            match fold.comb {
+                Combinator::Sum => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.sum(k, v)),
+                Combinator::Prod => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.prod(k, v)),
+                Combinator::Min => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.min(k, v)),
+                Combinator::Max => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.max(k, v)),
+                Combinator::Or => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.or(k, v)),
+                Combinator::And => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.and(k, v)),
+            }
+        }
+    });
+}
+
+/// One field's fold over a member's pairs: its acts candidate-major, each
+/// value that reaches its act handed to `put` (and combined into the
+/// field's shadow, where the program reads the field back).
+#[inline(always)]
+fn fold_pairs<const NIL: bool>(
+    fold: &Fold,
+    cols: Cols<'_>,
+    range: Range<usize>,
+    mut shadow: Option<&mut f64>,
+    mut put: impl FnMut(f64),
+) {
+    let mut one = |v: f64| {
+        put(v);
+        if let Some(acc) = shadow.as_deref_mut() {
+            *acc = fold.comb.combine(*acc, v);
+        }
+    };
+    if let [act] = &fold.acts[..] {
+        for p in range {
+            if let Some(v) = cols.value::<NIL>(act, p) {
+                one(v);
+            }
+        }
+    } else {
+        for p in range {
+            for act in &fold.acts {
+                if let Some(v) = cols.value::<NIL>(act, p) {
+                    one(v);
+                }
+            }
+        }
+    }
+}
+
+/// `out` is register `d`'s column and the operands `srcs[..k]`'s, each the
+/// first `p` pairs of a column `stride` apart (an operand past `k` is
+/// empty). A body op never reads its own destination.
+fn operands<T>(buf: &mut [T], stride: usize, p: usize, d: u32, srcs: [u32; 3], k: usize) -> (&mut [T], [&[T]; 3]) {
+    let d = d as usize;
+    let (lo, rest) = buf.split_at_mut(d * stride);
+    let (out, hi) = rest.split_at_mut(stride);
+    let (lo, hi): (&[T], &[T]) = (lo, hi);
+    let get = |i: usize| -> &[T] {
+        let r = srcs[i] as usize;
+        match r.cmp(&d) {
+            _ if i >= k => &[],
+            std::cmp::Ordering::Less => &lo[r * stride..][..p],
+            std::cmp::Ordering::Greater => &hi[(r - d - 1) * stride..][..p],
+            std::cmp::Ordering::Equal => unreachable!("a body op reads its own destination"),
+        }
+    };
+    (&mut out[..p], [get(0), get(1), get(2)])
+}
+
+#[inline(always)]
+fn col1(out: &mut [f64], x: &[f64], f: impl Fn(f64) -> f64) {
+    for (o, &x) in out.iter_mut().zip(x) {
+        *o = f(x);
+    }
+}
+
+#[inline(always)]
+fn col2(out: &mut [f64], x: &[f64], y: &[f64], f: impl Fn(f64, f64) -> f64) {
+    for (o, (&x, &y)) in out.iter_mut().zip(x.iter().zip(y)) {
+        *o = f(x, y);
+    }
+}
+
+/// Run a body's ops over the first `p` pairs of the run's columns, each op
+/// once over all of them. `NIL`: the phase tracks NIL bits, one byte per
+/// pair, with the semantics of [`run_ops`].
+fn run_columns<const NIL: bool>(ops: &[Op], p: usize, stride: usize, vals: &mut [f64], nil: &mut [u8]) {
+    for &Op { code, dst, a, b, c } in ops {
+        let k = code.arity();
+        {
+            let (out, [x, y, z]) = operands(vals, stride, p, dst, [a, b, c], k);
+            match code {
+                Code::Coerce => out.copy_from_slice(x),
+                Code::Neg => col1(out, x, |x| unop(UnOp::Neg, x)),
+                Code::Not => col1(out, x, |x| unop(UnOp::Not, x)),
+                Code::Add => col2(out, x, y, |x, y| binop(BinOp::Add, x, y)),
+                Code::Sub => col2(out, x, y, |x, y| binop(BinOp::Sub, x, y)),
+                Code::Mul => col2(out, x, y, |x, y| binop(BinOp::Mul, x, y)),
+                Code::Div => col2(out, x, y, |x, y| binop(BinOp::Div, x, y)),
+                Code::Rem => col2(out, x, y, |x, y| binop(BinOp::Rem, x, y)),
+                Code::Lt => col2(out, x, y, |x, y| binop(BinOp::Lt, x, y)),
+                Code::Le => col2(out, x, y, |x, y| binop(BinOp::Le, x, y)),
+                Code::Gt => col2(out, x, y, |x, y| binop(BinOp::Gt, x, y)),
+                Code::Ge => col2(out, x, y, |x, y| binop(BinOp::Ge, x, y)),
+                Code::Eq => col2(out, x, y, |x, y| binop(BinOp::Eq, x, y)),
+                Code::Ne => col2(out, x, y, |x, y| binop(BinOp::Ne, x, y)),
+                Code::And => col2(out, x, y, |x, y| binop(BinOp::And, x, y)),
+                Code::Or => col2(out, x, y, |x, y| binop(BinOp::Or, x, y)),
+                Code::Abs => col1(out, x, |x| Builtin::Abs.apply(&[x])),
+                Code::Sqrt => col1(out, x, |x| Builtin::Sqrt.apply(&[x])),
+                Code::Min => col2(out, x, y, |x, y| Builtin::Min.apply(&[x, y])),
+                Code::Max => col2(out, x, y, |x, y| Builtin::Max.apply(&[x, y])),
+                Code::Call(f) => {
+                    for (i, o) in out.iter_mut().enumerate() {
+                        let args = [x[i], y.get(i).copied().unwrap_or(0.0), z.get(i).copied().unwrap_or(0.0)];
+                        *o = f.apply(&args[..k]);
+                    }
+                }
+                _ => unreachable!("{code:?} is not a column op (`ColumnPlan::new` admits none)"),
+            }
+        }
+        if NIL {
+            let d = dst as usize * stride;
+            let (x, out) = (&vals[a as usize * stride..][..p], &vals[d..][..p]);
+            let (nout, [nx, ny, nz]) = operands(nil, stride, p, dst, [a, b, c], k);
+            match code {
+                Code::Coerce => {
+                    for ((n, &na), &v) in nout.iter_mut().zip(nx).zip(out) {
+                        *n = na | v.is_nan() as u8;
+                    }
+                }
+                // Where `a` decides, `b` is unevaluated: its NIL does not count.
+                Code::And | Code::Or => {
+                    for (i, n) in nout.iter_mut().enumerate() {
+                        let undecided = if code == Code::And { x[i] != 0.0 } else { x[i] == 0.0 };
+                        *n = nx[i] | (ny[i] & undecided as u8);
+                    }
+                }
+                _ => {
+                    for (i, n) in nout.iter_mut().enumerate() {
+                        *n = nx[i] | ny.get(i).copied().unwrap_or(0) | nz.get(i).copied().unwrap_or(0);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Members per column run at most, and the pairs past which a run takes no
+/// further member: a run's columns hold at most `RUN_PAIRS − 1` pairs plus
+/// one member's neighbourhood (a member's pairs are never split), so they
+/// stay in cache whatever the slice's length.
+const RUN_PAIRS: usize = 256;
+const RUN_MEMBERS: usize = 256;
+
 impl Program {
-    /// The query phase of one agent.
+    /// The query phase of one agent: the section walked in statement order,
+    /// the body once per candidate.
     pub fn query(&self, me: RowRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
-        REGFILE.with_borrow_mut(|file| {
-            let (vals, nil) = file.enter(&self.query_regs);
-            let mut q = Query { prog: self, vals, nil, rows: [0; LANES], me: &me, neighbors, eff, rng };
+        QUERY.with_borrow_mut(|s| {
+            let (vals, nil) = s.walk.enter(&self.query_regs);
+            let mut w = Walker { vals, nil, me, rng };
+            let out = &mut Sweep { neighbors, eff };
             if self.query_regs.nil {
-                q.walk::<true, true>(&self.query, 0);
+                w.walk::<true>(self, &self.query, out, 0);
             } else {
-                q.walk::<true, false>(&self.query, 0);
+                w.walk::<false>(self, &self.query, out, 0);
             }
         });
+    }
+
+    /// The query phase of one sweep slice. A program with a column plan runs
+    /// it in runs of members: each member walked up to its `foreach` and its
+    /// pairs collected, the body's ops run once over the run's pairs, then
+    /// each member's effects written in probe order (module docs). Any other
+    /// program runs [`Program::query`] member by member.
+    pub fn query_slice(&self, slice: &mut QuerySlice<'_, '_>) {
+        let Some(plan) = &self.columns else {
+            return slice.query_each(|me, neighbors, eff, rng| self.query(me, neighbors, eff, rng));
+        };
+        QUERY.with_borrow_mut(|s| {
+            if self.query_regs.nil {
+                self.column_runs::<true>(plan, slice, s);
+            } else {
+                self.column_runs::<false>(plan, slice, s);
+            }
+        });
+    }
+
+    fn column_runs<const NIL: bool>(&self, plan: &ColumnPlan, slice: &mut QuerySlice<'_, '_>, s: &mut QueryScratch) {
+        let view = slice.view();
+        let QueryScratch {
+            walk,
+            dry,
+            cols,
+            col_nil,
+            stride,
+            pairs,
+            members,
+            pair_member,
+            agent_cols,
+            agent_nil,
+            inv,
+            inv_nil,
+        } = s;
+        // Another program may have left its constants in these columns.
+        *stride = 0;
+        if let Some(agents) = &plan.agents {
+            agent_cols.resize(agents.width * RUN_MEMBERS, 0.0);
+            agent_nil.clear();
+            if NIL {
+                agent_nil.resize(agents.width * RUN_MEMBERS, 0);
+            }
+            for &(c, v) in &agents.constants {
+                agent_cols[c as usize * RUN_MEMBERS..][..RUN_MEMBERS].fill(v);
+            }
+        }
+        fn gather(out: &mut [f64], col: &[f64], rows: impl Iterator<Item = u32>) {
+            for (o, r) in out.iter_mut().zip(rows) {
+                *o = col[r as usize];
+            }
+        }
+        let column = |fill: Fill| match fill {
+            Fill::X => view.xs(),
+            Fill::Y => view.ys(),
+            Fill::State(k) => view.states(k),
+            Fill::IsMe => unreachable!("an identity test is not a column gather"),
+        };
+        loop {
+            members.clear();
+            pairs.clear();
+            pair_member.clear();
+            inv.clear();
+            inv_nil.clear();
+            // The run: members and their pairs, each member's agent level
+            // walked up to its loop unless it is columns too.
+            let mut last = false;
+            while members.len() < RUN_MEMBERS && pairs.len() < RUN_PAIRS {
+                let Some((me, neighbors)) = slice.next_member() else {
+                    last = true;
+                    break;
+                };
+                let start = pairs.len();
+                pairs.extend(neighbors.rows());
+                let mut member = RunMember { row: me.row, looped: true, pairs: start..pairs.len(), inv: inv.len() };
+                if plan.agents.is_some() {
+                    pair_member.resize(pairs.len(), members.len() as u32);
+                } else {
+                    let rng = &mut slice.rng(me);
+                    let (vals, nil) = dry.enter(&self.query_regs);
+                    let mut w = Walker { vals: &mut *vals, nil: &mut *nil, me, rng };
+                    member.looped = !w.walk::<NIL>(self, &self.query, &mut Dry, 0);
+                    if member.looped {
+                        inv.extend(plan.broadcast.iter().map(|&(r, _)| vals[r as usize][0]));
+                        if NIL {
+                            inv_nil.extend(plan.broadcast.iter().map(|&(r, _)| nil[r as usize] & 1));
+                        }
+                    } else {
+                        pairs.truncate(start);
+                        member.pairs = start..start;
+                    }
+                }
+                members.push(member);
+            }
+            if members.is_empty() {
+                break;
+            }
+            let (n, p) = (members.len(), pairs.len());
+            if p > *stride {
+                *stride = p.max(RUN_PAIRS).next_power_of_two();
+                cols.resize(plan.width * *stride, 0.0);
+                if NIL {
+                    col_nil.clear();
+                    col_nil.resize(plan.width * *stride, 0);
+                }
+                for &(c, v) in &plan.constants {
+                    cols[c as usize * *stride..][..*stride].fill(v);
+                }
+            }
+            let stride = *stride;
+            let at = |c: u32, r: &Range<usize>| c as usize * stride + r.start..c as usize * stride + r.end;
+            // The agent level's registers, over each member's pairs.
+            match &plan.agents {
+                Some(agents) => {
+                    let rows = |c: u32| c as usize * RUN_MEMBERS..c as usize * RUN_MEMBERS + n;
+                    for &(c, fill) in &agents.own {
+                        gather(&mut agent_cols[rows(c)], column(fill), members.iter().map(|m| m.row));
+                    }
+                    run_columns::<NIL>(&agents.ops, n, RUN_MEMBERS, agent_cols, agent_nil);
+                    for &(m, c) in &agents.broadcast {
+                        let (src, out) = (&agent_cols[rows(m)], &mut cols[at(c, &(0..p))]);
+                        for (o, &j) in out.iter_mut().zip(pair_member.iter()) {
+                            *o = src[j as usize];
+                        }
+                        if NIL {
+                            let (src, out) = (&agent_nil[rows(m)], &mut col_nil[at(c, &(0..p))]);
+                            for (o, &j) in out.iter_mut().zip(pair_member.iter()) {
+                                *o = src[j as usize];
+                            }
+                        }
+                    }
+                }
+                None => {
+                    for m in members.iter().filter(|m| m.looped) {
+                        for (j, &(_, c)) in plan.broadcast.iter().enumerate() {
+                            cols[at(c, &m.pairs)].fill(inv[m.inv + j]);
+                            if NIL {
+                                col_nil[at(c, &m.pairs)].fill(inv_nil[m.inv + j]);
+                            }
+                        }
+                    }
+                }
+            }
+            // The candidates' fields, then the body's ops over every pair.
+            for &(c, fill) in &plan.fills {
+                let out = &mut cols[at(c, &(0..p))];
+                if fill != Fill::IsMe {
+                    gather(out, column(fill), pairs.iter().copied());
+                    continue;
+                }
+                let ids = view.ids();
+                for m in members.iter() {
+                    for i in m.pairs.clone() {
+                        out[i] = truth(ids[pairs[i] as usize] == ids[m.row as usize]);
+                    }
+                }
+            }
+            run_columns::<NIL>(&plan.ops, p, stride, cols, col_nil);
+            // Each member's effects, in probe order.
+            let cols = Cols { vals: cols, nil: col_nil, stride };
+            for m in members.iter() {
+                if plan.agents.is_some() {
+                    slice.emit_writes(|eff| emit_pairs::<NIL>(plan, cols, pairs, m.pairs.clone(), eff, None));
+                    continue;
+                }
+                let me = view.agent(m.row);
+                slice.emit(|eff, rng| {
+                    let (vals, nil) = walk.enter(&self.query_regs);
+                    let out = &mut ColumnEmit { plan, cols, pairs, range: m.pairs.clone(), eff };
+                    Walker { vals, nil, me, rng }.walk::<NIL>(self, &self.query, out, 0);
+                });
+            }
+            if last {
+                break;
+            }
+        }
     }
 
     /// The update phase of a chunk of pool rows, straight off its columns:
@@ -1363,12 +2122,7 @@ mod tests {
     "#;
 
     #[test]
-    fn lanes_is_the_kernels_lane_width() {
-        assert_eq!(LANES, brace_spatial::kernels::LANES);
-    }
-
-    #[test]
-    fn a_pure_body_runs_in_lanes_with_its_invariants_hoisted() {
+    fn a_pure_body_runs_in_columns_with_its_invariants_hoisted() {
         for class in [compile_src(SCHOOL), optimize(compile_src(SCHOOL))] {
             let s = lower(&class).summary();
             assert!(!s.ordered_body);

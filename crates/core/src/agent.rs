@@ -552,6 +552,29 @@ impl<'a> PoolView<'a> {
     pub fn agent(&self, row: u32) -> AgentRef<'a> {
         AgentRef { view: *self, row }
     }
+
+    /// The id column, by row.
+    #[inline]
+    pub fn ids(&self) -> &'a [AgentId] {
+        self.ids
+    }
+
+    /// The position columns, by row.
+    #[inline]
+    pub fn xs(&self) -> &'a [f64] {
+        self.xs
+    }
+
+    #[inline]
+    pub fn ys(&self) -> &'a [f64] {
+        self.ys
+    }
+
+    /// State column `slot` (schema order), by row.
+    #[inline]
+    pub fn states(&self, slot: u16) -> &'a [f64] {
+        &self.states[slot as usize]
+    }
 }
 
 /// Read-only view of one pool row — what `Behavior::query` receives for

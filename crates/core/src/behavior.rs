@@ -8,6 +8,12 @@
 //!   in `me`'s visible region through [`Neighbors`], and assign effects
 //!   through [`EffectWriter`]. It *cannot* mutate any state — enforced by
 //!   the types: row views only hand out reads.
+//!   The executor reaches it through [`Behavior::query_slice`], one sweep
+//!   slice of members at a time ([`QuerySlice`]: their candidates, writers
+//!   and streams), whose default runs `query` member by member; a behavior
+//!   that can evaluate many members' neighbourhoods together (BRASIL's
+//!   register program, each op once over a run's `(member, candidate)`
+//!   pairs) overrides that hook instead.
 //! * [`Behavior::update`] — runs once per owned agent at the tick boundary.
 //!   It receives a gathered row record (`&mut Agent`) whose effects hold
 //!   the tick's aggregates; it may read state + effects and write next
@@ -43,6 +49,7 @@
 use crate::agent::{Agent, AgentRef, PoolView, UpdateChunk};
 use crate::effect::EffectWriter;
 use crate::schema::AgentSchema;
+use crate::slice::QuerySlice;
 use brace_common::{AgentId, DetRng, Rect, Vec2};
 use std::sync::Arc;
 
@@ -82,6 +89,12 @@ impl<'a> Neighbors<'a> {
             .copied()
             .filter(move |&i| i != me)
             .map(move |i| NeighborRef { row: i, agent: view.agent(i) })
+    }
+
+    /// The visible neighbors' rows (self excluded), in iteration order.
+    pub fn rows(&self) -> impl Iterator<Item = u32> + '_ {
+        let me = self.me;
+        self.candidates.iter().copied().filter(move |&i| i != me)
     }
 
     /// The columns every [`NeighborRef::row`] indexes: a neighbor met during
@@ -165,6 +178,21 @@ pub trait Behavior: Send + Sync {
     /// deterministic stream derived from `(seed, agent id, tick)`.
     fn query(&self, me: AgentRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng);
 
+    /// Query phase for one sweep slice — the reduce side of the tick, which
+    /// the executor calls once per slice. The [`QuerySlice`] yields the
+    /// slice's members in probe order with their candidates and runs each
+    /// member's writes against its writer and stream. The default runs
+    /// [`Behavior::query`] member by member
+    /// ([`QuerySlice::query_each`]). A behavior may override it to evaluate
+    /// many members' neighbourhoods together (BRASIL's register program runs
+    /// each op once over a run of members' `(member, candidate)` pairs);
+    /// contract: every member emitted, in order, each making exactly the
+    /// writes and draws its [`Behavior::query`] makes over the same
+    /// candidates.
+    fn query_slice(&self, slice: &mut QuerySlice<'_, '_>) {
+        slice.query_each(|me, neighbors, eff, rng| self.query(me, neighbors, eff, rng));
+    }
+
     /// Update phase for one agent: consume `me.effects`, write `me.state` /
     /// `me.pos` (cropped to reachability by the executor), optionally kill
     /// (`me.alive = false`) or spawn (`ctx.spawn`).
@@ -211,8 +239,9 @@ pub trait Behavior: Send + Sync {
 
 /// Forwarding impls, so `Arc<B>` and `Box<B>` are behaviors too — the
 /// runtime shares one behavior across worker threads via `Arc`. Every hook
-/// is forwarded: an omitted one would silently run the default instead of
-/// the wrapped behavior's override.
+/// (seven: `schema`, `probe_rect`, `reads_neighbors`, `query`, `query_slice`,
+/// `update`, `update_rows`) is forwarded: an omitted one would silently run
+/// the default instead of the wrapped behavior's override.
 macro_rules! forward_behavior {
     ($($ptr:ident),+) => {$(
         impl<B: Behavior + ?Sized> Behavior for $ptr<B> {
@@ -227,6 +256,9 @@ macro_rules! forward_behavior {
             }
             fn query(&self, me: AgentRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
                 (**self).query(me, neighbors, eff, rng)
+            }
+            fn query_slice(&self, slice: &mut QuerySlice<'_, '_>) {
+                (**self).query_slice(slice)
             }
             fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
                 (**self).update(me, ctx)

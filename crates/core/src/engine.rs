@@ -57,11 +57,20 @@ pub fn check_population(schema: &AgentSchema, agents: &[Agent]) -> Result<u64> {
             )));
         }
     }
+    let reserved = |a: &Agent| BraceError::Config(format!("agent id {} is reserved: it ends the spawn-id space", a.id));
+    // Ids in strictly increasing order (every registry population's) are
+    // distinct, and only the last can be the reserved one: no set is built.
+    if agents.windows(2).all(|w| w[0].id < w[1].id) {
+        return match agents.last() {
+            Some(a) if a.id.raw() == u64::MAX => Err(reserved(a)),
+            last => Ok(last.map_or(0, |a| a.id.raw() + 1)),
+        };
+    }
     let mut ids = std::collections::HashSet::with_capacity(agents.len());
     let mut first_spawn_id = 0;
     for a in agents {
         if a.id.raw() == u64::MAX {
-            return Err(BraceError::Config(format!("agent id {} is reserved: it ends the spawn-id space", a.id)));
+            return Err(reserved(a));
         }
         if !ids.insert(a.id) {
             return Err(BraceError::Config(format!("duplicate agent id {}", a.id)));
@@ -254,5 +263,14 @@ mod tests {
         assert_eq!(check_population(b.schema(), &[at(u64::MAX - 1)]).unwrap(), u64::MAX);
         let err = check_population(b.schema(), &[at(u64::MAX)]).expect_err("u64::MAX must be rejected");
         assert!(err.to_string().contains("reserved"), "{err}");
+        // Sorted or not, the same answers: the sorted path builds no set.
+        assert_eq!(check_population(b.schema(), &[at(0), at(3), at(7)]).unwrap(), 8);
+        assert_eq!(check_population(b.schema(), &[at(7), at(0), at(3)]).unwrap(), 8);
+        for ids in [[2, 5, u64::MAX], [u64::MAX, 2, 5]] {
+            let err = check_population(b.schema(), &ids.map(at)).expect_err("u64::MAX must be rejected");
+            assert!(err.to_string().contains("reserved"), "{err}");
+        }
+        let err = check_population(b.schema(), &[at(2), at(2), at(u64::MAX)]).expect_err("a duplicate first");
+        assert!(err.to_string().contains("duplicate agent id"), "{err}");
     }
 }

@@ -44,7 +44,7 @@
 //! tile-row, each at most two tiles right of the one before, whole tiles
 //! while the strip holds at most `2 * LANES` rows; a tile that full on its
 //! own is a strip by itself — are a **probe group**, answered together
-//! (`query_shard`, the one production probe loop):
+//! (`crate::slice`, the one production probe loop):
 //!
 //! 1. the group's candidate *block* is the rows of the tiles that the union
 //!    of the members' [`Behavior::probe_rect`]s spans: per tile-row, one
@@ -66,7 +66,14 @@
 //!    contiguous columns;
 //! 3. each member takes *its own* candidates out of the block by running
 //!    the lane kernel `kernels::filter_rect` over those columns with *its
-//!    own* probe rect, and runs its scalar [`Behavior::query`] over them.
+//!    own* probe rect, and its query runs over them.
+//!
+//! That probe loop lives in `crate::slice`: each sweep slice is a
+//! [`QuerySlice`] handed to [`Behavior::query_slice`], which yields the
+//! members in probe order with their candidates and owns each member's
+//! writer, stream and write-log run. The hook's default runs the scalar
+//! [`Behavior::query`] member by member; BRASIL's register program runs each
+//! op once over a run of members' `(member, candidate)` pairs.
 //!
 //! The window of step 1 is computed from the union rect's own corners with
 //! the same monotone function that keyed the rows (`tile_of`), never assumed
@@ -96,7 +103,7 @@
 //! pushdown ([`Behavior::probe_rect`]: a rect tighter than the visibility
 //! square). The *probe side* is [`Behavior::reads_neighbors`]: the group's
 //! first pass asks each member once, and a member whose query reads no
-//! neighbour this tick keeps [`Rect::EMPTY`] as its rect — it runs no
+//! neighbour this tick keeps [`brace_common::Rect::EMPTY`] as its rect — it runs no
 //! `filter_rect`, widens no window, and its query runs over no candidates.
 //! A strip without a reader builds no window, block order or gather; the
 //! scan and the unbounded path hand a non-reader no candidates either. The
@@ -184,15 +191,14 @@
 
 use crate::agent::{Agent, AgentPool, PoolView};
 use crate::behavior::{Behavior, Neighbors, UpdateCtx};
-use crate::effect::{EffectLog, EffectTable, EffectWrite, EffectWriter};
+use crate::effect::{EffectTable, EffectWrite, EffectWriter};
 use crate::fanout::ShardPool;
 use crate::metrics::TickMetrics;
 use crate::schema::AgentSchema;
+use crate::slice::{Probe, QuerySlice, SlicePlan, SliceScratch};
 use brace_common::ids::AgentIdGen;
-use brace_common::{AgentId, DetRng, Rect, Vec2};
-use brace_spatial::kernels::{
-    block_order, filter_rect, radix_sort_by_key, seek_window, ProbeKey, TileDirectory, LANES,
-};
+use brace_common::{AgentId, DetRng, Vec2};
+use brace_spatial::kernels::{radix_sort_by_key, ProbeKey, TileDirectory};
 use brace_spatial::IndexKind;
 use brace_telemetry::{add, Counter};
 use std::ops::Range;
@@ -252,7 +258,7 @@ fn ids_strictly_increasing(ids: &[AgentId]) -> bool {
 /// `as` saturates, so absurdly distant agents share an outermost tile:
 /// tiling decides how much each block amortizes, never what a probe finds.
 #[inline]
-fn tile_of(v: f64, side: f64) -> i64 {
+pub(crate) fn tile_of(v: f64, side: f64) -> i64 {
     // `floor` without the libm call it is on the baseline target: truncate
     // (saturating, NaN to 0), then step down where truncation rounded up.
     let q = v / side;
@@ -349,64 +355,24 @@ pub struct TickScratch {
     /// Non-local schemas: the writes to replica rows, `(target row, write)`,
     /// in ascending source id.
     outbound: Vec<(u32, EffectWrite)>,
+    /// The update phase's rows per chunk.
+    chunk_rows: Vec<usize>,
 }
 
-/// Working memory of one logical shard.
+/// Working memory of one logical shard: its sweep slice's, and its update
+/// chunk's spawn queue.
 struct ShardScratch {
-    /// This slice's effects, indexed by position in the slice (for a
-    /// non-local schema, its local-only fields').
-    table: EffectTable,
-    /// Non-local schemas: this slice's remote-field writes and writers, and
-    /// the writes to replica rows, `(target row, write)`, in order.
-    log: EffectLog,
-    outbound: Vec<(u32, EffectWrite)>,
-    /// Candidate rows of the current probe group, canonical order (on the
-    /// join path, their id ranks until the block is ordered).
-    block: Vec<u32>,
-    /// The join block's radix scatter buffer ([`block_order`]).
-    spare_block: Vec<u32>,
-    /// Where each tile-row of the last group's window began in the probe
-    /// order, by offset from the window's first row ([`seek_window`]).
-    cursors: [usize; 3],
-    /// The join block's positions, gathered once per group.
-    block_xs: Vec<f64>,
-    block_ys: Vec<f64>,
-    /// Each member's probe rect, in group order: [`Rect::EMPTY`] for a
-    /// member whose query reads no neighbour.
-    rects: Vec<Rect>,
-    /// One member's candidates, filtered out of the block.
-    rows: Vec<u32>,
+    query: SliceScratch,
     spawns: Vec<(Vec2, Vec<f64>)>,
     /// Parent agent id of each entry in `spawns`, in lockstep. Spawn ids are
     /// a pure function of `(parent id, ordinal)` so any placement of agents
     /// across shards or workers assigns the same ids.
     spawn_parents: Vec<AgentId>,
-    visits: u64,
-    nonlocal: u64,
-    groups: u64,
-    block_rows: u64,
 }
 
 impl ShardScratch {
     fn new(schema: &AgentSchema) -> Self {
-        ShardScratch {
-            table: EffectTable::new(schema),
-            log: EffectLog::default(),
-            outbound: Vec::new(),
-            block: Vec::new(),
-            spare_block: Vec::new(),
-            cursors: [0; 3],
-            block_xs: Vec::new(),
-            block_ys: Vec::new(),
-            rects: Vec::new(),
-            rows: Vec::new(),
-            spawns: Vec::new(),
-            spawn_parents: Vec::new(),
-            visits: 0,
-            nonlocal: 0,
-            groups: 0,
-            block_rows: 0,
-        }
+        ShardScratch { query: SliceScratch::new(schema), spawns: Vec::new(), spawn_parents: Vec::new() }
     }
 }
 
@@ -483,233 +449,6 @@ pub fn query_phase<B: Behavior>(
     stats
 }
 
-/// How one tick's probe groups find their candidates.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Probe {
-    /// The sort-merge tile join: a group is a strip of tiles, its block the
-    /// rows of the tiles its members' rects span ([`IndexKind::Join`] under a
-    /// bounded, positive visibility).
-    Join,
-    /// One row per group, whose block is [`filter_rect`] over every visible
-    /// row in the id order ([`IndexKind::Scan`], or a zero visibility).
-    Scan,
-    /// Unbounded visibility: one group per sweep slice, whose block is the
-    /// id order.
-    Everyone,
-}
-
-/// What every shard of one query phase shares.
-struct QueryPlan<'a, B> {
-    behavior: &'a B,
-    view: PoolView<'a>,
-    /// The owned rows in probe order; shard `i` of `k` sweeps the slice
-    /// `shard_range(order.len(), k, i)`.
-    order: &'a [ProbeKey],
-    /// Every visible row in probe order: what the join probes, through its
-    /// tile directory when the tick built one.
-    cells: &'a [ProbeKey],
-    directory: Option<&'a TileDirectory>,
-    /// Every visible row in the id order: what an id rank names.
-    by_id: &'a [u32],
-    /// The scan's columns: every visible row's position, in the id order.
-    xs: &'a [f64],
-    ys: &'a [f64],
-    probe: Probe,
-    /// Writes to remote fields go to the shard's write-log; all others to its
-    /// table, indexed by position in its slice of `order`.
-    nonlocal: bool,
-    /// The tick's query-phase RNG root ([`tick_rng`]).
-    rng: DetRng,
-}
-
-/// The most members a strip of several tiles may hold: two `filter_rect`
-/// lane-widths. Whole tiles join a strip while it stays within this, so a
-/// tile this full on its own (fish's dense tiles) keeps a block to itself.
-/// Measured with `query` and `update` stubbed out (query ns per agent-tick,
-/// 2-vCPU Xeon): a cap of `LANES` costs 8–40 % more than this one on
-/// the sparse scenarios (epidemic 4k: 149–162 against 108–121; predator
-/// 20k: 153–158 against 123–129), while `4 * LANES` saves at most another
-/// 7 % there, inside the noise once the real behaviours run, and makes
-/// every member filter a block up to twice as long.
-const STRIP_MEMBERS: usize = 2 * LANES;
-
-/// How many tiles apart two neighbouring tiles of one strip may be: their
-/// 3-tile-wide windows still overlap, so the strip's block re-reads none of
-/// the tiles it shares.
-const STRIP_GAP: u64 = 2;
-
-/// The length of the probe group at the head of `slice` (the rest of a
-/// sweep slice, in probe order). A scan probe is one row; under unbounded
-/// visibility every row is in one tile, so the group is the slice. On the
-/// join path a group is a **strip**: the next occupied tiles of the same
-/// tile-row, each at most [`STRIP_GAP`] tiles right of the one before, added
-/// whole while the strip holds at most [`STRIP_MEMBERS`] rows. A strip never
-/// leaves its slice, so the plan stays a function of the probe order and the
-/// shard granule.
-fn group_len(slice: &[ProbeKey], probe: Probe) -> usize {
-    if probe == Probe::Scan {
-        return 1;
-    }
-    let head = slice[0].tile();
-    let mut len = slice.iter().take_while(|key| key.tile() == head).count();
-    while probe == Probe::Join && len < STRIP_MEMBERS {
-        let (last, Some(next)) = (slice[len - 1], slice.get(len)) else { break };
-        if next.ty != last.ty || next.tx.abs_diff(last.tx) > STRIP_GAP {
-            break;
-        }
-        let room = STRIP_MEMBERS - len;
-        let tile = slice[len..].iter().take(room + 1).take_while(|key| key.tile() == next.tile()).count();
-        if tile > room {
-            break;
-        }
-        len += tile;
-    }
-    len
-}
-
-/// The inner loop — the only production probe loop, for every schema and
-/// index kind: run the query phase for one shard's `slice` of the probe
-/// order, one **probe group** at a time, and [`Behavior::query`] once per
-/// member. A first pass over the group calls [`Behavior::reads_neighbors`]
-/// and, for a reader, [`Behavior::probe_rect`] once per member and keeps
-/// the rect for the member's filter.
-///
-/// On the join path ([`Probe::Join`]) a group — a strip of the slice's
-/// neighbouring tiles in one tile-row ([`group_len`]) — is answered by **no
-/// index at all**: its candidate *block* is the rows of the tiles that the
-/// union of its members' [`Behavior::probe_rect`]s spans, one contiguous
-/// run of the probe order per window tile-row — read off the tile directory
-/// ([`TileDirectory::window`]) when the tick built one, found by a galloping
-/// seek ([`seek_window`]) otherwise. The block's id ranks are put in
-/// ascending order once ([`block_order`]: ascending id, by rank placement or
-/// a byte radix), mapped back to rows, and its positions gathered once, and
-/// each member then takes its own candidates out of it by running the lane
-/// kernel [`filter_rect`] over the block's contiguous columns with *its own*
-/// probe rect. Every visible row inside the member's rect lies in a tile of
-/// the window (the tile function is monotone and the member's rect lies
-/// inside the union), and the filter tests closed containment, so the
-/// member gets precisely the visible rows inside its rect; the filter
-/// selects in block order, so they come out in ascending id. Effects and
-/// goldens are those of one containment scan per row, and visit counts
-/// those of one per reader: a member whose [`Behavior::reads_neighbors`]
-/// is false keeps an empty rect and is handed no candidates on any path
-/// (see the module docs).
-///
-/// The scan ([`Probe::Scan`]) runs the same filter once per row over the
-/// tick's id-ordered columns instead; under unbounded visibility the block
-/// is the id order, for everyone.
-fn query_shard<B: Behavior>(plan: &QueryPlan<'_, B>, slice: &[ProbeKey], shard: &mut ShardScratch) {
-    let (behavior, view) = (plan.behavior, plan.view);
-    let schema = behavior.schema();
-    let vis = schema.visibility();
-    let join = plan.probe == Probe::Join;
-    let ShardScratch { table, log, outbound, block, spare_block, cursors, block_xs, block_ys, rects, rows, .. } = shard;
-    let (mut visits, mut nonlocal, mut groups, mut block_rows) = (0u64, 0u64, 0u64, 0u64);
-    let mut slot = 0u32;
-    let owned = plan.order.len() as u32;
-    log.clear();
-    outbound.clear();
-    let mut rest = slice;
-    while !rest.is_empty() {
-        let group;
-        (group, rest) = rest.split_at(group_len(rest, plan.probe));
-        // Probe-side pushdown: a member whose query reads no neighbour keeps
-        // an empty rect, so it filters nothing and widens no window.
-        // Candidate-side pushdown is the behaviour's own: a derived
-        // visibility predicate shrinks the probe rect, whose default is the
-        // full visibility square (everything, when that is unbounded).
-        rects.clear();
-        rects.extend(group.iter().map(|key| {
-            let me = view.agent(key.row);
-            match (behavior.reads_neighbors(me), plan.probe) {
-                (false, _) => Rect::EMPTY,
-                (true, Probe::Everyone) => Rect::EVERYTHING,
-                (true, _) => behavior.probe_rect(me.pos(), vis),
-            }
-        }));
-        block.clear();
-        // A group counts in `groups` only when its block is built.
-        let built = match plan.probe {
-            Probe::Join => {
-                let union =
-                    rects.iter().filter(|rect| !rect.is_empty()).fold(Rect::EMPTY, |union, rect| union.union(rect));
-                // A strip with no reader builds no window, order or gather.
-                if !union.is_empty() {
-                    // The window: the tiles of the union's own corners.
-                    let tiles = |p: Vec2| (tile_of(p.y, vis), tile_of(p.x, vis));
-                    let (lo, hi) = (tiles(union.lo), tiles(union.hi));
-                    match plan.directory {
-                        Some(directory) => directory.window(lo, hi, block),
-                        None => seek_window(plan.cells, lo, hi, cursors, block),
-                    }
-                    // Ascending id ranks are ascending ids; then rows again.
-                    block_order(block, plan.by_id, spare_block);
-                    block_xs.clear();
-                    block_xs.extend(block.iter().map(|&r| view.xs[r as usize]));
-                    block_ys.clear();
-                    block_ys.extend(block.iter().map(|&r| view.ys[r as usize]));
-                }
-                !union.is_empty()
-            }
-            Probe::Scan => {
-                let reader = !rects[0].is_empty();
-                if reader {
-                    filter_rect(plan.xs, plan.ys, plan.by_id, &rects[0], block);
-                }
-                reader
-            }
-            Probe::Everyone => {
-                let reader = rects.iter().any(|rect| !rect.is_empty());
-                if reader {
-                    block.extend_from_slice(plan.by_id);
-                }
-                reader
-            }
-        };
-        groups += built as u64;
-        block_rows += block.len() as u64;
-        for (key, rect) in group.iter().zip(rects.iter()) {
-            let row = key.row;
-            let me = view.agent(row);
-            debug_assert!(me.alive(), "dead agent in query phase");
-            let start = log.len();
-            let mut writer = if plan.nonlocal {
-                EffectWriter::split(schema, table, log, row, slot)
-            } else {
-                EffectWriter::with_slot(schema, table, row, slot)
-            };
-            let mut rng = plan.rng.stream(me.id().raw());
-            let candidates = if rect.is_empty() {
-                &[][..]
-            } else if join {
-                rows.clear();
-                filter_rect(block_xs, block_ys, block, rect, rows);
-                &rows[..]
-            } else {
-                &block[..]
-            };
-            visits += candidates.len() as u64;
-            behavior.query(me, &Neighbors::new(view, candidates, row), &mut writer, &mut rng);
-            let remote = writer.nonlocal_writes();
-            nonlocal += remote;
-            if plan.nonlocal {
-                // Hand the writes to replica rows out while they are hot.
-                let past = log.close(key.rank, start, owned);
-                if remote > 0 && owned < view.len() as u32 {
-                    outbound.extend(past.map(|(target, field, v)| {
-                        (target, EffectWrite { target: view.ids[target as usize], source: me.id(), field, v })
-                    }));
-                }
-            }
-            slot += 1;
-        }
-    }
-    shard.visits = visits;
-    shard.nonlocal = nonlocal;
-    shard.groups = groups;
-    shard.block_rows = block_rows;
-}
-
 /// Sharded, optionally parallel query phase: rows `0..n_owned` of the pool
 /// are queried over the shard plan described in the module docs, and their
 /// effects aggregated into the **pool's own effect columns** (by
@@ -745,7 +484,7 @@ pub fn query_phase_sharded<B: Behavior>(
     let nonlocal = schema.has_nonlocal_effects();
     let k = shard_count(n_owned, shard_rows);
     scratch.ensure_shards(schema, k);
-    let TickScratch { shards, probe: orders, writers, spare_writers, outbound } = scratch;
+    let TickScratch { shards, probe: orders, writers, spare_writers, outbound, .. } = scratch;
     let shards = &mut shards[..k];
     writers.clear();
     outbound.clear();
@@ -777,21 +516,23 @@ pub fn query_phase_sharded<B: Behavior>(
 
     let t1 = Instant::now();
     let rng = tick_rng(seed, tick, 0);
-    let plan = QueryPlan { behavior, view, order, cells, directory, by_id, xs, ys, probe, nonlocal, rng };
+    let owned = n_owned as u32;
+    let plan = SlicePlan { schema, view, owned, cells, directory, by_id, xs, ys, probe, nonlocal, rng };
     // A shard accumulates into a table of the rows it sweeps (a non-local
     // one logs its remote fields' writes besides).
     for (i, shard) in shards.iter_mut().enumerate() {
-        shard.table.reset(shard_range(n_owned, k, i).len());
+        shard.query.table.reset(shard_range(n_owned, k, i).len());
     }
-    let n = order.len();
-    fanout.for_each(shards, |i, shard| query_shard(&plan, &order[shard_range(n, k, i)], shard));
+    fanout.for_each(shards, |i, shard| {
+        QuerySlice::run(behavior, &plan, &order[shard_range(n_owned, k, i)], &mut shard.query)
+    });
 
     // Deterministic merge, directly into the pool's effect columns.
     let t2 = Instant::now();
     // Shards own disjoint slices of the probe order: a bitwise scatter
     // through it.
     for (i, shard) in shards.iter().enumerate() {
-        table.scatter_rows_from(&shard.table, order[shard_range(n_owned, k, i)].iter().map(|key| key.row));
+        table.scatter_rows_from(&shard.query.table, order[shard_range(n_owned, k, i)].iter().map(|key| key.row));
     }
     if nonlocal {
         // The remote fields' writes wait for `replay_effects` to fold them in
@@ -799,8 +540,8 @@ pub fn query_phase_sharded<B: Behavior>(
         // replica rows leave for their owners in source-id order too (the
         // sort is stable).
         for (s, shard) in shards.iter().enumerate() {
-            writers.extend(shard.log.writers().iter().map(|&writer| (s as u32, writer)));
-            outbound.extend_from_slice(&shard.outbound);
+            writers.extend(shard.query.log.writers().iter().map(|&writer| (s as u32, writer)));
+            outbound.extend_from_slice(&shard.query.outbound);
         }
         radix_sort_by_key(writers, spare_writers, |&(_, (rank, ..))| rank as u128);
         outbound.sort_by_key(|(_, write)| write.source);
@@ -808,12 +549,12 @@ pub fn query_phase_sharded<B: Behavior>(
     stats.merge_ns = t2.elapsed().as_nanos() as u64;
     stats.query_ns = t1.elapsed().as_nanos() as u64;
     let (mut groups, mut block_rows, mut logged) = (0u64, 0u64, 0u64);
-    for shard in shards.iter() {
-        stats.neighbor_visits += shard.visits;
-        stats.nonlocal_writes += shard.nonlocal;
-        groups += shard.groups;
-        block_rows += shard.block_rows;
-        logged += shard.log.len() as u64;
+    for SliceScratch { visits, nonlocal, groups: g, block_rows: b, log, .. } in shards.iter().map(|s| &s.query) {
+        stats.neighbor_visits += visits;
+        stats.nonlocal_writes += nonlocal;
+        groups += g;
+        block_rows += b;
+        logged += log.len() as u64;
     }
     add(Counter::ExecutorNeighborVisits, stats.neighbor_visits);
     add(Counter::ExecutorNonlocalWrites, stats.nonlocal_writes);
@@ -842,7 +583,7 @@ pub fn replay_effects(pool: &mut AgentPool, scratch: &TickScratch, inbound: &mut
         while let Some((target, write)) = peers.next_if(|(_, write)| write.source < source) {
             table.combine(*target, write.field, write.v);
         }
-        table.replay(&scratch.shards[s as usize].log, writer, owned);
+        table.replay(&scratch.shards[s as usize].query.log, writer, owned);
     }
     for (target, write) in peers {
         table.combine(*target, write.field, write.v);
@@ -950,9 +691,14 @@ pub fn update_phase_sharded<B: Behavior>(
 ) {
     let schema = behavior.schema();
     let threads = fanout.budget().min(n_owned).max(1);
-    let shards = scratch.ensure_shards(schema, threads);
-    let counts: Vec<usize> = (0..threads).map(|t| shard_range(n_owned, threads, t).len()).collect();
-    let mut work: Vec<_> = pool.update_chunks_prefix(&counts).into_iter().zip(shards.iter_mut()).collect();
+    scratch.ensure_shards(schema, threads);
+    let TickScratch { shards, chunk_rows, .. } = scratch;
+    let shards = &mut shards[..threads];
+    chunk_rows.clear();
+    chunk_rows.extend((0..threads).map(|t| shard_range(n_owned, threads, t).len()));
+    // The chunks and their pairing with the shards borrow the pool and the
+    // shards for this phase only, so they are the phase's to allocate.
+    let mut work: Vec<_> = pool.update_chunks_prefix(chunk_rows).into_iter().zip(shards.iter_mut()).collect();
     let root = tick_rng(seed, tick, 1);
     fanout.for_each(&mut work, |_, (chunk, shard)| {
         let ShardScratch { spawns, spawn_parents, .. } = shard;
@@ -1000,7 +746,9 @@ mod tests {
     use crate::combinator::Combinator;
     use crate::engine::Simulation;
     use crate::schema::AgentSchema;
-    use brace_common::{AgentId, FieldId, Vec2};
+    use crate::slice::STRIP_MEMBERS;
+    use brace_common::{AgentId, FieldId, Rect, Vec2};
+    use brace_spatial::kernels::seek_window;
 
     fn build_sim<B: Behavior>(b: B, agents: Vec<Agent>, kind: IndexKind, seed: u64, threads: usize) -> Simulation<B> {
         Simulation::builder(b).agents(agents).index(kind).seed(seed).parallelism(threads).build().unwrap()
@@ -1296,8 +1044,8 @@ mod tests {
                         query_phase_sharded(&b, &mut sharded, n, kind, 4, 9, &mut scratch, 64, &mut ShardPool::new(2));
                     replay_effects(&mut sharded, &scratch, &mut []);
                     let shards = &scratch.shards[..shard_count(n, 64)];
-                    let blocks: u64 = shards.iter().map(|s| s.block_rows).sum();
-                    let groups: u64 = shards.iter().map(|s| s.groups).sum();
+                    let blocks: u64 = shards.iter().map(|s| s.query.block_rows).sum();
+                    let groups: u64 = shards.iter().map(|s| s.query.groups).sum();
                     assert_eq!(stats.neighbor_visits, read, "{case}");
                     assert!(full.neighbor_visits > read, "{case}: the oracle reads every neighbourhood");
                     if readers == 0 {
@@ -1497,7 +1245,7 @@ mod tests {
             &mut ShardPool::new(1),
         );
         let k = shard_count(agents.len(), shard_rows);
-        scratch.shards[..k].iter().map(|shard| shard.groups).sum()
+        scratch.shards[..k].iter().map(|shard| shard.query.groups).sum()
     }
 
     /// `members[i]` agents in tile `(ty, tx[i])`, at its centre.

@@ -23,6 +23,14 @@ use std::thread::{self, JoinHandle, Thread};
 
 type Payload = Box<dyn Any + Send>;
 
+/// The items a fan-out's helpers share: each takes its own group's
+/// disjoint range (see [`ShardPool::for_each`]).
+struct Items<T>(*mut T);
+
+// SAFETY: a helper reaches only its own group's items through the pointer,
+// and the items are `Send`.
+unsafe impl<T: Send> Sync for Items<T> {}
+
 /// A fan-out's work as a helper sees it: run group `t`. The lifetime is
 /// erased; see the `SAFETY` argument in [`ShardPool::for_each`].
 type Task = &'static (dyn Fn(usize) + Sync);
@@ -127,20 +135,18 @@ impl ShardPool {
         if groups == 1 {
             return own();
         }
-        // Group `t < groups − 1`, behind a lock only helper `t` takes.
-        let mut parts = Vec::with_capacity(groups - 1);
-        let mut rest = head;
-        for t in 0..groups - 1 {
-            let (part, tail) = rest.split_at_mut(shard_range(k, groups, t).len());
-            parts.push(Mutex::new(part));
-            rest = tail;
-        }
+        // Group `t < groups − 1` is `head[shard_range(k, groups, t)]`.
+        let head = Items(head.as_mut_ptr());
         let task = |t: usize| {
-            let mut part = lock(&parts[t]);
-            part.iter_mut().zip(shard_range(k, groups, t)).for_each(|(item, i)| run(i, item));
+            let (head, range) = (&head, shard_range(k, groups, t));
+            // SAFETY: the groups' ranges are disjoint and lie in `head`, which
+            // this frame borrows mutably and touches nowhere else during the
+            // fan-out; helper `t` alone runs group `t`, once per fan-out.
+            let part = unsafe { std::slice::from_raw_parts_mut(head.0.add(range.start), range.len()) };
+            part.iter_mut().zip(range).for_each(|(item, i)| run(i, item));
         };
         let task: &(dyn Fn(usize) + Sync + '_) = &task;
-        // SAFETY: `task` borrows `parts`, `run` and `items` from this frame,
+        // SAFETY: `task` borrows `head`, `run` and `items` from this frame,
         // and a helper calls it only between taking its job and decrementing
         // `pending`, touching nothing of it afterwards. This function neither
         // returns nor unwinds before `pending` reads zero: `pending` is set

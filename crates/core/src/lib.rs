@@ -53,6 +53,7 @@ pub mod executor;
 pub mod fanout;
 pub mod metrics;
 pub mod schema;
+pub mod slice;
 pub mod superstep;
 
 pub use agent::{Agent, AgentPool, AgentRead, AgentRef, PoolView, UpdateChunk};
@@ -64,4 +65,5 @@ pub use executor::{PendingSpawn, TickScratch};
 pub use fanout::ShardPool;
 pub use metrics::{Metrics, TickMetrics};
 pub use schema::{AgentSchema, SchemaBuilder};
+pub use slice::QuerySlice;
 pub use superstep::{Partition, Superstep};

@@ -414,10 +414,44 @@ pub fn encode_effect_writes(writes: &[EffectWrite]) -> Bytes {
 /// [`peer_records`]. Whether the targets and fields exist is the
 /// receiver's to check.
 pub fn decode_effect_writes(bytes: Bytes) -> Result<Vec<EffectWrite>> {
-    peer_records(&bytes, EFFECT_WRITE_BYTES, "effect writes", |r| {
-        let (target, source) = (AgentId::new(r.u64()?), AgentId::new(r.u64()?));
-        Some(EffectWrite { target, source, field: FieldId::new(r.u16()?), v: r.f64()? })
-    })
+    peer_records(&bytes, EFFECT_WRITE_BYTES, "effect writes", read_effect_write)
+}
+
+/// [`decode_effect_writes`] straight onto the end of `out`, each write
+/// through `place` (the receiver's check of its target and field). The
+/// first error — the payload's, worded as [`decode_effect_writes`] words
+/// it, which is found before any write is placed, or `place`'s — leaves
+/// `out` as it was.
+pub fn decode_effect_writes_into<T>(
+    bytes: &[u8],
+    out: &mut Vec<T>,
+    mut place: impl FnMut(EffectWrite) -> std::result::Result<T, String>,
+) -> std::result::Result<(), String> {
+    let mut r = Reader::new(bytes);
+    let n = match bytes.is_empty() {
+        true => 0,
+        false => r
+            .count(EFFECT_WRITE_BYTES)
+            .filter(|&n| r.rest().len() == n * EFFECT_WRITE_BYTES)
+            .ok_or_else(|| malformed("effect writes", EFFECT_WRITE_BYTES).to_string())?,
+    };
+    let start = out.len();
+    out.reserve(n);
+    for _ in 0..n {
+        match place(read_effect_write(&mut r).expect("a record the count was checked against")) {
+            Ok(placed) => out.push(placed),
+            Err(e) => {
+                out.truncate(start);
+                return Err(e);
+            }
+        }
+    }
+    Ok(())
+}
+
+fn read_effect_write(r: &mut Reader) -> Option<EffectWrite> {
+    let (target, source) = (AgentId::new(r.u64()?), AgentId::new(r.u64()?));
+    Some(EffectWrite { target, source, field: FieldId::new(r.u16()?), v: r.f64()? })
 }
 
 /// Serialize per-parent spawn-count runs — the payload of the spawn
@@ -455,9 +489,12 @@ fn peer_records<T>(
     if bytes.is_empty() {
         return Ok(Vec::new());
     }
-    Reader::read_all(bytes, |r| r.records(record_bytes, read)).ok_or_else(|| {
-        BraceError::Unrecoverable(format!("{what}: not a count and that many {record_bytes}-byte records"))
-    })
+    Reader::read_all(bytes, |r| r.records(record_bytes, read)).ok_or_else(|| malformed(what, record_bytes))
+}
+
+/// The error of a peer payload that is not a count and that many records.
+fn malformed(what: &str, record_bytes: usize) -> BraceError {
+    BraceError::Unrecoverable(format!("{what}: not a count and that many {record_bytes}-byte records"))
 }
 
 /// A worker's checkpointable state: its simulation clock, its RNG (models
@@ -685,10 +722,23 @@ mod tests {
         let writes = vec![write(9, 1, 0, -0.5), write(4, 1, 1, f64::NEG_INFINITY), write(9, 7, 0, 1e-300)];
         let encoded = encode_effect_writes(&writes);
         assert_eq!(encoded.len(), 4 + writes.len() * EFFECT_WRITE_BYTES);
-        assert_eq!(decode_effect_writes(encoded).unwrap(), writes);
+        assert_eq!(decode_effect_writes(encoded.clone()).unwrap(), writes);
         // Empty write list → zero bytes, decoded as empty.
         assert_eq!(encode_effect_writes(&[]), Bytes::new());
         assert!(decode_effect_writes(Bytes::new()).unwrap().is_empty());
+
+        // Straight onto the end of a vector: what the decoder gives, placed;
+        // an error, the payload's or the placement's, leaves it as it was.
+        let mut out = vec![(0, write(1, 1, 1, 1.0))];
+        decode_effect_writes_into(&encoded, &mut out, |w| Ok((w.target.raw(), w))).unwrap();
+        assert_eq!(out[1..], writes.iter().map(|&w| (w.target.raw(), w)).collect::<Vec<_>>()[..]);
+        decode_effect_writes_into(&[], &mut out, |w| Ok((0, w))).unwrap();
+        let refuse_source_7 = |w: EffectWrite| if w.source.raw() == 7 { Err("seven".to_string()) } else { Ok((0, w)) };
+        assert_eq!(decode_effect_writes_into(&encoded, &mut out, refuse_source_7), Err("seven".into()));
+        let cut = &encoded[..encoded.len() - 1];
+        let malformed = decode_effect_writes(Bytes::from(cut.to_vec())).unwrap_err().to_string();
+        assert_eq!(decode_effect_writes_into(cut, &mut out, |w| Ok((0, w))), Err(malformed));
+        assert_eq!(out.len(), 1 + writes.len());
     }
 
     #[test]

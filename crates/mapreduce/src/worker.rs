@@ -782,18 +782,16 @@ impl Partition for Worker {
         let width = schema.num_effects();
         for j in others(n, me) {
             let PeerMsg::Effects { writes } = self.recv(j)? else { return Err(out_of_order(j, "effect writes")) };
-            let received = codec::decode_effect_writes(writes).map_err(|e| e.to_string()).and_then(|writes| {
-                let target = |w: EffectWrite| match self.id_to_row.get(&w.target) {
-                    Some(_) if w.field.index() >= width => Err(format!("effect field {} of {width}", w.field.index())),
-                    Some(_) if !schema.is_remote(w.field) => {
-                        Err(format!("local-only effect `{}`", schema.effect_defs()[w.field.index()].name))
-                    }
-                    Some(&row) => Ok((row, w)),
-                    None => Err(format!("{}, which this worker does not own", w.target)),
-                };
-                writes.into_iter().map(target).collect::<Result<Vec<_>, _>>()
-            });
-            inbound.extend(received.map_err(|e| format!("effect writes from {}: {e}", worker_id(j)))?);
+            let target = |w: EffectWrite| match self.id_to_row.get(&w.target) {
+                Some(_) if w.field.index() >= width => Err(format!("effect field {} of {width}", w.field.index())),
+                Some(_) if !schema.is_remote(w.field) => {
+                    Err(format!("local-only effect `{}`", schema.effect_defs()[w.field.index()].name))
+                }
+                Some(&row) => Ok((row, w)),
+                None => Err(format!("{}, which this worker does not own", w.target)),
+            };
+            codec::decode_effect_writes_into(&writes, inbound, target)
+                .map_err(|e| format!("effect writes from {}: {e}", worker_id(j)))?;
         }
         Ok(())
     }

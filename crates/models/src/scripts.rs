@@ -252,6 +252,19 @@ mod tests {
         assert_eq!(ops(predator(true).unwrap()), (2, 2, 2, 14, lanes));
     }
 
+    /// The shipped scenarios' production plans run their queries in
+    /// columns, the agent level included: a lowering change that sends one
+    /// back to the member-by-member walk fails here.
+    #[test]
+    fn production_queries_run_in_columns() {
+        for (name, behavior) in
+            [("brasil-fish", fish_school()), ("brasil-car", car_following()), ("brasil-predator", predator(true))]
+        {
+            let s = brasil::vm::lower(behavior.unwrap().class()).summary();
+            assert!(s.columns && s.agent_columns, "{name}: {s:?}");
+        }
+    }
+
     #[test]
     fn car_following_keeps_order_and_speed() {
         let behavior = car_following().unwrap();

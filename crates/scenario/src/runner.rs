@@ -641,10 +641,14 @@ mod tests {
     /// Counts the update path a run takes: calls that reach this
     /// `update_rows` override, and per-row `update` calls, which only the
     /// hook's default makes.
+    /// Counts which path each phase took: `chunks` and `slices` the
+    /// overrides, `rows` and `members` the defaults' per-agent calls.
     struct UpdatePaths {
         inner: Arc<dyn Behavior>,
         chunks: Arc<AtomicUsize>,
         rows: Arc<AtomicUsize>,
+        slices: Arc<AtomicUsize>,
+        members: Arc<AtomicUsize>,
     }
 
     impl Behavior for UpdatePaths {
@@ -664,7 +668,12 @@ mod tests {
             eff: &mut brace_core::EffectWriter<'_>,
             rng: &mut brace_common::DetRng,
         ) {
+            self.members.fetch_add(1, Ordering::Relaxed);
             self.inner.query(me, neighbors, eff, rng)
+        }
+        fn query_slice(&self, slice: &mut brace_core::QuerySlice<'_, '_>) {
+            self.slices.fetch_add(1, Ordering::Relaxed);
+            self.inner.query_slice(slice)
         }
         fn update(&self, me: &mut Agent, ctx: &mut brace_core::UpdateCtx<'_>) {
             self.rows.fetch_add(1, Ordering::Relaxed);
@@ -687,10 +696,11 @@ mod tests {
     /// hook reaches the engine only through the forwarding impl: the
     /// Runner's run must visit, tick by tick, what the concrete behaviour's
     /// `Simulation` visits — only the infectious agents' neighbourhoods. So
-    /// must an `update_rows` override (BRASIL's lanes): wrapped in an `Arc`
-    /// or a `Box`, on one node and on two workers, every chunk reaches it,
-    /// no row takes the default's per-row path, and the world is the plain
-    /// run's.
+    /// must an `update_rows` override (BRASIL's lanes) and a `query_slice`
+    /// override (BRASIL's columns): wrapped in an `Arc` or a `Box`, on one
+    /// node and on two workers, every chunk and every sweep slice reaches
+    /// them, no row or member takes the defaults' per-agent paths, and the
+    /// world is the plain run's.
     #[test]
     fn the_runner_path_forwards_the_probe_side_hook() {
         use brace_models::{EpidemicBehavior, EpidemicParams};
@@ -715,9 +725,15 @@ mod tests {
         let plain = Runner::new(scenario).population(n).seed(seed).run(ticks).unwrap().checksum;
         for boxed in [false, true] {
             for backend in [Backend::single(), Backend::cluster(2)] {
-                let (chunks, rows) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+                let [chunks, rows, slices, members] = [(); 4].map(|_| Arc::new(AtomicUsize::new(0)));
                 let mut setup = scenario.build(Some(n), seed).unwrap();
-                let paths = UpdatePaths { inner: setup.behavior, chunks: chunks.clone(), rows: rows.clone() };
+                let paths = UpdatePaths {
+                    inner: setup.behavior,
+                    chunks: chunks.clone(),
+                    rows: rows.clone(),
+                    slices: slices.clone(),
+                    members: members.clone(),
+                };
                 setup.behavior = if boxed { Arc::new(Box::new(paths)) } else { Arc::new(paths) };
                 setup.epoch_len = ticks;
                 let label = format!("boxed {boxed}, {}", backend.label());
@@ -726,6 +742,8 @@ mod tests {
                 assert_eq!(handle.checksum().unwrap(), plain, "{label}");
                 assert!(chunks.load(Ordering::Relaxed) as u64 >= ticks, "{label}: the override was not reached");
                 assert_eq!(rows.load(Ordering::Relaxed), 0, "{label}: rows took the per-row path");
+                assert!(slices.load(Ordering::Relaxed) as u64 >= ticks, "{label}: the query override was not reached");
+                assert_eq!(members.load(Ordering::Relaxed), 0, "{label}: members took the per-member path");
             }
         }
     }

@@ -1888,7 +1888,7 @@ proptest! {
 /// Hand-written scripts, one per corner of the semantics the register
 /// program must carry over from the tree walker (`brasil::vm` module docs).
 /// Every class has the state fields `s` and `t`, so one population fits all.
-const BRASIL_EDGE_SCRIPTS: [(&str, &str); 13] = [
+const BRASIL_EDGE_SCRIPTS: [(&str, &str); 15] = [
     // A source `const` that goes NaN per candidate (0/0 for coincident
     // agents) is NIL from there on: `min`/`max`/comparisons would have
     // swallowed a NaN, and an `if` on it skips both branches.
@@ -2163,6 +2163,48 @@ const BRASIL_EDGE_SCRIPTS: [(&str, &str); 13] = [
             }
         }"#,
     ),
+    // A loop some members never reach, a field written before it, by two
+    // acts in it (one behind an `if`) and read back after it, and an `else`
+    // branch: the column pass walks each member's agent level around it.
+    (
+        "loop behind an if, a field two acts fold",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : a + b;
+            public state float t : t * 0.5 + b;
+            private effect float a : sum;
+            private effect float b : max;
+            public void run() {
+                a <- s * 0.25;
+                if (s > 0.5) {
+                    foreach (A p : Extent<A>) {
+                        a <- p.s * x;
+                        if (p.x > x) { a <- p.t; } else { b <- p.y - y; }
+                        b <- p.t;
+                    }
+                }
+                b <- a;
+            }
+        }"#,
+    ),
+    // A guard no candidate passes: pushed down, every member's probe rect
+    // is empty and it is handed no candidates.
+    (
+        "a probe that finds nobody",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : a;
+            public state float t : t + 1;
+            private effect float a : sum;
+            public void run() {
+                foreach (A p : Extent<A>) {
+                    if (p.x > x + 0.5 && p.x < x - 0.5) { a <- p.s; }
+                }
+            }
+        }"#,
+    ),
 ];
 
 /// How many scripts [`brasil_script`] knows.
@@ -2215,16 +2257,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For every script, optimized and not, at ≈ 2 and ≈ 30 visits per agent
-    /// (candidate chunks of 0, fewer than `LANES`, exactly `LANES` and
-    /// many): the register program on the executor's member path, and on a
-    /// 2-worker cluster, leaves the world the tree-walking specification
-    /// leaves on the same backend — bit for bit.
+    /// (members with no candidate, a few and many): the register program on
+    /// the executor's column path, and on a 2-worker cluster, leaves the
+    /// world the tree-walking specification leaves on the same backend — bit
+    /// for bit. A quarter of the populations are large — many strip groups,
+    /// and sweep slices of more members, or more pairs, than one column run
+    /// takes (256 of either).
     #[test]
     fn brasil_vm_equals_reference(
         which in 0..BRASIL_SCRIPTS,
         optimize in any::<bool>(),
         dense in any::<bool>(),
         n in 0usize..70,
+        large in 0usize..4,
         seed in 0u64..10_000,
         kind in any_index_kind(),
         shard_rows in any_shard_granule(),
@@ -2235,8 +2280,9 @@ proptest! {
         let class = if optimize { brasil::optimize(class) } else { class };
         let vm = brasil::BrasilBehavior::new(class);
         let spec = vm.reference();
+        let n = if large == 0 { 300 + 8 * n } else { n };
         let world = brasil_population(vm.schema(), n, if dense { 30.0 } else { 2.0 }, seed);
-        let label = |path: &str| format!("`{name}` (optimize {optimize}, dense {dense}), {path}");
+        let label = |path: &str| format!("`{name}` (optimize {optimize}, dense {dense}, {n} agents), {path}");
 
         let want = grouped_ticks(&spec, &world, kind, shard_rows, threads, ticks, seed);
         let got = grouped_ticks(&vm, &world, kind, shard_rows, threads, ticks, seed);
@@ -3093,19 +3139,28 @@ mod generated_brasil {
 
     /// Up to 10 agents within a few visibility widths of the origin: some on
     /// ±0, on a half-integer grid or on one spot, with NaN, ±∞, ±0 and plain
-    /// numbers in the state.
+    /// numbers in the state. One world in four is large instead: 150 to 299
+    /// agents spread to ≈ 12 visible neighbours each, so its strip groups
+    /// are many and a sweep slice's pairs fill several column runs.
     fn drawn_world(schema: &AgentSchema, seed: u64) -> Vec<Agent> {
         let mut rng = DetRng::seed_from_u64(seed).stream(0x6E4);
         // A class without `#range` tags (a shrunk one) sees everything.
         let vis = if schema.visibility().is_finite() { schema.visibility() } else { 2.0 };
         let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
-        let n = rng.below(11) as usize;
+        let large = DetRng::seed_from_u64(seed).stream(0x6E5).below(4) == 0;
+        let (n, span) = match large {
+            true => {
+                let n = 150 + rng.below(150) as usize;
+                (n, (n as f64 / 3.0).sqrt() / 2.0)
+            }
+            false => (rng.below(11) as usize, 2.0),
+        };
         let mut world: Vec<Agent> = (0..n)
             .map(|i| {
                 let coord = |rng: &mut DetRng| match rng.below(4) {
                     0 => [0.0, -0.0, vis, -0.5 * vis][rng.below(4) as usize],
-                    1 => (rng.range(-2.0 * vis, 2.0 * vis) * 2.0).round() / 2.0,
-                    _ => rng.range(-2.0 * vis, 2.0 * vis),
+                    1 => (rng.range(-span * vis, span * vis) * 2.0).round() / 2.0,
+                    _ => rng.range(-span * vis, span * vis),
                 };
                 let pos = Vec2::new(coord(&mut rng), coord(&mut rng));
                 let mut a = Agent::new(AgentId::new(2 * i as u64 + 1), pos, schema);
@@ -3335,6 +3390,24 @@ mod generated_brasil {
             Some(l) if l.split(|ch: char| !ch.is_alphanumeric() && ch != '_').any(|w| w == name) => None,
             _ => Some(format!("`{name}` planted, refused with `{err}`, not on a line that holds it:\n{src}")),
         }
+    }
+
+    /// Every drawn class whose query has one loop that neither draws nor
+    /// reads an effect runs its query in columns, unoptimized and optimized:
+    /// only an ordered body (and a query with no loop or several) walks one
+    /// member and one candidate at a time.
+    #[test]
+    fn brasil_gen_unordered_loops_run_in_columns() {
+        let mut columns = 0;
+        for seed in 0..2_000 {
+            let Ok(class) = compiled(&generated_class(seed)) else { continue };
+            for class in [class.clone(), optimize(class)] {
+                let s = brasil::vm::lower(&class).summary();
+                assert!(s.columns || s.loops != 1 || s.ordered_body, "seed {seed}: {s:?}");
+                columns += s.columns as usize;
+            }
+        }
+        assert!(columns > 2_000, "only {columns} of 4 000 plans in columns");
     }
 
     proptest! {
