@@ -181,6 +181,7 @@ pub fn class(c: &CompiledClass) -> String {
             (true, ..) => "per (agent, neighbour) pair in columns",
             (false, true, _) => "per candidate, one at a time (a body draws or reads an effect)",
             (false, false, 0) => "per candidate (no loop)",
+            (false, false, 1) => "per candidate, one at a time (the loop is not the only statement)",
             (false, false, _) => "per candidate, one at a time (more than one loop)",
         },
         p.query_registers,

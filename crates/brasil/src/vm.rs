@@ -9,32 +9,28 @@
 //!
 //! ## The query as one data-flow pass per run of members
 //!
-//! A query whose one loop neither draws nor reads an effect has a
-//! `ColumnPlan`: a sweep slice runs in *runs* of members (at most
-//! `RUN_MEMBERS` members, closed once they hold `RUN_PAIRS`
+//! A query that is nothing but one loop, whose body neither draws nor reads
+//! an effect, has a `ColumnPlan`: a sweep slice runs in *runs* of members
+//! (at most `RUN_MEMBERS` members, closed once they hold `RUN_PAIRS`
 //! `(member, candidate)` pairs — a member's pairs are never split, so the
 //! columns stay in cache whatever the slice's length):
 //!
-//! 1. each member's agent level is computed and its candidates collected as
-//!    pairs — when the query is nothing but its loop, as columns over the
-//!    run's members (the agent level's ops once over the run); otherwise by
-//!    walking the member up to its loop, writing nothing;
+//! 1. the agent level runs as columns over the run's members — each
+//!    member's own fields gathered, then each op once over the run — and
+//!    each member's candidates are collected as pairs;
 //! 2. every body op runs once over the run's pair columns: the candidate
-//!    fields gathered, the agent-level registers broadcast over each
-//!    member's pairs, then each op through the arithmetic table;
-//! 3. each member's effects are written in probe order: its agent level
-//!    (walked again, this time writing), then its loop's acts from the
-//!    columns — one register fold per local-only field, the fields' acts
-//!    pair by pair within it, stored once; the acts the write-log sees pair
-//!    by pair, in statement order — then whatever follows the loop.
+//!    fields gathered, each agent-level register the body reads gathered
+//!    over each member's pairs, then each op through the arithmetic table;
+//! 3. each member's effects are written in probe order from the columns:
+//!    pair by pair, each pair's acts in step order.
 //!
-//! Per field the combines are the walker's, in its order, so every effect
+//! That is the walker's every write in the walker's order, so every effect
 //! and the write-log's every entry are bit for bit the member-by-member
-//! walk's. A query with an ordered body (it draws, or reads an effect
-//! mid-loop), more than one loop or none runs [`Program::query`] member by
-//! member: the section walked in statement order, the body once per
-//! candidate. NIL tracking has column masks (one byte per pair), so it
-//! keeps a program on the column path.
+//! walk's. Every other query — an ordered body (it draws, or reads an
+//! effect mid-loop), statements besides its loop, more than one loop or
+//! none — runs [`Program::query`] member by member: the section walked in
+//! statement order, the body once per candidate. NIL tracking has column
+//! masks (one byte per pair), so it keeps a program on the column path.
 //!
 //! The update rules run [`UPDATE_LANES`] agents per pass — the update is the
 //! map side of the tick, a pure function of each agent — every lane reading
@@ -47,11 +43,11 @@
 //!
 //! * **NIL is a mask, not NaN.** NaN does not propagate through comparisons,
 //!   `min`/`max`, `&&`/`||` or `p == this`, so every register carries one
-//!   NIL bit per lane (per pair, in a column). A result is NIL where an operand is; `a && b` is NIL
-//!   where `a` is, or where `a ≠ 0` and `b` is (`||` dually); a `const`
-//!   binding (a `Coerce` op) adds its NaN lanes; an `if` whose condition lane
-//!   is NIL skips the statement for that lane; an effect assignment of a NIL
-//!   or NaN value is skipped. A source `const` is the only way in — every
+//!   NIL byte per lane (per pair, in a column). A result is NIL where an
+//!   operand is; `a && b` is NIL where `a` is, or where `a ≠ 0` and `b` is
+//!   (`||` dually); a `const` binding (a `Coerce` op) adds its NaN lanes; an
+//!   `if` whose condition lane is NIL skips the statement for that lane; an
+//!   effect assignment of a NIL or NaN value is skipped. A source `const` is the only way in — every
 //!   `Let` in a plan is one — and lowering knows per register whether NIL
 //!   can reach it: a program that binds none runs the evaluator with NIL
 //!   tracking compiled out.
@@ -76,13 +72,19 @@
 //!   and the move is cropped by the rule every update obeys
 //!   (`UpdateChunk::move_to`).
 //!
-//! ## One arithmetic table
+//! ## One arithmetic table, one arithmetic evaluator
 //!
 //! [`unop`], [`binop`] and [`Builtin::apply`] are the only implementation of
-//! BRASIL arithmetic outside the reference: the lane and column loops call
-//! them with the operator a constant (so the common ones vectorise), and constant
-//! folding calls the same three functions, so fold time and run time cannot
-//! diverge.
+//! BRASIL arithmetic outside the reference, and `arith` is the only place
+//! an arithmetic op and its NIL rule are evaluated: it runs one op over a
+//! slice of values with the operator a constant (so the common ones
+//! vectorise). Two layouts feed it. A register file (`run_ops`: a walk's
+//! one lane, an update pass's [`UPDATE_LANES`]) keeps each register's lanes
+//! in a fixed-size array, so an update pass stays straight-line code, and
+//! runs the ops a column never holds — own-row sources, draws, effect
+//! reads, guards — itself. A run's columns (`run_columns`) are strided
+//! buffers, one column per register. Constant folding calls the same
+//! table, so fold time and run time cannot diverge.
 //!
 //! No call allocates once warm: the register files and columns are
 //! per-thread scratch sized by the largest program and run the thread has
@@ -102,9 +104,6 @@ use std::ops::Range;
 /// over this many agents at a time, each lane reading its own row. Eight
 /// measured faster than four on both shipped update programs.
 pub const UPDATE_LANES: usize = 8;
-
-// A register's NIL bits are one `u8`.
-const _: () = assert!(UPDATE_LANES <= 8);
 
 // ---------------------------------------------------------------------------
 // The arithmetic table
@@ -339,76 +338,80 @@ pub struct Program {
 /// One effect act of a body as the column pass writes it.
 #[derive(Debug, Clone)]
 struct ColAct {
-    field: u16,
+    field: FieldId,
     /// The column of the value written.
     value: u32,
     /// Written to the pair's candidate (a `Remote` act), not the member.
     target: bool,
-    /// The member's register that reads the field back, or [`NO_REG`].
-    shadow: u32,
-    comb: Combinator,
     /// The `if` conditions that reach the act: `(column, taken when
     /// non-zero)`.
     path: Vec<(u32, bool)>,
 }
 
-/// The acts that write one local-only field: one fold per member.
-#[derive(Debug, Clone)]
-struct Fold {
-    field: FieldId,
-    comb: Combinator,
-    shadow: u32,
-    acts: Vec<ColAct>,
-}
-
-/// A body as columns: what a run of members' `(member, candidate)` pairs
-/// evaluates, one op at a time over all of them, and how each member's
-/// effects are then written from the columns.
+/// A query that is nothing but one loop, as columns: its agent level once
+/// over a run's members, its body once over their `(member, candidate)`
+/// pairs, one op at a time over all of them, and the acts each member's
+/// effects are then written by.
 #[derive(Debug, Clone)]
 struct ColumnPlan {
-    /// Columns, one value per pair each.
+    /// The agent level's columns, one value per member each.
+    agent_width: usize,
+    /// Agent columns written from each member's own row.
+    own: Vec<(u32, Fill)>,
+    /// Constants the agent level reads: every member's value.
+    agent_constants: Vec<(u32, f64)>,
+    agent_ops: Vec<Op>,
+    /// `(agent column, pair column)`: each agent-level register the body
+    /// reads, gathered over every member's pairs.
+    broadcast: Vec<(u32, u32)>,
+    /// The body's columns, one value per pair each.
     width: usize,
     /// Columns written from each pair's candidate row.
     fills: Vec<(u32, Fill)>,
     /// Constants the body reads: every pair's value.
     constants: Vec<(u32, f64)>,
-    /// Agent-level registers the body reads, `(register, column)`: each
-    /// member's value over its pairs.
-    broadcast: Vec<(u32, u32)>,
-    /// The body's ops over columns.
     ops: Vec<Op>,
-    /// Per local-only field the body writes: its acts, in step order.
-    folds: Vec<Fold>,
-    /// The acts whose writes the write-log sees (remote acts, local acts on
-    /// a remote field), in step order: written pair by pair.
-    logged: Vec<ColAct>,
-    /// The agent level as columns too, when the query is nothing but its
-    /// loop (below); otherwise each member's agent level is walked.
-    agents: Option<AgentColumns>,
-}
-
-/// The agent level of a query that is nothing but its loop — the loop is
-/// the query's only statement and no op before it draws or reads an effect
-/// — as columns over a run's members: its ops once over the run, each
-/// broadcast register then gathered into the pairs' columns.
-#[derive(Debug, Clone)]
-struct AgentColumns {
-    width: usize,
-    /// Columns written from each member's own row.
-    own: Vec<(u32, Fill)>,
-    constants: Vec<(u32, f64)>,
-    ops: Vec<Op>,
-    /// `(member column, pair column)` of each of the plan's `broadcast`.
-    broadcast: Vec<(u32, u32)>,
+    /// The body's effect acts, in step order: per pair, the walker's writes.
+    acts: Vec<ColAct>,
 }
 
 impl ColumnPlan {
-    /// The plan of `body`, the only loop of a query whose registers are
-    /// `regs`: `None` if it is ordered (it draws or reads an effect), or
-    /// holds an op the column pass does not run.
-    fn new(query: &Section, body: &Body, regs: &Registers, schema: &AgentSchema) -> Option<ColumnPlan> {
+    /// The plan of a query whose registers are `regs`, if the query is
+    /// nothing but one loop (`body`) that neither draws nor reads an effect.
+    /// Nothing in such a query reads an effect written, so no act keeps a
+    /// shadow.
+    fn new(query: &Section, body: &Body, regs: &Registers) -> Option<ColumnPlan> {
+        let [Step { ops_end, act: Act::Foreach(_) }] = query.steps[..] else { return None };
         if body.ordered || !body.code.ops.iter().all(|op| op.code.is_arithmetic()) {
             return None;
+        }
+        let mut agent = Placement::new(regs.count);
+        let (mut own, mut agent_constants, mut agent_ops) = (Vec::new(), Vec::new(), Vec::new());
+        for op in &query.ops[..ops_end as usize] {
+            let fill = match op.code {
+                Code::SelfX => Fill::X,
+                Code::SelfY => Fill::Y,
+                Code::SelfState => Fill::State(op.a as u16),
+                // Nothing is written before the loop: an effect read there
+                // is its combinator's identity, the shadow's preset.
+                Code::Copy => {
+                    let v = regs.preset(op.a)?;
+                    agent_constants.push((agent.place(op.dst), v));
+                    continue;
+                }
+                code if code.is_arithmetic() => {
+                    for &r in &[op.a, op.b, op.c][..code.arity()] {
+                        if agent.col[r as usize] == NO_REG {
+                            let v = regs.preset(r)?;
+                            agent_constants.push((agent.place(r), v));
+                        }
+                    }
+                    agent_ops.push(agent.op(op));
+                    continue;
+                }
+                _ => return None,
+            };
+            own.push((agent.place(op.dst), fill));
         }
         let mut col = Placement::new(regs.count);
         let fills = body.fills.iter().map(|&(r, fill)| (col.place(r), fill)).collect();
@@ -416,69 +419,41 @@ impl ColumnPlan {
         for &r in &body.invariants {
             match regs.preset(r) {
                 Some(v) => constants.push((col.place(r), v)),
-                None => broadcast.push((r, col.place(r))),
+                None => {
+                    let m = agent.col[r as usize];
+                    if m == NO_REG {
+                        return None;
+                    }
+                    broadcast.push((m, col.place(r)));
+                }
             }
         }
         let ops = body.code.ops.iter().map(|op| col.op(op)).collect();
-        let agents = AgentColumns::new(query, regs, &broadcast);
-        let (width, col) = (col.len(), col.col);
-        let (mut folds, mut logged) = (Vec::<Fold>::new(), Vec::new());
-        for (act, path) in &body.acts {
-            let path = path.iter().map(|&(c, taken)| (col[c as usize], taken)).collect();
-            let act = match *act {
-                Act::Local { field, value, shadow, comb } => {
-                    ColAct { field, value: col[value as usize], target: false, shadow, comb, path }
-                }
-                Act::Remote { field, value } => {
-                    let comb = schema.combinator(FieldId::new(field));
-                    ColAct { field, value: col[value as usize], target: true, shadow: NO_REG, comb, path }
-                }
-                _ => unreachable!("only effect acts are recorded"),
-            };
-            let field = FieldId::new(act.field);
-            if act.target || schema.is_remote(field) {
-                logged.push(act);
-            } else if let Some(fold) = folds.iter_mut().find(|f| f.field == field) {
-                fold.acts.push(act);
-            } else {
-                folds.push(Fold { field, comb: act.comb, shadow: act.shadow, acts: vec![act] });
-            }
-        }
-        Some(ColumnPlan { width, fills, constants, broadcast, ops, folds, logged, agents })
-    }
-}
-
-impl AgentColumns {
-    /// The agent level of `query` as columns, if the loop is its only step
-    /// and every op before it is arithmetic or reads the member's own row.
-    fn new(query: &Section, regs: &Registers, broadcast: &[(u32, u32)]) -> Option<AgentColumns> {
-        let [Step { ops_end, act: Act::Foreach(_) }] = query.steps[..] else { return None };
-        let mut col = Placement::new(regs.count);
-        let (mut own, mut constants, mut ops) = (Vec::new(), Vec::new(), Vec::new());
-        for op in &query.ops[..ops_end as usize] {
-            let fill = match op.code {
-                Code::SelfX => Fill::X,
-                Code::SelfY => Fill::Y,
-                Code::SelfState => Fill::State(op.a as u16),
-                code if code.is_arithmetic() => {
-                    for &r in &[op.a, op.b, op.c][..code.arity()] {
-                        if col.col[r as usize] == NO_REG {
-                            let v = regs.preset(r)?;
-                            constants.push((col.place(r), v));
-                        }
-                    }
-                    ops.push(col.op(op));
-                    continue;
-                }
-                _ => return None,
-            };
-            own.push((col.place(op.dst), fill));
-        }
-        let broadcast = broadcast
+        let acts = body
+            .acts
             .iter()
-            .map(|&(r, c)| Some((col.col.get(r as usize).copied().filter(|&m| m != NO_REG)?, c)))
-            .collect::<Option<_>>()?;
-        Some(AgentColumns { width: col.len(), own, constants, ops, broadcast })
+            .map(|(act, path)| {
+                let (field, value, target) = match *act {
+                    Act::Local { field, value, .. } => (field, value, false),
+                    Act::Remote { field, value } => (field, value, true),
+                    _ => unreachable!("only effect acts are recorded"),
+                };
+                let path = path.iter().map(|&(c, taken)| (col.col[c as usize], taken)).collect();
+                ColAct { field: FieldId::new(field), value: col.col[value as usize], target, path }
+            })
+            .collect();
+        Some(ColumnPlan {
+            agent_width: agent.len(),
+            own,
+            agent_constants,
+            agent_ops,
+            broadcast,
+            width: col.len(),
+            fills,
+            constants,
+            ops,
+            acts,
+        })
     }
 }
 
@@ -536,12 +511,11 @@ pub struct Summary {
     pub loops: usize,
     /// A body draws (or reads an effect): it runs one candidate at a time.
     pub ordered_body: bool,
-    /// The query runs a slice in columns: each body op once over a run of
-    /// members' `(member, candidate)` pairs.
+    /// Agent-level statements of the query, each loop one.
+    pub agent_steps: usize,
+    /// The query runs a slice in columns: its agent level once over a run of
+    /// members, each body op once over their `(member, candidate)` pairs.
     pub columns: bool,
-    /// Its agent level too, once over a run's members (the query is nothing
-    /// but its loop); otherwise each member's agent level is walked.
-    pub agent_columns: bool,
 }
 
 impl Program {
@@ -556,8 +530,8 @@ impl Program {
             update_registers: self.update_regs.count,
             loops: self.bodies.len(),
             ordered_body: self.bodies.iter().any(|b| b.ordered),
+            agent_steps: self.query.steps.len(),
             columns: self.columns.is_some(),
-            agent_columns: self.columns.as_ref().is_some_and(|c| c.agents.is_some()),
         }
     }
 }
@@ -1016,7 +990,7 @@ pub fn lower(class: &CompiledClass) -> Program {
 
     let query_regs = q.registers();
     let columns = match &q.bodies[..] {
-        [body] => ColumnPlan::new(&q.outer, body, &query_regs, class.schema()),
+        [body] => ColumnPlan::new(&q.outer, body, &query_regs),
         _ => None,
     };
 
@@ -1044,48 +1018,37 @@ pub fn lower(class: &CompiledClass) -> Program {
 /// One member's registers in a walk: a single lane.
 type Scalar = [f64; 1];
 
-/// A per-thread register file of `N` lanes: values and one NIL bit per lane.
+/// A per-thread register file of `N` lanes: values and one NIL byte per lane.
 #[derive(Default)]
 struct RegFile<const N: usize> {
     vals: Vec<[f64; N]>,
-    nil: Vec<u8>,
+    nil: Vec<[u8; N]>,
 }
 
-/// A thread's query-phase scratch: two walks' registers and one run's
+/// A thread's query-phase scratch: a walk's registers and one run's
 /// columns, each sized by the largest program and run the thread has met.
 #[derive(Default)]
 struct QueryScratch {
-    /// The walk that emits a member's effects.
     walk: RegFile<1>,
-    /// The column path's first walk of a member, up to its `foreach`.
-    dry: RegFile<1>,
-    /// The run's columns, column-major, `stride` pairs apart, and their NIL
-    /// bits (programs that track NIL).
+    /// The run's pair columns, column-major, `stride` pairs apart, and their
+    /// NIL bytes (programs that track NIL).
     cols: Vec<f64>,
     col_nil: Vec<u8>,
     stride: usize,
-    /// The run's pairs: each candidate's row, members in probe order, and
-    /// (a query that is nothing but its loop) each pair's member.
-    pairs: Vec<u32>,
+    /// The run's members in probe order, and its pairs: each candidate's row
+    /// and its member's index.
     members: Vec<RunMember>,
+    pairs: Vec<u32>,
     pair_member: Vec<u32>,
-    /// The agent level's columns, [`RUN_MEMBERS`] apart, and their NIL bits.
+    /// The agent level's columns, [`RUN_MEMBERS`] apart, and their NIL bytes.
     agent_cols: Vec<f64>,
     agent_nil: Vec<u8>,
-    /// The broadcast registers' values and NIL bits,
-    /// `ColumnPlan::broadcast.len()` per member whose loop runs.
-    inv: Vec<f64>,
-    inv_nil: Vec<u8>,
 }
 
-/// One member of a column run.
+/// One member of a column run: its row and its pairs' range.
 struct RunMember {
     row: u32,
-    /// Its walk reaches the `foreach`: its pairs are `pairs`, its broadcast
-    /// values start at `inv`.
-    looped: bool,
     pairs: Range<usize>,
-    inv: usize,
 }
 
 thread_local! {
@@ -1095,18 +1058,18 @@ thread_local! {
 }
 
 impl<const N: usize> RegFile<N> {
-    /// The first `regs.count` registers: NIL bits cleared (where the phase
+    /// The first `regs.count` registers: NIL bytes cleared (where the phase
     /// tracks them), presets written to every lane, everything else stale (an
     /// op writes before anything reads).
     #[inline]
-    fn enter(&mut self, regs: &Registers) -> (&mut [[f64; N]], &mut [u8]) {
+    fn enter(&mut self, regs: &Registers) -> (&mut [[f64; N]], &mut [[u8; N]]) {
         if self.vals.len() < regs.count {
             self.vals.resize(regs.count, [0.0; N]);
-            self.nil.resize(regs.count, 0);
+            self.nil.resize(regs.count, [0; N]);
         }
         let (vals, nil) = (&mut self.vals[..regs.count], &mut self.nil[..regs.count]);
         if regs.nil {
-            nil.fill(0);
+            nil.fill([0; N]);
         }
         for &(r, v) in &regs.presets {
             vals[r as usize] = [v; N];
@@ -1275,75 +1238,142 @@ impl<R: Rows, const N: usize> Own<N> for Pass<'_, R> {
     }
 }
 
-/// `dst[l] = f(a[l])` over the first `W` lanes.
+/// Where one arithmetic op reads its operands and writes its result: a
+/// register file's lanes ([`Lanes`]) or a run's columns ([`ColumnOp`]).
+/// [`arith`] is the only code that says what an op computes and when its
+/// result is NIL; a site only says how it walks its entries.
+trait OpSite {
+    /// `out[i] = f(x[i])`, and so on for two and three operands.
+    fn map1(&mut self, f: impl Fn(f64) -> f64);
+    fn map2(&mut self, f: impl Fn(f64, f64) -> f64);
+    fn map3(&mut self, f: impl Fn(f64, f64, f64) -> f64);
+    /// `nil_out[i] = f(x[i], nil_x[i], nil_y[i], nil_z[i])`, an operand past
+    /// the op's arity reading as not NIL.
+    fn nil(&mut self, f: impl Fn(f64, u8, u8, u8) -> u8);
+}
+
+/// Evaluate one arithmetic op at `site` through the arithmetic table, and,
+/// `NIL`, each result's NIL byte: NIL where an operand is; `a && b` NIL
+/// where `a` is, or where `a ≠ 0` and `b` is (`||` dually: where `a`
+/// decides, `b` is unevaluated and its NIL does not count); a `Coerce` (a
+/// `const` binding) adds its NaN results.
 #[inline(always)]
-fn map1<const N: usize, const W: usize>(vals: &mut [[f64; N]], d: usize, a: usize, f: impl Fn(f64) -> f64) {
-    let x = vals[a];
-    let out = &mut vals[d];
-    for l in 0..W {
-        out[l] = f(x[l]);
+fn arith<const NIL: bool>(code: Code, site: &mut impl OpSite) {
+    match code {
+        Code::Coerce => {
+            debug_assert!(NIL, "a program with a binding that coerces tracks NIL");
+            site.map1(|x| x)
+        }
+        Code::Neg => site.map1(|x| unop(UnOp::Neg, x)),
+        Code::Not => site.map1(|x| unop(UnOp::Not, x)),
+        Code::Add => site.map2(|x, y| binop(BinOp::Add, x, y)),
+        Code::Sub => site.map2(|x, y| binop(BinOp::Sub, x, y)),
+        Code::Mul => site.map2(|x, y| binop(BinOp::Mul, x, y)),
+        Code::Div => site.map2(|x, y| binop(BinOp::Div, x, y)),
+        Code::Rem => site.map2(|x, y| binop(BinOp::Rem, x, y)),
+        Code::Lt => site.map2(|x, y| binop(BinOp::Lt, x, y)),
+        Code::Le => site.map2(|x, y| binop(BinOp::Le, x, y)),
+        Code::Gt => site.map2(|x, y| binop(BinOp::Gt, x, y)),
+        Code::Ge => site.map2(|x, y| binop(BinOp::Ge, x, y)),
+        Code::Eq => site.map2(|x, y| binop(BinOp::Eq, x, y)),
+        Code::Ne => site.map2(|x, y| binop(BinOp::Ne, x, y)),
+        Code::And => site.map2(|x, y| binop(BinOp::And, x, y)),
+        Code::Or => site.map2(|x, y| binop(BinOp::Or, x, y)),
+        Code::Abs => site.map1(|x| Builtin::Abs.apply(&[x])),
+        Code::Sqrt => site.map1(|x| Builtin::Sqrt.apply(&[x])),
+        Code::Min => site.map2(|x, y| Builtin::Min.apply(&[x, y])),
+        Code::Max => site.map2(|x, y| Builtin::Max.apply(&[x, y])),
+        Code::Call(f) => match f.arity() {
+            1 => site.map1(|x| f.apply(&[x])),
+            2 => site.map2(|x, y| f.apply(&[x, y])),
+            _ => site.map3(|x, y, z| f.apply(&[x, y, z])),
+        },
+        _ => unreachable!("{code:?} is not arithmetic"),
+    }
+    if !NIL {
+        return;
+    }
+    match code {
+        Code::Coerce => site.nil(|x, nx, _, _| nx | x.is_nan() as u8),
+        Code::And => site.nil(|x, nx, ny, _| nx | (ny & (x != 0.0) as u8)),
+        Code::Or => site.nil(|x, nx, ny, _| nx | (ny & (x == 0.0) as u8)),
+        _ => site.nil(|_, nx, ny, nz| nx | ny | nz),
     }
 }
 
-#[inline(always)]
-fn map2<const N: usize, const W: usize>(
-    vals: &mut [[f64; N]],
-    d: usize,
-    a: usize,
-    b: usize,
-    f: impl Fn(f64, f64) -> f64,
-) {
-    let (x, y) = (vals[a], vals[b]);
-    let out = &mut vals[d];
-    for l in 0..W {
-        out[l] = f(x[l], y[l]);
+/// An op's site in a register file: `W` of the `N` lanes of its registers,
+/// each a fixed-size array, so an update pass stays straight-line code.
+struct Lanes<'r, const N: usize, const W: usize> {
+    vals: &'r mut [[f64; N]],
+    nil: &'r mut [[u8; N]],
+    op: Op,
+}
+
+impl<const N: usize, const W: usize> Lanes<'_, N, W> {
+    /// Register `r` of the op's operands, if the op reads it.
+    #[inline(always)]
+    fn arg(&self, i: usize) -> Option<usize> {
+        let Op { code, a, b, c, .. } = self.op;
+        (i < code.arity()).then_some([a, b, c][i] as usize)
     }
 }
 
-/// Bit `l` set where `test(x[l])`.
-#[inline(always)]
-fn lanes_where<const N: usize, const W: usize>(x: &[f64; N], test: impl Fn(f64) -> bool) -> u8 {
-    let mut m = 0u8;
-    for (l, &v) in x.iter().enumerate().take(W) {
-        m |= (test(v) as u8) << l;
+impl<const N: usize, const W: usize> OpSite for Lanes<'_, N, W> {
+    #[inline(always)]
+    fn map1(&mut self, f: impl Fn(f64) -> f64) {
+        let x = self.vals[self.op.a as usize];
+        let out = &mut self.vals[self.op.dst as usize];
+        for l in 0..W {
+            out[l] = f(x[l]);
+        }
     }
-    m
+    #[inline(always)]
+    fn map2(&mut self, f: impl Fn(f64, f64) -> f64) {
+        let (x, y) = (self.vals[self.op.a as usize], self.vals[self.op.b as usize]);
+        let out = &mut self.vals[self.op.dst as usize];
+        for l in 0..W {
+            out[l] = f(x[l], y[l]);
+        }
+    }
+    #[inline(always)]
+    fn map3(&mut self, f: impl Fn(f64, f64, f64) -> f64) {
+        let Op { dst, a, b, c, .. } = self.op;
+        let (x, y, z) = (self.vals[a as usize], self.vals[b as usize], self.vals[c as usize]);
+        let out = &mut self.vals[dst as usize];
+        for l in 0..W {
+            out[l] = f(x[l], y[l], z[l]);
+        }
+    }
+    #[inline(always)]
+    fn nil(&mut self, f: impl Fn(f64, u8, u8, u8) -> u8) {
+        let x = self.vals[self.op.a as usize];
+        let [nx, ny, nz] = [0, 1, 2].map(|i| self.arg(i).map_or([0; N], |r| self.nil[r]));
+        let out = &mut self.nil[self.op.dst as usize];
+        for l in 0..W {
+            out[l] = f(x[l], nx[l], ny[l], nz[l]);
+        }
+    }
 }
 
-/// Run `ops` over the first `W` of `N` lanes; `n ≤ W` of them hold agents or
-/// candidates (the rest are stale and harmless — no op traps — so only
-/// sources, draws and library calls, which cost real time per lane, stop at
-/// `n`). Guards are chunk-length-1 ops. `NIL`: the phase tracks NIL bits
-/// ([`Registers::nil`]); without it no register is ever NIL and `nil` is not
-/// touched.
+/// Run `ops` over the first `W` of `N` lanes of a register file (a walk is
+/// one lane, an update pass [`UPDATE_LANES`]): sources, draws and guards
+/// here, every arithmetic op through [`arith`]. Lanes past the agents or
+/// candidates a pass holds are stale and harmless (no op traps). Guards are
+/// one-lane ops. `NIL`: the phase tracks NIL bytes ([`Registers::nil`]);
+/// without it no register is ever NIL and `nil` is not touched.
 #[inline(always)]
 fn run_ops<const N: usize, const W: usize, const NIL: bool>(
     ops: &[Op],
-    n: usize,
     vals: &mut [[f64; N]],
-    nil: &mut [u8],
+    nil: &mut [[u8; N]],
     own: &mut impl Own<N>,
 ) {
     let mut pc = 0;
     while pc < ops.len() {
-        let Op { code, dst, a, b, c } = ops[pc];
+        let op = ops[pc];
         pc += 1;
-        let (d, a, b, c) = (dst as usize, a as usize, b as usize, c as usize);
-        // `dst = f(a)` / `f(a, b)` lane by lane, NIL where an operand is.
-        macro_rules! lanes {
-            (|$x:ident| $f:expr) => {{
-                map1::<N, W>(vals, d, a, |$x| $f);
-                if NIL {
-                    nil[d] = nil[a];
-                }
-            }};
-            (|$x:ident, $y:ident| $f:expr) => {{
-                map2::<N, W>(vals, d, a, b, |$x, $y| $f);
-                if NIL {
-                    nil[d] = nil[a] | nil[b];
-                }
-            }};
-        }
+        let Op { code, dst, a, b, .. } = op;
+        let (d, a, b) = (dst as usize, a as usize, b as usize);
         match code {
             Code::SelfX => own.x(&mut vals[d]),
             Code::SelfY => own.y(&mut vals[d]),
@@ -1351,61 +1381,10 @@ fn run_ops<const N: usize, const W: usize, const NIL: bool>(
             Code::SelfEffect => own.effect(a as u16, &mut vals[d]),
             Code::Rand => own.draw(&mut vals[d]),
             Code::Copy => vals[d][0] = vals[a][0],
-            Code::Coerce => {
-                debug_assert!(NIL, "a program with a binding that coerces tracks NIL");
-                map1::<N, W>(vals, d, a, |x| x);
-                nil[d] = nil[a] | lanes_where::<N, W>(&vals[a], f64::is_nan);
-            }
-            Code::Neg => lanes!(|x| unop(UnOp::Neg, x)),
-            Code::Not => lanes!(|x| unop(UnOp::Not, x)),
-            Code::Add => lanes!(|x, y| binop(BinOp::Add, x, y)),
-            Code::Sub => lanes!(|x, y| binop(BinOp::Sub, x, y)),
-            Code::Mul => lanes!(|x, y| binop(BinOp::Mul, x, y)),
-            Code::Div => lanes!(|x, y| binop(BinOp::Div, x, y)),
-            Code::Rem => lanes!(|x, y| binop(BinOp::Rem, x, y)),
-            Code::Lt => lanes!(|x, y| binop(BinOp::Lt, x, y)),
-            Code::Le => lanes!(|x, y| binop(BinOp::Le, x, y)),
-            Code::Gt => lanes!(|x, y| binop(BinOp::Gt, x, y)),
-            Code::Ge => lanes!(|x, y| binop(BinOp::Ge, x, y)),
-            Code::Eq => lanes!(|x, y| binop(BinOp::Eq, x, y)),
-            Code::Ne => lanes!(|x, y| binop(BinOp::Ne, x, y)),
-            // Where `a` decides, `b` is unevaluated: its NIL does not count.
-            Code::And => {
-                map2::<N, W>(vals, d, a, b, |x, y| binop(BinOp::And, x, y));
-                if NIL {
-                    nil[d] =
-                        nil[a] | if nil[b] == 0 { 0 } else { nil[b] & lanes_where::<N, W>(&vals[a], |x| x != 0.0) };
-                }
-            }
-            Code::Or => {
-                map2::<N, W>(vals, d, a, b, |x, y| binop(BinOp::Or, x, y));
-                if NIL {
-                    nil[d] =
-                        nil[a] | if nil[b] == 0 { 0 } else { nil[b] & lanes_where::<N, W>(&vals[a], |x| x == 0.0) };
-                }
-            }
-            Code::Abs => lanes!(|x| Builtin::Abs.apply(&[x])),
-            Code::Sqrt => lanes!(|x| Builtin::Sqrt.apply(&[x])),
-            Code::Min => lanes!(|x, y| Builtin::Min.apply(&[x, y])),
-            Code::Max => lanes!(|x, y| Builtin::Max.apply(&[x, y])),
-            Code::Call(f) => {
-                let (x, y, z) = (vals[a], vals[b], vals[c]);
-                let k = f.arity();
-                for l in 0..n {
-                    vals[d][l] = f.apply(&[x[l], y[l], z[l]][..k]);
-                }
-                if NIL {
-                    nil[d] = match k {
-                        1 => nil[a],
-                        2 => nil[a] | nil[b],
-                        _ => nil[a] | nil[b] | nil[c],
-                    };
-                }
-            }
             Code::NilGuard | Code::AndGuard | Code::OrGuard => {
                 let x = vals[a][0];
-                if NIL && nil[a] & 1 != 0 {
-                    nil[d] = 1;
+                if NIL && nil[a][0] != 0 {
+                    nil[d][0] = 1;
                 } else if code == Code::AndGuard && x == 0.0 {
                     vals[d][0] = 0.0;
                 } else if code == Code::OrGuard && x != 0.0 {
@@ -1414,52 +1393,122 @@ fn run_ops<const N: usize, const W: usize, const NIL: bool>(
                     continue;
                 }
                 // Settled: not NIL unless it was just made so.
-                if NIL && nil[a] & 1 == 0 {
-                    nil[d] = 0;
+                if NIL && nil[a][0] == 0 {
+                    nil[d][0] = 0;
                 }
                 pc += b;
             }
+            _ => arith::<NIL>(code, &mut Lanes::<N, W> { vals: &mut *vals, nil: &mut *nil, op }),
         }
     }
 }
 
-/// A member's walk over a section: its registers, the agent its `Self*` ops
-/// read and the stream its draws take.
-struct Walker<'q, 'v> {
+/// An op's site in a run's columns: the first `p` entries (pairs, or the
+/// agent level's members) of each of its registers' columns, `stride`
+/// apart, NIL bytes laid out as the values.
+struct ColumnOp<'c> {
+    vals: &'c mut [f64],
+    nil: &'c mut [u8],
+    stride: usize,
+    p: usize,
+    op: Op,
+}
+
+/// `out` is `op`'s destination column of `buf` and its operands' (an
+/// operand past the op's arity is empty), each the first `p` entries of a
+/// column `stride` apart. An arithmetic op never reads its own destination.
+#[inline(always)]
+fn split<T>(buf: &mut [T], stride: usize, p: usize, op: Op) -> (&mut [T], [&[T]; 3]) {
+    let Op { code, dst, a, b, c } = op;
+    let d = dst as usize;
+    let (lo, rest) = buf.split_at_mut(d * stride);
+    let (out, hi) = rest.split_at_mut(stride);
+    let (lo, hi): (&[T], &[T]) = (lo, hi);
+    let get = |i: usize, r: u32| -> &[T] {
+        let r = r as usize;
+        match r.cmp(&d) {
+            _ if i >= code.arity() => &[],
+            std::cmp::Ordering::Less => &lo[r * stride..][..p],
+            std::cmp::Ordering::Greater => &hi[(r - d - 1) * stride..][..p],
+            std::cmp::Ordering::Equal => unreachable!("an op reads its own destination"),
+        }
+    };
+    (&mut out[..p], [get(0, a), get(1, b), get(2, c)])
+}
+
+impl OpSite for ColumnOp<'_> {
+    #[inline(always)]
+    fn map1(&mut self, f: impl Fn(f64) -> f64) {
+        let (out, [x, ..]) = split(self.vals, self.stride, self.p, self.op);
+        for (o, &x) in out.iter_mut().zip(x) {
+            *o = f(x);
+        }
+    }
+    #[inline(always)]
+    fn map2(&mut self, f: impl Fn(f64, f64) -> f64) {
+        let (out, [x, y, _]) = split(self.vals, self.stride, self.p, self.op);
+        for (o, (&x, &y)) in out.iter_mut().zip(x.iter().zip(y)) {
+            *o = f(x, y);
+        }
+    }
+    #[inline(always)]
+    fn map3(&mut self, f: impl Fn(f64, f64, f64) -> f64) {
+        let (out, [x, y, z]) = split(self.vals, self.stride, self.p, self.op);
+        for (o, ((&x, &y), &z)) in out.iter_mut().zip(x.iter().zip(y).zip(z)) {
+            *o = f(x, y, z);
+        }
+    }
+    #[inline(always)]
+    fn nil(&mut self, f: impl Fn(f64, u8, u8, u8) -> u8) {
+        let x = &self.vals[self.op.a as usize * self.stride..][..self.p];
+        let (out, [nx, ny, nz]) = split(self.nil, self.stride, self.p, self.op);
+        for (i, o) in out.iter_mut().enumerate() {
+            let at = |n: &[u8]| n.get(i).copied().unwrap_or(0);
+            *o = f(x[i], nx[i], at(ny), at(nz));
+        }
+    }
+}
+
+/// Run arithmetic `ops` over the first `p` entries of a run's columns (pairs,
+/// or the agent level's members), `stride` apart: each op once over all of
+/// them, through [`arith`]. `NIL`: one NIL byte per entry.
+fn run_columns<const NIL: bool>(ops: &[Op], p: usize, stride: usize, vals: &mut [f64], nil: &mut [u8]) {
+    for &op in ops {
+        arith::<NIL>(op.code, &mut ColumnOp { vals: &mut *vals, nil: &mut *nil, stride, p, op });
+    }
+}
+
+/// One member's walk of the query, in statement order: its registers, the
+/// agent its `Self*` ops read, its candidates, writer and stream.
+struct Walker<'q, 'v, 'w> {
+    prog: &'q Program,
     vals: &'q mut [Scalar],
-    nil: &'q mut [u8],
+    nil: &'q mut [[u8; 1]],
     me: RowRef<'v>,
+    neighbors: &'q Neighbors<'v>,
+    eff: &'q mut EffectWriter<'w>,
     rng: &'q mut DetRng,
 }
 
-/// Where a walk's effect acts go, and what its `foreach` does.
-trait Emit {
-    fn local(&mut self, field: FieldId, v: f64);
-    fn remote(&mut self, row: u32, field: FieldId, v: f64);
-    /// The `foreach` over `body`; `false` ends the walk there.
-    fn foreach<const NIL: bool>(&mut self, w: &mut Walker<'_, '_>, prog: &Program, body: &Body) -> bool;
-}
-
-impl Walker<'_, '_> {
-    /// Walk `section` in statement order: each step's ops first, then its
-    /// act; branches not taken are skipped. `row` is the candidate a
-    /// `Remote` act writes (a body's walk). Returns `false` where `out`
-    /// ended the walk at a `foreach`.
-    fn walk<const NIL: bool>(&mut self, prog: &Program, section: &Section, out: &mut impl Emit, row: u32) -> bool {
+impl Walker<'_, '_, '_> {
+    /// Walk `section`: each step's ops first, then its act; branches not
+    /// taken are skipped. `row` is the candidate a `Remote` act writes (a
+    /// body's walk).
+    fn walk<const NIL: bool>(&mut self, section: &Section, row: u32) {
         let (mut i, mut pc) = (0, 0);
         while i < section.steps.len() {
             let Step { ops_end, act } = section.steps[i];
             i += 1;
             let own = &mut Querier { me: &self.me, rng: &mut *self.rng };
-            run_ops::<1, 1, NIL>(&section.ops[pc..ops_end as usize], 1, self.vals, self.nil, own);
+            run_ops::<1, 1, NIL>(&section.ops[pc..ops_end as usize], self.vals, self.nil, own);
             pc = ops_end as usize;
-            let is_nil = |nil: &[u8], r: u32| NIL && nil[r as usize] & 1 != 0;
+            let is_nil = |nil: &[[u8; 1]], r: u32| NIL && nil[r as usize][0] != 0;
             match act {
                 Act::Eval => {}
                 Act::Local { field, value, shadow, comb } => {
                     let v = self.vals[value as usize][0];
                     if !is_nil(self.nil, value) && !v.is_nan() {
-                        out.local(FieldId::new(field), v);
+                        self.eff.local(FieldId::new(field), v);
                         if shadow != NO_REG {
                             let acc = &mut self.vals[shadow as usize][0];
                             *acc = comb.combine(*acc, v);
@@ -1469,7 +1518,7 @@ impl Walker<'_, '_> {
                 Act::Remote { field, value } => {
                     let v = self.vals[value as usize][0];
                     if !is_nil(self.nil, value) && !v.is_nan() {
-                        out.remote(row, FieldId::new(field), v);
+                        self.eff.remote(row, FieldId::new(field), v);
                     }
                 }
                 Act::If { cond, else_, end } => {
@@ -1481,60 +1530,32 @@ impl Walker<'_, '_> {
                 }
                 Act::Goto(to) => (i, pc) = (to.step as usize, to.op as usize),
                 Act::Foreach(body) => {
-                    if !out.foreach::<NIL>(self, prog, &prog.bodies[body as usize]) {
-                        return false;
-                    }
+                    let prog = self.prog;
+                    self.sweep::<NIL>(&prog.bodies[body as usize]);
                 }
             }
         }
-        true
     }
-}
 
-/// One member at a time: the body walked once per candidate, in candidate
-/// order (`me` is never one).
-struct Sweep<'q, 'n, 'w> {
-    neighbors: &'q Neighbors<'n>,
-    eff: &'q mut EffectWriter<'w>,
-}
-
-impl Emit for Sweep<'_, '_, '_> {
-    fn local(&mut self, field: FieldId, v: f64) {
-        self.eff.local(field, v);
-    }
-    fn remote(&mut self, row: u32, field: FieldId, v: f64) {
-        self.eff.remote(row, field, v);
-    }
-    fn foreach<const NIL: bool>(&mut self, w: &mut Walker<'_, '_>, prog: &Program, body: &Body) -> bool {
+    /// The body walked once per candidate, in candidate order (`me` is never
+    /// one).
+    fn sweep<const NIL: bool>(&mut self, body: &Body) {
         let neighbors = self.neighbors;
         for nb in neighbors.iter() {
             for &(r, fill) in &body.fills {
-                w.vals[r as usize][0] = match fill {
+                self.vals[r as usize][0] = match fill {
                     Fill::X => nb.agent.pos().x,
                     Fill::Y => nb.agent.pos().y,
                     Fill::State(k) => nb.agent.state(k),
-                    Fill::IsMe => truth(nb.agent.id() == w.me.id()),
+                    Fill::IsMe => truth(nb.agent.id() == self.me.id()),
                 };
             }
-            w.walk::<NIL>(prog, &body.code, self, nb.row);
+            self.walk::<NIL>(&body.code, nb.row);
         }
-        true
     }
 }
 
-/// The column path's first walk of a member: no effect written, the walk
-/// stopped at the `foreach` (its registers are what the body broadcasts).
-struct Dry;
-
-impl Emit for Dry {
-    fn local(&mut self, _: FieldId, _: f64) {}
-    fn remote(&mut self, _: u32, _: FieldId, _: f64) {}
-    fn foreach<const NIL: bool>(&mut self, _: &mut Walker<'_, '_>, _: &Program, _: &Body) -> bool {
-        false
-    }
-}
-
-/// A run's evaluated columns.
+/// A run's evaluated pair columns.
 #[derive(Clone, Copy)]
 struct Cols<'q> {
     vals: &'q [f64],
@@ -1555,34 +1576,9 @@ impl Cols<'_> {
     }
 }
 
-/// The column path's second walk of a member, for a query with more than its
-/// loop: its effects, the body's from the run's columns.
-struct ColumnEmit<'q, 'w> {
-    plan: &'q ColumnPlan,
-    cols: Cols<'q>,
-    pairs: &'q [u32],
-    range: Range<usize>,
-    eff: &'q mut EffectWriter<'w>,
-}
-
-impl Emit for ColumnEmit<'_, '_> {
-    fn local(&mut self, field: FieldId, v: f64) {
-        self.eff.local(field, v);
-    }
-    fn remote(&mut self, row: u32, field: FieldId, v: f64) {
-        self.eff.remote(row, field, v);
-    }
-    fn foreach<const NIL: bool>(&mut self, w: &mut Walker<'_, '_>, _: &Program, _: &Body) -> bool {
-        emit_pairs::<NIL>(self.plan, self.cols, self.pairs, self.range.clone(), self.eff, Some(w.vals));
-        true
-    }
-}
-
 /// Write one member's body effects from the run's columns, its pairs
-/// `range`: each local-only field folded in a register and stored once, the
-/// logged acts pair by pair. `shadows`: the member's registers, where a
-/// field read back is combined too (a query that is nothing but its loop
-/// reads none).
+/// `range`: pair by pair, each pair's acts in step order — the walker's
+/// writes, in its order.
 #[inline(always)]
 fn emit_pairs<const NIL: bool>(
     plan: &ColumnPlan,
@@ -1590,204 +1586,24 @@ fn emit_pairs<const NIL: bool>(
     pairs: &[u32],
     range: Range<usize>,
     eff: &mut EffectWriter<'_>,
-    mut shadows: Option<&mut [Scalar]>,
 ) {
-    // A member without pairs writes nothing here.
-    if range.is_empty() {
-        return;
-    }
-    // One fold per (at most) four fields: each field's accumulator held in
-    // a register across the member's pairs, stored once.
-    for folds in plan.folds.chunks(4) {
-        let range = range.clone();
-        let shadows = shadows.as_deref_mut();
-        match folds.len() {
-            1 => fold_fields::<1, NIL>(folds, cols, range, shadows, eff),
-            2 => fold_fields::<2, NIL>(folds, cols, range, shadows, eff),
-            3 => fold_fields::<3, NIL>(folds, cols, range, shadows, eff),
-            _ => fold_fields::<4, NIL>(folds, cols, range, shadows, eff),
-        }
-    }
-    if plan.logged.is_empty() {
-        return;
-    }
     for p in range {
-        for act in &plan.logged {
+        for act in &plan.acts {
             let Some(v) = cols.value::<NIL>(act, p) else { continue };
-            let field = FieldId::new(act.field);
             if act.target {
-                eff.remote(pairs[p], field, v);
+                eff.remote(pairs[p], act.field, v);
             } else {
-                eff.local(field, v);
-                if let Some(vals) = shadows.as_deref_mut().filter(|_| act.shadow != NO_REG) {
-                    let acc = &mut vals[act.shadow as usize][0];
-                    *acc = act.comb.combine(*acc, v);
-                }
+                eff.local(act.field, v);
             }
         }
     }
 }
 
-/// `N` local-only fields' folds over a member's pairs, through one
-/// [`EffectWriter::fold_local`].
+/// `out[i] = col[rows[i]]`.
 #[inline(always)]
-fn fold_fields<const N: usize, const NIL: bool>(
-    folds: &[Fold],
-    cols: Cols<'_>,
-    range: Range<usize>,
-    mut shadows: Option<&mut [Scalar]>,
-    eff: &mut EffectWriter<'_>,
-) {
-    let fields = std::array::from_fn(|k| (folds[k].field, folds[k].comb));
-    eff.fold_local::<N>(fields, |acc| {
-        for (k, fold) in folds.iter().enumerate() {
-            let shadow = match shadows.as_deref_mut() {
-                Some(vals) if fold.shadow != NO_REG => Some(&mut vals[fold.shadow as usize][0]),
-                _ => None,
-            };
-            let range = range.clone();
-            match fold.comb {
-                Combinator::Sum => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.sum(k, v)),
-                Combinator::Prod => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.prod(k, v)),
-                Combinator::Min => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.min(k, v)),
-                Combinator::Max => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.max(k, v)),
-                Combinator::Or => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.or(k, v)),
-                Combinator::And => fold_pairs::<NIL>(fold, cols, range, shadow, |v| acc.and(k, v)),
-            }
-        }
-    });
-}
-
-/// One field's fold over a member's pairs: its acts candidate-major, each
-/// value that reaches its act handed to `put` (and combined into the
-/// field's shadow, where the program reads the field back).
-#[inline(always)]
-fn fold_pairs<const NIL: bool>(
-    fold: &Fold,
-    cols: Cols<'_>,
-    range: Range<usize>,
-    mut shadow: Option<&mut f64>,
-    mut put: impl FnMut(f64),
-) {
-    let mut one = |v: f64| {
-        put(v);
-        if let Some(acc) = shadow.as_deref_mut() {
-            *acc = fold.comb.combine(*acc, v);
-        }
-    };
-    if let [act] = &fold.acts[..] {
-        for p in range {
-            if let Some(v) = cols.value::<NIL>(act, p) {
-                one(v);
-            }
-        }
-    } else {
-        for p in range {
-            for act in &fold.acts {
-                if let Some(v) = cols.value::<NIL>(act, p) {
-                    one(v);
-                }
-            }
-        }
-    }
-}
-
-/// `out` is register `d`'s column and the operands `srcs[..k]`'s, each the
-/// first `p` pairs of a column `stride` apart (an operand past `k` is
-/// empty). A body op never reads its own destination.
-fn operands<T>(buf: &mut [T], stride: usize, p: usize, d: u32, srcs: [u32; 3], k: usize) -> (&mut [T], [&[T]; 3]) {
-    let d = d as usize;
-    let (lo, rest) = buf.split_at_mut(d * stride);
-    let (out, hi) = rest.split_at_mut(stride);
-    let (lo, hi): (&[T], &[T]) = (lo, hi);
-    let get = |i: usize| -> &[T] {
-        let r = srcs[i] as usize;
-        match r.cmp(&d) {
-            _ if i >= k => &[],
-            std::cmp::Ordering::Less => &lo[r * stride..][..p],
-            std::cmp::Ordering::Greater => &hi[(r - d - 1) * stride..][..p],
-            std::cmp::Ordering::Equal => unreachable!("a body op reads its own destination"),
-        }
-    };
-    (&mut out[..p], [get(0), get(1), get(2)])
-}
-
-#[inline(always)]
-fn col1(out: &mut [f64], x: &[f64], f: impl Fn(f64) -> f64) {
-    for (o, &x) in out.iter_mut().zip(x) {
-        *o = f(x);
-    }
-}
-
-#[inline(always)]
-fn col2(out: &mut [f64], x: &[f64], y: &[f64], f: impl Fn(f64, f64) -> f64) {
-    for (o, (&x, &y)) in out.iter_mut().zip(x.iter().zip(y)) {
-        *o = f(x, y);
-    }
-}
-
-/// Run a body's ops over the first `p` pairs of the run's columns, each op
-/// once over all of them. `NIL`: the phase tracks NIL bits, one byte per
-/// pair, with the semantics of [`run_ops`].
-fn run_columns<const NIL: bool>(ops: &[Op], p: usize, stride: usize, vals: &mut [f64], nil: &mut [u8]) {
-    for &Op { code, dst, a, b, c } in ops {
-        let k = code.arity();
-        {
-            let (out, [x, y, z]) = operands(vals, stride, p, dst, [a, b, c], k);
-            match code {
-                Code::Coerce => out.copy_from_slice(x),
-                Code::Neg => col1(out, x, |x| unop(UnOp::Neg, x)),
-                Code::Not => col1(out, x, |x| unop(UnOp::Not, x)),
-                Code::Add => col2(out, x, y, |x, y| binop(BinOp::Add, x, y)),
-                Code::Sub => col2(out, x, y, |x, y| binop(BinOp::Sub, x, y)),
-                Code::Mul => col2(out, x, y, |x, y| binop(BinOp::Mul, x, y)),
-                Code::Div => col2(out, x, y, |x, y| binop(BinOp::Div, x, y)),
-                Code::Rem => col2(out, x, y, |x, y| binop(BinOp::Rem, x, y)),
-                Code::Lt => col2(out, x, y, |x, y| binop(BinOp::Lt, x, y)),
-                Code::Le => col2(out, x, y, |x, y| binop(BinOp::Le, x, y)),
-                Code::Gt => col2(out, x, y, |x, y| binop(BinOp::Gt, x, y)),
-                Code::Ge => col2(out, x, y, |x, y| binop(BinOp::Ge, x, y)),
-                Code::Eq => col2(out, x, y, |x, y| binop(BinOp::Eq, x, y)),
-                Code::Ne => col2(out, x, y, |x, y| binop(BinOp::Ne, x, y)),
-                Code::And => col2(out, x, y, |x, y| binop(BinOp::And, x, y)),
-                Code::Or => col2(out, x, y, |x, y| binop(BinOp::Or, x, y)),
-                Code::Abs => col1(out, x, |x| Builtin::Abs.apply(&[x])),
-                Code::Sqrt => col1(out, x, |x| Builtin::Sqrt.apply(&[x])),
-                Code::Min => col2(out, x, y, |x, y| Builtin::Min.apply(&[x, y])),
-                Code::Max => col2(out, x, y, |x, y| Builtin::Max.apply(&[x, y])),
-                Code::Call(f) => {
-                    for (i, o) in out.iter_mut().enumerate() {
-                        let args = [x[i], y.get(i).copied().unwrap_or(0.0), z.get(i).copied().unwrap_or(0.0)];
-                        *o = f.apply(&args[..k]);
-                    }
-                }
-                _ => unreachable!("{code:?} is not a column op (`ColumnPlan::new` admits none)"),
-            }
-        }
-        if NIL {
-            let d = dst as usize * stride;
-            let (x, out) = (&vals[a as usize * stride..][..p], &vals[d..][..p]);
-            let (nout, [nx, ny, nz]) = operands(nil, stride, p, dst, [a, b, c], k);
-            match code {
-                Code::Coerce => {
-                    for ((n, &na), &v) in nout.iter_mut().zip(nx).zip(out) {
-                        *n = na | v.is_nan() as u8;
-                    }
-                }
-                // Where `a` decides, `b` is unevaluated: its NIL does not count.
-                Code::And | Code::Or => {
-                    for (i, n) in nout.iter_mut().enumerate() {
-                        let undecided = if code == Code::And { x[i] != 0.0 } else { x[i] == 0.0 };
-                        *n = nx[i] | (ny[i] & undecided as u8);
-                    }
-                }
-                _ => {
-                    for (i, n) in nout.iter_mut().enumerate() {
-                        *n = nx[i] | ny.get(i).copied().unwrap_or(0) | nz.get(i).copied().unwrap_or(0);
-                    }
-                }
-            }
-        }
+fn gather<T: Copy>(out: &mut [T], col: &[T], rows: impl Iterator<Item = u32>) {
+    for (o, r) in out.iter_mut().zip(rows) {
+        *o = col[r as usize];
     }
 }
 
@@ -1804,191 +1620,31 @@ impl Program {
     pub fn query(&self, me: RowRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
         QUERY.with_borrow_mut(|s| {
             let (vals, nil) = s.walk.enter(&self.query_regs);
-            let mut w = Walker { vals, nil, me, rng };
-            let out = &mut Sweep { neighbors, eff };
+            let mut w = Walker { prog: self, vals, nil, me, neighbors, eff, rng };
             if self.query_regs.nil {
-                w.walk::<true>(self, &self.query, out, 0);
+                w.walk::<true>(&self.query, 0);
             } else {
-                w.walk::<false>(self, &self.query, out, 0);
+                w.walk::<false>(&self.query, 0);
             }
         });
     }
 
     /// The query phase of one sweep slice. A program with a column plan runs
-    /// it in runs of members: each member walked up to its `foreach` and its
-    /// pairs collected, the body's ops run once over the run's pairs, then
-    /// each member's effects written in probe order (module docs). Any other
-    /// program runs [`Program::query`] member by member.
+    /// it in runs of members: the agent level over the run's members, the
+    /// body's ops once over their pairs, then each member's effects written
+    /// in probe order (module docs). Any other program runs
+    /// [`Program::query`] member by member.
     pub fn query_slice(&self, slice: &mut QuerySlice<'_, '_>) {
         let Some(plan) = &self.columns else {
             return slice.query_each(|me, neighbors, eff, rng| self.query(me, neighbors, eff, rng));
         };
         QUERY.with_borrow_mut(|s| {
             if self.query_regs.nil {
-                self.column_runs::<true>(plan, slice, s);
+                column_runs::<true>(plan, slice, s);
             } else {
-                self.column_runs::<false>(plan, slice, s);
+                column_runs::<false>(plan, slice, s);
             }
         });
-    }
-
-    fn column_runs<const NIL: bool>(&self, plan: &ColumnPlan, slice: &mut QuerySlice<'_, '_>, s: &mut QueryScratch) {
-        let view = slice.view();
-        let QueryScratch {
-            walk,
-            dry,
-            cols,
-            col_nil,
-            stride,
-            pairs,
-            members,
-            pair_member,
-            agent_cols,
-            agent_nil,
-            inv,
-            inv_nil,
-        } = s;
-        // Another program may have left its constants in these columns.
-        *stride = 0;
-        if let Some(agents) = &plan.agents {
-            agent_cols.resize(agents.width * RUN_MEMBERS, 0.0);
-            agent_nil.clear();
-            if NIL {
-                agent_nil.resize(agents.width * RUN_MEMBERS, 0);
-            }
-            for &(c, v) in &agents.constants {
-                agent_cols[c as usize * RUN_MEMBERS..][..RUN_MEMBERS].fill(v);
-            }
-        }
-        fn gather(out: &mut [f64], col: &[f64], rows: impl Iterator<Item = u32>) {
-            for (o, r) in out.iter_mut().zip(rows) {
-                *o = col[r as usize];
-            }
-        }
-        let column = |fill: Fill| match fill {
-            Fill::X => view.xs(),
-            Fill::Y => view.ys(),
-            Fill::State(k) => view.states(k),
-            Fill::IsMe => unreachable!("an identity test is not a column gather"),
-        };
-        loop {
-            members.clear();
-            pairs.clear();
-            pair_member.clear();
-            inv.clear();
-            inv_nil.clear();
-            // The run: members and their pairs, each member's agent level
-            // walked up to its loop unless it is columns too.
-            let mut last = false;
-            while members.len() < RUN_MEMBERS && pairs.len() < RUN_PAIRS {
-                let Some((me, neighbors)) = slice.next_member() else {
-                    last = true;
-                    break;
-                };
-                let start = pairs.len();
-                pairs.extend(neighbors.rows());
-                let mut member = RunMember { row: me.row, looped: true, pairs: start..pairs.len(), inv: inv.len() };
-                if plan.agents.is_some() {
-                    pair_member.resize(pairs.len(), members.len() as u32);
-                } else {
-                    let rng = &mut slice.rng(me);
-                    let (vals, nil) = dry.enter(&self.query_regs);
-                    let mut w = Walker { vals: &mut *vals, nil: &mut *nil, me, rng };
-                    member.looped = !w.walk::<NIL>(self, &self.query, &mut Dry, 0);
-                    if member.looped {
-                        inv.extend(plan.broadcast.iter().map(|&(r, _)| vals[r as usize][0]));
-                        if NIL {
-                            inv_nil.extend(plan.broadcast.iter().map(|&(r, _)| nil[r as usize] & 1));
-                        }
-                    } else {
-                        pairs.truncate(start);
-                        member.pairs = start..start;
-                    }
-                }
-                members.push(member);
-            }
-            if members.is_empty() {
-                break;
-            }
-            let (n, p) = (members.len(), pairs.len());
-            if p > *stride {
-                *stride = p.max(RUN_PAIRS).next_power_of_two();
-                cols.resize(plan.width * *stride, 0.0);
-                if NIL {
-                    col_nil.clear();
-                    col_nil.resize(plan.width * *stride, 0);
-                }
-                for &(c, v) in &plan.constants {
-                    cols[c as usize * *stride..][..*stride].fill(v);
-                }
-            }
-            let stride = *stride;
-            let at = |c: u32, r: &Range<usize>| c as usize * stride + r.start..c as usize * stride + r.end;
-            // The agent level's registers, over each member's pairs.
-            match &plan.agents {
-                Some(agents) => {
-                    let rows = |c: u32| c as usize * RUN_MEMBERS..c as usize * RUN_MEMBERS + n;
-                    for &(c, fill) in &agents.own {
-                        gather(&mut agent_cols[rows(c)], column(fill), members.iter().map(|m| m.row));
-                    }
-                    run_columns::<NIL>(&agents.ops, n, RUN_MEMBERS, agent_cols, agent_nil);
-                    for &(m, c) in &agents.broadcast {
-                        let (src, out) = (&agent_cols[rows(m)], &mut cols[at(c, &(0..p))]);
-                        for (o, &j) in out.iter_mut().zip(pair_member.iter()) {
-                            *o = src[j as usize];
-                        }
-                        if NIL {
-                            let (src, out) = (&agent_nil[rows(m)], &mut col_nil[at(c, &(0..p))]);
-                            for (o, &j) in out.iter_mut().zip(pair_member.iter()) {
-                                *o = src[j as usize];
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for m in members.iter().filter(|m| m.looped) {
-                        for (j, &(_, c)) in plan.broadcast.iter().enumerate() {
-                            cols[at(c, &m.pairs)].fill(inv[m.inv + j]);
-                            if NIL {
-                                col_nil[at(c, &m.pairs)].fill(inv_nil[m.inv + j]);
-                            }
-                        }
-                    }
-                }
-            }
-            // The candidates' fields, then the body's ops over every pair.
-            for &(c, fill) in &plan.fills {
-                let out = &mut cols[at(c, &(0..p))];
-                if fill != Fill::IsMe {
-                    gather(out, column(fill), pairs.iter().copied());
-                    continue;
-                }
-                let ids = view.ids();
-                for m in members.iter() {
-                    for i in m.pairs.clone() {
-                        out[i] = truth(ids[pairs[i] as usize] == ids[m.row as usize]);
-                    }
-                }
-            }
-            run_columns::<NIL>(&plan.ops, p, stride, cols, col_nil);
-            // Each member's effects, in probe order.
-            let cols = Cols { vals: cols, nil: col_nil, stride };
-            for m in members.iter() {
-                if plan.agents.is_some() {
-                    slice.emit_writes(|eff| emit_pairs::<NIL>(plan, cols, pairs, m.pairs.clone(), eff, None));
-                    continue;
-                }
-                let me = view.agent(m.row);
-                slice.emit(|eff, rng| {
-                    let (vals, nil) = walk.enter(&self.query_regs);
-                    let out = &mut ColumnEmit { plan, cols, pairs, range: m.pairs.clone(), eff };
-                    Walker { vals, nil, me, rng }.walk::<NIL>(self, &self.query, out, 0);
-                });
-            }
-            if last {
-                break;
-            }
-        }
     }
 
     /// The update phase of a chunk of pool rows, straight off its columns:
@@ -2024,7 +1680,7 @@ impl Program {
         &self,
         rows: &mut R,
         vals: &mut [[f64; UPDATE_LANES]],
-        nil: &mut [u8],
+        nil: &mut [[u8; UPDATE_LANES]],
         stream: impl Fn(AgentId) -> DetRng,
     ) {
         let len = rows.ids().len();
@@ -2037,19 +1693,19 @@ impl Program {
                 }
             }
             let mut pass = Pass { rows: &*rows, at, n, rngs: &mut rngs };
-            run_ops::<UPDATE_LANES, W, NIL>(&self.update, n, vals, nil, &mut pass);
+            run_ops::<UPDATE_LANES, W, NIL>(&self.update, vals, nil, &mut pass);
             let (mut xs, mut ys) = ([0.0; UPDATE_LANES], [0.0; UPDATE_LANES]);
             pass.read(rows.xs(), &mut xs);
             pass.read(rows.ys(), &mut ys);
             for &(target, r) in &self.commits {
-                let (v, undefined) = (&vals[r as usize], if NIL { nil[r as usize] } else { 0 });
+                let (v, undefined) = (&vals[r as usize], if NIL { nil[r as usize] } else { [0; UPDATE_LANES] });
                 let field = match target {
                     UpdateTarget::PosX => &mut xs[..n],
                     UpdateTarget::PosY => &mut ys[..n],
                     UpdateTarget::State(k) => &mut rows.state_mut(k)[at..at + n],
                 };
                 for (l, field) in field.iter_mut().enumerate() {
-                    if undefined >> l & 1 == 0 && !v[l].is_nan() {
+                    if undefined[l] == 0 && !v[l].is_nan() {
                         *field = v[l];
                     }
                 }
@@ -2057,6 +1713,95 @@ impl Program {
             for l in 0..n {
                 rows.move_to(at + l, Vec2::new(xs[l], ys[l]));
             }
+        }
+    }
+}
+
+/// A slice through `plan`, one run of members at a time (module docs).
+fn column_runs<const NIL: bool>(plan: &ColumnPlan, slice: &mut QuerySlice<'_, '_>, s: &mut QueryScratch) {
+    let view = slice.view();
+    let QueryScratch { cols, col_nil, stride, members, pairs, pair_member, agent_cols, agent_nil, .. } = s;
+    // Another program may have left its constants in these columns.
+    *stride = 0;
+    agent_cols.resize(plan.agent_width * RUN_MEMBERS, 0.0);
+    agent_nil.clear();
+    if NIL {
+        agent_nil.resize(plan.agent_width * RUN_MEMBERS, 0);
+    }
+    for &(c, v) in &plan.agent_constants {
+        agent_cols[c as usize * RUN_MEMBERS..][..RUN_MEMBERS].fill(v);
+    }
+    let column = |fill: Fill| match fill {
+        Fill::X => view.xs(),
+        Fill::Y => view.ys(),
+        Fill::State(k) => view.states(k),
+        Fill::IsMe => unreachable!("an identity test is not a column gather"),
+    };
+    loop {
+        members.clear();
+        pairs.clear();
+        pair_member.clear();
+        let mut last = false;
+        while members.len() < RUN_MEMBERS && pairs.len() < RUN_PAIRS {
+            let Some((me, neighbors)) = slice.next_member() else {
+                last = true;
+                break;
+            };
+            let start = pairs.len();
+            pairs.extend(neighbors.rows());
+            pair_member.resize(pairs.len(), members.len() as u32);
+            members.push(RunMember { row: me.row, pairs: start..pairs.len() });
+        }
+        if members.is_empty() {
+            break;
+        }
+        let (n, p) = (members.len(), pairs.len());
+        if p > *stride {
+            *stride = p.max(RUN_PAIRS).next_power_of_two();
+            cols.resize(plan.width * *stride, 0.0);
+            if NIL {
+                col_nil.clear();
+                col_nil.resize(plan.width * *stride, 0);
+            }
+            for &(c, v) in &plan.constants {
+                cols[c as usize * *stride..][..*stride].fill(v);
+            }
+        }
+        let stride = *stride;
+        let at = |c: u32| c as usize * stride..c as usize * stride + p;
+        // The agent level over the run's members, then each register the
+        // body reads over each member's pairs.
+        let rows = |c: u32| c as usize * RUN_MEMBERS..c as usize * RUN_MEMBERS + n;
+        for &(c, fill) in &plan.own {
+            gather(&mut agent_cols[rows(c)], column(fill), members.iter().map(|m| m.row));
+        }
+        run_columns::<NIL>(&plan.agent_ops, n, RUN_MEMBERS, agent_cols, agent_nil);
+        for &(m, c) in &plan.broadcast {
+            gather(&mut cols[at(c)], &agent_cols[rows(m)], pair_member.iter().copied());
+            if NIL {
+                gather(&mut col_nil[at(c)], &agent_nil[rows(m)], pair_member.iter().copied());
+            }
+        }
+        // The candidates' fields, then the body's ops over every pair.
+        for &(c, fill) in &plan.fills {
+            let out = &mut cols[at(c)];
+            if fill != Fill::IsMe {
+                gather(out, column(fill), pairs.iter().copied());
+                continue;
+            }
+            let ids = view.ids();
+            for (o, (&row, &m)) in out.iter_mut().zip(pairs.iter().zip(pair_member.iter())) {
+                *o = truth(ids[row as usize] == ids[members[m as usize].row as usize]);
+            }
+        }
+        run_columns::<NIL>(&plan.ops, p, stride, cols, col_nil);
+        // Each member's effects, in probe order.
+        let cols = Cols { vals: cols, nil: col_nil, stride };
+        for m in members.iter() {
+            slice.emit(|eff| emit_pairs::<NIL>(plan, cols, pairs, m.pairs.clone(), eff));
+        }
+        if last {
+            break;
         }
     }
 }
@@ -2125,7 +1870,7 @@ mod tests {
     fn a_pure_body_runs_in_columns_with_its_invariants_hoisted() {
         for class in [compile_src(SCHOOL), optimize(compile_src(SCHOOL))] {
             let s = lower(&class).summary();
-            assert!(!s.ordered_body);
+            assert!(!s.ordered_body && s.columns, "{s:?}");
             // `self.x`, `self.y` leave the loop; value numbering computes the
             // shared differences and the denominator once, optimized or not:
             // 2 subs, 2 squares, 1 add, 1 max, 2 divides.
@@ -2225,7 +1970,7 @@ mod tests {
         UPDATE_REGFILE.with_borrow_mut(|file| {
             let (vals, nil) = file.enter(&program.update_regs);
             let pass = &mut Pass { rows: &me, at: 0, n: 1, rngs };
-            run_ops::<UPDATE_LANES, 1, false>(&program.update, 1, vals, nil, pass);
+            run_ops::<UPDATE_LANES, 1, false>(&program.update, vals, nil, pass);
             vals[program.commits[0].1 as usize][0]
         })
     }

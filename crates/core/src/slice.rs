@@ -10,9 +10,8 @@
 //!   probe rect (below), or none for a member whose query reads no
 //!   neighbour;
 //! * [`QuerySlice::emit`] runs the oldest member yielded and not yet
-//!   emitted against its [`EffectWriter`] and its query stream
-//!   (`plan.rng.stream(id)`), then closes its run of the write-log and hands
-//!   its writes to replica rows out for their owners.
+//!   emitted against its [`EffectWriter`], then closes its run of the
+//!   write-log and hands its writes to replica rows out for their owners.
 //!
 //! A behavior may yield many members before it emits any — BRASIL's
 //! register program evaluates a run of members' `(member, candidate)` pairs
@@ -20,8 +19,9 @@
 //! nothing but the member: the writes still land member by member, in probe
 //! order, each member's in the order it makes them. The default hook,
 //! [`QuerySlice::query_each`], interleaves the two: filter, query, close,
-//! for each member. Either way the slice counts the same visits,
-//! probe groups and block rows.
+//! for each member, and hands each member its query stream
+//! (`plan.rng.stream(id)`) too; a query that draws runs there. Either way
+//! the slice counts the same visits, probe groups and block rows.
 //!
 //! # The probe loop
 //!
@@ -271,12 +271,6 @@ impl<'s, 'a> QuerySlice<'s, 'a> {
         self.plan.view
     }
 
-    /// The stream a member's query draws from: the one [`emit`](Self::emit)
-    /// hands it.
-    pub fn rng(&self, me: AgentRef<'_>) -> DetRng {
-        self.plan.rng.stream(me.id().raw())
-    }
-
     /// The next member in probe order and its candidates (the member's own
     /// row, if among them, is skipped by [`Neighbors::iter`]), or `None`
     /// once every member has been yielded.
@@ -294,23 +288,14 @@ impl<'s, 'a> QuerySlice<'s, 'a> {
     }
 
     /// Emit the oldest member yielded and not yet emitted: `f` makes its
-    /// writes through its writer and draws from its query stream; then the
-    /// member's run of the write-log is closed.
-    pub fn emit(&mut self, f: impl FnOnce(&mut EffectWriter<'_>, &mut DetRng)) {
-        let root = &self.plan.rng;
-        self.emit_writes_as(|eff, id| f(eff, &mut root.stream(id.raw())));
-    }
-
-    /// [`emit`](Self::emit) for a member whose writes draw nothing: no
-    /// stream is derived.
-    pub fn emit_writes(&mut self, f: impl FnOnce(&mut EffectWriter<'_>)) {
-        self.emit_writes_as(|eff, _| f(eff));
-    }
-
-    fn emit_writes_as(&mut self, f: impl FnOnce(&mut EffectWriter<'_>, AgentId)) {
+    /// writes through its writer; then the member's run of the write-log is
+    /// closed. No query stream is handed out: a behavior whose query draws
+    /// runs [`query_each`](Self::query_each).
+    pub fn emit(&mut self, f: impl FnOnce(&mut EffectWriter<'_>)) {
         assert!(self.emitted < self.next, "`emit` called for a member not yet yielded");
+        let (key, slot) = (self.keys[self.emitted], self.emitted as u32);
         let SliceScratch { table, log, outbound, nonlocal, .. } = &mut *self.scratch;
-        emit_member(self.plan, self.keys[self.emitted], self.emitted as u32, table, log, outbound, nonlocal, f);
+        emit_member(self.plan, key, slot, table, log, outbound, nonlocal, |eff, _| f(eff));
         self.emitted += 1;
     }
 

@@ -261,7 +261,7 @@ mod tests {
             [("brasil-fish", fish_school()), ("brasil-car", car_following()), ("brasil-predator", predator(true))]
         {
             let s = brasil::vm::lower(behavior.unwrap().class()).summary();
-            assert!(s.columns && s.agent_columns, "{name}: {s:?}");
+            assert!(s.columns, "{name}: {s:?}");
         }
     }
 
