@@ -9,8 +9,8 @@
 //!   through [`EffectWriter`]. It *cannot* mutate any state — enforced by
 //!   the types: row views only hand out reads.
 //!   The executor reaches it through [`Behavior::query_slice`], one sweep
-//!   slice of members at a time ([`QuerySlice`]: their candidates, writers
-//!   and streams), whose default runs `query` member by member; a behavior
+//!   slice of members at a time ([`QuerySlice`]: their candidates and
+//!   writers), whose default runs `query` member by member; a behavior
 //!   that can evaluate many members' neighbourhoods together (BRASIL's
 //!   register program, each op once over a run's `(member, candidate)`
 //!   pairs) overrides that hook instead.
@@ -181,14 +181,15 @@ pub trait Behavior: Send + Sync {
     /// Query phase for one sweep slice — the reduce side of the tick, which
     /// the executor calls once per slice. The [`QuerySlice`] yields the
     /// slice's members in probe order with their candidates and runs each
-    /// member's writes against its writer and stream. The default runs
-    /// [`Behavior::query`] member by member
+    /// member's writes against its writer. The default runs
+    /// [`Behavior::query`] member by member, each with its stream
     /// ([`QuerySlice::query_each`]). A behavior may override it to evaluate
     /// many members' neighbourhoods together (BRASIL's register program runs
     /// each op once over a run of members' `(member, candidate)` pairs);
     /// contract: every member emitted, in order, each making exactly the
     /// writes and draws its [`Behavior::query`] makes over the same
-    /// candidates.
+    /// candidates (a member emitted through [`QuerySlice::emit`] draws
+    /// nothing, so a query that draws runs `query_each`).
     fn query_slice(&self, slice: &mut QuerySlice<'_, '_>) {
         slice.query_each(|me, neighbors, eff, rng| self.query(me, neighbors, eff, rng));
     }

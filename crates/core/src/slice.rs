@@ -30,7 +30,7 @@
 //! [`Behavior::reads_neighbors`] and, for a reader, [`Behavior::probe_rect`]
 //! once per member, and keeps the rect for the member's filter.
 //!
-//! On the join path ([`Probe::Join`]) a group — a strip of the slice's
+//! On the join path (`Probe::Join`) a group — a strip of the slice's
 //! neighbouring tiles in one tile-row — is answered by **no index at all**:
 //! its candidate *block* is the rows of the tiles that the union of its
 //! members' rects spans, one contiguous run of the probe order per window
@@ -50,7 +50,7 @@
 //! member whose [`Behavior::reads_neighbors`] is false keeps an empty rect
 //! and is handed no candidates on any path.
 //!
-//! The scan ([`Probe::Scan`]) runs the same filter once per row over the
+//! The scan (`Probe::Scan`) runs the same filter once per row over the
 //! tick's id-ordered columns instead; under unbounded visibility the block
 //! is the id order, for everyone.
 

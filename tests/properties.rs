@@ -1888,7 +1888,7 @@ proptest! {
 /// Hand-written scripts, one per corner of the semantics the register
 /// program must carry over from the tree walker (`brasil::vm` module docs).
 /// Every class has the state fields `s` and `t`, so one population fits all.
-const BRASIL_EDGE_SCRIPTS: [(&str, &str); 15] = [
+const BRASIL_EDGE_SCRIPTS: [(&str, &str); 16] = [
     // A source `const` that goes NaN per candidate (0/0 for coincident
     // agents) is NIL from there on: `min`/`max`/comparisons would have
     // swallowed a NaN, and an `if` on it skips both branches.
@@ -2002,6 +2002,32 @@ const BRASIL_EDGE_SCRIPTS: [(&str, &str); 15] = [
                 n <- 0.5;
                 foreach (A q : Extent<A>) { if (q.x > x) { n <- 0.25; } }
                 if (n > 3) { flag <- n * 2; }
+            }
+        }"#,
+    ),
+    // Effects read before the loop of a query that is nothing but its
+    // loop: each read is its combinator's identity (∞ for `min`, 1 for
+    // `prod`), in columns as on the walk.
+    (
+        "effect read before the loop",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : s * 0.5 + a;
+            public state float t : b + k;
+            private effect float a : sum;
+            private effect float b : sum;
+            private effect float lo : min;
+            private effect float k : prod;
+            public void run() {
+                const float m = min(lo, 2);
+                const float q = k + s;
+                foreach (A p : Extent<A>) {
+                    a <- m * 0.001 + q * 0.0001;
+                    lo <- p.s;
+                    k <- 1.5;
+                    if (m > 1) { b <- q; }
+                }
             }
         }"#,
     ),
