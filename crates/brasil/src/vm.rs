@@ -303,7 +303,7 @@ struct Registers {
     count: usize,
     presets: Vec<(u32, f64)>,
     /// Some register can be NIL (a source `const` binding is the only way
-    /// in): the phase tracks NIL bits. Most programs have none and skip it.
+    /// in): the phase tracks NIL bytes. Most programs have none and skip it.
     nil: bool,
 }
 
@@ -499,7 +499,7 @@ pub struct Summary {
     pub agent_ops: usize,
     /// How many of them were lowered inside the loop body.
     pub hoisted_ops: usize,
-    /// Query ops run per chunk of candidates.
+    /// Query ops run per candidate (per pair, in columns).
     pub candidate_ops: usize,
     pub update_ops: usize,
     /// Agents each update op runs over: [`UPDATE_LANES`], or 1 for a
@@ -1905,7 +1905,7 @@ mod tests {
     #[test]
     fn a_source_const_in_the_body_lowers_and_tracks_nil() {
         // 1/(x - p.x) is ±∞ for agents sharing an x and 0/0 = NaN → NIL for
-        // coincident ones: `min` would swallow a NaN, the NIL bit survives it.
+        // coincident ones: `min` would swallow a NaN, the NIL byte survives it.
         let class = compile_src(
             r#"
             class C {
