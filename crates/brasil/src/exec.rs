@@ -143,6 +143,14 @@ impl Behavior for BrasilBehavior {
         self.class.probe_rect(pos, vis)
     }
 
+    /// A query with no loop reads no neighbour, for any agent: the engine
+    /// opens no block and runs no filter for its members. Its walk over an
+    /// empty neighbourhood is the walk over a full one, since nothing in it
+    /// looks at the candidates.
+    fn reads_neighbors(&self, _me: RowRef<'_>) -> bool {
+        self.program.reads_neighbors()
+    }
+
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
         self.program.update(me, &ctx.rng);
     }

@@ -1544,8 +1544,8 @@ impl Walker<'_, '_, '_> {
         for nb in neighbors.iter() {
             for &(r, fill) in &body.fills {
                 self.vals[r as usize][0] = match fill {
-                    Fill::X => nb.agent.pos().x,
-                    Fill::Y => nb.agent.pos().y,
+                    Fill::X => nb.pos.x,
+                    Fill::Y => nb.pos.y,
                     Fill::State(k) => nb.agent.state(k),
                     Fill::IsMe => truth(nb.agent.id() == self.me.id()),
                 };
@@ -1615,6 +1615,14 @@ const RUN_PAIRS: usize = 256;
 const RUN_MEMBERS: usize = 256;
 
 impl Program {
+    /// Whether the query has a `foreach`: a program lowered without one (its
+    /// loop optimized away, or never written) reads no neighbour, whatever
+    /// the agent — the only way a BRASIL query reaches another agent is a
+    /// loop over the extent.
+    pub fn reads_neighbors(&self) -> bool {
+        !self.bodies.is_empty()
+    }
+
     /// The query phase of one agent: the section walked in statement order,
     /// the body once per candidate.
     pub fn query(&self, me: RowRef<'_>, neighbors: &Neighbors<'_>, eff: &mut EffectWriter<'_>, rng: &mut DetRng) {
@@ -1748,7 +1756,7 @@ fn column_runs<const NIL: bool>(plan: &ColumnPlan, slice: &mut QuerySlice<'_, '_
                 break;
             };
             let start = pairs.len();
-            pairs.extend(neighbors.rows());
+            pairs.extend(neighbors.iter().map(|nb| nb.row));
             pair_member.resize(pairs.len(), members.len() as u32);
             members.push(RunMember { row: me.row, pairs: start..pairs.len() });
         }
@@ -1785,6 +1793,9 @@ fn column_runs<const NIL: bool>(plan: &ColumnPlan, slice: &mut QuerySlice<'_, '_
         // The candidates' fields, then the body's ops over every pair.
         for &(c, fill) in &plan.fills {
             let out = &mut cols[at(c)];
+            // Positions too: a member has few pairs, and one gather per
+            // column over the run measured faster than copying each
+            // member's carried positions.
             if fill != Fill::IsMe {
                 gather(out, column(fill), pairs.iter().copied());
                 continue;

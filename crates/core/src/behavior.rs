@@ -53,52 +53,84 @@ use crate::slice::QuerySlice;
 use brace_common::{AgentId, DetRng, Rect, Vec2};
 use std::sync::Arc;
 
-/// A reference to a visible neighbor: the row view (previous-tick state)
-/// plus its row index in the visible set, which is how non-local effect
-/// assignments address it.
+/// A reference to a visible neighbor: the row view (previous-tick state),
+/// its row index in the visible set, which is how non-local effect
+/// assignments address it, and its position, carried out of the join.
 #[derive(Clone, Copy)]
 pub struct NeighborRef<'a> {
     /// Row in the tick's visible set / effect table.
     pub row: u32,
     /// The neighbor's frozen (previous-tick) columns.
     pub agent: AgentRef<'a>,
+    /// `agent.pos()`, bit for bit, read from the candidates' own columns.
+    pub pos: Vec2,
 }
 
 /// The visible neighborhood of one querying agent: the result of the
 /// spatial-join probe, excluding the agent itself.
+///
+/// The candidates come as three parallel columns: their rows and their
+/// positions. The join's member filter emits the positions beside the rows
+/// (`kernels::filter_rect_coords`), so a query that reads where its
+/// neighbours are — a distance, a displacement — reads them contiguously
+/// instead of gathering each by row. Every path fills them: the join, the
+/// scan, unbounded visibility and the serial oracle; each position equals
+/// `view().pos(row)` bit for bit.
 pub struct Neighbors<'a> {
     view: PoolView<'a>,
     candidates: &'a [u32],
+    xs: &'a [f64],
+    ys: &'a [f64],
     me: u32,
 }
 
 impl<'a> Neighbors<'a> {
     /// `view` is the partition's visible agent columns; `candidates` are
     /// row indices produced by the range probe (they may include `me`,
-    /// which iteration skips).
-    pub fn new(view: PoolView<'a>, candidates: &'a [u32], me: u32) -> Self {
-        Neighbors { view, candidates, me }
+    /// which iteration skips), and `xs`, `ys` their positions, parallel to
+    /// them. Panics if the three are not the same length.
+    #[inline]
+    pub fn new(view: PoolView<'a>, candidates: &'a [u32], xs: &'a [f64], ys: &'a [f64], me: u32) -> Self {
+        assert!(
+            xs.len() == candidates.len() && ys.len() == candidates.len(),
+            "neighbour positions must be parallel to the candidates"
+        );
+        Neighbors { view, candidates, xs, ys, me }
     }
 
     /// Iterate the visible neighbors (self excluded).
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = NeighborRef<'a>> + '_ {
-        let me = self.me;
-        let view = self.view;
-        self.candidates
-            .iter()
-            .copied()
-            .filter(move |&i| i != me)
-            .map(move |i| NeighborRef { row: i, agent: view.agent(i) })
+        let (me, view) = (self.me, self.view);
+        // Cut to the candidates' length, so a query that reads no position
+        // drops the loads and their bounds checks.
+        let n = self.candidates.len();
+        let (xs, ys) = (&self.xs[..n], &self.ys[..n]);
+        self.candidates.iter().enumerate().filter(move |&(_, &i)| i != me).map(move |(j, &i)| NeighborRef {
+            row: i,
+            agent: view.agent(i),
+            pos: Vec2::new(xs[j], ys[j]),
+        })
     }
 
-    /// The visible neighbors' rows (self excluded), in iteration order.
-    pub fn rows(&self) -> impl Iterator<Item = u32> + '_ {
-        let me = self.me;
-        self.candidates.iter().copied().filter(move |&i| i != me)
+    /// The raw candidate columns — rows, x and y, parallel — in iteration
+    /// order, the querying agent's own row included if the probe found it
+    /// (compare against [`Neighbors::me`]). For a query that takes its
+    /// neighbourhood in lanes.
+    #[inline]
+    pub fn columns(&self) -> (&'a [u32], &'a [f64], &'a [f64]) {
+        (self.candidates, self.xs, self.ys)
+    }
+
+    /// The querying agent's row, which [`Neighbors::iter`] skips.
+    #[inline]
+    pub fn me(&self) -> u32 {
+        self.me
     }
 
     /// The columns every [`NeighborRef::row`] indexes: a neighbor met during
     /// iteration reads again as `view().agent(row)`.
+    #[inline]
     pub fn view(&self) -> PoolView<'a> {
         self.view
     }
@@ -301,9 +333,11 @@ mod tests {
         let s = schema();
         let p = pool(&s);
         let cands = [0u32, 1, 2, 3];
-        let n = Neighbors::new(p.view(), &cands, 2);
+        let (xs, ys) = ([0.0, 1.0, 2.0, 3.0], [0.0; 4]);
+        let n = Neighbors::new(p.view(), &cands, &xs, &ys, 2);
         let rows: Vec<u32> = n.iter().map(|r| r.row).collect();
         assert_eq!(rows, vec![0, 1, 3]);
+        assert!(n.iter().all(|r| r.pos == r.agent.pos()));
         assert_eq!(n.len_hint(), 4);
     }
 

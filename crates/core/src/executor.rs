@@ -65,8 +65,10 @@
 //!    and mapped back to rows while its positions are gathered **once** into
 //!    contiguous columns;
 //! 3. each member takes *its own* candidates out of the block by running
-//!    the lane kernel `kernels::filter_rect` over those columns with *its
-//!    own* probe rect, and its query runs over them.
+//!    the lane kernel `kernels::filter_rect_coords` over those columns with
+//!    *its own* probe rect — the kept candidates leave it with their
+//!    positions, which their [`Neighbors`] carries — and its query runs
+//!    over them.
 //!
 //! That probe loop lives in `crate::slice`: each sweep slice is a
 //! [`QuerySlice`] handed to [`Behavior::query_slice`], which yields the
@@ -104,7 +106,7 @@
 //! square). The *probe side* is [`Behavior::reads_neighbors`]: the group's
 //! first pass asks each member once, and a member whose query reads no
 //! neighbour this tick keeps [`brace_common::Rect::EMPTY`] as its rect — it runs no
-//! `filter_rect`, widens no window, and its query runs over no candidates.
+//! filter, widens no window, and its query runs over no candidates.
 //! A strip without a reader builds no window, block order or gather; the
 //! scan and the unbounded path hand a non-reader no candidates either. The
 //! hook's contract (an empty neighbourhood makes the same writes and draws)
@@ -115,7 +117,7 @@
 //! [`IndexKind::Scan`], the paper's *no-indexing* baseline, keeps one probe
 //! per row — sharing its scans between tile-mates would make it an index —
 //! through the same loop, as one-row groups in id order: each row runs
-//! `kernels::filter_rect` over every visible position, gathered into the id
+//! `kernels::filter_rect_coords` over every visible position, gathered into the id
 //! order once per tick, so its candidates come out in ascending id with no
 //! sort. A zero visibility takes the scan too (a tile of side 0 is no tile).
 //! Unbounded visibility is one group per sweep slice whose block is the id
@@ -284,8 +286,8 @@ struct ProbeOrder {
     directory: TileDirectory,
     /// The owned rows of `cells`, in probe order (the sweep).
     members: Vec<ProbeKey>,
-    /// The scan: every visible row's position, in the id order (empty on
-    /// every other path).
+    /// Every visible row's position, in the id order: the scan's columns and
+    /// unbounded visibility's candidates' (empty on the join).
     xs: Vec<f64>,
     ys: Vec<f64>,
     /// The sorts' scatter buffers.
@@ -303,7 +305,7 @@ impl ProbeOrder {
     /// otherwise — and both are stable, so ties keep ascending id. On the
     /// other paths every row is in tile (0, 0), and `cells` is the id order.
     /// `members` receives the owned cells, rows `0..n_owned`, in probe
-    /// order. For the scan, `xs` and `ys` receive every row's position in
+    /// order. Off the join, `xs` and `ys` receive every row's position in
     /// the id order.
     fn plan(&mut self, view: PoolView<'_>, n_owned: usize, rows_in_id_order: bool, probe: Probe, vis: f64) {
         let ProbeOrder { by_id, cells, directory, members, xs, ys, spare_rows, spare_cells } = self;
@@ -328,7 +330,7 @@ impl ProbeOrder {
         members.extend(cells.iter().filter(|c| (c.row as usize) < n_owned));
         xs.clear();
         ys.clear();
-        if probe == Probe::Scan {
+        if probe != Probe::Join {
             xs.extend(by_id.iter().map(|&row| view.xs[row as usize]));
             ys.extend(by_id.iter().map(|&row| view.ys[row as usize]));
         }
@@ -428,7 +430,7 @@ pub fn query_phase<B: Behavior>(
     let t0 = Instant::now();
     let mut by_id: Vec<u32> = (0..view.len() as u32).collect();
     by_id.sort_unstable_by_key(|&row| view.ids[row as usize]);
-    let mut candidates: Vec<u32> = Vec::new();
+    let (mut candidates, mut xs, mut ys): (Vec<u32>, Vec<f64>, Vec<f64>) = Default::default();
     for &row in by_id.iter().filter(|&&row| (row as usize) < n_owned) {
         let me = view.agent(row);
         debug_assert!(me.alive(), "dead agent in query phase");
@@ -440,9 +442,13 @@ pub fn query_phase<B: Behavior>(
             candidates.extend_from_slice(&by_id);
         }
         stats.neighbor_visits += candidates.len() as u64;
+        xs.clear();
+        xs.extend(candidates.iter().map(|&r| view.xs[r as usize]));
+        ys.clear();
+        ys.extend(candidates.iter().map(|&r| view.ys[r as usize]));
         let mut writer = EffectWriter::new(schema, table, row);
         let mut rng = agent_rng(seed, tick, me.id(), 0);
-        behavior.query(me, &Neighbors::new(view, &candidates, row), &mut writer, &mut rng);
+        behavior.query(me, &Neighbors::new(view, &candidates, &xs, &ys, row), &mut writer, &mut rng);
         stats.nonlocal_writes += writer.nonlocal_writes();
     }
     stats.query_ns = t0.elapsed().as_nanos() as u64;
@@ -1062,6 +1068,94 @@ mod tests {
         }
     }
 
+    /// Checks, in every query, that its neighbourhood carries each
+    /// candidate's position bit for bit as the view holds it, in columns
+    /// parallel to the rows, and that iteration skips the member itself;
+    /// counts the neighbours it saw.
+    struct Carried(AgentSchema);
+
+    impl Behavior for Carried {
+        fn schema(&self) -> &AgentSchema {
+            &self.0
+        }
+
+        fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
+            let (view, (rows, xs, ys)) = (nbrs.view(), nbrs.columns());
+            assert_eq!(nbrs.me(), me.row);
+            assert_eq!((xs.len(), ys.len()), (rows.len(), rows.len()));
+            for ((&row, &x), &y) in rows.iter().zip(xs).zip(ys) {
+                assert_eq!(
+                    (x.to_bits(), y.to_bits()),
+                    (view.xs[row as usize].to_bits(), view.ys[row as usize].to_bits())
+                );
+            }
+            let mut seen = 0;
+            for nb in nbrs.iter() {
+                assert_ne!(nb.row, me.row, "iteration must skip the member");
+                assert_eq!(
+                    (nb.pos.x.to_bits(), nb.pos.y.to_bits()),
+                    (nb.agent.pos().x.to_bits(), nb.agent.pos().y.to_bits())
+                );
+                seen += 1;
+            }
+            assert_eq!(seen, rows.iter().filter(|&&r| r != me.row).count());
+            eff.local(FieldId::new(0), seen as f64);
+        }
+
+        fn update(&self, _me: &mut Agent, _ctx: &mut UpdateCtx<'_>) {}
+    }
+
+    /// The slice invariant: on every path — the join with and without a tile
+    /// directory, the scan, unbounded visibility and the serial oracle — each
+    /// carried position is `view.pos(row)` bit for bit and `Neighbors::iter`
+    /// skips the member, over signed zeros, coincident points and tile
+    /// edges. Every path sees the oracle's neighbour counts.
+    #[test]
+    fn neighbors_carry_each_candidates_position_on_every_path() {
+        let mut rng = DetRng::seed_from_u64(23);
+        let mut points: Vec<Vec2> = (0..260).map(|_| Vec2::new(rng.range(-6.0, 6.0), rng.range(-6.0, 6.0))).collect();
+        for (i, p) in points.iter_mut().enumerate().skip(1) {
+            match i % 9 {
+                1 => *p = Vec2::new(-0.0, p.y),
+                2 => *p = Vec2::new(p.x, 0.0),
+                4 => *p = Vec2::new(p.x.round(), p.y.round()),
+                _ => {}
+            }
+        }
+        points[7] = points[6];
+        for (vis, kind, outlier) in [
+            (1.0, IndexKind::Join, false),
+            (1.0, IndexKind::Join, true),
+            (1.0, IndexKind::Scan, false),
+            (f64::INFINITY, IndexKind::Join, false),
+        ] {
+            let b = Carried(
+                AgentSchema::builder("Carried").effect("seen", Combinator::Sum).visibility(vis).build().unwrap(),
+            );
+            let mut world = points.clone();
+            if outlier {
+                // A box too sparse for a tile directory.
+                world.push(Vec2::new(1e9, -1e9));
+            }
+            let agents: Vec<Agent> =
+                world.iter().enumerate().map(|(i, &p)| Agent::new(AgentId::new(i as u64), p, b.schema())).collect();
+            let case = format!("visibility {vis}, {kind:?}, outlier {outlier}");
+            let pool = AgentPool::from_agents(b.schema(), &agents);
+            let n = pool.len();
+            let mut oracle = EffectTable::new(b.schema());
+            query_phase(&b, &pool, n, &mut oracle, 1, 3);
+            let mut sharded = AgentPool::from_agents(b.schema(), &agents);
+            let mut scratch = TickScratch::new();
+            let stats = query_phase_sharded(&b, &mut sharded, n, kind, 1, 3, &mut scratch, 32, &mut ShardPool::new(1));
+            let directory = kind == IndexKind::Join && vis.is_finite() && !outlier;
+            assert_eq!(scratch.probe.directory.is_built(), directory, "{case}");
+            assert!(stats.neighbor_visits > n as u64, "{case}: members see their neighbours");
+            for r in 0..n as u32 {
+                assert_eq!(oracle.row(r), sharded.effects().row(r), "{case}: row {r}");
+            }
+        }
+    }
+
     #[test]
     fn scratch_reuse_is_transparent_across_population_changes() {
         // Spawning grows the population across SHARD_ROWS boundaries while
@@ -1388,9 +1482,9 @@ mod tests {
                 }
                 let members: Vec<ProbeKey> = probe.cells.iter().filter(|c| (c.row as usize) < n_owned).copied().collect();
                 prop_assert_eq!(&probe.members, &members);
-                // The scan's positions, gathered in the id order.
+                // Off the join, every position, gathered in the id order.
                 let (xs, ys): (Vec<f64>, Vec<f64>) =
-                    by_id.iter().filter(|_| path == Probe::Scan).map(|&row| points[row as usize]).unzip();
+                    by_id.iter().filter(|_| path != Probe::Join).map(|&row| points[row as usize]).unzip();
                 prop_assert_eq!((&probe.xs, &probe.ys), (&xs, &ys));
                 let span = |axis: fn(&ProbeKey) -> i64| {
                     let lo = probe.cells.iter().map(axis).min().unwrap_or(0);

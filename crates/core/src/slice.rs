@@ -39,8 +39,13 @@
 //! otherwise. The block's id ranks are put in ascending order once
 //! ([`block_order`]: ascending id, by rank placement or a byte radix), mapped
 //! back to rows, and its positions gathered once, and each member then takes
-//! its own candidates out of it by running the lane kernel [`filter_rect`]
-//! over the block's contiguous columns with *its own* probe rect. Every
+//! its own candidates out of it by running the lane kernel
+//! [`filter_rect_coords`] over the block's contiguous columns with *its
+//! own* probe rect. The filter emits each kept candidate's x and y beside
+//! its row, so the member's [`Neighbors`] carries its candidates' positions
+//! as columns parallel to the rows, and a query that reads them (the zonal
+//! fold's lane compress, the epidemic's distance, a walked BRASIL loop's
+//! `p.x`) gathers nothing by row. Every
 //! visible row inside the member's rect lies in a tile of the window (the
 //! tile function is monotone and the member's rect lies inside the union),
 //! and the filter tests closed containment, so the member gets precisely the
@@ -51,8 +56,11 @@
 //! and is handed no candidates on any path.
 //!
 //! The scan (`Probe::Scan`) runs the same filter once per row over the
-//! tick's id-ordered columns instead; under unbounded visibility the block
-//! is the id order, for everyone.
+//! tick's id-ordered columns instead; under unbounded visibility every
+//! reader's candidates are the id order and its columns, for everyone. On
+//! every path each carried position is `view.pos(row)` bit for bit: the
+//! filter copies the bits it compared, and the columns it reads are
+//! gathered from the view.
 
 use crate::agent::{AgentRef, PoolView};
 use crate::behavior::{Behavior, Neighbors};
@@ -60,7 +68,7 @@ use crate::effect::{EffectLog, EffectTable, EffectWrite, EffectWriter};
 use crate::executor::tile_of;
 use crate::schema::AgentSchema;
 use brace_common::{AgentId, DetRng, Rect, Vec2};
-use brace_spatial::kernels::{block_order, filter_rect, seek_window, ProbeKey, TileDirectory, LANES};
+use brace_spatial::kernels::{block_order, filter_rect_coords, seek_window, ProbeKey, TileDirectory, LANES};
 
 /// How one tick's probe groups find their candidates.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -69,8 +77,8 @@ pub(crate) enum Probe {
     /// rows of the tiles its members' rects span (`IndexKind::Join` under a
     /// bounded, positive visibility).
     Join,
-    /// One row per group, whose block is [`filter_rect`] over every visible
-    /// row in the id order (`IndexKind::Scan`, or a zero visibility).
+    /// One row per group, whose block is [`filter_rect_coords`] over every
+    /// visible row in the id order (`IndexKind::Scan`, or a zero visibility).
     Scan,
     /// Unbounded visibility: one group per sweep slice, whose block is the
     /// id order.
@@ -90,7 +98,9 @@ pub(crate) struct SlicePlan<'a> {
     pub directory: Option<&'a TileDirectory>,
     /// Every visible row in the id order: what an id rank names.
     pub by_id: &'a [u32],
-    /// The scan's columns: every visible row's position, in the id order.
+    /// Every visible row's position, in the id order: the scan's columns,
+    /// and under unbounded visibility every reader's candidates' (empty on
+    /// the join).
     pub xs: &'a [f64],
     pub ys: &'a [f64],
     pub probe: Probe,
@@ -101,9 +111,10 @@ pub(crate) struct SlicePlan<'a> {
     pub rng: DetRng,
 }
 
-/// The most members a strip of several tiles may hold: two `filter_rect`
-/// lane-widths. Whole tiles join a strip while it stays within this, so a
-/// tile this full on its own (fish's dense tiles) keeps a block to itself.
+/// The most members a strip of several tiles may hold: two
+/// `filter_rect_coords` lane-widths. Whole tiles join a strip while it stays
+/// within this, so a tile this full on its own (fish's dense tiles) keeps a
+/// block to itself.
 /// Measured with `query` and `update` stubbed out (query ns per agent-tick,
 /// 2-vCPU Xeon): a cap of `LANES` costs 8–40 % more than this one on
 /// the sparse scenarios (epidemic 4k: 149–162 against 108–121; predator
@@ -146,6 +157,29 @@ pub(crate) fn group_len(slice: &[ProbeKey], probe: Probe) -> usize {
     len
 }
 
+/// Candidate rows and their positions, three parallel columns.
+#[derive(Default)]
+struct Columns {
+    rows: Vec<u32>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+}
+
+impl Columns {
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.xs.clear();
+        self.ys.clear();
+    }
+
+    /// Append the rows of `(xs, ys, payloads)` inside `rect`, with their
+    /// positions, in input order.
+    #[inline(always)]
+    fn filter(&mut self, xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect) {
+        filter_rect_coords(xs, ys, payloads, rect, &mut self.rows, &mut self.xs, &mut self.ys);
+    }
+}
+
 /// Working memory of one sweep slice, kept across ticks.
 pub(crate) struct SliceScratch {
     /// This slice's effects, indexed by position in the slice (for a
@@ -155,22 +189,22 @@ pub(crate) struct SliceScratch {
     /// the writes to replica rows, `(target row, write)`, in order.
     pub log: EffectLog,
     pub outbound: Vec<(u32, EffectWrite)>,
-    /// Candidate rows of the current probe group, canonical order (on the
-    /// join path, their id ranks until the block is ordered).
-    block: Vec<u32>,
+    /// Candidates of the current probe group with their positions, in
+    /// canonical order: on the join path the block (its rows are id ranks
+    /// until it is ordered, and its positions are gathered after that); on
+    /// the scan the member's own, filtered.
+    block: Columns,
     /// The join block's radix scatter buffer ([`block_order`]).
     spare_block: Vec<u32>,
     /// Where each tile-row of the last group's window began in the probe
     /// order, by offset from the window's first row ([`seek_window`]).
     cursors: [usize; 3],
-    /// The join block's positions, gathered once per group.
-    block_xs: Vec<f64>,
-    block_ys: Vec<f64>,
     /// Each member's probe rect, in group order: [`Rect::EMPTY`] for a
     /// member whose query reads no neighbour.
     rects: Vec<Rect>,
-    /// One member's candidates, filtered out of the block.
-    rows: Vec<u32>,
+    /// One member's candidates and their positions, filtered out of the
+    /// join block.
+    hits: Columns,
     pub visits: u64,
     pub nonlocal: u64,
     pub groups: u64,
@@ -183,13 +217,11 @@ impl SliceScratch {
             table: EffectTable::new(schema),
             log: EffectLog::default(),
             outbound: Vec::new(),
-            block: Vec::new(),
+            block: Columns::default(),
             spare_block: Vec::new(),
             cursors: [0; 3],
-            block_xs: Vec::new(),
-            block_ys: Vec::new(),
             rects: Vec::new(),
-            rows: Vec::new(),
+            hits: Columns::default(),
             visits: 0,
             nonlocal: 0,
             groups: 0,
@@ -279,12 +311,12 @@ impl<'s, 'a> QuerySlice<'s, 'a> {
         if self.next == self.group_end {
             self.open_group();
         }
-        let (view, rect) = (self.plan.view, self.next - self.group);
+        let (plan, view, rect) = (self.plan, self.plan.view, self.next - self.group);
         self.next += 1;
-        let SliceScratch { block, block_xs, block_ys, rects, rows, visits, .. } = &mut *self.scratch;
-        let candidates = candidates(&rects[rect], self.plan.probe, block, block_xs, block_ys, rows);
-        *visits += candidates.len() as u64;
-        Some((view.agent(key.row), Neighbors::new(view, candidates, key.row)))
+        let SliceScratch { block, rects, hits, visits, .. } = &mut *self.scratch;
+        let (rows, xs, ys) = candidates(&rects[rect], plan, block, hits);
+        *visits += rows.len() as u64;
+        Some((view.agent(key.row), Neighbors::new(view, rows, xs, ys, key.row)))
     }
 
     /// Emit the oldest member yielded and not yet emitted: `f` makes its
@@ -309,13 +341,12 @@ impl<'s, 'a> QuerySlice<'s, 'a> {
             if self.next == self.group_end {
                 self.open_group();
             }
-            let SliceScratch { table, log, outbound, nonlocal, block, block_xs, block_ys, rects, rows, visits, .. } =
-                &mut *self.scratch;
+            let SliceScratch { table, log, outbound, nonlocal, block, rects, hits, visits, .. } = &mut *self.scratch;
             for slot in self.next..self.group_end {
                 let key = self.keys[slot];
-                let candidates = candidates(&rects[slot - self.group], plan.probe, block, block_xs, block_ys, rows);
-                *visits += candidates.len() as u64;
-                let neighbors = Neighbors::new(view, candidates, key.row);
+                let (rows, xs, ys) = candidates(&rects[slot - self.group], plan, block, hits);
+                *visits += rows.len() as u64;
+                let neighbors = Neighbors::new(view, rows, xs, ys, key.row);
                 emit_member(plan, key, slot as u32, table, log, outbound, nonlocal, |eff, id| {
                     f(view.agent(key.row), &neighbors, eff, &mut plan.rng.stream(id.raw()))
                 });
@@ -330,11 +361,11 @@ impl<'s, 'a> QuerySlice<'s, 'a> {
         let (plan, view, vis) = (self.plan, self.plan.view, self.plan.schema.visibility());
         self.group = self.next;
         self.group_end = self.next + group_len(&self.keys[self.next..], plan.probe);
-        let SliceScratch { block, spare_block, cursors, block_xs, block_ys, rects, groups, block_rows, .. } =
-            &mut *self.scratch;
+        let SliceScratch { block, spare_block, cursors, rects, groups, block_rows, .. } = &mut *self.scratch;
         self.rects.rects(view, &self.keys[self.group..self.group_end], rects);
         block.clear();
-        // A group counts in `groups` only when its block is built.
+        // A group counts in `groups` only when its block is built, and
+        // `block_rows` counts its candidates.
         let built = match plan.probe {
             Probe::Join => {
                 let union =
@@ -344,59 +375,56 @@ impl<'s, 'a> QuerySlice<'s, 'a> {
                     // The window: the tiles of the union's own corners.
                     let tiles = |p: Vec2| (tile_of(p.y, vis), tile_of(p.x, vis));
                     let (lo, hi) = (tiles(union.lo), tiles(union.hi));
+                    let rows = &mut block.rows;
                     match plan.directory {
-                        Some(directory) => directory.window(lo, hi, block),
-                        None => seek_window(plan.cells, lo, hi, cursors, block),
+                        Some(directory) => directory.window(lo, hi, rows),
+                        None => seek_window(plan.cells, lo, hi, cursors, rows),
                     }
                     // Ascending id ranks are ascending ids; then rows again.
-                    block_order(block, plan.by_id, spare_block);
-                    block_xs.clear();
-                    block_xs.extend(block.iter().map(|&r| view.xs[r as usize]));
-                    block_ys.clear();
-                    block_ys.extend(block.iter().map(|&r| view.ys[r as usize]));
+                    block_order(rows, plan.by_id, spare_block);
+                    block.xs.extend(block.rows.iter().map(|&r| view.xs[r as usize]));
+                    block.ys.extend(block.rows.iter().map(|&r| view.ys[r as usize]));
                 }
-                !union.is_empty()
+                (!union.is_empty()).then_some(block.rows.len())
             }
             Probe::Scan => {
                 let reader = !rects[0].is_empty();
                 if reader {
-                    filter_rect(plan.xs, plan.ys, plan.by_id, &rects[0], block);
+                    block.filter(plan.xs, plan.ys, plan.by_id, &rects[0]);
                 }
-                reader
+                reader.then_some(block.rows.len())
             }
-            Probe::Everyone => {
-                let reader = rects.iter().any(|rect| !rect.is_empty());
-                if reader {
-                    block.extend_from_slice(plan.by_id);
-                }
-                reader
-            }
+            // Every reader's candidates are the id order itself.
+            Probe::Everyone => rects.iter().any(|rect| !rect.is_empty()).then_some(plan.by_id.len()),
         };
-        *groups += built as u64;
-        *block_rows += block.len() as u64;
+        *groups += built.is_some() as u64;
+        *block_rows += built.unwrap_or(0) as u64;
     }
 }
 
-/// A member's candidates under its probe `rect`: none for an empty rect,
-/// filtered out of the join block into `rows`, or the whole block.
+/// A member's candidates under its probe `rect`, rows and positions: none
+/// for an empty rect, filtered out of the join block into `hits`, the
+/// scan's filtered block, or under unbounded visibility the id order.
 #[inline(always)]
 fn candidates<'c>(
     rect: &Rect,
-    probe: Probe,
-    block: &'c [u32],
-    block_xs: &[f64],
-    block_ys: &[f64],
-    rows: &'c mut Vec<u32>,
-) -> &'c [u32] {
+    plan: &'c SlicePlan<'_>,
+    block: &'c Columns,
+    hits: &'c mut Columns,
+) -> (&'c [u32], &'c [f64], &'c [f64]) {
     if rect.is_empty() {
-        &[]
-    } else if probe == Probe::Join {
-        rows.clear();
-        filter_rect(block_xs, block_ys, block, rect, rows);
-        rows
-    } else {
-        block
+        return (&[], &[], &[]);
     }
+    let columns = match plan.probe {
+        Probe::Join => {
+            hits.clear();
+            hits.filter(&block.xs, &block.ys, &block.rows, rect);
+            &*hits
+        }
+        Probe::Scan => block,
+        Probe::Everyone => return (plan.by_id, plan.xs, plan.ys),
+    };
+    (&columns.rows, &columns.xs, &columns.ys)
 }
 
 /// Run member `key`, the slice's `slot`-th, against its writer (`f` is

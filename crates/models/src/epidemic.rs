@@ -159,7 +159,7 @@ impl Behavior for EpidemicBehavior {
             }
             // The visible region is the index's square; the disease is
             // radial — filter on squared distance.
-            if nb.agent.pos().dist2(my_pos) <= r2 {
+            if nb.pos.dist2(my_pos) <= r2 {
                 eff.remote(nb.row, FieldId::new(effect::CONTACTS), 1.0);
             }
         }

@@ -30,7 +30,6 @@ use brace_core::behavior::{Behavior, Neighbors, UpdateCtx};
 use brace_core::effect::{EffectWriter, LocalFold};
 use brace_core::{Agent, AgentRef, AgentSchema, Combinator};
 use brace_spatial::kernels;
-use std::cmp::Ordering;
 
 /// Model parameters. Distances in body lengths, speeds in body lengths per
 /// tick.
@@ -145,13 +144,18 @@ const BLOCK: usize = 32;
 /// slots 0–7 and the heading in state slots 0–1: fold every neighbor within
 /// `sqrt(rho2)` of `me` into the querying agent's own effects through
 /// [`EffectWriter::fold_local`], repulsion inside `sqrt(alpha2)`. Two passes
-/// per block of [`BLOCK`] candidates:
+/// per block of [`BLOCK`] candidates, taken straight off the candidate
+/// columns the join carries ([`Neighbors::columns`]: rows and positions,
+/// the querying row possibly among them):
 ///
-/// 1. **Compress.** Every candidate's row, displacement and squared distance
-///    are written at a cursor that advances unless `d2 > rho2` — the
-///    corners of the square probe region, beyond the radial model; a NaN
-///    distance is not beyond it and stays in. No branch, so no mispredict
-///    for a corner, and no heading load or divide for it either.
+/// 1. **Compress**, in lanes: [`kernels::compress_disc`] computes each
+///    candidate's displacement and squared distance four at a time from the
+///    contiguous x and y columns, and packs the row, displacement and
+///    squared distance of every candidate that is not `me` and not beyond
+///    ρ (`d2 > rho2`: the corners of the square probe region, beyond the
+///    radial model; a NaN distance is not beyond it and stays in) to the
+///    front of the block's buffers. No branch, so no mispredict for a
+///    corner, and no heading load or divide for it either.
 /// 2. **Map and fold.** The kept entries, two at a time, become unit
 ///    directions through [`kernels::unit_dirs`] (one packed square root and
 ///    two packed divides; `kernels::candidate_force` per element, bit for
@@ -160,25 +164,29 @@ const BLOCK: usize = 32;
 ///
 /// Each accumulator receives the adds of the per-candidate loop
 /// `candidate_force` → `continue` beyond ρ → `fold_force`, in its order, so
-/// no bit moves (`kernel_zonal_forces_equal_the_candidate_loop`).
+/// no bit moves (`kernel_zonal_forces_equal_the_candidate_loop`): the
+/// compress computes `candidate_force`'s displacement and square with its
+/// operations, and where the blocks are cut changes nothing, since each
+/// kept entry maps on its own.
 pub(crate) fn fold_zonal_forces(eff: &mut EffectWriter<'_>, me: Vec2, nbrs: &Neighbors<'_>, alpha2: f64, rho2: f64) {
-    let view = nbrs.view();
+    let (view, me_row) = (nbrs.view(), nbrs.me());
+    let (rows, xs, ys) = nbrs.columns();
     eff.fold_local(FORCE_FOLD, |acc| {
-        let (mut rows, mut dx, mut dy, mut d2) = ([0u32; BLOCK], [0.0; BLOCK], [0.0; BLOCK], [0.0; BLOCK]);
-        let mut nbrs = nbrs.iter();
-        loop {
-            let (mut seen, mut kept) = (0, 0);
-            for nb in nbrs.by_ref().take(BLOCK) {
-                let pos = nb.agent.pos();
-                let (x, y) = (pos.x - me.x, pos.y - me.y);
-                let s = x * x + y * y;
-                (rows[kept], dx[kept], dy[kept], d2[kept]) = (nb.row, x, y, s);
-                // Not beyond ρ: within it, or a NaN distance (one compare).
-                kept += (s.partial_cmp(&rho2) != Some(Ordering::Greater)) as usize;
-                seen += 1;
-            }
+        let mut kept = kernels::Kept::<BLOCK>::default();
+        for start in (0..rows.len()).step_by(BLOCK) {
+            let end = rows.len().min(start + BLOCK);
+            let k = kernels::compress_disc(
+                &rows[start..end],
+                &xs[start..end],
+                &ys[start..end],
+                me_row,
+                me,
+                rho2,
+                &mut kept,
+            );
+            let kernels::Kept { rows, dx, dy, d2 } = &kept;
             let mut i = 0;
-            while i + 2 <= kept {
+            while i + 2 <= k {
                 let ([ux0, ux1], [uy0, uy1]) =
                     kernels::unit_dirs([dx[i], dx[i + 1]], [dy[i], dy[i + 1]], [d2[i], d2[i + 1]]);
                 let (a, b) = (view.agent(rows[i]), view.agent(rows[i + 1]));
@@ -186,13 +194,10 @@ pub(crate) fn fold_zonal_forces(eff: &mut EffectWriter<'_>, me: Vec2, nbrs: &Nei
                 fold_force(acc, d2[i + 1] <= alpha2, ux1, uy1, b.state(state::HX), b.state(state::HY));
                 i += 2;
             }
-            if i < kept {
+            if i < k {
                 let ([ux], [uy]) = kernels::unit_dirs([dx[i]], [dy[i]], [d2[i]]);
                 let a = view.agent(rows[i]);
                 fold_force(acc, d2[i] <= alpha2, ux, uy, a.state(state::HX), a.state(state::HY));
-            }
-            if seen < BLOCK {
-                break;
             }
         }
     });

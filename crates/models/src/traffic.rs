@@ -325,10 +325,7 @@ impl Behavior for TrafficBehavior {
             p,
             my_pos.x,
             lane,
-            nbrs.iter().map(|n| {
-                let pos = n.agent.pos();
-                (pos.x, pos.y.round() as usize, n.agent.state(state::VEL))
-            }),
+            nbrs.iter().map(|n| (n.pos.x, n.pos.y.round() as usize, n.agent.state(state::VEL))),
         );
         let left = (lane > 0).then_some(&views[0]);
         let right = (lane + 1 < p.lanes).then_some(&views[2]);

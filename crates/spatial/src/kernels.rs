@@ -6,10 +6,14 @@
 //! flat `f64` columns with no loop-carried dependence. That is exactly the
 //! shape that vectorizes, and this module is the single home for the
 //! fixed-width kernels the indexes and the executor batch through: the
-//! executor's join members and its scan filter with [`filter_rect`], the
-//! scan and grid indexes gather k-NN distances with [`dist2`], and the zonal models
-//! (fish, flock-obstacles) turn their kept candidates into unit directions
-//! with [`unit_dirs`]. The executor's join also orders and looks up here:
+//! executor's join members and its scan filter with [`filter_rect_coords`]
+//! (which emits each hit's coordinates beside its row, so a member's
+//! candidates leave the filter with their positions), the scan index with
+//! [`filter_rect`], the scan and grid indexes gather k-NN distances with
+//! [`dist2`], and the zonal models (fish, flock-obstacles) compress those
+//! carried positions to their visible disc with [`compress_disc`] and turn
+//! the kept candidates into unit directions with [`unit_dirs`]. The
+//! executor's join also orders and looks up here:
 //! each block goes into ascending id by
 //! [`block_order`] (rank placement, or the byte radix [`radix_sort_by_key`]
 //! that builds the tick's id order too), the probe order of [`ProbeKey`]s is
@@ -29,32 +33,41 @@
 //! every input length. The tail boundary can never change results — only
 //! which instructions produce them. `tests` pins the remainder handling at
 //! candidate counts of 0, 1, `LANES−1`, `LANES`, `LANES+1` and `2·LANES−1`
-//! — for [`filter_rect`], under every hit pattern of those lengths, and for
-//! [`unit_dirs`], which maps `N` elements per call (its caller takes a run
-//! in chunks of `N` and the remainder one at a time), at `N` = 1, 2 and
+//! — for [`filter_rect`], under every hit pattern of those lengths (and for
+//! its coordinate mode under every hit pattern of every length to
+//! `2·LANES`, payloads and coordinate bits), for [`compress_disc`] at every
+//! run length to a full block against the scalar per-candidate cursor, and
+//! for [`unit_dirs`], which maps `N` elements per call (its caller takes a
+//! run in chunks of `N` and the remainder one at a time), at `N` = 1, 2 and
 //! [`LANES`] against [`candidate_force`], element by element.
 //!
 //! # Emission: write, then advance
 //!
-//! The contract covers how [`filter_rect`] *emits*, not only how it tests.
-//! A member of a probe group selects ≈45 % of its block, so a branch (and a
-//! `Vec::push` with its capacity test) per hit mispredicts about as often
-//! as a branch can. Head and tail therefore emit without one: every
-//! candidate's payload is **written** at the current end of the output
-//! unconditionally, and the end **advances** by the candidate's mask bit —
-//! a miss is overwritten by the next write, a hit is kept. The AVX head
-//! does this four at a time (compress-store: a 16-entry lane-permutation
-//! table packs the chunk's hits to the front of one 16-byte store; the end
-//! advances by `popcnt(mask)`).
+//! The contract covers how [`filter_rect`] and [`compress_disc`] *emit*,
+//! not only how they test. A member of a probe group selects ≈45 % of its
+//! block, so a branch (and a `Vec::push` with its capacity test) per hit
+//! mispredicts about as often as a branch can. Head and tail therefore emit
+//! without one: every candidate's payload is **written** at the current end
+//! of the output unconditionally, and the end **advances** by the
+//! candidate's mask bit — a miss is overwritten by the next write, a hit is
+//! kept. In [`filter_rect_coords`] the candidate's x and y are written at
+//! the same end of their own outputs, so the three stay parallel; in
+//! [`compress_disc`] its row, displacement and squared distance. The AVX2
+//! head does this four at a time (compress-store: a 16-entry
+//! lane-permutation table packs the chunk's hits to the front of one
+//! 16-byte store of payloads, its 64-bit twin packs the chunk's doubles to
+//! the front of one 32-byte store per column; the end advances by
+//! `popcnt(mask)`).
 //!
-//! *The over-write bound.* The kernel reserves one slot per input element
-//! up front, so every write lands in capacity the output owns: the end never
-//! runs ahead of the number of elements visited, and a chunk's store covers
-//! at most [`LANES`] slots from the end. On return at most `LANES − 1` slots
-//! past the final length have been written; they stay outside `len` — the
-//! length is set once, after the last write, nothing uninitialised is ever
-//! read, and the output's earlier contents are never touched (the kernel
-//! appends).
+//! *The over-write bound.* The filter reserves one slot per input element
+//! up front in each output it writes (the disc compress writes fixed arrays
+//! at least as long as its run), so every write lands in memory the output
+//! owns: the end never runs ahead of the number of elements visited, and a
+//! chunk's store covers at most [`LANES`] slots from the end. On return at
+//! most `LANES − 1` slots past the final length have been written; they
+//! stay outside `len` — the length is set once, after the last write,
+//! nothing uninitialised is ever read, and the output's earlier contents
+//! are never touched (the filter appends).
 //!
 //! *Why selection stays order-preserving.* Writes happen in input order and
 //! a kept payload's slot is the number of hits before it — in the vector
@@ -77,14 +90,17 @@
 //! `kernel_range_filter_batched_equals_scalar` does the filter.
 //!
 //! The portable kernels are written so stable LLVM autovectorizes them
-//! (branch-free masks, exact chunking); on x86-64 [`filter_rect`] has an
-//! explicit `std::arch` AVX path, selected by runtime feature detection
-//! ([`std::arch::is_x86_feature_detected`]) — it computes the identical
-//! comparisons and emits the identical subsequence, so the dispatch never
-//! affects results, only speed. It needs AVX and nothing newer: runners
-//! without AVX2, BMI2 or AVX-512 take the same path as this box.
+//! (branch-free masks, exact chunking); on x86-64 the filter (both modes)
+//! and [`compress_disc`] have explicit `std::arch` AVX2 paths, selected by
+//! runtime feature detection ([`std::arch::is_x86_feature_detected`]) —
+//! they compute the identical comparisons and arithmetic and emit the
+//! identical subsequence, so the dispatch never affects results, only
+//! speed. They need AVX2 (for `vpermps`, the cross-lane permute that packs
+//! doubles) and nothing newer: no FMA, BMI2 or AVX-512. A runner without
+//! AVX2 takes the portable lane paths, which the tests pin to the same
+//! bits.
 
-use brace_common::Rect;
+use brace_common::{Rect, Vec2};
 
 /// Fixed lane width of the batched kernels: 4 × `f64` is one 256-bit AVX
 /// register (two 128-bit SSE2 registers on older cores).
@@ -96,30 +112,86 @@ pub const LANES: usize = 4;
 /// an empty `rect` emits nothing, exactly like `contains`. `out`'s existing
 /// contents are kept; its capacity grows by at most the input length.
 pub fn filter_rect(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out: &mut Vec<u32>) {
-    // Hard asserts: the AVX path's raw loads and both paths' emission bound
+    // The coordinate columns are never touched in this mode: empty vectors,
+    // which allocate nothing.
+    filter::<false>(xs, ys, payloads, rect, out, &mut Vec::new(), &mut Vec::new());
+}
+
+/// [`filter_rect`] that also appends each hit's coordinates, `xs[i]` to
+/// `out_xs` and `ys[i]` to `out_ys`, beside its payload: the three outputs
+/// grow by the same hits in the same order, so a caller that hands in
+/// parallel columns gets parallel columns back.
+pub fn filter_rect_coords(
+    xs: &[f64],
+    ys: &[f64],
+    payloads: &[u32],
+    rect: &Rect,
+    out: &mut Vec<u32>,
+    out_xs: &mut Vec<f64>,
+    out_ys: &mut Vec<f64>,
+) {
+    filter::<true>(xs, ys, payloads, rect, out, out_xs, out_ys);
+}
+
+/// The one body of [`filter_rect`] and [`filter_rect_coords`]: `COORDS`
+/// says whether the hits' coordinates are emitted too.
+#[inline(always)]
+fn filter<const COORDS: bool>(
+    xs: &[f64],
+    ys: &[f64],
+    payloads: &[u32],
+    rect: &Rect,
+    out: &mut Vec<u32>,
+    out_xs: &mut Vec<f64>,
+    out_ys: &mut Vec<f64>,
+) {
+    // Hard asserts: the AVX2 path's raw loads and both paths' emission bound
     // (`hits <= xs.len()`) rest on the three columns being parallel.
     assert!(ys.len() == xs.len() && payloads.len() == xs.len(), "filter_rect columns must be parallel");
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: AVX support was just detected at runtime, and the columns
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just detected at runtime, and the columns
         // are parallel (asserted above).
-        unsafe { filter_rect_avx(xs, ys, payloads, rect, out) };
+        unsafe { filter_rect_avx2::<COORDS>(xs, ys, payloads, rect, out, out_xs, out_ys) };
         return;
     }
-    filter_rect_lanes(xs, ys, payloads, rect, out);
+    filter_rect_lanes::<COORDS>(xs, ys, payloads, rect, out, out_xs, out_ys);
 }
 
-/// Portable lane implementation of [`filter_rect`]: branch-free containment
+/// Portable lane implementation of [`filter`]: branch-free containment
 /// masks over exact [`LANES`]-wide chunks (written so LLVM autovectorizes
 /// the compares on stable), then a scalar tail — both emitting by
-/// write-then-advance (module docs) into `out`'s spare capacity.
-fn filter_rect_lanes(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out: &mut Vec<u32>) {
+/// write-then-advance (module docs) into the outputs' spare capacity.
+fn filter_rect_lanes<const COORDS: bool>(
+    xs: &[f64],
+    ys: &[f64],
+    payloads: &[u32],
+    rect: &Rect,
+    out: &mut Vec<u32>,
+    out_xs: &mut Vec<f64>,
+    out_ys: &mut Vec<f64>,
+) {
     let n = xs.len();
     let (ys, payloads) = (&ys[..n], &payloads[..n]);
     let (lox, hix, loy, hiy) = (rect.lo.x, rect.hi.x, rect.lo.y, rect.hi.y);
     out.reserve(n);
-    let len = out.len();
+    if COORDS {
+        out_xs.reserve(n);
+        out_ys.reserve(n);
+    }
+    let (len, len_x, len_y) = (out.len(), out_xs.len(), out_ys.len());
     let spare = out.spare_capacity_mut();
+    let (spare_x, spare_y) = (out_xs.spare_capacity_mut(), out_ys.spare_capacity_mut());
+    // Write element `j` at the end, `k`: its payload, and in the coordinate
+    // mode its position. `k <= j < n <= spare.len()`: one hit at most per
+    // element visited.
+    let mut write = |k: usize, j: usize| {
+        spare[k].write(payloads[j]);
+        if COORDS {
+            spare_x[k].write(xs[j]);
+            spare_y[k].write(ys[j]);
+        }
+    };
     let head = n - n % LANES;
     let mut k = 0;
     let mut i = 0;
@@ -130,23 +202,29 @@ fn filter_rect_lanes(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out:
             // `&` (not `&&`): no short-circuit branches inside the lane.
             mask[j] = (x >= lox) & (x <= hix) & (y >= loy) & (y <= hiy);
         }
-        for j in 0..LANES {
-            // `k <= i + j < n <= spare.len()`: one hit at most per element.
-            spare[k].write(payloads[i + j]);
-            k += mask[j] as usize;
+        for (j, &hit) in mask.iter().enumerate() {
+            write(k, i + j);
+            k += hit as usize;
         }
         i += LANES;
     }
     for j in head..n {
         let (x, y) = (xs[j], ys[j]);
-        spare[k].write(payloads[j]);
+        write(k, j);
         k += ((x >= lox) & (x <= hix) & (y >= loy) & (y <= hiy)) as usize;
     }
-    // SAFETY: `k <= n` slots were reserved above, and every slot of
-    // `len..len + k` was written: slot `k'` is (re)written by each element
-    // visited while the hit count stands at `k'`, the last of which is the
-    // hit that advances the count past it.
-    unsafe { out.set_len(len + k) };
+    // SAFETY: `k <= n` slots were reserved above in each output written, and
+    // every slot of `len..len + k` was written: slot `k'` is (re)written by
+    // each element visited while the hit count stands at `k'`, the last of
+    // which is the hit that advances the count past it. The coordinate
+    // outputs, in the coordinate mode, likewise from `len_x` and `len_y`.
+    unsafe {
+        out.set_len(len + k);
+        if COORDS {
+            out_xs.set_len(len_x + k);
+            out_ys.set_len(len_y + k);
+        }
+    }
 }
 
 /// `COMPRESS[m]`: the lanes set in the 4-bit mask `m`, ascending, packed to
@@ -172,24 +250,53 @@ static COMPRESS: [[u32; LANES]; 1 << LANES] = {
     lut
 };
 
-/// Explicit AVX form of [`filter_rect`]: four doubles per compare, a
-/// movemask per chunk, and emission by **compress-store** — the mask picks
-/// a lane permutation from [`COMPRESS`], `vpermilps` packs the chunk's
-/// selected payloads to the front, one unconditional 16-byte store writes
-/// them at the current end, and the end advances by `popcnt(mask)`. No
-/// branch or `push` per hit: members select ≈45 % of their block, which a
-/// per-lane branch mispredicts. AVX + SSE2 only (no AVX2 `vpermd`, BMI2
-/// `pext` or AVX-512 `vpcompressd`). The `_CMP_GE_OQ`/`_CMP_LE_OQ`
-/// predicates are the ordered-quiet forms of `>=`/`<=`, so NaN coordinates
-/// fail containment exactly as they do in scalar code.
+/// `COMPRESS_F64[m]`: [`COMPRESS`] for four `f64` lanes, as the `vpermps`
+/// control over their eight 32-bit halves — kept lane `l` moves as the
+/// pair `2l, 2l + 1`. Unused pairs are lane 0's, as in [`COMPRESS`].
+#[cfg(target_arch = "x86_64")]
+static COMPRESS_F64: [[u32; 2 * LANES]; 1 << LANES] = {
+    let mut lut = [[0; 2 * LANES]; 1 << LANES];
+    let mut m = 0;
+    while m < 1 << LANES {
+        let mut j = 0;
+        while j < LANES {
+            lut[m][2 * j] = 2 * COMPRESS[m][j];
+            lut[m][2 * j + 1] = 2 * COMPRESS[m][j] + 1;
+            j += 1;
+        }
+        m += 1;
+    }
+    lut
+};
+
+/// Explicit AVX2 form of [`filter`]: four doubles per compare, a movemask
+/// per chunk, and emission by **compress-store** — the mask picks a lane
+/// permutation from [`COMPRESS`], `vpermilps` packs the chunk's selected
+/// payloads to the front, one unconditional 16-byte store writes them at
+/// the current end, and the end advances by `popcnt(mask)`. In the
+/// coordinate mode the same mask picks a [`COMPRESS_F64`] control, and
+/// `vpermps` packs the chunk's x and y lanes the same way, one 32-byte store
+/// each. No branch or `push` per hit: members select ≈45 % of their block,
+/// which a per-lane branch mispredicts. AVX2 for `vpermps` (no BMI2 `pext`
+/// or AVX-512 `vpcompress`). The `_CMP_GE_OQ`/`_CMP_LE_OQ` predicates are
+/// the ordered-quiet forms of `>=`/`<=`, so NaN coordinates fail
+/// containment exactly as they do in scalar code.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX, and `ys` and `payloads` must hold at least
+/// The CPU must support AVX2, and `ys` and `payloads` must hold at least
 /// `xs.len()` elements.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn filter_rect_avx(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect, out: &mut Vec<u32>) {
+#[target_feature(enable = "avx2")]
+unsafe fn filter_rect_avx2<const COORDS: bool>(
+    xs: &[f64],
+    ys: &[f64],
+    payloads: &[u32],
+    rect: &Rect,
+    out: &mut Vec<u32>,
+    out_xs: &mut Vec<f64>,
+    out_ys: &mut Vec<f64>,
+) {
     use std::arch::x86_64::*;
     let n = xs.len();
     debug_assert!(ys.len() >= n && payloads.len() >= n);
@@ -198,12 +305,19 @@ unsafe fn filter_rect_avx(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect,
     let loy = _mm256_set1_pd(rect.lo.y);
     let hiy = _mm256_set1_pd(rect.hi.y);
     out.reserve(n);
-    let len = out.len();
+    if COORDS {
+        out_xs.reserve(n);
+        out_ys.reserve(n);
+    }
+    let (len, len_x, len_y) = (out.len(), out_xs.len(), out_ys.len());
     // SAFETY (every write below): `dst` addresses the `n` reserved slots
-    // past `len`. The hit count `k` never exceeds the number of elements
-    // already visited, so a chunk's store covers slots `k..k + LANES` with
-    // `k + LANES <= i + LANES <= n`, and a tail write lands at `k <= j < n`.
+    // past `len`, and in the coordinate mode `dst_x` and `dst_y` those past
+    // `len_x` and `len_y` (otherwise they are never written). The hit count
+    // `k` never exceeds the number of elements already visited, so a chunk's
+    // stores cover slots `k..k + LANES` with `k + LANES <= i + LANES <= n`,
+    // and a tail write lands at `k <= j < n`.
     let dst = out.as_mut_ptr().add(len);
+    let (dst_x, dst_y) = (out_xs.as_mut_ptr().add(len_x), out_ys.as_mut_ptr().add(len_y));
     let head = n - n % LANES;
     let mut k = 0;
     let mut i = 0;
@@ -218,20 +332,35 @@ unsafe fn filter_rect_avx(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect,
         let chunk = _mm_castsi128_ps(_mm_loadu_si128(payloads.as_ptr().add(i).cast()));
         let control = _mm_loadu_si128(COMPRESS[mask].as_ptr().cast());
         _mm_storeu_ps(dst.add(k).cast(), _mm_permutevar_ps(chunk, control));
+        if COORDS {
+            let control = _mm256_loadu_si256(COMPRESS_F64[mask].as_ptr().cast());
+            let pack = |v: __m256d| _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(v), control));
+            _mm256_storeu_pd(dst_x.add(k), pack(x));
+            _mm256_storeu_pd(dst_y.add(k), pack(y));
+        }
         k += mask.count_ones() as usize;
         i += LANES;
     }
     for j in head..n {
         let (x, y) = (xs[j], ys[j]);
         dst.add(k).write(payloads[j]);
+        if COORDS {
+            dst_x.add(k).write(x);
+            dst_y.add(k).write(y);
+        }
         k += ((x >= rect.lo.x) & (x <= rect.hi.x) & (y >= rect.lo.y) & (y <= rect.hi.y)) as usize;
     }
     // SAFETY: slots `len..len + k` are initialised — each chunk's store puts
     // its `popcnt` selected payloads first and `k` advances past exactly
     // those, a tail write is kept only when `k` advances past it — and
-    // `len + k <= len + n` is within the reserved capacity. Set after the
-    // last write: nothing past `len` was observable before this line.
+    // `len + k <= len + n` is within the reserved capacity; the coordinate
+    // outputs likewise in the coordinate mode. Set after the last write:
+    // nothing past the old lengths was observable before this line.
     out.set_len(len + k);
+    if COORDS {
+        out_xs.set_len(len_x + k);
+        out_ys.set_len(len_y + k);
+    }
 }
 
 /// Write the squared Euclidean distance from `(qx, qy)` to every
@@ -288,6 +417,164 @@ pub fn unit_dirs<const N: usize>(dx: [f64; N], dy: [f64; N], d2: [f64; N]) -> ([
         uy[j] = f64::from_bits((dy[j] / d[j]).to_bits() & keep);
     }
     (ux, uy)
+}
+
+/// One run of candidates kept by [`compress_disc`], first `len` entries of
+/// each column (the kernel's return value): the candidate's row, its
+/// displacement `(dx, dy)` from the querying point and its squared distance
+/// `d2`. Entries past `len` hold whatever the last writes left there.
+#[derive(Debug, Clone)]
+pub struct Kept<const N: usize> {
+    pub rows: [u32; N],
+    pub dx: [f64; N],
+    pub dy: [f64; N],
+    pub d2: [f64; N],
+}
+
+impl<const N: usize> Default for Kept<N> {
+    fn default() -> Self {
+        Kept { rows: [0; N], dx: [0.0; N], dy: [0.0; N], d2: [0.0; N] }
+    }
+}
+
+/// The zonal models' compress pass: for every candidate `i` of the run
+/// `(rows, xs, ys)` (parallel, at most `N` long), the displacement
+/// `(xs[i] − c.x, ys[i] − c.y)` and its squared length `dx·dx + dy·dy` —
+/// [`candidate_force`]'s operation sequence, no FMA — and keep it, in run
+/// order, unless its row is `me` or its squared distance is greater than
+/// `rho2` (a NaN distance is not greater, so it stays in). Returns how many
+/// were kept into `out`.
+///
+/// Emission is [`filter_rect`]'s: write every candidate at the end, advance
+/// by its keep bit; the AVX2 path packs each [`LANES`]-wide chunk's kept
+/// lanes with the same permutation tables and stores them unconditionally.
+/// The portable path is the lane loop of the same operations; both equal
+/// the scalar per-candidate cursor, bit for bit.
+#[inline]
+pub fn compress_disc<const N: usize>(
+    rows: &[u32],
+    xs: &[f64],
+    ys: &[f64],
+    me: u32,
+    c: Vec2,
+    rho2: f64,
+    out: &mut Kept<N>,
+) -> usize {
+    // Hard assert: both paths' stores rest on it (a chunk's store reaches
+    // `LANES` slots past the end, which the bound keeps inside `N`).
+    assert!(
+        xs.len() == rows.len() && ys.len() == rows.len() && rows.len() <= N,
+        "compress_disc columns must be parallel and fit the output"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just detected at runtime; the columns are
+        // parallel and fit `out` (asserted above).
+        return unsafe { compress_disc_avx2(rows, xs, ys, me, c, rho2, out) };
+    }
+    compress_disc_lanes(rows, xs, ys, me, c, rho2, out)
+}
+
+/// `!(d2 > rho2)`: within the disc, or a NaN distance (one compare).
+#[inline(always)]
+fn not_beyond(d2: f64, rho2: f64) -> bool {
+    d2.partial_cmp(&rho2) != Some(std::cmp::Ordering::Greater)
+}
+
+/// Portable lane implementation of [`compress_disc`]: each [`LANES`]-wide
+/// chunk's displacements, squared distances and keep bits, then its
+/// write-then-advance emission; then the tail one at a time.
+fn compress_disc_lanes<const N: usize>(
+    rows: &[u32],
+    xs: &[f64],
+    ys: &[f64],
+    me: u32,
+    c: Vec2,
+    rho2: f64,
+    out: &mut Kept<N>,
+) -> usize {
+    let n = rows.len();
+    let (xs, ys) = (&xs[..n], &ys[..n]);
+    let mut k = 0;
+    // Write candidate `j` at the end, `k` (`k <= j < n <= N`), and return
+    // its keep bit.
+    let mut emit = |k: usize, j: usize| {
+        let (dx, dy) = (xs[j] - c.x, ys[j] - c.y);
+        let d2 = dx * dx + dy * dy;
+        (out.rows[k], out.dx[k], out.dy[k], out.d2[k]) = (rows[j], dx, dy, d2);
+        ((rows[j] != me) & not_beyond(d2, rho2)) as usize
+    };
+    let head = n - n % LANES;
+    for i in (0..head).step_by(LANES) {
+        for j in i..i + LANES {
+            k += emit(k, j);
+        }
+    }
+    for j in head..n {
+        k += emit(k, j);
+    }
+    k
+}
+
+/// Explicit AVX2 form of [`compress_disc`]: four displacements, squared
+/// distances and compares per chunk (`sub`, `mul`, `mul`, `add`: the scalar
+/// sequence, and nothing here enables FMA), the keep mask from the
+/// `_CMP_GT_OQ` movemask (false for NaN, so a NaN distance is kept) and the
+/// rows' equality with `me`, then [`filter_rect_avx2`]'s compress-store of
+/// the rows, `dx`, `dy` and `d2` at the end, which advances by
+/// `popcnt(mask)`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `xs` and `ys` must hold at least
+/// `rows.len()` elements, and `rows.len() <= N`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn compress_disc_avx2<const N: usize>(
+    rows: &[u32],
+    xs: &[f64],
+    ys: &[f64],
+    me: u32,
+    c: Vec2,
+    rho2: f64,
+    out: &mut Kept<N>,
+) -> usize {
+    use std::arch::x86_64::*;
+    let n = rows.len();
+    debug_assert!(xs.len() >= n && ys.len() >= n && n <= N);
+    let (cx, cy, r2) = (_mm256_set1_pd(c.x), _mm256_set1_pd(c.y), _mm256_set1_pd(rho2));
+    let mine = _mm_set1_epi32(me as i32);
+    let head = n - n % LANES;
+    let mut k = 0;
+    let mut i = 0;
+    while i < head {
+        // SAFETY: `i + LANES <= head <= n`, within every column (the
+        // caller's contract). Each store covers `k..k + LANES` with
+        // `k <= i`, so `k + LANES <= n <= N`, inside every output array.
+        let dx = _mm256_sub_pd(_mm256_loadu_pd(xs.as_ptr().add(i)), cx);
+        let dy = _mm256_sub_pd(_mm256_loadu_pd(ys.as_ptr().add(i)), cy);
+        let d2 = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+        let far = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(d2, r2));
+        let chunk = _mm_loadu_si128(rows.as_ptr().add(i).cast());
+        let own = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(chunk, mine)));
+        let mask = (!(far | own) & 0xF) as usize;
+        let control = _mm_loadu_si128(COMPRESS[mask].as_ptr().cast());
+        _mm_storeu_ps(out.rows.as_mut_ptr().add(k).cast(), _mm_permutevar_ps(_mm_castsi128_ps(chunk), control));
+        let control = _mm256_loadu_si256(COMPRESS_F64[mask].as_ptr().cast());
+        let pack = |v: __m256d| _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(v), control));
+        _mm256_storeu_pd(out.dx.as_mut_ptr().add(k), pack(dx));
+        _mm256_storeu_pd(out.dy.as_mut_ptr().add(k), pack(dy));
+        _mm256_storeu_pd(out.d2.as_mut_ptr().add(k), pack(d2));
+        k += mask.count_ones() as usize;
+        i += LANES;
+    }
+    for j in head..n {
+        let (dx, dy) = (xs[j] - c.x, ys[j] - c.y);
+        let d2 = dx * dx + dy * dy;
+        (out.rows[k], out.dx[k], out.dy[k], out.d2[k]) = (rows[j], dx, dy, d2);
+        k += ((rows[j] != me) & not_beyond(d2, rho2)) as usize;
+    }
+    k
 }
 
 /// The longest block [`block_order`] orders by rank placement; a longer one
@@ -587,20 +874,56 @@ mod tests {
         (xs, ys, pls)
     }
 
-    /// Both emission paths against the naive loop, appending to `prefix`
-    /// held in a vector whose capacity is exactly its length — so the
-    /// kernel has to grow it, must keep what was there, and everything it
-    /// wrote past the final length stays unobservable.
+    /// A naive filter's hits with their coordinates' bits, `(payload, x, y)`.
+    fn naive_hits(xs: &[f64], ys: &[f64], payloads: &[u32], rect: &Rect) -> Vec<(u32, u64, u64)> {
+        (0..xs.len())
+            .filter(|&i| rect.contains(Vec2::new(xs[i], ys[i])))
+            .map(|i| (payloads[i], xs[i].to_bits(), ys[i].to_bits()))
+            .collect()
+    }
+
+    type Filter = fn(&[f64], &[f64], &[u32], &Rect, &mut Vec<u32>, &mut Vec<f64>, &mut Vec<f64>);
+
+    /// Both paths of both modes: the dispatched one (AVX2 where the CPU has
+    /// it) and the portable lanes, payloads only and with coordinates.
+    const FILTERS: [(&str, Filter); 4] = [
+        ("dispatched", filter::<false>),
+        ("lanes", filter_rect_lanes::<false>),
+        ("dispatched coords", filter::<true>),
+        ("lanes coords", filter_rect_lanes::<true>),
+    ];
+
+    /// Every path against the naive loop, appending to `prefix` held in
+    /// vectors whose capacity is exactly their length — so the kernel has to
+    /// grow them, must keep what was there, and everything it wrote past the
+    /// final lengths stays unobservable. The coordinate mode must emit the
+    /// naive loop's payloads and coordinate bits; the payload mode must leave
+    /// the coordinate outputs alone.
     fn assert_paths_match_naive(xs: &[f64], ys: &[f64], pls: &[u32], rect: &Rect, prefix: &[u32], what: &str) {
-        let mut want = prefix.to_vec();
-        want.extend(naive_filter(xs, ys, pls, rect));
-        for (path, kernel) in [("dispatched", filter_rect as fn(&_, &_, &_, &_, &mut _)), ("lanes", filter_rect_lanes)]
-        {
+        let want = naive_hits(xs, ys, pls, rect);
+        let prefix_xs: Vec<f64> = prefix.iter().map(|&p| p as f64 + 0.5).collect();
+        let prefix_ys: Vec<f64> = prefix.iter().map(|&p| -(p as f64)).collect();
+        for (path, kernel) in FILTERS {
+            let coords = path.ends_with("coords");
+            let start = |v: &[f64]| {
+                let mut out = Vec::with_capacity(v.len());
+                out.extend_from_slice(v);
+                out
+            };
             let mut got = Vec::with_capacity(prefix.len());
             got.extend_from_slice(prefix);
-            assert_eq!(got.capacity(), got.len());
-            kernel(xs, ys, pls, rect, &mut got);
-            assert_eq!(got, want, "{path} path, {what}");
+            let (mut got_xs, mut got_ys) = (start(&prefix_xs), start(&prefix_ys));
+            assert_eq!((got.capacity(), got_xs.capacity()), (got.len(), got_xs.len()));
+            kernel(xs, ys, pls, rect, &mut got, &mut got_xs, &mut got_ys);
+            assert_eq!(&got[..prefix.len()], prefix, "{path} path, {what}: prefix");
+            assert_eq!(got[prefix.len()..], want.iter().map(|h| h.0).collect::<Vec<_>>()[..], "{path} path, {what}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (mut want_xs, mut want_ys) = (bits(&prefix_xs), bits(&prefix_ys));
+            if coords {
+                want_xs.extend(want.iter().map(|h| h.1));
+                want_ys.extend(want.iter().map(|h| h.2));
+            }
+            assert_eq!((bits(&got_xs), bits(&got_ys)), (want_xs, want_ys), "{path} path, {what}: coordinates");
         }
     }
 
@@ -624,6 +947,157 @@ mod tests {
                 assert_paths_match_naive(&xs, &ys, &pls, &rect, &[9, 8, 7], &format!("n {n} hits {hits:#b}, appended"));
             }
         }
+    }
+
+    /// The coordinate mode's tail contract, exhaustively: at every length
+    /// from 0 to 2·LANES, every hit pattern, through both paths of both
+    /// modes — the vector head sees all 16 lane masks followed by every tail.
+    /// Hits sit at distinct positions (signed zeros among them), so a lane
+    /// packed out of place moves a coordinate's bits.
+    #[test]
+    fn kernel_filter_rect_coords_every_hit_pattern_to_two_lane_widths() {
+        let rect = Rect::from_bounds(-1.0, 1.0, -1.0, 1.0);
+        for n in 0..=2 * LANES {
+            let pls: Vec<u32> = (0..n as u32).map(|i| 500 + 3 * i).collect();
+            for hits in 0u32..1 << n {
+                let inside = |i: usize| hits >> i & 1 == 1;
+                let at = |i: usize, sign: f64| match i % 3 {
+                    0 => sign * 0.0,
+                    _ => sign * (i as f64 + 1.0) / 16.0,
+                };
+                let xs: Vec<f64> = (0..n).map(|i| if inside(i) || i % 2 == 1 { at(i, -1.0) } else { -3.0 }).collect();
+                let ys: Vec<f64> = (0..n).map(|i| if inside(i) || i % 2 == 0 { at(i, 1.0) } else { 3.0 }).collect();
+                assert_paths_match_naive(&xs, &ys, &pls, &rect, &[], &format!("n {n} hits {hits:#b}"));
+                assert_paths_match_naive(&xs, &ys, &pls, &rect, &[4, 2], &format!("n {n} hits {hits:#b}, appended"));
+            }
+        }
+    }
+
+    /// NaN in either column at every place of every length to 2·LANES, and
+    /// NaN rect bounds: a NaN coordinate fails containment, a NaN bound
+    /// admits nothing, in the head and in the tail of both paths and modes.
+    #[test]
+    fn kernel_filter_rect_coords_nan_columns_and_bounds() {
+        let nan = f64::NAN;
+        let rects = [
+            Rect::from_bounds(0.0, 1.0, 0.0, 1.0),
+            Rect::from_bounds(f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY),
+            Rect::from_bounds(nan, 1.0, 0.0, 1.0),
+            Rect::from_bounds(0.0, 1.0, 0.0, nan),
+        ];
+        for n in 0..=2 * LANES {
+            let pls: Vec<u32> = (0..n as u32).map(|i| 40 - i).collect();
+            for bad in 0..n {
+                for axis in 0..3 {
+                    let xs: Vec<f64> = (0..n).map(|i| if i == bad && axis != 1 { nan } else { 0.5 }).collect();
+                    let ys: Vec<f64> = (0..n).map(|i| if i == bad && axis != 0 { nan } else { 0.25 }).collect();
+                    for rect in &rects {
+                        let what = format!("n {n}, NaN at {bad} on axis {axis}, rect {rect:?}");
+                        assert_paths_match_naive(&xs, &ys, &pls, rect, &[7], &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scalar cursor compress [`compress_disc`] replaced, as
+    /// `(row, dx, dy, d2)` bits per kept candidate.
+    fn cursor_compress(rows: &[u32], xs: &[f64], ys: &[f64], me: u32, c: Vec2, rho2: f64) -> Vec<[u64; 4]> {
+        let mut kept = Vec::new();
+        for i in 0..rows.len() {
+            let (dx, dy) = (xs[i] - c.x, ys[i] - c.y);
+            let d2 = dx * dx + dy * dy;
+            if rows[i] != me && d2.partial_cmp(&rho2) != Some(std::cmp::Ordering::Greater) {
+                kept.push([rows[i] as u64, dx.to_bits(), dy.to_bits(), d2.to_bits()]);
+            }
+        }
+        kept
+    }
+
+    /// Both paths of [`compress_disc`] on one run, against the cursor.
+    fn assert_compress_matches_cursor(rows: &[u32], xs: &[f64], ys: &[f64], me: u32, c: Vec2, rho2: f64, what: &str) {
+        let want = cursor_compress(rows, xs, ys, me, c, rho2);
+        type Compress = fn(&[u32], &[f64], &[f64], u32, Vec2, f64, &mut Kept<32>) -> usize;
+        for (path, kernel) in [("dispatched", compress_disc as Compress), ("lanes", compress_disc_lanes)] {
+            let mut out = Kept::<32>::default();
+            let k = kernel(rows, xs, ys, me, c, rho2, &mut out);
+            let got: Vec<[u64; 4]> = (0..k)
+                .map(|i| [out.rows[i] as u64, out.dx[i].to_bits(), out.dy[i].to_bits(), out.d2[i].to_bits()])
+                .collect();
+            assert_eq!(got, want, "{path} path, {what}");
+        }
+    }
+
+    /// The lane compress against the scalar cursor at every run length to
+    /// a full block of 32, with the member's own row at each block edge
+    /// (first, last, either side of a lane boundary) or absent, over
+    /// positions around the querying point that reach every case: ±0
+    /// displacements, coincident points (d = 0), distances at and one ulp
+    /// either side of ρ, squares that overflow to ∞, ±∞ and NaN coordinates,
+    /// and ordinary points of the probe square.
+    #[test]
+    fn kernel_compress_disc_equals_the_scalar_cursor() {
+        let (rho, nan, inf) = (6.0f64, f64::NAN, f64::INFINITY);
+        let up = |r: f64| f64::from_bits(r.to_bits() + 1);
+        let special = [
+            (0.0, 0.0),
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (rho, 0.0),
+            (0.0, -rho),
+            (up(rho), 0.0),
+            (f64::from_bits(rho.to_bits() - 1), 0.0),
+            (1e155, 1e155),
+            (inf, 0.0),
+            (-inf, inf),
+            (nan, 0.5),
+            (1.0, nan),
+        ];
+        for center in [Vec2::new(0.0, 0.0), Vec2::new(-0.0, 0.0), Vec2::new(3.25, -1.5), Vec2::new(nan, 0.0)] {
+            for n in 0..=32usize {
+                for seed in 0..6u64 {
+                    let mut rng = DetRng::seed_from_u64(seed * 131 + n as u64);
+                    let (xs, ys): (Vec<f64>, Vec<f64>) = (0..n)
+                        .map(|i| match rng.range(0.0, 3.0) as u32 {
+                            0 => {
+                                let (x, y) = special[(i + seed as usize) % special.len()];
+                                (center.x + x, center.y + y)
+                            }
+                            _ => (center.x + rng.range(-rho, rho), center.y + rng.range(-rho, rho)),
+                        })
+                        .collect();
+                    let rows: Vec<u32> = (0..n as u32).map(|i| 900 + i).collect();
+                    for at in [0, 3, 4, 5, 7, 8, n.saturating_sub(1), n] {
+                        let me = rows.get(at).copied().unwrap_or(u32::MAX);
+                        let what = format!("center {center:?} n {n} seed {seed} me at {at}");
+                        assert_compress_matches_cursor(&rows, &xs, &ys, me, center, rho * rho, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every keep pattern of one and two lane widths: each candidate is
+    /// either the member itself, beyond ρ, or kept.
+    #[test]
+    fn kernel_compress_disc_every_keep_pattern() {
+        for n in [LANES, LANES + 1, 2 * LANES] {
+            for pattern in 0..3u32.pow(n as u32) {
+                let kind = |i: usize| pattern / 3u32.pow(i as u32) % 3;
+                let rows: Vec<u32> = (0..n as u32).map(|i| if kind(i as usize) == 0 { 77 } else { i }).collect();
+                let xs: Vec<f64> = (0..n).map(|i| if kind(i) == 1 { 10.0 } else { i as f64 / 4.0 }).collect();
+                let ys: Vec<f64> = (0..n).map(|i| -(i as f64) / 8.0).collect();
+                let what = format!("n {n} pattern {pattern}");
+                assert_compress_matches_cursor(&rows, &xs, &ys, 77, Vec2::new(0.0, 0.0), 4.0, &what);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be parallel and fit the output")]
+    fn kernel_compress_disc_rejects_a_run_longer_than_its_output() {
+        let run = [0.0; 5];
+        compress_disc(&[0; 5], &run, &run, 0, Vec2::ZERO, 1.0, &mut Kept::<4>::default());
     }
 
     /// Random columns at 0 %, ≈45 % (what a probe-group member selects of
@@ -655,7 +1129,15 @@ mod tests {
         let mut s = 0;
         for run in [3, 1, 0, 7, 4, 2, 11, 5, 28] {
             filter_rect(&xs[s..s + run], &ys[s..s + run], &pls[s..s + run], &rect, &mut got);
-            filter_rect_lanes(&xs[s..s + run], &ys[s..s + run], &pls[s..s + run], &rect, &mut lanes);
+            filter_rect_lanes::<false>(
+                &xs[s..s + run],
+                &ys[s..s + run],
+                &pls[s..s + run],
+                &rect,
+                &mut lanes,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            );
             s += run;
         }
         assert_eq!(s, xs.len());

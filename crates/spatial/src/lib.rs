@@ -19,8 +19,9 @@
 //!   columns over x whose boundaries the 1-D load balancer moves, with the
 //!   owner lookup and the contiguous replica band of each agent.
 //! * [`kernels`] — fixed-width lane kernels (range filter, squared
-//!   distances) behind the executor's probe groups (each agent filters its
-//!   tile's shared candidate block with `filter_rect`) and the scan's range
+//!   distances, the zonal models' disc compress) behind the executor's probe
+//!   groups (each agent filters its tile's shared candidate block with
+//!   `filter_rect_coords`, which hands its candidates' positions on) and the scan's range
 //!   probe, and the indexes' k-NN gathers, proven bit-identical to the scalar loops by
 //!   the kernel conformance suite in `tests/properties.rs`; and the join's
 //!   integer orders and lookups (`block_order`, `radix_sort_by_key`, the

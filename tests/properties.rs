@@ -1119,7 +1119,12 @@ proptest! {
             let mut table = EffectTable::new(schema);
             table.reset(n + 1);
             let mut w = EffectWriter::new(schema, &mut table, me);
-            b.query(view.agent(me), &Neighbors::new(view, &cands, me), &mut w, &mut DetRng::seed_from_u64(0));
+            // The candidates' positions, gathered from `agents` as the join
+            // would carry them.
+            let xs: Vec<f64> = cands.iter().map(|&c| agents[c as usize].pos.x).collect();
+            let ys: Vec<f64> = cands.iter().map(|&c| agents[c as usize].pos.y).collect();
+            let nbrs = Neighbors::new(view, &cands, &xs, &ys, me);
+            b.query(view.agent(me), &nbrs, &mut w, &mut DetRng::seed_from_u64(0));
             // The per-candidate loop, accumulator `k` being effect slot `k`.
             let (alpha2, rho2) = (alpha * alpha, rho * rho);
             let mut want = [0.0f64; 8];
@@ -1633,6 +1638,28 @@ fn crowded_and_lone_geometry(world: &mut [Agent], vis: f64, seed: u64) {
     }
 }
 
+/// Re-draw `world`'s positions into one to three crowded tiles (tile side
+/// `vis`), side by side or diagonal, so that a few hundred agents make every
+/// member's visible square hold a hundred or more candidates: several
+/// compress blocks of the zonal fold and a lane tail. Every eleventh agent
+/// sits on its predecessor, every seventh on a tile edge.
+fn crowded_tiles_geometry(world: &mut [Agent], vis: f64, seed: u64) {
+    let mut rng = DetRng::seed_from_u64(seed).stream(0xC70D);
+    let tiles = [(0.0, 0.0), (1.0, 0.0), (-1.0, -1.0)];
+    let used = 1 + (seed % 3) as usize;
+    for i in 0..world.len() {
+        let (tx, ty) = tiles[i % used];
+        let (u, v) = (rng.range(0.0, 1.0), rng.range(0.0, 1.0));
+        world[i].pos = if i % 11 == 10 {
+            world[i - 1].pos
+        } else if i % 7 == 3 {
+            Vec2::new(tx * vis, (ty + v) * vis)
+        } else {
+            Vec2::new((tx + u) * vis, (ty + v) * vis)
+        };
+    }
+}
+
 fn lopsided_world(b: &Lopsided, n: usize, vis: f64, seed: u64, sparse: bool) -> Vec<Agent> {
     let mut rng = DetRng::seed_from_u64(seed).stream(0x10B5);
     let mut world: Vec<Agent> = (0..n)
@@ -1652,7 +1679,9 @@ proptest! {
     /// Fish (square rect, float sums through the register fold): the joined
     /// loop equals the row-oriented oracle bit for bit over multi-tick runs
     /// on tile-edge and sparse-strip geometry (every property below draws
-    /// both), for every index kind, shard granule and thread budget.
+    /// both) and on a few crowded tiles, where each member's candidates run
+    /// to several 32-candidate compress blocks and a lane tail, for every
+    /// index kind, shard granule and thread budget.
     #[test]
     fn kernel_tile_join_fish_equals_reference(
         seed in 0u64..10_000,
@@ -1661,12 +1690,17 @@ proptest! {
         shard_rows in any_shard_granule(),
         threads in any_thread_budget(),
         ticks in 1u64..4,
-        sparse in any::<bool>(),
+        geometry in 0u8..3,
     ) {
         let params = FishParams::default();
         let b = FishBehavior::new(params.clone());
-        let mut world = b.population(n, seed);
-        join_geometry(&mut world, params.rho, 3.0 * params.rho, seed, sparse);
+        let crowded = geometry == 2;
+        let mut world = b.population(if crowded { 200 + 2 * n } else { n }, seed);
+        if crowded {
+            crowded_tiles_geometry(&mut world, params.rho, seed);
+        } else {
+            join_geometry(&mut world, params.rho, 3.0 * params.rho, seed, geometry == 1);
+        }
         let got = grouped_ticks(&b, &world, kind, shard_rows, threads, ticks, seed);
         worlds_bit_identical(&got, &reference_ticks(&b, &world, ticks, seed))?;
     }

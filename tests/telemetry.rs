@@ -11,13 +11,16 @@
 
 mod common;
 
-use brace_common::Vec2;
-use brace_core::Simulation;
+use brace_common::ids::AgentIdGen;
+use brace_common::{AgentId, DetRng, Vec2};
+use brace_core::executor::reference_step;
+use brace_core::{Agent, Behavior, Simulation};
 use brace_models::{PredatorBehavior, PredatorParams};
-use brace_scenario::{Backend, Registry, Runner, Scenario, ScenarioSetup};
+use brace_scenario::{world_checksum, Backend, Registry, Runner, Scenario, ScenarioSetup};
 use brace_spatial::IndexKind;
 use brace_telemetry::Counter;
-use common::{counters_differing, Case, LEGS};
+use brasil::{BrasilBehavior, Script};
+use common::{counters_differing, Case, Custom, LEGS};
 
 const TICKS: u64 = 10;
 
@@ -253,6 +256,100 @@ fn each_leg_names_the_counters_that_differ_from_the_baseline() {
         for family in ENGINE {
             let value = counts.iter().find(|(name, _)| name == family).map(|&(_, v)| v);
             assert_eq!(value, Some(supersteps), "leg `{leg}`: `{family}`");
+        }
+    }
+}
+
+/// A BRASIL query written without a loop: it reads only its own agent.
+const LOOPLESS: &str = r#"
+class Drifter {
+    public state float x : x + vx + push #range[-1, 1];
+    public state float y : y + (rand() - 0.5) * 0.2 #range[-1, 1];
+    public state float vx : vx * 0.5 + (rand() - 0.5) * 0.2;
+    private effect float push : sum;
+    public void run() {
+        push <- (10 - x) * 0.01;
+        push <- 0.001;
+    }
+}
+"#;
+
+/// A loop whose only statement sits under a constant-false guard: the
+/// optimizer folds the guard, drops the dead branch, then the empty loop.
+const DEAD_LOOP: &str = r#"
+class Drifter {
+    public state float x : x + vx + near * 0.001 #range[-1, 1];
+    public state float y : y + (rand() - 0.5) * 0.2 #range[-1, 1];
+    public state float vx : vx * 0.5 + (rand() - 0.5) * 0.2;
+    private effect float near : sum;
+    public void run() {
+        foreach (Drifter p : Extent<Drifter>) {
+            if (2 < 1) {
+                near <- p.x - x;
+            }
+        }
+    }
+}
+"#;
+
+fn drifters(source: &str, optimize: bool, n: usize, seed: u64) -> ScenarioSetup {
+    let script = if optimize { Script::compile(source) } else { Script::compile_unoptimized(source) };
+    let behavior = BrasilBehavior::new(script.expect("the drifter scripts compile").classes()[0].clone());
+    let mut rng = DetRng::seed_from_u64(seed);
+    let population = (0..n)
+        .map(|i| {
+            Agent::new(AgentId::new(i as u64), Vec2::new(rng.range(0.0, 20.0), rng.range(0.0, 20.0)), behavior.schema())
+        })
+        .collect();
+    common::custom_setup(behavior, population, (0.0, 20.0))
+}
+
+/// BRASIL plans with no loop skip the join: `BrasilBehavior::reads_neighbors`
+/// is false for all their members, so on one node and on two workers the
+/// run visits no neighbour, builds no probe group and puts no candidate in
+/// a block — and its world is the serial oracle's, which hands every query
+/// its full neighbourhood. Two such plans: one written without a loop, and
+/// one whose loop the optimizer removed. The latter, unoptimized, keeps
+/// its loop and still joins.
+#[test]
+fn loopless_brasil_plans_skip_the_join() {
+    const TICKS: u64 = 10;
+    const SEED: u64 = 7;
+    let scenarios = [
+        Custom { name: "written", agents: 300, build: |n, seed| drifters(LOOPLESS, true, n, seed) },
+        Custom { name: "optimized", agents: 300, build: |n, seed| drifters(DEAD_LOOP, true, n, seed) },
+        Custom { name: "unoptimized", agents: 300, build: |n, seed| drifters(DEAD_LOOP, false, n, seed) },
+    ];
+    let registry = common::registry_of(scenarios);
+    for name in ["written", "optimized", "unoptimized"] {
+        let scenario = registry.get(name).unwrap();
+        let setup = scenario.build(None, SEED).unwrap();
+        let class = setup.behavior.clone();
+        let mut oracle = setup.population.clone();
+        let mut id_gen = AgentIdGen::from(oracle.len() as u64);
+        for tick in 0..TICKS {
+            reference_step(&class, &mut oracle, tick, SEED, &mut id_gen);
+        }
+        let loops = match name {
+            "unoptimized" => 1,
+            _ => 0,
+        };
+        let source = if name == "written" { LOOPLESS } else { DEAD_LOOP };
+        let compiled =
+            if name == "unoptimized" { Script::compile_unoptimized(source) } else { Script::compile(source) };
+        assert_eq!(brasil::vm::lower(&compiled.unwrap().classes()[0]).summary().loops, loops, "`{name}`");
+        for backend in [Backend::single(), Backend::cluster(2)] {
+            let report = Runner::new(scenario).seed(SEED).backend(backend).run(TICKS).unwrap();
+            let on = format!("`{name}` on `{}`", report.backend);
+            assert_eq!(report.checksum, world_checksum(&oracle), "{on}: the world is not the oracle's");
+            let joined =
+                [Counter::ExecutorNeighborVisits, Counter::ExecutorProbeGroups, Counter::ExecutorBlockCandidates]
+                    .map(|c| report.metrics.counter(c));
+            if loops == 0 {
+                assert_eq!(joined, [0; 3], "{on}: a loop-less plan joined");
+            } else {
+                assert!(joined.iter().all(|&c| c > 0), "{on}: a looping plan must join, {joined:?}");
+            }
         }
     }
 }
