@@ -137,13 +137,14 @@ fn run_fig5(scale: Scale) {
     println!(
         "shape: inversion gain without index {:+.1}%, with index {:+.1}% (paper: >20% both); \
          {} vs {} communication rounds per tick and effect traffic {} B (non-local) vs {} B \
-         (inverted eliminates the second reduce pass)",
+         (inverted eliminates the second reduce pass); final worlds bit-identical: {}",
         (r.inv_only / r.no_opt - 1.0) * 100.0,
         (r.idx_inv / r.idx_only - 1.0) * 100.0,
         r.rounds_nonlocal,
         r.rounds_inverted,
         r.effect_bytes_nonlocal,
         r.effect_bytes_inverted,
+        r.worlds_bit_identical(),
     );
 }
 

@@ -188,6 +188,23 @@ pub struct Fig5Result {
     /// Bytes of effect traffic in the non-local runs (zero when inverted).
     pub effect_bytes_nonlocal: u64,
     pub effect_bytes_inverted: u64,
+    /// Each configuration's world after its last epoch, sorted by id, in
+    /// the order of the throughputs above.
+    pub final_worlds: [Vec<Agent>; 4],
+}
+
+impl Fig5Result {
+    /// Whether the four configurations left the same world bit for bit:
+    /// effect inversion is an exact rewrite and the index changes no result.
+    pub fn worlds_bit_identical(&self) -> bool {
+        let bits = |world: &[Agent]| -> Vec<(AgentId, bool, Vec<u64>)> {
+            let values =
+                |a: &Agent| [a.pos.x, a.pos.y].iter().chain(&a.state).chain(&a.effects).map(|v| v.to_bits()).collect();
+            world.iter().map(|a| (a.id, a.alive, values(a))).collect()
+        };
+        let first = bits(&self.final_worlds[0]);
+        self.final_worlds[1..].iter().all(|world| bits(world) == first)
+    }
 }
 
 /// Figure 5: the BRASIL predator script in its non-local form vs after
@@ -201,7 +218,7 @@ pub fn fig5(scale: Scale) -> Fig5Result {
         Scale::Small => (200, 25.0, 3, 1, 0),
         Scale::Paper => (10000, 200.0, max_workers().min(4), 24, 4),
     };
-    let run = |inverted: bool, kind: IndexKind| -> (f64, u32, u64) {
+    let run = |inverted: bool, kind: IndexKind| -> (f64, u32, u64, Vec<Agent>) {
         let behavior = scripts::predator(inverted).expect("predator script compiles");
         let schema = behavior.schema().clone();
         let mut rng = DetRng::seed_from_u64(5);
@@ -229,12 +246,12 @@ pub fn fig5(scale: Scale) -> Fig5Result {
         let ticks = epochs * 5;
         let tput = (n as u64 * ticks) as f64 / wall;
         let stats = sim.stats();
-        (tput, stats.comm_rounds_per_tick, stats.net.effects.bytes - warm)
+        (tput, stats.comm_rounds_per_tick, stats.net.effects.bytes - warm, sim.collect_agents().unwrap())
     };
-    let (no_opt, rounds_nonlocal, effect_bytes_nonlocal) = run(false, IndexKind::Scan);
-    let (idx_only, ..) = run(false, IndexKind::Join);
-    let (inv_only, rounds_inverted, effect_bytes_inverted) = run(true, IndexKind::Scan);
-    let (idx_inv, ..) = run(true, IndexKind::Join);
+    let (no_opt, rounds_nonlocal, effect_bytes_nonlocal, no_opt_world) = run(false, IndexKind::Scan);
+    let (idx_only, .., idx_only_world) = run(false, IndexKind::Join);
+    let (inv_only, rounds_inverted, effect_bytes_inverted, inv_only_world) = run(true, IndexKind::Scan);
+    let (idx_inv, .., idx_inv_world) = run(true, IndexKind::Join);
     Fig5Result {
         workers,
         agents: n,
@@ -246,6 +263,7 @@ pub fn fig5(scale: Scale) -> Fig5Result {
         rounds_inverted,
         effect_bytes_nonlocal,
         effect_bytes_inverted,
+        final_worlds: [no_opt_world, idx_only_world, inv_only_world, idx_inv_world],
     }
 }
 

@@ -34,16 +34,25 @@
 //!
 //! ### Inversion correctness conditions
 //!
-//! The rewrite is exact when (a) every agent runs the same script with the
-//! same visibility bound — so visibility is *symmetric*: `q` sees `this`
-//! iff `this` sees `q` — and (b) the inverted fragment draws no randomness
-//! (the draw would move from the assigner's stream to the target's,
-//! changing the realization) and reads no local bound before the loop (the
-//! inverted assignment would need the neighbour's binding, which the
-//! querying agent never computes), and (c) `run()` reads back no effect
+//! The rewrite is exact — the inverted class leaves the world the original
+//! leaves, bit for bit — when (a) every agent runs the same script with the
+//! same visibility bound, so visibility is *symmetric*: `q` sees `this` iff
+//! `this` sees `q` (the probe rect, [`Rect::centered`](brace_common::Rect::centered),
+//! holds exactly the `q` with `|fl(q − this)| ≤ vis` on each axis, which
+//! rounding cannot make one-sided), and (b) the inverted fragment draws no
+//! randomness (the draw would move from the assigner's stream to the
+//! target's, changing the realization) and reads no local bound before the
+//! loop (the inverted assignment would need the neighbour's binding, which
+//! the querying agent never computes), and (c) `run()` reads back no effect
 //! field it assigns to other agents (the read sees this agent's own local
 //! contributions; inverted, it would also see what its neighbours send,
-//! which only the second reduce pass delivers). Condition (a) is the
+//! which only the second reduce pass delivers), and (d) no field it assigns
+//! to other agents also gets a local write (uninverted, a target's own
+//! writes fold at its own place in the order of sources and each
+//! neighbour's at the neighbour's; inverted, the two interleave per
+//! candidate, which moves the last bits of a `sum` and the sign of a zero
+//! under `min`). Then each target combines the same values in the same
+//! canonical candidate order either way. Condition (a) is the
 //! uniform-distance-bound special case of the paper's Theorem 3 in which
 //! the factor-2 relaxation of the visibility bound is unnecessary;
 //! `invert_effects` returns an error rather than silently changing
@@ -78,13 +87,13 @@ pub fn standard(class: CompiledClass) -> (CompiledClass, Vec<PassReport>) {
     (with_probe_bounds(class), report)
 }
 
-/// [`standard`], then invert → dead-code, then probe bounds again. Only
-/// numerically equivalent, not bit-identical, to the uninverted class — A/B
-/// comparisons must invert both sides or neither. An inversion refusal
-/// (rand in the loop, a prelude local read by the inverted fragment, a
-/// read of a non-local field, a loop under an `if`, too many local slots
-/// to double) leaves the class as it is: the two-pass reduce path still
-/// runs it correctly.
+/// [`standard`], then invert → dead-code, then probe bounds again. Like
+/// every rewrite here it preserves the plan's results bit for bit. An
+/// inversion refusal (rand in the loop, a prelude local read by the
+/// inverted fragment, a read of a non-local field, a field written both
+/// locally and non-locally, a loop under an `if`, too many local slots to
+/// double) leaves the class as it is: the two-pass reduce path still runs
+/// it correctly.
 pub fn with_inversion(class: CompiledClass) -> (CompiledClass, Vec<PassReport>) {
     let (class, mut report) = standard(class);
     let (class, inverted) = if class.query.has_remote_effects() {
@@ -425,6 +434,18 @@ pub fn invert_effects(class: CompiledClass) -> Result<CompiledClass> {
             "effect inversion would let `run()` read the contributions other agents send to a field; refusing".into(),
         ));
     }
+    // Condition (d) of the module docs.
+    let mut mixed = false;
+    for s in &class.query.stmts {
+        s.visit(&mut |st| mixed |= matches!(st, PStmt::LocalEffect { field, .. } if remote.contains(field)));
+    }
+    if mixed {
+        return Err(BraceError::Rewrite(
+            "effect inversion would interleave a field's own writes with the ones it pulls from its neighbours; \
+             refusing a field written both locally and non-locally"
+                .into(),
+        ));
+    }
     let n_locals = class.query.n_locals;
     // The inverted fragment takes a second copy of every slot.
     let Some(doubled) = n_locals.checked_mul(2) else {
@@ -757,7 +778,8 @@ mod tests {
     #[test]
     fn inversion_preserves_semantics() {
         // Run the same population through original and inverted scripts;
-        // aggregated effects (and hence next-tick states) must agree.
+        // aggregated effects (and hence next-tick states and positions) must
+        // agree bit for bit.
         let run = |class: CompiledClass| {
             let behavior = BrasilBehavior::new(class);
             let schema = behavior.schema().clone();
@@ -767,18 +789,12 @@ mod tests {
                 .collect();
             let mut sim = Simulation::builder(behavior).agents(agents).seed(5).build().unwrap();
             sim.step();
-            sim.agents().iter().map(|a| (a.id, a.state.clone())).collect::<Vec<_>>()
+            let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            sim.agents().iter().map(|a| (a.id, bits(&[a.pos.x, a.pos.y]), bits(&a.state))).collect::<Vec<_>>()
         };
         let original = run(compile_src(PAPER_FISH));
         let inverted = run(invert_effects(compile_src(PAPER_FISH)).unwrap());
-        assert_eq!(original.len(), inverted.len());
-        for ((id_a, s_a), (id_b, s_b)) in original.iter().zip(&inverted) {
-            assert_eq!(id_a, id_b);
-            for (va, vb) in s_a.iter().zip(s_b) {
-                let scale = va.abs().max(vb.abs()).max(1.0);
-                assert!((va - vb).abs() <= 1e-9 * scale, "agent {id_a}: {va} vs {vb}");
-            }
-        }
+        assert_eq!(original, inverted);
     }
 
     #[test]
@@ -875,6 +891,20 @@ mod tests {
         );
         let err = invert_effects(compile_src(&src)).expect_err("must refuse");
         assert!(err.to_string().contains("contributions"), "{err}");
+    }
+
+    /// A local write to a non-local field, in the loop or before it.
+    #[test]
+    fn inversion_refuses_a_field_written_both_locally_and_non_locally() {
+        for src in [
+            PAPER_FISH.replace("p.count <- 1;", "p.count <- 1; count <- 1;"),
+            PAPER_FISH.replace("foreach (Fish p", "avoidy <- 0;\n                foreach (Fish p"),
+        ] {
+            let err = invert_effects(compile_src(&src)).expect_err("must refuse");
+            assert!(err.to_string().contains("both locally and non-locally"), "{err}");
+            let (out, report) = with_inversion(compile_src(&src));
+            assert!(out.schema().has_nonlocal_effects(), "{report:?}");
+        }
     }
 
     #[test]

@@ -214,9 +214,37 @@ impl Rect {
 
     /// Axis-aligned square of half-extent `r` centered on `c`: the visible
     /// region of an agent with `#range[-r, r]` constraints on both axes.
+    ///
+    /// On each axis it holds exactly the doubles `q` with `|fl(q − c)| ≤ r`,
+    /// so visibility is symmetric: `fl(c − q) = −fl(q − c)`, hence `q` is in
+    /// the square around `c` iff `c` is in the square around `q`. The plain
+    /// `[c − r, c + r]` is not: `fl(1.1 − 1) > 0.1`, so a prober at 1.1
+    /// misses 0.1 while one at 0.1 sees 1.1. `c ± r` is kept when one
+    /// branch-free check shows each bound is in the set and the next double
+    /// outward is not; a bound that fails it is searched for over the bit
+    /// patterns, starting at `c ± r`.
     #[inline]
     pub fn centered(c: Vec2, r: f64) -> Self {
-        Rect::new(Vec2::new(c.x - r, c.y - r), Vec2::new(c.x + r, c.y + r))
+        let (lo, hi) = (Vec2::new(c.x - r, c.y - r), Vec2::new(c.x + r, c.y + r));
+        let ok = [
+            (lo.x - c.x >= -r) & (step(lo.x, -1) - c.x < -r),
+            (lo.y - c.y >= -r) & (step(lo.y, -1) - c.y < -r),
+            (hi.x - c.x <= r) & (step(hi.x, 1) - c.x > r),
+            (hi.y - c.y <= r) & (step(hi.y, 1) - c.y > r),
+        ];
+        if ok[0] & ok[1] & ok[2] & ok[3] {
+            return Rect::new(lo, hi);
+        }
+        // `fl(q − c) ≥ −r` iff `fl(−q − (−c)) ≤ r`: a lower bound is the
+        // mirrored upper one (`side` −1).
+        let bound = |ok: bool, guess: f64, c: f64, side: f64| match ok {
+            true => guess,
+            false => side * exact_upper(side * c, r, side * guess),
+        };
+        Rect::new(
+            Vec2::new(bound(ok[0], lo.x, c.x, -1.0), bound(ok[1], lo.y, c.y, -1.0)),
+            Vec2::new(bound(ok[2], hi.x, c.x, 1.0), bound(ok[3], hi.y, c.y, 1.0)),
+        )
     }
 
     #[inline]
@@ -312,6 +340,73 @@ impl Rect {
         let dy = (self.lo.y - p.y).max(0.0).max(p.y - self.hi.y);
         dx * dx + dy * dy
     }
+}
+
+/// The double `k` steps of the bit pattern above `v` (below for negative
+/// `k`), without `next_up`'s branches. A step across zero or past ±∞ gives
+/// NaN, which fails any comparison it feeds.
+#[inline(always)]
+fn step(v: f64, k: i64) -> f64 {
+    let bits = v.to_bits() as i64;
+    // Up adds to the bits under a positive sign and subtracts under a
+    // negative one.
+    let up = (bits >> 63) | 1;
+    f64::from_bits(bits.wrapping_add(k.wrapping_mul(up)) as u64)
+}
+
+/// The largest double `q` with `fl(q − c) ≤ r`, searched over the ordered
+/// bit patterns from −∞ to +∞ (`fl(q − c)` is monotone in `q`); −∞ when no
+/// double qualifies, in which case the mirrored lower bound is above it.
+/// The answer is nearly always within a step or two of `guess` (`c + r`);
+/// otherwise steps doubling away from the guess bracket it and a bisection
+/// closes the bracket. Near a zero crossing the answer is far from `c + r`:
+/// for `c = −1, r = 1` it is 2⁻⁵³, not 0, since `fl(2⁻⁵³ + 1) = 1`.
+#[cold]
+fn exact_upper(c: f64, r: f64, guess: f64) -> f64 {
+    let near = |k: i64| step(guess, k);
+    let (first, past) = (near(-1), near(3));
+    if (first - c <= r) & (past - c > r) {
+        return near(-1 + (near(0) - c <= r) as i64 + (near(1) - c <= r) as i64 + (near(2) - c <= r) as i64);
+    }
+    // A total order on non-NaN doubles as integers (−0 just below +0); it is
+    // its own inverse.
+    let key = |v: i64| v ^ (((v >> 63) as u64) >> 1) as i64;
+    let fits = |k: i64| f64::from_bits(key(k) as u64) - c <= r;
+    let (mut yes, mut no) = (key(f64::NEG_INFINITY.to_bits() as i64), key(f64::INFINITY.to_bits() as i64));
+    if fits(no) {
+        return f64::INFINITY;
+    }
+    if !fits(yes) {
+        return f64::NEG_INFINITY;
+    }
+    if !guess.is_nan() {
+        let g = key(guess.to_bits() as i64);
+        let mut stride = 1i64;
+        if fits(g) {
+            yes = g;
+            while fits(g.saturating_add(stride).min(no)) {
+                yes = g + stride;
+                stride = stride.saturating_mul(2);
+            }
+            no = g.saturating_add(stride).min(no);
+        } else {
+            no = g;
+            while !fits(g.saturating_sub(stride).max(yes)) {
+                no = g - stride;
+                stride = stride.saturating_mul(2);
+            }
+            yes = g.saturating_sub(stride).max(yes);
+        }
+    }
+    while yes + 1 < no {
+        let mid = yes.midpoint(no);
+        if fits(mid) {
+            yes = mid;
+        } else {
+            no = mid;
+        }
+    }
+    f64::from_bits(key(yes) as u64)
 }
 
 impl Default for Rect {
@@ -425,5 +520,64 @@ mod tests {
         assert!(r.contains(Vec2::new(4.0, 2.0)));
         assert!(!r.contains(Vec2::new(4.1, 0.0)));
         assert_eq!(r.center(), c);
+    }
+
+    /// `q` is in the square around `c` iff `|fl(q − c)| ≤ r`, and then `c`
+    /// is in the square around `q`: over ±0, subnormals, the doubles next to
+    /// `c ± r`, `|c| ≫ r`, ±∞ and NaN, and drawn centres and radii. The
+    /// centre goes on x and the point on y (and the other way round), so
+    /// each pair is tested on both axes.
+    #[test]
+    fn rect_centered_is_exactly_the_symmetric_bound() {
+        let tiny = f64::from_bits(1);
+        let special = [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            0.1,
+            1.1,
+            1.0,
+            -1.0,
+            f64::EPSILON / 2.0,
+            1e16,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let radii = [0.0, -0.0, tiny, 0.1, 1.0, 2.0, 1e-300, 1e16, -1.0, f64::INFINITY, f64::NAN];
+        let mut rng = crate::DetRng::seed_from_u64(3);
+        let mut pairs: Vec<(f64, f64)> = special.iter().flat_map(|&c| radii.map(|r| (c, r))).collect();
+        pairs.extend((0..2000).map(|i| {
+            let c = rng.range(-4.0, 4.0) * [1.0, 1e-300, 1e12][i % 3];
+            (c, [rng.range(0.0, 2.0), rng.below(4) as f64, 0.1][i % 3])
+        }));
+        for (c, r) in pairs {
+            let mut qs = special.to_vec();
+            for edge in [c - r, c + r, c] {
+                qs.extend([
+                    edge,
+                    edge.next_up(),
+                    edge.next_down(),
+                    edge.next_up().next_up(),
+                    edge.next_down().next_down(),
+                ]);
+            }
+            for q in qs {
+                let seen = (q - c).abs() <= r;
+                let (around_c, around_q) = (Rect::centered(Vec2::new(c, q), r), Rect::centered(Vec2::new(q, c), r));
+                assert_eq!(around_c.contains(Vec2::new(q, c)), seen, "c={c:e} r={r:e} q={q:e}: {around_c:?}");
+                assert_eq!(around_q.contains(Vec2::new(c, q)), seen, "c={q:e} r={r:e} q={c:e}: {around_q:?}");
+            }
+        }
+        // The asymmetry of `[c − r, c + r]`: fl(1.1 − 1) > 0.1.
+        assert!(Rect::centered(Vec2::new(1.1, 0.0), 1.0).contains(Vec2::new(0.1, 0.0)));
+        // Across zero the bound is not `c + r = 0`: fl(2⁻⁵³ + 1) = 1.
+        let across = Rect::centered(Vec2::new(-1.0, 0.0), 1.0);
+        assert_eq!((across.lo.x, across.hi.x), (-2.0, f64::EPSILON / 2.0));
     }
 }

@@ -233,27 +233,22 @@ mod tests {
     #[test]
     fn local_and_nonlocal_forms_agree() {
         // The two forms are inversions of each other; on any population the
-        // aggregated hurt (and hence deaths) must match exactly — bite
-        // damage sums are order-independent per victim up to float
-        // commutativity, and every term is identical.
+        // world (aggregated hurt, hence deaths, spawns and every position
+        // and state) must match exactly: visibility is symmetric, every
+        // term is identical, and each victim sums its terms in the same
+        // canonical candidate order either way.
         let run = |nonlocal: bool| {
             let b = behavior(nonlocal);
             let pop = b.population(150, 15.0, 42);
             let mut sim = Simulation::builder(b).agents(pop).seed(9).build().unwrap();
             sim.run(10);
-            let mut out: Vec<(u64, f64)> =
-                sim.agents().iter().map(|a| (a.id.raw(), a.state[state::SIZE as usize])).collect();
+            let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut out: Vec<_> =
+                sim.agents().iter().map(|a| (a.id.raw(), bits(&[a.pos.x, a.pos.y]), bits(&a.state))).collect();
             out.sort_by_key(|x| x.0);
-            (out, sim.agents().len())
+            out
         };
-        let (a, na) = run(true);
-        let (b, nb) = run(false);
-        assert_eq!(na, nb, "population trajectories must match");
-        assert_eq!(a.len(), b.len());
-        for ((ida, sa), (idb, sb)) in a.iter().zip(&b) {
-            assert_eq!(ida, idb);
-            assert!((sa - sb).abs() < 1e-9, "agent {ida}: {sa} vs {sb}");
-        }
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

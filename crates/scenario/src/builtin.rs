@@ -49,9 +49,8 @@ pub fn all() -> Vec<Box<dyn Scenario>> {
 /// An *unregistered* twin of a registered BRASIL scenario with the
 /// optimizer pipeline disabled — same name, same population, same index —
 /// for A/B conformance (optimized ≡ unoptimized must be bit-identical) and
-/// bench speedup rows. The predator twin still inverts (inversion changes
-/// float ⊕ order, so both sides of any comparison must share it); only the
-/// always-safe passes differ.
+/// bench speedup rows. The predator twin is the non-local script as
+/// written, so an A/B against it pins effect inversion bit for bit too.
 pub fn brasil_unoptimized(name: &str) -> Option<Box<dyn Scenario>> {
     match name {
         "brasil-fish" => Some(Box::new(BrasilFish { optimize: false })),
@@ -264,9 +263,10 @@ impl Scenario for BrasilPredator {
     }
     fn build(&self, size: Option<usize>, seed: u64) -> Result<ScenarioSetup> {
         let n = size.unwrap_or(self.default_population());
-        // The inverted (local) form: the pipeline's Theorem 2/3 rewrite
-        // (each victim sums its own damages in canonical candidate order).
-        let behavior = scripts::predator_opt(true, self.optimize)?;
+        // Optimized, the inverted (local) form: the pipeline's Theorem 2/3
+        // rewrite (each victim sums its own damages in canonical candidate
+        // order); unoptimized, the non-local script as written.
+        let behavior = scripts::predator(self.optimize)?;
         let side = (n as f64 * 2.0).sqrt().max(1.0);
         let mut population = brasil_population(behavior.schema(), n, seed, side);
         let mut rng = DetRng::seed_from_u64(seed).stream(0x512E);

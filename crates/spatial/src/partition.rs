@@ -78,27 +78,27 @@ impl GridPartitioning {
         out.extend(xs.iter().map(|&x| interior.iter().map(|&b| (x >= b) as u32).sum::<u32>()));
     }
 
-    /// Inclusive column range `[c0, c1]` of the columns whose visible
-    /// interval `[b[c] − vis, b[c+1] + vis]` contains x-position `x` — every
-    /// column that needs a replica of an agent at `x`, its owner included.
-    /// The offsets are taken on the boundary side: a prober at `p` sees `x`
-    /// when `p − vis ≤ x ≤ p + vis` in floating point, and rounding is
-    /// monotone, so the column's lowest prober `b[c]` bounds what it sees by
-    /// `b[c] − vis` and its highest by `b[c+1] + vis`. (`x ± vis` against
-    /// `b` can round the other way and drop a neighbour at exactly
-    /// `b[c] − vis`.) Branch-free like [`Self::owners_into`]: each end is a
-    /// count over the interior boundaries — NaN and −∞ count none, +∞ all.
+    /// Inclusive column range `[c0, c1]` of the columns with a prober that
+    /// sees x-position `x` — every column that needs a replica of an agent
+    /// at `x`, its owner included. A prober at `p` sees `x` when
+    /// `|fl(x − p)| ≤ vis`, the symmetric bound of
+    /// [`brace_common::Rect::centered`]; `fl(x − p)` falls as `p` grows, so
+    /// column `c`, probing from `[b[c], b[c+1])`, needs `x` when
+    /// `fl(x − b[c]) ≥ −vis` and `fl(x − b[c+1]) ≤ vis`. (The second is one
+    /// prober generous: `b[c+1]` itself belongs to column `c + 1`.)
+    /// Branch-free like [`Self::owners_into`]: each end is a count over the
+    /// interior boundaries — NaN and −∞ count none, +∞ all.
     #[inline]
     pub fn replica_col_range(&self, x: f64, vis: f64) -> (u32, u32) {
         let interior = &self.x_bounds[1..self.x_bounds.len() - 1];
-        interior.iter().fold((0, 0), |(c0, c1), &b| (c0 + (x > b + vis) as u32, c1 + (x >= b - vis) as u32))
+        interior.iter().fold((0, 0), |(c0, c1), &b| (c0 + (x - b > vis) as u32, c1 + (x - b >= -vis) as u32))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brace_common::DetRng;
+    use brace_common::{DetRng, Rect, Vec2};
 
     #[test]
     fn columns_assign_and_clamp_to_the_border() {
@@ -144,10 +144,11 @@ mod tests {
     }
 
     /// The branch-free band against a `partition_point` search of the
-    /// boundaries shifted by the visibility: random positions, NaN, ±∞, and
-    /// `x` exactly at `b ± vis` for every boundary `b` (outer ones
-    /// included), at one, two and four columns, with visibilities drawn
-    /// whole (so `b ± vis` is exact) or not.
+    /// boundaries against the probers that see `x`, `Rect::centered(x, vis)`
+    /// on the x axis: random positions, NaN, ±∞, and `x` on the edge of the
+    /// band around every boundary `b` (outer ones included) and one ulp past
+    /// it, at one, two and four columns, with visibilities drawn whole or
+    /// not.
     #[test]
     fn replica_col_range_matches_partition_point() {
         let mut rng = DetRng::seed_from_u64(9);
@@ -156,17 +157,27 @@ mod tests {
             for i in 0..2000 {
                 let vis = if i % 2 == 0 { rng.below(40) as f64 } else { rng.range(0.0, 40.0) };
                 let b = g.x_bounds()[rng.below(cols as u64 + 1) as usize];
-                let x = match i % 7 {
+                let edge = Rect::centered(Vec2::new(b, 0.0), vis);
+                let x = match i % 9 {
                     0 => f64::NAN,
                     1 => f64::INFINITY,
                     2 => f64::NEG_INFINITY,
-                    3 => b + vis,
-                    4 => b - vis,
+                    3 => edge.hi.x,
+                    4 => edge.hi.x.next_up(),
+                    5 => edge.lo.x,
+                    6 => edge.lo.x.next_down(),
                     _ => rng.range(-20.0, 120.0),
                 };
+                let seen_from = Rect::centered(Vec2::new(x, 0.0), vis);
                 let interior = &g.x_bounds()[1..cols];
-                let c0 = interior.partition_point(|&b| b + vis < x) as u32;
-                let c1 = interior.partition_point(|&b| b - vis <= x) as u32;
+                // No prober sees NaN, which stays with its owner, column 0.
+                let (c0, c1) = match x.is_nan() {
+                    true => (0, 0),
+                    false => (
+                        interior.partition_point(|&b| b < seen_from.lo.x) as u32,
+                        interior.partition_point(|&b| b <= seen_from.hi.x) as u32,
+                    ),
+                };
                 assert_eq!(g.replica_col_range(x, vis), (c0, c1), "cols={cols} x={x} vis={vis}");
             }
         }

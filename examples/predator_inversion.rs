@@ -1,6 +1,7 @@
 //! Effect inversion, end to end: compile the non-local predator script,
 //! invert it automatically (Theorems 2/3), and show that the inverted
-//! program computes the same simulation with one fewer communication round.
+//! program computes the same simulation, bit for bit, with one fewer
+//! communication round.
 //!
 //! ```sh
 //! cargo run --release --example predator_inversion
@@ -14,7 +15,7 @@
 use brace::common::{AgentId, DetRng, Result, Vec2};
 use brace::core::{Agent, Behavior};
 use brace::prelude::*;
-use brace::scenario::ScenarioSetup;
+use brace::scenario::{world_checksum, ScenarioSetup};
 use brasil::{invert_effects, CompiledClass, Script};
 use std::sync::Arc;
 
@@ -87,17 +88,11 @@ fn main() {
     let world_nl = run(&CompiledPredator { name: "non-local", class });
     let world_inv = run(&CompiledPredator { name: "inverted", class: inverted });
 
-    let mut max_rel = 0.0f64;
-    for (a, b) in world_nl.iter().zip(&world_inv) {
-        assert_eq!(a.id, b.id);
-        for (x, y) in a.state.iter().zip(&b.state) {
-            let scale = x.abs().max(y.abs()).max(1.0);
-            max_rel = max_rel.max((x - y).abs() / scale);
-        }
-    }
+    // Every bit of the two worlds: ids, positions, states, effects, liveness.
+    let (nl, inv) = (world_checksum(&world_nl), world_checksum(&world_inv));
+    assert_eq!(nl, inv, "the inverted script left a different world");
     println!(
-        "\nworlds agree: {} agents, max relative state difference {max_rel:.2e} \
-         (float aggregation order only)",
+        "\nworlds agree bit for bit: {} agents, checksum {nl:#018X} (Theorem 2: inversion is an exact rewrite)",
         world_nl.len()
     );
 }

@@ -8,7 +8,7 @@
 
 mod common;
 
-use brace_common::{AgentId, DetRng, FieldId, Vec2};
+use brace_common::{AgentId, DetRng, FieldId, Rect, Vec2};
 use brace_core::behavior::{Neighbors, UpdateCtx};
 use brace_core::effect::EffectWriter;
 use brace_core::{Agent, AgentSchema, Behavior, Combinator};
@@ -67,7 +67,8 @@ fn registry() -> Registry {
 }
 
 /// A column boundary where `(EDGE − 4) + 4` rounds below `EDGE` (4 is the
-/// ChurnStorm visibility).
+/// ChurnStorm visibility): `EDGE − 4` is a few ulps short of the band that
+/// sees `EDGE`, whose edge `Rect::centered` searches for.
 const EDGE: f64 = -62.23366320288317;
 const _: () = assert!((EDGE - 4.0) + 4.0 < EDGE);
 
@@ -100,9 +101,9 @@ fn load_balancing_does_not_change_results() {
     assert!(rebalanced(registry, "fish-drifting", &Case::sized(150, 30).seed(9)), "the balancer never repartitioned");
 }
 
-/// A neighbour at exactly the visibility left of a column boundary `b`
-/// is in the view of an agent on `b`, even where `(b − vis) + vis` rounds
-/// below `b`: the column right of `b` must still get its replica.
+/// A neighbour at exactly the visibility left of a column boundary `b`, the
+/// lowest x an agent on `b` sees, where that is not `b − vis`: the two see
+/// each other, so the column right of `b` must get its replica.
 #[test]
 fn a_neighbour_at_exactly_the_visibility_is_replicated() {
     engines_agree(registry, "replica-edge", &Case::sized(2, 5));
@@ -167,10 +168,11 @@ impl ChurnStorm {
     }
 
     /// One agent on the boundary `b` the 2- and 4-worker clusters start
-    /// with, and one at exactly `b − vis`, which the first sees.
+    /// with, and one on the lower edge of what the first sees.
     fn edge_pair(self, b: f64) -> brace_scenario::ScenarioSetup {
-        let vis = self.schema.visibility();
-        let pop = [b, b - vis]
+        let edge = Rect::centered(Vec2::new(b, 0.0), self.schema.visibility()).lo.x;
+        assert_ne!(edge, b - self.schema.visibility(), "the edge is off `b − vis`");
+        let pop = [b, edge]
             .iter()
             .enumerate()
             .map(|(i, &x)| {

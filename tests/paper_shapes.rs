@@ -76,7 +76,8 @@ fn fig4_shape_index_advantage_shrinks_with_visibility() {
 
 /// Figure 5's communication shape (timing-free): the non-local predator
 /// needs a second communication round and ships effect bytes; the inverted
-/// script does neither.
+/// script does neither, and all four configurations end in the same world,
+/// bit for bit.
 #[test]
 fn fig5_shape_inversion_eliminates_second_reduce_pass() {
     let r = fig5(Scale::Small);
@@ -84,6 +85,7 @@ fn fig5_shape_inversion_eliminates_second_reduce_pass() {
     assert!(r.effect_bytes_nonlocal > 0);
     assert_eq!(r.rounds_inverted, 1);
     assert_eq!(r.effect_bytes_inverted, 0);
+    assert!(r.worlds_bit_identical(), "the four configurations' final worlds differ");
 }
 
 /// Figure 6's shape on what a superstep is charged for (timing-free, so no
