@@ -7,22 +7,32 @@
 //! section. One evaluator runs it, driven through `Behavior::query_slice`
 //! and `Behavior::update_rows`.
 //!
+//! ## One record per statement
+//!
+//! Lowering records each statement once, as a step: the ops still to run
+//! before it, its act, and its *path* — the `if` conditions that reach it,
+//! each with the branch taken. An `if` adds no control flow: its
+//! condition's ops are closed by an `Eval` step on the outer path, and each
+//! branch's steps carry the condition on theirs. A step runs — its ops,
+//! then its act — exactly when every condition on its path is defined and
+//! has its branch's truth. The walk reads the steps in order; the column
+//! plan derives its acts and their paths from the same steps.
+//!
 //! ## The query as one data-flow pass per run of members
 //!
 //! A query that is nothing but one loop, whose body neither draws nor reads
 //! an effect, has a `ColumnPlan`: a sweep slice runs in *runs* of members
 //! (at most `RUN_MEMBERS` members, closed once they hold `RUN_PAIRS`
 //! `(member, candidate)` pairs — a member's pairs are never split, so the
-//! columns stay in cache whatever the slice's length):
+//! columns stay in cache whatever the slice's length), in one level of
+//! columns, one value per pair:
 //!
-//! 1. the agent level runs as columns over the run's members — each
-//!    member's own fields gathered, then each op once over the run — and
-//!    each member's candidates are collected as pairs;
-//! 2. every body op runs once over the run's pair columns: the candidate
-//!    fields gathered, each agent-level register the body reads gathered
-//!    over each member's pairs, then each op through the arithmetic table;
+//! 1. each member's candidates are collected as pairs, and each pair's
+//!    member's own fields and candidate's fields gathered;
+//! 2. every op — the agent level's, then the body's — runs once over the
+//!    run's pairs through the arithmetic table;
 //! 3. each member's effects are written in probe order from the columns:
-//!    pair by pair, each pair's acts in step order.
+//!    pair by pair, each pair's acts in step order, where their paths hold.
 //!
 //! That is the walker's every write in the walker's order, so every effect
 //! and the write-log's every entry are bit for bit the member-by-member
@@ -219,50 +229,42 @@ struct Op {
     c: u32,
 }
 
-/// A position in a section: the step to continue at and the first op that
-/// has not run by then.
-#[derive(Debug, Clone, Copy, Default)]
-struct Jump {
-    step: u32,
-    op: u32,
-}
-
 const NO_REG: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 enum Act {
-    /// Nothing but the ops before it (a binding whose value draws).
+    /// Nothing but the ops before it (an `if` condition, a binding whose
+    /// value draws, the end of a branch).
     Eval,
     /// `field ⊕= value` on the agent itself; `shadow` is the register a
     /// later read of the field sees, or [`NO_REG`] when nothing reads it.
-    Local {
-        field: u16,
-        value: u32,
-        shadow: u32,
-        comb: Combinator,
-    },
+    Local { field: u16, value: u32, shadow: u32, comb: Combinator },
     /// `field ⊕= value` on the candidate.
-    Remote {
-        field: u16,
-        value: u32,
-    },
-    /// NIL ⇒ `end`, zero ⇒ `else_`, otherwise the next step.
-    If {
-        cond: u32,
-        else_: Jump,
-        end: Jump,
-    },
-    Goto(Jump),
+    Remote { field: u16, value: u32 },
     /// Sweep the candidates through `bodies[_]` (agent level only).
     Foreach(u32),
 }
 
-/// One statement: a walk runs `ops[..ops_end]` (what has not run yet)
-/// before acting.
-#[derive(Debug, Clone, Copy)]
+/// One statement: where its `path` holds, a walk runs `ops[..ops_end]`
+/// (what has not run yet), then acts.
+#[derive(Debug, Clone)]
 struct Step {
     ops_end: u32,
     act: Act,
+    /// The `if` conditions that reach the step, outermost first: `(cond,
+    /// taken when non-zero)`.
+    path: Vec<(u32, bool)>,
+}
+
+/// Whether a step on `path` runs: every condition is defined and has its
+/// branch's truth. `cond(c)` is register `c`'s value and NIL byte. Tested
+/// outermost first, so a condition is read only where its own step ran.
+#[inline(always)]
+fn reached<const NIL: bool>(path: &[(u32, bool)], cond: impl Fn(u32) -> (f64, u8)) -> bool {
+    path.iter().all(|&(c, taken)| {
+        let (v, nil) = cond(c);
+        !(NIL && nil != 0) && (v != 0.0) == taken
+    })
 }
 
 #[derive(Debug, Clone, Default)]
@@ -271,7 +273,8 @@ struct Section {
     steps: Vec<Step>,
 }
 
-/// A per-candidate register source, written straight from the candidate row.
+/// A register source written straight from a row: the candidate's, or (a
+/// column plan's `own`) the member's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Fill {
     X,
@@ -288,12 +291,6 @@ struct Body {
     /// Draws or reads an effect mid-loop: one candidate at a time, statement
     /// order.
     ordered: bool,
-    /// Registers computed outside the body that it reads: a column pass
-    /// broadcasts each over a member's pairs.
-    invariants: Vec<u32>,
-    /// Every `Local` and `Remote` act, in step order, with the `if`
-    /// conditions that reach it: `(cond, taken when non-zero)`.
-    acts: Vec<(Act, Vec<(u32, bool)>)>,
 }
 
 /// A phase's registers: how many, and the ones preset on every call —
@@ -348,28 +345,20 @@ struct ColAct {
     path: Vec<(u32, bool)>,
 }
 
-/// A query that is nothing but one loop, as columns: its agent level once
-/// over a run's members, its body once over their `(member, candidate)`
-/// pairs, one op at a time over all of them, and the acts each member's
-/// effects are then written by.
+/// A query that is nothing but one loop, as columns, one value per
+/// `(member, candidate)` pair each: the agent level's ops and the body's,
+/// each once over all of a run's pairs, and the acts each member's effects
+/// are then written by.
 #[derive(Debug, Clone)]
 struct ColumnPlan {
-    /// The agent level's columns, one value per member each.
-    agent_width: usize,
-    /// Agent columns written from each member's own row.
-    own: Vec<(u32, Fill)>,
-    /// Constants the agent level reads: every member's value.
-    agent_constants: Vec<(u32, f64)>,
-    agent_ops: Vec<Op>,
-    /// `(agent column, pair column)`: each agent-level register the body
-    /// reads, gathered over every member's pairs.
-    broadcast: Vec<(u32, u32)>,
-    /// The body's columns, one value per pair each.
     width: usize,
+    /// Columns written from each pair's member's own row.
+    own: Vec<(u32, Fill)>,
     /// Columns written from each pair's candidate row.
     fills: Vec<(u32, Fill)>,
-    /// Constants the body reads: every pair's value.
+    /// Constants the program reads: every pair's value.
     constants: Vec<(u32, f64)>,
+    /// The agent level's ops, then the body's.
     ops: Vec<Op>,
     /// The body's effect acts, in step order: per pair, the walker's writes.
     acts: Vec<ColAct>,
@@ -377,16 +366,16 @@ struct ColumnPlan {
 
 impl ColumnPlan {
     /// The plan of a query whose registers are `regs`, if the query is
-    /// nothing but one loop (`body`) that neither draws nor reads an effect.
-    /// Nothing in such a query reads an effect written, so no act keeps a
-    /// shadow.
-    fn new(query: &Section, body: &Body, regs: &Registers) -> Option<ColumnPlan> {
-        let [Step { ops_end, act: Act::Foreach(_) }] = query.steps[..] else { return None };
+    /// nothing but one loop that neither draws nor reads an effect. Nothing
+    /// in such a query reads an effect written, so no act keeps a shadow.
+    fn new(query: &Section, bodies: &[Body], regs: &Registers) -> Option<ColumnPlan> {
+        let [Step { ops_end, act: Act::Foreach(b), .. }] = query.steps[..] else { return None };
+        let body = &bodies[b as usize];
         if body.ordered || !body.code.ops.iter().all(|op| op.code.is_arithmetic()) {
             return None;
         }
-        let mut agent = Placement::new(regs.count);
-        let (mut own, mut agent_constants, mut agent_ops) = (Vec::new(), Vec::new(), Vec::new());
+        let mut col = Placement { col: vec![NO_REG; regs.count], regs, width: 0, constants: Vec::new() };
+        let (mut own, mut ops) = (Vec::new(), Vec::new());
         for op in &query.ops[..ops_end as usize] {
             let fill = match op.code {
                 Code::SelfX => Fill::X,
@@ -395,84 +384,46 @@ impl ColumnPlan {
                 // Nothing is written before the loop: an effect read there
                 // is its combinator's identity, the shadow's preset.
                 Code::Copy => {
-                    let v = regs.preset(op.a)?;
-                    agent_constants.push((agent.place(op.dst), v));
+                    col.col[op.dst as usize] = col.read(op.a)?;
                     continue;
                 }
                 code if code.is_arithmetic() => {
-                    for &r in &[op.a, op.b, op.c][..code.arity()] {
-                        if agent.col[r as usize] == NO_REG {
-                            let v = regs.preset(r)?;
-                            agent_constants.push((agent.place(r), v));
-                        }
-                    }
-                    agent_ops.push(agent.op(op));
+                    ops.push(col.op(op)?);
                     continue;
                 }
                 _ => return None,
             };
-            own.push((agent.place(op.dst), fill));
+            own.push((col.place(op.dst), fill));
         }
-        let mut col = Placement::new(regs.count);
         let fills = body.fills.iter().map(|&(r, fill)| (col.place(r), fill)).collect();
-        let (mut constants, mut broadcast) = (Vec::new(), Vec::new());
-        for &r in &body.invariants {
-            match regs.preset(r) {
-                Some(v) => constants.push((col.place(r), v)),
-                None => {
-                    let m = agent.col[r as usize];
-                    if m == NO_REG {
-                        return None;
-                    }
-                    broadcast.push((m, col.place(r)));
-                }
-            }
+        for op in &body.code.ops {
+            ops.push(col.op(op)?);
         }
-        let ops = body.code.ops.iter().map(|op| col.op(op)).collect();
-        let acts = body
-            .acts
-            .iter()
-            .map(|(act, path)| {
-                let (field, value, target) = match *act {
-                    Act::Local { field, value, .. } => (field, value, false),
-                    Act::Remote { field, value } => (field, value, true),
-                    _ => unreachable!("only effect acts are recorded"),
-                };
-                let path = path.iter().map(|&(c, taken)| (col.col[c as usize], taken)).collect();
-                ColAct { field: FieldId::new(field), value: col.col[value as usize], target, path }
-            })
-            .collect();
-        Some(ColumnPlan {
-            agent_width: agent.len(),
-            own,
-            agent_constants,
-            agent_ops,
-            broadcast,
-            width: col.len(),
-            fills,
-            constants,
-            ops,
-            acts,
-        })
+        let mut acts = Vec::new();
+        for step in &body.code.steps {
+            let (field, value, target) = match step.act {
+                Act::Local { field, value, .. } => (field, value, false),
+                Act::Remote { field, value } => (field, value, true),
+                _ => continue,
+            };
+            let path = step.path.iter().map(|&(c, taken)| Some((col.read(c)?, taken))).collect::<Option<_>>()?;
+            acts.push(ColAct { field: FieldId::new(field), value: col.read(value)?, target, path });
+        }
+        Some(ColumnPlan { width: col.width as usize, own, fills, constants: col.constants, ops, acts })
     }
 }
 
-/// Columns given out to registers in order of need.
-struct Placement {
+/// Columns given out to registers in order of need: a preset gets its
+/// constant column where it is first read.
+struct Placement<'r> {
     /// Each register's column, or [`NO_REG`].
     col: Vec<u32>,
+    regs: &'r Registers,
     width: u32,
+    constants: Vec<(u32, f64)>,
 }
 
-impl Placement {
-    fn new(registers: usize) -> Self {
-        Placement { col: vec![NO_REG; registers], width: 0 }
-    }
-
-    fn len(&self) -> usize {
-        self.width as usize
-    }
-
+impl Placement<'_> {
     fn place(&mut self, r: u32) -> u32 {
         debug_assert_eq!(self.col[r as usize], NO_REG, "register {r} placed twice");
         self.col[r as usize] = self.width;
@@ -480,15 +431,25 @@ impl Placement {
         self.width - 1
     }
 
+    /// The column register `r` is read from, if a column holds it or it is
+    /// a preset.
+    fn read(&mut self, r: u32) -> Option<u32> {
+        if self.col[r as usize] == NO_REG {
+            let v = self.regs.preset(r)?;
+            let c = self.place(r);
+            self.constants.push((c, v));
+        }
+        Some(self.col[r as usize])
+    }
+
     /// `op` over columns: its operands' columns, and a new one for its result.
-    fn op(&mut self, op: &Op) -> Op {
+    fn op(&mut self, op: &Op) -> Option<Op> {
         let mut args = [op.a, op.b, op.c];
         for a in &mut args[..op.code.arity()] {
-            *a = self.col[*a as usize];
-            assert_ne!(*a, NO_REG, "an op reads a register no column holds");
+            *a = self.read(*a)?;
         }
         let [a, b, c] = args;
-        Op { code: op.code, dst: self.place(op.dst), a, b, c }
+        Some(Op { code: op.code, dst: self.place(op.dst), a, b, c })
     }
 }
 
@@ -513,8 +474,8 @@ pub struct Summary {
     pub ordered_body: bool,
     /// Agent-level statements of the query, each loop one.
     pub agent_steps: usize,
-    /// The query runs a slice in columns: its agent level once over a run of
-    /// members, each body op once over their `(member, candidate)` pairs.
+    /// The query runs a slice in columns: each op, the agent level's too,
+    /// once over a run's `(member, candidate)` pairs.
     pub columns: bool,
 }
 
@@ -540,21 +501,11 @@ impl Program {
 // Lowering
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RegKind {
-    /// The same value in every lane from the moment it is written: presets
-    /// and the agent's own fields.
-    Splat,
-    /// Computed at agent level.
-    Invariant,
-    /// Computed per candidate.
-    Varying,
-}
-
 struct Lower<'a> {
     schema: &'a AgentSchema,
     update_phase: bool,
-    kinds: Vec<RegKind>,
+    /// Per register: computed per candidate.
+    varying: Vec<bool>,
     /// Per register: can be NIL.
     may_nil: Vec<bool>,
     presets: Vec<(u32, f64)>,
@@ -569,8 +520,8 @@ struct Lower<'a> {
     body: Option<Body>,
     bodies: Vec<Body>,
     hoisted: usize,
-    /// The `if` conditions around the statement being lowered, inside the
-    /// current body.
+    /// The path of the statement being lowered: the `if` conditions around
+    /// it in its section.
     conds: Vec<(u32, bool)>,
 }
 
@@ -623,30 +574,7 @@ impl Code {
     /// A pure function of its operands: what a column pass runs.
     fn is_arithmetic(self) -> bool {
         use Code::*;
-        matches!(
-            self,
-            Coerce
-                | Neg
-                | Not
-                | Add
-                | Sub
-                | Mul
-                | Div
-                | Rem
-                | Lt
-                | Le
-                | Gt
-                | Ge
-                | Eq
-                | Ne
-                | And
-                | Or
-                | Abs
-                | Sqrt
-                | Min
-                | Max
-                | Call(_)
-        )
+        !matches!(self, SelfX | SelfY | SelfState | SelfEffect | Rand | Copy | NilGuard | AndGuard | OrGuard)
     }
 
     /// How many of `a`, `b`, `c` are register operands.
@@ -667,7 +595,7 @@ impl<'a> Lower<'a> {
         Lower {
             schema,
             update_phase,
-            kinds: Vec::new(),
+            varying: Vec::new(),
             may_nil: Vec::new(),
             presets: Vec::new(),
             constants: Vec::new(),
@@ -682,14 +610,14 @@ impl<'a> Lower<'a> {
         }
     }
 
-    fn fresh(&mut self, kind: RegKind) -> u32 {
-        self.kinds.push(kind);
+    fn fresh(&mut self, varying: bool) -> u32 {
+        self.varying.push(varying);
         self.may_nil.push(false);
-        (self.kinds.len() - 1) as u32
+        (self.varying.len() - 1) as u32
     }
 
     fn preset(&mut self, v: f64) -> u32 {
-        let r = self.fresh(RegKind::Splat);
+        let r = self.fresh(false);
         self.presets.push((r, v));
         r
     }
@@ -711,21 +639,6 @@ impl<'a> Lower<'a> {
         }
     }
 
-    fn here(&self) -> Jump {
-        let s = self.body.as_ref().map_or(&self.outer, |b| &b.code);
-        Jump { step: s.steps.len() as u32, op: s.ops.len() as u32 }
-    }
-
-    /// A body reads register `r`: if it was not computed per candidate, a
-    /// column pass broadcasts it.
-    fn body_reads(&mut self, r: u32) {
-        if let Some(b) = &mut self.body {
-            if self.kinds[r as usize] != RegKind::Varying && !b.invariants.contains(&r) {
-                b.invariants.push(r);
-            }
-        }
-    }
-
     /// Append an op, value-numbering pure duplicates away. Inside a body an
     /// op none of whose operands varies is hoisted to agent level.
     fn emit(&mut self, code: Code, args: [u32; 3]) -> u32 {
@@ -738,22 +651,14 @@ impl<'a> Lower<'a> {
             }
         }
         let in_body = self.body.is_some();
-        let varying = in_body && (!pure || regs.iter().any(|&r| self.kinds[r as usize] == RegKind::Varying));
-        let splat = matches!(code, Code::SelfX | Code::SelfY | Code::SelfState | Code::SelfEffect);
-        let dst = self.fresh(match (varying, splat) {
-            (true, _) => RegKind::Varying,
-            (false, true) => RegKind::Splat,
-            (false, false) => RegKind::Invariant,
-        });
+        let varying = in_body && (!pure || regs.iter().any(|&r| self.varying[r as usize]));
+        let dst = self.fresh(varying);
         self.may_nil[dst as usize] = code == Code::Coerce || regs.iter().any(|&r| self.may_nil[r as usize]);
         let op = Op { code, dst, a, b, c };
         if pure {
             self.known.push(op);
         }
         if varying {
-            for &r in regs {
-                self.body_reads(r);
-            }
             let body = self.body.as_mut().expect("varying ops exist only in a body");
             body.ordered |= !pure;
             body.code.ops.push(op);
@@ -769,7 +674,7 @@ impl<'a> Lower<'a> {
         if let Some(&(r, _)) = known.fills.iter().find(|(_, f)| *f == what) {
             return r;
         }
-        let r = self.fresh(RegKind::Varying);
+        let r = self.fresh(true);
         self.body.as_mut().expect("checked above").fills.push((r, what));
         r
     }
@@ -785,13 +690,12 @@ impl<'a> Lower<'a> {
 
     /// A register for a result computed where ordered ops go right now.
     fn fresh_here(&mut self) -> u32 {
-        self.fresh(if self.body.is_some() { RegKind::Varying } else { RegKind::Invariant })
+        self.fresh(self.body.is_some())
     }
 
     /// Push a guard that settles `dst` on `tested`; [`settle`](Self::settle)
     /// fills in how far it skips.
     fn guard(&mut self, code: Code, dst: u32, tested: u32) -> usize {
-        self.body_reads(tested);
         self.may_nil[dst as usize] |= self.may_nil[tested as usize];
         let ops = &mut self.here_mut().ops;
         ops.push(Op { code, dst, a: tested, b: 0, c: 0 });
@@ -802,7 +706,6 @@ impl<'a> Lower<'a> {
     /// skips to just past it.
     fn settle(&mut self, dst: u32, code: Code, args: [u32; 3], guards: &[usize]) {
         for &r in &args[..code.arity()] {
-            self.body_reads(r);
             self.may_nil[dst as usize] |= self.may_nil[r as usize];
         }
         let [a, b, c] = args;
@@ -886,11 +789,12 @@ impl<'a> Lower<'a> {
         }
     }
 
-    fn step(&mut self, act: Act) -> usize {
-        let ops_end = self.here().op;
-        let steps = &mut self.here_mut().steps;
-        steps.push(Step { ops_end, act });
-        steps.len() - 1
+    /// Close the section's ops lowered so far with a step on the current
+    /// path.
+    fn step(&mut self, act: Act) {
+        let path = self.conds.clone();
+        let s = self.here_mut();
+        s.steps.push(Step { ops_end: s.ops.len() as u32, act, path });
     }
 
     fn stmts(&mut self, list: &[PStmt]) {
@@ -905,36 +809,27 @@ impl<'a> Lower<'a> {
                 }
                 PStmt::LocalEffect { field, value } => {
                     let value = self.expr(value);
-                    self.body_reads(value);
                     let comb = self.schema.combinator(FieldId::new(*field));
-                    self.act(Act::Local { field: *field, value, shadow: self.shadows[*field as usize], comb });
+                    self.step(Act::Local { field: *field, value, shadow: self.shadows[*field as usize], comb });
                 }
                 PStmt::RemoteEffect { field, value } => {
                     assert!(self.body.is_some(), "remote effect outside a foreach (rejected by analysis)");
                     let value = self.expr(value);
-                    self.body_reads(value);
-                    self.act(Act::Remote { field: *field, value });
+                    self.step(Act::Remote { field: *field, value });
                 }
                 PStmt::If { cond, then_, else_ } => {
                     let cond = self.expr(cond);
-                    self.body_reads(cond);
-                    let at = self.step(Act::If { cond, else_: Jump::default(), end: Jump::default() });
-                    self.conds.push((cond, true));
-                    self.scoped(|this| this.stmts(then_));
-                    self.conds.pop();
-                    let (else_at, end) = if else_.is_empty() {
-                        (self.here(), self.here())
-                    } else {
-                        let skip = self.step(Act::Goto(Jump::default()));
-                        let else_at = self.here();
-                        self.conds.push((cond, false));
-                        self.scoped(|this| this.stmts(else_));
+                    self.step(Act::Eval);
+                    for (branch, taken) in [(then_, true), (else_, false)] {
+                        self.conds.push((cond, taken));
+                        self.scoped(|this| this.stmts(branch));
+                        // Ops the branch left unclosed run on its path too.
+                        let s = self.here_mut();
+                        if s.steps.last().map_or(0, |t| t.ops_end) < s.ops.len() as u32 {
+                            self.step(Act::Eval);
+                        }
                         self.conds.pop();
-                        let end = self.here();
-                        self.here_mut().steps[skip].act = Act::Goto(end);
-                        (else_at, end)
-                    };
-                    self.here_mut().steps[at].act = Act::If { cond, else_: else_at, end };
+                    }
                 }
                 PStmt::Foreach { body } => {
                     assert!(self.body.is_none(), "nested foreach (rejected by analysis)");
@@ -949,18 +844,9 @@ impl<'a> Lower<'a> {
         }
     }
 
-    /// An effect act: a step, and in a body also a column act under the
-    /// conditions that reach it.
-    fn act(&mut self, act: Act) {
-        self.step(act);
-        if let Some(b) = &mut self.body {
-            b.acts.push((act, self.conds.clone()));
-        }
-    }
-
     fn registers(&mut self) -> Registers {
         Registers {
-            count: self.kinds.len(),
+            count: self.varying.len(),
             presets: std::mem::take(&mut self.presets),
             nil: self.may_nil.contains(&true),
         }
@@ -989,10 +875,7 @@ pub fn lower(class: &CompiledClass) -> Program {
     q.stmts(&class.query.stmts);
 
     let query_regs = q.registers();
-    let columns = match &q.bodies[..] {
-        [body] => ColumnPlan::new(&q.outer, body, &query_regs),
-        _ => None,
-    };
+    let columns = ColumnPlan::new(&q.outer, &q.bodies, &query_regs);
 
     let mut u = Lower::new(class, true);
     let commits = class.updates.iter().map(|rule| (rule.target, u.expr(&rule.expr))).collect();
@@ -1035,20 +918,11 @@ struct QueryScratch {
     cols: Vec<f64>,
     col_nil: Vec<u8>,
     stride: usize,
-    /// The run's members in probe order, and its pairs: each candidate's row
-    /// and its member's index.
-    members: Vec<RunMember>,
+    /// The run's members in probe order, as the range of pairs each holds,
+    /// and its pairs: each candidate's row and its member's.
+    members: Vec<Range<usize>>,
     pairs: Vec<u32>,
-    pair_member: Vec<u32>,
-    /// The agent level's columns, [`RUN_MEMBERS`] apart, and their NIL bytes.
-    agent_cols: Vec<f64>,
-    agent_nil: Vec<u8>,
-}
-
-/// One member of a column run: its row and its pairs' range.
-struct RunMember {
-    row: u32,
-    pairs: Range<usize>,
+    pair_self: Vec<u32>,
 }
 
 thread_local! {
@@ -1403,9 +1277,8 @@ fn run_ops<const N: usize, const W: usize, const NIL: bool>(
     }
 }
 
-/// An op's site in a run's columns: the first `p` entries (pairs, or the
-/// agent level's members) of each of its registers' columns, `stride`
-/// apart, NIL bytes laid out as the values.
+/// An op's site in a run's columns: the first `p` pairs of each of its
+/// registers' columns, `stride` apart, NIL bytes laid out as the values.
 struct ColumnOp<'c> {
     vals: &'c mut [f64],
     nil: &'c mut [u8],
@@ -1469,9 +1342,9 @@ impl OpSite for ColumnOp<'_> {
     }
 }
 
-/// Run arithmetic `ops` over the first `p` entries of a run's columns (pairs,
-/// or the agent level's members), `stride` apart: each op once over all of
-/// them, through [`arith`]. `NIL`: one NIL byte per entry.
+/// Run arithmetic `ops` over the first `p` pairs of a run's columns,
+/// `stride` apart: each op once over all of them, through [`arith`]. `NIL`:
+/// one NIL byte per pair.
 fn run_columns<const NIL: bool>(ops: &[Op], p: usize, stride: usize, vals: &mut [f64], nil: &mut [u8]) {
     for &op in ops {
         arith::<NIL>(op.code, &mut ColumnOp { vals: &mut *vals, nil: &mut *nil, stride, p, op });
@@ -1491,19 +1364,22 @@ struct Walker<'q, 'v, 'w> {
 }
 
 impl Walker<'_, '_, '_> {
-    /// Walk `section`: each step's ops first, then its act; branches not
-    /// taken are skipped. `row` is the candidate a `Remote` act writes (a
-    /// body's walk).
+    /// Walk `section`: each step whose path holds, its ops first, then its
+    /// act; the steps of branches not taken are skipped, ops and all. `row`
+    /// is the candidate a `Remote` act writes (a body's walk).
     fn walk<const NIL: bool>(&mut self, section: &Section, row: u32) {
-        let (mut i, mut pc) = (0, 0);
-        while i < section.steps.len() {
-            let Step { ops_end, act } = section.steps[i];
-            i += 1;
+        let mut pc = 0;
+        for step in &section.steps {
+            let ops = &section.ops[pc..step.ops_end as usize];
+            pc = step.ops_end as usize;
+            let cond = |c: u32| (self.vals[c as usize][0], if NIL { self.nil[c as usize][0] } else { 0 });
+            if !reached::<NIL>(&step.path, cond) {
+                continue;
+            }
             let own = &mut Querier { me: &self.me, rng: &mut *self.rng };
-            run_ops::<1, 1, NIL>(&section.ops[pc..ops_end as usize], self.vals, self.nil, own);
-            pc = ops_end as usize;
+            run_ops::<1, 1, NIL>(ops, self.vals, self.nil, own);
             let is_nil = |nil: &[[u8; 1]], r: u32| NIL && nil[r as usize][0] != 0;
-            match act {
+            match step.act {
                 Act::Eval => {}
                 Act::Local { field, value, shadow, comb } => {
                     let v = self.vals[value as usize][0];
@@ -1521,14 +1397,6 @@ impl Walker<'_, '_, '_> {
                         self.eff.remote(row, FieldId::new(field), v);
                     }
                 }
-                Act::If { cond, else_, end } => {
-                    if is_nil(self.nil, cond) {
-                        (i, pc) = (end.step as usize, end.op as usize);
-                    } else if self.vals[cond as usize][0] == 0.0 {
-                        (i, pc) = (else_.step as usize, else_.op as usize);
-                    }
-                }
-                Act::Goto(to) => (i, pc) = (to.step as usize, to.op as usize),
                 Act::Foreach(body) => {
                     let prog = self.prog;
                     self.sweep::<NIL>(&prog.bodies[body as usize]);
@@ -1569,8 +1437,7 @@ impl Cols<'_> {
     #[inline(always)]
     fn value<const NIL: bool>(&self, act: &ColAct, p: usize) -> Option<f64> {
         let at = |c: u32| c as usize * self.stride + p;
-        let reached =
-            act.path.iter().all(|&(c, taken)| !(NIL && self.nil[at(c)] != 0) && (self.vals[at(c)] != 0.0) == taken);
+        let reached = reached::<NIL>(&act.path, |c| (self.vals[at(c)], if NIL { self.nil[at(c)] } else { 0 }));
         let v = self.vals[at(act.value)];
         (reached && !(NIL && self.nil[at(act.value)] != 0) && !v.is_nan()).then_some(v)
     }
@@ -1638,9 +1505,8 @@ impl Program {
     }
 
     /// The query phase of one sweep slice. A program with a column plan runs
-    /// it in runs of members: the agent level over the run's members, the
-    /// body's ops once over their pairs, then each member's effects written
-    /// in probe order (module docs). Any other program runs
+    /// it in runs of members: every op once over the run's pairs, then each
+    /// member's effects written in probe order (module docs). Any other program runs
     /// [`Program::query`] member by member.
     pub fn query_slice(&self, slice: &mut QuerySlice<'_, '_>) {
         let Some(plan) = &self.columns else {
@@ -1728,17 +1594,9 @@ impl Program {
 /// A slice through `plan`, one run of members at a time (module docs).
 fn column_runs<const NIL: bool>(plan: &ColumnPlan, slice: &mut QuerySlice<'_, '_>, s: &mut QueryScratch) {
     let view = slice.view();
-    let QueryScratch { cols, col_nil, stride, members, pairs, pair_member, agent_cols, agent_nil, .. } = s;
+    let QueryScratch { cols, col_nil, stride, members, pairs, pair_self, .. } = s;
     // Another program may have left its constants in these columns.
     *stride = 0;
-    agent_cols.resize(plan.agent_width * RUN_MEMBERS, 0.0);
-    agent_nil.clear();
-    if NIL {
-        agent_nil.resize(plan.agent_width * RUN_MEMBERS, 0);
-    }
-    for &(c, v) in &plan.agent_constants {
-        agent_cols[c as usize * RUN_MEMBERS..][..RUN_MEMBERS].fill(v);
-    }
     let column = |fill: Fill| match fill {
         Fill::X => view.xs(),
         Fill::Y => view.ys(),
@@ -1748,7 +1606,7 @@ fn column_runs<const NIL: bool>(plan: &ColumnPlan, slice: &mut QuerySlice<'_, '_
     loop {
         members.clear();
         pairs.clear();
-        pair_member.clear();
+        pair_self.clear();
         let mut last = false;
         while members.len() < RUN_MEMBERS && pairs.len() < RUN_PAIRS {
             let Some((me, neighbors)) = slice.next_member() else {
@@ -1757,13 +1615,13 @@ fn column_runs<const NIL: bool>(plan: &ColumnPlan, slice: &mut QuerySlice<'_, '_
             };
             let start = pairs.len();
             pairs.extend(neighbors.iter().map(|nb| nb.row));
-            pair_member.resize(pairs.len(), members.len() as u32);
-            members.push(RunMember { row: me.row, pairs: start..pairs.len() });
+            pair_self.resize(pairs.len(), me.row);
+            members.push(start..pairs.len());
         }
         if members.is_empty() {
             break;
         }
-        let (n, p) = (members.len(), pairs.len());
+        let p = pairs.len();
         if p > *stride {
             *stride = p.max(RUN_PAIRS).next_power_of_two();
             cols.resize(plan.width * *stride, 0.0);
@@ -1777,20 +1635,11 @@ fn column_runs<const NIL: bool>(plan: &ColumnPlan, slice: &mut QuerySlice<'_, '_
         }
         let stride = *stride;
         let at = |c: u32| c as usize * stride..c as usize * stride + p;
-        // The agent level over the run's members, then each register the
-        // body reads over each member's pairs.
-        let rows = |c: u32| c as usize * RUN_MEMBERS..c as usize * RUN_MEMBERS + n;
+        // Each pair's member's fields and candidate's fields, then every op
+        // over every pair.
         for &(c, fill) in &plan.own {
-            gather(&mut agent_cols[rows(c)], column(fill), members.iter().map(|m| m.row));
+            gather(&mut cols[at(c)], column(fill), pair_self.iter().copied());
         }
-        run_columns::<NIL>(&plan.agent_ops, n, RUN_MEMBERS, agent_cols, agent_nil);
-        for &(m, c) in &plan.broadcast {
-            gather(&mut cols[at(c)], &agent_cols[rows(m)], pair_member.iter().copied());
-            if NIL {
-                gather(&mut col_nil[at(c)], &agent_nil[rows(m)], pair_member.iter().copied());
-            }
-        }
-        // The candidates' fields, then the body's ops over every pair.
         for &(c, fill) in &plan.fills {
             let out = &mut cols[at(c)];
             // Positions too: a member has few pairs, and one gather per
@@ -1801,15 +1650,15 @@ fn column_runs<const NIL: bool>(plan: &ColumnPlan, slice: &mut QuerySlice<'_, '_
                 continue;
             }
             let ids = view.ids();
-            for (o, (&row, &m)) in out.iter_mut().zip(pairs.iter().zip(pair_member.iter())) {
-                *o = truth(ids[row as usize] == ids[members[m as usize].row as usize]);
+            for (o, (&row, &me)) in out.iter_mut().zip(pairs.iter().zip(pair_self.iter())) {
+                *o = truth(ids[row as usize] == ids[me as usize]);
             }
         }
         run_columns::<NIL>(&plan.ops, p, stride, cols, col_nil);
         // Each member's effects, in probe order.
         let cols = Cols { vals: cols, nil: col_nil, stride };
         for m in members.iter() {
-            slice.emit(|eff| emit_pairs::<NIL>(plan, cols, pairs, m.pairs.clone(), eff));
+            slice.emit(|eff| emit_pairs::<NIL>(plan, cols, pairs, m.clone(), eff));
         }
         if last {
             break;
@@ -1889,6 +1738,34 @@ mod tests {
             let (vm, spec) = both_worlds(class);
             assert_bit_identical(&vm, &spec);
         }
+    }
+
+    /// A loop-only body whose acts write constants, under an `if` that tests
+    /// an agent-level value against a constant, and under one that tests a
+    /// constant alone: the agent level's op, a path and an act each read a
+    /// preset that no op writes, so it gets its column where it is first read.
+    #[test]
+    fn presets_read_by_ops_paths_and_acts_run_in_columns() {
+        let class = compile_src(
+            r#"
+            class K {
+                public state float x : x #range[-1, 1];
+                public state float y : y #range[-1, 1];
+                public state float got : e;
+                private effect float e : sum;
+                public void run() {
+                    foreach (K p : Extent<K>) {
+                        if (x > 1.5) { e <- 1; } else { if (2) { e <- p.y; } }
+                    }
+                }
+            }
+        "#,
+        );
+        let s = lower(&class).summary();
+        assert!(s.columns && s.candidate_ops == 0, "{s:?}");
+        let (vm, spec) = both_worlds(class);
+        assert_bit_identical(&vm, &spec);
+        assert!(vm.iter().any(|a| a.state[0] != 0.0));
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! non-local schema's writer has a **split sink**: a write to a local-only
 //! field folds in place into the shard's table, exactly as a local-effect
 //! schema's does; a write to a remote field, whoever makes it, is appended
-//! to the write-log ([`EffectLog`]) for the ordered replay. A fold over
+//! to the write-log (`EffectLog`) for the ordered replay. A fold over
 //! local-only fields alone is the register fold above. A fold that names a
 //! remote field routes each accumulator by its field: a remote field's
 //! combines are logged one by one, in call order, as `local` would log them

@@ -339,7 +339,7 @@ impl ProbeOrder {
 
 /// Reusable per-tick working memory, threaded through the executor so the
 /// hot path allocates nothing after the first tick: the tick's id and probe
-/// orders with their sort buffers, one [`ShardScratch`] (effect table,
+/// orders with their sort buffers, one `ShardScratch` (effect table,
 /// write-log, candidate block, spawn queue) per logical shard, and for
 /// non-local schemas the replay's writer order and the writes to replicas.
 /// One `TickScratch` belongs to one behavior (its tables are shaped by the

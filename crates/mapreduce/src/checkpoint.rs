@@ -55,7 +55,7 @@ pub struct ClusterCheckpoint {
 
 impl ClusterCheckpoint {
     /// Serialize to a single buffer of exactly its size: the bytes
-    /// [`ClusterCheckpoint::write_parts`] writes.
+    /// `ClusterCheckpoint::write_parts` writes.
     pub fn encode(&self) -> Bytes {
         let mut buf = Vec::with_capacity(self.encoded_len());
         self.write_parts(&mut buf).expect("a Vec takes every write");

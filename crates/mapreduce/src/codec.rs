@@ -411,7 +411,7 @@ pub fn encode_effect_writes(writes: &[EffectWrite]) -> Bytes {
 }
 
 /// Decode a payload produced by [`encode_effect_writes`]; see
-/// [`peer_records`]. Whether the targets and fields exist is the
+/// `peer_records`. Whether the targets and fields exist is the
 /// receiver's to check.
 pub fn decode_effect_writes(bytes: Bytes) -> Result<Vec<EffectWrite>> {
     peer_records(&bytes, EFFECT_WRITE_BYTES, "effect writes", read_effect_write)
@@ -473,7 +473,7 @@ pub fn encode_spawn_runs(runs: &[(AgentId, u32)]) -> Bytes {
 }
 
 /// Decode a payload produced by [`encode_spawn_runs`]; see
-/// [`peer_records`].
+/// `peer_records`.
 pub fn decode_spawn_runs(bytes: Bytes) -> Result<Vec<(AgentId, u32)>> {
     peer_records(&bytes, 12, "spawn runs", |r| Some((AgentId::new(r.u64()?), r.u32()?)))
 }

@@ -35,7 +35,7 @@
 //!
 //! # Replica sessions and registries
 //!
-//! For every destination the sender keeps a [`ReplicaSession`]: the set of
+//! For every destination the sender keeps a `ReplicaSession`: the set of
 //! agents currently replicated there plus the last-shipped value of every
 //! field, in columnar slots. Each tick it diffs the current band against
 //! the session: entrants ship full, leavers ship removals, persisting

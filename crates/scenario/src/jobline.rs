@@ -5,7 +5,7 @@
 //! a fresh process can rebuild the behavior after a crash — that format is
 //! on disk, so [`JobSpec::encode`]/[`JobSpec::parse`] must stay
 //! byte-compatible with every manifest already written. The serve layer
-//! ([`brace-serve`]) extends the same line with the remaining run
+//! (`brace-serve`) extends the same line with the remaining run
 //! parameters — seed, horizon, index override, backend — into a [`RunKey`]
 //! whose [`RunKey::canonical`] string *fully determines the result bits*:
 //! scenario builds are pure functions of `(size, seed)` (the

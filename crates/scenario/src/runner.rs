@@ -16,7 +16,7 @@
 //! **bit for bit**: spawn ids are globally ordered, and every non-local
 //! effect is folded once, in source-id order, on every engine.
 //! `tests/scenario_conformance.rs` enforces this for every registry entry's
-//! [`conformance_setup`](crate::conformance_setup).
+//! [`conformance_setup`].
 
 use crate::jobline::JobSpec;
 use crate::{conformance_setup, Scenario, ScenarioSetup};

@@ -595,7 +595,7 @@ const PLACE_MAX: usize = 32;
 /// has exactly one ascending order, so both arms below produce it, bit for
 /// bit what `sort_unstable` followed by the map does.
 ///
-/// - **Up to [`PLACE_MAX`] ranks: rank placement.** Each rank's row is
+/// - **Up to `PLACE_MAX` ranks: rank placement.** Each rank's row is
 ///   written at the count of smaller ranks in the block — a compare-all sum
 ///   over a `u32::MAX`-padded copy 8, 16 or 32 wide, which LLVM vectorizes
 ///   on the baseline target with no branch on the data.
@@ -700,8 +700,8 @@ pub struct TileDirectory {
 
 impl TileDirectory {
     /// Sort `cells`, fed in id order, into the probe order through the
-    /// scatter buffer `spare`. When the occupied box holds at most [`DIRECTORY_TILES_PER_ROW`] tiles
-    /// per row plus [`DIRECTORY_SLACK`], the sort is a counting sort by dense
+    /// scatter buffer `spare`. When the occupied box holds at most `DIRECTORY_TILES_PER_ROW` tiles
+    /// per row plus `DIRECTORY_SLACK`, the sort is a counting sort by dense
     /// tile index and builds the directory; a box over that (an outlier
     /// 10⁹ units out, tiles saturated at the ends of `i64`, a sparse
     /// diagonal) takes [`radix_sort_by_key`] over the tile's offset from

@@ -157,3 +157,45 @@ fn golden_fish_on_the_scan_and_predator_on_the_join() {
 fn golden_traffic_cluster_100_ticks_matches_single_node() {
     golden("golden-traffic-wrap-free", 0x431B_E404_82D3_8EAC);
 }
+
+/// The goldens' libm half of the host contract: glibc's libm is assumed,
+/// and checked here. Each function's digest (FNV-1a over the output bits)
+/// covers 4 096 `DetRng`-drawn inputs in the ranges the models (headings,
+/// a random walk: `sin`, `cos`) and BRASIL's builtins (`plan.rs`: `sin`,
+/// `cos`, `exp`, `ln`, `atan2`, `powf`) feed it. A libm that rounds one of
+/// them differently moves the goldens above for no engine reason; this test
+/// fails first and names the function.
+#[test]
+fn libm_output_bits_match_the_pinned_host() {
+    use brace_common::DetRng;
+    let digest = |seed: u64, f: &dyn Fn(&mut DetRng) -> f64| {
+        let mut rng = DetRng::seed_from_u64(seed);
+        (0..4096).fold(0xCBF2_9CE4_8422_2325_u64, |h, _| {
+            f(&mut rng).to_bits().to_le_bytes().iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01B3))
+        })
+    };
+    // `ln`'s inputs span 2⁻⁴⁰..2⁴⁰: a mantissa scaled by an exact power of two.
+    let got = [
+        ("sin", digest(1, &|r| r.range(-64.0, 64.0).sin())),
+        ("cos", digest(2, &|r| r.range(-64.0, 64.0).cos())),
+        ("exp", digest(3, &|r| r.range(-40.0, 40.0).exp())),
+        ("ln", digest(4, &|r| (r.range(1.0, 2.0) * 2f64.powi(r.range(-40.0, 40.0) as i32)).ln())),
+        ("atan2", digest(5, &|r| r.range(-100.0, 100.0).atan2(r.range(-100.0, 100.0)))),
+        ("powf", digest(6, &|r| r.range(0.0, 10.0).powf(r.range(-4.0, 4.0)))),
+    ];
+    let want = [
+        0x172F_3A85_00FD_3B4D,
+        0x45BC_A254_B939_AAA8,
+        0x03D1_B057_5B99_C794,
+        0xA412_0548_2B4D_C107,
+        0x61C2_AB1C_E762_110A,
+        0xD8DC_DB0A_6F08_95E1,
+    ];
+    let drifted: Vec<String> = got
+        .iter()
+        .zip(want)
+        .filter(|((_, g), w)| g != w)
+        .map(|((name, g), _)| format!("{name} (got {g:#018X})"))
+        .collect();
+    assert!(drifted.is_empty(), "this host's libm differs from the pinned one in: {}", drifted.join(", "));
+}

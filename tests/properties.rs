@@ -1925,7 +1925,7 @@ proptest! {
 /// Hand-written scripts, one per corner of the semantics the register
 /// program must carry over from the tree walker (`brasil::vm` module docs).
 /// Every class has the state fields `s` and `t`, so one population fits all.
-const BRASIL_EDGE_SCRIPTS: [(&str, &str); 16] = [
+const BRASIL_EDGE_SCRIPTS: [(&str, &str); 17] = [
     // A source `const` that goes NaN per candidate (0/0 for coincident
     // agents) is NIL from there on: `min`/`max`/comparisons would have
     // swallowed a NaN, and an `if` on it skips both branches.
@@ -2264,6 +2264,39 @@ const BRASIL_EDGE_SCRIPTS: [(&str, &str); 16] = [
             public void run() {
                 foreach (A p : Extent<A>) {
                     if (p.x > x + 0.5 && p.x < x - 0.5) { a <- p.s; }
+                }
+            }
+        }"#,
+    ),
+    // Nested `if`/`else` whose inner condition can be NIL (a `const` of
+    // 0/0 for `s = 0` at agent level, for coincident agents in the body),
+    // drawing in every branch: a NIL condition skips both of its branches
+    // and their draws, and the steps after them run.
+    (
+        "nested if/else on a NIL condition, drawing",
+        r#"class A {
+            public state float x : x #range[-1, 1];
+            public state float y : y #range[-1, 1];
+            public state float s : s * 0.5 + a;
+            public state float t : t * 0.5 + b;
+            private effect float a : sum;
+            private effect float b : sum;
+            public void run() {
+                const float r = s / s;
+                if (t > 0) {
+                    if (r * (t - 0.5) > 0) { a <- rand(); } else { a <- 10 + rand(); }
+                    b <- 0.125;
+                } else {
+                    b <- rand();
+                }
+                foreach (A p : Extent<A>) {
+                    const float d = (x - p.x) / (x - p.x);
+                    if (p.s > s) {
+                        if (d * (p.y - y) > 0) { b <- rand(); } else { b <- 10 + rand(); }
+                        a <- 0.25;
+                    } else {
+                        a <- rand() * 0.01;
+                    }
                 }
             }
         }"#,
